@@ -1,9 +1,9 @@
-//! Criterion: cache-conscious partitioned hash join, and the fused
-//! join-aggregate against join-then-aggregate (the §II.B.7 ablation).
+//! Criterion: cache-conscious partitioned hash join, alone and feeding a
+//! grouped aggregate (§II.B.7).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use dash_common::{row, Field, Row, Schema};
-use dash_exec::agg::{try_fused_join_aggregate, AggExpr, AggFunc};
+use dash_exec::agg::{AggExpr, AggFunc};
 use dash_exec::batch::Batch;
 use dash_exec::expr::Expr;
 use dash_exec::functions::EvalContext;
@@ -52,7 +52,7 @@ fn bench_join(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_fused_vs_pipeline(c: &mut Criterion) {
+fn bench_join_then_agg(c: &mut Criterion) {
     let d = dim();
     let out_schema = Schema::new(vec![
         Field::new("label", dash_common::DataType::Utf8),
@@ -78,13 +78,6 @@ fn bench_fused_vs_pipeline(c: &mut Criterion) {
     for n in [10_000usize, 100_000] {
         let f = fact(n);
         group.throughput(Throughput::Elements(n as u64));
-        group.bench_with_input(BenchmarkId::new("fused", n), &f, |b, f| {
-            b.iter(|| {
-                try_fused_join_aggregate(f, &d, &[(0, 0)], &group_exprs, &aggs, &out_schema)
-                    .expect("fusable")
-                    .expect("ok")
-            })
-        });
         group.bench_with_input(BenchmarkId::new("join_then_agg", n), &f, |b, f| {
             b.iter(|| {
                 let mut stats = ExecStats::default();
@@ -108,5 +101,5 @@ fn bench_fused_vs_pipeline(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_join, bench_fused_vs_pipeline);
+criterion_group!(benches, bench_join, bench_join_then_agg);
 criterion_main!(benches);

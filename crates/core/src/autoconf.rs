@@ -102,28 +102,11 @@ impl AutoConfig {
             .unwrap_or(dash_exec::sort::DEFAULT_SORT_RUN_ROWS)
     }
 
-    /// Whether SELECTs run through the query-wide pipeline scheduler: on
-    /// by default, disabled when `DASH_PIPELINE` is `0`, `off`, or
-    /// `false` (the escape hatch back to operator-at-a-time execution).
-    pub fn effective_pipeline_enabled(&self) -> bool {
-        pipeline_override(std::env::var("DASH_PIPELINE").ok().as_deref())
-    }
-
     /// Pipeline in-flight morsel window from `DASH_PIPELINE_INFLIGHT`;
     /// 0 (or unset) means auto — the scheduler derives parallelism × 4.
     pub fn effective_pipeline_inflight(&self) -> usize {
         inflight_override(std::env::var("DASH_PIPELINE_INFLIGHT").ok().as_deref()).unwrap_or(0)
     }
-}
-
-/// Parse a `DASH_PIPELINE` value: only an explicit `0` / `off` / `false`
-/// (case-insensitive) disables the pipeline scheduler; anything else —
-/// including unset or unparsable — leaves it on.
-fn pipeline_override(raw: Option<&str>) -> bool {
-    !matches!(
-        raw.map(|v| v.trim().to_ascii_lowercase()).as_deref(),
-        Some("0") | Some("off") | Some("false")
-    )
 }
 
 /// Parse a `DASH_PIPELINE_INFLIGHT` value; `None` when unset or
@@ -274,14 +257,7 @@ mod tests {
     }
 
     #[test]
-    fn pipeline_override_parsing() {
-        assert!(pipeline_override(None), "unset means on");
-        assert!(pipeline_override(Some("1")));
-        assert!(pipeline_override(Some("on")));
-        assert!(pipeline_override(Some("junk")), "unparsable means on");
-        assert!(!pipeline_override(Some("0")));
-        assert!(!pipeline_override(Some(" off ")));
-        assert!(!pipeline_override(Some("FALSE")));
+    fn inflight_override_parsing() {
         assert_eq!(inflight_override(None), None);
         assert_eq!(inflight_override(Some("junk")), None);
         assert_eq!(inflight_override(Some("0")), Some(0), "explicit auto");

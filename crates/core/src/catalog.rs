@@ -50,9 +50,6 @@ pub struct Catalog {
     pub(crate) parallelism: std::sync::atomic::AtomicUsize,
     /// Rows per parallel sort run handed to planners.
     pub(crate) sort_run_rows: std::sync::atomic::AtomicUsize,
-    /// Whether the query-wide pipeline scheduler runs SELECTs
-    /// (`DASH_PIPELINE`; on by default).
-    pub(crate) pipeline_enabled: std::sync::atomic::AtomicBool,
     /// Pipeline in-flight morsel window (`DASH_PIPELINE_INFLIGHT`;
     /// 0 = auto, parallelism × 4).
     pub(crate) pipeline_inflight: std::sync::atomic::AtomicUsize,
@@ -74,7 +71,6 @@ impl Catalog {
             sort_run_rows: std::sync::atomic::AtomicUsize::new(
                 dash_exec::sort::DEFAULT_SORT_RUN_ROWS,
             ),
-            pipeline_enabled: std::sync::atomic::AtomicBool::new(true),
             pipeline_inflight: std::sync::atomic::AtomicUsize::new(0),
         }
     }
@@ -92,13 +88,6 @@ impl Catalog {
             .store(n.max(1), std::sync::atomic::Ordering::Relaxed);
     }
 
-    /// Enable or disable the query-wide pipeline scheduler
-    /// (`DASH_PIPELINE`).
-    pub fn set_pipeline_enabled(&self, on: bool) {
-        self.pipeline_enabled
-            .store(on, std::sync::atomic::Ordering::Relaxed);
-    }
-
     /// Set the pipeline in-flight morsel window (`DASH_PIPELINE_INFLIGHT`;
     /// 0 = auto).
     pub fn set_pipeline_inflight(&self, n: usize) {
@@ -106,10 +95,9 @@ impl Catalog {
             .store(n, std::sync::atomic::Ordering::Relaxed);
     }
 
-    /// Whether the pipeline scheduler is enabled for this catalog.
+    /// Inert: every plan runs pipelined. A later `benchmark` PR removes it.
     pub fn pipeline_enabled(&self) -> bool {
-        self.pipeline_enabled
-            .load(std::sync::atomic::Ordering::Relaxed)
+        true
     }
 
     /// The configured pipeline in-flight window (0 = auto).

@@ -113,7 +113,6 @@ impl Database {
         let catalog = Arc::new(Catalog::new(pool));
         catalog.set_parallelism(config.effective_parallelism());
         catalog.set_sort_run_rows(config.effective_sort_run_rows());
-        catalog.set_pipeline_enabled(config.effective_pipeline_enabled());
         catalog.set_pipeline_inflight(config.effective_pipeline_inflight());
         Database {
             catalog,
@@ -839,8 +838,8 @@ impl Session {
             sequences: Some(self.db.catalog.clone()),
             statement: StatementContext::unbounded(),
             pipeline: dash_exec::pipeline::PipelineConfig {
-                enabled: self.db.catalog.pipeline_enabled(),
                 inflight: self.db.catalog.pipeline_inflight(),
+                ..Default::default()
             },
         }
     }
@@ -1299,15 +1298,11 @@ impl Session {
                 let plan =
                     plan_select(&select, &self.provider(), self.dialect, &ctx)?;
                 let mut text = plan.explain();
-                // Show how the morsel scheduler would decompose the plan
-                // (pipelines in execution order, build sides first).
-                if ctx.pipeline.enabled {
-                    if let Some(lines) = dash_exec::pipeline::describe(&plan) {
-                        for l in lines {
-                            text.push_str(&l);
-                            text.push('\n');
-                        }
-                    }
+                // Show how the morsel scheduler decomposes the plan
+                // (pipelines in execution order).
+                for l in dash_exec::pipeline::describe(&plan) {
+                    text.push_str(&l);
+                    text.push('\n');
                 }
                 text
             }

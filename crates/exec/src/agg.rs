@@ -1,9 +1,10 @@
-//! Partitioned hash aggregation and the aggregate-function suite.
+//! Morsel-partial hash aggregation and the aggregate-function suite.
 //!
-//! Grouping follows the same cache-conscious recipe as the join (§II.B.7):
-//! rows are hash-partitioned on the group key into cache-sized chunks, and
-//! each chunk is aggregated with its own small hash table. Partitions hold
-//! disjoint key sets, so results simply concatenate.
+//! Grouping has one implementation: each morsel aggregates into an
+//! [`AggPartial`] ([`aggregate_morsel`], on pool workers), partials merge
+//! in morsel-index order into an [`AggAccumulator`], and `finish` emits
+//! groups in first-appearance order — byte-identical at any parallelism.
+//! [`hash_aggregate`] is that same path over row-range morsels of one batch.
 //!
 //! The function suite covers the dialect aggregates the paper lists:
 //! `MEDIAN`, `PERCENTILE_CONT`/`_DISC`, `VAR_POP`/`VAR_SAMP`,
@@ -12,16 +13,13 @@
 use crate::batch::Batch;
 use crate::expr::Expr;
 use crate::functions::EvalContext;
-use crate::join::PARTITION_ROWS;
-use crate::key::{self, route_hash, KeyCol, KeyMode, StrInterner, STR_MISS};
-use crate::pool;
+use crate::key::{self, KeyMode, StrInterner, STR_MISS};
+use crate::pipeline::{self, AggSink, Feed};
 use crate::stats::ExecStats;
 use dash_common::fxhash::FxHashMap;
-use dash_common::statement::approx_datum_bytes;
-use dash_common::{canonical_f64_bits, BudgetLease, DashError, DataType, Datum, Result, Row, Schema};
-use parking_lot::Mutex;
+use dash_common::statement::{approx_datum_bytes, approx_row_bytes};
+use dash_common::{DashError, DataType, Datum, Result, Row, Schema};
 use std::collections::HashSet;
-use std::hash::{BuildHasher, BuildHasherDefault, Hash, Hasher};
 
 /// Aggregate functions.
 #[derive(Debug, Clone, PartialEq)]
@@ -354,1075 +352,7 @@ fn finish(state: AggState, func: &AggFunc) -> Datum {
     }
 }
 
-fn group_hash(key: &[Datum]) -> u64 {
-    let mut h = BuildHasherDefault::<dash_common::fxhash::FxHasher>::default().build_hasher();
-    for v in key {
-        v.hash(&mut h);
-    }
-    h.finish()
-}
-
-/// The aggregate shapes the vectorized fast path understands: `COUNT(*)`,
-/// or `COUNT`/`SUM`/`AVG` over a bare column.
-enum FastKind {
-    CountStar,
-    Count(usize),
-    SumInt(usize),
-    SumFloat(usize),
-    Avg(usize),
-}
-
-/// Row threshold below which the parallel fast path is not worth the
-/// per-morsel bookkeeping.
-const FAST_PARALLEL_MIN_ROWS: usize = 2 * 4096;
-
-/// Vectorized fast path: single bare-column group key with
-/// COUNT/SUM/AVG-style aggregates over bare columns. Operates on the
-/// typed column vectors directly — no per-row datum materialization —
-/// which is where the "cache efficient ... grouping and aggregation"
-/// CPU advantage lives.
-fn try_fast_aggregate(
-    input: &Batch,
-    group_exprs: &[Expr],
-    aggs: &[AggExpr],
-    out_schema: &Schema,
-    ctx: &EvalContext,
-    parallelism: usize,
-    stats: &mut ExecStats,
-) -> Option<Result<Batch>> {
-    use dash_encoding::column::ColumnValues;
-    let g = match group_exprs {
-        [Expr::Col(g)] => *g,
-        _ => return None,
-    };
-    let mut kinds = Vec::with_capacity(aggs.len());
-    for a in aggs {
-        if a.distinct {
-            return None;
-        }
-        let col = match a.args.as_slice() {
-            [] => None,
-            [Expr::Col(c)] => Some(*c),
-            _ => return None,
-        };
-        let k = match (&a.func, col) {
-            (AggFunc::CountStar, None) => FastKind::CountStar,
-            (AggFunc::Count, Some(c)) => FastKind::Count(c),
-            (AggFunc::Sum, Some(c)) => match input.column(c) {
-                ColumnValues::Int(_) => FastKind::SumInt(c),
-                ColumnValues::Float(_) => FastKind::SumFloat(c),
-                ColumnValues::Str(_) => return None,
-            },
-            (AggFunc::Avg, Some(c)) => match input.column(c) {
-                ColumnValues::Str(_) => return None,
-                _ => FastKind::Avg(c),
-            },
-            _ => return None,
-        };
-        kinds.push(k);
-    }
-    if parallelism > 1 && input.len() >= FAST_PARALLEL_MIN_ROWS {
-        return Some(fast_aggregate_parallel(
-            input, g, &kinds, aggs, out_schema, ctx, parallelism, stats,
-        ));
-    }
-    // Map each row to a dense group id via the typed key column.
-    let n = input.len();
-    let mut group_of = vec![0u32; n];
-    let mut n_groups = 0u32;
-    let mut key_rows: Vec<usize> = Vec::new(); // representative row per group
-    match input.column(g) {
-        ColumnValues::Int(v) => {
-            let mut map: FxHashMap<Option<i64>, u32> = FxHashMap::default();
-            for (i, k) in v.iter().enumerate() {
-                let id = *map.entry(*k).or_insert_with(|| {
-                    key_rows.push(i);
-                    n_groups += 1;
-                    n_groups - 1
-                });
-                group_of[i] = id;
-            }
-        }
-        ColumnValues::Str(v) => {
-            let mut map: FxHashMap<Option<std::sync::Arc<str>>, u32> = FxHashMap::default();
-            for (i, k) in v.iter().enumerate() {
-                let id = *map.entry(k.clone()).or_insert_with(|| {
-                    key_rows.push(i);
-                    n_groups += 1;
-                    n_groups - 1
-                });
-                group_of[i] = id;
-            }
-        }
-        ColumnValues::Float(v) => {
-            let mut map: FxHashMap<Option<u64>, u32> = FxHashMap::default();
-            for (i, k) in v.iter().enumerate() {
-                let id = *map
-                    .entry(k.map(canonical_f64_bits))
-                    .or_insert_with(|| {
-                        key_rows.push(i);
-                        n_groups += 1;
-                        n_groups - 1
-                    });
-                group_of[i] = id;
-            }
-        }
-    }
-    let ng = n_groups as usize;
-    // Accumulate each aggregate in one typed pass.
-    let mut results: Vec<Vec<Datum>> = Vec::with_capacity(aggs.len());
-    for k in &kinds {
-        match k {
-            FastKind::CountStar => {
-                let mut counts = vec![0i64; ng];
-                for &gid in &group_of {
-                    counts[gid as usize] += 1;
-                }
-                results.push(counts.into_iter().map(Datum::Int).collect());
-            }
-            FastKind::Count(c) => {
-                let mut counts = vec![0i64; ng];
-                match input.column(*c) {
-                    ColumnValues::Int(v) => {
-                        for (i, x) in v.iter().enumerate() {
-                            if x.is_some() {
-                                counts[group_of[i] as usize] += 1;
-                            }
-                        }
-                    }
-                    ColumnValues::Float(v) => {
-                        for (i, x) in v.iter().enumerate() {
-                            if x.is_some() {
-                                counts[group_of[i] as usize] += 1;
-                            }
-                        }
-                    }
-                    ColumnValues::Str(v) => {
-                        for (i, x) in v.iter().enumerate() {
-                            if x.is_some() {
-                                counts[group_of[i] as usize] += 1;
-                            }
-                        }
-                    }
-                }
-                results.push(counts.into_iter().map(Datum::Int).collect());
-            }
-            FastKind::SumInt(c) => {
-                let ColumnValues::Int(v) = input.column(*c) else {
-                    unreachable!("checked above");
-                };
-                let mut sums = vec![0i64; ng];
-                let mut any = vec![false; ng];
-                for (i, x) in v.iter().enumerate() {
-                    if let Some(x) = x {
-                        let gid = group_of[i] as usize;
-                        sums[gid] = sums[gid].wrapping_add(*x);
-                        any[gid] = true;
-                    }
-                }
-                results.push(
-                    sums.into_iter()
-                        .zip(any)
-                        .map(|(s, a)| if a { Datum::Int(s) } else { Datum::Null })
-                        .collect(),
-                );
-            }
-            FastKind::SumFloat(c) => {
-                let ColumnValues::Float(v) = input.column(*c) else {
-                    unreachable!("checked above");
-                };
-                let mut sums = vec![0.0f64; ng];
-                let mut any = vec![false; ng];
-                for (i, x) in v.iter().enumerate() {
-                    if let Some(x) = x {
-                        let gid = group_of[i] as usize;
-                        sums[gid] += *x;
-                        any[gid] = true;
-                    }
-                }
-                results.push(
-                    sums.into_iter()
-                        .zip(any)
-                        .map(|(s, a)| if a { Datum::Float(s) } else { Datum::Null })
-                        .collect(),
-                );
-            }
-            FastKind::Avg(c) => {
-                let mut sums = vec![0.0f64; ng];
-                let mut counts = vec![0i64; ng];
-                let mut add = |i: usize, x: f64| {
-                    let gid = group_of[i] as usize;
-                    sums[gid] += x;
-                    counts[gid] += 1;
-                };
-                match input.column(*c) {
-                    ColumnValues::Int(v) => {
-                        for (i, x) in v.iter().enumerate() {
-                            if let Some(x) = x {
-                                add(i, *x as f64);
-                            }
-                        }
-                    }
-                    ColumnValues::Float(v) => {
-                        for (i, x) in v.iter().enumerate() {
-                            if let Some(x) = x {
-                                add(i, *x);
-                            }
-                        }
-                    }
-                    ColumnValues::Str(_) => unreachable!("checked above"),
-                }
-                results.push(
-                    sums.into_iter()
-                        .zip(counts)
-                        .map(|(s, c)| if c > 0 { Datum::Float(s / c as f64) } else { Datum::Null })
-                        .collect(),
-                );
-            }
-        }
-    }
-    // Assemble output rows: key then aggregate columns.
-    let key_dt = input.schema().field(g).data_type;
-    let mut rows = Vec::with_capacity(ng);
-    for gi in 0..ng {
-        let mut row = Vec::with_capacity(1 + aggs.len());
-        row.push(input.column(g).datum_at(key_dt, key_rows[gi]));
-        for col in &results {
-            row.push(col[gi].clone());
-        }
-        rows.push(Row::new(row));
-    }
-    Some(Batch::from_rows(out_schema.clone(), &rows))
-}
-
-/// One morsel's worth of fast-path state: group-key datums in
-/// first-appearance order plus one typed accumulator per aggregate.
-struct FastPartial {
-    keys: Vec<Datum>,
-    accs: Vec<FastAcc>,
-}
-
-/// A typed partial accumulator, indexed by dense (morsel-local or global)
-/// group id.
-enum FastAcc {
-    /// `COUNT(*)` / `COUNT(col)`.
-    Count(Vec<i64>),
-    /// `SUM` over an integer column (wrapping, like the serial fast path).
-    SumInt {
-        /// Per-group running sums.
-        sums: Vec<i64>,
-        /// Whether the group saw any non-null value.
-        any: Vec<bool>,
-    },
-    /// `SUM` over a float column.
-    SumFloat {
-        /// Per-group running sums.
-        sums: Vec<f64>,
-        /// Whether the group saw any non-null value.
-        any: Vec<bool>,
-    },
-    /// `AVG`: sum + count folded at finish.
-    Avg {
-        /// Per-group running sums.
-        sums: Vec<f64>,
-        /// Per-group non-null counts.
-        counts: Vec<i64>,
-    },
-}
-
-impl FastAcc {
-    fn empty_for(kind: &FastKind) -> FastAcc {
-        match kind {
-            FastKind::CountStar | FastKind::Count(_) => FastAcc::Count(Vec::new()),
-            FastKind::SumInt(_) => FastAcc::SumInt {
-                sums: Vec::new(),
-                any: Vec::new(),
-            },
-            FastKind::SumFloat(_) => FastAcc::SumFloat {
-                sums: Vec::new(),
-                any: Vec::new(),
-            },
-            FastKind::Avg(_) => FastAcc::Avg {
-                sums: Vec::new(),
-                counts: Vec::new(),
-            },
-        }
-    }
-
-    /// Fold a morsel-local accumulator into the global one. `map` rewrites
-    /// local group ids to global ids; `ng` is the global group count after
-    /// this morsel's new keys were registered.
-    fn merge(&mut self, map: &[usize], local: FastAcc, ng: usize) {
-        match (self, local) {
-            (FastAcc::Count(dst), FastAcc::Count(src)) => {
-                dst.resize(ng, 0);
-                for (lg, v) in src.into_iter().enumerate() {
-                    dst[map[lg]] += v;
-                }
-            }
-            (FastAcc::SumInt { sums, any }, FastAcc::SumInt { sums: s, any: a }) => {
-                sums.resize(ng, 0);
-                any.resize(ng, false);
-                for (lg, v) in s.into_iter().enumerate() {
-                    sums[map[lg]] = sums[map[lg]].wrapping_add(v);
-                }
-                for (lg, v) in a.into_iter().enumerate() {
-                    any[map[lg]] |= v;
-                }
-            }
-            (FastAcc::SumFloat { sums, any }, FastAcc::SumFloat { sums: s, any: a }) => {
-                sums.resize(ng, 0.0);
-                any.resize(ng, false);
-                for (lg, v) in s.into_iter().enumerate() {
-                    sums[map[lg]] += v;
-                }
-                for (lg, v) in a.into_iter().enumerate() {
-                    any[map[lg]] |= v;
-                }
-            }
-            (FastAcc::Avg { sums, counts }, FastAcc::Avg { sums: s, counts: c }) => {
-                sums.resize(ng, 0.0);
-                counts.resize(ng, 0);
-                for (lg, v) in s.into_iter().enumerate() {
-                    sums[map[lg]] += v;
-                }
-                for (lg, v) in c.into_iter().enumerate() {
-                    counts[map[lg]] += v;
-                }
-            }
-            _ => unreachable!("fast accumulator kinds are fixed per aggregate"),
-        }
-    }
-
-    fn finish(&self, gi: usize) -> Datum {
-        match self {
-            FastAcc::Count(c) => Datum::Int(c[gi]),
-            FastAcc::SumInt { sums, any } => {
-                if any[gi] {
-                    Datum::Int(sums[gi])
-                } else {
-                    Datum::Null
-                }
-            }
-            FastAcc::SumFloat { sums, any } => {
-                if any[gi] {
-                    Datum::Float(sums[gi])
-                } else {
-                    Datum::Null
-                }
-            }
-            FastAcc::Avg { sums, counts } => {
-                if counts[gi] > 0 {
-                    Datum::Float(sums[gi] / counts[gi] as f64)
-                } else {
-                    Datum::Null
-                }
-            }
-        }
-    }
-}
-
-/// Hashable group-key identity for merging fast-path partials. Floats use
-/// [`canonical_f64_bits`] — the one canonical form every keyed path shares
-/// (`Datum` hashing, the typed key maps here, and the encoded key words) —
-/// so `NaN` groups with itself and `-0.0` groups with `0.0`, matching SQL
-/// equality under [`Datum::sql_cmp`] on every path.
-#[derive(Hash, PartialEq, Eq)]
-enum FastKey {
-    Null,
-    Int(i64),
-    Bits(u64),
-    Str(std::sync::Arc<str>),
-}
-
-fn fast_key(d: &Datum) -> FastKey {
-    match d {
-        Datum::Null => FastKey::Null,
-        Datum::Int(i) => FastKey::Int(*i),
-        Datum::Float(f) => FastKey::Bits(canonical_f64_bits(*f)),
-        Datum::Str(s) => FastKey::Str(s.clone()),
-        // The fast path only keys on Int/Float/Str column vectors.
-        other => unreachable!("fast-path key cannot be {other:?}"),
-    }
-}
-
-fn count_nonnull<T>(v: &[Option<T>], group_of: &[u32], counts: &mut [i64]) {
-    for (i, x) in v.iter().enumerate() {
-        if x.is_some() {
-            counts[group_of[i] as usize] += 1;
-        }
-    }
-}
-
-/// Aggregate one row-range morsel of the fast path: local dense group ids
-/// over `[lo, hi)`, then one typed accumulation pass per aggregate.
-fn fast_partial(input: &Batch, g: usize, kinds: &[FastKind], lo: usize, hi: usize) -> FastPartial {
-    use dash_encoding::column::ColumnValues;
-    let mut group_of = vec![0u32; hi - lo];
-    let mut key_rows: Vec<usize> = Vec::new(); // representative row per group
-    let mut ng = 0u32;
-    match input.column(g) {
-        ColumnValues::Int(v) => {
-            let mut map: FxHashMap<Option<i64>, u32> = FxHashMap::default();
-            for (i, k) in v[lo..hi].iter().enumerate() {
-                group_of[i] = *map.entry(*k).or_insert_with(|| {
-                    key_rows.push(lo + i);
-                    ng += 1;
-                    ng - 1
-                });
-            }
-        }
-        ColumnValues::Str(v) => {
-            let mut map: FxHashMap<Option<std::sync::Arc<str>>, u32> = FxHashMap::default();
-            for (i, k) in v[lo..hi].iter().enumerate() {
-                group_of[i] = *map.entry(k.clone()).or_insert_with(|| {
-                    key_rows.push(lo + i);
-                    ng += 1;
-                    ng - 1
-                });
-            }
-        }
-        ColumnValues::Float(v) => {
-            let mut map: FxHashMap<Option<u64>, u32> = FxHashMap::default();
-            for (i, k) in v[lo..hi].iter().enumerate() {
-                group_of[i] = *map.entry(k.map(canonical_f64_bits)).or_insert_with(|| {
-                    key_rows.push(lo + i);
-                    ng += 1;
-                    ng - 1
-                });
-            }
-        }
-    }
-    let ngu = ng as usize;
-    let mut accs = Vec::with_capacity(kinds.len());
-    for k in kinds {
-        accs.push(match k {
-            FastKind::CountStar => {
-                let mut counts = vec![0i64; ngu];
-                for &gid in &group_of {
-                    counts[gid as usize] += 1;
-                }
-                FastAcc::Count(counts)
-            }
-            FastKind::Count(c) => {
-                let mut counts = vec![0i64; ngu];
-                match input.column(*c) {
-                    ColumnValues::Int(v) => count_nonnull(&v[lo..hi], &group_of, &mut counts),
-                    ColumnValues::Float(v) => count_nonnull(&v[lo..hi], &group_of, &mut counts),
-                    ColumnValues::Str(v) => count_nonnull(&v[lo..hi], &group_of, &mut counts),
-                }
-                FastAcc::Count(counts)
-            }
-            FastKind::SumInt(c) => {
-                let ColumnValues::Int(v) = input.column(*c) else {
-                    unreachable!("checked by caller");
-                };
-                let mut sums = vec![0i64; ngu];
-                let mut any = vec![false; ngu];
-                for (i, x) in v[lo..hi].iter().enumerate() {
-                    if let Some(x) = x {
-                        let gid = group_of[i] as usize;
-                        sums[gid] = sums[gid].wrapping_add(*x);
-                        any[gid] = true;
-                    }
-                }
-                FastAcc::SumInt { sums, any }
-            }
-            FastKind::SumFloat(c) => {
-                let ColumnValues::Float(v) = input.column(*c) else {
-                    unreachable!("checked by caller");
-                };
-                let mut sums = vec![0.0f64; ngu];
-                let mut any = vec![false; ngu];
-                for (i, x) in v[lo..hi].iter().enumerate() {
-                    if let Some(x) = x {
-                        let gid = group_of[i] as usize;
-                        sums[gid] += *x;
-                        any[gid] = true;
-                    }
-                }
-                FastAcc::SumFloat { sums, any }
-            }
-            FastKind::Avg(c) => {
-                let mut sums = vec![0.0f64; ngu];
-                let mut counts = vec![0i64; ngu];
-                match input.column(*c) {
-                    ColumnValues::Int(v) => {
-                        for (i, x) in v[lo..hi].iter().enumerate() {
-                            if let Some(x) = x {
-                                let gid = group_of[i] as usize;
-                                sums[gid] += *x as f64;
-                                counts[gid] += 1;
-                            }
-                        }
-                    }
-                    ColumnValues::Float(v) => {
-                        for (i, x) in v[lo..hi].iter().enumerate() {
-                            if let Some(x) = x {
-                                let gid = group_of[i] as usize;
-                                sums[gid] += *x;
-                                counts[gid] += 1;
-                            }
-                        }
-                    }
-                    ColumnValues::Str(_) => unreachable!("checked by caller"),
-                }
-                FastAcc::Avg { sums, counts }
-            }
-        });
-    }
-    let key_dt = input.schema().field(g).data_type;
-    let keys = key_rows
-        .iter()
-        .map(|&r| input.column(g).datum_at(key_dt, r))
-        .collect();
-    FastPartial { keys, accs }
-}
-
-/// The fast path fanned out over row-range morsels: each morsel aggregates
-/// its range into typed partials; partials merge in morsel order, so group
-/// output order (first appearance) matches the serial fast path. Integer
-/// results are bit-identical to serial; float sums can differ in the last
-/// ulp because addition is reassociated across morsels.
-#[allow(clippy::too_many_arguments)]
-fn fast_aggregate_parallel(
-    input: &Batch,
-    g: usize,
-    kinds: &[FastKind],
-    aggs: &[AggExpr],
-    out_schema: &Schema,
-    ctx: &EvalContext,
-    parallelism: usize,
-    stats: &mut ExecStats,
-) -> Result<Batch> {
-    let ranges = pool::row_morsels(input.len(), parallelism, 4096);
-    let run = pool::run_morsels(ranges.len(), parallelism, &ctx.statement, |mi| {
-        let (lo, hi) = ranges[mi];
-        Ok(fast_partial(input, g, kinds, lo, hi))
-    })?;
-    stats.note_parallel_phase(run.morsels_dispatched, run.workers_used);
-
-    let mut gid_of: FxHashMap<FastKey, u32> = FxHashMap::default();
-    let mut keys: Vec<Datum> = Vec::new();
-    let mut accs: Vec<FastAcc> = kinds.iter().map(FastAcc::empty_for).collect();
-    for partial in run.results {
-        let map: Vec<usize> = partial
-            .keys
-            .into_iter()
-            .map(|k| {
-                *gid_of.entry(fast_key(&k)).or_insert_with(|| {
-                    keys.push(k);
-                    keys.len() as u32 - 1
-                }) as usize
-            })
-            .collect();
-        let ng = keys.len();
-        for (acc, local) in accs.iter_mut().zip(partial.accs) {
-            acc.merge(&map, local, ng);
-        }
-    }
-
-    let mut rows = Vec::with_capacity(keys.len());
-    for (gi, key) in keys.iter().enumerate() {
-        let mut row = Vec::with_capacity(1 + aggs.len());
-        row.push(key.clone());
-        for acc in &accs {
-            row.push(acc.finish(gi));
-        }
-        rows.push(Row::new(row));
-    }
-    Batch::from_rows(out_schema.clone(), &rows)
-}
-
-/// Fused star-join aggregation: `GROUP BY` over an inner equi-join,
-/// accumulating directly while probing — no join output is ever
-/// materialized. Used by the executor when the plan shape is
-/// `HashAggregate(group=[col], fast aggs, HashJoin(inner, single key))`,
-/// which is the dominant star-schema query shape.
-///
-/// Returns `None` when the shape does not qualify (caller falls back to
-/// the generic join-then-aggregate pipeline).
-pub fn try_fused_join_aggregate(
-    left: &Batch,
-    right: &Batch,
-    on: &[(usize, usize)],
-    group_exprs: &[Expr],
-    aggs: &[AggExpr],
-    out_schema: &Schema,
-) -> Option<Result<Batch>> {
-    let [(lk, rk)] = on else { return None };
-    let g = match group_exprs {
-        [Expr::Col(g)] => *g,
-        _ => return None,
-    };
-    let lw = left.schema().len();
-    // Validate aggregate shapes: CountStar or Count/Sum/Avg over one column.
-    enum Acc {
-        CountStar(Vec<i64>),
-        Count(usize, Vec<i64>),
-        Sum(usize, Vec<f64>, Vec<bool>, bool), // (col, sums, any, output_int)
-        Avg(usize, Vec<f64>, Vec<i64>),
-    }
-    let mut accs: Vec<Acc> = Vec::with_capacity(aggs.len());
-    for a in aggs {
-        if a.distinct {
-            return None;
-        }
-        match (&a.func, a.args.as_slice()) {
-            (AggFunc::CountStar, []) => accs.push(Acc::CountStar(Vec::new())),
-            (AggFunc::Count, [Expr::Col(c)]) => accs.push(Acc::Count(*c, Vec::new())),
-            (AggFunc::Sum, [Expr::Col(c)]) => {
-                let side = if *c < lw { left } else { right };
-                let dt = side.schema().field(if *c < lw { *c } else { *c - lw }).data_type;
-                if !dt.is_numeric() {
-                    return None;
-                }
-                accs.push(Acc::Sum(*c, Vec::new(), Vec::new(), dt.is_integer()));
-            }
-            (AggFunc::Avg, [Expr::Col(c)]) => accs.push(Acc::Avg(*c, Vec::new(), Vec::new())),
-            _ => return None,
-        }
-    }
-    // Build the dim-side hash table.
-    let mut rmap: FxHashMap<Datum, Vec<u32>> = FxHashMap::default();
-    for ri in 0..right.len() {
-        let k = right.value(ri, *rk);
-        if !k.is_null() {
-            rmap.entry(k).or_default().push(ri as u32);
-        }
-    }
-    // Probe + accumulate.
-    let mut gid_map: FxHashMap<Datum, u32> = FxHashMap::default();
-    let mut keys: Vec<Datum> = Vec::new();
-    let value_at = |li: usize, ri: usize, c: usize| -> Datum {
-        if c < lw {
-            left.value(li, c)
-        } else {
-            right.value(ri, c - lw)
-        }
-    };
-    for li in 0..left.len() {
-        let key = left.value(li, *lk);
-        if key.is_null() {
-            continue;
-        }
-        let Some(rids) = rmap.get(&key) else { continue };
-        for &ri in rids {
-            let ri = ri as usize;
-            let gval = value_at(li, ri, g);
-            let gid = *gid_map.entry(gval.clone()).or_insert_with(|| {
-                keys.push(gval);
-                keys.len() as u32 - 1
-            }) as usize;
-            for acc in &mut accs {
-                match acc {
-                    Acc::CountStar(counts) => {
-                        if counts.len() <= gid {
-                            counts.resize(gid + 1, 0);
-                        }
-                        counts[gid] += 1;
-                    }
-                    Acc::Count(c, counts) => {
-                        if counts.len() <= gid {
-                            counts.resize(gid + 1, 0);
-                        }
-                        if !value_at(li, ri, *c).is_null() {
-                            counts[gid] += 1;
-                        }
-                    }
-                    Acc::Sum(c, sums, any, _) => {
-                        if sums.len() <= gid {
-                            sums.resize(gid + 1, 0.0);
-                            any.resize(gid + 1, false);
-                        }
-                        if let Some(f) = value_at(li, ri, *c).as_float() {
-                            sums[gid] += f;
-                            any[gid] = true;
-                        }
-                    }
-                    Acc::Avg(c, sums, counts) => {
-                        if sums.len() <= gid {
-                            sums.resize(gid + 1, 0.0);
-                            counts.resize(gid + 1, 0);
-                        }
-                        if let Some(f) = value_at(li, ri, *c).as_float() {
-                            sums[gid] += f;
-                            counts[gid] += 1;
-                        }
-                    }
-                }
-            }
-        }
-    }
-    // Emit.
-    let ng = keys.len();
-    let mut rows = Vec::with_capacity(ng);
-    for gid in 0..ng {
-        let mut row = Vec::with_capacity(1 + accs.len());
-        row.push(keys[gid].clone());
-        for acc in &accs {
-            row.push(match acc {
-                Acc::CountStar(c) | Acc::Count(_, c) => {
-                    Datum::Int(c.get(gid).copied().unwrap_or(0))
-                }
-                Acc::Sum(_, sums, any, as_int) => {
-                    if any.get(gid).copied().unwrap_or(false) {
-                        let v = sums[gid];
-                        if *as_int {
-                            Datum::Int(v as i64)
-                        } else {
-                            Datum::Float(v)
-                        }
-                    } else {
-                        Datum::Null
-                    }
-                }
-                Acc::Avg(_, sums, counts) => {
-                    let c = counts.get(gid).copied().unwrap_or(0);
-                    if c > 0 {
-                        Datum::Float(sums[gid] / c as f64)
-                    } else {
-                        Datum::Null
-                    }
-                }
-            });
-        }
-        rows.push(Row::new(row));
-    }
-    Some(Batch::from_rows(out_schema.clone(), &rows))
-}
-
-/// The operate-on-compressed grouping path: every group key is a bare
-/// column whose values reduce to fixed-width `u64` words (see
-/// [`crate::key`]), so partition routing and group identity never touch a
-/// `Datum`. Keys lay out as `nk + 1` words per row — the extra word is a
-/// NULL mask (bit `c` set = column `c` NULL, its key word zeroed), which
-/// groups NULLs together without reserving a sentinel in the word domain.
-/// Group values materialize late, from one representative row per group.
-///
-/// Returns `None` when the shape does not qualify (computed key
-/// expressions, too many keys, mismatched column kinds); the caller falls
-/// back to the `Datum` path.
-#[allow(clippy::too_many_arguments)]
-fn try_encoded_aggregate(
-    input: &Batch,
-    group_exprs: &[Expr],
-    aggs: &[AggExpr],
-    out_schema: &Schema,
-    ctx: &EvalContext,
-    parallelism: usize,
-    stats: &mut ExecStats,
-) -> Option<Result<Batch>> {
-    let cols = key::group_key_cols(input, group_exprs)?;
-    Some(encoded_aggregate(
-        input, group_exprs, &cols, aggs, out_schema, ctx, parallelism, stats,
-    ))
-}
-
-#[allow(clippy::too_many_arguments)]
-fn encoded_aggregate(
-    input: &Batch,
-    group_exprs: &[Expr],
-    cols: &[KeyCol<'_>],
-    aggs: &[AggExpr],
-    out_schema: &Schema,
-    ctx: &EvalContext,
-    parallelism: usize,
-    stats: &mut ExecStats,
-) -> Result<Batch> {
-    let n = input.len();
-    let nk = cols.len();
-    let stride = nk + 1; // key words + NULL-mask word
-    let parts = (n / PARTITION_ROWS + 1).next_power_of_two();
-    let mask = parts as u64 - 1;
-
-    // Phase 1 — radix-scatter key words into per-partition buckets, one
-    // row-range morsel at a time (same recipe as the Datum path, minus the
-    // per-row `Vec<Datum>`). Each worker leases its buckets' bytes.
-    type CodedBucket = (Vec<u32>, Vec<u64>);
-    let ranges = pool::row_morsels(n, parallelism, 4096);
-    let scatter_run = pool::run_morsels(ranges.len(), parallelism, &ctx.statement, |mi| {
-        let (lo, hi) = ranges[mi];
-        let mut local: Vec<CodedBucket> = (0..parts).map(|_| (Vec::new(), Vec::new())).collect();
-        let mut words = vec![0u64; stride];
-        for row in lo..hi {
-            let mut nulls = 0u64;
-            for (c, col) in cols.iter().enumerate() {
-                match col.word(row) {
-                    Some(w) => words[c] = w,
-                    None => {
-                        words[c] = 0;
-                        nulls |= 1 << c;
-                    }
-                }
-            }
-            words[nk] = nulls;
-            let p = if parts == 1 {
-                0
-            } else {
-                // NULL columns carry word 0 (not STR_MISS), so the raw-string
-                // hashing inside route_hash never touches a NULL slot; the
-                // mask folds in so (NULL) and (value-with-word-0) split.
-                ((route_hash(cols, &words[..nk], row) ^ nulls.wrapping_mul(0x9E37_79B9_7F4A_7C15))
-                    & mask) as usize
-            };
-            local[p].0.push(row as u32);
-            local[p].1.extend_from_slice(&words);
-        }
-        let mut lease = BudgetLease::new(&ctx.statement);
-        let bytes: u64 = local
-            .iter()
-            .map(|(rows, ws)| (rows.len() * 4 + ws.len() * 8) as u64)
-            .sum();
-        lease.charge(bytes)?;
-        Ok((local, lease))
-    });
-    let scatter_run = scatter_run.inspect_err(|e| {
-        if matches!(e, DashError::ResourceExhausted(_)) {
-            stats.budget_rejections += 1;
-        }
-    })?;
-    stats.note_parallel_phase(scatter_run.morsels_dispatched, scatter_run.workers_used);
-    stats.agg_scatter_morsels += scatter_run.morsels_dispatched;
-    if parts > 1 {
-        stats.rows_partitioned += n as u64;
-    }
-    let mut leases = Vec::with_capacity(scatter_run.results.len());
-    let mut scattered: Vec<CodedBucket> = (0..parts).map(|_| (Vec::new(), Vec::new())).collect();
-    for (local, lease) in scatter_run.results {
-        leases.push(lease);
-        for (p, (rows, ws)) in local.into_iter().enumerate() {
-            scattered[p].0.extend(rows);
-            scattered[p].1.extend(ws);
-        }
-    }
-
-    // Phase 2 — aggregate each partition as its own morsel. Rows arrive in
-    // input order, groups emit in first-appearance order, and partitions
-    // hold disjoint keys, so serial and parallel runs are byte-identical.
-    let scattered: Vec<Mutex<CodedBucket>> = scattered.into_iter().map(Mutex::new).collect();
-    let agg_run = pool::run_morsels(scattered.len(), parallelism, &ctx.statement, |p| {
-        let (rows, mut words) = std::mem::take(&mut *scattered[p].lock());
-        // Out-of-dictionary strings intern in input row order: the local
-        // code assignment is deterministic regardless of worker timing.
-        let mut interners: Vec<StrInterner> = (0..nk).map(|_| StrInterner::default()).collect();
-        let mut gid_of: FxHashMap<Vec<u64>, u32> = FxHashMap::default();
-        let mut reps: Vec<u32> = Vec::new();
-        let mut states: Vec<Vec<AggState>> = Vec::new();
-        for (i, &row) in rows.iter().enumerate() {
-            let ws = &mut words[i * stride..(i + 1) * stride];
-            for c in 0..nk {
-                if ws[c] == STR_MISS && cols[c].is_str() {
-                    ws[c] = interners[c].intern(cols[c].str_at(row as usize));
-                }
-            }
-            let gid = match gid_of.get(&ws[..]) {
-                Some(&g) => g,
-                None => {
-                    let g = reps.len() as u32;
-                    gid_of.insert(ws.to_vec(), g);
-                    reps.push(row);
-                    states.push(init_states(aggs, input));
-                    g
-                }
-            };
-            let sts = &mut states[gid as usize];
-            for (agg, state) in aggs.iter().zip(sts.iter_mut()) {
-                let mut vals = Vec::with_capacity(agg.args.len());
-                for a in &agg.args {
-                    vals.push(a.eval(input, row as usize, ctx)?);
-                }
-                update(state, &vals)?;
-            }
-        }
-        // Late materialization: group values decode once per group, from
-        // the representative (first) row.
-        let mut part_rows: Vec<Row> = Vec::with_capacity(reps.len());
-        for (&rep, sts) in reps.iter().zip(states) {
-            let mut vals: Vec<Datum> = Vec::with_capacity(nk + aggs.len());
-            for g in group_exprs {
-                let Expr::Col(c) = g else {
-                    unreachable!("encoded grouping requires bare column keys")
-                };
-                vals.push(input.value(rep as usize, *c));
-            }
-            for (agg, state) in aggs.iter().zip(sts) {
-                vals.push(finish(state, &agg.func));
-            }
-            part_rows.push(Row::new(vals));
-        }
-        Ok(part_rows)
-    })?;
-    stats.note_parallel_phase(agg_run.morsels_dispatched, agg_run.workers_used);
-    drop(leases); // partition state consumed — return its budget
-    let out_rows: Vec<Row> = agg_run.results.into_iter().flatten().collect();
-    Batch::from_rows(out_schema.clone(), &out_rows)
-}
-
-/// Hash-aggregate a batch.
-///
-/// `group_exprs` produce the key (empty = global aggregate, which always
-/// yields exactly one row); `aggs` produce the aggregate columns. The
-/// output schema is `group columns ⧺ aggregate columns` with the supplied
-/// field definitions. `key_mode` is the planner's key-path decision:
-/// `Encoded` admits the typed fast path and the encoded word-keyed path,
-/// `Datum` forces the general fallback.
-#[allow(clippy::too_many_arguments)]
-pub fn hash_aggregate(
-    input: &Batch,
-    group_exprs: &[Expr],
-    aggs: &[AggExpr],
-    out_schema: Schema,
-    ctx: &EvalContext,
-    key_mode: KeyMode,
-    parallelism: usize,
-    stats: &mut ExecStats,
-) -> Result<Batch> {
-    if key_mode == KeyMode::Encoded && !group_exprs.is_empty() && !input.is_empty() {
-        // Vectorized fast path for the dominant shape.
-        if let Some(result) =
-            try_fast_aggregate(input, group_exprs, aggs, &out_schema, ctx, parallelism, stats)
-        {
-            stats.encoded_key_rows += input.len() as u64;
-            return result;
-        }
-        // General encoded path: group on fixed-width key words.
-        if let Some(result) =
-            try_encoded_aggregate(input, group_exprs, aggs, &out_schema, ctx, parallelism, stats)
-        {
-            stats.encoded_key_rows += input.len() as u64;
-            return result;
-        }
-    }
-    if !group_exprs.is_empty() {
-        stats.datum_key_rows += input.len() as u64;
-    }
-    // Phase 1+2 fused — each row-range morsel evaluates its group keys and
-    // radix-scatters them into thread-local per-partition buckets, the
-    // same recipe `hash_join::partition_side` uses. No serial pass over
-    // all rows remains: the old "walk every key chunk and push it into the
-    // shared partition vector" loop is replaced by handing each worker's
-    // buckets to the partition owners wholesale (O(morsels · partitions)
-    // pointer moves, not O(rows) copies). Each key is *moved* into its
-    // bucket (and moved again into the group table below) — never cloned
-    // per row.
-    let n = input.len();
-    let parts = if group_exprs.is_empty() {
-        1
-    } else {
-        (n / PARTITION_ROWS + 1).next_power_of_two()
-    };
-    let mask = parts as u64 - 1;
-    // (row index, owned group key) pairs, bucketed by key hash.
-    type KeyedRows = Vec<(usize, Vec<Datum>)>;
-    let ranges = pool::row_morsels(n, parallelism, 4096);
-    let scatter_run = pool::run_morsels(ranges.len(), parallelism, &ctx.statement, |mi| {
-        let (lo, hi) = ranges[mi];
-        let mut local: Vec<KeyedRows> = (0..parts).map(|_| Vec::new()).collect();
-        let mut bytes = 0u64;
-        for row in lo..hi {
-            let mut key = Vec::with_capacity(group_exprs.len());
-            for g in group_exprs {
-                key.push(g.eval(input, row, ctx)?);
-            }
-            let h = if parts == 1 { 0 } else { group_hash(&key) };
-            bytes += std::mem::size_of::<(usize, Vec<Datum>)>() as u64
-                + key.iter().map(approx_datum_bytes).sum::<u64>();
-            local[(h & mask) as usize].push((row, key));
-        }
-        // The partition state is the aggregate's dominant allocation: each
-        // worker leases its morsel's share against the statement's memory
-        // budget, so a runaway grouping aborts with a classified error
-        // instead of growing without bound. The lease rides with the
-        // buckets in the morsel result; on a refused reservation (or any
-        // sibling error) the pool drops claimed results, releasing every
-        // lease by RAII.
-        let mut lease = BudgetLease::new(&ctx.statement);
-        lease.charge(bytes)?;
-        Ok((local, lease))
-    });
-    let scatter_run = scatter_run.inspect_err(|e| {
-        if matches!(e, DashError::ResourceExhausted(_)) {
-            stats.budget_rejections += 1;
-        }
-    })?;
-    stats.note_parallel_phase(scatter_run.morsels_dispatched, scatter_run.workers_used);
-    stats.agg_scatter_morsels += scatter_run.morsels_dispatched;
-    if parts > 1 {
-        stats.rows_partitioned += n as u64;
-    }
-    // Hand each worker's buckets to the partition owners. Morsel results
-    // arrive in morsel-index order and morsel ranges ascend, so partition
-    // `p` sees its bucket list — and therefore its rows — in input order:
-    // the group table's insertion sequence is byte-identical to the old
-    // serial scatter's.
-    let mut leases = Vec::with_capacity(scatter_run.results.len());
-    let mut scattered: Vec<Vec<KeyedRows>> = (0..parts).map(|_| Vec::new()).collect();
-    for (local, lease) in scatter_run.results {
-        leases.push(lease);
-        for (p, bucket) in local.into_iter().enumerate() {
-            if !bucket.is_empty() {
-                scattered[p].push(bucket);
-            }
-        }
-    }
-
-    // Phase 3 — aggregate each partition as its own morsel. Partitions
-    // hold disjoint key sets and keep rows in input order, so per-partition
-    // results concatenated in partition order match the serial pipeline.
-    let scattered: Vec<Mutex<Vec<KeyedRows>>> = scattered.into_iter().map(Mutex::new).collect();
-    let agg_run = pool::run_morsels(scattered.len(), parallelism, &ctx.statement, |p| {
-        let part: Vec<(usize, Vec<Datum>)> = std::mem::take(&mut *scattered[p].lock())
-            .into_iter()
-            .flatten()
-            .collect();
-        let mut groups: FxHashMap<Vec<Datum>, Vec<AggState>> = FxHashMap::default();
-        if group_exprs.is_empty() {
-            // Global aggregate: one group, present even with zero rows.
-            groups.insert(Vec::new(), init_states(aggs, input));
-        }
-        for (row, key) in part {
-            let states = groups.entry(key).or_insert_with(|| init_states(aggs, input));
-            for (agg, state) in aggs.iter().zip(states.iter_mut()) {
-                let mut vals = Vec::with_capacity(agg.args.len());
-                for a in &agg.args {
-                    vals.push(a.eval(input, row, ctx)?);
-                }
-                update(state, &vals)?;
-            }
-        }
-        let mut part_rows: Vec<Row> = Vec::with_capacity(groups.len());
-        for (key, states) in groups {
-            let mut row: Vec<Datum> = key;
-            for (agg, state) in aggs.iter().zip(states) {
-                row.push(finish(state, &agg.func));
-            }
-            part_rows.push(Row::new(row));
-        }
-        Ok(part_rows)
-    })?;
-    stats.note_parallel_phase(agg_run.morsels_dispatched, agg_run.workers_used);
-    drop(leases); // partition state has been consumed — return its budget
-    let mut out_rows: Vec<Row> = agg_run.results.into_iter().flatten().collect();
-    // With zero input rows and a global aggregate there is one empty-key
-    // group only if partitions[0] existed — ensure it.
-    if group_exprs.is_empty() && out_rows.is_empty() {
-        let states = init_states(aggs, input);
-        let row: Vec<Datum> = aggs
-            .iter()
-            .zip(states)
-            .map(|(agg, s)| finish(s, &agg.func))
-            .collect();
-        out_rows.push(Row::new(row));
-    }
-    Batch::from_rows(out_schema, &out_rows)
-}
-
-fn init_states(aggs: &[AggExpr], input: &Batch) -> Vec<AggState> {
-    init_states_for_schema(aggs, input.schema())
-}
-
-fn init_states_for_schema(aggs: &[AggExpr], schema: &Schema) -> Vec<AggState> {
+fn init_states(aggs: &[AggExpr], schema: &Schema) -> Vec<AggState> {
     aggs.iter()
         .map(|a| {
             // SUM over an integer column stays integer.
@@ -1444,8 +374,8 @@ fn init_states_for_schema(aggs: &[AggExpr], schema: &Schema) -> Vec<AggState> {
 /// min/max compare, percentile value sets concatenate (in fold order, so
 /// the pre-sort layout is deterministic), and the moment states combine
 /// with Chan et al.'s parallel update formulas. `DISTINCT` states cannot
-/// merge (their per-partial seen-sets overlap); the pipeline planner gates
-/// them to the materialized path, so reaching one here is an internal
+/// merge (their per-partial seen-sets overlap); the pipeline feeds them one
+/// partial spanning the whole input, so reaching one here is an internal
 /// error, not a user error.
 fn merge_state(dst: &mut AggState, src: AggState) -> Result<()> {
     match (dst, src) {
@@ -1568,18 +498,15 @@ pub(crate) struct AggPartial {
 impl AggPartial {
     /// Rough heap footprint, for inflight accounting.
     pub(crate) fn approx_bytes(&self) -> u64 {
-        let key_bytes: u64 = self
-            .keys
-            .iter()
-            .map(|k| dash_common::statement::approx_row_bytes(k))
-            .sum();
-        let state_bytes: u64 = self
-            .states
-            .iter()
-            .flat_map(|sts| sts.iter().map(state_bytes))
-            .sum();
-        key_bytes + state_bytes
+        groups_bytes(&self.keys, &self.states)
     }
+}
+
+/// Rough heap footprint of grouped aggregate state (keys plus states).
+fn groups_bytes(keys: &[Vec<Datum>], states: &[Vec<AggState>]) -> u64 {
+    let key_bytes: u64 = keys.iter().map(|k| approx_row_bytes(k)).sum();
+    let state_bytes: u64 = states.iter().flatten().map(state_bytes).sum();
+    key_bytes + state_bytes
 }
 
 fn state_bytes(s: &AggState) -> u64 {
@@ -1593,136 +520,128 @@ fn state_bytes(s: &AggState) -> u64 {
     }
 }
 
-/// Aggregate one pipeline morsel into a mergeable partial. Grouping runs
-/// on encoded key words when every group key is a bare column whose values
-/// reduce to fixed-width words (the operate-on-compressed path, with
-/// out-of-dictionary strings interned in row order), falling back to
-/// `Datum` keys otherwise. Group keys materialize from each group's first
-/// row, so merging partials in morsel order reproduces the serial scan's
-/// first-appearance group order.
+/// Feed row `row` of `input` to every aggregate's running state.
+fn update_row(
+    aggs: &[AggExpr],
+    states: &mut [AggState],
+    input: &Batch,
+    row: usize,
+    ctx: &EvalContext,
+) -> Result<()> {
+    for (agg, state) in aggs.iter().zip(states) {
+        let mut vals = Vec::with_capacity(agg.args.len());
+        for a in &agg.args {
+            vals.push(a.eval(input, row, ctx)?);
+        }
+        update(state, &vals)?;
+    }
+    Ok(())
+}
+
+/// Aggregate one pipeline morsel into a mergeable partial. Under
+/// [`KeyMode::Encoded`] (the planner's decision: every group key a bare
+/// column) grouping runs on fixed-width key words — the
+/// operate-on-compressed path, with out-of-dictionary strings interned in
+/// row order; `Datum` mode, or a key that turns out not to be a bare
+/// column, groups on evaluated `Datum` keys. Group keys materialize from
+/// each group's first row, so merging partials in morsel order reproduces
+/// the serial scan's first-appearance group order.
 pub(crate) fn aggregate_morsel(
     input: &Batch,
     group_exprs: &[Expr],
     aggs: &[AggExpr],
+    key_mode: KeyMode,
     ctx: &EvalContext,
 ) -> Result<AggPartial> {
     let n = input.len();
     // Cancellation/deadline observed once per morsel; a morsel is at most a
     // stride's worth of rows, so latency stays bounded.
     ctx.statement.check()?;
+    let mut states: Vec<Vec<AggState>> = Vec::new();
     if group_exprs.is_empty() {
         // Global aggregate: one group, present even for an empty morsel so
         // zero-row inputs still produce their NULL/0 row at finish.
-        let mut states = init_states(aggs, input);
+        states.push(init_states(aggs, input.schema()));
         for row in 0..n {
-            for (agg, state) in aggs.iter().zip(states.iter_mut()) {
-                let mut vals = Vec::with_capacity(agg.args.len());
-                for a in &agg.args {
-                    vals.push(a.eval(input, row, ctx)?);
-                }
-                update(state, &vals)?;
-            }
+            update_row(aggs, &mut states[0], input, row, ctx)?;
         }
         return Ok(AggPartial {
             keys: vec![Vec::new()],
-            states: vec![states],
+            states,
             encoded: false,
             rows: n as u64,
         });
     }
 
-    if let Some(cols) = key::group_key_cols(input, group_exprs) {
+    let cols = match key_mode {
+        KeyMode::Encoded => key::group_key_cols(input, group_exprs),
+        KeyMode::Datum => None,
+    };
+    let encoded = cols.is_some();
+    let mut keys: Vec<Vec<Datum>> = Vec::new();
+    if let Some(cols) = cols {
         let nk = cols.len();
         let mut interners: Vec<StrInterner> = (0..nk).map(|_| StrInterner::default()).collect();
         let mut gid_of: FxHashMap<Vec<u64>, u32> = FxHashMap::default();
-        let mut reps: Vec<u32> = Vec::new();
-        let mut states: Vec<Vec<AggState>> = Vec::new();
+        // Keys lay out as `nk + 1` words per row: the extra word is a NULL
+        // mask (bit `c` set = column `c` NULL, its key word zeroed), which
+        // groups NULLs together without reserving a sentinel word.
         let mut words = vec![0u64; nk + 1];
         for row in 0..n {
             let mut nulls = 0u64;
             for (c, col) in cols.iter().enumerate() {
-                match col.word(row) {
-                    Some(w) => words[c] = w,
+                words[c] = match col.word(row) {
+                    Some(STR_MISS) if col.is_str() => interners[c].intern(col.str_at(row)),
+                    Some(w) => w,
                     None => {
-                        words[c] = 0;
                         nulls |= 1 << c;
+                        0
                     }
-                }
+                };
             }
             words[nk] = nulls;
-            for c in 0..nk {
-                if words[c] == STR_MISS && cols[c].is_str() {
-                    words[c] = interners[c].intern(cols[c].str_at(row));
-                }
-            }
             let gid = match gid_of.get(&words[..]) {
                 Some(&g) => g,
                 None => {
-                    let g = reps.len() as u32;
+                    let g = keys.len() as u32;
                     gid_of.insert(words.clone(), g);
-                    reps.push(row as u32);
-                    states.push(init_states(aggs, input));
+                    // Late materialization: the group's values decode once,
+                    // from its first row.
+                    let mut key = Vec::with_capacity(nk);
+                    for g in group_exprs {
+                        key.push(g.eval(input, row, ctx)?);
+                    }
+                    keys.push(key);
+                    states.push(init_states(aggs, input.schema()));
                     g
                 }
             };
-            let sts = &mut states[gid as usize];
-            for (agg, state) in aggs.iter().zip(sts.iter_mut()) {
-                let mut vals = Vec::with_capacity(agg.args.len());
-                for a in &agg.args {
-                    vals.push(a.eval(input, row, ctx)?);
-                }
-                update(state, &vals)?;
-            }
+            update_row(aggs, &mut states[gid as usize], input, row, ctx)?;
         }
-        // Late materialization from each group's representative row.
-        let mut keys = Vec::with_capacity(reps.len());
-        for &rep in &reps {
-            let mut key = Vec::with_capacity(nk);
+    } else {
+        let mut gid_of: FxHashMap<Vec<Datum>, u32> = FxHashMap::default();
+        for row in 0..n {
+            let mut key = Vec::with_capacity(group_exprs.len());
             for g in group_exprs {
-                key.push(g.eval(input, rep as usize, ctx)?);
+                key.push(g.eval(input, row, ctx)?);
             }
-            keys.push(key);
-        }
-        return Ok(AggPartial {
-            keys,
-            states,
-            encoded: true,
-            rows: n as u64,
-        });
-    }
-
-    // Datum fallback: computed key expressions or unwordable columns.
-    let mut gid_of: FxHashMap<Vec<Datum>, u32> = FxHashMap::default();
-    let mut keys: Vec<Vec<Datum>> = Vec::new();
-    let mut states: Vec<Vec<AggState>> = Vec::new();
-    for row in 0..n {
-        let mut key = Vec::with_capacity(group_exprs.len());
-        for g in group_exprs {
-            key.push(g.eval(input, row, ctx)?);
-        }
-        let gid = match gid_of.get(&key) {
-            Some(&g) => g,
-            None => {
-                let g = keys.len() as u32;
-                gid_of.insert(key.clone(), g);
-                keys.push(key.clone());
-                states.push(init_states(aggs, input));
-                g
-            }
-        };
-        let sts = &mut states[gid as usize];
-        for (agg, state) in aggs.iter().zip(sts.iter_mut()) {
-            let mut vals = Vec::with_capacity(agg.args.len());
-            for a in &agg.args {
-                vals.push(a.eval(input, row, ctx)?);
-            }
-            update(state, &vals)?;
+            let gid = match gid_of.get(&key) {
+                Some(&g) => g,
+                None => {
+                    let g = keys.len() as u32;
+                    gid_of.insert(key.clone(), g);
+                    keys.push(key);
+                    states.push(init_states(aggs, input.schema()));
+                    g
+                }
+            };
+            update_row(aggs, &mut states[gid as usize], input, row, ctx)?;
         }
     }
     Ok(AggPartial {
         keys,
         states,
-        encoded: false,
+        encoded,
         rows: n as u64,
     })
 }
@@ -1781,17 +700,7 @@ impl AggAccumulator {
 
     /// Rough heap footprint of the accumulated group state.
     pub(crate) fn approx_bytes(&self) -> u64 {
-        let key_bytes: u64 = self
-            .keys
-            .iter()
-            .map(|k| dash_common::statement::approx_row_bytes(k))
-            .sum();
-        let state_bytes: u64 = self
-            .states
-            .iter()
-            .flat_map(|sts| sts.iter().map(state_bytes))
-            .sum();
-        key_bytes + state_bytes
+        groups_bytes(&self.keys, &self.states)
     }
 
     /// Finish every group into the output batch. `input_schema` is the
@@ -1814,7 +723,7 @@ impl AggAccumulator {
         }
         // A global aggregate yields exactly one row even with zero input.
         if group_exprs.is_empty() && out_rows.is_empty() {
-            let states = init_states_for_schema(aggs, input_schema);
+            let states = init_states(aggs, input_schema);
             let row: Vec<Datum> = aggs
                 .iter()
                 .zip(states)
@@ -1824,6 +733,33 @@ impl AggAccumulator {
         }
         Batch::from_rows(out_schema, &out_rows)
     }
+}
+
+/// Hash-aggregate a batch: the pipeline's aggregate sink fed by row-range
+/// morsels of `input`.
+///
+/// `group_exprs` produce the key (empty = global aggregate, which always
+/// yields exactly one row); `aggs` produce the aggregate columns. The
+/// output schema is `group columns ⧺ aggregate columns` with the supplied
+/// field definitions. `key_mode` is the planner's key-path decision.
+#[allow(clippy::too_many_arguments)]
+pub fn hash_aggregate(
+    input: &Batch,
+    group_exprs: &[Expr],
+    aggs: &[AggExpr],
+    out_schema: Schema,
+    ctx: &EvalContext,
+    key_mode: KeyMode,
+    parallelism: usize,
+    stats: &mut ExecStats,
+) -> Result<Batch> {
+    let sink = AggSink {
+        group: group_exprs,
+        aggs,
+        schema: &out_schema,
+        key_mode,
+    };
+    pipeline::drive(&Feed::Batch(input), &[], Some(&sink), parallelism, ctx, stats)
 }
 
 #[cfg(test)]
@@ -2160,7 +1096,8 @@ mod tests {
             let end = (start + split).min(input.len());
             let idx: Vec<usize> = (start..end).collect();
             let morsel = input.take(&idx);
-            acc.merge(aggregate_morsel(&morsel, group_exprs, aggs, &ctx()).unwrap())
+            let mode = KeyMode::for_group(input.schema(), group_exprs);
+            acc.merge(aggregate_morsel(&morsel, group_exprs, aggs, mode, &ctx()).unwrap())
                 .unwrap();
             start = end;
             any = true;
@@ -2283,7 +1220,7 @@ mod tests {
         let err = merge_state(&mut a, AggState::SumInt { sum: 1, any: true }).unwrap_err();
         assert_eq!(err.class(), "22000");
         let mut d = new_state(&agg1(AggFunc::Sum, 0), true);
-        // DISTINCT states refuse to merge: the planner must gate them out.
+        // DISTINCT states refuse to merge: the pipeline feeds them one partial.
         let distinct = AggState::Distinct(
             HashSet::default(),
             Box::new(AggState::SumInt { sum: 0, any: false }),

@@ -35,9 +35,8 @@ pub struct EvalContext {
     /// budget. Every operator checks it at morsel granularity; the
     /// default is unbounded (never cancels, never rejects).
     pub statement: dash_common::StatementContext,
-    /// Pipelined-execution knobs (`DASH_PIPELINE`,
-    /// `DASH_PIPELINE_INFLIGHT`): whether eligible plans run through the
-    /// query-wide morsel scheduler and how many morsels may be in flight.
+    /// Pipeline-scheduler knobs (`DASH_PIPELINE_INFLIGHT`): how many
+    /// morsels a pipeline drive may hold in flight.
     pub pipeline: crate::pipeline::PipelineConfig,
 }
 

@@ -5,36 +5,38 @@
 //! L2 caches ... by partitioning data into L3 or L2 chunks for performing
 //! joins and grouping, as pioneered in Hybrid Hash Join and MonetDB."
 //!
-//! Both inputs are first hash-partitioned on the join key into chunks
-//! sized so each build-side hash table fits in cache; each partition pair
-//! is then joined independently. NULL keys never match (SQL semantics).
+//! The build (right) side is hash-partitioned on the join key into chunks
+//! sized so each partition's hash table fits in cache, then frozen as a
+//! [`JoinBuild`] — a pipeline breaker. The probe (left) side streams
+//! through it one morsel at a time. NULL keys never match (SQL semantics).
 //!
-//! Two key paths share one pipeline shape:
+//! Two key paths share that shape:
 //!
 //! * **Encoded** ([`KeyMode::Encoded`]) — every key column reduces to a
 //!   fixed-width `u64` word (ordered-int bits, canonical ordered-float
 //!   bits, or packed dictionary codes; see [`crate::key`]); partitioning,
 //!   building, and probing touch only those words. Strings outside the
-//!   shared dictionary resolve through a deterministic per-partition
+//!   build side's dictionary resolve through a deterministic per-partition
 //!   interner built from build-side rows.
 //! * **Datum** — the fallback for cross-domain keys (`Int 2` joins
 //!   `Float 2.0`). Build rows store their key `Datum`s (they live in the
 //!   hash table); probe rows reuse one scratch buffer per morsel and are
 //!   never collected.
 //!
-//! Both paths emit `(probe row, build row)` index pairs per partition;
+//! Both paths emit `(probe row, build row)` index pairs per morsel;
 //! payload columns materialize **late**, gathered column-at-a-time only
 //! for rows that survived the probe.
 
 use crate::batch::Batch;
-use crate::key::{self, route_hash, JoinKeyPlan, KeyCol, KeyMode, StrInterner, STR_MISS};
+use crate::functions::EvalContext;
+use crate::key::{route_hash, KeyCol, KeyMode, StrInterner, STR_MISS};
+use crate::pipeline::{self, Feed, Op};
 use crate::pool;
 use crate::stats::ExecStats;
 use dash_common::fxhash::FxHashMap;
 use dash_common::statement::approx_datum_bytes;
-use dash_common::{BudgetLease, Datum, Result, StatementContext};
+use dash_common::{BudgetLease, DashError, Datum, Result, StatementContext};
 use dash_encoding::column::ColumnValues;
-use parking_lot::Mutex;
 use std::collections::hash_map::Entry;
 use std::hash::{BuildHasher, BuildHasherDefault, Hash, Hasher};
 
@@ -99,13 +101,14 @@ fn probe_emit(join_type: JoinType, li: u32, matches: Option<&[u32]>, out: &mut V
     }
 }
 
-/// Execute a hash join between two materialized batches.
+/// Execute a hash join between two materialized batches: freeze `right`
+/// as a [`JoinBuild`] and stream row-range morsels of `left` through it.
 ///
 /// `on` pairs are (left ordinal, right ordinal). The output schema is
 /// `left ⧺ right` for Inner/Left, and just `left` for Semi/Anti.
 /// `key_mode` is the planner's key-path decision; `Encoded` is re-verified
-/// against the actual batches and silently falls back to the `Datum` path
-/// when the runtime column kinds disagree.
+/// against the two schemas and falls back to the `Datum` path when their
+/// key domains disagree.
 #[allow(clippy::too_many_arguments)]
 pub fn hash_join(
     left: &Batch,
@@ -117,72 +120,33 @@ pub fn hash_join(
     stmt: &StatementContext,
     stats: &mut ExecStats,
 ) -> Result<Batch> {
-    assert!(!on.is_empty(), "hash join requires at least one key pair");
-    assert!(
-        left.len() < NO_MATCH as usize && right.len() < NO_MATCH as usize,
-        "hash join sides must fit u32 row indices"
-    );
-    let out_schema = match join_type {
-        JoinType::Inner | JoinType::Left => left.schema().join(right.schema()),
-        JoinType::Semi | JoinType::Anti => left.schema().clone(),
-    };
-
-    // Choose partition count from the build (right) side.
-    let parts = partition_count(right.len());
-    let mask = parts as u64 - 1;
-
-    let mut pairs: Option<Vec<(u32, u32)>> = None;
-    if key_mode == KeyMode::Encoded {
-        if let Some(plan) = key::join_key_cols(left, right, on) {
-            stats.encoded_key_rows += (left.len() + right.len()) as u64;
-            stats.keys_reencoded_rows += plan.reencoded_rows;
-            pairs = Some(encoded_join_pairs(
-                &plan,
-                left.len(),
-                right.len(),
-                join_type,
-                parts,
-                mask,
-                parallelism,
-                stmt,
-                stats,
-            )?);
-        }
-    }
-    let pairs = match pairs {
-        Some(p) => p,
-        None => {
-            stats.datum_key_rows += (left.len() + right.len()) as u64;
-            datum_join_pairs(
-                left,
-                right,
-                on,
-                join_type,
-                parts,
-                mask,
-                parallelism,
-                stmt,
-                stats,
-            )?
-        }
-    };
-
-    materialize_pairs(left, right, out_schema, &pairs, parallelism, stmt, stats)
+    let build = JoinBuild::new(
+        right.clone(),
+        left.schema(),
+        on.to_vec(),
+        join_type,
+        key_mode,
+        parallelism,
+        stmt,
+        stats,
+    )?;
+    let ctx = EvalContext::with_statement(stmt.clone());
+    let ops = [Op::Probe(Box::new(build))];
+    pipeline::drive(&Feed::Batch(left), &ops, None, parallelism, &ctx, stats)
 }
 
 // ---------------------------------------------------------------------------
-// Encoded key path: partition/build/probe on u64 words.
+// Build-side partitioning.
 // ---------------------------------------------------------------------------
 
-/// One side's hash partitions under the encoded path: row indices plus
-/// their key words, flat with stride `nk`.
+/// One build partition under the encoded path: row indices plus their key
+/// words, flat with stride `nk`.
 type CodedPartition = (Vec<u32>, Vec<u64>);
 
-/// Hash-partition one side on its key words. Morsel partials concatenate
-/// in morsel order, so each partition keeps ascending row order —
-/// identical to a serial pass. Returns partitions, NULL-keyed rows, and
-/// (morsels, workers) pool usage.
-#[allow(clippy::type_complexity)]
+/// Hash-partition the build side on its key words, dropping NULL-keyed
+/// rows (they never join). Morsel partials concatenate in morsel order, so
+/// each partition keeps ascending row order — identical to a serial pass.
+/// Returns the partitions and (morsels, workers) pool usage.
 fn partition_encoded(
     len: usize,
     cols: &[KeyCol<'_>],
@@ -190,158 +154,46 @@ fn partition_encoded(
     mask: u64,
     parallelism: usize,
     stmt: &StatementContext,
-) -> Result<(Vec<CodedPartition>, Vec<u32>, (u64, u64))> {
+) -> Result<(Vec<CodedPartition>, (u64, u64))> {
     let nk = cols.len();
     let ranges = pool::row_morsels(len, parallelism, 4096);
     let run = pool::run_morsels(ranges.len(), parallelism, stmt, |mi| {
         let (lo, hi) = ranges[mi];
         let mut local: Vec<CodedPartition> = (0..parts).map(|_| (Vec::new(), Vec::new())).collect();
-        let mut nulls: Vec<u32> = Vec::new();
         let mut words = vec![0u64; nk];
         'row: for i in lo..hi {
             for (c, col) in cols.iter().enumerate() {
                 match col.word(i) {
                     Some(w) => words[c] = w,
-                    None => {
-                        nulls.push(i as u32);
-                        continue 'row; // NULL keys never join
-                    }
+                    None => continue 'row,
                 }
             }
             let p = (route_hash(cols, &words, i) & mask) as usize;
             local[p].0.push(i as u32);
             local[p].1.extend_from_slice(&words);
         }
-        Ok((local, nulls))
+        Ok(local)
     })?;
     let mut partitions: Vec<CodedPartition> = (0..parts).map(|_| (Vec::new(), Vec::new())).collect();
-    let mut nullkey: Vec<u32> = Vec::new();
-    for (local, nulls) in run.results {
+    for local in run.results {
         for (p, (rows, words)) in local.into_iter().enumerate() {
             partitions[p].0.extend(rows);
             partitions[p].1.extend(words);
         }
-        nullkey.extend(nulls);
     }
-    Ok((partitions, nullkey, (run.morsels_dispatched, run.workers_used)))
+    Ok((partitions, (run.morsels_dispatched, run.workers_used)))
 }
 
-/// Resolve a partition's [`STR_MISS`] words against per-column interners,
-/// interning on the build side (`intern` = true) and looking up on the
-/// probe side. Returns `false` when a probe word is provably unmatched.
+/// Resolve one build row's [`STR_MISS`] words by interning the raw strings
+/// (in build row order, so the local code assignment is deterministic).
 #[inline]
-fn resolve_words(
-    words: &mut [u64],
-    row: u32,
-    cols: &[KeyCol<'_>],
-    interners: &mut [StrInterner],
-    intern: bool,
-) -> bool {
+fn intern_words(words: &mut [u64], row: u32, cols: &[KeyCol<'_>], interners: &mut [StrInterner]) {
     for (c, w) in words.iter_mut().enumerate() {
         if *w == STR_MISS && cols[c].is_str() {
-            let s = cols[c].str_at(row as usize);
-            if intern {
-                *w = interners[c].intern(s);
-            } else {
-                match interners[c].lookup(s) {
-                    Some(code) => *w = code,
-                    None => return false,
-                }
-            }
+            *w = interners[c].intern(cols[c].str_at(row as usize));
         }
     }
-    true
 }
-
-/// The encoded build+probe: per partition, resolve out-of-dictionary
-/// strings, build a word-keyed table from the right side, probe with the
-/// left side, and emit (probe, build) row pairs.
-#[allow(clippy::too_many_arguments)]
-fn encoded_join_pairs(
-    plan: &JoinKeyPlan<'_>,
-    left_len: usize,
-    right_len: usize,
-    join_type: JoinType,
-    parts: usize,
-    mask: u64,
-    parallelism: usize,
-    stmt: &StatementContext,
-    stats: &mut ExecStats,
-) -> Result<Vec<(u32, u32)>> {
-    let nk = plan.left.len();
-    let (right_parts, _right_nullkey, (rm, rw)) =
-        partition_encoded(right_len, &plan.right, parts, mask, parallelism, stmt)?;
-    let (left_parts, left_nullkey, (lm, lw)) =
-        partition_encoded(left_len, &plan.left, parts, mask, parallelism, stmt)?;
-    stats.note_parallel_phase(rm, rw);
-    stats.note_parallel_phase(lm, lw);
-    stats.rows_partitioned += right_parts.iter().map(|p| p.0.len() as u64).sum::<u64>();
-    stats.rows_partitioned += left_parts.iter().map(|p| p.0.len() as u64).sum::<u64>();
-
-    // The partitioned word state is the dominant allocation: one u32 plus
-    // nk u64 words per row on each side.
-    let mut lease = BudgetLease::new(stmt);
-    let bytes: u64 = right_parts
-        .iter()
-        .chain(left_parts.iter())
-        .map(|(rows, words)| (rows.len() * 4 + words.len() * 8) as u64)
-        .sum();
-    lease.charge(bytes).inspect_err(|_| {
-        stats.budget_rejections += 1;
-    })?;
-
-    let right_parts: Vec<Mutex<CodedPartition>> = right_parts.into_iter().map(Mutex::new).collect();
-    let left_parts: Vec<Mutex<CodedPartition>> = left_parts.into_iter().map(Mutex::new).collect();
-    let join_run = pool::run_morsels(parts, parallelism, stmt, |p| {
-        let (brows, mut bwords) = std::mem::take(&mut *right_parts[p].lock());
-        let (prows, mut pwords) = std::mem::take(&mut *left_parts[p].lock());
-        // Out-of-dictionary strings intern in build row order: the code
-        // assignment is deterministic regardless of worker timing.
-        let mut interners: Vec<StrInterner> = (0..nk).map(|_| StrInterner::default()).collect();
-        let mut out: Vec<(u32, u32)> = Vec::new();
-        if nk == 1 {
-            let mut table: FxHashMap<u64, Vec<u32>> = FxHashMap::default();
-            for (i, &r) in brows.iter().enumerate() {
-                if !resolve_words(&mut bwords[i..i + 1], r, &plan.right, &mut interners, true) {
-                    unreachable!("build-side interning cannot miss");
-                }
-                table.entry(bwords[i]).or_default().push(r);
-            }
-            for (i, &l) in prows.iter().enumerate() {
-                if resolve_words(&mut pwords[i..i + 1], l, &plan.left, &mut interners, false) {
-                    probe_emit(join_type, l, table.get(&pwords[i]).map(|v| &v[..]), &mut out);
-                } else {
-                    probe_emit(join_type, l, None, &mut out);
-                }
-            }
-        } else {
-            let mut table: FxHashMap<Vec<u64>, Vec<u32>> = FxHashMap::default();
-            for (i, &r) in brows.iter().enumerate() {
-                let ws = &mut bwords[i * nk..(i + 1) * nk];
-                resolve_words(ws, r, &plan.right, &mut interners, true);
-                table.entry(ws.to_vec()).or_default().push(r);
-            }
-            for (i, &l) in prows.iter().enumerate() {
-                let ws = &mut pwords[i * nk..(i + 1) * nk];
-                if resolve_words(ws, l, &plan.left, &mut interners, false) {
-                    probe_emit(join_type, l, table.get(&ws[..]).map(|v| &v[..]), &mut out);
-                } else {
-                    probe_emit(join_type, l, None, &mut out);
-                }
-            }
-        }
-        Ok(out)
-    })?;
-    stats.note_parallel_phase(join_run.morsels_dispatched, join_run.workers_used);
-    drop(lease);
-    let mut pairs: Vec<(u32, u32)> = join_run.results.into_iter().flatten().collect();
-    append_nullkey_pairs(join_type, &left_nullkey, &mut pairs);
-    Ok(pairs)
-}
-
-// ---------------------------------------------------------------------------
-// Datum fallback path.
-// ---------------------------------------------------------------------------
 
 /// One build-side partition's rows: ascending row index plus the
 /// (non-null) join key computed for that row.
@@ -393,136 +245,6 @@ fn partition_datum_build(
         }
     }
     Ok((partitions, (run.morsels_dispatched, run.workers_used)))
-}
-
-/// Partition the probe side by key hash only: one reused scratch buffer
-/// per morsel, no per-row key allocation — probe keys are recomputed into
-/// the scratch at probe time.
-#[allow(clippy::type_complexity)]
-fn partition_datum_probe(
-    batch: &Batch,
-    cols: &[usize],
-    parts: usize,
-    mask: u64,
-    parallelism: usize,
-    stmt: &StatementContext,
-) -> Result<(Vec<Vec<u32>>, Vec<u32>, (u64, u64))> {
-    let ranges = pool::row_morsels(batch.len(), parallelism, 4096);
-    let run = pool::run_morsels(ranges.len(), parallelism, stmt, |mi| {
-        let (lo, hi) = ranges[mi];
-        let mut local: Vec<Vec<u32>> = (0..parts).map(|_| Vec::new()).collect();
-        let mut nulls: Vec<u32> = Vec::new();
-        let mut scratch: Vec<Datum> = Vec::with_capacity(cols.len());
-        for i in lo..hi {
-            if fill_key(batch, i, cols, &mut scratch) {
-                let p = (key_hash(&scratch) & mask) as usize;
-                local[p].push(i as u32);
-            } else {
-                nulls.push(i as u32);
-            }
-        }
-        Ok((local, nulls))
-    })?;
-    let mut partitions: Vec<Vec<u32>> = (0..parts).map(|_| Vec::new()).collect();
-    let mut nullkey: Vec<u32> = Vec::new();
-    for (local, nulls) in run.results {
-        for (p, v) in local.into_iter().enumerate() {
-            partitions[p].extend(v);
-        }
-        nullkey.extend(nulls);
-    }
-    Ok((partitions, nullkey, (run.morsels_dispatched, run.workers_used)))
-}
-
-/// The `Datum`-keyed build+probe, emitting the same (probe, build) pair
-/// stream as the encoded path.
-#[allow(clippy::too_many_arguments)]
-fn datum_join_pairs(
-    left: &Batch,
-    right: &Batch,
-    on: &[(usize, usize)],
-    join_type: JoinType,
-    parts: usize,
-    mask: u64,
-    parallelism: usize,
-    stmt: &StatementContext,
-    stats: &mut ExecStats,
-) -> Result<Vec<(u32, u32)>> {
-    let left_cols: Vec<usize> = on.iter().map(|(l, _)| *l).collect();
-    let right_cols: Vec<usize> = on.iter().map(|(_, r)| *r).collect();
-
-    let (right_parts, (rm, rw)) =
-        partition_datum_build(right, &right_cols, parts, mask, parallelism, stmt)?;
-    let (left_parts, left_nullkey, (lm, lw)) =
-        partition_datum_probe(left, &left_cols, parts, mask, parallelism, stmt)?;
-    stats.note_parallel_phase(rm, rw);
-    stats.note_parallel_phase(lm, lw);
-    stats.rows_partitioned += right_parts.iter().map(|p| p.len() as u64).sum::<u64>();
-    stats.rows_partitioned += left_parts.iter().map(|p| p.len() as u64).sum::<u64>();
-
-    // The stored build keys (which move into the per-partition hash
-    // tables) plus the probe row indices are the join's dominant
-    // allocation. Charge them up front; the lease releases on every exit
-    // path, so an over-budget or cancelled join drops its partial state
-    // without leaking the charge.
-    let mut lease = BudgetLease::new(stmt);
-    let bytes: u64 = right_parts
-        .iter()
-        .flatten()
-        .map(|(_, k)| {
-            std::mem::size_of::<(u32, Vec<Datum>)>() as u64
-                + k.iter().map(approx_datum_bytes).sum::<u64>()
-        })
-        .sum::<u64>()
-        + left_parts.iter().map(|p| p.len() as u64 * 4).sum::<u64>();
-    lease.charge(bytes).inspect_err(|_| {
-        stats.budget_rejections += 1;
-    })?;
-
-    let right_parts: Vec<Mutex<KeyedRows>> = right_parts.into_iter().map(Mutex::new).collect();
-    let left_parts: Vec<Mutex<Vec<u32>>> = left_parts.into_iter().map(Mutex::new).collect();
-    let join_run = pool::run_morsels(parts, parallelism, stmt, |p| {
-        // Build per-partition table on the right side, moving each stored
-        // key into the table (duplicates just add their row index).
-        let build = std::mem::take(&mut *right_parts[p].lock());
-        let mut table: FxHashMap<Vec<Datum>, Vec<u32>> = FxHashMap::default();
-        for (ri, k) in build {
-            match table.entry(k) {
-                Entry::Occupied(mut e) => e.get_mut().push(ri),
-                Entry::Vacant(e) => {
-                    e.insert(vec![ri]);
-                }
-            }
-        }
-        // Probe with the left side, re-deriving each key into one reused
-        // scratch buffer — probed, never stored.
-        let probe = std::mem::take(&mut *left_parts[p].lock());
-        let mut scratch: Vec<Datum> = Vec::with_capacity(on.len());
-        let mut out: Vec<(u32, u32)> = Vec::new();
-        for li in probe {
-            let filled = fill_key(left, li as usize, &left_cols, &mut scratch);
-            debug_assert!(filled, "NULL keys were routed away in phase 1");
-            let matches = table.get(scratch.as_slice()).map(|v| &v[..]);
-            probe_emit(join_type, li, matches, &mut out);
-        }
-        Ok(out)
-    })?;
-    stats.note_parallel_phase(join_run.morsels_dispatched, join_run.workers_used);
-    drop(lease); // partitions and build tables consumed — return their budget
-    let mut pairs: Vec<(u32, u32)> = join_run.results.into_iter().flatten().collect();
-    append_nullkey_pairs(join_type, &left_nullkey, &mut pairs);
-    Ok(pairs)
-}
-
-/// NULL-keyed probe rows are unmatched by definition: padded for Left,
-/// kept for Anti, dropped for Inner/Semi.
-fn append_nullkey_pairs(join_type: JoinType, nullkey: &[u32], pairs: &mut Vec<(u32, u32)>) {
-    match join_type {
-        JoinType::Left | JoinType::Anti => {
-            pairs.extend(nullkey.iter().map(|&li| (li, NO_MATCH)));
-        }
-        JoinType::Inner | JoinType::Semi => {}
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -601,7 +323,7 @@ pub fn partition_count(rows: usize) -> usize {
 }
 
 // ---------------------------------------------------------------------------
-// Pipelined probe: a frozen build side probed one morsel at a time.
+// The frozen build side, probed one morsel at a time.
 // ---------------------------------------------------------------------------
 
 /// Per-partition encoded tables, specialised for the common single-key
@@ -626,14 +348,15 @@ struct EncodedBuild {
     dicts: Vec<Option<std::sync::Arc<dash_encoding::dict::FreqDict<std::sync::Arc<str>>>>>,
 }
 
-/// Frozen `Datum`-path build state.
-struct DatumBuild {
-    tables: Vec<FxHashMap<Vec<Datum>, Vec<u32>>>,
+/// The frozen per-partition hash tables, on exactly one key path.
+enum BuildTables {
+    Encoded(EncodedBuild),
+    Datum(Vec<FxHashMap<Vec<Datum>, Vec<u32>>>),
 }
 
-/// A hash-join build side frozen for pipelined execution: constructed once
-/// (the pipeline breaker), then probed concurrently by scan-order morsels
-/// via [`JoinBuild::probe_morsel`]. Output pairs are emitted in probe-row
+/// A hash-join build side frozen into partitioned hash tables: constructed
+/// once (the pipeline breaker), then probed concurrently by morsels via
+/// [`JoinBuild::probe_morsel`]. Output pairs are emitted in probe-row
 /// order within each morsel, so folding morsels in index order reproduces
 /// a deterministic, parallelism-independent row order.
 pub(crate) struct JoinBuild {
@@ -642,8 +365,7 @@ pub(crate) struct JoinBuild {
     join_type: JoinType,
     out_schema: dash_common::Schema,
     mask: u64,
-    encoded: Option<EncodedBuild>,
-    datum: Option<DatumBuild>,
+    tables: BuildTables,
     /// Budget charged for the frozen tables; released when the build drops
     /// at pipeline end.
     _lease: BudgetLease,
@@ -664,7 +386,12 @@ impl JoinBuild {
         stmt: &StatementContext,
         stats: &mut ExecStats,
     ) -> Result<JoinBuild> {
-        assert!(!on.is_empty(), "hash join requires at least one key pair");
+        if on.is_empty() {
+            return Err(DashError::internal("hash join requires at least one key pair"));
+        }
+        if build.len() >= NO_MATCH as usize {
+            return Err(DashError::internal("hash join build side must fit u32 row indices"));
+        }
         let out_schema = match join_type {
             JoinType::Inner | JoinType::Left => probe_schema.join(build.schema()),
             JoinType::Semi | JoinType::Anti => probe_schema.clone(),
@@ -679,7 +406,7 @@ impl JoinBuild {
 
         let mut lease = BudgetLease::new(stmt);
         let build_rows: u64;
-        let (encoded, datum) = if use_encoded {
+        let tables = if use_encoded {
             // The build side owns the code domain: its dictionary (when
             // present) becomes the domain every probe morsel encodes into.
             let dicts: Vec<_> = build_cols
@@ -689,12 +416,9 @@ impl JoinBuild {
             let cols: Vec<KeyCol<'_>> = build_cols
                 .iter()
                 .zip(&dicts)
-                .map(|(&c, d)| {
-                    KeyCol::from_column(&build, c, d.clone())
-                        .expect("encoded build column must be viewable")
-                })
+                .map(|(&c, d)| KeyCol::from_column(&build, c, d.clone()))
                 .collect();
-            let (partitions, _nullkey, (m, w)) =
+            let (partitions, (m, w)) =
                 partition_encoded(build.len(), &cols, parts, mask, parallelism, stmt)?;
             stats.note_parallel_phase(m, w);
             build_rows = partitions.iter().map(|p| p.0.len() as u64).sum();
@@ -709,11 +433,10 @@ impl JoinBuild {
             let tables = if nk == 1 {
                 let mut tabs = Vec::with_capacity(parts);
                 for (brows, mut bwords) in partitions {
-                    let mut ins: Vec<StrInterner> =
-                        (0..nk).map(|_| StrInterner::default()).collect();
+                    let mut ins = vec![StrInterner::default()];
                     let mut table: FxHashMap<u64, Vec<u32>> = FxHashMap::default();
                     for (i, &r) in brows.iter().enumerate() {
-                        resolve_words(&mut bwords[i..i + 1], r, &cols, &mut ins, true);
+                        intern_words(&mut bwords[i..i + 1], r, &cols, &mut ins);
                         table.entry(bwords[i]).or_default().push(r);
                     }
                     interners.push(ins);
@@ -728,7 +451,7 @@ impl JoinBuild {
                     let mut table: FxHashMap<Vec<u64>, Vec<u32>> = FxHashMap::default();
                     for (i, &r) in brows.iter().enumerate() {
                         let ws = &mut bwords[i * nk..(i + 1) * nk];
-                        resolve_words(ws, r, &cols, &mut ins, true);
+                        intern_words(ws, r, &cols, &mut ins);
                         table.entry(ws.to_vec()).or_default().push(r);
                     }
                     interners.push(ins);
@@ -737,14 +460,11 @@ impl JoinBuild {
                 EncodedTables::Multi(tabs)
             };
             stats.encoded_key_rows += build.len() as u64;
-            (
-                Some(EncodedBuild {
-                    tables,
-                    interners,
-                    dicts,
-                }),
-                None,
-            )
+            BuildTables::Encoded(EncodedBuild {
+                tables,
+                interners,
+                dicts,
+            })
         } else {
             let (partitions, (m, w)) =
                 partition_datum_build(&build, &build_cols, parts, mask, parallelism, stmt)?;
@@ -777,7 +497,7 @@ impl JoinBuild {
                 })
                 .collect();
             stats.datum_key_rows += build.len() as u64;
-            (None, Some(DatumBuild { tables }))
+            BuildTables::Datum(tables)
         };
         stats.rows_partitioned += build_rows;
         Ok(JoinBuild {
@@ -786,8 +506,7 @@ impl JoinBuild {
             join_type,
             out_schema,
             mask,
-            encoded,
-            datum,
+            tables,
             _lease: lease,
         })
     }
@@ -815,78 +534,78 @@ impl JoinBuild {
         stats: &mut ExecStats,
     ) -> Result<Batch> {
         stmt.check()?;
+        if probe.len() >= NO_MATCH as usize {
+            return Err(DashError::internal("probe morsel must fit u32 row indices"));
+        }
         let nk = self.on.len();
         let probe_cols: Vec<usize> = self.on.iter().map(|(l, _)| *l).collect();
         let mut pairs: Vec<(u32, u32)> = Vec::new();
-        if let Some(enc) = &self.encoded {
-            stats.encoded_key_rows += probe.len() as u64;
-            for (c, d) in probe_cols.iter().zip(&enc.dicts) {
-                if let (Some(pd), Some(bd)) = (probe.str_dict(*c), d) {
-                    if !std::sync::Arc::ptr_eq(pd, bd) {
-                        // The morsel carries its own dictionary; its keys
-                        // re-encode by value into the build-side domain.
-                        stats.keys_reencoded_rows += probe.len() as u64;
-                    }
-                }
-            }
-            let cols: Vec<KeyCol<'_>> = probe_cols
-                .iter()
-                .zip(&enc.dicts)
-                .map(|(&c, d)| {
-                    KeyCol::from_column(probe, c, d.clone()).ok_or_else(|| {
-                        dash_common::DashError::internal("probe morsel column not viewable")
-                    })
-                })
-                .collect::<Result<_>>()?;
-            let mut words = vec![0u64; nk];
-            'row: for li in 0..probe.len() {
-                for (c, col) in cols.iter().enumerate() {
-                    match col.word(li) {
-                        Some(w) => words[c] = w,
-                        None => {
-                            probe_emit(self.join_type, li as u32, None, &mut pairs);
-                            continue 'row;
+        match &self.tables {
+            BuildTables::Encoded(enc) => {
+                stats.encoded_key_rows += probe.len() as u64;
+                for (c, d) in probe_cols.iter().zip(&enc.dicts) {
+                    if let (Some(pd), Some(bd)) = (probe.str_dict(*c), d) {
+                        if !std::sync::Arc::ptr_eq(pd, bd) {
+                            // The morsel carries its own dictionary; its keys
+                            // re-encode by value into the build-side domain.
+                            stats.keys_reencoded_rows += probe.len() as u64;
                         }
                     }
                 }
-                let p = (route_hash(&cols, &words, li) & self.mask) as usize;
-                let mut resolved = true;
-                for c in 0..nk {
-                    if words[c] == STR_MISS && cols[c].is_str() {
-                        match enc.interners[p][c].lookup(cols[c].str_at(li)) {
-                            Some(code) => words[c] = code,
+                let cols: Vec<KeyCol<'_>> = probe_cols
+                    .iter()
+                    .zip(&enc.dicts)
+                    .map(|(&c, d)| KeyCol::from_column(probe, c, d.clone()))
+                    .collect();
+                let mut words = vec![0u64; nk];
+                'row: for li in 0..probe.len() {
+                    for (c, col) in cols.iter().enumerate() {
+                        match col.word(li) {
+                            Some(w) => words[c] = w,
                             None => {
-                                resolved = false;
-                                break;
+                                probe_emit(self.join_type, li as u32, None, &mut pairs);
+                                continue 'row;
                             }
                         }
                     }
-                }
-                let matches = if resolved {
-                    match &enc.tables {
-                        EncodedTables::Single(tabs) => tabs[p].get(&words[0]),
-                        EncodedTables::Multi(tabs) => tabs[p].get(&words[..]),
+                    let p = (route_hash(&cols, &words, li) & self.mask) as usize;
+                    let mut resolved = true;
+                    for c in 0..nk {
+                        if words[c] == STR_MISS && cols[c].is_str() {
+                            match enc.interners[p][c].lookup(cols[c].str_at(li)) {
+                                Some(code) => words[c] = code,
+                                None => {
+                                    resolved = false;
+                                    break;
+                                }
+                            }
+                        }
                     }
-                    .map(|v| &v[..])
-                } else {
-                    None
-                };
-                probe_emit(self.join_type, li as u32, matches, &mut pairs);
-            }
-        } else if let Some(dat) = &self.datum {
-            stats.datum_key_rows += probe.len() as u64;
-            let mut scratch: Vec<Datum> = Vec::with_capacity(nk);
-            for li in 0..probe.len() {
-                if fill_key(probe, li, &probe_cols, &mut scratch) {
-                    let p = (key_hash(&scratch) & self.mask) as usize;
-                    let matches = dat.tables[p].get(scratch.as_slice()).map(|v| &v[..]);
+                    let matches = if resolved {
+                        match &enc.tables {
+                            EncodedTables::Single(tabs) => tabs[p].get(&words[0]),
+                            EncodedTables::Multi(tabs) => tabs[p].get(&words[..]),
+                        }
+                        .map(|v| &v[..])
+                    } else {
+                        None
+                    };
                     probe_emit(self.join_type, li as u32, matches, &mut pairs);
-                } else {
-                    probe_emit(self.join_type, li as u32, None, &mut pairs);
                 }
             }
-        } else {
-            unreachable!("JoinBuild holds exactly one key path");
+            BuildTables::Datum(tables) => {
+                stats.datum_key_rows += probe.len() as u64;
+                let mut scratch: Vec<Datum> = Vec::with_capacity(nk);
+                for li in 0..probe.len() {
+                    if fill_key(probe, li, &probe_cols, &mut scratch) {
+                        let p = (key_hash(&scratch) & self.mask) as usize;
+                        let matches = tables[p].get(scratch.as_slice()).map(|v| &v[..]);
+                        probe_emit(self.join_type, li as u32, matches, &mut pairs);
+                    } else {
+                        probe_emit(self.join_type, li as u32, None, &mut pairs);
+                    }
+                }
+            }
         }
         // Morsel-local late materialization: serial within the morsel (the
         // pipeline's parallelism is across morsels, not inside them).
@@ -902,18 +621,42 @@ impl JoinBuild {
     }
 }
 
+/// Output rows a cross join produces between statement-token polls.
+const CROSS_CHUNK_ROWS: usize = 4096;
+
 /// Cartesian product (CROSS JOIN, and the fallback for comma-lists with no
-/// connecting predicate).
-pub fn cross_join(left: &Batch, right: &Batch) -> Result<Batch> {
-    let schema = left.schema().join(right.schema());
-    let mut rows = Vec::with_capacity(left.len() * right.len());
-    for li in 0..left.len() {
-        let lrow = left.row(li);
-        for ri in 0..right.len() {
-            rows.push(lrow.concat(&right.row(ri)));
-        }
+/// connecting predicate) — a whole-batch pipeline breaker. The output is
+/// charged against the statement budget before any of it is allocated, and
+/// the statement token is polled once per [`CROSS_CHUNK_ROWS`] output rows.
+pub fn cross_join(
+    left: &Batch,
+    right: &Batch,
+    stmt: &StatementContext,
+    stats: &mut ExecStats,
+) -> Result<Batch> {
+    let too_big = || DashError::ResourceExhausted("cross join output too large".into());
+    if left.len() >= NO_MATCH as usize || right.len() >= NO_MATCH as usize {
+        return Err(too_big());
     }
-    Batch::from_rows(schema, &rows)
+    let rows = left.len().checked_mul(right.len()).ok_or_else(too_big)?;
+    // Every left row repeats once per right row and vice versa.
+    let bytes = (left.approx_bytes() as u128) * right.len() as u128
+        + (right.approx_bytes() as u128) * left.len() as u128;
+    let mut lease = BudgetLease::new(stmt);
+    lease
+        .charge(u64::try_from(bytes).map_err(|_| too_big())?)
+        .inspect_err(|_| stats.budget_rejections += 1)?;
+    let schema = left.schema().join(right.schema());
+    let mut chunks = Vec::new();
+    for start in (0..rows).step_by(CROSS_CHUNK_ROWS) {
+        stmt.check()?;
+        // Output row k pairs left row k / |right| with right row k % |right|.
+        let pairs: Vec<(u32, u32)> = (start..rows.min(start + CROSS_CHUNK_ROWS))
+            .map(|k| ((k / right.len()) as u32, (k % right.len()) as u32))
+            .collect();
+        chunks.push(materialize_pairs(left, right, schema.clone(), &pairs, 1, stmt, stats)?);
+    }
+    Batch::concat_columnar(schema, chunks)
 }
 
 #[cfg(test)]
@@ -927,8 +670,8 @@ mod tests {
     }
 
     /// Run the join under both key modes, assert they agree, and return
-    /// the encoded-path result. All fixtures keep the build side under one
-    /// partition, so even the row order must match across paths.
+    /// the encoded-path result. Output is probe-row-major on both paths, so
+    /// even the row order must match.
     fn join_both(l: &Batch, r: &Batch, on: &[(usize, usize)], jt: JoinType) -> Batch {
         let mut s1 = ExecStats::default();
         let mut s2 = ExecStats::default();
@@ -1047,21 +790,21 @@ mod tests {
     }
 
     #[test]
-    fn large_join_spans_partitions() {
-        // Force multiple partitions and verify correctness by count.
+    fn large_build_spans_partitions() {
+        // A build side big enough for several partitions; verify by count.
         let schema = Schema::new(vec![Field::new("k", DataType::Int64)]).unwrap();
         let n = PARTITION_ROWS * 3;
         let rows: Vec<Row> = (0..n).map(|i| row![(i % 1000) as i64]).collect();
-        let l = Batch::from_rows(schema.clone(), &rows).unwrap();
-        let r_rows: Vec<Row> = (0..1000).map(|i| row![i as i64]).collect();
-        let r = Batch::from_rows(schema, &r_rows).unwrap();
+        let r = Batch::from_rows(schema.clone(), &rows).unwrap();
+        let l_rows: Vec<Row> = (0..1000).map(|i| row![i as i64]).collect();
+        let l = Batch::from_rows(schema, &l_rows).unwrap();
         assert!(partition_count(n) > 1);
         let out = join_both(&l, &r, &[(0, 0)], JoinType::Inner);
         assert_eq!(out.len(), n);
         let mut stats = ExecStats::default();
         hash_join(&l, &r, &[(0, 0)], JoinType::Inner, KeyMode::Encoded, 1, &stmt(), &mut stats)
             .unwrap();
-        assert!(stats.rows_partitioned >= (n + 1000) as u64);
+        assert_eq!(stats.rows_partitioned, n as u64);
         assert_eq!(stats.encoded_key_rows, (n + 1000) as u64);
     }
 
@@ -1177,8 +920,8 @@ mod tests {
 
     #[test]
     fn join_build_probe_rows_stay_in_probe_order() {
-        // Unlike the partition-major materialized path, pipelined probe
-        // output is probe-row-major: deterministic at any parallelism.
+        // Probe output is probe-row-major, whatever partition each row
+        // routes to: deterministic at any parallelism.
         let piped = probe_in_morsels(
             &orders(),
             &customers(),

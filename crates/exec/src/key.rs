@@ -16,10 +16,9 @@
 //!   from the chosen dictionary get the [`STR_MISS`] sentinel and are
 //!   interned per partition (see [`StrInterner`]).
 //!
-//! When the two join sides carry *different* dictionaries, the smaller side
-//! is re-encoded into the larger side's code domain
-//! ([`dash_encoding::dict::FreqDict::translate_code`]) rather than decoding
-//! the larger side — the re-encode rule.
+//! A join has one code domain per string key: the build side's dictionary.
+//! Probe morsels carrying a different dictionary re-encode by value into it
+//! (counted in `ExecStats::keys_reencoded_rows`) — the re-encode rule.
 //!
 //! [`KeyMode`] is the planner-visible switch: `Encoded` when every key
 //! column's static type permits the compressed path, `Datum` when any key
@@ -135,9 +134,9 @@ impl KeyMode {
 
 /// One key column viewed through the encoded path.
 ///
-/// Borrows the batch's column storage; `dict` (strings only) is the *shared*
-/// dictionary both sides agreed on, which may differ from the dictionary the
-/// batch itself carries (the re-encode rule picks the larger side's).
+/// Borrows the batch's column storage; `dict` (strings only) is the join's
+/// code domain — the build side's dictionary — which may differ from the
+/// dictionary the batch itself carries (the re-encode rule).
 pub(crate) enum KeyCol<'a> {
     /// Integer-family values: word = `i64_to_ordered(v)`.
     Int(&'a [Option<i64>]),
@@ -171,11 +170,11 @@ impl<'a> KeyCol<'a> {
         batch: &'a Batch,
         col: usize,
         dict: Option<Arc<FreqDict<Arc<str>>>>,
-    ) -> Option<KeyCol<'a>> {
+    ) -> KeyCol<'a> {
         match batch.column(col) {
-            ColumnValues::Int(v) => Some(KeyCol::Int(v)),
-            ColumnValues::Float(v) => Some(KeyCol::Float(v)),
-            ColumnValues::Str(v) => Some(KeyCol::Str { vals: v, dict }),
+            ColumnValues::Int(v) => KeyCol::Int(v),
+            ColumnValues::Float(v) => KeyCol::Float(v),
+            ColumnValues::Str(v) => KeyCol::Str { vals: v, dict },
         }
     }
 
@@ -256,67 +255,6 @@ impl StrInterner {
     }
 }
 
-/// Runtime key plan for an encoded hash join: per-side key column views
-/// sharing one code domain per string pair.
-pub(crate) struct JoinKeyPlan<'a> {
-    /// Build (left) side key columns.
-    pub left: Vec<KeyCol<'a>>,
-    /// Probe (right) side key columns.
-    pub right: Vec<KeyCol<'a>>,
-    /// Rows whose side lost the dictionary vote and will re-encode through
-    /// [`FreqDict::translate_code`]-equivalent lookups (for `ExecStats`).
-    pub reencoded_rows: u64,
-}
-
-/// Build the runtime key plan for an encoded join, or `None` when the
-/// batches cannot take the encoded path (mismatched column kinds).
-///
-/// For each string key pair the two sides must agree on one dictionary: if
-/// both carry one, the side with more rows wins and the smaller side
-/// re-encodes (the re-encode rule); if only one carries one, it is shared;
-/// if neither does, both sides intern per partition.
-pub(crate) fn join_key_cols<'a>(
-    left: &'a Batch,
-    right: &'a Batch,
-    on: &[(usize, usize)],
-) -> Option<JoinKeyPlan<'a>> {
-    let mut plan = JoinKeyPlan {
-        left: Vec::with_capacity(on.len()),
-        right: Vec::with_capacity(on.len()),
-        reencoded_rows: 0,
-    };
-    for &(l, r) in on {
-        let (lk, rk) = (left.column(l), right.column(r));
-        let dict = match (lk, rk) {
-            (ColumnValues::Int(_), ColumnValues::Int(_))
-            | (ColumnValues::Float(_), ColumnValues::Float(_)) => None,
-            (ColumnValues::Str(_), ColumnValues::Str(_)) => {
-                let (ld, rd) = (left.str_dict(l), right.str_dict(r));
-                match (ld, rd) {
-                    (Some(a), Some(b)) => {
-                        if Arc::ptr_eq(a, b) {
-                            Some(a.clone())
-                        } else if left.len() >= right.len() {
-                            plan.reencoded_rows += right.len() as u64;
-                            Some(a.clone())
-                        } else {
-                            plan.reencoded_rows += left.len() as u64;
-                            Some(b.clone())
-                        }
-                    }
-                    (Some(a), None) => Some(a.clone()),
-                    (None, Some(b)) => Some(b.clone()),
-                    (None, None) => None,
-                }
-            }
-            _ => return None,
-        };
-        plan.left.push(KeyCol::from_column(left, l, dict.clone())?);
-        plan.right.push(KeyCol::from_column(right, r, dict)?);
-    }
-    Some(plan)
-}
-
 /// Build encoded key column views for a grouped aggregate, or `None` when
 /// any group expression is not a bare column.
 pub(crate) fn group_key_cols<'a>(input: &'a Batch, group: &[Expr]) -> Option<Vec<KeyCol<'a>>> {
@@ -326,10 +264,7 @@ pub(crate) fn group_key_cols<'a>(input: &'a Batch, group: &[Expr]) -> Option<Vec
     group
         .iter()
         .map(|g| match g {
-            Expr::Col(c) => {
-                let dict = input.str_dict(*c).cloned();
-                KeyCol::from_column(input, *c, dict)
-            }
+            Expr::Col(c) => Some(KeyCol::from_column(input, *c, input.str_dict(*c).cloned())),
             _ => None,
         })
         .collect()

@@ -8,10 +8,10 @@
 //!   skipping, buffer-pool accounting, predicate evaluation directly on
 //!   compressed codes, late materialization of survivors.
 //! * [`join`] — cache-efficient partitioned hash join (the Hybrid Hash
-//!   Join lineage the paper cites): both inputs are hash-partitioned into
-//!   cache-sized chunks before building/probing.
-//! * [`agg`] — partitioned hash grouping and the aggregate function suite
-//!   (including the dialect aggregates: `MEDIAN`, `STDDEV_POP`,
+//!   Join lineage the paper cites): the build side is hash-partitioned
+//!   into cache-sized tables and frozen; probe morsels stream through it.
+//! * [`agg`] — morsel-partial hash grouping and the aggregate function
+//!   suite (including the dialect aggregates: `MEDIAN`, `STDDEV_POP`,
 //!   `COVAR_POP`, ...).
 //! * [`expr`] / [`functions`] — scalar expression evaluation and the
 //!   polyglot scalar-function registry (`DECODE`, `NVL`, `LPAD`,
@@ -19,8 +19,9 @@
 //! * [`pool`] — the morsel-driven worker pool: strides and hash partitions
 //!   become work-claimed morsels so skewed survivor distributions (the
 //!   common case after synopsis skipping) still keep every core busy.
-//! * [`plan`] — the physical operator tree gluing it all together, with
-//!   per-query execution statistics ([`stats`]).
+//! * [`plan`] — the physical operator tree, executed by [`pipeline`]: every
+//!   node is a pipeline source, a per-morsel stage, or a breaker whose
+//!   output feeds the next pipeline; per-query statistics in [`stats`].
 
 #![deny(missing_docs)]
 #![warn(clippy::all)]

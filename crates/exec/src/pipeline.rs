@@ -1,56 +1,59 @@
-//! Query-wide pipelined morsel scheduler.
+//! The executor: every plan runs as morsel-driven pipelines.
 //!
-//! The materialized executor in [`crate::plan`] runs one operator at a
-//! time: the scan materializes every surviving row, then the join consumes
-//! that batch, then the aggregate consumes the join's output. Peak memory
-//! is O(largest intermediate result) even though each row is only touched
-//! once per operator.
+//! [`decompose`] maps any [`PhysicalPlan`] onto a tree of **pipelines**
+//! under one rule — *a breaker's output batch is the next pipeline's
+//! source*:
 //!
-//! This module decomposes a plan into **pipelines** broken at pipeline
-//! breakers — hash-join builds, the aggregate merge, and the sort seal —
-//! and drives each non-breaker chain one *morsel* at a time: a scan stride
-//! flows through filter → project → join-probe → aggregate-partial as one
-//! unit of work while other strides are in other stages. Build sides
-//! complete (materialized, via the ordinary executor) before their probe
-//! pipeline starts; morsel results fold **in morsel-index order** at the
-//! sink, so the output is byte-identical at any parallelism:
+//! * a **source** is a `ColumnScan` (one morsel per candidate stride) or
+//!   the finished batch of a breaker, sliced into fixed-size row morsels;
+//! * **stages** — filter, project, hash-join probe — run on one morsel at
+//!   a time, on whichever pool worker claimed it;
+//! * the **sink** folds morsel results **in morsel-index order**: it
+//!   either collects them into the output batch or merges per-morsel
+//!   aggregate partials;
+//! * a **breaker** needs its whole input before it emits anything: the
+//!   hash-join build, the aggregate merge, `Sort`, and the whole-batch
+//!   operators `Values`, `UnionAll`, `CrossJoin`, `ConnectBy`, `Distinct`
+//!   and `RowNumber`. Whatever consumes a breaker starts a new pipeline on
+//!   its output.
+//!
+//! The in-order fold makes the output byte-identical at any parallelism:
 //!
 //! * probe output is probe-row-major within each morsel ([`JoinBuild`]),
-//! * aggregate groups surface in first-appearance order across the
-//!   in-order fold — the serial scan's first-appearance order,
+//! * aggregate groups surface in first-appearance order across the fold —
+//!   the serial scan's first-appearance order,
 //! * partial states merge with order-insensitive combines (sums, min/max,
-//!   Chan's moment formulas), so any morsel split yields the same finals.
+//!   Chan's moment formulas) over morsel boundaries that do not depend on
+//!   the worker count.
 //!
-//! Peak memory drops to O(morsels in flight): the scheduler admits at most
-//! `DASH_PIPELINE_INFLIGHT` unfolded morsels (default `parallelism * 4`),
-//! each carrying a [`BudgetLease`] for its bytes, and the statement's
-//! deadline/cancellation token is checked at every pipeline step.
+//! Peak memory is O(frozen builds + morsels in flight): the scheduler
+//! admits at most `DASH_PIPELINE_INFLIGHT` unfolded morsels (default
+//! `parallelism * 4`), each carrying a [`BudgetLease`] for its bytes, and
+//! the statement's deadline/cancellation token is checked at every step.
 
 use crate::agg::{self, AggAccumulator, AggExpr};
 use crate::batch::Batch;
 use crate::expr::Expr;
 use crate::functions::EvalContext;
-use crate::join::{JoinBuild, JoinType};
+use crate::join::{self, JoinBuild, JoinType};
 use crate::key::KeyMode;
-use crate::plan::{self, PhysicalPlan, SharedTable};
+use crate::plan::{PhysicalPlan, SharedTable};
 use crate::pool;
-use crate::scan::ScanConfig;
-use crate::scan::ScanSource;
+use crate::scan::{ScanConfig, ScanSource};
 use crate::sort::{sort_batch, SortKey, SortOptions};
 use crate::stats::ExecStats;
-use dash_common::{BudgetLease, Result, Schema};
+use dash_common::fxhash::{FxHashMap, FxHashSet};
+use dash_common::{BudgetLease, DashError, Datum, Result, Row, Schema};
 
-/// Pipeline-scheduler knobs, resolved from `DASH_PIPELINE` /
-/// `DASH_PIPELINE_INFLIGHT` by autoconfiguration and carried on the
-/// [`EvalContext`].
+/// Pipeline-scheduler knobs, resolved by autoconfiguration and carried on
+/// the [`EvalContext`].
 #[derive(Debug, Clone, Copy)]
 pub struct PipelineConfig {
-    /// Run pipelineable plans through the morsel scheduler (`true` unless
-    /// `DASH_PIPELINE=off`). Disabled plans use the materialized executor.
+    /// Inert: every plan runs pipelined. A later `benchmark` PR removes it.
     pub enabled: bool,
-    /// Max morsels simultaneously claimed-but-unfolded per pipeline drive;
-    /// `0` = auto (`parallelism * 4`). This bounds the pipelined peak
-    /// memory at O(window · morsel bytes).
+    /// Max morsels simultaneously claimed-but-unfolded per pipeline drive
+    /// (`DASH_PIPELINE_INFLIGHT`); `0` = auto (`parallelism * 4`). This
+    /// bounds the peak memory at O(window · morsel bytes).
     pub inflight: usize,
 }
 
@@ -63,42 +66,71 @@ impl Default for PipelineConfig {
     }
 }
 
-/// The structural decomposition of a pipelineable plan, borrowed from the
-/// plan tree. Built without executing anything, so an unsupported shape
-/// falls back to the materialized executor at zero cost.
-struct ChainShape<'p> {
-    table: &'p SharedTable,
-    config: &'p ScanConfig,
-    /// Non-breaker operators in source→sink order.
-    raw_ops: Vec<RawOp<'p>>,
-    agg: Option<AggShape<'p>>,
-    /// Whole-result operators above the aggregate (projections mapping the
-    /// agg output to the select list, the sealing sort), in top-down plan
-    /// order; applied to the folded result bottom-up.
-    post: Vec<PostOp<'p>>,
-    /// Widest parallelism any node in the chain requested.
+/// Rows per morsel of a batch source, and between statement-token polls in
+/// the whole-batch breakers.
+const BATCH_MORSEL_ROWS: usize = 4096;
+
+/// One pipeline, borrowed from the plan tree: what feeds it, the stages
+/// every morsel passes through, and what its morsels fold into.
+pub(crate) struct Pipeline<'p> {
+    source: Source<'p>,
+    /// Per-morsel operators in source→sink order.
+    stages: Vec<Stage<'p>>,
+    /// `Some` = the sink merges aggregate partials; `None` = it collects.
+    agg: Option<AggSink<'p>>,
+    /// Widest parallelism any node of the pipeline (or its inputs) asked for.
     parallelism: usize,
 }
 
-/// A whole-result operator applied after the morsel fold.
-enum PostOp<'p> {
-    Project {
-        exprs: &'p [Expr],
-        schema: &'p Schema,
+enum Source<'p> {
+    Scan {
+        table: &'p SharedTable,
+        config: &'p ScanConfig,
     },
-    Sort(SortShape<'p>),
+    Breaker(Breaker<'p>),
 }
 
-enum RawOp<'p> {
+/// A whole-input operator: runs its input pipeline(s) to completion and
+/// emits one batch, the source of the pipeline above.
+enum Breaker<'p> {
+    Values {
+        schema: &'p Schema,
+        rows: &'p [Row],
+    },
+    UnionAll(Vec<Pipeline<'p>>),
+    CrossJoin(Box<Pipeline<'p>>, Box<Pipeline<'p>>),
+    ConnectBy {
+        input: Box<Pipeline<'p>>,
+        start_with: &'p Expr,
+        parent: usize,
+        child: usize,
+        schema: Schema,
+    },
+    Distinct(Box<Pipeline<'p>>),
+    RowNumber {
+        input: Box<Pipeline<'p>>,
+        schema: Schema,
+    },
+    Sort {
+        input: Box<Pipeline<'p>>,
+        keys: &'p [SortKey],
+        opts: SortOptions,
+    },
+    /// A finished pipeline read as-is: an aggregate's result, or the
+    /// collected input of a `DISTINCT` aggregate.
+    Result(Box<Pipeline<'p>>),
+}
+
+enum Stage<'p> {
     Filter(&'p Expr),
     Project {
         exprs: &'p [Expr],
         schema: &'p Schema,
     },
-    /// Hash-join probe; `build` is the plan of the build (right) side,
-    /// executed to completion before the probe pipeline is released.
+    /// Hash-join probe; `build` is the pipeline of the build (right) side,
+    /// run to completion and frozen before any morsel reaches the probe.
     Probe {
-        build: &'p PhysicalPlan,
+        build: Box<Pipeline<'p>>,
         on: &'p [(usize, usize)],
         join_type: JoinType,
         key_mode: KeyMode,
@@ -106,149 +138,376 @@ enum RawOp<'p> {
     },
 }
 
-struct AggShape<'p> {
-    group: &'p [Expr],
-    aggs: &'p [AggExpr],
-    schema: &'p Schema,
+/// The aggregate sink of a pipeline.
+pub(crate) struct AggSink<'p> {
+    pub(crate) group: &'p [Expr],
+    pub(crate) aggs: &'p [AggExpr],
+    pub(crate) schema: &'p Schema,
+    pub(crate) key_mode: KeyMode,
 }
 
-struct SortShape<'p> {
-    keys: &'p [SortKey],
-    opts: SortOptions,
-}
-
-/// Decompose `plan` into a pipeline chain, or `None` when any node cannot
-/// stream (Values/Union/Distinct/RowNumber/CrossJoin/ConnectBy sources,
-/// DISTINCT aggregates, or a Sort/Aggregate buried mid-chain). The planner
-/// emits select-list projections *above* the aggregate; those (and the
-/// sealing sort) become whole-result post ops rather than morsel stages.
-fn decompose(plan: &PhysicalPlan) -> Option<ChainShape<'_>> {
-    let mut node = plan;
-    let mut parallelism = 1usize;
-    // Collect the Sort/Project prefix above the aggregate, top-down. At
-    // most one sort: a second one means a shape we don't stream.
-    let mut post: Vec<PostOp<'_>> = Vec::new();
-    loop {
-        match node {
-            PhysicalPlan::Sort {
-                input,
-                keys,
-                limit,
-                offset,
-                parallelism: par,
-                run_rows,
-            } if !post.iter().any(|p| matches!(p, PostOp::Sort(_))) => {
-                post.push(PostOp::Sort(SortShape {
-                    keys,
-                    opts: SortOptions {
-                        limit: *limit,
-                        offset: *offset,
-                        parallelism: *par,
-                        run_rows: *run_rows,
-                    },
-                }));
-                parallelism = parallelism.max(*par);
-                node = input;
-            }
-            PhysicalPlan::Project {
-                input,
-                exprs,
-                schema,
-            } => {
-                post.push(PostOp::Project { exprs, schema });
-                node = input;
-            }
-            _ => break,
+impl<'p> Breaker<'p> {
+    fn inputs(&self) -> Vec<&Pipeline<'p>> {
+        match self {
+            Breaker::Values { .. } => Vec::new(),
+            Breaker::UnionAll(inputs) => inputs.iter().collect(),
+            Breaker::CrossJoin(l, r) => vec![l, r],
+            Breaker::ConnectBy { input, .. }
+            | Breaker::RowNumber { input, .. }
+            | Breaker::Sort { input, .. }
+            | Breaker::Distinct(input)
+            | Breaker::Result(input) => vec![input],
         }
     }
-    let mut aggshape = None;
-    if let PhysicalPlan::HashAggregate {
-        input,
-        group,
-        aggs,
-        schema,
-        parallelism: par,
-        ..
-    } = node
-    {
-        // DISTINCT aggregates cannot merge per-morsel partials (their
-        // seen-sets overlap across morsels) — materialized path only.
-        if !agg::supports_partial(aggs) {
-            return None;
+
+    fn label(&self) -> &'static str {
+        match self {
+            Breaker::Values { .. } => "values",
+            Breaker::UnionAll(_) => "union",
+            Breaker::CrossJoin(..) => "cross",
+            Breaker::ConnectBy { .. } => "connect-by",
+            Breaker::Distinct(_) => "distinct",
+            Breaker::RowNumber { .. } => "rownum",
+            Breaker::Sort { .. } => "sort",
+            Breaker::Result(_) => "result",
         }
-        aggshape = Some(AggShape {
+    }
+}
+
+/// Decompose `plan` into its root pipeline. Total: every node is a source,
+/// a stage, or a breaker.
+pub(crate) fn decompose(plan: &PhysicalPlan) -> Pipeline<'_> {
+    let (agg, mut node, mut parallelism) = match plan {
+        PhysicalPlan::HashAggregate {
+            input,
             group,
             aggs,
             schema,
-        });
-        parallelism = parallelism.max(*par);
-        node = input;
-    }
-    let mut raw_ops = Vec::new();
-    if aggshape.is_none() {
-        // No aggregate under the prefix: projections below the sort feed it
-        // row-at-a-time, so they stream per morsel instead of running as
-        // whole-result post ops.
-        let split = post
-            .iter()
-            .rposition(|p| matches!(p, PostOp::Sort(_)))
-            .map_or(0, |i| i + 1);
-        for p in post.drain(split..) {
-            if let PostOp::Project { exprs, schema } = p {
-                raw_ops.push(RawOp::Project { exprs, schema });
+            key_mode,
+            parallelism,
+        } => {
+            let sink = AggSink {
+                group,
+                aggs,
+                schema,
+                key_mode: *key_mode,
+            };
+            (Some(sink), &**input, *parallelism)
+        }
+        _ => (None, plan, 1),
+    };
+    let mut stages = Vec::new();
+    let source = if agg.as_ref().is_some_and(|a| !agg::supports_partial(a.aggs)) {
+        // DISTINCT states cannot merge across morsels, so the aggregate
+        // takes its input collected and runs as one partial over all of it.
+        Source::Breaker(Breaker::Result(Box::new(decompose(node))))
+    } else {
+        loop {
+            match node {
+                PhysicalPlan::Filter { input, predicate } => {
+                    stages.push(Stage::Filter(predicate));
+                    node = input;
+                }
+                PhysicalPlan::Project {
+                    input,
+                    exprs,
+                    schema,
+                } => {
+                    stages.push(Stage::Project { exprs, schema });
+                    node = input;
+                }
+                PhysicalPlan::HashJoin {
+                    left,
+                    right,
+                    on,
+                    join_type,
+                    key_mode,
+                    parallelism: par,
+                } => {
+                    stages.push(Stage::Probe {
+                        build: Box::new(decompose(right)),
+                        on,
+                        join_type: *join_type,
+                        key_mode: *key_mode,
+                        parallelism: *par,
+                    });
+                    parallelism = parallelism.max(*par);
+                    node = left;
+                }
+                PhysicalPlan::ColumnScan { table, config } => {
+                    parallelism = parallelism.max(config.parallelism);
+                    break Source::Scan { table, config };
+                }
+                other => break Source::Breaker(breaker(other)),
             }
         }
+    };
+    if let Source::Breaker(b) = &source {
+        for input in b.inputs() {
+            parallelism = parallelism.max(input.parallelism);
+        }
+        if let Breaker::Sort { opts, .. } = b {
+            parallelism = parallelism.max(opts.parallelism);
+        }
     }
-    let (table, config) = loop {
-        match node {
-            PhysicalPlan::Filter { input, predicate } => {
-                raw_ops.push(RawOp::Filter(predicate));
-                node = input;
+    stages.reverse(); // source → sink
+    Pipeline {
+        source,
+        stages,
+        agg,
+        parallelism,
+    }
+}
+
+fn breaker(node: &PhysicalPlan) -> Breaker<'_> {
+    let sub = |p| Box::new(decompose(p));
+    match node {
+        PhysicalPlan::Values { schema, rows } => Breaker::Values { schema, rows },
+        PhysicalPlan::UnionAll { inputs } => {
+            Breaker::UnionAll(inputs.iter().map(decompose).collect())
+        }
+        PhysicalPlan::CrossJoin { left, right } => Breaker::CrossJoin(sub(left), sub(right)),
+        PhysicalPlan::ConnectBy {
+            input,
+            start_with,
+            parent,
+            child,
+        } => Breaker::ConnectBy {
+            input: sub(input),
+            start_with,
+            parent: *parent,
+            child: *child,
+            schema: node.schema(),
+        },
+        PhysicalPlan::Distinct { input } => Breaker::Distinct(sub(input)),
+        PhysicalPlan::RowNumber { input, .. } => Breaker::RowNumber {
+            input: sub(input),
+            schema: node.schema(),
+        },
+        PhysicalPlan::Sort {
+            input,
+            keys,
+            limit,
+            offset,
+            parallelism,
+            run_rows,
+        } => Breaker::Sort {
+            input: sub(input),
+            keys,
+            opts: SortOptions {
+                limit: *limit,
+                offset: *offset,
+                parallelism: *parallelism,
+                run_rows: *run_rows,
+            },
+        },
+        // An aggregate under a chain: its own pipeline, read as a source.
+        _ => Breaker::Result(sub(node)),
+    }
+}
+
+/// Run `p` (and, first, every pipeline it waits on) to completion.
+pub(crate) fn run(p: &Pipeline<'_>, ctx: &EvalContext, stats: &mut ExecStats) -> Result<Batch> {
+    let sink = p.agg.as_ref();
+    let (table, config) = match &p.source {
+        Source::Scan { table, config } => (table, config),
+        Source::Breaker(b) => {
+            let batch = run_breaker(b, ctx, stats)?;
+            if p.stages.is_empty() && sink.is_none() {
+                return Ok(batch);
             }
-            PhysicalPlan::Project {
-                input,
-                exprs,
-                schema,
-            } => {
-                raw_ops.push(RawOp::Project { exprs, schema });
-                node = input;
-            }
-            PhysicalPlan::HashJoin {
-                left,
-                right,
+            let ops = freeze(&p.stages, || batch.schema().clone(), ctx, stats)?;
+            return drive(&Feed::Batch(&batch), &ops, sink, p.parallelism, ctx, stats);
+        }
+    };
+    // Build sides run before the scan takes its table lock: a build may
+    // read the same table.
+    let scan_schema = || config.out_schema(table.read().schema());
+    let ops = freeze(&p.stages, scan_schema, ctx, stats)?;
+    let guard = table.read();
+    let source = ScanSource::new(&guard, config)?;
+    *stats += source.base_stats();
+    drive(&Feed::Scan(&source), &ops, sink, p.parallelism, ctx, stats)
+}
+
+/// The schema of the stream leaving `ops`: that of the last operator that
+/// reshapes it, else the source's.
+fn stream_schema(ops: &[Op<'_>], source: impl FnOnce() -> Schema) -> Schema {
+    let reshaped = ops.iter().rev().find_map(|op| match op {
+        Op::Filter(_) => None,
+        Op::Project { schema, .. } => Some(*schema),
+        Op::Probe(jb) => Some(jb.out_schema()),
+    });
+    reshaped.cloned().unwrap_or_else(source)
+}
+
+/// Freeze a pipeline's stages into per-morsel operators: every build side
+/// completes — a breaker each — before any morsel is released.
+/// `source_schema` types a probe that sits directly on the source.
+fn freeze<'p>(
+    stages: &[Stage<'p>],
+    source_schema: impl Fn() -> Schema,
+    ctx: &EvalContext,
+    stats: &mut ExecStats,
+) -> Result<Vec<Op<'p>>> {
+    let mut ops = Vec::with_capacity(stages.len());
+    for stage in stages {
+        ops.push(match stage {
+            Stage::Filter(predicate) => Op::Filter(predicate),
+            Stage::Project { exprs, schema } => Op::Project { exprs, schema },
+            Stage::Probe {
+                build,
                 on,
                 join_type,
                 key_mode,
-                parallelism: par,
+                parallelism,
             } => {
-                raw_ops.push(RawOp::Probe {
-                    build: right,
-                    on,
-                    join_type: *join_type,
-                    key_mode: *key_mode,
-                    parallelism: *par,
-                });
-                parallelism = parallelism.max(*par);
-                node = left;
+                let built = run(build, ctx, stats)?;
+                stats.pipeline_breakers += 1;
+                Op::Probe(Box::new(JoinBuild::new(
+                    built,
+                    &stream_schema(&ops, &source_schema),
+                    on.to_vec(),
+                    *join_type,
+                    *key_mode,
+                    *parallelism,
+                    &ctx.statement,
+                    stats,
+                )?))
             }
-            PhysicalPlan::ColumnScan { table, config } => break (table, config),
-            _ => return None,
+        });
+    }
+    Ok(ops)
+}
+
+fn run_breaker(b: &Breaker<'_>, ctx: &EvalContext, stats: &mut ExecStats) -> Result<Batch> {
+    let out = match b {
+        Breaker::Result(input) => return run(input, ctx, stats),
+        Breaker::Values { schema, rows } => Batch::from_rows((*schema).clone(), rows),
+        Breaker::UnionAll(inputs) => {
+            let batches: Vec<Batch> = inputs
+                .iter()
+                .map(|p| run(p, ctx, stats))
+                .collect::<Result<_>>()?;
+            let schema = batches
+                .first()
+                .ok_or_else(|| DashError::internal("UnionAll with no inputs"))?
+                .schema()
+                .clone();
+            Batch::concat(schema, &batches)
         }
-    };
-    parallelism = parallelism.max(config.parallelism);
-    raw_ops.reverse(); // source → sink
-    Some(ChainShape {
-        table,
-        config,
-        raw_ops,
-        agg: aggshape,
-        post,
-        parallelism,
-    })
+        Breaker::CrossJoin(left, right) => {
+            let l = run(left, ctx, stats)?;
+            let r = run(right, ctx, stats)?;
+            join::cross_join(&l, &r, &ctx.statement, stats)
+        }
+        Breaker::ConnectBy {
+            input,
+            start_with,
+            parent,
+            child,
+            schema,
+        } => connect_by(&run(input, ctx, stats)?, start_with, *parent, *child, schema, ctx),
+        Breaker::Distinct(input) => distinct(&run(input, ctx, stats)?, ctx),
+        Breaker::RowNumber { input, schema } => row_number(&run(input, ctx, stats)?, schema, ctx),
+        Breaker::Sort { input, keys, opts } => {
+            sort_batch(&run(input, ctx, stats)?, keys, opts, ctx, stats)
+        }
+    }?;
+    stats.pipeline_breakers += 1;
+    Ok(out)
+}
+
+/// SELECT DISTINCT / UNION: keep each row's first occurrence.
+fn distinct(input: &Batch, ctx: &EvalContext) -> Result<Batch> {
+    let mut seen = FxHashSet::default();
+    let mut keep = Vec::new();
+    for i in 0..input.len() {
+        if i % BATCH_MORSEL_ROWS == 0 {
+            ctx.statement.check()?;
+        }
+        if seen.insert(input.row(i)) {
+            keep.push(i);
+        }
+    }
+    Ok(input.take(&keep))
+}
+
+/// Append the 1-based row number (Oracle ROWNUM).
+fn row_number(input: &Batch, schema: &Schema, ctx: &EvalContext) -> Result<Batch> {
+    let mut rows = Vec::with_capacity(input.len());
+    for i in 0..input.len() {
+        if i % BATCH_MORSEL_ROWS == 0 {
+            ctx.statement.check()?;
+        }
+        let mut r = input.row(i);
+        r.0.push(Datum::Int(i as i64 + 1));
+        rows.push(r);
+    }
+    Batch::from_rows(schema.clone(), &rows)
+}
+
+/// Oracle `START WITH ... CONNECT BY PRIOR`: breadth-first from the roots,
+/// appending each row's `LEVEL`. A row is emitted at most once, so cyclic
+/// data terminates.
+fn connect_by(
+    rows: &Batch,
+    start_with: &Expr,
+    parent: usize,
+    child: usize,
+    schema: &Schema,
+    ctx: &EvalContext,
+) -> Result<Batch> {
+    // Parent key -> child row indices.
+    let mut by_parent: FxHashMap<Datum, Vec<usize>> = FxHashMap::default();
+    for i in 0..rows.len() {
+        let k = rows.value(i, child);
+        if !k.is_null() {
+            by_parent.entry(k).or_default().push(i);
+        }
+    }
+    let mut out: Vec<Row> = Vec::new();
+    let mut frontier: Vec<usize> = Vec::new();
+    let mut visited = vec![false; rows.len()];
+    for (i, seen) in visited.iter_mut().enumerate() {
+        if start_with.eval_predicate(rows, i, ctx)? {
+            frontier.push(i);
+            *seen = true;
+        }
+    }
+    let mut level = 1i64;
+    while !frontier.is_empty() {
+        ctx.statement.check()?;
+        let mut next = Vec::new();
+        for &i in &frontier {
+            let mut r = rows.row(i);
+            r.0.push(Datum::Int(level));
+            out.push(r);
+            if let Some(children) = by_parent.get(&rows.value(i, parent)) {
+                for &c in children {
+                    if !visited[c] {
+                        visited[c] = true;
+                        next.push(c);
+                    }
+                }
+            }
+        }
+        frontier = next;
+        level += 1;
+    }
+    Batch::from_rows(schema.clone(), &out)
+}
+
+/// What a pipeline drive pulls morsels from.
+pub(crate) enum Feed<'a> {
+    /// One morsel per candidate stride (plus the open stride).
+    Scan(&'a ScanSource<'a>),
+    /// A finished batch, sliced into row-range morsels.
+    Batch(&'a Batch),
 }
 
 /// A frozen per-morsel operator (build sides already executed).
-enum Op<'p> {
+pub(crate) enum Op<'p> {
     Filter(&'p Expr),
     Project {
         exprs: &'p [Expr],
@@ -270,72 +529,36 @@ enum Payload {
     Partial(agg::AggPartial),
 }
 
-/// Try to run `plan` through the pipeline scheduler. `None` means the
-/// shape is not pipelineable (or the scheduler is disabled) and the caller
-/// should use the materialized executor. `Some(Err(..))` is a real
-/// execution error — no silent fallback after work has started.
-pub(crate) fn try_execute(
-    plan: &PhysicalPlan,
+/// Drive one pipeline: pull every morsel of `feed` through `ops` on the
+/// worker pool and fold the results, in morsel-index order, into the
+/// aggregate `sink` or (without one) the collected output batch.
+pub(crate) fn drive(
+    feed: &Feed<'_>,
+    ops: &[Op<'_>],
+    sink: Option<&AggSink<'_>>,
+    parallelism: usize,
     ctx: &EvalContext,
-) -> Option<Result<(Batch, ExecStats)>> {
-    if !ctx.pipeline.enabled {
-        return None;
-    }
-    let shape = decompose(plan)?;
-    Some(run_chain(shape, ctx))
-}
-
-fn run_chain(shape: ChainShape<'_>, ctx: &EvalContext) -> Result<(Batch, ExecStats)> {
-    let mut stats = ExecStats::default();
-    let parallelism = shape.parallelism.max(1);
-
-    // Freeze the chain: execute every build side (a pipeline breaker each)
-    // before its probe joins the per-morsel path. Build sides recurse
-    // through `plan::execute`, so a pipelineable build side runs its own
-    // pipeline.
-    let guard = shape.table.read();
-    let source = ScanSource::new(&guard, shape.config)?;
-    stats += source.base_stats();
-    let mut schema = source.out_schema().clone();
-    let mut breakers = 0u64;
-    let mut ops: Vec<Op<'_>> = Vec::with_capacity(shape.raw_ops.len());
-    for raw in &shape.raw_ops {
-        match raw {
-            RawOp::Filter(p) => ops.push(Op::Filter(p)),
-            RawOp::Project { exprs, schema: s } => {
-                ops.push(Op::Project { exprs, schema: s });
-                schema = (*s).clone();
-            }
-            RawOp::Probe {
-                build,
-                on,
-                join_type,
-                key_mode,
-                parallelism: jp,
-            } => {
-                let (built, bstats) = plan::execute(build, ctx)?;
-                stats += bstats;
-                breakers += 1;
-                let jb = JoinBuild::new(
-                    built,
-                    &schema,
-                    on.to_vec(),
-                    *join_type,
-                    *key_mode,
-                    *jp,
-                    &ctx.statement,
-                    &mut stats,
-                )?;
-                schema = jb.out_schema().clone();
-                ops.push(Op::Probe(Box::new(jb)));
-            }
+    stats: &mut ExecStats,
+) -> Result<Batch> {
+    let parallelism = parallelism.max(1);
+    // Row morsels are a fixed size rather than a share of the worker count
+    // (passing the row count as `parallelism` leaves `row_morsels` only its
+    // `min_chunk`), so partial float sums associate the same way at every
+    // width. DISTINCT states cannot merge: their one partial spans the batch.
+    let ranges = match feed {
+        Feed::Scan(_) => Vec::new(),
+        Feed::Batch(b) => {
+            let mergeable = sink.is_none_or(|a| agg::supports_partial(a.aggs));
+            let rows = if mergeable { BATCH_MORSEL_ROWS } else { b.len() };
+            pool::row_morsels(b.len(), b.len(), rows)
         }
-    }
-    // The build-side recursion sets rows_out for its own root; the
-    // pipeline's caller overwrites it with the final row count.
-    stats.rows_out = 0;
+    };
+    let n = match feed {
+        Feed::Scan(s) => s.morsel_count(),
+        Feed::Batch(_) => ranges.len(),
+    };
     // Frozen build tables stay resident for the whole morsel drive, so
-    // they are part of the pipelined peak alongside in-flight morsels.
+    // they are part of the peak alongside in-flight morsels.
     let build_held: u64 = ops
         .iter()
         .map(|op| match op {
@@ -343,38 +566,40 @@ fn run_chain(shape: ChainShape<'_>, ctx: &EvalContext) -> Result<(Batch, ExecSta
             _ => 0,
         })
         .sum();
-
     let window = if ctx.pipeline.inflight == 0 {
         parallelism * 4
     } else {
         ctx.pipeline.inflight
     };
-    let n = source.morsel_count();
 
     let work = |mi: usize| -> Result<MorselItem> {
-        let (mut batch, mut mstats) = source.morsel(mi, ctx)?;
-        for op in &ops {
+        let (mut batch, mut mstats) = match feed {
+            Feed::Scan(s) => s.morsel(mi, ctx)?,
+            Feed::Batch(b) => {
+                let (lo, hi) = ranges[mi];
+                (b.take(&(lo..hi).collect::<Vec<_>>()), ExecStats::default())
+            }
+        };
+        for op in ops {
             // Deadline/cancel observed at every pipeline step, not just at
             // morsel boundaries.
             ctx.statement.check()?;
             batch = apply_op(op, batch, ctx, &mut mstats)?;
         }
         let mut lease = BudgetLease::new(&ctx.statement);
-        let payload = match &shape.agg {
-            Some(a) => {
-                let partial = agg::aggregate_morsel(&batch, a.group, a.aggs, ctx)?;
-                lease.charge(partial.approx_bytes()).inspect_err(|_| {
-                    mstats.budget_rejections += 1;
-                })?;
-                Payload::Partial(partial)
-            }
-            None => {
-                lease.charge(batch.approx_bytes()).inspect_err(|_| {
-                    mstats.budget_rejections += 1;
-                })?;
-                Payload::Batch(batch)
-            }
+        let payload = match sink {
+            Some(a) => Payload::Partial(agg::aggregate_morsel(
+                &batch, a.group, a.aggs, a.key_mode, ctx,
+            )?),
+            None => Payload::Batch(batch),
         };
+        let bytes = match &payload {
+            Payload::Partial(p) => p.approx_bytes(),
+            Payload::Batch(b) => b.approx_bytes(),
+        };
+        lease.charge(bytes).inspect_err(|_| {
+            mstats.budget_rejections += 1;
+        })?;
         Ok(MorselItem {
             payload,
             stats: mstats,
@@ -414,57 +639,26 @@ fn run_chain(shape: ChainShape<'_>, ctx: &EvalContext) -> Result<(Batch, ExecSta
             Ok(())
         },
     )?;
-    stats += fold_stats;
+    *stats += fold_stats;
     stats.note_parallel_phase(run.morsels_dispatched, run.workers_used);
     stats.peak_inflight_morsels = stats.peak_inflight_morsels.max(run.peak_inflight_morsels);
     stats.peak_inflight_bytes = stats
         .peak_inflight_bytes
         .max(run.peak_inflight_bytes + build_held);
-    let post_sorts = shape
-        .post
-        .iter()
-        .filter(|p| matches!(p, PostOp::Sort(_)))
-        .count() as u64;
     stats.pipelines_run += 1;
-    stats.pipeline_breakers += breakers + u64::from(shape.agg.is_some()) + post_sorts;
-
-    let mut batch = match shape.agg {
+    let schema = stream_schema(ops, || match feed {
+        Feed::Scan(s) => s.out_schema().clone(),
+        Feed::Batch(b) => b.schema().clone(),
+    });
+    match sink {
         Some(a) => {
+            stats.pipeline_breakers += 1;
             stats.encoded_key_rows += acc.encoded_rows;
             stats.datum_key_rows += acc.datum_rows;
-            acc.finish(a.group, a.aggs, a.schema.clone(), &schema)?
+            acc.finish(a.group, a.aggs, a.schema.clone(), &schema)
         }
-        None => Batch::concat_columnar(schema, collected)?,
-    };
-    drop(leases);
-    // Whole-result operators above the fold, applied bottom-up: the
-    // select-list projection over the agg output, then the sealing sort.
-    for p in shape.post.iter().rev() {
-        match p {
-            PostOp::Project { exprs, schema } => {
-                batch = project_batch(&batch, exprs, schema, ctx)?;
-            }
-            PostOp::Sort(s) => {
-                batch = sort_batch(&batch, s.keys, &s.opts, ctx, &mut stats)?;
-            }
-        }
+        None => Batch::concat_columnar(schema, collected),
     }
-    Ok((batch, stats))
-}
-
-/// Evaluate a projection over a whole batch (shared by the per-morsel
-/// [`Op::Project`] stage and post-fold select-list projections).
-fn project_batch(batch: &Batch, exprs: &[Expr], schema: &Schema, ctx: &EvalContext) -> Result<Batch> {
-    let mut rows: Vec<dash_common::Row> = Vec::with_capacity(batch.len());
-    for row in 0..batch.len() {
-        let mut vals = Vec::with_capacity(exprs.len());
-        for e in exprs {
-            vals.push(e.eval(batch, row, ctx)?);
-        }
-        rows.push(dash_common::Row::new(vals));
-    }
-    let rows: Result<Vec<dash_common::Row>> = rows.into_iter().map(|r| r.coerce(schema)).collect();
-    Batch::from_rows(schema.clone(), &rows?)
 }
 
 /// Apply one non-breaker operator to a morsel's batch (serial within the
@@ -485,79 +679,161 @@ fn apply_op(
             }
             Ok(batch.take(&keep))
         }
-        Op::Project { exprs, schema } => project_batch(&batch, exprs, schema, ctx),
+        Op::Project { exprs, schema } => {
+            let mut rows: Vec<Row> = Vec::with_capacity(batch.len());
+            for row in 0..batch.len() {
+                let mut vals = Vec::with_capacity(exprs.len());
+                for e in *exprs {
+                    vals.push(e.eval(&batch, row, ctx)?);
+                }
+                // Coerce expression outputs to the declared column types.
+                rows.push(Row::new(vals).coerce(schema)?);
+            }
+            Batch::from_rows((*schema).clone(), &rows)
+        }
         Op::Probe(build) => build.probe_morsel(&batch, &ctx.statement, mstats),
     }
 }
 
-/// Render the pipeline decomposition of `plan` for EXPLAIN, or `None`
-/// when the plan would run on the materialized executor. One line per
-/// pipeline, numbered in execution order (build sides first).
-pub fn describe(plan: &PhysicalPlan) -> Option<Vec<String>> {
-    decompose(plan)?;
+/// Render the pipeline decomposition of `plan` for EXPLAIN: one line per
+/// pipeline, numbered in execution order; a breaker names the pipelines it
+/// waits on.
+pub fn describe(plan: &PhysicalPlan) -> Vec<String> {
     let mut lines = Vec::new();
-    let mut next = 0usize;
-    describe_into(plan, &mut lines, &mut next);
-    Some(lines)
+    describe_into(&decompose(plan), &mut lines);
+    lines
 }
 
-fn describe_into(plan: &PhysicalPlan, lines: &mut Vec<String>, next: &mut usize) {
-    let Some(shape) = decompose(plan) else {
-        let id = *next;
-        *next += 1;
-        lines.push(format!("pipeline {id}: materialize {}", node_label(plan)));
-        return;
-    };
-    // Build sides run first, each as its own pipeline (or materialized
-    // sub-plan).
-    for raw in &shape.raw_ops {
-        if let RawOp::Probe { build, .. } = raw {
-            describe_into(build, lines, next);
+/// Append `p`'s line after those of the pipelines it waits on; returns
+/// `p`'s number.
+fn describe_into(p: &Pipeline<'_>, lines: &mut Vec<String>) -> usize {
+    let mut chain = vec![match &p.source {
+        Source::Scan { table, .. } => format!("scan {}", table.read().name()),
+        Source::Breaker(b) => {
+            let ids: Vec<String> = b
+                .inputs()
+                .into_iter()
+                .map(|input| describe_into(input, lines).to_string())
+                .collect();
+            if ids.is_empty() {
+                b.label().to_string()
+            } else {
+                format!("{}({})", b.label(), ids.join(","))
+            }
         }
-    }
-    let id = *next;
-    *next += 1;
-    let mut stages = vec![format!("scan {}", shape.table.read().name())];
-    for raw in &shape.raw_ops {
-        stages.push(match raw {
-            RawOp::Filter(_) => "filter".to_string(),
-            RawOp::Project { .. } => "project".to_string(),
-            RawOp::Probe { join_type, .. } => format!("probe[{join_type:?}]"),
+    }];
+    for stage in &p.stages {
+        chain.push(match stage {
+            Stage::Filter(_) => "filter".to_string(),
+            Stage::Project { .. } => "project".to_string(),
+            Stage::Probe {
+                build, join_type, ..
+            } => format!("probe[{join_type:?}]({})", describe_into(build, lines)),
         });
     }
-    if shape.agg.is_some() {
-        stages.push("agg-partial".to_string());
-    }
-    let mut line = format!("pipeline {id}: {}", stages.join("→"));
-    let mut sinks = Vec::new();
-    if shape.agg.is_some() {
-        sinks.push("agg merge");
-    }
-    for p in shape.post.iter().rev() {
-        sinks.push(match p {
-            PostOp::Project { .. } => "project",
-            PostOp::Sort(_) => "sort seal",
-        });
-    }
-    if !sinks.is_empty() {
-        line.push_str(&format!(" ⇒ {}", sinks.join(" ⇒ ")));
+    let mut line = format!("pipeline {}: {}", lines.len(), chain.join("→"));
+    if p.agg.is_some() {
+        line.push_str("→agg-partial ⇒ agg merge");
     }
     lines.push(line);
+    lines.len() - 1
 }
 
-fn node_label(plan: &PhysicalPlan) -> &'static str {
-    match plan {
-        PhysicalPlan::ColumnScan { .. } => "ColumnScan",
-        PhysicalPlan::Values { .. } => "Values",
-        PhysicalPlan::Filter { .. } => "Filter",
-        PhysicalPlan::Project { .. } => "Project",
-        PhysicalPlan::HashJoin { .. } => "HashJoin",
-        PhysicalPlan::HashAggregate { .. } => "HashAggregate",
-        PhysicalPlan::Sort { .. } => "Sort",
-        PhysicalPlan::UnionAll { .. } => "UnionAll",
-        PhysicalPlan::Distinct { .. } => "Distinct",
-        PhysicalPlan::RowNumber { .. } => "RowNumber",
-        PhysicalPlan::CrossJoin { .. } => "CrossJoin",
-        PhysicalPlan::ConnectBy { .. } => "ConnectBy",
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::agg::AggFunc;
+    use dash_common::types::DataType;
+    use dash_common::{row, Field};
+    use dash_storage::table::{ColumnTable, STRIDE};
+    use parking_lot::RwLock;
+    use std::sync::Arc;
+
+    fn table(name: &str, fields: Vec<Field>, rows: Vec<Row>) -> SharedTable {
+        let mut t = ColumnTable::new(name, Schema::new(fields).unwrap());
+        t.load_rows(rows).unwrap();
+        Arc::new(RwLock::new(t))
+    }
+
+    /// The memory claim as an absolute bound, for a collecting and an
+    /// aggregating sink: what a scan→probe pipeline holds at its peak is at
+    /// most the frozen build plus a window of its largest morsel result.
+    #[test]
+    fn peak_inflight_bytes_bounded_by_build_plus_window() {
+        let facts = table(
+            "F",
+            vec![Field::not_null("id", DataType::Int64), Field::not_null("k", DataType::Int64)],
+            (0..STRIDE * 24).map(|i| row![i as i64, (i % 64) as i64]).collect(),
+        );
+        let dims = table(
+            "D",
+            vec![Field::not_null("dk", DataType::Int64), Field::not_null("label", DataType::Utf8)],
+            (0..64i64).map(|k| row![k, format!("d{k}")]).collect(),
+        );
+        let (fact_cfg, dim_cfg) = (ScanConfig::full(0, vec![0, 1]), ScanConfig::full(1, vec![0, 1]));
+        let par = 4usize;
+        let join = PhysicalPlan::HashJoin {
+            left: Box::new(PhysicalPlan::ColumnScan { table: facts.clone(), config: fact_cfg.clone() }),
+            right: Box::new(PhysicalPlan::ColumnScan { table: dims.clone(), config: dim_cfg.clone() }),
+            on: vec![(1, 0)],
+            join_type: JoinType::Inner,
+            key_mode: KeyMode::Encoded,
+            parallelism: par,
+        };
+        let group = vec![Expr::col(3)];
+        let aggs = vec![AggExpr { func: AggFunc::CountStar, args: vec![], distinct: false }];
+        let agg_schema = Schema::new(vec![
+            Field::new("label", DataType::Utf8),
+            Field::new("cnt", DataType::Int64),
+        ])
+        .unwrap();
+        let agg_plan = PhysicalPlan::HashAggregate {
+            input: Box::new(join.clone()),
+            group: group.clone(),
+            aggs: aggs.clone(),
+            schema: agg_schema,
+            key_mode: KeyMode::Encoded,
+            parallelism: par,
+        };
+
+        // The bound's terms, from the same kernels the pipeline runs.
+        let ctx = EvalContext::default();
+        let mut scratch = ExecStats::default();
+        let (dim_batch, _) = crate::scan::scan(&dims.read(), &dim_cfg, &ctx).unwrap();
+        let guard = facts.read();
+        let source = ScanSource::new(&guard, &fact_cfg).unwrap();
+        let build = JoinBuild::new(
+            dim_batch,
+            source.out_schema(),
+            vec![(1, 0)],
+            JoinType::Inner,
+            KeyMode::Encoded,
+            1,
+            &ctx.statement,
+            &mut scratch,
+        )
+        .unwrap();
+        let (mut max_joined, mut max_partial) = (0u64, 0u64);
+        for mi in 0..source.morsel_count() {
+            let (morsel, _) = source.morsel(mi, &ctx).unwrap();
+            let joined = build.probe_morsel(&morsel, &ctx.statement, &mut scratch).unwrap();
+            let partial = agg::aggregate_morsel(&joined, &group, &aggs, KeyMode::Encoded, &ctx).unwrap();
+            max_joined = max_joined.max(joined.approx_bytes());
+            max_partial = max_partial.max(partial.approx_bytes());
+        }
+        drop(guard);
+
+        let window = (par * 4) as u64;
+        for (plan, max_morsel) in [(&join, max_joined), (&agg_plan, max_partial)] {
+            let (_, stats) = crate::plan::execute(plan, &ctx).unwrap();
+            assert!(stats.peak_inflight_morsels <= window, "{stats:?}");
+            assert!(stats.peak_inflight_bytes > build.held_bytes(), "{stats:?}");
+            assert!(
+                stats.peak_inflight_bytes <= build.held_bytes() + window * max_morsel,
+                "peak {} > build {} + {window} x {max_morsel}",
+                stats.peak_inflight_bytes,
+                build.held_bytes()
+            );
+        }
     }
 }

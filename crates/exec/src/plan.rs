@@ -1,21 +1,22 @@
-//! The physical operator tree and its (materialized) executor.
+//! The physical operator tree.
 //!
 //! Plans are built by the SQL planner (crate `dash-sql`) or directly by
-//! embedding code, and executed bottom-up: each node materializes its
-//! output batch. At reproduction scale this is simpler than a streaming
-//! Volcano loop and the stride-based scan already bounds working memory
-//! during the expensive phase.
+//! embedding code. [`execute`] has one path: [`crate::pipeline`] decomposes
+//! the tree into morsel-driven pipelines — every node is a pipeline source,
+//! a per-morsel stage, or a breaker whose finished batch feeds the next
+//! pipeline — and runs them on the shared worker pool.
 
-use crate::agg::{hash_aggregate, AggExpr};
+use crate::agg::AggExpr;
 use crate::batch::Batch;
 use crate::expr::Expr;
 use crate::functions::EvalContext;
-use crate::join::{hash_join, JoinType};
+use crate::join::JoinType;
 use crate::key::KeyMode;
-use crate::scan::{scan, ScanConfig};
-use crate::sort::{sort_batch, SortKey, SortOptions};
+use crate::pipeline;
+use crate::scan::ScanConfig;
+use crate::sort::SortKey;
 use crate::stats::ExecStats;
-use dash_common::{DashError, Result, Row, Schema};
+use dash_common::{Result, Row, Schema};
 use dash_storage::table::ColumnTable;
 use parking_lot::RwLock;
 use std::sync::Arc;
@@ -56,7 +57,7 @@ pub enum PhysicalPlan {
         /// Output schema (names/types decided by the planner).
         schema: Schema,
     },
-    /// Partitioned hash join.
+    /// Hash join: `right` is built and frozen, `left` streams through it.
     HashJoin {
         /// Probe side.
         left: Box<PhysicalPlan>,
@@ -69,10 +70,10 @@ pub enum PhysicalPlan {
         /// Key path: `Encoded` hashes/probes fixed-width code words
         /// (operate on compressed); `Datum` is the general fallback.
         key_mode: KeyMode,
-        /// Worker-pool width for partitioning and build+probe morsels.
+        /// Worker-pool width for build partitioning and probe morsels.
         parallelism: usize,
     },
-    /// Partitioned hash aggregation.
+    /// Hash aggregation: per-morsel partials merged in morsel order.
     HashAggregate {
         /// Input plan.
         input: Box<PhysicalPlan>,
@@ -85,7 +86,7 @@ pub enum PhysicalPlan {
         /// Key path: `Encoded` groups on fixed-width code words when every
         /// key is a bare column; `Datum` is the general fallback.
         key_mode: KeyMode,
-        /// Worker-pool width for key-eval and per-partition morsels.
+        /// Worker-pool width for the partial-aggregate morsels.
         parallelism: usize,
     },
     /// Sort with optional LIMIT/OFFSET.
@@ -282,267 +283,12 @@ impl PhysicalPlan {
     }
 }
 
-/// Execute a plan to completion.
-///
-/// Pipelineable shapes (scan → filter/project/probe chains with an
-/// optional aggregate and sort at the root) run through the query-wide
-/// morsel scheduler in [`crate::pipeline`]; everything else — and every
-/// plan when `DASH_PIPELINE=off` — uses the materialized operator-at-a-time
-/// executor below.
+/// Execute a plan to completion on the morsel pipeline scheduler.
 pub fn execute(plan: &PhysicalPlan, ctx: &EvalContext) -> Result<(Batch, ExecStats)> {
-    if let Some(res) = crate::pipeline::try_execute(plan, ctx) {
-        let (batch, mut stats) = res?;
-        stats.rows_out = batch.len() as u64;
-        return Ok((batch, stats));
-    }
     let mut stats = ExecStats::default();
-    let batch = exec_node(plan, ctx, &mut stats)?;
+    let batch = pipeline::run(&pipeline::decompose(plan), ctx, &mut stats)?;
     stats.rows_out = batch.len() as u64;
     Ok((batch, stats))
-}
-
-/// Charge a materialized intermediate batch against the statement budget
-/// for the duration of the operator consuming it, and record its size in
-/// the peak-bytes counter. This is what makes the materialized executor's
-/// O(intermediate result) peak visible — and comparable to the pipeline
-/// scheduler's O(morsels in flight) peak — through both `ExecStats` and
-/// [`dash_common::StatementContext::budget_high_water`].
-fn charge_intermediate(
-    batch: &Batch,
-    ctx: &EvalContext,
-    stats: &mut ExecStats,
-) -> Result<dash_common::BudgetLease> {
-    let mut lease = dash_common::BudgetLease::new(&ctx.statement);
-    lease.charge(batch.approx_bytes()).inspect_err(|_| {
-        stats.budget_rejections += 1;
-    })?;
-    stats.peak_inflight_bytes = stats.peak_inflight_bytes.max(lease.held());
-    Ok(lease)
-}
-
-fn exec_node(plan: &PhysicalPlan, ctx: &EvalContext, stats: &mut ExecStats) -> Result<Batch> {
-    match plan {
-        PhysicalPlan::ColumnScan { table, config } => {
-            let t = table.read();
-            let (batch, s) = scan(&t, config, ctx)?;
-            *stats += s;
-            Ok(batch)
-        }
-        PhysicalPlan::Values { schema, rows } => Batch::from_rows(schema.clone(), rows),
-        PhysicalPlan::Filter { input, predicate } => {
-            let child = exec_node(input, ctx, stats)?;
-            let mut keep = Vec::new();
-            for row in 0..child.len() {
-                if row % 4096 == 0 {
-                    ctx.statement.check()?;
-                }
-                if predicate.eval_predicate(&child, row, ctx)? {
-                    keep.push(row);
-                }
-            }
-            Ok(child.take(&keep))
-        }
-        PhysicalPlan::Project {
-            input,
-            exprs,
-            schema,
-        } => {
-            let child = exec_node(input, ctx, stats)?;
-            let mut rows: Vec<Row> = Vec::with_capacity(child.len());
-            for row in 0..child.len() {
-                if row % 4096 == 0 {
-                    ctx.statement.check()?;
-                }
-                let mut vals = Vec::with_capacity(exprs.len());
-                for e in exprs {
-                    vals.push(e.eval(&child, row, ctx)?);
-                }
-                rows.push(Row::new(vals));
-            }
-            // Coerce expression outputs to the declared column types.
-            let rows: Result<Vec<Row>> = rows.into_iter().map(|r| r.coerce(schema)).collect();
-            Batch::from_rows(schema.clone(), &rows?)
-        }
-        PhysicalPlan::HashJoin {
-            left,
-            right,
-            on,
-            join_type,
-            key_mode,
-            parallelism,
-        } => {
-            let l = exec_node(left, ctx, stats)?;
-            let r = exec_node(right, ctx, stats)?;
-            hash_join(&l, &r, on, *join_type, *key_mode, *parallelism, &ctx.statement, stats)
-        }
-        PhysicalPlan::HashAggregate {
-            input,
-            group,
-            aggs,
-            schema,
-            key_mode,
-            parallelism,
-        } => {
-            // Fused star-join aggregation: aggregate while probing instead
-            // of materializing the join output.
-            if let PhysicalPlan::HashJoin {
-                left,
-                right,
-                on,
-                join_type: JoinType::Inner,
-                key_mode: join_key_mode,
-                parallelism: join_parallelism,
-            } = &**input
-            {
-                let l = exec_node(left, ctx, stats)?;
-                let r = exec_node(right, ctx, stats)?;
-                if let Some(result) = crate::agg::try_fused_join_aggregate(
-                    &l,
-                    &r,
-                    on,
-                    group,
-                    aggs,
-                    schema,
-                ) {
-                    // The fused path keys on Datums while probing.
-                    stats.datum_key_rows += (l.len() + r.len()) as u64;
-                    return result;
-                }
-                let joined = hash_join(
-                    &l,
-                    &r,
-                    on,
-                    JoinType::Inner,
-                    *join_key_mode,
-                    *join_parallelism,
-                    &ctx.statement,
-                    stats,
-                )?;
-                let _lease = charge_intermediate(&joined, ctx, stats)?;
-                return hash_aggregate(
-                    &joined,
-                    group,
-                    aggs,
-                    schema.clone(),
-                    ctx,
-                    *key_mode,
-                    *parallelism,
-                    stats,
-                );
-            }
-            let child = exec_node(input, ctx, stats)?;
-            let _lease = charge_intermediate(&child, ctx, stats)?;
-            hash_aggregate(&child, group, aggs, schema.clone(), ctx, *key_mode, *parallelism, stats)
-        }
-        PhysicalPlan::Sort {
-            input,
-            keys,
-            limit,
-            offset,
-            parallelism,
-            run_rows,
-        } => {
-            let child = exec_node(input, ctx, stats)?;
-            let opts = SortOptions {
-                limit: *limit,
-                offset: *offset,
-                parallelism: *parallelism,
-                run_rows: *run_rows,
-            };
-            sort_batch(&child, keys, &opts, ctx, stats)
-        }
-        PhysicalPlan::UnionAll { inputs } => {
-            let schema = inputs
-                .first()
-                .ok_or_else(|| DashError::internal("UnionAll with no inputs"))?
-                .schema();
-            let batches: Result<Vec<Batch>> = inputs
-                .iter()
-                .map(|p| exec_node(p, ctx, stats))
-                .collect();
-            Batch::concat(schema, &batches?)
-        }
-        PhysicalPlan::Distinct { input } => {
-            let child = exec_node(input, ctx, stats)?;
-            let mut seen = dash_common::fxhash::FxHashSet::default();
-            let mut keep = Vec::new();
-            for i in 0..child.len() {
-                if i % 4096 == 0 {
-                    ctx.statement.check()?;
-                }
-                if seen.insert(child.row(i)) {
-                    keep.push(i);
-                }
-            }
-            Ok(child.take(&keep))
-        }
-        PhysicalPlan::RowNumber { input, .. } => {
-            let child = exec_node(input, ctx, stats)?;
-            let schema = plan.schema();
-            let rows: Vec<Row> = (0..child.len())
-                .map(|i| {
-                    let mut r = child.row(i);
-                    r.0.push(dash_common::Datum::Int(i as i64 + 1));
-                    r
-                })
-                .collect();
-            Batch::from_rows(schema, &rows)
-        }
-        PhysicalPlan::CrossJoin { left, right } => {
-            let l = exec_node(left, ctx, stats)?;
-            let r = exec_node(right, ctx, stats)?;
-            crate::join::cross_join(&l, &r)
-        }
-        PhysicalPlan::ConnectBy {
-            input,
-            start_with,
-            parent,
-            child,
-        } => {
-            let rows = exec_node(input, ctx, stats)?;
-            let schema = plan.schema();
-            // Parent key -> child row indices.
-            let mut by_parent: dash_common::fxhash::FxHashMap<dash_common::Datum, Vec<usize>> =
-                dash_common::fxhash::FxHashMap::default();
-            for i in 0..rows.len() {
-                let k = rows.value(i, *child);
-                if !k.is_null() {
-                    by_parent.entry(k).or_default().push(i);
-                }
-            }
-            let mut out: Vec<Row> = Vec::new();
-            let mut frontier: Vec<usize> = Vec::new();
-            let mut visited = vec![false; rows.len()];
-            for (i, seen) in visited.iter_mut().enumerate() {
-                if start_with.eval_predicate(&rows, i, ctx)? {
-                    frontier.push(i);
-                    *seen = true;
-                }
-            }
-            let mut level = 1i64;
-            while !frontier.is_empty() && level < 128 {
-                ctx.statement.check()?;
-                let mut next = Vec::new();
-                for &i in &frontier {
-                    let mut r = rows.row(i);
-                    r.0.push(dash_common::Datum::Int(level));
-                    out.push(r);
-                    let pk = rows.value(i, *parent);
-                    if let Some(children) = by_parent.get(&pk) {
-                        for &c in children {
-                            if !visited[c] {
-                                visited[c] = true;
-                                next.push(c);
-                            }
-                        }
-                    }
-                }
-                frontier = next;
-                level += 1;
-            }
-            Batch::from_rows(schema, &out)
-        }
-    }
 }
 
 #[cfg(test)]
@@ -736,6 +482,33 @@ mod tests {
         };
         let (ded, _) = execute(&distinct, &ctx()).unwrap();
         assert_eq!(ded.len(), 3);
+    }
+
+    /// `emp(id, mgr)` rows walked by `START WITH mgr = 0 CONNECT BY PRIOR
+    /// id = mgr`.
+    fn connect_by(rows: Vec<Row>) -> Batch {
+        let schema = Schema::new(vec![
+            Field::new("id", DataType::Int64),
+            Field::new("mgr", DataType::Int64),
+        ])
+        .unwrap();
+        let plan = PhysicalPlan::ConnectBy {
+            input: Box::new(PhysicalPlan::Values { schema, rows }),
+            start_with: Expr::Cmp(CmpOp::Eq, Box::new(Expr::col(1)), Box::new(Expr::lit(0i64))),
+            parent: 0,
+            child: 1,
+        };
+        execute(&plan, &ctx()).unwrap().0
+    }
+
+    #[test]
+    fn connect_by_has_no_depth_cap_and_survives_cycles() {
+        let chain = connect_by((1..=200i64).map(|i| row![i, i - 1]).collect());
+        let levels: Vec<Row> = (1..=200i64).map(|i| row![i, i - 1, i]).collect();
+        assert_eq!(chain.to_rows(), levels, "200-deep chain: LEVEL 1..=200");
+        // 1 → 2 → 3 → 2: row 2 is reached twice but emitted once.
+        let cyclic = connect_by(vec![row![1i64, 0i64], row![2i64, 1i64], row![3i64, 2i64], row![2i64, 3i64]]);
+        assert_eq!(cyclic.len(), 4);
     }
 
     #[test]

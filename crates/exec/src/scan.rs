@@ -16,7 +16,7 @@
 use crate::batch::Batch;
 use crate::expr::Expr;
 use crate::functions::EvalContext;
-use crate::pool;
+use crate::pipeline::{self, Feed};
 use crate::simd;
 use crate::stats::ExecStats;
 use dash_common::txn::SnapshotView;
@@ -117,12 +117,22 @@ impl ScanConfig {
             snapshot: None,
         }
     }
+
+    /// Schema of the batches a scan of a table with `table_schema` emits:
+    /// the projection, plus `_TSN` when requested.
+    pub fn out_schema(&self, table_schema: &Schema) -> Schema {
+        let projected = table_schema.project(&self.projection);
+        if !self.include_tsn {
+            return projected;
+        }
+        let mut fields = projected.fields().to_vec();
+        fields.push(dash_common::Field::not_null("_TSN", dash_common::DataType::Int64));
+        Schema::new_unchecked(fields)
+    }
 }
 
 /// The scan's precomputed shape: which columns each stride must touch,
-/// which strides survived synopsis pruning, and the output schema. Shared
-/// by the batch [`scan`] entry point and the per-morsel [`ScanSource`] the
-/// pipeline scheduler drives.
+/// which strides survived synopsis pruning, and the output schema.
 struct ScanShape {
     schema: Schema,
     touched: Vec<usize>,
@@ -196,13 +206,7 @@ impl ScanShape {
             })
             .collect();
 
-        let out_schema = if config.include_tsn {
-            let mut fields = schema.project(&config.projection).fields().to_vec();
-            fields.push(dash_common::Field::not_null("_TSN", dash_common::DataType::Int64));
-            Schema::new_unchecked(fields)
-        } else {
-            schema.project(&config.projection)
-        };
+        let out_schema = config.out_schema(&schema);
         let out_types: Vec<dash_common::DataType> =
             out_schema.fields().iter().map(|f| f.data_type).collect();
         Ok(ScanShape {
@@ -338,70 +342,14 @@ fn attach_dicts(table: &ColumnTable, config: &ScanConfig, batch: &mut Batch) {
     }
 }
 
-/// Run a scan over a column table, returning the output batch and stats.
+/// Run a scan over a column table, returning the output batch and stats:
+/// a one-stage pipeline draining every [`ScanSource`] morsel in stride
+/// order, so the output is byte-identical at any parallelism.
 pub fn scan(table: &ColumnTable, config: &ScanConfig, ctx: &EvalContext) -> Result<(Batch, ExecStats)> {
-    let shape = ScanShape::new(table, config)?;
-    let mut stats = shape.base_stats;
-    let schema = &shape.schema;
-
-    // Per-stride evaluation — every candidate stride is one morsel,
-    // work-claimed from the shared pool. Synopsis skipping clusters the
-    // survivors, so a contiguous split would hand one worker all the real
-    // work; claiming keeps the load balanced whatever the skew. Results
-    // come back in stride order, so output stays deterministic.
-    let candidate_list = &shape.candidate_list;
-    let eval_run = pool::run_morsels(candidate_list.len(), config.parallelism, &ctx.statement, |mi| {
-        let mut local_stats = ExecStats::default();
-        let outcome = eval_stride(
-            table,
-            config,
-            ctx,
-            schema,
-            &shape.touched,
-            &shape.residual_cols,
-            candidate_list[mi],
-            &mut local_stats,
-        )?;
-        Ok((outcome, local_stats))
-    })?;
-    stats.note_parallel_phase(eval_run.morsels_dispatched, eval_run.workers_used);
-    let mut out_rows: Vec<(usize, Vec<usize>)> = Vec::new(); // (stride, positions)
-    for (outcome, local) in eval_run.results {
-        stats += local;
-        if let Some(o) = outcome {
-            out_rows.push(o);
-        }
-    }
-
-    // Materialize survivors (projection columns only) — each surviving
-    // stride decodes as its own morsel; the per-stride partial columns are
-    // stitched back together in stride order, byte-identical to a serial
-    // decode.
-    let mut out_cols: Vec<ColumnValues> = shape
-        .out_types
-        .iter()
-        .map(|&dt| ColumnValues::empty_for(dt))
-        .collect();
-    let mat_run = pool::run_morsels(out_rows.len(), config.parallelism, &ctx.statement, |mi| {
-        let (stride, positions) = &out_rows[mi];
-        let mut local_stats = ExecStats::default();
-        let partial =
-            materialize_stride(table, config, ctx, &shape.out_types, *stride, positions, &mut local_stats)?;
-        Ok((partial, local_stats))
-    })?;
-    stats.note_parallel_phase(mat_run.morsels_dispatched, mat_run.workers_used);
-    for (partial, local) in mat_run.results {
-        stats += local;
-        for (oi, cv) in partial.into_iter().enumerate() {
-            out_cols[oi].extend_from(cv);
-        }
-    }
-
-    // Open (unsealed) stride: evaluate directly on values.
-    scan_open_stride(table, config, ctx, schema, &mut out_cols, &mut stats)?;
-
-    let mut batch = Batch::new(shape.out_schema.clone(), out_cols)?;
-    attach_dicts(table, config, &mut batch);
+    let source = ScanSource::new(table, config)?;
+    let mut stats = source.base_stats();
+    let feed = Feed::Scan(&source);
+    let batch = pipeline::drive(&feed, &[], None, config.parallelism, ctx, &mut stats)?;
     stats.rows_out = batch.len() as u64;
     Ok((batch, stats))
 }

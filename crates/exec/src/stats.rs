@@ -43,9 +43,6 @@ pub struct ExecStats {
     pub sort_runs_generated: u64,
     /// Widest k-way merge fan-in any sort in the query performed.
     pub merge_fanin: u64,
-    /// Row-range morsels that radix-scattered aggregate keys into
-    /// thread-local partition buckets (the pass that used to be serial).
-    pub agg_scatter_morsels: u64,
     /// Join/group key rows evaluated on the operate-on-compressed path
     /// (fixed-width code words, no `Datum` in the hot loop).
     pub encoded_key_rows: u64,
@@ -56,20 +53,18 @@ pub struct ExecStats {
     /// other side's code domain (the re-encode rule: translate the
     /// smaller side, never decode the larger one).
     pub keys_reencoded_rows: u64,
-    /// Pipelines the query-wide morsel scheduler ran (scan→…→sink chains).
-    /// Zero when the query fell back to operator-at-a-time execution.
+    /// Pipelines the morsel scheduler drove (source→…→sink chains).
     pub pipelines_run: u64,
-    /// Pipeline breakers crossed: hash-join builds, aggregate merges, and
-    /// sort run-seals that forced full materialization between pipelines.
+    /// Pipeline breakers crossed: hash-join builds, aggregate merges,
+    /// sorts and the whole-batch operators (DISTINCT, UNION ALL, ...) whose
+    /// finished output feeds the next pipeline.
     pub pipeline_breakers: u64,
     /// Peak number of morsels simultaneously claimed-but-unfolded inside
     /// any pipeline drive (bounded by the `DASH_PIPELINE_INFLIGHT` window).
     pub peak_inflight_morsels: u64,
     /// Peak bytes held by in-flight morsel results awaiting their in-order
-    /// fold — the O(morsels in flight) quantity that replaces
-    /// O(intermediate result) peak memory under pipelined execution. On
-    /// the materialized fallback path this records the largest
-    /// intermediate batch instead, so the two are comparable.
+    /// fold, plus the frozen join builds they probe — the O(morsels in
+    /// flight) bound on a pipeline's working memory.
     pub peak_inflight_bytes: u64,
 }
 
@@ -123,7 +118,6 @@ impl AddAssign for ExecStats {
         self.sort_runs_generated += rhs.sort_runs_generated;
         // Widest fan-in across phases, not a sum.
         self.merge_fanin = self.merge_fanin.max(rhs.merge_fanin);
-        self.agg_scatter_morsels += rhs.agg_scatter_morsels;
         self.encoded_key_rows += rhs.encoded_key_rows;
         self.datum_key_rows += rhs.datum_key_rows;
         self.keys_reencoded_rows += rhs.keys_reencoded_rows;
@@ -179,18 +173,15 @@ mod tests {
         let mut s = ExecStats {
             sort_runs_generated: 3,
             merge_fanin: 3,
-            agg_scatter_morsels: 2,
             ..Default::default()
         };
         s += ExecStats {
             sort_runs_generated: 5,
             merge_fanin: 2,
-            agg_scatter_morsels: 4,
             ..Default::default()
         };
         assert_eq!(s.sort_runs_generated, 8, "runs sum across sorts");
         assert_eq!(s.merge_fanin, 3, "fan-in is the widest merge, not a sum");
-        assert_eq!(s.agg_scatter_morsels, 6);
     }
 
     #[test]

@@ -1,10 +1,14 @@
-//! Serial-vs-parallel equivalence for the morsel-driven operators.
+//! Serial-vs-parallel equivalence for the morsel-driven executor.
 //!
 //! The worker pool must be invisible in results: for every operator and
 //! every worker count, output is identical to the serial run — not just
-//! set-equal but byte-identical, because morsel/partition-ordered merges
-//! are part of the contract. Float sums are the one sanctioned exception
-//! (re-association moves the last ulp), checked with an epsilon instead.
+//! set-equal but byte-identical, because the in-morsel-order fold is part
+//! of the contract (morsel boundaries do not depend on the worker count,
+//! so even float sums associate identically). Correctness itself is
+//! checked against the naive evaluator in `common/reference.rs`.
+
+#[path = "common/reference.rs"]
+mod reference;
 
 use dashdb_local::common::dialect::Dialect;
 use dashdb_local::common::types::DataType;
@@ -20,8 +24,7 @@ use dashdb_local::exec::Batch;
 
 const PARALLELISMS: [usize; 3] = [2, 4, 8];
 
-/// Enough rows that the fast-path aggregate takes its parallel branch
-/// (FAST_PARALLEL_MIN_ROWS = 8192) and row morsels actually fan out.
+/// Enough rows that row morsels (4096 rows each) actually fan out.
 const BIG: usize = 40_000;
 
 fn agg(func: AggFunc, col: usize) -> AggExpr {
@@ -88,140 +91,54 @@ fn out_schema(fields: &[(&str, DataType)]) -> Schema {
 // ---------------------------------------------------------------------------
 
 #[test]
-fn generic_aggregate_matches_serial_exactly() {
-    // Two group columns forces the generic (non-fast-path) aggregate.
+fn aggregate_matches_serial_exactly() {
+    // Datum keys (two group columns), encoded keys (one int column), and a
+    // float SUM: partials merge in morsel order over fixed morsel
+    // boundaries, so group order and every value — float sums included —
+    // are byte-identical to the serial run.
     let input = fact_batch(BIG);
-    let schema = out_schema(&[
+    let two_keys = out_schema(&[
         ("region", DataType::Utf8),
         ("grp", DataType::Int64),
         ("cnt", DataType::Int64),
         ("total", DataType::Int64),
     ]);
-    let aggs = [count_star(), agg(AggFunc::Sum, 2)];
-    let groups = [Expr::col(0), Expr::col(1)];
-    let mut serial_stats = ExecStats::default();
-    let serial = hash_aggregate(
-        &input,
-        &groups,
-        &aggs,
-        schema.clone(),
-        &EvalContext::default(),
-        KeyMode::Datum,
-        1,
-        &mut serial_stats,
-    )
-    .unwrap();
-    assert!(serial_stats.parallel_workers_used <= 1);
-    for par in PARALLELISMS {
-        let mut stats = ExecStats::default();
-        let out = hash_aggregate(
-            &input,
-            &groups,
-            &aggs,
-            schema.clone(),
-            &EvalContext::default(),
-            KeyMode::Datum,
-            par,
-            &mut stats,
-        )
-        .unwrap();
-        // Byte-identical including row order: partitions are merged in
-        // partition order and each partition's insertion order is the
-        // same hash-map order the serial run used.
-        assert_eq!(out.to_rows(), serial.to_rows(), "parallelism {par}");
-        assert!(
-            stats.parallel_workers_used > 1,
-            "parallelism {par}: expected fan-out, got {}",
-            stats.parallel_workers_used
-        );
-        assert!(stats.morsels_dispatched > 1);
-    }
-}
-
-#[test]
-fn fast_path_aggregate_matches_serial_exactly() {
-    // Single int group column + COUNT/SUM(int) rides the vectorized fast
-    // path; above FAST_PARALLEL_MIN_ROWS it fans out into typed partials.
-    let input = fact_batch(BIG);
-    let schema = out_schema(&[
+    let one_key = out_schema(&[
         ("grp", DataType::Int64),
         ("cnt", DataType::Int64),
-        ("total", DataType::Int64),
+        ("w", DataType::Float64),
     ]);
-    let aggs = [count_star(), agg(AggFunc::Sum, 2)];
-    let groups = [Expr::col(1)];
-    let mut serial_stats = ExecStats::default();
-    let serial = hash_aggregate(
-        &input,
-        &groups,
-        &aggs,
-        schema.clone(),
-        &EvalContext::default(),
-        KeyMode::Encoded,
-        1,
-        &mut serial_stats,
-    )
-    .unwrap();
-    for par in PARALLELISMS {
-        let mut stats = ExecStats::default();
-        let out = hash_aggregate(
-            &input,
-            &groups,
-            &aggs,
-            schema.clone(),
-            &EvalContext::default(),
-            KeyMode::Encoded,
-            par,
-            &mut stats,
-        )
-        .unwrap();
-        // First-appearance group order is preserved by merging partials
-        // in morsel order, so even row order matches the serial run.
-        assert_eq!(out.to_rows(), serial.to_rows(), "parallelism {par}");
-        assert!(stats.parallel_workers_used > 1, "parallelism {par}");
-    }
-}
-
-#[test]
-fn fast_path_float_sums_match_within_epsilon() {
-    // SUM(float) re-associates across morsels; values agree to 1e-9
-    // relative, group sets agree exactly.
-    let input = fact_batch(BIG);
-    let schema = out_schema(&[("grp", DataType::Int64), ("w", DataType::Float64)]);
-    let aggs = [agg(AggFunc::Sum, 3)];
-    let groups = [Expr::col(1)];
-    let run = |par: usize| {
-        let mut stats = ExecStats::default();
-        let mut rows = hash_aggregate(
-            &input,
-            &groups,
-            &aggs,
-            schema.clone(),
-            &EvalContext::default(),
-            KeyMode::Encoded,
-            par,
-            &mut stats,
-        )
-        .unwrap()
-        .to_rows();
-        rows.sort_by_key(|r| r.get(0).render());
-        rows
-    };
-    let serial = run(1);
-    for par in PARALLELISMS {
-        let out = run(par);
-        assert_eq!(out.len(), serial.len(), "parallelism {par}");
-        for (a, b) in out.iter().zip(&serial) {
-            assert_eq!(a.get(0), b.get(0));
-            match (a.get(1), b.get(1)) {
-                (Datum::Float(x), Datum::Float(y)) => {
-                    assert!(
-                        (x - y).abs() <= 1e-9 * y.abs().max(1.0),
-                        "parallelism {par}: {x} vs {y}"
-                    );
-                }
-                (x, y) => assert_eq!(x, y),
-            }
+    let cases = [
+        (vec![Expr::col(0), Expr::col(1)], [count_star(), agg(AggFunc::Sum, 2)], two_keys, KeyMode::Datum),
+        (vec![Expr::col(1)], [count_star(), agg(AggFunc::Sum, 3)], one_key, KeyMode::Encoded),
+    ];
+    for (groups, aggs, schema, key_mode) in cases {
+        let run = |par: usize| {
+            let mut stats = ExecStats::default();
+            let out = hash_aggregate(
+                &input,
+                &groups,
+                &aggs,
+                schema.clone(),
+                &EvalContext::default(),
+                key_mode,
+                par,
+                &mut stats,
+            )
+            .unwrap();
+            (out.to_rows(), stats)
+        };
+        let (serial, serial_stats) = run(1);
+        assert!(serial_stats.parallel_workers_used <= 1);
+        for par in PARALLELISMS {
+            let (out, stats) = run(par);
+            assert_eq!(out, serial, "{key_mode:?} parallelism {par}");
+            assert!(
+                stats.parallel_workers_used > 1,
+                "{key_mode:?} parallelism {par}: expected fan-out, got {}",
+                stats.parallel_workers_used
+            );
+            assert!(stats.morsels_dispatched > 1);
         }
     }
 }
@@ -336,8 +253,8 @@ fn joins_match_serial_exactly_for_all_types() {
             }
             per_mode.push(serial.to_rows());
         }
-        // The build side fits in one partition, so even row order matches
-        // between the encoded and Datum key paths.
+        // Probe output is probe-row-major on both key paths, so even row
+        // order matches between them.
         assert_eq!(per_mode[0], per_mode[1], "{join_type:?}: paths must agree");
     }
 }
@@ -373,9 +290,8 @@ fn join_with_all_null_keys_matches_serial() {
 #[test]
 fn encoded_aggregate_matches_datum_aggregate() {
     // Multi-key grouping (string + int, both with NULLs): the encoded
-    // aggregate interns code words, the Datum path hashes materialized
-    // keys. Group sets and aggregates must agree exactly; emit order is
-    // path-specific, so rows are compared sorted.
+    // path groups on interned code words, the Datum path on evaluated
+    // keys. Group sets and aggregates must agree exactly.
     let input = fact_batch(BIG);
     let schema = out_schema(&[
         ("region", DataType::Utf8),
@@ -416,8 +332,8 @@ fn encoded_aggregate_matches_datum_aggregate() {
 #[test]
 fn float_group_keys_agree_across_all_paths() {
     // -0.0 and +0.0 are one group, every NaN is one group — on the
-    // vectorized fast path, the encoded path, and the generic Datum path
-    // alike (canonical_f64_bits unifies the key identity everywhere).
+    // encoded path and the Datum path alike (canonical float bits unify
+    // the key identity everywhere).
     let schema = Schema::new(vec![Field::new("k", DataType::Float64)]).unwrap();
     let rows: Vec<Row> = (0..4096)
         .map(|i| match i % 5 {
@@ -449,8 +365,8 @@ fn float_group_keys_agree_across_all_paths() {
         });
         got
     };
-    // Single bare float key: the vectorized fast path (Encoded) vs the
-    // generic Datum path. 3 groups: ±0.0 fold together, NaNs fold together.
+    // Single bare float key, Encoded vs Datum: 3 groups — ±0.0 fold
+    // together, NaNs fold together.
     let out1 = out_schema(&[("k", DataType::Float64), ("cnt", DataType::Int64)]);
     let bare = [Expr::col(0)];
     let mut single = Vec::new();
@@ -464,8 +380,8 @@ fn float_group_keys_agree_across_all_paths() {
     for other in &single[1..] {
         assert_eq!(&single[0], other, "single-key paths must agree on float identity");
     }
-    // Doubled key (k, k): multi-key grouping rides the encoded aggregate
-    // under Encoded and the generic partitioned path under Datum.
+    // Doubled key (k, k): multi-word keys under Encoded, two-datum keys
+    // under Datum.
     let out2 = out_schema(&[
         ("k", DataType::Float64),
         ("k2", DataType::Float64),
@@ -554,10 +470,11 @@ fn sql_results_identical_across_worker_counts_with_deletes() {
 }
 
 #[test]
-fn sql_string_join_reencodes_build_side_codes() {
+fn sql_string_join_reencodes_probe_rows_into_build_dictionary() {
     // Both join sides are dictionary-backed strings with distinct
-    // dictionaries: the smaller (build) side must be translated into the
-    // probe side's code domain, never the reverse.
+    // dictionaries. The frozen build side owns the code domain, so every
+    // probe morsel re-encodes its keys by value into the build dictionary
+    // — the build side is never translated.
     let db = seeded_db(5_000);
     let mut s = db.connect();
     let schema = Schema::new(vec![
@@ -571,39 +488,26 @@ fn sql_string_join_reencodes_build_side_codes() {
 
     let sql = "SELECT f.id, l.boost FROM facts f JOIN labels l ON f.label = l.lab \
                ORDER BY f.id";
-    // This test pins the *materialized* re-encode rule (translate the 23
-    // build rows into the probe dictionary). The pipeline scheduler instead
-    // freezes the build dictionary and re-encodes probe rows per morsel, so
-    // run it with the scheduler off and check equivalence separately below.
-    db.catalog().set_pipeline_enabled(false);
     db.catalog().set_parallelism(1);
     let serial = s.execute(sql).unwrap();
     assert_eq!(serial.rows.len(), 5_000, "every fact label resolves");
     assert!(serial.stats.encoded_key_rows > 0, "{:?}", serial.stats);
     assert_eq!(serial.stats.datum_key_rows, 0, "{:?}", serial.stats);
     assert_eq!(
-        serial.stats.keys_reencoded_rows, 23,
-        "build side re-encoded into the probe dictionary: {:?}",
+        serial.stats.keys_reencoded_rows, 5_000,
+        "every probe row re-encoded into the build dictionary: {:?}",
         serial.stats
     );
     for par in [2usize, 4] {
         db.catalog().set_parallelism(par);
         let out = s.execute(sql).unwrap();
         assert_eq!(out.rows, serial.rows, "parallelism {par}");
-        assert!(out.stats.encoded_key_rows > 0);
+        assert_eq!(out.stats.keys_reencoded_rows, 5_000, "parallelism {par}");
     }
     // The statement counters land in the monitor's key-path store.
     let k = db.monitor().key_path();
     assert!(k.encoded_key_rows > 0);
     assert!(k.keys_reencoded_rows > 0);
-
-    // Pipelined execution re-encodes per probe morsel against the frozen
-    // build dictionary — different accounting, identical rows.
-    db.catalog().set_pipeline_enabled(true);
-    let piped = s.execute(sql).unwrap();
-    assert_eq!(piped.rows, serial.rows, "pipelined run matches");
-    assert!(piped.stats.pipelines_run >= 1, "{:?}", piped.stats);
-    assert!(piped.stats.keys_reencoded_rows > 0, "{:?}", piped.stats);
 }
 
 #[test]
@@ -645,14 +549,13 @@ fn sql_operators_report_parallel_workers() {
     assert!(scan.stats.parallel_workers_used > 1, "scan: {:?}", scan.stats);
     assert!(scan.stats.morsels_dispatched > 1);
 
-    // Grouped aggregate (single int key → fast path partials).
+    // Grouped aggregate: one partial per stride morsel.
     let agg = s
         .execute("SELECT grp, COUNT(*), SUM(qty) FROM facts GROUP BY grp")
         .unwrap();
     assert!(agg.stats.parallel_workers_used > 1, "agg: {:?}", agg.stats);
 
-    // Join: partition + build/probe morsels. Two group columns keep the
-    // planner off the fused join-aggregate path.
+    // Join: build partitioning + probe morsels.
     let join = s
         .execute(
             "SELECT d.name, f.label, COUNT(*) FROM facts f JOIN dims d ON f.grp = d.g \
@@ -864,40 +767,6 @@ fn sql_order_by_identical_across_worker_counts() {
     db.catalog().set_sort_run_rows(DEFAULT_SORT_RUN_ROWS);
 }
 
-#[test]
-fn generic_agg_scatter_reports_morsels() {
-    // The radix scatter is the aggregate's first phase: its morsel count
-    // is reported separately so "no serial O(rows) pass" is testable.
-    let input = fact_batch(BIG);
-    let schema = out_schema(&[
-        ("region", DataType::Utf8),
-        ("grp", DataType::Int64),
-        ("cnt", DataType::Int64),
-    ]);
-    let aggs = [count_star()];
-    let groups = [Expr::col(0), Expr::col(1)];
-    for par in PARALLELISMS {
-        let mut stats = ExecStats::default();
-        hash_aggregate(
-            &input,
-            &groups,
-            &aggs,
-            schema.clone(),
-            &EvalContext::default(),
-            KeyMode::Datum,
-            par,
-            &mut stats,
-        )
-        .unwrap();
-        assert!(
-            stats.agg_scatter_morsels > 1,
-            "parallelism {par}: scatter must be morselized, got {:?}",
-            stats
-        );
-        assert!(stats.parallel_workers_used > 1);
-    }
-}
-
 // ---------------------------------------------------------------------------
 // K-way merge proptest
 // ---------------------------------------------------------------------------
@@ -936,27 +805,13 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// Pipelined execution equivalence
+// Pipelined execution vs the naive reference
 // ---------------------------------------------------------------------------
 
 use dashdb_local::exec::expr::CmpOp;
-use dashdb_local::exec::pipeline::PipelineConfig;
 use dashdb_local::exec::plan::{execute, PhysicalPlan, SharedTable};
 use dashdb_local::exec::scan::ScanConfig;
-
-/// An EvalContext with the pipeline scheduler explicitly on or off and a
-/// budget-tracking statement, so `budget_high_water` records the run's
-/// peak reserved bytes.
-fn pipe_ctx(enabled: bool) -> EvalContext {
-    EvalContext {
-        statement: StatementContext::with_limits(None, Some(1 << 30)),
-        pipeline: PipelineConfig {
-            enabled,
-            inflight: 0,
-        },
-        ..EvalContext::default()
-    }
-}
+use dashdb_local::sql::{parse_statement, plan_select, Statement};
 
 /// Fact table for pipeline chains: nullable int join key with dangling
 /// values, a measure, and a string group column with NULLs.
@@ -1051,7 +906,7 @@ fn chain_plan(
             ("cnt", DataType::Int64),
             ("total", DataType::Int64),
         ]),
-        key_mode: KeyMode::Datum,
+        key_mode,
         parallelism: par,
     };
     if !with_sort {
@@ -1067,181 +922,145 @@ fn chain_plan(
     }
 }
 
+fn sorted_rows(mut rows: Vec<Row>) -> Vec<Row> {
+    rows.sort();
+    rows
+}
+
 #[test]
-fn pipelined_chain_matches_materialized_for_all_join_types() {
+fn pipelined_chain_matches_reference_for_all_join_types() {
     let (facts, dims) = pipe_tables(BIG);
     for join_type in [JoinType::Inner, JoinType::Left, JoinType::Semi, JoinType::Anti] {
+        // The reference ignores key mode and worker count: one evaluation
+        // of the sorted plan per join type serves every leg.
+        let sorted_plan = chain_plan(&facts, &dims, join_type, KeyMode::Datum, 1, true);
+        let expected = reference::eval(&sorted_plan, &EvalContext::default()).to_rows();
         for key_mode in [KeyMode::Encoded, KeyMode::Datum] {
-            // Sorted root: pipelined and materialized plans must agree
-            // byte-for-byte, at every worker count.
-            let mat_ctx = pipe_ctx(false);
-            let plan = chain_plan(&facts, &dims, join_type, key_mode, 1, true);
-            let (mat, mat_stats) = execute(&plan, &mat_ctx).unwrap();
-            assert_eq!(
-                mat_stats.pipelines_run, 0,
-                "{join_type:?} {key_mode:?}: disabled scheduler must not run pipelines"
-            );
-            for par in [1usize, 4, 8] {
-                let ctx = pipe_ctx(true);
-                let plan = chain_plan(&facts, &dims, join_type, key_mode, par, true);
-                let (out, stats) = execute(&plan, &ctx).unwrap();
-                assert_eq!(
-                    out.to_rows(),
-                    mat.to_rows(),
-                    "{join_type:?} {key_mode:?} parallelism {par}"
-                );
-                assert!(
-                    stats.pipelines_run >= 1,
-                    "{join_type:?} {key_mode:?} par {par}: {stats:?}"
-                );
-                assert!(
-                    stats.pipeline_breakers >= 2,
-                    "build + agg + sort breakers expected: {stats:?}"
-                );
+            for with_sort in [true, false] {
+                let mut serial: Option<Vec<Row>> = None;
+                for par in [1usize, 4, 8] {
+                    let ctx = EvalContext::with_statement(StatementContext::with_limits(
+                        None,
+                        Some(1 << 30),
+                    ));
+                    let plan = chain_plan(&facts, &dims, join_type, key_mode, par, with_sort);
+                    let (out, stats) = execute(&plan, &ctx).unwrap();
+                    let what = format!("{join_type:?} {key_mode:?} sort={with_sort} par {par}");
+                    let rows = out.to_rows();
+                    if with_sort {
+                        assert_eq!(rows, expected, "{what}");
+                    } else {
+                        // Unsorted root: the in-order morsel fold alone makes
+                        // the output byte-identical at any parallelism.
+                        assert_eq!(sorted_rows(rows.clone()), sorted_rows(expected.clone()), "{what}");
+                        assert_eq!(&rows, serial.get_or_insert(rows.clone()), "{what}");
+                    }
+                    assert_eq!(stats.parallel_workers_used > 1, par > 1, "{what}: {stats:?}");
+                    assert!(stats.pipelines_run >= 2, "build + probe pipelines: {what}: {stats:?}");
+                    assert!(
+                        stats.pipeline_breakers >= 2 + u64::from(with_sort),
+                        "build + agg (+ sort) breakers: {what}: {stats:?}"
+                    );
+                    assert_eq!(ctx.statement.budget_used(), 0, "{what}: leases released");
+                }
             }
         }
     }
 }
 
+/// The nine statement shapes that used to fall to the operator-at-a-time
+/// executor, over tables whose float column holds multiples of 0.5 (sums
+/// are exact, so the reference's row-order sums match bit for bit).
 #[test]
-fn pipelined_results_identical_across_worker_counts() {
-    // No sort at the root: the in-order morsel fold alone must make the
-    // pipelined output byte-identical at any parallelism.
-    let (facts, dims) = pipe_tables(BIG);
-    for join_type in [JoinType::Inner, JoinType::Left, JoinType::Semi, JoinType::Anti] {
-        for key_mode in [KeyMode::Encoded, KeyMode::Datum] {
-            let serial_ctx = pipe_ctx(true);
-            let plan = chain_plan(&facts, &dims, join_type, key_mode, 1, false);
-            let (serial, serial_stats) = execute(&plan, &serial_ctx).unwrap();
-            assert!(
-                serial_stats.parallel_workers_used <= 1,
-                "single worker drives the pipeline inline: {serial_stats:?}"
-            );
-            assert!(
-                serial_stats.pipelines_run >= 1,
-                "parallelism 1 still routes through the pipeline driver: {serial_stats:?}"
-            );
-            for par in [4usize, 8] {
-                let ctx = pipe_ctx(true);
-                let plan = chain_plan(&facts, &dims, join_type, key_mode, par, false);
-                let (out, stats) = execute(&plan, &ctx).unwrap();
+fn former_fallback_shapes_match_reference_at_every_width() {
+    let db = Database::with_hardware(HardwareSpec::laptop());
+    let mut s = db.connect();
+    s.execute("CREATE TABLE t (id INT, grp INT, label VARCHAR(8), amount DOUBLE)").unwrap();
+    let values: Vec<String> = (0..6_000)
+        .map(|i| format!("({i}, {}, 'L{}', {}.5)", i % 17, i % 23, i % 40))
+        .collect();
+    s.execute(&format!("INSERT INTO t VALUES {}", values.join(","))).unwrap();
+    s.execute("CREATE TABLE d (g INT, name VARCHAR(8))").unwrap();
+    s.execute("INSERT INTO d VALUES (0, 'zero'), (1, 'one'), (2, 'two'), (3, 'three'), (40, 'none')")
+        .unwrap();
+    s.execute("CREATE TABLE emp (id INT, mgr INT)").unwrap();
+    let chain: Vec<String> = (1..=50).map(|i| format!("({i}, {})", i - 1)).collect();
+    s.execute(&format!("INSERT INTO emp VALUES {}", chain.join(","))).unwrap();
+
+    // (shape, dialect, ordered?, SQL)
+    let shapes = [
+        ("HAVING", Dialect::Ansi, true,
+         "SELECT grp, COUNT(*), SUM(amount) FROM t GROUP BY grp HAVING COUNT(*) > 352 ORDER BY grp"),
+        ("COUNT(DISTINCT)", Dialect::Ansi, false,
+         "SELECT grp, COUNT(DISTINCT label), SUM(DISTINCT amount) FROM t GROUP BY grp"),
+        ("SELECT DISTINCT", Dialect::Ansi, false, "SELECT DISTINCT label, grp FROM t WHERE id < 900"),
+        ("UNION ALL", Dialect::Ansi, false,
+         "SELECT id, label FROM t WHERE id < 700 UNION ALL SELECT id, label FROM t WHERE id >= 5500"),
+        ("derived-table aggregate under a join", Dialect::Ansi, true,
+         "SELECT d.name, a.n, a.total FROM d JOIN \
+          (SELECT grp, COUNT(*) AS n, SUM(amount) AS total FROM t GROUP BY grp) a ON a.grp = d.g \
+          ORDER BY d.name"),
+        ("CROSS JOIN", Dialect::Ansi, false,
+         "SELECT t.id, d.name FROM t CROSS JOIN d WHERE t.id < 1200"),
+        ("ROWNUM", Dialect::Oracle, false, "SELECT id, label FROM t WHERE ROWNUM <= 4500"),
+        ("CONNECT BY", Dialect::Oracle, true,
+         "SELECT id, LEVEL FROM emp START WITH mgr = 0 CONNECT BY PRIOR id = mgr ORDER BY id"),
+        ("VALUES", Dialect::Oracle, false, "SELECT 1 + 2, 'x' FROM DUAL"),
+    ];
+    for (shape, dialect, ordered, sql) in shapes {
+        s.set_dialect(dialect);
+        let Statement::Select(select) = parse_statement(sql, dialect).unwrap() else {
+            panic!("{shape}: not a SELECT");
+        };
+        let ctx = EvalContext::default();
+        let plan = plan_select(&select, db.catalog().as_ref(), dialect, &ctx).unwrap();
+        let expected = reference::eval(&plan, &ctx).to_rows();
+        assert!(!expected.is_empty(), "{shape}: vacuous");
+
+        let mut first: Option<Vec<Row>> = None;
+        for par in [1usize, 4, 8] {
+            db.catalog().set_parallelism(par);
+            let out = s.execute(sql).unwrap();
+            if ordered {
+                assert_eq!(out.rows, expected, "{shape} at parallelism {par}");
+            } else {
                 assert_eq!(
-                    out.to_rows(),
-                    serial.to_rows(),
-                    "{join_type:?} {key_mode:?} parallelism {par}"
+                    sorted_rows(out.rows.clone()),
+                    sorted_rows(expected.clone()),
+                    "{shape} at parallelism {par}"
                 );
-                assert!(stats.parallel_workers_used > 1, "{stats:?}");
             }
+            assert!(out.stats.pipelines_run >= 1, "{shape}: {:?}", out.stats);
+            assert_eq!(&out.rows, first.get_or_insert(out.rows.clone()), "{shape}: width {par}");
         }
+        let explain = s.execute(&format!("EXPLAIN {sql}")).unwrap();
+        let text: Vec<String> = explain.rows.iter().map(|r| r.get(0).render()).collect();
+        assert!(text.iter().any(|l| l.starts_with("pipeline 0:")), "{shape}: {text:?}");
+        assert!(!text.iter().any(|l| l.contains("materialize")), "{shape}: {text:?}");
     }
 }
 
 #[test]
-fn pipelined_peak_memory_below_materialized_on_join_agg() {
-    // The whole point of the tentpole: a scan→probe→agg chain holds only
-    // the frozen build plus the in-flight morsel window, while the
-    // materialized executor holds the entire joined intermediate. Both
-    // peaks are observable through the statement budget high-water mark.
-    // Two group keys keep the materialized path off the fused join+agg
-    // shortcut, so it genuinely materializes (and charges) the join output.
-    let (facts, dims) = pipe_tables(BIG);
-    let join = PhysicalPlan::HashJoin {
-        left: Box::new(PhysicalPlan::ColumnScan {
-            table: facts.clone(),
-            config: ScanConfig::full(0, vec![0, 1, 2, 3]),
-        }),
-        right: Box::new(PhysicalPlan::ColumnScan {
-            table: dims.clone(),
-            config: ScanConfig::full(1, vec![0, 1]),
-        }),
-        on: vec![(1, 0)],
-        join_type: JoinType::Inner,
-        key_mode: KeyMode::Encoded,
-        parallelism: 4,
-    };
-    let plan = PhysicalPlan::HashAggregate {
-        input: Box::new(join),
-        group: vec![Expr::col(5), Expr::col(3)],
-        aggs: vec![count_star(), agg(AggFunc::Sum, 2)],
-        schema: out_schema(&[
-            ("label", DataType::Utf8),
-            ("grp", DataType::Utf8),
-            ("cnt", DataType::Int64),
-            ("total", DataType::Int64),
-        ]),
-        key_mode: KeyMode::Datum,
-        parallelism: 4,
-    };
-
-    let mat_ctx = pipe_ctx(false);
-    let (mat, mat_stats) = execute(&plan, &mat_ctx).unwrap();
-    let mat_peak = mat_ctx.statement.budget_high_water();
-    assert!(mat_peak > 0, "materialized agg input must be charged");
-    assert!(mat_stats.peak_inflight_bytes > 0);
-
-    let pipe_ctx_ = pipe_ctx(true);
-    let (piped, pipe_stats) = execute(&plan, &pipe_ctx_).unwrap();
-    let pipe_peak = pipe_ctx_.statement.budget_high_water();
-    assert!(pipe_peak > 0);
-    assert!(
-        pipe_peak * 2 < mat_peak,
-        "pipelined peak {pipe_peak} must be well under materialized peak {mat_peak}"
-    );
-    assert!(
-        pipe_stats.peak_inflight_morsels >= 1
-            && pipe_stats.peak_inflight_morsels <= 16,
-        "in-flight morsels bounded by the window: {pipe_stats:?}"
-    );
-
-    // Same groups either way (emit order is path-specific without a sort).
-    let mut a = piped.to_rows();
-    let mut b = mat.to_rows();
-    a.sort_by_key(|r| (r.get(0).render(), r.get(1).render()));
-    b.sort_by_key(|r| (r.get(0).render(), r.get(1).render()));
-    assert_eq!(a, b);
-
-    // All leases released on both paths.
-    assert_eq!(mat_ctx.statement.budget_used(), 0);
-    assert_eq!(pipe_ctx_.statement.budget_used(), 0);
-}
-
-#[test]
-fn sql_pipeline_knob_and_monitor_counters() {
+fn sql_pipeline_monitor_counters_and_explain() {
     let db = seeded_db(BIG);
     let mut s = db.connect();
     db.catalog().set_parallelism(4);
 
     let sql = "SELECT d.name, COUNT(*), SUM(f.qty) FROM facts f JOIN dims d ON f.grp = d.g \
                GROUP BY d.name ORDER BY d.name";
-    db.catalog().set_pipeline_enabled(true);
     let piped = s.execute(sql).unwrap();
-    assert!(
-        piped.stats.pipelines_run >= 1,
-        "pipeline scheduler must drive this chain: {:?}",
-        piped.stats
-    );
-    db.catalog().set_pipeline_enabled(false);
-    let mat = s.execute(sql).unwrap();
-    assert_eq!(mat.stats.pipelines_run, 0, "{:?}", mat.stats);
-    assert_eq!(piped.rows, mat.rows, "knob must not change results");
-    db.catalog().set_pipeline_enabled(true);
+    assert!(piped.stats.pipelines_run >= 2, "build + probe pipelines: {:?}", piped.stats);
 
     // Statement counters landed in the monitor's pipeline store.
     let p = db.monitor().pipeline();
     assert!(p.pipelines_run >= 1, "{p:?}");
     assert!(p.pipeline_breakers >= 1, "{p:?}");
 
-    // EXPLAIN shows the decomposition.
-    let explain = s
-        .execute(&format!("EXPLAIN {sql}"))
-        .unwrap();
-    let text: Vec<String> = explain
-        .rows
-        .iter()
-        .map(|r| r.get(0).render())
-        .collect();
-    assert!(
-        text.iter().any(|l| l.contains("pipeline") && l.contains("scan")),
-        "EXPLAIN must render pipeline decomposition: {text:?}"
-    );
+    // EXPLAIN shows the decomposition: the build pipeline, the probe
+    // pipeline that waits on it, and the sort over the aggregate's result.
+    let explain = s.execute(&format!("EXPLAIN {sql}")).unwrap();
+    let text: Vec<String> = explain.rows.iter().map(|r| r.get(0).render()).collect();
+    for needle in ["pipeline 0: scan", "probe[Inner](0)", "agg merge", "sort("] {
+        assert!(text.iter().any(|l| l.contains(needle)), "missing {needle:?}: {text:?}");
+    }
 }

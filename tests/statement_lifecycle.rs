@@ -102,17 +102,16 @@ fn deadline_fires_inside_storage_stall_not_after_it() {
     assert_eq!(rows.len(), 4);
 }
 
-/// A memory budget too small for the generic aggregate's partition state
-/// refuses the reservation: classified `ResourceExhausted` (53200, the
-/// OOM class — never retried as transient), budget-rejection counters
-/// bumped, partial state dropped, and the session still usable.
+/// A memory budget too small for one morsel's aggregate partial refuses
+/// the reservation: classified `ResourceExhausted` (53200, the OOM class —
+/// never retried as transient), budget-rejection counters bumped, partial
+/// state dropped, and the session still usable.
 #[test]
-fn generic_aggregate_over_budget_is_refused_cleanly() {
+fn aggregate_over_budget_is_refused_cleanly() {
     let db = Database::with_hardware(HardwareSpec::laptop());
     let mut s = loaded_session(&db, 5000);
 
-    // Two group expressions defeat the single-column fast path, forcing
-    // the generic hash aggregate that charges its scatter partitions.
+    // A computed group expression keys the partials on `Datum`s.
     let sql = "SELECT region, id % 7, COUNT(*), SUM(amount) FROM sales GROUP BY region, id % 7";
     let unbudgeted = s.query(sql).unwrap();
 
@@ -596,4 +595,39 @@ fn pipelined_chain_aborts_release_all_leases() {
         0,
         "budget refusal must release partial leases"
     );
+}
+
+/// A cross join is a breaker that charges its whole output against the
+/// statement budget before allocating any of it and polls the token as it
+/// emits: a starved budget is refused as `ResourceExhausted`, a cancelled
+/// statement dies inside the product, and both leave zero bytes charged.
+#[test]
+fn cross_join_refusal_and_cancel_release_all_leases() {
+    let side = || PhysicalPlan::Values {
+        schema: Schema::new(vec![Field::not_null("x", DataType::Int64)]).unwrap(),
+        rows: (0..300).map(|i| row![i as i64]).collect(),
+    };
+    let plan = PhysicalPlan::CrossJoin {
+        left: Box::new(side()),
+        right: Box::new(side()),
+    };
+
+    let starved = StatementContext::with_limits(None, Some(4_096));
+    let err = execute(&plan, &EvalContext::with_statement(starved.clone())).unwrap_err();
+    assert!(matches!(err, DashError::ResourceExhausted(_)), "wrong variant: {err:?}");
+    assert_eq!(err.class(), "53200", "{err}");
+    assert_eq!(starved.budget_used(), 0, "refused cross join must release its lease");
+
+    let cancelled = StatementContext::with_limits(None, Some(1 << 30));
+    cancelled.cancel();
+    let err = execute(&plan, &EvalContext::with_statement(cancelled.clone())).unwrap_err();
+    assert_eq!(err, DashError::Cancelled);
+    assert_eq!(cancelled.budget_used(), 0, "cancelled cross join must release its lease");
+
+    let roomy = StatementContext::with_limits(None, Some(1 << 30));
+    let (out, stats) = execute(&plan, &EvalContext::with_statement(roomy.clone())).unwrap();
+    assert_eq!(out.len(), 90_000);
+    assert_eq!(stats.budget_rejections, 0);
+    assert!(roomy.budget_high_water() >= out.approx_bytes(), "output was charged");
+    assert_eq!(roomy.budget_used(), 0);
 }
