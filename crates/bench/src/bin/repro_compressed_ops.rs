@@ -34,11 +34,11 @@ const FACT_ROWS: usize = 1_500_000;
 const DIM_ROWS: usize = 1_000;
 /// Fact rows for the end-to-end SQL leg (LOAD + scan + join + group).
 const SQL_ROWS: usize = 200_000;
-/// The headline bar: encoded keys must cut join CPU by this factor. Both
-/// key paths pay the same per-morsel slice, gather and concat around the
-/// probe, which narrows the ratio (1.27x measured) from the 1.58x of the
-/// whole-batch join this bin timed before the executors were unified.
-const MIN_SPEEDUP: f64 = 1.1;
+/// The headline bar: encoded keys must cut join CPU by this factor. The
+/// key paths differ only inside the probe loop (2x apart there); both
+/// share the gather of the 1.5 M-row output, which is over half of either
+/// run and bounds the whole-join ratio (1.33-1.37x measured).
+const MIN_SPEEDUP: f64 = 1.25;
 
 struct Leg {
     name: &'static str,

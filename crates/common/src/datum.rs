@@ -234,26 +234,32 @@ impl Hash for Datum {
         match self {
             Datum::Null => 0u8.hash(state),
             Datum::Bool(b) => (*b as i64).hash(state),
-            // Numerics must hash equal when they compare equal.
-            Datum::Int(v) => {
-                let f = *v as f64;
-                if f as i64 == *v {
-                    f.to_bits().hash(state)
-                } else {
-                    v.hash(state)
-                }
-            }
-            // Canonical bits so hash agrees with Eq: -0.0 = 0.0 and NaNs
-            // compare Equal under sql_cmp, so they must share a bucket.
-            Datum::Float(v) => canonical_f64_bits(*v).hash(state),
-            Datum::Decimal(v, s) => {
-                let f = *v as f64 / 10f64.powi(*s as i32);
-                f.to_bits().hash(state)
-            }
+            // Numerics must hash equal when they compare equal, and they
+            // compare by `f64` value across kinds.
+            Datum::Int(v) => hash_numeric(*v as f64, state),
+            Datum::Float(v) => hash_numeric(*v, state),
+            Datum::Decimal(v, s) => hash_numeric(*v as f64 / 10f64.powi(*s as i32), state),
             Datum::Date(d) => date::date_to_timestamp_micros(*d).hash(state),
             Datum::Timestamp(t) => t.hash(state),
             Datum::Str(s) => s.hash(state),
         }
+    }
+}
+
+/// Hash a numeric by value. A whole number hashes as its `i64`, never as
+/// float bits: the bits of a small integer end in ~40 zeros, which survive
+/// an Fx multiply into the low hash bits a hash table buckets by, so a
+/// table keyed on `Datum::Int` degrades to one long probe chain. Other
+/// floats fold the high bits of their canonical form down first, for the
+/// same reason (`0.5`, `1.25`, ... also end in zeros).
+fn hash_numeric<H: Hasher>(f: f64, state: &mut H) {
+    let i = f as i64;
+    if i as f64 == f {
+        i.hash(state)
+    } else {
+        let mut x = canonical_f64_bits(f);
+        x = (x ^ (x >> 33)).wrapping_mul(0xff51_afd7_ed55_8ccd);
+        (x ^ (x >> 33)).hash(state)
     }
 }
 
@@ -360,6 +366,28 @@ mod tests {
         let b = Datum::Float(42.0);
         assert_eq!(a, b);
         assert_eq!(h(&a), h(&b));
+    }
+
+    /// The low bits of the hash are what a hash table buckets by: dense
+    /// keys must spread over them, whatever their numeric kind.
+    #[test]
+    fn numeric_hash_spreads_over_low_bits() {
+        use crate::fxhash::FxHasher;
+        fn low_bits(d: Datum) -> u64 {
+            let mut s = FxHasher::default();
+            d.hash(&mut s);
+            s.finish() & 0xfff
+        }
+        let kinds: [fn(i64) -> Datum; 3] = [
+            Datum::Int,
+            |i| Datum::Float(i as f64 + 0.5),
+            |i| Datum::Decimal(i as i128 * 100 + 25, 2),
+        ];
+        for kind in kinds {
+            let distinct: std::collections::HashSet<u64> =
+                (0..4096).map(|i| low_bits(kind(i))).collect();
+            assert!(distinct.len() > 2048, "{} of 4096 buckets", distinct.len());
+        }
     }
 
     #[test]

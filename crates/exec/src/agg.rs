@@ -20,6 +20,7 @@ use dash_common::fxhash::FxHashMap;
 use dash_common::statement::{approx_datum_bytes, approx_row_bytes};
 use dash_common::{DashError, DataType, Datum, Result, Row, Schema};
 use std::collections::HashSet;
+use std::ops::Range;
 
 /// Aggregate functions.
 #[derive(Debug, Clone, PartialEq)]
@@ -496,17 +497,12 @@ pub(crate) struct AggPartial {
 }
 
 impl AggPartial {
-    /// Rough heap footprint, for inflight accounting.
+    /// Rough heap footprint (keys plus states), for inflight accounting.
     pub(crate) fn approx_bytes(&self) -> u64 {
-        groups_bytes(&self.keys, &self.states)
+        let key_bytes: u64 = self.keys.iter().map(|k| approx_row_bytes(k)).sum();
+        let state_bytes: u64 = self.states.iter().flatten().map(state_bytes).sum();
+        key_bytes + state_bytes
     }
-}
-
-/// Rough heap footprint of grouped aggregate state (keys plus states).
-fn groups_bytes(keys: &[Vec<Datum>], states: &[Vec<AggState>]) -> u64 {
-    let key_bytes: u64 = keys.iter().map(|k| approx_row_bytes(k)).sum();
-    let state_bytes: u64 = states.iter().flatten().map(state_bytes).sum();
-    key_bytes + state_bytes
 }
 
 fn state_bytes(s: &AggState) -> u64 {
@@ -529,16 +525,20 @@ fn update_row(
     ctx: &EvalContext,
 ) -> Result<()> {
     for (agg, state) in aggs.iter().zip(states) {
-        let mut vals = Vec::with_capacity(agg.args.len());
-        for a in &agg.args {
-            vals.push(a.eval(input, row, ctx)?);
+        // No aggregate takes more than two arguments (`arg_count`); a
+        // fixed buffer keeps the per-row path free of allocation.
+        let mut vals = [Datum::Null, Datum::Null];
+        let n = agg.args.len().min(vals.len());
+        for (v, a) in vals.iter_mut().zip(&agg.args) {
+            *v = a.eval(input, row, ctx)?;
         }
-        update(state, &vals)?;
+        update(state, &vals[..n])?;
     }
     Ok(())
 }
 
-/// Aggregate one pipeline morsel into a mergeable partial. Under
+/// Aggregate one pipeline morsel — rows `rows` of `input` — into a
+/// mergeable partial. Under
 /// [`KeyMode::Encoded`] (the planner's decision: every group key a bare
 /// column) grouping runs on fixed-width key words — the
 /// operate-on-compressed path, with out-of-dictionary strings interned in
@@ -548,28 +548,31 @@ fn update_row(
 /// the serial scan's first-appearance group order.
 pub(crate) fn aggregate_morsel(
     input: &Batch,
+    rows: Range<usize>,
     group_exprs: &[Expr],
     aggs: &[AggExpr],
     key_mode: KeyMode,
     ctx: &EvalContext,
 ) -> Result<AggPartial> {
-    let n = input.len();
+    let n = rows.len() as u64;
     // Cancellation/deadline observed once per morsel; a morsel is at most a
     // stride's worth of rows, so latency stays bounded.
     ctx.statement.check()?;
     let mut states: Vec<Vec<AggState>> = Vec::new();
+    // Every new group starts from a copy of this.
+    let fresh = init_states(aggs, input.schema());
     if group_exprs.is_empty() {
         // Global aggregate: one group, present even for an empty morsel so
         // zero-row inputs still produce their NULL/0 row at finish.
-        states.push(init_states(aggs, input.schema()));
-        for row in 0..n {
+        states.push(fresh);
+        for row in rows {
             update_row(aggs, &mut states[0], input, row, ctx)?;
         }
         return Ok(AggPartial {
             keys: vec![Vec::new()],
             states,
             encoded: false,
-            rows: n as u64,
+            rows: n,
         });
     }
 
@@ -587,7 +590,7 @@ pub(crate) fn aggregate_morsel(
         // mask (bit `c` set = column `c` NULL, its key word zeroed), which
         // groups NULLs together without reserving a sentinel word.
         let mut words = vec![0u64; nk + 1];
-        for row in 0..n {
+        for row in rows {
             let mut nulls = 0u64;
             for (c, col) in cols.iter().enumerate() {
                 words[c] = match col.word(row) {
@@ -612,7 +615,7 @@ pub(crate) fn aggregate_morsel(
                         key.push(g.eval(input, row, ctx)?);
                     }
                     keys.push(key);
-                    states.push(init_states(aggs, input.schema()));
+                    states.push(fresh.clone());
                     g
                 }
             };
@@ -620,7 +623,7 @@ pub(crate) fn aggregate_morsel(
         }
     } else {
         let mut gid_of: FxHashMap<Vec<Datum>, u32> = FxHashMap::default();
-        for row in 0..n {
+        for row in rows {
             let mut key = Vec::with_capacity(group_exprs.len());
             for g in group_exprs {
                 key.push(g.eval(input, row, ctx)?);
@@ -631,7 +634,7 @@ pub(crate) fn aggregate_morsel(
                     let g = keys.len() as u32;
                     gid_of.insert(key.clone(), g);
                     keys.push(key);
-                    states.push(init_states(aggs, input.schema()));
+                    states.push(fresh.clone());
                     g
                 }
             };
@@ -642,7 +645,7 @@ pub(crate) fn aggregate_morsel(
         keys,
         states,
         encoded,
-        rows: n as u64,
+        rows: n,
     })
 }
 
@@ -658,6 +661,7 @@ pub(crate) struct AggAccumulator {
     pub(crate) encoded_rows: u64,
     /// Rows aggregated via the `Datum` fallback path.
     pub(crate) datum_rows: u64,
+    bytes: u64,
 }
 
 impl AggAccumulator {
@@ -668,6 +672,7 @@ impl AggAccumulator {
             states: Vec::new(),
             encoded_rows: 0,
             datum_rows: 0,
+            bytes: 0,
         }
     }
 
@@ -679,16 +684,21 @@ impl AggAccumulator {
         } else {
             self.datum_rows += partial.rows;
         }
+        let fixed = std::mem::size_of::<AggState>() as u64;
         for (key, sts) in partial.keys.into_iter().zip(partial.states) {
             match self.gid_of.get(&key) {
                 Some(&g) => {
                     let dst = &mut self.states[g as usize];
                     for (d, s) in dst.iter_mut().zip(sts) {
+                        // Only a state's variable part (percentile value
+                        // sets) grows an existing group.
+                        self.bytes += state_bytes(&s) - fixed;
                         merge_state(d, s)?;
                     }
                 }
                 None => {
                     let g = self.keys.len() as u32;
+                    self.bytes += approx_row_bytes(&key) + sts.iter().map(state_bytes).sum::<u64>();
                     self.gid_of.insert(key.clone(), g);
                     self.keys.push(key);
                     self.states.push(sts);
@@ -698,9 +708,10 @@ impl AggAccumulator {
         Ok(())
     }
 
-    /// Rough heap footprint of the accumulated group state.
+    /// Rough heap footprint of the accumulated group state, kept as a
+    /// running total: the fold reads it after every merge.
     pub(crate) fn approx_bytes(&self) -> u64 {
-        groups_bytes(&self.keys, &self.states)
+        self.bytes
     }
 
     /// Finish every group into the output batch. `input_schema` is the
@@ -1094,11 +1105,9 @@ mod tests {
         let mut any = false;
         while start < input.len() || (!any && input.is_empty()) {
             let end = (start + split).min(input.len());
-            let idx: Vec<usize> = (start..end).collect();
-            let morsel = input.take(&idx);
             let mode = KeyMode::for_group(input.schema(), group_exprs);
-            acc.merge(aggregate_morsel(&morsel, group_exprs, aggs, mode, &ctx()).unwrap())
-                .unwrap();
+            let partial = aggregate_morsel(input, start..end, group_exprs, aggs, mode, &ctx());
+            acc.merge(partial.unwrap()).unwrap();
             start = end;
             any = true;
         }

@@ -28,17 +28,17 @@
 //! for rows that survived the probe.
 
 use crate::batch::Batch;
-use crate::functions::EvalContext;
 use crate::key::{route_hash, KeyCol, KeyMode, StrInterner, STR_MISS};
-use crate::pipeline::{self, Feed, Op};
 use crate::pool;
 use crate::stats::ExecStats;
 use dash_common::fxhash::FxHashMap;
 use dash_common::statement::approx_datum_bytes;
 use dash_common::{BudgetLease, DashError, Datum, Result, StatementContext};
 use dash_encoding::column::ColumnValues;
+use std::borrow::Cow;
 use std::collections::hash_map::Entry;
 use std::hash::{BuildHasher, BuildHasherDefault, Hash, Hasher};
+use std::ops::Range;
 
 /// Join type.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -102,7 +102,10 @@ fn probe_emit(join_type: JoinType, li: u32, matches: Option<&[u32]>, out: &mut V
 }
 
 /// Execute a hash join between two materialized batches: freeze `right`
-/// as a [`JoinBuild`] and stream row-range morsels of `left` through it.
+/// as a [`JoinBuild`], probe row-range morsels of `left` against it on the
+/// pool, and gather the output columns once from the surviving pairs.
+/// Neither side is copied on the way in: the build borrows `right` and a
+/// probe morsel is a row range of `left`.
 ///
 /// `on` pairs are (left ordinal, right ordinal). The output schema is
 /// `left ⧺ right` for Inner/Left, and just `left` for Semi/Anti.
@@ -121,7 +124,7 @@ pub fn hash_join(
     stats: &mut ExecStats,
 ) -> Result<Batch> {
     let build = JoinBuild::new(
-        right.clone(),
+        Cow::Borrowed(right),
         left.schema(),
         on.to_vec(),
         join_type,
@@ -130,9 +133,22 @@ pub fn hash_join(
         stmt,
         stats,
     )?;
-    let ctx = EvalContext::with_statement(stmt.clone());
-    let ops = [Op::Probe(Box::new(build))];
-    pipeline::drive(&Feed::Batch(left), &ops, None, parallelism, &ctx, stats)
+    // What `probe_morsel` does per morsel, with the gather hoisted out:
+    // both inputs outlive the probe here, so no per-morsel batch is built
+    // only to be stitched.
+    let ranges = pool::row_morsels(left.len(), parallelism, 4096);
+    let run = pool::run_morsels(ranges.len(), parallelism, stmt, |mi| {
+        let mut mstats = ExecStats::default();
+        let pairs = build.probe_pairs(left, ranges[mi].0..ranges[mi].1, stmt, &mut mstats)?;
+        Ok((pairs, mstats))
+    })?;
+    stats.note_parallel_phase(run.morsels_dispatched, run.workers_used);
+    let mut pairs = Vec::new();
+    for (p, mstats) in run.results {
+        pairs.extend(p);
+        *stats += mstats;
+    }
+    materialize_pairs(left, right, build.out_schema.clone(), &pairs, parallelism, stmt, stats)
 }
 
 // ---------------------------------------------------------------------------
@@ -359,25 +375,27 @@ enum BuildTables {
 /// [`JoinBuild::probe_morsel`]. Output pairs are emitted in probe-row
 /// order within each morsel, so folding morsels in index order reproduces
 /// a deterministic, parallelism-independent row order.
-pub(crate) struct JoinBuild {
-    build: Batch,
+pub(crate) struct JoinBuild<'b> {
+    /// Owned when a pipeline ran the build side, borrowed under
+    /// [`hash_join`].
+    build: Cow<'b, Batch>,
     on: Vec<(usize, usize)>,
     join_type: JoinType,
     out_schema: dash_common::Schema,
     mask: u64,
     tables: BuildTables,
-    /// Budget charged for the frozen tables; released when the build drops
-    /// at pipeline end.
+    /// Budget charged for the frozen tables and an owned build batch;
+    /// released when the build drops at pipeline end.
     _lease: BudgetLease,
 }
 
-impl JoinBuild {
+impl<'b> JoinBuild<'b> {
     /// Freeze `build` (the right/inner side) into partitioned hash tables.
     /// `probe_schema` is the streamed left side's schema; `key_mode` is the
     /// planner's decision, re-verified here against both schemas.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn new(
-        build: Batch,
+        build: Cow<'b, Batch>,
         probe_schema: &dash_common::Schema,
         on: Vec<(usize, usize)>,
         join_type: JoinType,
@@ -385,7 +403,7 @@ impl JoinBuild {
         parallelism: usize,
         stmt: &StatementContext,
         stats: &mut ExecStats,
-    ) -> Result<JoinBuild> {
+    ) -> Result<JoinBuild<'b>> {
         if on.is_empty() {
             return Err(DashError::internal("hash join requires at least one key pair"));
         }
@@ -405,6 +423,13 @@ impl JoinBuild {
             && KeyMode::for_join(probe_schema, build.schema(), &on) == KeyMode::Encoded;
 
         let mut lease = BudgetLease::new(stmt);
+        if let Cow::Owned(b) = &build {
+            // An owned build batch is this join's to account for; a
+            // borrowed one is its caller's.
+            lease.charge(b.approx_bytes()).inspect_err(|_| {
+                stats.budget_rejections += 1;
+            })?;
+        }
         let build_rows: u64;
         let tables = if use_encoded {
             // The build side owns the code domain: its dictionary (when
@@ -517,22 +542,39 @@ impl JoinBuild {
         &self.out_schema
     }
 
-    /// Rough bytes held by the frozen tables (for inflight accounting).
+    /// Rough bytes held by the frozen build (for inflight accounting).
     pub(crate) fn held_bytes(&self) -> u64 {
         self._lease.held()
     }
 
-    /// Probe one morsel against the frozen tables and materialize its
-    /// joined rows. Pairs are emitted in probe-row order (NULL-keyed rows
-    /// pad inline for Left/Anti), so the output is a deterministic
-    /// function of the morsel alone — workers can probe concurrently and
-    /// the fold stays byte-identical to a serial pass.
+    /// Probe one morsel — rows `rows` of `probe` — against the frozen
+    /// tables and materialize its joined rows: morsel-local late
+    /// materialization, serial within the morsel (the pipeline's
+    /// parallelism is across morsels, not inside them).
     pub(crate) fn probe_morsel(
         &self,
         probe: &Batch,
+        rows: Range<usize>,
         stmt: &StatementContext,
         stats: &mut ExecStats,
     ) -> Result<Batch> {
+        let pairs = self.probe_pairs(probe, rows, stmt, stats)?;
+        let schema = self.out_schema.clone();
+        materialize_pairs(probe, &self.build, schema, &pairs, 1, stmt, stats)
+    }
+
+    /// The `(probe row, build row)` pairs rows `rows` of `probe` join to.
+    /// Pairs are emitted in probe-row order (NULL-keyed rows pad inline for
+    /// Left/Anti), so the output is a deterministic function of the morsel
+    /// alone — workers can probe concurrently and the fold stays
+    /// byte-identical to a serial pass.
+    fn probe_pairs(
+        &self,
+        probe: &Batch,
+        rows: Range<usize>,
+        stmt: &StatementContext,
+        stats: &mut ExecStats,
+    ) -> Result<Vec<(u32, u32)>> {
         stmt.check()?;
         if probe.len() >= NO_MATCH as usize {
             return Err(DashError::internal("probe morsel must fit u32 row indices"));
@@ -542,13 +584,13 @@ impl JoinBuild {
         let mut pairs: Vec<(u32, u32)> = Vec::new();
         match &self.tables {
             BuildTables::Encoded(enc) => {
-                stats.encoded_key_rows += probe.len() as u64;
+                stats.encoded_key_rows += rows.len() as u64;
                 for (c, d) in probe_cols.iter().zip(&enc.dicts) {
                     if let (Some(pd), Some(bd)) = (probe.str_dict(*c), d) {
                         if !std::sync::Arc::ptr_eq(pd, bd) {
                             // The morsel carries its own dictionary; its keys
                             // re-encode by value into the build-side domain.
-                            stats.keys_reencoded_rows += probe.len() as u64;
+                            stats.keys_reencoded_rows += rows.len() as u64;
                         }
                     }
                 }
@@ -558,7 +600,7 @@ impl JoinBuild {
                     .map(|(&c, d)| KeyCol::from_column(probe, c, d.clone()))
                     .collect();
                 let mut words = vec![0u64; nk];
-                'row: for li in 0..probe.len() {
+                'row: for li in rows {
                     for (c, col) in cols.iter().enumerate() {
                         match col.word(li) {
                             Some(w) => words[c] = w,
@@ -594,9 +636,9 @@ impl JoinBuild {
                 }
             }
             BuildTables::Datum(tables) => {
-                stats.datum_key_rows += probe.len() as u64;
+                stats.datum_key_rows += rows.len() as u64;
                 let mut scratch: Vec<Datum> = Vec::with_capacity(nk);
-                for li in 0..probe.len() {
+                for li in rows {
                     if fill_key(probe, li, &probe_cols, &mut scratch) {
                         let p = (key_hash(&scratch) & self.mask) as usize;
                         let matches = tables[p].get(scratch.as_slice()).map(|v| &v[..]);
@@ -607,17 +649,7 @@ impl JoinBuild {
                 }
             }
         }
-        // Morsel-local late materialization: serial within the morsel (the
-        // pipeline's parallelism is across morsels, not inside them).
-        materialize_pairs(
-            probe,
-            &self.build,
-            self.out_schema.clone(),
-            &pairs,
-            1,
-            stmt,
-            stats,
-        )
+        Ok(pairs)
     }
 }
 
@@ -866,7 +898,7 @@ mod tests {
     ) -> Batch {
         let mut stats = ExecStats::default();
         let build = JoinBuild::new(
-            r.clone(),
+            Cow::Borrowed(r),
             l.schema(),
             on.to_vec(),
             jt,
@@ -880,9 +912,7 @@ mod tests {
         let mut start = 0;
         while start < l.len() {
             let end = (start + split).min(l.len());
-            let idx: Vec<usize> = (start..end).collect();
-            let morsel = l.take(&idx);
-            outs.push(build.probe_morsel(&morsel, &stmt(), &mut stats).unwrap());
+            outs.push(build.probe_morsel(l, start..end, &stmt(), &mut stats).unwrap());
             start = end;
         }
         Batch::concat_columnar(build.out_schema().clone(), outs).unwrap()
@@ -943,7 +973,7 @@ mod tests {
         let ctx = StatementContext::with_limits(None, Some(1 << 30));
         let mut stats = ExecStats::default();
         let build = JoinBuild::new(
-            customers(),
+            Cow::Owned(customers()),
             orders().schema(),
             vec![(1, 0)],
             JoinType::Inner,

@@ -26,10 +26,13 @@
 //!   Chan's moment formulas) over morsel boundaries that do not depend on
 //!   the worker count.
 //!
-//! Peak memory is O(frozen builds + morsels in flight): the scheduler
-//! admits at most `DASH_PIPELINE_INFLIGHT` unfolded morsels (default
-//! `parallelism * 4`), each carrying a [`BudgetLease`] for its bytes, and
-//! the statement's deadline/cancellation token is checked at every step.
+//! Peak memory is O(frozen builds + breaker batches + morsels in flight):
+//! the scheduler admits at most `DASH_PIPELINE_INFLIGHT` unfolded morsels
+//! (default `parallelism * 4`), each carrying a [`BudgetLease`] for its
+//! bytes; a breaker's inputs are charged while it runs and its output while
+//! the pipeline above reads it, so the statement budget bounds every
+//! intermediate. The statement's deadline/cancellation token is checked at
+//! every step.
 
 use crate::agg::{self, AggAccumulator, AggExpr};
 use crate::batch::Batch;
@@ -44,6 +47,8 @@ use crate::sort::{sort_batch, SortKey, SortOptions};
 use crate::stats::ExecStats;
 use dash_common::fxhash::{FxHashMap, FxHashSet};
 use dash_common::{BudgetLease, DashError, Datum, Result, Row, Schema};
+use std::borrow::Cow;
+use std::ops::Range;
 
 /// Pipeline-scheduler knobs, resolved by autoconfiguration and carried on
 /// the [`EvalContext`].
@@ -316,6 +321,8 @@ pub(crate) fn run(p: &Pipeline<'_>, ctx: &EvalContext, stats: &mut ExecStats) ->
             if p.stages.is_empty() && sink.is_none() {
                 return Ok(batch);
             }
+            // The breaker's output stays charged while this pipeline reads it.
+            let _lease = charge(&batch, ctx, stats)?;
             let ops = freeze(&p.stages, || batch.schema().clone(), ctx, stats)?;
             return drive(&Feed::Batch(&batch), &ops, sink, p.parallelism, ctx, stats);
         }
@@ -365,7 +372,7 @@ fn freeze<'p>(
                 let built = run(build, ctx, stats)?;
                 stats.pipeline_breakers += 1;
                 Op::Probe(Box::new(JoinBuild::new(
-                    built,
+                    Cow::Owned(built),
                     &stream_schema(&ops, &source_schema),
                     on.to_vec(),
                     *join_type,
@@ -380,39 +387,43 @@ fn freeze<'p>(
     Ok(ops)
 }
 
+/// Charge `batch` — an intermediate some operator is about to read — to
+/// the statement budget for as long as the returned lease lives.
+fn charge(batch: &Batch, ctx: &EvalContext, stats: &mut ExecStats) -> Result<BudgetLease> {
+    let mut lease = BudgetLease::new(&ctx.statement);
+    lease
+        .charge(batch.approx_bytes())
+        .inspect_err(|_| stats.budget_rejections += 1)?;
+    Ok(lease)
+}
+
 fn run_breaker(b: &Breaker<'_>, ctx: &EvalContext, stats: &mut ExecStats) -> Result<Batch> {
+    // The inputs stay resident, and charged, until the breaker has emitted.
+    let mut inputs = Vec::new();
+    let mut leases = Vec::new();
+    for p in b.inputs() {
+        let batch = run(p, ctx, stats)?;
+        leases.push(charge(&batch, ctx, stats)?);
+        inputs.push(batch);
+    }
+    let no_input = || DashError::internal("breaker is missing an input");
+    let input = |i: usize| inputs.get(i).ok_or_else(no_input);
     let out = match b {
-        Breaker::Result(input) => return run(input, ctx, stats),
+        // A finished pipeline read as-is: no operator runs, none is counted.
+        Breaker::Result(_) => return inputs.pop().ok_or_else(no_input),
         Breaker::Values { schema, rows } => Batch::from_rows((*schema).clone(), rows),
-        Breaker::UnionAll(inputs) => {
-            let batches: Vec<Batch> = inputs
-                .iter()
-                .map(|p| run(p, ctx, stats))
-                .collect::<Result<_>>()?;
-            let schema = batches
-                .first()
-                .ok_or_else(|| DashError::internal("UnionAll with no inputs"))?
-                .schema()
-                .clone();
-            Batch::concat(schema, &batches)
-        }
-        Breaker::CrossJoin(left, right) => {
-            let l = run(left, ctx, stats)?;
-            let r = run(right, ctx, stats)?;
-            join::cross_join(&l, &r, &ctx.statement, stats)
-        }
+        Breaker::UnionAll(_) => Batch::concat(input(0)?.schema().clone(), &inputs),
+        Breaker::CrossJoin(..) => join::cross_join(input(0)?, input(1)?, &ctx.statement, stats),
         Breaker::ConnectBy {
-            input,
             start_with,
             parent,
             child,
             schema,
-        } => connect_by(&run(input, ctx, stats)?, start_with, *parent, *child, schema, ctx),
-        Breaker::Distinct(input) => distinct(&run(input, ctx, stats)?, ctx),
-        Breaker::RowNumber { input, schema } => row_number(&run(input, ctx, stats)?, schema, ctx),
-        Breaker::Sort { input, keys, opts } => {
-            sort_batch(&run(input, ctx, stats)?, keys, opts, ctx, stats)
-        }
+            ..
+        } => connect_by(input(0)?, start_with, *parent, *child, schema, ctx),
+        Breaker::Distinct(_) => distinct(input(0)?, ctx),
+        Breaker::RowNumber { schema, .. } => row_number(input(0)?, schema, ctx),
+        Breaker::Sort { keys, opts, .. } => sort_batch(input(0)?, keys, opts, ctx, stats),
     }?;
     stats.pipeline_breakers += 1;
     Ok(out)
@@ -513,7 +524,7 @@ pub(crate) enum Op<'p> {
         exprs: &'p [Expr],
         schema: &'p Schema,
     },
-    Probe(Box<JoinBuild>),
+    Probe(Box<JoinBuild<'p>>),
 }
 
 /// What one morsel produced, plus its stats and the budget lease covering
@@ -573,25 +584,36 @@ pub(crate) fn drive(
     };
 
     let work = |mi: usize| -> Result<MorselItem> {
-        let (mut batch, mut mstats) = match feed {
-            Feed::Scan(s) => s.morsel(mi, ctx)?,
+        // A morsel is rows `rows` of `batch`: a batch source lends its rows
+        // uncopied, everything downstream owns its output.
+        let (mut batch, mut rows, mut mstats) = match feed {
+            Feed::Scan(s) => {
+                let (b, mstats) = s.morsel(mi, ctx)?;
+                let n = b.len();
+                (Cow::Owned(b), 0..n, mstats)
+            }
             Feed::Batch(b) => {
                 let (lo, hi) = ranges[mi];
-                (b.take(&(lo..hi).collect::<Vec<_>>()), ExecStats::default())
+                (Cow::Borrowed(*b), lo..hi, ExecStats::default())
             }
         };
         for op in ops {
             // Deadline/cancel observed at every pipeline step, not just at
             // morsel boundaries.
             ctx.statement.check()?;
-            batch = apply_op(op, batch, ctx, &mut mstats)?;
+            let out = apply_op(op, &batch, rows, ctx, &mut mstats)?;
+            rows = 0..out.len();
+            batch = Cow::Owned(out);
         }
         let mut lease = BudgetLease::new(&ctx.statement);
         let payload = match sink {
             Some(a) => Payload::Partial(agg::aggregate_morsel(
-                &batch, a.group, a.aggs, a.key_mode, ctx,
+                &batch, rows, a.group, a.aggs, a.key_mode, ctx,
             )?),
-            None => Payload::Batch(batch),
+            None => Payload::Batch(match batch {
+                Cow::Owned(b) => b,
+                Cow::Borrowed(b) => b.take(&rows.collect::<Vec<_>>()),
+            }),
         };
         let bytes = match &payload {
             Payload::Partial(p) => p.approx_bytes(),
@@ -661,37 +683,39 @@ pub(crate) fn drive(
     }
 }
 
-/// Apply one non-breaker operator to a morsel's batch (serial within the
-/// morsel — the pipeline's parallelism is across morsels).
+/// Apply one non-breaker operator to a morsel — rows `rows` of `batch`
+/// (serial within the morsel — the pipeline's parallelism is across
+/// morsels).
 fn apply_op(
     op: &Op<'_>,
-    batch: Batch,
+    batch: &Batch,
+    rows: Range<usize>,
     ctx: &EvalContext,
     mstats: &mut ExecStats,
 ) -> Result<Batch> {
     match op {
         Op::Filter(predicate) => {
             let mut keep = Vec::new();
-            for row in 0..batch.len() {
-                if predicate.eval_predicate(&batch, row, ctx)? {
+            for row in rows {
+                if predicate.eval_predicate(batch, row, ctx)? {
                     keep.push(row);
                 }
             }
             Ok(batch.take(&keep))
         }
         Op::Project { exprs, schema } => {
-            let mut rows: Vec<Row> = Vec::with_capacity(batch.len());
-            for row in 0..batch.len() {
+            let mut out: Vec<Row> = Vec::with_capacity(rows.len());
+            for row in rows {
                 let mut vals = Vec::with_capacity(exprs.len());
                 for e in *exprs {
-                    vals.push(e.eval(&batch, row, ctx)?);
+                    vals.push(e.eval(batch, row, ctx)?);
                 }
                 // Coerce expression outputs to the declared column types.
-                rows.push(Row::new(vals).coerce(schema)?);
+                out.push(Row::new(vals).coerce(schema)?);
             }
-            Batch::from_rows((*schema).clone(), &rows)
+            Batch::from_rows((*schema).clone(), &out)
         }
-        Op::Probe(build) => build.probe_morsel(&batch, &ctx.statement, mstats),
+        Op::Probe(build) => build.probe_morsel(batch, rows, &ctx.statement, mstats),
     }
 }
 
@@ -803,7 +827,7 @@ mod tests {
         let guard = facts.read();
         let source = ScanSource::new(&guard, &fact_cfg).unwrap();
         let build = JoinBuild::new(
-            dim_batch,
+            Cow::Owned(dim_batch),
             source.out_schema(),
             vec![(1, 0)],
             JoinType::Inner,
@@ -816,8 +840,12 @@ mod tests {
         let (mut max_joined, mut max_partial) = (0u64, 0u64);
         for mi in 0..source.morsel_count() {
             let (morsel, _) = source.morsel(mi, &ctx).unwrap();
-            let joined = build.probe_morsel(&morsel, &ctx.statement, &mut scratch).unwrap();
-            let partial = agg::aggregate_morsel(&joined, &group, &aggs, KeyMode::Encoded, &ctx).unwrap();
+            let joined = build
+                .probe_morsel(&morsel, 0..morsel.len(), &ctx.statement, &mut scratch)
+                .unwrap();
+            let partial =
+                agg::aggregate_morsel(&joined, 0..joined.len(), &group, &aggs, KeyMode::Encoded, &ctx)
+                    .unwrap();
             max_joined = max_joined.max(joined.approx_bytes());
             max_partial = max_partial.max(partial.approx_bytes());
         }

@@ -591,9 +591,10 @@ impl Cluster {
                 }
             }
             let (outcomes, timed_out) = self.run_round(shard_stmt, &work, deadline, &stmt_ctx)?;
-            // The watchdog can flip the token a hair before the round's own
-            // timer fires; its shards then report `Cancelled` in time and
-            // must not be requeued as if a node had failed.
+            // Only the deadline can flip this statement-local token. The
+            // watchdog may do so a hair before the round's own timer fires;
+            // the shards then report `Cancelled` in time and must not be
+            // requeued as if a node had failed.
             if timed_out || stmt_ctx.is_cancelled() {
                 stmt_ctx.cancel();
                 self.monitor.record_deadline_kill();

@@ -216,6 +216,29 @@ fn injected_faults_surface_as_classified_errors_never_panics() {
     assert_eq!(c.query("SELECT COUNT(*) FROM sales").unwrap()[0].get(0), &Datum::Int(900));
 }
 
+/// A deadline kill is always `Cancelled`, however the watchdog and the
+/// scatter round's own timer interleave. The watchdog can flip the token a
+/// hair before the round times out; the shards then report `Cancelled` in
+/// time, and requeueing them as if a node had failed used to end in "did
+/// not converge" (a cluster error) instead.
+#[test]
+fn deadline_kill_is_cancelled_whichever_timer_fires_first() {
+    let reg = FaultRegistry::with_seed(seed(5));
+    let c = loaded_cluster(3, 3, 900, reg.clone());
+    reg.arm(
+        FaultRegistry::scoped(SHARD_EXEC, 4),
+        FaultPolicy::Always,
+        FaultAction::Stall(Duration::from_secs(30)),
+    );
+    c.set_statement_deadline(Some(Duration::from_millis(15)));
+    for round in 1..=40u64 {
+        let err = c.query(TOTALS_SQL).unwrap_err();
+        assert_eq!(err.class(), "57014", "round {round}: {err}");
+        assert_eq!(c.monitor().recovery().deadline_kills, round);
+    }
+    assert_eq!(c.live_nodes(), 3, "a deadline kill never buries a node");
+}
+
 /// The whole point of the seeded registry: an identical fault script on an
 /// identical cluster produces identical results, identical recovery
 /// counters, and identical per-failpoint statistics, run after run.

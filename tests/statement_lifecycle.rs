@@ -631,3 +631,43 @@ fn cross_join_refusal_and_cancel_release_all_leases() {
     assert!(roomy.budget_high_water() >= out.approx_bytes(), "output was charged");
     assert_eq!(roomy.budget_used(), 0);
 }
+
+/// A breaker holds its whole input while it runs, and the pipeline above
+/// holds the breaker's output: both are charged to the statement budget,
+/// so a budget smaller than the intermediate refuses the statement
+/// (53200) instead of letting it materialize unbounded, and every lease is
+/// back by the time the statement ends.
+#[test]
+fn breaker_intermediates_are_charged_to_the_budget() {
+    let values = || PhysicalPlan::Values {
+        schema: Schema::new(vec![Field::not_null("x", DataType::Int64)]).unwrap(),
+        rows: (0..10_000).map(|i| row![i as i64]).collect(),
+    };
+    let input_bytes = 10_000 * 9;
+    let sort = |input| PhysicalPlan::Sort {
+        input: Box::new(input),
+        keys: vec![SortKey::asc(0)],
+        limit: Some(1),
+        offset: 0,
+        parallelism: 1,
+        run_rows: 0,
+    };
+    let plans = [
+        ("distinct", sort(PhysicalPlan::Distinct { input: Box::new(values()) })),
+        ("rownum", sort(PhysicalPlan::RowNumber { input: Box::new(values()), name: "rn".into() })),
+        ("union", sort(PhysicalPlan::UnionAll { inputs: vec![values(), values()] })),
+        ("sort", sort(values())),
+    ];
+    for (name, plan) in &plans {
+        let starved = StatementContext::with_limits(None, Some(input_bytes / 2));
+        let err = execute(plan, &EvalContext::with_statement(starved.clone())).unwrap_err();
+        assert_eq!(err.class(), "53200", "{name}: {err}");
+        assert_eq!(starved.budget_used(), 0, "{name}: refusal must release every lease");
+
+        let roomy = StatementContext::with_limits(None, Some(1 << 30));
+        let (out, _) = execute(plan, &EvalContext::with_statement(roomy.clone())).unwrap();
+        assert_eq!(out.len(), 1, "{name}");
+        assert!(roomy.budget_high_water() >= input_bytes, "{name}: intermediate was charged");
+        assert_eq!(roomy.budget_used(), 0, "{name}");
+    }
+}
