@@ -1,4 +1,5 @@
-//! Criterion: codec encode/decode throughput per encoding family, plus the
+//! Criterion: codec encode/decode throughput per encoding family — whole
+//! blocks and the scan's positional decode at 1-in-64 survivors — plus the
 //! classic row-compression baseline for context.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
@@ -40,7 +41,16 @@ fn bench_encode_decode(c: &mut Criterion) {
         });
         let block = comp.encode_block(&enc, values, 0..values.len());
         group.bench_function(format!("decode/{name}"), |b| {
-            b.iter(|| comp.decode_block(&enc, &block))
+            b.iter(|| comp.decode_block(&enc, &block).expect("decode"))
+        });
+        // The scan's late materialization: only the survivors' values.
+        let survivors: Vec<usize> = (0..n).step_by(64).collect();
+        group.bench_function(format!("decode_1_in_64/{name}"), |b| {
+            b.iter(|| {
+                let mut out = ColumnValues::empty_of(enc.kind());
+                comp.decode(&enc, &block, &survivors, &mut out).expect("decode");
+                out
+            })
         });
     }
     group.finish();

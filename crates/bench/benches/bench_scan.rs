@@ -3,7 +3,8 @@
 //! Backs `repro_simd` with statistically sound measurements: the
 //! word-parallel SWAR kernel vs the code-at-a-time scalar loop vs
 //! decompress-then-compare, across code widths; plus end-to-end table
-//! scans with and without data skipping.
+//! scans with and without data skipping, and the scan's two inner stages
+//! on one stride (predicate bitmap, positional decode of the survivors).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use dash_encoding::bitpack::BitPackedVec;
@@ -41,8 +42,9 @@ fn bench_predicate_eval(c: &mut Criterion) {
 fn bench_table_scan(c: &mut Criterion) {
     use dash_common::{row, Datum, Field, Schema};
     use dash_exec::functions::EvalContext;
-    use dash_exec::scan::{scan, ColumnPredicate, ScanConfig};
-    use dash_storage::table::ColumnTable;
+    use dash_encoding::column::ColumnValues;
+    use dash_exec::scan::{eval_predicate_on_block, scan, ColumnPredicate, ScanConfig};
+    use dash_storage::table::{ColumnTable, STRIDE};
 
     let n = 100_000usize;
     let schema = Schema::new(vec![
@@ -72,6 +74,32 @@ fn bench_table_scan(c: &mut Criterion) {
             ..ScanConfig::full(0, vec![0, 2])
         };
         b.iter(|| scan(&t, &cfg, &ctx).expect("scan"))
+    });
+    group.finish();
+
+    // One stride, stage by stage: `v < 3` keeps about 3 % of the rows.
+    let pred = ColumnPredicate::Range {
+        col: 2,
+        lo: None,
+        hi: Some(Datum::Float(2.0)),
+    };
+    let enc = t.encoding(2).expect("sealed column has an encoding");
+    let bitmap = || {
+        eval_predicate_on_block(&pred, t.block(2, 0), enc, dash_common::DataType::Float64)
+            .expect("predicate")
+    };
+    let survivors: Vec<usize> = bitmap().iter_ones().collect();
+    let mut group = c.benchmark_group("stride_stages");
+    group.throughput(Throughput::Elements(STRIDE as u64));
+    group.bench_function("predicate_bitmap", |b| b.iter(bitmap));
+    group.bench_function("decode_at_survivors_project2", |b| {
+        b.iter(|| {
+            let mut id = ColumnValues::Int(Vec::new());
+            let mut v = ColumnValues::Float(Vec::new());
+            t.decode_at(0, 0, &survivors, &mut id).expect("decode");
+            t.decode_at(2, 0, &survivors, &mut v).expect("decode");
+            (id, v)
+        })
     });
     group.finish();
 }

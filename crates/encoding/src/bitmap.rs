@@ -157,6 +157,26 @@ impl Bitmap {
         &mut self.words
     }
 
+    /// OR up to 64 result bits into the bitmap, bit 0 of `bits` landing at
+    /// position `at` — how the word-at-a-time kernels deposit a whole code
+    /// word's lanes at once. Set bits must land below `len`.
+    ///
+    /// # Panics
+    /// Panics if a set bit lands beyond the last word.
+    #[inline]
+    pub fn or_bits_at(&mut self, at: usize, bits: u64) {
+        let (word, shift) = (at / 64, at % 64);
+        self.words[word] |= bits << shift;
+        if shift != 0 && bits >> (64 - shift) != 0 {
+            self.words[word + 1] |= bits >> (64 - shift);
+        }
+        debug_assert!(
+            self.len.is_multiple_of(64) || self.words[self.len / 64] >> (self.len % 64) == 0,
+            "bits deposited beyond len {}",
+            self.len
+        );
+    }
+
     fn clear_tail(&mut self) {
         let tail = self.len % 64;
         if tail != 0 {

@@ -10,6 +10,32 @@
 
 use serde::{Deserialize, Serialize};
 
+/// Indexes below `2^RECIP_INDEX_BITS` divide by multiplication.
+const RECIP_INDEX_BITS: u32 = 32;
+/// Six more bits than the index, because lanes per word never exceed `2^6`.
+const RECIP_SHIFT: u32 = RECIP_INDEX_BITS + 6;
+
+/// Per code width: codes per word (`64 / width`; 64 for width 0, by
+/// convention unused) and `m = ⌈2^38 / lanes⌉`. Since `m · lanes - 2^38 <
+/// 2^6`, `⌊i · m / 2^38⌋ = ⌊i / lanes⌋` for every `i < 2^32`
+/// (Granlund–Montgomery), so random access divides nothing per code.
+const LANES: [(u8, u64); 65] = {
+    let mut table = [(0u8, 0u64); 65];
+    let mut width = 0;
+    while width <= 64 {
+        let lanes = if width == 0 { 64 } else { 64 / width as u64 };
+        table[width] = (lanes as u8, (1u64 << RECIP_SHIFT).div_ceil(lanes));
+        width += 1;
+    }
+    table
+};
+
+/// All ones in the low `width` bits (`width` in 1..=64).
+#[inline]
+fn code_mask(width: u8) -> u64 {
+    u64::MAX >> (64 - width as u32)
+}
+
 /// A vector of fixed-width codes packed into 64-bit words.
 ///
 /// Width 0 is allowed and means "every code is zero" (a constant column
@@ -79,11 +105,7 @@ impl BitPackedVec {
     /// Codes per 64-bit word (64 for width 0, by convention unused).
     #[inline]
     pub fn per_word(&self) -> usize {
-        if self.width == 0 {
-            64
-        } else {
-            64 / self.width as usize
-        }
+        LANES[self.width as usize].0 as usize
     }
 
     /// The packed words. The last word may be partially filled; unused code
@@ -129,22 +151,26 @@ impl BitPackedVec {
         if self.width == 0 {
             return 0;
         }
-        let per = self.per_word();
-        let word = self.words[i / per];
-        let slot = (i % per) as u32;
-        if self.width == 64 {
-            word
+        let (per, recip) = LANES[self.width as usize];
+        let word_idx = if (i as u64) >> RECIP_INDEX_BITS == 0 {
+            ((i as u128 * recip as u128) >> RECIP_SHIFT) as usize
         } else {
-            (word >> (slot * self.width as u32)) & ((1u64 << self.width) - 1)
-        }
+            i / per as usize
+        };
+        let slot = (i - word_idx * per as usize) as u32;
+        (self.words[word_idx] >> (slot * self.width as u32)) & code_mask(self.width)
     }
 
     /// Iterate over all codes in order.
     pub fn iter(&self) -> BitPackedIter<'_> {
         BitPackedIter {
-            vec: self,
-            pos: 0,
-            word: if self.words.is_empty() { 0 } else { self.words[0] },
+            words: self.words.iter(),
+            word: 0,
+            in_word: 0,
+            remaining: self.len,
+            per: self.per_word(),
+            width: self.width as u32,
+            mask: if self.width == 0 { 0 } else { code_mask(self.width) },
         }
     }
 
@@ -173,11 +199,18 @@ impl BitPackedVec {
 }
 
 /// Iterator over packed codes; keeps the current word in a register and
-/// shifts, which is substantially faster than repeated `get`.
+/// shifts, which is substantially faster than repeated `get`. Lanes per
+/// word, width and mask are fixed at construction.
 pub struct BitPackedIter<'a> {
-    vec: &'a BitPackedVec,
-    pos: usize,
+    words: std::slice::Iter<'a, u64>,
     word: u64,
+    /// Codes not yet taken from `word`.
+    in_word: usize,
+    /// Codes not yet yielded.
+    remaining: usize,
+    per: usize,
+    width: u32,
+    mask: u64,
 }
 
 impl Iterator for BitPackedIter<'_> {
@@ -185,30 +218,25 @@ impl Iterator for BitPackedIter<'_> {
 
     #[inline]
     fn next(&mut self) -> Option<u64> {
-        if self.pos >= self.vec.len {
+        if self.remaining == 0 {
             return None;
         }
-        if self.vec.width == 0 {
-            self.pos += 1;
-            return Some(0);
+        if self.in_word == 0 {
+            // A width-0 vector stores no words: every code is 0.
+            self.word = self.words.next().copied().unwrap_or(0);
+            self.in_word = self.per;
         }
-        let per = self.vec.per_word();
-        let slot = self.pos % per;
-        if slot == 0 {
-            self.word = self.vec.words[self.pos / per];
-        }
-        let code = if self.vec.width == 64 {
-            self.word
-        } else {
-            (self.word >> (slot as u32 * self.vec.width as u32)) & ((1u64 << self.vec.width) - 1)
-        };
-        self.pos += 1;
+        let code = self.word & self.mask;
+        // Widths above 32 hold one code per word, reloaded before its next
+        // use, so the wrapped shift at width 64 never reaches a code.
+        self.word = self.word.wrapping_shr(self.width);
+        self.in_word -= 1;
+        self.remaining -= 1;
         Some(code)
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
-        let rem = self.vec.len - self.pos;
-        (rem, Some(rem))
+        (self.remaining, Some(self.remaining))
     }
 }
 
@@ -285,6 +313,26 @@ mod tests {
         assert_eq!(bits_for(3), 2);
         assert_eq!(bits_for(4), 3);
         assert_eq!(bits_for(u64::MAX), 64);
+    }
+
+    #[test]
+    fn reciprocal_divides_every_32_bit_index() {
+        for (width, &(lanes, recip)) in LANES.iter().enumerate() {
+            let lanes = lanes as u64;
+            // Around every multiple of `lanes` is where a rounded
+            // reciprocal would first go wrong; the top of the range is
+            // where its error is largest.
+            let top = (1u64 << RECIP_INDEX_BITS) - 1;
+            let probes = (0..4096u64)
+                .chain((0..4096).map(|i| top - i))
+                .chain((1..2048).flat_map(|q| {
+                    [q * lanes - 1, q * lanes, top / lanes * lanes - q * lanes]
+                }));
+            for i in probes {
+                let q = ((i as u128 * recip as u128) >> RECIP_SHIFT) as u64;
+                assert_eq!(q, i / lanes, "width {width} index {i}");
+            }
+        }
     }
 
     #[test]

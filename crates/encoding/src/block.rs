@@ -16,6 +16,7 @@
 use crate::bitmap::Bitmap;
 use crate::bitpack::BitPackedVec;
 use crate::minus::MinusBlock;
+use dash_common::{DashError, Result};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
@@ -112,62 +113,6 @@ impl EncodedBlock {
         nulls + repr
     }
 
-    /// Walk positions in order, yielding `(position, PosCode)` for non-null
-    /// positions. This is the sequential access path used by decode, gather
-    /// and the fallback (non-SIMD) scan.
-    pub fn for_each_pos<F: FnMut(usize, PosCode<'_>)>(&self, mut f: F) {
-        match &self.repr {
-            BlockRepr::Minus(m) => {
-                for (i, c) in m.codes.iter().enumerate() {
-                    if !self.is_null(i) {
-                        f(i, PosCode::Minus(m.base + c));
-                    }
-                }
-            }
-            BlockRepr::Dict {
-                selectors,
-                single_part,
-                banks,
-                exceptions,
-            } => {
-                let ntags = banks.len() as u64;
-                let mut cursors = vec![0usize; banks.len()];
-                let mut exc_cursor = 0usize;
-                match selectors {
-                    Some(sel) => {
-                        for (i, tag) in sel.iter().enumerate() {
-                            if tag == ntags {
-                                let pc = match exceptions {
-                                    ExceptionBank::Int(v) => PosCode::ExcInt(v[exc_cursor]),
-                                    ExceptionBank::Str(v) => PosCode::ExcStr(&v[exc_cursor]),
-                                };
-                                exc_cursor += 1;
-                                if !self.is_null(i) {
-                                    f(i, pc);
-                                }
-                            } else {
-                                let p = tag as usize;
-                                let code = banks[p].get(cursors[p]);
-                                cursors[p] += 1;
-                                if !self.is_null(i) {
-                                    f(i, PosCode::Dict(tag as u8, code));
-                                }
-                            }
-                        }
-                    }
-                    None => {
-                        let bank = &banks[*single_part as usize];
-                        for (i, code) in bank.iter().enumerate() {
-                            if !self.is_null(i) {
-                                f(i, PosCode::Dict(*single_part, code));
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
-
     /// Map per-bank qualifying bitmaps back to a positional bitmap.
     ///
     /// `bank_hits[p]` has one bit per value stored in bank `p` (in arrival
@@ -175,14 +120,172 @@ impl EncodedBlock {
     /// one bit per block position, with NULL positions cleared.
     ///
     /// For minus blocks pass a single bank bitmap and an empty `exc_hits`.
-    pub fn scatter(&self, bank_hits: &[Bitmap], exc_hits: &Bitmap) -> Bitmap {
-        let mut out = Bitmap::zeros(self.len);
-        match &self.repr {
+    /// A bank that is already positional (minus, single-partition) is
+    /// moved into the result; a multi-partition block costs nothing when no
+    /// bank qualified anything, and otherwise one walk over the selector
+    /// tags reading the banks' raw hit words.
+    pub fn scatter(&self, mut bank_hits: Vec<Bitmap>, exc_hits: &Bitmap) -> Bitmap {
+        let mut out = match &self.repr {
             BlockRepr::Minus(_) => {
-                // Single positional bank: the bank bitmap IS positional.
                 assert_eq!(bank_hits.len(), 1, "minus block has one bank");
-                out = bank_hits[0].clone();
+                bank_hits.swap_remove(0)
             }
+            BlockRepr::Dict {
+                selectors: None,
+                single_part,
+                ..
+            } => bank_hits.swap_remove(*single_part as usize),
+            BlockRepr::Dict {
+                selectors: Some(sel),
+                banks,
+                ..
+            } => {
+                assert_eq!(bank_hits.len(), banks.len(), "one hit bitmap per bank");
+                if !exc_hits.any() && !bank_hits.iter().any(Bitmap::any) {
+                    return Bitmap::zeros(self.len);
+                }
+                // The exception tag follows the last partition's, so the
+                // exception bank's hits sit at that index.
+                let mut hit_words: Vec<&[u64]> = bank_hits.iter().map(Bitmap::words).collect();
+                hit_words.push(exc_hits.words());
+                let mut cursors = vec![0usize; hit_words.len()];
+                let mut out = Bitmap::zeros(self.len);
+                let out_words = out.words_mut();
+                for (i, tag) in sel.iter().enumerate() {
+                    let tag = tag as usize;
+                    let at = cursors[tag];
+                    cursors[tag] = at + 1;
+                    let hit = (hit_words[tag][at / 64] >> (at % 64)) & 1;
+                    out_words[i / 64] |= hit << (i % 64);
+                }
+                out
+            }
+        };
+        if let Some(nulls) = &self.nulls {
+            out.and_not_with(nulls);
+        }
+        out
+    }
+
+    /// Positional decode of a dictionary block: append one entry per
+    /// `positions` element (ascending, distinct) to `out` — `None` for a
+    /// NULL, `code(partition, code)` for a dictionary entry,
+    /// `exception(i)` for the `i`-th value of the exception bank.
+    pub(crate) fn gather_dict<T>(
+        &self,
+        positions: &[usize],
+        out: &mut Vec<Option<T>>,
+        code: impl Fn(u8, u64) -> T,
+        exception: impl Fn(usize) -> T,
+    ) -> Result<()> {
+        let BlockRepr::Dict {
+            selectors,
+            single_part,
+            banks,
+            ..
+        } = &self.repr
+        else {
+            return Err(DashError::internal("dictionary decode of a minus block"));
+        };
+        let nulls = self.nulls.as_ref();
+        match selectors {
+            Some(sel) => gather_tagged(sel, banks, nulls, positions, out, code, exception),
+            None => gather_codes(&banks[*single_part as usize], nulls, positions, out, |c| {
+                code(*single_part, c)
+            }),
+        }
+        Ok(())
+    }
+
+    /// A positional bitmap of the NULLs (for `IS NULL`).
+    pub fn null_bitmap(&self) -> Bitmap {
+        self.nulls
+            .clone()
+            .unwrap_or_else(|| Bitmap::zeros(self.len))
+    }
+}
+
+/// Append `value(code)` for the codes of `codes` at `positions` (ascending,
+/// distinct), `None` where `nulls` marks the position.
+///
+/// The one density branch of decode: when every position is wanted the
+/// codes are iterated word by word, otherwise each is fetched by index.
+pub(crate) fn gather_codes<T>(
+    codes: &BitPackedVec,
+    nulls: Option<&Bitmap>,
+    positions: &[usize],
+    out: &mut Vec<Option<T>>,
+    value: impl Fn(u64) -> T,
+) {
+    let is_null = |i: usize| nulls.is_some_and(|n| n.get(i));
+    if positions.len() == codes.len() {
+        out.extend(
+            codes
+                .iter()
+                .enumerate()
+                .map(|(i, code)| (!is_null(i)).then(|| value(code))),
+        );
+    } else {
+        out.extend(
+            positions
+                .iter()
+                .map(|&i| (!is_null(i)).then(|| value(codes.get(i)))),
+        );
+    }
+}
+
+/// [`gather_codes`] for a multi-partition dictionary block: one walk over
+/// the selector tags, counting each bank's arrivals, that fetches a code
+/// only at a wanted position and stops after the last one.
+fn gather_tagged<T>(
+    selectors: &BitPackedVec,
+    banks: &[BitPackedVec],
+    nulls: Option<&Bitmap>,
+    positions: &[usize],
+    out: &mut Vec<Option<T>>,
+    code: impl Fn(u8, u64) -> T,
+    exception: impl Fn(usize) -> T,
+) {
+    let mut wanted = positions.iter().copied();
+    let Some(mut want) = wanted.next() else {
+        return;
+    };
+    out.reserve(positions.len());
+    let exc_tag = banks.len();
+    let mut cursors = vec![0usize; exc_tag + 1];
+    for (i, tag) in selectors.iter().enumerate() {
+        let tag = tag as usize;
+        let at = cursors[tag];
+        cursors[tag] = at + 1;
+        if i != want {
+            continue;
+        }
+        out.push(if nulls.is_some_and(|n| n.get(i)) {
+            None
+        } else if tag == exc_tag {
+            Some(exception(at))
+        } else {
+            Some(code(tag as u8, banks[tag].get(at)))
+        });
+        match wanted.next() {
+            Some(next) => want = next,
+            None => return,
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// `scatter` as first written: one bounds-checked bit read and one bit
+    /// set per position. Kept as the definition the word-level walk must
+    /// reproduce.
+    fn scatter_reference(block: &EncodedBlock, bank_hits: &[Bitmap], exc_hits: &Bitmap) -> Bitmap {
+        let mut out = Bitmap::zeros(block.len);
+        match &block.repr {
+            BlockRepr::Minus(_) => out = bank_hits[0].clone(),
             BlockRepr::Dict {
                 selectors,
                 single_part,
@@ -195,55 +298,26 @@ impl EncodedBlock {
                     let mut exc_cursor = 0usize;
                     for (i, tag) in sel.iter().enumerate() {
                         let hit = if tag == ntags {
-                            let h = exc_hits.get(exc_cursor);
                             exc_cursor += 1;
-                            h
+                            exc_hits.get(exc_cursor - 1)
                         } else {
                             let p = tag as usize;
-                            let h = bank_hits[p].get(cursors[p]);
                             cursors[p] += 1;
-                            h
+                            bank_hits[p].get(cursors[p] - 1)
                         };
                         if hit {
                             out.set(i);
                         }
                     }
                 }
-                None => {
-                    out = bank_hits[*single_part as usize].clone();
-                }
+                None => out = bank_hits[*single_part as usize].clone(),
             },
         }
-        if let Some(nulls) = &self.nulls {
+        if let Some(nulls) = &block.nulls {
             out.and_not_with(nulls);
         }
         out
     }
-
-    /// A positional bitmap of the NULLs (for `IS NULL`).
-    pub fn null_bitmap(&self) -> Bitmap {
-        self.nulls
-            .clone()
-            .unwrap_or_else(|| Bitmap::zeros(self.len))
-    }
-}
-
-/// A decoded code at one position (borrowed view, no allocation).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum PosCode<'a> {
-    /// Minus-block value in the orderable-u64 domain.
-    Minus(u64),
-    /// Dictionary code: (partition, code).
-    Dict(u8, u64),
-    /// Exception value in the orderable-u64 domain.
-    ExcInt(u64),
-    /// Exception string.
-    ExcStr(&'a str),
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
 
     fn dict_block() -> EncodedBlock {
         // Positions: [p0c1, exc, p1c0, p0c0, null(p0c0 dummy)]
@@ -268,16 +342,18 @@ mod tests {
     }
 
     #[test]
-    fn for_each_pos_walks_banks_in_order() {
+    fn gather_dict_walks_banks_in_order() {
         let block = dict_block();
-        let mut seen = Vec::new();
-        block.for_each_pos(|i, pc| seen.push((i, format!("{pc:?}"))));
-        assert_eq!(seen.len(), 4); // null position skipped
-        assert_eq!(seen[0].0, 0);
-        assert!(seen[0].1.contains("Dict(0, 1)"));
-        assert!(seen[1].1.contains("ExcInt(999)"));
-        assert!(seen[2].1.contains("Dict(1, 0)"));
-        assert!(seen[3].1.contains("Dict(0, 0)"));
+        let code = |p: u8, c: u64| format!("p{p}c{c}");
+        let exc = |i: usize| format!("exc{i}");
+        let mut all = Vec::new();
+        block.gather_dict(&[0, 1, 2, 3, 4], &mut all, code, exc).unwrap();
+        let want = [Some("p0c1"), Some("exc0"), Some("p1c0"), Some("p0c0"), None];
+        assert_eq!(all, want.map(|v| v.map(String::from)));
+        // A later position still counts the arrivals before it.
+        let mut some = Vec::new();
+        block.gather_dict(&[3], &mut some, code, exc).unwrap();
+        assert_eq!(some, vec![Some("p0c0".to_string())]);
     }
 
     #[test]
@@ -287,7 +363,7 @@ mod tests {
         let b0 = Bitmap::from_bools([false, true, false]);
         let b1 = Bitmap::from_bools([false]);
         let exc = Bitmap::from_bools([true]);
-        let out = block.scatter(&[b0, b1], &exc);
+        let out = block.scatter(vec![b0, b1], &exc);
         let hits: Vec<usize> = out.iter_ones().collect();
         assert_eq!(hits, vec![1, 3]);
     }
@@ -299,7 +375,7 @@ mod tests {
         let b0 = Bitmap::ones(3);
         let b1 = Bitmap::ones(1);
         let exc = Bitmap::ones(1);
-        let out = block.scatter(&[b0, b1], &exc);
+        let out = block.scatter(vec![b0, b1], &exc);
         assert!(!out.get(4));
         assert_eq!(out.count_ones(), 4);
     }
@@ -313,7 +389,7 @@ mod tests {
             repr: BlockRepr::Minus(m),
         };
         let hits = Bitmap::from_bools([true, false, true]);
-        let out = block.scatter(std::slice::from_ref(&hits), &Bitmap::zeros(0));
+        let out = block.scatter(vec![hits.clone()], &Bitmap::zeros(0));
         assert_eq!(out, hits);
     }
 
@@ -322,5 +398,76 @@ mod tests {
         let block = dict_block();
         assert!(block.size_bytes() > 0);
         assert_eq!(block.null_count(), 1);
+    }
+
+    proptest! {
+        #[test]
+        fn prop_scatter_matches_per_position_definition(
+            tags in prop::collection::vec(0u64..4, 1..300),
+            nparts in 1usize..4,
+            with_nulls in any::<bool>(),
+            // 0: no bank hit anything, 1: sparse, 2: dense
+            density in 0u64..3,
+            seed in any::<u64>(),
+        ) {
+            // Tags above the exception tag fold onto it.
+            let tags: Vec<u64> = tags.iter().map(|&t| t.min(nparts as u64)).collect();
+            let mut bits = (0u64..).map(|i| {
+                let x = (seed ^ i).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                x ^ (x >> 29)
+            });
+            let mut hit = |_| match density {
+                0 => false,
+                1 => bits.next().unwrap().is_multiple_of(17),
+                _ => !bits.next().unwrap().is_multiple_of(3),
+            };
+            let arrivals = |p: u64| tags.iter().filter(|&&t| t == p).count();
+            let bank_hits: Vec<Bitmap> = (0..nparts as u64)
+                .map(|p| Bitmap::from_bools((0..arrivals(p)).map(&mut hit)))
+                .collect();
+            let exc_hits = Bitmap::from_bools((0..arrivals(nparts as u64)).map(&mut hit));
+            let block = EncodedBlock {
+                len: tags.len(),
+                nulls: with_nulls.then(|| Bitmap::from_bools((0..tags.len()).map(|i| i % 5 == 1))),
+                repr: BlockRepr::Dict {
+                    selectors: Some(BitPackedVec::from_codes(2, &tags)),
+                    single_part: 0,
+                    banks: (0..nparts as u64)
+                        .map(|p| BitPackedVec::from_codes(1, &vec![0; arrivals(p)]))
+                        .collect(),
+                    exceptions: ExceptionBank::Int(vec![7; arrivals(nparts as u64)]),
+                },
+            };
+            let expect = scatter_reference(&block, &bank_hits, &exc_hits);
+            prop_assert_eq!(block.scatter(bank_hits, &exc_hits), expect);
+        }
+
+        #[test]
+        fn prop_scatter_positional_banks(
+            hits in prop::collection::vec(any::<bool>(), 1..200),
+            minus in any::<bool>(),
+            with_nulls in any::<bool>(),
+        ) {
+            let n = hits.len();
+            let codes = BitPackedVec::from_codes(1, &vec![0; n]);
+            let block = EncodedBlock {
+                len: n,
+                nulls: with_nulls.then(|| Bitmap::from_bools((0..n).map(|i| i % 3 == 0))),
+                repr: if minus {
+                    BlockRepr::Minus(MinusBlock { base: 0, codes })
+                } else {
+                    BlockRepr::Dict {
+                        selectors: None,
+                        single_part: 1,
+                        banks: vec![BitPackedVec::new(1), codes],
+                        exceptions: ExceptionBank::Int(Vec::new()),
+                    }
+                },
+            };
+            let hits = Bitmap::from_bools(hits);
+            let bank_hits = if minus { vec![hits] } else { vec![Bitmap::zeros(0), hits] };
+            let expect = scatter_reference(&block, &bank_hits, &Bitmap::zeros(0));
+            prop_assert_eq!(block.scatter(bank_hits, &Bitmap::zeros(0)), expect);
+        }
     }
 }

@@ -10,7 +10,7 @@
 
 use crate::bitmap::Bitmap;
 use crate::bitpack::BitPackedVec;
-use crate::block::{BlockRepr, EncodedBlock, ExceptionBank};
+use crate::block::{gather_codes, BlockRepr, EncodedBlock, ExceptionBank};
 use crate::dict::FreqDict;
 use crate::histogram::Histogram;
 use crate::minus::MinusBlock;
@@ -52,7 +52,12 @@ impl ColumnValues {
 
     /// Empty container matching `dt`'s domain.
     pub fn empty_for(dt: DataType) -> ColumnValues {
-        match value_kind(dt) {
+        ColumnValues::empty_of(value_kind(dt))
+    }
+
+    /// Empty container of the given storage domain.
+    pub fn empty_of(kind: ValueKind) -> ColumnValues {
+        match kind {
             ValueKind::Int => ColumnValues::Int(Vec::new()),
             ValueKind::Float => ColumnValues::Float(Vec::new()),
             ValueKind::Str => ColumnValues::Str(Vec::new()),
@@ -131,6 +136,15 @@ impl ColumnValues {
                 dst.extend(positions.iter().map(|&p| s[p].clone()));
             }
             _ => panic!("append_selected across column kinds (caller bug)"),
+        }
+    }
+
+    /// A copy of the values at `rows`.
+    pub fn slice(&self, rows: std::ops::Range<usize>) -> ColumnValues {
+        match self {
+            ColumnValues::Int(v) => ColumnValues::Int(v[rows].to_vec()),
+            ColumnValues::Float(v) => ColumnValues::Float(v[rows].to_vec()),
+            ColumnValues::Str(v) => ColumnValues::Str(v[rows].to_vec()),
         }
     }
 
@@ -440,73 +454,138 @@ impl ColumnCompressor {
         }
     }
 
-    /// Decode a block back to typed values.
-    pub fn decode_block(&self, enc: &ColumnEncoding, block: &EncodedBlock) -> ColumnValues {
-        match enc {
-            ColumnEncoding::Minus { kind } | ColumnEncoding::IntDict { kind, .. } => {
-                let mut ordered: Vec<Option<u64>> = vec![None; block.len];
-                block.for_each_pos(|i, pc| {
-                    ordered[i] = Some(match pc {
-                        crate::block::PosCode::Minus(v) => v,
-                        crate::block::PosCode::Dict(p, c) => match enc {
-                            ColumnEncoding::IntDict { dict, .. } => *dict.decode(p, c),
-                            _ => unreachable!("dict code in minus column"),
-                        },
-                        crate::block::PosCode::ExcInt(v) => v,
-                        crate::block::PosCode::ExcStr(_) => {
-                            unreachable!("string exception in numeric column")
-                        }
-                    });
-                });
-                match kind {
-                    ValueKind::Int => ColumnValues::Int(
-                        ordered.iter().map(|o| o.map(ordered_to_i64)).collect(),
-                    ),
-                    ValueKind::Float => ColumnValues::Float(
-                        ordered.iter().map(|o| o.map(ordered_to_f64)).collect(),
-                    ),
-                    ValueKind::Str => unreachable!("numeric encoding with str kind"),
-                }
+    /// Decode a whole block back to typed values.
+    pub fn decode_block(&self, enc: &ColumnEncoding, block: &EncodedBlock) -> Result<ColumnValues> {
+        let mut out = ColumnValues::empty_of(enc.kind());
+        let all: Vec<usize> = (0..block.len).collect();
+        self.decode(enc, block, &all, &mut out)?;
+        Ok(out)
+    }
+
+    /// Decode the values at `positions` (ascending, distinct) of `block`
+    /// and append them to `out` as typed values — the scan's late
+    /// materialization. Work is proportional to `positions`, except that a
+    /// multi-partition dictionary block also walks its selector tags up to
+    /// the last position; passing every position decodes the block
+    /// sequentially.
+    pub fn decode(
+        &self,
+        enc: &ColumnEncoding,
+        block: &EncodedBlock,
+        positions: &[usize],
+        out: &mut ColumnValues,
+    ) -> Result<()> {
+        debug_assert!(positions.windows(2).all(|w| w[0] < w[1]), "positions ascend");
+        if positions.last().is_some_and(|&p| p >= block.len) {
+            return Err(DashError::internal(format!(
+                "decode position {:?} outside a block of {}",
+                positions.last(),
+                block.len
+            )));
+        }
+        match (enc.kind(), out) {
+            (ValueKind::Int, ColumnValues::Int(out)) => {
+                decode_numeric(enc, block, positions, out, ordered_to_i64)
             }
-            ColumnEncoding::StrDict { dict, .. } => {
-                let mut out: Vec<Option<Arc<str>>> = vec![None; block.len];
-                block.for_each_pos(|i, pc| {
-                    out[i] = Some(match pc {
-                        crate::block::PosCode::Dict(p, c) => dict.decode(p, c).clone(),
-                        crate::block::PosCode::ExcStr(s) => Arc::from(s),
-                        other => unreachable!("numeric code {other:?} in string column"),
-                    });
-                });
-                ColumnValues::Str(out)
+            (ValueKind::Float, ColumnValues::Float(out)) => {
+                decode_numeric(enc, block, positions, out, ordered_to_f64)
             }
+            (ValueKind::Str, ColumnValues::Str(out)) => match (enc, &block.repr) {
+                (
+                    ColumnEncoding::StrDict { dict, .. },
+                    BlockRepr::Dict {
+                        exceptions: ExceptionBank::Str(exc),
+                        ..
+                    },
+                ) => block.gather_dict(
+                    positions,
+                    out,
+                    |p, c| dict.decode(p, c).clone(),
+                    |i| exc[i].clone(),
+                ),
+                _ => Err(decode_mismatch(enc)),
+            },
+            _ => Err(decode_mismatch(enc)),
         }
     }
 
     /// Min/max of a block in the orderable-u64 domain (strings use their
     /// 8-byte prefix mapping) — the data the synopsis stores per stride.
-    pub fn block_min_max(&self, enc: &ColumnEncoding, block: &EncodedBlock) -> Option<(u64, u64)> {
-        let mut min: Option<u64> = None;
-        let mut max: Option<u64> = None;
-        let mut update = |v: u64| {
-            min = Some(min.map_or(v, |m| m.min(v)));
-            max = Some(max.map_or(v, |m| m.max(v)));
-        };
-        block.for_each_pos(|_, pc| {
-            let v = match pc {
-                crate::block::PosCode::Minus(v) | crate::block::PosCode::ExcInt(v) => v,
-                crate::block::PosCode::Dict(p, c) => match enc {
-                    ColumnEncoding::IntDict { dict, .. } => *dict.decode(p, c),
-                    ColumnEncoding::StrDict { dict, .. } => {
-                        str_prefix_ordered(dict.decode(p, c))
-                    }
-                    ColumnEncoding::Minus { .. } => unreachable!("dict code in minus column"),
+    /// `None` when every value is NULL.
+    pub fn block_min_max(
+        &self,
+        enc: &ColumnEncoding,
+        block: &EncodedBlock,
+    ) -> Result<Option<(u64, u64)>> {
+        if let (ColumnEncoding::Minus { .. }, BlockRepr::Minus(m)) = (enc, &block.repr) {
+            return Ok(m.min_max(block.nulls.as_ref()));
+        }
+        let all: Vec<usize> = (0..block.len).collect();
+        let mut ordered: Vec<Option<u64>> = Vec::new();
+        match (enc, &block.repr) {
+            (
+                ColumnEncoding::IntDict { dict, .. },
+                BlockRepr::Dict {
+                    exceptions: ExceptionBank::Int(exc),
+                    ..
                 },
-                crate::block::PosCode::ExcStr(s) => str_prefix_ordered(s),
-            };
-            update(v);
-        });
-        min.zip(max)
+            ) => block.gather_dict(&all, &mut ordered, |p, c| *dict.decode(p, c), |i| exc[i])?,
+            (
+                ColumnEncoding::StrDict { dict, .. },
+                BlockRepr::Dict {
+                    exceptions: ExceptionBank::Str(exc),
+                    ..
+                },
+            ) => block.gather_dict(
+                &all,
+                &mut ordered,
+                |p, c| str_prefix_ordered(dict.decode(p, c)),
+                |i| str_prefix_ordered(&exc[i]),
+            )?,
+            _ => return Err(decode_mismatch(enc)),
+        }
+        let present = || ordered.iter().flatten().copied();
+        Ok(present().min().zip(present().max()))
     }
+}
+
+/// Decode the numeric encodings: codes map to the orderable-u64 domain and
+/// `from_ordered` maps that back to the column's value type.
+fn decode_numeric<T>(
+    enc: &ColumnEncoding,
+    block: &EncodedBlock,
+    positions: &[usize],
+    out: &mut Vec<Option<T>>,
+    from_ordered: fn(u64) -> T,
+) -> Result<()> {
+    match (enc, &block.repr) {
+        (ColumnEncoding::Minus { .. }, BlockRepr::Minus(m)) => {
+            gather_codes(&m.codes, block.nulls.as_ref(), positions, out, |c| {
+                from_ordered(m.base + c)
+            });
+            Ok(())
+        }
+        (
+            ColumnEncoding::IntDict { dict, .. },
+            BlockRepr::Dict {
+                exceptions: ExceptionBank::Int(exc),
+                ..
+            },
+        ) => block.gather_dict(
+            positions,
+            out,
+            |p, c| from_ordered(*dict.decode(p, c)),
+            |i| from_ordered(exc[i]),
+        ),
+        _ => Err(decode_mismatch(enc)),
+    }
+}
+
+fn decode_mismatch(enc: &ColumnEncoding) -> DashError {
+    DashError::internal(format!(
+        "{} encoding does not match the block's representation or the output column's kind",
+        enc.name()
+    ))
 }
 
 fn nulls_bitmap<T>(values: &[Option<T>]) -> Option<Bitmap> {
@@ -657,7 +736,7 @@ mod tests {
         let enc = comp.analyze(&values);
         let n = values.len();
         let block = comp.encode_block(&enc, &values, 0..n);
-        let decoded = comp.decode_block(&enc, &block);
+        let decoded = comp.decode_block(&enc, &block).unwrap();
         assert_eq!(decoded, values, "encoding {}", enc.name());
     }
 
@@ -730,7 +809,7 @@ mod tests {
         let newdata: Vec<Option<i64>> =
             vec![Some(0), Some(999_999), Some(3), None, Some(-777)];
         let block = comp.encode_block(&enc, &ColumnValues::Int(newdata.clone()), 0..5);
-        let decoded = comp.decode_block(&enc, &block);
+        let decoded = comp.decode_block(&enc, &block).unwrap();
         assert_eq!(decoded, ColumnValues::Int(newdata));
     }
 
@@ -746,7 +825,7 @@ mod tests {
             None,
         ];
         let block = comp.encode_block(&enc, &ColumnValues::Str(newdata.clone()), 0..3);
-        let decoded = comp.decode_block(&enc, &block);
+        let decoded = comp.decode_block(&enc, &block).unwrap();
         assert_eq!(decoded, ColumnValues::Str(newdata));
     }
 
@@ -769,7 +848,7 @@ mod tests {
         let comp = ColumnCompressor::new();
         let enc = comp.analyze(&ColumnValues::Int(v.clone()));
         let block = comp.encode_block(&enc, &ColumnValues::Int(v), 0..4);
-        let (lo, hi) = comp.block_min_max(&enc, &block).unwrap();
+        let (lo, hi) = comp.block_min_max(&enc, &block).unwrap().unwrap();
         assert_eq!(ordered_to_i64(lo), -5);
         assert_eq!(ordered_to_i64(hi), 100);
     }
@@ -811,7 +890,211 @@ mod tests {
         assert_eq!(vals.datum_at(dt, 0), Datum::Decimal(50, 2));
     }
 
+    const LENS: [usize; 5] = [1, 63, 64, 65, 1024];
+
+    /// A reproducible stream of 64-bit draws.
+    fn draws(seed: u64) -> impl FnMut() -> u64 {
+        let mut state = seed;
+        move || {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let x = (state ^ (state >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            x ^ (x >> 27)
+        }
+    }
+
+    /// `values` with NULLs struck in: 0 none, 1 about a third, 2 all.
+    fn with_nulls<T>(
+        values: Vec<T>,
+        mode: usize,
+        draw: &mut impl FnMut() -> u64,
+    ) -> Vec<Option<T>> {
+        values
+            .into_iter()
+            .map(|v| match mode {
+                0 => Some(v),
+                1 => (!draw().is_multiple_of(3)).then_some(v),
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// Ascending positions of `0..n`: 0 none, 1 one, 2 about one in 64,
+    /// 3 about half, 4 all.
+    fn pick_positions(n: usize, density: usize, draw: &mut impl FnMut() -> u64) -> Vec<usize> {
+        match density {
+            0 => Vec::new(),
+            1 => vec![draw() as usize % n],
+            2 => (0..n).filter(|_| draw().is_multiple_of(64)).collect(),
+            3 => (0..n).filter(|_| draw().is_multiple_of(2)).collect(),
+            _ => (0..n).collect(),
+        }
+    }
+
+    /// The block decodes whole to `values`, and at `positions` to exactly
+    /// the values there — the oracle is the input, not another decoder.
+    fn check_positional(
+        enc: &ColumnEncoding,
+        values: &ColumnValues,
+        positions: &[usize],
+    ) -> EncodedBlock {
+        let comp = ColumnCompressor::new();
+        let block = comp.encode_block(enc, values, 0..values.len());
+        assert_eq!(&comp.decode_block(enc, &block).unwrap(), values, "whole block");
+        let mut expect = ColumnValues::empty_of(enc.kind());
+        let mut got = ColumnValues::empty_of(enc.kind());
+        expect.append_selected(values, positions);
+        comp.decode(enc, &block, positions, &mut got).unwrap();
+        assert_eq!(got, expect, "positions {positions:?}");
+        block
+    }
+
+    /// A dictionary column over `card` values in which three are hot, so
+    /// the dictionary splits into several partitions once `card` allows.
+    /// Returns the analyzed values too, coldest last.
+    fn skewed_dict(card: usize) -> (FreqDict<u64>, Vec<u64>) {
+        let domain: Vec<u64> =
+            (0..card as u64).map(|v| i64_to_ordered(v as i64 * 3 - 40)).collect();
+        let training: Vec<u64> = domain
+            .iter()
+            .enumerate()
+            .flat_map(|(i, &v)| std::iter::repeat_n(v, if i < 3 { 500 } else { 1 }))
+            .collect();
+        (FreqDict::build(&Histogram::from_values(training.iter().map(Some))), domain)
+    }
+
+    /// Block values for a dictionary column: 0 one partition only
+    /// (selectors elided), 1 the whole dictionary, 2 with unseen values.
+    fn dict_values(
+        dict: &FreqDict<u64>,
+        domain: &[u64],
+        shape: usize,
+        n: usize,
+        draw: &mut impl FnMut() -> u64,
+    ) -> Vec<u64> {
+        let part = &dict.partitions()[draw() as usize % dict.partition_count()].values;
+        (0..n)
+            .map(|_| match shape {
+                0 => part[draw() as usize % part.len()],
+                2 if draw().is_multiple_of(4) => i64_to_ordered(1_000_000 + (draw() % 50) as i64),
+                _ => domain[draw() as usize % domain.len()],
+            })
+            .collect()
+    }
+
+    #[test]
+    fn dict_shapes_are_what_they_claim() {
+        let (dict, domain) = skewed_dict(128);
+        assert!(dict.partition_count() > 1, "skew splits the dictionary");
+        let enc = ColumnEncoding::IntDict { kind: ValueKind::Int, dict: dict.clone() };
+        let mut draw = draws(1);
+        for (shape, elided, exceptions) in [(0, true, false), (1, false, false), (2, false, true)] {
+            let ordered = dict_values(&dict, &domain, shape, 1024, &mut draw);
+            let values =
+                ColumnValues::Int(ordered.iter().map(|&o| Some(ordered_to_i64(o))).collect());
+            let block = check_positional(&enc, &values, &[0, 5, 1023]);
+            let BlockRepr::Dict { selectors, exceptions: bank, .. } = &block.repr else {
+                panic!("dictionary encoding produced {:?}", block.repr);
+            };
+            assert_eq!(selectors.is_none(), elided, "shape {shape}");
+            assert_eq!(!bank.is_empty(), exceptions, "shape {shape}");
+        }
+    }
+
+    #[test]
+    fn float_positional_decode() {
+        let v: Vec<Option<f64>> =
+            (0..300).map(|i| (i % 11 != 0).then_some(i as f64 * 0.25 - 17.5)).collect();
+        let values = ColumnValues::Float(v);
+        let minus = ColumnEncoding::Minus { kind: ValueKind::Float };
+        check_positional(&minus, &values, &[0, 11, 12, 299]);
+        let dict = ColumnCompressor::new().analyze(&ColumnValues::Float(
+            (0..300).map(|i| Some((i % 7) as f64)).collect(),
+        ));
+        assert_eq!(dict.name(), "frequency-dict");
+        check_positional(&dict, &values, &[1, 2, 150]);
+    }
+
+    #[test]
+    fn decode_reports_mismatches_instead_of_panicking() {
+        let comp = ColumnCompressor::new();
+        let ints = ColumnValues::Int(vec![Some(1), Some(2), None]);
+        let minus = ColumnEncoding::Minus { kind: ValueKind::Int };
+        let block = comp.encode_block(&minus, &ints, 0..3);
+        let (dict, _) = skewed_dict(4);
+        let wrong_enc = ColumnEncoding::IntDict { kind: ValueKind::Int, dict };
+        for err in [
+            comp.decode(&wrong_enc, &block, &[0], &mut ColumnValues::Int(Vec::new())),
+            comp.decode(&minus, &block, &[0], &mut ColumnValues::Str(Vec::new())),
+            comp.decode(&minus, &block, &[3], &mut ColumnValues::Int(Vec::new())),
+        ] {
+            assert_eq!(err.unwrap_err().class(), "XX000");
+        }
+    }
+
     proptest! {
+        #[test]
+        fn prop_minus_positional_decode(
+            len in 0usize..5,
+            width in 0usize..5,
+            null_mode in 0usize..3,
+            density in 0usize..5,
+            seed in any::<u64>(),
+        ) {
+            let (n, width) = (LENS[len], [0u32, 1, 7, 63, 64][width]);
+            let mut draw = draws(seed);
+            let mask = if width == 0 { 0 } else { u64::MAX >> (64 - width) };
+            let mut ordered: Vec<u64> = (0..n).map(|_| draw() & mask).collect();
+            // Both ends of the code range, so the block packs at `width`.
+            ordered[0] = 0;
+            ordered[n - 1] = mask;
+            let values: Vec<i64> = ordered.into_iter().map(ordered_to_i64).collect();
+            let values = with_nulls(values, null_mode, &mut draw);
+            let positions = pick_positions(n, density, &mut draw);
+            let enc = ColumnEncoding::Minus { kind: ValueKind::Int };
+            check_positional(&enc, &ColumnValues::Int(values), &positions);
+        }
+
+        #[test]
+        fn prop_dict_positional_decode(
+            len in 0usize..5,
+            card in 0usize..4,
+            shape in 0usize..3,
+            null_mode in 0usize..3,
+            density in 0usize..5,
+            strings in any::<bool>(),
+            seed in any::<u64>(),
+        ) {
+            // Bank code widths 0, 1 and 7 at the least.
+            let (n, card) = (LENS[len], [1usize, 2, 128, 1000][card]);
+            let mut draw = draws(seed);
+            let (dict, domain) = skewed_dict(card);
+            let ordered = dict_values(&dict, &domain, shape, n, &mut draw);
+            let positions = pick_positions(n, density, &mut draw);
+            if strings {
+                // The same values and skew, spelled as strings.
+                let spell = |o: u64| -> Arc<str> {
+                    Arc::from(format!("v{:07}", ordered_to_i64(o) + 100).as_str())
+                };
+                let training: Vec<Arc<str>> = domain
+                    .iter()
+                    .enumerate()
+                    .flat_map(|(i, &o)| std::iter::repeat_n(spell(o), if i < 3 { 500 } else { 1 }))
+                    .collect();
+                let enc = ColumnEncoding::StrDict {
+                    prefix: String::new(),
+                    dict: FreqDict::build(&Histogram::from_values(training.iter().map(Some))),
+                };
+                let values: Vec<Arc<str>> = ordered.into_iter().map(spell).collect();
+                let values = with_nulls(values, null_mode, &mut draw);
+                check_positional(&enc, &ColumnValues::Str(values), &positions);
+            } else {
+                let enc = ColumnEncoding::IntDict { kind: ValueKind::Int, dict };
+                let values: Vec<i64> = ordered.into_iter().map(ordered_to_i64).collect();
+                let values = with_nulls(values, null_mode, &mut draw);
+                check_positional(&enc, &ColumnValues::Int(values), &positions);
+            }
+        }
+
         #[test]
         fn prop_int_roundtrip(v in prop::collection::vec(prop::option::of(-1000i64..1000), 1..300)) {
             roundtrip(ColumnValues::Int(v));
@@ -832,7 +1115,7 @@ mod tests {
             let enc = comp.analyze(&vals);
             let n = vals.len();
             let block = comp.encode_block(&enc, &vals, 0..n);
-            let mm = comp.block_min_max(&enc, &block);
+            let mm = comp.block_min_max(&enc, &block).unwrap();
             let present: Vec<i64> = v.iter().flatten().copied().collect();
             match mm {
                 Some((lo, hi)) => {

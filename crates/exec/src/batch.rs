@@ -169,6 +169,24 @@ impl Batch {
         }
     }
 
+    /// Rows `rows` of the columns at `indices`, in that order, under
+    /// `schema` (whose field types the caller has matched to the picked
+    /// columns). Like [`Batch::from_rows`], and unlike [`Batch::project`],
+    /// the result carries no dictionaries.
+    pub fn slice_columns(
+        &self,
+        indices: &[usize],
+        rows: std::ops::Range<usize>,
+        schema: Schema,
+    ) -> Batch {
+        Batch {
+            schema,
+            columns: indices.iter().map(|&i| self.columns[i].slice(rows.clone())).collect(),
+            len: rows.len(),
+            dicts: Vec::new(),
+        }
+    }
+
     /// Attach the storage dictionary backing string column `col`.
     ///
     /// The dictionary is advisory: key-path code in `join`/`agg` uses it to

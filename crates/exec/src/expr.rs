@@ -398,6 +398,64 @@ impl Expr {
             }
         }
     }
+
+    /// The same expression with every column ordinal `i` replaced by
+    /// `f(i)` — how a predicate moves between a scan's output ordinals,
+    /// its table's ordinals and a narrower batch.
+    pub fn map_columns(self, f: &dyn Fn(usize) -> usize) -> Expr {
+        match self {
+            Expr::Col(i) => Expr::Col(f(i)),
+            Expr::Cmp(op, l, r) => {
+                Expr::Cmp(op, Box::new(l.map_columns(f)), Box::new(r.map_columns(f)))
+            }
+            Expr::Arith(op, l, r) => {
+                Expr::Arith(op, Box::new(l.map_columns(f)), Box::new(r.map_columns(f)))
+            }
+            Expr::Neg(i) => Expr::Neg(Box::new(i.map_columns(f))),
+            Expr::Not(i) => Expr::Not(Box::new(i.map_columns(f))),
+            Expr::And(v) => Expr::And(v.into_iter().map(|x| x.map_columns(f)).collect()),
+            Expr::Or(v) => Expr::Or(v.into_iter().map(|x| x.map_columns(f)).collect()),
+            Expr::IsNull { expr, negated } => Expr::IsNull {
+                expr: Box::new(expr.map_columns(f)),
+                negated,
+            },
+            Expr::Func(func, args) => {
+                Expr::Func(func, args.into_iter().map(|a| a.map_columns(f)).collect())
+            }
+            Expr::Case {
+                operand,
+                branches,
+                otherwise,
+            } => Expr::Case {
+                operand: operand.map(|o| Box::new(o.map_columns(f))),
+                branches: branches
+                    .into_iter()
+                    .map(|(w, t)| (w.map_columns(f), t.map_columns(f)))
+                    .collect(),
+                otherwise: otherwise.map(|o| Box::new(o.map_columns(f))),
+            },
+            Expr::Cast(i, t) => Expr::Cast(Box::new(i.map_columns(f)), t),
+            Expr::Like {
+                expr,
+                pattern,
+                negated,
+            } => Expr::Like {
+                expr: Box::new(expr.map_columns(f)),
+                pattern,
+                negated,
+            },
+            Expr::InList {
+                expr,
+                list,
+                negated,
+            } => Expr::InList {
+                expr: Box::new(expr.map_columns(f)),
+                list,
+                negated,
+            },
+            leaf @ (Expr::Lit(_) | Expr::SeqNext(_) | Expr::SeqCurr(_)) => leaf,
+        }
+    }
 }
 
 fn eval_arith(op: ArithOp, l: &Datum, r: &Datum) -> Result<Datum> {

@@ -704,6 +704,9 @@ fn apply_op(
             Ok(batch.take(&keep))
         }
         Op::Project { exprs, schema } => {
+            if let Some(picked) = pick_columns(exprs, schema, batch.schema()) {
+                return Ok(batch.slice_columns(&picked, rows, (*schema).clone()));
+            }
             let mut out: Vec<Row> = Vec::with_capacity(rows.len());
             for row in rows {
                 let mut vals = Vec::with_capacity(exprs.len());
@@ -717,6 +720,26 @@ fn apply_op(
         }
         Op::Probe(build) => build.probe_morsel(batch, rows, &ctx.statement, mstats),
     }
+}
+
+/// The input ordinals a projection picks, when every expression is a bare
+/// column already of its declared output type: such a projection moves
+/// column slices, where the general one evaluates and coerces a `Datum`
+/// per value. A NOT NULL output column keeps the general path's check.
+fn pick_columns(exprs: &[Expr], out: &Schema, input: &Schema) -> Option<Vec<usize>> {
+    exprs
+        .iter()
+        .zip(out.fields())
+        .map(|(e, f)| match e {
+            Expr::Col(i)
+                if f.nullable
+                    && input.fields().get(*i).is_some_and(|c| c.data_type == f.data_type) =>
+            {
+                Some(*i)
+            }
+            _ => None,
+        })
+        .collect()
 }
 
 /// Render the pipeline decomposition of `plan` for EXPLAIN: one line per
@@ -777,6 +800,70 @@ mod tests {
         let mut t = ColumnTable::new(name, Schema::new(fields).unwrap());
         t.load_rows(rows).unwrap();
         Arc::new(RwLock::new(t))
+    }
+
+    /// A projection of bare columns moves column slices; the same
+    /// projection spelled as identity casts takes the evaluate-and-coerce
+    /// path. Both must hand on the same batch: values, NULLs, schema, and
+    /// no dictionary metadata.
+    #[test]
+    fn column_pick_projection_matches_the_computed_one() {
+        let t = table(
+            "T",
+            vec![
+                Field::not_null("id", DataType::Int64),
+                Field::new("name", DataType::Utf8),
+                Field::new("d", DataType::Date),
+                Field::new("x", DataType::Float64),
+            ],
+            (0..STRIDE as i64 + 10)
+                .map(|i| {
+                    if i % 7 == 0 {
+                        row![i, Datum::Null, Datum::Null, Datum::Null]
+                    } else {
+                        row![i, format!("n{}", i % 5), Datum::Date(i as i32), i as f64 * 0.5]
+                    }
+                })
+                .collect(),
+        );
+        let ctx = EvalContext::default();
+        let config = crate::scan::ScanConfig::full(0, vec![0, 1, 2, 3]);
+        let (input, _) = crate::scan::scan(&t.read(), &config, &ctx).unwrap();
+        assert!(input.str_dict(1).is_some(), "the scan attaches the dictionary");
+        // Reordered, one column dropped, one repeated.
+        let order = [3usize, 1, 0, 1];
+        let schema = Schema::new_unchecked(
+            order
+                .iter()
+                .enumerate()
+                .map(|(o, &i)| Field::new(format!("c{o}"), input.schema().field(i).data_type))
+                .collect(),
+        );
+        let picked: Vec<Expr> = order.iter().map(|&i| Expr::col(i)).collect();
+        let computed: Vec<Expr> = order
+            .iter()
+            .map(|&i| Expr::Cast(Box::new(Expr::col(i)), input.schema().field(i).data_type))
+            .collect();
+        assert!(pick_columns(&picked, &schema, input.schema()).is_some());
+        assert!(pick_columns(&computed, &schema, input.schema()).is_none());
+        for rows in [0..input.len(), 5..STRIDE + 3, 9..9] {
+            let mut stats = ExecStats::default();
+            let run = |exprs: &[Expr], stats: &mut ExecStats| {
+                let op = Op::Project { exprs, schema: &schema };
+                apply_op(&op, &input, rows.clone(), &ctx, stats).unwrap()
+            };
+            let (fast, slow) = (run(&picked, &mut stats), run(&computed, &mut stats));
+            assert_eq!(fast, slow, "rows {rows:?}");
+            assert_eq!(fast.len(), rows.len());
+            for c in 0..order.len() {
+                assert!(fast.str_dict(c).is_none() && slow.str_dict(c).is_none());
+            }
+        }
+        // A NOT NULL output or a type change is the computed path's job.
+        let strict = Schema::new_unchecked(vec![Field::not_null("c0", DataType::Int64)]);
+        assert!(pick_columns(&[Expr::col(0)], &strict, input.schema()).is_none());
+        let widened = Schema::new_unchecked(vec![Field::new("c0", DataType::Float64)]);
+        assert!(pick_columns(&[Expr::col(0)], &widened, input.schema()).is_none());
     }
 
     /// The memory claim as an absolute bound, for a collecting and an

@@ -202,9 +202,10 @@ impl PhysicalPlan {
             PhysicalPlan::ColumnScan { table, config } => {
                 let t = table.read();
                 out.push_str(&format!(
-                    "{pad}ColumnScan {} preds={} proj={:?} skipping={}\n",
+                    "{pad}ColumnScan {} preds={} residual={} proj={:?} skipping={}\n",
                     t.name(),
                     config.predicates.len(),
+                    config.residual.is_some(),
                     config.projection,
                     !config.disable_skipping,
                 ));

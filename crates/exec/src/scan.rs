@@ -131,12 +131,61 @@ impl ScanConfig {
     }
 }
 
-/// The scan's precomputed shape: which columns each stride must touch,
-/// which strides survived synopsis pruning, and the output schema.
+/// The residual predicate, rewritten over a narrow batch holding only the
+/// columns it references.
+struct Residual {
+    /// Table ordinals of the referenced columns; the narrow batch's column
+    /// `i` is table column `cols[i]`.
+    cols: Vec<usize>,
+    schema: Schema,
+    expr: Expr,
+}
+
+impl Residual {
+    fn new(expr: &Expr, table_schema: &Schema) -> Residual {
+        let mut cols = Vec::new();
+        expr.referenced_columns(&mut cols);
+        cols.sort_unstable();
+        cols.dedup();
+        Residual {
+            expr: expr.clone().map_columns(&|c| cols.partition_point(|&x| x < c)),
+            schema: table_schema.project(&cols),
+            cols,
+        }
+    }
+
+    /// The `positions` whose rows satisfy the predicate. `gather(col,
+    /// positions, out)` appends table column `col`'s values at `positions`:
+    /// the predicate sees its own columns at the candidate rows, nothing
+    /// else.
+    fn filter(
+        &self,
+        positions: Vec<usize>,
+        ctx: &EvalContext,
+        mut gather: impl FnMut(usize, &[usize], &mut ColumnValues) -> Result<()>,
+    ) -> Result<Vec<usize>> {
+        let mut values = Vec::with_capacity(self.cols.len());
+        for (&col, field) in self.cols.iter().zip(self.schema.fields()) {
+            let mut column = ColumnValues::empty_for(field.data_type);
+            gather(col, &positions, &mut column)?;
+            values.push(column);
+        }
+        let narrow = Batch::new(self.schema.clone(), values)?;
+        let mut kept = Vec::with_capacity(positions.len());
+        for (row, pos) in positions.into_iter().enumerate() {
+            if self.expr.eval_predicate(&narrow, row, ctx)? {
+                kept.push(pos);
+            }
+        }
+        Ok(kept)
+    }
+}
+
+/// The scan's precomputed shape: which strides survived synopsis pruning,
+/// the residual over its own columns, and the output schema.
 struct ScanShape {
     schema: Schema,
-    touched: Vec<usize>,
-    residual_cols: Vec<usize>,
+    residual: Option<Residual>,
     candidate_list: Vec<usize>,
     out_schema: Schema,
     out_types: Vec<dash_common::DataType>,
@@ -152,22 +201,7 @@ impl ScanShape {
             ..Default::default()
         };
 
-        // Columns the scan must touch per stride.
-        let mut touched: Vec<usize> = config.projection.clone();
-        for p in &config.predicates {
-            if !touched.contains(&p.column()) {
-                touched.push(p.column());
-            }
-        }
-        let mut residual_cols = Vec::new();
-        if let Some(r) = &config.residual {
-            r.referenced_columns(&mut residual_cols);
-            for c in &residual_cols {
-                if !touched.contains(c) {
-                    touched.push(*c);
-                }
-            }
-        }
+        let residual = config.residual.as_ref().map(|r| Residual::new(r, &schema));
 
         // Synopsis pruning.
         let nstrides = table.sealed_strides();
@@ -211,8 +245,7 @@ impl ScanShape {
             out_schema.fields().iter().map(|f| f.data_type).collect();
         Ok(ScanShape {
             schema,
-            touched,
-            residual_cols,
+            residual,
             candidate_list,
             out_schema,
             out_types,
@@ -221,9 +254,10 @@ impl ScanShape {
     }
 }
 
-/// Decode one surviving stride's projection columns at `positions` into
-/// per-column partial values (plus the `_TSN` column when requested),
-/// charging the buffer pool for every projected block.
+/// Decode one surviving stride's projection columns at `positions` — and
+/// nowhere else — straight into the morsel's output columns (plus the
+/// `_TSN` column when requested), charging the buffer pool for every
+/// projected block.
 fn materialize_stride(
     table: &ColumnTable,
     config: &ScanConfig,
@@ -241,20 +275,20 @@ fn materialize_stride(
     }
     let mut partial: Vec<ColumnValues> = Vec::with_capacity(out_types.len());
     for (oi, &col) in config.projection.iter().enumerate() {
-        let decoded = table.decode_stride(col, stride)?;
-        let mut cv = ColumnValues::empty_for(out_types[oi]);
-        cv.append_selected(&decoded, positions);
-        partial.push(cv);
+        let mut values = ColumnValues::empty_for(out_types[oi]);
+        table.decode_at(col, stride, positions, &mut values)?;
+        partial.push(values);
     }
     if config.include_tsn {
-        let base = stride * dash_storage::table::STRIDE;
-        let mut tsn = ColumnValues::empty_for(dash_common::DataType::Int64);
-        for &pos in positions {
-            tsn.push_datum(dash_common::DataType::Int64, &Datum::Int((base + pos) as i64))?;
-        }
-        partial.push(tsn);
+        partial.push(tsn_column(stride * dash_storage::table::STRIDE, positions));
     }
     Ok(partial)
+}
+
+/// The `_TSN` values of the rows at `positions` of the stride starting at
+/// row `base`.
+fn tsn_column(base: usize, positions: &[usize]) -> ColumnValues {
+    ColumnValues::Int(positions.iter().map(|&pos| Some((base + pos) as i64)).collect())
 }
 
 /// Evaluate the open (unsealed) stride directly on values, appending
@@ -263,10 +297,11 @@ fn scan_open_stride(
     table: &ColumnTable,
     config: &ScanConfig,
     ctx: &EvalContext,
-    schema: &Schema,
+    shape: &ScanShape,
     out_cols: &mut [ColumnValues],
     stats: &mut ExecStats,
 ) -> Result<()> {
+    let schema = &shape.schema;
     let open_len = table.open_len();
     if open_len == 0 {
         return Ok(());
@@ -300,33 +335,20 @@ fn scan_open_stride(
         positions.push(pos);
     }
     if !positions.is_empty() {
-        if let Some(residual) = &config.residual {
-            let cols: Vec<ColumnValues> = (0..schema.len())
-                .map(|c| table.open_values(c).clone())
-                .collect();
-            let full = Batch::new(schema.clone(), cols)?;
-            let mut kept = Vec::with_capacity(positions.len());
-            for pos in positions {
-                if residual.eval_predicate(&full, pos, ctx)? {
-                    kept.push(pos);
-                }
-            }
-            positions = kept;
+        if let Some(residual) = &shape.residual {
+            positions = residual.filter(positions, ctx, |col, at, out| {
+                out.append_selected(table.open_values(col), at);
+                Ok(())
+            })?;
         }
         for (oi, &col) in config.projection.iter().enumerate() {
             out_cols[oi].append_selected(table.open_values(col), &positions);
         }
         if config.include_tsn {
-            let base = table.sealed_strides() * dash_storage::table::STRIDE;
             let tsn_col = out_cols
                 .last_mut()
                 .ok_or_else(|| DashError::internal("tsn scan without output columns"))?;
-            for &pos in &positions {
-                tsn_col.push_datum(
-                    dash_common::DataType::Int64,
-                    &Datum::Int((base + pos) as i64),
-                )?;
-            }
+            *tsn_col = tsn_column(open_base, &positions);
         }
     }
     Ok(())
@@ -406,17 +428,9 @@ impl<'a> ScanSource<'a> {
             .map(|&dt| ColumnValues::empty_for(dt))
             .collect();
         if let Some(&stride) = self.shape.candidate_list.get(mi) {
-            let outcome = eval_stride(
-                self.table,
-                self.config,
-                ctx,
-                &self.shape.schema,
-                &self.shape.touched,
-                &self.shape.residual_cols,
-                stride,
-                &mut stats,
-            )?;
-            if let Some((stride, positions)) = outcome {
+            let positions =
+                eval_stride(self.table, self.config, ctx, &self.shape, stride, &mut stats)?;
+            if !positions.is_empty() {
                 out_cols = materialize_stride(
                     self.table,
                     self.config,
@@ -428,14 +442,7 @@ impl<'a> ScanSource<'a> {
                 )?;
             }
         } else if mi == self.shape.candidate_list.len() && self.table.open_len() > 0 {
-            scan_open_stride(
-                self.table,
-                self.config,
-                ctx,
-                &self.shape.schema,
-                &mut out_cols,
-                &mut stats,
-            )?;
+            scan_open_stride(self.table, self.config, ctx, &self.shape, &mut out_cols, &mut stats)?;
         } else {
             return Err(DashError::internal(format!(
                 "scan morsel {mi} out of range ({} morsels)",
@@ -449,18 +456,16 @@ impl<'a> ScanSource<'a> {
 }
 
 /// Evaluate one stride: predicate bitmaps on compressed blocks, delete
-/// mask, residual expressions. Returns surviving positions.
-#[allow(clippy::too_many_arguments)]
+/// mask, then the residual on its own columns decoded at the survivors.
+/// Returns the surviving positions.
 fn eval_stride(
     table: &ColumnTable,
     config: &ScanConfig,
     ctx: &EvalContext,
-    schema: &Schema,
-    touched: &[usize],
-    residual_cols: &[usize],
+    shape: &ScanShape,
     stride: usize,
     stats: &mut ExecStats,
-) -> Result<Option<(usize, Vec<usize>)>> {
+) -> Result<Vec<usize>> {
     stats.strides_scanned += 1;
     // Charge the pool for the predicate columns now; projection columns
     // are charged only if anything survives (late materialization).
@@ -470,8 +475,7 @@ fn eval_stride(
             charge(&mut pool, stats, &ctx.statement, config.table_id, p.column(), stride)?;
         }
     }
-    let block0 = table.block(touched.first().copied().unwrap_or(0), stride);
-    let len = block0.len;
+    let len = table.block(0, stride).len;
     stats.rows_scanned += len as u64;
     let mut select = Bitmap::ones(len);
     for p in &config.predicates {
@@ -479,11 +483,11 @@ fn eval_stride(
         let enc = table
             .encoding(p.column())
             .ok_or_else(|| DashError::internal("sealed stride without encoding"))?;
-        let dt = schema.field(p.column()).data_type;
+        let dt = shape.schema.field(p.column()).data_type;
         let bm = eval_predicate_on_block(p, block, enc, dt)?;
         select.and_with(&bm);
         if !select.any() {
-            break;
+            return Ok(Vec::new());
         }
     }
     match &config.snapshot {
@@ -498,26 +502,13 @@ fn eval_stride(
             }
         }
     }
-    if !select.any() {
-        return Ok(None);
+    let positions: Vec<usize> = select.iter_ones().collect();
+    match &shape.residual {
+        Some(residual) if !positions.is_empty() => residual.filter(positions, ctx, |col, at, out| {
+            table.decode_at(col, stride, at, out)
+        }),
+        _ => Ok(positions),
     }
-    let mut positions: Vec<usize> = select.iter_ones().collect();
-    // Residual predicate on decoded survivors.
-    if let Some(residual) = &config.residual {
-        let dec = decode_columns(table, residual_cols, stride)?;
-        let full = assemble_full_batch(schema, &dec, residual_cols, len)?;
-        let mut kept = Vec::with_capacity(positions.len());
-        for &pos in &positions {
-            if residual.eval_predicate(&full, pos, ctx)? {
-                kept.push(pos);
-            }
-        }
-        positions = kept;
-        if positions.is_empty() {
-            return Ok(None);
-        }
-    }
-    Ok(Some((stride, positions)))
 }
 
 fn charge(
@@ -534,40 +525,6 @@ fn charge(
         stats.pool_misses += 1;
     }
     Ok(())
-}
-
-fn decode_columns(
-    table: &ColumnTable,
-    cols: &[usize],
-    stride: usize,
-) -> Result<Vec<(usize, ColumnValues)>> {
-    cols.iter()
-        .map(|&c| Ok((c, table.decode_stride(c, stride)?)))
-        .collect()
-}
-
-/// Build a batch shaped like the full table schema but with only `cols`
-/// populated (others empty columns of NULLs) so residual expressions can
-/// index columns by their table ordinals.
-fn assemble_full_batch(
-    schema: &Schema,
-    decoded: &[(usize, ColumnValues)],
-    _cols: &[usize],
-    len: usize,
-) -> Result<Batch> {
-    let mut columns: Vec<ColumnValues> = schema
-        .fields()
-        .iter()
-        .map(|f| match f.data_type {
-            dt if dt.is_float() => ColumnValues::Float(vec![None; len]),
-            dt if dt.is_integer_encodable() => ColumnValues::Int(vec![None; len]),
-            _ => ColumnValues::Str(vec![None; len]),
-        })
-        .collect();
-    for (c, vals) in decoded {
-        columns[*c] = vals.clone();
-    }
-    Batch::new(schema.clone(), columns)
 }
 
 /// Evaluate one simple predicate against one encoded block without
@@ -594,7 +551,7 @@ pub fn eval_predicate_on_block(
                     None => Ok(Bitmap::zeros(block.len)),
                     Some((clo, chi)) => {
                         let hits = simd::eval_range(&m.codes, clo, chi);
-                        Ok(block.scatter(std::slice::from_ref(&hits), &Bitmap::zeros(0)))
+                        Ok(block.scatter(vec![hits], &Bitmap::zeros(0)))
                     }
                 }
             }
@@ -621,7 +578,7 @@ pub fn eval_predicate_on_block(
                         return Err(DashError::internal("string exceptions in numeric column"))
                     }
                 };
-                Ok(block.scatter(&bank_hits, &exc_hits))
+                Ok(block.scatter(bank_hits, &exc_hits))
             }
             (
                 BlockRepr::Dict {
@@ -653,7 +610,7 @@ pub fn eval_predicate_on_block(
                         return Err(DashError::internal("numeric exceptions in string column"))
                     }
                 };
-                Ok(block.scatter(&bank_hits, &exc_hits))
+                Ok(block.scatter(bank_hits, &exc_hits))
             }
             (BlockRepr::Dict { .. }, ColumnEncoding::Minus { .. }) => {
                 Err(DashError::internal("dict block under minus encoding"))
@@ -933,6 +890,88 @@ mod tests {
             b.to_rows().iter().any(|r| r.get(0) == &Datum::Int(9_999)),
             "inserted row present at ts 5"
         );
+    }
+
+    /// The survivor-driven path (synopsis, word-at-a-time bitmaps, decode
+    /// at the survivors) against the plainest evaluation of the same
+    /// predicate: no skipping, nothing pushed, the expression run on every
+    /// visible row.
+    #[test]
+    fn survivor_shapes_match_residual_only_evaluation() {
+        use crate::expr::CmpOp;
+        use dash_common::ids::Tsn;
+        use dash_common::txn::TxnId;
+        let schema = Schema::new(vec![
+            Field::not_null("id", DataType::Int64),
+            Field::new("slot", DataType::Int64),
+            Field::new("region", DataType::Utf8),
+            Field::new("amount", DataType::Float64),
+        ])
+        .unwrap();
+        let mut t = ColumnTable::new("T", schema);
+        t.load_rows(
+            (0..STRIDE * 3 + 40)
+                .map(|i| {
+                    let region = format!("region-{}", i % 4);
+                    row![i as i64, (i % STRIDE) as i64, region, (i % 100) as f64]
+                })
+                .collect(),
+        )
+        .unwrap();
+        for tsn in [3usize, STRIDE - 1, STRIDE, STRIDE * 2 + 17, STRIDE * 3 + 5] {
+            t.delete(Tsn(tsn as u64)).unwrap();
+        }
+        // A committed history for the snapshot legs: one delete in a sealed
+        // stride, one insert into the open one, both at ts 5.
+        let txn = TxnId(1);
+        let inserted = t
+            .mvcc_insert(row![77_777i64, 5i64, "region-1", 7.0f64], txn)
+            .unwrap();
+        t.mvcc_delete(Tsn(9), txn, 0).unwrap();
+        t.commit_insert(inserted, 5).unwrap();
+        t.commit_delete(Tsn(9), 5).unwrap();
+
+        let n = (STRIDE * 3 + 40) as i64;
+        let range = |col: usize, lo: Datum, hi: Datum| {
+            let pushed = ColumnPredicate::Range { col, lo: Some(lo.clone()), hi: Some(hi.clone()) };
+            let cmp = |op, bound: Datum| {
+                Expr::Cmp(op, Box::new(Expr::col(col)), Box::new(Expr::Lit(bound)))
+            };
+            (pushed, Expr::And(vec![cmp(CmpOp::Ge, lo), cmp(CmpOp::Le, hi)]))
+        };
+        let shapes = [
+            ("one per stride", range(1, Datum::Int(5), Datum::Int(5))),
+            ("all survive", range(0, Datum::Int(-5), Datum::Int(n + 100_000))),
+            ("none survive", range(0, Datum::Int(n + 100_000), Datum::Int(n + 200_000))),
+            ("open stride only", range(0, Datum::Int(STRIDE as i64 * 3), Datum::Int(n + 100_000))),
+            ("dictionary range", range(3, Datum::Float(10.0), Datum::Float(10.0))),
+            ("string equality", range(2, Datum::str("region-1"), Datum::str("region-1"))),
+        ];
+        for (what, (pushed, expr)) in shapes {
+            for snapshot in [None, Some(SnapshotView::at(4)), Some(SnapshotView::at(5))] {
+                for include_tsn in [false, true] {
+                    let common = ScanConfig {
+                        snapshot,
+                        include_tsn,
+                        ..ScanConfig::full(1, vec![2, 0, 3])
+                    };
+                    let fast = ScanConfig { predicates: vec![pushed.clone()], ..common.clone() };
+                    let plain = ScanConfig {
+                        residual: Some(expr.clone()),
+                        disable_skipping: true,
+                        ..common
+                    };
+                    let (a, _) = scan(&t, &fast, &ctx()).unwrap();
+                    let (b, _) = scan(&t, &plain, &ctx()).unwrap();
+                    assert_eq!(a.to_rows(), b.to_rows(), "{what}, snapshot {snapshot:?}");
+                    match what {
+                        "none survive" => assert!(a.is_empty()),
+                        "all survive" => assert!(a.len() >= STRIDE * 3 + 40 - 6),
+                        _ => assert!(!a.is_empty(), "{what}"),
+                    }
+                }
+            }
+        }
     }
 
     #[test]

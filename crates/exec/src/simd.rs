@@ -9,11 +9,15 @@
 //! therefore touches up to 64 codes (w = 1). The comparisons below are
 //! exact SWAR algorithms with **no cross-lane carry leakage**:
 //!
-//! * equality uses XOR + an in-lane OR-fold (⌈log₂ w⌉ shifts);
 //! * unsigned less-than splits each lane at its MSB — the low parts are
 //!   compared with a borrow-free subtraction (minuend is forced ≥ 2^(w-1),
 //!   subtrahend < 2^(w-1), so no lane can borrow from its neighbour) and
-//!   the MSBs resolve the rest with pure boolean logic.
+//!   the MSBs resolve the rest with pure boolean logic;
+//! * a range is `¬(x < lo) ∧ ¬(hi < x)` and equality is the range
+//!   `[v, v]`;
+//! * a code word's lane results are compacted in a register and deposited
+//!   into the result bitmap's words in one OR; a word in which no lane
+//!   qualified is skipped.
 
 use dash_encoding::bitmap::Bitmap;
 use dash_encoding::bitpack::BitPackedVec;
@@ -53,15 +57,6 @@ fn broadcast(m: &LaneMasks, value: u64) -> u64 {
     out
 }
 
-/// Per-lane `x == b` with the result in each lane's MSB position.
-/// Derived from the two exact less-than kernels: eq ⇔ ¬(x<b) ∧ ¬(b<x).
-#[inline]
-fn lanes_eq(m: &LaneMasks, word: u64, bcast: u64) -> u64 {
-    let lt = lanes_lt(m, word, bcast);
-    let gt = lt_rev(m, word, bcast);
-    (!(lt | gt)) & m.high
-}
-
 /// Per-lane unsigned `x < b` with the result in each lane's MSB position.
 #[inline]
 fn lanes_lt(m: &LaneMasks, word: u64, bcast: u64) -> u64 {
@@ -79,21 +74,25 @@ fn lanes_lt(m: &LaneMasks, word: u64, bcast: u64) -> u64 {
     cond1 | (same & lt_low)
 }
 
-/// Extract the per-lane MSB results of the first `n` lanes into a bitmap
-/// appended at `out`'s current end.
+/// Move the per-lane MSB results of one code word into the low `m.k`
+/// bits, lane 0 first.
 #[inline]
-fn extract(m: &LaneMasks, result: u64, n: usize, out: &mut Bitmap) {
-    for lane in 0..n {
-        let bit = (result >> (lane as u32 * m.w + (m.w - 1))) & 1;
-        out.push(bit == 1);
+fn compact(m: &LaneMasks, result: u64) -> u64 {
+    let mut lanes = result >> (m.w - 1);
+    let mut bits = 0u64;
+    for lane in 0..m.k {
+        bits |= (lanes & 1) << lane;
+        lanes >>= m.w;
     }
+    bits
 }
 
 /// Evaluate `lo <= code <= hi` (inclusive, code domain) over every code in
 /// the vector, one bit per code.
 ///
 /// This is the hot kernel: for width `w` it does O(1) word operations per
-/// `⌊64/w⌋` codes instead of one compare per code.
+/// `⌊64/w⌋` codes instead of one compare per code, and writes each code
+/// word's results into the pre-sized bitmap with one OR.
 pub fn eval_range(codes: &BitPackedVec, lo: u64, hi: u64) -> Bitmap {
     let width = codes.width();
     if width == 0 {
@@ -105,35 +104,42 @@ pub fn eval_range(codes: &BitPackedVec, lo: u64, hi: u64) -> Bitmap {
             Bitmap::zeros(codes.len())
         };
     }
+    let mut out = Bitmap::zeros(codes.len());
     if width == 64 {
         // One lane per word: direct compares.
-        let mut out = Bitmap::zeros(0);
-        for c in codes.iter() {
-            out.push(c >= lo && c <= hi);
+        for (i, &code) in codes.words().iter().enumerate() {
+            if code >= lo && code <= hi {
+                out.set(i);
+            }
         }
         return out;
     }
-    let m = masks(width);
     let max_code = (1u64 << width) - 1;
-    let lo = lo.min(max_code);
-    let hi = hi.min(max_code);
-    let mut out = Bitmap::zeros(0);
+    if lo > max_code {
+        return out;
+    }
+    let m = masks(width);
     let bc_lo = broadcast(&m, lo);
-    let bc_hi = broadcast(&m, hi);
-    let words = codes.words();
-    let full_words = codes.len() / m.k;
-    for (wi, &word) in words.iter().enumerate() {
+    let bc_hi = broadcast(&m, hi.min(max_code));
+    let Some((&tail, full)) = codes.words().split_last() else {
+        return out;
+    };
+    let qualifying = |word: u64| {
         // qualify ⇔ ¬(x < lo) ∧ ¬(hi < x)
         let below = lanes_lt(&m, word, bc_lo);
         let above = lt_rev(&m, word, bc_hi);
-        let ok = (!(below | above)) & m.high;
-        let lanes = if wi < full_words {
-            m.k
-        } else {
-            codes.len() - full_words * m.k
-        };
-        extract(&m, ok, lanes, &mut out);
+        (!(below | above)) & m.high
+    };
+    for (wi, &word) in full.iter().enumerate() {
+        let ok = qualifying(word);
+        if ok != 0 {
+            out.or_bits_at(wi * m.k, compact(&m, ok));
+        }
     }
+    // The final word's unused lanes hold code 0, which qualifies when
+    // `lo == 0`: keep only the lanes that hold codes.
+    let held = u64::MAX >> (64 - codes.tail_len());
+    out.or_bits_at(full.len() * m.k, compact(&m, qualifying(tail)) & held);
     out
 }
 
@@ -153,39 +159,7 @@ fn lt_rev(m: &LaneMasks, word: u64, bcast: u64) -> u64 {
 
 /// Evaluate `code == value` over every code, one bit per code.
 pub fn eval_eq(codes: &BitPackedVec, value: u64) -> Bitmap {
-    let width = codes.width();
-    if width == 0 {
-        return if value == 0 {
-            Bitmap::ones(codes.len())
-        } else {
-            Bitmap::zeros(codes.len())
-        };
-    }
-    if width == 64 {
-        let mut out = Bitmap::zeros(0);
-        for c in codes.iter() {
-            out.push(c == value);
-        }
-        return out;
-    }
-    let max_code = (1u64 << width) - 1;
-    if value > max_code {
-        return Bitmap::zeros(codes.len());
-    }
-    let m = masks(width);
-    let bc = broadcast(&m, value);
-    let mut out = Bitmap::zeros(0);
-    let full_words = codes.len() / m.k;
-    for (wi, &word) in codes.words().iter().enumerate() {
-        let ok = lanes_eq(&m, word, bc);
-        let lanes = if wi < full_words {
-            m.k
-        } else {
-            codes.len() - full_words * m.k
-        };
-        extract(&m, ok, lanes, &mut out);
-    }
-    out
+    eval_range(codes, value, value)
 }
 
 /// Scalar reference implementation (decode each code, compare) — used by
@@ -280,23 +254,32 @@ mod tests {
 
     proptest! {
         #[test]
-        fn prop_matches_scalar(
-            width in 1u8..=33,
-            raw in prop::collection::vec(any::<u64>(), 1..300),
+        fn prop_matches_scalar_at_every_width(
+            // Empty vectors and every partial tail word.
+            raw in prop::collection::vec(any::<u64>(), 0..300),
             lo_raw in any::<u64>(),
             hi_raw in any::<u64>(),
+            // 0: any ordered pair, 1: lo == hi on a stored code, 2: the
+            // whole domain (code 0 qualifies, as the tail's padding would),
+            // 3: lo above the widest code.
+            bounds in 0usize..4,
         ) {
-            let mask = if width == 64 { u64::MAX } else { (1u64 << width) - 1 };
-            let codes: Vec<u64> = raw.iter().map(|v| v & mask).collect();
-            let v = packed(width, &codes);
-            let lo = lo_raw & mask;
-            let hi = hi_raw & mask;
-            let (lo, hi) = (lo.min(hi), lo.max(hi));
-            prop_assert_eq!(eval_range(&v, lo, hi), eval_range_scalar(&v, lo, hi));
-            let eq_val = lo;
-            let simd_eq = eval_eq(&v, eq_val);
-            let scalar_eq = eval_range_scalar(&v, eq_val, eq_val);
-            prop_assert_eq!(simd_eq, scalar_eq);
+            for width in 1u8..=64 {
+                let mask = u64::MAX >> (64 - width as u32);
+                let codes: Vec<u64> = raw.iter().map(|v| v & mask).collect();
+                let v = packed(width, &codes);
+                let (lo, hi) = match bounds {
+                    0 => ((lo_raw & mask).min(hi_raw & mask), (lo_raw & mask).max(hi_raw & mask)),
+                    1 => {
+                        let code = codes.get(lo_raw as usize % codes.len().max(1)).copied().unwrap_or(0);
+                        (code, code)
+                    }
+                    2 => (0, mask),
+                    _ => (mask.saturating_add(1 + (lo_raw & 0xff)), u64::MAX),
+                };
+                prop_assert_eq!(eval_range(&v, lo, hi), eval_range_scalar(&v, lo, hi), "width {}", width);
+                prop_assert_eq!(eval_eq(&v, lo), eval_range_scalar(&v, lo, lo), "width {}", width);
+            }
         }
     }
 }

@@ -1204,7 +1204,18 @@ impl Planner<'_> {
             }
             AstExpr::Neg(e) => {
                 let (inner, dt) = self.lower(e, scope)?;
-                Ok((Expr::Neg(Box::new(inner)), dt))
+                // `-5` parses as Neg(Lit(5)): fold it, so `col <op> -5` is a
+                // column/literal comparison the scan can push down.
+                // `-i64::MIN` has no literal and stays an expression; so
+                // does `-0.0`, which compares equal to `0.0` as an
+                // expression but sorts below it as a pushed code bound.
+                let folded = match &inner {
+                    Expr::Lit(Datum::Int(n)) => n.checked_neg().map(Datum::Int),
+                    Expr::Lit(Datum::Float(f)) if *f != 0.0 => Some(Datum::Float(-f)),
+                    Expr::Lit(Datum::Decimal(d, s)) => d.checked_neg().map(|d| Datum::Decimal(d, *s)),
+                    _ => None,
+                };
+                Ok((folded.map_or_else(|| Expr::Neg(Box::new(inner)), Expr::Lit), dt))
             }
             AstExpr::Not(e) => {
                 let (inner, _) = self.lower(e, scope)?;
@@ -2084,7 +2095,7 @@ pub fn pushdown(plan: PhysicalPlan) -> PhysicalPlan {
                 // ordinals; remap from scan-output ordinals.
                 let remapped: Vec<Expr> = residual
                     .into_iter()
-                    .map(|e| remap_cols(e, &config.projection))
+                    .map(|e| e.map_columns(&|i| config.projection[i]))
                     .collect();
                 if let Some(combined) = and_all(remapped) {
                     config.residual = Some(match config.residual.take() {
@@ -2266,120 +2277,6 @@ fn exclusive_to_inclusive(d: Datum, dt: DataType, lower: bool) -> Option<Datum> 
 /// Shift column ordinals down by `lw` (right-side conjuncts pushed below a
 /// join reference the right child's own ordinals).
 fn shift_cols(e: Expr, lw: usize) -> Expr {
-    remap_with(e, &|i| i - lw)
+    e.map_columns(&|i| i - lw)
 }
 
-fn remap_with(e: Expr, f: &dyn Fn(usize) -> usize) -> Expr {
-    match e {
-        Expr::Col(i) => Expr::Col(f(i)),
-        Expr::Cmp(op, l, r) => Expr::Cmp(op, Box::new(remap_with(*l, f)), Box::new(remap_with(*r, f))),
-        Expr::Arith(op, l, r) => {
-            Expr::Arith(op, Box::new(remap_with(*l, f)), Box::new(remap_with(*r, f)))
-        }
-        Expr::Neg(i) => Expr::Neg(Box::new(remap_with(*i, f))),
-        Expr::Not(i) => Expr::Not(Box::new(remap_with(*i, f))),
-        Expr::And(v) => Expr::And(v.into_iter().map(|x| remap_with(x, f)).collect()),
-        Expr::Or(v) => Expr::Or(v.into_iter().map(|x| remap_with(x, f)).collect()),
-        Expr::IsNull { expr, negated } => Expr::IsNull {
-            expr: Box::new(remap_with(*expr, f)),
-            negated,
-        },
-        Expr::Func(func, args) => {
-            Expr::Func(func, args.into_iter().map(|a| remap_with(a, f)).collect())
-        }
-        Expr::Case {
-            operand,
-            branches,
-            otherwise,
-        } => Expr::Case {
-            operand: operand.map(|o| Box::new(remap_with(*o, f))),
-            branches: branches
-                .into_iter()
-                .map(|(w, t)| (remap_with(w, f), remap_with(t, f)))
-                .collect(),
-            otherwise: otherwise.map(|o| Box::new(remap_with(*o, f))),
-        },
-        Expr::Cast(i, t) => Expr::Cast(Box::new(remap_with(*i, f)), t),
-        Expr::Like {
-            expr,
-            pattern,
-            negated,
-        } => Expr::Like {
-            expr: Box::new(remap_with(*expr, f)),
-            pattern,
-            negated,
-        },
-        Expr::InList {
-            expr,
-            list,
-            negated,
-        } => Expr::InList {
-            expr: Box::new(remap_with(*expr, f)),
-            list,
-            negated,
-        },
-        leaf @ (Expr::Lit(_) | Expr::SeqNext(_) | Expr::SeqCurr(_)) => leaf,
-    }
-}
-
-/// Remap scan-output column ordinals back to table ordinals for residual
-/// evaluation inside the scan.
-fn remap_cols(e: Expr, projection: &[usize]) -> Expr {
-    match e {
-        Expr::Col(i) => Expr::Col(projection[i]),
-        Expr::Cmp(op, l, r) => Expr::Cmp(
-            op,
-            Box::new(remap_cols(*l, projection)),
-            Box::new(remap_cols(*r, projection)),
-        ),
-        Expr::Arith(op, l, r) => Expr::Arith(
-            op,
-            Box::new(remap_cols(*l, projection)),
-            Box::new(remap_cols(*r, projection)),
-        ),
-        Expr::Neg(i) => Expr::Neg(Box::new(remap_cols(*i, projection))),
-        Expr::Not(i) => Expr::Not(Box::new(remap_cols(*i, projection))),
-        Expr::And(v) => Expr::And(v.into_iter().map(|x| remap_cols(x, projection)).collect()),
-        Expr::Or(v) => Expr::Or(v.into_iter().map(|x| remap_cols(x, projection)).collect()),
-        Expr::IsNull { expr, negated } => Expr::IsNull {
-            expr: Box::new(remap_cols(*expr, projection)),
-            negated,
-        },
-        Expr::Func(f, args) => Expr::Func(
-            f,
-            args.into_iter().map(|a| remap_cols(a, projection)).collect(),
-        ),
-        Expr::Case {
-            operand,
-            branches,
-            otherwise,
-        } => Expr::Case {
-            operand: operand.map(|o| Box::new(remap_cols(*o, projection))),
-            branches: branches
-                .into_iter()
-                .map(|(w, t)| (remap_cols(w, projection), remap_cols(t, projection)))
-                .collect(),
-            otherwise: otherwise.map(|o| Box::new(remap_cols(*o, projection))),
-        },
-        Expr::Cast(i, t) => Expr::Cast(Box::new(remap_cols(*i, projection)), t),
-        Expr::Like {
-            expr,
-            pattern,
-            negated,
-        } => Expr::Like {
-            expr: Box::new(remap_cols(*expr, projection)),
-            pattern,
-            negated,
-        },
-        Expr::InList {
-            expr,
-            list,
-            negated,
-        } => Expr::InList {
-            expr: Box::new(remap_cols(*expr, projection)),
-            list,
-            negated,
-        },
-        leaf @ (Expr::Lit(_) | Expr::SeqNext(_) | Expr::SeqCurr(_)) => leaf,
-    }
-}

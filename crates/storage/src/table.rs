@@ -234,14 +234,14 @@ impl ColumnTable {
                     .ok_or_else(|| DashError::internal("column missing encoding after analysis"))?;
                 let block = self.compressor.encode_block(enc, values, range.clone());
                 self.synopsis
-                    .push_stride(i, self.compressor.block_min_max(enc, &block), block.null_count() > 0);
+                    .push_stride(i, self.compressor.block_min_max(enc, &block)?, block.null_count() > 0);
                 self.columns[i].blocks.push(block);
             }
             self.deleted.push(None);
         }
         // Remainder stays in the open stride.
         for (i, values) in staged.into_iter().enumerate() {
-            self.open[i] = tail_of(values, full * STRIDE);
+            self.open[i] = values.slice(full * STRIDE..n);
         }
         self.open_rows = n - full * STRIDE;
         self.open_deleted = vec![false; self.open_rows];
@@ -290,7 +290,7 @@ impl ColumnTable {
                 .encode_block(enc, &self.open[i], 0..STRIDE);
             self.synopsis.push_stride(
                 i,
-                self.compressor.block_min_max(enc, &block),
+                self.compressor.block_min_max(enc, &block)?,
                 block.null_count() > 0,
             );
             self.columns[i].blocks.push(block);
@@ -372,8 +372,8 @@ impl ColumnTable {
         self.live_rows += 1;
     }
 
-    /// Fetch the (possibly deleted) row at `tsn`. Decodes the containing
-    /// stride's blocks — a point access, used by UPDATE and result fetch.
+    /// Fetch the (possibly deleted) row at `tsn` — a point access, used by
+    /// UPDATE and result fetch: each column decodes that one position.
     pub fn get_row(&self, tsn: Tsn) -> Result<Row> {
         let pos = tsn.0 as usize;
         let stride = pos / STRIDE;
@@ -381,13 +381,9 @@ impl ColumnTable {
         let mut out = Vec::with_capacity(self.schema.len());
         if stride < self.deleted.len() {
             for (i, f) in self.schema.fields().iter().enumerate() {
-                let enc = self.columns[i]
-                    .encoding
-                    .as_ref()
-                    .ok_or_else(|| DashError::internal("sealed stride without encoding"))?;
-                let block = &self.columns[i].blocks[stride];
-                let decoded = self.compressor.decode_block(enc, block);
-                out.push(decoded.datum_at(f.data_type, off));
+                let mut value = ColumnValues::empty_for(f.data_type);
+                self.decode_at(i, stride, &[off], &mut value)?;
+                out.push(value.datum_at(f.data_type, 0));
             }
         } else if stride == self.deleted.len() && off < self.open_rows {
             for (i, f) in self.schema.fields().iter().enumerate() {
@@ -591,13 +587,30 @@ impl ColumnTable {
 
     /// Decode one column of one sealed stride.
     pub fn decode_stride(&self, col: usize, stride: usize) -> Result<ColumnValues> {
+        let (enc, block) = self.encoded(col, stride)?;
+        self.compressor.decode_block(enc, block)
+    }
+
+    /// Decode column `col` of sealed stride `stride` at `positions`
+    /// (ascending offsets within the stride), appending to `out` — see
+    /// [`ColumnCompressor::decode`].
+    pub fn decode_at(
+        &self,
+        col: usize,
+        stride: usize,
+        positions: &[usize],
+        out: &mut ColumnValues,
+    ) -> Result<()> {
+        let (enc, block) = self.encoded(col, stride)?;
+        self.compressor.decode(enc, block, positions, out)
+    }
+
+    fn encoded(&self, col: usize, stride: usize) -> Result<(&ColumnEncoding, &EncodedBlock)> {
         let enc = self.columns[col]
             .encoding
             .as_ref()
             .ok_or_else(|| DashError::internal("sealed stride without encoding"))?;
-        Ok(self
-            .compressor
-            .decode_block(enc, &self.columns[col].blocks[stride]))
+        Ok((enc, &self.columns[col].blocks[stride]))
     }
 
     /// Compressed bytes across all sealed blocks (user data only).
@@ -635,14 +648,6 @@ fn str_dict_of(enc: &ColumnEncoding) -> Option<Arc<FreqDict<Arc<str>>>> {
     match enc {
         ColumnEncoding::StrDict { dict, .. } => Some(Arc::new(dict.clone())),
         _ => None,
-    }
-}
-
-fn tail_of(values: ColumnValues, from: usize) -> ColumnValues {
-    match values {
-        ColumnValues::Int(v) => ColumnValues::Int(v[from..].to_vec()),
-        ColumnValues::Float(v) => ColumnValues::Float(v[from..].to_vec()),
-        ColumnValues::Str(v) => ColumnValues::Str(v[from..].to_vec()),
     }
 }
 

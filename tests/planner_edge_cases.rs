@@ -187,6 +187,44 @@ fn case_without_else_and_nested_functions() {
 }
 
 #[test]
+fn negative_literal_bounds_push_down() {
+    let mut s = session();
+    s.execute("CREATE TABLE f (id INT, qty BIGINT, price DOUBLE, amt DECIMAL(8,2))").unwrap();
+    s.execute("INSERT INTO f VALUES (1, -100, -1.5, -2.50), (2, -72, 0.0, 0.00), (3, 5, 2.5, 1.25)")
+        .unwrap();
+    let explain = |s: &mut Session, cond: &str| -> String {
+        let rows = s.query(&format!("EXPLAIN SELECT id FROM f WHERE {cond}")).unwrap();
+        rows.iter().map(|r| r.get(0).render() + "\n").collect()
+    };
+    // Both bounds of a negative BETWEEN reach the scan; nothing is left
+    // for a per-row residual.
+    let text = explain(&mut s, "qty BETWEEN -121 AND -72");
+    assert!(text.contains("preds=2 residual=false"), "{text}");
+    let text = explain(&mut s, "price > -2.0 AND amt <= -1.00 AND qty >= -9223372036854775807");
+    assert!(text.contains("preds=3 residual=false"), "{text}");
+    // A negated column is still an expression.
+    let text = explain(&mut s, "-qty >= 72");
+    assert!(text.contains("preds=0 residual=true"), "{text}");
+    // `-0.0` equals `0.0` as an expression but not as a code bound: it
+    // stays in the residual, so the row with price 0.0 keeps qualifying.
+    let text = explain(&mut s, "price <= -0.0");
+    assert!(text.contains("preds=0 residual=true"), "{text}");
+    let ids = |s: &mut Session, cond: &str| -> Vec<i64> {
+        let rows = s.query(&format!("SELECT id FROM f WHERE {cond} ORDER BY id")).unwrap();
+        rows.iter().map(|r| r.get(0).as_int().unwrap()).collect()
+    };
+    assert_eq!(ids(&mut s, "qty BETWEEN -121 AND -72"), vec![1, 2]);
+    assert_eq!(ids(&mut s, "price <= -0.0"), vec![1, 2]);
+    assert_eq!(ids(&mut s, "amt <= -1.00"), vec![1]);
+    assert_eq!(ids(&mut s, "-qty >= 72"), vec![1, 2]);
+    // Folded literals keep their value where they are projected.
+    assert_eq!(
+        s.query("SELECT -5, -2.5, - -3 FROM f WHERE id = 1").unwrap()[0],
+        dashdb_local::common::row![-5i64, -2.5f64, 3i64]
+    );
+}
+
+#[test]
 fn order_by_with_limit_stability() {
     let mut s = session();
     s.execute("CREATE TABLE t (k INT, v INT)").unwrap();

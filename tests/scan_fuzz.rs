@@ -3,7 +3,8 @@
 //! a brute-force evaluation over the raw rows, serial and parallel.
 
 use dashdb_local::common::types::DataType;
-use dashdb_local::common::{row, Datum, Field, Row, Schema};
+use dashdb_local::common::{date, row, Datum, Field, Row, Schema};
+use dashdb_local::core::{Database, HardwareSpec};
 use dashdb_local::exec::functions::EvalContext;
 use dashdb_local::exec::scan::{scan, ColumnPredicate, ScanConfig};
 use dashdb_local::storage::table::ColumnTable;
@@ -121,6 +122,121 @@ fn arb_predicate() -> impl Strategy<Value = ColumnPredicate> {
             hi: Some(Datum::Int(hi)),
         }),
     ]
+}
+
+/// One WHERE conjunct written with negative literals, and the bounds the
+/// scan must receive once the planner has folded the minus signs: one
+/// pushed predicate per bound, nothing left as a residual.
+fn arb_signed_conjunct() -> impl Strategy<Value = (String, Vec<ColumnPredicate>)> {
+    let bound =
+        |col: usize, lo: Option<Datum>, hi: Option<Datum>| ColumnPredicate::Range { col, lo, hi };
+    prop_oneof![
+        // Int: both bounds negative, then a range across zero.
+        (0i64..25, 0i64..25).prop_map(move |(a, b)| {
+            let (lo, hi) = (-a.max(b), -a.min(b));
+            (
+                format!("cat BETWEEN {lo} AND {hi}"),
+                vec![bound(1, Some(Datum::Int(lo)), None), bound(1, None, Some(Datum::Int(hi)))],
+            )
+        }),
+        (1i64..25, 0i64..25).prop_map(move |(a, b)| (
+            format!("cat >= -{a} AND cat <= {b}"),
+            vec![bound(1, Some(Datum::Int(-a)), None), bound(1, None, Some(Datum::Int(b)))],
+        )),
+        // The most negative literal SQL can spell, from both sides.
+        any::<bool>().prop_map(move |below| {
+            let edge = i64::MIN + 1;
+            if below {
+                (format!("id < {edge}"), vec![bound(0, None, Some(Datum::Int(i64::MIN)))])
+            } else {
+                (format!("id >= {edge}"), vec![bound(0, Some(Datum::Int(edge)), None)])
+            }
+        }),
+        // Float: negative pair, then across zero.
+        (1i32..60, 1i32..60).prop_map(move |(a, b)| {
+            let (lo, hi) = (-(a.max(b) as f64) / 4.0, -(a.min(b) as f64) / 4.0);
+            (
+                format!("f BETWEEN {lo:.2} AND {hi:.2}"),
+                vec![bound(3, Some(Datum::Float(lo)), None), bound(3, None, Some(Datum::Float(hi)))],
+            )
+        }),
+        (1i32..60, 0i32..60).prop_map(move |(a, b)| (
+            format!("f >= -{:.2} AND f <= {:.2}", a as f64 / 4.0, b as f64 / 4.0),
+            vec![
+                bound(3, Some(Datum::Float(-(a as f64) / 4.0)), None),
+                bound(3, None, Some(Datum::Float(b as f64 / 4.0))),
+            ],
+        )),
+        // Dates either side of the epoch: day numbers below, at and above 0.
+        (-400i32..400, 0i32..300).prop_map(move |(lo, span)| (
+            format!(
+                "d BETWEEN DATE '{}' AND DATE '{}'",
+                date::format_date(lo),
+                date::format_date(lo + span)
+            ),
+            vec![
+                bound(4, Some(Datum::Date(lo)), None),
+                bound(4, None, Some(Datum::Date(lo + span))),
+            ],
+        )),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Negative, zero-crossing and `i64::MIN + 1` bounds through SQL: the
+    /// planner folds the unary minus, both bounds push down (`preds=`
+    /// counts them, no residual), and the rows match brute force over a
+    /// table with a sealed stride and an open one.
+    #[test]
+    fn signed_literal_bounds_push_down_and_match_brute_force(
+        mut rows in prop::collection::vec(
+            (
+                any::<i64>(),
+                prop::option::of(-20i32..20),
+                prop::option::of(0u8..6),
+                prop::option::of(-50i32..50),
+                prop::option::of(-400i32..400),
+            )
+                .prop_map(|(id, cat, s, f, d)| FuzzRow { id, cat, s, f, d }),
+            1100..1400,
+        ),
+        conjuncts in prop::collection::vec(arb_signed_conjunct(), 1..3),
+        use_load in any::<bool>(),
+    ) {
+        for id in [i64::MIN, i64::MIN + 1, -1, 0, i64::MAX] {
+            rows.push(FuzzRow { id, cat: Some(0), s: None, f: Some(0), d: Some(0) });
+        }
+        let db = Database::with_hardware(HardwareSpec::laptop());
+        let table = db.catalog().create_table("t", schema(), None).unwrap();
+        if use_load {
+            table.write().load_rows(rows.iter().map(to_row).collect()).unwrap();
+        } else {
+            for fr in &rows {
+                table.write().insert(to_row(fr)).unwrap();
+            }
+        }
+        prop_assert!(table.read().sealed_strides() >= 1 && table.read().open_len() > 0);
+        let sql: Vec<&str> = conjuncts.iter().map(|(text, _)| text.as_str()).collect();
+        let preds: Vec<ColumnPredicate> = conjuncts.iter().flat_map(|(_, p)| p.clone()).collect();
+        let query = format!("SELECT id FROM t WHERE {}", sql.join(" AND "));
+        let mut session = db.connect();
+
+        let plan = session.query(&format!("EXPLAIN {query}")).unwrap();
+        let plan: String = plan.iter().map(|r| r.get(0).render() + "\n").collect();
+        let pushed = format!("preds={} residual=false", preds.len());
+        prop_assert!(plan.contains(&pushed), "{} wants {}:\n{}", query, pushed, plan);
+
+        let mut got: Vec<i64> = session
+            .query(&query)
+            .unwrap()
+            .iter()
+            .map(|r| r.get(0).as_int().unwrap())
+            .collect();
+        got.sort_unstable();
+        prop_assert_eq!(got, brute_force(&rows, &preds), "{}", query);
+    }
 }
 
 proptest! {
