@@ -148,6 +148,9 @@ fn join_leg(fact: &Batch, dim: &Batch) -> Leg {
     }
 }
 
+/// The aggregate has one kernel, which groups on key words under either
+/// plan label: the two timings differ by noise only, and the leg's time is
+/// what to read, not its ratio.
 fn agg_leg(fact: &Batch) -> Leg {
     let ctx = EvalContext::default();
     let out = Schema::new(vec![

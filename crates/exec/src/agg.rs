@@ -10,17 +10,19 @@
 //! `MEDIAN`, `PERCENTILE_CONT`/`_DISC`, `VAR_POP`/`VAR_SAMP`,
 //! `STDDEV_POP`/`STDDEV_SAMP`, `COVAR_POP`/`COVAR_SAMP` plus the ANSI core.
 
-use crate::batch::Batch;
+use crate::batch::{str_bytes, Batch};
 use crate::expr::Expr;
 use crate::functions::EvalContext;
-use crate::key::{self, KeyMode, StrInterner, STR_MISS};
+use crate::key::{self, GroupTable, KeyCol, KeyMode, KeyWord, StrDict, StrInterner, LOCAL_STR_BASE};
 use crate::pipeline::{self, AggSink, Feed};
 use crate::stats::ExecStats;
-use dash_common::fxhash::FxHashMap;
-use dash_common::statement::{approx_datum_bytes, approx_row_bytes};
-use dash_common::{DashError, DataType, Datum, Result, Row, Schema};
-use std::collections::HashSet;
+use dash_common::fxhash::FxHashSet;
+use dash_common::{DashError, DataType, Datum, Result, Schema};
+use dash_encoding::column::{value_kind, ColumnValues, ValueKind};
+use dash_encoding::dict::pack_code;
+use std::borrow::Cow;
 use std::ops::Range;
+use std::sync::Arc;
 
 /// Aggregate functions.
 #[derive(Debug, Clone, PartialEq)]
@@ -112,370 +114,704 @@ pub struct AggExpr {
     pub distinct: bool,
 }
 
-/// Running state for one aggregate of one group.
-#[derive(Debug, Clone)]
-enum AggState {
-    Count(i64),
-    SumInt { sum: i64, any: bool },
-    SumFloat { sum: f64, any: bool },
-    Avg { sum: f64, n: i64 },
-    MinMax { current: Option<Datum>, min: bool },
-    /// Holds all values (percentiles/median need the full set).
-    Values(Vec<f64>),
-    /// Welford-style moments for variance/stddev.
-    Moments { n: i64, mean: f64, m2: f64 },
-    /// Co-moments for covariance.
-    CoMoments { n: i64, mx: f64, my: f64, cxy: f64 },
-    Distinct(HashSet<Datum>, Box<AggState>),
-}
-
-fn new_state(agg: &AggExpr, input_is_int: bool) -> AggState {
-    let base = match agg.func {
-        AggFunc::CountStar | AggFunc::Count => AggState::Count(0),
-        AggFunc::Sum if input_is_int => AggState::SumInt { sum: 0, any: false },
-        AggFunc::Sum => AggState::SumFloat { sum: 0.0, any: false },
-        AggFunc::Avg => AggState::Avg { sum: 0.0, n: 0 },
-        AggFunc::Min => AggState::MinMax {
-            current: None,
-            min: true,
-        },
-        AggFunc::Max => AggState::MinMax {
-            current: None,
-            min: false,
-        },
-        AggFunc::Median | AggFunc::PercentileCont(_) | AggFunc::PercentileDisc(_) => {
-            AggState::Values(Vec::new())
-        }
-        AggFunc::VarPop | AggFunc::VarSamp | AggFunc::StdDevPop | AggFunc::StdDevSamp => {
-            AggState::Moments {
-                n: 0,
-                mean: 0.0,
-                m2: 0.0,
-            }
-        }
-        AggFunc::CovarPop | AggFunc::CovarSamp => AggState::CoMoments {
-            n: 0,
-            mx: 0.0,
-            my: 0.0,
-            cxy: 0.0,
-        },
-    };
-    if agg.distinct {
-        AggState::Distinct(HashSet::new(), Box::new(base))
-    } else {
-        base
+/// The type a computed (non-column) argument is stored at before the
+/// aggregate reads it — what the state consumes, from the aggregate's
+/// declared output type. `None`: only NULL-ness is read (`COUNT`).
+fn arg_target(func: &AggFunc, out: DataType) -> Option<DataType> {
+    match func {
+        AggFunc::CountStar | AggFunc::Count => None,
+        // Integer and decimal sums stay exact; everything else adds `f64`s.
+        AggFunc::Sum if value_kind(out) == ValueKind::Int => Some(out),
+        AggFunc::Min | AggFunc::Max => Some(out),
+        _ => Some(DataType::Float64),
     }
 }
 
-fn update(state: &mut AggState, values: &[Datum]) -> Result<()> {
-    match state {
-        AggState::Distinct(seen, inner) => {
-            // Only single-argument distinct aggregates are supported.
-            let v = values.first().cloned().unwrap_or(Datum::Null);
-            if v.is_null() || !seen.insert(v) {
-                return Ok(());
-            }
-            update(inner, values)
+/// `v` as a value of type `to`, when `to` holds it exactly: its own kind,
+/// an integer scaled up into a decimal, a decimal at a scale that drops no
+/// digit, a whole float as an integer, any number as the `f64`
+/// [`Datum::as_float`] reads it as. Arithmetic over decimals evaluates in
+/// `f64`, so a float within rounding error of a decimal of `to`'s scale is
+/// that decimal. `None` for everything a cast would round, truncate or
+/// parse — the planner's static type of an expression is loose (`COALESCE`
+/// takes its first argument's), so a value outside it is an error, never a
+/// stand-in.
+fn exact(v: &Datum, to: DataType) -> Option<Datum> {
+    Some(match (to, v) {
+        (_, Datum::Null) => Datum::Null,
+        (DataType::Int16 | DataType::Int32 | DataType::Int64, Datum::Int(_))
+        | (DataType::Bool, Datum::Bool(_))
+        | (DataType::Date, Datum::Date(_))
+        | (DataType::Timestamp, Datum::Timestamp(_))
+        | (DataType::Utf8, Datum::Str(_)) => v.clone(),
+        (DataType::Int16 | DataType::Int32 | DataType::Int64, Datum::Bool(b)) => Datum::Int(*b as i64),
+        (DataType::Int16 | DataType::Int32 | DataType::Int64, Datum::Float(x))
+            if x.fract() == 0.0 && x.abs() < i64::MAX as f64 =>
+        {
+            Datum::Int(*x as i64)
         }
-        AggState::Count(c) => {
-            if values.is_empty() || !values[0].is_null() {
-                *c += 1;
-            }
-            Ok(())
+        (DataType::Decimal(_, s), Datum::Int(x)) => {
+            Datum::Decimal((*x as i128).checked_mul(10i128.checked_pow(s as u32)?)?, s)
         }
-        AggState::SumInt { sum, any } => {
-            if !values[0].is_null() {
-                let v = values[0]
-                    .as_int()
-                    .ok_or_else(|| DashError::exec("SUM over non-numeric value"))?;
-                *sum = sum
-                    .checked_add(v)
-                    .ok_or_else(|| DashError::exec("SUM overflow"))?;
-                *any = true;
-            }
-            Ok(())
+        (DataType::Decimal(_, s), Datum::Decimal(x, from)) if *from <= s => {
+            Datum::Decimal(x.checked_mul(10i128.checked_pow((s - from) as u32)?)?, s)
         }
-        AggState::SumFloat { sum, any } => {
-            if !values[0].is_null() {
-                *sum += values[0]
-                    .as_float()
-                    .ok_or_else(|| DashError::exec("SUM over non-numeric value"))?;
-                *any = true;
-            }
-            Ok(())
+        (DataType::Decimal(_, s), Datum::Decimal(x, from)) => {
+            let div = 10i128.checked_pow((from - s) as u32)?;
+            (x % div == 0).then_some(Datum::Decimal(x / div, s))?
         }
-        AggState::Avg { sum, n } => {
-            if !values[0].is_null() {
-                *sum += values[0]
-                    .as_float()
-                    .ok_or_else(|| DashError::exec("AVG over non-numeric value"))?;
-                *n += 1;
-            }
-            Ok(())
+        (DataType::Decimal(_, s), Datum::Float(x)) => {
+            let scaled = x * 10f64.powi(s as i32);
+            let whole = scaled.round();
+            let near = (scaled - whole).abs() <= scaled.abs() * 16.0 * f64::EPSILON;
+            (near && whole.abs() < i64::MAX as f64).then_some(Datum::Decimal(whole as i128, s))?
         }
-        AggState::MinMax { current, min } => {
-            let v = &values[0];
-            if !v.is_null() {
-                let replace = match current {
-                    None => true,
-                    Some(c) => {
-                        let ord = v.sql_cmp(c);
-                        if *min {
-                            ord == std::cmp::Ordering::Less
-                        } else {
-                            ord == std::cmp::Ordering::Greater
-                        }
+        (DataType::Float32 | DataType::Float64, v) => Datum::Float(v.as_float()?),
+        _ => return None,
+    })
+}
+
+/// The logical type of `expr` as the kernel sees it: a bare column has its
+/// field's type, a computed expression the type it is coerced to.
+fn source_type(expr: &Expr, input: &Schema, target: DataType) -> DataType {
+    match expr {
+        Expr::Col(c) => input.fields().get(*c).map_or(target, |f| f.data_type),
+        _ => target,
+    }
+}
+
+fn out_type(schema: &Schema, i: usize) -> Result<DataType> {
+    let field = schema.fields().get(i);
+    field
+        .map(|f| f.data_type)
+        .ok_or_else(|| DashError::internal(format!("aggregate output schema has no column {i}")))
+}
+
+/// A typed column and the rows of it one pass covers: a bare column lends
+/// the batch's storage, a computed expression owns a scratch column.
+struct MorselCol<'a> {
+    values: Cow<'a, ColumnValues>,
+    rows: Range<usize>,
+    dt: DataType,
+    /// What the expression evaluated to, row by row — kept for the argument
+    /// of `COUNT(DISTINCT expr)` alone, which no declared type describes:
+    /// `values` holds its NULL-ness and the seen-set compares these.
+    raw: Option<Vec<Datum>>,
+}
+
+impl<'a> MorselCol<'a> {
+    fn borrowed(input: &'a Batch, col: usize, rows: &Range<usize>) -> Result<MorselCol<'a>> {
+        Ok(MorselCol {
+            values: Cow::Borrowed(input.try_column(col)?),
+            rows: rows.clone(),
+            dt: out_type(input.schema(), col)?,
+            raw: None,
+        })
+    }
+
+    /// Evaluate `expr` once per row of `rows` into a scratch column of type
+    /// `target`; a value that type does not hold exactly ([`exact`]) fails
+    /// the statement. `None` keeps NULL-ness only, and with `keep_raw` the
+    /// values beside it.
+    fn computed(
+        expr: &Expr,
+        input: &Batch,
+        rows: &Range<usize>,
+        target: Option<DataType>,
+        keep_raw: bool,
+        ctx: &EvalContext,
+    ) -> Result<MorselCol<'static>> {
+        let dt = target.unwrap_or(DataType::Int64);
+        let mut values = ColumnValues::empty_for(dt);
+        let mut raw = keep_raw.then(Vec::new);
+        for row in rows.clone() {
+            let v = expr.eval(input, row, ctx)?;
+            let stored = match target {
+                Some(t) => exact(&v, t).ok_or_else(|| {
+                    DashError::exec(format!(
+                        "computed aggregate key or argument {v:?} is not a {t} value; CAST the expression"
+                    ))
+                })?,
+                None => Datum::from((!v.is_null()).then_some(0i64)),
+            };
+            values.push_datum(dt, &stored)?;
+            if let Some(raw) = &mut raw {
+                raw.push(v);
+            }
+        }
+        Ok(MorselCol {
+            values: Cow::Owned(values),
+            rows: 0..rows.len(),
+            dt,
+            raw,
+        })
+    }
+
+    /// `f(i)` for every non-NULL value, `i` counting from the morsel's
+    /// first row.
+    fn for_each_valid(&self, mut f: impl FnMut(usize)) {
+        fn valid<T>(v: &[Option<T>], mut f: impl FnMut(usize)) {
+            v.iter().enumerate().filter(|(_, x)| x.is_some()).for_each(|(i, _)| f(i));
+        }
+        match &*self.values {
+            ColumnValues::Int(v) => valid(&v[self.rows.clone()], &mut f),
+            ColumnValues::Float(v) => valid(&v[self.rows.clone()], &mut f),
+            ColumnValues::Str(v) => valid(&v[self.rows.clone()], &mut f),
+        }
+    }
+
+    /// `f(i, x)` for every non-NULL value of a numeric column, `x` the
+    /// `f64` that `Datum::as_float` gives it: integers widen, decimals
+    /// divide by their scale.
+    fn for_each_f64(&self, mut f: impl FnMut(usize, f64)) -> Result<()> {
+        let rows = self.rows.clone();
+        match (&*self.values, self.dt) {
+            (ColumnValues::Float(v), _) => {
+                for (i, x) in v[rows].iter().enumerate() {
+                    if let Some(x) = x {
+                        f(i, *x);
                     }
-                };
-                if replace {
-                    *current = Some(v.clone());
                 }
             }
-            Ok(())
-        }
-        AggState::Values(vals) => {
-            if !values[0].is_null() {
-                vals.push(
-                    values[0]
-                        .as_float()
-                        .ok_or_else(|| DashError::exec("percentile over non-numeric value"))?,
-                );
+            (ColumnValues::Int(v), DataType::Decimal(_, s)) => {
+                let div = 10f64.powi(s as i32);
+                for (i, x) in v[rows].iter().enumerate() {
+                    if let Some(x) = x {
+                        f(i, *x as f64 / div);
+                    }
+                }
             }
-            Ok(())
-        }
-        AggState::Moments { n, mean, m2 } => {
-            if !values[0].is_null() {
-                let x = values[0]
-                    .as_float()
-                    .ok_or_else(|| DashError::exec("variance over non-numeric value"))?;
-                *n += 1;
-                let delta = x - *mean;
-                *mean += delta / *n as f64;
-                *m2 += delta * (x - *mean);
+            (ColumnValues::Int(v), dt) if dt.is_integer() => {
+                for (i, x) in v[rows].iter().enumerate() {
+                    if let Some(x) = x {
+                        f(i, *x as f64);
+                    }
+                }
             }
-            Ok(())
+            _ => return Err(DashError::internal("numeric aggregate over a non-numeric column")),
         }
-        AggState::CoMoments { n, mx, my, cxy } => {
-            if !values[0].is_null() && !values[1].is_null() {
-                let x = values[0]
-                    .as_float()
-                    .ok_or_else(|| DashError::exec("covariance over non-numeric value"))?;
-                let y = values[1]
-                    .as_float()
-                    .ok_or_else(|| DashError::exec("covariance over non-numeric value"))?;
-                *n += 1;
-                let dx = x - *mx;
-                *mx += dx / *n as f64;
-                *my += (y - *my) / *n as f64;
-                *cxy += dx * (y - *my);
+        Ok(())
+    }
+}
+
+/// The argument column `agg` reads for its `a`-th argument. A bare column
+/// is lent as it is when the state can read its storage; any other
+/// argument — and a column the state cannot read, such as `AVG` over
+/// strings — is computed into a scratch column of the state's type.
+fn arg_col<'a>(
+    agg: &AggExpr,
+    a: usize,
+    out: DataType,
+    input: &'a Batch,
+    rows: &Range<usize>,
+    ctx: &EvalContext,
+) -> Result<MorselCol<'a>> {
+    let target = arg_target(&agg.func, out);
+    let expr = &agg.args[a];
+    if let Expr::Col(c) = expr {
+        let dt = out_type(input.schema(), *c)?;
+        let readable = match (&agg.func, target) {
+            (AggFunc::Min | AggFunc::Max, _) | (_, None) => true,
+            (_, Some(t)) if value_kind(t) == ValueKind::Int => value_kind(dt) == ValueKind::Int,
+            _ => dt.is_numeric(),
+        };
+        if readable {
+            return MorselCol::borrowed(input, *c, rows);
+        }
+    }
+    MorselCol::computed(expr, input, rows, target, target.is_none() && agg.distinct, ctx)
+}
+
+/// A `DISTINCT` aggregate's seen-set entry: the group and the value.
+#[derive(Debug, PartialEq, Eq, Hash)]
+enum SeenKey {
+    Word(u32, u64),
+    Str(u32, Arc<str>),
+    /// A computed `COUNT(DISTINCT expr)` argument, whose values may be of
+    /// several kinds: compared as `Datum`s compare.
+    Datum(u32, Datum),
+}
+
+/// One aggregate's running state for every group of a partial or of the
+/// accumulator: a struct of arrays indexed by group id.
+#[derive(Debug)]
+enum StateCol {
+    Count(Vec<i64>),
+    /// Integer sums and scaled-decimal sums, overflow-checked.
+    SumInt { sum: Vec<i64>, seen: Vec<bool> },
+    SumFloat { sum: Vec<f64>, seen: Vec<bool> },
+    Avg { sum: Vec<f64>, n: Vec<i64> },
+    /// `best` has the argument's storage kind; `dt` is its logical type.
+    MinMax { best: ColumnValues, dt: DataType, min: bool },
+    /// Holds all values (percentiles/median need the full set).
+    Values(Vec<Vec<f64>>),
+    /// Welford-style moments for variance/stddev.
+    Moments { n: Vec<i64>, mean: Vec<f64>, m2: Vec<f64> },
+    /// Co-moments for covariance.
+    CoMoments { n: Vec<i64>, mx: Vec<f64>, my: Vec<f64>, cxy: Vec<f64> },
+    /// `inner` sees each group's distinct non-NULL values once.
+    Distinct { seen: FxHashSet<SeenKey>, inner: Box<StateCol> },
+}
+
+fn overflow() -> DashError {
+    DashError::exec("SUM overflow")
+}
+
+/// Fold rows `rows` of `vals` into `best`: slot `at(i)` keeps the smaller
+/// (`min`) or larger of itself and the `i`-th of those rows. An unordered
+/// pair (a NaN) keeps the slot, as `sql_cmp` does.
+fn keep_best(
+    best: &mut ColumnValues,
+    vals: &ColumnValues,
+    rows: Range<usize>,
+    at: impl Fn(usize) -> usize,
+    min: bool,
+) -> Result<()> {
+    fn fold<T: PartialOrd + Clone>(
+        best: &mut [Option<T>],
+        vals: &[Option<T>],
+        at: impl Fn(usize) -> usize,
+        min: bool,
+    ) {
+        for (i, x) in vals.iter().enumerate() {
+            let Some(x) = x else { continue };
+            let cur = &mut best[at(i)];
+            let replace = match cur {
+                None => true,
+                Some(c) if min => x < c,
+                Some(c) => x > c,
+            };
+            if replace {
+                *cur = Some(x.clone());
             }
-            Ok(())
+        }
+    }
+    match (best, vals) {
+        (ColumnValues::Int(b), ColumnValues::Int(v)) => fold(b, &v[rows], at, min),
+        (ColumnValues::Float(b), ColumnValues::Float(v)) => fold(b, &v[rows], at, min),
+        (ColumnValues::Str(b), ColumnValues::Str(v)) => fold(b, &v[rows], at, min),
+        _ => return Err(DashError::internal("MIN/MAX state does not match its argument column")),
+    }
+    Ok(())
+}
+
+impl StateCol {
+    /// Empty state for `agg`, whose output column has type `out` and whose
+    /// first argument has logical type `arg`.
+    fn new(agg: &AggExpr, out: DataType, arg: DataType) -> StateCol {
+        let base = match agg.func {
+            AggFunc::CountStar | AggFunc::Count => StateCol::Count(Vec::new()),
+            AggFunc::Sum if value_kind(out) == ValueKind::Int => StateCol::SumInt {
+                sum: Vec::new(),
+                seen: Vec::new(),
+            },
+            AggFunc::Sum => StateCol::SumFloat {
+                sum: Vec::new(),
+                seen: Vec::new(),
+            },
+            AggFunc::Avg => StateCol::Avg {
+                sum: Vec::new(),
+                n: Vec::new(),
+            },
+            AggFunc::Min | AggFunc::Max => StateCol::MinMax {
+                best: ColumnValues::empty_for(arg),
+                dt: arg,
+                min: agg.func == AggFunc::Min,
+            },
+            AggFunc::Median | AggFunc::PercentileCont(_) | AggFunc::PercentileDisc(_) => {
+                StateCol::Values(Vec::new())
+            }
+            AggFunc::VarPop | AggFunc::VarSamp | AggFunc::StdDevPop | AggFunc::StdDevSamp => {
+                StateCol::Moments {
+                    n: Vec::new(),
+                    mean: Vec::new(),
+                    m2: Vec::new(),
+                }
+            }
+            AggFunc::CovarPop | AggFunc::CovarSamp => StateCol::CoMoments {
+                n: Vec::new(),
+                mx: Vec::new(),
+                my: Vec::new(),
+                cxy: Vec::new(),
+            },
+        };
+        if agg.distinct {
+            StateCol::Distinct {
+                seen: FxHashSet::default(),
+                inner: Box::new(base),
+            }
+        } else {
+            base
+        }
+    }
+
+    /// Grow to `groups` slots, new ones at the aggregate's identity.
+    fn resize(&mut self, groups: usize) {
+        match self {
+            StateCol::Count(c) => c.resize(groups, 0),
+            StateCol::SumInt { sum, seen } => {
+                sum.resize(groups, 0);
+                seen.resize(groups, false);
+            }
+            StateCol::SumFloat { sum, seen } => {
+                sum.resize(groups, 0.0);
+                seen.resize(groups, false);
+            }
+            StateCol::Avg { sum, n } => {
+                sum.resize(groups, 0.0);
+                n.resize(groups, 0);
+            }
+            StateCol::MinMax { best, .. } => match best {
+                ColumnValues::Int(v) => v.resize(groups, None),
+                ColumnValues::Float(v) => v.resize(groups, None),
+                ColumnValues::Str(v) => v.resize(groups, None),
+            },
+            StateCol::Values(v) => v.resize(groups, Vec::new()),
+            StateCol::Moments { n, mean, m2 } => {
+                n.resize(groups, 0);
+                mean.resize(groups, 0.0);
+                m2.resize(groups, 0.0);
+            }
+            StateCol::CoMoments { n, mx, my, cxy } => {
+                n.resize(groups, 0);
+                mx.resize(groups, 0.0);
+                my.resize(groups, 0.0);
+                cxy.resize(groups, 0.0);
+            }
+            StateCol::Distinct { inner, .. } => inner.resize(groups),
+        }
+    }
+
+    /// Bytes one group's slot holds, not counting what `update` reports
+    /// through its `grown` counter.
+    fn slot_bytes(&self) -> u64 {
+        match self {
+            StateCol::Count(_) => 8,
+            StateCol::SumInt { .. } | StateCol::SumFloat { .. } => 9,
+            StateCol::Avg { .. } | StateCol::MinMax { .. } => 16,
+            StateCol::Values(_) | StateCol::Moments { .. } => 24,
+            StateCol::CoMoments { .. } => 32,
+            StateCol::Distinct { inner, .. } => inner.slot_bytes(),
+        }
+    }
+
+    /// Fold one morsel's argument columns into the state: row `i` of the
+    /// morsel updates slot `gids[i]`, or slot 0 of a global aggregate.
+    /// `grown` counts bytes the state grows by beyond its fixed slots.
+    fn update(
+        &mut self,
+        args: &[MorselCol<'_>],
+        rows: usize,
+        gids: Option<&[u32]>,
+        grown: &mut u64,
+    ) -> Result<()> {
+        match gids {
+            Some(g) => self.update_by(args, rows, |i| g[i] as usize, grown),
+            None => self.update_by(args, rows, |_| 0, grown),
+        }
+    }
+
+    fn update_by(
+        &mut self,
+        args: &[MorselCol<'_>],
+        rows: usize,
+        gid: impl Fn(usize) -> usize + Copy,
+        grown: &mut u64,
+    ) -> Result<()> {
+        let mismatch = || DashError::internal("aggregate state does not match its argument column");
+        let arg = |a: usize| args.get(a).ok_or_else(mismatch);
+        match self {
+            StateCol::Count(count) => match args.first() {
+                None => (0..rows).for_each(|i| count[gid(i)] += 1),
+                Some(a) => a.for_each_valid(|i| count[gid(i)] += 1),
+            },
+            StateCol::SumInt { sum, seen } => {
+                let a = arg(0)?;
+                let ColumnValues::Int(v) = &*a.values else {
+                    return Err(mismatch());
+                };
+                for (i, x) in v[a.rows.clone()].iter().enumerate() {
+                    if let Some(x) = x {
+                        let g = gid(i);
+                        sum[g] = sum[g].checked_add(*x).ok_or_else(overflow)?;
+                        seen[g] = true;
+                    }
+                }
+            }
+            StateCol::SumFloat { sum, seen } => arg(0)?.for_each_f64(|i, x| {
+                let g = gid(i);
+                sum[g] += x;
+                seen[g] = true;
+            })?,
+            StateCol::Avg { sum, n } => arg(0)?.for_each_f64(|i, x| {
+                let g = gid(i);
+                sum[g] += x;
+                n[g] += 1;
+            })?,
+            StateCol::MinMax { best, min, .. } => {
+                let a = arg(0)?;
+                keep_best(best, &a.values, a.rows.clone(), gid, *min)?;
+            }
+            StateCol::Values(vals) => arg(0)?.for_each_f64(|i, x| {
+                vals[gid(i)].push(x);
+                *grown += 8;
+            })?,
+            StateCol::Moments { n, mean, m2 } => arg(0)?.for_each_f64(|i, x| {
+                let g = gid(i);
+                n[g] += 1;
+                let delta = x - mean[g];
+                mean[g] += delta / n[g] as f64;
+                m2[g] += delta * (x - mean[g]);
+            })?,
+            StateCol::CoMoments { n, mx, my, cxy } => {
+                // A row counts only when both arguments are non-NULL.
+                let mut ys: Vec<Option<f64>> = vec![None; rows];
+                arg(1)?.for_each_f64(|i, y| ys[i] = Some(y))?;
+                arg(0)?.for_each_f64(|i, x| {
+                    if let Some(y) = ys[i] {
+                        let g = gid(i);
+                        n[g] += 1;
+                        let dx = x - mx[g];
+                        mx[g] += dx / n[g] as f64;
+                        my[g] += (y - my[g]) / n[g] as f64;
+                        cxy[g] += dx * (y - my[g]);
+                    }
+                })?;
+            }
+            StateCol::Distinct { seen, inner } => {
+                // Only single-argument distinct aggregates are supported;
+                // one without an argument sees nothing, as before.
+                let Some(a) = args.first() else { return Ok(()) };
+                let r = a.rows.clone();
+                let mut first = |key: SeenKey, bytes: u64| {
+                    let new = seen.insert(key);
+                    *grown += if new { bytes } else { 0 };
+                    new
+                };
+                fn once<T: Clone>(v: &[Option<T>], mut first: impl FnMut(usize, &T) -> bool) -> Vec<Option<T>> {
+                    v.iter().enumerate().map(|(i, x)| x.clone().filter(|x| first(i, x))).collect()
+                }
+                // The argument again, with every repeat within its group
+                // turned to NULL: `inner` skips those like any NULL.
+                let once = match (&a.raw, &*a.values) {
+                    (Some(raw), _) => {
+                        let new = |(i, x): (usize, &Datum)| {
+                            !x.is_null() && first(SeenKey::Datum(gid(i) as u32, x.clone()), 24 + x.approx_size() as u64)
+                        };
+                        ColumnValues::Int(raw.iter().enumerate().map(new).map(|new| new.then_some(0)).collect())
+                    }
+                    (None, ColumnValues::Int(v)) => {
+                        ColumnValues::Int(once(&v[r], |i, x| first(SeenKey::Word(gid(i) as u32, *x as u64), 24)))
+                    }
+                    (None, ColumnValues::Float(v)) => ColumnValues::Float(once(&v[r], |i, x| {
+                        first(SeenKey::Word(gid(i) as u32, key::f64_key_word(*x)), 24)
+                    })),
+                    (None, ColumnValues::Str(v)) => ColumnValues::Str(once(&v[r], |i, x| {
+                        first(SeenKey::Str(gid(i) as u32, x.clone()), 32 + x.len() as u64)
+                    })),
+                };
+                let once = MorselCol {
+                    values: Cow::Owned(once),
+                    rows: 0..rows,
+                    dt: a.dt,
+                    raw: None,
+                };
+                inner.update_by(&[once], rows, gid, grown)?;
+            }
+        }
+        Ok(())
+    }
+
+    /// Merge a morsel-partial state column into this one — the aggregate
+    /// breaker's combine step: slot `g` of `src` folds into slot `map[g]`.
+    /// Counts and sums add, min/max compare, percentile value sets
+    /// concatenate (in fold order, so the pre-sort layout is
+    /// deterministic), and the moment states combine with Chan et al.'s
+    /// parallel update formulas. `DISTINCT` states cannot merge (their
+    /// per-partial seen-sets overlap); the pipeline feeds them one partial
+    /// spanning the whole input, so reaching one here is an internal error,
+    /// not a user error. Returns the bytes grown beyond the fixed slots.
+    fn merge(&mut self, src: StateCol, map: &[u32]) -> Result<u64> {
+        let at = |g: usize| map[g] as usize;
+        let mut grown = 0u64;
+        match (self, src) {
+            (StateCol::Count(d), StateCol::Count(s)) => {
+                s.iter().enumerate().for_each(|(g, c)| d[at(g)] += c);
+            }
+            (StateCol::SumInt { sum, seen }, StateCol::SumInt { sum: s, seen: a }) => {
+                for (g, (s, a)) in s.iter().zip(a).enumerate() {
+                    sum[at(g)] = sum[at(g)].checked_add(*s).ok_or_else(overflow)?;
+                    seen[at(g)] |= a;
+                }
+            }
+            (StateCol::SumFloat { sum, seen }, StateCol::SumFloat { sum: s, seen: a }) => {
+                for (g, (s, a)) in s.iter().zip(a).enumerate() {
+                    sum[at(g)] += s;
+                    seen[at(g)] |= a;
+                }
+            }
+            (StateCol::Avg { sum, n }, StateCol::Avg { sum: s, n: m }) => {
+                for (g, (s, m)) in s.iter().zip(m).enumerate() {
+                    sum[at(g)] += s;
+                    n[at(g)] += m;
+                }
+            }
+            (StateCol::MinMax { best, min, .. }, StateCol::MinMax { best: other, .. }) => {
+                keep_best(best, &other, 0..other.len(), at, *min)?;
+            }
+            (StateCol::Values(d), StateCol::Values(s)) => {
+                for (g, vals) in s.into_iter().enumerate() {
+                    grown += 8 * vals.len() as u64;
+                    d[at(g)].extend(vals);
+                }
+            }
+            (
+                StateCol::Moments { n, mean, m2 },
+                StateCol::Moments {
+                    n: n2,
+                    mean: mean2,
+                    m2: m22,
+                },
+            ) => {
+                for (g, &n2) in n2.iter().enumerate().filter(|(_, &n2)| n2 > 0) {
+                    let (d, mean2, m22) = (at(g), mean2[g], m22[g]);
+                    if n[d] == 0 {
+                        (n[d], mean[d], m2[d]) = (n2, mean2, m22);
+                    } else {
+                        let total = n[d] + n2;
+                        let delta = mean2 - mean[d];
+                        m2[d] += m22 + delta * delta * (n[d] as f64) * (n2 as f64) / total as f64;
+                        mean[d] += delta * (n2 as f64) / total as f64;
+                        n[d] = total;
+                    }
+                }
+            }
+            (
+                StateCol::CoMoments { n, mx, my, cxy },
+                StateCol::CoMoments {
+                    n: n2,
+                    mx: mx2,
+                    my: my2,
+                    cxy: cxy2,
+                },
+            ) => {
+                for (g, &n2) in n2.iter().enumerate().filter(|(_, &n2)| n2 > 0) {
+                    let (d, mx2, my2, cxy2) = (at(g), mx2[g], my2[g], cxy2[g]);
+                    if n[d] == 0 {
+                        (n[d], mx[d], my[d], cxy[d]) = (n2, mx2, my2, cxy2);
+                    } else {
+                        let total = n[d] + n2;
+                        let dx = mx2 - mx[d];
+                        let dy = my2 - my[d];
+                        cxy[d] += cxy2 + dx * dy * (n[d] as f64) * (n2 as f64) / total as f64;
+                        mx[d] += dx * (n2 as f64) / total as f64;
+                        my[d] += dy * (n2 as f64) / total as f64;
+                        n[d] = total;
+                    }
+                }
+            }
+            (StateCol::Distinct { .. }, _) => {
+                return Err(DashError::internal(
+                    "DISTINCT aggregate reached the partial-merge path",
+                ))
+            }
+            _ => {
+                return Err(DashError::internal(
+                    "mismatched aggregate partial states at merge",
+                ))
+            }
+        }
+        Ok(grown)
+    }
+
+    /// Every group's result, in group order.
+    fn finish(self, func: &AggFunc, out: DataType) -> Vec<Datum> {
+        let some_if = |seen: bool, d: Datum| if seen { d } else { Datum::Null };
+        match self {
+            StateCol::Distinct { inner, .. } => inner.finish(func, out),
+            StateCol::Count(c) => c.into_iter().map(Datum::Int).collect(),
+            StateCol::SumInt { sum, seen } => {
+                let datum = |x: i64| match out {
+                    DataType::Decimal(_, s) => Datum::Decimal(x as i128, s),
+                    _ => Datum::Int(x),
+                };
+                sum.into_iter().zip(seen).map(|(x, seen)| some_if(seen, datum(x))).collect()
+            }
+            StateCol::SumFloat { sum, seen } => {
+                sum.into_iter().zip(seen).map(|(x, seen)| some_if(seen, Datum::Float(x))).collect()
+            }
+            StateCol::Avg { sum, n } => {
+                sum.into_iter().zip(n).map(|(s, n)| some_if(n > 0, Datum::Float(s / n as f64))).collect()
+            }
+            StateCol::MinMax { best, dt, .. } => (0..best.len()).map(|g| best.datum_at(dt, g)).collect(),
+            StateCol::Values(groups) => groups.into_iter().map(|vals| percentile(vals, func)).collect(),
+            StateCol::Moments { n, m2, .. } => {
+                let stddev = matches!(func, AggFunc::StdDevPop | AggFunc::StdDevSamp);
+                let sample = matches!(func, AggFunc::VarSamp | AggFunc::StdDevSamp);
+                n.into_iter()
+                    .zip(m2)
+                    .map(|(n, m2)| {
+                        let denom = n - i64::from(sample);
+                        let var = m2 / denom as f64;
+                        some_if(denom > 0, Datum::Float(if stddev { var.sqrt() } else { var }))
+                    })
+                    .collect()
+            }
+            StateCol::CoMoments { n, cxy, .. } => {
+                let sample = matches!(func, AggFunc::CovarSamp);
+                n.into_iter()
+                    .zip(cxy)
+                    .map(|(n, cxy)| {
+                        let denom = n - i64::from(sample);
+                        some_if(denom > 0, Datum::Float(cxy / denom as f64))
+                    })
+                    .collect()
+            }
         }
     }
 }
 
-fn finish(state: AggState, func: &AggFunc) -> Datum {
-    match state {
-        AggState::Distinct(_, inner) => finish(*inner, func),
-        AggState::Count(c) => Datum::Int(c),
-        AggState::SumInt { sum, any } => {
-            if any {
-                Datum::Int(sum)
-            } else {
-                Datum::Null
-            }
+/// `MEDIAN` / `PERCENTILE_CONT` / `PERCENTILE_DISC` of one group's values.
+/// `total_cmp` puts NaNs at fixed places, so the answer does not depend on
+/// the order the values arrived in.
+fn percentile(mut vals: Vec<f64>, func: &AggFunc) -> Datum {
+    if vals.is_empty() {
+        return Datum::Null;
+    }
+    vals.sort_by(f64::total_cmp);
+    match func {
+        AggFunc::PercentileDisc(q) => {
+            // Smallest value whose cumulative distribution >= q.
+            let idx = ((q * vals.len() as f64).ceil() as usize).clamp(1, vals.len()) - 1;
+            Datum::Float(vals[idx])
         }
-        AggState::SumFloat { sum, any } => {
-            if any {
-                Datum::Float(sum)
-            } else {
-                Datum::Null
-            }
-        }
-        AggState::Avg { sum, n } => {
-            if n == 0 {
-                Datum::Null
-            } else {
-                Datum::Float(sum / n as f64)
-            }
-        }
-        AggState::MinMax { current, .. } => current.unwrap_or(Datum::Null),
-        AggState::Values(mut vals) => {
-            if vals.is_empty() {
-                return Datum::Null;
-            }
-            vals.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
+        _ => {
+            // Continuous interpolation (MEDIAN is PERCENTILE_CONT(0.5)).
             let q = match func {
-                AggFunc::Median => 0.5,
-                AggFunc::PercentileCont(q) | AggFunc::PercentileDisc(q) => *q,
+                AggFunc::PercentileCont(q) => *q,
                 _ => 0.5,
             };
-            match func {
-                AggFunc::PercentileDisc(_) => {
-                    // Smallest value whose cumulative distribution >= q.
-                    let idx = ((q * vals.len() as f64).ceil() as usize).clamp(1, vals.len()) - 1;
-                    Datum::Float(vals[idx])
-                }
-                _ => {
-                    // Continuous interpolation (MEDIAN is PERCENTILE_CONT(0.5)).
-                    let pos = q * (vals.len() - 1) as f64;
-                    let lo = pos.floor() as usize;
-                    let hi = pos.ceil() as usize;
-                    let frac = pos - lo as f64;
-                    Datum::Float(vals[lo] + (vals[hi] - vals[lo]) * frac)
-                }
-            }
-        }
-        AggState::Moments { n, m2, .. } => {
-            let denom = match func {
-                AggFunc::VarSamp | AggFunc::StdDevSamp => n - 1,
-                _ => n,
-            };
-            if denom <= 0 {
-                return Datum::Null;
-            }
-            let var = m2 / denom as f64;
-            match func {
-                AggFunc::StdDevPop | AggFunc::StdDevSamp => Datum::Float(var.sqrt()),
-                _ => Datum::Float(var),
-            }
-        }
-        AggState::CoMoments { n, cxy, .. } => {
-            let denom = match func {
-                AggFunc::CovarSamp => n - 1,
-                _ => n,
-            };
-            if denom <= 0 {
-                return Datum::Null;
-            }
-            Datum::Float(cxy / denom as f64)
+            let pos = q * (vals.len() - 1) as f64;
+            let lo = pos.floor() as usize;
+            let hi = pos.ceil() as usize;
+            let frac = pos - lo as f64;
+            Datum::Float(vals[lo] + (vals[hi] - vals[lo]) * frac)
         }
     }
 }
 
-fn init_states(aggs: &[AggExpr], schema: &Schema) -> Vec<AggState> {
+/// Empty state columns for `aggs`, typed from their output columns
+/// (`out_schema` fields after the `nk` group keys) and argument types.
+fn new_states(aggs: &[AggExpr], nk: usize, out_schema: &Schema, input: &Schema) -> Result<Vec<StateCol>> {
     aggs.iter()
-        .map(|a| {
-            // SUM over an integer column stays integer.
-            let is_int = a
-                .args
-                .first()
-                .and_then(|e| match e {
-                    Expr::Col(i) => Some(schema.field(*i).data_type.is_integer()),
-                    _ => None,
-                })
-                .unwrap_or(false);
-            new_state(a, is_int)
+        .enumerate()
+        .map(|(a, agg)| {
+            let out = out_type(out_schema, nk + a)?;
+            let target = arg_target(&agg.func, out).unwrap_or(DataType::Int64);
+            let arg = agg.args.first().map_or(target, |e| source_type(e, input, target));
+            Ok(StateCol::new(agg, out, arg))
         })
         .collect()
-}
-
-/// Merge a morsel-partial aggregate state into the running state for the
-/// same group — the aggregate breaker's combine step. Counts and sums add,
-/// min/max compare, percentile value sets concatenate (in fold order, so
-/// the pre-sort layout is deterministic), and the moment states combine
-/// with Chan et al.'s parallel update formulas. `DISTINCT` states cannot
-/// merge (their per-partial seen-sets overlap); the pipeline feeds them one
-/// partial spanning the whole input, so reaching one here is an internal
-/// error, not a user error.
-fn merge_state(dst: &mut AggState, src: AggState) -> Result<()> {
-    match (dst, src) {
-        (AggState::Count(a), AggState::Count(b)) => {
-            *a += b;
-            Ok(())
-        }
-        (AggState::SumInt { sum, any }, AggState::SumInt { sum: s, any: a }) => {
-            *sum = sum
-                .checked_add(s)
-                .ok_or_else(|| DashError::exec("SUM overflow"))?;
-            *any |= a;
-            Ok(())
-        }
-        (AggState::SumFloat { sum, any }, AggState::SumFloat { sum: s, any: a }) => {
-            *sum += s;
-            *any |= a;
-            Ok(())
-        }
-        (AggState::Avg { sum, n }, AggState::Avg { sum: s, n: m }) => {
-            *sum += s;
-            *n += m;
-            Ok(())
-        }
-        (AggState::MinMax { current, min }, AggState::MinMax { current: other, .. }) => {
-            if let Some(v) = other {
-                let replace = match current {
-                    None => true,
-                    Some(c) => {
-                        let ord = v.sql_cmp(c);
-                        if *min {
-                            ord == std::cmp::Ordering::Less
-                        } else {
-                            ord == std::cmp::Ordering::Greater
-                        }
-                    }
-                };
-                if replace {
-                    *current = Some(v);
-                }
-            }
-            Ok(())
-        }
-        (AggState::Values(a), AggState::Values(b)) => {
-            a.extend(b);
-            Ok(())
-        }
-        (
-            AggState::Moments { n, mean, m2 },
-            AggState::Moments {
-                n: n2,
-                mean: mean2,
-                m2: m22,
-            },
-        ) => {
-            if n2 > 0 {
-                if *n == 0 {
-                    (*n, *mean, *m2) = (n2, mean2, m22);
-                } else {
-                    let total = *n + n2;
-                    let delta = mean2 - *mean;
-                    *m2 += m22 + delta * delta * (*n as f64) * (n2 as f64) / total as f64;
-                    *mean += delta * (n2 as f64) / total as f64;
-                    *n = total;
-                }
-            }
-            Ok(())
-        }
-        (
-            AggState::CoMoments { n, mx, my, cxy },
-            AggState::CoMoments {
-                n: n2,
-                mx: mx2,
-                my: my2,
-                cxy: cxy2,
-            },
-        ) => {
-            if n2 > 0 {
-                if *n == 0 {
-                    (*n, *mx, *my, *cxy) = (n2, mx2, my2, cxy2);
-                } else {
-                    let total = *n + n2;
-                    let dx = mx2 - *mx;
-                    let dy = my2 - *my;
-                    *cxy += cxy2 + dx * dy * (*n as f64) * (n2 as f64) / total as f64;
-                    *mx += dx * (n2 as f64) / total as f64;
-                    *my += dy * (n2 as f64) / total as f64;
-                    *n = total;
-                }
-            }
-            Ok(())
-        }
-        (AggState::Distinct(..), _) => Err(DashError::internal(
-            "DISTINCT aggregate reached the partial-merge path",
-        )),
-        _ => Err(DashError::internal(
-            "mismatched aggregate partial states at merge",
-        )),
-    }
 }
 
 /// Can every aggregate in this list run as mergeable per-morsel partials?
@@ -484,169 +820,254 @@ pub(crate) fn supports_partial(aggs: &[AggExpr]) -> bool {
     !aggs.iter().any(|a| a.distinct)
 }
 
-/// One morsel's worth of grouped aggregate state: group keys in
-/// first-appearance order plus the running states per group. Produced on
-/// pool workers by [`aggregate_morsel`], merged in morsel-index order by
-/// [`AggAccumulator::merge`].
+/// One morsel's worth of grouped aggregate state: each group's key words
+/// and first-row key values, in first-appearance order, plus one state
+/// column per aggregate. Produced on pool workers by [`aggregate_morsel`],
+/// merged in morsel-index order by [`AggAccumulator::merge`].
 pub(crate) struct AggPartial {
-    keys: Vec<Vec<Datum>>,
-    states: Vec<Vec<AggState>>,
-    /// True when the morsel grouped on encoded key words.
-    encoded: bool,
+    /// Key words per group; string words are codes of `dicts` or
+    /// morsel-local intern codes. Unused by a global aggregate.
+    table: GroupTable,
+    /// Per key column, the dictionary its packed codes come from.
+    dicts: Vec<Option<StrDict>>,
+    /// Per key column, each group's value from the group's first row.
+    keys: Vec<ColumnValues>,
+    states: Vec<StateCol>,
+    groups: usize,
     rows: u64,
+    /// Bytes of `keys` and `states`.
+    bytes: u64,
 }
 
 impl AggPartial {
     /// Rough heap footprint (keys plus states), for inflight accounting.
     pub(crate) fn approx_bytes(&self) -> u64 {
-        let key_bytes: u64 = self.keys.iter().map(|k| approx_row_bytes(k)).sum();
-        let state_bytes: u64 = self.states.iter().flatten().map(state_bytes).sum();
-        key_bytes + state_bytes
+        self.bytes + self.table.bytes()
     }
 }
 
-fn state_bytes(s: &AggState) -> u64 {
-    let base = std::mem::size_of::<AggState>() as u64;
-    match s {
-        AggState::Values(v) => base + (v.len() * 8) as u64,
-        AggState::Distinct(set, inner) => {
-            base + set.iter().map(approx_datum_bytes).sum::<u64>() + state_bytes(inner)
-        }
-        _ => base,
-    }
-}
+/// Rows of a morsel aggregated per pass. A scan stride or a batch morsel is
+/// one pass; a morsel a join probe fanned out may take a few, and the single
+/// partial of a `DISTINCT` aggregate spans its whole input and takes many,
+/// which bounds the per-row scratch — key words, group ids, computed
+/// columns — at this many rows. State persists across passes and rows fold
+/// in order, so where the cuts fall changes no result.
+const PASS_ROWS: usize = 4096;
 
-/// Feed row `row` of `input` to every aggregate's running state.
-fn update_row(
-    aggs: &[AggExpr],
-    states: &mut [AggState],
-    input: &Batch,
-    row: usize,
-    ctx: &EvalContext,
-) -> Result<()> {
-    for (agg, state) in aggs.iter().zip(states) {
-        // No aggregate takes more than two arguments (`arg_count`); a
-        // fixed buffer keeps the per-row path free of allocation.
-        let mut vals = [Datum::Null, Datum::Null];
-        let n = agg.args.len().min(vals.len());
-        for (v, a) in vals.iter_mut().zip(&agg.args) {
-            *v = a.eval(input, row, ctx)?;
-        }
-        update(state, &vals[..n])?;
+/// Append the values of `src` at `at` to the key column `dst`; returns the
+/// bytes they add.
+fn append_keys(dst: &mut ColumnValues, src: &ColumnValues, at: &[usize]) -> u64 {
+    dst.append_selected(src, at);
+    match src {
+        ColumnValues::Str(v) => at.iter().map(|&i| str_bytes(v[i].as_deref())).sum(),
+        _ => 9 * at.len() as u64,
     }
-    Ok(())
 }
 
 /// Aggregate one pipeline morsel — rows `rows` of `input` — into a
-/// mergeable partial. Under
-/// [`KeyMode::Encoded`] (the planner's decision: every group key a bare
-/// column) grouping runs on fixed-width key words — the
-/// operate-on-compressed path, with out-of-dictionary strings interned in
-/// row order; `Datum` mode, or a key that turns out not to be a bare
-/// column, groups on evaluated `Datum` keys. Group keys materialize from
-/// each group's first row, so merging partials in morsel order reproduces
-/// the serial scan's first-appearance group order.
+/// mergeable partial, column at a time. First the group keys (a key or
+/// argument that is not a bare column is evaluated once into a scratch
+/// typed column) become fixed-width key words — the operate-on-compressed
+/// path, with out-of-dictionary strings interned in row order — and the
+/// words a dense group id per row; a global aggregate skips that. Then each
+/// aggregate runs one typed loop over its argument column into its state
+/// column. Each group's key values are gathered from its first row, so
+/// merging partials in morsel order reproduces the serial scan's
+/// first-appearance group order.
 pub(crate) fn aggregate_morsel(
     input: &Batch,
     rows: Range<usize>,
-    group_exprs: &[Expr],
-    aggs: &[AggExpr],
-    key_mode: KeyMode,
+    sink: &AggSink<'_>,
     ctx: &EvalContext,
 ) -> Result<AggPartial> {
-    let n = rows.len() as u64;
-    // Cancellation/deadline observed once per morsel; a morsel is at most a
-    // stride's worth of rows, so latency stays bounded.
-    ctx.statement.check()?;
-    let mut states: Vec<Vec<AggState>> = Vec::new();
-    // Every new group starts from a copy of this.
-    let fresh = init_states(aggs, input.schema());
-    if group_exprs.is_empty() {
-        // Global aggregate: one group, present even for an empty morsel so
-        // zero-row inputs still produce their NULL/0 row at finish.
-        states.push(fresh);
-        for row in rows {
-            update_row(aggs, &mut states[0], input, row, ctx)?;
-        }
-        return Ok(AggPartial {
-            keys: vec![Vec::new()],
-            states,
-            encoded: false,
-            rows: n,
+    let nk = sink.group.len();
+    let mut dicts = Vec::with_capacity(nk);
+    let mut keys = Vec::with_capacity(nk);
+    for (c, g) in sink.group.iter().enumerate() {
+        dicts.push(match g {
+            Expr::Col(col) => input.str_dict(*col).cloned(),
+            _ => None,
         });
+        keys.push(ColumnValues::empty_for(source_type(g, input.schema(), out_type(sink.schema, c)?)));
     }
-
-    let cols = match key_mode {
-        KeyMode::Encoded => key::group_key_cols(input, group_exprs),
-        KeyMode::Datum => None,
-    };
-    let encoded = cols.is_some();
-    let mut keys: Vec<Vec<Datum>> = Vec::new();
-    if let Some(cols) = cols {
-        let nk = cols.len();
-        let mut interners: Vec<StrInterner> = (0..nk).map(|_| StrInterner::default()).collect();
-        let mut gid_of: FxHashMap<Vec<u64>, u32> = FxHashMap::default();
-        // Keys lay out as `nk + 1` words per row: the extra word is a NULL
-        // mask (bit `c` set = column `c` NULL, its key word zeroed), which
-        // groups NULLs together without reserving a sentinel word.
-        let mut words = vec![0u64; nk + 1];
-        for row in rows {
-            let mut nulls = 0u64;
-            for (c, col) in cols.iter().enumerate() {
-                words[c] = match col.word(row) {
-                    Some(STR_MISS) if col.is_str() => interners[c].intern(col.str_at(row)),
-                    Some(w) => w,
-                    None => {
-                        nulls |= 1 << c;
-                        0
-                    }
-                };
-            }
-            words[nk] = nulls;
-            let gid = match gid_of.get(&words[..]) {
-                Some(&g) => g,
-                None => {
-                    let g = keys.len() as u32;
-                    gid_of.insert(words.clone(), g);
-                    // Late materialization: the group's values decode once,
-                    // from its first row.
-                    let mut key = Vec::with_capacity(nk);
-                    for g in group_exprs {
-                        key.push(g.eval(input, row, ctx)?);
-                    }
-                    keys.push(key);
-                    states.push(fresh.clone());
-                    g
-                }
-            };
-            update_row(aggs, &mut states[gid as usize], input, row, ctx)?;
-        }
-    } else {
-        let mut gid_of: FxHashMap<Vec<Datum>, u32> = FxHashMap::default();
-        for row in rows {
-            let mut key = Vec::with_capacity(group_exprs.len());
-            for g in group_exprs {
-                key.push(g.eval(input, row, ctx)?);
-            }
-            let gid = match gid_of.get(&key) {
-                Some(&g) => g,
-                None => {
-                    let g = keys.len() as u32;
-                    gid_of.insert(key.clone(), g);
-                    keys.push(key);
-                    states.push(fresh.clone());
-                    g
-                }
-            };
-            update_row(aggs, &mut states[gid as usize], input, row, ctx)?;
-        }
-    }
-    Ok(AggPartial {
+    let mut part = AggPartial {
+        table: GroupTable::new(nk),
+        dicts,
         keys,
-        states,
-        encoded,
-        rows: n,
-    })
+        states: new_states(sink.aggs, nk, sink.schema, input.schema())?,
+        // A global aggregate is one group, present even for an empty morsel
+        // so zero-row inputs still produce their NULL/0 row at finish.
+        groups: usize::from(nk == 0),
+        rows: rows.len() as u64,
+        bytes: 0,
+    };
+    for state in &mut part.states {
+        state.resize(part.groups);
+        part.bytes += state.slot_bytes() * part.groups as u64;
+    }
+    // Out-of-dictionary strings intern per morsel, in row order.
+    let mut interners: Vec<StrInterner> = (0..nk).map(|_| StrInterner::default()).collect();
+    let mut done = rows.start;
+    loop {
+        // Cancellation/deadline observed before every pass (and once for an
+        // empty morsel), so latency stays bounded whatever the morsel's
+        // length.
+        ctx.statement.check()?;
+        let pass = done..rows.end.min(done + PASS_ROWS);
+        if pass.is_empty() {
+            return Ok(part);
+        }
+        part.fold_rows(input, &pass, sink, &mut interners, ctx)?;
+        done = pass.end;
+    }
+}
+
+impl AggPartial {
+    /// One pass of [`aggregate_morsel`]: fold rows `rows` of `input` in.
+    fn fold_rows(
+        &mut self,
+        input: &Batch,
+        rows: &Range<usize>,
+        sink: &AggSink<'_>,
+        interners: &mut [StrInterner],
+        ctx: &EvalContext,
+    ) -> Result<()> {
+        let nk = sink.group.len();
+        let prev = self.groups;
+        let mut gids: Option<Vec<u32>> = None;
+        if nk > 0 {
+            let mut cols = Vec::with_capacity(nk);
+            for (c, g) in sink.group.iter().enumerate() {
+                cols.push(match g {
+                    Expr::Col(col) => MorselCol::borrowed(input, *col, rows)?,
+                    _ => MorselCol::computed(g, input, rows, Some(out_type(sink.schema, c)?), false, ctx)?,
+                });
+            }
+            let mut views: Vec<KeyCol<'_>> =
+                cols.iter().zip(&self.dicts).map(|(c, d)| KeyCol::new(&c.values, d.clone())).collect();
+            // Row (within the pass) each new group first appeared at.
+            let mut first_rows: Vec<usize> = Vec::new();
+            gids = Some(group_ids(&mut views, &cols, rows.len(), &mut self.table, interners, &mut first_rows));
+            self.groups += first_rows.len();
+            for (key, col) in self.keys.iter_mut().zip(&cols) {
+                let at: Vec<usize> = first_rows.iter().map(|r| col.rows.start + r).collect();
+                self.bytes += append_keys(key, &col.values, &at);
+            }
+        }
+        for (a, (agg, state)) in sink.aggs.iter().zip(&mut self.states).enumerate() {
+            state.resize(self.groups);
+            self.bytes += state.slot_bytes() * (self.groups - prev) as u64;
+            let out = out_type(sink.schema, nk + a)?;
+            // No aggregate reads more than two arguments; none allocates a
+            // list of them per pass.
+            let (one, two);
+            let args: &[MorselCol<'_>] = match agg.args.len() {
+                0 => &[],
+                1 => {
+                    one = [arg_col(agg, 0, out, input, rows, ctx)?];
+                    &one
+                }
+                _ => {
+                    two = [arg_col(agg, 0, out, input, rows, ctx)?, arg_col(agg, 1, out, input, rows, ctx)?];
+                    &two
+                }
+            };
+            state.update(args, rows.len(), gids.as_deref(), &mut self.bytes)?;
+        }
+        Ok(())
+    }
+}
+
+/// The group id of every row of a pass: key columns to key words, key words
+/// through `table`. `first_rows` gets the row each new group opened at.
+fn group_ids(
+    views: &mut [KeyCol<'_>],
+    cols: &[MorselCol<'_>],
+    n: usize,
+    table: &mut GroupTable,
+    interners: &mut [StrInterner],
+    first_rows: &mut Vec<usize>,
+) -> Vec<u32> {
+    let nk = views.len();
+    let prev = table.len();
+    let mut gids = Vec::with_capacity(n);
+    let mut note = |i: usize, gid: u32| {
+        if gid as usize == prev + first_rows.len() {
+            first_rows.push(i);
+        }
+        gids.push(gid);
+    };
+    if let [view] = views {
+        let interner = &mut interners[0];
+        view.for_each_word(cols[0].rows.clone(), |i, w| {
+            let gid = match w {
+                KeyWord::Null => table.null_group(),
+                KeyWord::Word(w) => table.group_of_word(w),
+                KeyWord::Miss(s) => table.group_of_word(interner.intern(s)),
+            };
+            note(i, gid);
+        });
+    } else {
+        let stride = table.stride();
+        let mut words = vec![0u64; n * stride];
+        for (c, (view, col)) in views.iter_mut().zip(cols).enumerate() {
+            let interner = &mut interners[c];
+            view.for_each_word(col.rows.clone(), |i, w| {
+                let key = &mut words[i * stride..(i + 1) * stride];
+                match w {
+                    KeyWord::Null => key[nk + c / 64] |= 1 << (c % 64),
+                    KeyWord::Word(w) => key[c] = w,
+                    KeyWord::Miss(s) => key[c] = interner.intern(s),
+                }
+            });
+        }
+        for (i, key) in words.chunks_exact(stride).enumerate() {
+            note(i, table.group_of(key));
+        }
+    }
+    gids
+}
+
+/// Re-codes one string key column's words from a partial's domain — its
+/// dictionary's codes and its morsel-local intern codes — into the
+/// accumulator's.
+struct StrRecode<'p> {
+    col: usize,
+    /// The partial's packed codes are the accumulator's already.
+    same_dict: bool,
+    /// Each group's string, from the partial's first-row key column.
+    strs: &'p [Option<Arc<str>>],
+    /// Accumulator word per morsel-local code, 0 = not yet translated (no
+    /// key word of a string is 0), so a string is hashed once per partial.
+    local: Vec<u64>,
+}
+
+impl StrRecode<'_> {
+    fn recode(&mut self, key: &mut [u64], g: usize, dict: &Option<StrDict>, interner: &mut StrInterner) {
+        let word = key[self.col];
+        let is_local = word >= LOCAL_STR_BASE;
+        // A NULL component's word is zeroed and stays so.
+        let Some(s) = &self.strs[g] else { return };
+        if !is_local && self.same_dict {
+            return;
+        }
+        let mut ours = || {
+            let code = dict.as_ref().and_then(|d| d.encode(s)).map(pack_code);
+            code.unwrap_or_else(|| interner.intern(s))
+        };
+        key[self.col] = if is_local {
+            let at = (word - LOCAL_STR_BASE) as usize;
+            if self.local.len() <= at {
+                self.local.resize(at + 1, 0);
+            }
+            if self.local[at] == 0 {
+                self.local[at] = ours();
+            }
+            self.local[at]
+        } else {
+            ours()
+        };
+    }
 }
 
 /// The aggregate pipeline breaker's fold side: merges per-morsel
@@ -654,69 +1075,120 @@ pub(crate) fn aggregate_morsel(
 /// first-appearance order, then finishes into the output batch. Runs only
 /// on the folding thread, so it needs no synchronization.
 pub(crate) struct AggAccumulator {
-    gid_of: FxHashMap<Vec<Datum>, u32>,
-    keys: Vec<Vec<Datum>>,
-    states: Vec<Vec<AggState>>,
-    /// Rows aggregated via encoded key words vs `Datum` fallback keys.
-    pub(crate) encoded_rows: u64,
-    /// Rows aggregated via the `Datum` fallback path.
-    pub(crate) datum_rows: u64,
+    /// Key words per group, string words in this accumulator's domain:
+    /// codes of `dicts`, else codes of `interners`.
+    table: GroupTable,
+    dicts: Vec<Option<StrDict>>,
+    interners: Vec<StrInterner>,
+    keys: Vec<ColumnValues>,
+    states: Vec<StateCol>,
+    groups: usize,
+    /// Rows grouped on key words so far.
+    pub(crate) keyed_rows: u64,
+    /// Bytes of `keys` and `states`, kept as a running total.
     bytes: u64,
 }
 
 impl AggAccumulator {
-    pub(crate) fn new() -> AggAccumulator {
+    /// An empty accumulator for `nk` group keys.
+    pub(crate) fn new(nk: usize) -> AggAccumulator {
         AggAccumulator {
-            gid_of: FxHashMap::default(),
+            table: GroupTable::new(nk),
+            dicts: vec![None; nk],
+            interners: (0..nk).map(|_| StrInterner::default()).collect(),
             keys: Vec::new(),
             states: Vec::new(),
-            encoded_rows: 0,
-            datum_rows: 0,
+            groups: 0,
+            keyed_rows: 0,
             bytes: 0,
         }
     }
 
     /// Fold one morsel's partial into the global state. Must be called in
-    /// morsel-index order for deterministic group order.
+    /// morsel-index order for deterministic group order. Groups are probed
+    /// on their key words; state columns add element-wise.
     pub(crate) fn merge(&mut self, partial: AggPartial) -> Result<()> {
-        if partial.encoded {
-            self.encoded_rows += partial.rows;
+        let nk = self.interners.len();
+        let prev = self.groups;
+        // `map[g]`: this accumulator's group for the partial's group `g`;
+        // `fresh`: the partial's groups that are new here, in order.
+        let mut map: Vec<u32> = Vec::new();
+        let mut fresh: Vec<usize> = Vec::new();
+        if nk == 0 {
+            // One group, adopted with the first partial.
+            self.groups = 1;
+            if prev > 0 {
+                map.push(0);
+            }
         } else {
-            self.datum_rows += partial.rows;
-        }
-        let fixed = std::mem::size_of::<AggState>() as u64;
-        for (key, sts) in partial.keys.into_iter().zip(partial.states) {
-            match self.gid_of.get(&key) {
-                Some(&g) => {
-                    let dst = &mut self.states[g as usize];
-                    for (d, s) in dst.iter_mut().zip(sts) {
-                        // Only a state's variable part (percentile value
-                        // sets) grows an existing group.
-                        self.bytes += state_bytes(&s) - fixed;
-                        merge_state(d, s)?;
-                    }
-                }
-                None => {
-                    let g = self.keys.len() as u32;
-                    self.bytes += approx_row_bytes(&key) + sts.iter().map(state_bytes).sum::<u64>();
-                    self.gid_of.insert(key.clone(), g);
-                    self.keys.push(key);
-                    self.states.push(sts);
+            map.reserve(partial.groups);
+            self.keyed_rows += partial.rows;
+            if prev == 0 {
+                // The first groups fix the string code domain.
+                self.dicts.clone_from(&partial.dicts);
+            }
+            let mut recodes: Vec<StrRecode<'_>> = Vec::new();
+            for (col, key) in partial.keys.iter().enumerate() {
+                if let ColumnValues::Str(strs) = key {
+                    let same_dict = match (&self.dicts[col], &partial.dicts[col]) {
+                        (Some(ours), Some(theirs)) => Arc::ptr_eq(ours, theirs),
+                        (_, theirs) => theirs.is_none(),
+                    };
+                    recodes.push(StrRecode {
+                        col,
+                        same_dict,
+                        strs,
+                        local: Vec::new(),
+                    });
                 }
             }
+            let mut key = vec![0u64; self.table.stride()];
+            for g in 0..partial.groups {
+                let gid = match partial.table.key(g) {
+                    None => self.table.null_group(),
+                    Some(theirs) => {
+                        key.copy_from_slice(theirs);
+                        for r in &mut recodes {
+                            r.recode(&mut key, g, &self.dicts[r.col], &mut self.interners[r.col]);
+                        }
+                        match key[..] {
+                            [word] => self.table.group_of_word(word),
+                            _ => self.table.group_of(&key),
+                        }
+                    }
+                };
+                if gid as usize == prev + fresh.len() {
+                    fresh.push(g);
+                }
+                map.push(gid);
+            }
+            self.groups = prev + fresh.len();
+        }
+        if prev == 0 {
+            // Every group of the partial is new, in order: its columns are
+            // this accumulator's.
+            (self.keys, self.states, self.bytes) = (partial.keys, partial.states, partial.bytes);
+            return Ok(());
+        }
+        for (dst, src) in self.keys.iter_mut().zip(&partial.keys) {
+            self.bytes += append_keys(dst, src, &fresh);
+        }
+        for (dst, src) in self.states.iter_mut().zip(partial.states) {
+            dst.resize(self.groups);
+            self.bytes += dst.slot_bytes() * fresh.len() as u64 + dst.merge(src, &map)?;
         }
         Ok(())
     }
 
-    /// Rough heap footprint of the accumulated group state, kept as a
-    /// running total: the fold reads it after every merge.
+    /// Rough heap footprint of the accumulated group state; O(1), the fold
+    /// reads it after every merge.
     pub(crate) fn approx_bytes(&self) -> u64 {
-        self.bytes
+        self.bytes + self.table.bytes()
     }
 
-    /// Finish every group into the output batch. `input_schema` is the
-    /// pre-aggregation schema (for typing a synthesized global group when
-    /// zero morsels arrived).
+    /// Finish every group into the output batch — the only place the
+    /// aggregate builds `Datum`s. `input_schema` is the pre-aggregation
+    /// schema (key and argument columns take their logical types from it).
     pub(crate) fn finish(
         self,
         group_exprs: &[Expr],
@@ -724,25 +1196,39 @@ impl AggAccumulator {
         out_schema: Schema,
         input_schema: &Schema,
     ) -> Result<Batch> {
-        let mut out_rows: Vec<Row> = Vec::with_capacity(self.keys.len());
-        for (key, states) in self.keys.into_iter().zip(self.states) {
-            let mut row: Vec<Datum> = key;
-            for (agg, state) in aggs.iter().zip(states) {
-                row.push(finish(state, &agg.func));
+        let nk = group_exprs.len();
+        // A key column's type as grouped, and as the output schema wants it.
+        let key_type = |c: usize| -> Result<(DataType, DataType)> {
+            let to = out_type(&out_schema, c)?;
+            Ok((source_type(&group_exprs[c], input_schema, to), to))
+        };
+        let (mut keys, mut states) = (self.keys, self.states);
+        if self.groups == 0 {
+            // No morsel held a row.
+            keys = (0..nk)
+                .map(|c| Ok(ColumnValues::empty_for(key_type(c)?.0)))
+                .collect::<Result<_>>()?;
+            states = new_states(aggs, nk, &out_schema, input_schema)?;
+            if nk == 0 {
+                // A global aggregate yields exactly one row even so.
+                states.iter_mut().for_each(|s| s.resize(1));
             }
-            out_rows.push(Row::new(row));
         }
-        // A global aggregate yields exactly one row even with zero input.
-        if group_exprs.is_empty() && out_rows.is_empty() {
-            let states = init_states(aggs, input_schema);
-            let row: Vec<Datum> = aggs
-                .iter()
-                .zip(states)
-                .map(|(agg, s)| finish(s, &agg.func))
-                .collect();
-            out_rows.push(Row::new(row));
+        let mut columns = Vec::with_capacity(nk + aggs.len());
+        for (c, key) in keys.into_iter().enumerate() {
+            let (from, to) = key_type(c)?;
+            columns.push(if from == to {
+                key
+            } else {
+                let datums: Vec<Datum> = (0..key.len()).map(|g| key.datum_at(from, g)).collect();
+                ColumnValues::from_datums(to, &datums)?
+            });
         }
-        Batch::from_rows(out_schema, &out_rows)
+        for (a, (state, agg)) in states.into_iter().zip(aggs).enumerate() {
+            let to = out_type(&out_schema, nk + a)?;
+            columns.push(ColumnValues::from_datums(to, &state.finish(&agg.func, to))?);
+        }
+        Batch::new(out_schema, columns)
     }
 }
 
@@ -752,7 +1238,8 @@ impl AggAccumulator {
 /// `group_exprs` produce the key (empty = global aggregate, which always
 /// yields exactly one row); `aggs` produce the aggregate columns. The
 /// output schema is `group columns ⧺ aggregate columns` with the supplied
-/// field definitions. `key_mode` is the planner's key-path decision.
+/// field definitions, which also pick each aggregate's state. `_key_mode`
+/// is the planner's label; grouping runs on key words either way.
 #[allow(clippy::too_many_arguments)]
 pub fn hash_aggregate(
     input: &Batch,
@@ -760,7 +1247,7 @@ pub fn hash_aggregate(
     aggs: &[AggExpr],
     out_schema: Schema,
     ctx: &EvalContext,
-    key_mode: KeyMode,
+    _key_mode: KeyMode,
     parallelism: usize,
     stats: &mut ExecStats,
 ) -> Result<Batch> {
@@ -768,7 +1255,6 @@ pub fn hash_aggregate(
         group: group_exprs,
         aggs,
         schema: &out_schema,
-        key_mode,
     };
     pipeline::drive(&Feed::Batch(input), &[], Some(&sink), parallelism, ctx, stats)
 }
@@ -777,7 +1263,7 @@ pub fn hash_aggregate(
 mod tests {
     use super::*;
     use dash_common::types::DataType;
-    use dash_common::{row, Field};
+    use dash_common::{row, Field, Row};
 
     fn sales() -> Batch {
         let schema = Schema::new(vec![
@@ -1100,18 +1586,22 @@ mod tests {
         aggs: &[AggExpr],
         schema: Schema,
     ) -> Batch {
-        let mut acc = AggAccumulator::new();
+        let sink = AggSink {
+            group: group_exprs,
+            aggs,
+            schema: &schema,
+        };
+        let mut acc = AggAccumulator::new(group_exprs.len());
         let mut start = 0;
         let mut any = false;
         while start < input.len() || (!any && input.is_empty()) {
             let end = (start + split).min(input.len());
-            let mode = KeyMode::for_group(input.schema(), group_exprs);
-            let partial = aggregate_morsel(input, start..end, group_exprs, aggs, mode, &ctx());
+            let partial = aggregate_morsel(input, start..end, &sink, &ctx());
             acc.merge(partial.unwrap()).unwrap();
             start = end;
             any = true;
         }
-        acc.finish(group_exprs, aggs, schema, input.schema()).unwrap()
+        acc.finish(group_exprs, aggs, schema.clone(), input.schema()).unwrap()
     }
 
     #[test]
@@ -1211,7 +1701,7 @@ mod tests {
             },
             agg1(AggFunc::Sum, 1),
         ];
-        let acc = AggAccumulator::new();
+        let acc = AggAccumulator::new(0);
         let input_schema = sales().schema().clone();
         let out = acc
             .finish(&[], &aggs, out_schema(0, 2), &input_schema)
@@ -1222,22 +1712,25 @@ mod tests {
 
     #[test]
     fn partial_merge_sum_overflow_is_exec_error() {
-        let mut a = AggState::SumInt {
-            sum: i64::MAX,
-            any: true,
+        let sum = |x: i64| StateCol::SumInt {
+            sum: vec![x],
+            seen: vec![true],
         };
-        let err = merge_state(&mut a, AggState::SumInt { sum: 1, any: true }).unwrap_err();
+        let err = sum(i64::MAX).merge(sum(1), &[0]).unwrap_err();
         assert_eq!(err.class(), "22000");
-        let mut d = new_state(&agg1(AggFunc::Sum, 0), true);
+        // Within a morsel too.
+        let schema = Schema::new(vec![Field::new("x", DataType::Int64)]).unwrap();
+        let b = Batch::from_rows(schema.clone(), &[row![i64::MAX], row![1i64]]).unwrap();
+        let mut stats = ExecStats::default();
+        let err = hash_aggregate(&b, &[], &[agg1(AggFunc::Sum, 0)], schema, &ctx(), KeyMode::Datum, 1, &mut stats)
+            .unwrap_err();
+        assert_eq!(err.class(), "22000");
         // DISTINCT states refuse to merge: the pipeline feeds them one partial.
-        let distinct = AggState::Distinct(
-            HashSet::default(),
-            Box::new(AggState::SumInt { sum: 0, any: false }),
-        );
-        assert!(matches!(
-            merge_state(&mut d, distinct).unwrap_err(),
-            DashError::Internal(_)
-        ));
+        let distinct = || StateCol::Distinct {
+            seen: FxHashSet::default(),
+            inner: Box::new(sum(0)),
+        };
+        assert!(matches!(distinct().merge(distinct(), &[0]).unwrap_err(), DashError::Internal(_)));
     }
 
     #[test]

@@ -277,17 +277,7 @@ impl Batch {
     /// An estimate on purpose (like `approx_datum_bytes`): it bounds
     /// growth, it is not an allocator.
     pub fn approx_bytes(&self) -> u64 {
-        self.columns
-            .iter()
-            .map(|c| match c {
-                ColumnValues::Int(v) => (v.len() * 9) as u64,
-                ColumnValues::Float(v) => (v.len() * 9) as u64,
-                ColumnValues::Str(v) => v
-                    .iter()
-                    .map(|s| 16 + s.as_ref().map_or(0, |s| s.len()) as u64)
-                    .sum(),
-            })
-            .sum()
+        self.columns.iter().map(column_bytes).sum()
     }
 
     /// Column `i`, or a classified internal error when the ordinal is out
@@ -302,6 +292,20 @@ impl Batch {
             ))
         })
     }
+}
+
+/// Rough heap footprint of one column (see [`Batch::approx_bytes`]).
+pub(crate) fn column_bytes(c: &ColumnValues) -> u64 {
+    match c {
+        ColumnValues::Int(v) => (v.len() * 9) as u64,
+        ColumnValues::Float(v) => (v.len() * 9) as u64,
+        ColumnValues::Str(v) => v.iter().map(|s| str_bytes(s.as_deref())).sum(),
+    }
+}
+
+/// Rough heap footprint of one string value.
+pub(crate) fn str_bytes(s: Option<&str>) -> u64 {
+    16 + s.map_or(0, |s| s.len()) as u64
 }
 
 fn take_column(c: &ColumnValues, positions: &[usize]) -> ColumnValues {

@@ -163,28 +163,29 @@ type CodedPartition = (Vec<u32>, Vec<u64>);
 /// rows (they never join). Morsel partials concatenate in morsel order, so
 /// each partition keeps ascending row order — identical to a serial pass.
 /// Returns the partitions and (morsels, workers) pool usage.
-fn partition_encoded(
+fn partition_encoded<'a>(
     len: usize,
-    cols: &[KeyCol<'_>],
+    key_cols: &(impl Fn() -> Vec<KeyCol<'a>> + Sync),
     parts: usize,
     mask: u64,
     parallelism: usize,
     stmt: &StatementContext,
 ) -> Result<(Vec<CodedPartition>, (u64, u64))> {
-    let nk = cols.len();
     let ranges = pool::row_morsels(len, parallelism, 4096);
     let run = pool::run_morsels(ranges.len(), parallelism, stmt, |mi| {
         let (lo, hi) = ranges[mi];
         let mut local: Vec<CodedPartition> = (0..parts).map(|_| (Vec::new(), Vec::new())).collect();
-        let mut words = vec![0u64; nk];
+        // A view memoises string words, so each morsel takes its own.
+        let mut cols = key_cols();
+        let mut words = vec![0u64; cols.len()];
         'row: for i in lo..hi {
-            for (c, col) in cols.iter().enumerate() {
+            for (c, col) in cols.iter_mut().enumerate() {
                 match col.word(i) {
                     Some(w) => words[c] = w,
                     None => continue 'row,
                 }
             }
-            let p = (route_hash(cols, &words, i) & mask) as usize;
+            let p = (route_hash(&cols, &words, i) & mask) as usize;
             local[p].0.push(i as u32);
             local[p].1.extend_from_slice(&words);
         }
@@ -438,13 +439,16 @@ impl<'b> JoinBuild<'b> {
                 .iter()
                 .map(|&c| build.str_dict(c).cloned())
                 .collect();
-            let cols: Vec<KeyCol<'_>> = build_cols
-                .iter()
-                .zip(&dicts)
-                .map(|(&c, d)| KeyCol::from_column(&build, c, d.clone()))
-                .collect();
+            let key_cols = || -> Vec<KeyCol<'_>> {
+                build_cols
+                    .iter()
+                    .zip(&dicts)
+                    .map(|(&c, d)| KeyCol::new(build.column(c), d.clone()))
+                    .collect()
+            };
             let (partitions, (m, w)) =
-                partition_encoded(build.len(), &cols, parts, mask, parallelism, stmt)?;
+                partition_encoded(build.len(), &key_cols, parts, mask, parallelism, stmt)?;
+            let cols = key_cols();
             stats.note_parallel_phase(m, w);
             build_rows = partitions.iter().map(|p| p.0.len() as u64).sum();
             let bytes: u64 = partitions
@@ -594,14 +598,14 @@ impl<'b> JoinBuild<'b> {
                         }
                     }
                 }
-                let cols: Vec<KeyCol<'_>> = probe_cols
+                let mut cols: Vec<KeyCol<'_>> = probe_cols
                     .iter()
                     .zip(&enc.dicts)
-                    .map(|(&c, d)| KeyCol::from_column(probe, c, d.clone()))
+                    .map(|(&c, d)| KeyCol::new(probe.column(c), d.clone()))
                     .collect();
                 let mut words = vec![0u64; nk];
                 'row: for li in rows {
-                    for (c, col) in cols.iter().enumerate() {
+                    for (c, col) in cols.iter_mut().enumerate() {
                         match col.word(li) {
                             Some(w) => words[c] = w,
                             None => {

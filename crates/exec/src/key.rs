@@ -20,12 +20,15 @@
 //! Probe morsels carrying a different dictionary re-encode by value into it
 //! (counted in `ExecStats::keys_reencoded_rows`) — the re-encode rule.
 //!
-//! [`KeyMode`] is the planner-visible switch: `Encoded` when every key
-//! column's static type permits the compressed path, `Datum` when any key
-//! needs cross-type numeric equality (`Int 2` joins `Float 2.0`), is a
-//! computed expression, or mixes key domains.
+//! [`KeyMode`] is the planner-visible label. A join takes the `Datum` path
+//! when a key pair needs cross-type numeric equality (`Int 2` joins
+//! `Float 2.0`). A grouped aggregate always groups on words — a computed
+//! key is evaluated into a scratch typed column first — through
+//! [`GroupTable`], the word-keyed table the per-morsel grouping pass and the
+//! accumulator's merge both probe.
 
 use std::hash::{Hash, Hasher};
+use std::ops::Range;
 use std::sync::Arc;
 
 use dash_common::fxhash::{FxHashMap, FxHasher};
@@ -35,7 +38,6 @@ use dash_encoding::column::ColumnValues;
 use dash_encoding::dict::{pack_code, FreqDict};
 use dash_encoding::order::{f64_to_ordered, i64_to_ordered};
 
-use crate::batch::Batch;
 use crate::expr::Expr;
 
 /// Sentinel key word for a string value absent from the shared dictionary.
@@ -54,9 +56,9 @@ pub(crate) const LOCAL_STR_BASE: u64 = 1 << 63;
 
 /// How a join or aggregate evaluates its keys.
 ///
-/// Chosen statically by the planner from the key columns' types; the
-/// executor re-verifies at runtime against the actual batches and may still
-/// fall back to `Datum` (e.g. key count too large, non-column expressions).
+/// Chosen statically by the planner from the key columns' types. A join
+/// re-verifies it against the actual batches; for an aggregate it is a
+/// label only (`Datum` = some key is computed into a scratch column).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum KeyMode {
     /// Keys flow as fixed-width `u64` code words; payloads materialize late.
@@ -94,10 +96,6 @@ fn key_domain(dt: DataType) -> KeyDomain {
     }
 }
 
-/// Maximum number of group-by key columns the encoded aggregate supports
-/// (one bit per column in the null-mask word).
-pub(crate) const MAX_ENCODED_GROUP_KEYS: usize = 63;
-
 impl KeyMode {
     /// Static key-mode decision for a hash join on `on` column pairs.
     ///
@@ -116,14 +114,12 @@ impl KeyMode {
         }
     }
 
-    /// Static key-mode decision for a grouped aggregate.
+    /// Static key-mode label for a grouped aggregate.
     ///
-    /// `Encoded` iff there is at least one group key, every key is a bare
-    /// column reference, and the key count fits the null-mask word.
+    /// `Encoded` iff there is at least one group key and every key is a
+    /// bare column reference.
     pub fn for_group(_input: &Schema, group: &[Expr]) -> KeyMode {
-        let ok = !group.is_empty()
-            && group.len() <= MAX_ENCODED_GROUP_KEYS
-            && group.iter().all(|g| matches!(g, Expr::Col(_)));
+        let ok = !group.is_empty() && group.iter().all(|g| matches!(g, Expr::Col(_)));
         if ok {
             KeyMode::Encoded
         } else {
@@ -132,11 +128,15 @@ impl KeyMode {
     }
 }
 
+/// A string key column's code domain.
+pub(crate) type StrDict = Arc<FreqDict<Arc<str>>>;
+
 /// One key column viewed through the encoded path.
 ///
-/// Borrows the batch's column storage; `dict` (strings only) is the join's
-/// code domain — the build side's dictionary — which may differ from the
-/// dictionary the batch itself carries (the re-encode rule).
+/// Borrows the column storage; `dict` (strings only) is the code domain —
+/// for a join the build side's dictionary, which may differ from the
+/// dictionary the batch itself carries (the re-encode rule). A view lives
+/// for one morsel on one worker.
 pub(crate) enum KeyCol<'a> {
     /// Integer-family values: word = `i64_to_ordered(v)`.
     Int(&'a [Option<i64>]),
@@ -145,8 +145,20 @@ pub(crate) enum KeyCol<'a> {
     /// String values: word = packed dictionary code or [`STR_MISS`].
     Str {
         vals: &'a [Option<Arc<str>>],
-        dict: Option<Arc<FreqDict<Arc<str>>>>,
+        dict: Option<StrDict>,
+        memo: PtrMemo,
     },
+}
+
+/// One row's key in one [`KeyCol`], as [`KeyCol::for_each_word`] hands it
+/// out: the sentinel check is already made, against the column's kind.
+pub(crate) enum KeyWord<'a> {
+    /// SQL NULL.
+    Null,
+    /// The key word.
+    Word(u64),
+    /// A string absent from the dictionary: the caller interns it.
+    Miss(&'a Arc<str>),
 }
 
 /// Canonical `u64` key word for a float key.
@@ -163,31 +175,100 @@ pub(crate) fn f64_key_word(v: f64) -> u64 {
     }
 }
 
+/// `Arc` pointer → key word cache for one [`KeyCol::Str`] view.
+///
+/// The decoder hands out the dictionary's own `Arc<str>`s, so a morsel
+/// repeats a few pointers thousands of times; a hit skips hashing the
+/// string's bytes in [`FreqDict::encode`]. The viewed column keeps every
+/// `Arc` alive, so one pointer is one string for the life of the view. A
+/// direct-mapped table: a pointer never seen (a row-at-a-time insert
+/// allocates one `Arc` per row) costs the `encode` it would have paid
+/// anyway, plus one compare and one store. Out-of-dictionary strings are
+/// such pointers, so the interner behind a miss has no memo.
+#[derive(Default)]
+pub(crate) struct PtrMemo(Vec<(usize, u64)>);
+
+impl PtrMemo {
+    const SLOTS: usize = 1024;
+
+    /// The word cached for `s`'s allocation, else `encode()`, cached.
+    #[inline]
+    fn word(&mut self, s: &Arc<str>, encode: impl FnOnce() -> u64) -> u64 {
+        if self.0.is_empty() {
+            self.0 = vec![(0, 0); Self::SLOTS];
+        }
+        // An `Arc` is never null, so a zeroed slot matches no pointer.
+        let ptr = Arc::as_ptr(s) as *const u8 as usize;
+        let slot = &mut self.0[(ptr.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 40) & (Self::SLOTS - 1)];
+        if slot.0 != ptr {
+            *slot = (ptr, encode());
+        }
+        slot.1
+    }
+}
+
+#[inline]
+fn str_word(dict: &Option<StrDict>, memo: &mut PtrMemo, s: &Arc<str>) -> u64 {
+    match dict {
+        Some(d) => memo.word(s, || d.encode(s).map(pack_code).unwrap_or(STR_MISS)),
+        None => STR_MISS,
+    }
+}
+
 impl<'a> KeyCol<'a> {
-    /// Build a key column view over `batch` column `col`, with `dict`
-    /// overriding the batch's own dictionary for strings.
-    pub(crate) fn from_column(
-        batch: &'a Batch,
-        col: usize,
-        dict: Option<Arc<FreqDict<Arc<str>>>>,
-    ) -> KeyCol<'a> {
-        match batch.column(col) {
+    /// A key column view over `values`, with `dict` as the string code
+    /// domain.
+    pub(crate) fn new(values: &'a ColumnValues, dict: Option<StrDict>) -> KeyCol<'a> {
+        match values {
             ColumnValues::Int(v) => KeyCol::Int(v),
             ColumnValues::Float(v) => KeyCol::Float(v),
-            ColumnValues::Str(v) => KeyCol::Str { vals: v, dict },
+            ColumnValues::Str(v) => KeyCol::Str {
+                vals: v,
+                dict,
+                memo: PtrMemo::default(),
+            },
         }
     }
 
     /// The key word for `row`, or `None` when the value is NULL.
     #[inline]
-    pub fn word(&self, row: usize) -> Option<u64> {
+    pub fn word(&mut self, row: usize) -> Option<u64> {
         match self {
             KeyCol::Int(v) => v[row].map(i64_to_ordered),
             KeyCol::Float(v) => v[row].map(f64_key_word),
-            KeyCol::Str { vals, dict } => vals[row].as_ref().map(|s| match dict {
-                Some(d) => d.encode(s).map(pack_code).unwrap_or(STR_MISS),
-                None => STR_MISS,
-            }),
+            KeyCol::Str { vals, dict, memo } => vals[row].as_ref().map(|s| str_word(dict, memo, s)),
+        }
+    }
+
+    /// The key of each of `rows` in order, as `f(index within rows, key)` —
+    /// one typed loop per column, the kind matched once.
+    #[inline]
+    pub fn for_each_word(&mut self, rows: Range<usize>, mut f: impl FnMut(usize, KeyWord<'a>)) {
+        match self {
+            KeyCol::Int(v) => {
+                for (i, x) in v[rows].iter().enumerate() {
+                    f(i, x.map_or(KeyWord::Null, |x| KeyWord::Word(i64_to_ordered(x))));
+                }
+            }
+            KeyCol::Float(v) => {
+                for (i, x) in v[rows].iter().enumerate() {
+                    f(i, x.map_or(KeyWord::Null, |x| KeyWord::Word(f64_key_word(x))));
+                }
+            }
+            KeyCol::Str { vals, dict, memo } => {
+                for (i, x) in vals[rows].iter().enumerate() {
+                    f(
+                        i,
+                        match x {
+                            None => KeyWord::Null,
+                            Some(s) => match str_word(dict, memo, s) {
+                                STR_MISS => KeyWord::Miss(s),
+                                word => KeyWord::Word(word),
+                            },
+                        },
+                    );
+                }
+            }
         }
     }
 
@@ -244,8 +325,12 @@ impl StrInterner {
     /// Code for `s`, allocating the next local code on first sight.
     #[inline]
     pub fn intern(&mut self, s: &Arc<str>) -> u64 {
-        let next = LOCAL_STR_BASE + self.map.len() as u64;
-        *self.map.entry(s.clone()).or_insert(next)
+        if let Some(&code) = self.map.get(s.as_ref() as &str) {
+            return code;
+        }
+        let code = LOCAL_STR_BASE + self.map.len() as u64;
+        self.map.insert(s.clone(), code);
+        code
     }
 
     /// Code for `s` if it was interned; `None` means provably unmatched.
@@ -255,25 +340,162 @@ impl StrInterner {
     }
 }
 
-/// Build encoded key column views for a grouped aggregate, or `None` when
-/// any group expression is not a bare column.
-pub(crate) fn group_key_cols<'a>(input: &'a Batch, group: &[Expr]) -> Option<Vec<KeyCol<'a>>> {
-    if group.is_empty() || group.len() > MAX_ENCODED_GROUP_KEYS {
-        return None;
+/// A word-keyed group table: every distinct key gets a dense group id in
+/// first-appearance order. Keys live in one flat arena (group `g` at
+/// `words[g * stride..]`) and the open-addressed slots hold group ids, so
+/// neither a probe nor a new group allocates. The per-morsel grouping pass
+/// and the accumulator's merge both probe one.
+///
+/// A single key column is one bare word per group, its NULL group kept out
+/// of band (every `u64` is a legitimate int key word). Several columns lay
+/// out as their words followed by a NULL mask (bit `c` set = column `c`
+/// NULL, its word zeroed), which groups NULLs together without reserving a
+/// sentinel word.
+pub(crate) struct GroupTable {
+    stride: usize,
+    words: Vec<u64>,
+    /// Group id per slot, [`GroupTable::EMPTY`] when free; the length is
+    /// zero or a power of two, kept at most half full.
+    slots: Vec<u32>,
+    /// The NULL key's group in a single-key table. Its arena word is a
+    /// placeholder and it owns no slot.
+    null_gid: Option<u32>,
+}
+
+impl GroupTable {
+    const EMPTY: u32 = u32::MAX;
+
+    /// An empty table for `nk` key columns. Nothing is allocated until the
+    /// first key arrives.
+    pub(crate) fn new(nk: usize) -> GroupTable {
+        GroupTable {
+            stride: if nk <= 1 { 1 } else { nk + nk.div_ceil(64) },
+            words: Vec::new(),
+            slots: Vec::new(),
+            null_gid: None,
+        }
     }
-    group
-        .iter()
-        .map(|g| match g {
-            Expr::Col(c) => Some(KeyCol::from_column(input, *c, input.str_dict(*c).cloned())),
-            _ => None,
+
+    /// Groups so far.
+    #[inline]
+    pub(crate) fn len(&self) -> usize {
+        self.words.len() / self.stride
+    }
+
+    /// Words per key.
+    pub(crate) fn stride(&self) -> usize {
+        self.stride
+    }
+
+    /// The key words of group `gid`, or `None` for a single-key table's
+    /// NULL group.
+    #[inline]
+    pub(crate) fn key(&self, gid: usize) -> Option<&[u64]> {
+        (self.null_gid != Some(gid as u32)).then(|| &self.words[gid * self.stride..(gid + 1) * self.stride])
+    }
+
+    /// Heap bytes held (keys plus slots).
+    pub(crate) fn bytes(&self) -> u64 {
+        (self.words.len() * 8 + self.slots.len() * 4) as u64
+    }
+
+    /// Home slot from the hash's high bits, which a multiplicative hash
+    /// mixes best: ordered-int and float words differ in only a few bits.
+    #[inline]
+    fn home(&self, key: &[u64]) -> usize {
+        let mut h = 0u64;
+        for &w in key {
+            h = (h.rotate_left(5) ^ w).wrapping_mul(0x517c_c1b7_2722_0a95);
+        }
+        (h >> (64 - self.slots.len().trailing_zeros())) as usize
+    }
+
+    /// The group of `key` (`stride` words); a new key takes the next id —
+    /// the value of `len()` before the call.
+    #[inline]
+    pub(crate) fn group_of(&mut self, key: &[u64]) -> u32 {
+        debug_assert_eq!(key.len(), self.stride);
+        self.reserve_one();
+        let mask = self.slots.len() - 1;
+        let mut at = self.home(key);
+        loop {
+            let gid = self.slots[at];
+            if gid == Self::EMPTY {
+                let gid = self.len() as u32;
+                self.slots[at] = gid;
+                self.words.extend_from_slice(key);
+                return gid;
+            }
+            let g = gid as usize * self.stride;
+            if &self.words[g..g + self.stride] == key {
+                return gid;
+            }
+            at = (at + 1) & mask;
+        }
+    }
+
+    /// [`GroupTable::group_of`] for a single-key table: hashes and compares
+    /// one bare word, 1.6–2.1× faster on every single-key `bench_groupby`
+    /// leg than `group_of(&[word])` (EXPERIMENTS.md, group_by).
+    #[inline]
+    pub(crate) fn group_of_word(&mut self, word: u64) -> u32 {
+        debug_assert_eq!(self.stride, 1);
+        self.reserve_one();
+        let mask = self.slots.len() - 1;
+        let mut at = self.home(&[word]);
+        loop {
+            let gid = self.slots[at];
+            if gid == Self::EMPTY {
+                let gid = self.words.len() as u32;
+                self.slots[at] = gid;
+                self.words.push(word);
+                return gid;
+            }
+            if self.words[gid as usize] == word {
+                return gid;
+            }
+            at = (at + 1) & mask;
+        }
+    }
+
+    /// The NULL key's group in a single-key table.
+    #[inline]
+    pub(crate) fn null_group(&mut self) -> u32 {
+        debug_assert_eq!(self.stride, 1);
+        *self.null_gid.get_or_insert_with(|| {
+            self.words.push(0);
+            self.words.len() as u32 - 1
         })
-        .collect()
+    }
+
+    #[inline]
+    fn reserve_one(&mut self) {
+        if self.slots.len() < 2 * (self.len() + 1) {
+            self.grow();
+        }
+    }
+
+    #[cold]
+    fn grow(&mut self) {
+        let cap = (self.slots.len() * 2).max(16);
+        self.slots = vec![Self::EMPTY; cap];
+        for gid in 0..self.len() {
+            let Some(key) = self.key(gid) else { continue };
+            let mut at = self.home(key);
+            while self.slots[at] != Self::EMPTY {
+                at = (at + 1) & (cap - 1);
+            }
+            self.slots[at] = gid as u32;
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::batch::Batch;
     use dash_common::{row, Field};
+    use dash_encoding::histogram::Histogram;
 
     fn batch(rows: &[dash_common::Row]) -> Batch {
         let schema = Schema::new(vec![
@@ -295,34 +517,110 @@ mod tests {
     #[test]
     fn int_words_preserve_equality() {
         let b = batch(&[row![1i64, 1.0f64, "a"], row![2i64, 1.0f64, "a"]]);
-        let cols = group_key_cols(&b, &[Expr::col(0)]).unwrap();
-        assert_ne!(cols[0].word(0), cols[0].word(1));
-        assert_eq!(cols[0].word(0), Some(i64_to_ordered(1)));
+        let mut col = KeyCol::new(b.column(0), None);
+        assert_ne!(col.word(0), col.word(1));
+        assert_eq!(col.word(0), Some(i64_to_ordered(1)));
     }
 
     #[test]
     fn str_without_dict_is_miss_and_interner_resolves() {
         let b = batch(&[row![1i64, 1.0f64, "a"], row![2i64, 1.0f64, "b"]]);
-        let cols = group_key_cols(&b, &[Expr::col(2)]).unwrap();
-        assert_eq!(cols[0].word(0), Some(STR_MISS));
+        let mut col = KeyCol::new(b.column(2), None);
+        assert_eq!(col.word(0), Some(STR_MISS));
         let mut it = StrInterner::default();
-        let a = it.intern(cols[0].str_at(0));
-        let b2 = it.intern(cols[0].str_at(1));
+        let a = it.intern(col.str_at(0));
+        let b2 = it.intern(col.str_at(1));
         assert_ne!(a, b2);
         assert!(a >= LOCAL_STR_BASE && b2 >= LOCAL_STR_BASE);
-        assert_eq!(it.intern(cols[0].str_at(0)), a);
-        assert_eq!(it.lookup(cols[0].str_at(1)), Some(b2));
+        assert_eq!(it.intern(col.str_at(0)), a);
+        assert_eq!(it.lookup(col.str_at(1)), Some(b2));
+    }
+
+    /// The pointer memo never changes a word: shared `Arc`s, a fresh `Arc`
+    /// per row (the insert path), out-of-dictionary strings and more
+    /// distinct pointers than the memo has slots all read as `encode` does.
+    #[test]
+    fn str_words_match_encode_through_the_pointer_memo() {
+        let entries: Vec<Arc<str>> = (0..40).map(|i| Arc::from(format!("v{i}"))).collect();
+        let dict = Arc::new(FreqDict::build(&Histogram::from_values(entries.iter().map(Some))));
+        let mut vals: Vec<Option<Arc<str>>> = Vec::new();
+        for i in 0..3 * PtrMemo::SLOTS {
+            vals.push(match i % 4 {
+                0 => Some(entries[i % 40].clone()),
+                1 => Some(Arc::from(format!("v{}", i % 40))),
+                2 => Some(Arc::from(format!("absent{i}"))),
+                _ => None,
+            });
+        }
+        let column = ColumnValues::Str(vals.clone());
+        let mut col = KeyCol::new(&column, Some(dict.clone()));
+        let expect = |v: &Option<Arc<str>>| {
+            v.as_ref().map(|s| dict.encode(s).map(pack_code).unwrap_or(STR_MISS))
+        };
+        for (row, v) in vals.iter().enumerate() {
+            assert_eq!(col.word(row), expect(v), "row {row}");
+        }
+        let mut seen = 0;
+        col.for_each_word(5..vals.len(), |i, w| {
+            let word = match w {
+                KeyWord::Null => None,
+                KeyWord::Word(w) => Some(w),
+                KeyWord::Miss(s) => {
+                    assert_eq!(Some(s), vals[5 + i].as_ref());
+                    Some(STR_MISS)
+                }
+            };
+            assert_eq!(word, expect(&vals[5 + i]));
+            seen += 1;
+        });
+        assert_eq!(seen, vals.len() - 5);
     }
 
     #[test]
     fn route_hash_ignores_miss_sentinel_value() {
         let b1 = batch(&[row![1i64, 1.0f64, "zed"]]);
         let b2 = batch(&[row![9i64, 9.0f64, "zed"]]);
-        let c1 = group_key_cols(&b1, &[Expr::col(2)]).unwrap();
-        let c2 = group_key_cols(&b2, &[Expr::col(2)]).unwrap();
+        let mut c1 = [KeyCol::new(b1.column(2), None)];
+        let mut c2 = [KeyCol::new(b2.column(2), None)];
         let w1 = [c1[0].word(0).unwrap()];
         let w2 = [c2[0].word(0).unwrap()];
         assert_eq!(route_hash(&c1, &w1, 0), route_hash(&c2, &w2, 0));
+    }
+
+    #[test]
+    fn group_table_ids_are_dense_and_survive_growth() {
+        let mut single = GroupTable::new(1);
+        // `u64::MAX` (the word of `i64::MAX`) and 0 (of `i64::MIN`, and the
+        // NULL group's placeholder) are ordinary keys.
+        let words: Vec<u64> = [u64::MAX, 0].into_iter().chain(1..5000).collect();
+        for (i, &w) in words.iter().enumerate() {
+            if i == 7 {
+                assert_eq!(single.null_group(), 7);
+            }
+            let expect = if i < 7 { i } else { i + 1 } as u32;
+            assert_eq!(single.group_of_word(w), expect);
+        }
+        assert_eq!(single.len(), words.len() + 1);
+        assert_eq!(single.null_group(), 7, "one NULL group");
+        assert_eq!(single.key(7), None);
+        for (i, &w) in words.iter().enumerate() {
+            let gid = if i < 7 { i } else { i + 1 };
+            assert_eq!(single.group_of_word(w), gid as u32, "word {w} after growth");
+            assert_eq!(single.key(gid), Some(&[w][..]));
+        }
+
+        // 70 key columns: two mask words after the key words.
+        let mut multi = GroupTable::new(70);
+        assert_eq!(multi.stride(), 72);
+        let key = |k: u64| -> Vec<u64> { (0..72).map(|c| if c == 3 { k } else { 0 }).collect() };
+        for k in 0..300u64 {
+            assert_eq!(multi.group_of(&key(k)), k as u32);
+        }
+        for k in (0..300u64).rev() {
+            assert_eq!(multi.group_of(&key(k)), k as u32);
+        }
+        assert_eq!(multi.len(), 300);
+        assert!(multi.bytes() >= 300 * 72 * 8);
     }
 
     #[test]

@@ -147,8 +147,8 @@ enum Stage<'p> {
 pub(crate) struct AggSink<'p> {
     pub(crate) group: &'p [Expr],
     pub(crate) aggs: &'p [AggExpr],
+    /// The aggregate's output schema: group columns, then aggregates.
     pub(crate) schema: &'p Schema,
-    pub(crate) key_mode: KeyMode,
 }
 
 impl<'p> Breaker<'p> {
@@ -188,14 +188,13 @@ pub(crate) fn decompose(plan: &PhysicalPlan) -> Pipeline<'_> {
             group,
             aggs,
             schema,
-            key_mode,
             parallelism,
+            ..
         } => {
             let sink = AggSink {
                 group,
                 aggs,
                 schema,
-                key_mode: *key_mode,
             };
             (Some(sink), &**input, *parallelism)
         }
@@ -607,9 +606,7 @@ pub(crate) fn drive(
         }
         let mut lease = BudgetLease::new(&ctx.statement);
         let payload = match sink {
-            Some(a) => Payload::Partial(agg::aggregate_morsel(
-                &batch, rows, a.group, a.aggs, a.key_mode, ctx,
-            )?),
+            Some(a) => Payload::Partial(agg::aggregate_morsel(&batch, rows, a, ctx)?),
             None => Payload::Batch(match batch {
                 Cow::Owned(b) => b,
                 Cow::Borrowed(b) => b.take(&rows.collect::<Vec<_>>()),
@@ -632,7 +629,7 @@ pub(crate) fn drive(
 
     let mut collected: Vec<Batch> = Vec::new();
     let mut leases: Vec<BudgetLease> = Vec::new();
-    let mut acc = AggAccumulator::new();
+    let mut acc = AggAccumulator::new(sink.map_or(0, |a| a.group.len()));
     let mut fold_stats = ExecStats::default();
     let run = pool::run_morsels_fold(
         n,
@@ -675,8 +672,7 @@ pub(crate) fn drive(
     match sink {
         Some(a) => {
             stats.pipeline_breakers += 1;
-            stats.encoded_key_rows += acc.encoded_rows;
-            stats.datum_key_rows += acc.datum_rows;
+            stats.encoded_key_rows += acc.keyed_rows;
             acc.finish(a.group, a.aggs, a.schema.clone(), &schema)
         }
         None => Batch::concat_columnar(schema, collected),
@@ -902,7 +898,7 @@ mod tests {
             input: Box::new(join.clone()),
             group: group.clone(),
             aggs: aggs.clone(),
-            schema: agg_schema,
+            schema: agg_schema.clone(),
             key_mode: KeyMode::Encoded,
             parallelism: par,
         };
@@ -930,9 +926,8 @@ mod tests {
             let joined = build
                 .probe_morsel(&morsel, 0..morsel.len(), &ctx.statement, &mut scratch)
                 .unwrap();
-            let partial =
-                agg::aggregate_morsel(&joined, 0..joined.len(), &group, &aggs, KeyMode::Encoded, &ctx)
-                    .unwrap();
+            let sink = AggSink { group: &group, aggs: &aggs, schema: &agg_schema };
+            let partial = agg::aggregate_morsel(&joined, 0..joined.len(), &sink, &ctx).unwrap();
             max_joined = max_joined.max(joined.approx_bytes());
             max_partial = max_partial.max(partial.approx_bytes());
         }

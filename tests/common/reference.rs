@@ -1,9 +1,10 @@
 //! Test-only naive evaluator over `PhysicalPlan`: the independent reference
 //! the engine's results are checked against. Row-at-a-time over `Datum`s —
-//! nested-loop joins, `BTreeMap` grouping, a stable sort — sharing nothing
-//! with the engine beyond `Expr::eval` and `Batch`. Groups come out in key
-//! order and float sums add in row order, so callers compare unordered
-//! results as multisets and use exactly representable float data.
+//! nested-loop joins, `BTreeMap` grouping, a stable sort, two-pass moments —
+//! sharing nothing with the engine beyond `Expr::eval` and `Batch`. Groups
+//! come out in key order and float sums add in row order, so callers
+//! compare unordered results as multisets and use exactly representable
+//! float data (or a tolerance, for the moment functions).
 
 use dashdb_local::common::ids::Tsn;
 use dashdb_local::common::{Datum, Row};
@@ -202,13 +203,27 @@ fn join(l: &Batch, r: &Batch, on: &[(usize, usize)], jt: JoinType) -> Vec<Row> {
     out
 }
 
-/// Group on evaluated `Datum` keys (NULLs group together); groups emit in
-/// key order. A global aggregate over no rows still yields its one row.
+/// The text a group-key value is grouped under. `Datum`'s own order calls a
+/// NaN equal to every number, which no map can key on, so a key's identity
+/// is its rendering with every NaN as one value and `-0.0` as `0.0`. Keys
+/// of one column share a kind, so `Int(1)` and `Float(1.0)` never meet.
+pub fn key_text(d: &Datum) -> String {
+    match d {
+        Datum::Float(f) if f.is_nan() => "Float(NaN)".to_string(),
+        Datum::Float(f) if *f == 0.0 => "Float(0.0)".to_string(),
+        other => format!("{other:?}"),
+    }
+}
+
+/// Group on evaluated keys (NULLs group together); groups emit in
+/// [`key_text`] order with their first row's key values. A global aggregate
+/// over no rows still yields its one row.
 fn aggregate(input: &Batch, group: &[Expr], aggs: &[AggExpr], ctx: &EvalContext) -> Vec<Row> {
-    let mut groups: BTreeMap<Vec<Datum>, Vec<usize>> = BTreeMap::new();
+    let mut groups: BTreeMap<Vec<String>, (Vec<Datum>, Vec<usize>)> = BTreeMap::new();
     for i in 0..input.len() {
-        let key = group.iter().map(|g| g.eval(input, i, ctx).unwrap()).collect();
-        groups.entry(key).or_default().push(i);
+        let key: Vec<Datum> = group.iter().map(|g| g.eval(input, i, ctx).unwrap()).collect();
+        let text = key.iter().map(key_text).collect();
+        groups.entry(text).or_insert((key, Vec::new())).1.push(i);
     }
     if group.is_empty() {
         groups.entry(Vec::new()).or_default();
@@ -217,31 +232,87 @@ fn aggregate(input: &Batch, group: &[Expr], aggs: &[AggExpr], ctx: &EvalContext)
         key.extend(aggs.iter().map(|a| agg_value(a, input, &members, ctx)));
         Row::new(key)
     };
-    groups.into_iter().map(finish).collect()
+    groups.into_values().map(finish).collect()
 }
 
 fn agg_value(a: &AggExpr, input: &Batch, members: &[usize], ctx: &EvalContext) -> Datum {
     if a.func == AggFunc::CountStar {
         return Datum::Int(members.len() as i64);
     }
-    let arg = |&i: &usize| a.args[0].eval(input, i, ctx).unwrap();
-    let mut vals: Vec<Datum> = members.iter().map(arg).filter(|v| !v.is_null()).collect();
-    if a.distinct {
-        let mut seen: Vec<Datum> = Vec::new();
-        vals.retain(|v| !seen.contains(v) && (seen.push(v.clone()), true).1);
+    let arg = |n: usize, i: usize| a.args[n].eval(input, i, ctx).unwrap();
+    if matches!(a.func, AggFunc::CovarPop | AggFunc::CovarSamp) {
+        // Pairs with both sides present; textbook two-pass covariance.
+        let pair = |&i: &usize| Some((arg(0, i).as_float()?, arg(1, i).as_float()?));
+        let pairs: Vec<(f64, f64)> = members.iter().filter_map(pair).collect();
+        let n = pairs.len() as f64;
+        let denom = if a.func == AggFunc::CovarSamp { n - 1.0 } else { n };
+        if denom <= 0.0 {
+            return Datum::Null;
+        }
+        let (mx, my) = (pairs.iter().map(|p| p.0).sum::<f64>() / n, pairs.iter().map(|p| p.1).sum::<f64>() / n);
+        return Datum::Float(pairs.iter().map(|(x, y)| (x - mx) * (y - my)).sum::<f64>() / denom);
     }
-    let float_sum = || vals.iter().map(|v| v.as_float().unwrap()).sum::<f64>();
+    let mut vals: Vec<Datum> = members.iter().map(|&i| arg(0, i)).filter(|v| !v.is_null()).collect();
+    if a.distinct {
+        // One argument may yield `Int`s and `Float`s (`CASE`, `COALESCE`):
+        // a whole number is one value whichever kind carries it.
+        let text = |v: &Datum| match v {
+            Datum::Int(x) if x.unsigned_abs() < 1 << 53 => key_text(&Datum::Float(*x as f64)),
+            other => key_text(other),
+        };
+        let mut seen: Vec<String> = Vec::new();
+        vals.retain(|v| !seen.contains(&text(v)) && (seen.push(text(v)), true).1);
+    }
+    let floats = || -> Vec<f64> { vals.iter().map(|v| v.as_float().unwrap()).collect() };
+    let float_sum = || floats().iter().sum::<f64>();
     let ints: Option<Vec<i64>> = vals.iter().map(Datum::as_int).collect();
     match (&a.func, vals.is_empty()) {
         (AggFunc::Count, _) => Datum::Int(vals.len() as i64),
         (_, true) => Datum::Null,
-        (AggFunc::Sum, _) => match ints {
-            Some(ints) if matches!(vals[0], Datum::Int(_)) => Datum::Int(ints.iter().sum()),
+        (AggFunc::Sum, _) => match (&vals[0], ints) {
+            (Datum::Int(_), Some(ints)) => Datum::Int(ints.iter().sum()),
+            // Decimals of one scale add as scaled integers.
+            (Datum::Decimal(_, scale), _) => {
+                let unscaled = |v: &Datum| match v {
+                    Datum::Decimal(x, s) if s == scale => *x,
+                    other => panic!("reference sums decimals of one scale, got {other:?}"),
+                };
+                Datum::Decimal(vals.iter().map(unscaled).sum(), *scale)
+            }
             _ => Datum::Float(float_sum()),
         },
         (AggFunc::Avg, _) => Datum::Float(float_sum() / vals.len() as f64),
         (AggFunc::Min, _) => vals.into_iter().min().unwrap(),
         (AggFunc::Max, _) => vals.into_iter().max().unwrap(),
+        (AggFunc::Median | AggFunc::PercentileCont(_) | AggFunc::PercentileDisc(_), _) => {
+            let mut sorted = floats();
+            sorted.sort_by(f64::total_cmp);
+            let n = sorted.len();
+            Datum::Float(match a.func {
+                // The smallest value with at least `q` of the set at or below it.
+                AggFunc::PercentileDisc(q) => sorted[((q * n as f64).ceil() as usize).clamp(1, n) - 1],
+                _ => {
+                    let q = if let AggFunc::PercentileCont(q) = a.func { q } else { 0.5 };
+                    let pos = q * (n - 1) as f64;
+                    let (lo, hi) = (sorted[pos.floor() as usize], sorted[pos.ceil() as usize]);
+                    lo + (hi - lo) * (pos - pos.floor())
+                }
+            })
+        }
+        (AggFunc::VarPop | AggFunc::VarSamp | AggFunc::StdDevPop | AggFunc::StdDevSamp, _) => {
+            // Textbook two-pass variance.
+            let xs = floats();
+            let n = xs.len() as f64;
+            let sample = matches!(a.func, AggFunc::VarSamp | AggFunc::StdDevSamp);
+            let denom = if sample { n - 1.0 } else { n };
+            if denom <= 0.0 {
+                return Datum::Null;
+            }
+            let mean = xs.iter().sum::<f64>() / n;
+            let var = xs.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / denom;
+            let stddev = matches!(a.func, AggFunc::StdDevPop | AggFunc::StdDevSamp);
+            Datum::Float(if stddev { var.sqrt() } else { var })
+        }
         (other, _) => panic!("reference evaluator has no {other:?}"),
     }
 }

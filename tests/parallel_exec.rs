@@ -92,8 +92,8 @@ fn out_schema(fields: &[(&str, DataType)]) -> Schema {
 
 #[test]
 fn aggregate_matches_serial_exactly() {
-    // Datum keys (two group columns), encoded keys (one int column), and a
-    // float SUM: partials merge in morsel order over fixed morsel
+    // Two group columns, one int column, and a float SUM under either
+    // plan label: partials merge in morsel order over fixed morsel
     // boundaries, so group order and every value — float sums included —
     // are byte-identical to the serial run.
     let input = fact_batch(BIG);
@@ -288,10 +288,10 @@ fn join_with_all_null_keys_matches_serial() {
 // ---------------------------------------------------------------------------
 
 #[test]
-fn encoded_aggregate_matches_datum_aggregate() {
-    // Multi-key grouping (string + int, both with NULLs): the encoded
-    // path groups on interned code words, the Datum path on evaluated
-    // keys. Group sets and aggregates must agree exactly.
+fn aggregate_groups_on_key_words_whatever_the_plan_label() {
+    // Multi-key grouping (string + int, both with NULLs): `KeyMode` is the
+    // planner's label only; either way every row groups on interned code
+    // words, and group sets and aggregates agree exactly.
     let input = fact_batch(BIG);
     let schema = out_schema(&[
         ("region", DataType::Utf8),
@@ -319,8 +319,8 @@ fn encoded_aggregate_matches_datum_aggregate() {
         (rows, stats)
     };
     let (datum_rows, datum_stats) = run(KeyMode::Datum, 1);
-    assert_eq!(datum_stats.encoded_key_rows, 0);
-    assert_eq!(datum_stats.datum_key_rows, BIG as u64);
+    assert_eq!(datum_stats.encoded_key_rows, BIG as u64);
+    assert_eq!(datum_stats.datum_key_rows, 0);
     for par in [1usize, 4] {
         let (enc_rows, enc_stats) = run(KeyMode::Encoded, par);
         assert_eq!(enc_rows, datum_rows, "parallelism {par}");
@@ -1062,5 +1062,388 @@ fn sql_pipeline_monitor_counters_and_explain() {
     let text: Vec<String> = explain.rows.iter().map(|r| r.get(0).render()).collect();
     for needle in ["pipeline 0: scan", "probe[Inner](0)", "agg merge", "sort("] {
         assert!(text.iter().any(|l| l.contains(needle)), "missing {needle:?}: {text:?}");
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Generated aggregate equivalence
+// ---------------------------------------------------------------------------
+
+use dashdb_local::exec::expr::ArithOp;
+use dashdb_local::storage::table::STRIDE;
+
+/// SplitMix64: the generated suite's only source of randomness.
+struct Gen(u64);
+
+impl Gen {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    fn below(&mut self, n: usize) -> usize {
+        (self.next() % n as u64) as usize
+    }
+
+    fn pick<T: Clone>(&mut self, of: &[T]) -> T {
+        of[self.below(of.len())].clone()
+    }
+}
+
+/// The suite's seed: the CI matrix variable when set.
+fn suite_seed() -> u64 {
+    std::env::var("DASH_FAULT_SEED").ok().and_then(|s| s.parse().ok()).unwrap_or(20_170_419)
+}
+
+// Columns of the generated table: five key columns (int, float, decimal,
+// date, string) and four measures (int, float, decimal, all-NULL int).
+const KI: usize = 0;
+const KF: usize = 1;
+const KD: usize = 2;
+const KT: usize = 3;
+const KS: usize = 4;
+const MI: usize = 5;
+const MF: usize = 6;
+const MD: usize = 7;
+const MN: usize = 8;
+const DEC: DataType = DataType::Decimal(12, 2);
+
+fn gen_schema() -> Schema {
+    Schema::new(vec![
+        Field::new("ki", DataType::Int64),
+        Field::new("kf", DataType::Float64),
+        Field::new("kd", DEC),
+        Field::new("kt", DataType::Date),
+        Field::new("ks", DataType::Utf8),
+        Field::new("mi", DataType::Int64),
+        Field::new("mf", DataType::Float64),
+        Field::new("md", DEC),
+        Field::new("mn", DataType::Int64),
+    ])
+    .unwrap()
+}
+
+/// One generated row. Keys come from small pools seeded with the boundary
+/// values (NULL, `i64::MIN`/`MAX`, `±0.0`, both NaNs) so groups repeat;
+/// `wide` draws the int key from `0..wide` instead, for more groups than a
+/// morsel has rows. `novel` switches the string key to values a
+/// dictionary built before this row cannot hold. Measures are small and
+/// multiples of 0.25: every sum is exact in any order.
+fn gen_row(g: &mut Gen, wide: usize, novel: bool) -> Row {
+    let ki = if wide > 0 {
+        Datum::Int(g.below(wide) as i64)
+    } else {
+        g.pick(&[Datum::Null, Datum::Int(i64::MIN), Datum::Int(i64::MAX), Datum::Int(0), Datum::Int(-1), Datum::Int(7)])
+    };
+    let kf = g.pick(&[
+        Datum::Null,
+        Datum::Float(0.0),
+        Datum::Float(-0.0),
+        Datum::Float(f64::NAN),
+        Datum::Float(-f64::NAN),
+        Datum::Float(1.5),
+        Datum::Float(f64::NEG_INFINITY),
+    ]);
+    let kd = g.pick(&[Datum::Null, Datum::Decimal(0, 2), Datum::Decimal(125, 2), Datum::Decimal(-125, 2)]);
+    let kt = g.pick(&[Datum::Null, Datum::Date(0), Datum::Date(-1), Datum::Date(17_000)]);
+    let ks = if novel {
+        Datum::from(format!("new-{}", g.below(5)))
+    } else {
+        g.pick(&[Datum::Null, Datum::from(""), Datum::from("a"), Datum::from("b"), Datum::from("a longer string key")])
+    };
+    let quarter = |g: &mut Gen| g.below(4001) as i64 - 2000;
+    let mi = if g.below(9) == 0 { Datum::Null } else { Datum::Int(quarter(g)) };
+    let mf = if g.below(9) == 0 { Datum::Null } else { Datum::Float(quarter(g) as f64 * 0.25) };
+    let md = if g.below(9) == 0 { Datum::Null } else { Datum::Decimal(quarter(g) as i128 * 25, 2) };
+    row![ki, kf, kd, kt, ks, mi, mf, md, Datum::Null]
+}
+
+fn rem3(col: usize) -> Expr {
+    Expr::Arith(ArithOp::Rem, Box::new(Expr::col(col)), Box::new(Expr::lit(3i64)))
+}
+
+fn times2(col: usize) -> Expr {
+    Expr::Arith(ArithOp::Mul, Box::new(Expr::col(col)), Box::new(Expr::lit(2i64)))
+}
+
+/// `mi` where it is present, else `mf`: an argument whose values are `Int`s
+/// on some rows and `Float`s on others, whole ones among them.
+fn int_else_float() -> Expr {
+    Expr::Case {
+        operand: None,
+        branches: vec![(Expr::IsNull { expr: Box::new(Expr::col(MI)), negated: true }, Expr::col(MI))],
+        otherwise: Some(Box::new(Expr::col(MF))),
+    }
+}
+
+/// Group keys with their static types: bare columns of every kind, and an
+/// expression of each storage kind.
+fn key_menu() -> Vec<(Expr, DataType)> {
+    vec![
+        (Expr::col(KI), DataType::Int64),
+        (Expr::col(KF), DataType::Float64),
+        (Expr::col(KD), DEC),
+        (Expr::col(KT), DataType::Date),
+        (Expr::col(KS), DataType::Utf8),
+        (rem3(MI), DataType::Int64),
+        (Expr::Neg(Box::new(Expr::col(KF))), DataType::Float64),
+        (Expr::Neg(Box::new(Expr::col(KD))), DEC),
+        (Expr::Cast(Box::new(Expr::col(KT)), DataType::Utf8), DataType::Utf8),
+    ]
+}
+
+/// Every aggregate function, over bare columns and expressions, with the
+/// argument's static type (the planner's input to `output_type`).
+fn agg_menu() -> Vec<(AggExpr, Option<DataType>)> {
+    let call = |func: AggFunc, args: Vec<Expr>, distinct: bool, dt: DataType| {
+        (AggExpr { func, args, distinct }, Some(dt))
+    };
+    let (int, float) = (DataType::Int64, DataType::Float64);
+    let mut menu = vec![(count_star(), None)];
+    for distinct in [false, true] {
+        menu.extend([
+            call(AggFunc::Count, vec![Expr::col(MI)], distinct, int),
+            call(AggFunc::Count, vec![Expr::col(KS)], distinct, DataType::Utf8),
+            call(AggFunc::Count, vec![rem3(MI)], distinct, int),
+            call(AggFunc::Count, vec![int_else_float()], distinct, int),
+            call(AggFunc::Avg, vec![int_else_float()], distinct, float),
+            call(AggFunc::Sum, vec![Expr::col(MI)], distinct, int),
+            call(AggFunc::Sum, vec![times2(MI)], distinct, int),
+            call(AggFunc::Sum, vec![Expr::col(MF)], distinct, float),
+            call(AggFunc::Sum, vec![Expr::col(MD)], distinct, DEC),
+            call(AggFunc::Avg, vec![Expr::col(MF)], distinct, float),
+        ]);
+    }
+    for func in [AggFunc::Min, AggFunc::Max] {
+        menu.extend([
+            call(func.clone(), vec![Expr::col(MI)], false, int),
+            call(func.clone(), vec![Expr::col(MF)], false, float),
+            call(func.clone(), vec![Expr::col(MD)], false, DEC),
+            call(func.clone(), vec![Expr::col(KS)], false, DataType::Utf8),
+            call(func.clone(), vec![Expr::col(KT)], false, DataType::Date),
+            call(func.clone(), vec![times2(MI)], false, int),
+            call(func.clone(), vec![Expr::Neg(Box::new(Expr::col(MD)))], false, DEC),
+        ]);
+    }
+    menu.extend([
+        call(AggFunc::Sum, vec![Expr::Neg(Box::new(Expr::col(MD)))], false, DEC),
+        call(AggFunc::Sum, vec![Expr::col(MN)], false, int),
+        call(AggFunc::Avg, vec![Expr::col(MI)], false, int),
+        call(AggFunc::Avg, vec![Expr::col(MD)], false, DEC),
+        call(AggFunc::Avg, vec![times2(MI)], false, int),
+        call(AggFunc::Avg, vec![Expr::col(MN)], false, int),
+        call(AggFunc::Min, vec![Expr::col(MN)], false, int),
+        call(AggFunc::Median, vec![Expr::col(MF)], false, float),
+        call(AggFunc::Median, vec![times2(MI)], false, int),
+        call(AggFunc::PercentileCont(0.25), vec![Expr::col(MI)], false, int),
+        call(AggFunc::PercentileDisc(0.9), vec![Expr::col(MD)], false, DEC),
+        call(AggFunc::VarPop, vec![Expr::col(MF)], false, float),
+        call(AggFunc::VarSamp, vec![Expr::col(MI)], false, int),
+        call(AggFunc::StdDevPop, vec![times2(MI)], false, int),
+        call(AggFunc::StdDevSamp, vec![Expr::col(MD)], false, DEC),
+        call(AggFunc::CovarPop, vec![Expr::col(MI), Expr::col(MF)], false, int),
+        call(AggFunc::CovarSamp, vec![Expr::col(MF), times2(MI)], false, float),
+        call(AggFunc::CovarPop, vec![Expr::col(MF), Expr::col(MN)], false, float),
+    ]);
+    menu
+}
+
+/// `HashAggregate` over `source`, its output schema typed as the planner
+/// types it.
+fn gen_plan(source: PhysicalPlan, keys: &[(Expr, DataType)], aggs: &[(AggExpr, Option<DataType>)], par: usize) -> PhysicalPlan {
+    let key_fields = keys.iter().enumerate().map(|(i, (_, dt))| Field::new(format!("g{i}"), *dt));
+    let agg_fields = aggs
+        .iter()
+        .enumerate()
+        .map(|(i, (a, dt))| Field::new(format!("a{i}"), a.func.output_type(*dt)));
+    let group: Vec<Expr> = keys.iter().map(|(e, _)| e.clone()).collect();
+    PhysicalPlan::HashAggregate {
+        key_mode: KeyMode::for_group(&gen_schema(), &group),
+        input: Box::new(source),
+        group,
+        aggs: aggs.iter().map(|(a, _)| a.clone()).collect(),
+        schema: Schema::new(key_fields.chain(agg_fields).collect()).unwrap(),
+        parallelism: par,
+    }
+}
+
+/// Engine vs reference for one generated aggregate over `rows` (the
+/// source's rows in scan order): byte-identical at widths 1, 4 and 8, the
+/// reference's groups and values, and groups in first-appearance order.
+fn check_generated(what: &str, source: &PhysicalPlan, rows: &[Row], keys: &[(Expr, DataType)], aggs: &[(AggExpr, Option<DataType>)]) {
+    let ctx = EvalContext::default();
+    let nk = keys.len();
+    let key_of = |r: &Row| -> Vec<String> { r.values()[..nk].iter().map(reference::key_text).collect() };
+    let expected = reference::eval(&gen_plan(source.clone(), keys, aggs, 1), &ctx).to_rows();
+
+    let mut serial: Option<String> = None;
+    for par in [1usize, 4, 8] {
+        let (out, _) = execute(&gen_plan(source.clone(), keys, aggs, par), &ctx)
+            .unwrap_or_else(|e| panic!("{what} par {par}: {e}"));
+        let got = out.to_rows();
+        // `Debug` shows what `==` on `Datum` forgives: the kind, the sign
+        // of a zero.
+        let bytes = format!("{got:?}");
+        assert_eq!(&bytes, serial.get_or_insert(bytes.clone()), "{what}: width {par} differs from serial");
+        if par > 1 {
+            continue;
+        }
+        // Same groups, same values.
+        assert_eq!(got.len(), expected.len(), "{what}: group count");
+        let by_key: std::collections::BTreeMap<Vec<String>, &Row> = got.iter().map(|r| (key_of(r), r)).collect();
+        assert_eq!(by_key.len(), got.len(), "{what}: a group came out twice");
+        for want in &expected {
+            let have = by_key.get(&key_of(want)).unwrap_or_else(|| panic!("{what}: no group {:?}", key_of(want)));
+            for (c, (h, w)) in have.values().iter().zip(want.values()).enumerate().skip(nk) {
+                let same = match (h, w) {
+                    (Datum::Float(h), Datum::Float(w)) => (h - w).abs() <= 1e-9 * h.abs().max(w.abs()).max(1.0),
+                    _ => format!("{h:?}") == format!("{w:?}"),
+                };
+                assert!(same, "{what}: group {:?} column {c}: {h:?} vs reference {w:?}", key_of(want));
+            }
+        }
+        // First-appearance order: evaluate the keys down the source rows.
+        let input = Batch::from_rows(gen_schema(), rows).unwrap();
+        let types: Vec<DataType> = keys.iter().map(|(_, dt)| *dt).collect();
+        let mut order: Vec<Vec<String>> = Vec::new();
+        for i in 0..input.len() {
+            let key: Vec<String> = keys
+                .iter()
+                .zip(&types)
+                .map(|((e, _), dt)| {
+                    let v = e.eval(&input, i, &ctx).unwrap();
+                    reference::key_text(&dashdb_local::common::row::coerce_datum(v, *dt).unwrap())
+                })
+                .collect();
+            if !order.contains(&key) {
+                order.push(key);
+            }
+        }
+        if nk > 0 {
+            assert_eq!(got.iter().map(key_of).collect::<Vec<_>>(), order, "{what}: group order");
+        }
+    }
+}
+
+#[test]
+fn generated_aggregates_match_reference_at_every_width() {
+    let seed = suite_seed();
+    let mut g = Gen(seed);
+    let (key_menu, agg_menu) = (key_menu(), agg_menu());
+    let db = Database::untracked();
+
+    // Sources: row morsels straddling the 4096-row boundary, and a table of
+    // three strides whose last rows arrived after the dictionary was built.
+    let mut sources: Vec<(String, PhysicalPlan, Vec<Row>)> = Vec::new();
+    for (n, wide) in [(0, 0), (1, 0), (4095, 0), (4096, 6000), (4097, 0), (4097, 50_000)] {
+        let rows: Vec<Row> = (0..n).map(|_| gen_row(&mut g, wide, false)).collect();
+        let values = PhysicalPlan::Values { schema: gen_schema(), rows: rows.clone() };
+        sources.push((format!("values {n} wide {wide}"), values, rows));
+    }
+    for wide in [0, 5000] {
+        let loaded = 2 * STRIDE + 500;
+        let mut rows: Vec<Row> = (0..loaded).map(|_| gen_row(&mut g, wide, false)).collect();
+        let table = db.catalog().create_table(&format!("GEN{wide}"), gen_schema(), None).unwrap();
+        table.write().load_rows(rows.clone()).unwrap();
+        for _ in loaded..3 * STRIDE + 9 {
+            let r = gen_row(&mut g, wide, true);
+            table.write().insert(r.clone()).unwrap();
+            rows.push(r);
+        }
+        assert!(table.read().str_dict(KS).is_some(), "the string key must be dictionary-coded");
+        let scan = PhysicalPlan::ColumnScan { table, config: ScanConfig::full(0, (0..9).collect()) };
+        sources.push((format!("three strides wide {wide}"), scan, rows));
+    }
+
+    let mut covered = vec![false; agg_menu.len()];
+    for (name, source, rows) in &sources {
+        for case in 0..8 {
+            let nk = [0, 1, 1, 2, 2, 3, 1, 2][case];
+            let keys: Vec<(Expr, DataType)> = (0..nk).map(|_| g.pick(&key_menu)).collect();
+            // Every aggregate in the menu runs against some source; the
+            // rest of each list is drawn at random.
+            let mut picks: Vec<usize> = (0..1 + g.below(4)).map(|_| g.below(agg_menu.len())).collect();
+            picks.extend(covered.iter().position(|c| !c));
+            picks.iter().for_each(|&a| covered[a] = true);
+            let aggs: Vec<_> = picks.iter().map(|&a| agg_menu[a].clone()).collect();
+            check_generated(&format!("seed {seed} {name} case {case} keys {keys:?} aggs {picks:?}"), source, rows, &keys, &aggs);
+        }
+    }
+    assert!(covered.iter().all(|c| *c), "every aggregate in the menu ran");
+
+    // More key columns than one NULL-mask word has bits.
+    let many: Vec<(Expr, DataType)> = (0..70).map(|i| key_menu[i % 5].clone()).collect();
+    let (name, source, rows) = &sources[2];
+    check_generated(&format!("seed {seed} {name} 70 keys"), source, rows, &many, &agg_menu[..3]);
+}
+
+/// `SUM` overflow is the 22000 error at every width, wherever the overflow
+/// happens: inside one morsel, or only once partials meet at the merge.
+#[test]
+fn sum_overflow_is_an_error_at_every_width() {
+    let schema = out_schema(&[("k", DataType::Int64), ("v", DataType::Int64)]);
+    let out = out_schema(&[("k", DataType::Int64), ("s", DataType::Int64)]);
+    let half = i64::MAX / 2 + 1;
+    let within: Vec<Row> = vec![row![1i64, half], row![1i64, half]];
+    let mut across: Vec<Row> = (0..5000).map(|_| row![1i64, 0i64]).collect();
+    across[0] = row![1i64, half];
+    across[4999] = row![1i64, half];
+    for rows in [within, across] {
+        let input = Batch::from_rows(schema.clone(), &rows).unwrap();
+        for groups in [vec![], vec![Expr::col(0)]] {
+            let out = if groups.is_empty() { out_schema(&[("s", DataType::Int64)]) } else { out.clone() };
+            for par in [1usize, 4, 8] {
+                let mut stats = ExecStats::default();
+                let err = hash_aggregate(&input, &groups, &[agg(AggFunc::Sum, 1)], out.clone(), &EvalContext::default(), KeyMode::Encoded, par, &mut stats)
+                    .unwrap_err();
+                assert_eq!(err.class(), "22000", "{} rows, {} keys, par {par}: {err}", rows.len(), groups.len());
+            }
+        }
+    }
+}
+
+/// A NaN makes `partial_cmp` a partial order; percentiles sort by
+/// `total_cmp`, so one answer holds whatever order the values arrive in
+/// and at every width: positive NaNs sort above `+inf`.
+#[test]
+fn percentiles_over_nan_are_pinned() {
+    let schema = out_schema(&[("x", DataType::Float64)]);
+    let n = 9001;
+    // 0..n-1 with every 90th value a NaN, in two arrival orders.
+    let value = |i: usize| if i % 90 == 45 { f64::NAN } else { i as f64 };
+    let ascending: Vec<Row> = (0..n).map(|i| row![value(i)]).collect();
+    let scrambled: Vec<Row> = (0..n).map(|i| row![value(i * 4001 % n)]).collect();
+    let mut sorted: Vec<f64> = (0..n).map(value).filter(|x| !x.is_nan()).collect();
+    let nans = n - sorted.len();
+    sorted.extend(std::iter::repeat_n(f64::NAN, nans));
+    assert_eq!(nans, 100);
+
+    let aggs = [
+        agg(AggFunc::Median, 0),
+        agg(AggFunc::PercentileDisc(0.9), 0),
+        agg(AggFunc::PercentileCont(0.25), 0),
+        agg(AggFunc::PercentileDisc(1.0), 0),
+    ];
+    let out = out_schema(&[
+        ("med", DataType::Float64),
+        ("p90", DataType::Float64),
+        ("p25", DataType::Float64),
+        ("top", DataType::Float64),
+    ]);
+    let want = [sorted[(n - 1) / 2], sorted[(0.9 * n as f64).ceil() as usize - 1], sorted[(n - 1) / 4], f64::NAN];
+    assert_eq!(want[..3], [4551.0, 8191.0, 2275.0]);
+    for rows in [&ascending, &scrambled] {
+        let input = Batch::from_rows(schema.clone(), rows).unwrap();
+        for par in [1usize, 4, 8] {
+            let mut stats = ExecStats::default();
+            let got = hash_aggregate(&input, &[], &aggs, out.clone(), &EvalContext::default(), KeyMode::Datum, par, &mut stats)
+                .unwrap()
+                .row(0);
+            let got: Vec<u64> = got.values().iter().map(|d| d.as_float().unwrap().to_bits()).collect();
+            assert_eq!(got, want.map(f64::to_bits), "par {par}");
+        }
     }
 }

@@ -264,3 +264,145 @@ fn errors_are_structured() {
     let e = s.execute("SELECT x + 'abc' FROM t").unwrap_err();
     assert_eq!(e.class(), "22000");
 }
+
+/// `SUM` takes its state from the declared output type: an integer
+/// expression or a `DECIMAL` column sums exactly and comes back typed,
+/// where it used to add `f64`s and fail on the way out.
+#[test]
+fn sum_of_integer_expressions_and_decimals_is_typed() {
+    let mut s = session();
+    s.execute_script(
+        "CREATE TABLE t (k INT, v INT, d DECIMAL(10,2));
+         INSERT INTO t VALUES (1, 10, 1.25), (1, -20, 2.50), (2, 30, -0.75), (2, NULL, NULL);",
+    )
+    .unwrap();
+    let dec = |unscaled: i128| Datum::Decimal(unscaled, 2);
+    let strict = |rows: Vec<dashdb_local::common::Row>| -> Vec<Vec<String>> {
+        // Render with the variant name: `Datum` equality is by value across
+        // numeric kinds, and the kind is the point here.
+        rows.iter()
+            .map(|r| r.values().iter().map(|d| format!("{d:?}")).collect())
+            .collect()
+    };
+    let show = |ds: &[Datum]| -> Vec<String> { ds.iter().map(|d| format!("{d:?}")).collect() };
+
+    let global = [
+        ("SELECT SUM(v + 1) FROM t", Datum::Int(23)),
+        ("SELECT SUM(ABS(v)) FROM t", Datum::Int(60)),
+        ("SELECT SUM(v * 2) FROM t", Datum::Int(40)),
+        ("SELECT SUM(d) FROM t", dec(300)),
+    ];
+    for (sql, want) in global {
+        assert_eq!(strict(s.query(sql).unwrap()), vec![show(&[want])], "{sql}");
+    }
+    let grouped = [
+        ("SELECT k, SUM(v + 1) FROM t GROUP BY k ORDER BY k", [Datum::Int(-8), Datum::Int(31)]),
+        ("SELECT k, SUM(ABS(v)) FROM t GROUP BY k ORDER BY k", [Datum::Int(30), Datum::Int(30)]),
+        ("SELECT k, SUM(v * 2) FROM t GROUP BY k ORDER BY k", [Datum::Int(-20), Datum::Int(60)]),
+        ("SELECT k, SUM(d) FROM t GROUP BY k ORDER BY k", [dec(375), dec(-75)]),
+    ];
+    for (sql, want) in grouped {
+        let expect: Vec<Vec<String>> = want
+            .iter()
+            .enumerate()
+            .map(|(k, w)| show(&[Datum::Int(k as i64 + 1), w.clone()]))
+            .collect();
+        assert_eq!(strict(s.query(sql).unwrap()), expect, "{sql}");
+    }
+    // An all-NULL decimal sum is NULL, not zero.
+    let rows = s.query("SELECT SUM(d) FROM t WHERE v IS NULL").unwrap();
+    assert!(rows[0].get(0).is_null());
+
+    // AVG / MIN / MAX of the same arguments stay as they were: AVG is a
+    // float, MIN/MAX keep the argument's type.
+    let others = [
+        ("SELECT AVG(v + 1), MIN(v + 1), MAX(v + 1) FROM t",
+         vec![Datum::Float(23.0 / 3.0), Datum::Int(-19), Datum::Int(31)]),
+        ("SELECT AVG(ABS(v)), MIN(ABS(v)), MAX(ABS(v)) FROM t",
+         vec![Datum::Float(20.0), Datum::Int(10), Datum::Int(30)]),
+        ("SELECT AVG(v * 2), MIN(v * 2), MAX(v * 2) FROM t",
+         vec![Datum::Float(40.0 / 3.0), Datum::Int(-40), Datum::Int(60)]),
+        ("SELECT AVG(d), MIN(d), MAX(d) FROM t", vec![Datum::Float(1.0), dec(-75), dec(250)]),
+    ];
+    for (sql, want) in others {
+        assert_eq!(strict(s.query(sql).unwrap()), vec![show(&want)], "{sql}");
+    }
+    let rows = s
+        .query("SELECT k, AVG(v * 2), MIN(d), MAX(ABS(v)) FROM t GROUP BY k ORDER BY k")
+        .unwrap();
+    assert_eq!(
+        strict(rows),
+        vec![
+            show(&[Datum::Int(1), Datum::Float(-10.0), dec(125), Datum::Int(20)]),
+            show(&[Datum::Int(2), Datum::Float(60.0), dec(-75), Datum::Int(30)]),
+        ]
+    );
+
+    // Overflow of the exact sum is the SUM overflow error, not a wrap.
+    s.execute("CREATE TABLE big (v BIGINT)").unwrap();
+    s.execute("INSERT INTO big VALUES (9223372036854775807), (1)").unwrap();
+    let err = s.query("SELECT SUM(v) FROM big").unwrap_err();
+    assert_eq!(err.class(), "22000", "{err}");
+}
+
+/// The planner's static type of an expression is loose (`COALESCE` takes
+/// its first argument's), so a computed key or argument may evaluate
+/// outside it. Such a value is never rounded, truncated or parsed into the
+/// declared type: `COUNT(DISTINCT expr)` compares the values themselves,
+/// everything typed fails the statement.
+#[test]
+fn computed_aggregate_values_outside_the_declared_type_are_not_cast() {
+    let mut s = session();
+    s.execute_script(
+        "CREATE TABLE m (i INT, f DOUBLE, s VARCHAR(8), d DECIMAL(10,4));
+         INSERT INTO m VALUES (0, NULL, '7', 1.25), (NULL, 0.5, '8', 1.25), (NULL, 0.25, 'x', 2.5),
+                              (3, NULL, '7', NULL), (NULL, 3.0, NULL, NULL), (NULL, NULL, NULL, NULL);",
+    )
+    .unwrap();
+    let one = |s: &mut Session, sql: &str| s.query(sql).unwrap()[0].get(0).clone();
+
+    // 0, 0.5, 0.25, 3 and 3.0 are four values; `Int 3` is `Float 3.0`.
+    assert_eq!(one(&mut s, "SELECT COUNT(DISTINCT COALESCE(i, f)) FROM m"), Datum::Int(4));
+    assert_eq!(one(&mut s, "SELECT COUNT(COALESCE(i, f)) FROM m"), Datum::Int(5));
+    // Numbers and strings in one argument: 0, '8', 'x', 3.
+    assert_eq!(one(&mut s, "SELECT COUNT(DISTINCT COALESCE(i, s)) FROM m"), Datum::Int(4));
+    let rows = s
+        .query("SELECT s, COUNT(DISTINCT COALESCE(i, f)) FROM m GROUP BY s ORDER BY s")
+        .unwrap();
+    let counts: Vec<Datum> = rows.iter().map(|r| r.get(1).clone()).collect();
+    assert_eq!(counts, vec![Datum::Int(2), Datum::Int(1), Datum::Int(1), Datum::Int(1)]);
+
+    // A fraction is not an integer key or an integer sum, a string is not a
+    // number, and a quotient's extra digits are not rounded away.
+    for sql in [
+        "SELECT COALESCE(i, f), COUNT(*) FROM m GROUP BY COALESCE(i, f)",
+        "SELECT SUM(COALESCE(i, f)) FROM m",
+        "SELECT MIN(COALESCE(i, f)) FROM m",
+        "SELECT d / 3, COUNT(*) FROM m GROUP BY d / 3",
+        "SELECT SUM(d / 3) FROM m",
+        "SELECT SUM(s) FROM m",
+        "SELECT AVG(s) FROM m",
+        "SELECT MEDIAN(s) FROM m",
+    ] {
+        let err = s.query(sql).unwrap_err();
+        assert_eq!(err.class(), "22000", "{sql}: {err}");
+    }
+    // What the declared type holds exactly goes through: integers into a
+    // float aggregate, whole floats into an integer one, and decimal
+    // arithmetic — evaluated in `f64` — that lands on the declared scale.
+    assert_eq!(one(&mut s, "SELECT SUM(COALESCE(f, i)) FROM m"), Datum::Float(6.75));
+    assert_eq!(one(&mut s, "SELECT SUM(COALESCE(i, f)) FROM m WHERE f IS NULL OR f = 3.0"), Datum::Int(6));
+    assert_eq!(one(&mut s, "SELECT SUM(d * 2 + i) FROM m"), Datum::Decimal(25_000, 4));
+    assert_eq!(one(&mut s, "SELECT MAX(d * d) FROM m"), Datum::Decimal(62_500, 4));
+    let rows = s.query("SELECT d * d, COUNT(*) FROM m GROUP BY d * d ORDER BY 1").unwrap();
+    let groups: Vec<(Datum, Datum)> = rows.iter().map(|r| (r.get(0).clone(), r.get(1).clone())).collect();
+    assert_eq!(
+        groups,
+        vec![
+            (Datum::Decimal(15_625, 4), Datum::Int(2)),
+            (Datum::Decimal(62_500, 4), Datum::Int(1)),
+            (Datum::Null, Datum::Int(3)),
+        ]
+    );
+    assert_eq!(one(&mut s, "SELECT COUNT(DISTINCT d * d) FROM m"), Datum::Int(2));
+}

@@ -111,7 +111,7 @@ fn aggregate_over_budget_is_refused_cleanly() {
     let db = Database::with_hardware(HardwareSpec::laptop());
     let mut s = loaded_session(&db, 5000);
 
-    // A computed group expression keys the partials on `Datum`s.
+    // A computed group expression: evaluated into a scratch key column.
     let sql = "SELECT region, id % 7, COUNT(*), SUM(amount) FROM sales GROUP BY region, id % 7";
     let unbudgeted = s.query(sql).unwrap();
 
@@ -595,6 +595,59 @@ fn pipelined_chain_aborts_release_all_leases() {
         0,
         "budget refusal must release partial leases"
     );
+}
+
+/// A group-by whose groups outnumber a morsel's rows makes every partial as
+/// large as its morsel. A budget one such partial overruns refuses the
+/// statement (53200) with every lease back, at any width; the same budget
+/// carries the same scan grouped on a low-cardinality key, so it is the
+/// cardinality that is refused.
+#[test]
+fn high_cardinality_group_by_over_budget_releases_all_leases() {
+    let db = Database::untracked();
+    let schema = Schema::new(vec![
+        Field::not_null("id", DataType::Int64),
+        Field::not_null("qty", DataType::Int64),
+    ])
+    .unwrap();
+    let facts = db.catalog().create_table("HFACTS", schema, None).unwrap();
+    facts
+        .write()
+        .load_rows((0..20_000).map(|i| row![i as i64, (i % 10) as i64]).collect())
+        .unwrap();
+    let plan = |group: Expr, par: usize| PhysicalPlan::HashAggregate {
+        input: Box::new(PhysicalPlan::ColumnScan {
+            table: facts.clone(),
+            config: ScanConfig::full(0, vec![0, 1]),
+        }),
+        key_mode: KeyMode::for_group(&facts.read().schema().clone(), std::slice::from_ref(&group)),
+        group: vec![group],
+        aggs: vec![AggExpr {
+            func: AggFunc::Sum,
+            args: vec![Expr::col(1)],
+            distinct: false,
+        }],
+        schema: Schema::new(vec![Field::new("g", DataType::Int64), Field::new("total", DataType::Int64)])
+            .unwrap(),
+        parallelism: par,
+    };
+    for par in [1usize, 4] {
+        let starved = StatementContext::with_limits(None, Some(24 * 1024));
+        let ctx = EvalContext::with_statement(starved.clone());
+        let err = execute(&plan(Expr::col(0), par), &ctx).unwrap_err();
+        assert!(matches!(err, DashError::ResourceExhausted(_)), "par {par}: wrong variant: {err:?}");
+        assert_eq!(err.class(), "53200", "par {par}: {err}");
+        assert_eq!(starved.budget_used(), 0, "par {par}: refusal must release every partial's lease");
+
+        let (out, stats) = execute(&plan(Expr::col(1), par), &ctx).unwrap();
+        assert_eq!(out.len(), 10, "par {par}");
+        assert_eq!(stats.budget_rejections, 0, "par {par}: {stats:?}");
+        assert_eq!(starved.budget_used(), 0, "par {par}");
+    }
+    let roomy = StatementContext::with_limits(None, Some(1 << 30));
+    let (out, _) = execute(&plan(Expr::col(0), 4), &EvalContext::with_statement(roomy.clone())).unwrap();
+    assert_eq!(out.len(), 20_000);
+    assert_eq!(roomy.budget_used(), 0);
 }
 
 /// A cross join is a breaker that charges its whole output against the
