@@ -16,7 +16,9 @@ use dash_bench::*;
 use dash_core::{Database, HardwareSpec};
 use dash_rowstore::engine::RowEngine;
 use dash_rowstore::naive::NaiveEngine;
+use dash_workloads::concurrent::{retry_conflicts, MixConfig};
 use dash_workloads::{bdinsight, customer, tpcds};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -100,10 +102,12 @@ fn test2() {
         load_into_db(&db, t).expect("load db");
     }
     let started = Instant::now();
+    let conflicts = AtomicU64::new(0);
     crossbeam::thread::scope(|scope| {
         for s in 0..streams {
             let db: Arc<Database> = db.clone();
             let queries = w.analytic_queries.clone();
+            let conflicts = &conflicts;
             scope.spawn(move |_| {
                 let stmts = customer::statement_stream(
                     &format!("w{s}"),
@@ -113,8 +117,14 @@ fn test2() {
                     &queries,
                 );
                 let mut session = db.connect();
+                // A first-writer-wins conflict (40001) is the engine working
+                // as designed: retry the statement. Anything else fails
+                // the run.
+                let retries = MixConfig::default().max_retries;
                 for st in &stmts {
-                    if let Err(e) = session.execute(&st.sql) {
+                    let (outcome, hit) = retry_conflicts(retries, || session.execute(&st.sql));
+                    conflicts.fetch_add(hit, Ordering::Relaxed);
+                    if let Err(e) = outcome {
                         panic!("stream {s} failed on `{}`: {e}", st.sql);
                     }
                 }
@@ -166,11 +176,23 @@ fn test2() {
     report("streams", streams);
     report("statements per stream", per_stream);
     report("dashDB workload time", format!("{dash_s:.2} s"));
+    report("dashDB write conflicts retried (40001)", conflicts.load(Ordering::Relaxed));
     report("appliance workload time", format!("{appliance_s:.2} s"));
     report(
         "workload time improvement (paper: 2.1x)",
         format!("{:.1}x", appliance_s / dash_s.max(1e-9)),
     );
+}
+
+/// Row-for-row equality, float sums to nine significant digits: the two
+/// engines add a group's 200 K values in different orders, and the
+/// normalized results round at an absolute 1e-6.
+fn same_rows(a: &[dash_common::Row], b: &[dash_common::Row]) -> bool {
+    let same = |(x, y): (&dash_common::Datum, &dash_common::Datum)| match (x, y) {
+        (dash_common::Datum::Float(x), dash_common::Datum::Float(y)) => (x - y).abs() <= 1e-9 * x.abs().max(y.abs()),
+        _ => x == y,
+    };
+    a.len() == b.len() && a.iter().zip(b).all(|(r, s)| r.values().len() == s.values().len() && r.values().iter().zip(s.values()).all(same))
 }
 
 /// Test 3: TPC-DS-like queries vs the FPGA-assisted appliance.
@@ -193,7 +215,7 @@ fn test3() {
         let _ = run_on_db(&mut session, q); // warm
         let (a, stats, t_db) = run_on_db(&mut session, q).expect("db query");
         let (b, _, _) = run_on_row(&row, q).expect("row query");
-        assert_eq!(a, b, "engines disagree on {}", q.to_sql());
+        assert!(same_rows(&a, &b), "engines disagree on {}:\n{a:?}\n{b:?}", q.to_sql());
         // FPGA appliance model: the FPGAs filter at wire speed (row-engine
         // CPU is not charged) and zone maps skip extents the way our
         // synopsis does, so the appliance streams only the candidate

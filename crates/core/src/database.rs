@@ -1071,15 +1071,8 @@ impl Session {
                 stats.cancel_latency_max_morsels = stats
                     .cancel_latency_max_morsels
                     .max(stmt_ctx.cancel_latency_max_morsels());
-                if stats.encoded_key_rows > 0
-                    || stats.datum_key_rows > 0
-                    || stats.keys_reencoded_rows > 0
-                {
-                    mon.record_key_path(
-                        stats.encoded_key_rows,
-                        stats.datum_key_rows,
-                        stats.keys_reencoded_rows,
-                    );
+                if stats.encoded_key_rows > 0 {
+                    mon.record_key_path(stats.encoded_key_rows, stats.keys_reencoded_rows);
                 }
                 if stats.pipelines_run > 0 {
                     mon.record_pipeline(

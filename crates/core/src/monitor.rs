@@ -101,16 +101,13 @@ impl TxnStats {
 }
 
 /// Operate-on-compressed counters: how many join/group key evaluations ran
-/// directly on encoded code words versus falling back to `Datum`
-/// comparisons, and how much re-encoding the code-domain path paid for.
+/// on encoded code words (all of them), and how much re-encoding the
+/// code-domain path paid for.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct KeyPathStats {
     /// Input rows whose join/group keys were hashed and compared as
     /// fixed-width encoded words (no `Datum` in the loop).
     pub encoded_key_rows: u64,
-    /// Input rows that fell back to materialized `Datum` keys (cross-type
-    /// keys, computed expressions, mixed encodings).
-    pub datum_key_rows: u64,
     /// Build/partial-side rows translated into the other side's code
     /// domain instead of decoding the larger side.
     pub keys_reencoded_rows: u64,
@@ -328,12 +325,11 @@ impl Monitor {
     }
 
     /// Fold one statement's key-path counters into the store: rows keyed
-    /// on encoded words, rows keyed on `Datum`s, and rows re-encoded into
-    /// the other side's code domain.
-    pub fn record_key_path(&self, encoded: u64, datum: u64, reencoded: u64) {
+    /// on encoded words, and rows re-encoded into the other side's code
+    /// domain.
+    pub fn record_key_path(&self, encoded: u64, reencoded: u64) {
         let mut k = self.key_path.lock();
         k.encoded_key_rows += encoded;
-        k.datum_key_rows += datum;
         k.keys_reencoded_rows += reencoded;
     }
 
@@ -415,9 +411,8 @@ impl Monitor {
         let k = self.key_path();
         if !k.is_clean() {
             out.push_str(&format!(
-                "key path: {} rows on encoded keys, {} rows on datum keys, \
-                 {} rows re-encoded\n",
-                k.encoded_key_rows, k.datum_key_rows, k.keys_reencoded_rows,
+                "key path: {} rows on encoded keys, {} rows re-encoded\n",
+                k.encoded_key_rows, k.keys_reencoded_rows,
             ));
         }
         let p = self.pipeline();
@@ -514,14 +509,13 @@ mod tests {
     fn key_path_counters_accumulate_and_report() {
         let m = Monitor::new();
         assert!(m.key_path().is_clean());
-        m.record_key_path(100, 7, 3);
-        m.record_key_path(50, 0, 0);
+        m.record_key_path(100, 3);
+        m.record_key_path(50, 0);
         let k = m.key_path();
         assert_eq!(k.encoded_key_rows, 150);
-        assert_eq!(k.datum_key_rows, 7);
         assert_eq!(k.keys_reencoded_rows, 3);
         let rep = m.report();
-        assert!(rep.contains("key path: 150 rows on encoded keys, 7 rows on datum keys, 3 rows re-encoded"));
+        assert!(rep.contains("key path: 150 rows on encoded keys, 3 rows re-encoded"));
     }
 
     #[test]

@@ -16,6 +16,7 @@ use crate::functions::EvalContext;
 use crate::key::{self, GroupTable, KeyCol, KeyMode, KeyWord, StrDict, StrInterner, LOCAL_STR_BASE};
 use crate::pipeline::{self, AggSink, Feed};
 use crate::stats::ExecStats;
+use dash_common::date::date_to_timestamp_micros;
 use dash_common::fxhash::FxHashSet;
 use dash_common::{DashError, DataType, Datum, Result, Schema};
 use dash_encoding::column::{value_kind, ColumnValues, ValueKind};
@@ -130,12 +131,12 @@ fn arg_target(func: &AggFunc, out: DataType) -> Option<DataType> {
 /// `v` as a value of type `to`, when `to` holds it exactly: its own kind,
 /// an integer scaled up into a decimal, a decimal at a scale that drops no
 /// digit, a whole float as an integer, any number as the `f64`
-/// [`Datum::as_float`] reads it as. Arithmetic over decimals evaluates in
-/// `f64`, so a float within rounding error of a decimal of `to`'s scale is
-/// that decimal. `None` for everything a cast would round, truncate or
-/// parse — the planner's static type of an expression is loose (`COALESCE`
-/// takes its first argument's), so a value outside it is an error, never a
-/// stand-in.
+/// [`Datum::as_float`] reads it as, a date as its midnight. Arithmetic over
+/// decimals evaluates in `f64`, so a float within rounding error of a
+/// decimal of `to`'s scale is that decimal. `None` for everything a cast
+/// would round, truncate or parse — the planner's static type of an
+/// expression is loose (`CASE` takes its first branch's), so a value
+/// outside it is an error, never a stand-in.
 fn exact(v: &Datum, to: DataType) -> Option<Datum> {
     Some(match (to, v) {
         (_, Datum::Null) => Datum::Null,
@@ -144,6 +145,7 @@ fn exact(v: &Datum, to: DataType) -> Option<Datum> {
         | (DataType::Date, Datum::Date(_))
         | (DataType::Timestamp, Datum::Timestamp(_))
         | (DataType::Utf8, Datum::Str(_)) => v.clone(),
+        (DataType::Timestamp, Datum::Date(d)) => Datum::Timestamp(date_to_timestamp_micros(*d)),
         (DataType::Int16 | DataType::Int32 | DataType::Int64, Datum::Bool(b)) => Datum::Int(*b as i64),
         (DataType::Int16 | DataType::Int32 | DataType::Int64, Datum::Float(x))
             if x.fract() == 0.0 && x.abs() < i64::MAX as f64 =>

@@ -1,43 +1,36 @@
 //! Cache-efficient partitioned hash join (§II.B.7), operating on
-//! compressed key words where encodings allow.
+//! compressed key words.
 //!
 //! "All of the query algorithms aim to keep data in the processor's L3 or
 //! L2 caches ... by partitioning data into L3 or L2 chunks for performing
 //! joins and grouping, as pioneered in Hybrid Hash Join and MonetDB."
 //!
 //! The build (right) side is hash-partitioned on the join key into chunks
-//! sized so each partition's hash table fits in cache, then frozen as a
+//! sized so each partition's table fits in cache, then frozen as a
 //! [`JoinBuild`] — a pipeline breaker. The probe (left) side streams
 //! through it one morsel at a time. NULL keys never match (SQL semantics).
 //!
-//! Two key paths share that shape:
+//! There is one key path: every key column reduces to a fixed-width `u64`
+//! word (ordered-int bits, canonical ordered-float bits, or packed
+//! dictionary codes; a pair of different domains is lifted into its common
+//! one — see [`crate::key`]), and partitioning, building and probing touch
+//! only those words. A partition is a [`GroupTable`] (key words → dense
+//! key id) plus each key's build rows in CSR form; the probe looks a key up
+//! without inserting and reads a slice. Strings outside the build side's
+//! dictionary resolve through a deterministic per-partition interner built
+//! from build-side rows.
 //!
-//! * **Encoded** ([`KeyMode::Encoded`]) — every key column reduces to a
-//!   fixed-width `u64` word (ordered-int bits, canonical ordered-float
-//!   bits, or packed dictionary codes; see [`crate::key`]); partitioning,
-//!   building, and probing touch only those words. Strings outside the
-//!   build side's dictionary resolve through a deterministic per-partition
-//!   interner built from build-side rows.
-//! * **Datum** — the fallback for cross-domain keys (`Int 2` joins
-//!   `Float 2.0`). Build rows store their key `Datum`s (they live in the
-//!   hash table); probe rows reuse one scratch buffer per morsel and are
-//!   never collected.
-//!
-//! Both paths emit `(probe row, build row)` index pairs per morsel;
-//! payload columns materialize **late**, gathered column-at-a-time only
-//! for rows that survived the probe.
+//! The probe emits `(probe row, build row)` index pairs per morsel; payload
+//! columns materialize **late**, gathered column-at-a-time only for rows
+//! that survived the probe.
 
 use crate::batch::Batch;
-use crate::key::{route_hash, KeyCol, KeyMode, StrInterner, STR_MISS};
+use crate::key::{route_hash, GroupTable, KeyCol, KeyMode, StrDict, StrInterner, STR_MISS};
 use crate::pool;
 use crate::stats::ExecStats;
-use dash_common::fxhash::FxHashMap;
-use dash_common::statement::approx_datum_bytes;
-use dash_common::{BudgetLease, DashError, Datum, Result, StatementContext};
+use dash_common::{BudgetLease, DashError, Result, Schema, StatementContext};
 use dash_encoding::column::ColumnValues;
 use std::borrow::Cow;
-use std::collections::hash_map::Entry;
-use std::hash::{BuildHasher, BuildHasherDefault, Hash, Hasher};
 use std::ops::Range;
 
 /// Join type.
@@ -61,12 +54,9 @@ pub const PARTITION_ROWS: usize = 8 * 1024;
 /// padding for Left, or an unused slot for Semi/Anti).
 const NO_MATCH: u32 = u32::MAX;
 
-fn key_hash(values: &[Datum]) -> u64 {
-    let mut h = BuildHasherDefault::<dash_common::fxhash::FxHasher>::default().build_hasher();
-    for v in values {
-        v.hash(&mut h);
-    }
-    h.finish()
+/// Grow `lease` by `bytes`, counting a refusal.
+fn charge(lease: &mut BudgetLease, bytes: u64, stats: &mut ExecStats) -> Result<()> {
+    lease.charge(bytes).inspect_err(|_| stats.budget_rejections += 1)
 }
 
 /// Append output pairs for one probe row given its build-side matches.
@@ -109,16 +99,14 @@ fn probe_emit(join_type: JoinType, li: u32, matches: Option<&[u32]>, out: &mut V
 ///
 /// `on` pairs are (left ordinal, right ordinal). The output schema is
 /// `left ⧺ right` for Inner/Left, and just `left` for Semi/Anti.
-/// `key_mode` is the planner's key-path decision; `Encoded` is re-verified
-/// against the two schemas and falls back to the `Datum` path when their
-/// key domains disagree.
+/// `_key_mode` is the planner's label; the join keys on words either way.
 #[allow(clippy::too_many_arguments)]
 pub fn hash_join(
     left: &Batch,
     right: &Batch,
     on: &[(usize, usize)],
     join_type: JoinType,
-    key_mode: KeyMode,
+    _key_mode: KeyMode,
     parallelism: usize,
     stmt: &StatementContext,
     stats: &mut ExecStats,
@@ -128,7 +116,6 @@ pub fn hash_join(
         left.schema(),
         on.to_vec(),
         join_type,
-        key_mode,
         parallelism,
         stmt,
         stats,
@@ -155,7 +142,7 @@ pub fn hash_join(
 // Build-side partitioning.
 // ---------------------------------------------------------------------------
 
-/// One build partition under the encoded path: row indices plus their key
+/// One build partition before it is frozen: row indices plus their key
 /// words, flat with stride `nk`.
 type CodedPartition = (Vec<u32>, Vec<u64>);
 
@@ -201,67 +188,67 @@ fn partition_encoded<'a>(
     Ok((partitions, (run.morsels_dispatched, run.workers_used)))
 }
 
-/// Resolve one build row's [`STR_MISS`] words by interning the raw strings
-/// (in build row order, so the local code assignment is deterministic).
-#[inline]
-fn intern_words(words: &mut [u64], row: u32, cols: &[KeyCol<'_>], interners: &mut [StrInterner]) {
-    for (c, w) in words.iter_mut().enumerate() {
-        if *w == STR_MISS && cols[c].is_str() {
-            *w = interners[c].intern(cols[c].str_at(row as usize));
-        }
-    }
+/// One frozen build partition: key words → dense key id, and each key's
+/// build rows in CSR form.
+struct Partition {
+    table: GroupTable,
+    /// Key `k`'s build rows, ascending, are `rows[offsets[k]..offsets[k + 1]]`.
+    offsets: Vec<u32>,
+    rows: Vec<u32>,
+    /// Per key column, the build side's out-of-dictionary strings (probe
+    /// strings only *look up*; a miss is provably unmatched).
+    interners: Vec<StrInterner>,
 }
 
-/// One build-side partition's rows: ascending row index plus the
-/// (non-null) join key computed for that row.
-type KeyedRows = Vec<(u32, Vec<Datum>)>;
-
-/// Fill `scratch` with the key for `row`, returning false on a NULL
-/// component (NULL keys never join).
-#[inline]
-fn fill_key(batch: &Batch, row: usize, cols: &[usize], scratch: &mut Vec<Datum>) -> bool {
-    scratch.clear();
-    for &c in cols {
-        let v = batch.value(row, c);
-        if v.is_null() {
-            return false;
-        }
-        scratch.push(v);
-    }
-    true
-}
-
-/// Partition the build side, storing each row's key `Datum`s (they move
-/// into the per-partition hash tables).
-#[allow(clippy::type_complexity)]
-fn partition_datum_build(
-    batch: &Batch,
-    cols: &[usize],
-    parts: usize,
-    mask: u64,
-    parallelism: usize,
-    stmt: &StatementContext,
-) -> Result<(Vec<KeyedRows>, (u64, u64))> {
-    let ranges = pool::row_morsels(batch.len(), parallelism, 4096);
-    let run = pool::run_morsels(ranges.len(), parallelism, stmt, |mi| {
-        let (lo, hi) = ranges[mi];
-        let mut local: Vec<KeyedRows> = (0..parts).map(|_| Vec::new()).collect();
-        let mut scratch: Vec<Datum> = Vec::with_capacity(cols.len());
-        for i in lo..hi {
-            if fill_key(batch, i, cols, &mut scratch) {
-                let p = (key_hash(&scratch) & mask) as usize;
-                local[p].push((i as u32, scratch.clone()));
+impl Partition {
+    /// Freeze one partition's `rows` (ascending) and their key `words`.
+    /// [`STR_MISS`] words resolve by interning the raw strings in build row
+    /// order, so the local code assignment is deterministic.
+    fn freeze(rows: Vec<u32>, mut words: Vec<u64>, cols: &[KeyCol<'_>]) -> Partition {
+        let nk = cols.len();
+        let mut table = GroupTable::without_nulls(nk);
+        let mut interners: Vec<StrInterner> = (0..nk).map(|_| StrInterner::default()).collect();
+        let mut key_of_row = Vec::with_capacity(rows.len());
+        for (&r, key) in rows.iter().zip(words.chunks_exact_mut(nk)) {
+            for (c, w) in key.iter_mut().enumerate() {
+                if *w == STR_MISS && cols[c].is_str() {
+                    *w = interners[c].intern(cols[c].str_at(r as usize));
+                }
             }
+            key_of_row.push(match key[..] {
+                [word] => table.group_of_word(word),
+                _ => table.group_of(key),
+            });
         }
-        Ok(local)
-    })?;
-    let mut partitions: Vec<KeyedRows> = (0..parts).map(|_| Vec::new()).collect();
-    for local in run.results {
-        for (p, v) in local.into_iter().enumerate() {
-            partitions[p].extend(v);
+        // Counting sort of the rows by key id: stable, so a key's rows stay
+        // in ascending row order.
+        let mut offsets = vec![0u32; table.len() + 1];
+        for &k in &key_of_row {
+            offsets[k as usize + 1] += 1;
+        }
+        for k in 0..table.len() {
+            offsets[k + 1] += offsets[k];
+        }
+        let mut next = offsets.clone();
+        let mut by_key = vec![0u32; rows.len()];
+        for (&k, &r) in key_of_row.iter().zip(&rows) {
+            by_key[next[k as usize] as usize] = r;
+            next[k as usize] += 1;
+        }
+        Partition {
+            table,
+            offsets,
+            rows: by_key,
+            interners,
         }
     }
-    Ok((partitions, (run.morsels_dispatched, run.workers_used)))
+
+    /// Heap bytes the frozen partition holds.
+    fn bytes(&self) -> u64 {
+        self.table.bytes()
+            + ((self.offsets.len() + self.rows.len()) * 4) as u64
+            + self.interners.iter().map(StrInterner::bytes).sum::<u64>()
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -296,12 +283,11 @@ fn gather_column(src: &ColumnValues, pairs: &[(u32, u32)], right_side: bool) -> 
 }
 
 /// Materialize the joined batch from surviving (probe, build) pairs,
-/// column at a time across the pool — the late-materialization step both
-/// key paths share, so their outputs are structurally identical.
+/// column at a time across the pool — the late-materialization step.
 fn materialize_pairs(
     left: &Batch,
     right: &Batch,
-    out_schema: dash_common::Schema,
+    out_schema: Schema,
     pairs: &[(u32, u32)],
     parallelism: usize,
     stmt: &StatementContext,
@@ -343,35 +329,7 @@ pub fn partition_count(rows: usize) -> usize {
 // The frozen build side, probed one morsel at a time.
 // ---------------------------------------------------------------------------
 
-/// Per-partition encoded tables, specialised for the common single-key
-/// join so the hot probe loop hashes one `u64` instead of a slice.
-enum EncodedTables {
-    Single(Vec<FxHashMap<u64, Vec<u32>>>),
-    Multi(Vec<FxHashMap<Vec<u64>, Vec<u32>>>),
-}
-
-/// Frozen encoded-path build state: word-keyed tables plus the interners
-/// and dictionaries that define the code domain every probe morsel must
-/// encode into.
-struct EncodedBuild {
-    tables: EncodedTables,
-    /// Per partition, per key column: build-side out-of-dictionary
-    /// interners (probe strings only *look up*; a miss is provably
-    /// unmatched).
-    interners: Vec<Vec<StrInterner>>,
-    /// The fixed code domain per string key column — the build side's
-    /// dictionary, chosen once. Probe morsels re-encode by value against
-    /// it, so per-morsel dictionary votes can never flip the domain.
-    dicts: Vec<Option<std::sync::Arc<dash_encoding::dict::FreqDict<std::sync::Arc<str>>>>>,
-}
-
-/// The frozen per-partition hash tables, on exactly one key path.
-enum BuildTables {
-    Encoded(EncodedBuild),
-    Datum(Vec<FxHashMap<Vec<Datum>, Vec<u32>>>),
-}
-
-/// A hash-join build side frozen into partitioned hash tables: constructed
+/// A hash-join build side frozen into partitioned key tables: constructed
 /// once (the pipeline breaker), then probed concurrently by morsels via
 /// [`JoinBuild::probe_morsel`]. Output pairs are emitted in probe-row
 /// order within each morsel, so folding morsels in index order reproduces
@@ -382,25 +340,26 @@ pub(crate) struct JoinBuild<'b> {
     build: Cow<'b, Batch>,
     on: Vec<(usize, usize)>,
     join_type: JoinType,
-    out_schema: dash_common::Schema,
+    out_schema: Schema,
     mask: u64,
-    tables: BuildTables,
+    partitions: Vec<Partition>,
+    /// The fixed code domain per string key column — the build side's
+    /// dictionary, chosen once. Probe morsels re-encode by value against
+    /// it, so per-morsel dictionary votes can never flip the domain.
+    dicts: Vec<Option<StrDict>>,
     /// Budget charged for the frozen tables and an owned build batch;
     /// released when the build drops at pipeline end.
     _lease: BudgetLease,
 }
 
 impl<'b> JoinBuild<'b> {
-    /// Freeze `build` (the right/inner side) into partitioned hash tables.
-    /// `probe_schema` is the streamed left side's schema; `key_mode` is the
-    /// planner's decision, re-verified here against both schemas.
-    #[allow(clippy::too_many_arguments)]
+    /// Freeze `build` (the right/inner side) into partitioned key tables.
+    /// `probe_schema` is the streamed left side's schema.
     pub(crate) fn new(
         build: Cow<'b, Batch>,
-        probe_schema: &dash_common::Schema,
+        probe_schema: &Schema,
         on: Vec<(usize, usize)>,
         join_type: JoinType,
-        key_mode: KeyMode,
         parallelism: usize,
         stmt: &StatementContext,
         stats: &mut ExecStats,
@@ -417,136 +376,57 @@ impl<'b> JoinBuild<'b> {
         };
         let parts = partition_count(build.len());
         let mask = parts as u64 - 1;
-        let nk = on.len();
-        let build_cols: Vec<usize> = on.iter().map(|(_, r)| *r).collect();
-
-        let use_encoded = key_mode == KeyMode::Encoded
-            && KeyMode::for_join(probe_schema, build.schema(), &on) == KeyMode::Encoded;
 
         let mut lease = BudgetLease::new(stmt);
         if let Cow::Owned(b) = &build {
             // An owned build batch is this join's to account for; a
             // borrowed one is its caller's.
-            lease.charge(b.approx_bytes()).inspect_err(|_| {
-                stats.budget_rejections += 1;
-            })?;
+            charge(&mut lease, b.approx_bytes(), stats)?;
         }
-        let build_rows: u64;
-        let tables = if use_encoded {
-            // The build side owns the code domain: its dictionary (when
-            // present) becomes the domain every probe morsel encodes into.
-            let dicts: Vec<_> = build_cols
-                .iter()
-                .map(|&c| build.str_dict(c).cloned())
-                .collect();
-            let key_cols = || -> Vec<KeyCol<'_>> {
-                build_cols
-                    .iter()
-                    .zip(&dicts)
-                    .map(|(&c, d)| KeyCol::new(build.column(c), d.clone()))
-                    .collect()
-            };
-            let (partitions, (m, w)) =
-                partition_encoded(build.len(), &key_cols, parts, mask, parallelism, stmt)?;
-            let cols = key_cols();
-            stats.note_parallel_phase(m, w);
-            build_rows = partitions.iter().map(|p| p.0.len() as u64).sum();
-            let bytes: u64 = partitions
-                .iter()
-                .map(|(rows, words)| (rows.len() * (4 + 32) + words.len() * 8) as u64)
-                .sum();
-            lease.charge(bytes).inspect_err(|_| {
-                stats.budget_rejections += 1;
-            })?;
-            let mut interners: Vec<Vec<StrInterner>> = Vec::with_capacity(parts);
-            let tables = if nk == 1 {
-                let mut tabs = Vec::with_capacity(parts);
-                for (brows, mut bwords) in partitions {
-                    let mut ins = vec![StrInterner::default()];
-                    let mut table: FxHashMap<u64, Vec<u32>> = FxHashMap::default();
-                    for (i, &r) in brows.iter().enumerate() {
-                        intern_words(&mut bwords[i..i + 1], r, &cols, &mut ins);
-                        table.entry(bwords[i]).or_default().push(r);
-                    }
-                    interners.push(ins);
-                    tabs.push(table);
-                }
-                EncodedTables::Single(tabs)
-            } else {
-                let mut tabs = Vec::with_capacity(parts);
-                for (brows, mut bwords) in partitions {
-                    let mut ins: Vec<StrInterner> =
-                        (0..nk).map(|_| StrInterner::default()).collect();
-                    let mut table: FxHashMap<Vec<u64>, Vec<u32>> = FxHashMap::default();
-                    for (i, &r) in brows.iter().enumerate() {
-                        let ws = &mut bwords[i * nk..(i + 1) * nk];
-                        intern_words(ws, r, &cols, &mut ins);
-                        table.entry(ws.to_vec()).or_default().push(r);
-                    }
-                    interners.push(ins);
-                    tabs.push(table);
-                }
-                EncodedTables::Multi(tabs)
-            };
-            stats.encoded_key_rows += build.len() as u64;
-            BuildTables::Encoded(EncodedBuild {
-                tables,
-                interners,
-                dicts,
-            })
-        } else {
-            let (partitions, (m, w)) =
-                partition_datum_build(&build, &build_cols, parts, mask, parallelism, stmt)?;
-            stats.note_parallel_phase(m, w);
-            build_rows = partitions.iter().map(|p| p.len() as u64).sum();
-            let bytes: u64 = partitions
-                .iter()
-                .flatten()
-                .map(|(_, k)| {
-                    std::mem::size_of::<(u32, Vec<Datum>)>() as u64
-                        + k.iter().map(approx_datum_bytes).sum::<u64>()
+        // The build side owns the code domain: its dictionary (when
+        // present) becomes the domain every probe morsel encodes into.
+        let dicts: Vec<Option<StrDict>> = on.iter().map(|&(_, r)| build.str_dict(r).cloned()).collect();
+        let key_cols = || -> Vec<KeyCol<'_>> {
+            on.iter()
+                .zip(&dicts)
+                .map(|(&(l, r), d)| {
+                    let (own, other) = (build.schema().field(r).data_type, probe_schema.field(l).data_type);
+                    KeyCol::for_pair(build.column(r), own, other, d.clone())
                 })
-                .sum();
-            lease.charge(bytes).inspect_err(|_| {
-                stats.budget_rejections += 1;
-            })?;
-            let tables: Vec<FxHashMap<Vec<Datum>, Vec<u32>>> = partitions
-                .into_iter()
-                .map(|rows| {
-                    let mut table: FxHashMap<Vec<Datum>, Vec<u32>> = FxHashMap::default();
-                    for (ri, k) in rows {
-                        match table.entry(k) {
-                            Entry::Occupied(mut e) => e.get_mut().push(ri),
-                            Entry::Vacant(e) => {
-                                e.insert(vec![ri]);
-                            }
-                        }
-                    }
-                    table
-                })
-                .collect();
-            stats.datum_key_rows += build.len() as u64;
-            BuildTables::Datum(tables)
+                .collect()
         };
-        stats.rows_partitioned += build_rows;
+        let (coded, (m, w)) = partition_encoded(build.len(), &key_cols, parts, mask, parallelism, stmt)?;
+        stats.note_parallel_phase(m, w);
+        // The partitioning scratch lives until the tables are frozen.
+        let mut scratch = BudgetLease::new(stmt);
+        let scratch_bytes = coded.iter().map(|(rows, words)| (rows.len() * 4 + words.len() * 8) as u64).sum();
+        charge(&mut scratch, scratch_bytes, stats)?;
+        let partitions: Vec<Partition> = {
+            let cols = key_cols();
+            coded.into_iter().map(|(rows, words)| Partition::freeze(rows, words, &cols)).collect()
+        };
+        charge(&mut lease, partitions.iter().map(Partition::bytes).sum(), stats)?;
+        stats.encoded_key_rows += build.len() as u64;
+        stats.rows_partitioned += partitions.iter().map(|p| p.rows.len() as u64).sum::<u64>();
         Ok(JoinBuild {
             build,
             on,
             join_type,
             out_schema,
             mask,
-            tables,
+            partitions,
+            dicts,
             _lease: lease,
         })
     }
 
     /// The joined output schema (`probe ⧺ build`, or probe-only for
     /// Semi/Anti).
-    pub(crate) fn out_schema(&self) -> &dash_common::Schema {
+    pub(crate) fn out_schema(&self) -> &Schema {
         &self.out_schema
     }
 
-    /// Rough bytes held by the frozen build (for inflight accounting).
+    /// Bytes held by the frozen build (for inflight accounting).
     pub(crate) fn held_bytes(&self) -> u64 {
         self._lease.held()
     }
@@ -583,75 +463,53 @@ impl<'b> JoinBuild<'b> {
         if probe.len() >= NO_MATCH as usize {
             return Err(DashError::internal("probe morsel must fit u32 row indices"));
         }
-        let nk = self.on.len();
-        let probe_cols: Vec<usize> = self.on.iter().map(|(l, _)| *l).collect();
+        stats.encoded_key_rows += rows.len() as u64;
+        let mut cols = Vec::with_capacity(self.on.len());
+        for (&(l, r), dict) in self.on.iter().zip(&self.dicts) {
+            if let (Some(pd), Some(bd)) = (probe.str_dict(l), dict) {
+                if !std::sync::Arc::ptr_eq(pd, bd) {
+                    // The morsel carries its own dictionary; its keys
+                    // re-encode by value into the build-side domain.
+                    stats.keys_reencoded_rows += rows.len() as u64;
+                }
+            }
+            let (own, other) = (probe.schema().field(l).data_type, self.build.schema().field(r).data_type);
+            cols.push(KeyCol::for_pair(probe.column(l), own, other, dict.clone()));
+        }
+        let mut words = vec![0u64; cols.len()];
         let mut pairs: Vec<(u32, u32)> = Vec::new();
-        match &self.tables {
-            BuildTables::Encoded(enc) => {
-                stats.encoded_key_rows += rows.len() as u64;
-                for (c, d) in probe_cols.iter().zip(&enc.dicts) {
-                    if let (Some(pd), Some(bd)) = (probe.str_dict(*c), d) {
-                        if !std::sync::Arc::ptr_eq(pd, bd) {
-                            // The morsel carries its own dictionary; its keys
-                            // re-encode by value into the build-side domain.
-                            stats.keys_reencoded_rows += rows.len() as u64;
-                        }
-                    }
-                }
-                let mut cols: Vec<KeyCol<'_>> = probe_cols
-                    .iter()
-                    .zip(&enc.dicts)
-                    .map(|(&c, d)| KeyCol::new(probe.column(c), d.clone()))
-                    .collect();
-                let mut words = vec![0u64; nk];
-                'row: for li in rows {
-                    for (c, col) in cols.iter_mut().enumerate() {
-                        match col.word(li) {
-                            Some(w) => words[c] = w,
-                            None => {
-                                probe_emit(self.join_type, li as u32, None, &mut pairs);
-                                continue 'row;
-                            }
-                        }
-                    }
-                    let p = (route_hash(&cols, &words, li) & self.mask) as usize;
-                    let mut resolved = true;
-                    for c in 0..nk {
-                        if words[c] == STR_MISS && cols[c].is_str() {
-                            match enc.interners[p][c].lookup(cols[c].str_at(li)) {
-                                Some(code) => words[c] = code,
-                                None => {
-                                    resolved = false;
-                                    break;
-                                }
-                            }
-                        }
-                    }
-                    let matches = if resolved {
-                        match &enc.tables {
-                            EncodedTables::Single(tabs) => tabs[p].get(&words[0]),
-                            EncodedTables::Multi(tabs) => tabs[p].get(&words[..]),
-                        }
-                        .map(|v| &v[..])
-                    } else {
-                        None
-                    };
-                    probe_emit(self.join_type, li as u32, matches, &mut pairs);
-                }
-            }
-            BuildTables::Datum(tables) => {
-                stats.datum_key_rows += rows.len() as u64;
-                let mut scratch: Vec<Datum> = Vec::with_capacity(nk);
-                for li in rows {
-                    if fill_key(probe, li, &probe_cols, &mut scratch) {
-                        let p = (key_hash(&scratch) & self.mask) as usize;
-                        let matches = tables[p].get(scratch.as_slice()).map(|v| &v[..]);
-                        probe_emit(self.join_type, li as u32, matches, &mut pairs);
-                    } else {
+        'row: for li in rows {
+            for (c, col) in cols.iter_mut().enumerate() {
+                match col.word(li) {
+                    Some(w) => words[c] = w,
+                    None => {
                         probe_emit(self.join_type, li as u32, None, &mut pairs);
+                        continue 'row;
                     }
                 }
             }
+            let part = &self.partitions[(route_hash(&cols, &words, li) & self.mask) as usize];
+            let mut resolved = true;
+            for (c, w) in words.iter_mut().enumerate() {
+                if *w == STR_MISS && cols[c].is_str() {
+                    match part.interners[c].lookup(cols[c].str_at(li)) {
+                        Some(code) => *w = code,
+                        None => {
+                            resolved = false;
+                            break;
+                        }
+                    }
+                }
+            }
+            let key = match words[..] {
+                _ if !resolved => None,
+                [word] => part.table.find_word(word),
+                _ => part.table.find(&words),
+            };
+            let matches = key.map(|k| {
+                &part.rows[part.offsets[k as usize] as usize..part.offsets[k as usize + 1] as usize]
+            });
+            probe_emit(self.join_type, li as u32, matches, &mut pairs);
         }
         Ok(pairs)
     }
@@ -679,9 +537,7 @@ pub fn cross_join(
     let bytes = (left.approx_bytes() as u128) * right.len() as u128
         + (right.approx_bytes() as u128) * left.len() as u128;
     let mut lease = BudgetLease::new(stmt);
-    lease
-        .charge(u64::try_from(bytes).map_err(|_| too_big())?)
-        .inspect_err(|_| stats.budget_rejections += 1)?;
+    charge(&mut lease, u64::try_from(bytes).map_err(|_| too_big())?, stats)?;
     let schema = left.schema().join(right.schema());
     let mut chunks = Vec::new();
     for start in (0..rows).step_by(CROSS_CHUNK_ROWS) {
@@ -699,26 +555,46 @@ pub fn cross_join(
 mod tests {
     use super::*;
     use dash_common::types::DataType;
-    use dash_common::{row, Field, Row, Schema};
+    use dash_common::{row, Datum, Field, Row};
 
     fn stmt() -> StatementContext {
         StatementContext::unbounded()
     }
 
-    /// Run the join under both key modes, assert they agree, and return
-    /// the encoded-path result. Output is probe-row-major on both paths, so
-    /// even the row order must match.
-    fn join_both(l: &Batch, r: &Batch, on: &[(usize, usize)], jt: JoinType) -> Batch {
-        let mut s1 = ExecStats::default();
-        let mut s2 = ExecStats::default();
-        let enc = hash_join(l, r, on, jt, KeyMode::Encoded, 1, &stmt(), &mut s1).unwrap();
-        let dat = hash_join(l, r, on, jt, KeyMode::Datum, 1, &stmt(), &mut s2).unwrap();
-        // Compare row-wise: Datum equality treats NaN == NaN (SQL semantics),
-        // while raw f64 column equality does not.
-        assert_eq!(enc.to_rows(), dat.to_rows(), "encoded and Datum paths must agree");
-        assert_eq!(enc.schema(), dat.schema());
-        assert_eq!(s2.encoded_key_rows, 0, "Datum mode must not take the encoded path");
-        enc
+    /// The join by definition: every probe row against every build row, in
+    /// probe-row-major, build-row-ascending order. NaN joins only NaN
+    /// (`Datum` equality alone would let it equal every number).
+    fn nested_loop(l: &Batch, r: &Batch, on: &[(usize, usize)], jt: JoinType) -> Vec<Row> {
+        let nan = |d: &Datum| matches!(d, Datum::Float(f) if f.is_nan());
+        let mut out = Vec::new();
+        for li in 0..l.len() {
+            let eq = |ri: usize, &(lc, rc): &(usize, usize)| {
+                let (a, b) = (l.value(li, lc), r.value(ri, rc));
+                !a.is_null() && a == b && nan(&a) == nan(&b)
+            };
+            let hits: Vec<usize> = (0..r.len()).filter(|&ri| on.iter().all(|p| eq(ri, p))).collect();
+            let joined = |right: Vec<Datum>| Row::new([l.row(li).0, right].concat());
+            match jt {
+                JoinType::Inner | JoinType::Left if !hits.is_empty() => {
+                    out.extend(hits.iter().map(|&ri| joined(r.row(ri).0)));
+                }
+                JoinType::Left => out.push(joined(vec![Datum::Null; r.schema().len()])),
+                JoinType::Semi if !hits.is_empty() => out.push(l.row(li)),
+                JoinType::Anti if hits.is_empty() => out.push(l.row(li)),
+                _ => {}
+            }
+        }
+        out
+    }
+
+    /// Run the join, check rows *and* order against [`nested_loop`], and
+    /// return the result.
+    fn join_checked(l: &Batch, r: &Batch, on: &[(usize, usize)], jt: JoinType) -> Batch {
+        let mut stats = ExecStats::default();
+        let out = hash_join(l, r, on, jt, KeyMode::Encoded, 1, &stmt(), &mut stats).unwrap();
+        assert_eq!(out.to_rows(), nested_loop(l, r, on, jt), "{jt:?} on {on:?}");
+        assert_eq!(stats.encoded_key_rows, (l.len() + r.len()) as u64, "every keyed row counts");
+        out
     }
 
     fn orders() -> Batch {
@@ -755,7 +631,7 @@ mod tests {
 
     #[test]
     fn inner_join_basic() {
-        let out = join_both(&orders(), &customers(), &[(1, 0)], JoinType::Inner);
+        let out = join_checked(&orders(), &customers(), &[(1, 0)], JoinType::Inner);
         assert_eq!(out.len(), 3); // o1, o2, o3 match; o4 null; o5 dangling
         assert_eq!(out.schema().len(), 4);
         let names: Vec<String> = out
@@ -769,7 +645,7 @@ mod tests {
 
     #[test]
     fn left_join_pads_nulls() {
-        let out = join_both(&orders(), &customers(), &[(1, 0)], JoinType::Left);
+        let out = join_checked(&orders(), &customers(), &[(1, 0)], JoinType::Left);
         assert_eq!(out.len(), 5);
         let unmatched: Vec<Row> = out
             .to_rows()
@@ -781,10 +657,10 @@ mod tests {
 
     #[test]
     fn semi_and_anti() {
-        let semi = join_both(&orders(), &customers(), &[(1, 0)], JoinType::Semi);
+        let semi = join_checked(&orders(), &customers(), &[(1, 0)], JoinType::Semi);
         assert_eq!(semi.len(), 3);
         assert_eq!(semi.schema().len(), 2, "semi keeps left columns only");
-        let anti = join_both(&orders(), &customers(), &[(1, 0)], JoinType::Anti);
+        let anti = join_checked(&orders(), &customers(), &[(1, 0)], JoinType::Anti);
         assert_eq!(anti.len(), 2);
         let ids: Vec<i64> = anti.to_rows().iter().map(|r| r.get(0).as_int().unwrap()).collect();
         assert!(ids.contains(&4) && ids.contains(&5));
@@ -804,7 +680,7 @@ mod tests {
             &[row![1i64, 100i64], row![1i64, 200i64], row![2i64, 300i64]],
         )
         .unwrap();
-        let out = join_both(&l, &r, &[(0, 0)], JoinType::Inner);
+        let out = join_checked(&l, &r, &[(0, 0)], JoinType::Inner);
         assert_eq!(out.len(), 4, "2 probe x 2 build matches");
     }
 
@@ -821,7 +697,7 @@ mod tests {
         )
         .unwrap();
         let r = Batch::from_rows(schema, &[row![1i64, "x"], row![2i64, "y"]]).unwrap();
-        let out = join_both(&l, &r, &[(0, 0), (1, 1)], JoinType::Inner);
+        let out = join_checked(&l, &r, &[(0, 0), (1, 1)], JoinType::Inner);
         assert_eq!(out.len(), 1);
     }
 
@@ -835,7 +711,7 @@ mod tests {
         let l_rows: Vec<Row> = (0..1000).map(|i| row![i as i64]).collect();
         let l = Batch::from_rows(schema, &l_rows).unwrap();
         assert!(partition_count(n) > 1);
-        let out = join_both(&l, &r, &[(0, 0)], JoinType::Inner);
+        let out = join_checked(&l, &r, &[(0, 0)], JoinType::Inner);
         assert_eq!(out.len(), n);
         let mut stats = ExecStats::default();
         hash_join(&l, &r, &[(0, 0)], JoinType::Inner, KeyMode::Encoded, 1, &stmt(), &mut stats)
@@ -846,28 +722,92 @@ mod tests {
 
     #[test]
     fn cross_type_numeric_keys_join() {
-        // Int 2 joins Float 2.0 (Datum equality is cross-numeric). The
-        // planner marks this Datum; even if asked for Encoded, the runtime
-        // column-kind check must fall back.
+        // Int 2 joins Float 2.0: the int side lifts to the pair's `f64`
+        // words, whatever label the planner passes.
         let sl = Schema::new(vec![Field::new("k", DataType::Int64)]).unwrap();
         let sr = Schema::new(vec![Field::new("k", DataType::Float64)]).unwrap();
-        let l = Batch::from_rows(sl.clone(), &[row![2i64]]).unwrap();
-        let r = Batch::from_rows(sr.clone(), &[row![2.0f64]]).unwrap();
+        let l = Batch::from_rows(sl.clone(), &[row![2i64], row![3i64]]).unwrap();
+        let r = Batch::from_rows(sr.clone(), &[row![2.0f64], row![2.5f64]]).unwrap();
         assert_eq!(KeyMode::for_join(&sl, &sr, &[(0, 0)]), KeyMode::Datum);
         for mode in [KeyMode::Encoded, KeyMode::Datum] {
             let mut stats = ExecStats::default();
             let out = hash_join(&l, &r, &[(0, 0)], JoinType::Inner, mode, 1, &stmt(), &mut stats)
                 .unwrap();
-            assert_eq!(out.len(), 1);
-            assert_eq!(stats.encoded_key_rows, 0, "cross-domain keys must fall back");
-            assert_eq!(stats.datum_key_rows, 2);
+            assert_eq!(out.to_rows(), vec![row![2i64, 2.0f64]]);
+            assert!(stats.encoded_key_rows > 0, "cross-domain keys are words too");
         }
     }
 
+    /// Every cross-domain pairing against the nested loop: decimals of two
+    /// scales, int beside decimal and float, date beside timestamp, a mixed
+    /// pair list (the `INT = INT` pair stays exact beyond 2^53), and pairs
+    /// that are not comparable.
     #[test]
-    fn float_keys_encoded_path_matches() {
-        // -0.0 joins +0.0 and NaN never equals anything under SQL... but
-        // Datum::sql_cmp treats NaN as Equal to NaN, so both paths must too.
+    fn cross_domain_pairs_lift_into_the_common_domain() {
+        let day = dash_common::date::date_to_timestamp_micros(3);
+        let sl = Schema::new(vec![
+            Field::new("i", DataType::Int64),
+            Field::new("d2", DataType::Decimal(10, 2)),
+            Field::new("dt", DataType::Date),
+            Field::new("s", DataType::Utf8),
+            Field::new("b", DataType::Bool),
+        ])
+        .unwrap();
+        let sr = Schema::new(vec![
+            Field::new("f", DataType::Float64),
+            Field::new("d4", DataType::Decimal(12, 4)),
+            Field::new("ts", DataType::Timestamp),
+            Field::new("i", DataType::Int64),
+        ])
+        .unwrap();
+        let big = (1i64 << 53) + 1;
+        let l = Batch::from_rows(
+            sl,
+            &[
+                row![1i64, Datum::Decimal(110, 2), Datum::Date(3), "1", true],
+                row![big, Datum::Decimal(100, 2), Datum::Date(4), "x", false],
+                row![0i64, Datum::Decimal(0, 2), Datum::Null, Datum::Null, Datum::Null],
+                row![i64::MAX, Datum::Decimal(-250, 2), Datum::Date(-1), "9", true],
+            ],
+        )
+        .unwrap();
+        let r = Batch::from_rows(
+            sr,
+            &[
+                row![1.0f64, Datum::Decimal(11000, 4), Datum::Timestamp(day), 1i64],
+                row![(1u64 << 53) as f64, Datum::Decimal(10001, 4), Datum::Timestamp(day + 1), big - 1],
+                row![-0.0f64, Datum::Decimal(0, 4), Datum::Null, 0i64],
+                row![f64::NAN, Datum::Decimal(-25000, 4), Datum::Timestamp(-86_400_000_000), i64::MAX],
+                row![1.0f64, Datum::Decimal(10000, 4), Datum::Timestamp(day), big],
+            ],
+        )
+        .unwrap();
+        let pair_lists: [&[(usize, usize)]; 9] = [
+            &[(0, 0)],         // int = float
+            &[(1, 1)],         // decimal(2) = decimal(4)
+            &[(0, 1)],         // int = decimal(4)
+            &[(1, 0)],         // decimal(2) = float
+            &[(2, 2)],         // date = timestamp
+            &[(0, 3), (1, 1)], // exact int pair beside a lifted pair
+            &[(0, 0), (0, 3)], // one column, lifted and exact
+            &[(3, 3)],         // varchar = int: never
+            &[(4, 3), (0, 3)], // bool = int: never, whatever the other pair says
+        ];
+        for on in pair_lists {
+            for jt in [JoinType::Inner, JoinType::Left, JoinType::Semi, JoinType::Anti] {
+                join_checked(&l, &r, on, jt);
+            }
+        }
+        // 2^53 + 1 rounds onto 2^53 as a float, so the lifted pair joins it
+        // to the float 2^53; the exact pair beside it does not.
+        assert_eq!(join_checked(&l, &r, &[(0, 0)], JoinType::Inner).len(), 4);
+        assert_eq!(join_checked(&l, &r, &[(0, 0), (0, 3)], JoinType::Inner).len(), 2);
+        assert_eq!(join_checked(&l, &r, &[(3, 3)], JoinType::Left).len(), l.len());
+    }
+
+    #[test]
+    fn float_keys_canonicalize_zero_and_nan() {
+        // -0.0 joins +0.0, and NaN joins NaN and nothing else.
         let s = Schema::new(vec![Field::new("k", DataType::Float64)]).unwrap();
         let l = Batch::from_rows(
             s.clone(),
@@ -875,13 +815,13 @@ mod tests {
         )
         .unwrap();
         let r = Batch::from_rows(s, &[row![0.0f64], row![f64::NAN]]).unwrap();
-        let out = join_both(&l, &r, &[(0, 0)], JoinType::Inner);
+        let out = join_checked(&l, &r, &[(0, 0)], JoinType::Inner);
         assert_eq!(out.len(), 2, "-0.0 matches +0.0; NaN matches NaN");
     }
 
     #[test]
     fn str_keys_without_dictionary_use_interner() {
-        let out = join_both(
+        let out = join_checked(
             &customers().project(&[1, 0]),
             &customers(),
             &[(0, 1)],
@@ -897,7 +837,6 @@ mod tests {
         r: &Batch,
         on: &[(usize, usize)],
         jt: JoinType,
-        mode: KeyMode,
         split: usize,
     ) -> Batch {
         let mut stats = ExecStats::default();
@@ -906,7 +845,6 @@ mod tests {
             l.schema(),
             on.to_vec(),
             jt,
-            mode,
             1,
             &stmt(),
             &mut stats,
@@ -925,29 +863,11 @@ mod tests {
     #[test]
     fn join_build_morsel_probe_matches_hash_join() {
         for jt in [JoinType::Inner, JoinType::Left, JoinType::Semi, JoinType::Anti] {
-            for mode in [KeyMode::Encoded, KeyMode::Datum] {
-                let mut s = ExecStats::default();
-                let whole = hash_join(
-                    &orders(),
-                    &customers(),
-                    &[(1, 0)],
-                    jt,
-                    mode,
-                    1,
-                    &stmt(),
-                    &mut s,
-                )
-                .unwrap();
-                for split in [1, 2, 5] {
-                    let piped =
-                        probe_in_morsels(&orders(), &customers(), &[(1, 0)], jt, mode, split);
-                    let mut a = whole.to_rows();
-                    let mut b = piped.to_rows();
-                    a.sort_by(|x, y| format!("{x:?}").cmp(&format!("{y:?}")));
-                    b.sort_by(|x, y| format!("{x:?}").cmp(&format!("{y:?}")));
-                    assert_eq!(a, b, "{jt:?}/{mode:?}/split={split}");
-                    assert_eq!(whole.schema(), piped.schema());
-                }
+            let whole = join_checked(&orders(), &customers(), &[(1, 0)], jt);
+            for split in [1, 2, 5] {
+                let piped = probe_in_morsels(&orders(), &customers(), &[(1, 0)], jt, split);
+                assert_eq!(whole.to_rows(), piped.to_rows(), "{jt:?}/split={split}");
+                assert_eq!(whole.schema(), piped.schema());
             }
         }
     }
@@ -961,7 +881,6 @@ mod tests {
             &customers(),
             &[(1, 0)],
             JoinType::Left,
-            KeyMode::Encoded,
             2,
         );
         let ids: Vec<i64> = piped
@@ -981,7 +900,6 @@ mod tests {
             orders().schema(),
             vec![(1, 0)],
             JoinType::Inner,
-            KeyMode::Encoded,
             1,
             &ctx,
             &mut stats,
@@ -1007,9 +925,8 @@ mod tests {
         )
         .unwrap();
         let r = Batch::from_rows(schema, &[row![1i64, "x"], row![2i64, "y"]]).unwrap();
-        for mode in [KeyMode::Encoded, KeyMode::Datum] {
-            let out = probe_in_morsels(&l, &r, &[(0, 0), (1, 1)], JoinType::Inner, mode, 2);
-            assert_eq!(out.len(), 1, "{mode:?}");
-        }
+        let out = probe_in_morsels(&l, &r, &[(0, 0), (1, 1)], JoinType::Inner, 2);
+        assert_eq!(out.to_rows(), join_checked(&l, &r, &[(0, 0), (1, 1)], JoinType::Inner).to_rows());
+        assert_eq!(out.len(), 1);
     }
 }

@@ -18,20 +18,23 @@
 //!
 //! A join has one code domain per string key: the build side's dictionary.
 //! Probe morsels carrying a different dictionary re-encode by value into it
-//! (counted in `ExecStats::keys_reencoded_rows`) — the re-encode rule.
+//! (counted in `ExecStats::keys_reencoded_rows`) — the re-encode rule. A
+//! join pair whose two columns occupy different domains is *lifted* into
+//! the pair's common one ([`KeyCol::for_pair`]): numerics compare as `f64`,
+//! `DATE` beside `TIMESTAMP` as microseconds, and a pair that is not
+//! comparable never matches — so every pair of every join yields words.
 //!
-//! [`KeyMode`] is the planner-visible label. A join takes the `Datum` path
-//! when a key pair needs cross-type numeric equality (`Int 2` joins
-//! `Float 2.0`). A grouped aggregate always groups on words — a computed
-//! key is evaluated into a scratch typed column first — through
-//! [`GroupTable`], the word-keyed table the per-morsel grouping pass and the
-//! accumulator's merge both probe.
+//! [`GroupTable`] is the one word-keyed table: a join's build partitions,
+//! the per-morsel grouping pass and the accumulator's merge all probe one.
+//! A grouped aggregate evaluates a computed key into a scratch typed column
+//! first. [`KeyMode`] is the planner-visible label and selects no code.
 
 use std::hash::{Hash, Hasher};
 use std::ops::Range;
 use std::sync::Arc;
 
 use dash_common::fxhash::{FxHashMap, FxHasher};
+use dash_common::date::date_to_timestamp_micros;
 use dash_common::types::DataType;
 use dash_common::Schema;
 use dash_encoding::column::ColumnValues;
@@ -54,25 +57,26 @@ pub(crate) const STR_MISS: u64 = u64::MAX;
 /// (< 2^59), so codes at or above `1 << 63` can never collide with them.
 pub(crate) const LOCAL_STR_BASE: u64 = 1 << 63;
 
-/// How a join or aggregate evaluates its keys.
+/// What `EXPLAIN` says about a join's or aggregate's keys (`keys=`).
 ///
-/// Chosen statically by the planner from the key columns' types. A join
-/// re-verifies it against the actual batches; for an aggregate it is a
-/// label only (`Datum` = some key is computed into a scratch column).
+/// A label only: both operators key on `u64` words whatever it says.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum KeyMode {
-    /// Keys flow as fixed-width `u64` code words; payloads materialize late.
+    /// Every key is a bare column and a join pair's two columns share a
+    /// domain: the columns' own words are the keys.
     Encoded,
-    /// Keys materialize to `Datum` values per row (the fallback path).
+    /// Some key is lifted into its pair's common domain (join) or computed
+    /// into a scratch column (aggregate) before it becomes a word.
     Datum,
 }
 
 /// The value domain a key column occupies once encoded to a word.
 ///
-/// Two key columns may share the encoded path only when their domains are
-/// *equal*: word-level equality must coincide with SQL equality. `Bool` and
-/// `Int` stay distinct because `Datum::Bool(true) != Datum::Int(1)`; every
-/// decimal scale is its own domain because words carry scaled integers.
+/// The two columns of a join pair compare on their own words only when
+/// their domains are *equal*: word-level equality must coincide with SQL
+/// equality. `Bool` and `Int` stay distinct because `Datum::Bool(true) !=
+/// Datum::Int(1)`; every decimal scale is its own domain because words
+/// carry scaled integers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum KeyDomain {
     Int,
@@ -97,11 +101,10 @@ fn key_domain(dt: DataType) -> KeyDomain {
 }
 
 impl KeyMode {
-    /// Static key-mode decision for a hash join on `on` column pairs.
+    /// The label of a hash join on `on` column pairs.
     ///
     /// `Encoded` iff every pair's two columns occupy the same [`KeyDomain`];
-    /// any cross-domain pair (e.g. `Int64` vs `Float64`, which needs
-    /// cross-numeric SQL equality) forces the `Datum` path.
+    /// `Datum` when some pair (e.g. `Int64` vs `Float64`) is lifted.
     pub fn for_join(left: &Schema, right: &Schema, on: &[(usize, usize)]) -> KeyMode {
         let ok = !on.is_empty()
             && on.iter().all(|&(l, r)| {
@@ -114,7 +117,7 @@ impl KeyMode {
         }
     }
 
-    /// Static key-mode label for a grouped aggregate.
+    /// The label of a grouped aggregate.
     ///
     /// `Encoded` iff there is at least one group key and every key is a
     /// bare column reference.
@@ -148,6 +151,33 @@ pub(crate) enum KeyCol<'a> {
         dict: Option<StrDict>,
         memo: PtrMemo,
     },
+    /// Integer-family values of a cross-domain join pair, lifted into the
+    /// pair's common domain.
+    Lifted(&'a [Option<i64>], Lift),
+    /// One side of a join pair that is not comparable: every row reads as
+    /// NULL, and a NULL key never joins.
+    Never,
+}
+
+/// How [`KeyCol::Lifted`] turns a stored integer into its pair's word.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Lift {
+    /// Numeric beside numeric: the `f64` word of `v / divisor` (`10^scale`
+    /// for a decimal, 1 for an integer) — `Datum::as_float`, under which
+    /// `Datum::sql_cmp` compares numerics of different kinds.
+    Float(f64),
+    /// `DATE` beside `TIMESTAMP`: days become microseconds.
+    Micros,
+}
+
+impl Lift {
+    #[inline]
+    fn word(self, v: i64) -> u64 {
+        match self {
+            Lift::Float(divisor) => f64_key_word(v as f64 / divisor),
+            Lift::Micros => i64_to_ordered(date_to_timestamp_micros(v as i32)),
+        }
+    }
 }
 
 /// One row's key in one [`KeyCol`], as [`KeyCol::for_each_word`] hands it
@@ -230,6 +260,33 @@ impl<'a> KeyCol<'a> {
         }
     }
 
+    /// One side of a join pair: `values` holds `own`-typed keys that meet
+    /// `other`-typed keys. Two columns of one [`KeyDomain`] compare on
+    /// their own words. Otherwise the side that is not yet in the pair's
+    /// common domain is lifted into it — numerics to `f64`, a date to
+    /// microseconds — and a pair that is not comparable never matches.
+    pub(crate) fn for_pair(
+        values: &'a ColumnValues,
+        own: DataType,
+        other: DataType,
+        dict: Option<StrDict>,
+    ) -> KeyCol<'a> {
+        if key_domain(own) == key_domain(other) {
+            return KeyCol::new(values, dict);
+        }
+        match (values, own) {
+            _ if !own.comparable_with(other) => KeyCol::Never,
+            (ColumnValues::Int(v), DataType::Date) => KeyCol::Lifted(v, Lift::Micros),
+            (ColumnValues::Int(v), DataType::Decimal(_, scale)) => {
+                KeyCol::Lifted(v, Lift::Float(10f64.powi(i32::from(scale))))
+            }
+            (ColumnValues::Int(v), _) if own.is_integer() => KeyCol::Lifted(v, Lift::Float(1.0)),
+            // A float beside a numeric, a timestamp beside a date: already
+            // in the common domain.
+            _ => KeyCol::new(values, dict),
+        }
+    }
+
     /// The key word for `row`, or `None` when the value is NULL.
     #[inline]
     pub fn word(&mut self, row: usize) -> Option<u64> {
@@ -237,6 +294,8 @@ impl<'a> KeyCol<'a> {
             KeyCol::Int(v) => v[row].map(i64_to_ordered),
             KeyCol::Float(v) => v[row].map(f64_key_word),
             KeyCol::Str { vals, dict, memo } => vals[row].as_ref().map(|s| str_word(dict, memo, s)),
+            KeyCol::Lifted(v, lift) => v[row].map(|x| lift.word(x)),
+            KeyCol::Never => None,
         }
     }
 
@@ -269,6 +328,12 @@ impl<'a> KeyCol<'a> {
                     );
                 }
             }
+            KeyCol::Lifted(v, lift) => {
+                for (i, x) in v[rows].iter().enumerate() {
+                    f(i, x.map_or(KeyWord::Null, |x| KeyWord::Word(lift.word(x))));
+                }
+            }
+            KeyCol::Never => (0..rows.len()).for_each(|i| f(i, KeyWord::Null)),
         }
     }
 
@@ -338,13 +403,18 @@ impl StrInterner {
     pub fn lookup(&self, s: &Arc<str>) -> Option<u64> {
         self.map.get(s.as_ref() as &str).copied()
     }
+
+    /// Heap bytes held by the map (the strings are the batch's own).
+    pub fn bytes(&self) -> u64 {
+        (self.map.capacity() * (std::mem::size_of::<(Arc<str>, u64)>() + 1)) as u64
+    }
 }
 
 /// A word-keyed group table: every distinct key gets a dense group id in
 /// first-appearance order. Keys live in one flat arena (group `g` at
 /// `words[g * stride..]`) and the open-addressed slots hold group ids, so
-/// neither a probe nor a new group allocates. The per-morsel grouping pass
-/// and the accumulator's merge both probe one.
+/// neither a probe nor a new group allocates. A join's build partitions,
+/// the per-morsel grouping pass and the accumulator's merge all probe one.
 ///
 /// A single key column is one bare word per group, its NULL group kept out
 /// of band (every `u64` is a legitimate int key word). Several columns lay
@@ -373,6 +443,15 @@ impl GroupTable {
             words: Vec::new(),
             slots: Vec::new(),
             null_gid: None,
+        }
+    }
+
+    /// An empty table for `nk` key columns that are never NULL (a join
+    /// drops NULL-keyed rows): a key is its `nk` words, with no mask.
+    pub(crate) fn without_nulls(nk: usize) -> GroupTable {
+        GroupTable {
+            stride: nk.max(1),
+            ..GroupTable::new(1)
         }
     }
 
@@ -453,6 +532,41 @@ impl GroupTable {
             }
             if self.words[gid as usize] == word {
                 return gid;
+            }
+            at = (at + 1) & mask;
+        }
+    }
+
+    /// The group of `key` if the table holds it; never inserts.
+    #[inline]
+    pub(crate) fn find(&self, key: &[u64]) -> Option<u32> {
+        debug_assert_eq!(key.len(), self.stride);
+        self.probe(key, |g| &self.words[g * self.stride..(g + 1) * self.stride] == key)
+    }
+
+    /// [`GroupTable::find`] for a single-key table: one bare word.
+    #[inline]
+    pub(crate) fn find_word(&self, word: u64) -> Option<u32> {
+        debug_assert_eq!(self.stride, 1);
+        self.probe(&[word], |g| self.words[g] == word)
+    }
+
+    /// Walk `key`'s probe chain to the group `holds` accepts, or to a free
+    /// slot.
+    #[inline]
+    fn probe(&self, key: &[u64], holds: impl Fn(usize) -> bool) -> Option<u32> {
+        if self.slots.is_empty() {
+            return None;
+        }
+        let mask = self.slots.len() - 1;
+        let mut at = self.home(key);
+        loop {
+            let gid = self.slots[at];
+            if gid == Self::EMPTY {
+                return None;
+            }
+            if holds(gid as usize) {
+                return Some(gid);
             }
             at = (at + 1) & mask;
         }
@@ -606,8 +720,13 @@ mod tests {
         for (i, &w) in words.iter().enumerate() {
             let gid = if i < 7 { i } else { i + 1 };
             assert_eq!(single.group_of_word(w), gid as u32, "word {w} after growth");
+            assert_eq!(single.find_word(w), Some(gid as u32));
             assert_eq!(single.key(gid), Some(&[w][..]));
         }
+        // A lookup never inserts, and an empty table holds nothing.
+        assert_eq!(single.find_word(5000), None);
+        assert_eq!(single.len(), words.len() + 1);
+        assert_eq!(GroupTable::new(1).find_word(0), None);
 
         // 70 key columns: two mask words after the key words.
         let mut multi = GroupTable::new(70);
@@ -618,9 +737,49 @@ mod tests {
         }
         for k in (0..300u64).rev() {
             assert_eq!(multi.group_of(&key(k)), k as u32);
+            assert_eq!(multi.find(&key(k)), Some(k as u32));
         }
+        assert_eq!(multi.find(&key(300)), None);
         assert_eq!(multi.len(), 300);
         assert!(multi.bytes() >= 300 * 72 * 8);
+
+        // Keys that are never NULL carry no mask words.
+        let mut pairs = GroupTable::without_nulls(2);
+        assert_eq!(pairs.stride(), 2);
+        assert_eq!(pairs.find(&[1, 2]), None);
+        assert_eq!(pairs.group_of(&[1, 2]), 0);
+        assert_eq!(pairs.group_of(&[2, 1]), 1);
+        assert_eq!(pairs.find(&[1, 2]), Some(0));
+    }
+
+    /// A pair of one domain reads its columns' own words; a pair of two
+    /// lifts the side that is not yet in the common domain; a pair that is
+    /// not comparable reads as NULL.
+    #[test]
+    fn pairs_of_two_domains_lift_into_the_common_one() {
+        let ints = ColumnValues::Int(vec![Some(2), Some(250), Some(i64::MAX), None]);
+        let floats = ColumnValues::Float(vec![Some(2.0), Some(2.5), Some(-0.0), Some(f64::NAN)]);
+        let word = |values: &ColumnValues, own, other, row| KeyCol::for_pair(values, own, other, None).word(row);
+        let (int, float, date, ts) = (DataType::Int64, DataType::Float64, DataType::Date, DataType::Timestamp);
+        let (dec2, dec4) = (DataType::Decimal(10, 2), DataType::Decimal(12, 4));
+        // One domain: exact integer words, `i64::MAX` included.
+        assert_eq!(word(&ints, int, DataType::Int32, 2), Some(u64::MAX));
+        assert_eq!(word(&ints, dec2, DataType::Decimal(12, 2), 1), Some(i64_to_ordered(250)));
+        // Numeric beside numeric: both sides reach the same `f64` word.
+        assert_eq!(word(&ints, int, float, 0), word(&floats, float, int, 0));
+        assert_eq!(word(&ints, dec2, float, 1), word(&floats, float, dec2, 1));
+        assert_eq!(word(&ints, dec2, dec4, 1), Some(f64_key_word(2.5)));
+        assert_eq!(word(&ints, dec4, int, 0), Some(f64_key_word(0.0002)));
+        assert_eq!(word(&floats, float, int, 2), Some(f64_key_word(0.0)));
+        assert_eq!(word(&ints, int, float, 3), None);
+        // A date beside a timestamp becomes its midnight.
+        assert_eq!(word(&ints, date, ts, 0), Some(i64_to_ordered(2 * 86_400_000_000)));
+        assert_eq!(word(&ints, ts, date, 0), Some(i64_to_ordered(2)));
+        // Not comparable: never a word.
+        for (own, other) in [(int, DataType::Utf8), (DataType::Bool, int), (date, int), (ts, float)] {
+            assert_eq!(word(&ints, own, other, 0), None, "{own} beside {other}");
+        }
+        assert_eq!(word(&floats, float, DataType::Utf8, 0), None);
     }
 
     #[test]

@@ -13,8 +13,8 @@
 //!   aggregate partials;
 //! * a **breaker** needs its whole input before it emits anything: the
 //!   hash-join build, the aggregate merge, `Sort`, and the whole-batch
-//!   operators `Values`, `UnionAll`, `CrossJoin`, `ConnectBy`, `Distinct`
-//!   and `RowNumber`. Whatever consumes a breaker starts a new pipeline on
+//!   operators `Values`, `UnionAll`, `CrossJoin`, `ConnectBy` and
+//!   `RowNumber`. Whatever consumes a breaker starts a new pipeline on
 //!   its output.
 //!
 //! The in-order fold makes the output byte-identical at any parallelism:
@@ -39,13 +39,12 @@ use crate::batch::Batch;
 use crate::expr::Expr;
 use crate::functions::EvalContext;
 use crate::join::{self, JoinBuild, JoinType};
-use crate::key::KeyMode;
 use crate::plan::{PhysicalPlan, SharedTable};
 use crate::pool;
 use crate::scan::{ScanConfig, ScanSource};
 use crate::sort::{sort_batch, SortKey, SortOptions};
 use crate::stats::ExecStats;
-use dash_common::fxhash::{FxHashMap, FxHashSet};
+use dash_common::fxhash::FxHashMap;
 use dash_common::{BudgetLease, DashError, Datum, Result, Row, Schema};
 use std::borrow::Cow;
 use std::ops::Range;
@@ -111,7 +110,6 @@ enum Breaker<'p> {
         child: usize,
         schema: Schema,
     },
-    Distinct(Box<Pipeline<'p>>),
     RowNumber {
         input: Box<Pipeline<'p>>,
         schema: Schema,
@@ -138,7 +136,6 @@ enum Stage<'p> {
         build: Box<Pipeline<'p>>,
         on: &'p [(usize, usize)],
         join_type: JoinType,
-        key_mode: KeyMode,
         parallelism: usize,
     },
 }
@@ -160,7 +157,6 @@ impl<'p> Breaker<'p> {
             Breaker::ConnectBy { input, .. }
             | Breaker::RowNumber { input, .. }
             | Breaker::Sort { input, .. }
-            | Breaker::Distinct(input)
             | Breaker::Result(input) => vec![input],
         }
     }
@@ -171,7 +167,6 @@ impl<'p> Breaker<'p> {
             Breaker::UnionAll(_) => "union",
             Breaker::CrossJoin(..) => "cross",
             Breaker::ConnectBy { .. } => "connect-by",
-            Breaker::Distinct(_) => "distinct",
             Breaker::RowNumber { .. } => "rownum",
             Breaker::Sort { .. } => "sort",
             Breaker::Result(_) => "result",
@@ -225,14 +220,13 @@ pub(crate) fn decompose(plan: &PhysicalPlan) -> Pipeline<'_> {
                     right,
                     on,
                     join_type,
-                    key_mode,
                     parallelism: par,
+                    ..
                 } => {
                     stages.push(Stage::Probe {
                         build: Box::new(decompose(right)),
                         on,
                         join_type: *join_type,
-                        key_mode: *key_mode,
                         parallelism: *par,
                     });
                     parallelism = parallelism.max(*par);
@@ -283,7 +277,6 @@ fn breaker(node: &PhysicalPlan) -> Breaker<'_> {
             child: *child,
             schema: node.schema(),
         },
-        PhysicalPlan::Distinct { input } => Breaker::Distinct(sub(input)),
         PhysicalPlan::RowNumber { input, .. } => Breaker::RowNumber {
             input: sub(input),
             schema: node.schema(),
@@ -365,7 +358,6 @@ fn freeze<'p>(
                 build,
                 on,
                 join_type,
-                key_mode,
                 parallelism,
             } => {
                 let built = run(build, ctx, stats)?;
@@ -375,7 +367,6 @@ fn freeze<'p>(
                     &stream_schema(&ops, &source_schema),
                     on.to_vec(),
                     *join_type,
-                    *key_mode,
                     *parallelism,
                     &ctx.statement,
                     stats,
@@ -420,27 +411,11 @@ fn run_breaker(b: &Breaker<'_>, ctx: &EvalContext, stats: &mut ExecStats) -> Res
             schema,
             ..
         } => connect_by(input(0)?, start_with, *parent, *child, schema, ctx),
-        Breaker::Distinct(_) => distinct(input(0)?, ctx),
         Breaker::RowNumber { schema, .. } => row_number(input(0)?, schema, ctx),
         Breaker::Sort { keys, opts, .. } => sort_batch(input(0)?, keys, opts, ctx, stats),
     }?;
     stats.pipeline_breakers += 1;
     Ok(out)
-}
-
-/// SELECT DISTINCT / UNION: keep each row's first occurrence.
-fn distinct(input: &Batch, ctx: &EvalContext) -> Result<Batch> {
-    let mut seen = FxHashSet::default();
-    let mut keep = Vec::new();
-    for i in 0..input.len() {
-        if i % BATCH_MORSEL_ROWS == 0 {
-            ctx.statement.check()?;
-        }
-        if seen.insert(input.row(i)) {
-            keep.push(i);
-        }
-    }
-    Ok(input.take(&keep))
 }
 
 /// Append the 1-based row number (Oracle ROWNUM).
@@ -786,6 +761,7 @@ fn describe_into(p: &Pipeline<'_>, lines: &mut Vec<String>) -> usize {
 mod tests {
     use super::*;
     use crate::agg::AggFunc;
+    use crate::key::KeyMode;
     use dash_common::types::DataType;
     use dash_common::{row, Field};
     use dash_storage::table::{ColumnTable, STRIDE};
@@ -914,7 +890,6 @@ mod tests {
             source.out_schema(),
             vec![(1, 0)],
             JoinType::Inner,
-            KeyMode::Encoded,
             1,
             &ctx.statement,
             &mut scratch,

@@ -67,8 +67,8 @@ pub enum PhysicalPlan {
         on: Vec<(usize, usize)>,
         /// Join type.
         join_type: JoinType,
-        /// Key path: `Encoded` hashes/probes fixed-width code words
-        /// (operate on compressed); `Datum` is the general fallback.
+        /// `EXPLAIN` label: `Encoded` when every pair's two columns share
+        /// a key domain, `Datum` when some pair is lifted into one.
         key_mode: KeyMode,
         /// Worker-pool width for build partitioning and probe morsels.
         parallelism: usize,
@@ -83,8 +83,8 @@ pub enum PhysicalPlan {
         aggs: Vec<AggExpr>,
         /// Output schema: group columns then aggregate columns.
         schema: Schema,
-        /// Key path: `Encoded` groups on fixed-width code words when every
-        /// key is a bare column; `Datum` is the general fallback.
+        /// `EXPLAIN` label: `Encoded` when every key is a bare column,
+        /// `Datum` when some key is computed into a scratch column.
         key_mode: KeyMode,
         /// Worker-pool width for the partial-aggregate morsels.
         parallelism: usize,
@@ -108,11 +108,6 @@ pub enum PhysicalPlan {
     UnionAll {
         /// Inputs.
         inputs: Vec<PhysicalPlan>,
-    },
-    /// Deduplicating union / SELECT DISTINCT.
-    Distinct {
-        /// Input plan.
-        input: Box<PhysicalPlan>,
     },
     /// Append a 1-based BIGINT row-number column (Oracle ROWNUM).
     RowNumber {
@@ -168,7 +163,6 @@ impl PhysicalPlan {
                 .first()
                 .map(|p| p.schema())
                 .unwrap_or_else(|| Schema::new_unchecked(Vec::new())),
-            PhysicalPlan::Distinct { input } => input.schema(),
             PhysicalPlan::RowNumber { input, name } => {
                 let mut fields = input.schema().fields().to_vec();
                 fields.push(dash_common::Field::not_null(
@@ -262,10 +256,6 @@ impl PhysicalPlan {
                 for i in inputs {
                     i.explain_into(out, depth + 1);
                 }
-            }
-            PhysicalPlan::Distinct { input } => {
-                out.push_str(&format!("{pad}Distinct\n"));
-                input.explain_into(out, depth + 1);
             }
             PhysicalPlan::RowNumber { input, name } => {
                 out.push_str(&format!("{pad}RowNumber as {name}\n"));
@@ -463,7 +453,7 @@ mod tests {
     }
 
     #[test]
-    fn union_and_distinct() {
+    fn union_and_group_by_every_column() {
         let schema = Schema::new(vec![Field::new("x", DataType::Int64)]).unwrap();
         let v1 = PhysicalPlan::Values {
             schema: schema.clone(),
@@ -478,11 +468,17 @@ mod tests {
         };
         let (all, _) = execute(&union, &ctx()).unwrap();
         assert_eq!(all.len(), 4);
-        let distinct = PhysicalPlan::Distinct {
+        // How the planner spells DISTINCT / UNION de-duplication.
+        let distinct = PhysicalPlan::HashAggregate {
             input: Box::new(union),
+            group: vec![Expr::col(0)],
+            aggs: Vec::new(),
+            schema,
+            key_mode: KeyMode::Encoded,
+            parallelism: 2,
         };
         let (ded, _) = execute(&distinct, &ctx()).unwrap();
-        assert_eq!(ded.len(), 3);
+        assert_eq!(ded.to_rows(), vec![row![1i64], row![2i64], row![3i64]]);
     }
 
     /// `emp(id, mgr)` rows walked by `START WITH mgr = 0 CONNECT BY PRIOR

@@ -18,9 +18,12 @@
 //!
 //! Errors: the first `Err` a worker hits aborts the run — remaining workers
 //! stop claiming and the error is propagated to the caller. Worker panics
-//! are caught at the join and converted to a classified
+//! are caught around the morsel and converted to a classified
 //! [`DashError::internal`] (the PR 1 de-panic convention) instead of
 //! poisoning the process.
+//!
+//! There is one driver, [`run_morsels_fold`]; [`run_morsels`] is the same
+//! drive with a window as wide as the run and a fold that collects.
 //!
 //! Cancellation: every claim first consults the statement's
 //! [`StatementContext`]. A flipped token aborts the run with
@@ -35,7 +38,7 @@ use std::any::Any;
 use std::collections::BTreeMap;
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex};
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
 use dash_common::{DashError, Result, StatementContext};
@@ -67,8 +70,10 @@ fn panic_message(payload: &(dyn Any + Send)) -> &str {
 }
 
 /// Run `n` morsels through `work`, fanning out over at most `parallelism`
-/// scoped workers with work-claiming. `work` receives the morsel index and
-/// must be safe to call concurrently from multiple threads.
+/// scoped workers with work-claiming, and return every result in
+/// morsel-index order: [`run_morsels_fold`] with a window as wide as the
+/// run and a fold that collects. `work` receives the morsel index and must
+/// be safe to call concurrently from multiple threads.
 ///
 /// `stmt` is checked **before every claim** (serial and parallel): a
 /// flipped token aborts the run with [`DashError::Cancelled`] without
@@ -89,112 +94,16 @@ where
     T: Send,
     F: Fn(usize) -> Result<T> + Sync,
 {
-    let workers = parallelism.max(1).min(n);
-    if workers <= 1 {
-        let mut results = Vec::with_capacity(n);
-        let mut after_cancel = 0u64;
-        for i in 0..n {
-            if stmt.is_cancelled() {
-                stmt.note_cancel_latency(after_cancel);
-                return Err(DashError::Cancelled);
-            }
-            let v = work(i)?;
-            if stmt.is_cancelled() {
-                // The morsel that was in flight when the token flipped.
-                after_cancel += 1;
-            }
-            results.push(v);
-        }
-        stmt.note_cancel_latency(after_cancel);
-        return Ok(MorselRun {
-            results,
-            morsels_dispatched: n as u64,
-            workers_used: u64::from(n > 0),
-        });
-    }
-
-    let next = AtomicUsize::new(0);
-    let abort = AtomicBool::new(false);
-    let joined: Vec<Result<Vec<(usize, T)>>> = crossbeam::thread::scope(|s| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                let (next, abort, work) = (&next, &abort, &work);
-                s.spawn(move |_| -> Result<Vec<(usize, T)>> {
-                    let mut claimed: Vec<(usize, T)> = Vec::new();
-                    let mut after_cancel = 0u64;
-                    loop {
-                        if abort.load(Ordering::Relaxed) {
-                            break;
-                        }
-                        if stmt.is_cancelled() {
-                            abort.store(true, Ordering::Relaxed);
-                            stmt.note_cancel_latency(after_cancel);
-                            return Err(DashError::Cancelled);
-                        }
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= n {
-                            break;
-                        }
-                        match work(i) {
-                            Ok(v) => {
-                                if stmt.is_cancelled() {
-                                    after_cancel += 1;
-                                }
-                                claimed.push((i, v));
-                            }
-                            Err(e) => {
-                                abort.store(true, Ordering::Relaxed);
-                                stmt.note_cancel_latency(after_cancel);
-                                return Err(e);
-                            }
-                        }
-                    }
-                    stmt.note_cancel_latency(after_cancel);
-                    Ok(claimed)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| {
-                h.join().unwrap_or_else(|p| {
-                    Err(DashError::internal(format!(
-                        "morsel worker panicked: {}",
-                        panic_message(p.as_ref())
-                    )))
-                })
-            })
-            .collect()
-    })
-    .map_err(|p| {
-        DashError::internal(format!(
-            "morsel scope panicked: {}",
-            panic_message(p.as_ref())
-        ))
-    })?;
-
-    let mut indexed: Vec<(usize, T)> = Vec::with_capacity(n);
-    let mut first_err: Option<DashError> = None;
-    for outcome in joined {
-        match outcome {
-            Ok(claimed) => {
-                indexed.extend(claimed);
-            }
-            Err(e) => {
-                if first_err.is_none() {
-                    first_err = Some(e);
-                }
-            }
-        }
-    }
-    if let Some(e) = first_err {
-        return Err(e);
-    }
-    indexed.sort_unstable_by_key(|(i, _)| *i);
+    let mut results = Vec::with_capacity(n);
+    let collect = |_, v| {
+        results.push(v);
+        Ok(())
+    };
+    let run = run_morsels_fold(n, parallelism, n, stmt, work, |_| 0, collect)?;
     Ok(MorselRun {
-        morsels_dispatched: indexed.len() as u64,
-        workers_used: workers as u64,
-        results: indexed.into_iter().map(|(_, v)| v).collect(),
+        results,
+        morsels_dispatched: run.morsels_dispatched,
+        workers_used: run.workers_used,
     })
 }
 
@@ -211,6 +120,22 @@ pub struct FoldRun {
     /// Peak bytes (per the caller's `bytes_of` estimate) held by morsel
     /// results awaiting — or undergoing — their in-order fold.
     pub peak_inflight_bytes: u64,
+}
+
+/// Lock the fold state. No caller code runs under this lock — `work`,
+/// `bytes_of` and `fold` all run outside it — so only a bug in the driver
+/// itself could poison it, and its plain counters stay meaningful: take it
+/// and let the run finish or abort as usual.
+fn lock<T>(state: &Mutex<T>) -> MutexGuard<'_, T> {
+    state.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// One time slice of waiting on `signal`, poison-tolerant like [`lock`].
+/// Waits are sliced so a missed wake-up or a cancelled statement never
+/// hangs the drive.
+fn wait<'a, T>(signal: &Condvar, guard: MutexGuard<'a, T>) -> MutexGuard<'a, T> {
+    const WAIT_SLICE: Duration = Duration::from_millis(1);
+    signal.wait_timeout(guard, WAIT_SLICE).unwrap_or_else(PoisonError::into_inner).0
 }
 
 /// Reorder buffer shared between producing workers and the folding thread.
@@ -307,11 +232,9 @@ where
         error: None,
     });
     // Workers wait on `space` for a free inflight slot; the folder waits on
-    // `avail` for the next in-order result. Waits are time-sliced so a
-    // missed wake-up or a cancelled statement never hangs the drive.
+    // `avail` for the next in-order result.
     let space = Condvar::new();
     let avail = Condvar::new();
-    const WAIT_SLICE: Duration = Duration::from_millis(1);
 
     let fail = |st: &mut FoldState<T>, e: DashError| {
         abort.store(true, Ordering::Relaxed);
@@ -329,7 +252,7 @@ where
                         break;
                     }
                     if stmt.is_cancelled() {
-                        let mut st = state.lock().unwrap();
+                        let mut st = lock(state);
                         fail(&mut st, DashError::Cancelled);
                         avail.notify_all();
                         break;
@@ -338,9 +261,9 @@ where
                     // number of claimed-but-unfolded morsels never exceeds
                     // the window.
                     {
-                        let mut st = state.lock().unwrap();
+                        let mut st = lock(state);
                         while st.inflight >= window && !abort.load(Ordering::Relaxed) {
-                            st = space.wait_timeout(st, WAIT_SLICE).unwrap().0;
+                            st = wait(space, st);
                         }
                         if abort.load(Ordering::Relaxed) {
                             break;
@@ -350,7 +273,7 @@ where
                     }
                     let i = next.fetch_add(1, Ordering::Relaxed);
                     if i >= n {
-                        let mut st = state.lock().unwrap();
+                        let mut st = lock(state);
                         st.inflight -= 1;
                         space.notify_one();
                         // Wake the folder: it may be waiting for a result
@@ -361,20 +284,20 @@ where
                     // Catch panics here (not at join) so the folder — which
                     // is blocked waiting for morsel `i` — learns about the
                     // failure instead of waiting out the run.
-                    let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| work(i)))
+                    let sized = || work(i).map(|v| (bytes_of(&v), v));
+                    let outcome = std::panic::catch_unwind(AssertUnwindSafe(sized))
                         .unwrap_or_else(|p| {
                             Err(DashError::internal(format!(
                                 "pipeline worker panicked: {}",
                                 panic_message(p.as_ref())
                             )))
                         });
-                    let mut st = state.lock().unwrap();
+                    let mut st = lock(state);
                     match outcome {
-                        Ok(v) => {
+                        Ok((b, v)) => {
                             if stmt.is_cancelled() {
                                 after_cancel += 1;
                             }
-                            let b = bytes_of(&v);
                             st.inflight_bytes += b;
                             st.peak_inflight_bytes = st.peak_inflight_bytes.max(st.inflight_bytes);
                             st.ready.insert(i, (v, b));
@@ -398,7 +321,7 @@ where
         let mut next_fold = 0usize;
         while next_fold < n {
             let entry = {
-                let mut st = state.lock().unwrap();
+                let mut st = lock(&state);
                 loop {
                     if let Some(e) = st.error.take() {
                         abort.store(true, Ordering::Relaxed);
@@ -412,13 +335,13 @@ where
                         fail(&mut st, DashError::Cancelled);
                         continue;
                     }
-                    st = avail.wait_timeout(st, WAIT_SLICE).unwrap().0;
+                    st = wait(&avail, st);
                 }
             };
             let (v, b) = entry;
             let folded = fold(next_fold, v);
             {
-                let mut st = state.lock().unwrap();
+                let mut st = lock(&state);
                 st.inflight -= 1;
                 st.inflight_bytes -= b;
                 space.notify_one();
@@ -439,7 +362,7 @@ where
     })?;
 
     fold_outcome?;
-    let st = state.into_inner().unwrap();
+    let st = state.into_inner().unwrap_or_else(PoisonError::into_inner);
     if let Some(e) = st.error {
         return Err(e);
     }

@@ -43,12 +43,9 @@ pub struct ExecStats {
     pub sort_runs_generated: u64,
     /// Widest k-way merge fan-in any sort in the query performed.
     pub merge_fanin: u64,
-    /// Join/group key rows evaluated on the operate-on-compressed path
-    /// (fixed-width code words, no `Datum` in the hot loop).
+    /// Join/group key rows keyed on fixed-width code words — every keyed
+    /// row: the operate-on-compressed path is the only one.
     pub encoded_key_rows: u64,
-    /// Join/group key rows evaluated on the `Datum` fallback path
-    /// (cross-type keys, computed expressions, mixed encodings).
-    pub datum_key_rows: u64,
     /// Rows whose side lost the dictionary vote and re-encoded into the
     /// other side's code domain (the re-encode rule: translate the
     /// smaller side, never decode the larger one).
@@ -119,7 +116,6 @@ impl AddAssign for ExecStats {
         // Widest fan-in across phases, not a sum.
         self.merge_fanin = self.merge_fanin.max(rhs.merge_fanin);
         self.encoded_key_rows += rhs.encoded_key_rows;
-        self.datum_key_rows += rhs.datum_key_rows;
         self.keys_reencoded_rows += rhs.keys_reencoded_rows;
         self.pipelines_run += rhs.pipelines_run;
         self.pipeline_breakers += rhs.pipeline_breakers;
@@ -188,18 +184,15 @@ mod tests {
     fn key_path_counters_sum() {
         let mut s = ExecStats {
             encoded_key_rows: 100,
-            datum_key_rows: 10,
             keys_reencoded_rows: 5,
             ..Default::default()
         };
         s += ExecStats {
             encoded_key_rows: 50,
-            datum_key_rows: 1,
             keys_reencoded_rows: 2,
             ..Default::default()
         };
         assert_eq!(s.encoded_key_rows, 150);
-        assert_eq!(s.datum_key_rows, 11);
         assert_eq!(s.keys_reencoded_rows, 7);
     }
 

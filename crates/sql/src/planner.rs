@@ -283,9 +283,7 @@ impl Planner<'_> {
                 inputs: vec![plan_l, plan_r],
             };
             if *op == SetOp::Union {
-                plan = PhysicalPlan::Distinct {
-                    input: Box::new(plan),
-                };
+                plan = self.distinct(plan);
             }
             // Column names come from the left arm.
             scope = Scope {
@@ -620,9 +618,7 @@ impl Planner<'_> {
             };
         }
         if stmt.distinct {
-            plan = PhysicalPlan::Distinct {
-                input: Box::new(plan),
-            };
+            plan = self.distinct(plan);
         }
         if !keys.is_empty() || stmt.limit.is_some() || stmt.offset.is_some() {
             plan = PhysicalPlan::Sort {
@@ -635,6 +631,22 @@ impl Planner<'_> {
             };
         }
         Ok((plan, out_scope))
+    }
+
+    /// `SELECT DISTINCT` / `UNION` de-duplication is `GROUP BY` every
+    /// column with no aggregates: each row's first occurrence, NULLs
+    /// together, in first-appearance order.
+    fn distinct(&self, input: PhysicalPlan) -> PhysicalPlan {
+        let schema = input.schema();
+        let group: Vec<Expr> = (0..schema.len()).map(Expr::col).collect();
+        PhysicalPlan::HashAggregate {
+            key_mode: KeyMode::for_group(&schema, &group),
+            input: Box::new(input),
+            group,
+            aggs: Vec::new(),
+            schema,
+            parallelism: self.provider.parallelism(),
+        }
     }
 
     // ---- FROM clause ------------------------------------------------------
@@ -1414,7 +1426,7 @@ impl Planner<'_> {
                 }
                 let dt = f
                     .return_type
-                    .unwrap_or_else(|| function_return_type(name, &arg_types));
+                    .unwrap_or_else(|| function_return_type(name, &arg_types, &lowered));
                 Ok((Expr::Func(f, lowered), dt))
             }
             AstExpr::Cast {
@@ -1609,7 +1621,17 @@ fn arith_type(op: ArithOp, l: DataType, r: DataType) -> DataType {
 
 /// Return type of a scalar function given argument types. Falls back to
 /// Float64 (numeric) which is compatible with any numeric runtime value.
-fn function_return_type(name: &str, args: &[DataType]) -> DataType {
+/// `exprs` are the lowered arguments whose types `args` holds.
+fn function_return_type(name: &str, args: &[DataType], exprs: &[Expr]) -> DataType {
+    // A function that returns one of several arguments has their common
+    // supertype; a NULL literal (typed VARCHAR for want of a type)
+    // constrains nothing.
+    let one_of = |at: &mut dyn Iterator<Item = usize>| {
+        at.filter(|&i| !matches!(exprs[i], Expr::Lit(Datum::Null)))
+            .map(|i| args[i])
+            .reduce(union_supertype)
+            .unwrap_or(DataType::Utf8)
+    };
     let upper = name.to_ascii_uppercase();
     match upper.as_str() {
         "UPPER" | "LOWER" | "SUBSTR" | "SUBSTR2" | "SUBSTR4" | "SUBSTRB" | "SUBSTRING"
@@ -1632,11 +1654,12 @@ fn function_return_type(name: &str, args: &[DataType]) -> DataType {
         "ST_NUMPOINTS" => DataType::Int64,
         "ST_CONTAINS" | "ST_WITHIN" | "ST_INTERSECTS" => DataType::Bool,
         "TRUNC" if args.first().is_some_and(|t| t.is_temporal()) => DataType::Date,
-        "COALESCE" | "NVL" | "IFNULL" | "GREATEST" | "LEAST" | "NULLIF" => {
-            args.first().copied().unwrap_or(DataType::Utf8)
-        }
-        "NVL2" => args.get(1).copied().unwrap_or(DataType::Utf8),
-        "DECODE" => args.get(2).copied().unwrap_or(DataType::Utf8),
+        "COALESCE" | "NVL" | "IFNULL" | "GREATEST" | "LEAST" => one_of(&mut (0..args.len())),
+        "NULLIF" => args.first().copied().unwrap_or(DataType::Utf8),
+        "NVL2" => one_of(&mut (1..args.len())),
+        // DECODE(expr, search, result, ..., [default]): the results and,
+        // when the argument count is even, the trailing default.
+        "DECODE" => one_of(&mut (2..args.len()).filter(|i| i % 2 == 0 || (i + 1 == args.len()))),
         "ABS" | "ROUND" => args.first().copied().unwrap_or(DataType::Float64),
         "NORMALIZE_DECFLOAT" => args.first().copied().unwrap_or(DataType::Decimal(31, 6)),
         _ => DataType::Float64,
@@ -2171,9 +2194,6 @@ pub fn pushdown(plan: PhysicalPlan) -> PhysicalPlan {
         },
         PhysicalPlan::UnionAll { inputs } => PhysicalPlan::UnionAll {
             inputs: inputs.into_iter().map(pushdown).collect(),
-        },
-        PhysicalPlan::Distinct { input } => PhysicalPlan::Distinct {
-            input: Box::new(pushdown(*input)),
         },
         PhysicalPlan::RowNumber { input, name } => PhysicalPlan::RowNumber {
             input: Box::new(pushdown(*input)),

@@ -244,6 +244,30 @@ fn run_batch(session: &mut Session, stream: usize, batch: &[Statement]) -> Resul
     Ok(tolerated)
 }
 
+/// Run `attempt` until it returns anything but a write-write conflict
+/// (SQLSTATE 40001, which first-writer-wins hands the loser), retrying a
+/// conflicted attempt — with a fresh snapshot — at most `max_retries`
+/// times. The loser yields before it retries: the winner may be midway
+/// through stamping its commit, and until it publishes no snapshot can get
+/// past the conflict. Returns the last outcome and the number of conflicts
+/// hit.
+pub fn retry_conflicts<T>(max_retries: usize, mut attempt: impl FnMut() -> Result<T>) -> (Result<T>, u64) {
+    let mut conflicts = 0u64;
+    loop {
+        let outcome = attempt();
+        match &outcome {
+            Err(e) if e.class() == "40001" => {
+                conflicts += 1;
+                if conflicts > max_retries as u64 {
+                    return (outcome, conflicts);
+                }
+                std::thread::yield_now();
+            }
+            _ => return (outcome, conflicts),
+        }
+    }
+}
+
 /// Drive one stream's statements through its own session.
 fn run_stream(
     db: &Arc<Database>,
@@ -257,35 +281,28 @@ fn run_stream(
         ..StreamStats::default()
     };
     for batch in statements.chunks(cfg.batch.max(1)) {
-        let mut attempts = 0usize;
-        loop {
+        let (outcome, conflicts) = retry_conflicts(cfg.max_retries, || {
             stats.statements += batch.len() as u64;
-            match run_batch(&mut session, stream, batch) {
-                Ok(tolerated) => {
-                    stats.commits += 1;
-                    stats.statement_errors += tolerated;
-                    break;
+            let outcome = run_batch(&mut session, stream, batch);
+            // On a conflict the engine rolled the transaction back for us:
+            // the session is clean for the retry's fresh snapshot.
+            debug_assert!(!matches!(&outcome, Err(e) if e.class() == "40001") || !session.in_transaction());
+            outcome
+        });
+        stats.conflicts += conflicts;
+        match outcome {
+            Ok(tolerated) => {
+                stats.commits += 1;
+                stats.statement_errors += tolerated;
+            }
+            Err(_) => {
+                // Retries exhausted, or a BEGIN/COMMIT infrastructure
+                // failure: make sure no transaction lingers, then drop the
+                // batch.
+                if session.in_transaction() {
+                    let _ = session.execute("ROLLBACK");
                 }
-                Err(e) if e.class() == "40001" => {
-                    stats.conflicts += 1;
-                    // The engine rolled the transaction back for us; the
-                    // session is clean. Retry with a fresh snapshot.
-                    debug_assert!(!session.in_transaction());
-                    attempts += 1;
-                    if attempts > cfg.max_retries {
-                        stats.abandoned += 1;
-                        break;
-                    }
-                }
-                Err(_) => {
-                    // BEGIN/COMMIT infrastructure failure: make sure no
-                    // transaction lingers, then drop the batch.
-                    if session.in_transaction() {
-                        let _ = session.execute("ROLLBACK");
-                    }
-                    stats.abandoned += 1;
-                    break;
-                }
+                stats.abandoned += 1;
             }
         }
     }

@@ -85,11 +85,6 @@ pub fn eval(plan: &PhysicalPlan, ctx: &EvalContext) -> Batch {
             taken.map(|i| b.row(i)).collect()
         }
         PhysicalPlan::UnionAll { inputs } => inputs.iter().flat_map(|p| eval(p, ctx).to_rows()).collect(),
-        PhysicalPlan::Distinct { input } => {
-            let mut out: Vec<Row> = Vec::new();
-            eval(input, ctx).to_rows().into_iter().for_each(|r| if !out.contains(&r) { out.push(r) });
-            out
-        }
         PhysicalPlan::RowNumber { input, .. } => {
             let numbered = |(i, mut r): (usize, Row)| {
                 r.0.push(Datum::Int(i as i64 + 1));
@@ -176,8 +171,11 @@ fn scan(t: &ColumnTable, cfg: &ScanConfig, ctx: &EvalContext) -> Vec<Row> {
     (0..live.len()).filter(passes).map(project).collect()
 }
 
-/// Nested-loop equi-join; a NULL key component matches nothing.
+/// Nested-loop equi-join; a NULL key component matches nothing, and NaN
+/// joins NaN alone (`Datum`'s own equality calls it equal to every number).
 fn join(l: &Batch, r: &Batch, on: &[(usize, usize)], jt: JoinType) -> Vec<Row> {
+    let nan = |d: &Datum| matches!(d, Datum::Float(f) if f.is_nan());
+    let same = |a: &Vec<Datum>, b: &Vec<Datum>| a.iter().zip(b).all(|(x, y)| x == y && nan(x) == nan(y));
     let key = |b: &Batch, i: usize, cols: &mut dyn Iterator<Item = usize>| -> Option<Vec<Datum>> {
         let k: Vec<Datum> = cols.map(|c| b.value(i, c)).collect();
         (!k.iter().any(Datum::is_null)).then_some(k)
@@ -188,7 +186,7 @@ fn join(l: &Batch, r: &Batch, on: &[(usize, usize)], jt: JoinType) -> Vec<Row> {
     for li in 0..l.len() {
         let lk = key(l, li, &mut on.iter().map(|p| p.0));
         let hits: Vec<usize> = match &lk {
-            Some(_) => (0..r.len()).filter(|&ri| rkeys[ri] == lk).collect(),
+            Some(lk) => (0..r.len()).filter(|&ri| rkeys[ri].as_ref().is_some_and(|rk| same(rk, lk))).collect(),
             None => Vec::new(),
         };
         match jt {

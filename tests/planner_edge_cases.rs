@@ -367,3 +367,128 @@ fn temp_tables_are_session_private() {
     s1.close();
     assert_eq!(s2.query("SELECT COUNT(*) FROM scratch").unwrap()[0].get(0), &Datum::Int(2));
 }
+
+/// Run `sql` at parallelism 1, 4 and 8 and return its rows, `Debug`-rendered
+/// (which shows a value's kind and a zero's sign), asserting every width
+/// returns the same.
+fn at_every_width(db: &std::sync::Arc<Database>, s: &mut Session, sql: &str) -> Vec<String> {
+    let mut first: Option<Vec<String>> = None;
+    for par in [1usize, 4, 8] {
+        db.catalog().set_parallelism(par);
+        let rows = s.query(sql).unwrap_or_else(|e| panic!("{sql} at parallelism {par}: {e}"));
+        let rows: Vec<String> = rows.iter().map(|r| format!("{:?}", r.values())).collect();
+        assert_eq!(&rows, first.get_or_insert(rows.clone()), "{sql} at parallelism {par}");
+    }
+    first.unwrap()
+}
+
+/// `SELECT DISTINCT` and `UNION` are `GROUP BY` every column: each row's
+/// first occurrence, in first-appearance order, at every width.
+#[test]
+fn distinct_is_group_by_every_column() {
+    let db = Database::with_hardware(HardwareSpec::laptop());
+    let mut s = db.connect();
+    // Duplicates across stride and row-morsel boundaries; an all-NULL row
+    // repeated; `-0.0` before `0.0`.
+    s.execute("CREATE TABLE t (k INT, f DOUBLE, s VARCHAR(4))").unwrap();
+    let values: Vec<String> = (0..9000)
+        .map(|i| match i % 9 {
+            7 => "(NULL, NULL, NULL)".to_string(),
+            8 => format!("(0, {}, 'z')", if i < 4500 { "-0.0" } else { "0.0" }),
+            k => format!("({k}, {k}.5, 's{k}')"),
+        })
+        .collect();
+    s.execute(&format!("INSERT INTO t VALUES {}", values.join(","))).unwrap();
+    let rows = at_every_width(&db, &mut s, "SELECT DISTINCT k, f, s FROM t");
+    assert_eq!(rows.len(), 9, "{rows:?}");
+    assert_eq!(rows[0], "[Int(0), Float(0.5), Str(\"s0\")]");
+    assert_eq!(rows[7], "[Null, Null, Null]", "NULLs group together");
+    // One zero, whichever sign storage kept for the first.
+    assert!(rows[8] == "[Int(0), Float(-0.0), Str(\"z\")]" || rows[8] == "[Int(0), Float(0.0), Str(\"z\")]", "{rows:?}");
+    assert_eq!(at_every_width(&db, &mut s, "SELECT DISTINCT s FROM t WHERE k IS NULL"), ["[Null]"]);
+    let explain = s.execute("EXPLAIN SELECT DISTINCT k, f, s FROM t").unwrap();
+    let text: Vec<String> = explain.rows.iter().map(|r| r.get(0).render()).collect();
+    assert!(text.iter().any(|l| l.contains("HashAggregate groups=3 aggs=0")), "{text:?}");
+    assert!(text.iter().any(|l| l.contains("agg-partial")), "morsel-parallel: {text:?}");
+
+    // More columns than one NULL-mask word has bits.
+    let cols: Vec<String> = (0..70).map(|c| format!("c{c} INT")).collect();
+    s.execute(&format!("CREATE TABLE wide ({})", cols.join(", "))).unwrap();
+    let wide_row = |i: usize| {
+        let vals: Vec<String> = (0..70).map(|c| if c == 65 && i.is_multiple_of(3) { "NULL".into() } else { (i % 3 + c).to_string() }).collect();
+        format!("({})", vals.join(", "))
+    };
+    let values: Vec<String> = (0..600).map(wide_row).collect();
+    s.execute(&format!("INSERT INTO wide VALUES {}", values.join(","))).unwrap();
+    let rows = at_every_width(&db, &mut s, "SELECT DISTINCT * FROM wide");
+    assert_eq!(rows.len(), 3);
+    assert!(rows[0].contains("Null") && !rows[1].contains("Null"), "{rows:?}");
+
+    // UNION promotes its arms to a common type, then de-duplicates.
+    s.execute_script(
+        "CREATE TABLE a (x INT); CREATE TABLE b (y DOUBLE);
+         INSERT INTO a VALUES (1), (2), (2), (NULL); INSERT INTO b VALUES (2.0), (2.5), (NULL), (1.0);",
+    )
+    .unwrap();
+    let rows = at_every_width(&db, &mut s, "SELECT x FROM a UNION SELECT y FROM b");
+    assert_eq!(rows, ["[Float(1.0)]", "[Float(2.0)]", "[Null]", "[Float(2.5)]"], "first-appearance order");
+}
+
+/// A function that returns one of several arguments is typed by all of
+/// them, so an aggregate or a group key over it holds every branch's
+/// values: `MIN(COALESCE(i, f))` and `GROUP BY COALESCE(i, f)` used to fail
+/// with the `CAST` advice whenever the float branch was taken.
+#[test]
+fn coalesce_family_is_typed_by_every_value_argument() {
+    let db = Database::with_hardware(HardwareSpec::laptop());
+    let mut s = db.connect();
+    s.set_dialect(Dialect::Oracle);
+    s.execute_script(
+        "CREATE TABLE c (g INT, i INT, f DOUBLE, d DECIMAL(10,2), dt DATE, ts TIMESTAMP, s VARCHAR(8), s2 VARCHAR(8));
+         INSERT INTO c VALUES (1, 0, NULL, NULL, '2024-01-15', NULL, 'a', NULL),
+             (1, NULL, 0.5, 1.25, NULL, '2024-01-14 12:00:00', NULL, 'b'),
+             (2, NULL, 0.25, NULL, NULL, NULL, NULL, NULL),
+             (2, 3, NULL, 2.50, '2024-01-16', NULL, 'c', 'd');",
+    )
+    .unwrap();
+    let cases: [(&str, &[&str]); 14] = [
+        // int / float
+        ("SELECT MIN(COALESCE(i, f)), MAX(COALESCE(i, f)) FROM c", &["[Float(0.0), Float(3.0)]"]),
+        ("SELECT g, MIN(COALESCE(i, f)) FROM c GROUP BY g ORDER BY g", &["[Int(1), Float(0.0)]", "[Int(2), Float(0.25)]"]),
+        (
+            "SELECT COALESCE(i, f), COUNT(*) FROM c GROUP BY COALESCE(i, f) ORDER BY 1",
+            &["[Float(0.0), Int(1)]", "[Float(0.25), Int(1)]", "[Float(0.5), Int(1)]", "[Float(3.0), Int(1)]"],
+        ),
+        ("SELECT SUM(NVL(i, f)), MAX(GREATEST(i, 0.5)) FROM c", &["[Float(3.75), Float(3.0)]"]),
+        // int / decimal
+        ("SELECT MIN(COALESCE(i, d)), MAX(COALESCE(d, i)) FROM c", &["[Float(0.0), Float(2.5)]"]),
+        (
+            "SELECT COALESCE(i, d), COUNT(*) FROM c GROUP BY COALESCE(i, d) ORDER BY 1",
+            &["[Float(0.0), Int(1)]", "[Float(1.25), Int(1)]", "[Float(3.0), Int(1)]", "[Null, Int(1)]"],
+        ),
+        // date / timestamp
+        ("SELECT MIN(COALESCE(dt, ts)) FROM c", &["[Timestamp(1705233600000000)]"]),
+        (
+            "SELECT g, MIN(COALESCE(dt, ts)), COUNT(COALESCE(ts, dt)) FROM c GROUP BY g ORDER BY g",
+            &["[Int(1), Timestamp(1705233600000000), Int(2)]", "[Int(2), Timestamp(1705363200000000), Int(1)]"],
+        ),
+        (
+            "SELECT COALESCE(dt, ts), COUNT(*) FROM c GROUP BY COALESCE(dt, ts) ORDER BY 1",
+            &["[Timestamp(1705233600000000), Int(1)]", "[Timestamp(1705276800000000), Int(1)]", "[Timestamp(1705363200000000), Int(1)]", "[Null, Int(1)]"],
+        ),
+        // strings, and a NULL literal among the arguments
+        ("SELECT MIN(COALESCE(s, s2)), MAX(COALESCE(NULL, s2, s)) FROM c", &["[Str(\"a\"), Str(\"d\")]"]),
+        (
+            "SELECT COALESCE(s, s2), COUNT(*) FROM c GROUP BY COALESCE(s, s2) ORDER BY 1",
+            &["[Str(\"a\"), Int(1)]", "[Str(\"b\"), Int(1)]", "[Str(\"c\"), Int(1)]", "[Null, Int(1)]"],
+        ),
+        ("SELECT MAX(COALESCE(i, NULL)) FROM c", &["[Int(3)]"]),
+        // a fixed position no longer types NVL2 / DECODE
+        ("SELECT MAX(NVL2(s, i, f)), MAX(DECODE(g, 1, i, f)) FROM c", &["[Float(3.0), Float(0.25)]"]),
+        // NULLIF returns its first argument or NULL: first-argument typing is right
+        ("SELECT MAX(NULLIF(i, 0.5)) FROM c", &["[Int(3)]"]),
+    ];
+    for (sql, want) in cases {
+        assert_eq!(at_every_width(&db, &mut s, sql), want, "{sql}");
+    }
+}

@@ -345,9 +345,8 @@ fn sum_of_integer_expressions_and_decimals_is_typed() {
     assert_eq!(err.class(), "22000", "{err}");
 }
 
-/// The planner's static type of an expression is loose (`COALESCE` takes
-/// its first argument's), so a computed key or argument may evaluate
-/// outside it. Such a value is never rounded, truncated or parsed into the
+/// The planner's static type of an expression is loose (`CASE` takes its
+/// first branch's), so a computed key or argument may evaluate outside it. Such a value is never rounded, truncated or parsed into the
 /// declared type: `COUNT(DISTINCT expr)` compares the values themselves,
 /// everything typed fails the statement.
 #[test]
@@ -373,11 +372,13 @@ fn computed_aggregate_values_outside_the_declared_type_are_not_cast() {
     assert_eq!(counts, vec![Datum::Int(2), Datum::Int(1), Datum::Int(1), Datum::Int(1)]);
 
     // A fraction is not an integer key or an integer sum, a string is not a
-    // number, and a quotient's extra digits are not rounded away.
+    // number, and a quotient's extra digits are not rounded away. `i_or_f`
+    // is typed INT by its first branch and evaluates to 0.5 and 0.25.
+    let i_or_f = "CASE WHEN i IS NOT NULL THEN i ELSE f END";
     for sql in [
-        "SELECT COALESCE(i, f), COUNT(*) FROM m GROUP BY COALESCE(i, f)",
-        "SELECT SUM(COALESCE(i, f)) FROM m",
-        "SELECT MIN(COALESCE(i, f)) FROM m",
+        &format!("SELECT {i_or_f}, COUNT(*) FROM m GROUP BY {i_or_f}"),
+        &format!("SELECT SUM({i_or_f}) FROM m"),
+        &format!("SELECT MIN({i_or_f}) FROM m"),
         "SELECT d / 3, COUNT(*) FROM m GROUP BY d / 3",
         "SELECT SUM(d / 3) FROM m",
         "SELECT SUM(s) FROM m",
@@ -391,7 +392,11 @@ fn computed_aggregate_values_outside_the_declared_type_are_not_cast() {
     // float aggregate, whole floats into an integer one, and decimal
     // arithmetic — evaluated in `f64` — that lands on the declared scale.
     assert_eq!(one(&mut s, "SELECT SUM(COALESCE(f, i)) FROM m"), Datum::Float(6.75));
-    assert_eq!(one(&mut s, "SELECT SUM(COALESCE(i, f)) FROM m WHERE f IS NULL OR f = 3.0"), Datum::Int(6));
+    assert_eq!(one(&mut s, &format!("SELECT SUM({i_or_f}) FROM m WHERE f IS NULL OR f = 3.0")), Datum::Int(6));
+    // `COALESCE` is typed by all its arguments, so the same values go
+    // through it as the floats they are.
+    assert_eq!(one(&mut s, "SELECT SUM(COALESCE(i, f)) FROM m"), Datum::Float(6.75));
+    assert_eq!(one(&mut s, "SELECT MIN(COALESCE(i, f)) FROM m"), Datum::Float(0.0));
     assert_eq!(one(&mut s, "SELECT SUM(d * 2 + i) FROM m"), Datum::Decimal(25_000, 4));
     assert_eq!(one(&mut s, "SELECT MAX(d * d) FROM m"), Datum::Decimal(62_500, 4));
     let rows = s.query("SELECT d * d, COUNT(*) FROM m GROUP BY d * d ORDER BY 1").unwrap();
@@ -405,4 +410,59 @@ fn computed_aggregate_values_outside_the_declared_type_are_not_cast() {
         ]
     );
     assert_eq!(one(&mut s, "SELECT COUNT(DISTINCT d * d) FROM m"), Datum::Int(2));
+}
+
+/// Join pairs whose two columns occupy different key domains compare in
+/// their common one: numerics as `f64`, a date as its midnight, and a pair
+/// that is not comparable never matches. The expected `(l.id, r.id)` rows
+/// were produced by the `Datum`-keyed join this one replaced.
+#[test]
+fn cross_domain_join_keys_compare_in_their_common_domain() {
+    let db = Database::with_hardware(HardwareSpec::laptop());
+    let mut s = db.connect();
+    s.execute_script(
+        "CREATE TABLE l (id INT, i BIGINT, d2 DECIMAL(10,2), dt DATE, s VARCHAR(8));
+         CREATE TABLE r (id INT, f DOUBLE, d4 DECIMAL(12,4), ts TIMESTAMP, i BIGINT);
+         INSERT INTO l VALUES (1, 2, 1.10, '2024-01-15', '2'), (2, 3, 2.50, '2024-01-16', 'x'),
+             (3, 0, 0.00, NULL, NULL), (4, NULL, -1.25, '1970-01-01', '3'),
+             (5, 9007199254740993, 7.00, '2024-01-15', '7');
+         INSERT INTO r VALUES (10, 2.0, 1.1000, '2024-01-15 00:00:00', 2), (11, 2.5, 2.5000, '2024-01-16 00:00:01', 3),
+             (12, -0.0, 0.0000, NULL, 0), (13, 9007199254740992.0, -1.2500, '1970-01-01 00:00:00', 9007199254740993),
+             (14, 3.0, 7.0001, '2024-01-15 00:00:00', NULL);",
+    )
+    .unwrap();
+    // (ON clause, inner pairs, EXPLAIN label); a LEFT JOIN adds each
+    // unmatched `l.id` padded with NULL.
+    type Pairs = &'static [(i64, i64)];
+    let cases: [(&str, Pairs, &str); 9] = [
+        ("l.i = r.f", &[(1, 10), (2, 14), (3, 12), (5, 13)], "Datum"),
+        ("l.i = r.d4", &[(3, 12)], "Datum"),
+        ("l.d2 = r.d4", &[(1, 10), (2, 11), (3, 12), (4, 13)], "Datum"),
+        ("l.d2 = r.f", &[(2, 11), (3, 12)], "Datum"),
+        ("l.dt = r.ts", &[(1, 10), (1, 14), (4, 13), (5, 10), (5, 14)], "Datum"),
+        ("l.i = r.i AND l.d2 = r.d4", &[(1, 10), (2, 11), (3, 12)], "Datum"),
+        ("l.i = r.f AND l.i = r.i", &[(1, 10), (3, 12), (5, 13)], "Datum"),
+        ("l.s = r.i", &[], "Datum"),
+        ("l.i = r.i", &[(1, 10), (2, 11), (3, 12), (5, 13)], "Encoded"),
+    ];
+    for (on, inner, label) in cases {
+        let mut left: Vec<(i64, Option<i64>)> = inner.iter().map(|&(l, r)| (l, Some(r))).collect();
+        left.extend((1..=5).filter(|l| !inner.iter().any(|p| p.0 == *l)).map(|l| (l, None)));
+        left.sort();
+        let inner: Vec<(i64, Option<i64>)> = inner.iter().map(|&(l, r)| (l, Some(r))).collect();
+        for (kind, want) in [("JOIN", &inner), ("LEFT JOIN", &left)] {
+            let sql = format!("SELECT l.id, r.id FROM l {kind} r ON {on} ORDER BY 1, 2");
+            for par in [1usize, 4, 8] {
+                db.catalog().set_parallelism(par);
+                let out = s.execute(&sql).unwrap();
+                let got: Vec<(i64, Option<i64>)> =
+                    out.rows.iter().map(|r| (r.get(0).as_int().unwrap(), r.get(1).as_int())).collect();
+                assert_eq!(&got, want, "{kind} ON {on} at parallelism {par}");
+                assert_eq!(out.stats.encoded_key_rows, 10, "{kind} ON {on}: every row keys on words");
+            }
+            let explain = s.execute(&format!("EXPLAIN {sql}")).unwrap();
+            let text: Vec<String> = explain.rows.iter().map(|r| r.get(0).render()).collect();
+            assert!(text.iter().any(|l| l.contains(&format!("keys={label}"))), "{on}: {text:?}");
+        }
+    }
 }

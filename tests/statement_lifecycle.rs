@@ -705,8 +705,17 @@ fn breaker_intermediates_are_charged_to_the_budget() {
         parallelism: 1,
         run_rows: 0,
     };
+    // DISTINCT as the planner spells it: GROUP BY every column.
+    let distinct = PhysicalPlan::HashAggregate {
+        input: Box::new(values()),
+        group: vec![Expr::col(0)],
+        aggs: Vec::new(),
+        schema: values().schema(),
+        key_mode: KeyMode::Encoded,
+        parallelism: 4,
+    };
     let plans = [
-        ("distinct", sort(PhysicalPlan::Distinct { input: Box::new(values()) })),
+        ("distinct", sort(distinct)),
         ("rownum", sort(PhysicalPlan::RowNumber { input: Box::new(values()), name: "rn".into() })),
         ("union", sort(PhysicalPlan::UnionAll { inputs: vec![values(), values()] })),
         ("sort", sort(values())),
@@ -716,6 +725,12 @@ fn breaker_intermediates_are_charged_to_the_budget() {
         let err = execute(plan, &EvalContext::with_statement(starved.clone())).unwrap_err();
         assert_eq!(err.class(), "53200", "{name}: {err}");
         assert_eq!(starved.budget_used(), 0, "{name}: refusal must release every lease");
+
+        let cancelled = StatementContext::with_limits(None, Some(1 << 30));
+        cancelled.cancel();
+        let err = execute(plan, &EvalContext::with_statement(cancelled.clone())).unwrap_err();
+        assert_eq!(err, DashError::Cancelled, "{name}");
+        assert_eq!(cancelled.budget_used(), 0, "{name}: cancel must release every lease");
 
         let roomy = StatementContext::with_limits(None, Some(1 << 30));
         let (out, _) = execute(plan, &EvalContext::with_statement(roomy.clone())).unwrap();
