@@ -35,6 +35,11 @@ use std::time::Duration;
 pub const CLUSTERFS_MOUNT: &str = "clusterfs::mount";
 /// Failpoint: one shard's statement execution inside scatter-gather.
 pub const SHARD_EXEC: &str = "mpp::shard_exec";
+/// Failpoint: evaluated by the MPP coordinator after the scatter, before
+/// it loads the gathered shard results and runs the final statement.
+/// `Stall` sleeps under the statement's token — the deterministic way to
+/// expire a deadline between gather and merge.
+pub const GATHER_LOAD: &str = "mpp::gather_load";
 /// Failpoint: a node crashes while executing a shard (declared dead).
 pub const NODE_CRASH: &str = "mpp::node_crash";
 /// Failpoint: moving one shard during a rebalance pass.

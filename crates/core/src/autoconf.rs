@@ -10,7 +10,11 @@
 //! is the pure sizing function (tested against the paper's envelope: from
 //! the 8 GB / 2-core laptop minimum up to 72-core / 6 TB servers).
 
+use dash_common::Result;
+use dash_storage::wal::SyncPolicy;
 use serde::{Deserialize, Serialize};
+use std::path::PathBuf;
+use std::time::Duration;
 
 /// Detected (or simulated) hardware characteristics of one host.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -80,89 +84,98 @@ pub struct AutoConfig {
     pub shards: u32,
     /// Memory reserved for the integrated analytics runtime, in MB (~20%).
     pub analytics_mb: u64,
+    /// What the `effective_*` accessors return: the derived defaults, or
+    /// the environment's overrides once [`AutoConfig::with_env`] applied.
+    parallelism: usize,
+    sort_run_rows: usize,
+    pipeline_inflight: usize,
 }
 
 impl AutoConfig {
-    /// The parallelism degree queries actually run with: the derived
-    /// `query_parallelism` (uncapped — one knob governs the whole morsel
-    /// pipeline), unless the `DASH_PARALLELISM` environment variable
-    /// overrides it. The override exists for tests, benchmarks, and CI
-    /// matrices that pin the worker count regardless of host hardware.
+    /// The parallelism degree queries run with: `query_parallelism`
+    /// (uncapped — one setting governs the whole morsel pipeline) unless
+    /// `DASH_PARALLELISM` overrode it when the engine opened.
     pub fn effective_parallelism(&self) -> usize {
-        parallelism_override(std::env::var("DASH_PARALLELISM").ok().as_deref())
-            .unwrap_or((self.query_parallelism as usize).max(1))
+        self.parallelism
     }
 
     /// Rows per parallel sort run: the engine default unless
-    /// `DASH_SORT_RUN_ROWS` overrides it. Smaller runs mean more morsels
-    /// (useful to force fan-out in tests and benchmarks); larger runs
-    /// amortize merge fan-in on huge inputs.
+    /// `DASH_SORT_RUN_ROWS` overrode it when the engine opened.
     pub fn effective_sort_run_rows(&self) -> usize {
-        sort_run_rows_override(std::env::var("DASH_SORT_RUN_ROWS").ok().as_deref())
-            .unwrap_or(dash_exec::sort::DEFAULT_SORT_RUN_ROWS)
+        self.sort_run_rows
     }
 
-    /// Pipeline in-flight morsel window from `DASH_PIPELINE_INFLIGHT`;
-    /// 0 (or unset) means auto — the scheduler derives parallelism × 4.
+    /// Pipeline in-flight morsel window (`DASH_PIPELINE_INFLIGHT`);
+    /// 0 means auto — the scheduler derives parallelism × 4.
     pub fn effective_pipeline_inflight(&self) -> usize {
-        inflight_override(std::env::var("DASH_PIPELINE_INFLIGHT").ok().as_deref()).unwrap_or(0)
+        self.pipeline_inflight
+    }
+
+    /// This configuration with the environment's executor overrides
+    /// applied. [`AutoConfig::derive`] never reads the environment; an
+    /// engine resolves both exactly once, when it opens.
+    pub(crate) fn with_env(mut self, env: &EnvConfig) -> AutoConfig {
+        self.parallelism = env.parallelism.unwrap_or(self.parallelism);
+        self.sort_run_rows = env.sort_run_rows.unwrap_or(self.sort_run_rows);
+        self.pipeline_inflight = env.pipeline_inflight.unwrap_or(self.pipeline_inflight);
+        self
     }
 }
 
-/// Parse a `DASH_PIPELINE_INFLIGHT` value; `None` when unset or
-/// unparsable (zero is a valid explicit "auto").
-fn inflight_override(raw: Option<&str>) -> Option<usize> {
-    raw.and_then(|v| v.trim().parse::<usize>().ok())
+/// Every `DASH_*` setting the engine honours, parsed in one place:
+/// [`EnvConfig::read`], called once per [`Database`](crate::Database)
+/// open. An unset, empty or unparsable value means "not set" (README has
+/// the table of defaults and who is expected to set each).
+#[derive(Debug, Clone, PartialEq)]
+pub struct EnvConfig {
+    /// `DASH_PARALLELISM`: worker count override (>= 1) for tests,
+    /// benchmarks and CI matrices that pin it regardless of the host.
+    pub parallelism: Option<usize>,
+    /// `DASH_SORT_RUN_ROWS`: rows per parallel sort run (>= 1).
+    pub sort_run_rows: Option<usize>,
+    /// `DASH_PIPELINE_INFLIGHT`: in-flight morsel window (0 = auto).
+    pub pipeline_inflight: Option<usize>,
+    /// `DASH_STATEMENT_TIMEOUT_MS`: default statement deadline (>= 1 ms)
+    /// of new sessions; unset means none.
+    pub statement_timeout: Option<Duration>,
+    /// `DASH_MEM_BUDGET_BYTES`: default per-statement memory budget
+    /// (>= 1) of new sessions; unset means unlimited.
+    pub mem_budget: Option<u64>,
+    /// `DASH_GROUP_COMMIT_US`: how long a commit-batch leader waits for
+    /// concurrent committers before flushing (default 100 µs; `0`
+    /// disables the wait, commits still batch with whatever is queued).
+    pub group_commit_window: Duration,
+    /// `DASH_WAL_SYNC` (`always`/`commit`/`never`, default `commit`). An
+    /// unknown word is an error, reported by [`Database::open`](crate::Database::open).
+    pub wal_sync: Result<SyncPolicy>,
+    /// `DASH_WAL_DIR`: where [`Database::from_env`](crate::Database::from_env)
+    /// opens a durable engine; unset or empty means volatile.
+    pub wal_dir: Option<PathBuf>,
 }
 
-/// Parse a `DASH_SORT_RUN_ROWS` value; `None` when unset, unparsable, or
-/// zero (zero would be a degenerate run size and means "use the default").
-fn sort_run_rows_override(raw: Option<&str>) -> Option<usize> {
-    raw.and_then(|v| v.trim().parse::<usize>().ok()).filter(|&n| n >= 1)
-}
+impl EnvConfig {
+    /// Read the process environment.
+    pub fn read() -> EnvConfig {
+        EnvConfig::parse(|name| std::env::var(name).ok())
+    }
 
-/// Parse a `DASH_PARALLELISM` value; `None` when unset, unparsable, or
-/// zero (zero would deadlock nothing but means "derive it", like unset).
-fn parallelism_override(raw: Option<&str>) -> Option<usize> {
-    raw.and_then(|v| v.trim().parse::<usize>().ok()).filter(|&n| n >= 1)
-}
-
-/// Default statement deadline from `DASH_STATEMENT_TIMEOUT_MS`. `None`
-/// (unset / unparsable / zero) means statements run without a deadline;
-/// sessions can still arm one per-statement.
-pub fn default_statement_timeout() -> Option<std::time::Duration> {
-    timeout_override(std::env::var("DASH_STATEMENT_TIMEOUT_MS").ok().as_deref())
-}
-
-fn timeout_override(raw: Option<&str>) -> Option<std::time::Duration> {
-    raw.and_then(|v| v.trim().parse::<u64>().ok())
-        .filter(|&ms| ms >= 1)
-        .map(std::time::Duration::from_millis)
-}
-
-/// Default per-statement memory budget from `DASH_MEM_BUDGET_BYTES`.
-/// `None` (unset / unparsable / zero) means unlimited.
-pub fn default_mem_budget() -> Option<u64> {
-    budget_override(std::env::var("DASH_MEM_BUDGET_BYTES").ok().as_deref())
-}
-
-fn budget_override(raw: Option<&str>) -> Option<u64> {
-    raw.and_then(|v| v.trim().parse::<u64>().ok()).filter(|&b| b >= 1)
-}
-
-/// Group-commit batching window from `DASH_GROUP_COMMIT_US` (default
-/// 100µs). The leader of a commit batch waits at most this long for
-/// concurrent committers to pile in before flushing; `0` disables the
-/// wait entirely (each commit still batches opportunistically with
-/// whatever is already queued).
-pub fn default_group_commit_window() -> std::time::Duration {
-    group_commit_override(std::env::var("DASH_GROUP_COMMIT_US").ok().as_deref())
-        .unwrap_or(std::time::Duration::from_micros(100))
-}
-
-fn group_commit_override(raw: Option<&str>) -> Option<std::time::Duration> {
-    raw.and_then(|v| v.trim().parse::<u64>().ok())
-        .map(std::time::Duration::from_micros)
+    fn parse(var: impl Fn(&str) -> Option<String>) -> EnvConfig {
+        let number = |name: &str| var(name).and_then(|v| v.trim().parse::<u64>().ok());
+        let at_least_one = |name: &str| number(name).filter(|&n| n >= 1);
+        EnvConfig {
+            parallelism: at_least_one("DASH_PARALLELISM").map(|n| n as usize),
+            sort_run_rows: at_least_one("DASH_SORT_RUN_ROWS").map(|n| n as usize),
+            pipeline_inflight: number("DASH_PIPELINE_INFLIGHT").map(|n| n as usize),
+            statement_timeout: at_least_one("DASH_STATEMENT_TIMEOUT_MS").map(Duration::from_millis),
+            mem_budget: at_least_one("DASH_MEM_BUDGET_BYTES"),
+            group_commit_window: Duration::from_micros(
+                number("DASH_GROUP_COMMIT_US").unwrap_or(100),
+            ),
+            wal_sync: var("DASH_WAL_SYNC")
+                .map_or(Ok(SyncPolicy::Commit), |v| SyncPolicy::from_env_str(&v)),
+            wal_dir: var("DASH_WAL_DIR").filter(|d| !d.is_empty()).map(PathBuf::from),
+        }
+    }
 }
 
 impl AutoConfig {
@@ -188,6 +201,9 @@ impl AutoConfig {
             wlm_concurrency,
             shards,
             analytics_mb: ram / 5,
+            parallelism: cores as usize,
+            sort_run_rows: dash_exec::sort::DEFAULT_SORT_RUN_ROWS,
+            pipeline_inflight: 0,
         }
     }
 }
@@ -232,61 +248,84 @@ mod tests {
         assert!(c.shards >= 4);
     }
 
-    #[test]
-    fn parallelism_override_parsing() {
-        assert_eq!(parallelism_override(None), None);
-        assert_eq!(parallelism_override(Some("")), None);
-        assert_eq!(parallelism_override(Some("abc")), None);
-        assert_eq!(parallelism_override(Some("0")), None, "0 means derive");
-        assert_eq!(parallelism_override(Some("4")), Some(4));
-        assert_eq!(parallelism_override(Some(" 16 ")), Some(16));
+    fn env(pairs: &[(&str, &str)]) -> EnvConfig {
+        EnvConfig::parse(|name| {
+            pairs
+                .iter()
+                .find(|(k, _)| *k == name)
+                .map(|(_, v)| v.to_string())
+        })
     }
 
     #[test]
-    fn sort_run_rows_override_parsing() {
-        assert_eq!(sort_run_rows_override(None), None);
-        assert_eq!(sort_run_rows_override(Some("junk")), None);
-        assert_eq!(sort_run_rows_override(Some("0")), None, "0 means default");
-        assert_eq!(sort_run_rows_override(Some(" 4096 ")), Some(4096));
-        if std::env::var("DASH_SORT_RUN_ROWS").is_err() {
-            assert_eq!(
-                AutoConfig::derive(&HardwareSpec::laptop()).effective_sort_run_rows(),
-                dash_exec::sort::DEFAULT_SORT_RUN_ROWS
-            );
-        }
-    }
-
-    #[test]
-    fn inflight_override_parsing() {
-        assert_eq!(inflight_override(None), None);
-        assert_eq!(inflight_override(Some("junk")), None);
-        assert_eq!(inflight_override(Some("0")), Some(0), "explicit auto");
-        assert_eq!(inflight_override(Some(" 64 ")), Some(64));
-    }
-
-    #[test]
-    fn statement_limit_override_parsing() {
-        assert_eq!(timeout_override(None), None);
-        assert_eq!(timeout_override(Some("0")), None, "0 means no deadline");
-        assert_eq!(timeout_override(Some("junk")), None);
+    fn unset_environment_is_all_defaults() {
+        let e = env(&[]);
         assert_eq!(
-            timeout_override(Some(" 250 ")),
-            Some(std::time::Duration::from_millis(250))
+            e,
+            EnvConfig {
+                parallelism: None,
+                sort_run_rows: None,
+                pipeline_inflight: None,
+                statement_timeout: None,
+                mem_budget: None,
+                group_commit_window: Duration::from_micros(100),
+                wal_sync: Ok(SyncPolicy::Commit),
+                wal_dir: None,
+            }
         );
-        assert_eq!(budget_override(None), None);
-        assert_eq!(budget_override(Some("0")), None, "0 means unlimited");
-        assert_eq!(budget_override(Some("1048576")), Some(1 << 20));
+        // Nothing set: the accessors return what the hardware derives
+        // (the xeon runs 72-wide — no silent cap).
+        let big = AutoConfig::derive(&HardwareSpec::xeon_e7());
+        assert_eq!(big.with_env(&e), big);
+        assert_eq!(big.effective_parallelism(), 72);
+        assert_eq!(big.effective_sort_run_rows(), dash_exec::sort::DEFAULT_SORT_RUN_ROWS);
+        assert_eq!(big.effective_pipeline_inflight(), 0);
     }
 
     #[test]
-    fn xeon_parallelism_uncapped() {
-        // The silent .min(8) cap is gone: a 72-core box runs 72-wide
-        // (unless DASH_PARALLELISM overrides, which this test avoids
-        // asserting to stay env-independent).
-        let big = AutoConfig::derive(&HardwareSpec::xeon_e7());
-        if std::env::var("DASH_PARALLELISM").is_err() {
-            assert_eq!(big.effective_parallelism(), 72);
-        }
+    fn every_setting_parses_and_overrides() {
+        let e = env(&[
+            ("DASH_PARALLELISM", " 16 "),
+            ("DASH_SORT_RUN_ROWS", "4096"),
+            ("DASH_PIPELINE_INFLIGHT", "64"),
+            ("DASH_STATEMENT_TIMEOUT_MS", " 250 "),
+            ("DASH_MEM_BUDGET_BYTES", "1048576"),
+            ("DASH_GROUP_COMMIT_US", "0"),
+            ("DASH_WAL_SYNC", "Always"),
+            ("DASH_WAL_DIR", "/var/lib/dash"),
+        ]);
+        assert_eq!(e.statement_timeout, Some(Duration::from_millis(250)));
+        assert_eq!(e.mem_budget, Some(1 << 20));
+        assert_eq!(e.group_commit_window, Duration::ZERO, "0 disables the wait");
+        assert_eq!(e.wal_sync, Ok(SyncPolicy::Always));
+        assert_eq!(e.wal_dir, Some(PathBuf::from("/var/lib/dash")));
+        let c = AutoConfig::derive(&HardwareSpec::laptop()).with_env(&e);
+        assert_eq!(c.query_parallelism, 4, "the derived value is kept beside the override");
+        assert_eq!(c.effective_parallelism(), 16);
+        assert_eq!(c.effective_sort_run_rows(), 4096);
+        assert_eq!(c.effective_pipeline_inflight(), 64);
+    }
+
+    #[test]
+    fn junk_and_zero_mean_unset() {
+        let e = env(&[
+            ("DASH_PARALLELISM", "0"),
+            ("DASH_SORT_RUN_ROWS", "junk"),
+            ("DASH_PIPELINE_INFLIGHT", "0"),
+            ("DASH_STATEMENT_TIMEOUT_MS", "0"),
+            ("DASH_MEM_BUDGET_BYTES", ""),
+            ("DASH_GROUP_COMMIT_US", "abc"),
+            ("DASH_WAL_SYNC", "sometimes"),
+            ("DASH_WAL_DIR", ""),
+        ]);
+        assert_eq!(e.parallelism, None, "0 means derive");
+        assert_eq!(e.sort_run_rows, None);
+        assert_eq!(e.pipeline_inflight, Some(0), "0 is an explicit auto");
+        assert_eq!(e.statement_timeout, None, "0 means no deadline");
+        assert_eq!(e.mem_budget, None);
+        assert_eq!(e.group_commit_window, Duration::from_micros(100));
+        assert_eq!(e.wal_sync.unwrap_err().class(), "42000");
+        assert_eq!(e.wal_dir, None, "empty means volatile");
     }
 
     #[test]

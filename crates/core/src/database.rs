@@ -1,7 +1,7 @@
 //! The Database and Session objects — the embedded equivalent of
 //! connecting to dashDB Local.
 
-use crate::autoconf::{AutoConfig, HardwareSpec};
+use crate::autoconf::{AutoConfig, EnvConfig, HardwareSpec};
 use crate::catalog::Catalog;
 use crate::monitor::Monitor;
 use crate::result::{QueryResult, StatementKind};
@@ -18,7 +18,8 @@ use dash_exec::batch::Batch;
 use dash_exec::functions::EvalContext;
 use dash_exec::plan::{PhysicalPlan, SharedTable};
 use dash_exec::scan::ScanConfig;
-use dash_sql::ast::{InsertSource, Statement};
+use dash_exec::stats::ExecStats;
+use dash_sql::ast::{InsertSource, SelectStmt, Statement};
 use dash_sql::parser::{parse_statement, split_statements};
 use dash_sql::planner::{lower_standalone_expr, lower_table_expr, plan_select, pushdown};
 use dash_storage::bufferpool::{BufferPool, Policy};
@@ -40,6 +41,9 @@ use std::time::{Duration, Instant};
 pub struct Database {
     catalog: Arc<Catalog>,
     config: AutoConfig,
+    /// The `DASH_*` environment as read when this engine opened; new
+    /// sessions take their default statement limits from it.
+    env: EnvConfig,
     wlm: WorkloadManager,
     monitor: Monitor,
     next_session: AtomicU32,
@@ -60,9 +64,8 @@ pub struct Database {
     /// records into a single WAL flush (see [`Database::checkpoint`] and
     /// the commit path for the protocol).
     commit_queue: GroupCommitQueue,
-    /// Group-commit batching window in microseconds
-    /// (`DASH_GROUP_COMMIT_US`, default 100). Atomic so tests and
-    /// benchmarks can retune it on a live engine.
+    /// Group-commit batching window in microseconds. Atomic so tests
+    /// and benchmarks can retune it on a live engine.
     group_commit_us: AtomicU64,
     /// Set when commit stamping failed *after* the commit record was
     /// durable: memory has diverged from the log and every further write
@@ -103,7 +106,8 @@ impl Database {
     }
 
     fn build(hw: HardwareSpec, pool_pages: Option<usize>) -> Database {
-        let config = AutoConfig::derive(&hw);
+        let env = EnvConfig::read();
+        let config = AutoConfig::derive(&hw).with_env(&env);
         let pool = pool_pages.map(|pages| {
             Arc::new(Mutex::new(BufferPool::new(
                 pages.max(1),
@@ -127,10 +131,9 @@ impl Database {
             wal_sync: SyncPolicy::Commit,
             faults: Mutex::new(FaultRegistry::new()),
             commit_queue: GroupCommitQueue::new(),
-            group_commit_us: AtomicU64::new(
-                crate::autoconf::default_group_commit_window().as_micros() as u64,
-            ),
+            group_commit_us: AtomicU64::new(env.group_commit_window.as_micros() as u64),
             poisoned: Mutex::new(None),
+            env,
         }
     }
 
@@ -140,19 +143,15 @@ impl Database {
     /// policy comes from `DASH_WAL_SYNC` (`always`/`commit`/`never`,
     /// default `commit`).
     pub fn open(dir: impl Into<PathBuf>) -> Result<Arc<Database>> {
-        let sync = match std::env::var("DASH_WAL_SYNC") {
-            Ok(s) => SyncPolicy::from_env_str(&s)?,
-            Err(_) => SyncPolicy::Commit,
-        };
-        Database::open_with(dir, HardwareSpec::detect(), sync, FaultRegistry::new())
+        Database::recover_at(dir.into(), HardwareSpec::detect(), None, FaultRegistry::new())
     }
 
     /// Create an engine honoring the environment: durable at
     /// `DASH_WAL_DIR` when that is set and non-empty, volatile otherwise.
     pub fn from_env() -> Result<Arc<Database>> {
-        match std::env::var("DASH_WAL_DIR") {
-            Ok(dir) if !dir.is_empty() => Database::open(dir),
-            _ => Ok(Database::new()),
+        match EnvConfig::read().wal_dir {
+            Some(dir) => Database::open(dir),
+            None => Ok(Database::new()),
         }
     }
 
@@ -165,11 +164,24 @@ impl Database {
         sync: SyncPolicy,
         faults: FaultRegistry,
     ) -> Result<Arc<Database>> {
-        let dir = dir.into();
-        std::fs::create_dir_all(&dir)
-            .map_err(|e| DashError::Storage(format!("create {}: {e}", dir.display())))?;
+        Database::recover_at(dir.into(), hw, Some(sync), faults)
+    }
+
+    /// `sync: None` takes the policy the environment names.
+    fn recover_at(
+        dir: PathBuf,
+        hw: HardwareSpec,
+        sync: Option<SyncPolicy>,
+        faults: FaultRegistry,
+    ) -> Result<Arc<Database>> {
         let pages = Self::capped_pool_pages(&hw);
         let mut db = Self::build(hw, Some(pages));
+        let sync = match sync {
+            Some(sync) => sync,
+            None => db.env.wal_sync.clone()?,
+        };
+        std::fs::create_dir_all(&dir)
+            .map_err(|e| DashError::Storage(format!("create {}: {e}", dir.display())))?;
         db.wal_dir = Some(dir.clone());
         db.wal_sync = sync;
         *db.faults.lock() = faults.clone();
@@ -194,7 +206,7 @@ impl Database {
     }
 
     /// Retune the group-commit batching window (tests and benchmarks;
-    /// production picks it up from `DASH_GROUP_COMMIT_US`).
+    /// it opens at [`EnvConfig::group_commit_window`]).
     pub fn set_group_commit_window(&self, window: Duration) {
         self.group_commit_us
             .store(window.as_micros() as u64, Ordering::SeqCst);
@@ -725,16 +737,16 @@ impl Database {
         *self.faults.lock() = reg;
     }
 
-    /// Open a session (default ANSI dialect). Statement limits default
-    /// from the environment: `DASH_STATEMENT_TIMEOUT_MS` arms a deadline,
-    /// `DASH_MEM_BUDGET_BYTES` a memory budget; unset means unlimited.
+    /// Open a session (default ANSI dialect). Its statement limits start
+    /// at the engine's [`EnvConfig`] defaults; unset means unlimited.
     pub fn connect(self: &Arc<Self>) -> Session {
         Session {
             db: self.clone(),
             id: SessionId(self.next_session.fetch_add(1, Ordering::Relaxed)),
             dialect: Dialect::Ansi,
-            statement_timeout: crate::autoconf::default_statement_timeout(),
-            mem_budget: crate::autoconf::default_mem_budget(),
+            statement_timeout: self.env.statement_timeout,
+            mem_budget: self.env.mem_budget,
+            statement: StatementContext::unbounded(),
             txn: None,
         }
     }
@@ -769,6 +781,10 @@ pub struct Session {
     statement_timeout: Option<Duration>,
     /// Per-statement memory budget in bytes (`None` = unlimited).
     mem_budget: Option<u64>,
+    /// Deadline token and memory budget of the statement this session is
+    /// running (or last ran). [`Session::execute`] arms a fresh one from
+    /// the two limits above; [`Session::run_query`] takes its caller's.
+    statement: StatementContext,
     /// The open transaction, if any (explicit BEGIN; autocommit wraps each
     /// DML statement in a short-lived one).
     txn: Option<Transaction>,
@@ -799,6 +815,13 @@ impl Session {
     /// queries.
     pub fn set_mem_budget(&mut self, bytes: Option<u64>) {
         self.mem_budget = bytes;
+    }
+
+    /// The lifecycle context of the statement this session is running, or
+    /// of the last one it ran (its budget account reads zero once the
+    /// statement is over, however it ended).
+    pub fn statement(&self) -> &StatementContext {
+        &self.statement
     }
 
     /// The owning database.
@@ -836,7 +859,7 @@ impl Session {
         EvalContext {
             now_micros: now,
             sequences: Some(self.db.catalog.clone()),
-            statement: StatementContext::unbounded(),
+            statement: self.statement.clone(),
             pipeline: dash_exec::pipeline::PipelineConfig {
                 inflight: self.db.catalog.pipeline_inflight(),
                 ..Default::default()
@@ -844,11 +867,15 @@ impl Session {
         }
     }
 
-    /// Execute one SQL statement.
+    /// Execute one SQL statement under a fresh [`StatementContext`] armed
+    /// with the session's timeout and memory budget. The limits govern
+    /// every statement that runs a query — SELECT, `CREATE TABLE … AS`,
+    /// `INSERT … SELECT`, and the row matching of UPDATE and DELETE.
     pub fn execute(&mut self, sql: &str) -> Result<QueryResult> {
         let start = Instant::now();
         let stmt = parse_statement(sql, self.dialect)?;
         let kind = kind_name(&stmt);
+        self.statement = StatementContext::with_limits(self.statement_timeout, self.mem_budget);
         let result = self.execute_statement(stmt);
         self.db
             .monitor
@@ -868,6 +895,90 @@ impl Session {
     /// Execute a query and return its rows (convenience).
     pub fn query(&mut self, sql: &str) -> Result<Vec<Row>> {
         Ok(self.execute(sql)?.rows)
+    }
+
+    /// Run an already-parsed query under the caller's statement context —
+    /// how a cluster's shard and merge statements share one scatter's
+    /// deadline and cancel token.
+    pub fn run_query(
+        &mut self,
+        select: &SelectStmt,
+        statement: StatementContext,
+    ) -> Result<QueryResult> {
+        self.statement = statement;
+        let (batch, stats) = self.run_select(select)?;
+        Ok(QueryResult::query(&batch, stats))
+    }
+
+    fn run_select(&self, select: &SelectStmt) -> Result<(Batch, ExecStats)> {
+        self.run(|ctx| plan_select(select, &self.provider(), self.dialect, ctx))
+    }
+
+    /// The one way this engine runs a query. WLM admission first, its
+    /// queue wait counted against the statement's deadline: a statement
+    /// that cannot be admitted before it expires dies in the queue with a
+    /// classified error and never occupies a slot; an admitted one holds
+    /// an RAII ticket released on every exit. Then `plan` and
+    /// `plan::execute` under the statement's context, and the statement's
+    /// lifecycle counters folded into the monitor on success and failure
+    /// alike. Nothing that holds a ticket calls back in here (plan-time
+    /// subqueries execute on the enclosing context inside the planner).
+    fn run(
+        &self,
+        plan: impl FnOnce(&EvalContext) -> Result<PhysicalPlan>,
+    ) -> Result<(Batch, ExecStats)> {
+        let stmt_ctx = &self.statement;
+        let mon = &self.db.monitor;
+        let _ticket = match stmt_ctx.remaining() {
+            Some(remaining) => match self.db.wlm.admit_timeout(remaining) {
+                Some(ticket) => ticket,
+                None => {
+                    stmt_ctx.cancel();
+                    mon.record_deadline_kill();
+                    mon.record_statement_cancelled();
+                    return Err(DashError::Cancelled);
+                }
+            },
+            None => self.db.wlm.admit(),
+        };
+        // A caller's context may already have run other statements (the
+        // shards of one scatter): fold only what this run added.
+        let rejected_before = stmt_ctx.budget_rejections();
+        let ctx = self.eval_context();
+        let result = plan(&ctx).and_then(|plan| dash_exec::plan::execute(&plan, &ctx));
+        let rejections = stmt_ctx.budget_rejections() - rejected_before;
+        if rejections > 0 {
+            mon.record_budget_rejections(rejections);
+        }
+        mon.note_cancel_latency(stmt_ctx.cancel_latency_max_morsels());
+        let (batch, mut stats) = match result {
+            Ok(ok) => ok,
+            Err(e) => {
+                if stmt_ctx.is_cancelled() {
+                    mon.record_statement_cancelled();
+                    if stmt_ctx.deadline().is_some_and(|dl| Instant::now() >= dl) {
+                        mon.record_deadline_kill();
+                    }
+                }
+                return Err(e);
+            }
+        };
+        stats.budget_rejections = rejections;
+        stats.cancel_latency_max_morsels = stats
+            .cancel_latency_max_morsels
+            .max(stmt_ctx.cancel_latency_max_morsels());
+        if stats.encoded_key_rows > 0 {
+            mon.record_key_path(stats.encoded_key_rows, stats.keys_reencoded_rows);
+        }
+        if stats.pipelines_run > 0 {
+            mon.record_pipeline(
+                stats.pipelines_run,
+                stats.pipeline_breakers,
+                stats.peak_inflight_morsels,
+                stats.peak_inflight_bytes,
+            );
+        }
+        Ok((batch, stats))
     }
 
     /// Close the session: roll back any open transaction and drop its
@@ -1021,74 +1132,8 @@ impl Session {
         }
         match stmt {
             Statement::Select(select) => {
-                let stmt_ctx =
-                    StatementContext::with_limits(self.statement_timeout, self.mem_budget);
-                // WLM queue wait counts against the statement's deadline: a
-                // statement that cannot be admitted before it expires dies
-                // in the queue with a classified error. The timed-out path
-                // never occupies a slot, so there is nothing to leak; the
-                // admitted path holds an RAII ticket released on every exit.
-                let _ticket = match stmt_ctx.remaining() {
-                    Some(remaining) => match self.db.wlm.admit_timeout(remaining) {
-                        Some(ticket) => ticket,
-                        None => {
-                            stmt_ctx.cancel();
-                            self.db.monitor.record_deadline_kill();
-                            self.db.monitor.record_statement_cancelled();
-                            return Err(DashError::Cancelled);
-                        }
-                    },
-                    None => self.db.wlm.admit(),
-                };
-                let mut ctx = self.eval_context();
-                ctx.statement = stmt_ctx.clone();
-                let plan =
-                    plan_select(&select, &self.provider(), self.dialect, &ctx)?;
-                let result = dash_exec::plan::execute(&plan, &ctx);
-                // Fold the statement's lifecycle counters into the monitor
-                // on success and failure alike.
-                let mon = &self.db.monitor;
-                if stmt_ctx.budget_rejections() > 0 {
-                    mon.record_budget_rejections(stmt_ctx.budget_rejections());
-                }
-                mon.note_cancel_latency(stmt_ctx.cancel_latency_max_morsels());
-                let (batch, mut stats) = match result {
-                    Ok(ok) => ok,
-                    Err(e) => {
-                        if stmt_ctx.is_cancelled() {
-                            mon.record_statement_cancelled();
-                            if stmt_ctx
-                                .deadline()
-                                .is_some_and(|dl| Instant::now() >= dl)
-                            {
-                                mon.record_deadline_kill();
-                            }
-                        }
-                        return Err(e);
-                    }
-                };
-                stats.budget_rejections = stmt_ctx.budget_rejections();
-                stats.cancel_latency_max_morsels = stats
-                    .cancel_latency_max_morsels
-                    .max(stmt_ctx.cancel_latency_max_morsels());
-                if stats.encoded_key_rows > 0 {
-                    mon.record_key_path(stats.encoded_key_rows, stats.keys_reencoded_rows);
-                }
-                if stats.pipelines_run > 0 {
-                    mon.record_pipeline(
-                        stats.pipelines_run,
-                        stats.pipeline_breakers,
-                        stats.peak_inflight_morsels,
-                        stats.peak_inflight_bytes,
-                    );
-                }
-                Ok(QueryResult {
-                    kind: StatementKind::Query,
-                    schema: batch.schema().clone(),
-                    rows: batch.to_rows(),
-                    affected: 0,
-                    stats,
-                })
+                let (batch, stats) = self.run_select(&select)?;
+                Ok(QueryResult::query(&batch, stats))
             }
             Statement::Explain(inner) => self.explain(*inner),
             Statement::Values(rows) => self.standalone_values(rows),
@@ -1135,14 +1180,7 @@ impl Session {
                 let owner = if temporary { Some(self.id) } else { None };
                 match as_select {
                     Some(select) => {
-                        let ctx = self.eval_context();
-                        let plan = plan_select(
-                            &select,
-                            &self.provider(),
-                            self.dialect,
-                            &ctx,
-                        )?;
-                        let (batch, _) = dash_exec::plan::execute(&plan, &ctx)?;
+                        let (batch, _) = self.run_select(&select)?;
                         let handle =
                             self.db
                                 .catalog
@@ -1386,12 +1424,7 @@ impl Session {
                 }
                 out
             }
-            InsertSource::Select(select) => {
-                let plan =
-                    plan_select(&select, &self.provider(), self.dialect, &ctx)?;
-                let (batch, _) = dash_exec::plan::execute(&plan, &ctx)?;
-                batch.to_rows()
-            }
+            InsertSource::Select(select) => self.run_select(&select)?.0.to_rows(),
         };
         let durable = self.db.catalog.durable_key(table, Some(self.id));
         let (txn_id, _) = self.active_txn()?;
@@ -1434,31 +1467,31 @@ impl Session {
 
     /// Scan matching rows of a table, returning (full row, tsn) pairs.
     fn matching_rows(
-        &mut self,
+        &self,
         table: &str,
         selection: Option<&dash_sql::ast::AstExpr>,
-        ctx: &EvalContext,
     ) -> Result<(Vec<Row>, Vec<u64>)> {
         let handle = self.db.catalog.table_handle_for(table, Some(self.id))?;
         let schema = handle.table.read().schema().clone();
-        let mut config = ScanConfig::full(handle.id, (0..schema.len()).collect());
-        config.include_tsn = true;
-        config.pool = self.db.catalog.pool.clone();
-        config.snapshot = self.snapshot_view();
-        let mut plan = PhysicalPlan::ColumnScan {
-            table: handle.table.clone(),
-            config,
-        };
-        if let Some(sel) = selection {
-            let predicate =
-                lower_table_expr(sel, &schema, &self.provider(), self.dialect, ctx)?;
-            plan = PhysicalPlan::Filter {
-                input: Box::new(plan),
-                predicate,
+        let (batch, _) = self.run(|ctx| {
+            let mut config = ScanConfig::full(handle.id, (0..schema.len()).collect());
+            config.include_tsn = true;
+            config.pool = self.db.catalog.pool.clone();
+            config.snapshot = self.snapshot_view();
+            let mut plan = PhysicalPlan::ColumnScan {
+                table: handle.table.clone(),
+                config,
             };
-        }
-        let plan = pushdown(plan);
-        let (batch, _) = dash_exec::plan::execute(&plan, ctx)?;
+            if let Some(sel) = selection {
+                let predicate =
+                    lower_table_expr(sel, &schema, &self.provider(), self.dialect, ctx)?;
+                plan = PhysicalPlan::Filter {
+                    input: Box::new(plan),
+                    predicate,
+                };
+            }
+            Ok(pushdown(plan))
+        })?;
         let ncols = schema.len();
         let mut rows = Vec::with_capacity(batch.len());
         let mut tsns = Vec::with_capacity(batch.len());
@@ -1489,7 +1522,7 @@ impl Session {
                 lower_table_expr(e, &schema, &self.provider(), self.dialect, &ctx)?;
             lowered.push((ordinal, expr));
         }
-        let (rows, tsns) = self.matching_rows(table, selection, &ctx)?;
+        let (rows, tsns) = self.matching_rows(table, selection)?;
         let batch = Batch::from_rows(schema.clone(), &rows)?;
         let durable = self.db.catalog.durable_key(table, Some(self.id));
         let (txn_id, snap_ts) = self.active_txn()?;
@@ -1540,9 +1573,8 @@ impl Session {
         table: &str,
         selection: Option<&dash_sql::ast::AstExpr>,
     ) -> Result<QueryResult> {
-        let ctx = self.eval_context();
         let handle = self.db.catalog.table_handle_for(table, Some(self.id))?;
-        let (_, tsns) = self.matching_rows(table, selection, &ctx)?;
+        let (_, tsns) = self.matching_rows(table, selection)?;
         let durable = self.db.catalog.durable_key(table, Some(self.id));
         let (txn_id, snap_ts) = self.active_txn()?;
         let shared = handle.table.clone();

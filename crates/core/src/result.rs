@@ -1,6 +1,7 @@
 //! Query results and rendering.
 
 use dash_common::{Row, Schema};
+use dash_exec::batch::Batch;
 use dash_exec::stats::ExecStats;
 
 /// What kind of statement produced a result.
@@ -34,6 +35,17 @@ pub struct QueryResult {
 }
 
 impl QueryResult {
+    /// A query's rows, with the schema they came back under.
+    pub fn query(batch: &Batch, stats: ExecStats) -> QueryResult {
+        QueryResult {
+            kind: StatementKind::Query,
+            schema: batch.schema().clone(),
+            rows: batch.to_rows(),
+            affected: 0,
+            stats,
+        }
+    }
+
     /// A DDL acknowledgement.
     pub fn ddl() -> QueryResult {
         QueryResult {

@@ -177,6 +177,14 @@ fn ordered<T>(
     }
 }
 
+/// `partial_cmp` (and `sql_cmp` on top of it) calls a NaN equal to every
+/// number, which is not an order: the sort breaks that tie so that NaNs
+/// tie only with each other and sort above `+inf`, as the percentile
+/// aggregates order them. `-0.0` and `+0.0` still tie.
+fn is_nan(d: &Datum) -> bool {
+    matches!(d, Datum::Float(f) if f.is_nan())
+}
+
 impl KeyColumn<'_> {
     fn cmp_at(&self, a: usize, b: usize, asc: bool, nulls_last: bool) -> Ordering {
         match self {
@@ -184,7 +192,7 @@ impl KeyColumn<'_> {
                 ordered(v[a], v[b], asc, nulls_last, |x, y| x.cmp(&y))
             }
             KeyColumn::Col(ColumnValues::Float(v)) => ordered(v[a], v[b], asc, nulls_last, |x, y| {
-                x.partial_cmp(&y).unwrap_or(Ordering::Equal)
+                x.partial_cmp(&y).unwrap_or_else(|| x.is_nan().cmp(&y.is_nan()))
             }),
             KeyColumn::Col(ColumnValues::Str(v)) => {
                 ordered(v[a].as_deref(), v[b].as_deref(), asc, nulls_last, str::cmp)
@@ -196,7 +204,7 @@ impl KeyColumn<'_> {
                     (!y.is_null()).then_some(y),
                     asc,
                     nulls_last,
-                    |x, y| x.sql_cmp(y),
+                    |x, y| x.sql_cmp(y).then_with(|| is_nan(x).cmp(&is_nan(y))),
                 )
             }
         }

@@ -7,24 +7,33 @@
 //! * routes DDL to every shard and DML rows by hash of the distribution
 //!   key (replicated tables go everywhere — the standard MPP treatment of
 //!   dimension tables, which keeps joins co-located);
-//! * scatters SELECTs to all live shards in parallel and gathers partials,
-//!   using **two-phase aggregation** (COUNT/SUM/MIN/MAX/AVG decompose;
-//!   AVG splits into SUM+COUNT) with ORDER BY/LIMIT applied post-merge.
+//! * splits every SELECT into a **shard statement** and a **final
+//!   statement**, scatters the first to all live shards in parallel, loads
+//!   what they return into a scratch table of its own engine, and runs
+//!   the second over it. An aggregating query's shards project the GROUP
+//!   BY keys and the partial aggregates (COUNT/SUM/MIN/MAX decompose, AVG
+//!   splits into SUM + COUNT); its final statement is the user's own with
+//!   FROM replaced by the gathered relation and each aggregate call by its
+//!   merge expression, so HAVING, DISTINCT, ORDER BY, LIMIT and OFFSET are
+//!   the engine's. The coordinator owns routing, retries, assignment
+//!   epochs and the statement's deadline — and no operator.
 
 use crate::clusterfs::ClusterFs;
 use crate::ha::{balance_assignments, RebalanceReport};
 use dash_common::dialect::Dialect;
 use dash_common::faults::{
-    FaultAction, FaultRegistry, NODE_CRASH, REBALANCE_DURING_SCATTER, SHARD_EXEC, SHARD_MOVE,
+    FaultAction, FaultRegistry, GATHER_LOAD, NODE_CRASH, REBALANCE_DURING_SCATTER, SHARD_EXEC,
+    SHARD_MOVE,
 };
 use dash_common::fxhash::{hash_bytes, FxHashMap};
 use dash_common::ids::{NodeId, ShardId};
 use dash_common::{DashError, Datum, Result, Row, Schema, StatementContext};
 use dash_core::monitor::Monitor;
-use dash_core::{Database, HardwareSpec};
+use dash_core::{Database, HardwareSpec, QueryResult};
 use dash_exec::agg::AggFunc;
-use dash_sql::ast::{AstExpr, SelectItem, SelectStmt, Statement};
+use dash_sql::ast::{AstExpr, BinOp, OrderItem, SelectItem, SelectStmt, Statement, TableRef};
 use dash_sql::parser::parse_statement;
+use dash_sql::planner::{collect_aggregates, rewrite_post_agg};
 use parking_lot::RwLock;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -162,8 +171,8 @@ fn is_transient(e: &DashError) -> bool {
 
 /// What one shard attempt (with its internal retry loop) produced.
 enum ShardOutcome {
-    /// Partial rows, ready to merge.
-    Rows(Vec<Row>),
+    /// The shard statement's result, ready to gather.
+    Rows(QueryResult),
     /// Deterministic failure — propagate to the caller unchanged.
     Fatal(DashError),
     /// Retries exhausted or the node crashed: the assigned node is dead,
@@ -204,7 +213,9 @@ pub struct Cluster {
     /// Shared failpoint registry: every layer (mounts, shard execution,
     /// buffer pools, rebalance moves) evaluates the same instance.
     faults: FaultRegistry,
-    monitor: Monitor,
+    /// The coordinator's own engine: final statements run in its sessions
+    /// over the gathered shard results, and its monitor is the cluster's.
+    coordinator: Arc<Database>,
     /// Default per-statement wall-clock budget for distributed SELECTs
     /// issued through [`Cluster::query`]; [`Cluster::query_with_deadline`]
     /// overrides it per call, so concurrent statements never share (or
@@ -267,7 +278,7 @@ impl Cluster {
             distributions: RwLock::new(FxHashMap::default()),
             dialect: Dialect::Ansi,
             faults,
-            monitor: Monitor::new(),
+            coordinator: Database::untracked(),
             deadline: RwLock::new(None),
         })
     }
@@ -285,7 +296,7 @@ impl Cluster {
 
     /// The coordinator's monitoring store (statement + recovery counters).
     pub fn monitor(&self) -> &Monitor {
-        &self.monitor
+        self.coordinator.monitor()
     }
 
     /// Set (or clear) the *default* per-statement deadline applied by
@@ -441,9 +452,9 @@ impl Cluster {
 
     // ---- distributed query ---------------------------------------------------
 
-    /// Execute a SELECT across the cluster: scatter to live shards in
-    /// parallel, two-phase aggregate, coordinator-side ORDER BY / LIMIT /
-    /// DISTINCT. Uses the cluster's default statement deadline (see
+    /// Execute a SELECT across the cluster: scatter its shard statement to
+    /// live shards in parallel, gather, run its final statement over the
+    /// gathered rows. Uses the cluster's default statement deadline (see
     /// [`Cluster::set_statement_deadline`]).
     pub fn query(&self, sql: &str) -> Result<Vec<Row>> {
         self.query_with_deadline(sql, *self.deadline.read())
@@ -467,63 +478,69 @@ impl Cluster {
     }
 
     fn distributed_select(&self, stmt: &SelectStmt, deadline: Option<Duration>) -> Result<Vec<Row>> {
-        // Decompose aggregates if present.
-        let agg_info = analyze_aggregation(stmt)?;
-        // The statement each shard runs: partial aggregates, no
-        // ORDER BY / LIMIT / OFFSET (applied post-merge).
-        let mut shard_stmt = match &agg_info {
-            Some(info) => info.partial_stmt.clone(),
-            None => stmt.clone(),
-        };
-        // A LIMIT can be pushed as a per-shard top-k (each shard returns
-        // its best offset+limit rows under the same ordering; the
-        // coordinator re-sorts and trims the union).
-        let limit = shard_stmt.limit.take();
-        let offset = shard_stmt.offset.take();
-        if agg_info.is_none() && limit.is_some() {
-            shard_stmt.limit = Some(limit.unwrap_or(0) + offset.unwrap_or(0));
-            // keep shard-side ORDER BY so the top-k is meaningful
-        } else {
-            shard_stmt.order_by.clear();
-        }
-
-        // Scatter to live shards in parallel, surviving shard faults and
-        // node deaths along the way.
-        let partials = self.scatter(&shard_stmt, deadline)?;
-
-        // Merge.
-        let mut merged: Vec<Row> = match &agg_info {
-            Some(info) => merge_partials(partials, info)?,
-            None => partials.into_iter().flatten().collect(),
-        };
-
-        // Coordinator-side DISTINCT (shards already deduped locally).
-        if stmt.distinct {
-            let mut seen = dash_common::fxhash::FxHashSet::default();
-            merged.retain(|r| seen.insert(r.clone()));
-        }
-        // Coordinator-side ORDER BY.
-        if !stmt.order_by.is_empty() {
-            let keys = resolve_order_keys(stmt, &merged)?;
-            merged.sort_by(|a, b| {
-                for &(idx, asc) in &keys {
-                    let ord = a.get(idx).sql_cmp(b.get(idx));
-                    let ord = if asc { ord } else { ord.reverse() };
-                    if ord != std::cmp::Ordering::Equal {
-                        return ord;
-                    }
+        let (shard_stmt, final_stmt) = match analyze_aggregation(stmt)? {
+            Some(pair) => pair,
+            None => {
+                // Shards run the statement itself, minus what only holds
+                // over the union. A LIMIT is pushed as a per-shard top-k:
+                // each shard returns its best offset+limit rows under the
+                // same ordering, and the final statement re-sorts,
+                // de-duplicates and trims their union.
+                let mut shard_stmt = stmt.clone();
+                shard_stmt.offset = None;
+                match stmt.limit {
+                    Some(limit) => shard_stmt.limit = Some(limit + stmt.offset.unwrap_or(0)),
+                    None => shard_stmt.order_by.clear(),
                 }
-                std::cmp::Ordering::Equal
-            });
-        }
-        // LIMIT/OFFSET.
-        let off = stmt.offset.unwrap_or(0) as usize;
-        let merged: Vec<Row> = match stmt.limit {
-            Some(l) => merged.into_iter().skip(off).take(l as usize).collect(),
-            None if off > 0 => merged.into_iter().skip(off).collect(),
-            None => merged,
+                let final_stmt = SelectStmt {
+                    distinct: stmt.distinct,
+                    projection: vec![SelectItem::Wildcard],
+                    from: vec![gathered()],
+                    order_by: stmt.order_by.clone(),
+                    limit: stmt.limit,
+                    offset: stmt.offset,
+                    ..SelectStmt::default()
+                };
+                (shard_stmt, final_stmt)
+            }
         };
-        Ok(merged)
+        // The statement's lifecycle spine: deadline-armed token shared by
+        // every scatter worker, every shard-local operator, the final
+        // statement, and the watchdog that flips it the instant the
+        // deadline fires.
+        let stmt_ctx = StatementContext::with_limits(deadline, None);
+        let _watchdog = Watchdog::arm(&stmt_ctx);
+        let results = self.scatter(&shard_stmt, &stmt_ctx)?;
+        self.run_final(results, &final_stmt, stmt_ctx)
+    }
+
+    /// Load the shard results, in shard-id order, into the scratch table
+    /// of a coordinator session and run the final statement over it, on
+    /// the engine's one statement runner and under the scatter's context.
+    fn run_final(
+        &self,
+        results: Vec<QueryResult>,
+        final_stmt: &SelectStmt,
+        stmt_ctx: StatementContext,
+    ) -> Result<Vec<Row>> {
+        if let Some(FaultAction::Stall(d)) = self.faults.evaluate(GATHER_LOAD) {
+            chunked_sleep(d, &AtomicBool::new(false), &stmt_ctx);
+        }
+        let schema = match results.first() {
+            Some(first) => first.schema.clone(),
+            None => return Err(DashError::internal("scatter returned no shard result")),
+        };
+        let rows: Vec<Row> = results.into_iter().flat_map(|r| r.rows).collect();
+        let mut session = self.coordinator.connect();
+        session.set_dialect(self.dialect);
+        let result = self
+            .coordinator
+            .catalog()
+            .create_table(GATHERED, schema, Some(session.id()))
+            .and_then(|table| table.write().load_rows(rows))
+            .and_then(|_| session.run_query(final_stmt, stmt_ctx));
+        session.close();
+        Ok(result?.rows)
     }
 
     // ---- resilient scatter-gather ---------------------------------------------
@@ -531,7 +548,7 @@ impl Cluster {
     /// Drive `shard_stmt` on every shard across a scoped worker pool,
     /// re-driving lost shards after failover, until every shard has
     /// reported or the statement dies (fatal error, quorum loss, or
-    /// deadline). Returns per-shard partials in shard-id order.
+    /// deadline). Returns per-shard results in shard-id order.
     ///
     /// The statement pins one [`AssignmentEpoch`] at scatter start and
     /// resolves every round's work against that single immutable map, so
@@ -539,17 +556,16 @@ impl Cluster {
     /// assignment versions. The pin only advances deliberately: when
     /// shards are requeued (failover, mid-remove orphan) they re-pin the
     /// newest epoch, while shards already collected keep their results.
-    fn scatter(&self, shard_stmt: &SelectStmt, deadline: Option<Duration>) -> Result<Vec<Vec<Row>>> {
-        // The statement's lifecycle spine: deadline-armed token shared by
-        // every worker, every shard-local operator, and the watchdog that
-        // flips it the instant the deadline fires.
-        let stmt_ctx = StatementContext::with_limits(deadline, None);
-        let _watchdog = Watchdog::arm(&stmt_ctx);
+    fn scatter(
+        &self,
+        shard_stmt: &SelectStmt,
+        stmt_ctx: &StatementContext,
+    ) -> Result<Vec<QueryResult>> {
         let deadline = stmt_ctx.deadline();
         let mut pinned = self.pin_assignment();
-        let mut pin = EpochPin::new(&self.monitor, pinned.epoch);
+        let mut pin = EpochPin::new(self.monitor(), pinned.epoch);
         let mut pending: Vec<ShardId> = self.fs.shards();
-        let mut collected: BTreeMap<ShardId, Vec<Row>> = BTreeMap::new();
+        let mut collected: BTreeMap<ShardId, QueryResult> = BTreeMap::new();
         let mut round = 0usize;
         // Convergence accounting: the first round is free; every extra
         // round must be paid for by an observed node death or an epoch
@@ -590,16 +606,16 @@ impl Cluster {
                     None => orphans.push(*s),
                 }
             }
-            let (outcomes, timed_out) = self.run_round(shard_stmt, &work, deadline, &stmt_ctx)?;
+            let (outcomes, timed_out) = self.run_round(shard_stmt, &work, deadline, stmt_ctx)?;
             // Only the deadline can flip this statement-local token. The
             // watchdog may do so a hair before the round's own timer fires;
             // the shards then report `Cancelled` in time and must not be
             // requeued as if a node had failed.
             if timed_out || stmt_ctx.is_cancelled() {
                 stmt_ctx.cancel();
-                self.monitor.record_deadline_kill();
-                self.monitor.record_statement_cancelled();
-                self.monitor
+                self.monitor().record_deadline_kill();
+                self.monitor().record_statement_cancelled();
+                self.monitor()
                     .note_cancel_latency(stmt_ctx.cancel_latency_max_morsels());
                 return Err(DashError::Cancelled);
             }
@@ -607,8 +623,8 @@ impl Cluster {
             let mut dead: Vec<(NodeId, DashError)> = Vec::new();
             for ((shard, _, _), out) in work.iter().zip(outcomes) {
                 match out {
-                    Some(ShardOutcome::Rows(rows)) => {
-                        collected.insert(*shard, rows);
+                    Some(ShardOutcome::Rows(result)) => {
+                        collected.insert(*shard, result);
                     }
                     Some(ShardOutcome::Fatal(e)) => return Err(e),
                     Some(ShardOutcome::NodeDown(n, cause)) => {
@@ -628,7 +644,7 @@ impl Cluster {
                 match self.declare_dead(n) {
                     Ok(Some(_)) => {
                         deaths += 1;
-                        self.monitor.record_failover();
+                        self.monitor().record_failover();
                     }
                     Ok(None) => deaths += 1,
                     Err(e) => {
@@ -646,7 +662,7 @@ impl Cluster {
             // everything already collected keeps its pinned-epoch rows.
             let fresh = self.pin_assignment();
             if fresh.epoch != pinned.epoch {
-                self.monitor.record_stale_epoch_retries(pending.len() as u64);
+                self.monitor().record_stale_epoch_retries(pending.len() as u64);
                 repins += 1;
                 pinned = fresh;
                 pin.repin(pinned.epoch);
@@ -655,7 +671,7 @@ impl Cluster {
                 // rebalance has happened: heal it with a reconciling
                 // rebalance (the clustered filesystem is ground truth).
                 self.rebalance()?;
-                self.monitor.record_stale_epoch_retries(pending.len() as u64);
+                self.monitor().record_stale_epoch_retries(pending.len() as u64);
                 repins += 1;
                 pinned = self.pin_assignment();
                 pin.repin(pinned.epoch);
@@ -682,7 +698,7 @@ impl Cluster {
     ) -> Result<(Vec<Option<ShardOutcome>>, bool)> {
         let epochs: BTreeSet<u64> = work.iter().map(|&(_, _, e)| e).collect();
         if epochs.len() > 1 {
-            self.monitor.record_torn_epoch_round();
+            self.monitor().record_torn_epoch_round();
         }
         let cancel = AtomicBool::new(false);
         let next = AtomicUsize::new(0);
@@ -764,7 +780,7 @@ impl Cluster {
                 return ShardOutcome::Cancelled;
             }
             if attempt > 0 {
-                self.monitor.record_shard_retry();
+                self.monitor().record_shard_retry();
                 std::thread::sleep(Duration::from_micros(200 * u64::from(attempt)));
             }
             // Simulated node crash: the whole node is gone, not just this
@@ -780,7 +796,7 @@ impl Cluster {
                         )
                     }
                     FaultAction::Stall(d) => {
-                        self.monitor.record_straggler();
+                        self.monitor().record_straggler();
                         if chunked_sleep(d, cancel, stmt_ctx) {
                             return ShardOutcome::Cancelled;
                         }
@@ -797,7 +813,7 @@ impl Cluster {
                     continue;
                 }
                 Some(FaultAction::Stall(d)) => {
-                    self.monitor.record_straggler();
+                    self.monitor().record_straggler();
                     if chunked_sleep(d, cancel, stmt_ctx) {
                         return ShardOutcome::Cancelled;
                     }
@@ -805,7 +821,7 @@ impl Cluster {
                 None => {}
             }
             match self.execute_on_shard(stmt, shard, node, epoch, stmt_ctx) {
-                Ok(rows) => return ShardOutcome::Rows(rows),
+                Ok(result) => return ShardOutcome::Rows(result),
                 Err(e) if is_transient(&e) => last_err = Some(e),
                 Err(e) => return ShardOutcome::Fatal(e),
             }
@@ -817,7 +833,9 @@ impl Cluster {
 
     /// Mount a shard on its node (tagged with the statement's pinned
     /// epoch, so a stale-epoch statement cannot steal the mount from a
-    /// post-rebalance owner) and execute the partial statement.
+    /// post-rebalance owner) and run the shard statement in a session of
+    /// the shard's engine — admitted by its WLM, counted in its monitor —
+    /// under the scatter's shared context.
     fn execute_on_shard(
         &self,
         stmt: &SelectStmt,
@@ -825,18 +843,11 @@ impl Cluster {
         node: NodeId,
         epoch: u64,
         stmt_ctx: &StatementContext,
-    ) -> Result<Vec<Row>> {
+    ) -> Result<QueryResult> {
         let fsd = self.fs.mount_for_epoch(shard, node, epoch)?;
-        let ctx = dash_exec::functions::EvalContext {
-            now_micros: 0,
-            sequences: None,
-            statement: stmt_ctx.clone(),
-            pipeline: dash_exec::pipeline::PipelineConfig::default(),
-        };
-        let plan =
-            dash_sql::planner::plan_select(stmt, fsd.db.catalog().as_ref(), self.dialect, &ctx)?;
-        let (batch, _) = dash_exec::plan::execute(&plan, &ctx)?;
-        Ok(batch.to_rows())
+        let mut session = fsd.db.connect();
+        session.set_dialect(self.dialect);
+        session.run_query(stmt, stmt_ctx.clone())
     }
 
     // ---- HA & elasticity -------------------------------------------------------
@@ -979,125 +990,109 @@ impl Cluster {
             epoch: next_epoch,
             map: Arc::new(next),
         };
-        self.monitor.record_epoch_bump();
+        self.monitor().record_epoch_bump();
         Ok(report)
     }
 }
 
-// ---- two-phase aggregation ---------------------------------------------------
+// ---- shard statement / final statement ---------------------------------------
 
-/// How one original aggregate merges from partials.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) enum MergeOp {
-    /// SUM the partials (COUNT and SUM both merge this way).
-    Sum,
-    /// MIN of partials.
-    Min,
-    /// MAX of partials.
-    Max,
-    /// AVG = SUM(sum partial at `.0`) / SUM(count partial at `.1`).
-    Avg(usize, usize),
+/// The coordinator session's scratch table holding the gathered results.
+const GATHERED: &str = "GATHERED";
+
+fn gathered() -> TableRef {
+    TableRef::Named {
+        name: GATHERED.into(),
+        alias: None,
+    }
 }
 
-pub(crate) struct AggInfo {
-    /// The statement shards run: projected group columns, then partial
-    /// aggregates, then hidden group-by columns not in the projection.
-    pub partial_stmt: SelectStmt,
-    /// Number of leading (projected) group columns in the partial output.
-    pub group_cols: usize,
-    /// Merge op per original output column (group columns are `None`).
-    pub merges: Vec<Option<MergeOp>>,
-    /// All partial ordinals that form the grouping key (projected group
-    /// columns plus hidden trailing ones).
-    pub key_ordinals: Vec<usize>,
+fn call(name: &str, args: Vec<AstExpr>) -> AstExpr {
+    AstExpr::Func {
+        name: name.into(),
+        args,
+        distinct: false,
+        star: false,
+    }
 }
 
-/// Inspect a SELECT: if it aggregates, build the partial statement and the
-/// merge plan. Returns `None` for non-aggregating queries. Errors on
-/// aggregates that do not decompose (MEDIAN, STDDEV, ...) or on expressions
-/// *around* aggregates (supported shape: each projected item is a bare
-/// group column or a bare aggregate call).
-fn analyze_aggregation(stmt: &SelectStmt) -> Result<Option<AggInfo>> {
-    let has_aggs = stmt
-        .projection
-        .iter()
-        .any(|i| matches!(i, SelectItem::Expr { expr, .. } if expr.contains_aggregate()));
-    if !has_aggs && stmt.group_by.is_empty() {
+/// Split an aggregating SELECT into the statement every shard runs and the
+/// final statement the coordinator runs over what they return; `None` for
+/// a query that neither groups nor aggregates.
+///
+/// The **shard statement** is the user's FROM / WHERE grouped on the
+/// user's keys, projecting every key (projected by the user or not) and
+/// then the partial aggregates, as columns `_G0`, `_G1`, …. The **final
+/// statement** is the user's own with FROM replaced by the gathered
+/// relation, every GROUP BY expression replaced by its key column and
+/// every aggregate call by its merge expression over the partial columns
+/// (COUNT and SUM → `SUM`, MIN → `MIN`, MAX → `MAX`, AVG →
+/// `SUM(sum) / SUM(count)` as DOUBLE, NULL when nothing was counted),
+/// grouped on the key columns; HAVING, DISTINCT, ORDER BY, LIMIT and
+/// OFFSET carry over as written.
+///
+/// Errors, before any shard runs, on wildcards and on aggregates that do
+/// not decompose (MEDIAN, STDDEV, DISTINCT aggregates, …).
+fn analyze_aggregation(stmt: &SelectStmt) -> Result<Option<(SelectStmt, SelectStmt)>> {
+    let mut agg_calls: Vec<AstExpr> = Vec::new();
+    for item in &stmt.projection {
+        if let SelectItem::Expr { expr, .. } = item {
+            collect_aggregates(expr, &mut agg_calls);
+        }
+    }
+    if let Some(having) = &stmt.having {
+        collect_aggregates(having, &mut agg_calls);
+    }
+    if agg_calls.is_empty() && stmt.group_by.is_empty() {
         return Ok(None);
     }
-    if stmt.having.is_some() {
-        return Err(DashError::unsupported(
-            "HAVING in distributed aggregation (filter in a subquery instead)",
-        ));
+    for o in &stmt.order_by {
+        collect_aggregates(&o.expr, &mut agg_calls);
     }
-    let mut partial = stmt.clone();
-    partial.projection = Vec::new();
-    partial.order_by.clear();
-    partial.limit = None;
-    partial.offset = None;
-    // Resolve GROUP BY ordinals against the *original* projection now —
-    // the partial projection reorders columns.
-    let mut group_exprs: Vec<AstExpr> = Vec::new();
+    if stmt.projection.iter().any(|i| !matches!(i, SelectItem::Expr { .. })) {
+        return Err(DashError::unsupported("wildcards in distributed aggregation"));
+    }
+
+    // Add a column to the shard statement; the gathered column it becomes.
+    let mut shard_items: Vec<SelectItem> = Vec::new();
+    let mut project = |expr: AstExpr| -> AstExpr {
+        let name = format!("_G{}", shard_items.len());
+        shard_items.push(SelectItem::Expr {
+            expr,
+            alias: Some(name.clone()),
+        });
+        AstExpr::column(&name)
+    };
+    // GROUP BY ordinals name items of the *user's* projection.
+    let mut group_exprs: Vec<AstExpr> = Vec::with_capacity(stmt.group_by.len());
     for g in &stmt.group_by {
-        let resolved = match g {
+        group_exprs.push(match g {
             AstExpr::Lit(Datum::Int(n)) => {
-                let idx = *n as usize;
-                match stmt.projection.get(idx.wrapping_sub(1)) {
+                match stmt.projection.get((*n as usize).wrapping_sub(1)) {
                     Some(SelectItem::Expr { expr, .. }) => expr.clone(),
                     _ => {
                         return Err(DashError::analysis(format!(
-                            "GROUP BY position {idx} is out of range"
+                            "GROUP BY position {n} is out of range"
                         )))
                     }
                 }
             }
             other => other.clone(),
-        };
-        group_exprs.push(resolved);
+        });
     }
-    partial.group_by = group_exprs.clone();
+    let keys: Vec<AstExpr> = group_exprs.iter().map(|g| project(g.clone())).collect();
 
-    let mut merges: Vec<Option<MergeOp>> = Vec::new();
-    let mut group_cols = 0usize;
-    // First pass: group columns keep their position at the front.
-    for item in &stmt.projection {
-        let SelectItem::Expr { expr, alias } = item else {
-            return Err(DashError::unsupported(
-                "wildcards in distributed aggregation",
-            ));
-        };
-        if !expr.contains_aggregate() {
-            partial.projection.push(SelectItem::Expr {
-                expr: expr.clone(),
-                alias: alias.clone(),
-            });
-            merges.push(None);
-            group_cols += 1;
-        } else {
-            merges.push(Some(MergeOp::Sum)); // placeholder, fixed below
-        }
-    }
-    // Second pass: append partial aggregates after the group columns.
-    let mut next_out = group_cols;
-    for (i, item) in stmt.projection.iter().enumerate() {
-        let SelectItem::Expr { expr, .. } = item else {
-            return Err(DashError::internal(
-                "projection item changed shape between aggregation passes",
-            ));
-        };
-        if !expr.contains_aggregate() {
-            continue;
-        }
+    // Aggregate calls first, as the planner's own rewrite orders them.
+    let mut subst: Vec<(AstExpr, AstExpr)> = Vec::with_capacity(agg_calls.len() + keys.len());
+    for agg in &agg_calls {
         let AstExpr::Func {
             name,
             args,
             distinct,
             star,
-        } = expr
+        } = agg
         else {
-            return Err(DashError::unsupported(
-                "expressions around aggregates in distributed queries",
-            ));
+            return Err(DashError::internal("collected aggregate is not a call"));
         };
         if *distinct {
             return Err(DashError::unsupported(
@@ -1110,227 +1105,86 @@ fn analyze_aggregation(stmt: &SelectStmt) -> Result<Option<AggInfo>> {
             AggFunc::from_name(name)
                 .ok_or_else(|| DashError::not_found("aggregate function", name))?
         };
-        let push_partial = |partial: &mut SelectStmt, e: AstExpr| {
-            partial.projection.push(SelectItem::Expr {
-                expr: e,
-                alias: None,
-            });
-        };
-        match func {
+        let merge = match func {
             AggFunc::CountStar | AggFunc::Count | AggFunc::Sum => {
-                push_partial(&mut partial, expr.clone());
-                merges[i] = Some(MergeOp::Sum);
-                next_out += 1;
+                call("SUM", vec![project(agg.clone())])
             }
-            AggFunc::Min => {
-                push_partial(&mut partial, expr.clone());
-                merges[i] = Some(MergeOp::Min);
-                next_out += 1;
-            }
-            AggFunc::Max => {
-                push_partial(&mut partial, expr.clone());
-                merges[i] = Some(MergeOp::Max);
-                next_out += 1;
-            }
+            AggFunc::Min | AggFunc::Max => call(name, vec![project(agg.clone())]),
             AggFunc::Avg => {
-                // AVG(x) → SUM(x), COUNT(x).
-                push_partial(
-                    &mut partial,
-                    AstExpr::Func {
-                        name: "SUM".into(),
-                        args: args.clone(),
-                        distinct: false,
-                        star: false,
-                    },
-                );
-                push_partial(
-                    &mut partial,
-                    AstExpr::Func {
-                        name: "COUNT".into(),
-                        args: args.clone(),
-                        distinct: false,
-                        star: false,
-                    },
-                );
-                merges[i] = Some(MergeOp::Avg(next_out, next_out + 1));
-                next_out += 2;
+                // NULL / 0 is NULL: a group that counted nothing has only
+                // NULL partial sums.
+                let sum = call("SUM", vec![project(call("SUM", args.clone()))]);
+                let count = call("SUM", vec![project(call("COUNT", args.clone()))]);
+                AstExpr::Binary {
+                    op: BinOp::Div,
+                    left: Box::new(AstExpr::Cast {
+                        expr: Box::new(sum),
+                        type_name: "DOUBLE".into(),
+                        type_args: Vec::new(),
+                    }),
+                    right: Box::new(count),
+                }
             }
             other => {
                 return Err(DashError::unsupported(format!(
                     "{other:?} does not decompose for distributed execution"
                 )))
             }
-        }
-    }
-    // Hidden group columns: GROUP BY expressions not already projected.
-    let mut key_ordinals: Vec<usize> = (0..group_cols).collect();
-    for g in &group_exprs {
-        let projected = stmt.projection.iter().any(
-            |p| matches!(p, SelectItem::Expr { expr, .. } if expr == g),
-        );
-        if !projected {
-            partial.projection.push(SelectItem::Expr {
-                expr: g.clone(),
-                alias: None,
-            });
-            key_ordinals.push(next_out);
-            next_out += 1;
-        }
-    }
-    Ok(Some(AggInfo {
-        partial_stmt: partial,
-        group_cols,
-        merges,
-        key_ordinals,
-    }))
-}
-
-fn merge_partials(partials: Vec<Vec<Row>>, info: &AggInfo) -> Result<Vec<Row>> {
-    // Group partial rows by the full grouping key (projected + hidden).
-    let mut groups: FxHashMap<Vec<Datum>, Vec<Row>> = FxHashMap::default();
-    for row in partials.into_iter().flatten() {
-        let key: Vec<Datum> = info
-            .key_ordinals
-            .iter()
-            .map(|&i| row.get(i).clone())
-            .collect();
-        groups.entry(key).or_default().push(row);
-    }
-    let mut out = Vec::with_capacity(groups.len());
-    for rows in groups.into_values() {
-        // Groups are only created by pushing a row, so `rows` is never
-        // empty; keep the invariant an error rather than a panic.
-        let first = rows
-            .first()
-            .ok_or_else(|| DashError::internal("empty partial group during merge"))?;
-        let mut result: Vec<Datum> = Vec::with_capacity(info.merges.len());
-        // The j-th projected group column sits at partial ordinal j.
-        let mut group_pos = 0usize;
-        // Partial column index for each non-group output is encoded in the
-        // merge op ordering: walk them in output order.
-        let mut partial_idx = info.group_cols;
-        for m in &info.merges {
-            match m {
-                None => {
-                    result.push(first.get(group_pos).clone());
-                    group_pos += 1;
-                }
-                Some(MergeOp::Sum) => {
-                    result.push(fold_sum(&rows, partial_idx));
-                    partial_idx += 1;
-                }
-                Some(MergeOp::Min) => {
-                    result.push(fold_minmax(&rows, partial_idx, true));
-                    partial_idx += 1;
-                }
-                Some(MergeOp::Max) => {
-                    result.push(fold_minmax(&rows, partial_idx, false));
-                    partial_idx += 1;
-                }
-                Some(MergeOp::Avg(sum_i, cnt_i)) => {
-                    let sum = fold_sum(&rows, *sum_i);
-                    let cnt = fold_sum(&rows, *cnt_i);
-                    let v = match (sum.as_float(), cnt.as_int()) {
-                        (Some(s), Some(c)) if c > 0 => Datum::Float(s / c as f64),
-                        _ => Datum::Null,
-                    };
-                    result.push(v);
-                    partial_idx += 2;
-                }
-            }
-        }
-        out.push(Row::new(result));
-    }
-    Ok(out)
-}
-
-fn fold_sum(rows: &[Row], idx: usize) -> Datum {
-    let mut int_sum = 0i64;
-    let mut float_sum = 0.0f64;
-    let mut saw_int = false;
-    let mut saw_float = false;
-    for r in rows {
-        match r.get(idx) {
-            Datum::Int(v) => {
-                int_sum += v;
-                saw_int = true;
-            }
-            Datum::Float(f) => {
-                float_sum += f;
-                saw_float = true;
-            }
-            Datum::Null => {}
-            other => {
-                if let Some(f) = other.as_float() {
-                    float_sum += f;
-                    saw_float = true;
-                }
-            }
-        }
-    }
-    if saw_float {
-        Datum::Float(float_sum + int_sum as f64)
-    } else if saw_int {
-        Datum::Int(int_sum)
-    } else {
-        Datum::Null
-    }
-}
-
-fn fold_minmax(rows: &[Row], idx: usize, min: bool) -> Datum {
-    let mut best: Option<Datum> = None;
-    for r in rows {
-        let v = r.get(idx);
-        if v.is_null() {
-            continue;
-        }
-        best = Some(match best {
-            None => v.clone(),
-            Some(b) => {
-                let take = if min {
-                    v.sql_cmp(&b) == std::cmp::Ordering::Less
-                } else {
-                    v.sql_cmp(&b) == std::cmp::Ordering::Greater
-                };
-                if take {
-                    v.clone()
-                } else {
-                    b
-                }
-            }
-        });
-    }
-    best.unwrap_or(Datum::Null)
-}
-
-/// Resolve ORDER BY items to merged-output ordinals (ordinals and
-/// projection positions only — coordinator sorting is positional).
-fn resolve_order_keys(stmt: &SelectStmt, merged: &[Row]) -> Result<Vec<(usize, bool)>> {
-    let width = merged.first().map_or(0, |r| r.len());
-    let mut keys = Vec::new();
-    for item in &stmt.order_by {
-        let idx = match &item.expr {
-            AstExpr::Lit(Datum::Int(n)) => (*n as usize).checked_sub(1),
-            AstExpr::Column { name, .. } => stmt.projection.iter().position(|p| match p {
-                SelectItem::Expr { alias: Some(a), .. } => a.eq_ignore_ascii_case(name),
-                SelectItem::Expr {
-                    expr: AstExpr::Column { name: cn, .. },
-                    ..
-                } => cn.eq_ignore_ascii_case(name),
-                _ => false,
-            }),
-            _ => None,
         };
-        match idx {
-            Some(i) if width == 0 || i < width => keys.push((i, item.asc)),
-            _ => {
-                return Err(DashError::unsupported(
-                    "distributed ORDER BY supports output ordinals and projected columns",
-                ))
-            }
+        subst.push((agg.clone(), merge));
+    }
+    subst.extend(group_exprs.iter().cloned().zip(keys.iter().cloned()));
+    // `SELECT region … GROUP BY sales.region`: the bare name is the key too.
+    for (g, key) in group_exprs.iter().zip(&keys) {
+        if let AstExpr::Column {
+            qualifier: Some(_),
+            name,
+        } = g
+        {
+            subst.push((AstExpr::column(name), key.clone()));
         }
     }
-    Ok(keys)
+
+    let rewrite = |e: &AstExpr| rewrite_post_agg(e, &subst);
+    let final_stmt = SelectStmt {
+        distinct: stmt.distinct,
+        projection: stmt
+            .projection
+            .iter()
+            .map(|item| match item {
+                SelectItem::Expr { expr, alias } => SelectItem::Expr {
+                    expr: rewrite(expr),
+                    alias: alias.clone(),
+                },
+                wildcard => wildcard.clone(),
+            })
+            .collect(),
+        from: vec![gathered()],
+        group_by: keys,
+        having: stmt.having.as_ref().map(rewrite),
+        order_by: stmt
+            .order_by
+            .iter()
+            .map(|o| OrderItem {
+                expr: rewrite(&o.expr),
+                ..o.clone()
+            })
+            .collect(),
+        limit: stmt.limit,
+        offset: stmt.offset,
+        ..SelectStmt::default()
+    };
+    let shard_stmt = SelectStmt {
+        distinct: false,
+        projection: shard_items,
+        group_by: group_exprs,
+        having: None,
+        order_by: Vec::new(),
+        limit: None,
+        offset: None,
+        ..stmt.clone()
+    };
+    Ok(Some((shard_stmt, final_stmt)))
 }
 
 #[cfg(test)]

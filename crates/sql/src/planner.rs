@@ -1182,20 +1182,23 @@ impl Planner<'_> {
             parallelism: self.provider.parallelism(),
         };
 
-        // Rewrite projection/having to reference the aggregate output.
+        // Rewrite projection/having/order to reference the aggregate
+        // output, an aggregate call taking precedence over a group key.
+        let (group_cols, agg_cols) = agg_scope.cols.split_at(group_asts.len());
+        let subst: Vec<(AstExpr, AstExpr)> = agg_calls
+            .iter()
+            .zip(agg_cols)
+            .chain(group_asts.iter().zip(group_cols))
+            .map(|(from, col)| (from.clone(), AstExpr::column(&col.name)))
+            .collect();
         let rewritten_proj: Vec<(AstExpr, Option<String>)> = projection
             .iter()
-            .map(|(e, a)| {
-                (
-                    rewrite_post_agg(e, &group_asts, &agg_calls),
-                    a.clone(),
-                )
-            })
+            .map(|(e, a)| (rewrite_post_agg(e, &subst), a.clone()))
             .collect();
-        let rewritten_having = having.map(|h| rewrite_post_agg(h, &group_asts, &agg_calls));
+        let rewritten_having = having.map(|h| rewrite_post_agg(h, &subst));
         let rewritten_order = order_by
             .iter()
-            .map(|o| rewrite_post_agg(o, &group_asts, &agg_calls))
+            .map(|o| rewrite_post_agg(o, &subst))
             .collect();
         Ok((plan, agg_scope, rewritten_proj, rewritten_having, rewritten_order))
     }
@@ -1450,23 +1453,21 @@ impl Planner<'_> {
                     None => None,
                 };
                 let mut lowered = Vec::with_capacity(branches.len());
-                let mut result_dt = None;
-                for (w, t) in branches {
-                    let (we, _) = self.lower(w, scope)?;
-                    let (te, tdt) = self.lower(t, scope)?;
-                    if result_dt.is_none() && !matches!(t, AstExpr::Lit(Datum::Null)) {
-                        result_dt = Some(tdt);
+                // The result is the common supertype of every THEN and the
+                // ELSE; a NULL literal constrains nothing.
+                let mut result_types = Vec::with_capacity(branches.len() + 1);
+                let mut lower_result = |p: &mut Self, r: &AstExpr| -> Result<Expr> {
+                    let (e, dt) = p.lower(r, scope)?;
+                    if !matches!(r, AstExpr::Lit(Datum::Null)) {
+                        result_types.push(dt);
                     }
-                    lowered.push((we, te));
+                    Ok(e)
+                };
+                for (w, t) in branches {
+                    lowered.push((self.lower(w, scope)?.0, lower_result(self, t)?));
                 }
                 let otherwise = match otherwise {
-                    Some(o) => {
-                        let (oe, odt) = self.lower(o, scope)?;
-                        if result_dt.is_none() {
-                            result_dt = Some(odt);
-                        }
-                        Some(Box::new(oe))
-                    }
+                    Some(o) => Some(Box::new(lower_result(self, o)?)),
                     None => None,
                 };
                 Ok((
@@ -1475,7 +1476,10 @@ impl Planner<'_> {
                         branches: lowered,
                         otherwise,
                     },
-                    result_dt.unwrap_or(DataType::Utf8),
+                    result_types
+                        .into_iter()
+                        .reduce(union_supertype)
+                        .unwrap_or(DataType::Utf8),
                 ))
             }
             AstExpr::NextVal(seq) => Ok((Expr::SeqNext(seq.clone()), DataType::Int64)),
@@ -1555,14 +1559,31 @@ impl Planner<'_> {
 
 // ---- helpers ---------------------------------------------------------------
 
-/// The common supertype two UNION arms promote to.
+/// The common supertype two UNION arms — or the values a `CASE` or a
+/// `COALESCE` chooses between — promote to. A decimal stays exact beside
+/// an integer or another decimal: the larger scale, and the integer
+/// digits of whichever side needs more.
 fn union_supertype(l: DataType, r: DataType) -> DataType {
+    // (integer digits, scale) of an exact numeric type.
+    fn exact_digits(t: DataType) -> Option<(u8, u8)> {
+        match t {
+            DataType::Int16 => Some((5, 0)),
+            DataType::Int32 => Some((10, 0)),
+            DataType::Int64 => Some((19, 0)),
+            DataType::Decimal(p, s) => Some((p.saturating_sub(s), s)),
+            _ => None,
+        }
+    }
     if l == r {
         return l;
     }
     if l.is_numeric() && r.is_numeric() {
         if l.is_integer() && r.is_integer() {
             return DataType::Int64;
+        }
+        if let (Some((li, ls)), Some((ri, rs))) = (exact_digits(l), exact_digits(r)) {
+            let scale = ls.max(rs);
+            return DataType::Decimal((li.max(ri) + scale).min(38), scale);
         }
         return DataType::Float64;
     }
@@ -1751,7 +1772,8 @@ fn block_references_rownum(stmt: &SelectStmt) -> bool {
     })
 }
 
-fn collect_aggregates(e: &AstExpr, out: &mut Vec<AstExpr>) {
+/// Append every aggregate call in `e` that `out` does not hold yet.
+pub fn collect_aggregates(e: &AstExpr, out: &mut Vec<AstExpr>) {
     match e {
         AstExpr::Func { name, args, star, .. } => {
             if *star || AggFunc::from_name(name).is_some() {
@@ -1810,38 +1832,23 @@ fn collect_aggregates(e: &AstExpr, out: &mut Vec<AstExpr>) {
     }
 }
 
-/// Rewrite an expression after aggregation: group-by expressions become
-/// references to the group columns, aggregate calls become references to
-/// the aggregate columns.
-fn rewrite_post_agg(e: &AstExpr, groups: &[AstExpr], aggs: &[AstExpr]) -> AstExpr {
-    if let Some(i) = aggs.iter().position(|a| a == e) {
-        return AstExpr::Column {
-            qualifier: None,
-            name: format!("_AGG{i}"),
-        };
-    }
-    if let Some(i) = groups.iter().position(|g| g == e) {
-        return match e {
-            AstExpr::Column { name, .. } => AstExpr::Column {
-                qualifier: None,
-                name: name.clone(),
-            },
-            _ => AstExpr::Column {
-                qualifier: None,
-                name: format!("_GROUP{i}"),
-            },
-        };
+/// Rewrite an expression after aggregation: wherever a `from` expression
+/// of `subst` occurs (the aggregate calls and GROUP BY expressions, first
+/// match wins), put its `to` — a reference to the column that now holds it.
+pub fn rewrite_post_agg(e: &AstExpr, subst: &[(AstExpr, AstExpr)]) -> AstExpr {
+    if let Some((_, to)) = subst.iter().find(|(from, _)| from == e) {
+        return to.clone();
     }
     match e {
         AstExpr::Binary { op, left, right } => AstExpr::Binary {
             op: *op,
-            left: Box::new(rewrite_post_agg(left, groups, aggs)),
-            right: Box::new(rewrite_post_agg(right, groups, aggs)),
+            left: Box::new(rewrite_post_agg(left, subst)),
+            right: Box::new(rewrite_post_agg(right, subst)),
         },
-        AstExpr::Neg(i) => AstExpr::Neg(Box::new(rewrite_post_agg(i, groups, aggs))),
-        AstExpr::Not(i) => AstExpr::Not(Box::new(rewrite_post_agg(i, groups, aggs))),
+        AstExpr::Neg(i) => AstExpr::Neg(Box::new(rewrite_post_agg(i, subst))),
+        AstExpr::Not(i) => AstExpr::Not(Box::new(rewrite_post_agg(i, subst))),
         AstExpr::IsNull { expr, negated } => AstExpr::IsNull {
-            expr: Box::new(rewrite_post_agg(expr, groups, aggs)),
+            expr: Box::new(rewrite_post_agg(expr, subst)),
             negated: *negated,
         },
         AstExpr::Between {
@@ -1850,9 +1857,9 @@ fn rewrite_post_agg(e: &AstExpr, groups: &[AstExpr], aggs: &[AstExpr]) -> AstExp
             high,
             negated,
         } => AstExpr::Between {
-            expr: Box::new(rewrite_post_agg(expr, groups, aggs)),
-            low: Box::new(rewrite_post_agg(low, groups, aggs)),
-            high: Box::new(rewrite_post_agg(high, groups, aggs)),
+            expr: Box::new(rewrite_post_agg(expr, subst)),
+            low: Box::new(rewrite_post_agg(low, subst)),
+            high: Box::new(rewrite_post_agg(high, subst)),
             negated: *negated,
         },
         AstExpr::InList {
@@ -1860,10 +1867,10 @@ fn rewrite_post_agg(e: &AstExpr, groups: &[AstExpr], aggs: &[AstExpr]) -> AstExp
             list,
             negated,
         } => AstExpr::InList {
-            expr: Box::new(rewrite_post_agg(expr, groups, aggs)),
+            expr: Box::new(rewrite_post_agg(expr, subst)),
             list: list
                 .iter()
-                .map(|l| rewrite_post_agg(l, groups, aggs))
+                .map(|l| rewrite_post_agg(l, subst))
                 .collect(),
             negated: *negated,
         },
@@ -1872,7 +1879,7 @@ fn rewrite_post_agg(e: &AstExpr, groups: &[AstExpr], aggs: &[AstExpr]) -> AstExp
             type_name,
             type_args,
         } => AstExpr::Cast {
-            expr: Box::new(rewrite_post_agg(expr, groups, aggs)),
+            expr: Box::new(rewrite_post_agg(expr, subst)),
             type_name: type_name.clone(),
             type_args: type_args.clone(),
         },
@@ -1885,7 +1892,7 @@ fn rewrite_post_agg(e: &AstExpr, groups: &[AstExpr], aggs: &[AstExpr]) -> AstExp
             name: name.clone(),
             args: args
                 .iter()
-                .map(|a| rewrite_post_agg(a, groups, aggs))
+                .map(|a| rewrite_post_agg(a, subst))
                 .collect(),
             distinct: *distinct,
             star: *star,
@@ -1897,19 +1904,19 @@ fn rewrite_post_agg(e: &AstExpr, groups: &[AstExpr], aggs: &[AstExpr]) -> AstExp
         } => AstExpr::Case {
             operand: operand
                 .as_ref()
-                .map(|o| Box::new(rewrite_post_agg(o, groups, aggs))),
+                .map(|o| Box::new(rewrite_post_agg(o, subst))),
             branches: branches
                 .iter()
                 .map(|(w, t)| {
                     (
-                        rewrite_post_agg(w, groups, aggs),
-                        rewrite_post_agg(t, groups, aggs),
+                        rewrite_post_agg(w, subst),
+                        rewrite_post_agg(t, subst),
                     )
                 })
                 .collect(),
             otherwise: otherwise
                 .as_ref()
-                .map(|o| Box::new(rewrite_post_agg(o, groups, aggs))),
+                .map(|o| Box::new(rewrite_post_agg(o, subst))),
         },
         other => other.clone(),
     }

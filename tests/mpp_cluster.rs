@@ -1,11 +1,16 @@
 //! Cross-crate integration: the MPP layer against a single-node oracle,
 //! plus failover/elasticity under a running workload.
 
+use dashdb_local::common::dialect::Dialect;
 use dashdb_local::common::ids::NodeId;
 use dashdb_local::common::types::DataType;
 use dashdb_local::common::{row, Datum, Field, Row, Schema};
-use dashdb_local::core::{Database, HardwareSpec};
+use dashdb_local::core::{Database, HardwareSpec, Session};
 use dashdb_local::mpp::{Cluster, Distribution};
+
+#[path = "common/gen.rs"]
+mod gen;
+use gen::{suite_seed, Gen};
 
 fn fact_schema() -> Schema {
     Schema::new(vec![
@@ -22,38 +27,337 @@ fn fact_rows(n: usize) -> Vec<Row> {
         .collect()
 }
 
-/// Run the same queries on the cluster and a single-node engine; results
-/// must match (the distributed plan is semantically invisible).
+/// One table on a cluster and the same rows on a single-node engine: the
+/// oracle every differential statement below is checked against.
+struct Pair {
+    cluster: Cluster,
+    single: Session,
+}
+
+impl Pair {
+    fn new(nodes: usize, shards_per_node: usize) -> Pair {
+        let mut cluster = Cluster::new(nodes, shards_per_node, HardwareSpec::laptop()).unwrap();
+        // LIMIT / OFFSET are Netezza and PostgreSQL syntax.
+        cluster.set_dialect(Dialect::Netezza);
+        let mut single = Database::with_hardware(HardwareSpec::laptop()).connect();
+        single.set_dialect(Dialect::Netezza);
+        Pair { cluster, single }
+    }
+
+    fn table(&self, name: &str, schema: Schema, rows: Vec<Row>) {
+        self.cluster
+            .create_table(name, schema.clone(), Distribution::Hash("id".into()))
+            .unwrap();
+        self.cluster.load_rows(name, rows.clone()).unwrap();
+        let db = self.single.database();
+        let handle = db.catalog().create_table(name, schema, None).unwrap();
+        handle.write().load_rows(rows).unwrap();
+    }
+
+    /// The distributed plan is semantically invisible: the same multiset
+    /// of rows, and the same sequence when the ORDER BY is total.
+    fn check(&mut self, sql: &str, total_order: bool) {
+        let a = canonical(&self.cluster.query(sql).unwrap_or_else(|e| panic!("cluster: {sql}: {e}")));
+        let b = canonical(&self.single.query(sql).unwrap_or_else(|e| panic!("single: {sql}: {e}")));
+        if total_order {
+            assert_eq!(a, b, "cluster and single node differ on: {sql}");
+        } else {
+            assert_eq!(sorted(a), sorted(b), "cluster and single node differ on: {sql}");
+        }
+    }
+}
+
+fn sorted(mut v: Vec<String>) -> Vec<String> {
+    v.sort();
+    v
+}
+
+/// Rows as comparable text. `Row`'s own `==` goes through `sql_cmp`, where
+/// a NaN equals every number; here a NaN equals a NaN, the two zeros are
+/// one value, and a float is compared to ten significant digits (partial
+/// sums associate differently across shards).
+fn canonical(rows: &[Row]) -> Vec<String> {
+    rows.iter()
+        .map(|r| {
+            let cells: Vec<String> = r
+                .values()
+                .iter()
+                .map(|d| match d {
+                    Datum::Float(f) if f.is_nan() => "NaN".to_string(),
+                    Datum::Float(f) if *f == 0.0 => "0e0".to_string(),
+                    Datum::Float(f) => format!("{f:.9e}"),
+                    other => format!("{other:?}"),
+                })
+                .collect();
+            cells.join(" | ")
+        })
+        .collect()
+}
+
+/// The statements every shape runs over `f`, hand-written: the plain
+/// shapes, then the three the coordinator used to reject — HAVING, an
+/// expression around aggregates, ORDER BY on an expression with NULLS
+/// FIRST — and a hidden group key.
+const FIXED: [(&str, bool); 11] = [
+    ("SELECT COUNT(*) FROM f", true),
+    ("SELECT grp, COUNT(*), SUM(v), AVG(v), MIN(id), MAX(id) FROM f GROUP BY grp ORDER BY grp", true),
+    ("SELECT id FROM f WHERE id BETWEEN 700 AND 720 ORDER BY 1", true),
+    ("SELECT COUNT(*) FROM f WHERE v >= 20.0", true),
+    ("SELECT id FROM f ORDER BY 1 DESC LIMIT 7", true),
+    ("SELECT DISTINCT grp FROM f ORDER BY grp", true),
+    ("SELECT grp, SUM(v) FROM f GROUP BY grp HAVING SUM(v) > 78000 AND COUNT(*) > 1 ORDER BY 2 DESC", true),
+    ("SELECT grp, SUM(v) / COUNT(*), MAX(v) - MIN(v) FROM f GROUP BY grp", false),
+    ("SELECT grp, MAX(id) FROM f GROUP BY grp ORDER BY NULLIF(MAX(id) % 5, 4) DESC NULLS FIRST, grp LIMIT 3 OFFSET 1", true),
+    ("SELECT COUNT(*), MIN(v) FROM f GROUP BY grp, id % 3", false),
+    ("SELECT f.grp, COUNT(*) FROM f GROUP BY f.grp ORDER BY COUNT(*) + 0, 1", true),
+];
+
+// ---- generated statements -----------------------------------------------------
+
+fn gen_schema() -> Schema {
+    Schema::new(vec![
+        Field::not_null("id", DataType::Int64),
+        Field::new("ks", DataType::Utf8),
+        Field::new("ki", DataType::Int64),
+        Field::new("kf", DataType::Float64),
+        Field::new("mi", DataType::Int64),
+        Field::new("mx", DataType::Int64),
+        Field::new("mf", DataType::Float64),
+        Field::new("md", DataType::Decimal(12, 2)),
+        Field::new("ms", DataType::Utf8),
+    ])
+    .unwrap()
+}
+
+/// Keys (`k*`) come from small pools seeded with the boundary values so
+/// groups repeat, on one shard and across shards. Summed measures are
+/// small, and the floats multiples of 0.25: every sum is exact in any
+/// order. `mx` holds the `i64` extremes and is only ever counted or
+/// MIN/MAX-ed (a sum over it overflows or not depending on order, on one
+/// node as much as on twelve).
+fn gen_rows(g: &mut Gen, n: usize) -> Vec<Row> {
+    (0..n)
+        .map(|id| {
+            let ks = g.pick(&[Datum::Null, Datum::str("a"), Datum::str("b"), Datum::str(""), Datum::str("zz")]);
+            let ki = g.pick(&[Datum::Null, Datum::Int(i64::MIN), Datum::Int(i64::MAX), Datum::Int(0), Datum::Int(-1), Datum::Int(7)]);
+            let kf = g.pick(&[
+                Datum::Null,
+                Datum::Float(0.0),
+                Datum::Float(-0.0),
+                Datum::Float(f64::NAN),
+                Datum::Float(f64::INFINITY),
+                Datum::Float(-2.5),
+            ]);
+            let null_or = |g: &mut Gen, d: Datum| if g.below(100) < 12 { Datum::Null } else { d };
+            let mi = Datum::Int(g.below(2001) as i64 - 1000);
+            let mx = g.pick(&[Datum::Int(i64::MIN), Datum::Int(i64::MAX), Datum::Int(3), Datum::Int(-3)]);
+            let mf = Datum::Float((g.below(801) as f64 - 400.0) * 0.25);
+            let md = Datum::Decimal(g.below(200_001) as i128 - 100_000, 2);
+            let ms = Datum::str(format!("s{}", g.below(50)));
+            Row::new(vec![
+                Datum::Int(id as i64),
+                ks,
+                ki,
+                kf,
+                null_or(g, mi),
+                null_or(g, mx),
+                null_or(g, mf),
+                null_or(g, md),
+                null_or(g, ms),
+            ])
+        })
+        .collect()
+}
+
+/// One generated aggregating statement over `table`, and whether its
+/// ORDER BY orders its rows totally.
+///
+/// {global, one-key, two-key, hidden-key GROUP BY} x {COUNT(*), COUNT,
+/// SUM, MIN, MAX, AVG, expressions around them} x {HAVING} x {DISTINCT} x
+/// {ORDER BY ordinal / column / expression, ASC / DESC, NULLS FIRST /
+/// LAST} x {LIMIT, OFFSET}. LIMIT and OFFSET only ride on a total order:
+/// under a partial one, which rows they cut is anybody's choice.
+fn gen_statement(g: &mut Gen, table: &str) -> (String, bool) {
+    // A group key, and an expression over it to sort by.
+    const KEYS: [(&str, &str); 5] = [
+        ("ks", "ks || 'x'"),
+        ("ki", "ki"),
+        ("kf", "kf * 1"),
+        ("mi % 4", "mi % 4 + 1"),
+        ("COALESCE(ks, ms)", "COALESCE(ks, ms)"),
+    ];
+    const AGGS: [&str; 18] = [
+        "COUNT(*)",
+        "COUNT(kf)",
+        "COUNT(ms)",
+        "SUM(mi)",
+        "SUM(mf)",
+        "SUM(md)",
+        "MIN(mx)",
+        "MAX(mx)",
+        "MIN(mf)",
+        "MAX(ms)",
+        "MIN(md)",
+        "AVG(mi)",
+        "AVG(mf)",
+        "SUM(mi) / COUNT(*)",
+        "MAX(mf) - MIN(mf)",
+        "SUM(mf) * 2 + COUNT(mi)",
+        "CASE WHEN COUNT(*) > 3 THEN MAX(mi) ELSE MIN(mi) END",
+        "COALESCE(SUM(md), 0) + COUNT(*)",
+    ];
+    const HAVING: [&str; 4] = ["COUNT(*) > 2", "SUM(mi) IS NOT NULL", "MAX(mf) >= 1.0 OR MIN(mx) < 0", "AVG(mf) < 50"];
+    const DIRECTIONS: [&str; 6] = ["", " ASC", " DESC", " NULLS FIRST", " DESC NULLS FIRST", " ASC NULLS LAST"];
+
+    let mode = g.below(4); // global, one key, two keys, one hidden key
+    let mut keys: Vec<(&str, &str)> = Vec::new();
+    for _ in 0..[0, 1, 2, 1][mode] {
+        let k = g.pick(&KEYS);
+        if !keys.contains(&k) {
+            keys.push(k);
+        }
+    }
+    let mut items: Vec<String> = match mode {
+        3 => Vec::new(),
+        _ => keys.iter().map(|(k, _)| k.to_string()).collect(),
+    };
+    for a in 0..1 + g.below(3) {
+        items.push(format!("{} AS a{a}", g.pick(&AGGS)));
+    }
+    let distinct = g.below(100) < 20;
+    let mut sql = format!("SELECT {}{} FROM {table}", if distinct { "DISTINCT " } else { "" }, items.join(", "));
+    if !keys.is_empty() {
+        let by: Vec<&str> = keys.iter().map(|(k, _)| *k).collect();
+        sql.push_str(&format!(" GROUP BY {}", by.join(", ")));
+    }
+    if g.below(100) < 35 {
+        sql.push_str(&format!(" HAVING {}", g.pick(&HAVING)));
+    }
+    // A leading sort key of each kind; under DISTINCT it must be a
+    // select-list item, so only the first two kinds apply.
+    let mut order: Vec<String> = Vec::new();
+    if g.below(100) < 80 {
+        let key = match g.below(if distinct { 2 } else { 4 }) {
+            0 => (1 + g.below(items.len())).to_string(),
+            1 => "a0".to_string(),
+            2 => g.pick(&["COUNT(*) * 2", "MAX(mf) - MIN(mf)", "SUM(mi) + 1", "-MIN(md)"]).to_string(),
+            _ => keys.first().map_or("COUNT(mx)", |(_, by)| by).to_string(),
+        };
+        order.push(key + g.pick(&DIRECTIONS));
+    }
+    // Then, more often than not, enough keys to make the order total:
+    // every output column of a DISTINCT, else every group key (projected
+    // or hidden). A global aggregate's one row is always in order.
+    let total_order = keys.is_empty() || g.below(100) < 60;
+    if total_order && distinct {
+        order.extend((1..=items.len()).map(|i| format!("{i}{}", g.pick(&DIRECTIONS))));
+    } else if total_order {
+        order.extend(keys.iter().map(|(k, _)| format!("{k}{}", g.pick(&DIRECTIONS))));
+    }
+    if !order.is_empty() {
+        sql.push_str(&format!(" ORDER BY {}", order.join(", ")));
+    }
+    if total_order && g.below(100) < 50 {
+        match g.below(3) {
+            0 => sql.push_str(&format!(" LIMIT {}", 1 + g.below(6))),
+            1 => sql.push_str(&format!(" OFFSET {}", g.below(4))),
+            _ => sql.push_str(&format!(" LIMIT {} OFFSET {}", 1 + g.below(6), g.below(4))),
+        }
+    }
+    (sql, total_order)
+}
+
+/// The generated cluster-vs-single-node differential suite. Three cluster
+/// shapes — one shard, the default 3x4, Figure 9's 4x6 — each against one
+/// single-node engine holding the same rows: a 1500-row table of
+/// boundary values, an empty one, and one with fewer rows than shards.
 #[test]
 fn cluster_matches_single_node() {
-    let n = 20_000;
-    let cluster = Cluster::new(3, 4, HardwareSpec::laptop()).unwrap();
-    cluster
-        .create_table("f", fact_schema(), Distribution::Hash("id".into()))
-        .unwrap();
-    cluster.load_rows("f", fact_rows(n)).unwrap();
-
-    let db = Database::with_hardware(HardwareSpec::laptop());
-    let handle = db.catalog().create_table("f", fact_schema(), None).unwrap();
-    handle.write().load_rows(fact_rows(n)).unwrap();
-    let mut single = db.connect();
-
-    for sql in [
-        "SELECT COUNT(*) FROM f",
-        "SELECT grp, COUNT(*), SUM(v), AVG(v), MIN(id), MAX(id) FROM f GROUP BY grp ORDER BY grp",
-        "SELECT id FROM f WHERE id BETWEEN 700 AND 720 ORDER BY 1",
-        "SELECT COUNT(*) FROM f WHERE v >= 20.0",
-        "SELECT id FROM f ORDER BY 1 DESC FETCH FIRST 7 ROWS ONLY",
-        "SELECT DISTINCT grp FROM f ORDER BY grp",
-    ] {
-        let mut a = cluster.query(sql).unwrap();
-        let mut b = single.query(sql).unwrap();
-        // Unordered queries: compare as sets.
-        if !sql.contains("ORDER BY") {
-            a.sort();
-            b.sort();
+    for (nodes, shards_per_node) in [(1, 1), (3, 4), (4, 6)] {
+        let mut g = Gen(suite_seed() ^ (nodes * 100 + shards_per_node) as u64);
+        let mut pair = Pair::new(nodes, shards_per_node);
+        pair.table("f", fact_schema(), fact_rows(20_000));
+        pair.table("g", gen_schema(), gen_rows(&mut g, 1500));
+        pair.table("empty", gen_schema(), Vec::new());
+        pair.table("tiny", gen_schema(), gen_rows(&mut g, 3));
+        for (sql, total_order) in FIXED {
+            pair.check(sql, total_order);
         }
-        assert_eq!(a, b, "cluster and single node differ on: {sql}");
+        for (table, statements) in [("g", 90), ("empty", 25), ("tiny", 25)] {
+            for _ in 0..statements {
+                let (sql, total_order) = gen_statement(&mut g, table);
+                pair.check(&sql, total_order);
+            }
+        }
+    }
+}
+
+/// A SUM whose shard partials each fit an `i64` but whose total does not
+/// fails with the engine's own classified overflow error — the merge is
+/// the engine's SUM, not a second one that wrapped in release builds.
+#[test]
+fn cross_shard_sum_overflow_is_the_engines_classified_error() {
+    let mut pair = Pair::new(3, 4);
+    let schema = Schema::new(vec![
+        Field::not_null("id", DataType::Int64),
+        Field::new("x", DataType::Int64),
+    ])
+    .unwrap();
+    // Any three fit, all four do not.
+    pair.table("big", schema, (0..4).map(|i| row![i as i64, i64::MAX / 3]).collect());
+    let shards = pair.cluster.filesystem().shards();
+    let per_shard: Vec<i64> = shards
+        .iter()
+        .map(|s| {
+            let db = pair.cluster.filesystem().mount(*s).unwrap().db;
+            db.connect().query("SELECT COUNT(*) FROM big").unwrap()[0].get(0).as_int().unwrap()
+        })
+        .collect();
+    assert!(per_shard.iter().all(|&n| n < 4), "the rows must span shards: {per_shard:?}");
+    for sql in ["SELECT SUM(x) FROM big", "SELECT id % 1, SUM(x) + 0 FROM big GROUP BY id % 1"] {
+        let want = pair.single.query(sql).unwrap_err();
+        let got = pair.cluster.query(sql).unwrap_err();
+        assert_eq!(got.class(), "22000", "{sql}: {got}");
+        assert_eq!(got, want, "{sql}");
+        assert!(got.to_string().contains("overflow"), "{sql}: {got}");
+    }
+    // Three of them still sum.
+    pair.check("SELECT SUM(x) FROM big WHERE id < 3", true);
+}
+
+/// Aggregates that do not decompose into per-shard partials, and a
+/// wildcard beside an aggregate, are refused with a clean `unsupported`
+/// error before any shard is asked to run anything.
+#[test]
+fn non_decomposable_aggregates_are_refused_before_any_shard_runs() {
+    let pair = Pair::new(2, 2);
+    pair.table("f", fact_schema(), fact_rows(400));
+    for agg in [
+        "MEDIAN(v)",
+        "STDDEV(v)",
+        "STDDEV_SAMP(v)",
+        "VARIANCE(v)",
+        "VAR_SAMP(v)",
+        "COVAR_POP(v, id)",
+        "COVAR_SAMP(v, id)",
+        "COUNT(DISTINCT grp)",
+        "SUM(DISTINCT v)",
+        "SUM(v) + MEDIAN(v)",
+    ] {
+        for sql in [
+            format!("SELECT {agg} FROM f"),
+            format!("SELECT grp, {agg} FROM f GROUP BY grp ORDER BY 1"),
+            format!("SELECT grp FROM f GROUP BY grp HAVING {agg} > 0"),
+        ] {
+            let err = pair.cluster.query(&sql).unwrap_err();
+            assert_eq!(err.class(), "0A000", "{sql}: {err}");
+        }
+    }
+    let err = pair.cluster.query("SELECT *, COUNT(*) FROM f GROUP BY id, grp, v").unwrap_err();
+    assert_eq!(err.class(), "0A000", "{err}");
+    for shard in pair.cluster.filesystem().shards() {
+        let db = pair.cluster.filesystem().mount(shard).unwrap().db;
+        assert_eq!(db.wlm().snapshot().4, 0, "{shard} admitted a statement");
     }
 }
 

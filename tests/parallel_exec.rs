@@ -7,8 +7,11 @@
 //! so even float sums associate identically). Correctness itself is
 //! checked against the naive evaluator in `common/reference.rs`.
 
+#[path = "common/gen.rs"]
+mod gen;
 #[path = "common/reference.rs"]
 mod reference;
+use gen::{suite_seed, Gen};
 
 use dashdb_local::common::dialect::Dialect;
 use dashdb_local::common::types::DataType;
@@ -759,6 +762,70 @@ fn sql_order_by_identical_across_worker_counts() {
     db.catalog().set_sort_run_rows(DEFAULT_SORT_RUN_ROWS);
 }
 
+/// A NaN used to compare Equal to every number, which is no order at all:
+/// where the NaNs landed depended on the run boundaries, so the serial and
+/// the parallel sort disagreed (and `sort_by` may panic on such a
+/// comparator). Now NaNs tie only with each other and sort above `+inf`;
+/// the same rows come back at every width and run size.
+#[test]
+fn order_by_over_nans_is_a_total_order() {
+    let db = Database::with_hardware(HardwareSpec::laptop());
+    let mut s = db.connect();
+    s.execute("CREATE TABLE t (id INT, f DOUBLE)").unwrap();
+    let n = 3 * SMALL_RUN;
+    let values: Vec<String> = (0..n)
+        .map(|i| match i % 11 {
+            0 | 6 => format!("({i}, 'NaN')"),
+            1 => format!("({i}, NULL)"),
+            2 => format!("({i}, 'inf')"),
+            3 => format!("({i}, '-inf')"),
+            4 => format!("({i}, -0.0)"),
+            5 => format!("({i}, 0.0)"),
+            k => format!("({i}, {}.25)", (i * 7 + k) % 500),
+        })
+        .collect();
+    s.execute(&format!("INSERT INTO t VALUES {}", values.join(","))).unwrap();
+    // `Row`'s own `==` goes through `sql_cmp`, where a NaN equals anything.
+    let render = |rows: &[Row]| -> Vec<String> { rows.iter().map(|r| format!("{r:?}")).collect() };
+    for sql in [
+        "SELECT f, id FROM t ORDER BY f",
+        "SELECT f, id FROM t ORDER BY f DESC NULLS FIRST",
+        "SELECT f, id FROM t ORDER BY f + 0",
+        "SELECT f, id FROM t ORDER BY f + 0 DESC, id DESC",
+    ] {
+        db.catalog().set_parallelism(1);
+        db.catalog().set_sort_run_rows(DEFAULT_SORT_RUN_ROWS);
+        let serial = s.query(sql).unwrap();
+        assert_eq!(serial.len(), n);
+        // Rank of each value class in ascending order, NULLs last.
+        let class = |r: &Row| match r.get(0) {
+            Datum::Null => 4,
+            Datum::Float(f) if f.is_nan() => 3,
+            Datum::Float(f) if *f == f64::INFINITY => 2,
+            Datum::Float(f) if *f == f64::NEG_INFINITY => 0,
+            _ => 1,
+        };
+        let classes: Vec<i32> = serial.iter().map(class).collect();
+        let mut want = classes.clone();
+        if sql.contains("DESC NULLS FIRST") {
+            want.sort_by_key(|c| if *c == 4 { -1 } else { 3 - c });
+        } else if sql.contains("DESC") {
+            want.sort_by_key(|c| if *c == 4 { 4 } else { 3 - c });
+        } else {
+            want.sort();
+        }
+        assert_eq!(classes, want, "{sql}: NaNs sit between +inf and the NULLs");
+        for run_rows in [SMALL_RUN, 1000] {
+            db.catalog().set_sort_run_rows(run_rows);
+            for par in [1usize, 4, 8] {
+                db.catalog().set_parallelism(par);
+                let out = s.query(sql).unwrap();
+                assert_eq!(render(&out), render(&serial), "{sql} at parallelism {par}, {run_rows}-row runs");
+            }
+        }
+    }
+}
+
 // ---------------------------------------------------------------------------
 // K-way merge proptest
 // ---------------------------------------------------------------------------
@@ -1063,32 +1130,6 @@ fn sql_pipeline_monitor_counters_and_explain() {
 
 use dashdb_local::exec::expr::ArithOp;
 use dashdb_local::storage::table::STRIDE;
-
-/// SplitMix64: the generated suite's only source of randomness.
-struct Gen(u64);
-
-impl Gen {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    fn below(&mut self, n: usize) -> usize {
-        (self.next() % n as u64) as usize
-    }
-
-    fn pick<T: Clone>(&mut self, of: &[T]) -> T {
-        of[self.below(of.len())].clone()
-    }
-}
-
-/// The suite's seed: the CI matrix variable when set.
-fn suite_seed() -> u64 {
-    std::env::var("DASH_FAULT_SEED").ok().and_then(|s| s.parse().ok()).unwrap_or(20_170_419)
-}
 
 // Columns of the generated table: five key columns (int, float, decimal,
 // date, string) and four measures (int, float, decimal, all-NULL int).

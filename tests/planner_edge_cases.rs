@@ -460,11 +460,11 @@ fn coalesce_family_is_typed_by_every_value_argument() {
             &["[Float(0.0), Int(1)]", "[Float(0.25), Int(1)]", "[Float(0.5), Int(1)]", "[Float(3.0), Int(1)]"],
         ),
         ("SELECT SUM(NVL(i, f)), MAX(GREATEST(i, 0.5)) FROM c", &["[Float(3.75), Float(3.0)]"]),
-        // int / decimal
-        ("SELECT MIN(COALESCE(i, d)), MAX(COALESCE(d, i)) FROM c", &["[Float(0.0), Float(2.5)]"]),
+        // int / decimal: the decimal stays exact
+        ("SELECT MIN(COALESCE(i, d)), MAX(COALESCE(d, i)) FROM c", &["[Decimal(0, 2), Decimal(250, 2)]"]),
         (
             "SELECT COALESCE(i, d), COUNT(*) FROM c GROUP BY COALESCE(i, d) ORDER BY 1",
-            &["[Float(0.0), Int(1)]", "[Float(1.25), Int(1)]", "[Float(3.0), Int(1)]", "[Null, Int(1)]"],
+            &["[Decimal(0, 2), Int(1)]", "[Decimal(125, 2), Int(1)]", "[Decimal(300, 2), Int(1)]", "[Null, Int(1)]"],
         ),
         // date / timestamp
         ("SELECT MIN(COALESCE(dt, ts)) FROM c", &["[Timestamp(1705233600000000)]"]),
@@ -491,4 +491,44 @@ fn coalesce_family_is_typed_by_every_value_argument() {
     for (sql, want) in cases {
         assert_eq!(at_every_width(&db, &mut s, sql), want, "{sql}");
     }
+}
+
+/// `CASE` is typed by every THEN and the ELSE (NULL literals aside), the
+/// rule the `COALESCE` family follows: a first-branch `INT` used to type
+/// the whole expression and the projection truncated `2.5` to `2`. A
+/// decimal beside an integer or another decimal stays a decimal.
+#[test]
+fn case_is_typed_by_every_branch_and_decimals_stay_exact() {
+    let db = Database::with_hardware(HardwareSpec::laptop());
+    let mut s = db.connect();
+    s.set_dialect(Dialect::Oracle);
+    s.execute_script(
+        "CREATE TABLE m (k INT, i INT, f DOUBLE, d DECIMAL(10,2), w DECIMAL(8,4));
+         INSERT INTO m VALUES (1, 7, 0.25, 1.25, 0.0625), (2, 8, 2.5, NULL, 2.5), (1, NULL, NULL, 3.10, NULL), (3, 9, 4.75, 0.05, 1.0);",
+    )
+    .unwrap();
+    let cases: [(&str, &[&str]); 9] = [
+        ("SELECT CASE WHEN k = 1 THEN 1 ELSE 2.5 END FROM m ORDER BY k, i", &["[Float(1.0)]", "[Float(1.0)]", "[Float(2.5)]", "[Float(2.5)]"]),
+        // the first THEN is a NULL literal, the ELSE is missing
+        ("SELECT CASE WHEN k = 9 THEN NULL WHEN k = 2 THEN i WHEN k = 3 THEN f END FROM m ORDER BY k, i", &["[Null]", "[Null]", "[Float(8.0)]", "[Float(4.75)]"]),
+        // aggregates and group keys over a mixed-branch CASE
+        ("SELECT MIN(CASE WHEN k = 1 THEN i ELSE f END), SUM(CASE WHEN k = 1 THEN i ELSE f END) FROM m", &["[Float(2.5), Float(14.25)]"]),
+        (
+            "SELECT CASE WHEN k = 1 THEN 1 ELSE f END, COUNT(*) FROM m GROUP BY CASE WHEN k = 1 THEN 1 ELSE f END ORDER BY 1",
+            &["[Float(1.0), Int(2)]", "[Float(2.5), Int(1)]", "[Float(4.75), Int(1)]"],
+        ),
+        ("SELECT k, MAX(CASE k WHEN 1 THEN d ELSE i END) FROM m GROUP BY k ORDER BY k", &["[Int(1), Decimal(310, 2)]", "[Int(2), Decimal(800, 2)]", "[Int(3), Decimal(900, 2)]"]),
+        // decimal x integer and decimal x decimal keep a decimal
+        ("SELECT NVL(d, 0) FROM m ORDER BY k, i", &["[Decimal(125, 2)]", "[Decimal(310, 2)]", "[Decimal(0, 2)]", "[Decimal(5, 2)]"]),
+        ("SELECT SUM(COALESCE(w, d)) FROM m", &["[Decimal(66625, 4)]"]),
+        ("SELECT d FROM m WHERE k = 3 UNION ALL SELECT i FROM m WHERE k = 3", &["[Decimal(5, 2)]", "[Decimal(900, 2)]"]),
+        // a float anywhere still makes the result a double
+        ("SELECT MAX(COALESCE(d, f)) FROM m", &["[Float(3.1)]"]),
+    ];
+    for (sql, want) in cases {
+        assert_eq!(at_every_width(&db, &mut s, sql), want, "{sql}");
+    }
+    let schema = s.execute("SELECT NVL(d, i), CASE WHEN k = 1 THEN w ELSE d END FROM m").unwrap().schema;
+    assert_eq!(schema.field(0).data_type.sql_name(), "DECIMAL(12,2)", "10 integer digits of an INT, scale 2");
+    assert_eq!(schema.field(1).data_type.sql_name(), "DECIMAL(12,4)", "8 integer digits of d, scale 4 of w");
 }

@@ -1,7 +1,7 @@
 //! Cross-crate integration: the full SQL surface through the facade.
 
 use dashdb_local::common::dialect::Dialect;
-use dashdb_local::common::Datum;
+use dashdb_local::common::{row, Datum};
 use dashdb_local::core::{Database, HardwareSpec, Session};
 
 fn session() -> Session {
@@ -345,10 +345,11 @@ fn sum_of_integer_expressions_and_decimals_is_typed() {
     assert_eq!(err.class(), "22000", "{err}");
 }
 
-/// The planner's static type of an expression is loose (`CASE` takes its
-/// first branch's), so a computed key or argument may evaluate outside it. Such a value is never rounded, truncated or parsed into the
-/// declared type: `COUNT(DISTINCT expr)` compares the values themselves,
-/// everything typed fails the statement.
+/// The planner's static type of an expression is loose (decimal arithmetic
+/// is evaluated in `f64`, a string may hold anything), so a computed key or
+/// argument may evaluate outside it. Such a value is never rounded,
+/// truncated or parsed into the declared type: `COUNT(DISTINCT expr)`
+/// compares the values themselves, everything typed fails the statement.
 #[test]
 fn computed_aggregate_values_outside_the_declared_type_are_not_cast() {
     let mut s = session();
@@ -371,14 +372,9 @@ fn computed_aggregate_values_outside_the_declared_type_are_not_cast() {
     let counts: Vec<Datum> = rows.iter().map(|r| r.get(1).clone()).collect();
     assert_eq!(counts, vec![Datum::Int(2), Datum::Int(1), Datum::Int(1), Datum::Int(1)]);
 
-    // A fraction is not an integer key or an integer sum, a string is not a
-    // number, and a quotient's extra digits are not rounded away. `i_or_f`
-    // is typed INT by its first branch and evaluates to 0.5 and 0.25.
-    let i_or_f = "CASE WHEN i IS NOT NULL THEN i ELSE f END";
+    // A string is not a number, and a quotient's extra digits are not
+    // rounded away.
     for sql in [
-        &format!("SELECT {i_or_f}, COUNT(*) FROM m GROUP BY {i_or_f}"),
-        &format!("SELECT SUM({i_or_f}) FROM m"),
-        &format!("SELECT MIN({i_or_f}) FROM m"),
         "SELECT d / 3, COUNT(*) FROM m GROUP BY d / 3",
         "SELECT SUM(d / 3) FROM m",
         "SELECT SUM(s) FROM m",
@@ -392,11 +388,20 @@ fn computed_aggregate_values_outside_the_declared_type_are_not_cast() {
     // float aggregate, whole floats into an integer one, and decimal
     // arithmetic — evaluated in `f64` — that lands on the declared scale.
     assert_eq!(one(&mut s, "SELECT SUM(COALESCE(f, i)) FROM m"), Datum::Float(6.75));
-    assert_eq!(one(&mut s, &format!("SELECT SUM({i_or_f}) FROM m WHERE f IS NULL OR f = 3.0")), Datum::Int(6));
-    // `COALESCE` is typed by all its arguments, so the same values go
-    // through it as the floats they are.
-    assert_eq!(one(&mut s, "SELECT SUM(COALESCE(i, f)) FROM m"), Datum::Float(6.75));
-    assert_eq!(one(&mut s, "SELECT MIN(COALESCE(i, f)) FROM m"), Datum::Float(0.0));
+    // `COALESCE` and `CASE` are typed by all their branches, so an integer
+    // branch beside a float one goes through as the floats they both are
+    // (a `CASE` typed INT by its first branch used to fail all three).
+    let i_or_f = "CASE WHEN i IS NOT NULL THEN i ELSE f END";
+    for expr in ["COALESCE(i, f)", i_or_f] {
+        assert_eq!(one(&mut s, &format!("SELECT SUM({expr}) FROM m")), Datum::Float(6.75));
+        assert_eq!(one(&mut s, &format!("SELECT MIN({expr}) FROM m")), Datum::Float(0.0));
+        let groups = s.query(&format!("SELECT {expr}, COUNT(*) FROM m GROUP BY {expr} ORDER BY 1")).unwrap();
+        assert_eq!(
+            groups,
+            vec![row![0.0, 1i64], row![0.25, 1i64], row![0.5, 1i64], row![3.0, 2i64], row![Datum::Null, 1i64]]
+        );
+    }
+    assert_eq!(s.query("SELECT CASE WHEN i = 3 THEN 1 ELSE 2.5 END FROM m WHERE i IS NOT NULL ORDER BY i").unwrap(), vec![row![2.5], row![1.0]]);
     assert_eq!(one(&mut s, "SELECT SUM(d * 2 + i) FROM m"), Datum::Decimal(25_000, 4));
     assert_eq!(one(&mut s, "SELECT MAX(d * d) FROM m"), Datum::Decimal(62_500, 4));
     let rows = s.query("SELECT d * d, COUNT(*) FROM m GROUP BY d * d ORDER BY 1").unwrap();

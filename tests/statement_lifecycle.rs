@@ -7,7 +7,7 @@
 //! seed and any interleaving.
 
 use dashdb_local::common::faults::{
-    FaultAction, FaultPolicy, FaultRegistry, PAGE_READ, SHARD_EXEC,
+    FaultAction, FaultPolicy, FaultRegistry, GATHER_LOAD, PAGE_READ, SHARD_EXEC,
 };
 use dashdb_local::common::types::DataType;
 use dashdb_local::common::{row, DashError, Field, Row, Schema, StatementContext};
@@ -169,6 +169,73 @@ fn wlm_queue_wait_counts_against_deadline() {
     s.set_statement_timeout(None);
     let rows = s.query("SELECT COUNT(*) FROM sales").unwrap();
     assert_eq!(rows[0].get(0).as_int(), Some(50));
+}
+
+/// The session's limits govern every statement that runs a query, not
+/// just SELECT: `INSERT … SELECT`, `CREATE TABLE … AS`, and the row
+/// matching of UPDATE and DELETE all go through the one statement runner.
+/// Each of them, killed by a deadline mid-scan or refused by a starved
+/// budget, fails classified, writes nothing, is counted in the monitor,
+/// gives its WLM slot back and leaves nothing charged to its statement.
+#[test]
+fn limits_govern_every_statement_that_runs_a_query() {
+    let reg = FaultRegistry::with_seed(seed(7));
+    // A one-page pool: every page access of every statement is a miss,
+    // so an armed page-read stall reaches each scan however warm the
+    // statements before it left the pool.
+    let db = Database::with_pool_pages(HardwareSpec::laptop(), 1);
+    db.set_fault_registry(reg.clone());
+    let mut s = loaded_session(&db, 4000);
+    s.execute("CREATE TABLE copy (id INT, region VARCHAR(8), amount DOUBLE)")
+        .unwrap();
+    let statements = [
+        "INSERT INTO copy SELECT id, region, amount FROM sales WHERE amount > 1.0",
+        "CREATE TABLE totals AS SELECT region, COUNT(*) AS n FROM sales GROUP BY region",
+        "UPDATE sales SET amount = amount + 1 WHERE id >= 10",
+        "DELETE FROM sales WHERE amount > 3.0",
+    ];
+    let state = |s: &mut Session| {
+        let sales = s.query("SELECT COUNT(*), SUM(amount) FROM sales").unwrap();
+        let copied = s.query("SELECT COUNT(*) FROM copy").unwrap();
+        (sales, copied, s.database().catalog().has_table("totals"))
+    };
+    let before = state(&mut s);
+    for (i, sql) in statements.iter().enumerate() {
+        let kills = i as u64 + 1;
+        reg.arm(
+            PAGE_READ,
+            FaultPolicy::Always,
+            FaultAction::Stall(Duration::from_secs(5)),
+        );
+        s.set_statement_timeout(Some(Duration::from_millis(40)));
+        let start = Instant::now();
+        let err = s.execute(sql).unwrap_err();
+        assert_eq!(err, DashError::Cancelled, "{sql}");
+        assert!(start.elapsed() < Duration::from_secs(4), "{sql}: the stall was waited out");
+        assert_eq!(s.statement().budget_used(), 0, "{sql}: deadline kill left bytes charged");
+        reg.disarm(PAGE_READ);
+        s.set_statement_timeout(None);
+        let rec = db.monitor().recovery();
+        assert_eq!((rec.deadline_kills, rec.statements_cancelled), (kills, kills), "{sql}: {rec:?}");
+
+        s.set_mem_budget(Some(64));
+        let err = s.execute(sql).unwrap_err();
+        assert_eq!(err.class(), "53200", "{sql}: {err}");
+        assert_eq!(s.statement().budget_used(), 0, "{sql}: refusal left bytes charged");
+        s.set_mem_budget(None);
+        let rec = db.monitor().recovery();
+        assert!(rec.budget_rejections >= kills, "{sql}: {rec:?}");
+        assert_eq!(rec.statements_cancelled, kills, "{sql}: a refusal is not a cancellation");
+
+        assert_eq!(state(&mut s), before, "{sql}: a dead statement wrote something");
+        let (running, queued, _, _, _) = db.wlm().snapshot();
+        assert_eq!((running, queued), (0, 0), "{sql}: WLM slot must not leak");
+        assert_eq!(db.transactions().active_count(), 0, "{sql}: its transaction must be over");
+    }
+    // Limits lifted, the same session runs all four.
+    let affected: Vec<u64> = statements.iter().map(|sql| s.execute(sql).unwrap().affected).collect();
+    assert_eq!(affected, [3840, 0, 3990, 3679]);
+    assert_eq!(s.query("SELECT n FROM totals ORDER BY region").unwrap().len(), 4);
 }
 
 /// A statement deadline fires while an ORDER BY is stalled mid-pipeline:
@@ -384,6 +451,39 @@ fn cluster_deadline_chaos_is_classified_and_leak_free() {
     assert!(c.monitor().pinned_epochs().is_empty());
 
     reg.disarm(&FaultRegistry::scoped(SHARD_EXEC, 2));
+    let rows = c.query(TOTALS_SQL).unwrap();
+    assert_eq!(rows.len(), 4, "cluster must stay fully usable after the kill");
+}
+
+/// The scatter's deadline covers the merge: the coordinator runs the final
+/// statement on the engine's statement runner under the same context the
+/// shards ran under. A deadline that expires after every shard reported —
+/// the stall sits between gather and merge — still kills the statement,
+/// classified and counted once, and the cluster answers again afterwards.
+#[test]
+fn cluster_deadline_expiring_after_the_gather_kills_the_merge() {
+    let reg = FaultRegistry::with_seed(seed(42));
+    let c = loaded_cluster(2, 3, 1200, reg.clone());
+    reg.arm(
+        GATHER_LOAD,
+        FaultPolicy::Always,
+        FaultAction::Stall(Duration::from_secs(30)),
+    );
+    let start = Instant::now();
+    let err = c
+        .query_with_deadline(TOTALS_SQL, Some(Duration::from_millis(400)))
+        .unwrap_err();
+    assert_eq!(err, DashError::Cancelled);
+    assert!(
+        start.elapsed() < Duration::from_secs(10),
+        "the 30 s stall must not be waited out"
+    );
+    assert_eq!(reg.stats(GATHER_LOAD).fires, 1, "every shard had reported");
+    let rec = c.monitor().recovery();
+    assert_eq!((rec.deadline_kills, rec.statements_cancelled), (1, 1), "{rec:?}");
+    assert!(c.monitor().pinned_epochs().is_empty());
+
+    reg.disarm(GATHER_LOAD);
     let rows = c.query(TOTALS_SQL).unwrap();
     assert_eq!(rows.len(), 4, "cluster must stay fully usable after the kill");
 }
