@@ -43,11 +43,13 @@ fn aggs() -> Vec<AggExpr> {
             func: AggFunc::CountStar,
             args: vec![],
             distinct: false,
+            arg_types: vec![],
         },
         AggExpr {
             func: AggFunc::Sum,
             args: vec![Expr::col(1)],
             distinct: false,
+            arg_types: vec![dash_common::DataType::Float64],
         },
     ]
 }

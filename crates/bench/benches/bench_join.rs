@@ -66,11 +66,13 @@ fn bench_join_then_agg(c: &mut Criterion) {
             func: AggFunc::CountStar,
             args: vec![],
             distinct: false,
+            arg_types: vec![],
         },
         AggExpr {
             func: AggFunc::Sum,
             args: vec![Expr::col(1)],
             distinct: false,
+            arg_types: vec![dash_common::DataType::Float64],
         },
     ];
     let ctx = EvalContext::default();

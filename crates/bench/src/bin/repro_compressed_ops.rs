@@ -190,11 +190,13 @@ fn agg_leg(fact: &Batch) -> Leg {
             func: AggFunc::CountStar,
             args: vec![],
             distinct: false,
+            arg_types: vec![],
         },
         AggExpr {
             func: AggFunc::Sum,
             args: vec![Expr::col(2)],
             distinct: false,
+            arg_types: vec![DataType::Int64],
         },
     ];
     let run = |mode: KeyMode, par: usize, stats: &mut ExecStats| {

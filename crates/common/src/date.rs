@@ -57,9 +57,10 @@ pub fn days_in_month(year: i32, month: u32) -> u32 {
     }
 }
 
-/// Convert a date (days) to a timestamp (micros) at midnight.
+/// Convert a date (days) to a timestamp (micros) at midnight; a date past
+/// the timestamp range (about ±292 000 years) saturates at its end.
 pub fn date_to_timestamp_micros(days: i32) -> i64 {
-    days as i64 * MICROS_PER_DAY
+    (days as i64).saturating_mul(MICROS_PER_DAY)
 }
 
 /// Convert a timestamp (micros) to a date (days), truncating toward -inf.

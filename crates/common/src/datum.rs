@@ -61,6 +61,19 @@ impl Datum {
         })
     }
 
+    /// Whether this value is one of type `dt`: NULL is of every type, an
+    /// integer of every integer width, a float of both float widths, a
+    /// decimal of decimals at its own scale.
+    pub fn has_type(&self, dt: DataType) -> bool {
+        match self {
+            Datum::Null => true,
+            Datum::Int(_) => dt.is_integer(),
+            Datum::Float(_) => dt.is_float(),
+            Datum::Decimal(_, s) => matches!(dt, DataType::Decimal(_, t) if t == *s),
+            other => other.data_type() == Some(dt),
+        }
+    }
+
     /// Extract an i64, widening smaller integers; `None` for non-integers.
     pub fn as_int(&self) -> Option<i64> {
         match self {

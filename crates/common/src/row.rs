@@ -155,15 +155,11 @@ pub fn coerce_datum(d: Datum, target: DataType) -> Result<Datum> {
                 .parse::<f64>()
                 .map_err(|_| DashError::exec(format!("cannot cast '{s}' to double")))?,
         ),
-        (DataType::Decimal(_, s), Datum::Int(v)) => {
-            Datum::Decimal(*v as i128 * 10i128.pow(s as u32), s)
-        }
+        (DataType::Decimal(_, s), Datum::Int(v)) => rescale_decimal(*v as i128, 0, s)?,
         (DataType::Decimal(_, s), Datum::Float(f)) => {
             Datum::Decimal((f * 10f64.powi(s as i32)).round() as i128, s)
         }
-        (DataType::Decimal(_, s), Datum::Decimal(v, vs)) => {
-            rescale_decimal(*v, *vs, s)
-        }
+        (DataType::Decimal(_, s), Datum::Decimal(v, vs)) => rescale_decimal(*v, *vs, s)?,
         (DataType::Decimal(_, s), Datum::Str(txt)) => {
             let f: f64 = txt
                 .trim()
@@ -198,18 +194,23 @@ pub fn coerce_datum(d: Datum, target: DataType) -> Result<Datum> {
     Ok(out)
 }
 
-fn rescale_decimal(v: i128, from: u8, to: u8) -> Datum {
+fn rescale_decimal(v: i128, from: u8, to: u8) -> Result<Datum> {
     use std::cmp::Ordering::*;
-    match from.cmp(&to) {
+    let pow = |by: u8| 10i128.checked_pow(by as u32);
+    Ok(match from.cmp(&to) {
         Equal => Datum::Decimal(v, to),
-        Less => Datum::Decimal(v * 10i128.pow((to - from) as u32), to),
-        Greater => {
-            let div = 10i128.pow((from - to) as u32);
-            // Round half away from zero.
-            let q = (v + v.signum() * div / 2) / div;
-            Datum::Decimal(q, to)
-        }
-    }
+        Less => Datum::Decimal(
+            pow(to - from)
+                .and_then(|p| v.checked_mul(p))
+                .ok_or_else(|| DashError::exec(format!("decimal overflow rescaling to scale {to}")))?,
+            to,
+        ),
+        // Round half away from zero; a divisor past `i128` leaves 0.
+        Greater => Datum::Decimal(
+            pow(from - to).map_or(0, |div| (v + v.signum() * (div / 2)) / div),
+            to,
+        ),
+    })
 }
 
 impl fmt::Display for Row {
@@ -287,9 +288,10 @@ mod tests {
 
     #[test]
     fn decimal_rescale_rounds() {
-        assert_eq!(rescale_decimal(125, 2, 1), Datum::Decimal(13, 1)); // 1.25 -> 1.3
-        assert_eq!(rescale_decimal(-125, 2, 1), Datum::Decimal(-13, 1));
-        assert_eq!(rescale_decimal(5, 0, 2), Datum::Decimal(500, 2));
+        assert_eq!(rescale_decimal(125, 2, 1).unwrap(), Datum::Decimal(13, 1)); // 1.25 -> 1.3
+        assert_eq!(rescale_decimal(-125, 2, 1).unwrap(), Datum::Decimal(-13, 1));
+        assert_eq!(rescale_decimal(5, 0, 2).unwrap(), Datum::Decimal(500, 2));
+        assert_eq!(coerce_datum(Datum::Int(i64::MAX), DataType::Decimal(38, 30)).unwrap_err().class(), "22000");
     }
 
     #[test]

@@ -120,26 +120,6 @@ impl DataType {
         }
     }
 
-    /// Result type of an arithmetic operation combining two inputs, following
-    /// the usual numeric promotion ladder. `None` if not arithmetic-capable.
-    pub fn arithmetic_result(self, other: DataType) -> Option<DataType> {
-        use DataType::*;
-        if !self.is_numeric() || !other.is_numeric() {
-            // date +/- integer handled by the planner separately
-            return None;
-        }
-        Some(match (self, other) {
-            (Float64, _) | (_, Float64) | (Float32, _) | (_, Float32) => Float64,
-            (Decimal(p1, s1), Decimal(p2, s2)) => {
-                Decimal((p1.max(p2)).min(38), s1.max(s2))
-            }
-            (Decimal(p, s), _) | (_, Decimal(p, s)) => Decimal(p, s),
-            (Int64, _) | (_, Int64) => Int64,
-            (Int32, _) | (_, Int32) => Int32,
-            _ => Int16,
-        })
-    }
-
     /// True when values of `self` can be compared against values of `other`
     /// without an explicit cast.
     pub fn comparable_with(self, other: DataType) -> bool {
@@ -179,19 +159,6 @@ mod tests {
     #[test]
     fn decimal_args_clamped() {
         assert_eq!(DataType::from_sql_name("DECIMAL", &[99, 50]), Some(DataType::Decimal(38, 38)));
-    }
-
-    #[test]
-    fn promotion_ladder() {
-        assert_eq!(
-            DataType::Int32.arithmetic_result(DataType::Int64),
-            Some(DataType::Int64)
-        );
-        assert_eq!(
-            DataType::Int64.arithmetic_result(DataType::Float32),
-            Some(DataType::Float64)
-        );
-        assert_eq!(DataType::Utf8.arithmetic_result(DataType::Int32), None);
     }
 
     #[test]

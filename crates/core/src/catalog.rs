@@ -3,7 +3,7 @@
 use dash_common::dialect::{Dialect, DialectSet};
 use dash_common::ids::SessionId;
 use dash_common::{DashError, Datum, Result, Schema};
-use dash_exec::functions::{EvalContext, ScalarFunction, ScalarImpl, SequenceSource};
+use dash_exec::functions::{EvalContext, Returns, ScalarFunction, ScalarImpl, SequenceSource};
 use dash_exec::plan::SharedTable;
 use dash_sql::planner::{SchemaProvider, TableHandle};
 use dash_storage::bufferpool::BufferPool;
@@ -338,7 +338,7 @@ impl Catalog {
                 dialects,
                 min_args,
                 max_args,
-                return_type: Some(returns),
+                returns: Returns::Fixed(returns),
                 eval: ScalarImpl::User(eval),
             }),
         );

@@ -660,7 +660,8 @@ impl Database {
             if !durable {
                 // Appended, but the log died before the batch flush
                 // definitely completed. The bytes may be on disk.
-                let e = flush_err.clone().or_else(|| append_err.clone()).unwrap();
+                let e = flush_err.clone().or_else(|| append_err.clone());
+                let e = e.unwrap_or_else(|| DashError::internal("batch not durable, yet no log error"));
                 outcomes.push((
                     req.txn,
                     CommitOutcome::Unknown(DashError::Storage(format!(

@@ -10,13 +10,12 @@
 //! `MEDIAN`, `PERCENTILE_CONT`/`_DISC`, `VAR_POP`/`VAR_SAMP`,
 //! `STDDEV_POP`/`STDDEV_SAMP`, `COVAR_POP`/`COVAR_SAMP` plus the ANSI core.
 
-use crate::batch::{str_bytes, Batch};
+use crate::batch::{push_typed, str_bytes, Batch};
 use crate::expr::Expr;
 use crate::functions::EvalContext;
 use crate::key::{self, GroupTable, KeyCol, KeyMode, KeyWord, StrDict, StrInterner, LOCAL_STR_BASE};
 use crate::pipeline::{self, AggSink, Feed};
 use crate::stats::ExecStats;
-use dash_common::date::date_to_timestamp_micros;
 use dash_common::fxhash::FxHashSet;
 use dash_common::{DashError, DataType, Datum, Result, Schema};
 use dash_encoding::column::{value_kind, ColumnValues, ValueKind};
@@ -88,20 +87,6 @@ impl AggFunc {
             _ => 1,
         }
     }
-
-    /// Output type given the input type.
-    pub fn output_type(&self, input: Option<DataType>) -> DataType {
-        match self {
-            AggFunc::CountStar | AggFunc::Count => DataType::Int64,
-            AggFunc::Min | AggFunc::Max => input.unwrap_or(DataType::Float64),
-            AggFunc::Sum => match input {
-                Some(t) if t.is_integer() => DataType::Int64,
-                Some(DataType::Decimal(p, s)) => DataType::Decimal(p, s),
-                _ => DataType::Float64,
-            },
-            _ => DataType::Float64,
-        }
-    }
 }
 
 /// One aggregate expression in a GROUP BY plan node.
@@ -113,73 +98,9 @@ pub struct AggExpr {
     pub args: Vec<Expr>,
     /// DISTINCT modifier (COUNT(DISTINCT x), SUM(DISTINCT x)...).
     pub distinct: bool,
-}
-
-/// The type a computed (non-column) argument is stored at before the
-/// aggregate reads it — what the state consumes, from the aggregate's
-/// declared output type. `None`: only NULL-ness is read (`COUNT`).
-fn arg_target(func: &AggFunc, out: DataType) -> Option<DataType> {
-    match func {
-        AggFunc::CountStar | AggFunc::Count => None,
-        // Integer and decimal sums stay exact; everything else adds `f64`s.
-        AggFunc::Sum if value_kind(out) == ValueKind::Int => Some(out),
-        AggFunc::Min | AggFunc::Max => Some(out),
-        _ => Some(DataType::Float64),
-    }
-}
-
-/// `v` as a value of type `to`, when `to` holds it exactly: its own kind,
-/// an integer scaled up into a decimal, a decimal at a scale that drops no
-/// digit, a whole float as an integer, any number as the `f64`
-/// [`Datum::as_float`] reads it as, a date as its midnight. Arithmetic over
-/// decimals evaluates in `f64`, so a float within rounding error of a
-/// decimal of `to`'s scale is that decimal. `None` for everything a cast
-/// would round, truncate or parse — the planner's static type of an
-/// expression is loose (`CASE` takes its first branch's), so a value
-/// outside it is an error, never a stand-in.
-fn exact(v: &Datum, to: DataType) -> Option<Datum> {
-    Some(match (to, v) {
-        (_, Datum::Null) => Datum::Null,
-        (DataType::Int16 | DataType::Int32 | DataType::Int64, Datum::Int(_))
-        | (DataType::Bool, Datum::Bool(_))
-        | (DataType::Date, Datum::Date(_))
-        | (DataType::Timestamp, Datum::Timestamp(_))
-        | (DataType::Utf8, Datum::Str(_)) => v.clone(),
-        (DataType::Timestamp, Datum::Date(d)) => Datum::Timestamp(date_to_timestamp_micros(*d)),
-        (DataType::Int16 | DataType::Int32 | DataType::Int64, Datum::Bool(b)) => Datum::Int(*b as i64),
-        (DataType::Int16 | DataType::Int32 | DataType::Int64, Datum::Float(x))
-            if x.fract() == 0.0 && x.abs() < i64::MAX as f64 =>
-        {
-            Datum::Int(*x as i64)
-        }
-        (DataType::Decimal(_, s), Datum::Int(x)) => {
-            Datum::Decimal((*x as i128).checked_mul(10i128.checked_pow(s as u32)?)?, s)
-        }
-        (DataType::Decimal(_, s), Datum::Decimal(x, from)) if *from <= s => {
-            Datum::Decimal(x.checked_mul(10i128.checked_pow((s - from) as u32)?)?, s)
-        }
-        (DataType::Decimal(_, s), Datum::Decimal(x, from)) => {
-            let div = 10i128.checked_pow((from - s) as u32)?;
-            (x % div == 0).then_some(Datum::Decimal(x / div, s))?
-        }
-        (DataType::Decimal(_, s), Datum::Float(x)) => {
-            let scaled = x * 10f64.powi(s as i32);
-            let whole = scaled.round();
-            let near = (scaled - whole).abs() <= scaled.abs() * 16.0 * f64::EPSILON;
-            (near && whole.abs() < i64::MAX as f64).then_some(Datum::Decimal(whole as i128, s))?
-        }
-        (DataType::Float32 | DataType::Float64, v) => Datum::Float(v.as_float()?),
-        _ => return None,
-    })
-}
-
-/// The logical type of `expr` as the kernel sees it: a bare column has its
-/// field's type, a computed expression the type it is coerced to.
-fn source_type(expr: &Expr, input: &Schema, target: DataType) -> DataType {
-    match expr {
-        Expr::Col(c) => input.fields().get(*c).map_or(target, |f| f.data_type),
-        _ => target,
-    }
+    /// Each argument's declared type, as the analyzer typed it: the type a
+    /// computed argument evaluates to, and the one its column is read as.
+    pub arg_types: Vec<DataType>,
 }
 
 fn out_type(schema: &Schema, i: usize) -> Result<DataType> {
@@ -195,10 +116,6 @@ struct MorselCol<'a> {
     values: Cow<'a, ColumnValues>,
     rows: Range<usize>,
     dt: DataType,
-    /// What the expression evaluated to, row by row — kept for the argument
-    /// of `COUNT(DISTINCT expr)` alone, which no declared type describes:
-    /// `values` holds its NULL-ness and the seen-set compares these.
-    raw: Option<Vec<Datum>>,
 }
 
 impl<'a> MorselCol<'a> {
@@ -207,45 +124,26 @@ impl<'a> MorselCol<'a> {
             values: Cow::Borrowed(input.try_column(col)?),
             rows: rows.clone(),
             dt: out_type(input.schema(), col)?,
-            raw: None,
         })
     }
 
-    /// Evaluate `expr` once per row of `rows` into a scratch column of type
-    /// `target`; a value that type does not hold exactly ([`exact`]) fails
-    /// the statement. `None` keeps NULL-ness only, and with `keep_raw` the
-    /// values beside it.
+    /// Evaluate `expr`, whose declared type is `dt`, once per row of `rows`
+    /// into a scratch column of that type.
     fn computed(
         expr: &Expr,
         input: &Batch,
         rows: &Range<usize>,
-        target: Option<DataType>,
-        keep_raw: bool,
+        dt: DataType,
         ctx: &EvalContext,
     ) -> Result<MorselCol<'static>> {
-        let dt = target.unwrap_or(DataType::Int64);
         let mut values = ColumnValues::empty_for(dt);
-        let mut raw = keep_raw.then(Vec::new);
         for row in rows.clone() {
-            let v = expr.eval(input, row, ctx)?;
-            let stored = match target {
-                Some(t) => exact(&v, t).ok_or_else(|| {
-                    DashError::exec(format!(
-                        "computed aggregate key or argument {v:?} is not a {t} value; CAST the expression"
-                    ))
-                })?,
-                None => Datum::from((!v.is_null()).then_some(0i64)),
-            };
-            values.push_datum(dt, &stored)?;
-            if let Some(raw) = &mut raw {
-                raw.push(v);
-            }
+            push_typed(&mut values, dt, &expr.eval(input, row, ctx)?)?;
         }
         Ok(MorselCol {
             values: Cow::Owned(values),
             rows: 0..rows.len(),
             dt,
-            raw,
         })
     }
 
@@ -296,32 +194,23 @@ impl<'a> MorselCol<'a> {
     }
 }
 
-/// The argument column `agg` reads for its `a`-th argument. A bare column
-/// is lent as it is when the state can read its storage; any other
-/// argument — and a column the state cannot read, such as `AVG` over
-/// strings — is computed into a scratch column of the state's type.
+/// The argument column `agg` reads for its `a`-th argument: a bare column
+/// lends its storage, any other argument is computed at its declared type.
 fn arg_col<'a>(
     agg: &AggExpr,
     a: usize,
-    out: DataType,
     input: &'a Batch,
     rows: &Range<usize>,
     ctx: &EvalContext,
 ) -> Result<MorselCol<'a>> {
-    let target = arg_target(&agg.func, out);
-    let expr = &agg.args[a];
-    if let Expr::Col(c) = expr {
-        let dt = out_type(input.schema(), *c)?;
-        let readable = match (&agg.func, target) {
-            (AggFunc::Min | AggFunc::Max, _) | (_, None) => true,
-            (_, Some(t)) if value_kind(t) == ValueKind::Int => value_kind(dt) == ValueKind::Int,
-            _ => dt.is_numeric(),
-        };
-        if readable {
-            return MorselCol::borrowed(input, *c, rows);
+    match &agg.args[a] {
+        Expr::Col(c) => MorselCol::borrowed(input, *c, rows),
+        expr => {
+            let dt = agg.arg_types.get(a).copied();
+            let dt = dt.ok_or_else(|| DashError::internal(format!("aggregate argument {a} has no declared type")))?;
+            MorselCol::computed(expr, input, rows, dt, ctx)
         }
     }
-    MorselCol::computed(expr, input, rows, target, target.is_none() && agg.distinct, ctx)
 }
 
 /// A `DISTINCT` aggregate's seen-set entry: the group and the value.
@@ -329,9 +218,6 @@ fn arg_col<'a>(
 enum SeenKey {
     Word(u32, u64),
     Str(u32, Arc<str>),
-    /// A computed `COUNT(DISTINCT expr)` argument, whose values may be of
-    /// several kinds: compared as `Datum`s compare.
-    Datum(u32, Datum),
 }
 
 /// One aggregate's running state for every group of a partial or of the
@@ -398,9 +284,9 @@ fn keep_best(
 }
 
 impl StateCol {
-    /// Empty state for `agg`, whose output column has type `out` and whose
-    /// first argument has logical type `arg`.
-    fn new(agg: &AggExpr, out: DataType, arg: DataType) -> StateCol {
+    /// Empty state for `agg`, whose output column has type `out`.
+    fn new(agg: &AggExpr, out: DataType) -> StateCol {
+        let arg = agg.arg_types.first().copied().unwrap_or(out);
         let base = match agg.func {
             AggFunc::CountStar | AggFunc::Count => StateCol::Count(Vec::new()),
             AggFunc::Sum if value_kind(out) == ValueKind::Int => StateCol::SumInt {
@@ -595,20 +481,14 @@ impl StateCol {
                 }
                 // The argument again, with every repeat within its group
                 // turned to NULL: `inner` skips those like any NULL.
-                let once = match (&a.raw, &*a.values) {
-                    (Some(raw), _) => {
-                        let new = |(i, x): (usize, &Datum)| {
-                            !x.is_null() && first(SeenKey::Datum(gid(i) as u32, x.clone()), 24 + x.approx_size() as u64)
-                        };
-                        ColumnValues::Int(raw.iter().enumerate().map(new).map(|new| new.then_some(0)).collect())
-                    }
-                    (None, ColumnValues::Int(v)) => {
+                let once = match &*a.values {
+                    ColumnValues::Int(v) => {
                         ColumnValues::Int(once(&v[r], |i, x| first(SeenKey::Word(gid(i) as u32, *x as u64), 24)))
                     }
-                    (None, ColumnValues::Float(v)) => ColumnValues::Float(once(&v[r], |i, x| {
+                    ColumnValues::Float(v) => ColumnValues::Float(once(&v[r], |i, x| {
                         first(SeenKey::Word(gid(i) as u32, key::f64_key_word(*x)), 24)
                     })),
-                    (None, ColumnValues::Str(v)) => ColumnValues::Str(once(&v[r], |i, x| {
+                    ColumnValues::Str(v) => ColumnValues::Str(once(&v[r], |i, x| {
                         first(SeenKey::Str(gid(i) as u32, x.clone()), 32 + x.len() as u64)
                     })),
                 };
@@ -616,7 +496,6 @@ impl StateCol {
                     values: Cow::Owned(once),
                     rows: 0..rows,
                     dt: a.dt,
-                    raw: None,
                 };
                 inner.update_by(&[once], rows, gid, grown)?;
             }
@@ -804,14 +683,12 @@ fn percentile(mut vals: Vec<f64>, func: &AggFunc) -> Datum {
 
 /// Empty state columns for `aggs`, typed from their output columns
 /// (`out_schema` fields after the `nk` group keys) and argument types.
-fn new_states(aggs: &[AggExpr], nk: usize, out_schema: &Schema, input: &Schema) -> Result<Vec<StateCol>> {
+fn new_states(aggs: &[AggExpr], nk: usize, out_schema: &Schema) -> Result<Vec<StateCol>> {
     aggs.iter()
         .enumerate()
         .map(|(a, agg)| {
             let out = out_type(out_schema, nk + a)?;
-            let target = arg_target(&agg.func, out).unwrap_or(DataType::Int64);
-            let arg = agg.args.first().map_or(target, |e| source_type(e, input, target));
-            Ok(StateCol::new(agg, out, arg))
+            Ok(StateCol::new(agg, out))
         })
         .collect()
 }
@@ -869,7 +746,7 @@ fn append_keys(dst: &mut ColumnValues, src: &ColumnValues, at: &[usize]) -> u64 
 /// Aggregate one pipeline morsel — rows `rows` of `input` — into a
 /// mergeable partial, column at a time. First the group keys (a key or
 /// argument that is not a bare column is evaluated once into a scratch
-/// typed column) become fixed-width key words — the operate-on-compressed
+/// column of its declared type) become fixed-width key words — the operate-on-compressed
 /// path, with out-of-dictionary strings interned in row order — and the
 /// words a dense group id per row; a global aggregate skips that. Then each
 /// aggregate runs one typed loop over its argument column into its state
@@ -890,13 +767,13 @@ pub(crate) fn aggregate_morsel(
             Expr::Col(col) => input.str_dict(*col).cloned(),
             _ => None,
         });
-        keys.push(ColumnValues::empty_for(source_type(g, input.schema(), out_type(sink.schema, c)?)));
+        keys.push(ColumnValues::empty_for(out_type(sink.schema, c)?));
     }
     let mut part = AggPartial {
         table: GroupTable::new(nk),
         dicts,
         keys,
-        states: new_states(sink.aggs, nk, sink.schema, input.schema())?,
+        states: new_states(sink.aggs, nk, sink.schema)?,
         // A global aggregate is one group, present even for an empty morsel
         // so zero-row inputs still produce their NULL/0 row at finish.
         groups: usize::from(nk == 0),
@@ -942,7 +819,7 @@ impl AggPartial {
             for (c, g) in sink.group.iter().enumerate() {
                 cols.push(match g {
                     Expr::Col(col) => MorselCol::borrowed(input, *col, rows)?,
-                    _ => MorselCol::computed(g, input, rows, Some(out_type(sink.schema, c)?), false, ctx)?,
+                    _ => MorselCol::computed(g, input, rows, out_type(sink.schema, c)?, ctx)?,
                 });
             }
             let mut views: Vec<KeyCol<'_>> =
@@ -956,21 +833,20 @@ impl AggPartial {
                 self.bytes += append_keys(key, &col.values, &at);
             }
         }
-        for (a, (agg, state)) in sink.aggs.iter().zip(&mut self.states).enumerate() {
+        for (agg, state) in sink.aggs.iter().zip(&mut self.states) {
             state.resize(self.groups);
             self.bytes += state.slot_bytes() * (self.groups - prev) as u64;
-            let out = out_type(sink.schema, nk + a)?;
             // No aggregate reads more than two arguments; none allocates a
             // list of them per pass.
             let (one, two);
             let args: &[MorselCol<'_>] = match agg.args.len() {
                 0 => &[],
                 1 => {
-                    one = [arg_col(agg, 0, out, input, rows, ctx)?];
+                    one = [arg_col(agg, 0, input, rows, ctx)?];
                     &one
                 }
                 _ => {
-                    two = [arg_col(agg, 0, out, input, rows, ctx)?, arg_col(agg, 1, out, input, rows, ctx)?];
+                    two = [arg_col(agg, 0, input, rows, ctx)?, arg_col(agg, 1, input, rows, ctx)?];
                     &two
                 }
             };
@@ -1189,43 +1065,24 @@ impl AggAccumulator {
     }
 
     /// Finish every group into the output batch — the only place the
-    /// aggregate builds `Datum`s. `input_schema` is the pre-aggregation
-    /// schema (key and argument columns take their logical types from it).
-    pub(crate) fn finish(
-        self,
-        group_exprs: &[Expr],
-        aggs: &[AggExpr],
-        out_schema: Schema,
-        input_schema: &Schema,
-    ) -> Result<Batch> {
-        let nk = group_exprs.len();
-        // A key column's type as grouped, and as the output schema wants it.
-        let key_type = |c: usize| -> Result<(DataType, DataType)> {
-            let to = out_type(&out_schema, c)?;
-            Ok((source_type(&group_exprs[c], input_schema, to), to))
-        };
+    /// aggregate builds `Datum`s. Key columns are of their output types
+    /// already: a bare key column has its input's, a computed one was
+    /// evaluated at its declared type.
+    pub(crate) fn finish(self, aggs: &[AggExpr], out_schema: Schema) -> Result<Batch> {
+        let nk = self.interners.len();
         let (mut keys, mut states) = (self.keys, self.states);
         if self.groups == 0 {
             // No morsel held a row.
             keys = (0..nk)
-                .map(|c| Ok(ColumnValues::empty_for(key_type(c)?.0)))
+                .map(|c| Ok(ColumnValues::empty_for(out_type(&out_schema, c)?)))
                 .collect::<Result<_>>()?;
-            states = new_states(aggs, nk, &out_schema, input_schema)?;
+            states = new_states(aggs, nk, &out_schema)?;
             if nk == 0 {
                 // A global aggregate yields exactly one row even so.
                 states.iter_mut().for_each(|s| s.resize(1));
             }
         }
-        let mut columns = Vec::with_capacity(nk + aggs.len());
-        for (c, key) in keys.into_iter().enumerate() {
-            let (from, to) = key_type(c)?;
-            columns.push(if from == to {
-                key
-            } else {
-                let datums: Vec<Datum> = (0..key.len()).map(|g| key.datum_at(from, g)).collect();
-                ColumnValues::from_datums(to, &datums)?
-            });
-        }
+        let mut columns = keys;
         for (a, (state, agg)) in states.into_iter().zip(aggs).enumerate() {
             let to = out_type(&out_schema, nk + a)?;
             columns.push(ColumnValues::from_datums(to, &state.finish(&agg.func, to))?);
@@ -1302,11 +1159,12 @@ mod tests {
         Schema::new(fields).unwrap()
     }
 
-    fn agg1(func: AggFunc, col: usize) -> AggExpr {
+    fn agg1(func: AggFunc, col: usize, dt: DataType) -> AggExpr {
         AggExpr {
             func,
             args: vec![Expr::col(col)],
             distinct: false,
+            arg_types: vec![dt],
         }
     }
 
@@ -1327,8 +1185,9 @@ mod tests {
                     func: AggFunc::CountStar,
                     args: vec![],
                     distinct: false,
+                    arg_types: vec![],
                 },
-                agg1(AggFunc::Sum, 1),
+                agg1(AggFunc::Sum, 1, DataType::Int64),
             ],
             schema,
             &ctx(),
@@ -1355,8 +1214,9 @@ mod tests {
                     func: AggFunc::CountStar,
                     args: vec![],
                     distinct: false,
+                    arg_types: vec![],
                 },
-                agg1(AggFunc::Count, 1),
+                agg1(AggFunc::Count, 1, DataType::Int64),
             ],
             out_schema(0, 2),
             &ctx(),
@@ -1381,8 +1241,9 @@ mod tests {
                     func: AggFunc::CountStar,
                     args: vec![],
                     distinct: false,
+                    arg_types: vec![],
                 },
-                agg1(AggFunc::Sum, 0),
+                agg1(AggFunc::Sum, 0, DataType::Int64),
             ],
             out_schema(0, 2),
             &ctx(),
@@ -1401,7 +1262,7 @@ mod tests {
         let out = hash_aggregate(
             &sales(),
             &[],
-            &[agg1(AggFunc::Min, 1), agg1(AggFunc::Max, 1), agg1(AggFunc::Avg, 1)],
+            &[agg1(AggFunc::Min, 1, DataType::Int64), agg1(AggFunc::Max, 1, DataType::Int64), agg1(AggFunc::Avg, 1, DataType::Int64)],
             out_schema(0, 3),
             &ctx(),
             KeyMode::Encoded,
@@ -1426,11 +1287,13 @@ mod tests {
                     func: AggFunc::Count,
                     args: vec![Expr::col(1)],
                     distinct: true,
+                    arg_types: vec![DataType::Int64],
                 },
                 AggExpr {
                     func: AggFunc::Sum,
                     args: vec![Expr::col(1)],
                     distinct: true,
+                    arg_types: vec![DataType::Int64],
                 },
             ],
             out_schema(0, 2),
@@ -1450,16 +1313,18 @@ mod tests {
             &sales(),
             &[],
             &[
-                agg1(AggFunc::Median, 2),
+                agg1(AggFunc::Median, 2, DataType::Float64),
                 AggExpr {
                     func: AggFunc::PercentileDisc(0.5),
                     args: vec![Expr::col(2)],
                     distinct: false,
+                    arg_types: vec![DataType::Float64],
                 },
                 AggExpr {
                     func: AggFunc::PercentileCont(0.25),
                     args: vec![Expr::col(2)],
                     distinct: false,
+                    arg_types: vec![DataType::Float64],
                 },
             ],
             out_schema(0, 3),
@@ -1487,7 +1352,7 @@ mod tests {
         let out = hash_aggregate(
             &b,
             &[],
-            &[agg1(AggFunc::VarPop, 0), agg1(AggFunc::StdDevPop, 0), agg1(AggFunc::VarSamp, 0)],
+            &[agg1(AggFunc::VarPop, 0, DataType::Float64), agg1(AggFunc::StdDevPop, 0, DataType::Float64), agg1(AggFunc::VarSamp, 0, DataType::Float64)],
             out_schema(0, 3),
             &ctx(),
             KeyMode::Encoded,
@@ -1521,6 +1386,7 @@ mod tests {
                 func: AggFunc::CovarPop,
                 args: vec![Expr::col(0), Expr::col(1)],
                 distinct: false,
+                arg_types: vec![DataType::Float64, DataType::Float64],
             }],
             out_schema(0, 1),
             &ctx(),
@@ -1554,7 +1420,7 @@ mod tests {
         let out = hash_aggregate(
             &b,
             &[Expr::col(0)],
-            &[agg1(AggFunc::Sum, 1)],
+            &[agg1(AggFunc::Sum, 1, DataType::Int64)],
             out_sch,
             &ctx(),
             KeyMode::Encoded,
@@ -1603,7 +1469,7 @@ mod tests {
             start = end;
             any = true;
         }
-        acc.finish(group_exprs, aggs, schema.clone(), input.schema()).unwrap()
+        acc.finish(aggs, schema.clone()).unwrap()
     }
 
     #[test]
@@ -1614,11 +1480,12 @@ mod tests {
                 func: AggFunc::CountStar,
                 args: vec![],
                 distinct: false,
+                arg_types: vec![],
             },
-            agg1(AggFunc::Sum, 1),
-            agg1(AggFunc::Min, 1),
-            agg1(AggFunc::Max, 2),
-            agg1(AggFunc::Avg, 2),
+            agg1(AggFunc::Sum, 1, DataType::Int64),
+            agg1(AggFunc::Min, 1, DataType::Int64),
+            agg1(AggFunc::Max, 2, DataType::Float64),
+            agg1(AggFunc::Avg, 2, DataType::Float64),
         ];
         let schema = out_schema(1, 5);
         let mut stats = ExecStats::default();
@@ -1659,14 +1526,15 @@ mod tests {
             .collect();
         let input = Batch::from_rows(schema, &rows).unwrap();
         let aggs = vec![
-            agg1(AggFunc::VarSamp, 0),
-            agg1(AggFunc::StdDevPop, 0),
+            agg1(AggFunc::VarSamp, 0, DataType::Float64),
+            agg1(AggFunc::StdDevPop, 0, DataType::Float64),
             AggExpr {
                 func: AggFunc::CovarPop,
                 args: vec![Expr::col(0), Expr::col(1)],
                 distinct: false,
+                arg_types: vec![DataType::Float64, DataType::Float64],
             },
-            agg1(AggFunc::Median, 0),
+            agg1(AggFunc::Median, 0, DataType::Float64),
         ];
         let schema = out_schema(0, 4);
         let mut stats = ExecStats::default();
@@ -1700,14 +1568,12 @@ mod tests {
                 func: AggFunc::CountStar,
                 args: vec![],
                 distinct: false,
+                arg_types: vec![],
             },
-            agg1(AggFunc::Sum, 1),
+            agg1(AggFunc::Sum, 1, DataType::Int64),
         ];
         let acc = AggAccumulator::new(0);
-        let input_schema = sales().schema().clone();
-        let out = acc
-            .finish(&[], &aggs, out_schema(0, 2), &input_schema)
-            .unwrap();
+        let out = acc.finish(&aggs, out_schema(0, 2)).unwrap();
         assert_eq!(out.len(), 1);
         assert_eq!(out.row(0), row![0i64, Datum::Null]);
     }
@@ -1724,7 +1590,7 @@ mod tests {
         let schema = Schema::new(vec![Field::new("x", DataType::Int64)]).unwrap();
         let b = Batch::from_rows(schema.clone(), &[row![i64::MAX], row![1i64]]).unwrap();
         let mut stats = ExecStats::default();
-        let err = hash_aggregate(&b, &[], &[agg1(AggFunc::Sum, 0)], schema, &ctx(), KeyMode::Datum, 1, &mut stats)
+        let err = hash_aggregate(&b, &[], &[agg1(AggFunc::Sum, 0, DataType::Int64)], schema, &ctx(), KeyMode::Datum, 1, &mut stats)
             .unwrap_err();
         assert_eq!(err.class(), "22000");
         // DISTINCT states refuse to merge: the pipeline feeds them one partial.
@@ -1738,7 +1604,7 @@ mod tests {
     #[test]
     fn partial_keeps_first_appearance_group_order() {
         let input = sales();
-        let aggs = vec![agg1(AggFunc::Sum, 1)];
+        let aggs = vec![agg1(AggFunc::Sum, 1, DataType::Int64)];
         let merged = partial_pipeline(&input, 2, &[Expr::col(0)], &aggs, out_schema(1, 1));
         // east appears first in row order, then west — across morsels.
         assert_eq!(merged.row(0).get(0), &Datum::from("east"));

@@ -6,7 +6,7 @@
 
 use std::sync::Arc;
 
-use dash_common::{DashError, Datum, Result, Row, Schema};
+use dash_common::{DashError, DataType, Datum, Result, Row, Schema};
 use dash_encoding::column::ColumnValues;
 use dash_encoding::dict::FreqDict;
 
@@ -292,6 +292,14 @@ impl Batch {
             ))
         })
     }
+}
+
+/// Append `v`, which an expression of declared type `dt` evaluated to, to
+/// a column of that type. The analyzer made every expression evaluate to
+/// its declared type, so nothing is converted here; a debug build checks.
+pub(crate) fn push_typed(col: &mut ColumnValues, dt: DataType, v: &Datum) -> Result<()> {
+    debug_assert!(v.has_type(dt), "{v:?} is not a {dt} value");
+    col.push_datum(dt, v)
 }
 
 /// Rough heap footprint of one column (see [`Batch::approx_bytes`]).

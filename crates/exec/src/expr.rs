@@ -196,7 +196,9 @@ impl Expr {
                 let v = e.eval(batch, row, ctx)?;
                 Ok(match v {
                     Datum::Null => Datum::Null,
-                    Datum::Int(i) => Datum::Int(-i),
+                    Datum::Int(i) => Datum::Int(
+                        i.checked_neg().ok_or_else(|| DashError::exec("integer overflow in unary -"))?,
+                    ),
                     Datum::Float(f) => Datum::Float(-f),
                     Datum::Decimal(d, s) => Datum::Decimal(-d, s),
                     other => {
@@ -250,23 +252,11 @@ impl Expr {
                 let v = expr.eval(batch, row, ctx)?;
                 Ok(Datum::Bool(v.is_null() != *negated))
             }
+            // The analyzer checked the argument count against the function's.
             Expr::Func(f, args) => {
                 let mut vals = Vec::with_capacity(args.len());
                 for a in args {
                     vals.push(a.eval(batch, row, ctx)?);
-                }
-                if vals.len() < f.min_args || vals.len() > f.max_args {
-                    return Err(DashError::analysis(format!(
-                        "{} takes {}..{} arguments, got {}",
-                        f.name,
-                        f.min_args,
-                        if f.max_args == usize::MAX {
-                            "N".to_string()
-                        } else {
-                            f.max_args.to_string()
-                        },
-                        vals.len()
-                    )));
                 }
                 f.eval.call(&vals, ctx)
             }
@@ -297,8 +287,14 @@ impl Expr {
                 }
             }
             Expr::Cast(e, ty) => {
-                let v = e.eval(batch, row, ctx)?;
-                coerce_datum(v, *ty)
+                let v = coerce_datum(e.eval(batch, row, ctx)?, *ty)?;
+                // A narrow integer type holds only its range.
+                match (ty, &v) {
+                    (DataType::Int16, Datum::Int(x)) if i16::try_from(*x).is_err() => {}
+                    (DataType::Int32, Datum::Int(x)) if i32::try_from(*x).is_err() => {}
+                    _ => return Ok(v),
+                }
+                Err(DashError::exec(format!("{v} is out of range for {ty}")))
             }
             Expr::Like {
                 expr,
@@ -458,47 +454,55 @@ impl Expr {
     }
 }
 
+/// `l op r` over operands the analyzer typed by [`arith_type`]: a date
+/// moves by whole days, integers compute overflow-checked in `i64`,
+/// decimals exactly in `i128` at the scale SQL gives the result, anything
+/// else in `f64`.
+///
+/// [`arith_type`]: crate::functions::arith_type
 fn eval_arith(op: ArithOp, l: &Datum, r: &Datum) -> Result<Datum> {
     use Datum::*;
     if l.is_null() || r.is_null() {
         return Ok(Null);
     }
-    // Date arithmetic: date ± int days.
+    let overflow = || DashError::exec(format!("integer overflow in {op}"));
+    let zero = || DashError::exec("division by zero");
+    let days = |d: i32, n: i64, sign: i64| {
+        i32::try_from(n.checked_mul(sign).ok_or_else(overflow)?)
+            .ok()
+            .and_then(|n| d.checked_add(n))
+            .map(Date)
+            .ok_or_else(|| DashError::exec("date out of range"))
+    };
     match (op, l, r) {
-        (ArithOp::Add, Date(d), Int(n)) | (ArithOp::Add, Int(n), Date(d)) => {
-            return Ok(Date(d + *n as i32));
+        (ArithOp::Add, Date(d), Int(n)) | (ArithOp::Add, Int(n), Date(d)) => return days(*d, *n, 1),
+        (ArithOp::Sub, Date(d), Int(n)) => return days(*d, *n, -1),
+        (ArithOp::Sub, Date(a), Date(b)) => return Ok(Int(*a as i64 - *b as i64)),
+        (_, Int(a), Int(b)) => {
+            return Ok(Int(match op {
+                ArithOp::Add => a.checked_add(*b),
+                ArithOp::Sub => a.checked_sub(*b),
+                ArithOp::Mul => a.checked_mul(*b),
+                ArithOp::Div if *b == 0 => return Err(zero()),
+                ArithOp::Div => a.checked_div(*b),
+                ArithOp::Rem if *b == 0 => return Err(zero()),
+                // `i64::MIN % -1` is 0.
+                ArithOp::Rem => Some(a.wrapping_rem(*b)),
+            }
+            .ok_or_else(overflow)?))
         }
-        (ArithOp::Sub, Date(d), Int(n)) => return Ok(Date(d - *n as i32)),
-        (ArithOp::Sub, Date(a), Date(b)) => return Ok(Int((*a - *b) as i64)),
         _ => {}
     }
-    // Integer fast path (with overflow checks).
-    if let (Int(a), Int(b)) = (l, r) {
-        return Ok(match op {
-            ArithOp::Add => Int(a
-                .checked_add(*b)
-                .ok_or_else(|| DashError::exec("integer overflow in +"))?),
-            ArithOp::Sub => Int(a
-                .checked_sub(*b)
-                .ok_or_else(|| DashError::exec("integer overflow in -"))?),
-            ArithOp::Mul => Int(a
-                .checked_mul(*b)
-                .ok_or_else(|| DashError::exec("integer overflow in *"))?),
-            ArithOp::Div => {
-                if *b == 0 {
-                    return Err(DashError::exec("division by zero"));
-                }
-                Int(a / b)
-            }
-            ArithOp::Rem => {
-                if *b == 0 {
-                    return Err(DashError::exec("division by zero"));
-                }
-                Int(a % b)
-            }
-        });
+    let unscaled = |d: &Datum| match d {
+        Decimal(v, s) => Some((*v, *s)),
+        Int(v) => Some((*v as i128, 0)),
+        _ => None,
+    };
+    if let (Some((a, sa)), Some((b, sb))) = (unscaled(l), unscaled(r)) {
+        if op != ArithOp::Div && sa as u16 + sb as u16 <= 38 {
+            return decimal_arith(op, (a, sa), (b, sb));
+        }
     }
-    // Everything else promotes to f64.
     let a = l
         .as_float()
         .ok_or_else(|| DashError::exec(format!("non-numeric operand {l:?}")))?;
@@ -509,19 +513,36 @@ fn eval_arith(op: ArithOp, l: &Datum, r: &Datum) -> Result<Datum> {
         ArithOp::Add => Float(a + b),
         ArithOp::Sub => Float(a - b),
         ArithOp::Mul => Float(a * b),
-        ArithOp::Div => {
-            if b == 0.0 {
-                return Err(DashError::exec("division by zero"));
-            }
-            Float(a / b)
-        }
-        ArithOp::Rem => {
-            if b == 0.0 {
-                return Err(DashError::exec("division by zero"));
-            }
-            Float(a % b)
-        }
+        ArithOp::Div if b == 0.0 => return Err(zero()),
+        ArithOp::Div => Float(a / b),
+        ArithOp::Rem if b == 0.0 => return Err(zero()),
+        ArithOp::Rem => Float(a % b),
     })
+}
+
+/// Exact decimal `±`, `%` (at the larger scale) and `×` (at the sum of the
+/// scales, at most 38) in `i128`; a result of more than 38 digits is an
+/// overflow.
+fn decimal_arith(op: ArithOp, (a, sa): (i128, u8), (b, sb): (i128, u8)) -> Result<Datum> {
+    let overflow = || DashError::exec(format!("decimal overflow in {op}"));
+    let up = |v: i128, by: u8| 10i128.checked_pow(by as u32).and_then(|p| v.checked_mul(p));
+    let (v, scale) = if op == ArithOp::Mul {
+        (a.checked_mul(b), sa + sb)
+    } else {
+        let s = sa.max(sb);
+        let (a, b) = (up(a, s - sa).ok_or_else(overflow)?, up(b, s - sb).ok_or_else(overflow)?);
+        let v = match op {
+            ArithOp::Add => a.checked_add(b),
+            ArithOp::Sub => a.checked_sub(b),
+            _ if b == 0 => return Err(DashError::exec("division by zero")),
+            _ => a.checked_rem(b),
+        };
+        (v, s)
+    };
+    match v {
+        Some(v) if v.unsigned_abs() < 10u128.pow(38) => Ok(Datum::Decimal(v, scale)),
+        _ => Err(overflow()),
+    }
 }
 
 /// SQL LIKE matching (`%` = any run, `_` = any char). Case-sensitive.
@@ -689,6 +710,27 @@ mod tests {
     }
 
     #[test]
+    fn decimal_arithmetic_is_exact_and_overflow_is_classified() {
+        let dec = |v: i128, s: u8| Datum::Decimal(v, s);
+        let run = |op, l: &Datum, r: &Datum| format!("{:?}", eval_arith(op, l, r).unwrap());
+        assert_eq!(run(ArithOp::Mul, &dec(125, 2), &dec(125, 2)), "Decimal(15625, 4)", "scale s1 + s2");
+        assert_eq!(run(ArithOp::Add, &dec(125, 2), &dec(1, 4)), "Decimal(12501, 4)", "the larger scale");
+        assert_eq!(run(ArithOp::Sub, &dec(125, 2), &Datum::Int(2)), "Decimal(-75, 2)");
+        assert_eq!(run(ArithOp::Rem, &dec(725, 2), &dec(2, 0)), "Decimal(125, 2)");
+        assert_eq!(run(ArithOp::Div, &dec(100, 2), &Datum::Int(4)), "Float(0.25)");
+        let big = dec(10i128.pow(19), 0);
+        assert_eq!(run(ArithOp::Mul, &big, &dec(10i128.pow(18), 0)), format!("Decimal({}, 0)", 10i128.pow(37)));
+        for (op, l, r) in [(ArithOp::Mul, &big, &big), (ArithOp::Add, &dec(10i128.pow(37) * 9, 0), &dec(10i128.pow(37) * 9, 0))] {
+            assert_eq!(eval_arith(op, l, r).unwrap_err().class(), "22000", "{op}: 38 digits at most");
+        }
+        assert_eq!(eval_arith(ArithOp::Rem, &dec(1, 2), &dec(0, 2)).unwrap_err().class(), "22000");
+        // Integers: overflow is an error, `MIN % -1` is 0.
+        assert!(eval_arith(ArithOp::Div, &Datum::Int(i64::MIN), &Datum::Int(-1)).is_err());
+        assert_eq!(eval_arith(ArithOp::Rem, &Datum::Int(i64::MIN), &Datum::Int(-1)).unwrap(), Datum::Int(0));
+        assert!(eval_arith(ArithOp::Add, &Datum::Date(i32::MAX), &Datum::Int(1)).is_err());
+    }
+
+    #[test]
     fn like_patterns() {
         assert!(like_match("banana", "ban%"));
         assert!(like_match("banana", "%ana"));
@@ -718,11 +760,10 @@ mod tests {
         let b = batch();
         let reg = FunctionRegistry::builtin();
         let upper = reg.resolve("UPPER", Dialect::Ansi).unwrap();
-        let e = Expr::Func(upper.clone(), vec![Expr::col(1)]);
+        assert_eq!((upper.min_args, upper.max_args), (1, 1), "the analyzer checks calls against these");
+        let e = Expr::Func(upper, vec![Expr::col(1)]);
         assert_eq!(e.eval(&b, 0, &ctx()).unwrap(), Datum::str("APPLE"));
         assert_eq!(e.eval(&b, 1, &ctx()).unwrap(), Datum::Null);
-        let bad = Expr::Func(upper, vec![Expr::col(1), Expr::col(1)]);
-        assert!(bad.eval(&b, 0, &ctx()).is_err());
     }
 
     #[test]

@@ -35,7 +35,7 @@
 //! every step.
 
 use crate::agg::{self, AggAccumulator, AggExpr};
-use crate::batch::Batch;
+use crate::batch::{push_typed, Batch};
 use crate::expr::Expr;
 use crate::functions::EvalContext;
 use crate::join::{self, JoinBuild, JoinType};
@@ -46,6 +46,7 @@ use crate::sort::{sort_batch, SortKey, SortOptions};
 use crate::stats::ExecStats;
 use dash_common::fxhash::FxHashMap;
 use dash_common::{BudgetLease, DashError, Datum, Result, Row, Schema};
+use dash_encoding::column::ColumnValues;
 use std::borrow::Cow;
 use std::ops::Range;
 
@@ -640,17 +641,19 @@ pub(crate) fn drive(
         .peak_inflight_bytes
         .max(run.peak_inflight_bytes + build_held);
     stats.pipelines_run += 1;
-    let schema = stream_schema(ops, || match feed {
-        Feed::Scan(s) => s.out_schema().clone(),
-        Feed::Batch(b) => b.schema().clone(),
-    });
     match sink {
         Some(a) => {
             stats.pipeline_breakers += 1;
             stats.encoded_key_rows += acc.keyed_rows;
-            acc.finish(a.group, a.aggs, a.schema.clone(), &schema)
+            acc.finish(a.aggs, a.schema.clone())
         }
-        None => Batch::concat_columnar(schema, collected),
+        None => {
+            let schema = stream_schema(ops, || match feed {
+                Feed::Scan(s) => s.out_schema().clone(),
+                Feed::Batch(b) => b.schema().clone(),
+            });
+            Batch::concat_columnar(schema, collected)
+        }
     }
 }
 
@@ -678,16 +681,21 @@ fn apply_op(
             if let Some(picked) = pick_columns(exprs, schema, batch.schema()) {
                 return Ok(batch.slice_columns(&picked, rows, (*schema).clone()));
             }
-            let mut out: Vec<Row> = Vec::with_capacity(rows.len());
+            // Each expression evaluates to its column's declared type, row
+            // by row (the order `NEXTVAL` advances in), straight into the
+            // output columns.
+            let fields = schema.fields();
+            let mut cols: Vec<ColumnValues> = fields.iter().map(|f| ColumnValues::empty_for(f.data_type)).collect();
             for row in rows {
-                let mut vals = Vec::with_capacity(exprs.len());
-                for e in *exprs {
-                    vals.push(e.eval(batch, row, ctx)?);
+                for ((e, f), col) in exprs.iter().zip(fields).zip(&mut cols) {
+                    let v = e.eval(batch, row, ctx)?;
+                    if v.is_null() && !f.nullable {
+                        return Err(DashError::Constraint(format!("NULL value for NOT NULL column {}", f.name)));
+                    }
+                    push_typed(col, f.data_type, &v)?;
                 }
-                // Coerce expression outputs to the declared column types.
-                out.push(Row::new(vals).coerce(schema)?);
             }
-            Batch::from_rows((*schema).clone(), &out)
+            Batch::new((*schema).clone(), cols)
         }
         Op::Probe(build) => build.probe_morsel(batch, rows, &ctx.statement, mstats),
     }
@@ -695,8 +703,8 @@ fn apply_op(
 
 /// The input ordinals a projection picks, when every expression is a bare
 /// column already of its declared output type: such a projection moves
-/// column slices, where the general one evaluates and coerces a `Datum`
-/// per value. A NOT NULL output column keeps the general path's check.
+/// column slices, where the general one evaluates a `Datum` per value. A
+/// NOT NULL output column keeps the general path's check.
 fn pick_columns(exprs: &[Expr], out: &Schema, input: &Schema) -> Option<Vec<usize>> {
     exprs
         .iter()
@@ -864,7 +872,7 @@ mod tests {
             parallelism: par,
         };
         let group = vec![Expr::col(3)];
-        let aggs = vec![AggExpr { func: AggFunc::CountStar, args: vec![], distinct: false }];
+        let aggs = vec![AggExpr { func: AggFunc::CountStar, args: vec![], distinct: false, arg_types: vec![] }];
         let agg_schema = Schema::new(vec![
             Field::new("label", DataType::Utf8),
             Field::new("cnt", DataType::Int64),

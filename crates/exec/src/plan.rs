@@ -389,11 +389,13 @@ mod tests {
                     func: AggFunc::CountStar,
                     args: vec![],
                     distinct: false,
+                    arg_types: vec![],
                 },
                 AggExpr {
                     func: AggFunc::Sum,
                     args: vec![Expr::col(2)],
                     distinct: false,
+                    arg_types: vec![DataType::Float64],
                 },
             ],
             schema: Schema::new(vec![

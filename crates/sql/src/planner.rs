@@ -12,14 +12,18 @@
 //! * aggregation, HAVING, DISTINCT, ORDER BY (ordinals, aliases),
 //!   LIMIT/OFFSET/FETCH FIRST, ROWNUM, CONNECT BY, sequences;
 //! * scalar/IN/EXISTS subqueries (uncorrelated; evaluated eagerly at plan
-//!   time).
+//!   time);
+//! * typing: every lowered expression evaluates to the type it is declared
+//!   with, by the rules of `dash_exec::functions` — a value that must change
+//!   type gets an explicit `Cast` here, and the executor converts nothing.
 
 use crate::ast::*;
 use dash_common::dialect::Dialect;
+use dash_common::row::coerce_datum;
 use dash_common::{DashError, DataType, Datum, Field, Result, Row, Schema};
 use dash_exec::agg::{AggExpr, AggFunc};
 use dash_exec::expr::{ArithOp, CmpOp, Expr};
-use dash_exec::functions::{EvalContext, FunctionRegistry};
+use dash_exec::functions::{arith_type, same_repr, supertype, union_supertype, EvalContext, FunctionRegistry};
 use dash_exec::join::JoinType;
 use dash_exec::key::KeyMode;
 use dash_exec::plan::{PhysicalPlan, SharedTable};
@@ -1149,16 +1153,14 @@ impl Planner<'_> {
                 }
                 (f, args.clone())
             };
-            let mut lowered_args = Vec::new();
-            let mut arg_dt = None;
+            let mut lowered_args = Vec::with_capacity(arg_asts.len());
+            let mut arg_types = Vec::with_capacity(arg_asts.len());
             for a in &arg_asts {
                 let (e, dt) = self.lower(a, scope)?;
-                if arg_dt.is_none() {
-                    arg_dt = Some(dt);
-                }
                 lowered_args.push(e);
+                arg_types.push(dt);
             }
-            let out_dt = func.output_type(arg_dt);
+            let out_dt = func.output_type(&arg_types).map_err(|e| e.with_context(name))?;
             out_cols.push(ScopeCol {
                 qualifier: None,
                 name: format!("_AGG{i}"),
@@ -1169,6 +1171,7 @@ impl Planner<'_> {
                 func,
                 args: lowered_args,
                 distinct: *distinct,
+                arg_types,
             });
         }
         let agg_scope = Scope { cols: out_cols };
@@ -1408,11 +1411,8 @@ impl Planner<'_> {
                     _ => self.registry.resolve(name, self.dialect)?,
                 };
                 let mut lowered = Vec::with_capacity(args.len());
-                let mut arg_types = Vec::with_capacity(args.len());
                 for a in args {
-                    let (e, dt) = self.lower(a, scope)?;
-                    lowered.push(e);
-                    arg_types.push(dt);
+                    lowered.push(self.lower(a, scope)?);
                 }
                 if lowered.len() < f.min_args || lowered.len() > f.max_args {
                     return Err(DashError::analysis(format!(
@@ -1427,10 +1427,17 @@ impl Planner<'_> {
                         lowered.len()
                     )));
                 }
-                let dt = f
-                    .return_type
-                    .unwrap_or_else(|| function_return_type(name, &arg_types, &lowered));
-                Ok((Expr::Func(f, lowered), dt))
+                // The function's own rule types it; the arguments it may
+                // return are cast to that type.
+                let types: Vec<Option<DataType>> = lowered.iter().map(|(e, dt)| constraint(e, *dt)).collect();
+                let dt = f.result_type(&types);
+                let n = lowered.len();
+                let args = lowered
+                    .into_iter()
+                    .enumerate()
+                    .map(|(i, (e, t))| if f.takes_value(i, n) { cast(e, t, dt) } else { e })
+                    .collect();
+                Ok((Expr::Func(f, args), dt))
             }
             AstExpr::Cast {
                 expr,
@@ -1452,34 +1459,28 @@ impl Planner<'_> {
                     Some(o) => Some(Box::new(self.lower(o, scope)?.0)),
                     None => None,
                 };
-                let mut lowered = Vec::with_capacity(branches.len());
-                // The result is the common supertype of every THEN and the
-                // ELSE; a NULL literal constrains nothing.
-                let mut result_types = Vec::with_capacity(branches.len() + 1);
-                let mut lower_result = |p: &mut Self, r: &AstExpr| -> Result<Expr> {
-                    let (e, dt) = p.lower(r, scope)?;
-                    if !matches!(r, AstExpr::Lit(Datum::Null)) {
-                        result_types.push(dt);
-                    }
-                    Ok(e)
-                };
+                let mut whens = Vec::with_capacity(branches.len());
+                let mut results = Vec::with_capacity(branches.len() + 1);
                 for (w, t) in branches {
-                    lowered.push((self.lower(w, scope)?.0, lower_result(self, t)?));
+                    whens.push(self.lower(w, scope)?.0);
+                    results.push(self.lower(t, scope)?);
                 }
-                let otherwise = match otherwise {
-                    Some(o) => Some(Box::new(lower_result(self, o)?)),
-                    None => None,
-                };
+                if let Some(o) = otherwise {
+                    results.push(self.lower(o, scope)?);
+                }
+                // The result is the common supertype of every THEN and the
+                // ELSE, each cast to it.
+                let dt = supertype(results.iter().filter_map(|(e, t)| constraint(e, *t)));
+                let mut results = results.into_iter().map(|(e, t)| cast(e, t, dt));
+                let branches = whens.into_iter().zip(&mut results).collect();
+                let otherwise = results.next().map(Box::new);
                 Ok((
                     Expr::Case {
                         operand: op,
-                        branches: lowered,
+                        branches,
                         otherwise,
                     },
-                    result_types
-                        .into_iter()
-                        .reduce(union_supertype)
-                        .unwrap_or(DataType::Utf8),
+                    dt,
                 ))
             }
             AstExpr::NextVal(seq) => Ok((Expr::SeqNext(seq.clone()), DataType::Int64)),
@@ -1535,8 +1536,10 @@ impl Planner<'_> {
                     BinOp::Div => ArithOp::Div,
                     _ => ArithOp::Rem,
                 };
-                let dt = arith_type(aop, ldt, rdt);
-                (Expr::Arith(aop, Box::new(l), Box::new(r)), dt)
+                // Without a rule the operands are no numbers and the
+                // evaluator refuses any non-NULL pair.
+                let (dt, [lt, rt]) = arith_type(aop, ldt, rdt).unwrap_or((DataType::Float64, [ldt, rdt]));
+                (Expr::Arith(aop, Box::new(cast(l, ldt, lt)), Box::new(cast(r, rdt, rt))), dt)
             }
         })
     }
@@ -1559,60 +1562,33 @@ impl Planner<'_> {
 
 // ---- helpers ---------------------------------------------------------------
 
-/// The common supertype two UNION arms — or the values a `CASE` or a
-/// `COALESCE` chooses between — promote to. A decimal stays exact beside
-/// an integer or another decimal: the larger scale, and the integer
-/// digits of whichever side needs more.
-fn union_supertype(l: DataType, r: DataType) -> DataType {
-    // (integer digits, scale) of an exact numeric type.
-    fn exact_digits(t: DataType) -> Option<(u8, u8)> {
-        match t {
-            DataType::Int16 => Some((5, 0)),
-            DataType::Int32 => Some((10, 0)),
-            DataType::Int64 => Some((19, 0)),
-            DataType::Decimal(p, s) => Some((p.saturating_sub(s), s)),
-            _ => None,
-        }
+/// `e`, a value of type `from`, as one of type `to`: an explicit `Cast`
+/// where the value's representation changes, folded at plan time for a
+/// literal (a NULL literal is of every type already).
+fn cast(e: Expr, from: DataType, to: DataType) -> Expr {
+    match e {
+        e if same_repr(from, to) => e,
+        Expr::Lit(d) => match coerce_datum(d.clone(), to) {
+            Ok(v) => Expr::Lit(v),
+            // Fails at run time, as the cast would have.
+            Err(_) => Expr::Cast(Box::new(Expr::Lit(d)), to),
+        },
+        e => Expr::Cast(Box::new(e), to),
     }
-    if l == r {
-        return l;
-    }
-    if l.is_numeric() && r.is_numeric() {
-        if l.is_integer() && r.is_integer() {
-            return DataType::Int64;
-        }
-        if let (Some((li, ls)), Some((ri, rs))) = (exact_digits(l), exact_digits(r)) {
-            let scale = ls.max(rs);
-            return DataType::Decimal((li.max(ri) + scale).min(38), scale);
-        }
-        return DataType::Float64;
-    }
-    if l.is_temporal() && r.is_temporal() {
-        return DataType::Timestamp;
-    }
-    DataType::Utf8
 }
 
-/// Wrap a UNION arm in casts where its column types differ from the merged
-/// schema.
+/// The type `e` constrains a common supertype with: its own, or none for
+/// a NULL literal (typed `VARCHAR` only for want of a type).
+fn constraint(e: &Expr, dt: DataType) -> Option<DataType> {
+    (!matches!(e, Expr::Lit(Datum::Null))).then_some(dt)
+}
+
+/// Cast a UNION arm's columns to the merged types, where they differ.
 fn coerce_arm(plan: PhysicalPlan, scope: &Scope, merged: &[DataType]) -> PhysicalPlan {
-    let needs = scope.cols.iter().zip(merged).any(|(c, m)| c.dt != *m);
-    if !needs {
+    if scope.cols.iter().zip(merged).all(|(c, m)| c.dt == *m) {
         return plan;
     }
-    let exprs: Vec<Expr> = scope
-        .cols
-        .iter()
-        .zip(merged)
-        .enumerate()
-        .map(|(i, (c, m))| {
-            if c.dt == *m {
-                Expr::col(i)
-            } else {
-                Expr::Cast(Box::new(Expr::col(i)), *m)
-            }
-        })
-        .collect();
+    let exprs = (0..merged.len()).map(|i| cast(Expr::col(i), scope.cols[i].dt, merged[i])).collect();
     let fields: Vec<Field> = scope
         .cols
         .iter()
@@ -1627,63 +1603,6 @@ fn coerce_arm(plan: PhysicalPlan, scope: &Scope, merged: &[DataType]) -> Physica
         input: Box::new(plan),
         exprs,
         schema: Schema::new_unchecked(fields),
-    }
-}
-
-fn arith_type(op: ArithOp, l: DataType, r: DataType) -> DataType {
-    use DataType::*;
-    match (op, l, r) {
-        (ArithOp::Add, Date, t) | (ArithOp::Sub, Date, t) if t.is_integer() => Date,
-        (ArithOp::Add, t, Date) if t.is_integer() => Date,
-        (ArithOp::Sub, Date, Date) => Int64,
-        _ => l.arithmetic_result(r).unwrap_or(Float64),
-    }
-}
-
-/// Return type of a scalar function given argument types. Falls back to
-/// Float64 (numeric) which is compatible with any numeric runtime value.
-/// `exprs` are the lowered arguments whose types `args` holds.
-fn function_return_type(name: &str, args: &[DataType], exprs: &[Expr]) -> DataType {
-    // A function that returns one of several arguments has their common
-    // supertype; a NULL literal (typed VARCHAR for want of a type)
-    // constrains nothing.
-    let one_of = |at: &mut dyn Iterator<Item = usize>| {
-        at.filter(|&i| !matches!(exprs[i], Expr::Lit(Datum::Null)))
-            .map(|i| args[i])
-            .reduce(union_supertype)
-            .unwrap_or(DataType::Utf8)
-    };
-    let upper = name.to_ascii_uppercase();
-    match upper.as_str() {
-        "UPPER" | "LOWER" | "SUBSTR" | "SUBSTR2" | "SUBSTR4" | "SUBSTRB" | "SUBSTRING"
-        | "LPAD" | "RPAD" | "TRIM" | "LTRIM" | "RTRIM" | "BTRIM" | "REPLACE" | "INITCAP"
-        | "CONCAT" | "TO_CHAR" | "TO_HEX" | "HEXTORAW" | "RAWTOHEX" | "STRLEFT" | "STRLFT"
-        | "STRRIGHT" => DataType::Utf8,
-        "LENGTH" | "INSTR" | "STRPOS" | "SIGN" | "MOD" | "DATE_PART" | "EXTRACT"
-        | "DAYS_BETWEEN" | "HOURS_BETWEEN" | "SECONDS_BETWEEN" | "WEEKS_BETWEEN" | "AGE"
-        | "HASH" | "HASH4" | "HASH8" | "COMPARE_DECFLOAT" => DataType::Int64,
-        n if n.starts_with("INT") && (n.ends_with("AND") || n.ends_with("OR") || n.ends_with("XOR") || n.ends_with("NOT")) => {
-            DataType::Int64
-        }
-        "TO_DATE" | "CURRENT_DATE" | "SYSDATE" | "ADD_MONTHS" | "LAST_DAY" | "NEXT_MONTH" => {
-            DataType::Date
-        }
-        "NOW" | "CURRENT_TIMESTAMP" | "TO_TIMESTAMP" => DataType::Timestamp,
-        "ST_POINT" | "ST_GEOMFROMTEXT" | "ST_ASTEXT" | "ST_GEOMETRYTYPE" | "ST_CENTROID" => {
-            DataType::Utf8
-        }
-        "ST_NUMPOINTS" => DataType::Int64,
-        "ST_CONTAINS" | "ST_WITHIN" | "ST_INTERSECTS" => DataType::Bool,
-        "TRUNC" if args.first().is_some_and(|t| t.is_temporal()) => DataType::Date,
-        "COALESCE" | "NVL" | "IFNULL" | "GREATEST" | "LEAST" => one_of(&mut (0..args.len())),
-        "NULLIF" => args.first().copied().unwrap_or(DataType::Utf8),
-        "NVL2" => one_of(&mut (1..args.len())),
-        // DECODE(expr, search, result, ..., [default]): the results and,
-        // when the argument count is even, the trailing default.
-        "DECODE" => one_of(&mut (2..args.len()).filter(|i| i % 2 == 0 || (i + 1 == args.len()))),
-        "ABS" | "ROUND" => args.first().copied().unwrap_or(DataType::Float64),
-        "NORMALIZE_DECFLOAT" => args.first().copied().unwrap_or(DataType::Decimal(31, 6)),
-        _ => DataType::Float64,
     }
 }
 

@@ -184,14 +184,11 @@ impl BufferPool {
     }
 
     /// Touch a page: returns `true` on hit. On miss the page is faulted in,
-    /// evicting a victim if the pool is full.
-    ///
-    /// # Panics
-    /// Panics if a [`PAGE_READ`] failpoint injects an error — armed
-    /// registries must use [`BufferPool::try_access`].
+    /// evicting a victim if the pool is full. A read a [`PAGE_READ`]
+    /// failpoint fails faults nothing in and counts as the miss it was;
+    /// callers that must see the error use [`BufferPool::try_access`].
     pub fn access(&mut self, key: PageKey) -> bool {
-        self.try_access(key)
-            .expect("page-read failpoint fired on the infallible access path")
+        self.try_access(key).unwrap_or(false)
     }
 
     /// [`BufferPool::access`] with injected-fault propagation: a fired
@@ -217,18 +214,17 @@ impl BufferPool {
         {
             self.age_weights();
         }
-        if let Some(meta) = self.pages.get(&key).copied() {
-            self.stats.hits += 1;
-            let m = self.pages.get_mut(&key).expect("checked above");
+        if let Some(m) = self.pages.get_mut(&key) {
             m.weight = m.weight.saturating_add(1);
-            let old = m.last_access;
+            let (old, meta) = (m.last_access, *m);
             m.last_access = self.clock;
+            self.stats.hits += 1;
             if matches!(self.policy, Policy::Lru | Policy::Mru) {
                 self.recency.remove(&(old, key));
                 self.recency.insert((self.clock, key));
             }
             if self.policy == Policy::RandomizedWeight && meta.slab == Slab::Probation {
-                self.move_to_established(key);
+                self.move_to_established(key, meta.slab_idx);
             }
             return Ok(true);
         }
@@ -283,65 +279,51 @@ impl BufferPool {
         Ok(false)
     }
 
-    fn move_to_established(&mut self, key: PageKey) {
-        let meta = self.pages[&key];
-        debug_assert_eq!(meta.slab, Slab::Probation);
-        self.slab_remove(Slab::Probation, meta.slab_idx);
+    /// Move resident `key` from probation slot `idx` to the established slab.
+    fn move_to_established(&mut self, key: PageKey, idx: usize) {
+        self.slab_remove(Slab::Probation, idx);
         self.established.push(key);
-        let m = self.pages.get_mut(&key).expect("resident");
-        m.slab = Slab::Established;
-        m.slab_idx = self.established.len() - 1;
+        let at = self.established.len() - 1;
+        if let Some(m) = self.pages.get_mut(&key) {
+            m.slab = Slab::Established;
+            m.slab_idx = at;
+        }
     }
 
+    /// Evict the policy's victim; an empty pool (capacity 0) has none.
     fn evict(&mut self) {
+        let established = self.established.len();
         let victim = match self.policy {
-            Policy::Lru => self
-                .recency
-                .iter()
-                .next()
-                .map(|&(_, k)| k)
-                .expect("pool full implies recency nonempty"),
-            Policy::Mru => self
-                .recency
-                .iter()
-                .next_back()
-                .map(|&(_, k)| k)
-                .expect("pool full implies recency nonempty"),
-            Policy::Random => {
-                let n = self.established.len();
-                self.established[self.rng.gen_range(0..n)]
-            }
+            Policy::Lru => self.recency.first().map(|&(_, k)| k),
+            Policy::Mru => self.recency.last().map(|&(_, k)| k),
+            Policy::Random => (established > 0).then(|| self.established[self.rng.gen_range(0..established)]),
+            // Probation absorbs scan traffic newest-first: a page that has
+            // streamed past without re-reference is the one whose next use
+            // is farthest away (for a scan, a full table-pass later), so it
+            // is the best victim — this is what keeps the retained set
+            // stable across repeated scans instead of LRU's self-flushing.
+            Policy::RandomizedWeight if !self.probation.is_empty() => self.probation.last().copied(),
             Policy::RandomizedWeight => {
-                if !self.probation.is_empty() {
-                    // Probation absorbs scan traffic newest-first: a page
-                    // that has streamed past without re-reference is the
-                    // one whose next use is farthest away (for a scan, a
-                    // full table-pass later), so it is the best victim —
-                    // this is what keeps the retained set stable across
-                    // repeated scans instead of LRU's self-flushing.
-                    self.probation[self.probation.len() - 1]
-                } else {
-                    // Sample established pages; evict the lightest.
-                    let mut best: Option<(u32, PageKey)> = None;
-                    for _ in 0..SAMPLE {
-                        let k = self.established[self.rng.gen_range(0..self.established.len())];
-                        let w = self.pages[&k].weight;
-                        best = Some(match best {
-                            None => (w, k),
-                            Some(b) if w < b.0 => (w, k),
-                            Some(b) => b,
-                        });
+                // Sample established pages; evict the lightest.
+                let mut best: Option<(u32, PageKey)> = None;
+                for _ in (0..SAMPLE).filter(|_| established > 0) {
+                    let k = self.established[self.rng.gen_range(0..established)];
+                    let w = self.pages.get(&k).map_or(0, |m| m.weight);
+                    if best.is_none_or(|b| w < b.0) {
+                        best = Some((w, k));
                     }
-                    best.expect("SAMPLE > 0").1
                 }
+                best.map(|b| b.1)
             }
         };
-        self.remove(victim);
-        self.stats.evictions += 1;
+        if let Some(victim) = victim {
+            self.remove(victim);
+            self.stats.evictions += 1;
+        }
     }
 
     fn remove(&mut self, key: PageKey) {
-        let meta = self.pages.remove(&key).expect("victim is resident");
+        let Some(meta) = self.pages.remove(&key) else { return };
         if matches!(self.policy, Policy::Lru | Policy::Mru) {
             self.recency.remove(&(meta.last_access, key));
         }
@@ -355,12 +337,8 @@ impl BufferPool {
             Slab::Established => &mut self.established,
         };
         v.swap_remove(idx);
-        if idx < v.len() {
-            let moved = v[idx];
-            self.pages
-                .get_mut(&moved)
-                .expect("moved page is resident")
-                .slab_idx = idx;
+        if let Some(m) = v.get(idx).and_then(|moved| self.pages.get_mut(moved)) {
+            m.slab_idx = idx;
         }
     }
 
@@ -380,9 +358,11 @@ impl BufferPool {
             let meta = self.pages[&k];
             self.slab_remove(Slab::Established, meta.slab_idx);
             self.probation.push(k);
-            let m = self.pages.get_mut(&k).expect("resident");
-            m.slab = Slab::Probation;
-            m.slab_idx = self.probation.len() - 1;
+            let at = self.probation.len() - 1;
+            if let Some(m) = self.pages.get_mut(&k) {
+                m.slab = Slab::Probation;
+                m.slab_idx = at;
+            }
         }
     }
 }
@@ -418,9 +398,9 @@ pub fn optimal_hit_ratio(trace: &[PageKey], capacity: usize) -> f64 {
             hits += 1;
             by_next.remove(&(nu, k));
         } else if resident.len() >= capacity {
-            let &(far_nu, far_k) = by_next.iter().next_back().expect("resident nonempty");
-            by_next.remove(&(far_nu, far_k));
-            resident.remove(&far_k);
+            if let Some((_, far_k)) = by_next.pop_last() {
+                resident.remove(&far_k);
+            }
         }
         resident.insert(k, next_use[i]);
         by_next.insert((next_use[i], k));

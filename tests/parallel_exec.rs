@@ -30,11 +30,12 @@ const PARALLELISMS: [usize; 3] = [2, 4, 8];
 /// Enough rows that row morsels (4096 rows each) actually fan out.
 const BIG: usize = 40_000;
 
-fn agg(func: AggFunc, col: usize) -> AggExpr {
+fn agg(func: AggFunc, col: usize, dt: DataType) -> AggExpr {
     AggExpr {
         func,
         args: vec![Expr::col(col)],
         distinct: false,
+        arg_types: vec![dt],
     }
 }
 
@@ -43,6 +44,7 @@ fn count_star() -> AggExpr {
         func: AggFunc::CountStar,
         args: vec![],
         distinct: false,
+        arg_types: vec![],
     }
 }
 
@@ -112,8 +114,8 @@ fn aggregate_matches_serial_exactly() {
         ("w", DataType::Float64),
     ]);
     let cases = [
-        (vec![Expr::col(0), Expr::col(1)], [count_star(), agg(AggFunc::Sum, 2)], two_keys, KeyMode::Datum),
-        (vec![Expr::col(1)], [count_star(), agg(AggFunc::Sum, 3)], one_key, KeyMode::Encoded),
+        (vec![Expr::col(0), Expr::col(1)], [count_star(), agg(AggFunc::Sum, 2, DataType::Int64)], two_keys, KeyMode::Datum),
+        (vec![Expr::col(1)], [count_star(), agg(AggFunc::Sum, 3, DataType::Float64)], one_key, KeyMode::Encoded),
     ];
     for (groups, aggs, schema, key_mode) in cases {
         let run = |par: usize| {
@@ -150,7 +152,7 @@ fn aggregate_matches_serial_exactly() {
 fn global_aggregate_matches_serial() {
     // Empty GROUP BY: one output row, including over empty input.
     let schema = out_schema(&[("cnt", DataType::Int64), ("total", DataType::Int64)]);
-    let aggs = [count_star(), agg(AggFunc::Sum, 2)];
+    let aggs = [count_star(), agg(AggFunc::Sum, 2, DataType::Int64)];
     for input in [fact_batch(BIG), fact_batch(0)] {
         let mut stats = ExecStats::default();
         let serial = hash_aggregate(
@@ -297,7 +299,7 @@ fn aggregate_groups_on_key_words_whatever_the_plan_label() {
         ("cnt", DataType::Int64),
         ("total", DataType::Int64),
     ]);
-    let aggs = [count_star(), agg(AggFunc::Sum, 2)];
+    let aggs = [count_star(), agg(AggFunc::Sum, 2, DataType::Int64)];
     let groups = [Expr::col(0), Expr::col(1)];
     let run = |key_mode: KeyMode, par: usize| {
         let mut stats = ExecStats::default();
@@ -959,7 +961,7 @@ fn chain_plan(
     let agg = PhysicalPlan::HashAggregate {
         input: Box::new(join),
         group: vec![Expr::col(group_col)],
-        aggs: vec![count_star(), agg(AggFunc::Sum, 2)],
+        aggs: vec![count_star(), agg(AggFunc::Sum, 2, DataType::Int64)],
         schema: out_schema(&[
             ("g", DataType::Utf8),
             ("cnt", DataType::Int64),
@@ -1202,12 +1204,13 @@ fn times2(col: usize) -> Expr {
     Expr::Arith(ArithOp::Mul, Box::new(Expr::col(col)), Box::new(Expr::lit(2i64)))
 }
 
-/// `mi` where it is present, else `mf`: an argument whose values are `Int`s
-/// on some rows and `Float`s on others, whole ones among them.
+/// `mi` where it is present, else `mf`, typed as the analyzer types it: a
+/// `DOUBLE`, the `mi` branch cast, whole values among the results.
 fn int_else_float() -> Expr {
+    let mi = Expr::col(MI);
     Expr::Case {
         operand: None,
-        branches: vec![(Expr::IsNull { expr: Box::new(Expr::col(MI)), negated: true }, Expr::col(MI))],
+        branches: vec![(Expr::IsNull { expr: Box::new(mi.clone()), negated: true }, Expr::Cast(Box::new(mi), DataType::Float64))],
         otherwise: Some(Box::new(Expr::col(MF))),
     }
 }
@@ -1228,20 +1231,24 @@ fn key_menu() -> Vec<(Expr, DataType)> {
     ]
 }
 
-/// Every aggregate function, over bare columns and expressions, with the
-/// argument's static type (the planner's input to `output_type`).
-fn agg_menu() -> Vec<(AggExpr, Option<DataType>)> {
+/// Every aggregate function, over bare columns and expressions of the
+/// argument's declared type.
+fn agg_menu() -> Vec<AggExpr> {
     let call = |func: AggFunc, args: Vec<Expr>, distinct: bool, dt: DataType| {
-        (AggExpr { func, args, distinct }, Some(dt))
+        AggExpr { func, arg_types: vec![dt; args.len()], args, distinct }
+    };
+    let covar = |func: AggFunc, args: [(Expr, DataType); 2]| {
+        let (args, arg_types) = args.into_iter().unzip();
+        AggExpr { func, args, distinct: false, arg_types }
     };
     let (int, float) = (DataType::Int64, DataType::Float64);
-    let mut menu = vec![(count_star(), None)];
+    let mut menu = vec![count_star()];
     for distinct in [false, true] {
         menu.extend([
             call(AggFunc::Count, vec![Expr::col(MI)], distinct, int),
             call(AggFunc::Count, vec![Expr::col(KS)], distinct, DataType::Utf8),
             call(AggFunc::Count, vec![rem3(MI)], distinct, int),
-            call(AggFunc::Count, vec![int_else_float()], distinct, int),
+            call(AggFunc::Count, vec![int_else_float()], distinct, float),
             call(AggFunc::Avg, vec![int_else_float()], distinct, float),
             call(AggFunc::Sum, vec![Expr::col(MI)], distinct, int),
             call(AggFunc::Sum, vec![times2(MI)], distinct, int),
@@ -1277,27 +1284,27 @@ fn agg_menu() -> Vec<(AggExpr, Option<DataType>)> {
         call(AggFunc::VarSamp, vec![Expr::col(MI)], false, int),
         call(AggFunc::StdDevPop, vec![times2(MI)], false, int),
         call(AggFunc::StdDevSamp, vec![Expr::col(MD)], false, DEC),
-        call(AggFunc::CovarPop, vec![Expr::col(MI), Expr::col(MF)], false, int),
-        call(AggFunc::CovarSamp, vec![Expr::col(MF), times2(MI)], false, float),
-        call(AggFunc::CovarPop, vec![Expr::col(MF), Expr::col(MN)], false, float),
+        covar(AggFunc::CovarPop, [(Expr::col(MI), int), (Expr::col(MF), float)]),
+        covar(AggFunc::CovarSamp, [(Expr::col(MF), float), (times2(MI), int)]),
+        covar(AggFunc::CovarPop, [(Expr::col(MF), float), (Expr::col(MN), int)]),
     ]);
     menu
 }
 
 /// `HashAggregate` over `source`, its output schema typed as the planner
 /// types it.
-fn gen_plan(source: PhysicalPlan, keys: &[(Expr, DataType)], aggs: &[(AggExpr, Option<DataType>)], par: usize) -> PhysicalPlan {
+fn gen_plan(source: PhysicalPlan, keys: &[(Expr, DataType)], aggs: &[AggExpr], par: usize) -> PhysicalPlan {
     let key_fields = keys.iter().enumerate().map(|(i, (_, dt))| Field::new(format!("g{i}"), *dt));
     let agg_fields = aggs
         .iter()
         .enumerate()
-        .map(|(i, (a, dt))| Field::new(format!("a{i}"), a.func.output_type(*dt)));
+        .map(|(i, a)| Field::new(format!("a{i}"), a.func.output_type(&a.arg_types).unwrap()));
     let group: Vec<Expr> = keys.iter().map(|(e, _)| e.clone()).collect();
     PhysicalPlan::HashAggregate {
         key_mode: KeyMode::for_group(&gen_schema(), &group),
         input: Box::new(source),
         group,
-        aggs: aggs.iter().map(|(a, _)| a.clone()).collect(),
+        aggs: aggs.to_vec(),
         schema: Schema::new(key_fields.chain(agg_fields).collect()).unwrap(),
         parallelism: par,
     }
@@ -1306,7 +1313,7 @@ fn gen_plan(source: PhysicalPlan, keys: &[(Expr, DataType)], aggs: &[(AggExpr, O
 /// Engine vs reference for one generated aggregate over `rows` (the
 /// source's rows in scan order): byte-identical at widths 1, 4 and 8, the
 /// reference's groups and values, and groups in first-appearance order.
-fn check_generated(what: &str, source: &PhysicalPlan, rows: &[Row], keys: &[(Expr, DataType)], aggs: &[(AggExpr, Option<DataType>)]) {
+fn check_generated(what: &str, source: &PhysicalPlan, rows: &[Row], keys: &[(Expr, DataType)], aggs: &[AggExpr]) {
     let ctx = EvalContext::default();
     let nk = keys.len();
     let key_of = |r: &Row| -> Vec<String> { r.values()[..nk].iter().map(reference::key_text).collect() };
@@ -1430,7 +1437,7 @@ fn sum_overflow_is_an_error_at_every_width() {
             let out = if groups.is_empty() { out_schema(&[("s", DataType::Int64)]) } else { out.clone() };
             for par in [1usize, 4, 8] {
                 let mut stats = ExecStats::default();
-                let err = hash_aggregate(&input, &groups, &[agg(AggFunc::Sum, 1)], out.clone(), &EvalContext::default(), KeyMode::Encoded, par, &mut stats)
+                let err = hash_aggregate(&input, &groups, &[agg(AggFunc::Sum, 1, DataType::Int64)], out.clone(), &EvalContext::default(), KeyMode::Encoded, par, &mut stats)
                     .unwrap_err();
                 assert_eq!(err.class(), "22000", "{} rows, {} keys, par {par}: {err}", rows.len(), groups.len());
             }
@@ -1455,10 +1462,10 @@ fn percentiles_over_nan_are_pinned() {
     assert_eq!(nans, 100);
 
     let aggs = [
-        agg(AggFunc::Median, 0),
-        agg(AggFunc::PercentileDisc(0.9), 0),
-        agg(AggFunc::PercentileCont(0.25), 0),
-        agg(AggFunc::PercentileDisc(1.0), 0),
+        agg(AggFunc::Median, 0, DataType::Float64),
+        agg(AggFunc::PercentileDisc(0.9), 0, DataType::Float64),
+        agg(AggFunc::PercentileCont(0.25), 0, DataType::Float64),
+        agg(AggFunc::PercentileDisc(1.0), 0, DataType::Float64),
     ];
     let out = out_schema(&[
         ("med", DataType::Float64),

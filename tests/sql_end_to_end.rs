@@ -345,11 +345,12 @@ fn sum_of_integer_expressions_and_decimals_is_typed() {
     assert_eq!(err.class(), "22000", "{err}");
 }
 
-/// The planner's static type of an expression is loose (decimal arithmetic
-/// is evaluated in `f64`, a string may hold anything), so a computed key or
-/// argument may evaluate outside it. Such a value is never rounded,
-/// truncated or parsed into the declared type: `COUNT(DISTINCT expr)`
-/// compares the values themselves, everything typed fails the statement.
+/// A computed key or argument evaluates to the type the analyzer declared
+/// for it, so nothing is rounded, truncated or parsed on its way into the
+/// aggregate: a decimal quotient is a `DOUBLE`, a decimal product carries
+/// the sum of the scales exactly, `COUNT(DISTINCT expr)` compares values of
+/// one type, and an argument no implicit conversion makes a number is
+/// refused before the statement runs.
 #[test]
 fn computed_aggregate_values_outside_the_declared_type_are_not_cast() {
     let mut s = session();
@@ -360,11 +361,14 @@ fn computed_aggregate_values_outside_the_declared_type_are_not_cast() {
     )
     .unwrap();
     let one = |s: &mut Session, sql: &str| s.query(sql).unwrap()[0].get(0).clone();
+    // `Datum` equality is by value across numeric kinds and scales; the
+    // `Debug` rendering shows both.
+    let shown = |rows: Vec<dashdb_local::common::Row>| -> Vec<String> { rows.iter().map(|r| format!("{:?}", r.values())).collect() };
 
     // 0, 0.5, 0.25, 3 and 3.0 are four values; `Int 3` is `Float 3.0`.
     assert_eq!(one(&mut s, "SELECT COUNT(DISTINCT COALESCE(i, f)) FROM m"), Datum::Int(4));
     assert_eq!(one(&mut s, "SELECT COUNT(COALESCE(i, f)) FROM m"), Datum::Int(5));
-    // Numbers and strings in one argument: 0, '8', 'x', 3.
+    // Numbers and strings in one argument meet as strings: '0', '8', 'x', '3'.
     assert_eq!(one(&mut s, "SELECT COUNT(DISTINCT COALESCE(i, s)) FROM m"), Datum::Int(4));
     let rows = s
         .query("SELECT s, COUNT(DISTINCT COALESCE(i, f)) FROM m GROUP BY s ORDER BY s")
@@ -372,25 +376,26 @@ fn computed_aggregate_values_outside_the_declared_type_are_not_cast() {
     let counts: Vec<Datum> = rows.iter().map(|r| r.get(1).clone()).collect();
     assert_eq!(counts, vec![Datum::Int(2), Datum::Int(1), Datum::Int(1), Datum::Int(1)]);
 
-    // A string is not a number, and a quotient's extra digits are not
-    // rounded away.
-    for sql in [
-        "SELECT d / 3, COUNT(*) FROM m GROUP BY d / 3",
-        "SELECT SUM(d / 3) FROM m",
-        "SELECT SUM(s) FROM m",
-        "SELECT AVG(s) FROM m",
-        "SELECT MEDIAN(s) FROM m",
-    ] {
-        let err = s.query(sql).unwrap_err();
-        assert_eq!(err.class(), "22000", "{sql}: {err}");
+    // A quotient with a decimal operand is a `DOUBLE`.
+    let (third, two_thirds) = (1.25 / 3.0, 2.5 / 3.0);
+    assert_eq!(
+        shown(s.query("SELECT d / 3, COUNT(*) FROM m GROUP BY d / 3 ORDER BY 1").unwrap()),
+        [format!("[Float({third}), Int(2)]"), format!("[Float({two_thirds}), Int(1)]"), "[Null, Int(3)]".to_string()]
+    );
+    assert_eq!(shown(s.query("SELECT SUM(d / 3) FROM m").unwrap()), [format!("[Float({})]", third + third + two_thirds)]);
+    // A string is not a number: refused at plan time, before any row is
+    // read (`EXPLAIN` only plans).
+    for sql in ["SELECT SUM(s) FROM m", "SELECT AVG(s) FROM m", "SELECT MEDIAN(s) FROM m WHERE 1 = 0"] {
+        for stmt in [sql.to_string(), format!("EXPLAIN {sql}")] {
+            let err = s.query(&stmt).unwrap_err();
+            assert_eq!(err.class(), "42000", "{stmt}: {err}");
+        }
     }
-    // What the declared type holds exactly goes through: integers into a
-    // float aggregate, whole floats into an integer one, and decimal
-    // arithmetic — evaluated in `f64` — that lands on the declared scale.
+    // What an implicit conversion reaches goes through: integers into a
+    // float aggregate.
     assert_eq!(one(&mut s, "SELECT SUM(COALESCE(f, i)) FROM m"), Datum::Float(6.75));
     // `COALESCE` and `CASE` are typed by all their branches, so an integer
-    // branch beside a float one goes through as the floats they both are
-    // (a `CASE` typed INT by its first branch used to fail all three).
+    // branch beside a float one goes through as the floats they both are.
     let i_or_f = "CASE WHEN i IS NOT NULL THEN i ELSE f END";
     for expr in ["COALESCE(i, f)", i_or_f] {
         assert_eq!(one(&mut s, &format!("SELECT SUM({expr}) FROM m")), Datum::Float(6.75));
@@ -402,19 +407,33 @@ fn computed_aggregate_values_outside_the_declared_type_are_not_cast() {
         );
     }
     assert_eq!(s.query("SELECT CASE WHEN i = 3 THEN 1 ELSE 2.5 END FROM m WHERE i IS NOT NULL ORDER BY i").unwrap(), vec![row![2.5], row![1.0]]);
-    assert_eq!(one(&mut s, "SELECT SUM(d * 2 + i) FROM m"), Datum::Decimal(25_000, 4));
-    assert_eq!(one(&mut s, "SELECT MAX(d * d) FROM m"), Datum::Decimal(62_500, 4));
-    let rows = s.query("SELECT d * d, COUNT(*) FROM m GROUP BY d * d ORDER BY 1").unwrap();
-    let groups: Vec<(Datum, Datum)> = rows.iter().map(|r| (r.get(0).clone(), r.get(1).clone())).collect();
+    // Decimal arithmetic is exact: `d * 2 + i` at scale 4, `d * d` at 8.
+    assert_eq!(shown(s.query("SELECT SUM(d * 2 + i) FROM m").unwrap()), ["[Decimal(25000, 4)]"]);
+    assert_eq!(shown(s.query("SELECT MAX(d * d) FROM m").unwrap()), ["[Decimal(625000000, 8)]"]);
     assert_eq!(
-        groups,
-        vec![
-            (Datum::Decimal(15_625, 4), Datum::Int(2)),
-            (Datum::Decimal(62_500, 4), Datum::Int(1)),
-            (Datum::Null, Datum::Int(3)),
-        ]
+        shown(s.query("SELECT d * d, COUNT(*) FROM m GROUP BY d * d ORDER BY 1").unwrap()),
+        ["[Decimal(156250000, 8), Int(2)]", "[Decimal(625000000, 8), Int(1)]", "[Null, Int(3)]"]
     );
     assert_eq!(one(&mut s, "SELECT COUNT(DISTINCT d * d) FROM m"), Datum::Int(2));
+
+    // `SUM(d * d)` at DECIMAL(10,2) needs scale 4, and gets it.
+    s.execute_script(
+        "CREATE TABLE p (k INT, d DECIMAL(10,2));
+         INSERT INTO p VALUES (1, 1.25), (1, 0.10), (2, 3.33), (2, NULL), (1, -99999.99);",
+    )
+    .unwrap();
+    assert_eq!(shown(s.query("SELECT SUM(d * d) FROM p").unwrap()), ["[Decimal(99999980126615, 4)]"]);
+    assert_eq!(
+        shown(s.query("SELECT k, SUM(d * d), MAX(d * d) FROM p WHERE d > -1 GROUP BY k ORDER BY k").unwrap()),
+        ["[Int(1), Decimal(15725, 4), Decimal(15625, 4)]", "[Int(2), Decimal(110889, 4), Decimal(110889, 4)]"]
+    );
+    // A product past what a DECIMAL(38) column holds is the classified
+    // overflow error, never a wrapped value.
+    s.execute_script("CREATE TABLE w (x DECIMAL(38,0)); INSERT INTO w VALUES (9000000000000000000);").unwrap();
+    for sql in ["SELECT x * x FROM w", "SELECT x * x * x FROM w", "SELECT SUM(x * x) FROM w", "SELECT x * x, COUNT(*) FROM w GROUP BY x * x"] {
+        let err = s.query(sql).unwrap_err();
+        assert_eq!(err.class(), "22000", "{sql}: {err}");
+    }
 }
 
 /// Join pairs whose two columns occupy different key domains compare in

@@ -583,11 +583,13 @@ fn pipeline_chain() -> (SharedTable, SharedTable, PhysicalPlan) {
                 func: AggFunc::CountStar,
                 args: vec![],
                 distinct: false,
+                arg_types: vec![],
             },
             AggExpr {
                 func: AggFunc::Sum,
                 args: vec![Expr::col(2)],
                 distinct: false,
+                arg_types: vec![DataType::Int64],
             },
         ],
         schema: agg_schema,
@@ -726,6 +728,7 @@ fn high_cardinality_group_by_over_budget_releases_all_leases() {
             func: AggFunc::Sum,
             args: vec![Expr::col(1)],
             distinct: false,
+            arg_types: vec![DataType::Int64],
         }],
         schema: Schema::new(vec![Field::new("g", DataType::Int64), Field::new("total", DataType::Int64)])
             .unwrap(),
