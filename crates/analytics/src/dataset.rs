@@ -1,10 +1,13 @@
 //! The partitioned dataset API (RDD/DataFrame substitute).
 //!
 //! A [`Dataset`] is a schema-typed collection split into partitions; wide
-//! operations run partition-parallel on scoped threads, mirroring how the
-//! integrated Spark workers process one local shard's data each.
+//! operations run partition-parallel on the engine's morsel pool (one
+//! morsel and one worker per partition), mirroring how the integrated
+//! Spark workers process one local shard's data each. A closure that
+//! panics fails its operation with a classified internal error.
 
-use dash_common::{DashError, Datum, Result, Row, Schema};
+use dash_common::{DashError, Datum, Result, Row, Schema, StatementContext};
+use dash_exec::pool;
 
 /// A partitioned collection of rows.
 #[derive(Debug, Clone)]
@@ -56,12 +59,8 @@ impl Dataset {
     }
 
     /// Map rows partition-parallel.
-    pub fn map(&self, f: impl Fn(&Row) -> Row + Sync) -> Dataset {
-        let partitions = self.par_partitions(|p| p.iter().map(&f).collect());
-        Dataset {
-            schema: self.schema.clone(),
-            partitions,
-        }
+    pub fn map(&self, f: impl Fn(&Row) -> Row + Sync) -> Result<Dataset> {
+        self.map_with_schema(self.schema.clone(), f)
     }
 
     /// Map with an explicit output schema (projection/feature extraction).
@@ -69,19 +68,18 @@ impl Dataset {
         &self,
         schema: Schema,
         f: impl Fn(&Row) -> Row + Sync,
-    ) -> Dataset {
-        let partitions = self.par_partitions(|p| p.iter().map(&f).collect());
-        Dataset { schema, partitions }
+    ) -> Result<Dataset> {
+        let partitions = self.par_partitions(|p| p.iter().map(&f).collect())?;
+        Ok(Dataset { schema, partitions })
     }
 
     /// Filter rows partition-parallel.
-    pub fn filter(&self, f: impl Fn(&Row) -> bool + Sync) -> Dataset {
-        let partitions =
-            self.par_partitions(|p| p.iter().filter(|r| f(r)).cloned().collect());
-        Dataset {
+    pub fn filter(&self, f: impl Fn(&Row) -> bool + Sync) -> Result<Dataset> {
+        let partitions = self.par_partitions(|p| p.iter().filter(|r| f(r)).cloned().collect())?;
+        Ok(Dataset {
             schema: self.schema.clone(),
             partitions,
-        }
+        })
     }
 
     /// Aggregate: map each partition to a partial with `seq`, then fold
@@ -92,27 +90,15 @@ impl Dataset {
         init: impl Fn() -> A + Sync,
         seq: impl Fn(A, &Row) -> A + Sync,
         comb: impl Fn(A, A) -> A,
-    ) -> A {
-        let partials: Vec<A> = crossbeam::thread::scope(|scope| {
-            let handles: Vec<_> = self
-                .partitions
-                .iter()
-                .map(|p| {
-                    let init = &init;
-                    let seq = &seq;
-                    scope.spawn(move |_| p.iter().fold(init(), seq))
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().expect("no panic")).collect()
-        })
-        .expect("scope");
+    ) -> Result<A> {
+        let partials = self.par_partitions(|p| p.iter().fold(init(), &seq))?;
         let mut it = partials.into_iter();
         let first = it.next().unwrap_or_else(&init);
-        it.fold(first, comb)
+        Ok(it.fold(first, comb))
     }
 
     /// Sum of a numeric column.
-    pub fn sum_column(&self, col: usize) -> f64 {
+    pub fn sum_column(&self, col: usize) -> Result<f64> {
         self.aggregate(
             || 0.0,
             |acc, r| acc + r.get(col).as_float().unwrap_or(0.0),
@@ -163,19 +149,13 @@ impl Dataset {
         })
     }
 
-    fn par_partitions(&self, f: impl Fn(&Vec<Row>) -> Vec<Row> + Sync) -> Vec<Vec<Row>> {
-        crossbeam::thread::scope(|scope| {
-            let handles: Vec<_> = self
-                .partitions
-                .iter()
-                .map(|p| {
-                    let f = &f;
-                    scope.spawn(move |_| f(p))
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().expect("no panic")).collect()
-        })
-        .expect("scope")
+    /// `f` over every partition, one pool morsel each, in partition order.
+    fn par_partitions<T: Send>(&self, f: impl Fn(&[Row]) -> T + Sync) -> Result<Vec<T>> {
+        let parts = &self.partitions;
+        let run = pool::run_morsels(parts.len(), parts.len(), StatementContext::ambient(), |i| {
+            Ok(f(&parts[i]))
+        })?;
+        Ok(run.results)
     }
 }
 
@@ -229,7 +209,9 @@ mod tests {
         let d = int_dataset(&(0..100).collect::<Vec<_>>(), 4);
         let out = d
             .map(|r| row![r.get(0).as_int().unwrap() * 2])
-            .filter(|r| r.get(0).as_int().unwrap() % 40 == 0);
+            .unwrap()
+            .filter(|r| r.get(0).as_int().unwrap() % 40 == 0)
+            .unwrap();
         // doubled values 0..200 step 2; multiples of 40: 0,40,..,160 -> 5
         assert_eq!(out.count(), 5);
     }
@@ -242,8 +224,23 @@ mod tests {
             |a, r| a + r.get(0).as_int().unwrap(),
             |a, b| a + b,
         );
-        assert_eq!(sum, 5050);
-        assert_eq!(d.sum_column(0), 5050.0);
+        assert_eq!(sum.unwrap(), 5050);
+        assert_eq!(d.sum_column(0).unwrap(), 5050.0);
+    }
+
+    #[test]
+    fn panicking_map_is_a_classified_error() {
+        for parts in [1usize, 4] {
+            let d = int_dataset(&(0..100).collect::<Vec<_>>(), parts);
+            let err = d
+                .map(|r| match r.get(0).as_int() {
+                    Some(42) => panic!("deliberate map panic"),
+                    _ => r.clone(),
+                })
+                .unwrap_err();
+            assert_eq!(err.class(), "XX000", "{parts} partitions: {err}");
+            assert!(err.to_string().contains("deliberate map panic"), "{err}");
+        }
     }
 
     #[test]
@@ -270,7 +267,7 @@ mod tests {
     fn empty_dataset_safe() {
         let d = int_dataset(&[], 3);
         assert_eq!(d.count(), 0);
-        assert_eq!(d.sum_column(0), 0.0);
+        assert_eq!(d.sum_column(0).unwrap(), 0.0);
         assert!(d.to_features(&[0], 0).unwrap().is_empty());
     }
 }

@@ -106,7 +106,7 @@ pub fn read_table_then_filter(
     partitions: usize,
 ) -> Result<(Dataset, TransferStats)> {
     let (full, stats) = read_table(db, table, columns, None, mode, partitions)?;
-    Ok((full.filter(worker_filter), stats))
+    Ok((full.filter(worker_filter)?, stats))
 }
 
 #[cfg(test)]

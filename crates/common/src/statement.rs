@@ -16,13 +16,15 @@
 //!   aggregate, join, and sort observe cancellation within one morsel;
 //! * the buffer pool polls it inside simulated-I/O stalls (sliced to
 //!   ~1 ms), so a deadline kill never waits out a stalled page read;
-//! * the MPP scatter workers poll it between and inside shard attempts.
+//! * the WLM queue polls it while a statement waits for a slot;
+//! * MPP shard attempts run as morsels of the same pool, and their stalls
+//!   and retry backoff sleep via `sleep_cancellable`.
 //!
 //! The token is **deadline-armed**: `is_cancelled` returns true once the
-//! deadline passes even if nobody called [`StatementContext::cancel`],
-//! so a lost watchdog can delay preemption but never lose it. The flag is
-//! latched on first observation, making subsequent checks a single
-//! relaxed atomic load.
+//! deadline passes even if nobody called [`StatementContext::cancel`], so
+//! it is the statement's one clock — no timer thread watches beside it.
+//! The flag is latched on first observation, making subsequent checks a
+//! single relaxed atomic load.
 //!
 //! The memory budget is a shared atomic high-water account: operators
 //! [`try_reserve`](StatementContext::try_reserve) their hash-table and
@@ -44,8 +46,8 @@ pub const STALL_POLL: Duration = Duration::from_millis(1);
 
 #[derive(Debug)]
 struct StatementInner {
-    /// Latched cancellation flag (explicit cancel, watchdog, or the first
-    /// observation of an expired deadline).
+    /// Latched cancellation flag (explicit cancel or the first observation
+    /// of an expired deadline).
     cancelled: AtomicBool,
     /// Absolute deadline; `None` = never expires on its own.
     deadline: Option<Instant>,
@@ -139,7 +141,7 @@ impl StatementContext {
     /// Has the statement been cancelled (explicitly or by its deadline)?
     ///
     /// Deadline-armed: the first check past the deadline latches the flag,
-    /// so a watchdog is an accelerator, not a requirement.
+    /// so no other thread has to watch the clock.
     pub fn is_cancelled(&self) -> bool {
         if self.inner.cancelled.load(Ordering::Acquire) {
             return true;

@@ -915,14 +915,14 @@ impl Session {
         self.run(|ctx| plan_select(select, &self.provider(), self.dialect, ctx))
     }
 
-    /// The one way this engine runs a query. WLM admission first, its
-    /// queue wait counted against the statement's deadline: a statement
-    /// that cannot be admitted before it expires dies in the queue with a
-    /// classified error and never occupies a slot; an admitted one holds
-    /// an RAII ticket released on every exit. Then `plan` and
-    /// `plan::execute` under the statement's context, and the statement's
-    /// lifecycle counters folded into the monitor on success and failure
-    /// alike. Nothing that holds a ticket calls back in here (plan-time
+    /// The one way this engine runs a query. WLM admission first, under
+    /// the statement's token: a statement whose token flips (deadline or
+    /// cancel) before or while it queues dies there with a classified
+    /// error and never occupies a slot; an admitted one holds an RAII
+    /// ticket released on every exit. Then `plan` and `plan::execute`
+    /// under the statement's context, and the statement's lifecycle
+    /// counters folded into the monitor on success and failure alike.
+    /// Nothing that holds a ticket calls back in here (plan-time
     /// subqueries execute on the enclosing context inside the planner).
     fn run(
         &self,
@@ -930,36 +930,22 @@ impl Session {
     ) -> Result<(Batch, ExecStats)> {
         let stmt_ctx = &self.statement;
         let mon = &self.db.monitor;
-        let _ticket = match stmt_ctx.remaining() {
-            Some(remaining) => match self.db.wlm.admit_timeout(remaining) {
-                Some(ticket) => ticket,
-                None => {
-                    stmt_ctx.cancel();
-                    mon.record_deadline_kill();
-                    mon.record_statement_cancelled();
-                    return Err(DashError::Cancelled);
-                }
-            },
-            None => self.db.wlm.admit(),
-        };
         // A caller's context may already have run other statements (the
         // shards of one scatter): fold only what this run added.
         let rejected_before = stmt_ctx.budget_rejections();
-        let ctx = self.eval_context();
-        let result = plan(&ctx).and_then(|plan| dash_exec::plan::execute(&plan, &ctx));
+        let result = self.db.wlm.admit(stmt_ctx).and_then(|_ticket| {
+            let ctx = self.eval_context();
+            plan(&ctx).and_then(|plan| dash_exec::plan::execute(&plan, &ctx))
+        });
         let rejections = stmt_ctx.budget_rejections() - rejected_before;
         if rejections > 0 {
             mon.record_budget_rejections(rejections);
         }
-        mon.note_cancel_latency(stmt_ctx.cancel_latency_max_morsels());
         let (batch, mut stats) = match result {
             Ok(ok) => ok,
             Err(e) => {
                 if stmt_ctx.is_cancelled() {
-                    mon.record_statement_cancelled();
-                    if stmt_ctx.deadline().is_some_and(|dl| Instant::now() >= dl) {
-                        mon.record_deadline_kill();
-                    }
+                    mon.record_cancelled(stmt_ctx);
                 }
                 return Err(e);
             }

@@ -5,6 +5,7 @@
 //! counts and cumulative wall time, cheap enough to update on every
 //! statement.
 
+use dash_common::StatementContext;
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -206,11 +207,6 @@ impl Monitor {
         self.recovery.lock().stragglers += 1;
     }
 
-    /// Record a statement killed by the per-statement deadline.
-    pub fn record_deadline_kill(&self) {
-        self.recovery.lock().deadline_kills += 1;
-    }
-
     /// Record one committed assignment-epoch bump (a rebalance swap).
     pub fn record_epoch_bump(&self) {
         self.recovery.lock().epoch_bumps += 1;
@@ -226,22 +222,22 @@ impl Monitor {
         self.recovery.lock().torn_epoch_rounds += 1;
     }
 
-    /// Record a statement that terminated on its cancellation token
-    /// (deadline fired or it was killed externally).
-    pub fn record_statement_cancelled(&self) {
-        self.recovery.lock().statements_cancelled += 1;
+    /// Record a statement that died on its cancellation token: one
+    /// cancelled statement, a deadline kill too when its deadline has
+    /// passed, and its worst preemption latency (morsels completed after
+    /// the flip) folded into the store-wide maximum.
+    pub fn record_cancelled(&self, stmt: &StatementContext) {
+        let mut r = self.recovery.lock();
+        r.statements_cancelled += 1;
+        r.deadline_kills += u64::from(stmt.remaining() == Some(Duration::ZERO));
+        r.cancel_latency_max_morsels = r
+            .cancel_latency_max_morsels
+            .max(stmt.cancel_latency_max_morsels());
     }
 
     /// Record `n` refused memory-budget reservations.
     pub fn record_budget_rejections(&self, n: u64) {
         self.recovery.lock().budget_rejections += n;
-    }
-
-    /// Fold one statement's worst observed preemption latency (in morsels
-    /// completed after its token flipped) into the store-wide maximum.
-    pub fn note_cancel_latency(&self, morsels: u64) {
-        let mut r = self.recovery.lock();
-        r.cancel_latency_max_morsels = r.cancel_latency_max_morsels.max(morsels);
     }
 
     /// A statement pinned assignment epoch `epoch` (scatter snapshot taken).
@@ -474,7 +470,7 @@ mod tests {
         clone.record_shard_retry();
         m.record_failover();
         m.record_straggler();
-        m.record_deadline_kill();
+        m.record_cancelled(&StatementContext::with_deadline(Duration::ZERO));
         m.record_epoch_bump();
         m.record_stale_epoch_retries(3);
         let r = m.recovery();
@@ -491,17 +487,22 @@ mod tests {
     #[test]
     fn cancellation_counters_accumulate() {
         let m = Monitor::new();
-        m.record_statement_cancelled();
+        let late = StatementContext::unbounded();
+        late.note_cancel_latency(1);
+        late.cancel();
+        m.record_cancelled(&late);
+        let prompt = StatementContext::unbounded();
+        prompt.cancel();
+        m.record_cancelled(&prompt); // max, not last-write
         m.record_budget_rejections(2);
-        m.note_cancel_latency(1);
-        m.note_cancel_latency(0); // max, not last-write
         let r = m.recovery();
-        assert_eq!(r.statements_cancelled, 1);
+        assert_eq!(r.statements_cancelled, 2);
+        assert_eq!(r.deadline_kills, 0, "an explicit cancel is no deadline kill");
         assert_eq!(r.budget_rejections, 2);
         assert_eq!(r.cancel_latency_max_morsels, 1);
         assert!(!r.is_clean());
         let rep = m.report();
-        assert!(rep.contains("1 statements cancelled"));
+        assert!(rep.contains("2 statements cancelled"));
         assert!(rep.contains("2 budget rejections"));
     }
 

@@ -6,9 +6,11 @@
 //! queue; the concurrent-workload benchmark (Table 1, Test 2) runs its 100
 //! streams through this gate.
 
+use dash_common::statement::STALL_POLL;
+use dash_common::{DashError, Result, StatementContext};
 use parking_lot::{Condvar, Mutex};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::Instant;
 
 #[derive(Debug, Default)]
 struct WlmState {
@@ -45,53 +47,33 @@ impl WorkloadManager {
         self.limit
     }
 
-    /// Block until a slot is free, then occupy it.
-    pub fn admit(&self) -> Admission {
+    /// Occupy a slot for `stmt`, queueing while the gate is full. The
+    /// queue wait is the statement's: it wakes on a freed slot, at the
+    /// deadline or every [`STALL_POLL`]. A statement whose token has
+    /// flipped (deadline or explicit cancel), before or while it queues,
+    /// leaves with `Err(DashError::Cancelled)`, never having occupied a
+    /// slot.
+    pub fn admit(&self, stmt: &StatementContext) -> Result<Admission> {
         let (lock, cv) = &*self.state;
         let mut st = lock.lock();
         st.queued += 1;
         st.peak_queued = st.peak_queued.max(st.queued);
-        while st.running >= self.limit {
-            cv.wait(&mut st);
-        }
-        st.queued -= 1;
-        st.running += 1;
-        st.peak_running = st.peak_running.max(st.running);
-        st.admitted_total += 1;
-        Admission { wlm: self.clone() }
-    }
-
-    /// Try to occupy a slot without blocking.
-    pub fn try_admit(&self) -> Option<Admission> {
-        let (lock, _) = &*self.state;
-        let mut st = lock.lock();
-        if st.running >= self.limit {
-            return None;
-        }
-        st.running += 1;
-        st.peak_running = st.peak_running.max(st.running);
-        st.admitted_total += 1;
-        Some(Admission { wlm: self.clone() })
-    }
-
-    /// Block with a timeout; `None` if the slot never freed.
-    pub fn admit_timeout(&self, timeout: Duration) -> Option<Admission> {
-        let (lock, cv) = &*self.state;
-        let mut st = lock.lock();
-        st.queued += 1;
-        st.peak_queued = st.peak_queued.max(st.queued);
-        let deadline = std::time::Instant::now() + timeout;
-        while st.running >= self.limit {
-            if cv.wait_until(&mut st, deadline).timed_out() {
+        loop {
+            if stmt.is_cancelled() {
                 st.queued -= 1;
-                return None;
+                return Err(DashError::Cancelled);
             }
+            if st.running < self.limit {
+                break;
+            }
+            let poll = Instant::now() + STALL_POLL;
+            cv.wait_until(&mut st, stmt.deadline().map_or(poll, |dl| dl.min(poll)));
         }
         st.queued -= 1;
         st.running += 1;
         st.peak_running = st.peak_running.max(st.running);
         st.admitted_total += 1;
-        Some(Admission { wlm: self.clone() })
+        Ok(Admission { wlm: self.clone() })
     }
 
     /// (running, queued, peak_running, peak_queued, admitted_total).
@@ -120,6 +102,7 @@ impl Drop for Admission {
 mod tests {
     use super::*;
     use std::thread;
+    use std::time::Duration;
 
     #[test]
     fn respects_limit_under_contention() {
@@ -129,7 +112,7 @@ mod tests {
             let w = wlm.clone();
             handles.push(thread::spawn(move || {
                 for _ in 0..50 {
-                    let _ticket = w.admit();
+                    let _ticket = w.admit(StatementContext::ambient()).unwrap();
                     std::hint::black_box(());
                 }
             }));
@@ -145,21 +128,26 @@ mod tests {
     }
 
     #[test]
-    fn try_admit_fails_when_full() {
+    fn full_gate_refuses_a_cancelled_token_at_once() {
         let wlm = WorkloadManager::new(1);
-        let t1 = wlm.try_admit().expect("first slot");
-        assert!(wlm.try_admit().is_none());
-        drop(t1);
-        assert!(wlm.try_admit().is_some());
+        let hold = wlm.admit(StatementContext::ambient()).unwrap();
+        let cancelled = StatementContext::unbounded();
+        cancelled.cancel();
+        let start = Instant::now();
+        assert_eq!(wlm.admit(&cancelled).err(), Some(DashError::Cancelled));
+        assert!(start.elapsed() < Duration::from_secs(1), "refusal must not wait");
+        assert_eq!(wlm.snapshot().1, 0, "refused waiter must leave the queue");
+        drop(hold);
+        assert!(wlm.admit(StatementContext::ambient()).is_ok());
     }
 
     #[test]
-    fn admit_timeout_times_out() {
+    fn deadline_token_times_out_and_leaves_the_queue() {
         let wlm = WorkloadManager::new(1);
-        let _hold = wlm.admit();
-        let r = wlm.admit_timeout(Duration::from_millis(20));
-        assert!(r.is_none());
-        let (_, queued, ..) = wlm.snapshot();
-        assert_eq!(queued, 0, "timed-out waiter must leave the queue");
+        let _hold = wlm.admit(StatementContext::ambient()).unwrap();
+        let stmt = StatementContext::with_deadline(Duration::from_millis(20));
+        assert_eq!(wlm.admit(&stmt).err(), Some(DashError::Cancelled));
+        let (running, queued, ..) = wlm.snapshot();
+        assert_eq!((running, queued), (1, 0), "timed-out waiter must leave the queue");
     }
 }

@@ -17,10 +17,9 @@
 //! sequentially produce output byte-identical to a serial run.
 //!
 //! Errors: the first `Err` a worker hits aborts the run — remaining workers
-//! stop claiming and the error is propagated to the caller. Worker panics
-//! are caught around the morsel and converted to a classified
-//! [`DashError::internal`] (the PR 1 de-panic convention) instead of
-//! poisoning the process.
+//! stop claiming and the error is propagated to the caller. Panics are
+//! caught around each morsel, serial or parallel, and converted to a
+//! classified [`DashError::internal`] instead of poisoning the process.
 //!
 //! There is one driver, [`run_morsels_fold`]; [`run_morsels`] is the same
 //! drive with a window as wide as the run and a fold that collects.
@@ -67,6 +66,16 @@ fn panic_message(payload: &(dyn Any + Send)) -> &str {
     } else {
         "non-string panic payload"
     }
+}
+
+/// Run one morsel, turning a panic into a classified internal error.
+fn run_caught<T>(morsel: impl FnOnce() -> Result<T>) -> Result<T> {
+    std::panic::catch_unwind(AssertUnwindSafe(morsel)).unwrap_or_else(|p| {
+        Err(DashError::internal(format!(
+            "pipeline worker panicked: {}",
+            panic_message(p.as_ref())
+        )))
+    })
 }
 
 /// Run `n` morsels through `work`, fanning out over at most `parallelism`
@@ -204,7 +213,7 @@ where
                 stmt.note_cancel_latency(after_cancel);
                 return Err(DashError::Cancelled);
             }
-            let v = work(i)?;
+            let v = run_caught(|| work(i))?;
             if stmt.is_cancelled() {
                 after_cancel += 1;
             }
@@ -284,14 +293,7 @@ where
                     // Catch panics here (not at join) so the folder — which
                     // is blocked waiting for morsel `i` — learns about the
                     // failure instead of waiting out the run.
-                    let sized = || work(i).map(|v| (bytes_of(&v), v));
-                    let outcome = std::panic::catch_unwind(AssertUnwindSafe(sized))
-                        .unwrap_or_else(|p| {
-                            Err(DashError::internal(format!(
-                                "pipeline worker panicked: {}",
-                                panic_message(p.as_ref())
-                            )))
-                        });
+                    let outcome = run_caught(|| work(i).map(|v| (bytes_of(&v), v)));
                     let mut st = lock(state);
                     match outcome {
                         Ok((b, v)) => {
@@ -434,16 +436,19 @@ mod tests {
 
     #[test]
     fn worker_panic_becomes_internal_error() {
-        let err = run_morsels(16, 4, &stmt(), |i| -> Result<usize> {
-            if i == 7 {
-                panic!("deliberate test panic");
-            }
-            Ok(i)
-        })
-        .unwrap_err();
-        let msg = err.to_string();
-        assert!(msg.contains("panicked"), "{msg}");
-        assert!(msg.contains("deliberate test panic"), "{msg}");
+        for par in [1usize, 4] {
+            let err = run_morsels(16, par, &stmt(), |i| -> Result<usize> {
+                if i == 7 {
+                    panic!("deliberate test panic");
+                }
+                Ok(i)
+            })
+            .unwrap_err();
+            let msg = err.to_string();
+            assert_eq!(err.class(), "XX000", "par={par}: {msg}");
+            assert!(msg.contains("panicked"), "{msg}");
+            assert!(msg.contains("deliberate test panic"), "{msg}");
+        }
     }
 
     #[test]

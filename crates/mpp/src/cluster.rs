@@ -17,6 +17,12 @@
 //!   merge expression, so HAVING, DISTINCT, ORDER BY, LIMIT and OFFSET are
 //!   the engine's. The coordinator owns routing, retries, assignment
 //!   epochs and the statement's deadline — and no operator.
+//!
+//! A statement has one clock and one pool. Its [`StatementContext`] is
+//! deadline-armed, so every check site — a morsel claim, a WLM queue
+//! wait, a stalled shard attempt — observes the deadline without a timer
+//! thread, and each scatter round runs its shard attempts as the morsels
+//! of one [`pool::run_morsels`] drive, the fan-out every operator uses.
 
 use crate::clusterfs::ClusterFs;
 use crate::ha::{balance_assignments, RebalanceReport};
@@ -31,22 +37,18 @@ use dash_common::{DashError, Datum, Result, Row, Schema, StatementContext};
 use dash_core::monitor::Monitor;
 use dash_core::{Database, HardwareSpec, QueryResult};
 use dash_exec::agg::AggFunc;
+use dash_exec::pool;
 use dash_sql::ast::{AstExpr, BinOp, OrderItem, SelectItem, SelectStmt, Statement, TableRef};
 use dash_sql::parser::parse_statement;
 use dash_sql::planner::{collect_aggregates, rewrite_post_agg};
 use parking_lot::RwLock;
-use std::collections::{BTreeMap, BTreeSet};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc};
-use std::time::{Duration, Instant};
+use std::collections::BTreeMap;
+use std::sync::Arc;
+use std::time::Duration;
 
 /// Per-shard attempts before the coordinator stops blaming the statement
 /// and declares the assigned node dead.
 const SHARD_MAX_ATTEMPTS: u32 = 3;
-
-/// Granularity at which stalled (straggler) shard attempts re-check the
-/// cancellation flag, so a deadline kill never waits on a full stall.
-const STALL_CHUNK: Duration = Duration::from_millis(2);
 
 /// Sentinel owner for a shard found on the clustered filesystem but
 /// missing from the published assignment map (damaged metadata). Never a
@@ -71,67 +73,6 @@ pub struct AssignmentEpoch {
     /// The complete shard → node map published at this epoch. Immutable
     /// once published.
     pub map: Arc<BTreeMap<ShardId, NodeId>>,
-}
-
-/// Sleep `total`, waking every [`STALL_CHUNK`] to honour both the round's
-/// cancel flag and the statement's token. Returns `true` when the sleep
-/// was cut short by cancellation.
-fn chunked_sleep(total: Duration, cancel: &AtomicBool, stmt: &StatementContext) -> bool {
-    let end = Instant::now() + total;
-    loop {
-        if cancel.load(Ordering::Relaxed) || stmt.is_cancelled() {
-            return true;
-        }
-        let now = Instant::now();
-        if now >= end {
-            return false;
-        }
-        std::thread::sleep(STALL_CHUNK.min(end - now));
-    }
-}
-
-/// Deadline watchdog: flips the statement token the moment the deadline
-/// fires, so workers deep inside shard execution (morsel claims, buffer
-/// pool stalls) observe cancellation immediately instead of waiting for
-/// the coordinator's next round boundary. The token is deadline-armed
-/// anyway — the watchdog is an accelerator, not a correctness requirement
-/// — and the drop joins the thread so no watchdog outlives its statement.
-struct Watchdog {
-    done: Arc<AtomicBool>,
-    handle: Option<std::thread::JoinHandle<()>>,
-}
-
-impl Watchdog {
-    fn arm(stmt: &StatementContext) -> Option<Watchdog> {
-        let deadline = stmt.deadline()?;
-        let done = Arc::new(AtomicBool::new(false));
-        let flag = done.clone();
-        let token = stmt.clone();
-        let handle = std::thread::spawn(move || {
-            while !flag.load(Ordering::Acquire) {
-                let now = Instant::now();
-                if now >= deadline {
-                    token.cancel();
-                    return;
-                }
-                std::thread::park_timeout((deadline - now).min(Duration::from_millis(10)));
-            }
-        });
-        Some(Watchdog {
-            done,
-            handle: Some(handle),
-        })
-    }
-}
-
-impl Drop for Watchdog {
-    fn drop(&mut self) {
-        self.done.store(true, Ordering::Release);
-        if let Some(h) = self.handle.take() {
-            h.thread().unpark();
-            let _ = h.join();
-        }
-    }
 }
 
 /// RAII record of which assignment epoch a statement has pinned, kept in
@@ -178,7 +119,7 @@ enum ShardOutcome {
     /// Retries exhausted or the node crashed: the assigned node is dead,
     /// fail over and re-drive this shard elsewhere.
     NodeDown(NodeId, DashError),
-    /// The statement deadline fired while this shard was in flight.
+    /// The statement's token flipped while this shard was in flight.
     Cancelled,
 }
 
@@ -504,12 +445,10 @@ impl Cluster {
                 (shard_stmt, final_stmt)
             }
         };
-        // The statement's lifecycle spine: deadline-armed token shared by
-        // every scatter worker, every shard-local operator, the final
-        // statement, and the watchdog that flips it the instant the
-        // deadline fires.
+        // The statement's lifecycle spine: one deadline-armed token shared
+        // by every shard attempt, every shard-local operator and the final
+        // statement.
         let stmt_ctx = StatementContext::with_limits(deadline, None);
-        let _watchdog = Watchdog::arm(&stmt_ctx);
         let results = self.scatter(&shard_stmt, &stmt_ctx)?;
         self.run_final(results, &final_stmt, stmt_ctx)
     }
@@ -523,8 +462,10 @@ impl Cluster {
         final_stmt: &SelectStmt,
         stmt_ctx: StatementContext,
     ) -> Result<Vec<Row>> {
+        // A stall cut short by the token falls through: the final
+        // statement's admission refuses it and its runner counts the kill.
         if let Some(FaultAction::Stall(d)) = self.faults.evaluate(GATHER_LOAD) {
-            chunked_sleep(d, &AtomicBool::new(false), &stmt_ctx);
+            let _ = stmt_ctx.sleep_cancellable(d);
         }
         let schema = match results.first() {
             Some(first) => first.schema.clone(),
@@ -545,10 +486,10 @@ impl Cluster {
 
     // ---- resilient scatter-gather ---------------------------------------------
 
-    /// Drive `shard_stmt` on every shard across a scoped worker pool,
-    /// re-driving lost shards after failover, until every shard has
-    /// reported or the statement dies (fatal error, quorum loss, or
-    /// deadline). Returns per-shard results in shard-id order.
+    /// Drive `shard_stmt` on every shard, one [`pool::run_morsels`] drive
+    /// per round, re-driving lost shards after failover, until every shard
+    /// has reported or the statement dies (fatal error, quorum loss, or
+    /// its token flipping). Returns per-shard results in shard-id order.
     ///
     /// The statement pins one [`AssignmentEpoch`] at scatter start and
     /// resolves every round's work against that single immutable map, so
@@ -561,7 +502,8 @@ impl Cluster {
         shard_stmt: &SelectStmt,
         stmt_ctx: &StatementContext,
     ) -> Result<Vec<QueryResult>> {
-        let deadline = stmt_ctx.deadline();
+        // One worker per core of the coordinator's host, at most 8.
+        let width = (self.coordinator.config().query_parallelism as usize).clamp(1, 8);
         let mut pinned = self.pin_assignment();
         let mut pin = EpochPin::new(self.monitor(), pinned.epoch);
         let mut pending: Vec<ShardId> = self.fs.shards();
@@ -585,13 +527,18 @@ impl Cluster {
             }
             // Chaos hook: force a full rebalance between failover rounds,
             // so tests can deterministically race a rebalance against an
-            // in-flight statement. `Stall` sleeps first, then rebalances.
+            // in-flight statement. `Stall` sleeps first, then rebalances;
+            // a stall the token cuts short skips the rebalance, and the
+            // round below refuses the dying statement.
             if round > 1 {
                 if let Some(action) = self.faults.evaluate(REBALANCE_DURING_SCATTER) {
-                    if let FaultAction::Stall(d) = action {
-                        std::thread::sleep(d);
+                    let stall = match action {
+                        FaultAction::Stall(d) => d,
+                        FaultAction::Error(_) => Duration::ZERO,
+                    };
+                    if stmt_ctx.sleep_cancellable(stall).is_ok() {
+                        self.rebalance()?;
                     }
-                    self.rebalance()?;
                 }
             }
             // Resolve this round's work against the pinned snapshot only.
@@ -606,34 +553,37 @@ impl Cluster {
                     None => orphans.push(*s),
                 }
             }
-            let (outcomes, timed_out) = self.run_round(shard_stmt, &work, deadline, stmt_ctx)?;
-            // Only the deadline can flip this statement-local token. The
-            // watchdog may do so a hair before the round's own timer fires;
-            // the shards then report `Cancelled` in time and must not be
-            // requeued as if a node had failed.
-            if timed_out || stmt_ctx.is_cancelled() {
-                stmt_ctx.cancel();
-                self.monitor().record_deadline_kill();
-                self.monitor().record_statement_cancelled();
-                self.monitor()
-                    .note_cancel_latency(stmt_ctx.cancel_latency_max_morsels());
+            // A round spanning two epochs is the torn read epoch pinning
+            // removes; the counter stays as a regression tripwire.
+            if work.iter().any(|&(_, _, e)| e != pinned.epoch) {
+                self.monitor().record_torn_epoch_round();
+            }
+            let round_run = pool::run_morsels(work.len(), width, stmt_ctx, |i| {
+                let (shard, node, epoch) = work[i];
+                Ok(self.attempt_shard(shard_stmt, shard, node, epoch, stmt_ctx))
+            });
+            // Decided once, here: the pool's `Cancelled` and a shard's
+            // `ShardOutcome::Cancelled` both mean the token flipped, and a
+            // dying statement requeues nothing as if a node had failed.
+            if stmt_ctx.is_cancelled() {
+                self.monitor().record_cancelled(stmt_ctx);
                 return Err(DashError::Cancelled);
             }
             let mut requeue: Vec<ShardId> = Vec::new();
             let mut dead: Vec<(NodeId, DashError)> = Vec::new();
-            for ((shard, _, _), out) in work.iter().zip(outcomes) {
+            for ((shard, _, _), out) in work.iter().zip(round_run?.results) {
                 match out {
-                    Some(ShardOutcome::Rows(result)) => {
+                    ShardOutcome::Rows(result) => {
                         collected.insert(*shard, result);
                     }
-                    Some(ShardOutcome::Fatal(e)) => return Err(e),
-                    Some(ShardOutcome::NodeDown(n, cause)) => {
+                    ShardOutcome::Fatal(e) => return Err(e),
+                    ShardOutcome::NodeDown(n, cause) => {
                         if !dead.iter().any(|(d, _)| *d == n) {
                             dead.push((n, cause));
                         }
                         requeue.push(*shard);
                     }
-                    Some(ShardOutcome::Cancelled) | None => requeue.push(*shard),
+                    ShardOutcome::Cancelled => requeue.push(*shard),
                 }
             }
             for (n, cause) in dead {
@@ -680,108 +630,26 @@ impl Cluster {
         Ok(collected.into_values().collect())
     }
 
-    /// One scatter round: run `work` across a scoped worker pool, gathering
-    /// outcomes until done or `deadline`. On deadline the cancel flag stops
-    /// in-flight workers (stalls wake every [`STALL_CHUNK`]); the scope
-    /// still joins every thread before returning.
-    ///
-    /// Each work item carries the epoch it was resolved from; a round
-    /// whose items span more than one epoch is a torn round — the exact
-    /// bug epoch pinning removes — and trips a monitor counter kept as a
-    /// regression tripwire.
-    fn run_round(
-        &self,
-        shard_stmt: &SelectStmt,
-        work: &[(ShardId, NodeId, u64)],
-        deadline: Option<Instant>,
-        stmt_ctx: &StatementContext,
-    ) -> Result<(Vec<Option<ShardOutcome>>, bool)> {
-        let epochs: BTreeSet<u64> = work.iter().map(|&(_, _, e)| e).collect();
-        if epochs.len() > 1 {
-            self.monitor().record_torn_epoch_round();
-        }
-        let cancel = AtomicBool::new(false);
-        let next = AtomicUsize::new(0);
-        let (tx, rx) = mpsc::channel::<(usize, ShardOutcome)>();
-        let width = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(4)
-            .clamp(1, 8);
-        let n_workers = work.len().min(width);
-        crossbeam::thread::scope(|scope| {
-            let cancel = &cancel;
-            let next = &next;
-            for _ in 0..n_workers {
-                let tx = tx.clone();
-                scope.spawn(move |_| loop {
-                    let i = next.fetch_add(1, Ordering::SeqCst);
-                    if i >= work.len() || cancel.load(Ordering::Relaxed) {
-                        break;
-                    }
-                    let (shard, node, epoch) = work[i];
-                    let out = self.attempt_shard(shard_stmt, shard, node, epoch, cancel, stmt_ctx);
-                    if tx.send((i, out)).is_err() {
-                        break;
-                    }
-                });
-            }
-            drop(tx);
-            let mut outs: Vec<Option<ShardOutcome>> = (0..work.len()).map(|_| None).collect();
-            let mut got = 0usize;
-            let mut timed_out = false;
-            while got < work.len() {
-                let msg = match deadline {
-                    Some(d) => {
-                        let now = Instant::now();
-                        if now >= d {
-                            timed_out = true;
-                            break;
-                        }
-                        match rx.recv_timeout(d - now) {
-                            Ok(m) => m,
-                            Err(mpsc::RecvTimeoutError::Timeout) => {
-                                timed_out = true;
-                                break;
-                            }
-                            Err(mpsc::RecvTimeoutError::Disconnected) => break,
-                        }
-                    }
-                    None => match rx.recv() {
-                        Ok(m) => m,
-                        Err(_) => break,
-                    },
-                };
-                outs[msg.0] = Some(msg.1);
-                got += 1;
-            }
-            if timed_out {
-                cancel.store(true, Ordering::SeqCst);
-            }
-            (outs, timed_out)
-        })
-        .map_err(|_| DashError::internal("a scatter worker panicked; round abandoned"))
-    }
-
     /// Run one shard's statement on its assigned node, retrying transient
     /// faults with a short backoff. Exhausting the retry budget indicts
-    /// the node, not the statement.
+    /// the node, not the statement. Every wait — the backoff and injected
+    /// stalls — sleeps on the statement's token.
     fn attempt_shard(
         &self,
         stmt: &SelectStmt,
         shard: ShardId,
         node: NodeId,
         epoch: u64,
-        cancel: &AtomicBool,
         stmt_ctx: &StatementContext,
     ) -> ShardOutcome {
         let mut last_err: Option<DashError> = None;
         for attempt in 0..SHARD_MAX_ATTEMPTS {
-            if cancel.load(Ordering::Relaxed) || stmt_ctx.is_cancelled() {
-                return ShardOutcome::Cancelled;
-            }
             if attempt > 0 {
                 self.monitor().record_shard_retry();
-                std::thread::sleep(Duration::from_micros(200 * u64::from(attempt)));
+                let backoff = Duration::from_micros(200 * u64::from(attempt));
+                if stmt_ctx.sleep_cancellable(backoff).is_err() {
+                    return ShardOutcome::Cancelled;
+                }
             }
             // Simulated node crash: the whole node is gone, not just this
             // work unit — no local retry can help.
@@ -797,7 +665,7 @@ impl Cluster {
                     }
                     FaultAction::Stall(d) => {
                         self.monitor().record_straggler();
-                        if chunked_sleep(d, cancel, stmt_ctx) {
+                        if stmt_ctx.sleep_cancellable(d).is_err() {
                             return ShardOutcome::Cancelled;
                         }
                     }
@@ -814,7 +682,7 @@ impl Cluster {
                 }
                 Some(FaultAction::Stall(d)) => {
                     self.monitor().record_straggler();
-                    if chunked_sleep(d, cancel, stmt_ctx) {
+                    if stmt_ctx.sleep_cancellable(d).is_err() {
                         return ShardOutcome::Cancelled;
                     }
                 }

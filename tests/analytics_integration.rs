@@ -42,7 +42,7 @@ fn sql_aggregate_matches_dataset_aggregate() {
     let (ds, stats) =
         read_table(&db, "obs", &["y"], None, TransferMode::Collocated, 8).unwrap();
     assert_eq!(stats.rows, 5000);
-    let ds_sum = ds.sum_column(0);
+    let ds_sum = ds.sum_column(0).unwrap();
     assert!((sql_sum - ds_sum).abs() < 1e-6, "{sql_sum} vs {ds_sum}");
 }
 
@@ -127,13 +127,14 @@ fn dataset_pipeline_over_transfer() {
     let db = db_with_obs(2000);
     let (ds, _) = read_table(&db, "obs", &["id", "seg"], None, TransferMode::Collocated, 6)
         .unwrap();
-    let evens = ds.filter(|r| r.get(0).as_int().unwrap() % 2 == 0);
+    let evens = ds.filter(|r| r.get(0).as_int().unwrap() % 2 == 0).unwrap();
     assert_eq!(evens.count(), 1000);
     let seg_total = evens.aggregate(
         || 0i64,
         |acc, r| acc + r.get(1).as_int().unwrap(),
         |a, b| a + b,
-    );
+    )
+    .unwrap();
     let mut s = db.connect();
     let sql = s
         .query("SELECT SUM(seg) FROM obs WHERE MOD(id, 2) = 0")

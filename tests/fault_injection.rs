@@ -15,7 +15,7 @@ use dashdb_local::common::{row, Datum, Field, Row, Schema};
 use dashdb_local::core::monitor::RecoveryStats;
 use dashdb_local::core::HardwareSpec;
 use dashdb_local::mpp::{Cluster, Distribution};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Registry seed for this run: `DASH_FAULT_SEED` (the CI matrix variable)
 /// when set, otherwise the scenario's default. Every scenario uses
@@ -216,11 +216,11 @@ fn injected_faults_surface_as_classified_errors_never_panics() {
     assert_eq!(c.query("SELECT COUNT(*) FROM sales").unwrap()[0].get(0), &Datum::Int(900));
 }
 
-/// A deadline kill is always `Cancelled`, however the watchdog and the
-/// scatter round's own timer interleave. The watchdog can flip the token a
-/// hair before the round times out; the shards then report `Cancelled` in
-/// time, and requeueing them as if a node had failed used to end in "did
-/// not converge" (a cluster error) instead.
+/// A deadline kill is always `Cancelled`, whichever check site sees the
+/// deadline first — a stalled shard, a morsel claim, or the round's end.
+/// Shards that report `Cancelled` must not be requeued as if a node had
+/// failed, which used to end in "did not converge" (a cluster error): the
+/// round asks the token once, after it ends, and counts the kill there.
 #[test]
 fn deadline_kill_is_cancelled_whichever_timer_fires_first() {
     let reg = FaultRegistry::with_seed(seed(5));
@@ -237,6 +237,39 @@ fn deadline_kill_is_cancelled_whichever_timer_fires_first() {
         assert_eq!(c.monitor().recovery().deadline_kills, round);
     }
     assert_eq!(c.live_nodes(), 3, "a deadline kill never buries a node");
+}
+
+/// The stall the `rebalance.during_scatter` failpoint injects between
+/// failover rounds sleeps on the statement's token: a deadline that fires
+/// during it kills the statement promptly, counted once, with no epoch
+/// left pinned.
+#[test]
+fn deadline_fires_inside_the_stall_between_failover_rounds() {
+    let reg = FaultRegistry::with_seed(seed(19));
+    let c = loaded_cluster(3, 3, 900, reg.clone());
+    // One crash on node 1 forces a second round; the stall precedes it.
+    reg.arm(
+        FaultRegistry::scoped(NODE_CRASH, 1),
+        FaultPolicy::OneShot,
+        FaultAction::Error("oom killer".into()),
+    );
+    reg.arm(
+        REBALANCE_DURING_SCATTER,
+        FaultPolicy::Always,
+        FaultAction::Stall(Duration::from_secs(30)),
+    );
+    let start = Instant::now();
+    let err = c
+        .query_with_deadline(TOTALS_SQL, Some(Duration::from_millis(200)))
+        .unwrap_err();
+    assert_eq!(err.class(), "57014", "{err}");
+    assert!(
+        start.elapsed() < Duration::from_secs(10),
+        "the 30 s stall must not be waited out"
+    );
+    let rec = c.monitor().recovery();
+    assert_eq!(rec.deadline_kills, 1, "{rec:?}");
+    assert_eq!(c.monitor().epoch_gc_watermark(), None);
 }
 
 /// The whole point of the seeded registry: an identical fault script on an

@@ -9,6 +9,7 @@
 use dashdb_local::common::faults::{
     FaultAction, FaultPolicy, FaultRegistry, GATHER_LOAD, PAGE_READ, SHARD_EXEC,
 };
+use dashdb_local::common::dialect::Dialect;
 use dashdb_local::common::types::DataType;
 use dashdb_local::common::{row, DashError, Field, Row, Schema, StatementContext};
 use dashdb_local::core::{Database, HardwareSpec, Session};
@@ -23,6 +24,7 @@ use dashdb_local::exec::sort::{merge_sorted_runs, sort_batch, SortKey, SortOptio
 use dashdb_local::exec::stats::ExecStats;
 use dashdb_local::exec::Batch;
 use dashdb_local::mpp::{Cluster, Distribution};
+use dashdb_local::sql::{parse_statement, Statement};
 use std::time::{Duration, Instant};
 
 /// Registry seed: `DASH_FAULT_SEED` (the CI matrix variable) when set,
@@ -147,7 +149,9 @@ fn wlm_queue_wait_counts_against_deadline() {
     let mut s = loaded_session(&db, 50);
 
     // Saturate every admission slot from outside the session.
-    let holds: Vec<_> = (0..db.wlm().limit()).map(|_| db.wlm().admit()).collect();
+    let holds: Vec<_> = (0..db.wlm().limit())
+        .map(|_| db.wlm().admit(StatementContext::ambient()).unwrap())
+        .collect();
     s.set_statement_timeout(Some(Duration::from_millis(40)));
     let start = Instant::now();
     let err = s.query("SELECT COUNT(*) FROM sales").unwrap_err();
@@ -169,6 +173,38 @@ fn wlm_queue_wait_counts_against_deadline() {
     s.set_statement_timeout(None);
     let rows = s.query("SELECT COUNT(*) FROM sales").unwrap();
     assert_eq!(rows[0].get(0).as_int(), Some(50));
+}
+
+/// A statement whose token is already cancelled — and which has no
+/// deadline — is refused by a full admission gate at once: it never waits
+/// in the queue for a slot it could not use, and leaves no queue residue.
+#[test]
+fn cancelled_statement_never_waits_in_the_wlm_queue() {
+    let db = Database::with_hardware(HardwareSpec::laptop());
+    let mut s = loaded_session(&db, 50);
+    let Statement::Select(select) = parse_statement("SELECT COUNT(*) FROM sales", Dialect::Ansi).unwrap()
+    else {
+        unreachable!("a SELECT parses as a SELECT")
+    };
+    let holds: Vec<_> = (0..db.wlm().limit())
+        .map(|_| db.wlm().admit(StatementContext::ambient()).unwrap())
+        .collect();
+    let (tx, rx) = std::sync::mpsc::channel();
+    let worker = std::thread::spawn(move || {
+        let cancelled = StatementContext::unbounded();
+        cancelled.cancel();
+        let _ = tx.send(s.run_query(&select, cancelled).map(|r| r.rows));
+    });
+    // Bounded, then the holds go: a gate that queues the dead statement
+    // fails here instead of hanging.
+    let outcome = rx.recv_timeout(Duration::from_secs(2));
+    drop(holds);
+    worker.join().unwrap();
+    assert!(matches!(outcome, Ok(Err(DashError::Cancelled))), "{outcome:?}");
+    let (running, queued, _, _, _) = db.wlm().snapshot();
+    assert_eq!((running, queued), (0, 0), "the refused statement left residue");
+    let rec = db.monitor().recovery();
+    assert_eq!((rec.statements_cancelled, rec.deadline_kills), (1, 0), "{rec:?}");
 }
 
 /// The session's limits govern every statement that runs a query, not
@@ -340,7 +376,7 @@ fn deadline_kills_kway_merge_between_pops() {
     let cancelled = StatementContext::unbounded();
     cancelled.cancel();
     let err = merge_sorted_runs(&runs, 4_000, &cancelled, &cmp).unwrap_err();
-    assert_eq!(err, DashError::Cancelled, "watchdog cancel classifies the same");
+    assert_eq!(err, DashError::Cancelled, "a manual cancel classifies the same");
 }
 
 /// A memory budget too small for the sort's permutation state refuses the
@@ -416,8 +452,8 @@ fn loaded_cluster(nodes: usize, shards_per_node: usize, rows: usize, faults: Fau
 const TOTALS_SQL: &str =
     "SELECT region, COUNT(*), SUM(amount) FROM sales GROUP BY region ORDER BY region";
 
-/// Cluster-side chaos: the watchdog flips the shared token the moment the
-/// deadline fires, a stalled shard observes it mid-stall, and the whole
+/// Cluster-side chaos: a stalled shard sleeps on the statement's
+/// deadline-armed token and observes the deadline mid-stall, and the whole
 /// statement dies classified with the preemption-latency bound intact —
 /// then the very same cluster answers again with no leaked state.
 #[test]
