@@ -14,14 +14,17 @@ use dash_common::faults::{FaultAction, FaultRegistry, CKPT_CAPTURE, TXN_STAMP};
 use dash_common::ids::{SessionId, Tsn};
 use dash_common::txn::{is_pending, pending_owner, SnapshotView, TxnId, TS_NEVER};
 use dash_common::{DashError, DataType, Datum, Field, Result, Row, Schema, StatementContext};
+use dash_encoding::column::ColumnValues;
 use dash_exec::batch::Batch;
 use dash_exec::functions::EvalContext;
 use dash_exec::plan::{PhysicalPlan, SharedTable};
 use dash_exec::scan::ScanConfig;
 use dash_exec::stats::ExecStats;
-use dash_sql::ast::{InsertSource, SelectStmt, Statement};
+use dash_sql::ast::{AstExpr, ColumnDef, InsertSource, SelectStmt, Statement};
 use dash_sql::parser::{parse_statement, split_statements};
-use dash_sql::planner::{lower_standalone_expr, lower_table_expr, plan_select, pushdown};
+use dash_sql::planner::{
+    lower_standalone_expr, lower_table_expr, plan_select, pushdown, TableHandle,
+};
 use dash_storage::bufferpool::{BufferPool, Policy};
 use dash_storage::table::ColumnTable;
 use dash_storage::wal::{
@@ -369,14 +372,7 @@ impl Database {
                             applied += 1;
                             continue;
                         };
-                        // Txn id 0 marks pre-history (bulk loads, CTAS):
-                        // those rows are visible to every snapshot, like
-                        // the live path's load_rows.
-                        let ins = if txn.0 == 0 {
-                            0
-                        } else {
-                            committed.get(&txn.0).copied().unwrap_or(TS_NEVER)
-                        };
+                        let ins = committed.get(&txn.0).copied().unwrap_or(TS_NEVER);
                         let mut t = h.table.write();
                         // Apply only at the append position: a smaller TSN
                         // is already covered by the checkpoint (or was
@@ -388,27 +384,21 @@ impl Database {
                         }
                     }
                     WalRecord::Delete { txn, table, tsn } => {
-                        let ts = if txn.0 == 0 {
-                            Some(0)
-                        } else {
-                            committed.get(&txn.0).copied()
-                        };
-                        if let Some(ts) = ts {
-                            if let Ok(h) = self.catalog.table_handle(table) {
-                                let mut t = h.table.write();
-                                // Skip deletes the checkpoint captured.
-                                if tsn.0 < t.total_rows()
-                                    && t.delete_ts_words()[tsn.0 as usize] == TS_NEVER
-                                {
-                                    t.replay_delete(*tsn, ts)?;
-                                }
+                        if let (Some(&ts), Ok(h)) =
+                            (committed.get(&txn.0), self.catalog.table_handle(table))
+                        {
+                            let mut t = h.table.write();
+                            // Skip deletes the checkpoint captured.
+                            if tsn.0 < t.total_rows()
+                                && t.delete_ts_words()[tsn.0 as usize] == TS_NEVER
+                            {
+                                t.replay_delete(*tsn, ts)?;
                             }
                         }
                     }
                     WalRecord::Begin { .. }
                     | WalRecord::Commit { .. }
-                    | WalRecord::Abort { .. }
-                    | WalRecord::Checkpoint { .. } => {}
+                    | WalRecord::Abort { .. } => {}
                 }
                 applied += 1;
             }
@@ -1069,10 +1059,7 @@ impl Session {
     /// (SQLSTATE 40001, first-writer-wins) rolls the whole transaction
     /// back so the application can retry; any other failure undoes just
     /// this statement's writes.
-    fn dml<F>(&mut self, f: F) -> Result<QueryResult>
-    where
-        F: FnOnce(&mut Self) -> Result<QueryResult>,
-    {
+    fn dml<T>(&mut self, f: impl FnOnce(&mut Self) -> Result<T>) -> Result<T> {
         let autocommit = self.txn.is_none();
         if autocommit {
             self.begin_txn(true)?;
@@ -1164,78 +1151,34 @@ impl Session {
                 if if_not_exists && self.db.catalog.has_table(&name) {
                     return Ok(QueryResult::ddl());
                 }
-                let owner = if temporary { Some(self.id) } else { None };
-                match as_select {
+                let owner = temporary.then_some(self.id);
+                // CTAS is CREATE + INSERT … SELECT. The query runs first,
+                // so a killed CTAS creates no table; the DDL is logged and
+                // non-transactional; the rows go through the one write
+                // path inside the statement's transaction.
+                let (schema, source) = match as_select {
                     Some(select) => {
                         let (batch, _) = self.run_select(&select)?;
-                        let handle =
-                            self.db
-                                .catalog
-                                .create_table(&name, batch.schema().clone(), owner)?;
-                        let rows = batch.to_rows();
-                        // CTAS rows are pre-history (txn 0): visible to
-                        // every snapshot, like a bulk load. The row
-                        // records are appended *inside* the table write
-                        // lock, like DML: a concurrent snapshot checkpoint
-                        // capturing this table therefore sees either none
-                        // or all of the logged rows — never a log/memory
-                        // split it would lose at the generation switch.
-                        let durable = owner.is_none();
-                        let key = durable
-                            .then(|| self.db.catalog.durable_key(&name, None))
-                            .flatten();
-                        if let Some(key) = &key {
-                            self.db.wal_append(&WalRecord::CreateTable {
-                                name: key.clone(),
-                                schema: batch.schema().clone(),
-                            })?;
-                        }
-                        {
-                            let mut t = handle.write();
-                            if let Some(key) = &key {
-                                for (i, row) in rows.iter().enumerate() {
-                                    self.db.wal_append(&WalRecord::Insert {
-                                        txn: TxnId(0),
-                                        table: key.clone(),
-                                        tsn: Tsn(i as u64),
-                                        row: row.clone(),
-                                    })?;
-                                }
-                            }
-                            t.load_rows(rows)?;
-                        }
-                        Ok(QueryResult::ddl())
+                        (batch.schema().clone(), Some(batch))
                     }
-                    None => {
-                        let mut fields = Vec::with_capacity(columns.len());
-                        for c in &columns {
-                            let dt = DataType::from_sql_name(&c.type_name, &c.type_args)
-                                .ok_or_else(|| {
-                                    DashError::analysis(format!(
-                                        "unknown type {} for column {}",
-                                        c.type_name, c.name
-                                    ))
-                                })?;
-                            fields.push(Field {
-                                name: c.name.clone(),
-                                data_type: dt,
-                                nullable: !c.not_null,
-                            });
-                        }
-                        let schema = Schema::new(fields)?;
-                        self.db
-                            .catalog
-                            .create_table(&name, schema.clone(), owner)?;
-                        if let Some(key) = (owner.is_none())
-                            .then(|| self.db.catalog.durable_key(&name, None))
-                            .flatten()
-                        {
-                            self.db
-                                .wal_append(&WalRecord::CreateTable { name: key, schema })?;
-                        }
-                        Ok(QueryResult::ddl())
-                    }
+                    None => (column_schema(&columns)?, None),
+                };
+                let table = self.db.catalog.create_table(&name, schema.clone(), owner)?;
+                let durable = owner
+                    .is_none()
+                    .then(|| self.db.catalog.durable_key(&name, None))
+                    .flatten();
+                if let Some(key) = &durable {
+                    self.db.wal_append(&WalRecord::CreateTable {
+                        name: key.clone(),
+                        schema,
+                    })?;
                 }
+                if let Some(batch) = source {
+                    let rows = batch.to_rows().into_iter().map(Change::Insert);
+                    self.dml(|s| s.write(&table, durable, rows))?;
+                }
+                Ok(QueryResult::ddl())
             }
             Statement::DropTable { name, if_exists } => {
                 let durable = self.db.catalog.durable_key(&name, Some(self.id));
@@ -1340,18 +1283,8 @@ impl Session {
         })
     }
 
-    fn standalone_values(&mut self, rows: Vec<Vec<dash_sql::ast::AstExpr>>) -> Result<QueryResult> {
-        let ctx = self.eval_context();
-        let mut out_rows: Vec<Row> = Vec::with_capacity(rows.len());
-        for row in &rows {
-            let mut vals = Vec::with_capacity(row.len());
-            for e in row {
-                let lowered =
-                    lower_standalone_expr(e, &self.provider(), self.dialect, &ctx)?;
-                vals.push(eval_standalone(&lowered, &ctx)?);
-            }
-            out_rows.push(Row::new(vals));
-        }
+    fn standalone_values(&mut self, rows: Vec<Vec<AstExpr>>) -> Result<QueryResult> {
+        let out_rows = self.values_rows(&rows)?;
         let width = out_rows.first().map_or(0, |r| r.len());
         if out_rows.iter().any(|r| r.len() != width) {
             return Err(DashError::analysis("VALUES rows have unequal arity"));
@@ -1374,14 +1307,41 @@ impl Session {
         })
     }
 
+    /// Evaluate a VALUES list (standalone or INSERT's source): every
+    /// expression is lowered and evaluated over one empty row, built once
+    /// for the statement.
+    fn values_rows(&self, rows: &[Vec<AstExpr>]) -> Result<Vec<Row>> {
+        let ctx = self.eval_context();
+        let provider = self.provider();
+        let one = Batch::from_rows(Schema::empty(), &[Row::new(vec![])])?;
+        rows.iter()
+            .map(|row| {
+                row.iter()
+                    .map(|e| {
+                        lower_standalone_expr(e, &provider, self.dialect, &ctx)?.eval(&one, 0, &ctx)
+                    })
+                    .collect::<Result<Vec<Datum>>>()
+                    .map(Row::new)
+            })
+            .collect()
+    }
+
+    /// A DML target: its handle, schema and log name (`None` for a
+    /// temporary table).
+    fn target(&self, table: &str) -> Result<(TableHandle, Schema, Option<String>)> {
+        let handle = self.db.catalog.table_handle_for(table, Some(self.id))?;
+        let schema = handle.table.read().schema().clone();
+        let durable = self.db.catalog.durable_key(table, Some(self.id));
+        Ok((handle, schema, durable))
+    }
+
     fn insert(
         &mut self,
         table: &str,
         columns: &[String],
         source: InsertSource,
     ) -> Result<QueryResult> {
-        let handle = self.db.catalog.table_handle_for(table, Some(self.id))?;
-        let schema = handle.table.read().schema().clone();
+        let (handle, schema, durable) = self.target(table)?;
         // Map the written columns to table ordinals.
         let targets: Vec<usize> = if columns.is_empty() {
             (0..schema.len()).collect()
@@ -1392,74 +1352,38 @@ impl Session {
             }
             v
         };
-        let ctx = self.eval_context();
-        let source_rows: Vec<Row> = match source {
-            InsertSource::Values(rows) => {
-                let mut out = Vec::with_capacity(rows.len());
-                for row in &rows {
-                    let mut vals = Vec::with_capacity(row.len());
-                    for e in row {
-                        let lowered = lower_standalone_expr(
-                            e,
-                            &self.provider(),
-                            self.dialect,
-                            &ctx,
-                        )?;
-                        vals.push(eval_standalone(&lowered, &ctx)?);
-                    }
-                    out.push(Row::new(vals));
-                }
-                out
-            }
+        let source_rows = match source {
+            InsertSource::Values(rows) => self.values_rows(&rows)?,
             InsertSource::Select(select) => self.run_select(&select)?.0.to_rows(),
         };
-        let durable = self.db.catalog.durable_key(table, Some(self.id));
-        let (txn_id, _) = self.active_txn()?;
-        let shared = handle.table.clone();
-        let mut count = 0u64;
-        {
-            // The WAL append happens under the same table write lock that
-            // assigned the TSN, so log order equals TSN order per table —
-            // the invariant replay's restore_row asserts.
-            let mut t = handle.table.write();
-            for src in source_rows {
-                if src.len() != targets.len() {
-                    return Err(DashError::analysis(format!(
-                        "INSERT provides {} values for {} columns",
-                        src.len(),
-                        targets.len()
-                    )));
-                }
-                let mut full = vec![Datum::Null; schema.len()];
-                for (v, &ti) in src.0.into_iter().zip(&targets) {
-                    full[ti] = v;
-                }
-                let row = Row::new(full);
-                let wal_row = durable.is_some().then(|| row.clone());
-                let tsn = t.mvcc_insert(row, txn_id)?;
-                if let (Some(key), Some(row)) = (&durable, wal_row) {
-                    self.db.wal_append(&WalRecord::Insert {
-                        txn: txn_id,
-                        table: key.clone(),
-                        tsn,
-                        row,
-                    })?;
-                }
-                self.record_write(shared.clone(), tsn, WriteKind::Insert);
-                count += 1;
-            }
+        if let Some(src) = source_rows.iter().find(|r| r.len() != targets.len()) {
+            return Err(DashError::analysis(format!(
+                "INSERT provides {} values for {} columns",
+                src.len(),
+                targets.len()
+            )));
         }
+        let rows = source_rows.into_iter().map(|src| {
+            let mut full = vec![Datum::Null; schema.len()];
+            for (v, &ti) in src.0.into_iter().zip(&targets) {
+                full[ti] = v;
+            }
+            Change::Insert(Row::new(full))
+        });
+        let count = self.write(&handle.table, durable, rows)?;
         Ok(QueryResult::dml(StatementKind::Insert, count))
     }
 
-    /// Scan matching rows of a table, returning (full row, tsn) pairs.
+    /// Scan the rows of `handle` that `selection` matches, in this
+    /// session's snapshot. The batch holds the table's columns followed
+    /// by `_TSN`, so expressions lowered against the table schema evaluate
+    /// on it directly; the positions come back beside it.
     fn matching_rows(
         &self,
-        table: &str,
-        selection: Option<&dash_sql::ast::AstExpr>,
-    ) -> Result<(Vec<Row>, Vec<u64>)> {
-        let handle = self.db.catalog.table_handle_for(table, Some(self.id))?;
-        let schema = handle.table.read().schema().clone();
+        handle: &TableHandle,
+        schema: &Schema,
+        selection: Option<&AstExpr>,
+    ) -> Result<(Batch, Vec<Tsn>)> {
         let (batch, _) = self.run(|ctx| {
             let mut config = ScanConfig::full(handle.id, (0..schema.len()).collect());
             config.include_tsn = true;
@@ -1470,8 +1394,7 @@ impl Session {
                 config,
             };
             if let Some(sel) = selection {
-                let predicate =
-                    lower_table_expr(sel, &schema, &self.provider(), self.dialect, ctx)?;
+                let predicate = lower_table_expr(sel, schema, &self.provider(), self.dialect, ctx)?;
                 plan = PhysicalPlan::Filter {
                     input: Box::new(plan),
                     predicate,
@@ -1479,29 +1402,25 @@ impl Session {
             }
             Ok(pushdown(plan))
         })?;
-        let ncols = schema.len();
-        let mut rows = Vec::with_capacity(batch.len());
-        let mut tsns = Vec::with_capacity(batch.len());
-        for mut r in batch.to_rows() {
-            let tsn = r.0.remove(ncols);
-            let tsn = tsn
-                .as_int()
-                .ok_or_else(|| DashError::internal("scan produced a non-integer TSN"))?;
-            tsns.push(tsn as u64);
-            rows.push(r);
+        let tsns = match batch.try_column(schema.len())? {
+            ColumnValues::Int(v) => v
+                .iter()
+                .map(|t| t.map(|t| Tsn(t as u64)))
+                .collect::<Option<Vec<Tsn>>>(),
+            _ => None,
         }
-        Ok((rows, tsns))
+        .ok_or_else(|| DashError::internal("scan produced a non-integer TSN"))?;
+        Ok((batch, tsns))
     }
 
     fn update(
         &mut self,
         table: &str,
-        assignments: &[(String, dash_sql::ast::AstExpr)],
-        selection: Option<&dash_sql::ast::AstExpr>,
+        assignments: &[(String, AstExpr)],
+        selection: Option<&AstExpr>,
     ) -> Result<QueryResult> {
         let ctx = self.eval_context();
-        let handle = self.db.catalog.table_handle_for(table, Some(self.id))?;
-        let schema = handle.table.read().schema().clone();
+        let (handle, schema, durable) = self.target(table)?;
         let mut lowered = Vec::with_capacity(assignments.len());
         for (col, e) in assignments {
             let ordinal = schema.resolve(col)?;
@@ -1509,82 +1428,92 @@ impl Session {
                 lower_table_expr(e, &schema, &self.provider(), self.dialect, &ctx)?;
             lowered.push((ordinal, expr));
         }
-        let (rows, tsns) = self.matching_rows(table, selection)?;
-        let batch = Batch::from_rows(schema.clone(), &rows)?;
-        let durable = self.db.catalog.durable_key(table, Some(self.id));
-        let (txn_id, snap_ts) = self.active_txn()?;
-        let shared = handle.table.clone();
-        let mut applied = 0u64;
-        {
-            let mut t = handle.table.write();
-            for (i, &tsn) in tsns.iter().enumerate() {
-                // Column stores update via delete + re-append. The delete
-                // applies first-writer-wins: a row a concurrent transaction
-                // already wrote raises a WriteConflict (the caller rolls the
-                // transaction back); a row already deleted in our own view
-                // is skipped.
-                if !t.mvcc_delete(Tsn(tsn), txn_id, snap_ts)? {
-                    continue;
-                }
-                if let Some(key) = &durable {
-                    self.db.wal_append(&WalRecord::Delete {
-                        txn: txn_id,
-                        table: key.clone(),
-                        tsn: Tsn(tsn),
-                    })?;
-                }
-                self.record_write(shared.clone(), Tsn(tsn), WriteKind::Delete);
-                let mut row = rows[i].clone();
-                for (ordinal, expr) in &lowered {
-                    row.0[*ordinal] = expr.eval(&batch, i, &ctx)?;
-                }
-                let wal_row = durable.is_some().then(|| row.clone());
-                let new_tsn = t.mvcc_insert(row, txn_id)?;
-                if let (Some(key), Some(row)) = (&durable, wal_row) {
-                    self.db.wal_append(&WalRecord::Insert {
-                        txn: txn_id,
-                        table: key.clone(),
-                        tsn: new_tsn,
-                        row,
-                    })?;
-                }
-                self.record_write(shared.clone(), new_tsn, WriteKind::Insert);
-                applied += 1;
+        let (batch, tsns) = self.matching_rows(&handle, &schema, selection)?;
+        let mut changes = Vec::with_capacity(tsns.len());
+        for (i, tsn) in tsns.into_iter().enumerate() {
+            let mut row: Vec<Datum> = (0..schema.len()).map(|c| batch.value(i, c)).collect();
+            for (ordinal, expr) in &lowered {
+                row[*ordinal] = expr.eval(&batch, i, &ctx)?;
             }
+            changes.push(Change::Replace(tsn, Row::new(row)));
         }
+        let applied = self.write(&handle.table, durable, changes)?;
         Ok(QueryResult::dml(StatementKind::Update, applied))
     }
 
-    fn delete(
+    fn delete(&mut self, table: &str, selection: Option<&AstExpr>) -> Result<QueryResult> {
+        let (handle, schema, durable) = self.target(table)?;
+        let (_, tsns) = self.matching_rows(&handle, &schema, selection)?;
+        let count = self.write(&handle.table, durable, tsns.into_iter().map(Change::Delete))?;
+        Ok(QueryResult::dml(StatementKind::Delete, count))
+    }
+
+    /// The one write path: apply a statement's row changes to `table`
+    /// inside the open transaction, in order, under one table write lock.
+    /// A delete is first-writer-wins ([`ColumnTable::mvcc_delete`] raises
+    /// the `WriteConflict` that rolls the transaction back); a row already
+    /// gone in this transaction's view is skipped, and with it a
+    /// `Replace`'s replacement. Each applied delete and insert is logged
+    /// while the lock is held, so log order equals TSN order per table —
+    /// the invariant replay's `restore_row` asserts — and remembered for
+    /// commit stamping and rollback. `durable` is the table's log name.
+    /// Returns the number of changes applied.
+    fn write(
         &mut self,
-        table: &str,
-        selection: Option<&dash_sql::ast::AstExpr>,
-    ) -> Result<QueryResult> {
-        let handle = self.db.catalog.table_handle_for(table, Some(self.id))?;
-        let (_, tsns) = self.matching_rows(table, selection)?;
-        let durable = self.db.catalog.durable_key(table, Some(self.id));
-        let (txn_id, snap_ts) = self.active_txn()?;
-        let shared = handle.table.clone();
-        let mut count = 0u64;
-        {
-            let mut t = handle.table.write();
-            for &tsn in &tsns {
-                if !t.mvcc_delete(Tsn(tsn), txn_id, snap_ts)? {
+        table: &SharedTable,
+        durable: Option<String>,
+        changes: impl IntoIterator<Item = Change>,
+    ) -> Result<u64> {
+        let (txn, snapshot_ts) = self.active_txn()?;
+        let mut t = table.write();
+        let mut applied = 0;
+        for change in changes {
+            let (delete, insert) = match change {
+                Change::Insert(row) => (None, Some(row)),
+                Change::Delete(tsn) => (Some(tsn), None),
+                Change::Replace(tsn, row) => (Some(tsn), Some(row)),
+            };
+            if let Some(tsn) = delete {
+                if !t.mvcc_delete(tsn, txn, snapshot_ts)? {
                     continue;
                 }
                 if let Some(key) = &durable {
                     self.db.wal_append(&WalRecord::Delete {
-                        txn: txn_id,
+                        txn,
                         table: key.clone(),
-                        tsn: Tsn(tsn),
+                        tsn,
                     })?;
                 }
-                self.record_write(shared.clone(), Tsn(tsn), WriteKind::Delete);
-                count += 1;
+                self.record_write(table.clone(), tsn, WriteKind::Delete);
             }
+            if let Some(row) = insert {
+                let logged = durable.as_ref().map(|key| (key.clone(), row.clone()));
+                let tsn = t.mvcc_insert(row, txn)?;
+                if let Some((key, row)) = logged {
+                    self.db.wal_append(&WalRecord::Insert {
+                        txn,
+                        table: key,
+                        tsn,
+                        row,
+                    })?;
+                }
+                self.record_write(table.clone(), tsn, WriteKind::Insert);
+            }
+            applied += 1;
         }
-        Ok(QueryResult::dml(StatementKind::Delete, count))
+        Ok(applied)
     }
+}
+
+/// One row change a statement hands to [`Session::write`].
+enum Change {
+    /// Append a row.
+    Insert(Row),
+    /// Delete the row at a position.
+    Delete(Tsn),
+    /// Delete the row at a position and append its replacement — how a
+    /// column store updates.
+    Replace(Tsn, Row),
 }
 
 /// A session-scoped view of the catalog: the session's temporary tables
@@ -1632,10 +1561,22 @@ impl dash_sql::planner::SchemaProvider for SessionCatalog<'_> {
     }
 }
 
-fn eval_standalone(expr: &dash_exec::expr::Expr, ctx: &EvalContext) -> Result<Datum> {
-    // One empty row gives constant expressions something to evaluate over.
-    let batch = Batch::from_rows(Schema::empty(), &[Row::new(vec![])])?;
-    expr.eval(&batch, 0, ctx)
+/// The schema a `CREATE TABLE` column list declares.
+fn column_schema(columns: &[ColumnDef]) -> Result<Schema> {
+    let fields = columns
+        .iter()
+        .map(|c| {
+            let data_type = DataType::from_sql_name(&c.type_name, &c.type_args).ok_or_else(|| {
+                DashError::analysis(format!("unknown type {} for column {}", c.type_name, c.name))
+            })?;
+            Ok(Field {
+                name: c.name.clone(),
+                data_type,
+                nullable: !c.not_null,
+            })
+        })
+        .collect::<Result<Vec<Field>>>()?;
+    Schema::new(fields)
 }
 
 fn kind_name(stmt: &Statement) -> &'static str {
@@ -1699,6 +1640,33 @@ mod tests {
         let r = s.execute("DELETE FROM t WHERE v = 21").unwrap();
         assert_eq!(r.affected, 1);
         assert_eq!(s.query("SELECT COUNT(*) FROM t").unwrap()[0].get(0), &Datum::Int(2));
+
+        // A SET reading two columns, over matches in two sealed strides
+        // and the open one: every SET reads the row as it was.
+        let n = 2500i64;
+        s.execute("CREATE TABLE w (id BIGINT, a BIGINT, b BIGINT)").unwrap();
+        let values: Vec<String> = (0..n).map(|i| format!("({i}, {i}, {})", i % 10)).collect();
+        s.execute(&format!("INSERT INTO w VALUES {}", values.join(", "))).unwrap();
+        let r = s
+            .execute("UPDATE w SET a = a + b, b = a - b WHERE id >= 1000 AND b < 3")
+            .unwrap();
+        let hit = |i: i64| i >= 1000 && i % 10 < 3;
+        assert_eq!(r.affected, (0..n).filter(|&i| hit(i)).count() as u64);
+        let rows = s.query("SELECT id, a, b FROM w ORDER BY id").unwrap();
+        let got: Vec<(i64, i64, i64)> = rows
+            .iter()
+            .map(|r| {
+                let v = |c| r.get(c).as_int().unwrap();
+                (v(0), v(1), v(2))
+            })
+            .collect();
+        let want: Vec<(i64, i64, i64)> = (0..n)
+            .map(|i| match hit(i) {
+                true => (i, i + i % 10, i - i % 10),
+                false => (i, i, i % 10),
+            })
+            .collect();
+        assert_eq!(got, want);
     }
 
     #[test]
@@ -1784,6 +1752,52 @@ mod tests {
         assert_eq!(rows[0].get(0).as_str(), Some("X"));
         s.execute("TRUNCATE TABLE copy").unwrap();
         assert_eq!(s.query("SELECT * FROM copy").unwrap().len(), 0);
+    }
+
+    #[test]
+    fn rolled_back_ctas_leaves_an_empty_table() {
+        let db = Database::with_hardware(HardwareSpec::laptop());
+        let mut s = db.connect();
+        s.execute("CREATE TABLE src (x INT)").unwrap();
+        s.execute("INSERT INTO src VALUES (1), (2), (3)").unwrap();
+        s.execute("BEGIN").unwrap();
+        s.execute("CREATE TABLE copy AS SELECT x FROM src").unwrap();
+        assert_eq!(
+            s.query("SELECT * FROM copy").unwrap().len(),
+            3,
+            "read-your-writes"
+        );
+        s.execute("ROLLBACK").unwrap();
+        // The DDL is non-transactional; the rows are not.
+        assert!(db.catalog().has_table("copy"));
+        assert_eq!(s.query("SELECT * FROM copy").unwrap().len(), 0);
+    }
+
+    #[test]
+    fn ctas_rows_obey_snapshot_isolation() {
+        let db = Database::with_hardware(HardwareSpec::laptop());
+        let mut writer = db.connect();
+        writer.execute("CREATE TABLE src (x INT)").unwrap();
+        writer
+            .execute("INSERT INTO src VALUES (1), (2), (3)")
+            .unwrap();
+        let mut reader = db.connect();
+        reader.execute("BEGIN").unwrap();
+        writer
+            .execute("CREATE TABLE copy AS SELECT x FROM src")
+            .unwrap();
+        let count = |s: &mut Session| {
+            s.query("SELECT COUNT(*) FROM copy").unwrap()[0]
+                .get(0)
+                .clone()
+        };
+        assert_eq!(
+            count(&mut reader),
+            Datum::Int(0),
+            "committed after the reader's snapshot"
+        );
+        reader.execute("COMMIT").unwrap();
+        assert_eq!(count(&mut reader), Datum::Int(3));
     }
 
     #[test]

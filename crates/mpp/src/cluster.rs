@@ -40,7 +40,7 @@ use dash_exec::agg::AggFunc;
 use dash_exec::pool;
 use dash_sql::ast::{AstExpr, BinOp, OrderItem, SelectItem, SelectStmt, Statement, TableRef};
 use dash_sql::parser::parse_statement;
-use dash_sql::planner::{collect_aggregates, rewrite_post_agg};
+use dash_sql::planner::{collect_aggregates, collect_expr_columns, derive_name, rewrite_post_agg};
 use parking_lot::RwLock;
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -445,6 +445,7 @@ impl Cluster {
                 (shard_stmt, final_stmt)
             }
         };
+        check_order_by(&shard_stmt, &final_stmt)?;
         // The statement's lifecycle spine: one deadline-armed token shared
         // by every shard attempt, every shard-local operator and the final
         // statement.
@@ -881,6 +882,41 @@ fn call(name: &str, args: Vec<AstExpr>) -> AstExpr {
         args,
         distinct: false,
         star: false,
+    }
+}
+
+/// Refuse, before any shard runs, a final ORDER BY naming a column the
+/// final statement cannot resolve — the planner's own 42704, which it
+/// would otherwise raise only after the gather. The final statement sees
+/// the gathered relation, whose columns are the shard statement's select
+/// list (a wildcard there admits every name), and its own select list's
+/// names and aliases. An ordinal names no column.
+fn check_order_by(shard_stmt: &SelectStmt, final_stmt: &SelectStmt) -> Result<()> {
+    if shard_stmt
+        .projection
+        .iter()
+        .any(|item| !matches!(item, SelectItem::Expr { .. }))
+    {
+        return Ok(());
+    }
+    let mut names = Vec::new();
+    for stmt in [shard_stmt, final_stmt] {
+        for (i, item) in stmt.projection.iter().enumerate() {
+            if let SelectItem::Expr { expr, alias } = item {
+                names.push(alias.clone().unwrap_or_else(|| derive_name(expr, i)));
+            }
+        }
+    }
+    let mut columns = Vec::new();
+    for o in &final_stmt.order_by {
+        collect_expr_columns(&o.expr, &mut columns);
+    }
+    match columns
+        .into_iter()
+        .find(|(_, c)| !names.iter().any(|n| n.eq_ignore_ascii_case(c)))
+    {
+        Some((_, missing)) => Err(DashError::not_found("column", missing)),
+        None => Ok(()),
     }
 }
 

@@ -1606,7 +1606,8 @@ fn coerce_arm(plan: PhysicalPlan, scope: &Scope, merged: &[DataType]) -> Physica
     }
 }
 
-fn derive_name(ast: &AstExpr, i: usize) -> String {
+/// The output name of unaliased select item `i`.
+pub fn derive_name(ast: &AstExpr, i: usize) -> String {
     match ast {
         AstExpr::Column { name, .. } => name.clone(),
         AstExpr::Func { name, .. } => name.clone(),
@@ -1898,7 +1899,8 @@ fn collect_block_columns(stmt: &SelectStmt) -> Option<Vec<(Option<String>, Strin
     Some(out)
 }
 
-fn collect_expr_columns(e: &AstExpr, out: &mut Vec<(Option<String>, String)>) {
+/// Append every column reference in `e` as `(qualifier, name)`.
+pub fn collect_expr_columns(e: &AstExpr, out: &mut Vec<(Option<String>, String)>) {
     match e {
         AstExpr::Column { qualifier, name } => out.push((qualifier.clone(), name.clone())),
         AstExpr::Binary { left, right, .. } => {

@@ -15,7 +15,7 @@ use crate::stats::TableStats;
 use crate::synopsis::Synopsis;
 use dash_common::ids::Tsn;
 use dash_common::txn::{is_pending, pending, pending_owner, SnapshotView, TxnId, TS_NEVER};
-use dash_common::{DashError, Datum, Result, Row, Schema};
+use dash_common::{DashError, Result, Row, Schema};
 use dash_encoding::bitmap::Bitmap;
 use dash_encoding::column::{ColumnCompressor, ColumnEncoding, ColumnValues};
 use dash_encoding::dict::FreqDict;
@@ -395,19 +395,6 @@ impl ColumnTable {
         Ok(Row::new(out))
     }
 
-    /// Update a row: delete + re-append with `new_values` applied at the
-    /// given column ordinals. Returns the new TSN.
-    pub fn update(&mut self, tsn: Tsn, changes: &[(usize, Datum)]) -> Result<Tsn> {
-        let mut row = self.get_row(tsn)?;
-        if !self.delete(tsn)? {
-            return Err(DashError::exec(format!("row {tsn} already deleted")));
-        }
-        for (col, val) in changes {
-            row.0[*col] = val.clone();
-        }
-        self.insert(row)
-    }
-
     // ------------------------------------------------------------------
     // MVCC: transactional writes, commit/abort stamping, WAL replay, and
     // snapshot visibility. The latest-committed bitmap (`deleted` /
@@ -655,7 +642,7 @@ fn str_dict_of(enc: &ColumnEncoding) -> Option<Arc<FreqDict<Arc<str>>>> {
 mod tests {
     use super::*;
     use dash_common::types::DataType;
-    use dash_common::{row, Field};
+    use dash_common::{row, Datum, Field};
 
     fn test_table() -> ColumnTable {
         let schema = Schema::new(vec![
@@ -724,18 +711,6 @@ mod tests {
         assert_eq!(t.sealed_strides(), 1);
         assert!(t.is_deleted(Tsn(4)));
         assert!(t.stride_deleted(0).unwrap().get(4));
-    }
-
-    #[test]
-    fn update_is_delete_plus_append() {
-        let mut t = test_table();
-        fill(&mut t, 5);
-        let new_tsn = t.update(Tsn(2), &[(2, Datum::Float(99.0))]).unwrap();
-        assert!(t.is_deleted(Tsn(2)));
-        let row = t.get_row(new_tsn).unwrap();
-        assert_eq!(row.get(0), &Datum::Int(2), "unchanged column kept");
-        assert_eq!(row.get(2), &Datum::Float(99.0));
-        assert_eq!(t.live_rows(), 5);
     }
 
     #[test]

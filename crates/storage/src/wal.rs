@@ -101,12 +101,6 @@ pub enum WalRecord {
         /// Table name.
         name: String,
     },
-    /// A checkpoint completed; records before this one are reflected in
-    /// checkpoint generation `generation` and the log switched files.
-    Checkpoint {
-        /// The checkpoint generation that captured prior history.
-        generation: u64,
-    },
 }
 
 // ---------------------------------------------------------------------
@@ -352,7 +346,6 @@ const TAG_ABORT: u8 = 5;
 const TAG_CREATE: u8 = 6;
 const TAG_DROP: u8 = 7;
 const TAG_TRUNCATE: u8 = 8;
-const TAG_CHECKPOINT: u8 = 9;
 
 impl WalRecord {
     /// Encode the record payload (no frame header).
@@ -398,10 +391,6 @@ impl WalRecord {
                 e.u8(TAG_TRUNCATE);
                 e.str(name);
             }
-            WalRecord::Checkpoint { generation } => {
-                e.u8(TAG_CHECKPOINT);
-                e.u64(*generation);
-            }
         }
         e.0
     }
@@ -440,9 +429,6 @@ impl WalRecord {
             },
             TAG_TRUNCATE => WalRecord::Truncate {
                 name: d.str("table")?,
-            },
-            TAG_CHECKPOINT => WalRecord::Checkpoint {
-                generation: d.u64("generation")?,
             },
             t => return Err(DashError::Storage(format!("wal decode: bad record tag {t}"))),
         };
@@ -626,7 +612,6 @@ impl Wal {
                             | WalRecord::CreateTable { .. }
                             | WalRecord::DropTable { .. }
                             | WalRecord::Truncate { .. }
-                            | WalRecord::Checkpoint { .. }
                     ) =>
             {
                 self.flush()
@@ -946,7 +931,6 @@ mod tests {
             WalRecord::Abort { txn: TxnId(2) },
             WalRecord::Truncate { name: "T".into() },
             WalRecord::DropTable { name: "T".into() },
-            WalRecord::Checkpoint { generation: 4 },
         ]
     }
 

@@ -66,7 +66,6 @@ fn record_strategy() -> BoxedStrategy<WalRecord> {
         }),
         "[A-Z]{1,8}".prop_map(|name| WalRecord::DropTable { name }),
         "[A-Z]{1,8}".prop_map(|name| WalRecord::Truncate { name }),
-        (0u64..16).prop_map(|generation| WalRecord::Checkpoint { generation }),
     ]
     .boxed()
 }

@@ -527,6 +527,54 @@ fn ddl_concurrent_with_checkpoint_survives_reopen() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// CTAS is CREATE + a transactional INSERT … SELECT: the DDL is logged on
+/// its own, the rows ride the statement's transaction. A crash at the
+/// commit record reopens with the table and none of its rows; an
+/// autocommitted CTAS replays every row from the log alone.
+#[test]
+fn ctas_rows_replay_with_their_transaction() {
+    let dir = tmpdir("ctas-txn");
+    let faults = FaultRegistry::new();
+    let n = 1500;
+    {
+        let db = Database::open_with(
+            dir.clone(),
+            HardwareSpec::laptop(),
+            SyncPolicy::Commit,
+            faults.clone(),
+        )
+        .unwrap();
+        let mut s = db.connect();
+        s.execute("CREATE TABLE base (k BIGINT NOT NULL)").unwrap();
+        let values: Vec<String> = (0..n).map(|k| format!("({k})")).collect();
+        s.execute(&format!("INSERT INTO base VALUES {}", values.join(", ")))
+            .unwrap();
+        s.execute("CREATE TABLE kept AS SELECT k FROM base")
+            .unwrap();
+        faults.arm(
+            WAL_COMMIT,
+            FaultPolicy::OneShot,
+            FaultAction::Error("power cut".into()),
+        );
+        let err = s
+            .execute("CREATE TABLE lost AS SELECT k FROM base")
+            .unwrap_err();
+        assert!(err.to_string().contains("simulated crash"), "{err}");
+    }
+    let db = Database::open(dir.clone()).unwrap();
+    assert_eq!(db.generation(), 0, "no checkpoint: the log alone replays");
+    let mut s = db.connect();
+    let count = |s: &mut dash_core::Session, q: &str| -> i64 {
+        s.query(q).unwrap()[0].get(0).as_int().unwrap()
+    };
+    assert_eq!(count(&mut s, "SELECT COUNT(*) FROM kept"), n);
+    assert_eq!(count(&mut s, "SELECT SUM(k) FROM kept"), n * (n - 1) / 2);
+    assert!(db.catalog().has_table("lost"), "the CREATE was logged");
+    assert_eq!(count(&mut s, "SELECT COUNT(*) FROM lost"), 0);
+    s.close();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Regression (satellite bugfix 3): the checkpoint creates `wal.N+1`
 /// *before* publishing generation N+1. When the create fails, the old
 /// generation stays live, commits keep flowing, and a later checkpoint

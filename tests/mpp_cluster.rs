@@ -2,6 +2,7 @@
 //! plus failover/elasticity under a running workload.
 
 use dashdb_local::common::dialect::Dialect;
+use dashdb_local::common::faults::{FaultAction, FaultPolicy, FaultRegistry, SHARD_EXEC};
 use dashdb_local::common::ids::NodeId;
 use dashdb_local::common::types::DataType;
 use dashdb_local::common::{row, Datum, Field, Row, Schema};
@@ -358,6 +359,47 @@ fn non_decomposable_aggregates_are_refused_before_any_shard_runs() {
     for shard in pair.cluster.filesystem().shards() {
         let db = pair.cluster.filesystem().mount(shard).unwrap().db;
         assert_eq!(db.wlm().snapshot().4, 0, "{shard} admitted a statement");
+    }
+}
+
+/// A final ORDER BY on a column the gathered relation does not carry is
+/// refused with the planner's 42704 before any shard runs: the armed
+/// shard fault never fires. Names, aliases, ordinals and wildcards still
+/// resolve.
+#[test]
+fn order_by_outside_the_select_list_is_refused_before_any_shard_runs() {
+    let reg = FaultRegistry::new();
+    let mut cluster = Cluster::with_faults(2, 2, HardwareSpec::laptop(), reg.clone()).unwrap();
+    cluster.set_dialect(Dialect::Netezza);
+    cluster
+        .create_table("f", fact_schema(), Distribution::Hash("id".into()))
+        .unwrap();
+    cluster.load_rows("f", fact_rows(200)).unwrap();
+    reg.arm(
+        SHARD_EXEC,
+        FaultPolicy::Always,
+        FaultAction::Error("a shard ran".into()),
+    );
+    for sql in [
+        "SELECT id FROM f ORDER BY v",
+        "SELECT id, grp FROM f ORDER BY f.v, id LIMIT 3",
+        "SELECT id AS k FROM f ORDER BY id",
+        "SELECT grp, COUNT(*) AS n FROM f GROUP BY grp ORDER BY id",
+    ] {
+        let err = cluster.query(sql).unwrap_err();
+        assert_eq!(err.class(), "42704", "{sql}: {err}");
+    }
+    assert_eq!(reg.stats(SHARD_EXEC).evaluations, 0, "a shard ran");
+    reg.disarm_all();
+    for sql in [
+        "SELECT id AS k FROM f ORDER BY k",
+        "SELECT id FROM f ORDER BY f.id LIMIT 3",
+        "SELECT id, v FROM f ORDER BY 2, 1",
+        "SELECT * FROM f ORDER BY v, id",
+        "SELECT grp, SUM(v) AS total FROM f GROUP BY grp ORDER BY total, grp",
+        "SELECT grp, COUNT(*) FROM f GROUP BY grp ORDER BY grp",
+    ] {
+        cluster.query(sql).unwrap_or_else(|e| panic!("{sql}: {e}"));
     }
 }
 
