@@ -25,7 +25,7 @@ use dash_exec::functions::EvalContext;
 use dash_exec::join::{hash_join, JoinType};
 use dash_exec::key::KeyMode;
 use dash_exec::stats::ExecStats;
-use dash_exec::{Batch, Expr};
+use dash_exec::Batch;
 use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::Instant;
@@ -184,7 +184,7 @@ fn agg_leg(fact: &Batch) -> Leg {
         Field::new("total", DataType::Int64),
     ])
     .unwrap();
-    let groups = [Expr::col(0), Expr::col(1)];
+    let groups = [0, 1];
     let aggs = [
         AggExpr {
             func: AggFunc::CountStar,
@@ -194,7 +194,7 @@ fn agg_leg(fact: &Batch) -> Leg {
         },
         AggExpr {
             func: AggFunc::Sum,
-            args: vec![Expr::col(2)],
+            args: vec![2],
             distinct: false,
             arg_types: vec![DataType::Int64],
         },

@@ -315,21 +315,6 @@ impl Drop for BudgetLease {
     }
 }
 
-/// Rough heap footprint of one datum, for budget accounting. Estimates on
-/// purpose: the budget bounds *growth*, it is not an allocator.
-pub fn approx_datum_bytes(d: &crate::Datum) -> u64 {
-    let base = std::mem::size_of::<crate::Datum>() as u64;
-    match d {
-        crate::Datum::Str(s) => base + s.len() as u64,
-        _ => base,
-    }
-}
-
-/// Rough heap footprint of a row of datums.
-pub fn approx_row_bytes(row: &[crate::Datum]) -> u64 {
-    row.iter().map(approx_datum_bytes).sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -430,12 +415,5 @@ mod tests {
         ctx.note_cancel_latency(1);
         ctx.note_cancel_latency(0);
         assert_eq!(ctx.cancel_latency_max_morsels(), 1);
-    }
-
-    #[test]
-    fn approx_sizes_scale_with_strings() {
-        let short = approx_row_bytes(&[crate::Datum::Int(1)]);
-        let long = approx_row_bytes(&[crate::Datum::str("x".repeat(100))]);
-        assert!(long > short + 90);
     }
 }

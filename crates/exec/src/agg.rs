@@ -10,8 +10,7 @@
 //! `MEDIAN`, `PERCENTILE_CONT`/`_DISC`, `VAR_POP`/`VAR_SAMP`,
 //! `STDDEV_POP`/`STDDEV_SAMP`, `COVAR_POP`/`COVAR_SAMP` plus the ANSI core.
 
-use crate::batch::{push_typed, str_bytes, Batch};
-use crate::expr::Expr;
+use crate::batch::{str_bytes, Batch};
 use crate::functions::EvalContext;
 use crate::key::{self, GroupTable, KeyCol, KeyMode, KeyWord, StrDict, StrInterner, LOCAL_STR_BASE};
 use crate::pipeline::{self, AggSink, Feed};
@@ -94,12 +93,13 @@ impl AggFunc {
 pub struct AggExpr {
     /// The function.
     pub func: AggFunc,
-    /// Argument expressions (empty for COUNT(*)).
-    pub args: Vec<Expr>,
+    /// Argument column ordinals of the aggregate's input (empty for
+    /// COUNT(*)).
+    pub args: Vec<usize>,
     /// DISTINCT modifier (COUNT(DISTINCT x), SUM(DISTINCT x)...).
     pub distinct: bool,
-    /// Each argument's declared type, as the analyzer typed it: the type a
-    /// computed argument evaluates to, and the one its column is read as.
+    /// Each argument column's type, which picks the state and types the
+    /// result where no input schema is at hand.
     pub arg_types: Vec<DataType>,
 }
 
@@ -110,8 +110,9 @@ fn out_type(schema: &Schema, i: usize) -> Result<DataType> {
         .ok_or_else(|| DashError::internal(format!("aggregate output schema has no column {i}")))
 }
 
-/// A typed column and the rows of it one pass covers: a bare column lends
-/// the batch's storage, a computed expression owns a scratch column.
+/// A typed column and the rows of it one pass covers: an input column
+/// lends the batch's storage, a `DISTINCT` aggregate's de-duplicated copy
+/// owns its own.
 struct MorselCol<'a> {
     values: Cow<'a, ColumnValues>,
     rows: Range<usize>,
@@ -124,26 +125,6 @@ impl<'a> MorselCol<'a> {
             values: Cow::Borrowed(input.try_column(col)?),
             rows: rows.clone(),
             dt: out_type(input.schema(), col)?,
-        })
-    }
-
-    /// Evaluate `expr`, whose declared type is `dt`, once per row of `rows`
-    /// into a scratch column of that type.
-    fn computed(
-        expr: &Expr,
-        input: &Batch,
-        rows: &Range<usize>,
-        dt: DataType,
-        ctx: &EvalContext,
-    ) -> Result<MorselCol<'static>> {
-        let mut values = ColumnValues::empty_for(dt);
-        for row in rows.clone() {
-            push_typed(&mut values, dt, &expr.eval(input, row, ctx)?)?;
-        }
-        Ok(MorselCol {
-            values: Cow::Owned(values),
-            rows: 0..rows.len(),
-            dt,
         })
     }
 
@@ -191,25 +172,6 @@ impl<'a> MorselCol<'a> {
             _ => return Err(DashError::internal("numeric aggregate over a non-numeric column")),
         }
         Ok(())
-    }
-}
-
-/// The argument column `agg` reads for its `a`-th argument: a bare column
-/// lends its storage, any other argument is computed at its declared type.
-fn arg_col<'a>(
-    agg: &AggExpr,
-    a: usize,
-    input: &'a Batch,
-    rows: &Range<usize>,
-    ctx: &EvalContext,
-) -> Result<MorselCol<'a>> {
-    match &agg.args[a] {
-        Expr::Col(c) => MorselCol::borrowed(input, *c, rows),
-        expr => {
-            let dt = agg.arg_types.get(a).copied();
-            let dt = dt.ok_or_else(|| DashError::internal(format!("aggregate argument {a} has no declared type")))?;
-            MorselCol::computed(expr, input, rows, dt, ctx)
-        }
     }
 }
 
@@ -728,9 +690,9 @@ impl AggPartial {
 /// Rows of a morsel aggregated per pass. A scan stride or a batch morsel is
 /// one pass; a morsel a join probe fanned out may take a few, and the single
 /// partial of a `DISTINCT` aggregate spans its whole input and takes many,
-/// which bounds the per-row scratch — key words, group ids, computed
-/// columns — at this many rows. State persists across passes and rows fold
-/// in order, so where the cuts fall changes no result.
+/// which bounds the per-row scratch — key words, group ids — at this many
+/// rows. State persists across passes and rows fold in order, so where the
+/// cuts fall changes no result.
 const PASS_ROWS: usize = 4096;
 
 /// Append the values of `src` at `at` to the key column `dst`; returns the
@@ -744,11 +706,10 @@ fn append_keys(dst: &mut ColumnValues, src: &ColumnValues, at: &[usize]) -> u64 
 }
 
 /// Aggregate one pipeline morsel — rows `rows` of `input` — into a
-/// mergeable partial, column at a time. First the group keys (a key or
-/// argument that is not a bare column is evaluated once into a scratch
-/// column of its declared type) become fixed-width key words — the operate-on-compressed
-/// path, with out-of-dictionary strings interned in row order — and the
-/// words a dense group id per row; a global aggregate skips that. Then each
+/// mergeable partial, column at a time. First the group key columns become
+/// fixed-width key words — the operate-on-compressed path, with
+/// out-of-dictionary strings interned in row order — and the words a dense
+/// group id per row; a global aggregate skips that. Then each
 /// aggregate runs one typed loop over its argument column into its state
 /// column. Each group's key values are gathered from its first row, so
 /// merging partials in morsel order reproduces the serial scan's
@@ -762,11 +723,8 @@ pub(crate) fn aggregate_morsel(
     let nk = sink.group.len();
     let mut dicts = Vec::with_capacity(nk);
     let mut keys = Vec::with_capacity(nk);
-    for (c, g) in sink.group.iter().enumerate() {
-        dicts.push(match g {
-            Expr::Col(col) => input.str_dict(*col).cloned(),
-            _ => None,
-        });
+    for (c, &col) in sink.group.iter().enumerate() {
+        dicts.push(input.str_dict(col).cloned());
         keys.push(ColumnValues::empty_for(out_type(sink.schema, c)?));
     }
     let mut part = AggPartial {
@@ -796,7 +754,7 @@ pub(crate) fn aggregate_morsel(
         if pass.is_empty() {
             return Ok(part);
         }
-        part.fold_rows(input, &pass, sink, &mut interners, ctx)?;
+        part.fold_rows(input, &pass, sink, &mut interners)?;
         done = pass.end;
     }
 }
@@ -809,19 +767,13 @@ impl AggPartial {
         rows: &Range<usize>,
         sink: &AggSink<'_>,
         interners: &mut [StrInterner],
-        ctx: &EvalContext,
     ) -> Result<()> {
         let nk = sink.group.len();
         let prev = self.groups;
         let mut gids: Option<Vec<u32>> = None;
         if nk > 0 {
-            let mut cols = Vec::with_capacity(nk);
-            for (c, g) in sink.group.iter().enumerate() {
-                cols.push(match g {
-                    Expr::Col(col) => MorselCol::borrowed(input, *col, rows)?,
-                    _ => MorselCol::computed(g, input, rows, out_type(sink.schema, c)?, ctx)?,
-                });
-            }
+            let cols: Vec<MorselCol<'_>> =
+                sink.group.iter().map(|&col| MorselCol::borrowed(input, col, rows)).collect::<Result<_>>()?;
             let mut views: Vec<KeyCol<'_>> =
                 cols.iter().zip(&self.dicts).map(|(c, d)| KeyCol::new(&c.values, d.clone())).collect();
             // Row (within the pass) each new group first appeared at.
@@ -839,14 +791,14 @@ impl AggPartial {
             // No aggregate reads more than two arguments; none allocates a
             // list of them per pass.
             let (one, two);
-            let args: &[MorselCol<'_>] = match agg.args.len() {
-                0 => &[],
-                1 => {
-                    one = [arg_col(agg, 0, input, rows, ctx)?];
+            let args: &[MorselCol<'_>] = match agg.args[..] {
+                [] => &[],
+                [a] => {
+                    one = [MorselCol::borrowed(input, a, rows)?];
                     &one
                 }
-                _ => {
-                    two = [arg_col(agg, 0, input, rows, ctx)?, arg_col(agg, 1, input, rows, ctx)?];
+                [a, b, ..] => {
+                    two = [MorselCol::borrowed(input, a, rows)?, MorselCol::borrowed(input, b, rows)?];
                     &two
                 }
             };
@@ -1066,8 +1018,7 @@ impl AggAccumulator {
 
     /// Finish every group into the output batch — the only place the
     /// aggregate builds `Datum`s. Key columns are of their output types
-    /// already: a bare key column has its input's, a computed one was
-    /// evaluated at its declared type.
+    /// already: each has its input column's.
     pub(crate) fn finish(self, aggs: &[AggExpr], out_schema: Schema) -> Result<Batch> {
         let nk = self.interners.len();
         let (mut keys, mut states) = (self.keys, self.states);
@@ -1094,7 +1045,7 @@ impl AggAccumulator {
 /// Hash-aggregate a batch: the pipeline's aggregate sink fed by row-range
 /// morsels of `input`.
 ///
-/// `group_exprs` produce the key (empty = global aggregate, which always
+/// `group` are the key columns (empty = global aggregate, which always
 /// yields exactly one row); `aggs` produce the aggregate columns. The
 /// output schema is `group columns ⧺ aggregate columns` with the supplied
 /// field definitions, which also pick each aggregate's state. `_key_mode`
@@ -1102,7 +1053,7 @@ impl AggAccumulator {
 #[allow(clippy::too_many_arguments)]
 pub fn hash_aggregate(
     input: &Batch,
-    group_exprs: &[Expr],
+    group: &[usize],
     aggs: &[AggExpr],
     out_schema: Schema,
     ctx: &EvalContext,
@@ -1111,7 +1062,7 @@ pub fn hash_aggregate(
     stats: &mut ExecStats,
 ) -> Result<Batch> {
     let sink = AggSink {
-        group: group_exprs,
+        group,
         aggs,
         schema: &out_schema,
     };
@@ -1162,7 +1113,7 @@ mod tests {
     fn agg1(func: AggFunc, col: usize, dt: DataType) -> AggExpr {
         AggExpr {
             func,
-            args: vec![Expr::col(col)],
+            args: vec![col],
             distinct: false,
             arg_types: vec![dt],
         }
@@ -1179,7 +1130,7 @@ mod tests {
         let mut stats = ExecStats::default();
         let out = hash_aggregate(
             &sales(),
-            &[Expr::col(0)],
+            &[0],
             &[
                 AggExpr {
                     func: AggFunc::CountStar,
@@ -1285,13 +1236,13 @@ mod tests {
             &[
                 AggExpr {
                     func: AggFunc::Count,
-                    args: vec![Expr::col(1)],
+                    args: vec![1],
                     distinct: true,
                     arg_types: vec![DataType::Int64],
                 },
                 AggExpr {
                     func: AggFunc::Sum,
-                    args: vec![Expr::col(1)],
+                    args: vec![1],
                     distinct: true,
                     arg_types: vec![DataType::Int64],
                 },
@@ -1316,13 +1267,13 @@ mod tests {
                 agg1(AggFunc::Median, 2, DataType::Float64),
                 AggExpr {
                     func: AggFunc::PercentileDisc(0.5),
-                    args: vec![Expr::col(2)],
+                    args: vec![2],
                     distinct: false,
                     arg_types: vec![DataType::Float64],
                 },
                 AggExpr {
                     func: AggFunc::PercentileCont(0.25),
-                    args: vec![Expr::col(2)],
+                    args: vec![2],
                     distinct: false,
                     arg_types: vec![DataType::Float64],
                 },
@@ -1384,7 +1335,7 @@ mod tests {
             &[],
             &[AggExpr {
                 func: AggFunc::CovarPop,
-                args: vec![Expr::col(0), Expr::col(1)],
+                args: vec![0, 1],
                 distinct: false,
                 arg_types: vec![DataType::Float64, DataType::Float64],
             }],
@@ -1419,7 +1370,7 @@ mod tests {
         let mut stats = ExecStats::default();
         let out = hash_aggregate(
             &b,
-            &[Expr::col(0)],
+            &[0],
             &[agg1(AggFunc::Sum, 1, DataType::Int64)],
             out_sch,
             &ctx(),
@@ -1450,16 +1401,16 @@ mod tests {
     fn partial_pipeline(
         input: &Batch,
         split: usize,
-        group_exprs: &[Expr],
+        group: &[usize],
         aggs: &[AggExpr],
         schema: Schema,
     ) -> Batch {
         let sink = AggSink {
-            group: group_exprs,
+            group,
             aggs,
             schema: &schema,
         };
-        let mut acc = AggAccumulator::new(group_exprs.len());
+        let mut acc = AggAccumulator::new(group.len());
         let mut start = 0;
         let mut any = false;
         while start < input.len() || (!any && input.is_empty()) {
@@ -1491,7 +1442,7 @@ mod tests {
         let mut stats = ExecStats::default();
         let whole = hash_aggregate(
             &input,
-            &[Expr::col(0)],
+            &[0],
             &aggs,
             schema.clone(),
             &ctx(),
@@ -1501,7 +1452,7 @@ mod tests {
         )
         .unwrap();
         for split in [1, 2, 5] {
-            let merged = partial_pipeline(&input, split, &[Expr::col(0)], &aggs, schema.clone());
+            let merged = partial_pipeline(&input, split, &[0], &aggs, schema.clone());
             let mut a = whole.to_rows();
             let mut b = merged.to_rows();
             a.sort_by_key(|r| r.get(0).render());
@@ -1530,7 +1481,7 @@ mod tests {
             agg1(AggFunc::StdDevPop, 0, DataType::Float64),
             AggExpr {
                 func: AggFunc::CovarPop,
-                args: vec![Expr::col(0), Expr::col(1)],
+                args: vec![0, 1],
                 distinct: false,
                 arg_types: vec![DataType::Float64, DataType::Float64],
             },
@@ -1605,7 +1556,7 @@ mod tests {
     fn partial_keeps_first_appearance_group_order() {
         let input = sales();
         let aggs = vec![agg1(AggFunc::Sum, 1, DataType::Int64)];
-        let merged = partial_pipeline(&input, 2, &[Expr::col(0)], &aggs, out_schema(1, 1));
+        let merged = partial_pipeline(&input, 2, &[0], &aggs, out_schema(1, 1));
         // east appears first in row order, then west — across morsels.
         assert_eq!(merged.row(0).get(0), &Datum::from("east"));
         assert_eq!(merged.row(1).get(0), &Datum::from("west"));

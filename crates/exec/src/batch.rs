@@ -169,24 +169,6 @@ impl Batch {
         }
     }
 
-    /// Rows `rows` of the columns at `indices`, in that order, under
-    /// `schema` (whose field types the caller has matched to the picked
-    /// columns). Like [`Batch::from_rows`], and unlike [`Batch::project`],
-    /// the result carries no dictionaries.
-    pub fn slice_columns(
-        &self,
-        indices: &[usize],
-        rows: std::ops::Range<usize>,
-        schema: Schema,
-    ) -> Batch {
-        Batch {
-            schema,
-            columns: indices.iter().map(|&i| self.columns[i].slice(rows.clone())).collect(),
-            len: rows.len(),
-            dicts: Vec::new(),
-        }
-    }
-
     /// Attach the storage dictionary backing string column `col`.
     ///
     /// The dictionary is advisory: key-path code in `join`/`agg` uses it to
@@ -274,8 +256,7 @@ impl Batch {
     }
 
     /// Rough heap footprint of the batch, for inflight-memory accounting.
-    /// An estimate on purpose (like `approx_datum_bytes`): it bounds
-    /// growth, it is not an allocator.
+    /// An estimate on purpose: it bounds growth, it is not an allocator.
     pub fn approx_bytes(&self) -> u64 {
         self.columns.iter().map(column_bytes).sum()
     }

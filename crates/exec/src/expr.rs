@@ -12,6 +12,7 @@ use crate::functions::{EvalContext, ScalarFunction};
 use dash_common::row::coerce_datum;
 use dash_common::{DashError, DataType, Datum, Result};
 use std::fmt;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Comparison operators.
@@ -346,6 +347,19 @@ impl Expr {
     /// (NULL and FALSE both reject the row).
     pub fn eval_predicate(&self, batch: &Batch, row: usize, ctx: &EvalContext) -> Result<bool> {
         Ok(matches!(self.eval(batch, row, ctx)?, Datum::Bool(true)))
+    }
+
+    /// The rows of `rows` at which this predicate is `TRUE`, in order: the
+    /// one predicate loop behind `Filter`, the scan's residual and CONNECT
+    /// BY's `START WITH`.
+    pub fn select(&self, batch: &Batch, rows: Range<usize>, ctx: &EvalContext) -> Result<Vec<usize>> {
+        let mut keep = Vec::new();
+        for row in rows {
+            if self.eval_predicate(batch, row, ctx)? {
+                keep.push(row);
+            }
+        }
+        Ok(keep)
     }
 
     /// Column ordinals referenced by this expression.

@@ -26,8 +26,9 @@
 //!
 //! [`GroupTable`] is the one word-keyed table: a join's build partitions,
 //! the per-morsel grouping pass and the accumulator's merge all probe one.
-//! A grouped aggregate evaluates a computed key into a scratch typed column
-//! first. [`KeyMode`] is the planner-visible label and selects no code.
+//! Every key is a column: a join pairs column ordinals, and the planner
+//! evaluates a computed group key in a `Project` beneath the aggregate.
+//! [`KeyMode`] is the planner-visible label and selects no code.
 
 use std::hash::{Hash, Hasher};
 use std::ops::Range;
@@ -40,8 +41,6 @@ use dash_common::Schema;
 use dash_encoding::column::ColumnValues;
 use dash_encoding::dict::{pack_code, FreqDict};
 use dash_encoding::order::{f64_to_ordered, i64_to_ordered};
-
-use crate::expr::Expr;
 
 /// Sentinel key word for a string value absent from the shared dictionary.
 ///
@@ -62,11 +61,11 @@ pub(crate) const LOCAL_STR_BASE: u64 = 1 << 63;
 /// A label only: both operators key on `u64` words whatever it says.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum KeyMode {
-    /// Every key is a bare column and a join pair's two columns share a
-    /// domain: the columns' own words are the keys.
+    /// A join pair's two columns share a domain, or a grouped aggregate
+    /// has a key: the columns' own words are the keys.
     Encoded,
-    /// Some key is lifted into its pair's common domain (join) or computed
-    /// into a scratch column (aggregate) before it becomes a word.
+    /// Some join pair is lifted into its common domain before it becomes a
+    /// word; or the aggregate is global and keys nothing.
     Datum,
 }
 
@@ -117,13 +116,10 @@ impl KeyMode {
         }
     }
 
-    /// The label of a grouped aggregate.
-    ///
-    /// `Encoded` iff there is at least one group key and every key is a
-    /// bare column reference.
-    pub fn for_group(_input: &Schema, group: &[Expr]) -> KeyMode {
-        let ok = !group.is_empty() && group.iter().all(|g| matches!(g, Expr::Col(_)));
-        if ok {
+    /// The label of an aggregate on `group` key columns: `Encoded` iff
+    /// there is at least one.
+    pub fn for_group(group: &[usize]) -> KeyMode {
+        if !group.is_empty() {
             KeyMode::Encoded
         } else {
             KeyMode::Datum
@@ -514,8 +510,8 @@ impl GroupTable {
     }
 
     /// [`GroupTable::group_of`] for a single-key table: hashes and compares
-    /// one bare word, 1.6–2.1× faster on every single-key `bench_groupby`
-    /// leg than `group_of(&[word])` (EXPERIMENTS.md, group_by).
+    /// one bare word, 1.6–2.1× faster on every single-key group-by leg
+    /// than `group_of(&[word])` (EXPERIMENTS.md, group_by).
     #[inline]
     pub(crate) fn group_of_word(&mut self, word: u64) -> u32 {
         debug_assert_eq!(self.stride, 1);
@@ -794,7 +790,7 @@ mod tests {
         assert_eq!(KeyMode::for_join(&s, &s, &[(2, 2)]), KeyMode::Encoded);
         // Cross-domain Int vs Float needs SQL numeric equality -> Datum.
         assert_eq!(KeyMode::for_join(&s, &s, &[(0, 1)]), KeyMode::Datum);
-        assert_eq!(KeyMode::for_group(&s, &[Expr::col(0)]), KeyMode::Encoded);
-        assert_eq!(KeyMode::for_group(&s, &[]), KeyMode::Datum);
+        assert_eq!(KeyMode::for_group(&[0]), KeyMode::Encoded);
+        assert_eq!(KeyMode::for_group(&[]), KeyMode::Datum);
     }
 }

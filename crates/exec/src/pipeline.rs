@@ -143,7 +143,7 @@ enum Stage<'p> {
 
 /// The aggregate sink of a pipeline.
 pub(crate) struct AggSink<'p> {
-    pub(crate) group: &'p [Expr],
+    pub(crate) group: &'p [usize],
     pub(crate) aggs: &'p [AggExpr],
     /// The aggregate's output schema: group columns, then aggregates.
     pub(crate) schema: &'p Schema,
@@ -455,11 +455,9 @@ fn connect_by(
     let mut out: Vec<Row> = Vec::new();
     let mut frontier: Vec<usize> = Vec::new();
     let mut visited = vec![false; rows.len()];
-    for (i, seen) in visited.iter_mut().enumerate() {
-        if start_with.eval_predicate(rows, i, ctx)? {
-            frontier.push(i);
-            *seen = true;
-        }
+    for i in start_with.select(rows, 0..rows.len(), ctx)? {
+        frontier.push(i);
+        visited[i] = true;
     }
     let mut level = 1i64;
     while !frontier.is_empty() {
@@ -668,57 +666,50 @@ fn apply_op(
     mstats: &mut ExecStats,
 ) -> Result<Batch> {
     match op {
-        Op::Filter(predicate) => {
-            let mut keep = Vec::new();
-            for row in rows {
-                if predicate.eval_predicate(batch, row, ctx)? {
-                    keep.push(row);
-                }
-            }
-            Ok(batch.take(&keep))
-        }
+        Op::Filter(predicate) => Ok(batch.take(&predicate.select(batch, rows, ctx)?)),
         Op::Project { exprs, schema } => {
-            if let Some(picked) = pick_columns(exprs, schema, batch.schema()) {
-                return Ok(batch.slice_columns(&picked, rows, (*schema).clone()));
-            }
-            // Each expression evaluates to its column's declared type, row
-            // by row (the order `NEXTVAL` advances in), straight into the
-            // output columns.
+            // A bare column already of its declared type, in a nullable
+            // output column, moves with its dictionary; every other column
+            // is evaluated to its declared type row by row — the order
+            // `NEXTVAL` advances in.
             let fields = schema.fields();
-            let mut cols: Vec<ColumnValues> = fields.iter().map(|f| ColumnValues::empty_for(f.data_type)).collect();
+            let input = batch.schema().fields();
+            let moved: Vec<Option<usize>> = exprs
+                .iter()
+                .zip(fields)
+                .map(|(e, f)| match e {
+                    Expr::Col(i) if f.nullable && input.get(*i).is_some_and(|c| c.data_type == f.data_type) => Some(*i),
+                    _ => None,
+                })
+                .collect();
+            let mut cols: Vec<ColumnValues> = moved
+                .iter()
+                .zip(fields)
+                .map(|(m, f)| match m {
+                    Some(i) => batch.column(*i).slice(rows.clone()),
+                    None => ColumnValues::empty_for(f.data_type),
+                })
+                .collect();
+            let computed: Vec<usize> = (0..exprs.len()).filter(|&c| moved[c].is_none()).collect();
             for row in rows {
-                for ((e, f), col) in exprs.iter().zip(fields).zip(&mut cols) {
-                    let v = e.eval(batch, row, ctx)?;
+                for &c in &computed {
+                    let (v, f) = (exprs[c].eval(batch, row, ctx)?, &fields[c]);
                     if v.is_null() && !f.nullable {
                         return Err(DashError::Constraint(format!("NULL value for NOT NULL column {}", f.name)));
                     }
-                    push_typed(col, f.data_type, &v)?;
+                    push_typed(&mut cols[c], f.data_type, &v)?;
                 }
             }
-            Batch::new((*schema).clone(), cols)
+            let mut out = Batch::new((*schema).clone(), cols)?;
+            for (c, i) in moved.iter().enumerate() {
+                if let Some(dict) = i.and_then(|i| batch.str_dict(i)) {
+                    out.set_str_dict(c, dict.clone());
+                }
+            }
+            Ok(out)
         }
         Op::Probe(build) => build.probe_morsel(batch, rows, &ctx.statement, mstats),
     }
-}
-
-/// The input ordinals a projection picks, when every expression is a bare
-/// column already of its declared output type: such a projection moves
-/// column slices, where the general one evaluates a `Datum` per value. A
-/// NOT NULL output column keeps the general path's check.
-fn pick_columns(exprs: &[Expr], out: &Schema, input: &Schema) -> Option<Vec<usize>> {
-    exprs
-        .iter()
-        .zip(out.fields())
-        .map(|(e, f)| match e {
-            Expr::Col(i)
-                if f.nullable
-                    && input.fields().get(*i).is_some_and(|c| c.data_type == f.data_type) =>
-            {
-                Some(*i)
-            }
-            _ => None,
-        })
-        .collect()
 }
 
 /// Render the pipeline decomposition of `plan` for EXPLAIN: one line per
@@ -783,9 +774,9 @@ mod tests {
     }
 
     /// A projection of bare columns moves column slices; the same
-    /// projection spelled as identity casts takes the evaluate-and-coerce
-    /// path. Both must hand on the same batch: values, NULLs, schema, and
-    /// no dictionary metadata.
+    /// projection spelled as identity casts is evaluated row by row. Both
+    /// must hand on the same batch: values, NULLs and schema. A moved
+    /// string column keeps its dictionary; an evaluated one has none.
     #[test]
     fn column_pick_projection_matches_the_computed_one() {
         let t = table(
@@ -809,7 +800,7 @@ mod tests {
         let ctx = EvalContext::default();
         let config = crate::scan::ScanConfig::full(0, vec![0, 1, 2, 3]);
         let (input, _) = crate::scan::scan(&t.read(), &config, &ctx).unwrap();
-        assert!(input.str_dict(1).is_some(), "the scan attaches the dictionary");
+        let dict = input.str_dict(1).cloned().expect("the scan attaches the dictionary");
         // Reordered, one column dropped, one repeated.
         let order = [3usize, 1, 0, 1];
         let schema = Schema::new_unchecked(
@@ -824,26 +815,27 @@ mod tests {
             .iter()
             .map(|&i| Expr::Cast(Box::new(Expr::col(i)), input.schema().field(i).data_type))
             .collect();
-        assert!(pick_columns(&picked, &schema, input.schema()).is_some());
-        assert!(pick_columns(&computed, &schema, input.schema()).is_none());
+        let project = |exprs: &[Expr], schema: &Schema, rows: Range<usize>| {
+            let op = Op::Project { exprs, schema };
+            apply_op(&op, &input, rows, &ctx, &mut ExecStats::default())
+        };
         for rows in [0..input.len(), 5..STRIDE + 3, 9..9] {
-            let mut stats = ExecStats::default();
-            let run = |exprs: &[Expr], stats: &mut ExecStats| {
-                let op = Op::Project { exprs, schema: &schema };
-                apply_op(&op, &input, rows.clone(), &ctx, stats).unwrap()
-            };
-            let (fast, slow) = (run(&picked, &mut stats), run(&computed, &mut stats));
+            let fast = project(&picked, &schema, rows.clone()).unwrap();
+            let slow = project(&computed, &schema, rows.clone()).unwrap();
             assert_eq!(fast, slow, "rows {rows:?}");
             assert_eq!(fast.len(), rows.len());
-            for c in 0..order.len() {
-                assert!(fast.str_dict(c).is_none() && slow.str_dict(c).is_none());
+            for c in [1, 3] {
+                assert!(fast.str_dict(c).is_some_and(|d| Arc::ptr_eq(d, &dict)), "a moved string column keeps its dictionary");
+                assert!(slow.str_dict(c).is_none());
             }
         }
-        // A NOT NULL output or a type change is the computed path's job.
-        let strict = Schema::new_unchecked(vec![Field::not_null("c0", DataType::Int64)]);
-        assert!(pick_columns(&[Expr::col(0)], &strict, input.schema()).is_none());
+        // A NOT NULL output is evaluated, so its check runs.
+        let strict = Schema::new_unchecked(vec![Field::not_null("c0", DataType::Utf8)]);
+        let err = project(&[Expr::col(1)], &strict, 0..input.len()).unwrap_err();
+        assert_eq!(err.class(), "23505", "{err}");
         let widened = Schema::new_unchecked(vec![Field::new("c0", DataType::Float64)]);
-        assert!(pick_columns(&[Expr::col(0)], &widened, input.schema()).is_none());
+        let ids = project(&[Expr::Cast(Box::new(Expr::col(0)), DataType::Float64)], &widened, 0..3).unwrap();
+        assert_eq!(ids.to_rows(), vec![row![0.0f64], row![1.0f64], row![2.0f64]]);
     }
 
     /// The memory claim as an absolute bound, for a collecting and an
@@ -871,7 +863,7 @@ mod tests {
             key_mode: KeyMode::Encoded,
             parallelism: par,
         };
-        let group = vec![Expr::col(3)];
+        let group = vec![3];
         let aggs = vec![AggExpr { func: AggFunc::CountStar, args: vec![], distinct: false, arg_types: vec![] }];
         let agg_schema = Schema::new(vec![
             Field::new("label", DataType::Utf8),

@@ -16,7 +16,7 @@ use crate::pipeline;
 use crate::scan::ScanConfig;
 use crate::sort::SortKey;
 use crate::stats::ExecStats;
-use dash_common::{Result, Row, Schema};
+use dash_common::{DataType, Field, Result, Row, Schema};
 use dash_storage::table::ColumnTable;
 use parking_lot::RwLock;
 use std::sync::Arc;
@@ -77,14 +77,14 @@ pub enum PhysicalPlan {
     HashAggregate {
         /// Input plan.
         input: Box<PhysicalPlan>,
-        /// Group key expressions.
-        group: Vec<Expr>,
+        /// Group key column ordinals of the input.
+        group: Vec<usize>,
         /// Aggregates.
         aggs: Vec<AggExpr>,
         /// Output schema: group columns then aggregate columns.
         schema: Schema,
-        /// `EXPLAIN` label: `Encoded` when every key is a bare column,
-        /// `Datum` when some key is computed into a scratch column.
+        /// `EXPLAIN` label: `Encoded` when there is a group key, `Datum`
+        /// for a global aggregate.
         key_mode: KeyMode,
         /// Worker-pool width for the partial-aggregate morsels.
         parallelism: usize,
@@ -274,6 +274,46 @@ impl PhysicalPlan {
     }
 }
 
+/// The input of an aggregate whose group keys and arguments are `cols` —
+/// expressions over `input`, each with its declared type — and each one's
+/// column ordinal in it. When every one is a bare column the input is
+/// unchanged; otherwise one `Project` beneath the aggregate, in the same
+/// pipeline, evaluates exactly the distinct expressions.
+pub fn aggregate_input(input: PhysicalPlan, cols: &[(Expr, DataType)]) -> (PhysicalPlan, Vec<usize>) {
+    let bare: Option<Vec<usize>> = cols
+        .iter()
+        .map(|(e, _)| match e {
+            Expr::Col(c) => Some(*c),
+            _ => None,
+        })
+        .collect();
+    if let Some(ordinals) = bare {
+        return (input, ordinals);
+    }
+    // `Debug` tells apart what `Datum`'s SQL equality does not: a zero's
+    // sign, NaN, the kind of a number.
+    let mut seen: Vec<String> = Vec::new();
+    let (mut exprs, mut fields) = (Vec::new(), Vec::new());
+    let ordinals = cols
+        .iter()
+        .map(|(e, dt)| {
+            let key = format!("{e:?} {dt}");
+            seen.iter().position(|k| *k == key).unwrap_or_else(|| {
+                seen.push(key);
+                exprs.push(e.clone());
+                fields.push(Field::new(format!("_IN{}", fields.len()), *dt));
+                fields.len() - 1
+            })
+        })
+        .collect();
+    let project = PhysicalPlan::Project {
+        input: Box::new(input),
+        exprs,
+        schema: Schema::new_unchecked(fields),
+    };
+    (project, ordinals)
+}
+
 /// Execute a plan to completion on the morsel pipeline scheduler.
 pub fn execute(plan: &PhysicalPlan, ctx: &EvalContext) -> Result<(Batch, ExecStats)> {
     let mut stats = ExecStats::default();
@@ -383,7 +423,7 @@ mod tests {
         };
         let agg = PhysicalPlan::HashAggregate {
             input: Box::new(join),
-            group: vec![Expr::col(4)], // label
+            group: vec![4], // label
             aggs: vec![
                 AggExpr {
                     func: AggFunc::CountStar,
@@ -393,7 +433,7 @@ mod tests {
                 },
                 AggExpr {
                     func: AggFunc::Sum,
-                    args: vec![Expr::col(2)],
+                    args: vec![2],
                     distinct: false,
                     arg_types: vec![DataType::Float64],
                 },
@@ -473,7 +513,7 @@ mod tests {
         // How the planner spells DISTINCT / UNION de-duplication.
         let distinct = PhysicalPlan::HashAggregate {
             input: Box::new(union),
-            group: vec![Expr::col(0)],
+            group: vec![0],
             aggs: Vec::new(),
             schema,
             key_mode: KeyMode::Encoded,

@@ -171,13 +171,8 @@ impl Residual {
             values.push(column);
         }
         let narrow = Batch::new(self.schema.clone(), values)?;
-        let mut kept = Vec::with_capacity(positions.len());
-        for (row, pos) in positions.into_iter().enumerate() {
-            if self.expr.eval_predicate(&narrow, row, ctx)? {
-                kept.push(pos);
-            }
-        }
-        Ok(kept)
+        let kept = self.expr.select(&narrow, 0..positions.len(), ctx)?;
+        Ok(kept.into_iter().map(|row| positions[row]).collect())
     }
 }
 

@@ -1,36 +1,33 @@
 //! Sorting, LIMIT/OFFSET, and top-k — morselized on the shared worker
 //! pool.
 //!
-//! The serial single stable sort is gone. `sort_batch` now runs three
-//! parallel phases on `pool::run_morsels`, each byte-identical to the
-//! serial stable sort it replaced:
+//! Every key is a column of the input: the planner appends a computed
+//! ORDER BY key as a hidden column beneath the sort. Keys compare through
+//! the typed column accessors, with no per-row `Datum`. `sort_batch` runs
+//! two parallel phases on `pool::run_morsels`, each byte-identical to one
+//! serial stable sort:
 //!
-//! 1. **Key evaluation** — computed key expressions are evaluated once
-//!    into per-morsel chunks; bare column references compare straight
-//!    through the typed column accessors with no per-row `Datum` clones.
-//! 2. **Run generation** — each morsel sorts one `run_rows`-sized run of
+//! 1. **Run generation** — each morsel sorts one `run_rows`-sized run of
 //!    row indices (stable within the run). Runs cover ascending disjoint
 //!    row ranges, so per-run stability plus a lowest-run-wins merge
 //!    tie-break reproduces global input-order stability exactly.
-//! 3. **Merge / Top-K** — a loser-tree k-way merge emits only the first
+//! 2. **Merge / Top-K** — a loser-tree k-way merge emits only the first
 //!    `LIMIT+OFFSET` positions (truncation happens before any column is
 //!    materialized), checking the cancellation token as it goes. When
 //!    `LIMIT+OFFSET` is small relative to the input
 //!    (`end * TOPK_FACTOR <= rows`), bounded per-morsel heaps replace the
 //!    full sort entirely.
 //!
-//! Sort state (evaluated keys, the index permutation) is budgeted through
-//! a `BudgetLease`, so an over-budget sort is refused with a classified
+//! The sort's state, the index permutation, is budgeted through a
+//! `BudgetLease`, so an over-budget sort is refused with a classified
 //! `ResourceExhausted` and the runs are released by RAII on every exit
 //! path.
 
 use crate::batch::Batch;
-use crate::expr::Expr;
 use crate::functions::EvalContext;
 use crate::pool;
 use crate::stats::ExecStats;
-use dash_common::statement::approx_datum_bytes;
-use dash_common::{BudgetLease, DashError, Datum, Result, StatementContext};
+use dash_common::{BudgetLease, Result, StatementContext};
 use dash_encoding::column::ColumnValues;
 use std::cmp::Ordering;
 
@@ -47,18 +44,18 @@ pub const DEFAULT_SORT_RUN_ROWS: usize = 64 * 1024;
 pub const TOPK_FACTOR: usize = 8;
 
 /// Merged rows between cancellation checks inside the k-way merge, and
-/// evaluated rows between checks in serial key paths.
+/// the smallest Top-K and gather morsel.
 const CHECK_ROWS: usize = 4096;
 
 /// Row count under which a gather is done serially; below this the
 /// morsel-scheduling overhead exceeds the copy itself.
 const MIN_PARALLEL_TAKE: usize = 8192;
 
-/// One ORDER BY key.
+/// One ORDER BY key: a column of the sort's input.
 #[derive(Debug, Clone)]
 pub struct SortKey {
-    /// Key expression over the input schema.
-    pub expr: Expr,
+    /// The key column's ordinal.
+    pub col: usize,
     /// Ascending?
     pub asc: bool,
     /// NULLs last? (default true, matching the engine's convention).
@@ -69,7 +66,7 @@ impl SortKey {
     /// Ascending key on a column ordinal.
     pub fn asc(col: usize) -> SortKey {
         SortKey {
-            expr: Expr::col(col),
+            col,
             asc: true,
             nulls_last: true,
         }
@@ -78,7 +75,7 @@ impl SortKey {
     /// Descending key on a column ordinal.
     pub fn desc(col: usize) -> SortKey {
         SortKey {
-            expr: Expr::col(col),
+            col,
             asc: false,
             nulls_last: true,
         }
@@ -93,8 +90,8 @@ pub struct SortOptions {
     pub limit: Option<usize>,
     /// OFFSET row count.
     pub offset: usize,
-    /// Worker-pool width for key eval, run generation, Top-K, and
-    /// output materialization.
+    /// Worker-pool width for run generation, Top-K, and output
+    /// materialization.
     pub parallelism: usize,
     /// Rows per generated run (`DASH_SORT_RUN_ROWS`).
     pub run_rows: usize,
@@ -115,34 +112,9 @@ impl Default for SortOptions {
 // Positional key comparison
 // ---------------------------------------------------------------------------
 
-/// Computed key values stored in the per-morsel chunks they were evaluated
-/// in. All chunks but the last have identical width, so lookup is pure
-/// index arithmetic — no concatenation pass over all rows.
-struct ChunkedDatums {
-    chunks: Vec<Vec<Datum>>,
-    chunk_rows: usize,
-}
-
-impl ChunkedDatums {
-    fn get(&self, i: usize) -> &Datum {
-        &self.chunks[i / self.chunk_rows][i % self.chunk_rows]
-    }
-}
-
-/// One evaluated sort key, compared positionally by row index.
-enum KeyColumn<'a> {
-    /// Bare column reference: compare through the batch's typed column —
-    /// no per-row Datum is ever built. Raw `i64` order matches the
-    /// decoded datum's `sql_cmp` order for every int-encoded type
-    /// (Date/Timestamp/Bool decode monotonically).
-    Col(&'a ColumnValues),
-    /// Computed expression, evaluated once up front.
-    Computed(ChunkedDatums),
-}
-
-/// NULL handling + direction shared by both representations: NULL
-/// placement follows `nulls_last` only (DESC does not flip it, matching
-/// the engine's convention), direction reverses non-NULL comparisons.
+/// NULL handling + direction: NULL placement follows `nulls_last` only
+/// (DESC does not flip it, matching the engine's convention), direction
+/// reverses non-NULL comparisons.
 fn ordered<T>(
     x: Option<T>,
     y: Option<T>,
@@ -177,49 +149,36 @@ fn ordered<T>(
     }
 }
 
-/// `partial_cmp` (and `sql_cmp` on top of it) calls a NaN equal to every
-/// number, which is not an order: the sort breaks that tie so that NaNs
+/// Compare rows `a` and `b` of one key column. Raw `i64` order is the
+/// decoded value's order for every int-encoded type (Date/Timestamp/Bool
+/// decode monotonically, a decimal column has one scale). `partial_cmp`
+/// calls a NaN unordered with every number, which is not an order: NaNs
 /// tie only with each other and sort above `+inf`, as the percentile
 /// aggregates order them. `-0.0` and `+0.0` still tie.
-fn is_nan(d: &Datum) -> bool {
-    matches!(d, Datum::Float(f) if f.is_nan())
-}
-
-impl KeyColumn<'_> {
-    fn cmp_at(&self, a: usize, b: usize, asc: bool, nulls_last: bool) -> Ordering {
-        match self {
-            KeyColumn::Col(ColumnValues::Int(v)) => {
-                ordered(v[a], v[b], asc, nulls_last, |x, y| x.cmp(&y))
-            }
-            KeyColumn::Col(ColumnValues::Float(v)) => ordered(v[a], v[b], asc, nulls_last, |x, y| {
-                x.partial_cmp(&y).unwrap_or_else(|| x.is_nan().cmp(&y.is_nan()))
-            }),
-            KeyColumn::Col(ColumnValues::Str(v)) => {
-                ordered(v[a].as_deref(), v[b].as_deref(), asc, nulls_last, str::cmp)
-            }
-            KeyColumn::Computed(c) => {
-                let (x, y) = (c.get(a), c.get(b));
-                ordered(
-                    (!x.is_null()).then_some(x),
-                    (!y.is_null()).then_some(y),
-                    asc,
-                    nulls_last,
-                    |x, y| x.sql_cmp(y).then_with(|| is_nan(x).cmp(&is_nan(y))),
-                )
-            }
-        }
+fn cmp_at(col: &ColumnValues, a: usize, b: usize, asc: bool, nulls_last: bool) -> Ordering {
+    match col {
+        ColumnValues::Int(v) => ordered(v[a], v[b], asc, nulls_last, |x, y| x.cmp(&y)),
+        ColumnValues::Float(v) => ordered(v[a], v[b], asc, nulls_last, |x, y| {
+            x.partial_cmp(&y).unwrap_or_else(|| x.is_nan().cmp(&y.is_nan()))
+        }),
+        ColumnValues::Str(v) => ordered(v[a].as_deref(), v[b].as_deref(), asc, nulls_last, str::cmp),
     }
 }
 
 /// All keys of one sort, comparable by row position.
 struct RowComparator<'a> {
-    cols: Vec<(KeyColumn<'a>, bool, bool)>,
+    cols: Vec<(&'a ColumnValues, bool, bool)>,
 }
 
-impl RowComparator<'_> {
+impl<'a> RowComparator<'a> {
+    fn new(input: &'a Batch, keys: &[SortKey]) -> Result<RowComparator<'a>> {
+        let cols = keys.iter().map(|k| Ok((input.try_column(k.col)?, k.asc, k.nulls_last)));
+        Ok(RowComparator { cols: cols.collect::<Result<_>>()? })
+    }
+
     fn cmp_rows(&self, a: usize, b: usize) -> Ordering {
         for (col, asc, nulls_last) in &self.cols {
-            let ord = col.cmp_at(a, b, *asc, *nulls_last);
+            let ord = cmp_at(col, a, b, *asc, *nulls_last);
             if ord != Ordering::Equal {
                 return ord;
             }
@@ -233,84 +192,6 @@ impl RowComparator<'_> {
     fn cmp_total(&self, a: usize, b: usize) -> Ordering {
         self.cmp_rows(a, b).then(a.cmp(&b))
     }
-}
-
-/// Evaluate the sort keys into positional form. Bare column references
-/// borrow the input column; everything else is evaluated in row morsels
-/// on the pool, with the evaluated chunks charged to `lease` (key state
-/// lives until the permutation is materialized).
-fn build_key_columns<'a>(
-    input: &'a Batch,
-    keys: &[SortKey],
-    ctx: &EvalContext,
-    parallelism: usize,
-    lease: &mut BudgetLease,
-    stats: &mut ExecStats,
-) -> Result<RowComparator<'a>> {
-    let n = input.len();
-    let width = input.schema().len();
-    let computed: Vec<usize> = keys
-        .iter()
-        .enumerate()
-        .filter(|(_, k)| !matches!(&k.expr, Expr::Col(c) if *c < width))
-        .map(|(i, _)| i)
-        .collect();
-    let mut evaluated: Vec<Option<ChunkedDatums>> = keys.iter().map(|_| None).collect();
-    if !computed.is_empty() {
-        let ranges = pool::row_morsels(n, parallelism, CHECK_ROWS);
-        let chunk_rows = ranges.first().map_or(1, |r| r.1 - r.0);
-        let run = pool::run_morsels(ranges.len(), parallelism, &ctx.statement, |mi| {
-            let (lo, hi) = ranges[mi];
-            let mut cols: Vec<Vec<Datum>> = computed
-                .iter()
-                .map(|_| Vec::with_capacity(hi - lo))
-                .collect();
-            let mut bytes = 0u64;
-            for row in lo..hi {
-                for (slot, &ki) in computed.iter().enumerate() {
-                    let d = keys[ki].expr.eval(input, row, ctx)?;
-                    bytes += approx_datum_bytes(&d);
-                    cols[slot].push(d);
-                }
-            }
-            Ok((cols, bytes))
-        })?;
-        stats.note_parallel_phase(run.morsels_dispatched, run.workers_used);
-        let mut chunked: Vec<Vec<Vec<Datum>>> = computed
-            .iter()
-            .map(|_| Vec::with_capacity(run.results.len()))
-            .collect();
-        for (cols, bytes) in run.results {
-            lease
-                .charge(bytes)
-                .inspect_err(|_| stats.budget_rejections += 1)?;
-            for (slot, col) in cols.into_iter().enumerate() {
-                chunked[slot].push(col);
-            }
-        }
-        for (slot, &ki) in computed.iter().enumerate() {
-            evaluated[ki] = Some(ChunkedDatums {
-                chunks: std::mem::take(&mut chunked[slot]),
-                chunk_rows,
-            });
-        }
-    }
-    let mut cols = Vec::with_capacity(keys.len());
-    for (i, k) in keys.iter().enumerate() {
-        let col = match evaluated[i].take() {
-            Some(c) => KeyColumn::Computed(c),
-            None => match &k.expr {
-                Expr::Col(c) => KeyColumn::Col(input.column(*c)),
-                other => {
-                    return Err(DashError::internal(format!(
-                        "sort key not evaluated: {other:?}"
-                    )))
-                }
-            },
-        };
-        cols.push((col, k.asc, k.nulls_last));
-    }
-    Ok(RowComparator { cols })
 }
 
 // ---------------------------------------------------------------------------
@@ -579,10 +460,10 @@ pub fn sort_batch(
         return Ok(input.take(&[]));
     }
 
-    // Evaluated keys and the index permutation are the sort's working
-    // state: budgeted, and released by RAII on every exit path.
+    // The index permutation is the sort's working state: budgeted, and
+    // released by RAII on every exit path.
     let mut lease = BudgetLease::new(&ctx.statement);
-    let cmp = build_key_columns(input, keys, ctx, parallelism, &mut lease, stats)?;
+    let cmp = RowComparator::new(input, keys)?;
 
     let word = std::mem::size_of::<usize>() as u64;
     if opts.limit.is_some() && end.saturating_mul(TOPK_FACTOR) <= n {
@@ -623,7 +504,7 @@ pub fn sort_batch(
 mod tests {
     use super::*;
     use dash_common::types::DataType;
-    use dash_common::{row, Field, Schema};
+    use dash_common::{row, Datum, Field, Schema};
 
     fn batch() -> Batch {
         let schema = Schema::new(vec![
@@ -677,7 +558,7 @@ mod tests {
     #[test]
     fn nulls_first_option() {
         let key = SortKey {
-            expr: Expr::col(0),
+            col: 0,
             asc: true,
             nulls_last: false,
         };
@@ -719,19 +600,6 @@ mod tests {
             out.to_rows(),
             vec![row![0i64, 9i64], row![1i64, 2i64], row![1i64, 1i64]]
         );
-    }
-
-    #[test]
-    fn computed_key_expression_sorts() {
-        // A non-column key goes through the chunked evaluated path.
-        let key = SortKey {
-            expr: Expr::Neg(Box::new(Expr::col(0))),
-            asc: true,
-            nulls_last: true,
-        };
-        let out = sorted(&batch(), &[key], &opts(None, 0));
-        let xs: Vec<String> = out.to_rows().iter().map(|r| r.get(0).render()).collect();
-        assert_eq!(xs, vec!["3", "2", "1", "NULL"]);
     }
 
     #[test]

@@ -672,14 +672,26 @@ impl Parser<'_> {
         }
         let mut stmt = self.select_body()?;
         stmt.ctes = ctes;
-        // Set operations.
-        if self.eat_keyword("UNION") {
+        // Set operations. ORDER BY / OFFSET / LIMIT after the last arm sort
+        // the whole compound, so they move from that arm onto it; on any
+        // other arm they are a syntax error.
+        if self.at_keyword("UNION") {
+            if !stmt.order_by.is_empty() || stmt.limit.is_some() || stmt.offset.is_some() {
+                return Err(DashError::parse(
+                    "ORDER BY, OFFSET and LIMIT may only follow the last arm of a UNION",
+                    self.offset(),
+                ));
+            }
+            self.advance();
             let op = if self.eat_keyword("ALL") {
                 SetOp::UnionAll
             } else {
                 SetOp::Union
             };
-            let rhs = self.select_stmt()?;
+            let mut rhs = self.select_stmt()?;
+            stmt.order_by = std::mem::take(&mut rhs.order_by);
+            stmt.limit = rhs.limit.take();
+            stmt.offset = rhs.offset.take();
             stmt.set_op = Some((op, Box::new(rhs)));
         }
         Ok(stmt)

@@ -26,7 +26,7 @@ use dash_exec::expr::{ArithOp, CmpOp, Expr};
 use dash_exec::functions::{arith_type, same_repr, supertype, union_supertype, EvalContext, FunctionRegistry};
 use dash_exec::join::JoinType;
 use dash_exec::key::KeyMode;
-use dash_exec::plan::{PhysicalPlan, SharedTable};
+use dash_exec::plan::{aggregate_input, PhysicalPlan, SharedTable};
 use dash_exec::scan::{ColumnPredicate, ScanConfig};
 use dash_exec::sort::SortKey;
 use dash_storage::bufferpool::BufferPool;
@@ -300,6 +300,14 @@ impl Planner<'_> {
                     })
                     .collect(),
             };
+            // The compound's ORDER BY, OFFSET and LIMIT, which the parser
+            // lifts off the last arm: keys name the output only.
+            let mut keys = Vec::with_capacity(stmt.order_by.len());
+            for item in &stmt.order_by {
+                let key = self.output_key(&item.expr, &scope)?;
+                keys.push((key, item.asc, item.nulls_last.unwrap_or(true)));
+            }
+            plan = self.sort(plan, keys, stmt.limit, stmt.offset, scope.to_schema());
         }
         Ok((plan, scope))
     }
@@ -442,8 +450,11 @@ impl Planner<'_> {
             })
             .collect();
         let mut having_ast = stmt.having.clone();
-        let mut order_asts: Vec<AstExpr> =
-            stmt.order_by.iter().map(|o| o.expr.clone()).collect();
+        // A compound's ORDER BY, OFFSET and LIMIT sort the whole set
+        // operation (`plan_query_inner`), not its first arm.
+        let tail = stmt.set_op.is_none();
+        let order_by: &[OrderItem] = if tail { &stmt.order_by } else { &[] };
+        let mut order_asts: Vec<AstExpr> = order_by.iter().map(|o| o.expr.clone()).collect();
         if grouped {
             let (new_plan, new_scope, rewritten_proj, rewritten_having, rewritten_order) = self
                 .plan_aggregation(
@@ -497,144 +508,133 @@ impl Planner<'_> {
                 .zip(scope.cols.iter())
                 .all(|(f, c)| f.name == c.name);
 
-        // ---- resolve ORDER BY keys ----
-        // Resolution order: output ordinal → output column (exact, then
-        // name-only so `ORDER BY d.label` finds the output column LABEL) →
-        // input column (becomes a hidden sort column appended to the
-        // projection and stripped after the sort).
-        enum KeySource {
-            Out(Expr),
-            Hidden(Expr, DataType),
-        }
-        let mut key_sources: Vec<(KeySource, bool, bool)> = Vec::new();
-        for (item, ast) in stmt.order_by.iter().zip(&order_asts) {
-            let asc = item.asc;
-            let nl = item.nulls_last.unwrap_or(true);
-            let src = match ast {
-                AstExpr::Lit(Datum::Int(n)) => {
-                    let idx = *n as usize;
-                    if idx == 0 || idx > out_scope.cols.len() {
-                        return Err(DashError::analysis(format!(
-                            "ORDER BY position {idx} is out of range"
-                        )));
-                    }
-                    KeySource::Out(Expr::col(idx - 1))
-                }
-                ast => {
-                    if let Ok((e, _)) = self.lower(ast, &out_scope) {
-                        KeySource::Out(e)
-                    } else if let AstExpr::Column {
-                        qualifier: Some(_),
-                        name,
-                    } = ast
-                    {
-                        // Qualified reference: retry name-only on the output.
-                        let bare = AstExpr::Column {
-                            qualifier: None,
-                            name: name.clone(),
-                        };
-                        match self.lower(&bare, &out_scope) {
-                            Ok((e, _)) => KeySource::Out(e),
-                            Err(_) => {
-                                let (e, dt) = self.lower(ast, &scope)?;
-                                KeySource::Hidden(e, dt)
-                            }
-                        }
-                    } else {
-                        let (e, dt) = self.lower(ast, &scope)?;
-                        KeySource::Hidden(e, dt)
-                    }
+        // ---- ORDER BY ----
+        // A key is an output column or an expression over the output
+        // (`output_key`), else an expression over the input: a hidden
+        // column the projection appends, stripped after the sort.
+        let out_width = out_scope.cols.len();
+        let mut keys = Vec::with_capacity(order_by.len());
+        let mut hidden: Vec<(Expr, Field)> = Vec::new();
+        for (k, (item, ast)) in order_by.iter().zip(&order_asts).enumerate() {
+            let key = match self.output_key(ast, &out_scope) {
+                Ok(key) => key,
+                Err(e) if matches!(ast, AstExpr::Lit(Datum::Int(_))) => return Err(e),
+                Err(_) => {
+                    let (e, dt) = self.lower(ast, &scope)?;
+                    hidden.push((e, Field::new(format!("_SORT{k}"), dt)));
+                    (Expr::col(out_width + hidden.len() - 1), dt)
                 }
             };
-            key_sources.push((src, asc, nl));
+            keys.push((key, item.asc, item.nulls_last.unwrap_or(true)));
         }
-        let needs_hidden = key_sources
-            .iter()
-            .any(|(s, ..)| matches!(s, KeySource::Hidden(..)));
-        if needs_hidden && stmt.distinct {
+        if !hidden.is_empty() && stmt.distinct {
             return Err(DashError::analysis(
                 "ORDER BY column must appear in the SELECT DISTINCT list",
             ));
         }
-
-        let out_width = out_scope.cols.len();
-        let mut keys: Vec<SortKey> = Vec::new();
-        if needs_hidden && !passthrough {
-            // Extend the projection with the hidden key expressions.
-            let mut ext_exprs = exprs.clone();
-            let mut ext_fields = out_schema.fields().to_vec();
-            for (i, (src, asc, nl)) in key_sources.into_iter().enumerate() {
-                match src {
-                    KeySource::Out(e) => keys.push(SortKey {
-                        expr: e,
-                        asc,
-                        nulls_last: nl,
-                    }),
-                    KeySource::Hidden(e, dt) => {
-                        ext_exprs.push(e);
-                        ext_fields.push(Field::new(format!("_SORT{i}"), dt));
-                        keys.push(SortKey {
-                            expr: Expr::col(ext_fields.len() - 1),
-                            asc,
-                            nulls_last: nl,
-                        });
-                    }
-                }
+        if !passthrough || !hidden.is_empty() {
+            let mut fields = out_schema.fields().to_vec();
+            for (e, f) in hidden {
+                exprs.push(e);
+                fields.push(f);
             }
             plan = PhysicalPlan::Project {
                 input: Box::new(plan),
-                exprs: ext_exprs,
-                schema: Schema::new_unchecked(ext_fields),
-            };
-            plan = PhysicalPlan::Sort {
-                input: Box::new(plan),
-                keys,
-                limit: stmt.limit.map(|l| l as usize),
-                offset: stmt.offset.unwrap_or(0) as usize,
-                parallelism: self.provider.parallelism(),
-                run_rows: self.provider.sort_run_rows(),
-            };
-            // Strip the hidden columns.
-            plan = PhysicalPlan::Project {
-                input: Box::new(plan),
-                exprs: (0..out_width).map(Expr::col).collect(),
-                schema: out_schema,
-            };
-            return Ok((plan, out_scope));
-        }
-
-        // No hidden keys (or pass-through projection where input == output).
-        for (src, asc, nl) in key_sources {
-            let expr = match src {
-                KeySource::Out(e) | KeySource::Hidden(e, _) => e,
-            };
-            keys.push(SortKey {
-                expr,
-                asc,
-                nulls_last: nl,
-            });
-        }
-        if !passthrough {
-            plan = PhysicalPlan::Project {
-                input: Box::new(plan),
                 exprs,
-                schema: out_schema,
+                schema: Schema::new_unchecked(fields),
             };
         }
         if stmt.distinct {
             plan = self.distinct(plan);
         }
-        if !keys.is_empty() || stmt.limit.is_some() || stmt.offset.is_some() {
-            plan = PhysicalPlan::Sort {
+        let (limit, offset) = if tail { (stmt.limit, stmt.offset) } else { (None, None) };
+        Ok((self.sort(plan, keys, limit, offset, out_schema), out_scope))
+    }
+
+    /// An ORDER BY key over a query's output columns `out`: an ordinal, an
+    /// expression over them, or a qualified name whose bare name is an
+    /// output column (`ORDER BY d.label` finds LABEL).
+    fn output_key(&mut self, ast: &AstExpr, out: &Scope) -> Result<(Expr, DataType)> {
+        match ast {
+            AstExpr::Lit(Datum::Int(n)) => {
+                let idx = *n as usize;
+                if idx == 0 || idx > out.cols.len() {
+                    return Err(DashError::analysis(format!(
+                        "ORDER BY position {idx} is out of range"
+                    )));
+                }
+                Ok((Expr::col(idx - 1), out.cols[idx - 1].dt))
+            }
+            AstExpr::Column {
+                qualifier: Some(_),
+                name,
+            } => self
+                .lower(ast, out)
+                .or_else(|_| self.lower(&AstExpr::column(name), out)),
+            _ => self.lower(ast, out),
+        }
+    }
+
+    /// Sort `plan` by `keys` — expressions over its columns, with their
+    /// types, direction and NULL placement — apply OFFSET/LIMIT, and hand
+    /// on its leading `out` columns. A key that is not a bare column is
+    /// evaluated once, into a hidden `_SORTi` column a `Project` appends
+    /// beneath the sort.
+    fn sort(
+        &self,
+        mut plan: PhysicalPlan,
+        keys: Vec<((Expr, DataType), bool, bool)>,
+        limit: Option<u64>,
+        offset: Option<u64>,
+        out: Schema,
+    ) -> PhysicalPlan {
+        if keys.is_empty() && limit.is_none() && offset.is_none() {
+            return plan;
+        }
+        // Nullable, so the appending projection moves the plan's columns.
+        let mut fields: Vec<Field> = plan
+            .schema()
+            .fields()
+            .iter()
+            .map(|f| Field::new(f.name.clone(), f.data_type))
+            .collect();
+        let width = fields.len();
+        let mut exprs: Vec<Expr> = (0..width).map(Expr::col).collect();
+        let mut sort_keys = Vec::with_capacity(keys.len());
+        for (k, ((e, dt), asc, nulls_last)) in keys.into_iter().enumerate() {
+            let col = match e {
+                Expr::Col(c) => c,
+                e => {
+                    exprs.push(e);
+                    fields.push(Field::new(format!("_SORT{k}"), dt));
+                    fields.len() - 1
+                }
+            };
+            sort_keys.push(SortKey { col, asc, nulls_last });
+        }
+        if fields.len() > width {
+            plan = PhysicalPlan::Project {
                 input: Box::new(plan),
-                keys,
-                limit: stmt.limit.map(|l| l as usize),
-                offset: stmt.offset.unwrap_or(0) as usize,
-                parallelism: self.provider.parallelism(),
-                run_rows: self.provider.sort_run_rows(),
+                exprs,
+                schema: Schema::new_unchecked(fields.clone()),
             };
         }
-        Ok((plan, out_scope))
+        plan = PhysicalPlan::Sort {
+            input: Box::new(plan),
+            keys: sort_keys,
+            limit: limit.map(|l| l as usize),
+            offset: offset.unwrap_or(0) as usize,
+            parallelism: self.provider.parallelism(),
+            run_rows: self.provider.sort_run_rows(),
+        };
+        if fields.len() > out.len() {
+            plan = PhysicalPlan::Project {
+                input: Box::new(plan),
+                exprs: (0..out.len()).map(Expr::col).collect(),
+                schema: out,
+            };
+        }
+        plan
     }
 
     /// `SELECT DISTINCT` / `UNION` de-duplication is `GROUP BY` every
@@ -642,9 +642,9 @@ impl Planner<'_> {
     /// together, in first-appearance order.
     fn distinct(&self, input: PhysicalPlan) -> PhysicalPlan {
         let schema = input.schema();
-        let group: Vec<Expr> = (0..schema.len()).map(Expr::col).collect();
+        let group: Vec<usize> = (0..schema.len()).collect();
         PhysicalPlan::HashAggregate {
-            key_mode: KeyMode::for_group(&schema, &group),
+            key_mode: KeyMode::for_group(&group),
             input: Box::new(input),
             group,
             aggs: Vec::new(),
@@ -1087,8 +1087,9 @@ impl Planner<'_> {
             collect_aggregates(o, &mut agg_calls);
         }
 
-        // Lower group keys.
-        let mut group_exprs = Vec::new();
+        // Lower group keys, then aggregate arguments: the aggregate's
+        // input columns.
+        let mut cols: Vec<(Expr, DataType)> = Vec::new();
         let mut out_cols: Vec<ScopeCol> = Vec::new();
         for (i, g) in group_asts.iter().enumerate() {
             let (e, dt) = self.lower(g, scope)?;
@@ -1102,7 +1103,7 @@ impl Planner<'_> {
                 dt,
                 nullable: true,
             });
-            group_exprs.push(e);
+            cols.push((e, dt));
         }
         // Lower aggregates.
         let mut aggs = Vec::new();
@@ -1153,11 +1154,10 @@ impl Planner<'_> {
                 }
                 (f, args.clone())
             };
-            let mut lowered_args = Vec::with_capacity(arg_asts.len());
             let mut arg_types = Vec::with_capacity(arg_asts.len());
             for a in &arg_asts {
                 let (e, dt) = self.lower(a, scope)?;
-                lowered_args.push(e);
+                cols.push((e, dt));
                 arg_types.push(dt);
             }
             let out_dt = func.output_type(&arg_types).map_err(|e| e.with_context(name))?;
@@ -1169,19 +1169,24 @@ impl Planner<'_> {
             });
             aggs.push(AggExpr {
                 func,
-                args: lowered_args,
+                args: Vec::new(),
                 distinct: *distinct,
                 arg_types,
             });
         }
         let agg_scope = Scope { cols: out_cols };
-        let key_mode = KeyMode::for_group(&input.schema(), &group_exprs);
+        let (input, ordinals) = aggregate_input(input, &cols);
+        let mut ordinals = ordinals.into_iter();
+        let group: Vec<usize> = ordinals.by_ref().take(group_asts.len()).collect();
+        for agg in &mut aggs {
+            agg.args = ordinals.by_ref().take(agg.arg_types.len()).collect();
+        }
         let plan = PhysicalPlan::HashAggregate {
             input: Box::new(input),
-            group: group_exprs,
+            key_mode: KeyMode::for_group(&group),
+            group,
             aggs,
             schema: agg_scope.to_schema(),
-            key_mode,
             parallelism: self.provider.parallelism(),
         };
 

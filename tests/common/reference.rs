@@ -51,7 +51,7 @@ pub fn eval(plan: &PhysicalPlan, ctx: &EvalContext) -> Batch {
         } => join(&eval(left, ctx), &eval(right, ctx), on, *join_type),
         PhysicalPlan::HashAggregate {
             input, group, aggs, ..
-        } => aggregate(&eval(input, ctx), group, aggs, ctx),
+        } => aggregate(&eval(input, ctx), group, aggs),
         PhysicalPlan::Sort {
             input,
             keys,
@@ -60,7 +60,7 @@ pub fn eval(plan: &PhysicalPlan, ctx: &EvalContext) -> Batch {
             ..
         } => {
             let b = eval(input, ctx);
-            let key_of = |i| keys.iter().map(|k| eval_row(&k.expr, &b, i)).collect();
+            let key_of = |i| keys.iter().map(|k| b.value(i, k.col)).collect();
             let key_vals: Vec<Vec<Datum>> = (0..b.len()).map(key_of).collect();
             let mut order: Vec<usize> = (0..b.len()).collect();
             // `sort_by` is stable: ties keep input order.
@@ -213,13 +213,13 @@ pub fn key_text(d: &Datum) -> String {
     }
 }
 
-/// Group on evaluated keys (NULLs group together); groups emit in
+/// Group on the key columns (NULLs group together); groups emit in
 /// [`key_text`] order with their first row's key values. A global aggregate
 /// over no rows still yields its one row.
-fn aggregate(input: &Batch, group: &[Expr], aggs: &[AggExpr], ctx: &EvalContext) -> Vec<Row> {
+fn aggregate(input: &Batch, group: &[usize], aggs: &[AggExpr]) -> Vec<Row> {
     let mut groups: BTreeMap<Vec<String>, (Vec<Datum>, Vec<usize>)> = BTreeMap::new();
     for i in 0..input.len() {
-        let key: Vec<Datum> = group.iter().map(|g| g.eval(input, i, ctx).unwrap()).collect();
+        let key: Vec<Datum> = group.iter().map(|&g| input.value(i, g)).collect();
         let text = key.iter().map(key_text).collect();
         groups.entry(text).or_insert((key, Vec::new())).1.push(i);
     }
@@ -227,17 +227,17 @@ fn aggregate(input: &Batch, group: &[Expr], aggs: &[AggExpr], ctx: &EvalContext)
         groups.entry(Vec::new()).or_default();
     }
     let finish = |(mut key, members): (Vec<Datum>, Vec<usize>)| {
-        key.extend(aggs.iter().map(|a| agg_value(a, input, &members, ctx)));
+        key.extend(aggs.iter().map(|a| agg_value(a, input, &members)));
         Row::new(key)
     };
     groups.into_values().map(finish).collect()
 }
 
-fn agg_value(a: &AggExpr, input: &Batch, members: &[usize], ctx: &EvalContext) -> Datum {
+fn agg_value(a: &AggExpr, input: &Batch, members: &[usize]) -> Datum {
     if a.func == AggFunc::CountStar {
         return Datum::Int(members.len() as i64);
     }
-    let arg = |n: usize, i: usize| a.args[n].eval(input, i, ctx).unwrap();
+    let arg = |n: usize, i: usize| input.value(i, a.args[n]);
     if matches!(a.func, AggFunc::CovarPop | AggFunc::CovarSamp) {
         // Pairs with both sides present; textbook two-pass covariance.
         let pair = |&i: &usize| Some((arg(0, i).as_float()?, arg(1, i).as_float()?));

@@ -33,7 +33,7 @@ const BIG: usize = 40_000;
 fn agg(func: AggFunc, col: usize, dt: DataType) -> AggExpr {
     AggExpr {
         func,
-        args: vec![Expr::col(col)],
+        args: vec![col],
         distinct: false,
         arg_types: vec![dt],
     }
@@ -114,8 +114,8 @@ fn aggregate_matches_serial_exactly() {
         ("w", DataType::Float64),
     ]);
     let cases = [
-        (vec![Expr::col(0), Expr::col(1)], [count_star(), agg(AggFunc::Sum, 2, DataType::Int64)], two_keys, KeyMode::Datum),
-        (vec![Expr::col(1)], [count_star(), agg(AggFunc::Sum, 3, DataType::Float64)], one_key, KeyMode::Encoded),
+        (vec![0, 1], [count_star(), agg(AggFunc::Sum, 2, DataType::Int64)], two_keys, KeyMode::Datum),
+        (vec![1], [count_star(), agg(AggFunc::Sum, 3, DataType::Float64)], one_key, KeyMode::Encoded),
     ];
     for (groups, aggs, schema, key_mode) in cases {
         let run = |par: usize| {
@@ -300,7 +300,7 @@ fn aggregate_groups_on_key_words_whatever_the_plan_label() {
         ("total", DataType::Int64),
     ]);
     let aggs = [count_star(), agg(AggFunc::Sum, 2, DataType::Int64)];
-    let groups = [Expr::col(0), Expr::col(1)];
+    let groups = [0, 1];
     let run = |key_mode: KeyMode, par: usize| {
         let mut stats = ExecStats::default();
         let mut rows = hash_aggregate(
@@ -344,7 +344,7 @@ fn float_group_keys_agree_across_all_paths() {
         .collect();
     let input = Batch::from_rows(schema, &rows).unwrap();
     let aggs = [count_star()];
-    let run = |groups: &[Expr], out: &Schema, key_mode: KeyMode, par: usize| {
+    let run = |groups: &[usize], out: &Schema, key_mode: KeyMode, par: usize| {
         let mut stats = ExecStats::default();
         let mut got = hash_aggregate(
             &input,
@@ -366,7 +366,7 @@ fn float_group_keys_agree_across_all_paths() {
     // Single bare float key, Encoded vs Datum: 3 groups — ±0.0 fold
     // together, NaNs fold together.
     let out1 = out_schema(&[("k", DataType::Float64), ("cnt", DataType::Int64)]);
-    let bare = [Expr::col(0)];
+    let bare = [0];
     let mut single = Vec::new();
     for key_mode in [KeyMode::Encoded, KeyMode::Datum] {
         for par in [1usize, 4] {
@@ -385,7 +385,7 @@ fn float_group_keys_agree_across_all_paths() {
         ("k2", DataType::Float64),
         ("cnt", DataType::Int64),
     ]);
-    let double = [Expr::col(0), Expr::col(0)];
+    let double = [0, 0];
     let mut multi = Vec::new();
     for key_mode in [KeyMode::Encoded, KeyMode::Datum] {
         for par in [1usize, 4] {
@@ -603,7 +603,7 @@ fn sort_matches_serial_exactly() {
         vec![SortKey::asc(0), SortKey::desc(2)],
         vec![SortKey::desc(1), SortKey::asc(3)],
         vec![SortKey {
-            expr: Expr::col(1),
+            col: 1,
             asc: true,
             nulls_last: false,
         }],
@@ -870,7 +870,7 @@ proptest! {
 // ---------------------------------------------------------------------------
 
 use dashdb_local::exec::expr::CmpOp;
-use dashdb_local::exec::plan::{execute, PhysicalPlan, SharedTable};
+use dashdb_local::exec::plan::{aggregate_input, execute, PhysicalPlan, SharedTable};
 use dashdb_local::exec::scan::ScanConfig;
 use dashdb_local::sql::{parse_statement, plan_select, Statement};
 
@@ -960,7 +960,7 @@ fn chain_plan(
     };
     let agg = PhysicalPlan::HashAggregate {
         input: Box::new(join),
-        group: vec![Expr::col(group_col)],
+        group: vec![group_col],
         aggs: vec![count_star(), agg(AggFunc::Sum, 2, DataType::Int64)],
         schema: out_schema(&[
             ("g", DataType::Utf8),
@@ -1231,18 +1231,24 @@ fn key_menu() -> Vec<(Expr, DataType)> {
     ]
 }
 
+/// One aggregate call over expressions with their declared types, as the
+/// analyzer lowers it; [`gen_plan`] turns its arguments into columns.
+#[derive(Clone, Debug)]
+struct Call {
+    func: AggFunc,
+    args: Vec<(Expr, DataType)>,
+    distinct: bool,
+}
+
 /// Every aggregate function, over bare columns and expressions of the
 /// argument's declared type.
-fn agg_menu() -> Vec<AggExpr> {
+fn agg_menu() -> Vec<Call> {
     let call = |func: AggFunc, args: Vec<Expr>, distinct: bool, dt: DataType| {
-        AggExpr { func, arg_types: vec![dt; args.len()], args, distinct }
+        Call { func, args: args.into_iter().map(|a| (a, dt)).collect(), distinct }
     };
-    let covar = |func: AggFunc, args: [(Expr, DataType); 2]| {
-        let (args, arg_types) = args.into_iter().unzip();
-        AggExpr { func, args, distinct: false, arg_types }
-    };
+    let covar = |func: AggFunc, args: [(Expr, DataType); 2]| Call { func, args: args.to_vec(), distinct: false };
     let (int, float) = (DataType::Int64, DataType::Float64);
-    let mut menu = vec![count_star()];
+    let mut menu = vec![Call { func: AggFunc::CountStar, args: Vec::new(), distinct: false }];
     for distinct in [false, true] {
         menu.extend([
             call(AggFunc::Count, vec![Expr::col(MI)], distinct, int),
@@ -1291,20 +1297,33 @@ fn agg_menu() -> Vec<AggExpr> {
     menu
 }
 
-/// `HashAggregate` over `source`, its output schema typed as the planner
-/// types it.
-fn gen_plan(source: PhysicalPlan, keys: &[(Expr, DataType)], aggs: &[AggExpr], par: usize) -> PhysicalPlan {
+/// `HashAggregate` over `source`, its keys and arguments made columns and
+/// its output schema typed as the planner does both.
+fn gen_plan(source: PhysicalPlan, keys: &[(Expr, DataType)], calls: &[Call], par: usize) -> PhysicalPlan {
     let key_fields = keys.iter().enumerate().map(|(i, (_, dt))| Field::new(format!("g{i}"), *dt));
-    let agg_fields = aggs
+    let arg_types = |c: &Call| c.args.iter().map(|(_, dt)| *dt).collect::<Vec<_>>();
+    let agg_fields = calls
         .iter()
         .enumerate()
-        .map(|(i, a)| Field::new(format!("a{i}"), a.func.output_type(&a.arg_types).unwrap()));
-    let group: Vec<Expr> = keys.iter().map(|(e, _)| e.clone()).collect();
+        .map(|(i, c)| Field::new(format!("a{i}"), c.func.output_type(&arg_types(c)).unwrap()));
+    let cols: Vec<(Expr, DataType)> = keys.iter().chain(calls.iter().flat_map(|c| &c.args)).cloned().collect();
+    let (input, ordinals) = aggregate_input(source, &cols);
+    let mut ordinals = ordinals.into_iter();
+    let group: Vec<usize> = ordinals.by_ref().take(keys.len()).collect();
+    let aggs = calls
+        .iter()
+        .map(|c| AggExpr {
+            func: c.func.clone(),
+            args: ordinals.by_ref().take(c.args.len()).collect(),
+            distinct: c.distinct,
+            arg_types: arg_types(c),
+        })
+        .collect();
     PhysicalPlan::HashAggregate {
-        key_mode: KeyMode::for_group(&gen_schema(), &group),
-        input: Box::new(source),
+        key_mode: KeyMode::for_group(&group),
+        input: Box::new(input),
         group,
-        aggs: aggs.to_vec(),
+        aggs,
         schema: Schema::new(key_fields.chain(agg_fields).collect()).unwrap(),
         parallelism: par,
     }
@@ -1313,7 +1332,7 @@ fn gen_plan(source: PhysicalPlan, keys: &[(Expr, DataType)], aggs: &[AggExpr], p
 /// Engine vs reference for one generated aggregate over `rows` (the
 /// source's rows in scan order): byte-identical at widths 1, 4 and 8, the
 /// reference's groups and values, and groups in first-appearance order.
-fn check_generated(what: &str, source: &PhysicalPlan, rows: &[Row], keys: &[(Expr, DataType)], aggs: &[AggExpr]) {
+fn check_generated(what: &str, source: &PhysicalPlan, rows: &[Row], keys: &[(Expr, DataType)], aggs: &[Call]) {
     let ctx = EvalContext::default();
     let nk = keys.len();
     let key_of = |r: &Row| -> Vec<String> { r.values()[..nk].iter().map(reference::key_text).collect() };
@@ -1433,7 +1452,7 @@ fn sum_overflow_is_an_error_at_every_width() {
     across[4999] = row![1i64, half];
     for rows in [within, across] {
         let input = Batch::from_rows(schema.clone(), &rows).unwrap();
-        for groups in [vec![], vec![Expr::col(0)]] {
+        for groups in [vec![], vec![0]] {
             let out = if groups.is_empty() { out_schema(&[("s", DataType::Int64)]) } else { out.clone() };
             for par in [1usize, 4, 8] {
                 let mut stats = ExecStats::default();

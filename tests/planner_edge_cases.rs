@@ -120,6 +120,39 @@ fn union_mixed_numeric_types() {
     assert_eq!(rows.len(), 2);
     // Arity mismatch rejected.
     assert!(s.query("SELECT x FROM a UNION SELECT x, x FROM b").is_err());
+
+    // ORDER BY / OFFSET / FETCH FIRST / LIMIT after the last arm sort and
+    // trim the whole union, not that arm.
+    s.execute("CREATE TABLE t (a INT, b INT)").unwrap();
+    s.execute("INSERT INTO t VALUES (5, 50), (1, 10), (4, 40), (2, 20), (3, 30)").unwrap();
+    let col = |s: &mut Session, sql: &str| -> Vec<i64> {
+        let rows = s.query(sql).unwrap_or_else(|e| panic!("{sql}: {e}"));
+        rows.iter().map(|r| r.get(0).as_int().unwrap()).collect()
+    };
+    let both = "SELECT a FROM t UNION ALL SELECT b FROM t";
+    assert_eq!(col(&mut s, &format!("{both} FETCH FIRST 3 ROWS ONLY")), [5, 1, 4]);
+    assert_eq!(col(&mut s, &format!("{both} ORDER BY 1")), [1, 2, 3, 4, 5, 10, 20, 30, 40, 50]);
+    // By the left arm's name, by an expression over it, a tie-broken
+    // union with duplicates removed first.
+    assert_eq!(col(&mut s, &format!("{both} ORDER BY a DESC FETCH FIRST 2 ROWS ONLY")), [50, 40]);
+    assert_eq!(col(&mut s, &format!("{both} ORDER BY MOD(a, 10), a FETCH FIRST 4 ROWS ONLY")), [10, 20, 30, 40]);
+    assert_eq!(
+        col(&mut s, "SELECT a FROM t UNION SELECT a + 1 FROM t ORDER BY a DESC"),
+        [6, 5, 4, 3, 2, 1]
+    );
+    s.set_dialect(Dialect::PostgreSql);
+    assert_eq!(col(&mut s, &format!("{both} ORDER BY a LIMIT 3 OFFSET 2")), [3, 4, 5]);
+    assert_eq!(col(&mut s, &format!("{both} UNION ALL SELECT a FROM t ORDER BY 1 DESC LIMIT 2")), [50, 40]);
+    // Keys name the union's output only; an ORDER BY or LIMIT on an arm
+    // other than the last is a syntax error.
+    assert_eq!(s.query(&format!("{both} ORDER BY b")).unwrap_err().class(), "42704");
+    for sql in [
+        "SELECT a FROM t ORDER BY a UNION ALL SELECT b FROM t",
+        "SELECT a FROM t LIMIT 1 UNION ALL SELECT b FROM t",
+        "SELECT a FROM t UNION ALL SELECT b FROM t LIMIT 1 UNION ALL SELECT a FROM t",
+    ] {
+        assert_eq!(s.query(sql).unwrap_err().class(), "42601", "{sql}");
+    }
 }
 
 #[test]
@@ -531,4 +564,23 @@ fn case_is_typed_by_every_branch_and_decimals_stay_exact() {
     let schema = s.execute("SELECT NVL(d, i), CASE WHEN k = 1 THEN w ELSE d END FROM m").unwrap().schema;
     assert_eq!(schema.field(0).data_type.sql_name(), "DECIMAL(12,2)", "10 integer digits of an INT, scale 2");
     assert_eq!(schema.field(1).data_type.sql_name(), "DECIMAL(12,4)", "8 integer digits of d, scale 4 of w");
+}
+
+/// A computed ORDER BY key is a hidden column a `Project` appends beneath
+/// the sort, compared like any column: `-x` sorts by descending `x`, NULLs
+/// last, whether `x` is selected or not.
+#[test]
+fn computed_key_expression_sorts() {
+    let mut s = session();
+    s.execute("CREATE TABLE srt (x INT, y VARCHAR(5))").unwrap();
+    s.execute("INSERT INTO srt VALUES (3, 'c'), (1, 'a'), (NULL, 'n'), (2, 'b')").unwrap();
+    let mut first = |sql: &str| -> Vec<String> {
+        s.query(sql).unwrap().iter().map(|r| r.get(0).render()).collect()
+    };
+    assert_eq!(first("SELECT x FROM srt ORDER BY -x"), ["3", "2", "1", "NULL"]);
+    assert_eq!(first("SELECT y FROM srt ORDER BY -x"), ["c", "b", "a", "n"]);
+    let plan = first("EXPLAIN SELECT x FROM srt ORDER BY -x");
+    let sort = plan.iter().position(|l| l.trim_start().starts_with("Sort keys=1")).unwrap();
+    assert_eq!(plan[sort + 1].trim(), "Project cols=2", "{plan:?}");
+    assert!(plan.iter().any(|l| l.contains("scan SRT→project")), "one pipeline evaluates the key: {plan:?}");
 }

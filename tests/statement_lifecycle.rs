@@ -14,7 +14,6 @@ use dashdb_local::common::types::DataType;
 use dashdb_local::common::{row, DashError, Field, Row, Schema, StatementContext};
 use dashdb_local::core::{Database, HardwareSpec, Session};
 use dashdb_local::exec::agg::{AggExpr, AggFunc};
-use dashdb_local::exec::expr::Expr;
 use dashdb_local::exec::functions::EvalContext;
 use dashdb_local::exec::join::JoinType;
 use dashdb_local::exec::key::KeyMode;
@@ -613,7 +612,7 @@ fn pipeline_chain() -> (SharedTable, SharedTable, PhysicalPlan) {
     .unwrap();
     let plan = PhysicalPlan::HashAggregate {
         input: Box::new(join),
-        group: vec![Expr::col(4)],
+        group: vec![4],
         aggs: vec![
             AggExpr {
                 func: AggFunc::CountStar,
@@ -623,7 +622,7 @@ fn pipeline_chain() -> (SharedTable, SharedTable, PhysicalPlan) {
             },
             AggExpr {
                 func: AggFunc::Sum,
-                args: vec![Expr::col(2)],
+                args: vec![2],
                 distinct: false,
                 arg_types: vec![DataType::Int64],
             },
@@ -753,16 +752,16 @@ fn high_cardinality_group_by_over_budget_releases_all_leases() {
         .write()
         .load_rows((0..20_000).map(|i| row![i as i64, (i % 10) as i64]).collect())
         .unwrap();
-    let plan = |group: Expr, par: usize| PhysicalPlan::HashAggregate {
+    let plan = |group: usize, par: usize| PhysicalPlan::HashAggregate {
         input: Box::new(PhysicalPlan::ColumnScan {
             table: facts.clone(),
             config: ScanConfig::full(0, vec![0, 1]),
         }),
-        key_mode: KeyMode::for_group(&facts.read().schema().clone(), std::slice::from_ref(&group)),
+        key_mode: KeyMode::for_group(&[group]),
         group: vec![group],
         aggs: vec![AggExpr {
             func: AggFunc::Sum,
-            args: vec![Expr::col(1)],
+            args: vec![1],
             distinct: false,
             arg_types: vec![DataType::Int64],
         }],
@@ -773,18 +772,18 @@ fn high_cardinality_group_by_over_budget_releases_all_leases() {
     for par in [1usize, 4] {
         let starved = StatementContext::with_limits(None, Some(24 * 1024));
         let ctx = EvalContext::with_statement(starved.clone());
-        let err = execute(&plan(Expr::col(0), par), &ctx).unwrap_err();
+        let err = execute(&plan(0, par), &ctx).unwrap_err();
         assert!(matches!(err, DashError::ResourceExhausted(_)), "par {par}: wrong variant: {err:?}");
         assert_eq!(err.class(), "53200", "par {par}: {err}");
         assert_eq!(starved.budget_used(), 0, "par {par}: refusal must release every partial's lease");
 
-        let (out, stats) = execute(&plan(Expr::col(1), par), &ctx).unwrap();
+        let (out, stats) = execute(&plan(1, par), &ctx).unwrap();
         assert_eq!(out.len(), 10, "par {par}");
         assert_eq!(stats.budget_rejections, 0, "par {par}: {stats:?}");
         assert_eq!(starved.budget_used(), 0, "par {par}");
     }
     let roomy = StatementContext::with_limits(None, Some(1 << 30));
-    let (out, _) = execute(&plan(Expr::col(0), 4), &EvalContext::with_statement(roomy.clone())).unwrap();
+    let (out, _) = execute(&plan(0, 4), &EvalContext::with_statement(roomy.clone())).unwrap();
     assert_eq!(out.len(), 20_000);
     assert_eq!(roomy.budget_used(), 0);
 }
@@ -847,7 +846,7 @@ fn breaker_intermediates_are_charged_to_the_budget() {
     // DISTINCT as the planner spells it: GROUP BY every column.
     let distinct = PhysicalPlan::HashAggregate {
         input: Box::new(values()),
-        group: vec![Expr::col(0)],
+        group: vec![0],
         aggs: Vec::new(),
         schema: values().schema(),
         key_mode: KeyMode::Encoded,

@@ -5,8 +5,9 @@
 //! select list, group key, aggregate argument, join key, sort key, UNION
 //! arm — at widths 1, 4 and 8; each non-NULL result must be of its
 //! column's declared type, and a debug build's executor checks the same of
-//! every value it stores on the way. A second leg calls every builtin once
-//! and checks its result against its registered rule.
+//! every value it stores on the way. A computed key must behave exactly
+//! like the same values stored in a column. A last leg calls every builtin
+//! once and checks its result against its registered rule.
 
 #[path = "common/gen.rs"]
 mod gen;
@@ -153,27 +154,80 @@ fn leaf(g: &mut Gen, kind: Kind) -> String {
     if g.below(3) > 0 { g.pick(cols) } else { g.pick(lits) }.to_string()
 }
 
-/// The statements that put `e` in every plan position over table `t`; `o`
-/// is a second expression for the other UNION arm.
-fn positions(t: &str, e: &str, o: &str) -> Vec<String> {
+/// The statements that put `e` in a key position over table `t`: group
+/// key, aggregate argument, sort key.
+fn key_positions(t: &str, e: &str) -> Vec<String> {
     vec![
-        format!("SELECT {e} FROM {t}"),
         format!("SELECT {e}, COUNT(*) FROM {t} GROUP BY {e}"),
         format!("SELECT MIN({e}), MAX({e}), COUNT(DISTINCT {e}), COUNT({e}) FROM {t}"),
         format!("SELECT b, COUNT(DISTINCT {e}), MAX({e}) FROM {t} GROUP BY b"),
         format!("SELECT SUM({e}), AVG({e}) FROM {t}"),
-        format!("SELECT x.k, y.k FROM (SELECT {e} AS k FROM {t} WHERE i = 7) x JOIN (SELECT DISTINCT {e} AS k FROM {t}) y ON x.k = y.k"),
         format!("SELECT {e} FROM {t} ORDER BY {e} DESC"),
         format!("SELECT i FROM {t} ORDER BY {e}, i"),
+    ]
+}
+
+/// The statements that put `e` in every plan position over table `t`; `o`
+/// is a second expression for the other UNION arm.
+fn positions(t: &str, e: &str, o: &str) -> Vec<String> {
+    let mut all = key_positions(t, e);
+    all.extend([
+        format!("SELECT {e} FROM {t}"),
+        format!("SELECT x.k, y.k FROM (SELECT {e} AS k FROM {t} WHERE i = 7) x JOIN (SELECT DISTINCT {e} AS k FROM {t}) y ON x.k = y.k"),
         format!("SELECT {e} FROM {t} UNION ALL SELECT {o} FROM {t}"),
         format!("SELECT {o} FROM {t} UNION SELECT {e} FROM {t}"),
-    ]
+        format!("SELECT DISTINCT i, b FROM {t} ORDER BY i + b"),
+        format!("SELECT b, SUM(i) s FROM {t} GROUP BY b ORDER BY s * 2, b"),
+    ]);
+    all
+}
+
+/// One expression per typing rule, whatever the seed draws, each with a
+/// second expression for the other UNION arm.
+const ANCHORS: [(&str, &str); 10] = [
+    ("d * e", "i"),
+    ("(d + i) - e", "f"),
+    ("e % d", "b"),
+    ("d / i", "e"),
+    ("COALESCE(i, d, f)", "s"),
+    ("CASE WHEN i > 0 THEN d ELSE e END", "i"),
+    ("NVL2(s, dt, ts)", "dt"),
+    ("DECODE(i, 7, b, 0, d)", "ts"),
+    ("GREATEST(i, b, 2.5)", "d"),
+    ("ROUND(e, 1) + ABS(d)", "e * e"),
+];
+
+/// A database holding the generated tables `t` (boundary rows) and `u`
+/// (moderate rows), a session on it, and the generator after the rows.
+fn setup(salt: u64) -> (Arc<Database>, Session, Gen) {
+    let db = Database::with_hardware(HardwareSpec::laptop());
+    let mut g = Gen(suite_seed() ^ salt);
+    // Past two strides, so the wider widths run morsels in parallel.
+    for (table, edges) in [("t", true), ("u", false)] {
+        let rows: Vec<Row> = (0..2 * 1024 + 17).map(|_| gen_row(&mut g, edges)).collect();
+        db.catalog().create_table(table, schema(), None).unwrap().write().load_rows(rows).unwrap();
+    }
+    let mut s = db.connect();
+    s.set_dialect(Dialect::Oracle);
+    (db, s, g)
+}
+
+/// The anchors, then `n` generated pairs.
+fn expressions(g: &mut Gen, n: usize) -> Vec<(String, String)> {
+    let generated: Vec<(String, String)> = (0..n)
+        .map(|_| {
+            let (ek, ok) = (g.pick(&KINDS), g.pick(&KINDS));
+            (gen_expr(g, 3, ek), gen_expr(g, 2, ok))
+        })
+        .collect();
+    ANCHORS.iter().map(|(e, o)| (e.to_string(), o.to_string())).chain(generated).collect()
 }
 
 /// Run `sql` at widths 1, 4 and 8: the same outcome at each — rows, or an
 /// error of one class that is never the internal one — and every non-NULL
-/// value of the declared type of its column. `true` when it returned rows.
-fn check(db: &Arc<Database>, s: &mut Session, sql: &str) -> bool {
+/// value of the declared type of its column. Rows compare by `Debug`, so a
+/// zero's sign and NaN count.
+fn outcome(db: &Arc<Database>, s: &mut Session, sql: &str) -> Result<Vec<String>, &'static str> {
     let mut first: Option<Result<Vec<String>, &'static str>> = None;
     for par in [1usize, 4, 8] {
         db.catalog().set_parallelism(par);
@@ -193,50 +247,60 @@ fn check(db: &Arc<Database>, s: &mut Session, sql: &str) -> bool {
         };
         assert_eq!(&outcome, first.get_or_insert(outcome.clone()), "{sql} at width {par}");
     }
-    first.is_some_and(|o| o.is_ok())
+    first.expect("three widths ran")
 }
 
 #[test]
 fn generated_expressions_evaluate_to_their_declared_types_everywhere() {
-    let db = Database::with_hardware(HardwareSpec::laptop());
-    let mut g = Gen(suite_seed() ^ 0x7479_7065);
-    // Past two strides, so the wider widths run morsels in parallel.
-    for (table, edges) in [("t", true), ("u", false)] {
-        let rows: Vec<Row> = (0..2 * 1024 + 17).map(|_| gen_row(&mut g, edges)).collect();
-        db.catalog().create_table(table, schema(), None).unwrap().write().load_rows(rows).unwrap();
-    }
-    let mut s = db.connect();
-    s.set_dialect(Dialect::Oracle);
+    let (db, mut s, mut g) = setup(0x7479_7065);
     let (mut ran, mut answered) = (0, 0);
-    // One expression per rule, whatever the seed draws, then generated ones.
-    let anchors = [
-        ("d * e", "i"),
-        ("(d + i) - e", "f"),
-        ("e % d", "b"),
-        ("d / i", "e"),
-        ("COALESCE(i, d, f)", "s"),
-        ("CASE WHEN i > 0 THEN d ELSE e END", "i"),
-        ("NVL2(s, dt, ts)", "dt"),
-        ("DECODE(i, 7, b, 0, d)", "ts"),
-        ("GREATEST(i, b, 2.5)", "d"),
-        ("ROUND(e, 1) + ABS(d)", "e * e"),
-    ];
-    let generated: Vec<(String, String)> = (0..50)
-        .map(|_| {
-            let (ek, ok) = (g.pick(&KINDS), g.pick(&KINDS));
-            (gen_expr(&mut g, 3, ek), gen_expr(&mut g, 2, ok))
-        })
-        .collect();
-    let anchored = anchors.iter().map(|(e, o)| (e.to_string(), o.to_string()));
-    for (e, o) in anchored.chain(generated) {
+    for (e, o) in expressions(&mut g, 50) {
         for sql in ["t", "u"].into_iter().flat_map(|t| positions(t, &e, &o)) {
             ran += 1;
-            answered += usize::from(check(&db, &mut s, &sql));
+            answered += usize::from(outcome(&db, &mut s, &sql).is_ok());
         }
     }
     // Boundary rows make many statements fail (overflow, a string that is
     // no date); enough must answer for the property to mean something.
     assert!(answered * 4 >= ran, "only {answered} of {ran} statements returned rows");
+}
+
+/// A computed key behaves exactly like the same values stored in a column:
+/// with `m` holding `e`'s values as column `k`, every key position over
+/// `e` gives what it gives over `k` — the same rows in the same order, or
+/// an error of the same class.
+#[test]
+fn computed_keys_behave_like_stored_columns() {
+    let (db, mut s, mut g) = setup(0x6b65_7973);
+    let (mut tried, mut twins, mut compared, mut answered) = (0, 0, 0, 0);
+    for (e, _) in expressions(&mut g, 30) {
+        // An integer literal in GROUP BY or ORDER BY is an ordinal, not a
+        // value.
+        if e.parse::<i64>().is_ok() {
+            continue;
+        }
+        for t in ["t", "u"] {
+            s.execute("DROP TABLE IF EXISTS m").unwrap();
+            tried += 1;
+            // An expression failing on some row has no stored twin, nor
+            // has one whose values the column store does not keep exactly:
+            // a sealed stride stores `-0.0` as `0.0`.
+            if s.execute(&format!("CREATE TABLE m AS SELECT {e} AS k, i, b FROM {t}")).is_err()
+                || outcome(&db, &mut s, "SELECT k FROM m") != outcome(&db, &mut s, &format!("SELECT {e} FROM {t}"))
+            {
+                continue;
+            }
+            twins += 1;
+            for (computed, stored) in key_positions(t, &e).into_iter().zip(key_positions("m", "k")) {
+                let want = outcome(&db, &mut s, &stored);
+                assert_eq!(outcome(&db, &mut s, &computed), want, "{computed} vs {stored}");
+                compared += 1;
+                answered += usize::from(want.is_ok());
+            }
+        }
+    }
+    assert!(twins * 2 >= tried, "only {twins} of {tried} expressions have a stored twin");
+    assert!(answered * 2 >= compared, "only {answered} of {compared} comparisons returned rows");
 }
 
 /// Arguments each builtin is called with: values of the types its rule
