@@ -5,7 +5,7 @@
 //! | Test 1 | customer workload serial queries, avg 27.1× / median 6.3× vs appliance | long-tail analytic query set on dashDB vs the row-store appliance model |
 //! | Test 2 | concurrent customer workload (up to 100 streams), 2.1× workload time | the full statement mix over N streams on both engines |
 //! | Test 3 | TPC-DS queries, 2.1× avg speedup vs (FPGA) appliance | TPC-DS-like query set vs the FPGA-assisted appliance model |
-//! | Test 4 | BD Insight 5 streams on AWS, 3.2× QpH vs cloud column store | 5 streams vs the naive-columnar comparator on identical (CPU) hardware |
+//! | Test 4 | BD Insight 5 streams on AWS, 3.2× QpH vs cloud column store | 5 streams vs the same engine with predicates decoded before compare, on identical hardware |
 //!
 //! Absolute numbers differ from the paper (their testbed was physical
 //! hardware at 25 TB); the *shape* — dashDB wins every test, Test 1's mean
@@ -15,7 +15,6 @@
 use dash_bench::*;
 use dash_core::{Database, HardwareSpec};
 use dash_rowstore::engine::RowEngine;
-use dash_rowstore::naive::NaiveEngine;
 use dash_workloads::concurrent::{retry_conflicts, MixConfig};
 use dash_workloads::{bdinsight, customer, tpcds};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -241,65 +240,71 @@ fn test3() {
     );
 }
 
-/// Test 4: 5-stream throughput vs the naive columnar cloud warehouse.
+/// Test 4: 5-stream throughput vs a column store without BLU's scan
+/// techniques — the same engine, predicates decoded first, encoding kept.
 fn test4() {
     section("Test 4: BD Insight 5-stream throughput on identical hardware");
+    report(
+        "competitor",
+        "dashDB with predicates decoded before compare (no code-domain compare, no synopsis skipping)",
+    );
     let scale = 150_000;
     let w = bdinsight::generate(scale);
     let db = Database::untracked();
-    let mut naive = NaiveEngine::new();
+    let ablated = Database::untracked();
+    ablated.catalog().set_compressed_predicates(false);
     for t in &w.tables {
         load_into_db(&db, t).expect("load db");
-        load_into_naive(&mut naive, t).expect("load naive");
+        load_into_db(&ablated, t).expect("load competitor");
     }
-    let naive = Arc::new(naive);
-    // Verify agreement on one stream first.
+    // Every stream, untimed: the engines agree, and no competitor scan
+    // evaluates a predicate on codes.
     {
         let mut session = db.connect();
-        for q in &w.streams[0] {
+        let mut competitor = ablated.connect();
+        for q in w.streams.iter().flatten() {
             let (a, _, _) = run_on_db(&mut session, q).expect("db");
-            let (b, _) = run_on_naive(&naive, q).expect("naive");
+            let (b, _, _) = run_on_db(&mut competitor, q).expect("competitor");
             assert_eq!(a, b, "engines disagree on {}", q.to_sql());
+        }
+        for q in &w.streams[0] {
+            let plan = competitor.query(&format!("EXPLAIN {}", q.to_sql())).expect("explain");
+            for line in plan.iter().map(|r| r.get(0).render()) {
+                assert!(
+                    !line.contains("ColumnScan") || line.contains(" preds=0 "),
+                    "competitor pushed a predicate: {line}"
+                );
+            }
         }
     }
     let total_queries: usize = w.streams.iter().map(|s| s.len()).sum();
-
-    let started = Instant::now();
-    crossbeam::thread::scope(|scope| {
-        for stream in &w.streams {
-            let db = db.clone();
-            scope.spawn(move |_| {
-                let mut session = db.connect();
-                for q in stream {
-                    run_on_db(&mut session, q).expect("db query");
-                }
-            });
-        }
-    })
-    .expect("scope");
-    let dash_s = started.elapsed().as_secs_f64();
-
-    let started = Instant::now();
-    crossbeam::thread::scope(|scope| {
-        for stream in &w.streams {
-            let naive = naive.clone();
-            scope.spawn(move |_| {
-                for q in stream {
-                    run_on_naive(&naive, q).expect("naive query");
-                }
-            });
-        }
-    })
-    .expect("scope");
-    let naive_s = started.elapsed().as_secs_f64();
+    let timed = |db: &Arc<Database>| {
+        let started = Instant::now();
+        crossbeam::thread::scope(|scope| {
+            for stream in &w.streams {
+                let db = db.clone();
+                scope.spawn(move |_| {
+                    let mut session = db.connect();
+                    for q in stream {
+                        run_on_db(&mut session, q).expect("query");
+                    }
+                });
+            }
+        })
+        .expect("scope");
+        started.elapsed().as_secs_f64()
+    };
+    let dash_s = timed(&db);
+    let competitor_s = timed(&ablated);
 
     let dash_qph = bdinsight::qph(total_queries, dash_s);
-    let naive_qph = bdinsight::qph(total_queries, naive_s);
+    let competitor_qph = bdinsight::qph(total_queries, competitor_s);
     report("streams x queries", format!("{} x {}", w.streams.len(), total_queries / w.streams.len()));
+    report("agreement", format!("all {total_queries} queries of every stream"));
     report("dashDB QpH", format!("{dash_qph:.0}"));
-    report("competitor QpH", format!("{naive_qph:.0}"));
+    report("competitor QpH", format!("{competitor_qph:.0}"));
     report(
         "throughput increase (paper: 3.2x)",
-        format!("{:.1}x", dash_qph / naive_qph.max(1e-9)),
+        format!("{:.1}x", dash_qph / competitor_qph.max(1e-9)),
     );
 }

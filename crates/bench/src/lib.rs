@@ -2,10 +2,12 @@
 //!
 //! Shared machinery for the `repro_*` binaries (one per table / figure /
 //! quantitative claim in the paper — see `DESIGN.md` for the index) and
-//! the Criterion microbenches: loading the same generated data into all
-//! three engines, running [`dash_workloads::QuerySpec`]s on each, and the
-//! combined wall-clock + simulated-I/O timing model that stands in for
-//! the paper's physical testbeds.
+//! the Criterion microbenches: loading the same generated data into the
+//! dashDB engine and the row-store baseline, running
+//! [`dash_workloads::QuerySpec`]s on each, and the combined wall-clock +
+//! simulated-I/O timing model that stands in for the paper's physical
+//! testbeds. Table 1 Test 4's comparator is a second dashDB engine with
+//! compressed-code predicates switched off, driven through [`run_on_db`].
 
 #![deny(missing_docs)]
 #![warn(clippy::all)]
@@ -14,7 +16,6 @@ use dash_common::{Result, Row};
 use dash_core::{Database, Session};
 use dash_exec::stats::ExecStats;
 use dash_rowstore::engine::{RowEngine, RowStats};
-use dash_rowstore::naive::NaiveEngine;
 use dash_storage::iodevice::DeviceModel;
 use dash_workloads::spec::{normalize_sql_groups, QuerySpec};
 use dash_workloads::TableDef;
@@ -55,15 +56,6 @@ pub fn load_into_row_engine(engine: &mut RowEngine, table: &TableDef) -> Result<
     for &col in &table.indexed {
         engine.create_index(&table.name, col)?;
     }
-    Ok(())
-}
-
-/// Load a generated table into the naive-columnar comparator.
-pub fn load_into_naive(engine: &mut NaiveEngine, table: &TableDef) -> Result<()> {
-    engine.create_table(&table.name, table.schema.clone())?;
-    engine
-        .table_mut(&table.name)?
-        .load(table.rows.clone())?;
     Ok(())
 }
 
@@ -108,16 +100,6 @@ pub fn run_on_row(engine: &RowEngine, spec: &QuerySpec) -> Result<(Vec<Row>, Row
     let hdd = DeviceModel::hdd();
     let sim_io_s = hdd.read_time_us(stats.pool_misses, !stats.random_io) / 1e6;
     Ok((rows, stats, EngineTime { cpu_s, sim_io_s }))
-}
-
-/// Run a spec on the naive-columnar comparator (SSD, sequential — same
-/// hardware as dashDB in Test 4, so only CPU architecture differs; its
-/// uncompressed columns mean proportionally more pages).
-pub fn run_on_naive(engine: &NaiveEngine, spec: &QuerySpec) -> Result<(Vec<Row>, EngineTime)> {
-    let start = Instant::now();
-    let (rows, _compared) = spec.run_naive(engine)?;
-    let cpu_s = start.elapsed().as_secs_f64();
-    Ok((rows, EngineTime { cpu_s, sim_io_s: 0.0 }))
 }
 
 /// Execute one mixed-workload op on the row-store baseline (work tables
@@ -249,7 +231,6 @@ pub fn report(name: &str, value: impl std::fmt::Display) {
 mod tests {
     use super::*;
     use dash_core::HardwareSpec;
-    use dash_workloads::spec::Pred;
 
     #[test]
     fn statistics_helpers() {
@@ -264,20 +245,22 @@ mod tests {
     fn three_engines_agree_end_to_end() {
         let w = dash_workloads::tpcds::generate(3000);
         let db = Database::with_hardware(HardwareSpec::laptop());
+        let ablated = Database::with_hardware(HardwareSpec::laptop());
+        ablated.catalog().set_compressed_predicates(false);
         let mut row = RowEngine::new(None);
-        let mut naive = NaiveEngine::new();
         for t in &w.tables {
             load_into_db(&db, t).unwrap();
+            load_into_db(&ablated, t).unwrap();
             load_into_row_engine(&mut row, t).unwrap();
-            load_into_naive(&mut naive, t).unwrap();
         }
         let mut session = db.connect();
+        let mut ablated_session = ablated.connect();
         for (i, q) in w.queries.iter().enumerate() {
             let (a, _, _) = run_on_db(&mut session, q).unwrap();
             let (b, _, _) = run_on_row(&row, q).unwrap();
-            let (c, _) = run_on_naive(&naive, q).unwrap();
+            let (c, _, _) = run_on_db(&mut ablated_session, q).unwrap();
             assert_eq!(a, b, "db vs row on query {i}: {}", q.to_sql());
-            assert_eq!(b, c, "row vs naive on query {i}");
+            assert_eq!(b, c, "row vs ablated db on query {i}");
         }
     }
 
@@ -296,10 +279,5 @@ mod tests {
             let (b, _, _) = run_on_row(&row, q).unwrap();
             assert_eq!(a, b, "{}", q.to_sql());
         }
-        let _ = QuerySpec::FilterScan {
-            table: "txn".into(),
-            predicates: vec![Pred::eq("status", 1i64)],
-            projection: vec!["txn_id".into()],
-        };
     }
 }

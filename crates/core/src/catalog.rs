@@ -53,6 +53,9 @@ pub struct Catalog {
     /// Pipeline in-flight morsel window (`DASH_PIPELINE_INFLIGHT`;
     /// 0 = auto, parallelism × 4).
     pub(crate) pipeline_inflight: std::sync::atomic::AtomicUsize,
+    /// Scan predicates run on compressed codes (`false`: decode, then
+    /// compare — the Table 1 Test 4 comparator).
+    compressed_predicates: std::sync::atomic::AtomicBool,
 }
 
 impl Catalog {
@@ -72,6 +75,7 @@ impl Catalog {
                 dash_exec::sort::DEFAULT_SORT_RUN_ROWS,
             ),
             pipeline_inflight: std::sync::atomic::AtomicUsize::new(0),
+            compressed_predicates: std::sync::atomic::AtomicBool::new(true),
         }
     }
 
@@ -93,6 +97,15 @@ impl Catalog {
     pub fn set_pipeline_inflight(&self, n: usize) {
         self.pipeline_inflight
             .store(n, std::sync::atomic::Ordering::Relaxed);
+    }
+
+    /// Switch predicate evaluation on compressed codes, and with it
+    /// synopsis skipping, off (`false`) or back on. Off, every filter
+    /// conjunct decodes its column before comparing: BLU's scan techniques
+    /// ablated on the same parser, planner and executor.
+    pub fn set_compressed_predicates(&self, on: bool) {
+        self.compressed_predicates
+            .store(on, std::sync::atomic::Ordering::Relaxed);
     }
 
     /// Inert: every plan runs pipelined. A later `benchmark` PR removes it.
@@ -552,6 +565,11 @@ impl SchemaProvider for Catalog {
 
     fn sort_run_rows(&self) -> usize {
         self.sort_run_rows.load(std::sync::atomic::Ordering::Relaxed)
+    }
+
+    fn compressed_predicates(&self) -> bool {
+        self.compressed_predicates
+            .load(std::sync::atomic::Ordering::Relaxed)
     }
 }
 

@@ -1385,22 +1385,23 @@ impl Session {
         selection: Option<&AstExpr>,
     ) -> Result<(Batch, Vec<Tsn>)> {
         let (batch, _) = self.run(|ctx| {
+            let provider = self.provider();
             let mut config = ScanConfig::full(handle.id, (0..schema.len()).collect());
             config.include_tsn = true;
             config.pool = self.db.catalog.pool.clone();
-            config.snapshot = self.snapshot_view();
+            config.snapshot = provider.snapshot;
             let mut plan = PhysicalPlan::ColumnScan {
                 table: handle.table.clone(),
                 config,
             };
             if let Some(sel) = selection {
-                let predicate = lower_table_expr(sel, schema, &self.provider(), self.dialect, ctx)?;
+                let predicate = lower_table_expr(sel, schema, &provider, self.dialect, ctx)?;
                 plan = PhysicalPlan::Filter {
                     input: Box::new(plan),
                     predicate,
                 };
             }
-            Ok(pushdown(plan))
+            Ok(pushdown(plan, &provider))
         })?;
         let tsns = match batch.try_column(schema.len())? {
             ColumnValues::Int(v) => v
@@ -1554,6 +1555,10 @@ impl dash_sql::planner::SchemaProvider for SessionCatalog<'_> {
 
     fn sort_run_rows(&self) -> usize {
         dash_sql::planner::SchemaProvider::sort_run_rows(self.catalog)
+    }
+
+    fn compressed_predicates(&self) -> bool {
+        dash_sql::planner::SchemaProvider::compressed_predicates(self.catalog)
     }
 
     fn snapshot(&self) -> Option<SnapshotView> {
@@ -1798,6 +1803,93 @@ mod tests {
         );
         reader.execute("COMMIT").unwrap();
         assert_eq!(count(&mut reader), Datum::Int(3));
+    }
+
+    /// A session on a fresh engine whose scans decode before comparing.
+    fn ablated_session() -> Session {
+        let db = Database::with_hardware(HardwareSpec::laptop());
+        db.catalog().set_compressed_predicates(false);
+        db.connect()
+    }
+
+    fn explain(s: &mut Session, sql: &str) -> Vec<String> {
+        let r = s.execute(&format!("EXPLAIN {sql}")).unwrap();
+        r.rows.iter().map(|r| r.get(0).render()).collect()
+    }
+
+    #[test]
+    fn ablation_moves_every_conjunct_to_the_residual() {
+        let sql = "SELECT f.x, d.y FROM f JOIN d ON f.k = d.k WHERE f.x > 1 AND d.y = 2 ORDER BY f.x";
+        let mut results = Vec::new();
+        for (compressed, mut s) in [(true, session()), (false, ablated_session())] {
+            s.execute("CREATE TABLE f (k INT, x INT)").unwrap();
+            s.execute("CREATE TABLE d (k INT, y INT)").unwrap();
+            s.execute("INSERT INTO f VALUES (1, 1), (1, 2), (2, 3), (3, 4)").unwrap();
+            s.execute("INSERT INTO d VALUES (1, 2), (2, 2), (3, 5)").unwrap();
+            let scans: Vec<String> = explain(&mut s, sql)
+                .into_iter()
+                .filter(|l| l.contains("ColumnScan"))
+                .collect();
+            assert_eq!(scans.len(), 2, "{scans:?}");
+            for scan in &scans {
+                // Conjuncts still reach both scans below the join.
+                let want = if compressed { " preds=1 residual=false " } else { " preds=0 residual=true " };
+                assert!(scan.contains(want), "compressed={compressed}: {scan}");
+            }
+            results.push(s.query(sql).unwrap());
+        }
+        assert_eq!(results[0], results[1]);
+        assert_eq!(results[0].len(), 2);
+    }
+
+    #[test]
+    fn ablation_turns_off_synopsis_skipping() {
+        let rows: Vec<Row> = (0..8 * 1024i64).map(|i| Row::new(vec![Datum::Int(i)])).collect();
+        let schema = Schema::new(vec![Field::new("id", DataType::Int64)]).unwrap();
+        let mut counts = Vec::new();
+        for (compressed, mut s) in [(true, session()), (false, ablated_session())] {
+            let handle = s.db.catalog().create_table("t", schema.clone(), None).unwrap();
+            handle.write().load_rows(rows.clone()).unwrap();
+            let r = s.execute("SELECT COUNT(*) FROM t WHERE id < 100").unwrap();
+            let stats = r.stats;
+            assert_eq!(stats.strides_total, 8);
+            if compressed {
+                assert_eq!(stats.strides_skipped, 7, "{stats:?}");
+            } else {
+                assert_eq!(stats.strides_skipped, 0, "{stats:?}");
+                assert_eq!(stats.strides_scanned, stats.strides_total);
+            }
+            counts.push(r.rows);
+        }
+        assert_eq!(counts[0], counts[1]);
+        assert_eq!(counts[0][0].get(0), &Datum::Int(100));
+    }
+
+    #[test]
+    fn ablated_dml_and_subqueries_match_the_product() {
+        let mut outputs = Vec::new();
+        for mut s in [session(), ablated_session()] {
+            s.execute("CREATE TABLE t (id INT, v INT)").unwrap();
+            let values: Vec<String> = (1..=50).map(|i| format!("({i}, {})", i % 7)).collect();
+            s.execute(&format!("INSERT INTO t VALUES {}", values.join(", "))).unwrap();
+            let mut out = Vec::new();
+            for sql in [
+                "UPDATE t SET v = 100 WHERE id BETWEEN 10 AND 19",
+                "DELETE FROM t WHERE id > 40 AND v <> 3",
+            ] {
+                out.push(vec![Row::new(vec![Datum::Int(s.execute(sql).unwrap().affected as i64)])]);
+            }
+            for sql in [
+                "SELECT id FROM t WHERE v IN (SELECT v FROM t WHERE id < 5) ORDER BY id",
+                "SELECT COUNT(*) FROM t WHERE id > (SELECT MAX(id) FROM t WHERE v = 100)",
+                "SELECT v, COUNT(*) FROM t WHERE v >= 3 GROUP BY v ORDER BY v",
+            ] {
+                out.push(s.query(sql).unwrap());
+            }
+            outputs.push(out);
+        }
+        assert_eq!(outputs[0], outputs[1]);
+        assert_eq!(outputs[0][0][0].get(0), &Datum::Int(10));
     }
 
     #[test]

@@ -337,37 +337,22 @@ impl ColumnEncoding {
     }
 }
 
-/// Tuning knobs for [`ColumnCompressor::analyze`].
-#[derive(Debug, Clone)]
-pub struct CompressorOptions {
-    /// Max distinct values before an integer column falls back to minus
-    /// encoding.
-    pub max_dict_cardinality: usize,
-    /// A dictionary must cover at least this fraction of occurrences per
-    /// distinct value on average (cardinality < len * ratio) to be chosen.
-    pub dict_cardinality_ratio: f64,
-}
+/// Max distinct values before an integer column falls back to minus
+/// encoding.
+const MAX_DICT_CARDINALITY: usize = 1 << 16;
 
-impl Default for CompressorOptions {
-    fn default() -> Self {
-        CompressorOptions {
-            max_dict_cardinality: 1 << 16,
-            dict_cardinality_ratio: 0.5,
-        }
-    }
-}
+/// A dictionary must cover at least this fraction of occurrences per
+/// distinct value on average (cardinality < len * ratio) to be chosen.
+const DICT_CARDINALITY_RATIO: f64 = 0.5;
 
 /// Analyzes columns and encodes/decodes blocks.
 #[derive(Debug, Clone, Default)]
-pub struct ColumnCompressor {
-    /// Analysis options.
-    pub options: CompressorOptions,
-}
+pub struct ColumnCompressor;
 
 impl ColumnCompressor {
-    /// Create with default options.
+    /// Create a compressor.
     pub fn new() -> ColumnCompressor {
-        ColumnCompressor::default()
+        ColumnCompressor
     }
 
     /// Choose the column-global encoding from (a sample of) the values.
@@ -398,8 +383,8 @@ impl ColumnCompressor {
         let hist = Histogram::from_values(ordered.iter().map(|o| o.as_ref()));
         let card = hist.cardinality();
         let n = hist.total() as usize;
-        if card <= self.options.max_dict_cardinality
-            && (n == 0 || (card as f64) < n as f64 * self.options.dict_cardinality_ratio)
+        if card <= MAX_DICT_CARDINALITY
+            && (n == 0 || (card as f64) < n as f64 * DICT_CARDINALITY_RATIO)
         {
             ColumnEncoding::IntDict {
                 kind,
@@ -770,6 +755,22 @@ mod tests {
         let enc = comp.analyze(&ColumnValues::Int(v.clone()));
         assert_eq!(enc.name(), "frequency-dict");
         roundtrip(ColumnValues::Int(v));
+    }
+
+    #[test]
+    fn dictionary_thresholds() {
+        let comp = ColumnCompressor::new();
+        let name = |distinct: i64, len: i64| {
+            let v: Vec<Option<i64>> = (0..len).map(|i| Some(i % distinct)).collect();
+            comp.analyze(&ColumnValues::Int(v)).name()
+        };
+        // Fewer distinct values than half the rows: a dictionary.
+        assert_eq!(name(499, 1000), "frequency-dict");
+        assert_eq!(name(500, 1000), "minus");
+        // Past 65536 distinct values no ratio earns a dictionary.
+        let max = MAX_DICT_CARDINALITY as i64;
+        assert_eq!(name(max, 2 * max + 2), "frequency-dict");
+        assert_eq!(name(max + 1, 2 * max + 4), "minus");
     }
 
     #[test]

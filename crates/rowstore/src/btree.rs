@@ -284,6 +284,10 @@ fn collect_range<'a, K: Ord, V>(
                 Some(hi) => keys.partition_point(|k| k <= hi),
                 None => keys.len(),
             };
+            if start > end {
+                // lo > hi: the range is empty.
+                return;
+            }
             for child in &children[start..=end] {
                 collect_range(child, lo, hi, out);
             }
@@ -334,6 +338,20 @@ mod tests {
         let v: Vec<i64> = t.range(Some(&998), None).map(|(k, _)| *k).collect();
         assert_eq!(v, vec![998, 999]);
         assert_eq!(t.iter().count(), 1000);
+    }
+
+    #[test]
+    fn inverted_range_is_empty() {
+        let mut t = BPlusTree::new();
+        for i in 0..1000i64 {
+            t.insert(i, i);
+        }
+        assert!(t.height() > 1);
+        // lo > hi selects nothing, whether the bounds sit in one leaf or
+        // straddle internal separators.
+        assert_eq!(t.range(Some(&500), Some(&100)).count(), 0);
+        assert_eq!(t.range(Some(&101), Some(&100)).count(), 0);
+        assert_eq!(t.range(Some(&2000), Some(&-5)).count(), 0);
     }
 
     #[test]

@@ -1,19 +1,19 @@
-//! Baseline engines for the paper's comparisons.
+//! The row-store baseline for the paper's Table 1 comparisons.
 //!
-//! Table 1 compares dashDB Local against (a) a hardware appliance whose
-//! software architecture is the classical *row-organized table + secondary
-//! B-tree indexes + LRU buffer pool* design, and (b) an anonymous cloud
-//! MPP column store without BLU's operate-on-compressed machinery. This
-//! crate implements both comparators for real:
+//! Table 1 Tests 1–3 compare dashDB Local against a hardware appliance
+//! whose software architecture is the classical *row-organized table +
+//! secondary B-tree indexes + LRU buffer pool* design. This crate
+//! implements that comparator for real:
 //!
 //! * [`heap`] — slotted-page row tables;
 //! * [`btree`] — a from-scratch B+tree used for secondary indexes;
 //! * [`engine`] — a row-at-a-time executor (index selection, index
 //!   nested-loop joins, per-row aggregation) with page-level buffer-pool
-//!   accounting;
-//! * [`naive`] — the "naive columnar" engine: column layout, but
-//!   uncompressed values, no synopsis, no software-SIMD, no frequency
-//!   dictionaries — isolating exactly the deltas the paper credits.
+//!   accounting.
+//!
+//! Test 4's cloud column store is not a second engine: it is the product
+//! itself with predicates decoded before they are compared
+//! (`Catalog::set_compressed_predicates(false)` in `dash-core`).
 
 #![deny(missing_docs)]
 #![warn(clippy::all)]
@@ -21,7 +21,6 @@
 pub mod btree;
 pub mod engine;
 pub mod heap;
-pub mod naive;
 
 pub use btree::BPlusTree;
 pub use engine::RowEngine;

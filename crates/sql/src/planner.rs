@@ -75,6 +75,14 @@ pub trait SchemaProvider {
         dash_exec::sort::DEFAULT_SORT_RUN_ROWS
     }
 
+    /// Whether simple conjuncts become scan predicates evaluated on
+    /// compressed codes, with synopsis skipping (§II.B). `false` is the
+    /// decode-then-compare ablation: every conjunct still reaches the
+    /// scan, but as its residual. Default: `true`.
+    fn compressed_predicates(&self) -> bool {
+        true
+    }
+
     /// The session's snapshot-isolation view, if it reads under one.
     /// `None` (the default) scans latest-committed state — which keeps
     /// providers that predate transactions working unchanged.
@@ -99,7 +107,7 @@ pub fn plan_select(
         depth: 0,
     };
     let (plan, _) = planner.plan_query(stmt)?;
-    Ok(pushdown(plan))
+    Ok(pushdown(plan, provider))
 }
 
 /// Lower a standalone expression (no table scope) — used by INSERT VALUES
@@ -1559,7 +1567,7 @@ impl Planner<'_> {
                 scope.cols.len()
             )));
         }
-        let plan = pushdown(plan);
+        let plan = pushdown(plan, self.provider);
         let (batch, _) = dash_exec::plan::execute(&plan, self.ctx)?;
         Ok(batch.to_rows())
     }
@@ -1981,8 +1989,10 @@ fn and_all(mut preds: Vec<Expr>) -> Option<Expr> {
 }
 
 /// Push simple filter conjuncts into column scans so they evaluate on
-/// compressed codes with synopsis pruning. Applied bottom-up.
-pub fn pushdown(plan: PhysicalPlan) -> PhysicalPlan {
+/// compressed codes with synopsis pruning. Applied bottom-up. When the
+/// provider turns [`SchemaProvider::compressed_predicates`] off, conjuncts
+/// still move below joins and into the scan, but only as its residual.
+pub fn pushdown(plan: PhysicalPlan, provider: &dyn SchemaProvider) -> PhysicalPlan {
     match plan {
         PhysicalPlan::Filter { input, predicate } => {
             // Push conjuncts through inner/cross joins toward the side
@@ -2020,8 +2030,8 @@ pub fn pushdown(plan: PhysicalPlan) -> PhysicalPlan {
                         None => child,
                     };
                     let join = PhysicalPlan::HashJoin {
-                        left: Box::new(pushdown(wrap(*left, lpreds))),
-                        right: Box::new(pushdown(wrap(*right, rpreds))),
+                        left: Box::new(pushdown(wrap(*left, lpreds), provider)),
+                        right: Box::new(pushdown(wrap(*right, rpreds), provider)),
                         on,
                         join_type: JoinType::Inner,
                         key_mode,
@@ -2035,14 +2045,20 @@ pub fn pushdown(plan: PhysicalPlan) -> PhysicalPlan {
                         None => join,
                     };
                 }
-                other => pushdown(other),
+                other => pushdown(other, provider),
             };
             if let PhysicalPlan::ColumnScan { table, mut config } = input {
                 let mut conjuncts = Vec::new();
                 flatten_and(predicate, &mut conjuncts);
+                let compressed = provider.compressed_predicates();
                 let mut residual: Vec<Expr> = Vec::new();
                 for c in conjuncts {
-                    match to_column_predicate(&c, &config.projection, &table) {
+                    let pushed = if compressed {
+                        to_column_predicate(&c, &config.projection, &table)
+                    } else {
+                        None
+                    };
+                    match pushed {
                         Some(p) => config.predicates.push(p),
                         None => residual.push(c),
                     }
@@ -2072,7 +2088,7 @@ pub fn pushdown(plan: PhysicalPlan) -> PhysicalPlan {
             exprs,
             schema,
         } => PhysicalPlan::Project {
-            input: Box::new(pushdown(*input)),
+            input: Box::new(pushdown(*input, provider)),
             exprs,
             schema,
         },
@@ -2084,16 +2100,16 @@ pub fn pushdown(plan: PhysicalPlan) -> PhysicalPlan {
             key_mode,
             parallelism,
         } => PhysicalPlan::HashJoin {
-            left: Box::new(pushdown(*left)),
-            right: Box::new(pushdown(*right)),
+            left: Box::new(pushdown(*left, provider)),
+            right: Box::new(pushdown(*right, provider)),
             on,
             join_type,
             key_mode,
             parallelism,
         },
         PhysicalPlan::CrossJoin { left, right } => PhysicalPlan::CrossJoin {
-            left: Box::new(pushdown(*left)),
-            right: Box::new(pushdown(*right)),
+            left: Box::new(pushdown(*left, provider)),
+            right: Box::new(pushdown(*right, provider)),
         },
         PhysicalPlan::HashAggregate {
             input,
@@ -2103,7 +2119,7 @@ pub fn pushdown(plan: PhysicalPlan) -> PhysicalPlan {
             key_mode,
             parallelism,
         } => PhysicalPlan::HashAggregate {
-            input: Box::new(pushdown(*input)),
+            input: Box::new(pushdown(*input, provider)),
             group,
             aggs,
             schema,
@@ -2118,7 +2134,7 @@ pub fn pushdown(plan: PhysicalPlan) -> PhysicalPlan {
             parallelism,
             run_rows,
         } => PhysicalPlan::Sort {
-            input: Box::new(pushdown(*input)),
+            input: Box::new(pushdown(*input, provider)),
             keys,
             limit,
             offset,
@@ -2126,10 +2142,10 @@ pub fn pushdown(plan: PhysicalPlan) -> PhysicalPlan {
             run_rows,
         },
         PhysicalPlan::UnionAll { inputs } => PhysicalPlan::UnionAll {
-            inputs: inputs.into_iter().map(pushdown).collect(),
+            inputs: inputs.into_iter().map(|p| pushdown(p, provider)).collect(),
         },
         PhysicalPlan::RowNumber { input, name } => PhysicalPlan::RowNumber {
-            input: Box::new(pushdown(*input)),
+            input: Box::new(pushdown(*input, provider)),
             name,
         },
         PhysicalPlan::ConnectBy {
@@ -2138,7 +2154,7 @@ pub fn pushdown(plan: PhysicalPlan) -> PhysicalPlan {
             parent,
             child,
         } => PhysicalPlan::ConnectBy {
-            input: Box::new(pushdown(*input)),
+            input: Box::new(pushdown(*input, provider)),
             start_with,
             parent,
             child,

@@ -11,8 +11,9 @@
 //!   queries-per-hour metric (Test 4).
 //! * [`spec`] — the cross-engine query IR: each benchmark query renders to
 //!   SQL for the dashDB engine *and* executes programmatically on the
-//!   row-store / naive-columnar baselines, so comparisons measure
-//!   architecture, not frontend differences.
+//!   row-store baseline, so comparisons measure architecture, not
+//!   frontend differences. Test 4's comparator runs the same SQL on the
+//!   dashDB engine with its compressed-code predicates switched off.
 //! * [`gen`] — deterministic data generation utilities (seeded RNG, Zipf
 //!   skew, value vocabularies).
 //! * [`concurrent`] — the N-session concurrent statement-mix harness with

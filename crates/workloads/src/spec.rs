@@ -1,15 +1,14 @@
 //! The cross-engine query IR.
 //!
-//! Benchmark queries are written once as a [`QuerySpec`] and executed on
-//! all three engines: rendered to SQL for the dashDB engine, and run
-//! programmatically on the row-store and naive-columnar baselines (which
-//! have no SQL frontend — the appliance comparison is about storage and
-//! execution architecture, not parsing). Integration tests assert all
-//! three produce identical results.
+//! Benchmark queries are written once as a [`QuerySpec`] and executed two
+//! ways: rendered to SQL for the dashDB engine (with or without its
+//! compressed-code predicates), and run programmatically on the row-store
+//! baseline (which has no SQL frontend — the appliance comparison is about
+//! storage and execution architecture, not parsing). Integration tests
+//! assert both produce identical results.
 
 use dash_common::{DashError, Datum, Result, Row, Schema};
 use dash_rowstore::engine::{RowEngine, RowStats};
-use dash_rowstore::naive::NaiveEngine;
 
 /// A table definition shared by every engine.
 #[derive(Debug, Clone)]
@@ -367,113 +366,6 @@ impl QuerySpec {
             }
         }
     }
-
-    /// Execute on the naive-columnar baseline. Returns normalized rows and
-    /// the number of datum comparisons performed.
-    pub fn run_naive(&self, engine: &NaiveEngine) -> Result<(Vec<Row>, u64)> {
-        match self {
-            QuerySpec::FilterScan {
-                table,
-                predicates,
-                projection,
-            } => {
-                let t = engine.table(table)?;
-                let schema = t.schema().clone();
-                let preds = resolve_preds(&schema, predicates)?;
-                let proj: Vec<usize> = projection
-                    .iter()
-                    .map(|c| schema.resolve(c))
-                    .collect::<Result<_>>()?;
-                let (mut rows, compared) = t.scan(&preds, &proj);
-                rows.sort();
-                Ok((rows, compared))
-            }
-            QuerySpec::GroupAgg {
-                table,
-                predicates,
-                key,
-                value,
-            } => {
-                let t = engine.table(table)?;
-                let schema = t.schema().clone();
-                let preds = resolve_preds(&schema, predicates)?;
-                let groups =
-                    t.group_aggregate(&preds, schema.resolve(key)?, schema.resolve(value)?);
-                let rows = normalize_groups(
-                    groups.into_iter().map(|(k, c, s)| (vec![k], c, s)).collect(),
-                );
-                Ok((rows, 0))
-            }
-            QuerySpec::JoinAgg {
-                fact,
-                dim,
-                fact_key,
-                dim_key,
-                dim_label,
-                value,
-                predicates,
-            } => {
-                let f = engine.table(fact)?;
-                let d = engine.table(dim)?;
-                let fschema = f.schema().clone();
-                let dschema = d.schema().clone();
-                let preds = resolve_preds(&fschema, predicates)?;
-                let fk = fschema.resolve(fact_key)?;
-                let (fact_rows, compared) =
-                    f.scan(&preds, &(0..fschema.len()).collect::<Vec<_>>());
-                let (dim_rows, _) = d.scan(&[], &(0..dschema.len()).collect::<Vec<_>>());
-                // Hash join dim on its key.
-                let dk = dschema.resolve(dim_key)?;
-                let label_i = dschema.resolve(dim_label)?;
-                let value_i = fschema.resolve(value)?;
-                let mut by_key: std::collections::HashMap<Datum, Vec<&Row>> =
-                    std::collections::HashMap::new();
-                for r in &dim_rows {
-                    by_key.entry(r.get(dk).clone()).or_default().push(r);
-                }
-                let mut groups: std::collections::HashMap<Datum, (u64, f64)> =
-                    std::collections::HashMap::new();
-                for fr in &fact_rows {
-                    if let Some(ds) = by_key.get(fr.get(fk)) {
-                        for dr in ds {
-                            let e = groups
-                                .entry(dr.get(label_i).clone())
-                                .or_insert((0, 0.0));
-                            e.0 += 1;
-                            e.1 += fr.get(value_i).as_float().unwrap_or(0.0);
-                        }
-                    }
-                }
-                let rows = normalize_groups(
-                    groups
-                        .into_iter()
-                        .map(|(k, (c, s))| (vec![k], c, s))
-                        .collect(),
-                );
-                Ok((rows, compared))
-            }
-            QuerySpec::TopN {
-                table,
-                predicates,
-                projection,
-                order_by,
-                desc,
-                n,
-            } => {
-                let t = engine.table(table)?;
-                let schema = t.schema().clone();
-                let preds = resolve_preds(&schema, predicates)?;
-                let proj: Vec<usize> = projection
-                    .iter()
-                    .map(|c| schema.resolve(c))
-                    .collect::<Result<_>>()?;
-                let key_pos = top_n_key_pos(projection, order_by)?;
-                let (mut rows, compared) = t.scan(&preds, &proj);
-                sort_top_n(&mut rows, key_pos, *desc, *n);
-                Ok((rows, compared))
-            }
-        }
-    }
 }
 
 /// Pick the most selective predicate as the index sarg for the row engine
@@ -502,17 +394,6 @@ fn split_sarg<'a>(
         }
         None => Ok((None, resolved)),
     }
-}
-
-#[allow(clippy::type_complexity)]
-fn resolve_preds(
-    schema: &Schema,
-    preds: &[Pred],
-) -> Result<Vec<(usize, Option<Datum>, Option<Datum>)>> {
-    preds
-        .iter()
-        .map(|p| Ok((schema.resolve(&p.column)?, p.lo.clone(), p.hi.clone())))
-        .collect()
 }
 
 /// Normalize grouped output to sorted `[key..., count, sum]` rows.
@@ -588,11 +469,8 @@ mod tests {
             .map(|i| row![i as i64, format!("g{}", i % 3), (i % 7) as f64])
             .collect();
         let mut re = RowEngine::new(None);
-        re.create_table("t", schema.clone()).unwrap();
+        re.create_table("t", schema).unwrap();
         re.load("t", rows.clone()).unwrap();
-        let mut ne = NaiveEngine::new();
-        ne.create_table("t", schema).unwrap();
-        ne.table_mut("t").unwrap().load(rows).unwrap();
         let q = QuerySpec::GroupAgg {
             table: "t".into(),
             predicates: vec![Pred::between("id", 100i64, 399i64)],
@@ -600,7 +478,14 @@ mod tests {
             value: "amt".into(),
         };
         let (a, _) = q.run_row(&re).unwrap();
-        let (b, _) = q.run_naive(&ne).unwrap();
+        // The same grouping, computed directly from the generated rows.
+        let mut groups: std::collections::BTreeMap<Datum, (u64, f64)> = Default::default();
+        for r in rows.iter().filter(|r| (100..=399).contains(&r.get(0).as_int().unwrap())) {
+            let e = groups.entry(r.get(1).clone()).or_default();
+            e.0 += 1;
+            e.1 += r.get(2).as_float().unwrap();
+        }
+        let b = normalize_groups(groups.into_iter().map(|(k, (c, s))| (vec![k], c, s)).collect());
         assert_eq!(a, b);
         assert_eq!(a.len(), 3);
         let total: i64 = a.iter().map(|r| r.get(1).as_int().unwrap()).sum();
@@ -620,11 +505,8 @@ mod tests {
             .map(|i| row![i as i64, format!("g{}", i % 3), ((i * 37) % 11) as f64])
             .collect();
         let mut re = RowEngine::new(None);
-        re.create_table("t", schema.clone()).unwrap();
+        re.create_table("t", schema).unwrap();
         re.load("t", rows.clone()).unwrap();
-        let mut ne = NaiveEngine::new();
-        ne.create_table("t", schema).unwrap();
-        ne.table_mut("t").unwrap().load(rows).unwrap();
         let q = QuerySpec::TopN {
             table: "t".into(),
             predicates: vec![Pred::ge("id", 50i64)],
@@ -639,7 +521,13 @@ mod tests {
              ORDER BY amt DESC, id FETCH FIRST 25 ROWS ONLY"
         );
         let (a, _) = q.run_row(&re).unwrap();
-        let (b, _) = q.run_naive(&ne).unwrap();
+        // The same slice, cut directly from the generated rows.
+        let mut b: Vec<Row> = rows
+            .iter()
+            .filter(|r| r.get(0).as_int().unwrap() >= 50)
+            .map(|r| r.project(&[0, 2]))
+            .collect();
+        sort_top_n(&mut b, 1, true, 25);
         assert_eq!(a, b);
         assert_eq!(a.len(), 25);
         assert!(a
