@@ -84,12 +84,16 @@ pub struct AutoConfig {
     pub shards: u32,
     /// Memory reserved for the integrated analytics runtime, in MB (~20%).
     pub analytics_mb: u64,
-    /// What the `effective_*` accessors return: the derived defaults, or
-    /// the environment's overrides once [`AutoConfig::with_env`] applied.
+    /// What [`AutoConfig::effective_parallelism`] returns: the derived
+    /// width, or `DASH_PARALLELISM` once [`AutoConfig::with_env`] applied.
     parallelism: usize,
-    sort_run_rows: usize,
-    pipeline_inflight: usize,
 }
+
+/// The widest parallelism the engine runs: every pipeline drive spawns
+/// one OS thread per worker, and the paper's largest host has 72 cores.
+/// Wider requests (`DASH_PARALLELISM`, [`Catalog::set_parallelism`](crate::catalog::Catalog::set_parallelism))
+/// are clamped here, where they enter.
+pub const MAX_PARALLELISM: usize = 1024;
 
 impl AutoConfig {
     /// The parallelism degree queries run with: `query_parallelism`
@@ -99,25 +103,11 @@ impl AutoConfig {
         self.parallelism
     }
 
-    /// Rows per parallel sort run: the engine default unless
-    /// `DASH_SORT_RUN_ROWS` overrode it when the engine opened.
-    pub fn effective_sort_run_rows(&self) -> usize {
-        self.sort_run_rows
-    }
-
-    /// Pipeline in-flight morsel window (`DASH_PIPELINE_INFLIGHT`);
-    /// 0 means auto — the scheduler derives parallelism × 4.
-    pub fn effective_pipeline_inflight(&self) -> usize {
-        self.pipeline_inflight
-    }
-
-    /// This configuration with the environment's executor overrides
+    /// This configuration with the environment's parallelism override
     /// applied. [`AutoConfig::derive`] never reads the environment; an
     /// engine resolves both exactly once, when it opens.
     pub(crate) fn with_env(mut self, env: &EnvConfig) -> AutoConfig {
         self.parallelism = env.parallelism.unwrap_or(self.parallelism);
-        self.sort_run_rows = env.sort_run_rows.unwrap_or(self.sort_run_rows);
-        self.pipeline_inflight = env.pipeline_inflight.unwrap_or(self.pipeline_inflight);
         self
     }
 }
@@ -128,23 +118,16 @@ impl AutoConfig {
 /// the table of defaults and who is expected to set each).
 #[derive(Debug, Clone, PartialEq)]
 pub struct EnvConfig {
-    /// `DASH_PARALLELISM`: worker count override (>= 1) for tests,
-    /// benchmarks and CI matrices that pin it regardless of the host.
+    /// `DASH_PARALLELISM`: worker count override (1..=[`MAX_PARALLELISM`])
+    /// for tests, benchmarks and CI matrices that pin it regardless of
+    /// the host.
     pub parallelism: Option<usize>,
-    /// `DASH_SORT_RUN_ROWS`: rows per parallel sort run (>= 1).
-    pub sort_run_rows: Option<usize>,
-    /// `DASH_PIPELINE_INFLIGHT`: in-flight morsel window (0 = auto).
-    pub pipeline_inflight: Option<usize>,
     /// `DASH_STATEMENT_TIMEOUT_MS`: default statement deadline (>= 1 ms)
     /// of new sessions; unset means none.
     pub statement_timeout: Option<Duration>,
     /// `DASH_MEM_BUDGET_BYTES`: default per-statement memory budget
     /// (>= 1) of new sessions; unset means unlimited.
     pub mem_budget: Option<u64>,
-    /// `DASH_GROUP_COMMIT_US`: how long a commit-batch leader waits for
-    /// concurrent committers before flushing (default 100 µs; `0`
-    /// disables the wait, commits still batch with whatever is queued).
-    pub group_commit_window: Duration,
     /// `DASH_WAL_SYNC` (`always`/`commit`/`never`, default `commit`). An
     /// unknown word is an error, reported by [`Database::open`](crate::Database::open).
     pub wal_sync: Result<SyncPolicy>,
@@ -160,17 +143,14 @@ impl EnvConfig {
     }
 
     fn parse(var: impl Fn(&str) -> Option<String>) -> EnvConfig {
-        let number = |name: &str| var(name).and_then(|v| v.trim().parse::<u64>().ok());
-        let at_least_one = |name: &str| number(name).filter(|&n| n >= 1);
+        let at_least_one = |name: &str| {
+            var(name).and_then(|v| v.trim().parse::<u64>().ok()).filter(|&n| n >= 1)
+        };
         EnvConfig {
-            parallelism: at_least_one("DASH_PARALLELISM").map(|n| n as usize),
-            sort_run_rows: at_least_one("DASH_SORT_RUN_ROWS").map(|n| n as usize),
-            pipeline_inflight: number("DASH_PIPELINE_INFLIGHT").map(|n| n as usize),
+            parallelism: at_least_one("DASH_PARALLELISM")
+                .map(|n| n.min(MAX_PARALLELISM as u64) as usize),
             statement_timeout: at_least_one("DASH_STATEMENT_TIMEOUT_MS").map(Duration::from_millis),
             mem_budget: at_least_one("DASH_MEM_BUDGET_BYTES"),
-            group_commit_window: Duration::from_micros(
-                number("DASH_GROUP_COMMIT_US").unwrap_or(100),
-            ),
             wal_sync: var("DASH_WAL_SYNC")
                 .map_or(Ok(SyncPolicy::Commit), |v| SyncPolicy::from_env_str(&v)),
             wal_dir: var("DASH_WAL_DIR").filter(|d| !d.is_empty()).map(PathBuf::from),
@@ -202,8 +182,6 @@ impl AutoConfig {
             shards,
             analytics_mb: ram / 5,
             parallelism: cores as usize,
-            sort_run_rows: dash_exec::sort::DEFAULT_SORT_RUN_ROWS,
-            pipeline_inflight: 0,
         }
     }
 }
@@ -264,68 +242,78 @@ mod tests {
             e,
             EnvConfig {
                 parallelism: None,
-                sort_run_rows: None,
-                pipeline_inflight: None,
                 statement_timeout: None,
                 mem_budget: None,
-                group_commit_window: Duration::from_micros(100),
                 wal_sync: Ok(SyncPolicy::Commit),
                 wal_dir: None,
             }
         );
-        // Nothing set: the accessors return what the hardware derives
-        // (the xeon runs 72-wide — no silent cap).
+        // Nothing set: the hardware decides (the xeon runs 72-wide — no
+        // silent cap).
         let big = AutoConfig::derive(&HardwareSpec::xeon_e7());
         assert_eq!(big.with_env(&e), big);
         assert_eq!(big.effective_parallelism(), 72);
-        assert_eq!(big.effective_sort_run_rows(), dash_exec::sort::DEFAULT_SORT_RUN_ROWS);
-        assert_eq!(big.effective_pipeline_inflight(), 0);
     }
 
     #[test]
     fn every_setting_parses_and_overrides() {
         let e = env(&[
             ("DASH_PARALLELISM", " 16 "),
-            ("DASH_SORT_RUN_ROWS", "4096"),
-            ("DASH_PIPELINE_INFLIGHT", "64"),
             ("DASH_STATEMENT_TIMEOUT_MS", " 250 "),
             ("DASH_MEM_BUDGET_BYTES", "1048576"),
-            ("DASH_GROUP_COMMIT_US", "0"),
             ("DASH_WAL_SYNC", "Always"),
             ("DASH_WAL_DIR", "/var/lib/dash"),
         ]);
         assert_eq!(e.statement_timeout, Some(Duration::from_millis(250)));
         assert_eq!(e.mem_budget, Some(1 << 20));
-        assert_eq!(e.group_commit_window, Duration::ZERO, "0 disables the wait");
         assert_eq!(e.wal_sync, Ok(SyncPolicy::Always));
         assert_eq!(e.wal_dir, Some(PathBuf::from("/var/lib/dash")));
         let c = AutoConfig::derive(&HardwareSpec::laptop()).with_env(&e);
         assert_eq!(c.query_parallelism, 4, "the derived value is kept beside the override");
         assert_eq!(c.effective_parallelism(), 16);
-        assert_eq!(c.effective_sort_run_rows(), 4096);
-        assert_eq!(c.effective_pipeline_inflight(), 64);
     }
 
     #[test]
     fn junk_and_zero_mean_unset() {
         let e = env(&[
             ("DASH_PARALLELISM", "0"),
-            ("DASH_SORT_RUN_ROWS", "junk"),
-            ("DASH_PIPELINE_INFLIGHT", "0"),
             ("DASH_STATEMENT_TIMEOUT_MS", "0"),
             ("DASH_MEM_BUDGET_BYTES", ""),
-            ("DASH_GROUP_COMMIT_US", "abc"),
             ("DASH_WAL_SYNC", "sometimes"),
             ("DASH_WAL_DIR", ""),
         ]);
         assert_eq!(e.parallelism, None, "0 means derive");
-        assert_eq!(e.sort_run_rows, None);
-        assert_eq!(e.pipeline_inflight, Some(0), "0 is an explicit auto");
         assert_eq!(e.statement_timeout, None, "0 means no deadline");
         assert_eq!(e.mem_budget, None);
-        assert_eq!(e.group_commit_window, Duration::from_micros(100));
         assert_eq!(e.wal_sync.unwrap_err().class(), "42000");
         assert_eq!(e.wal_dir, None, "empty means volatile");
+    }
+
+    #[test]
+    fn parallelism_is_clamped_where_it_enters() {
+        let e = env(&[("DASH_PARALLELISM", "4611686018427387904")]);
+        assert_eq!(e.parallelism, Some(MAX_PARALLELISM));
+        let e = env(&[("DASH_PARALLELISM", "1024")]);
+        assert_eq!(e.parallelism, Some(1024));
+    }
+
+    /// The environment surface is exactly five names: a new knob cannot
+    /// be read without this list changing.
+    #[test]
+    fn environment_names_are_pinned() {
+        let asked = std::cell::RefCell::new(std::collections::BTreeSet::new());
+        EnvConfig::parse(|name| {
+            asked.borrow_mut().insert(name.to_string());
+            None
+        });
+        let want = [
+            "DASH_MEM_BUDGET_BYTES",
+            "DASH_PARALLELISM",
+            "DASH_STATEMENT_TIMEOUT_MS",
+            "DASH_WAL_DIR",
+            "DASH_WAL_SYNC",
+        ];
+        assert_eq!(asked.into_inner().into_iter().collect::<Vec<_>>(), want);
     }
 
     #[test]

@@ -48,11 +48,6 @@ pub struct Catalog {
     pub(crate) pool: Option<Arc<Mutex<BufferPool>>>,
     /// Intra-query scan parallelism handed to planners.
     pub(crate) parallelism: std::sync::atomic::AtomicUsize,
-    /// Rows per parallel sort run handed to planners.
-    pub(crate) sort_run_rows: std::sync::atomic::AtomicUsize,
-    /// Pipeline in-flight morsel window (`DASH_PIPELINE_INFLIGHT`;
-    /// 0 = auto, parallelism × 4).
-    pub(crate) pipeline_inflight: std::sync::atomic::AtomicUsize,
     /// Scan predicates run on compressed codes (`false`: decode, then
     /// compare — the Table 1 Test 4 comparator).
     compressed_predicates: std::sync::atomic::AtomicBool,
@@ -71,32 +66,17 @@ impl Catalog {
             next_table_id: Mutex::new(0),
             pool,
             parallelism: std::sync::atomic::AtomicUsize::new(1),
-            sort_run_rows: std::sync::atomic::AtomicUsize::new(
-                dash_exec::sort::DEFAULT_SORT_RUN_ROWS,
-            ),
-            pipeline_inflight: std::sync::atomic::AtomicUsize::new(0),
             compressed_predicates: std::sync::atomic::AtomicBool::new(true),
         }
     }
 
-    /// Set the intra-query parallelism the auto-configuration derived.
+    /// Set the intra-query parallelism the auto-configuration derived,
+    /// clamped to `1..=`[`MAX_PARALLELISM`](crate::autoconf::MAX_PARALLELISM).
     pub fn set_parallelism(&self, n: usize) {
-        self.parallelism
-            .store(n.max(1), std::sync::atomic::Ordering::Relaxed);
-    }
-
-    /// Set the parallel-sort run size the auto-configuration derived
-    /// (`DASH_SORT_RUN_ROWS`).
-    pub fn set_sort_run_rows(&self, n: usize) {
-        self.sort_run_rows
-            .store(n.max(1), std::sync::atomic::Ordering::Relaxed);
-    }
-
-    /// Set the pipeline in-flight morsel window (`DASH_PIPELINE_INFLIGHT`;
-    /// 0 = auto).
-    pub fn set_pipeline_inflight(&self, n: usize) {
-        self.pipeline_inflight
-            .store(n, std::sync::atomic::Ordering::Relaxed);
+        self.parallelism.store(
+            n.clamp(1, crate::autoconf::MAX_PARALLELISM),
+            std::sync::atomic::Ordering::Relaxed,
+        );
     }
 
     /// Switch predicate evaluation on compressed codes, and with it
@@ -113,10 +93,10 @@ impl Catalog {
         true
     }
 
-    /// The configured pipeline in-flight window (0 = auto).
+    /// Inert `0`: the pipeline window is always `parallelism × 4`. A
+    /// later `benchmark` PR removes it.
     pub fn pipeline_inflight(&self) -> usize {
-        self.pipeline_inflight
-            .load(std::sync::atomic::Ordering::Relaxed)
+        0
     }
 
     fn fold(name: &str) -> String {
@@ -561,10 +541,6 @@ impl SchemaProvider for Catalog {
 
     fn parallelism(&self) -> usize {
         self.parallelism.load(std::sync::atomic::Ordering::Relaxed)
-    }
-
-    fn sort_run_rows(&self) -> usize {
-        self.sort_run_rows.load(std::sync::atomic::Ordering::Relaxed)
     }
 
     fn compressed_predicates(&self) -> bool {

@@ -46,8 +46,8 @@ pub struct EvalContext {
     /// budget. Every operator checks it at morsel granularity; the
     /// default is unbounded (never cancels, never rejects).
     pub statement: dash_common::StatementContext,
-    /// Pipeline-scheduler knobs (`DASH_PIPELINE_INFLIGHT`): how many
-    /// morsels a pipeline drive may hold in flight.
+    /// Pipeline-scheduler settings (inert: every drive holds at most
+    /// `parallelism * 4` morsels in flight).
     pub pipeline: crate::pipeline::PipelineConfig,
 }
 

@@ -27,11 +27,10 @@
 //!   the worker count.
 //!
 //! Peak memory is O(frozen builds + breaker batches + morsels in flight):
-//! the scheduler admits at most `DASH_PIPELINE_INFLIGHT` unfolded morsels
-//! (default `parallelism * 4`), each carrying a [`BudgetLease`] for its
-//! bytes; a breaker's inputs are charged while it runs and its output while
-//! the pipeline above reads it, so the statement budget bounds every
-//! intermediate. The statement's deadline/cancellation token is checked at
+//! the scheduler admits at most `parallelism * 4` unfolded morsels, each
+//! carrying a [`BudgetLease`] for its bytes; a breaker's inputs are
+//! charged while it runs and its output while the pipeline above reads
+//! it, so the statement budget bounds every intermediate. The statement's deadline/cancellation token is checked at
 //! every step.
 
 use crate::agg::{self, AggAccumulator, AggExpr};
@@ -50,15 +49,14 @@ use dash_encoding::column::ColumnValues;
 use std::borrow::Cow;
 use std::ops::Range;
 
-/// Pipeline-scheduler knobs, resolved by autoconfiguration and carried on
-/// the [`EvalContext`].
+/// Pipeline-scheduler settings carried on the [`EvalContext`]; both
+/// fields are inert, kept for the embedding code that names them.
 #[derive(Debug, Clone, Copy)]
 pub struct PipelineConfig {
     /// Inert: every plan runs pipelined. A later `benchmark` PR removes it.
     pub enabled: bool,
-    /// Max morsels simultaneously claimed-but-unfolded per pipeline drive
-    /// (`DASH_PIPELINE_INFLIGHT`); `0` = auto (`parallelism * 4`). This
-    /// bounds the peak memory at O(window · morsel bytes).
+    /// Inert: the in-flight window is always `parallelism * 4` morsels
+    /// per pipeline drive. A later `benchmark` PR removes it.
     pub inflight: usize,
 }
 
@@ -550,11 +548,9 @@ pub(crate) fn drive(
             _ => 0,
         })
         .sum();
-    let window = if ctx.pipeline.inflight == 0 {
-        parallelism * 4
-    } else {
-        ctx.pipeline.inflight
-    };
+    // At most this many morsels claimed-but-unfolded: peak memory is
+    // O(window · morsel bytes).
+    let window = parallelism * 4;
 
     let work = |mi: usize| -> Result<MorselItem> {
         // A morsel is rows `rows` of `batch`: a batch source lends its rows

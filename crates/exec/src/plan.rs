@@ -101,7 +101,8 @@ pub enum PhysicalPlan {
         offset: usize,
         /// Worker-pool width for run generation, merge, and gather.
         parallelism: usize,
-        /// Rows per parallel sort run (`DASH_SORT_RUN_ROWS`).
+        /// The largest parallel sort run (the size is derived from the
+        /// input, see `sort::SortOptions::run_rows`).
         run_rows: usize,
     },
     /// Concatenation of same-schema inputs (UNION ALL).

@@ -31,10 +31,11 @@ use dash_common::{BudgetLease, Result, StatementContext};
 use dash_encoding::column::ColumnValues;
 use std::cmp::Ordering;
 
-/// Default rows per parallel sort run (`DASH_SORT_RUN_ROWS` overrides via
-/// `AutoConfig`). Each run is one morsel: small enough that a handful of
-/// runs exist at moderate row counts (fan-out), large enough that the
-/// per-run `sort_unstable`-style cost dominates scheduling overhead.
+/// The largest parallel sort run, which the planner passes as
+/// [`SortOptions::run_rows`]. Each run is one morsel: small enough that a
+/// handful of runs exist at moderate row counts (fan-out), large enough
+/// that the per-run sort cost dominates scheduling overhead. A smaller
+/// input is cut into one run per worker instead (see [`run_size`]).
 pub const DEFAULT_SORT_RUN_ROWS: usize = 64 * 1024;
 
 /// Top-K fast-path threshold: the bounded-heap path is taken when
@@ -82,8 +83,8 @@ impl SortKey {
     }
 }
 
-/// Execution knobs for one sort. `limit`/`offset` come from the query,
-/// `parallelism`/`run_rows` from `AutoConfig` via the plan node.
+/// Execution settings for one sort. `limit`/`offset` come from the query,
+/// `parallelism` from `AutoConfig` via the plan node.
 #[derive(Debug, Clone)]
 pub struct SortOptions {
     /// LIMIT row count, if any.
@@ -93,7 +94,8 @@ pub struct SortOptions {
     /// Worker-pool width for run generation, Top-K, and output
     /// materialization.
     pub parallelism: usize,
-    /// Rows per generated run (`DASH_SORT_RUN_ROWS`).
+    /// The largest generated run; the run size itself is derived from
+    /// the input (see [`run_size`]).
     pub run_rows: usize,
 }
 
@@ -432,6 +434,14 @@ fn take_rows(
 // Entry point
 // ---------------------------------------------------------------------------
 
+/// Rows per generated run for `n` input rows at `parallelism` workers:
+/// one worker's share of the input, at least `CHECK_ROWS` and at most
+/// `cap`. At width 1, and whenever `n >= parallelism * cap`, this is `cap`
+/// or the whole input, whichever is smaller.
+fn run_size(n: usize, parallelism: usize, cap: usize) -> usize {
+    cap.min(n.div_ceil(parallelism).max(CHECK_ROWS)).max(1)
+}
+
 /// Sort a batch by keys, then apply OFFSET/LIMIT. Parallel at every
 /// phase, byte-identical to a serial stable sort at any worker count.
 pub fn sort_batch(
@@ -443,7 +453,7 @@ pub fn sort_batch(
 ) -> Result<Batch> {
     let n = input.len();
     let parallelism = opts.parallelism.max(1);
-    let run_rows = opts.run_rows.max(1);
+    let run_rows = run_size(n, parallelism, opts.run_rows);
     let end = match opts.limit {
         Some(l) => opts.offset.saturating_add(l).min(n),
         None => n,
@@ -616,6 +626,28 @@ mod tests {
         assert_eq!(xs, vec!["1", "2", "3", "NULL"]);
         assert_eq!(stats.sort_runs_generated, 4);
         assert_eq!(stats.merge_fanin, 4);
+    }
+
+    /// Runs are one worker's share of the input, between `CHECK_ROWS`
+    /// and the cap: unchanged at width 1 and for inputs of at least
+    /// `width × cap` rows, fanned out below that.
+    #[test]
+    fn run_size_follows_the_input() {
+        let runs = |n: usize, par: usize, cap: usize| {
+            let schema = Schema::new(vec![Field::new("x", DataType::Int64)]).unwrap();
+            let rows: Vec<_> = (0..n as i64).rev().map(|i| row![i]).collect();
+            let input = Batch::from_rows(schema, &rows).unwrap();
+            let o = SortOptions { parallelism: par, run_rows: cap, ..SortOptions::default() };
+            let mut stats = ExecStats::default();
+            let out = sort_batch(&input, &[SortKey::asc(0)], &o, &ctx(), &mut stats).unwrap();
+            assert_eq!(out.row(0).get(0), &Datum::Int(0));
+            stats.sort_runs_generated
+        };
+        assert_eq!(runs(50_000, 1, DEFAULT_SORT_RUN_ROWS), 1);
+        assert_eq!(runs(300_000, 2, DEFAULT_SORT_RUN_ROWS), 5);
+        assert_eq!(runs(40_000, 4, DEFAULT_SORT_RUN_ROWS), 4);
+        assert_eq!(runs(6_000, 4, DEFAULT_SORT_RUN_ROWS), 2, "runs hold CHECK_ROWS at least");
+        assert_eq!(runs(500, 2, 1), 500, "a cap of 1 still sorts one row per run");
     }
 
     #[test]

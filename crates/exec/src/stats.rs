@@ -57,7 +57,7 @@ pub struct ExecStats {
     /// finished output feeds the next pipeline.
     pub pipeline_breakers: u64,
     /// Peak number of morsels simultaneously claimed-but-unfolded inside
-    /// any pipeline drive (bounded by the `DASH_PIPELINE_INFLIGHT` window).
+    /// any pipeline drive (bounded by the `parallelism * 4` window).
     pub peak_inflight_morsels: u64,
     /// Peak bytes held by in-flight morsel results awaiting their in-order
     /// fold, plus the frozen join builds they probe — the O(morsels in

@@ -40,7 +40,9 @@ use dash_exec::agg::AggFunc;
 use dash_exec::pool;
 use dash_sql::ast::{AstExpr, BinOp, OrderItem, SelectItem, SelectStmt, Statement, TableRef};
 use dash_sql::parser::parse_statement;
-use dash_sql::planner::{collect_aggregates, collect_expr_columns, derive_name, rewrite_post_agg};
+use dash_sql::planner::{
+    collect_aggregates, collect_expr_columns, derive_name, rewrite_post_agg, SchemaProvider,
+};
 use parking_lot::RwLock;
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -503,8 +505,9 @@ impl Cluster {
         shard_stmt: &SelectStmt,
         stmt_ctx: &StatementContext,
     ) -> Result<Vec<QueryResult>> {
-        // One worker per core of the coordinator's host, at most 8.
-        let width = (self.coordinator.config().query_parallelism as usize).clamp(1, 8);
+        // The coordinator's resolved parallelism (`DASH_PARALLELISM`,
+        // `Catalog::set_parallelism`), at most 8; 1 drives shards inline.
+        let width = SchemaProvider::parallelism(self.coordinator.catalog().as_ref()).clamp(1, 8);
         let mut pinned = self.pin_assignment();
         let mut pin = EpochPin::new(self.monitor(), pinned.epoch);
         let mut pending: Vec<ShardId> = self.fs.shards();
@@ -1369,6 +1372,35 @@ mod tests {
             .query_with_deadline("SELECT COUNT(*) FROM t", None)
             .unwrap();
         assert_eq!(rows[0].get(0), &Datum::Int(100));
+    }
+
+    /// The scatter's fan-out is the coordinator's resolved parallelism:
+    /// at 1, every shard runs in turn, so stalling each shard attempt by
+    /// `d` makes a query take at least shards × `d`, even on a host wide
+    /// enough to run them all at once.
+    #[test]
+    fn scatter_width_follows_the_coordinator_parallelism() {
+        let reg = FaultRegistry::new();
+        let c = Cluster::with_faults(2, 2, HardwareSpec::new(8, 16 * 1024), reg.clone()).unwrap();
+        let schema = Schema::new(vec![Field::not_null("id", DataType::Int64)]).unwrap();
+        c.create_table("t", schema, Distribution::Hash("id".into())).unwrap();
+        c.load_rows("t", (0..100).map(|i| row![i as i64]).collect()).unwrap();
+        c.coordinator.catalog().set_parallelism(1);
+        let d = Duration::from_millis(40);
+        for shard in c.fs.shards() {
+            reg.arm(
+                FaultRegistry::scoped(dash_common::faults::SHARD_EXEC, shard.0),
+                FaultPolicy::Always,
+                FaultAction::Stall(d),
+            );
+        }
+        let start = std::time::Instant::now();
+        let rows = c.query("SELECT COUNT(*) FROM t").unwrap();
+        let elapsed = start.elapsed();
+        assert_eq!(rows[0].get(0), &Datum::Int(100));
+        let shards = c.shard_count() as u32;
+        assert_eq!(shards, 4);
+        assert!(elapsed >= d * shards, "{elapsed:?} < {shards} × {d:?}: shards ran in parallel");
     }
 
     #[test]

@@ -23,7 +23,8 @@ use dash_common::row::coerce_datum;
 use dash_common::{DashError, DataType, Datum, Field, Result, Row, Schema};
 use dash_exec::agg::{AggExpr, AggFunc};
 use dash_exec::expr::{ArithOp, CmpOp, Expr};
-use dash_exec::functions::{arith_type, same_repr, supertype, union_supertype, EvalContext, FunctionRegistry};
+use dash_exec::batch::Batch;
+use dash_exec::functions::{arith_type, same_repr, supertype, EvalContext, FunctionRegistry};
 use dash_exec::join::JoinType;
 use dash_exec::key::KeyMode;
 use dash_exec::plan::{aggregate_input, PhysicalPlan, SharedTable};
@@ -69,12 +70,6 @@ pub trait SchemaProvider {
         1
     }
 
-    /// Rows per parallel sort run (`DASH_SORT_RUN_ROWS`). Default: the
-    /// engine default.
-    fn sort_run_rows(&self) -> usize {
-        dash_exec::sort::DEFAULT_SORT_RUN_ROWS
-    }
-
     /// Whether simple conjuncts become scan predicates evaluated on
     /// compressed codes, with synopsis skipping (§II.B). `false` is the
     /// decode-then-compare ablation: every conjunct still reaches the
@@ -98,16 +93,49 @@ pub fn plan_select(
     dialect: Dialect,
     ctx: &EvalContext,
 ) -> Result<PhysicalPlan> {
-    let mut planner = Planner {
-        provider,
-        dialect,
-        registry: dash_exec::functions::builtin_registry(),
-        ctx,
-        ctes: HashMap::new(),
-        depth: 0,
-    };
+    let mut planner = Planner::new(provider, dialect, ctx);
     let (plan, _) = planner.plan_query(stmt)?;
     Ok(pushdown(plan, provider))
+}
+
+/// Plan a standalone `VALUES` list into one `Values` node. Each column is
+/// typed as UNION ALL types its arms — the supertype of its values, to
+/// which a NULL literal contributes nothing — and every value is cast to
+/// that type and evaluated once, here.
+pub fn plan_values(
+    rows: &[Vec<AstExpr>],
+    provider: &dyn SchemaProvider,
+    dialect: Dialect,
+    ctx: &EvalContext,
+) -> Result<PhysicalPlan> {
+    let width = rows.first().map_or(0, Vec::len);
+    if rows.iter().any(|r| r.len() != width) {
+        return Err(DashError::analysis("VALUES rows have unequal arity"));
+    }
+    let mut planner = Planner::new(provider, dialect, ctx);
+    let lowered = rows
+        .iter()
+        .map(|r| r.iter().map(|e| planner.lower(e, &Scope::default())).collect())
+        .collect::<Result<Vec<Vec<(Expr, DataType)>>>>()?;
+    let types: Vec<DataType> = (0..width)
+        .map(|i| supertype(lowered.iter().filter_map(|r| constraint(&r[i].0, r[i].1))))
+        .collect();
+    let one = Batch::from_rows(Schema::empty(), &[Row::new(vec![])])?;
+    let rows = lowered
+        .into_iter()
+        .map(|r| {
+            r.into_iter()
+                .zip(&types)
+                .map(|((e, dt), to)| cast(e, dt, *to).eval(&one, 0, ctx))
+                .collect::<Result<Vec<Datum>>>()
+                .map(Row::new)
+        })
+        .collect::<Result<Vec<Row>>>()?;
+    let fields = types.iter().enumerate().map(|(i, dt)| Field::new(format!("COL{}", i + 1), *dt));
+    Ok(PhysicalPlan::Values {
+        schema: Schema::new_unchecked(fields.collect()),
+        rows,
+    })
 }
 
 /// Lower a standalone expression (no table scope) — used by INSERT VALUES
@@ -118,14 +146,7 @@ pub fn lower_standalone_expr(
     dialect: Dialect,
     ctx: &EvalContext,
 ) -> Result<Expr> {
-    let mut planner = Planner {
-        provider,
-        dialect,
-        registry: dash_exec::functions::builtin_registry(),
-        ctx,
-        ctes: HashMap::new(),
-        depth: 0,
-    };
+    let mut planner = Planner::new(provider, dialect, ctx);
     let (e, _) = planner.lower(ast, &Scope::default())?;
     Ok(e)
 }
@@ -140,14 +161,7 @@ pub fn lower_table_expr(
     dialect: Dialect,
     ctx: &EvalContext,
 ) -> Result<Expr> {
-    let mut planner = Planner {
-        provider,
-        dialect,
-        registry: dash_exec::functions::builtin_registry(),
-        ctx,
-        ctes: HashMap::new(),
-        depth: 0,
-    };
+    let mut planner = Planner::new(provider, dialect, ctx);
     let scope = Scope::from_schema(None, schema);
     let (e, _) = planner.lower(ast, &scope)?;
     Ok(e)
@@ -235,7 +249,18 @@ struct Planner<'a> {
 
 const MAX_SUBQUERY_DEPTH: usize = 16;
 
-impl Planner<'_> {
+impl<'a> Planner<'a> {
+    fn new(provider: &'a dyn SchemaProvider, dialect: Dialect, ctx: &'a EvalContext) -> Planner<'a> {
+        Planner {
+            provider,
+            dialect,
+            registry: dash_exec::functions::builtin_registry(),
+            ctx,
+            ctes: HashMap::new(),
+            depth: 0,
+        }
+    }
+
     fn plan_query(&mut self, stmt: &SelectStmt) -> Result<(PhysicalPlan, Scope)> {
         self.depth += 1;
         if self.depth > MAX_SUBQUERY_DEPTH {
@@ -279,12 +304,17 @@ impl Planner<'_> {
                 )));
             }
             // Promote per-column types to a common supertype and coerce
-            // each arm (standard UNION typing).
+            // each arm (standard UNION typing; a bare NULL constrains
+            // nothing, as in CASE and COALESCE).
             let merged: Vec<DataType> = scope
                 .cols
                 .iter()
                 .zip(&rscope.cols)
-                .map(|(l, r)| union_supertype(l.dt, r.dt))
+                .enumerate()
+                .map(|(i, (l, r))| {
+                    let arms = [arm_constraint(&plan, i, l.dt), arm_constraint(&rplan, i, r.dt)];
+                    supertype(arms.into_iter().flatten())
+                })
                 .collect();
             let plan_l = coerce_arm(plan, &scope, &merged);
             let plan_r = coerce_arm(rplan, &rscope, &merged);
@@ -633,7 +663,7 @@ impl Planner<'_> {
             limit: limit.map(|l| l as usize),
             offset: offset.unwrap_or(0) as usize,
             parallelism: self.provider.parallelism(),
-            run_rows: self.provider.sort_run_rows(),
+            run_rows: dash_exec::sort::DEFAULT_SORT_RUN_ROWS,
         };
         if fields.len() > out.len() {
             plan = PhysicalPlan::Project {
@@ -1594,6 +1624,23 @@ fn cast(e: Expr, from: DataType, to: DataType) -> Expr {
 /// a NULL literal (typed `VARCHAR` only for want of a type).
 fn constraint(e: &Expr, dt: DataType) -> Option<DataType> {
     (!matches!(e, Expr::Lit(Datum::Null))).then_some(dt)
+}
+
+/// The type column `i` of UNION arm `plan` constrains the merged type
+/// with: none where the arm's value there is a bare NULL literal (or,
+/// for a nested set operation, where every arm's is).
+fn arm_constraint(plan: &PhysicalPlan, i: usize, dt: DataType) -> Option<DataType> {
+    fn untyped(plan: &PhysicalPlan, i: usize) -> bool {
+        match plan {
+            PhysicalPlan::Project { exprs, .. } => matches!(exprs[i], Expr::Lit(Datum::Null)),
+            PhysicalPlan::UnionAll { inputs } => inputs.iter().all(|p| untyped(p, i)),
+            PhysicalPlan::HashAggregate { input, group, aggs, .. } if aggs.is_empty() => {
+                untyped(input, group[i])
+            }
+            _ => false,
+        }
+    }
+    (!untyped(plan, i)).then_some(dt)
 }
 
 /// Cast a UNION arm's columns to the merged types, where they differ.

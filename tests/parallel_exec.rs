@@ -734,19 +734,17 @@ fn sql_order_by_identical_across_worker_counts() {
     for sql in queries {
         db.catalog().set_parallelism(1);
         let serial = s.execute(sql).unwrap();
-        db.catalog().set_sort_run_rows(SMALL_RUN);
-        for par in [2usize, 4] {
+        for par in PARALLELISMS {
             db.catalog().set_parallelism(par);
             let out = s.execute(sql).unwrap();
             assert_eq!(out.rows, serial.rows, "{sql} at parallelism {par}");
         }
-        db.catalog().set_sort_run_rows(DEFAULT_SORT_RUN_ROWS);
     }
 
     // Fan-out is visible in the statement stats: the full sort reports
-    // its runs and merge width, the LIMIT 20 query takes Top-K.
+    // its runs and merge width — one run per worker, derived from the
+    // input with nothing set — and the LIMIT 20 query takes Top-K.
     db.catalog().set_parallelism(4);
-    db.catalog().set_sort_run_rows(SMALL_RUN);
     let full = s
         .execute("SELECT label, qty FROM facts ORDER BY label DESC")
         .unwrap();
@@ -761,14 +759,14 @@ fn sql_order_by_identical_across_worker_counts() {
         .execute("SELECT id, qty FROM facts ORDER BY qty DESC, id LIMIT 20")
         .unwrap();
     assert_eq!(topk.stats.sort_runs_generated, 0, "{:?}", topk.stats);
-    db.catalog().set_sort_run_rows(DEFAULT_SORT_RUN_ROWS);
 }
 
 /// A NaN used to compare Equal to every number, which is no order at all:
 /// where the NaNs landed depended on the run boundaries, so the serial and
 /// the parallel sort disagreed (and `sort_by` may panic on such a
 /// comparator). Now NaNs tie only with each other and sort above `+inf`;
-/// the same rows come back at every width and run size.
+/// the same rows come back at every width, whose runs split the input
+/// at different rows.
 #[test]
 fn order_by_over_nans_is_a_total_order() {
     let db = Database::with_hardware(HardwareSpec::laptop());
@@ -796,7 +794,6 @@ fn order_by_over_nans_is_a_total_order() {
         "SELECT f, id FROM t ORDER BY f + 0 DESC, id DESC",
     ] {
         db.catalog().set_parallelism(1);
-        db.catalog().set_sort_run_rows(DEFAULT_SORT_RUN_ROWS);
         let serial = s.query(sql).unwrap();
         assert_eq!(serial.len(), n);
         // Rank of each value class in ascending order, NULLs last.
@@ -817,13 +814,11 @@ fn order_by_over_nans_is_a_total_order() {
             want.sort();
         }
         assert_eq!(classes, want, "{sql}: NaNs sit between +inf and the NULLs");
-        for run_rows in [SMALL_RUN, 1000] {
-            db.catalog().set_sort_run_rows(run_rows);
-            for par in [1usize, 4, 8] {
-                db.catalog().set_parallelism(par);
-                let out = s.query(sql).unwrap();
-                assert_eq!(render(&out), render(&serial), "{sql} at parallelism {par}, {run_rows}-row runs");
-            }
+        for par in [4usize, 8] {
+            db.catalog().set_parallelism(par);
+            let out = s.execute(sql).unwrap();
+            assert!(out.stats.sort_runs_generated > 1, "{sql} at parallelism {par}: {:?}", out.stats);
+            assert_eq!(render(&out.rows), render(&serial), "{sql} at parallelism {par}");
         }
     }
 }

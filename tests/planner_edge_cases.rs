@@ -584,3 +584,67 @@ fn computed_key_expression_sorts() {
     assert_eq!(plan[sort + 1].trim(), "Project cols=2", "{plan:?}");
     assert!(plan.iter().any(|l| l.contains("scan SRT→project")), "one pipeline evaluates the key: {plan:?}");
 }
+
+/// Column types of `sql`'s result, by SQL name, and its rows rendered.
+fn typed(s: &mut Session, sql: &str) -> (Vec<String>, Vec<Vec<String>>) {
+    let r = s.execute(sql).unwrap();
+    let types = r.schema.fields().iter().map(|f| f.data_type.sql_name()).collect();
+    let rows = r.rows.iter().map(|row| row.values().iter().map(Datum::render).collect()).collect();
+    (types, rows)
+}
+
+/// A bare NULL in a UNION arm constrains nothing, as in CASE and
+/// COALESCE: the other arms type the column.
+#[test]
+fn union_null_arm_takes_the_other_arms_type() {
+    let mut s = session();
+    let (types, rows) = typed(&mut s, "SELECT NULL AS a, 1 AS b UNION ALL SELECT 2, NULL");
+    assert_eq!(types, ["BIGINT", "BIGINT"]);
+    assert_eq!(rows, [["NULL", "1"], ["2", "NULL"]]);
+    let (types, rows) = typed(
+        &mut s,
+        "SELECT 1, 'x' UNION ALL SELECT NULL, NULL UNION ALL SELECT 3, 'z'",
+    );
+    assert_eq!(types, ["BIGINT", "VARCHAR"]);
+    assert_eq!(rows, [["1", "x"], ["NULL", "NULL"], ["3", "z"]]);
+    let (types, rows) = typed(&mut s, "SELECT 1.5 UNION ALL SELECT NULL UNION ALL SELECT NULL");
+    assert_eq!(types, ["DOUBLE"], "{rows:?}");
+    let (types, _) = typed(&mut s, "SELECT NULL UNION ALL SELECT NULL");
+    assert_eq!(types, ["VARCHAR"], "nothing constrains it");
+    let (types, rows) = typed(&mut s, "SELECT 7 UNION SELECT NULL UNION SELECT NULL");
+    assert_eq!(types, ["BIGINT"], "a DISTINCT of NULLs is still untyped");
+    assert_eq!(rows.len(), 2, "{rows:?}");
+}
+
+/// Standalone VALUES types each column as UNION ALL does, and every row
+/// holds values of the reported type.
+#[test]
+fn standalone_values_rows_match_their_schema() {
+    let mut s = session();
+    s.set_dialect(Dialect::Db2);
+    let (types, rows) = typed(&mut s, "VALUES (1), ('a')");
+    assert_eq!(types, ["VARCHAR"]);
+    assert_eq!(rows, [["1"], ["a"]]);
+    let r = s.execute("VALUES (1), (2.5)").unwrap();
+    assert_eq!(r.schema.field(0).data_type.sql_name(), "DOUBLE");
+    assert_eq!(r.rows.iter().map(|row| row.get(0).clone()).collect::<Vec<_>>(), [Datum::Float(1.0), Datum::Float(2.5)]);
+    let (types, rows) = typed(&mut s, "VALUES (NULL, 1), (2, NULL)");
+    assert_eq!(types, ["BIGINT", "BIGINT"]);
+    assert_eq!(rows, [["NULL", "1"], ["2", "NULL"]]);
+    let err = s.execute("VALUES (1, 2), (3)").unwrap_err();
+    assert!(err.to_string().contains("unequal arity"), "{err}");
+}
+
+/// An out-of-range parallelism is clamped where it enters, so the
+/// executor's `parallelism * 4` window and morsel sizing cannot overflow.
+#[test]
+fn out_of_range_parallelism_is_clamped() {
+    let db = Database::with_hardware(HardwareSpec::laptop());
+    let mut s = db.connect();
+    s.execute("CREATE TABLE p (x INT)").unwrap();
+    s.execute("INSERT INTO p VALUES (3), (1), (2)").unwrap();
+    db.catalog().set_parallelism(usize::MAX);
+    let rows = s.query("SELECT x FROM p WHERE x > 1 ORDER BY x").unwrap();
+    assert_eq!(rows.iter().map(|r| r.get(0).render()).collect::<Vec<_>>(), ["2", "3"]);
+    assert_eq!(s.query("SELECT SUM(x) FROM p").unwrap()[0].get(0), &Datum::Int(6));
+}

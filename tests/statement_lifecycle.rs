@@ -282,9 +282,9 @@ fn deadline_fires_during_parallel_sort_statement() {
     let reg = FaultRegistry::with_seed(seed(11));
     let db = Database::with_hardware(HardwareSpec::laptop());
     db.set_fault_registry(reg.clone());
-    let mut s = loaded_session(&db, 4_000);
-    // Many small runs: the cancellation token is polled once per run.
-    db.catalog().set_sort_run_rows(128);
+    // 16 Ki rows: at the laptop's width 4 the sort cuts four runs, and
+    // the cancellation token is polled once per run.
+    let mut s = loaded_session(&db, 16 * 1024);
 
     reg.arm(
         PAGE_READ,
