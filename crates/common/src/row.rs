@@ -140,7 +140,7 @@ pub fn coerce_datum(d: Datum, target: DataType) -> Result<Datum> {
             Datum::Int(*b as i64)
         }
         (DataType::Int16 | DataType::Int32 | DataType::Int64, Datum::Float(f)) => {
-            Datum::Int(*f as i64)
+            Datum::Int(float_to_int(*f, target)?)
         }
         (DataType::Int16 | DataType::Int32 | DataType::Int64, Datum::Str(s)) => Datum::Int(
             s.trim()
@@ -156,16 +156,14 @@ pub fn coerce_datum(d: Datum, target: DataType) -> Result<Datum> {
                 .map_err(|_| DashError::exec(format!("cannot cast '{s}' to double")))?,
         ),
         (DataType::Decimal(_, s), Datum::Int(v)) => rescale_decimal(*v as i128, 0, s)?,
-        (DataType::Decimal(_, s), Datum::Float(f)) => {
-            Datum::Decimal((f * 10f64.powi(s as i32)).round() as i128, s)
-        }
+        (DataType::Decimal(_, s), Datum::Float(f)) => Datum::Decimal(float_to_unscaled(*f, target)?, s),
         (DataType::Decimal(_, s), Datum::Decimal(v, vs)) => rescale_decimal(*v, *vs, s)?,
         (DataType::Decimal(_, s), Datum::Str(txt)) => {
             let f: f64 = txt
                 .trim()
                 .parse()
                 .map_err(|_| DashError::exec(format!("cannot cast '{txt}' to decimal")))?;
-            Datum::Decimal((f * 10f64.powi(s as i32)).round() as i128, s)
+            Datum::Decimal(float_to_unscaled(f, target)?, s)
         }
         (DataType::Date, Datum::Date(_)) => d,
         (DataType::Date, Datum::Timestamp(t)) => {
@@ -192,6 +190,40 @@ pub fn coerce_datum(d: Datum, target: DataType) -> Result<Datum> {
         }
     };
     Ok(out)
+}
+
+/// The error for a value no `target` value represents.
+pub fn out_of_range(v: &Datum, target: DataType) -> DashError {
+    DashError::exec(format!("{v} is out of range for {target}"))
+}
+
+/// `f` cast to the integer type `target`: truncated toward zero. NaN,
+/// ±inf and a value outside [-2^63, 2^63) after truncation are out of
+/// range (a narrow type's own range is checked by the `CAST`).
+pub fn float_to_int(f: f64, target: DataType) -> Result<i64> {
+    const TWO_63: f64 = 9_223_372_036_854_775_808.0;
+    let t = f.trunc();
+    if (-TWO_63..TWO_63).contains(&t) {
+        Ok(t as i64)
+    } else {
+        Err(out_of_range(&Datum::Float(f), target))
+    }
+}
+
+/// `f` as the unscaled value of the decimal type `target`: rounded half
+/// away from zero at its scale. NaN, ±inf and a value of more than 38
+/// digits are out of range.
+pub fn float_to_unscaled(f: f64, target: DataType) -> Result<i128> {
+    let scale = match target {
+        DataType::Decimal(_, s) => s,
+        _ => 0,
+    };
+    let v = (f * 10f64.powi(scale as i32)).round();
+    if v.abs() < 1e38 {
+        Ok(v as i128)
+    } else {
+        Err(out_of_range(&Datum::Float(f), target))
+    }
 }
 
 fn rescale_decimal(v: i128, from: u8, to: u8) -> Result<Datum> {

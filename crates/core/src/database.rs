@@ -16,6 +16,7 @@ use dash_common::txn::{is_pending, pending_owner, SnapshotView, TxnId, TS_NEVER}
 use dash_common::{DashError, DataType, Datum, Field, Result, Row, Schema, StatementContext};
 use dash_encoding::column::ColumnValues;
 use dash_exec::batch::Batch;
+use dash_exec::expr::eval_columns;
 use dash_exec::functions::EvalContext;
 use dash_exec::plan::{PhysicalPlan, SharedTable};
 use dash_exec::scan::ScanConfig;
@@ -1403,19 +1404,18 @@ impl Session {
     ) -> Result<QueryResult> {
         let ctx = self.eval_context();
         let (handle, schema, durable) = self.target(table)?;
-        let mut lowered = Vec::with_capacity(assignments.len());
+        let (mut ordinals, mut exprs) = (Vec::new(), Vec::new());
         for (col, e) in assignments {
-            let ordinal = schema.resolve(col)?;
-            let expr =
-                lower_table_expr(e, &schema, &self.provider(), self.dialect, &ctx)?;
-            lowered.push((ordinal, expr));
+            ordinals.push(schema.resolve(col)?);
+            exprs.push(lower_table_expr(e, &schema, &self.provider(), self.dialect, &ctx)?);
         }
         let (batch, tsns) = self.matching_rows(&handle, &schema, selection)?;
+        let values = eval_columns(&exprs, &batch, 0..batch.len(), &ctx)?;
         let mut changes = Vec::with_capacity(tsns.len());
         for (i, tsn) in tsns.into_iter().enumerate() {
             let mut row: Vec<Datum> = (0..schema.len()).map(|c| batch.value(i, c)).collect();
-            for (ordinal, expr) in &lowered {
-                row[*ordinal] = expr.eval(&batch, i, &ctx)?;
+            for (ordinal, v) in ordinals.iter().zip(&values) {
+                row[*ordinal] = v.datum(i);
             }
             changes.push(Change::Replace(tsn, Row::new(row)));
         }

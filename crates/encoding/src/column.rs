@@ -279,7 +279,8 @@ pub fn datum_to_ordered(dt: DataType, d: &Datum) -> Result<u64> {
     }
 }
 
-fn int_to_datum(dt: DataType, x: i64) -> Datum {
+/// The datum of logical type `dt` an integer-domain value `x` stores.
+pub fn int_to_datum(dt: DataType, x: i64) -> Datum {
     match dt {
         DataType::Bool => Datum::Bool(x != 0),
         DataType::Date => Datum::Date(x as i32),

@@ -162,6 +162,17 @@ impl ScalarFunction {
         }
     }
 
+    /// Whether this is the builtin `name` (a UDX of that name is not).
+    pub fn is_builtin(&self, name: &str) -> bool {
+        matches!(self.eval, ScalarImpl::Builtin(_)) && self.name == name
+    }
+
+    /// Whether this is the `COALESCE` family, which evaluates an argument
+    /// only where every argument before it was NULL.
+    pub fn is_coalesce(&self) -> bool {
+        ["COALESCE", "NVL", "IFNULL"].iter().any(|n| self.is_builtin(n))
+    }
+
     /// Whether argument `i` of `n` is one the result may be, which the
     /// analyzer casts to the result type.
     pub fn takes_value(&self, i: usize, n: usize) -> bool {

@@ -34,8 +34,8 @@
 //! every step.
 
 use crate::agg::{self, AggAccumulator, AggExpr};
-use crate::batch::{push_typed, Batch};
-use crate::expr::Expr;
+use crate::batch::Batch;
+use crate::expr::{self, Expr};
 use crate::functions::EvalContext;
 use crate::join::{self, JoinBuild, JoinType};
 use crate::plan::{PhysicalPlan, SharedTable};
@@ -45,7 +45,6 @@ use crate::sort::{sort_batch, SortKey, SortOptions};
 use crate::stats::ExecStats;
 use dash_common::fxhash::FxHashMap;
 use dash_common::{BudgetLease, DashError, Datum, Result, Row, Schema};
-use dash_encoding::column::ColumnValues;
 use std::borrow::Cow;
 use std::ops::Range;
 
@@ -663,47 +662,7 @@ fn apply_op(
 ) -> Result<Batch> {
     match op {
         Op::Filter(predicate) => Ok(batch.take(&predicate.select(batch, rows, ctx)?)),
-        Op::Project { exprs, schema } => {
-            // A bare column already of its declared type, in a nullable
-            // output column, moves with its dictionary; every other column
-            // is evaluated to its declared type row by row — the order
-            // `NEXTVAL` advances in.
-            let fields = schema.fields();
-            let input = batch.schema().fields();
-            let moved: Vec<Option<usize>> = exprs
-                .iter()
-                .zip(fields)
-                .map(|(e, f)| match e {
-                    Expr::Col(i) if f.nullable && input.get(*i).is_some_and(|c| c.data_type == f.data_type) => Some(*i),
-                    _ => None,
-                })
-                .collect();
-            let mut cols: Vec<ColumnValues> = moved
-                .iter()
-                .zip(fields)
-                .map(|(m, f)| match m {
-                    Some(i) => batch.column(*i).slice(rows.clone()),
-                    None => ColumnValues::empty_for(f.data_type),
-                })
-                .collect();
-            let computed: Vec<usize> = (0..exprs.len()).filter(|&c| moved[c].is_none()).collect();
-            for row in rows {
-                for &c in &computed {
-                    let (v, f) = (exprs[c].eval(batch, row, ctx)?, &fields[c]);
-                    if v.is_null() && !f.nullable {
-                        return Err(DashError::Constraint(format!("NULL value for NOT NULL column {}", f.name)));
-                    }
-                    push_typed(&mut cols[c], f.data_type, &v)?;
-                }
-            }
-            let mut out = Batch::new((*schema).clone(), cols)?;
-            for (c, i) in moved.iter().enumerate() {
-                if let Some(dict) = i.and_then(|i| batch.str_dict(i)) {
-                    out.set_str_dict(c, dict.clone());
-                }
-            }
-            Ok(out)
-        }
+        Op::Project { exprs, schema } => expr::project(exprs, schema, batch, rows, ctx),
         Op::Probe(build) => build.probe_morsel(batch, rows, &ctx.statement, mstats),
     }
 }
@@ -770,9 +729,9 @@ mod tests {
     }
 
     /// A projection of bare columns moves column slices; the same
-    /// projection spelled as identity casts is evaluated row by row. Both
-    /// must hand on the same batch: values, NULLs and schema. A moved
-    /// string column keeps its dictionary; an evaluated one has none.
+    /// projection spelled as identity casts is evaluated. Both must hand on
+    /// the same batch: values, NULLs and schema. A moved string column
+    /// keeps its dictionary; an evaluated one has none.
     #[test]
     fn column_pick_projection_matches_the_computed_one() {
         let t = table(
@@ -825,7 +784,7 @@ mod tests {
                 assert!(slow.str_dict(c).is_none());
             }
         }
-        // A NOT NULL output is evaluated, so its check runs.
+        // A bare column moves into a NOT NULL output too, and its check runs.
         let strict = Schema::new_unchecked(vec![Field::not_null("c0", DataType::Utf8)]);
         let err = project(&[Expr::col(1)], &strict, 0..input.len()).unwrap_err();
         assert_eq!(err.class(), "23505", "{err}");

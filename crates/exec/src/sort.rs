@@ -2,33 +2,39 @@
 //! pool.
 //!
 //! Every key is a column of the input: the planner appends a computed
-//! ORDER BY key as a hidden column beneath the sort. Keys compare through
-//! the typed column accessors, with no per-row `Datum`. `sort_batch` runs
-//! two parallel phases on `pool::run_morsels`, each byte-identical to one
-//! serial stable sort:
+//! ORDER BY key as a hidden column beneath the sort. Each row's keys are
+//! read once into **normalized words** — one order-preserving `u64` per
+//! key, plus a NULL rank for a key whose column holds a NULL, with
+//! direction and NULLS FIRST/LAST folded in — and every comparison after
+//! that compares words. `sort_batch` runs two parallel phases on
+//! `pool::run_morsels`, each byte-identical to one serial stable sort:
 //!
-//! 1. **Run generation** — each morsel sorts one `run_rows`-sized run of
-//!    row indices (stable within the run). Runs cover ascending disjoint
-//!    row ranges, so per-run stability plus a lowest-run-wins merge
-//!    tie-break reproduces global input-order stability exactly.
-//! 2. **Merge / Top-K** — a loser-tree k-way merge emits only the first
-//!    `LIMIT+OFFSET` positions (truncation happens before any column is
-//!    materialized), checking the cancellation token as it goes. When
-//!    `LIMIT+OFFSET` is small relative to the input
-//!    (`end * TOPK_FACTOR <= rows`), bounded per-morsel heaps replace the
-//!    full sort entirely.
+//! 1. **Run generation** — each morsel sorts one run of `(words, row)`
+//!    entries with `sort_unstable`. The row index makes the order total,
+//!    so equal keys keep input order: the result equals a stable sort.
+//! 2. **Merge / Top-K** — a loser-tree k-way merge of the runs' entries
+//!    emits only the first `LIMIT+OFFSET` positions (truncation happens
+//!    before any column is materialized), checking the cancellation token
+//!    as it goes. When `LIMIT+OFFSET` is small relative to the input
+//!    (`end * TOPK_FACTOR <= rows`), bounded per-morsel heaps of entries
+//!    replace the full sort entirely.
 //!
-//! The sort's state, the index permutation, is budgeted through a
-//! `BudgetLease`, so an over-budget sort is refused with a classified
-//! `ResourceExhausted` and the runs are released by RAII on every exit
-//! path.
+//! A string key's word is its 8-byte prefix: rows whose words tie up to
+//! and including it are ordered by a tail comparison of the full strings
+//! (and of any keys after it). The entries, the sort's working state, are
+//! budgeted through a `BudgetLease` before they are built, so an
+//! over-budget sort is refused with a classified `ResourceExhausted` and
+//! released by RAII on every exit path.
 
 use crate::batch::Batch;
 use crate::functions::EvalContext;
+use crate::key::f64_key_word;
 use crate::pool;
 use crate::stats::ExecStats;
 use dash_common::{BudgetLease, Result, StatementContext};
 use dash_encoding::column::ColumnValues;
+use dash_encoding::order::i64_to_ordered;
+use dash_encoding::prefix::str_prefix_ordered;
 use std::cmp::Ordering;
 
 /// The largest parallel sort run, which the planner passes as
@@ -111,90 +117,145 @@ impl Default for SortOptions {
 }
 
 // ---------------------------------------------------------------------------
-// Positional key comparison
+// Normalized key words
 // ---------------------------------------------------------------------------
 
-/// NULL handling + direction: NULL placement follows `nulls_last` only
-/// (DESC does not flip it, matching the engine's convention), direction
-/// reverses non-NULL comparisons.
-fn ordered<T>(
-    x: Option<T>,
-    y: Option<T>,
+/// The most words an entry carries; keys past them are compared by the
+/// tail comparison.
+const MAX_INLINE: usize = 4;
+
+/// One key column read as normalized words.
+struct KeyWords<'a> {
+    values: &'a ColumnValues,
     asc: bool,
     nulls_last: bool,
-    cmp: impl FnOnce(T, T) -> Ordering,
-) -> Ordering {
-    match (x, y) {
-        (None, None) => Ordering::Equal,
-        (None, Some(_)) => {
-            if nulls_last {
-                Ordering::Greater
-            } else {
-                Ordering::Less
-            }
-        }
-        (Some(_), None) => {
-            if nulls_last {
-                Ordering::Less
-            } else {
-                Ordering::Greater
-            }
-        }
-        (Some(a), Some(b)) => {
-            let o = cmp(a, b);
-            if asc {
-                o
-            } else {
-                o.reverse()
-            }
-        }
-    }
+    /// The column holds a NULL, so the key has a NULL rank word.
+    ranked: bool,
 }
 
-/// Compare rows `a` and `b` of one key column. Raw `i64` order is the
-/// decoded value's order for every int-encoded type (Date/Timestamp/Bool
-/// decode monotonically, a decimal column has one scale). `partial_cmp`
-/// calls a NaN unordered with every number, which is not an order: NaNs
-/// tie only with each other and sort above `+inf`, as the percentile
-/// aggregates order them. `-0.0` and `+0.0` still tie.
-fn cmp_at(col: &ColumnValues, a: usize, b: usize, asc: bool, nulls_last: bool) -> Ordering {
-    match col {
-        ColumnValues::Int(v) => ordered(v[a], v[b], asc, nulls_last, |x, y| x.cmp(&y)),
-        ColumnValues::Float(v) => ordered(v[a], v[b], asc, nulls_last, |x, y| {
-            x.partial_cmp(&y).unwrap_or_else(|| x.is_nan().cmp(&y.is_nan()))
-        }),
-        ColumnValues::Str(v) => ordered(v[a].as_deref(), v[b].as_deref(), asc, nulls_last, str::cmp),
-    }
-}
-
-/// All keys of one sort, comparable by row position.
-struct RowComparator<'a> {
-    cols: Vec<(&'a ColumnValues, bool, bool)>,
-}
-
-impl<'a> RowComparator<'a> {
-    fn new(input: &'a Batch, keys: &[SortKey]) -> Result<RowComparator<'a>> {
-        let cols = keys.iter().map(|k| Ok((input.try_column(k.col)?, k.asc, k.nulls_last)));
-        Ok(RowComparator { cols: cols.collect::<Result<_>>()? })
+impl KeyWords<'_> {
+    /// Row `row`'s order-preserving value word with the direction folded
+    /// in; `None` for NULL. Integer-encoded values order as `i64` (dates,
+    /// timestamps and booleans decode monotonically, a decimal column has
+    /// one scale). Every NaN is one word above `+inf` and `-0.0` ties
+    /// `+0.0` (`f64_key_word`). A string's word is its 8-byte big-endian
+    /// prefix, which the tail comparison completes.
+    #[inline]
+    fn word(&self, row: usize) -> Option<u64> {
+        let w = match self.values {
+            ColumnValues::Int(v) => i64_to_ordered(v[row]?),
+            ColumnValues::Float(v) => f64_key_word(v[row]?),
+            ColumnValues::Str(v) => str_prefix_ordered(v[row].as_deref()?),
+        };
+        Some(if self.asc { w } else { !w })
     }
 
+    /// The NULL rank word: NULL placement follows `nulls_last` only (DESC
+    /// does not flip it, matching the engine's convention).
+    #[inline]
+    fn rank(&self, null: bool) -> u64 {
+        (null == self.nulls_last) as u64
+    }
+
+    /// Rows `a` and `b` in this key's order, strings compared in full.
     fn cmp_rows(&self, a: usize, b: usize) -> Ordering {
-        for (col, asc, nulls_last) in &self.cols {
-            let ord = cmp_at(col, a, b, *asc, *nulls_last);
-            if ord != Ordering::Equal {
-                return ord;
+        let (x, y) = (self.word(a), self.word(b));
+        let o = self.rank(x.is_none()).cmp(&self.rank(y.is_none()));
+        match self.values {
+            ColumnValues::Str(v) if o == Ordering::Equal => {
+                let o = v[a].as_deref().cmp(&v[b].as_deref());
+                if self.asc {
+                    o
+                } else {
+                    o.reverse()
+                }
             }
+            _ => o.then(x.cmp(&y)),
         }
-        Ordering::Equal
-    }
-
-    /// Total order for Top-K heaps: key order, input position breaks
-    /// ties. This is exactly the order a stable sort produces, so a
-    /// sorted candidate set's prefix equals the stable sort's prefix.
-    fn cmp_total(&self, a: usize, b: usize) -> Ordering {
-        self.cmp_rows(a, b).then(a.cmp(&b))
     }
 }
+
+/// Every key of one sort as normalized words: the first `inline` words of
+/// a row go into its sort entry, and `tail` names the first key those do
+/// not order exactly — a string key (its prefix word can tie) or the first
+/// key past `MAX_INLINE` words.
+struct SortWords<'a> {
+    keys: Vec<KeyWords<'a>>,
+    inline: usize,
+    tail: Option<usize>,
+}
+
+impl<'a> SortWords<'a> {
+    fn new(input: &'a Batch, keys: &[SortKey]) -> Result<SortWords<'a>> {
+        let keys = keys
+            .iter()
+            .map(|k| {
+                let values = input.try_column(k.col)?;
+                let ranked = match values {
+                    ColumnValues::Int(v) => v.iter().any(Option::is_none),
+                    ColumnValues::Float(v) => v.iter().any(Option::is_none),
+                    ColumnValues::Str(v) => v.iter().any(Option::is_none),
+                };
+                Ok(KeyWords { values, asc: k.asc, nulls_last: k.nulls_last, ranked })
+            })
+            .collect::<Result<Vec<_>>>()?;
+        let (mut inline, mut tail) = (0, None);
+        for (i, k) in keys.iter().enumerate() {
+            let words = 1 + k.ranked as usize;
+            if inline + words > MAX_INLINE {
+                inline = MAX_INLINE;
+                tail = Some(i);
+                break;
+            }
+            inline += words;
+            if matches!(k.values, ColumnValues::Str(_)) {
+                tail = Some(i);
+                break;
+            }
+        }
+        Ok(SortWords { keys, inline: inline.max(1), tail })
+    }
+
+    /// Row `row`'s first `I` words.
+    #[inline]
+    fn entry<const I: usize>(&self, row: usize) -> Entry<I> {
+        let mut words = [0u64; I];
+        let mut at = words.iter_mut();
+        for k in &self.keys {
+            let w = k.word(row);
+            if k.ranked {
+                match at.next() {
+                    Some(slot) => *slot = k.rank(w.is_none()),
+                    None => break,
+                }
+            }
+            match at.next() {
+                Some(slot) => *slot = w.unwrap_or(0),
+                None => break,
+            }
+        }
+        (words, row)
+    }
+
+    /// The total order on entries: words, then the tail comparison, then
+    /// the row index — a stable sort's order.
+    #[inline]
+    fn cmp<const I: usize>(&self, a: &Entry<I>, b: &Entry<I>) -> Ordering {
+        a.0.cmp(&b.0)
+            .then_with(|| match self.tail {
+                Some(from) => self.keys[from..]
+                    .iter()
+                    .map(|k| k.cmp_rows(a.1, b.1))
+                    .find(|o| o.is_ne())
+                    .unwrap_or(Ordering::Equal),
+                None => Ordering::Equal,
+            })
+            .then(a.1.cmp(&b.1))
+    }
+}
+
+/// A row's first `I` key words and its index.
+type Entry<const I: usize> = ([u64; I], usize);
 
 // ---------------------------------------------------------------------------
 // K-way merge
@@ -221,6 +282,16 @@ pub fn merge_sorted_runs<F>(
 where
     F: Fn(usize, usize) -> Ordering,
 {
+    merge_runs(runs, take, stmt, |a: &usize, b: &usize| cmp(*a, *b))
+}
+
+/// [`merge_sorted_runs`] over runs of any entries.
+fn merge_runs<T: Copy>(
+    runs: &[Vec<T>],
+    take: usize,
+    stmt: &StatementContext,
+    cmp: impl Fn(&T, &T) -> Ordering,
+) -> Result<Vec<T>> {
     let k = runs.len();
     let total: usize = runs.iter().map(Vec::len).sum();
     let take = take.min(total);
@@ -238,7 +309,7 @@ where
         match (heads[a] < runs[a].len(), heads[b] < runs[b].len()) {
             (false, _) => false,
             (true, false) => true,
-            (true, true) => match cmp(runs[a][heads[a]], runs[b][heads[b]]) {
+            (true, true) => match cmp(&runs[a][heads[a]], &runs[b][heads[b]]) {
                 Ordering::Less => true,
                 Ordering::Greater => false,
                 Ordering::Equal => a < b,
@@ -291,15 +362,15 @@ where
 // Top-K
 // ---------------------------------------------------------------------------
 
-/// Bounded worst-at-root heap of row positions: keeps the `cap` best rows
+/// Bounded worst-at-root heap of sort entries: keeps the `cap` best rows
 /// seen, evicting the worst kept row when a better one arrives.
-struct BoundedHeap {
+struct BoundedHeap<T> {
     cap: usize,
-    items: Vec<usize>,
+    items: Vec<T>,
 }
 
-impl BoundedHeap {
-    fn new(cap: usize) -> BoundedHeap {
+impl<T: Copy> BoundedHeap<T> {
+    fn new(cap: usize) -> BoundedHeap<T> {
         BoundedHeap {
             cap,
             items: Vec::with_capacity(cap),
@@ -308,7 +379,7 @@ impl BoundedHeap {
 
     /// `total` orders rows best-first; the heap keeps its *worst* kept row
     /// at the root so one comparison rejects most of the stream.
-    fn offer(&mut self, row: usize, total: &impl Fn(usize, usize) -> Ordering) {
+    fn offer(&mut self, row: T, total: &impl Fn(&T, &T) -> Ordering) {
         if self.cap == 0 {
             return;
         }
@@ -318,7 +389,7 @@ impl BoundedHeap {
             let mut i = self.items.len() - 1;
             while i > 0 {
                 let parent = (i - 1) / 2;
-                if total(self.items[i], self.items[parent]) == Ordering::Greater {
+                if total(&self.items[i], &self.items[parent]) == Ordering::Greater {
                     self.items.swap(i, parent);
                     i = parent;
                 } else {
@@ -327,7 +398,7 @@ impl BoundedHeap {
             }
             return;
         }
-        if total(row, self.items[0]) != Ordering::Less {
+        if total(&row, &self.items[0]) != Ordering::Less {
             return;
         }
         self.items[0] = row;
@@ -336,11 +407,11 @@ impl BoundedHeap {
         loop {
             let (l, r) = (2 * i + 1, 2 * i + 2);
             let mut worst = i;
-            if l < self.items.len() && total(self.items[l], self.items[worst]) == Ordering::Greater
+            if l < self.items.len() && total(&self.items[l], &self.items[worst]) == Ordering::Greater
             {
                 worst = l;
             }
-            if r < self.items.len() && total(self.items[r], self.items[worst]) == Ordering::Greater
+            if r < self.items.len() && total(&self.items[r], &self.items[worst]) == Ordering::Greater
             {
                 worst = r;
             }
@@ -353,33 +424,59 @@ impl BoundedHeap {
     }
 }
 
-/// Top-K path: each morsel keeps a bounded heap of its `k` best rows
-/// under the total order (key, position); the union of the per-morsel
+/// Top-K path: each morsel keeps a bounded heap of its `k` best entries
+/// under the total order (key words, row); the union of the per-morsel
 /// heaps contains every global top-k row, so one small final sort of
 /// ≤ `morsels · k` candidates yields exactly the stable sort's prefix.
-fn top_k(
+fn top_k<const I: usize>(
     n: usize,
     k: usize,
-    cmp: &RowComparator<'_>,
+    words: &SortWords<'_>,
     parallelism: usize,
     ctx: &EvalContext,
     stats: &mut ExecStats,
 ) -> Result<Vec<usize>> {
     let ranges = pool::row_morsels(n, parallelism, CHECK_ROWS);
-    let total = |a: usize, b: usize| cmp.cmp_total(a, b);
+    let total = |a: &Entry<I>, b: &Entry<I>| words.cmp(a, b);
     let run = pool::run_morsels(ranges.len(), parallelism, &ctx.statement, |mi| {
         let (lo, hi) = ranges[mi];
         let mut heap = BoundedHeap::new(k);
         for row in lo..hi {
-            heap.offer(row, &total);
+            heap.offer(words.entry::<I>(row), &total);
         }
         Ok(heap.items)
     })?;
     stats.note_parallel_phase(run.morsels_dispatched, run.workers_used);
-    let mut candidates: Vec<usize> = run.results.into_iter().flatten().collect();
-    candidates.sort_by(|&a, &b| total(a, b));
+    let mut candidates: Vec<Entry<I>> = run.results.into_iter().flatten().collect();
+    candidates.sort_unstable_by(total);
     candidates.truncate(k);
-    Ok(candidates)
+    Ok(candidates.into_iter().map(|e| e.1).collect())
+}
+
+/// Full path: sort runs of entries, then merge their first `end`.
+fn full_sort<const I: usize>(
+    n: usize,
+    end: usize,
+    run_rows: usize,
+    words: &SortWords<'_>,
+    parallelism: usize,
+    ctx: &EvalContext,
+    stats: &mut ExecStats,
+) -> Result<Vec<usize>> {
+    let n_runs = n.div_ceil(run_rows);
+    let total = |a: &Entry<I>, b: &Entry<I>| words.cmp(a, b);
+    let run = pool::run_morsels(n_runs, parallelism, &ctx.statement, |r| {
+        let lo = r * run_rows;
+        let hi = (lo + run_rows).min(n);
+        let mut run: Vec<Entry<I>> = (lo..hi).map(|row| words.entry::<I>(row)).collect();
+        run.sort_unstable_by(total);
+        Ok(run)
+    })?;
+    stats.note_parallel_phase(run.morsels_dispatched, run.workers_used);
+    stats.sort_runs_generated += run.results.len() as u64;
+    stats.merge_fanin = stats.merge_fanin.max(run.results.len() as u64);
+    let merged = merge_runs(&run.results, end, &ctx.statement, total)?;
+    Ok(merged.into_iter().map(|e| e.1).collect())
 }
 
 // ---------------------------------------------------------------------------
@@ -470,43 +567,35 @@ pub fn sort_batch(
         return Ok(input.take(&[]));
     }
 
-    // The index permutation is the sort's working state: budgeted, and
-    // released by RAII on every exit path.
+    // The key words are the sort's working state: budgeted before they
+    // are built, and released by RAII on every exit path.
     let mut lease = BudgetLease::new(&ctx.statement);
-    let cmp = RowComparator::new(input, keys)?;
-
-    let word = std::mem::size_of::<usize>() as u64;
-    if opts.limit.is_some() && end.saturating_mul(TOPK_FACTOR) <= n {
-        // Candidate sets are bounded at morsels · end positions.
-        let morsels = pool::row_morsels(n, parallelism, CHECK_ROWS).len() as u64;
-        lease
-            .charge(morsels * end as u64 * word)
-            .inspect_err(|_| stats.budget_rejections += 1)?;
-        let positions = top_k(n, end, &cmp, parallelism, ctx, stats)?;
-        return take_rows(input, &positions[start..], parallelism, ctx, stats);
+    let words = SortWords::new(input, keys)?;
+    let entry = (words.inline as u64 + 1) * 8;
+    let topk = opts.limit.is_some() && end.saturating_mul(TOPK_FACTOR) <= n;
+    let held = if topk {
+        // Candidate sets are bounded at morsels · end entries.
+        pool::row_morsels(n, parallelism, CHECK_ROWS).len() as u64 * end as u64 * entry
+    } else {
+        // The runs, the merged prefix and its positions.
+        (n + end) as u64 * entry + end as u64 * 8
+    };
+    lease.charge(held).inspect_err(|_| stats.budget_rejections += 1)?;
+    macro_rules! sorted {
+        ($i:literal) => {
+            if topk {
+                top_k::<$i>(n, end, &words, parallelism, ctx, stats)
+            } else {
+                full_sort::<$i>(n, end, run_rows, &words, parallelism, ctx, stats)
+            }
+        };
     }
-
-    // Full sort: the permutation plus the merged prefix.
-    lease
-        .charge((n + end) as u64 * word)
-        .inspect_err(|_| stats.budget_rejections += 1)?;
-    let n_runs = n.div_ceil(run_rows);
-    let run = pool::run_morsels(n_runs, parallelism, &ctx.statement, |r| {
-        let lo = r * run_rows;
-        let hi = (lo + run_rows).min(n);
-        let mut idx: Vec<usize> = (lo..hi).collect();
-        // Stable within the run; runs cover ascending disjoint ranges, so
-        // the merge's lowest-run-wins tie-break restores global input
-        // order for equal keys.
-        idx.sort_by(|&a, &b| cmp.cmp_rows(a, b));
-        Ok(idx)
-    })?;
-    stats.note_parallel_phase(run.morsels_dispatched, run.workers_used);
-    stats.sort_runs_generated += run.results.len() as u64;
-    stats.merge_fanin = stats.merge_fanin.max(run.results.len() as u64);
-    let positions = merge_sorted_runs(&run.results, end, &ctx.statement, &|a, b| {
-        cmp.cmp_rows(a, b)
-    })?;
+    let positions = match words.inline {
+        1 => sorted!(1),
+        2 => sorted!(2),
+        3 => sorted!(3),
+        _ => sorted!(4),
+    }?;
     take_rows(input, &positions[start..], parallelism, ctx, stats)
 }
 

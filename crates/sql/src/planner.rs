@@ -2253,6 +2253,17 @@ fn to_column_predicate(
             }
             let table_col = projection[col];
             let dt = schema.field(table_col).data_type;
+            // A numeric bound becomes a code range only if the column's
+            // type holds it exactly; `b > 2.5` on an integer column, or a
+            // bound outside the type's range, stays a residual, which
+            // compares as `Expr::eval` does.
+            if lit.is_numeric() && dt.is_numeric() {
+                match coerce_datum(lit.clone(), dt) {
+                    Ok(Datum::Decimal(v, _)) if i64::try_from(v).is_err() => return None,
+                    Ok(v) if v.sql_cmp(&lit) == std::cmp::Ordering::Equal => {}
+                    _ => return None,
+                }
+            }
             let (lo, hi) = match op {
                 CmpOp::Eq => (Some(lit.clone()), Some(lit)),
                 CmpOp::Le => (None, Some(lit)),

@@ -698,6 +698,106 @@ fn top_k_path_matches_full_sort() {
     }
 }
 
+/// The value order a stable reference sort compares one key by, written
+/// out here rather than shared with the engine: NULL placement follows
+/// NULLS FIRST/LAST alone, DESC reverses the rest, integers compare as
+/// `i64`, doubles as IEEE with every NaN tied above `+inf` and `-0.0` tying
+/// `+0.0`, strings byte by byte.
+fn reference_cmp(a: &Datum, b: &Datum, key: &SortKey) -> std::cmp::Ordering {
+    use std::cmp::Ordering::*;
+    let o = match (a, b) {
+        (Datum::Null, Datum::Null) => return Equal,
+        (Datum::Null, _) => return if key.nulls_last { Greater } else { Less },
+        (_, Datum::Null) => return if key.nulls_last { Less } else { Greater },
+        (Datum::Int(x), Datum::Int(y)) => x.cmp(y),
+        (Datum::Float(x), Datum::Float(y)) => match (x.is_nan(), y.is_nan()) {
+            (true, true) => Equal,
+            (true, false) => Greater,
+            (false, true) => Less,
+            _ => x.partial_cmp(y).unwrap(),
+        },
+        (Datum::Str(x), Datum::Str(y)) => x.as_bytes().cmp(y.as_bytes()),
+        other => panic!("no reference order for {other:?}"),
+    };
+    if key.asc {
+        o
+    } else {
+        o.reverse()
+    }
+}
+
+/// The word-keyed sort against a stable comparator sort: NULLs, NaNs of
+/// both signs, signed zeros, infinities, `i64::MIN/MAX`, the empty string
+/// and strings that tie on their 8-byte prefix, in a dictionary-backed and
+/// a plain string column; 1–4 keys in every direction and NULL placement;
+/// the full path and the Top-K path at widths 1, 4 and 8, with LIMIT/OFFSET
+/// windows across run edges. Rows compare by `Debug`, so which of two tied
+/// rows (a `-0.0` and a `0.0`, two NaNs) comes first counts.
+#[test]
+fn word_sort_matches_a_reference_stable_sort() {
+    use dashdb_local::encoding::dict::FreqDict;
+    use dashdb_local::encoding::histogram::Histogram;
+    let mut g = Gen(suite_seed() ^ 0x776f_7264);
+    let ints = [Datum::Null, Datum::Int(i64::MIN), Datum::Int(i64::MAX), Datum::Int(0), Datum::Int(-1), Datum::Int(7)];
+    let floats = [f64::NAN, -f64::NAN, 0.0, -0.0, f64::INFINITY, f64::NEG_INFINITY, 1.5, -2.25, f64::MIN_POSITIVE]
+        .map(Datum::Float)
+        .into_iter()
+        .chain([Datum::Null])
+        .collect::<Vec<_>>();
+    let strs = ["", "abc", "abc\0", "abcdefgh", "abcdefghA", "abcdefghB", "abcdefg", "b", "\u{ff}"]
+        .map(Datum::from)
+        .into_iter()
+        .chain([Datum::Null])
+        .collect::<Vec<_>>();
+    let schema = Schema::new(vec![
+        Field::new("i", DataType::Int64),
+        Field::new("f", DataType::Float64),
+        Field::new("s", DataType::Utf8),
+        Field::new("t", DataType::Utf8),
+    ])
+    .unwrap();
+    let n = 3 * SMALL_RUN + 123;
+    let rows: Vec<Row> = (0..n)
+        .map(|_| Row::new(vec![g.pick(&ints), g.pick(&floats), g.pick(&strs), g.pick(&strs)]))
+        .collect();
+    let mut input = Batch::from_rows(schema, &rows).unwrap();
+    let words: Vec<std::sync::Arc<str>> = strs.iter().filter_map(|d| d.as_str().map(Into::into)).collect();
+    input.set_str_dict(3, std::sync::Arc::new(FreqDict::build(&Histogram::from_values(words.iter().map(Some)))));
+    let topk_end = n / TOPK_FACTOR;
+    let windows: [(Option<usize>, usize); 6] = [
+        (None, 0),
+        (Some(SMALL_RUN + 7), SMALL_RUN - 3),
+        (Some(100), n - 50),
+        (Some(40), 0),
+        (Some(topk_end - 30), 30),
+        (Some(25), SMALL_RUN - 10),
+    ];
+    for _ in 0..24 {
+        let keys: Vec<SortKey> = (0..1 + g.below(4))
+            .map(|_| SortKey { col: g.below(4), asc: g.below(2) == 0, nulls_last: g.below(2) == 0 })
+            .collect();
+        let mut order: Vec<usize> = (0..n).collect();
+        order.sort_by(|&a, &b| {
+            keys.iter()
+                .map(|k| reference_cmp(rows[a].get(k.col), rows[b].get(k.col), k))
+                .find(|o| o.is_ne())
+                .unwrap_or(std::cmp::Ordering::Equal)
+        });
+        for &(limit, offset) in &windows {
+            let end = limit.map_or(n, |l| (offset + l).min(n));
+            let want: Vec<String> = order[offset.min(end)..end].iter().map(|&r| format!("{:?}", rows[r])).collect();
+            for par in [1, 4, 8] {
+                let o = SortOptions { limit, offset, parallelism: par, run_rows: SMALL_RUN };
+                let (out, stats) = sort_with(&input, &keys, &o);
+                let got: Vec<String> = out.to_rows().iter().map(|r| format!("{r:?}")).collect();
+                assert_eq!(got, want, "keys {keys:?} limit {limit:?} offset {offset} width {par}");
+                let topk = limit.is_some() && end * TOPK_FACTOR <= n;
+                assert_eq!(stats.sort_runs_generated == 0, topk, "keys {keys:?} limit {limit:?} offset {offset}");
+            }
+        }
+    }
+}
+
 #[test]
 fn all_equal_keys_preserve_input_order_across_runs() {
     // Every key ties: the output must be the input, at any run size and

@@ -1,7 +1,8 @@
 //! Cross-crate integration: the full SQL surface through the facade.
 
 use dashdb_local::common::dialect::Dialect;
-use dashdb_local::common::{row, Datum};
+use dashdb_local::common::types::DataType;
+use dashdb_local::common::{row, Datum, Field, Row, Schema};
 use dashdb_local::core::{Database, HardwareSpec, Session};
 
 fn session() -> Session {
@@ -488,5 +489,73 @@ fn cross_domain_join_keys_compare_in_their_common_domain() {
             let text: Vec<String> = explain.rows.iter().map(|r| r.get(0).render()).collect();
             assert!(text.iter().any(|l| l.contains(&format!("keys={label}"))), "{on}: {text:?}");
         }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Casts out of range, and the COALESCE family's laziness
+// ---------------------------------------------------------------------------
+
+/// A double cast to an integer or a decimal is an error when no value of
+/// the target type represents it — NaN, ±inf, or past the type's range
+/// after truncation — and the error names the input value. A bound that
+/// is out of an integer column's range, or between two of its values,
+/// still filters that column exactly.
+#[test]
+fn float_casts_out_of_range_are_errors() {
+    let db = Database::with_hardware(HardwareSpec::laptop());
+    let mut s = db.connect();
+    for (sql, names) in [
+        ("SELECT CAST(1e30 AS BIGINT)", "1000000000000000000000000000000"),
+        ("SELECT CAST(CAST('nan' AS DOUBLE) AS BIGINT)", "NaN"),
+        ("SELECT CAST(CAST('nan' AS DOUBLE) AS DECIMAL(10,2))", "NaN"),
+        ("SELECT CAST(CAST('inf' AS DOUBLE) AS BIGINT)", "inf"),
+        ("SELECT CAST(CAST('-inf' AS DOUBLE) AS DECIMAL(10,2))", "inf"),
+        ("SELECT CAST(9223372036854775807.0 AS BIGINT)", "9223372036854776000"),
+        ("SELECT CAST(1e30 AS INTEGER)", "1000000000000000000000000000000"),
+    ] {
+        let err = s.execute(sql).expect_err(sql);
+        assert_eq!(err.class(), "22000", "{sql}: {err}");
+        assert!(err.to_string().contains(names) && err.to_string().contains("out of range"), "{sql}: {err}");
+        assert!(!err.to_string().contains("9223372036854775807"), "{sql}: names a saturated value: {err}");
+    }
+    for (sql, want) in [
+        ("SELECT CAST(-9223372036854775808.0 AS BIGINT)", Datum::Int(i64::MIN)),
+        ("SELECT CAST(-2.9 AS BIGINT)", Datum::Int(-2)),
+        ("SELECT CAST(1.005e2 AS DECIMAL(10,2))", Datum::Decimal(10050, 2)),
+    ] {
+        assert_eq!(s.execute(sql).unwrap().rows[0].get(0), &want, "{sql}");
+    }
+    s.execute("CREATE TABLE small (x BIGINT)").unwrap();
+    assert!(s.execute("INSERT INTO small VALUES (1e30)").is_err());
+    assert!(s.execute("SELECT x FROM small").unwrap().rows.is_empty());
+    // Sealed strides: the filter runs on codes where the bound is exact.
+    let rows: Vec<Row> = (0..3000).map(|i| Row::new(vec![Datum::Int([2, 3, i64::MAX, i64::MIN][i % 4])])).collect();
+    let x = Schema::new(vec![Field::new("x", DataType::Int64)]).unwrap();
+    db.catalog().create_table("big", x, None).unwrap().write().load_rows(rows).unwrap();
+    for (pred, want) in [("x > 1e30", 0), ("x < -1e30", 0), ("x < 1e30", 3000), ("x > 2.5", 1500), ("x <= 2.5", 1500), ("x = 3.0", 750)] {
+        let out = s.execute(&format!("SELECT COUNT(*) FROM big WHERE {pred}")).unwrap();
+        assert_eq!(out.rows[0].get(0), &Datum::Int(want), "{pred}");
+    }
+}
+
+/// `COALESCE`, `NVL` and `IFNULL` evaluate an argument only where every
+/// argument before it was NULL, as the equivalent CASE does: a failing
+/// later argument fails nothing when an earlier one answers.
+#[test]
+fn the_coalesce_family_is_lazy() {
+    let db = Database::with_hardware(HardwareSpec::laptop());
+    let mut s = db.connect();
+    let rows: Vec<Row> = (0..2500).map(|i| Row::new(vec![Datum::Int(i % 7 + 1)])).collect();
+    let a = Schema::new(vec![Field::new("a", DataType::Int64)]).unwrap();
+    db.catalog().create_table("c", a, None).unwrap().write().load_rows(rows).unwrap();
+    for (dialect, f) in [(Dialect::Ansi, "COALESCE"), (Dialect::Oracle, "NVL"), (Dialect::Netezza, "IFNULL"), (Dialect::PostgreSql, "IFNULL")] {
+        s.set_dialect(dialect);
+        let case = s.execute("SELECT CASE WHEN a IS NOT NULL THEN a ELSE 6 / (a - 3) END FROM c").unwrap();
+        let lazy = s.execute(&format!("SELECT {f}(a, 6 / (a - 3)) FROM c")).unwrap_or_else(|e| panic!("{f}: {e}"));
+        assert_eq!(lazy.rows, case.rows, "{f}");
+        assert_eq!(s.execute(&format!("SELECT COUNT(*) FROM c WHERE {f}(a, 6 / (a - 3)) > 2")).unwrap().rows[0].get(0), &Datum::Int(1785), "{f}");
+        // Where the earlier argument is NULL the later one runs, and fails.
+        assert!(s.execute(&format!("SELECT {f}(CAST(NULL AS BIGINT), 6 / (a - 3)) FROM c")).is_err(), "{f}");
     }
 }

@@ -7,7 +7,9 @@
 //! column's declared type, and a debug build's executor checks the same of
 //! every value it stores on the way. A computed key must behave exactly
 //! like the same values stored in a column. A last leg calls every builtin
-//! once and checks its result against its registered rule.
+//! once and checks its result against its registered rule. Every
+//! generated expression also evaluates column at a time exactly as it does
+//! row at a time.
 
 #[path = "common/gen.rs"]
 mod gen;
@@ -17,7 +19,10 @@ use dashdb_local::common::dialect::Dialect;
 use dashdb_local::common::types::DataType;
 use dashdb_local::common::{date, Datum, Field, Row, Schema};
 use dashdb_local::core::{Database, HardwareSpec, Session};
-use dashdb_local::exec::functions::builtin_registry;
+use dashdb_local::exec::expr::{eval_columns, Expr};
+use dashdb_local::exec::functions::{builtin_registry, EvalContext};
+use dashdb_local::exec::{execute, Batch, PhysicalPlan};
+use dashdb_local::sql::{parse_statement, plan_select, Statement};
 use std::sync::Arc;
 
 /// The generated table's columns and their declared types.
@@ -380,4 +385,100 @@ fn every_builtin_returns_the_type_its_rule_declares() {
         assert!(!v.is_null(), "{sql}: NULL proves nothing");
         assert!(v.has_type(declared), "{sql}: {v:?} is not of the declared {declared}");
     }
+}
+
+// ---------------------------------------------------------------------------
+// Column-at-a-time evaluation against row-at-a-time evaluation
+// ---------------------------------------------------------------------------
+
+/// Shapes whose later operands fail where an earlier one already decides
+/// the row: row-at-a-time evaluation never reaches them there.
+const SHORT_CIRCUITS: [&str; 9] = [
+    "CASE WHEN b <> 0 AND i / b > 1 THEN 1 ELSE 0 END",
+    "CASE WHEN b = 0 OR i / b > 1 THEN 1 END",
+    "CASE WHEN i = 7 THEN 0 ELSE 6 / (i - 7) END",
+    "CASE WHEN i IS NULL THEN 0 WHEN i = 0 THEN 1 ELSE 100 / i END",
+    "CASE WHEN NOT (f = 0) AND 1 / f > 0 THEN f END",
+    "COALESCE(i, 6 / (i - 7))",
+    "NVL(b, 1 / b)",
+    "COALESCE(d, e * e * e, 1)",
+    "CASE WHEN b > 0 THEN b * 2 WHEN b < 0 THEN b - 1 END",
+];
+
+/// The lowered select list of `SELECT <exprs> FROM <t>`, and the batch its
+/// projection reads: the scan below it.
+fn lowered(db: &Arc<Database>, t: &str, exprs: &[String]) -> Option<(Vec<Expr>, Batch)> {
+    let sql = format!("SELECT {} FROM {t}", exprs.join(", "));
+    let Ok(Statement::Select(select)) = parse_statement(&sql, Dialect::Oracle) else { return None };
+    let ctx = EvalContext::default();
+    let plan = plan_select(&select, db.catalog().as_ref(), Dialect::Oracle, &ctx).ok()?;
+    let PhysicalPlan::Project { input, exprs, .. } = plan else { return None };
+    let (batch, _) = execute(&input, &ctx).unwrap();
+    Some((exprs, batch))
+}
+
+/// `e` evaluated column at a time at rows `rows` and selection `sel`
+/// agrees with `Expr::eval` at each of those rows: the same values where
+/// every row answers, a failure where one fails. `eval_columns`, which
+/// falls back to row-major evaluation, reports the first error in row
+/// order. Values compare by `Debug`, so a zero's sign and NaN count.
+fn agree(e: &Expr, batch: &Batch, rows: std::ops::Range<usize>, sel: Option<&[usize]>, what: &str) -> bool {
+    let ctx = EvalContext::default();
+    let at: Vec<usize> = match sel {
+        Some(s) => s.to_vec(),
+        None => (0..rows.len()).collect(),
+    };
+    let by_row: Vec<_> = at.iter().map(|&i| e.eval(batch, rows.start + i, &ctx)).collect();
+    let first_err = by_row.iter().find_map(|r| r.as_ref().err().map(|e| e.to_string()));
+    match e.eval_column(batch, rows.clone(), sel, &ctx) {
+        Ok(col) => {
+            assert_eq!(first_err, None, "{what}: column evaluation answered where a row fails");
+            for (&i, v) in at.iter().zip(&by_row) {
+                let v = v.as_ref().unwrap();
+                assert_eq!(format!("{:?}", col.datum(i)), format!("{v:?}"), "{what}: row {}", rows.start + i);
+            }
+        }
+        Err(err) => assert!(first_err.is_some(), "{what}: column evaluation failed ({err}) where every row answers"),
+    }
+    if sel.is_none() {
+        let public = eval_columns(std::slice::from_ref(e), batch, rows, &ctx);
+        assert_eq!(public.err().map(|e| e.to_string()), first_err, "{what}: the first error in row order");
+    }
+    first_err.is_none()
+}
+
+#[test]
+fn column_evaluation_matches_row_evaluation() {
+    let (db, _s, mut g) = setup(0x636f_6c73);
+    // A third table of boundary rows whose doubles are the non-finite and
+    // signed-zero ones.
+    let rows: Vec<Row> = (0..2 * 1024 + 17)
+        .map(|_| {
+            let mut r = gen_row(&mut g, true);
+            r.0[4] = g.pick(&[Datum::Float(f64::INFINITY), Datum::Float(f64::NEG_INFINITY), Datum::Float(-f64::NAN), Datum::Float(-0.0), Datum::Float(f64::NAN), Datum::Null]);
+            r
+        })
+        .collect();
+    db.catalog().create_table("w", schema(), None).unwrap().write().load_rows(rows).unwrap();
+    let mut exprs: Vec<String> = SHORT_CIRCUITS.iter().map(|s| s.to_string()).collect();
+    exprs.extend(expressions(&mut g, 150).into_iter().flat_map(|(e, o)| [e, o]));
+    exprs.extend(["i + b", "-b", "-f", "b * 2", "e = CAST(e AS DOUBLE)", "d <> CAST(d AS DOUBLE)", "ABS(b)", "MOD(b, i)", "CAST(f AS BIGINT)", "CAST(f AS DECIMAL(18,2))", "CAST(e AS INT)", "d + d", "d * d", "-d", "e + e", "f / f", "f = f", "f < 1.5", "NOT (i > b)", "s || 'x'", "s = 'abc'", "s < ''", "i IS NULL", "f IS NOT NULL", "i IN (7, NULL)", "s LIKE 'a%'"].map(String::from));
+    let (mut checked, mut answered) = (0, 0);
+    for t in ["t", "u", "w"] {
+        for e in &exprs {
+            // Integer literals and other untyped shapes the planner may fold
+            // into something other than one projection are skipped.
+            let Some((lowered, batch)) = lowered(&db, t, std::slice::from_ref(e)) else { continue };
+            let n = batch.len();
+            let what = format!("{e} over {t}");
+            checked += 1;
+            answered += usize::from(agree(&lowered[0], &batch, 0..n, None, &what));
+            // A morsel inside the batch, and a selection of its rows.
+            agree(&lowered[0], &batch, 5..n - 3, None, &what);
+            let sel: Vec<usize> = (0..n - 8).filter(|_| g.below(3) == 0).collect();
+            agree(&lowered[0], &batch, 5..n - 3, Some(&sel), &what);
+        }
+    }
+    assert!(checked >= exprs.len() * 2, "only {checked} expressions lowered");
+    assert!(answered * 4 >= checked, "only {answered} of {checked} evaluations answered");
 }
