@@ -12,7 +12,7 @@ use crate::wlm::WorkloadManager;
 use dash_common::dialect::Dialect;
 use dash_common::faults::{FaultAction, FaultRegistry, CKPT_CAPTURE, TXN_STAMP};
 use dash_common::ids::{SessionId, Tsn};
-use dash_common::txn::{is_pending, pending_owner, SnapshotView, TxnId, TS_NEVER};
+use dash_common::txn::{is_pending, pending, pending_owner, SnapshotView, TxnId, TS_NEVER};
 use dash_common::{DashError, DataType, Datum, Field, Result, Row, Schema, StatementContext};
 use dash_encoding::column::ColumnValues;
 use dash_exec::batch::Batch;
@@ -338,10 +338,8 @@ impl Database {
         };
         for t in ckpt.tables {
             let handle = self.catalog.create_table(&t.name, t.schema, None)?;
-            let mut table = handle.write();
-            for (i, (row, ins, del)) in t.rows.into_iter().enumerate() {
-                table.restore_row(Tsn(i as u64), row, resolve(ins), resolve(del))?;
-            }
+            let rows = t.rows.into_iter();
+            handle.write().append(rows.map(|(row, ins, del)| (row, resolve(ins), resolve(del))))?;
         }
         // Pass 2: apply the chain in log order. Row records consult the
         // commit map; records for tables dropped later in the log are
@@ -385,7 +383,7 @@ impl Database {
                         // position space — the wipe replays afterwards in
                         // log order either way).
                         if tsn.0 == t.total_rows() {
-                            t.restore_row(*tsn, row.clone(), ins, TS_NEVER)?;
+                            t.append([(row.clone(), ins, TS_NEVER)])?;
                         }
                     }
                     WalRecord::Delete { txn, table, tsn } => {
@@ -876,10 +874,12 @@ impl Session {
         result
     }
 
-    /// Execute a `;`-separated script, stopping at the first error.
+    /// Execute a `;`-separated script, stopping at the first error. The
+    /// script is tokenized whole before anything runs, so one that does
+    /// not tokenize fails before its first statement.
     pub fn execute_script(&mut self, sql: &str) -> Result<Vec<QueryResult>> {
         let mut out = Vec::new();
-        for stmt in split_statements(sql) {
+        for stmt in split_statements(sql)? {
             out.push(self.execute(&stmt)?);
         }
         Ok(out)
@@ -1431,15 +1431,18 @@ impl Session {
     }
 
     /// The one write path: apply a statement's row changes to `table`
-    /// inside the open transaction, in order, under one table write lock.
-    /// A delete is first-writer-wins ([`ColumnTable::mvcc_delete`] raises
-    /// the `WriteConflict` that rolls the transaction back); a row already
-    /// gone in this transaction's view is skipped, and with it a
-    /// `Replace`'s replacement. Each applied delete and insert is logged
-    /// while the lock is held, so log order equals TSN order per table —
-    /// the invariant replay's `restore_row` asserts — and remembered for
-    /// commit stamping and rollback. `durable` is the table's log name.
-    /// Returns the number of changes applied.
+    /// inside the open transaction, under one table write lock. Deletes
+    /// apply in order and are first-writer-wins ([`ColumnTable::mvcc_delete`]
+    /// raises the `WriteConflict` that rolls the transaction back); a row
+    /// already gone in this transaction's view is skipped, and with it a
+    /// `Replace`'s replacement. The surviving inserts then go in with one
+    /// [`ColumnTable::append`] of pending rows. Only once the whole
+    /// statement has applied are its records logged, still under the lock:
+    /// deletes first, then inserts in TSN order, so per-table log order
+    /// equals TSN order and a failed statement leaves nothing in the log.
+    /// Every touched row is remembered for commit stamping and rollback.
+    /// `durable` is the table's log name. Returns the number of changes
+    /// applied.
     fn write(
         &mut self,
         table: &SharedTable,
@@ -1448,6 +1451,7 @@ impl Session {
     ) -> Result<u64> {
         let (txn, snapshot_ts) = self.active_txn()?;
         let mut t = table.write();
+        let (mut deleted, mut inserts) = (Vec::new(), Vec::new());
         let mut applied = 0;
         for change in changes {
             let (delete, insert) = match change {
@@ -1459,29 +1463,27 @@ impl Session {
                 if !t.mvcc_delete(tsn, txn, snapshot_ts)? {
                     continue;
                 }
-                if let Some(key) = &durable {
-                    self.db.wal_append(&WalRecord::Delete {
-                        txn,
-                        table: key.clone(),
-                        tsn,
-                    })?;
-                }
                 self.record_write(table.clone(), tsn, WriteKind::Delete);
+                deleted.push(tsn);
             }
-            if let Some(row) = insert {
-                let logged = durable.as_ref().map(|key| (key.clone(), row.clone()));
-                let tsn = t.mvcc_insert(row, txn)?;
-                if let Some((key, row)) = logged {
-                    self.db.wal_append(&WalRecord::Insert {
-                        txn,
-                        table: key,
-                        tsn,
-                        row,
-                    })?;
-                }
-                self.record_write(table.clone(), tsn, WriteKind::Insert);
-            }
+            inserts.extend(insert);
             applied += 1;
+        }
+        let logged = if durable.is_some() { inserts.clone() } else { Vec::new() };
+        let first = t.append(inserts.into_iter().map(|row| (row, pending(txn), TS_NEVER)))?;
+        let inserted = (first.0..t.total_rows()).map(Tsn);
+        for tsn in inserted.clone() {
+            self.record_write(table.clone(), tsn, WriteKind::Insert);
+        }
+        if let Some(key) = &durable {
+            for tsn in deleted {
+                let table = key.clone();
+                self.db.wal_append(&WalRecord::Delete { txn, table, tsn })?;
+            }
+            for (tsn, row) in inserted.zip(logged) {
+                let table = key.clone();
+                self.db.wal_append(&WalRecord::Insert { txn, table, tsn, row })?;
+            }
         }
         Ok(applied)
     }

@@ -148,6 +148,15 @@ impl ColumnValues {
         }
     }
 
+    /// Keep only the first `len` values.
+    pub fn truncate(&mut self, len: usize) {
+        match self {
+            ColumnValues::Int(v) => v.truncate(len),
+            ColumnValues::Float(v) => v.truncate(len),
+            ColumnValues::Str(v) => v.truncate(len),
+        }
+    }
+
     /// Append every value of `other` (same variant) — the stitch step that
     /// reassembles per-morsel partial columns in morsel order. When `self`
     /// is still empty the whole vector is moved, not copied.

@@ -141,7 +141,7 @@ impl Batch {
         (0..self.len).map(|i| self.row(i)).collect()
     }
 
-    /// Keep only the rows at `positions` (ascending), producing a new batch.
+    /// The rows at `positions`, in that order, as a new batch.
     pub fn take(&self, positions: &[usize]) -> Batch {
         let columns = self
             .columns
@@ -186,17 +186,21 @@ impl Batch {
         self.dicts.get(col).and_then(|d| d.as_ref())
     }
 
-    /// Concatenate batches of identical schemas.
-    pub fn concat(schema: Schema, batches: &[Batch]) -> Result<Batch> {
-        let rows: Vec<Row> = batches.iter().flat_map(|b| b.to_rows()).collect();
-        Batch::from_rows(schema, &rows)
+    /// This batch's columns followed by `column`, under `schema` (which
+    /// names the new column). Dictionaries stay attached.
+    pub fn with_column(&self, schema: Schema, column: ColumnValues) -> Result<Batch> {
+        let mut columns = self.columns.clone();
+        columns.push(column);
+        let mut out = Batch::new(schema, columns)?;
+        out.dicts = self.dicts.clone();
+        Ok(out)
     }
 
-    /// Concatenate batches column-at-a-time, preserving dictionary
-    /// metadata — the pipeline sinks' stitch step. Unlike [`Batch::concat`]
-    /// this never round-trips through rows, and a column keeps its
-    /// dictionary when every non-empty input agrees on it (pointer
-    /// identity), so the operate-on-compressed key path survives the seam.
+    /// Concatenate batches of one schema column-at-a-time, preserving
+    /// dictionary metadata — UNION ALL and the pipeline sinks' stitch
+    /// step. A column keeps its dictionary when every non-empty input
+    /// agrees on it (pointer identity), so the operate-on-compressed key
+    /// path survives the seam.
     pub fn concat_columnar(schema: Schema, batches: Vec<Batch>) -> Result<Batch> {
         let ncols = schema.len();
         let mut dicts: Vec<Option<Arc<FreqDict<Arc<str>>>>> = vec![None; ncols];
@@ -366,8 +370,8 @@ mod tests {
     fn concat_batches() {
         let a = Batch::from_rows(schema(), &[row![1i64, "a"]]).unwrap();
         let b = Batch::from_rows(schema(), &[row![2i64, "b"]]).unwrap();
-        let c = Batch::concat(schema(), &[a, b]).unwrap();
-        assert_eq!(c.len(), 2);
+        let c = Batch::concat_columnar(schema(), vec![a, b]).unwrap();
+        assert_eq!(c.to_rows(), vec![row![1i64, "a"], row![2i64, "b"]]);
     }
 
     #[test]
@@ -380,7 +384,7 @@ mod tests {
         a.set_str_dict(1, dict.clone());
         let mut b = Batch::from_rows(schema(), &[row![2i64, "b"], row![3i64, Datum::Null]]).unwrap();
         b.set_str_dict(1, dict.clone());
-        let rowwise = Batch::concat(schema(), &[a.clone(), b.clone()]).unwrap();
+        let rowwise = Batch::from_rows(schema(), &[a.to_rows(), b.to_rows()].concat()).unwrap();
         let colwise = Batch::concat_columnar(schema(), vec![a.clone(), b.clone()]).unwrap();
         assert_eq!(colwise.to_rows(), rowwise.to_rows());
         assert!(

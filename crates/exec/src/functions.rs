@@ -23,6 +23,7 @@ use crate::agg::AggFunc;
 use crate::expr::ArithOp;
 use dash_common::dialect::{Dialect, DialectSet};
 use dash_common::fxhash::{hash_bytes, FxHashMap};
+use dash_common::row::float_to_int;
 use dash_common::{date, DashError, DataType, Datum, Result};
 use std::sync::Arc;
 
@@ -360,12 +361,18 @@ fn str_arg(args: &[Datum], i: usize) -> Result<&str> {
         .ok_or_else(|| DashError::exec(format!("argument {} must be a string", i + 1)))
 }
 
+/// Argument `i` as an integer. A fractional value truncates toward zero as
+/// in `CAST`, and NaN, ±inf or a value past `BIGINT` is out of range.
 fn int_arg(args: &[Datum], i: usize) -> Result<i64> {
     match &args[i] {
         Datum::Int(v) => Ok(*v),
-        other => other.as_float().map(|f| f as i64).ok_or_else(|| {
-            DashError::exec(format!("argument {} must be numeric, got {other:?}", i + 1))
-        }),
+        other => match other.as_float() {
+            Some(f) => float_to_int(f, DataType::Int64),
+            None => Err(DashError::exec(format!(
+                "argument {} must be numeric, got {other:?}",
+                i + 1
+            ))),
+        },
     }
 }
 
@@ -1178,6 +1185,22 @@ mod tests {
             ok("SUBSTR2", Dialect::Oracle, &["hello".into(), 99i64.into()]),
             Datum::str("")
         );
+        // A DOUBLE position or length truncates as CAST does, and NaN,
+        // ±inf or a value past BIGINT is out of range, not saturated.
+        assert_eq!(
+            ok("SUBSTR", Dialect::Oracle, &["abcdef".into(), 2.9f64.into(), 2.0f64.into()]),
+            Datum::str("bc")
+        );
+        for bad in [
+            vec!["abcdef".into(), f64::NAN.into()],
+            vec!["abcdef".into(), f64::NEG_INFINITY.into()],
+            vec!["abcdef".into(), 1i64.into(), 1e300f64.into()],
+        ] {
+            let e = call("SUBSTR", Dialect::Oracle, &bad).unwrap_err();
+            assert_eq!(e.class(), "22000", "{bad:?}: {e}");
+        }
+        let e = call("LPAD", Dialect::Oracle, &["x".into(), f64::INFINITY.into()]).unwrap_err();
+        assert_eq!(e.class(), "22000");
     }
 
     #[test]

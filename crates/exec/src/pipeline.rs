@@ -45,6 +45,7 @@ use crate::sort::{sort_batch, SortKey, SortOptions};
 use crate::stats::ExecStats;
 use dash_common::fxhash::FxHashMap;
 use dash_common::{BudgetLease, DashError, Datum, Result, Row, Schema};
+use dash_encoding::column::ColumnValues;
 use std::borrow::Cow;
 use std::ops::Range;
 
@@ -400,7 +401,7 @@ fn run_breaker(b: &Breaker<'_>, ctx: &EvalContext, stats: &mut ExecStats) -> Res
         // A finished pipeline read as-is: no operator runs, none is counted.
         Breaker::Result(_) => return inputs.pop().ok_or_else(no_input),
         Breaker::Values { schema, rows } => Batch::from_rows((*schema).clone(), rows),
-        Breaker::UnionAll(_) => Batch::concat(input(0)?.schema().clone(), &inputs),
+        Breaker::UnionAll(_) => Batch::concat_columnar(input(0)?.schema().clone(), inputs),
         Breaker::CrossJoin(..) => join::cross_join(input(0)?, input(1)?, &ctx.statement, stats),
         Breaker::ConnectBy {
             start_with,
@@ -409,7 +410,7 @@ fn run_breaker(b: &Breaker<'_>, ctx: &EvalContext, stats: &mut ExecStats) -> Res
             schema,
             ..
         } => connect_by(input(0)?, start_with, *parent, *child, schema, ctx),
-        Breaker::RowNumber { schema, .. } => row_number(input(0)?, schema, ctx),
+        Breaker::RowNumber { schema, .. } => row_number(input(0)?, schema),
         Breaker::Sort { keys, opts, .. } => sort_batch(input(0)?, keys, opts, ctx, stats),
     }?;
     stats.pipeline_breakers += 1;
@@ -417,17 +418,9 @@ fn run_breaker(b: &Breaker<'_>, ctx: &EvalContext, stats: &mut ExecStats) -> Res
 }
 
 /// Append the 1-based row number (Oracle ROWNUM).
-fn row_number(input: &Batch, schema: &Schema, ctx: &EvalContext) -> Result<Batch> {
-    let mut rows = Vec::with_capacity(input.len());
-    for i in 0..input.len() {
-        if i % BATCH_MORSEL_ROWS == 0 {
-            ctx.statement.check()?;
-        }
-        let mut r = input.row(i);
-        r.0.push(Datum::Int(i as i64 + 1));
-        rows.push(r);
-    }
-    Batch::from_rows(schema.clone(), &rows)
+fn row_number(input: &Batch, schema: &Schema) -> Result<Batch> {
+    let numbers = ColumnValues::Int((1..=input.len() as i64).map(Some).collect());
+    input.with_column(schema.clone(), numbers)
 }
 
 /// Oracle `START WITH ... CONNECT BY PRIOR`: breadth-first from the roots,
@@ -449,7 +442,8 @@ fn connect_by(
             by_parent.entry(k).or_default().push(i);
         }
     }
-    let mut out: Vec<Row> = Vec::new();
+    // Rows in visit order, each with its level.
+    let (mut order, mut levels) = (Vec::new(), Vec::new());
     let mut frontier: Vec<usize> = Vec::new();
     let mut visited = vec![false; rows.len()];
     for i in start_with.select(rows, 0..rows.len(), ctx)? {
@@ -461,9 +455,8 @@ fn connect_by(
         ctx.statement.check()?;
         let mut next = Vec::new();
         for &i in &frontier {
-            let mut r = rows.row(i);
-            r.0.push(Datum::Int(level));
-            out.push(r);
+            order.push(i);
+            levels.push(Some(level));
             if let Some(children) = by_parent.get(&rows.value(i, parent)) {
                 for &c in children {
                     if !visited[c] {
@@ -476,7 +469,7 @@ fn connect_by(
         frontier = next;
         level += 1;
     }
-    Batch::from_rows(schema.clone(), &out)
+    rows.take(&order).with_column(schema.clone(), ColumnValues::Int(levels))
 }
 
 /// What a pipeline drive pulls morsels from.

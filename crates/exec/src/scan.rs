@@ -828,20 +828,21 @@ mod tests {
     #[test]
     fn snapshot_scan_sees_only_committed_history() {
         use dash_common::ids::Tsn;
-        use dash_common::txn::TxnId;
+        use dash_common::txn::{pending, TxnId, TS_NEVER};
         let mut t = sales_table(STRIDE); // one sealed stride, pre-history
         let txn = TxnId(1);
         // Pending insert in the open stride + pending delete in the sealed one.
         let pending_tsn = t
-            .mvcc_insert(
+            .append([(
                 row![
                     9_999i64,
                     Datum::Date(20_000),
                     "region-new",
                     1.0f64
                 ],
-                txn,
-            )
+                pending(txn),
+                TS_NEVER,
+            )])
             .unwrap();
         t.mvcc_delete(Tsn(0), txn, 0).unwrap();
         let base = ScanConfig::full(1, vec![0]);
@@ -895,7 +896,7 @@ mod tests {
     fn survivor_shapes_match_residual_only_evaluation() {
         use crate::expr::CmpOp;
         use dash_common::ids::Tsn;
-        use dash_common::txn::TxnId;
+        use dash_common::txn::{pending, TxnId, TS_NEVER};
         let schema = Schema::new(vec![
             Field::not_null("id", DataType::Int64),
             Field::new("slot", DataType::Int64),
@@ -920,7 +921,7 @@ mod tests {
         // stride, one insert into the open one, both at ts 5.
         let txn = TxnId(1);
         let inserted = t
-            .mvcc_insert(row![77_777i64, 5i64, "region-1", 7.0f64], txn)
+            .append([(row![77_777i64, 5i64, "region-1", 7.0f64], pending(txn), TS_NEVER)])
             .unwrap();
         t.mvcc_delete(Tsn(9), txn, 0).unwrap();
         t.commit_insert(inserted, 5).unwrap();

@@ -33,6 +33,7 @@ use dash_common::faults::{
 };
 use dash_common::fxhash::{hash_bytes, FxHashMap};
 use dash_common::ids::{NodeId, ShardId};
+use dash_common::txn::TS_NEVER;
 use dash_common::{DashError, Datum, Result, Row, Schema, StatementContext};
 use dash_core::monitor::Monitor;
 use dash_core::{Database, HardwareSpec, QueryResult};
@@ -328,7 +329,8 @@ impl Cluster {
         Ok(())
     }
 
-    /// Route rows to shards per the table's distribution and bulk-load.
+    /// Route rows to shards per the table's distribution and append each
+    /// shard's rows in one call.
     pub fn load_rows(&self, table: &str, rows: Vec<Row>) -> Result<u64> {
         let dist = self
             .distributions
@@ -343,10 +345,7 @@ impl Cluster {
                 for shard in &shards {
                     let fsd = self.fs.mount(*shard)?;
                     let handle = fsd.db.catalog().table_handle(table)?;
-                    let mut t = handle.table.write();
-                    for r in &rows {
-                        t.insert(r.clone())?;
-                    }
+                    handle.table.write().append(rows.iter().map(|r| (r.clone(), 0, TS_NEVER)))?;
                 }
             }
             Distribution::Hash(col) => {
@@ -371,10 +370,7 @@ impl Cluster {
                     }
                     let fsd = self.fs.mount(shards[i])?;
                     let handle = fsd.db.catalog().table_handle(table)?;
-                    let mut t = handle.table.write();
-                    for r in shard_rows {
-                        t.insert(r)?;
-                    }
+                    handle.table.write().append(shard_rows.into_iter().map(|r| (r, 0, TS_NEVER)))?;
                 }
             }
         }
@@ -382,7 +378,24 @@ impl Cluster {
     }
 
     /// Run a statement on every shard (DDL, UPDATE, DELETE broadcast).
+    /// A statement that adds rows — INSERT, `CREATE TABLE … AS` — is
+    /// refused (0A000): broadcast, it would add every row once per shard
+    /// whatever the table's distribution; [`Cluster::load_rows`] routes rows.
     pub fn execute_all(&self, sql: &str) -> Result<u64> {
+        fn adds_rows(stmt: &Statement) -> bool {
+            match stmt {
+                Statement::Insert { .. } => true,
+                Statement::CreateTable { as_select, .. } => as_select.is_some(),
+                Statement::Block(stmts) => stmts.iter().any(adds_rows),
+                _ => false,
+            }
+        }
+        if adds_rows(&parse_statement(sql, self.dialect)?) {
+            return Err(DashError::unsupported(
+                "execute_all broadcasts to every shard and cannot add rows; \
+                 use Cluster::load_rows, which routes them by distribution",
+            ));
+        }
         let mut affected = 0;
         for shard in self.fs.shards() {
             let fsd = self.fs.mount(shard)?;

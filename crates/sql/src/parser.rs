@@ -28,123 +28,56 @@ pub fn parse_statement(sql: &str, dialect: Dialect) -> Result<Statement> {
     Ok(stmt)
 }
 
-/// Split a script into individual statements on `;`, respecting string
-/// literals and comments. Empty statements are dropped.
-pub fn split_statements(text: &str) -> Vec<String> {
+/// Split a script into its statements: the source text between top-level
+/// `;` tokens, so string literals, quoted identifiers and comments never
+/// split. A compound `BEGIN … END` block stays whole; `BEGIN` opens one
+/// unless the statement ends right after it or it is `BEGIN WORK` /
+/// `BEGIN TRANSACTION` (a transaction start), and `CASE … END` nests
+/// inside it. Empty statements are dropped. The whole script is tokenized
+/// first, so a script that does not tokenize fails before any statement
+/// is returned.
+pub fn split_statements(text: &str) -> Result<Vec<String>> {
+    let tokens = tokenize(text)?;
     let mut out = Vec::new();
-    let bytes = text.as_bytes();
-    let mut start = 0usize;
-    let mut i = 0usize;
-    // BEGIN ... END nesting: inner `;` separators stay in the block.
+    // Offset of the current statement's first token.
+    let mut start: Option<usize> = None;
     let mut depth = 0usize;
-    while i < bytes.len() {
-        match bytes[i] {
-            b'\'' => {
-                i += 1;
-                while i < bytes.len() {
-                    if bytes[i] == b'\'' {
-                        if bytes.get(i + 1) == Some(&b'\'') {
-                            i += 2;
-                            continue;
-                        }
-                        break;
-                    }
-                    i += 1;
-                }
+    for (k, tok) in tokens.iter().enumerate() {
+        let ends = match &tok.kind {
+            TokenKind::Eof => true,
+            TokenKind::Symbol(";") => depth == 0,
+            TokenKind::Ident(w) if w == "BEGIN" => {
+                // `Eof` ends every token list, so a next token exists.
+                let next = &tokens[k + 1].kind;
+                let starts_txn = matches!(next, TokenKind::Symbol(";") | TokenKind::Eof)
+                    || matches!(next.ident(), Some("WORK" | "TRANSACTION"));
+                depth += !starts_txn as usize;
+                false
             }
-            b'-' if bytes.get(i + 1) == Some(&b'-') => {
-                while i < bytes.len() && bytes[i] != b'\n' {
-                    i += 1;
-                }
+            TokenKind::Ident(w) if w == "CASE" => {
+                depth += 1;
+                false
             }
-            b'/' if bytes.get(i + 1) == Some(&b'*') => {
-                i += 2;
-                while i + 1 < bytes.len() && !(bytes[i] == b'*' && bytes[i + 1] == b'/') {
-                    i += 1;
-                }
-                i += 1;
+            TokenKind::Ident(w) if w == "END" => {
+                depth = depth.saturating_sub(1);
+                false
             }
-            c if c.is_ascii_alphabetic() || c == b'_' => {
-                let word_start = i;
-                while i < bytes.len()
-                    && (bytes[i].is_ascii_alphanumeric() || bytes[i] == b'_')
-                {
-                    i += 1;
-                }
-                let word = &text[word_start..i];
-                if word.eq_ignore_ascii_case("BEGIN") {
-                    // `BEGIN;` / `BEGIN WORK` / `BEGIN TRANSACTION` start a
-                    // transaction, not a compound block — no depth change,
-                    // or the splitter would swallow the rest of the script
-                    // waiting for a matching END.
-                    if begin_opens_block(text, i) {
-                        depth += 1;
-                    }
-                } else if word.eq_ignore_ascii_case("END") {
-                    depth = depth.saturating_sub(1);
-                }
-                continue; // `i` already advanced past the word
-            }
-            b';' if depth == 0 => {
-                let stmt = text[start..i].trim();
-                if !stmt.is_empty() {
-                    out.push(stmt.to_string());
-                }
-                start = i + 1;
-            }
-            _ => {}
-        }
-        i += 1;
-    }
-    let tail = text[start.min(text.len())..].trim();
-    if !tail.is_empty() {
-        out.push(tail.to_string());
-    }
-    out
-}
-
-/// Does the `BEGIN` ending at byte `i` open a compound block? It does
-/// unless the next meaningful token (skipping whitespace and comments)
-/// ends the statement or is WORK/TRANSACTION — those spell a transaction
-/// BEGIN.
-fn begin_opens_block(text: &str, mut i: usize) -> bool {
-    let bytes = text.as_bytes();
-    loop {
-        match bytes.get(i) {
-            None => return false, // end of script: `... BEGIN` = txn begin
-            Some(c) if c.is_ascii_whitespace() => i += 1,
-            Some(b'-') if bytes.get(i + 1) == Some(&b'-') => {
-                while i < bytes.len() && bytes[i] != b'\n' {
-                    i += 1;
-                }
-            }
-            Some(b'/') if bytes.get(i + 1) == Some(&b'*') => {
-                i += 2;
-                while i + 1 < bytes.len() && !(bytes[i] == b'*' && bytes[i + 1] == b'/') {
-                    i += 1;
-                }
-                i += 2;
-            }
-            Some(b';') => return false,
-            Some(c) if c.is_ascii_alphabetic() || *c == b'_' => {
-                let start = i;
-                while i < bytes.len() && (bytes[i].is_ascii_alphanumeric() || bytes[i] == b'_') {
-                    i += 1;
-                }
-                let word = &text[start..i];
-                return !word.eq_ignore_ascii_case("WORK")
-                    && !word.eq_ignore_ascii_case("TRANSACTION");
-            }
-            Some(_) => return true,
+            _ => false,
+        };
+        if !ends {
+            start.get_or_insert(tok.offset);
+        } else if let Some(s) = start.take() {
+            out.push(text[s..tok.offset].trim_end().to_string());
         }
     }
+    Ok(out)
 }
 
 struct Parser<'a> {
     tokens: Vec<Token>,
     pos: usize,
     dialect: Dialect,
-    #[allow(dead_code)]
+    /// The source text, which `CREATE VIEW` keeps as the view's body.
     sql: &'a str,
 }
 
@@ -1597,7 +1530,8 @@ mod tests {
         let stmts = split_statements(
             "BEGIN; INSERT INTO t VALUES (1); COMMIT; BEGIN WORK; ROLLBACK; \
              BEGIN UPDATE t SET v = 1; END; SELECT 1",
-        );
+        )
+        .unwrap();
         assert_eq!(
             stmts,
             vec![
@@ -1934,7 +1868,8 @@ mod tests {
     fn split_statements_keeps_blocks_whole() {
         let stmts = split_statements(
             "CREATE TABLE t (x INT); BEGIN INSERT INTO t VALUES (1); INSERT INTO t VALUES (2); END; SELECT * FROM t",
-        );
+        )
+        .unwrap();
         assert_eq!(stmts.len(), 3, "{stmts:?}");
         assert!(stmts[1].starts_with("BEGIN"));
         assert!(stmts[1].contains("VALUES (2)"));
@@ -1944,9 +1879,26 @@ mod tests {
     fn split_statements_respects_strings() {
         let stmts = split_statements(
             "INSERT INTO t VALUES ('a;b'); -- c;\nSELECT 1; /* ; */ SELECT 2",
-        );
+        )
+        .unwrap();
         assert_eq!(stmts.len(), 3);
         assert!(stmts[0].contains("a;b"));
+        // Quoted identifiers are tokens too, and CASE … END nests in a block.
+        let stmts = split_statements(
+            "SELECT 1 AS \"a;b\"; BEGIN UPDATE t SET v = CASE WHEN v > 0 THEN 1 END; END; SELECT 2",
+        )
+        .unwrap();
+        assert_eq!(
+            stmts,
+            vec![
+                "SELECT 1 AS \"a;b\"",
+                "BEGIN UPDATE t SET v = CASE WHEN v > 0 THEN 1 END; END",
+                "SELECT 2",
+            ]
+        );
+        // A script that does not tokenize is refused whole.
+        let e = split_statements("SELECT 1; SELECT 'unterminated").unwrap_err();
+        assert_eq!(e.class(), "42601");
     }
 
     #[test]

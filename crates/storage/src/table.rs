@@ -1,11 +1,13 @@
 //! Column-organized tables.
 //!
 //! A [`ColumnTable`] stores each column as a sequence of encoded blocks,
-//! one per *stride* of [`STRIDE`] tuples. Incoming rows buffer in an open
-//! (uncompressed) stride; when it fills, each column's slice is encoded and
-//! the synopsis is extended. The first sealed stride triggers encoding
-//! analysis; a bulk [`ColumnTable::load_rows`] analyzes the full data set
-//! first (the LOAD path, which is how the paper's workloads arrive).
+//! one per *stride* of [`STRIDE`] tuples. Every write — LOAD, INSERT, CTAS,
+//! UPDATE, recovery — goes through [`ColumnTable::append`]: rows are coerced
+//! into typed columns, buffered in an open (uncompressed) stride, and each
+//! full stride is encoded and added to the synopsis. A column is analysed
+//! when its first stride seals, over everything buffered then, so a bulk
+//! append analyses its whole input (the LOAD path, which is how the paper's
+//! workloads arrive).
 //!
 //! Deletes mark a per-stride visibility bitmap; updates are delete+append —
 //! the standard column-store write model, and the reason the engine "always
@@ -172,139 +174,112 @@ impl ColumnTable {
     /// non-transactionally: the row is immediately visible to every
     /// snapshot (pre-history timestamp `0`).
     pub fn insert(&mut self, row: Row) -> Result<Tsn> {
-        self.append_row(row, 0, TS_NEVER, true)
+        self.append([(row, 0, TS_NEVER)])
     }
 
-    /// Shared append path. `latest_visible` controls the latest-committed
-    /// visibility bit (clear = visible to non-snapshot scans) and whether
-    /// the row counts as live.
-    fn append_row(&mut self, row: Row, ins: u64, del: u64, latest_visible: bool) -> Result<Tsn> {
-        let row = row.coerce(&self.schema)?;
-        let tsn = Tsn(self.total_rows());
-        for (i, d) in row.values().iter().enumerate() {
-            self.open[i].push_datum(self.schema.field(i).data_type, d)?;
+    /// The one append, used by every write: rows, each with its insert and
+    /// delete timestamp words, go to the end of the table in order. Every
+    /// row is coerced into typed columns before any position is assigned,
+    /// so a bad row leaves the table unchanged. A row is visible to
+    /// latest-committed scans (and counts as live) iff its insert word is
+    /// committed and its delete word is not. Returns the first row's TSN.
+    pub fn append(&mut self, rows: impl IntoIterator<Item = (Row, u64, u64)>) -> Result<Tsn> {
+        let first = self.total_rows() as usize;
+        if let Err(e) = self.buffer(rows) {
+            for values in &mut self.open {
+                values.truncate(self.open_rows);
+            }
+            self.insert_ts.truncate(first);
+            self.delete_ts.truncate(first);
+            return Err(e);
         }
-        self.open_deleted.push(!latest_visible);
-        self.insert_ts.push(ins);
-        self.delete_ts.push(del);
-        self.open_rows += 1;
-        if latest_visible {
-            self.live_rows += 1;
+        for pos in first..self.insert_ts.len() {
+            let visible = committed(self.insert_ts[pos]) && !committed(self.delete_ts[pos]);
+            self.open_deleted.push(!visible);
+            self.live_rows += visible as u64;
         }
-        if self.open_rows == STRIDE {
-            self.seal_open_stride()?;
-        }
-        Ok(tsn)
+        self.open_rows = self.open_deleted.len();
+        self.seal()?;
+        Ok(Tsn(first as u64))
     }
 
-    /// Bulk load: analyze encodings over the *entire* data set first (best
-    /// compression), then encode stride by stride. Replaces prior contents.
+    /// Bulk load: replaces prior contents with `rows` as pre-history, and
+    /// every column is analysed over the entire data set (the LOAD path),
+    /// even one too small to fill a stride. A bad row leaves the old
+    /// contents in place.
     pub fn load_rows(&mut self, rows: Vec<Row>) -> Result<u64> {
-        // Stage all values per column.
-        let mut staged: Vec<ColumnValues> = self
-            .schema
-            .fields()
-            .iter()
-            .map(|f| ColumnValues::empty_for(f.data_type))
-            .collect();
-        let mut count = 0u64;
-        for row in rows {
-            let row = row.coerce(&self.schema)?;
-            for (i, d) in row.values().iter().enumerate() {
-                staged[i].push_datum(self.schema.field(i).data_type, d)?;
-            }
-            count += 1;
-        }
-        self.reset();
-        // Global analysis.
-        for (i, values) in staged.iter().enumerate() {
-            let enc = self.compressor.analyze(values);
-            self.columns[i].str_dict = str_dict_of(&enc);
-            self.columns[i].encoding = Some(enc);
-        }
-        // Encode full strides.
-        let n = count as usize;
-        let full = n / STRIDE;
-        for s in 0..full {
-            let range = s * STRIDE..(s + 1) * STRIDE;
-            for (i, values) in staged.iter().enumerate() {
-                let enc = self.columns[i]
-                    .encoding
-                    .as_ref()
-                    .ok_or_else(|| DashError::internal("column missing encoding after analysis"))?;
-                let block = self.compressor.encode_block(enc, values, range.clone());
-                self.synopsis
-                    .push_stride(i, self.compressor.block_min_max(enc, &block)?, block.null_count() > 0);
-                self.columns[i].blocks.push(block);
-            }
-            self.deleted.push(None);
-        }
-        // Remainder stays in the open stride.
-        for (i, values) in staged.into_iter().enumerate() {
-            self.open[i] = values.slice(full * STRIDE..n);
-        }
-        self.open_rows = n - full * STRIDE;
-        self.open_deleted = vec![false; self.open_rows];
-        self.live_rows = count;
-        // Bulk-loaded rows are pre-history: visible to every snapshot.
-        self.insert_ts = vec![0; n];
-        self.delete_ts = vec![TS_NEVER; n];
+        let count = rows.len() as u64;
+        let mut loaded = ColumnTable::new(self.name.clone(), self.schema.clone());
+        loaded.append(rows.into_iter().map(|r| (r, 0, TS_NEVER)))?;
+        loaded.analyse();
+        *self = loaded;
         Ok(count)
     }
 
-    fn reset(&mut self) {
-        for c in &mut self.columns {
-            c.encoding = None;
-            c.str_dict = None;
-            c.blocks.clear();
+    /// Coerce `rows` onto the end of the open stride's columns, and their
+    /// words onto the word arrays, without assigning them positions.
+    fn buffer(&mut self, rows: impl IntoIterator<Item = (Row, u64, u64)>) -> Result<()> {
+        for (row, ins, del) in rows {
+            let row = row.coerce(&self.schema)?;
+            for (i, d) in row.values().iter().enumerate() {
+                self.open[i].push_datum(self.schema.field(i).data_type, d)?;
+            }
+            self.insert_ts.push(ins);
+            self.delete_ts.push(del);
         }
-        for (i, f) in self.schema.fields().iter().enumerate() {
-            self.open[i] = ColumnValues::empty_for(f.data_type);
-        }
-        self.open_rows = 0;
-        self.open_deleted.clear();
-        self.deleted.clear();
-        self.synopsis = Synopsis::new(self.schema.len());
-        self.live_rows = 0;
-        self.insert_ts.clear();
-        self.delete_ts.clear();
+        Ok(())
     }
 
-    fn seal_open_stride(&mut self) -> Result<()> {
-        debug_assert_eq!(self.open_rows, STRIDE);
-        for i in 0..self.columns.len() {
-            if self.columns[i].encoding.is_none() {
-                // First seal: analyze on what we have.
-                let enc = self.compressor.analyze(&self.open[i]);
-                self.columns[i].str_dict = str_dict_of(&enc);
-                self.columns[i].encoding = Some(enc);
+    /// Give every column without an encoding one, analysed over everything
+    /// buffered in the open stride.
+    fn analyse(&mut self) {
+        for (col, values) in self.columns.iter_mut().zip(&self.open) {
+            if col.encoding.is_none() {
+                let enc = self.compressor.analyze(values);
+                col.str_dict = str_dict_of(&enc);
+                col.encoding = Some(enc);
             }
         }
-        for i in 0..self.columns.len() {
-            let enc = self.columns[i]
+    }
+
+    /// The one sealer: encode every full stride of the open buffer in one
+    /// pass and keep the remainder open. A column without an encoding yet
+    /// is first analysed over everything buffered — the whole input of a
+    /// bulk append, which is how LOAD gets its global analysis.
+    fn seal(&mut self) -> Result<()> {
+        let full = self.open_rows / STRIDE;
+        if full == 0 {
+            return Ok(());
+        }
+        self.analyse();
+        let sealed = full * STRIDE;
+        for (i, col) in self.columns.iter_mut().enumerate() {
+            let values = &self.open[i];
+            let enc = col
                 .encoding
                 .as_ref()
                 .ok_or_else(|| DashError::internal("column missing encoding after analysis"))?;
-            let block = self
-                .compressor
-                .encode_block(enc, &self.open[i], 0..STRIDE);
-            self.synopsis.push_stride(
-                i,
-                self.compressor.block_min_max(enc, &block)?,
-                block.null_count() > 0,
-            );
-            self.columns[i].blocks.push(block);
-            self.open[i] = ColumnValues::empty_for(self.schema.field(i).data_type);
+            for s in 0..full {
+                let block = self
+                    .compressor
+                    .encode_block(enc, values, s * STRIDE..(s + 1) * STRIDE);
+                self.synopsis.push_stride(
+                    i,
+                    self.compressor.block_min_max(enc, &block)?,
+                    block.null_count() > 0,
+                );
+                col.blocks.push(block);
+            }
+            self.open[i] = values.slice(sealed..self.open_rows);
         }
-        // Carry open-stride deletes into the sealed bitmap.
-        let any_deleted = self.open_deleted.iter().any(|&d| d);
-        self.deleted.push(if any_deleted {
-            Some(Bitmap::from_bools(self.open_deleted.iter().copied()))
-        } else {
-            None
-        });
-        self.open_deleted.clear();
-        self.open_rows = 0;
+        // Carry open-stride deletes into the sealed bitmaps.
+        for flags in self.open_deleted[..sealed].chunks(STRIDE) {
+            let any_deleted = flags.iter().any(|&d| d);
+            self.deleted
+                .push(any_deleted.then(|| Bitmap::from_bools(flags.iter().copied())));
+        }
+        self.open_deleted.drain(..sealed);
+        self.open_rows -= sealed;
         Ok(())
     }
 
@@ -403,12 +378,6 @@ impl ColumnTable {
     // leave it CLEAR until commit, and `live_rows` moves only at commit.
     // ------------------------------------------------------------------
 
-    /// Append a row on behalf of an in-flight transaction. The row is
-    /// invisible to everyone but `txn` until [`ColumnTable::commit_insert`].
-    pub fn mvcc_insert(&mut self, row: Row, txn: TxnId) -> Result<Tsn> {
-        self.append_row(row, pending(txn), TS_NEVER, false)
-    }
-
     /// Mark a row deleted on behalf of an in-flight transaction, applying
     /// the first-writer-wins rule against the reader's snapshot.
     ///
@@ -486,24 +455,6 @@ impl ColumnTable {
     pub fn abort_delete(&mut self, tsn: Tsn) -> Result<()> {
         let pos = self.checked_pos(tsn, "abort delete")?;
         self.delete_ts[pos] = TS_NEVER;
-        Ok(())
-    }
-
-    /// Recovery/checkpoint restore: append a row at exactly `tsn` with
-    /// explicit timestamp words. Errors if `tsn` is not the next position —
-    /// that means the log and the store disagree about history.
-    pub fn restore_row(&mut self, tsn: Tsn, row: Row, ins: u64, del: u64) -> Result<()> {
-        if tsn.0 != self.total_rows() {
-            return Err(DashError::internal(format!(
-                "log/store inconsistency: restore of {tsn} but table \"{}\" has {} rows",
-                self.name,
-                self.total_rows()
-            )));
-        }
-        // No transaction is in flight during recovery, so a word is either
-        // a committed timestamp or TS_NEVER.
-        let visible = ins != TS_NEVER && del == TS_NEVER;
-        self.append_row(row, ins, del, visible)?;
         Ok(())
     }
 
@@ -628,6 +579,12 @@ impl ColumnTable {
             column_ndv: ndv,
         }
     }
+}
+
+/// Whether a timestamp word records a committed event (pre-history or a
+/// commit timestamp), as opposed to a pending one or "never".
+fn committed(word: u64) -> bool {
+    word != TS_NEVER && !is_pending(word)
 }
 
 /// Shared dictionary handle for a freshly analyzed encoding, if any.
@@ -762,7 +719,7 @@ mod tests {
         let mut t = test_table();
         fill(&mut t, 5);
         let txn = TxnId(1);
-        let tsn = t.mvcc_insert(row![100i64, "region-x", 1.0f64], txn).unwrap();
+        let tsn = t.append([(row![100i64, "region-x", 1.0f64], pending(txn), TS_NEVER)]).unwrap();
         // Pending: invisible to latest scans and to other snapshots, but
         // visible to the writing transaction.
         assert!(t.is_deleted(tsn));
@@ -777,7 +734,9 @@ mod tests {
         assert!(t.row_visible(tsn, &SnapshotView::at(7)));
         assert!(!t.row_visible(tsn, &SnapshotView::at(6)));
         // Abort path leaves a permanent placeholder.
-        let tsn2 = t.mvcc_insert(row![101i64, "region-y", 2.0f64], TxnId(2)).unwrap();
+        let tsn2 = t
+            .append([(row![101i64, "region-y", 2.0f64], pending(TxnId(2)), TS_NEVER)])
+            .unwrap();
         t.abort_insert(tsn2).unwrap();
         assert!(t.is_deleted(tsn2));
         assert_eq!(t.live_rows(), 6);
@@ -810,12 +769,14 @@ mod tests {
     #[test]
     fn restore_and_replay_enforce_consistency() {
         let mut t = test_table();
-        t.restore_row(Tsn(0), row![1i64, "a", 1.0f64], 3, TS_NEVER).unwrap();
-        t.restore_row(Tsn(1), row![2i64, "b", 2.0f64], TS_NEVER, TS_NEVER)
+        let first = t
+            .append([
+                (row![1i64, "a", 1.0f64], 3, TS_NEVER),
+                (row![2i64, "b", 2.0f64], TS_NEVER, TS_NEVER),
+            ])
             .unwrap();
+        assert_eq!(first, Tsn(0));
         assert_eq!(t.live_rows(), 1, "aborted placeholder is not live");
-        // Gap in positions is a log/store inconsistency.
-        assert!(t.restore_row(Tsn(5), row![9i64, "z", 0.0f64], 4, TS_NEVER).is_err());
         t.replay_delete(Tsn(0), 6).unwrap();
         assert_eq!(t.live_rows(), 0);
         assert!(t.replay_delete(Tsn(0), 7).is_err(), "double replay detected");
@@ -824,6 +785,63 @@ mod tests {
         assert!(t.row_visible(Tsn(0), &SnapshotView::at(3)));
         assert!(!t.row_visible(Tsn(0), &SnapshotView::at(6)));
         assert!(!t.has_pending());
+    }
+
+    #[test]
+    fn a_bad_row_leaves_the_table_unchanged() {
+        let mut t = test_table();
+        fill(&mut t, STRIDE - 1);
+        let before = t.clone();
+        let rows = vec![
+            (row![1i64, "a", 1.0f64], 0, TS_NEVER),
+            (row![Datum::Null, "b", 2.0f64], 0, TS_NEVER),
+        ];
+        assert!(t.append(rows).is_err(), "NOT NULL id");
+        assert_eq!(t.total_rows(), before.total_rows());
+        assert_eq!(t.live_rows(), before.live_rows());
+        assert_eq!(t.open_values(0), before.open_values(0));
+        assert_eq!(t.open_values(1), before.open_values(1));
+        assert_eq!(t.insert_ts_words(), before.insert_ts_words());
+        assert_eq!(t.delete_ts_words(), before.delete_ts_words());
+        assert!(t.load_rows(vec![row![Datum::Null, "c", 0.0f64]]).is_err());
+        assert_eq!(t.total_rows(), before.total_rows(), "a failed load keeps the old rows");
+    }
+
+    #[test]
+    fn one_append_seals_every_full_stride_and_analyses_all_of_it() {
+        // The first stride holds one value, the rest are distinct: a
+        // stride-at-a-time analysis would pick a dictionary.
+        let rows: Vec<Row> = (0..STRIDE * 3 + 5)
+            .map(|i| {
+                let id = if i < STRIDE { 0 } else { i as i64 };
+                row![id, "r", 0.5f64]
+            })
+            .collect();
+        let mut loaded = test_table();
+        loaded.load_rows(rows.clone()).unwrap();
+        let mut appended = test_table();
+        fill(&mut appended, 7);
+        let first = appended
+            .append(rows.into_iter().map(|r| (r, pending(TxnId(4)), TS_NEVER)))
+            .unwrap();
+        assert_eq!(first, Tsn(7));
+        assert_eq!(appended.sealed_strides(), 3);
+        assert_eq!(appended.open_len(), 7 + 5);
+        assert_eq!(appended.live_rows(), 7, "pending inserts are not live");
+        assert_eq!(loaded.encoding(0).unwrap().name(), "minus");
+        assert_eq!(
+            format!("{:?}", appended.encoding(0)),
+            format!("{:?}", loaded.encoding(0))
+        );
+        assert!(appended.is_deleted(Tsn(STRIDE as u64 + 3)));
+        assert!(appended.stride_deleted(0).unwrap().get(7));
+        assert!(!appended.stride_deleted(0).unwrap().get(6));
+        // Under a stride, only a LOAD decides the encodings.
+        let mut small = test_table();
+        fill(&mut small, 10);
+        assert!(small.encoding(1).is_none());
+        small.load_rows((0..10).map(|i| row![i as i64, "r", 0.5f64]).collect()).unwrap();
+        assert!(small.str_dict(1).is_some());
     }
 
     #[test]
