@@ -10,11 +10,13 @@
 //! operating on compressed data (§II.B.2).
 //!
 //! Partition boundaries are chosen by a small dynamic program that minimizes
-//! total encoded bits (code bits weighted by frequency), considering
-//! boundaries at powers of two.
+//! the bits the blocks will store, considering boundaries at powers of two.
+//! A split pays selector bits only on the strides whose values it actually
+//! separates: a block whose values all fall in one partition stores no
+//! selectors, so a one-partition dictionary pays none at all.
 
 use crate::bitpack::bits_for;
-use crate::histogram::Histogram;
+use crate::histogram::{Histogram, NULL_ID};
 use dash_common::fxhash::FxHashMap;
 use serde::{Deserialize, Serialize};
 use std::hash::Hash;
@@ -43,13 +45,43 @@ pub struct FreqDict<T: Eq + Hash> {
 pub type DictCode = (u8, u64);
 
 impl<T: Eq + Hash + Clone + Ord> FreqDict<T> {
-    /// Build a dictionary from a histogram.
+    /// Build a dictionary from a histogram alone. With no row layout to go
+    /// on, a split is charged selector bits on every row.
     ///
     /// Values are tiered by frequency; each tier becomes a partition whose
     /// codes are assigned in value order. At most [`MAX_PARTITIONS`] tiers.
     pub fn build(hist: &Histogram<T>) -> FreqDict<T> {
-        let by_freq = hist.by_frequency();
-        let boundaries = choose_boundaries(&by_freq);
+        let (by_freq, _) = hist.ranked();
+        let every_row = RankSpan {
+            lo: 0,
+            hi: by_freq.len().saturating_sub(1) as u32,
+            rows: hist.total() + hist.nulls(),
+        };
+        FreqDict::from_ranked(by_freq, hist.nulls(), &[every_row])
+    }
+
+    /// Build the dictionary for rows stored in blocks of `stride` rows, in
+    /// order: `ids[i]` is row `i`'s distinct-value id from
+    /// [`Histogram::add`], or [`NULL_ID`]. A split is charged selector bits
+    /// only on the strides whose frequency ranks it separates.
+    pub fn build_strided(hist: &Histogram<T>, ids: &[u32], stride: usize) -> FreqDict<T> {
+        let (by_freq, rank) = hist.ranked();
+        let spans: Vec<RankSpan> = ids
+            .chunks(stride)
+            .map(|rows| {
+                // A NULL keeps a dummy code in partition 0, so it ranks 0.
+                let (lo, hi) = rows.iter().fold((u32::MAX, 0), |(lo, hi), &id| {
+                    let r = if id == NULL_ID { 0 } else { rank[id as usize] };
+                    (lo.min(r), hi.max(r))
+                });
+                RankSpan { lo, hi, rows: rows.len() as u64 }
+            })
+            .collect();
+        FreqDict::from_ranked(by_freq, hist.nulls(), &spans)
+    }
+
+    fn from_ranked(by_freq: Vec<(T, u64)>, nulls: u64, spans: &[RankSpan]) -> FreqDict<T> {
+        let boundaries = choose_boundaries(&by_freq, nulls, spans);
         let mut partitions = Vec::with_capacity(boundaries.len());
         let mut start = 0usize;
         for &end in &boundaries {
@@ -256,13 +288,28 @@ impl DictSized for std::sync::Arc<str> {
     }
 }
 
+/// The frequency ranks one stored stride's values span, and its rows.
+#[derive(Debug, Clone, Copy)]
+struct RankSpan {
+    lo: u32,
+    hi: u32,
+    rows: u64,
+}
+
 /// Choose partition boundaries over the frequency-sorted distinct values.
 ///
-/// Dynamic program: candidate boundaries sit at powers of two (1, 2, 4, ...,
-/// D); we pick at most [`MAX_PARTITIONS`] segments minimizing
-/// `Σ_segments (code_width(segment) + selector_overhead) · occurrences`.
-/// Returns the chosen cumulative end indices (last one == D).
-fn choose_boundaries<T>(by_freq: &[(T, u64)]) -> Vec<usize> {
+/// Candidate boundaries sit at powers of two (1, 2, 4, ..., D). For each
+/// partition count `k` up to [`MAX_PARTITIONS`], a dynamic program picks
+/// the `k` segments that minimize the bits the blocks store:
+/// - codes: each segment's code width times its occurrences, plus
+///   partition 0's width once per NULL (its dummy code);
+/// - selectors: `bits_for(k)` (one tag is reserved for exceptions) on every
+///   row of each stride in `spans` whose rank range crosses a boundary.
+///   Any other stride elides its selectors, so `k = 1` pays none.
+///
+/// Ties go to fewer partitions. Returns the chosen cumulative end indices
+/// (last one == D).
+fn choose_boundaries<T>(by_freq: &[(T, u64)], nulls: u64, spans: &[RankSpan]) -> Vec<usize> {
     let d = by_freq.len();
     if d == 0 {
         return vec![];
@@ -272,73 +319,80 @@ fn choose_boundaries<T>(by_freq: &[(T, u64)]) -> Vec<usize> {
     for (i, (_, c)) in by_freq.iter().enumerate() {
         prefix[i + 1] = prefix[i] + c;
     }
-    // Candidate boundary positions: powers of two plus D itself.
-    let mut cands: Vec<usize> = Vec::new();
+    // Segment edges: 0, the powers of two below D, and D itself.
+    let mut edges = vec![0usize];
     let mut p = 1usize;
     while p < d {
-        cands.push(p);
+        edges.push(p);
         p *= 2;
     }
-    cands.push(d);
+    edges.push(d);
+    let ne = edges.len();
 
-    // cost(a, b): encode values [a, b) as one partition.
-    let seg_cost = |a: usize, b: usize| -> u64 {
-        let width = bits_for((b - a - 1) as u64) as u64;
-        let occurrences = prefix[b] - prefix[a];
-        width * occurrences
-    };
-
-    // DP over (#partitions used, boundary index).
-    let nc = cands.len();
-    let inf = u64::MAX;
-    // best[k][j] = min cost covering [0, cands[j]) with k+1 partitions.
-    let mut best = vec![vec![inf; nc]; MAX_PARTITIONS];
-    let mut from = vec![vec![usize::MAX; nc]; MAX_PARTITIONS];
-    for j in 0..nc {
-        best[0][j] = seg_cost(0, cands[j]);
+    // crossing[s][e]: rows of the strides whose lowest rank lies in
+    // [edges[s], edges[e]) and whose highest reaches edges[e]. A boundary at
+    // edges[e] makes them store selectors; each is charged to the segment
+    // its lowest rank falls in, so no stride is charged twice.
+    let bucket = |rank: u32| edges.partition_point(|&x| x <= rank as usize) - 1;
+    let mut by_bucket = vec![vec![0u64; ne]; ne];
+    for span in spans {
+        by_bucket[bucket(span.lo)][bucket(span.hi)] += span.rows;
     }
-    for k in 1..MAX_PARTITIONS {
-        for j in 0..nc {
-            for i in 0..j {
-                if best[k - 1][i] == inf {
-                    continue;
-                }
-                let c = best[k - 1][i] + seg_cost(cands[i], cands[j]);
-                if c < best[k][j] {
-                    best[k][j] = c;
-                    from[k][j] = i;
+    let mut crossing = vec![vec![0u64; ne]; ne];
+    for (a, row) in by_bucket.iter().enumerate() {
+        for (b, &rows) in row.iter().enumerate().filter(|(_, &rows)| rows > 0) {
+            for cross_row in &mut crossing[..=a] {
+                for c in &mut cross_row[a + 1..=b] {
+                    *c += rows;
                 }
             }
         }
     }
-    // Selector overhead: with k+1 partitions the selector vector costs
-    // bits_for(k+1) bits per occurrence (the +1 reserves the exception tag).
-    let total = prefix[d];
-    let last = nc - 1;
-    let mut best_k = 0;
-    let mut best_total = inf;
-    for (k, row) in best.iter().enumerate() {
-        if row[last] == inf {
+    // The last segment crosses nothing, so one partition pays no selectors.
+    let seg_cost = |s: usize, e: usize, sel_width: u64| -> u64 {
+        let width = bits_for((edges[e] - edges[s] - 1) as u64) as u64;
+        let codes = prefix[edges[e]] - prefix[edges[s]] + if s == 0 { nulls } else { 0 };
+        width * codes + sel_width * crossing[s][e]
+    };
+
+    let inf = u64::MAX;
+    let mut best: Option<(u64, Vec<usize>)> = None;
+    for k in 1..=MAX_PARTITIONS.min(ne - 1) {
+        let sel_width = bits_for(k as u64) as u64;
+        // cost[m][e]: cheapest cover of [0, edges[e]) by m segments;
+        // from[m][e]: where its last segment starts.
+        let mut cost = vec![vec![inf; ne]; k + 1];
+        let mut from = vec![vec![0usize; ne]; k + 1];
+        cost[0][0] = 0;
+        for m in 1..=k {
+            for e in 1..ne {
+                for s in 0..e {
+                    if cost[m - 1][s] == inf {
+                        continue;
+                    }
+                    let c = cost[m - 1][s] + seg_cost(s, e, sel_width);
+                    if c < cost[m][e] {
+                        cost[m][e] = c;
+                        from[m][e] = s;
+                    }
+                }
+            }
+        }
+        let total = cost[k][ne - 1];
+        if total == inf || best.as_ref().is_some_and(|(b, _)| *b <= total) {
             continue;
         }
-        let sel = bits_for((k + 1) as u64) as u64 * total;
-        let t = row[last] + sel;
-        if t < best_total {
-            best_total = t;
-            best_k = k;
+        // Walk back the chosen boundaries.
+        let mut bounds = Vec::with_capacity(k);
+        let mut e = ne - 1;
+        for m in (1..=k).rev() {
+            bounds.push(edges[e]);
+            e = from[m][e];
         }
+        bounds.reverse();
+        best = Some((total, bounds));
     }
-    // Walk back the chosen boundaries.
-    let mut bounds = vec![cands[last]];
-    let mut k = best_k;
-    let mut j = last;
-    while k > 0 {
-        j = from[k][j];
-        bounds.push(cands[j]);
-        k -= 1;
-    }
-    bounds.reverse();
-    bounds
+    best.map(|(_, bounds)| bounds).unwrap_or_default()
 }
 
 #[cfg(test)]
@@ -364,6 +418,74 @@ mod tests {
             h.add(&(1000 + v));
         }
         h
+    }
+
+    /// `card` values with the same count, in an order that puts every
+    /// value in every stride.
+    fn uniform_hist(card: u64, rows: u64) -> (Histogram<u64>, Vec<u32>) {
+        let values: Vec<u64> = (0..rows).map(|i| i * 7 % card).collect();
+        Histogram::with_ids(values.iter().map(Some))
+    }
+
+    #[test]
+    fn uniform_histograms_build_one_partition() {
+        // A split of a uniform column saves no code bits, so it cannot pay
+        // for selectors, and one partition stores none: 23 and 1000 values
+        // used to build 3 partitions.
+        for card in [23u64, 1000] {
+            let (hist, ids) = uniform_hist(card, card * 40);
+            assert_eq!(FreqDict::build(&hist).partition_count(), 1, "{card} values");
+            let dict = FreqDict::build_strided(&hist, &ids, 1024);
+            assert_eq!(dict.partition_count(), 1, "{card} values, strided");
+        }
+    }
+
+    #[test]
+    fn skewed_histogram_still_splits() {
+        let h = skewed_hist();
+        assert!(FreqDict::build(&h).partition_count() > 1);
+        // Rows in histogram order, hot and cold mixed in every stride.
+        let mut rows: Vec<u64> = Vec::new();
+        for (v, c) in h.by_frequency() {
+            rows.extend(std::iter::repeat_n(v, c as usize));
+        }
+        let rows: Vec<u64> = (0..rows.len()).map(|i| rows[i * 7919 % rows.len()]).collect();
+        let (hist, ids) = Histogram::with_ids(rows.iter().map(Some));
+        assert!(FreqDict::build_strided(&hist, &ids, 1024).partition_count() > 1);
+    }
+
+    #[test]
+    fn clustered_strides_keep_a_split_without_paying_selectors() {
+        // 1500 equally frequent values, 200 rows each in value order: a
+        // split shortens codes, and almost no stride crosses a boundary.
+        let rows: Vec<u64> = (0..300_000u64).map(|i| i / 200).collect();
+        let (hist, ids) = Histogram::with_ids(rows.iter().map(Some));
+        let dict = FreqDict::build_strided(&hist, &ids, 1024);
+        assert!(dict.partition_count() > 1);
+        // Each value's rank is its value, so a boundary falls between
+        // strides exactly when the partition changes inside none of them.
+        let crossing = rows
+            .chunks(1024)
+            .filter(|c| dict.encode(&c[0]).unwrap().0 != dict.encode(c.last().unwrap()).unwrap().0)
+            .count();
+        assert!(crossing < dict.partition_count(), "{crossing} strides cross a boundary");
+        // Charged on every row instead, the same histogram keeps fewer
+        // partitions or the same ones.
+        assert!(FreqDict::build(&hist).partition_count() <= dict.partition_count());
+    }
+
+    #[test]
+    fn ties_go_to_fewer_partitions() {
+        // 23 equally frequent values, selectors charged on every row: one
+        // partition of 5-bit codes, and three of 3-bit codes under 2-bit
+        // selectors, both cost 115 bits per 23 rows.
+        let (hist, _) = uniform_hist(23, 23 * 40);
+        assert_eq!(FreqDict::build(&hist).partition_count(), 1);
+        // Two values in separate strides split for free: 0-bit codes and
+        // no selectors beat one partition of 1-bit codes.
+        let rows: Vec<u64> = (0..4096u64).map(|i| i / 2048).collect();
+        let (hist, ids) = Histogram::with_ids(rows.iter().map(Some));
+        assert_eq!(FreqDict::build_strided(&hist, &ids, 1024).partition_count(), 2);
     }
 
     #[test]

@@ -8,10 +8,18 @@
 use dash_common::fxhash::FxHashMap;
 use std::hash::Hash;
 
+/// The id [`Histogram::with_ids`] gives a NULL row.
+pub const NULL_ID: u32 = u32::MAX;
+
 /// A value histogram: distinct values with occurrence counts.
+///
+/// Each distinct value also gets an id, its first-sight order, which
+/// [`Histogram::add`] returns so a caller can note where each row's value
+/// lands in [`Histogram::ranked`] without probing the map a second time.
 #[derive(Debug, Clone)]
 pub struct Histogram<T> {
-    counts: FxHashMap<T, u64>,
+    /// Value -> (distinct-value id, occurrences).
+    counts: FxHashMap<T, (u32, u64)>,
     total: u64,
     nulls: u64,
 }
@@ -32,20 +40,42 @@ impl<T: Eq + Hash + Clone + Ord> Histogram<T> {
         I: IntoIterator<Item = Option<&'a T>>,
         T: 'a,
     {
-        let mut h = Histogram::new();
-        for v in values {
-            match v {
-                Some(v) => h.add(v),
-                None => h.add_null(),
-            }
-        }
-        h
+        Histogram::with_ids(values).0
     }
 
-    /// Record one occurrence of `value`.
-    pub fn add(&mut self, value: &T) {
-        *self.counts.entry(value.clone()).or_insert(0) += 1;
+    /// [`Histogram::from_values`], plus each value's distinct-value id in
+    /// input order ([`NULL_ID`] for a NULL): the row layout
+    /// [`crate::dict::FreqDict::build_strided`] charges selectors against.
+    pub fn with_ids<'a, I>(values: I) -> (Histogram<T>, Vec<u32>)
+    where
+        I: IntoIterator<Item = Option<&'a T>>,
+        T: 'a,
+    {
+        let mut h = Histogram::new();
+        let ids = values
+            .into_iter()
+            .map(|v| match v {
+                Some(v) => h.add(v),
+                None => {
+                    h.add_null();
+                    NULL_ID
+                }
+            })
+            .collect();
+        (h, ids)
+    }
+
+    /// Record one occurrence of `value` and return its distinct-value id.
+    /// The value is cloned only the first time it is seen.
+    pub fn add(&mut self, value: &T) -> u32 {
         self.total += 1;
+        if let Some((id, count)) = self.counts.get_mut(value) {
+            *count += 1;
+            return *id;
+        }
+        let id = self.counts.len() as u32;
+        self.counts.insert(value.clone(), (id, 1));
+        id
     }
 
     /// Record one NULL.
@@ -71,13 +101,23 @@ impl<T: Eq + Hash + Clone + Ord> Histogram<T> {
     /// Distinct values sorted by descending frequency (ties broken by value
     /// order so the layout is deterministic).
     pub fn by_frequency(&self) -> Vec<(T, u64)> {
-        let mut v: Vec<(T, u64)> = self
+        self.ranked().0
+    }
+
+    /// [`Histogram::by_frequency`], plus each distinct-value id's rank
+    /// (its index in that order), indexed by id.
+    pub fn ranked(&self) -> (Vec<(T, u64)>, Vec<u32>) {
+        let mut v: Vec<(T, u64, u32)> = self
             .counts
             .iter()
-            .map(|(k, &c)| (k.clone(), c))
+            .map(|(k, &(id, c))| (k.clone(), c, id))
             .collect();
         v.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
-        v
+        let mut rank = vec![0u32; v.len()];
+        for (r, &(_, _, id)) in v.iter().enumerate() {
+            rank[id as usize] = r as u32;
+        }
+        (v.into_iter().map(|(k, c, _)| (k, c)).collect(), rank)
     }
 
     /// Fraction of occurrences covered by the `k` most frequent values
@@ -121,6 +161,16 @@ mod tests {
         assert_eq!(by_freq[1], (1, 2));
         assert_eq!(by_freq[2], (2, 2));
         assert_eq!(by_freq[3], (5, 1));
+    }
+
+    #[test]
+    fn ids_name_first_sight_and_rank_by_frequency() {
+        let mut h = Histogram::new();
+        let ids: Vec<u32> = [7, 3, 3, 9, 3, 7].iter().map(|v| h.add(v)).collect();
+        assert_eq!(ids, [0, 1, 1, 2, 1, 0]);
+        let (by_freq, rank) = h.ranked();
+        assert_eq!(by_freq, [(3, 3), (7, 2), (9, 1)]);
+        assert_eq!(rank, [1, 0, 2], "id 0 (7) ranks 1, id 1 (3) ranks 0");
     }
 
     #[test]

@@ -897,37 +897,68 @@ mod tests {
         use crate::expr::CmpOp;
         use dash_common::ids::Tsn;
         use dash_common::txn::{pending, TxnId, TS_NEVER};
+        use dash_encoding::block::BlockRepr;
         let schema = Schema::new(vec![
             Field::not_null("id", DataType::Int64),
             Field::new("slot", DataType::Int64),
             Field::new("region", DataType::Utf8),
             Field::new("amount", DataType::Float64),
+            Field::new("hot", DataType::Int64),
+            Field::new("tag", DataType::Utf8),
         ])
         .unwrap();
+        // `hot` and `tag` are skewed — one value in three rows of four, a
+        // cold tail in the rest — so their dictionaries split and every
+        // stride tags its rows with partition selectors. Rows past the
+        // load carry values the dictionaries never saw: exceptions.
+        let skewed_row = |i: usize| {
+            let region = format!("region-{}", i % 4);
+            let (hot, tag) = match i % 4 {
+                _ if i >= STRIDE * 3 + 40 && i.is_multiple_of(8) => {
+                    (Datum::Int(100_000 + i as i64), Datum::str(format!("new-{i}")))
+                }
+                0 => (Datum::Int((i * 7 % 601) as i64), Datum::str(format!("cold-{}", i % 97))),
+                1 => (Datum::Null, Datum::Null),
+                _ => (Datum::Int(7), Datum::str("hot")),
+            };
+            row![i as i64, (i % STRIDE) as i64, region, (i % 100) as f64, hot, tag]
+        };
         let mut t = ColumnTable::new("T", schema);
-        t.load_rows(
-            (0..STRIDE * 3 + 40)
-                .map(|i| {
-                    let region = format!("region-{}", i % 4);
-                    row![i as i64, (i % STRIDE) as i64, region, (i % 100) as f64]
-                })
-                .collect(),
-        )
-        .unwrap();
+        t.load_rows((0..STRIDE * 3 + 40).map(skewed_row).collect()).unwrap();
         for tsn in [3usize, STRIDE - 1, STRIDE, STRIDE * 2 + 17, STRIDE * 3 + 5] {
             t.delete(Tsn(tsn as u64)).unwrap();
+        }
+        // One more sealed stride under the loaded encodings, deletes and all.
+        t.append((STRIDE * 3 + 40..STRIDE * 4 + 40).map(|i| (skewed_row(i), 0, TS_NEVER)))
+            .unwrap();
+        assert_eq!(t.sealed_strides(), 4);
+        for col in [4, 5] {
+            let parts = match t.encoding(col) {
+                Some(ColumnEncoding::IntDict { dict, .. }) => dict.partition_count(),
+                Some(ColumnEncoding::StrDict { dict, .. }) => dict.partition_count(),
+                other => panic!("column {col} is not dictionary-coded: {other:?}"),
+            };
+            assert!(parts > 1, "column {col} has {parts} partition(s)");
+            let tagged = |s: usize| match &t.block(col, s).repr {
+                BlockRepr::Dict { selectors, exceptions, .. } => {
+                    (selectors.is_some(), !exceptions.is_empty())
+                }
+                BlockRepr::Minus(_) => (false, false),
+            };
+            assert!((0..3).all(|s| tagged(s) == (true, false)), "column {col}");
+            assert_eq!(tagged(3), (true, true), "column {col}: exceptions in stride 3");
         }
         // A committed history for the snapshot legs: one delete in a sealed
         // stride, one insert into the open one, both at ts 5.
         let txn = TxnId(1);
         let inserted = t
-            .append([(row![77_777i64, 5i64, "region-1", 7.0f64], pending(txn), TS_NEVER)])
+            .append([(row![77_777i64, 5i64, "region-1", 7.0f64, 7i64, "hot"], pending(txn), TS_NEVER)])
             .unwrap();
         t.mvcc_delete(Tsn(9), txn, 0).unwrap();
         t.commit_insert(inserted, 5).unwrap();
         t.commit_delete(Tsn(9), 5).unwrap();
 
-        let n = (STRIDE * 3 + 40) as i64;
+        let n = (STRIDE * 4 + 40) as i64;
         let range = |col: usize, lo: Datum, hi: Datum| {
             let pushed = ColumnPredicate::Range { col, lo: Some(lo.clone()), hi: Some(hi.clone()) };
             let cmp = |op, bound: Datum| {
@@ -939,9 +970,15 @@ mod tests {
             ("one per stride", range(1, Datum::Int(5), Datum::Int(5))),
             ("all survive", range(0, Datum::Int(-5), Datum::Int(n + 100_000))),
             ("none survive", range(0, Datum::Int(n + 100_000), Datum::Int(n + 200_000))),
-            ("open stride only", range(0, Datum::Int(STRIDE as i64 * 3), Datum::Int(n + 100_000))),
+            ("open stride only", range(0, Datum::Int(STRIDE as i64 * 4), Datum::Int(n + 100_000))),
             ("dictionary range", range(3, Datum::Float(10.0), Datum::Float(10.0))),
             ("string equality", range(2, Datum::str("region-1"), Datum::str("region-1"))),
+            ("tagged hot value", range(4, Datum::Int(7), Datum::Int(7))),
+            ("tagged cold range", range(4, Datum::Int(100), Datum::Int(400))),
+            ("tagged exceptions", range(4, Datum::Int(100_000), Datum::Int(100_000 + n))),
+            ("tagged string hot", range(5, Datum::str("hot"), Datum::str("hot"))),
+            ("tagged string cold", range(5, Datum::str("cold-1"), Datum::str("cold-3"))),
+            ("tagged string exceptions", range(5, Datum::str("new-"), Datum::str("new-~"))),
         ];
         for (what, (pushed, expr)) in shapes {
             for snapshot in [None, Some(SnapshotView::at(4)), Some(SnapshotView::at(5))] {
@@ -949,7 +986,7 @@ mod tests {
                     let common = ScanConfig {
                         snapshot,
                         include_tsn,
-                        ..ScanConfig::full(1, vec![2, 0, 3])
+                        ..ScanConfig::full(1, vec![2, 0, 3, 4, 5])
                     };
                     let fast = ScanConfig { predicates: vec![pushed.clone()], ..common.clone() };
                     let plain = ScanConfig {
@@ -962,7 +999,7 @@ mod tests {
                     assert_eq!(a.to_rows(), b.to_rows(), "{what}, snapshot {snapshot:?}");
                     match what {
                         "none survive" => assert!(a.is_empty()),
-                        "all survive" => assert!(a.len() >= STRIDE * 3 + 40 - 6),
+                        "all survive" => assert!(a.len() >= STRIDE * 4 + 40 - 6),
                         _ => assert!(!a.is_empty(), "{what}"),
                     }
                 }

@@ -2098,6 +2098,7 @@ pub fn pushdown(plan: PhysicalPlan, provider: &dyn SchemaProvider) -> PhysicalPl
                 let mut conjuncts = Vec::new();
                 flatten_and(predicate, &mut conjuncts);
                 let compressed = provider.compressed_predicates();
+                let schema = table.read().schema().clone();
                 let mut residual: Vec<Expr> = Vec::new();
                 for c in conjuncts {
                     let pushed = if compressed {
@@ -2106,7 +2107,7 @@ pub fn pushdown(plan: PhysicalPlan, provider: &dyn SchemaProvider) -> PhysicalPl
                         None
                     };
                     match pushed {
-                        Some(p) => config.predicates.push(p),
+                        Some(p) => push_intersected(&mut config.predicates, p, &schema),
                         None => residual.push(c),
                     }
                 }
@@ -2280,6 +2281,55 @@ fn to_column_predicate(
         }
         _ => None,
     }
+}
+
+/// Push `p`, intersecting a `Range` into an already pushed `Range` on the
+/// same column, so `x BETWEEN a AND b` costs one kernel pass and one
+/// synopsis probe per stride, not two. Each bound has passed
+/// [`to_column_predicate`]'s exactness rule; bounds that do not compare
+/// exactly in the column's type are pushed side by side as before.
+fn push_intersected(preds: &mut Vec<ColumnPredicate>, p: ColumnPredicate, schema: &Schema) {
+    if let ColumnPredicate::Range { col, lo, hi } = &p {
+        let dt = schema.field(*col).data_type;
+        for q in preds.iter_mut() {
+            let ColumnPredicate::Range { col: qcol, lo: qlo, hi: qhi } = q else {
+                continue;
+            };
+            if qcol != col {
+                continue;
+            }
+            let lo = tighter_bound(qlo, lo, dt, std::cmp::Ordering::Greater);
+            let hi = tighter_bound(qhi, hi, dt, std::cmp::Ordering::Less);
+            if let (Some(lo), Some(hi)) = (lo, hi) {
+                (*qlo, *qhi) = (lo, hi);
+                return;
+            }
+        }
+    }
+    preds.push(p);
+}
+
+/// The tighter of two optional bounds on a column of type `dt`: the one
+/// that compares as `keep` against the other (`Greater` for lower bounds,
+/// `Less` for upper). `None` when the two do not compare exactly.
+fn tighter_bound(
+    a: &Option<Datum>,
+    b: &Option<Datum>,
+    dt: DataType,
+    keep: std::cmp::Ordering,
+) -> Option<Option<Datum>> {
+    let (x, y) = match (a, b) {
+        (None, other) | (other, None) => return Some(other.clone()),
+        (Some(x), Some(y)) => (x, y),
+    };
+    let order = match (coerce_datum(x.clone(), dt).ok()?, coerce_datum(y.clone(), dt).ok()?) {
+        (Datum::Float(u), Datum::Float(v)) => u.partial_cmp(&v)?,
+        (Datum::Decimal(u, s), Datum::Decimal(v, t)) if s == t => u.cmp(&v),
+        (Datum::Decimal(..), _) | (_, Datum::Decimal(..)) => return None,
+        (u, v) if std::mem::discriminant(&u) == std::mem::discriminant(&v) => u.sql_cmp(&v),
+        _ => return None,
+    };
+    Some(Some(if order == keep { x.clone() } else { y.clone() }))
 }
 
 /// Convert an exclusive bound to an inclusive one where the domain allows

@@ -24,9 +24,7 @@ use dash_encoding::dict::FreqDict;
 use dash_encoding::EncodedBlock;
 use std::sync::Arc;
 
-/// Tuples per stride — the paper collects skipping metadata "for
-/// (approximately) 1K tuples".
-pub const STRIDE: usize = 1024;
+pub use dash_encoding::column::STRIDE;
 
 /// Per-column storage state.
 #[derive(Debug, Clone)]

@@ -2,7 +2,8 @@
 //! implementations.
 
 use dashdb_local::common::dialect::Dialect;
-use dashdb_local::common::Datum;
+use dashdb_local::common::types::DataType;
+use dashdb_local::common::{Datum, Field, Row, Schema};
 use dashdb_local::core::{Database, HardwareSpec, Session};
 
 fn session() -> Session {
@@ -220,6 +221,68 @@ fn case_without_else_and_nested_functions() {
 }
 
 #[test]
+fn same_column_bounds_push_as_one_intersected_range() {
+    // Two sealed strides and an open one, on the product and on an engine
+    // that decodes before it compares.
+    let product = Database::with_hardware(HardwareSpec::laptop());
+    let ablated = Database::with_hardware(HardwareSpec::laptop());
+    ablated.catalog().set_compressed_predicates(false);
+    let rows: Vec<Row> = (0..2 * 1024 + 100i64)
+        .map(|i| {
+            dashdb_local::common::row![
+                i,
+                i % 50,
+                (i % 40) as f64 * 0.5,
+                Datum::Date(15_706 + (i / 100) as i32),
+                format!("L{}", i % 23)
+            ]
+        })
+        .collect();
+    let schema = Schema::new(vec![
+        Field::new("id", DataType::Int64),
+        Field::new("qty", DataType::Int64),
+        Field::new("price", DataType::Float64),
+        Field::new("day", DataType::Date),
+        Field::new("label", DataType::Utf8),
+    ])
+    .unwrap();
+    for db in [&product, &ablated] {
+        let t = db.catalog().create_table("t", schema.clone(), None).unwrap();
+        t.write().load_rows(rows.clone()).unwrap();
+        assert_eq!((t.read().sealed_strides(), t.read().open_len()), (2, 100));
+    }
+    let cases = [
+        ("qty BETWEEN 10 AND 5", 1, true),
+        ("qty >= 10 AND qty < 5", 1, true),
+        ("qty > 3 AND qty <= 40 AND qty >= 7 AND qty < 39", 1, false),
+        ("qty BETWEEN 10 AND 20 AND qty = 15", 1, false),
+        ("qty = 15 AND qty = 16", 1, true),
+        ("price > 1.5 AND price <= 12.0 AND price < 12.0", 1, false),
+        ("day >= DATE '2013-01-05' AND day < DATE '2013-01-22' AND day > DATE '2013-01-03'", 1, false),
+        ("label >= 'L1' AND label <= 'L3' AND label >= 'L10'", 1, false),
+        ("qty BETWEEN 5 AND 30 AND price BETWEEN 1.0 AND 9.0", 2, false),
+    ];
+    for (cond, preds, empty) in cases {
+        let sql = format!("SELECT id, qty, price, day, label FROM t WHERE {cond} ORDER BY id");
+        let explain = |db: &std::sync::Arc<Database>| -> String {
+            let rows = db.connect().query(&format!("EXPLAIN {sql}")).unwrap();
+            rows.iter().map(|r| r.get(0).render() + "\n").collect()
+        };
+        let text = explain(&product);
+        assert!(text.contains(&format!("preds={preds} residual=false")), "{cond}:\n{text}");
+        assert!(explain(&ablated).contains("preds=0 residual=true"), "{cond}");
+        let got = product.connect().query(&sql).unwrap();
+        let want = ablated.connect().query(&sql).unwrap();
+        assert!(got == want, "{cond}: {} rows, {} decoded first", got.len(), want.len());
+        assert_eq!(got.is_empty(), empty, "{cond}");
+        if !empty {
+            let last = got.last().unwrap().get(0).as_int().unwrap();
+            assert!(last >= 2 * 1024, "{cond}: no row from the open stride");
+        }
+    }
+}
+
+#[test]
 fn negative_literal_bounds_push_down() {
     let mut s = session();
     s.execute("CREATE TABLE f (id INT, qty BIGINT, price DOUBLE, amt DECIMAL(8,2))").unwrap();
@@ -229,10 +292,10 @@ fn negative_literal_bounds_push_down() {
         let rows = s.query(&format!("EXPLAIN SELECT id FROM f WHERE {cond}")).unwrap();
         rows.iter().map(|r| r.get(0).render() + "\n").collect()
     };
-    // Both bounds of a negative BETWEEN reach the scan; nothing is left
-    // for a per-row residual.
+    // Both bounds of a negative BETWEEN reach the scan, as one range;
+    // nothing is left for a per-row residual.
     let text = explain(&mut s, "qty BETWEEN -121 AND -72");
-    assert!(text.contains("preds=2 residual=false"), "{text}");
+    assert!(text.contains("preds=1 residual=false"), "{text}");
     let text = explain(&mut s, "price > -2.0 AND amt <= -1.00 AND qty >= -9223372036854775807");
     assert!(text.contains("preds=3 residual=false"), "{text}");
     // A negated column is still an expression.

@@ -3,8 +3,11 @@
 //! a brute-force evaluation over the raw rows, serial and parallel.
 
 use dashdb_local::common::types::DataType;
+use dashdb_local::common::txn::TS_NEVER;
 use dashdb_local::common::{date, row, Datum, Field, Row, Schema};
 use dashdb_local::core::{Database, HardwareSpec};
+use dashdb_local::encoding::block::BlockRepr;
+use dashdb_local::encoding::column::ColumnEncoding;
 use dashdb_local::exec::functions::EvalContext;
 use dashdb_local::exec::scan::{scan, ColumnPredicate, ScanConfig};
 use dashdb_local::storage::table::ColumnTable;
@@ -125,8 +128,9 @@ fn arb_predicate() -> impl Strategy<Value = ColumnPredicate> {
 }
 
 /// One WHERE conjunct written with negative literals, and the bounds the
-/// scan must receive once the planner has folded the minus signs: one
-/// pushed predicate per bound, nothing left as a residual.
+/// scan must receive once the planner has folded the minus signs; the
+/// planner intersects a column's bounds into one pushed range and leaves
+/// nothing as a residual.
 fn arb_signed_conjunct() -> impl Strategy<Value = (String, Vec<ColumnPredicate>)> {
     let bound =
         |col: usize, lo: Option<Datum>, hi: Option<Datum>| ColumnPredicate::Range { col, lo, hi };
@@ -186,9 +190,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Negative, zero-crossing and `i64::MIN + 1` bounds through SQL: the
-    /// planner folds the unary minus, both bounds push down (`preds=`
-    /// counts them, no residual), and the rows match brute force over a
-    /// table with a sealed stride and an open one.
+    /// planner folds the unary minus, every bound pushes down as one range
+    /// per column (`preds=` counts the columns, no residual), and the rows
+    /// match brute force over a table with a sealed stride and an open one.
     #[test]
     fn signed_literal_bounds_push_down_and_match_brute_force(
         mut rows in prop::collection::vec(
@@ -225,7 +229,10 @@ proptest! {
 
         let plan = session.query(&format!("EXPLAIN {query}")).unwrap();
         let plan: String = plan.iter().map(|r| r.get(0).render() + "\n").collect();
-        let pushed = format!("preds={} residual=false", preds.len());
+        let mut columns: Vec<usize> = preds.iter().map(|p| p.column()).collect();
+        columns.sort_unstable();
+        columns.dedup();
+        let pushed = format!("preds={} residual=false", columns.len());
         prop_assert!(plan.contains(&pushed), "{} wants {}:\n{}", query, pushed, plan);
 
         let mut got: Vec<i64> = session
@@ -318,5 +325,121 @@ proptest! {
             .collect();
         got.sort_unstable();
         prop_assert_eq!(got, brute_force(&live, &preds));
+    }
+}
+
+/// A skewed `cat` or `s` value: the hot one in about four rows of five,
+/// else a cold one or NULL.
+fn arb_skewed<T: std::fmt::Debug + Clone + 'static>(
+    hot: T,
+    cold: impl Strategy<Value = T> + 'static,
+) -> impl Strategy<Value = Option<T>> {
+    (0u8..20, cold).prop_map(move |(w, cold)| match w {
+        0..=15 => Some(hot.clone()),
+        16..=18 => Some(cold),
+        _ => None,
+    })
+}
+
+/// Predicates over the skewed columns: the hot value, cold ranges, values
+/// only the exception banks hold, and NULL tests.
+fn arb_skewed_predicate() -> impl Strategy<Value = ColumnPredicate> {
+    prop_oneof![
+        (-25i64..115, 0i64..12).prop_map(|(lo, span)| ColumnPredicate::Range {
+            col: 1,
+            lo: Some(Datum::Int(lo)),
+            hi: Some(Datum::Int(lo + span)),
+        }),
+        any::<bool>().prop_map(|int| if int {
+            ColumnPredicate::eq(1, 3i64)
+        } else {
+            ColumnPredicate::eq(2, "str-0")
+        }),
+        (0u8..20).prop_map(|v| ColumnPredicate::eq(2, format!("str-{v}"))),
+        (0u8..20).prop_map(|v| ColumnPredicate::Range {
+            col: 2,
+            lo: Some(Datum::str(format!("str-{v}"))),
+            hi: None,
+        }),
+        (1usize..3, any::<bool>()).prop_map(|(col, negated)| ColumnPredicate::IsNull {
+            col,
+            negated,
+        }),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The tagged-block path: skewed `cat` and `s` split their
+    /// dictionaries, so every sealed stride stores partition selectors,
+    /// and rows appended after the load add values the dictionaries never
+    /// saw, so the last sealed stride holds exceptions too. Compressed
+    /// evaluation, decode at the survivors and synopsis pruning over those
+    /// strides must match brute force, with and without skipping.
+    #[test]
+    fn skewed_tagged_strides_match_brute_force(
+        loaded in prop::collection::vec(
+            (arb_skewed(3i32, -20i32..20), arb_skewed(0u8, 1u8..16)),
+            1100..1400,
+        ),
+        appended in prop::collection::vec(
+            (arb_skewed(3i32, 90i32..110), arb_skewed(0u8, 10u8..20)),
+            1024..1100,
+        ),
+        preds in prop::collection::vec(arb_skewed_predicate(), 1..3),
+        parallelism in 1usize..4,
+    ) {
+        let rows: Vec<FuzzRow> = loaded
+            .iter()
+            .chain(&appended)
+            .enumerate()
+            .map(|(i, &(cat, s))| FuzzRow { id: i as i64, cat, s, f: None, d: None })
+            .collect();
+        let (first, rest) = rows.split_at(loaded.len());
+        let mut table = ColumnTable::new("F", schema());
+        table.load_rows(first.iter().map(to_row).collect()).unwrap();
+        table.append(rest.iter().map(|fr| (to_row(fr), 0, TS_NEVER))).unwrap();
+
+        let sealed = table.sealed_strides();
+        prop_assert!(sealed >= 2);
+        for col in [1, 2] {
+            let parts = match table.encoding(col) {
+                Some(ColumnEncoding::IntDict { dict, .. }) => dict.partition_count(),
+                Some(ColumnEncoding::StrDict { dict, .. }) => dict.partition_count(),
+                other => panic!("column {col} is not dictionary-coded: {other:?}"),
+            };
+            prop_assert!(parts > 1, "column {} has {} partition(s)", col, parts);
+            let tagged = (0..sealed).filter(|&s| matches!(
+                &table.block(col, s).repr,
+                BlockRepr::Dict { selectors: Some(_), .. }
+            ));
+            prop_assert_eq!(tagged.count(), sealed, "column {}", col);
+            let with_exceptions = (0..sealed).any(|s| matches!(
+                &table.block(col, s).repr,
+                BlockRepr::Dict { exceptions, .. } if !exceptions.is_empty()
+            ));
+            prop_assert!(with_exceptions, "column {} has no exceptions", col);
+        }
+
+        let expect: Vec<Row> = brute_force(&rows, &preds)
+            .into_iter()
+            .map(|id| {
+                let full = to_row(&rows[id as usize]);
+                row![id, full.get(1).clone(), full.get(2).clone()]
+            })
+            .collect();
+        for disable_skipping in [false, true] {
+            let cfg = ScanConfig {
+                predicates: preds.clone(),
+                parallelism,
+                disable_skipping,
+                ..ScanConfig::full(0, vec![0, 1, 2])
+            };
+            let (batch, _) = scan(&table, &cfg, &EvalContext::default()).unwrap();
+            let mut got = batch.to_rows();
+            got.sort_by_key(|r| r.get(0).as_int());
+            prop_assert_eq!(&got, &expect, "preds {:?}, skipping off: {}", preds, disable_skipping);
+        }
     }
 }
