@@ -17,11 +17,6 @@ pub struct Dataset {
 }
 
 impl Dataset {
-    /// Build from explicit partitions.
-    pub fn from_partitions(schema: Schema, partitions: Vec<Vec<Row>>) -> Dataset {
-        Dataset { schema, partitions }
-    }
-
     /// Build from rows, splitting into `n` round-robin partitions.
     pub fn from_rows(schema: Schema, rows: Vec<Row>, n: usize) -> Dataset {
         let n = n.max(1);

@@ -176,13 +176,6 @@ pub struct KMeansModel {
     pub wcss: f64,
 }
 
-impl KMeansModel {
-    /// Index of the nearest centroid.
-    pub fn assign(&self, x: &[f64]) -> usize {
-        nearest(&self.centroids, x).0
-    }
-}
-
 fn nearest(centroids: &[Vec<f64>], x: &[f64]) -> (usize, f64) {
     let mut best = (0usize, f64::INFINITY);
     for (i, c) in centroids.iter().enumerate() {

@@ -246,14 +246,11 @@ struct SqlLeg {
 /// dictionaries must reach the join.
 fn sql_leg() -> SqlLeg {
     let db = Database::with_hardware(HardwareSpec::laptop());
-    let fact = fact_batch(SQL_ROWS);
-    let fschema = fact.schema().clone();
-    let handle = db.catalog().create_table("facts", fschema, None).unwrap();
-    handle.write().load_rows(fact.to_rows()).unwrap();
-    let dim = dim_batch();
-    let dschema = dim.schema().clone();
-    let handle = db.catalog().create_table("dims", dschema, None).unwrap();
-    handle.write().load_rows(dim.to_rows()).unwrap();
+    for (name, batch) in [("facts", fact_batch(SQL_ROWS)), ("dims", dim_batch())] {
+        let handle = db.catalog().create_table(name, batch.schema().clone(), None).unwrap();
+        let types = batch.schema().types();
+        handle.write().load(batch.into_columns(), &types).unwrap();
+    }
 
     let mut s = db.connect();
     let sql = "SELECT d.lab, f.grp, COUNT(*), SUM(f.qty) \

@@ -103,14 +103,6 @@ impl Datum {
         }
     }
 
-    /// Extract a bool; `None` for non-bools.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Datum::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
     /// Whether this datum is numeric (int, float or decimal).
     pub fn is_numeric(&self) -> bool {
         matches!(self, Datum::Int(_) | Datum::Float(_) | Datum::Decimal(_, _))

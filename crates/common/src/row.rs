@@ -2,7 +2,7 @@
 
 use crate::datum::Datum;
 use crate::error::{DashError, Result};
-use crate::schema::Schema;
+use crate::schema::{Field, Schema};
 use crate::types::DataType;
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -66,33 +66,18 @@ impl Row {
             )));
         }
         for (i, (d, f)) in self.0.iter().zip(schema.fields()).enumerate() {
-            if d.is_null() {
-                if !f.nullable {
-                    return Err(DashError::Constraint(format!(
-                        "NULL value for NOT NULL column {} (ordinal {i})",
-                        f.name
-                    )));
-                }
-                continue;
-            }
-            let ok = match (f.data_type, d) {
-                (DataType::Bool, Datum::Bool(_)) => true,
-                (DataType::Int16, Datum::Int(v)) => {
-                    (i16::MIN as i64..=i16::MAX as i64).contains(v)
-                }
-                (DataType::Int32, Datum::Int(v)) => {
-                    (i32::MIN as i64..=i32::MAX as i64).contains(v)
-                }
-                (DataType::Int64, Datum::Int(_)) => true,
-                (DataType::Float32 | DataType::Float64, Datum::Float(_)) => true,
-                (DataType::Float32 | DataType::Float64, Datum::Int(_)) => true,
-                (DataType::Decimal(_, _), Datum::Decimal(_, _)) => true,
-                (DataType::Decimal(_, _), Datum::Int(_)) => true,
-                (DataType::Date, Datum::Date(_)) => true,
-                (DataType::Timestamp, Datum::Timestamp(_)) => true,
-                (DataType::Utf8, Datum::Str(_)) => true,
-                _ => false,
-            };
+            check_stored(d, f, i)?;
+            let ok = matches!(
+                (f.data_type, d),
+                (_, Datum::Null)
+                    | (DataType::Bool, Datum::Bool(_))
+                    | (DataType::Int16 | DataType::Int32 | DataType::Int64, Datum::Int(_))
+                    | (DataType::Float32 | DataType::Float64, Datum::Float(_) | Datum::Int(_))
+                    | (DataType::Decimal(_, _), Datum::Decimal(_, _) | Datum::Int(_))
+                    | (DataType::Date, Datum::Date(_))
+                    | (DataType::Timestamp, Datum::Timestamp(_))
+                    | (DataType::Utf8, Datum::Str(_))
+            );
             if !ok {
                 return Err(DashError::analysis(format!(
                     "type mismatch for column {}: expected {}, got {:?}",
@@ -122,6 +107,27 @@ impl Row {
         }
         self.validate(schema)?;
         Ok(self)
+    }
+}
+
+/// Check that `d`, a value of `field`'s type, may be stored at ordinal `i`:
+/// not NULL in a NOT NULL column, and inside a narrow integer type's range.
+pub fn check_stored(d: &Datum, field: &Field, i: usize) -> Result<()> {
+    let range = match field.data_type {
+        DataType::Int16 => i16::MIN as i64..=i16::MAX as i64,
+        DataType::Int32 => i32::MIN as i64..=i32::MAX as i64,
+        _ => i64::MIN..=i64::MAX,
+    };
+    match d {
+        Datum::Null if !field.nullable => Err(DashError::Constraint(format!(
+            "NULL value for NOT NULL column {} (ordinal {i})",
+            field.name
+        ))),
+        Datum::Int(v) if !range.contains(v) => Err(DashError::analysis(format!(
+            "type mismatch for column {}: expected {}, got {d:?}",
+            field.name, field.data_type
+        ))),
+        _ => Ok(()),
     }
 }
 

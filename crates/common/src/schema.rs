@@ -87,6 +87,11 @@ impl Schema {
         &self.fields
     }
 
+    /// The declared type of every column, in order.
+    pub fn types(&self) -> Vec<DataType> {
+        self.fields.iter().map(|f| f.data_type).collect()
+    }
+
     /// Number of columns.
     pub fn len(&self) -> usize {
         self.fields.len()

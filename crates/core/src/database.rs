@@ -13,10 +13,11 @@ use dash_common::dialect::Dialect;
 use dash_common::faults::{FaultAction, FaultRegistry, CKPT_CAPTURE, TXN_STAMP};
 use dash_common::ids::{SessionId, Tsn};
 use dash_common::txn::{is_pending, pending, pending_owner, SnapshotView, TxnId, TS_NEVER};
+use dash_common::row::coerce_datum;
 use dash_common::{DashError, DataType, Datum, Field, Result, Row, Schema, StatementContext};
 use dash_encoding::column::ColumnValues;
 use dash_exec::batch::Batch;
-use dash_exec::expr::eval_columns;
+use dash_exec::expr::{eval_columns, Column};
 use dash_exec::functions::EvalContext;
 use dash_exec::plan::{PhysicalPlan, SharedTable};
 use dash_exec::scan::ScanConfig;
@@ -24,7 +25,8 @@ use dash_exec::stats::ExecStats;
 use dash_sql::ast::{AstExpr, ColumnDef, InsertSource, SelectStmt, Statement};
 use dash_sql::parser::{parse_statement, split_statements};
 use dash_sql::planner::{
-    lower_standalone_expr, lower_table_expr, plan_select, plan_values, pushdown, TableHandle,
+    lower_standalone_expr, lower_table_expr, plan_select, plan_select_over, plan_values, pushdown,
+    TableHandle,
 };
 use dash_storage::bufferpool::{BufferPool, Policy};
 use dash_storage::table::ColumnTable;
@@ -339,7 +341,7 @@ impl Database {
         for t in ckpt.tables {
             let handle = self.catalog.create_table(&t.name, t.schema, None)?;
             let rows = t.rows.into_iter();
-            handle.write().append(rows.map(|(row, ins, del)| (row, resolve(ins), resolve(del))))?;
+            handle.write().append_from_rows(rows.map(|(row, ins, del)| (row, resolve(ins), resolve(del))))?;
         }
         // Pass 2: apply the chain in log order. Row records consult the
         // commit map; records for tables dropped later in the log are
@@ -383,7 +385,7 @@ impl Database {
                         // position space — the wipe replays afterwards in
                         // log order either way).
                         if tsn.0 == t.total_rows() {
-                            t.append([(row.clone(), ins, TS_NEVER)])?;
+                            t.append_from_rows([(row.clone(), ins, TS_NEVER)])?;
                         }
                     }
                     WalRecord::Delete { txn, table, tsn } => {
@@ -890,17 +892,30 @@ impl Session {
         Ok(self.execute(sql)?.rows)
     }
 
-    /// Run an already-parsed query under the caller's statement context —
-    /// how a cluster's shard and merge statements share one scatter's
-    /// deadline and cancel token.
+    /// Run an already-parsed query under the caller's statement context,
+    /// its rows materialized (see [`Session::run_batch`]).
     pub fn run_query(
         &mut self,
         select: &SelectStmt,
         statement: StatementContext,
     ) -> Result<QueryResult> {
-        self.statement = statement;
-        let (batch, stats) = self.run_select(select)?;
+        let (batch, stats) = self.run_batch(select, statement, None)?;
         Ok(QueryResult::query(&batch, stats))
+    }
+
+    /// Run an already-parsed query under the caller's statement context —
+    /// how a cluster's shard and final statements share one scatter's
+    /// deadline and cancel token. `relation`, if given, is a batch the
+    /// query reads under its name (the final statement's gathered shard
+    /// results).
+    pub fn run_batch(
+        &mut self,
+        select: &SelectStmt,
+        statement: StatementContext,
+        relation: Option<(&str, Batch)>,
+    ) -> Result<(Batch, ExecStats)> {
+        self.statement = statement;
+        self.run(|ctx| plan_select_over(select, relation, &self.provider(), self.dialect, ctx))
     }
 
     fn run_select(&self, select: &SelectStmt) -> Result<(Batch, ExecStats)> {
@@ -1181,8 +1196,7 @@ impl Session {
                     })?;
                 }
                 if let Some(batch) = source {
-                    let rows = batch.to_rows().into_iter().map(Change::Insert);
-                    self.dml(|s| s.write(&table, durable, rows))?;
+                    self.dml(|s| s.write(&table, durable, Vec::new(), Some(batch)))?;
                 }
                 Ok(QueryResult::ddl())
             }
@@ -1276,36 +1290,29 @@ impl Session {
             other => format!("{} statement\n", kind_name(&other)),
         };
         let schema = Schema::new_unchecked(vec![Field::new("PLAN", DataType::Utf8)]);
-        let rows: Vec<Row> = text
-            .lines()
-            .map(|l| Row::new(vec![Datum::str(l)]))
-            .collect();
-        Ok(QueryResult {
-            kind: StatementKind::Query,
-            schema,
-            rows,
-            affected: 0,
-            stats: Default::default(),
-        })
+        let lines = ColumnValues::Str(text.lines().map(|l| Some(l.into())).collect());
+        Ok(QueryResult::query(&Batch::new(schema, vec![lines])?, ExecStats::default()))
     }
 
-    /// Evaluate INSERT's VALUES list (the target table types its rows):
-    /// every expression is lowered and evaluated over one empty row, built
-    /// once for the statement.
-    fn values_rows(&self, rows: &[Vec<AstExpr>]) -> Result<Vec<Row>> {
+    /// INSERT's VALUES list as one batch of the columns `schema` it
+    /// writes: every expression is lowered and evaluated over one empty
+    /// row, and its value cast to its column's type once.
+    fn values_batch(&self, rows: &[Vec<AstExpr>], schema: Schema) -> Result<Batch> {
         let ctx = self.eval_context();
         let provider = self.provider();
-        let one = Batch::from_rows(Schema::empty(), &[Row::new(vec![])])?;
-        rows.iter()
-            .map(|row| {
-                row.iter()
-                    .map(|e| {
-                        lower_standalone_expr(e, &provider, self.dialect, &ctx)?.eval(&one, 0, &ctx)
-                    })
-                    .collect::<Result<Vec<Datum>>>()
-                    .map(Row::new)
-            })
-            .collect()
+        let one = Batch::unit();
+        let mut columns: Vec<ColumnValues> = schema.fields().iter().map(|f| ColumnValues::empty_for(f.data_type)).collect();
+        for row in rows {
+            if row.len() != schema.len() {
+                let msg = format!("INSERT provides {} values for {} columns", row.len(), schema.len());
+                return Err(DashError::analysis(msg));
+            }
+            for ((e, f), column) in row.iter().zip(schema.fields()).zip(&mut columns) {
+                let v = lower_standalone_expr(e, &provider, self.dialect, &ctx)?.eval(&one, 0, &ctx)?;
+                column.push_datum(f.data_type, &coerce_datum(v, f.data_type)?)?;
+            }
+        }
+        Batch::new(schema, columns)
     }
 
     /// A DML target: its handle, schema and log name (`None` for a
@@ -1334,25 +1341,33 @@ impl Session {
             }
             v
         };
-        let source_rows = match source {
-            InsertSource::Values(rows) => self.values_rows(&rows)?,
-            InsertSource::Select(select) => self.run_select(&select)?.0.to_rows(),
+        let source = match source {
+            InsertSource::Values(rows) if columns.is_empty() => self.values_batch(&rows, schema.clone())?,
+            InsertSource::Values(rows) => self.values_batch(&rows, schema.project(&targets))?,
+            InsertSource::Select(select) => self.run_select(&select)?.0,
         };
-        if let Some(src) = source_rows.iter().find(|r| r.len() != targets.len()) {
+        if source.schema().len() != targets.len() {
             return Err(DashError::analysis(format!(
                 "INSERT provides {} values for {} columns",
-                src.len(),
+                source.schema().len(),
                 targets.len()
             )));
         }
-        let rows = source_rows.into_iter().map(|src| {
-            let mut full = vec![Datum::Null; schema.len()];
-            for (v, &ti) in src.0.into_iter().zip(&targets) {
-                full[ti] = v;
-            }
-            Change::Insert(Row::new(full))
-        });
-        let count = self.write(&handle.table, durable, rows)?;
+        // Each column at its target ordinal; an omitted one is NULL.
+        let batch = if columns.is_empty() {
+            source
+        } else {
+            let n = source.len();
+            let base = (schema.fields().iter().enumerate())
+                .map(|(i, f)| match targets.contains(&i) {
+                    true => Ok(ColumnValues::empty_for(f.data_type)),
+                    false => Column::Const(Datum::Null).into_values(f.data_type, n),
+                })
+                .collect::<Result<_>>()?;
+            let types = source.schema().types();
+            substitute(&schema, base, &targets, source.into_columns(), &types)?
+        };
+        let count = self.write(&handle.table, durable, Vec::new(), Some(batch))?;
         Ok(QueryResult::dml(StatementKind::Insert, count))
     }
 
@@ -1377,7 +1392,7 @@ impl Session {
                 config,
             };
             if let Some(sel) = selection {
-                let predicate = lower_table_expr(sel, schema, &provider, self.dialect, ctx)?;
+                let (predicate, _) = lower_table_expr(sel, schema, &provider, self.dialect, ctx)?;
                 plan = PhysicalPlan::Filter {
                     input: Box::new(plan),
                     predicate,
@@ -1404,84 +1419,89 @@ impl Session {
     ) -> Result<QueryResult> {
         let ctx = self.eval_context();
         let (handle, schema, durable) = self.target(table)?;
-        let (mut ordinals, mut exprs) = (Vec::new(), Vec::new());
+        let (mut ordinals, mut exprs, mut types) = (Vec::new(), Vec::new(), Vec::new());
         for (col, e) in assignments {
             ordinals.push(schema.resolve(col)?);
-            exprs.push(lower_table_expr(e, &schema, &self.provider(), self.dialect, &ctx)?);
+            let (e, dt) = lower_table_expr(e, &schema, &self.provider(), self.dialect, &ctx)?;
+            exprs.push(e);
+            types.push(dt);
         }
         let (batch, tsns) = self.matching_rows(&handle, &schema, selection)?;
-        let values = eval_columns(&exprs, &batch, 0..batch.len(), &ctx)?;
-        let mut changes = Vec::with_capacity(tsns.len());
-        for (i, tsn) in tsns.into_iter().enumerate() {
-            let mut row: Vec<Datum> = (0..schema.len()).map(|c| batch.value(i, c)).collect();
-            for (ordinal, v) in ordinals.iter().zip(&values) {
-                row[*ordinal] = v.datum(i);
-            }
-            changes.push(Change::Replace(tsn, Row::new(row)));
-        }
-        let applied = self.write(&handle.table, durable, changes)?;
+        // The replacements: the matched rows' columns with each assigned
+        // one substituted by its values.
+        let n = batch.len();
+        let assigned = eval_columns(&exprs, &batch, 0..n, &ctx)?
+            .into_iter()
+            .zip(&types)
+            .map(|(values, &dt)| values.into_values(dt, n))
+            .collect::<Result<Vec<_>>>()?;
+        let mut base = batch.into_columns();
+        base.truncate(schema.len());
+        let replacements = substitute(&schema, base, &ordinals, assigned, &types)?;
+        let applied = self.write(&handle.table, durable, tsns, Some(replacements))?;
         Ok(QueryResult::dml(StatementKind::Update, applied))
     }
 
     fn delete(&mut self, table: &str, selection: Option<&AstExpr>) -> Result<QueryResult> {
         let (handle, schema, durable) = self.target(table)?;
         let (_, tsns) = self.matching_rows(&handle, &schema, selection)?;
-        let count = self.write(&handle.table, durable, tsns.into_iter().map(Change::Delete))?;
+        let count = self.write(&handle.table, durable, tsns, None)?;
         Ok(QueryResult::dml(StatementKind::Delete, count))
     }
 
-    /// The one write path: apply a statement's row changes to `table`
-    /// inside the open transaction, under one table write lock. Deletes
-    /// apply in order and are first-writer-wins ([`ColumnTable::mvcc_delete`]
-    /// raises the `WriteConflict` that rolls the transaction back); a row
-    /// already gone in this transaction's view is skipped, and with it a
-    /// `Replace`'s replacement. The surviving inserts then go in with one
-    /// [`ColumnTable::append`] of pending rows. Only once the whole
-    /// statement has applied are its records logged, still under the lock:
-    /// deletes first, then inserts in TSN order, so per-table log order
-    /// equals TSN order and a failed statement leaves nothing in the log.
-    /// Every touched row is remembered for commit stamping and rollback.
-    /// `durable` is the table's log name. Returns the number of changes
-    /// applied.
+    /// The one write path: apply a statement's deletes and its insert
+    /// batch to `table` inside the open transaction, under one table write
+    /// lock. Deletes apply in order and are first-writer-wins
+    /// ([`ColumnTable::mvcc_delete`] raises the `WriteConflict` that rolls
+    /// the transaction back); a row already gone in this transaction's
+    /// view is skipped. When the statement both deletes and inserts (an
+    /// UPDATE), insert row *i* replaces delete *i* and is dropped with it.
+    /// The inserts then go in with one [`ColumnTable::append`] of pending
+    /// rows. Only once the whole statement has applied are its records
+    /// logged, still under the lock: deletes first, then inserts in TSN
+    /// order, read back from the table, so per-table log order equals TSN
+    /// order and a failed statement leaves nothing in the log. Every
+    /// touched row is remembered for commit stamping and rollback.
+    /// `durable` is the table's log name. Returns the number of rows
+    /// inserted, or deleted when nothing is.
     fn write(
         &mut self,
         table: &SharedTable,
         durable: Option<String>,
-        changes: impl IntoIterator<Item = Change>,
+        deletes: Vec<Tsn>,
+        inserts: Option<Batch>,
     ) -> Result<u64> {
         let (txn, snapshot_ts) = self.active_txn()?;
         let mut t = table.write();
-        let (mut deleted, mut inserts) = (Vec::new(), Vec::new());
-        let mut applied = 0;
-        for change in changes {
-            let (delete, insert) = match change {
-                Change::Insert(row) => (None, Some(row)),
-                Change::Delete(tsn) => (Some(tsn), None),
-                Change::Replace(tsn, row) => (Some(tsn), Some(row)),
-            };
-            if let Some(tsn) = delete {
-                if !t.mvcc_delete(tsn, txn, snapshot_ts)? {
-                    continue;
-                }
+        let (mut deleted, mut kept) = (Vec::new(), Vec::new());
+        for (i, &tsn) in deletes.iter().enumerate() {
+            if t.mvcc_delete(tsn, txn, snapshot_ts)? {
                 self.record_write(table.clone(), tsn, WriteKind::Delete);
                 deleted.push(tsn);
+                kept.push(i);
             }
-            inserts.extend(insert);
-            applied += 1;
         }
-        let logged = if durable.is_some() { inserts.clone() } else { Vec::new() };
-        let first = t.append(inserts.into_iter().map(|row| (row, pending(txn), TS_NEVER)))?;
-        let inserted = (first.0..t.total_rows()).map(Tsn);
+        let (inserted, applied) = match inserts {
+            Some(mut batch) => {
+                if kept.len() < deletes.len() {
+                    batch = batch.take(&kept);
+                }
+                let (n, types) = (batch.len(), batch.schema().types());
+                let first = t.append(batch.into_columns(), &types, &vec![pending(txn); n], &vec![TS_NEVER; n])?;
+                (first.0..first.0 + n as u64, n as u64)
+            }
+            None => (0..0, deleted.len() as u64),
+        };
         for tsn in inserted.clone() {
-            self.record_write(table.clone(), tsn, WriteKind::Insert);
+            self.record_write(table.clone(), Tsn(tsn), WriteKind::Insert);
         }
         if let Some(key) = &durable {
             for tsn in deleted {
                 let table = key.clone();
                 self.db.wal_append(&WalRecord::Delete { txn, table, tsn })?;
             }
-            for (tsn, row) in inserted.zip(logged) {
-                let table = key.clone();
+            for tsn in inserted.map(Tsn) {
+                let (table, row) = (key.clone(), t.get_row(tsn)?);
                 self.db.wal_append(&WalRecord::Insert { txn, table, tsn, row })?;
             }
         }
@@ -1489,15 +1509,28 @@ impl Session {
     }
 }
 
-/// One row change a statement hands to [`Session::write`].
-enum Change {
-    /// Append a row.
-    Insert(Row),
-    /// Delete the row at a position.
-    Delete(Tsn),
-    /// Delete the row at a position and append its replacement — how a
-    /// column store updates.
-    Replace(Tsn, Row),
+/// A batch of `schema`'s columns: `base`'s, with the one at each ordinal
+/// in `at` replaced by the matching one of `columns`, of the matching type
+/// in `types`. The schema is shared, not copied, when every replacement
+/// has its column's type.
+fn substitute(
+    schema: &Schema,
+    mut base: Vec<ColumnValues>,
+    at: &[usize],
+    columns: Vec<ColumnValues>,
+    types: &[DataType],
+) -> Result<Batch> {
+    for (&i, values) in at.iter().zip(columns) {
+        base[i] = values;
+    }
+    if at.iter().zip(types).all(|(&i, &dt)| schema.field(i).data_type == dt) {
+        return Batch::new(schema.clone(), base);
+    }
+    let mut fields = schema.fields().to_vec();
+    for (&i, &dt) in at.iter().zip(types) {
+        fields[i].data_type = dt;
+    }
+    Batch::new(Schema::new_unchecked(fields), base)
 }
 
 /// A session-scoped view of the catalog: the session's temporary tables

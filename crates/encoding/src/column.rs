@@ -64,44 +64,13 @@ impl ColumnValues {
         }
     }
 
-    /// Extract one column from rows of datums (the INSERT path).
+    /// One column of type `dt` holding `data`.
     pub fn from_datums(dt: DataType, data: &[Datum]) -> Result<ColumnValues> {
-        match value_kind(dt) {
-            ValueKind::Int => {
-                let mut out = Vec::with_capacity(data.len());
-                for d in data {
-                    out.push(datum_to_int(dt, d)?);
-                }
-                Ok(ColumnValues::Int(out))
-            }
-            ValueKind::Float => {
-                let mut out = Vec::with_capacity(data.len());
-                for d in data {
-                    out.push(match d {
-                        Datum::Null => None,
-                        other => Some(other.as_float().ok_or_else(|| {
-                            DashError::analysis(format!("expected float, got {other:?}"))
-                        })?),
-                    });
-                }
-                Ok(ColumnValues::Float(out))
-            }
-            ValueKind::Str => {
-                let mut out = Vec::with_capacity(data.len());
-                for d in data {
-                    out.push(match d {
-                        Datum::Null => None,
-                        Datum::Str(s) => Some(s.clone()),
-                        other => {
-                            return Err(DashError::analysis(format!(
-                                "expected string, got {other:?}"
-                            )))
-                        }
-                    });
-                }
-                Ok(ColumnValues::Str(out))
-            }
+        let mut out = ColumnValues::empty_for(dt);
+        for d in data {
+            out.push_datum(dt, d)?;
         }
+        Ok(out)
     }
 
     /// Convert position `i` back to a datum of logical type `dt`.
@@ -145,15 +114,6 @@ impl ColumnValues {
             ColumnValues::Int(v) => ColumnValues::Int(v[rows].to_vec()),
             ColumnValues::Float(v) => ColumnValues::Float(v[rows].to_vec()),
             ColumnValues::Str(v) => ColumnValues::Str(v[rows].to_vec()),
-        }
-    }
-
-    /// Keep only the first `len` values.
-    pub fn truncate(&mut self, len: usize) {
-        match self {
-            ColumnValues::Int(v) => v.truncate(len),
-            ColumnValues::Float(v) => v.truncate(len),
-            ColumnValues::Str(v) => v.truncate(len),
         }
     }
 

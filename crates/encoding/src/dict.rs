@@ -206,18 +206,6 @@ impl<T: Eq + Hash + Clone + Ord> FreqDict<T> {
     pub fn selector_width(&self) -> u8 {
         bits_for(self.partitions.len() as u64) // exception tag == partitions.len()
     }
-
-    /// Estimated in-memory dictionary size in bytes (values + lookup).
-    pub fn approx_size_bytes(&self) -> usize
-    where
-        T: DictSized,
-    {
-        self.partitions
-            .iter()
-            .flat_map(|p| p.values.iter())
-            .map(|v| v.dict_size())
-            .sum::<usize>()
-    }
 }
 
 /// Bits reserved for the in-partition code in a [`pack_code`] word; the
@@ -267,24 +255,6 @@ impl<T: Eq + Hash + Clone + Ord> FreqDict<T> {
     /// larger side's code space. `None` when the value is absent here.
     pub fn translate_code(&self, from: &FreqDict<T>, code: DictCode) -> Option<DictCode> {
         self.encode(from.decode(code.0, code.1))
-    }
-}
-
-/// Size accounting for dictionary entries.
-pub trait DictSized {
-    /// Approximate heap bytes for one entry.
-    fn dict_size(&self) -> usize;
-}
-
-impl DictSized for u64 {
-    fn dict_size(&self) -> usize {
-        8
-    }
-}
-
-impl DictSized for std::sync::Arc<str> {
-    fn dict_size(&self) -> usize {
-        16 + self.len()
     }
 }
 

@@ -9,7 +9,6 @@
 //! entries bound random-access cost, LevelDB-style.
 
 use serde::{Deserialize, Serialize};
-use std::sync::Arc;
 
 /// Entries between full (restart) entries.
 pub const RESTART_INTERVAL: usize = 16;
@@ -153,12 +152,6 @@ pub fn str_prefix_ordered(s: &str) -> u64 {
     let n = bytes.len().min(8);
     buf[..n].copy_from_slice(&bytes[..n]);
     u64::from_be_bytes(buf)
-}
-
-/// Sorted `Arc<str>` helper used by the string dictionary builder.
-pub fn sort_arcs(mut v: Vec<Arc<str>>) -> Vec<Arc<str>> {
-    v.sort();
-    v
 }
 
 #[cfg(test)]

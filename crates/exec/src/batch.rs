@@ -69,32 +69,26 @@ impl Batch {
         }
     }
 
+    /// One row of no columns: what a FROM-less SELECT reads, and the row
+    /// a standalone expression is evaluated over.
+    pub fn unit() -> Batch {
+        Batch { len: 1, ..Batch::empty(Schema::empty()) }
+    }
+
     /// Build a batch from rows (validated against the schema).
     pub fn from_rows(schema: Schema, rows: &[Row]) -> Result<Batch> {
-        let mut columns: Vec<ColumnValues> = schema
-            .fields()
-            .iter()
-            .map(|f| ColumnValues::empty_for(f.data_type))
-            .collect();
+        let mut batch = Batch { len: rows.len(), ..Batch::empty(schema) };
+        let fields = batch.schema.fields();
         for row in rows {
-            if row.len() != schema.len() {
-                return Err(DashError::internal(format!(
-                    "row arity {} vs schema {}",
-                    row.len(),
-                    schema.len()
-                )));
+            if row.len() != fields.len() {
+                let msg = format!("row arity {} vs schema {}", row.len(), fields.len());
+                return Err(DashError::internal(msg));
             }
-            for (i, d) in row.values().iter().enumerate() {
-                columns[i].push_datum(schema.field(i).data_type, d)?;
+            for ((column, f), d) in batch.columns.iter_mut().zip(fields).zip(row.values()) {
+                column.push_datum(f.data_type, d)?;
             }
         }
-        let len = rows.len();
-        Ok(Batch {
-            schema,
-            columns,
-            len,
-            dicts: Vec::new(),
-        })
+        Ok(batch)
     }
 
     /// Number of rows.
@@ -115,6 +109,11 @@ impl Batch {
     /// The columns.
     pub fn columns(&self) -> &[ColumnValues] {
         &self.columns
+    }
+
+    /// The columns, moved out.
+    pub fn into_columns(self) -> Vec<ColumnValues> {
+        self.columns
     }
 
     /// Column `i`.

@@ -44,7 +44,7 @@ use crate::scan::{ScanConfig, ScanSource};
 use crate::sort::{sort_batch, SortKey, SortOptions};
 use crate::stats::ExecStats;
 use dash_common::fxhash::FxHashMap;
-use dash_common::{BudgetLease, DashError, Datum, Result, Row, Schema};
+use dash_common::{BudgetLease, DashError, Datum, Result, Schema};
 use dash_encoding::column::ColumnValues;
 use std::borrow::Cow;
 use std::ops::Range;
@@ -96,10 +96,7 @@ enum Source<'p> {
 /// A whole-input operator: runs its input pipeline(s) to completion and
 /// emits one batch, the source of the pipeline above.
 enum Breaker<'p> {
-    Values {
-        schema: &'p Schema,
-        rows: &'p [Row],
-    },
+    Values(&'p Batch),
     UnionAll(Vec<Pipeline<'p>>),
     CrossJoin(Box<Pipeline<'p>>, Box<Pipeline<'p>>),
     ConnectBy {
@@ -150,7 +147,7 @@ pub(crate) struct AggSink<'p> {
 impl<'p> Breaker<'p> {
     fn inputs(&self) -> Vec<&Pipeline<'p>> {
         match self {
-            Breaker::Values { .. } => Vec::new(),
+            Breaker::Values(_) => Vec::new(),
             Breaker::UnionAll(inputs) => inputs.iter().collect(),
             Breaker::CrossJoin(l, r) => vec![l, r],
             Breaker::ConnectBy { input, .. }
@@ -162,7 +159,7 @@ impl<'p> Breaker<'p> {
 
     fn label(&self) -> &'static str {
         match self {
-            Breaker::Values { .. } => "values",
+            Breaker::Values(_) => "values",
             Breaker::UnionAll(_) => "union",
             Breaker::CrossJoin(..) => "cross",
             Breaker::ConnectBy { .. } => "connect-by",
@@ -259,7 +256,7 @@ pub(crate) fn decompose(plan: &PhysicalPlan) -> Pipeline<'_> {
 fn breaker(node: &PhysicalPlan) -> Breaker<'_> {
     let sub = |p| Box::new(decompose(p));
     match node {
-        PhysicalPlan::Values { schema, rows } => Breaker::Values { schema, rows },
+        PhysicalPlan::Values(batch) => Breaker::Values(batch),
         PhysicalPlan::UnionAll { inputs } => {
             Breaker::UnionAll(inputs.iter().map(decompose).collect())
         }
@@ -400,7 +397,7 @@ fn run_breaker(b: &Breaker<'_>, ctx: &EvalContext, stats: &mut ExecStats) -> Res
     let out = match b {
         // A finished pipeline read as-is: no operator runs, none is counted.
         Breaker::Result(_) => return inputs.pop().ok_or_else(no_input),
-        Breaker::Values { schema, rows } => Batch::from_rows((*schema).clone(), rows),
+        Breaker::Values(batch) => Ok((*batch).clone()),
         Breaker::UnionAll(_) => Batch::concat_columnar(input(0)?.schema().clone(), inputs),
         Breaker::CrossJoin(..) => join::cross_join(input(0)?, input(1)?, &ctx.statement, stats),
         Breaker::ConnectBy {
@@ -710,7 +707,7 @@ mod tests {
     use crate::agg::AggFunc;
     use crate::key::KeyMode;
     use dash_common::types::DataType;
-    use dash_common::{row, Field};
+    use dash_common::{row, Field, Row};
     use dash_storage::table::{ColumnTable, STRIDE};
     use parking_lot::RwLock;
     use std::sync::Arc;

@@ -16,7 +16,7 @@ use crate::pipeline;
 use crate::scan::ScanConfig;
 use crate::sort::SortKey;
 use crate::stats::ExecStats;
-use dash_common::{DataType, Field, Result, Row, Schema};
+use dash_common::{DataType, Field, Result, Schema};
 use dash_storage::table::ColumnTable;
 use parking_lot::RwLock;
 use std::sync::Arc;
@@ -34,13 +34,9 @@ pub enum PhysicalPlan {
         /// Scan configuration (predicates, projection, pool).
         config: ScanConfig,
     },
-    /// Literal rows (the `VALUES` clause, `SELECT ... FROM DUAL`).
-    Values {
-        /// Output schema.
-        schema: Schema,
-        /// The rows.
-        rows: Vec<Row>,
-    },
+    /// A batch built at plan time: the `VALUES` clause, `SELECT ... FROM
+    /// DUAL`, a FROM-less SELECT's one empty row, or a bound relation.
+    Values(Batch),
     /// Row filter by a boolean expression.
     Filter {
         /// Input plan.
@@ -146,7 +142,7 @@ impl PhysicalPlan {
             PhysicalPlan::ColumnScan { table, config } => {
                 table.read().schema().project(&config.projection)
             }
-            PhysicalPlan::Values { schema, .. } => schema.clone(),
+            PhysicalPlan::Values(batch) => batch.schema().clone(),
             PhysicalPlan::Filter { input, .. } => input.schema(),
             PhysicalPlan::Project { schema, .. } => schema.clone(),
             PhysicalPlan::HashJoin {
@@ -205,8 +201,8 @@ impl PhysicalPlan {
                     !config.disable_skipping,
                 ));
             }
-            PhysicalPlan::Values { rows, .. } => {
-                out.push_str(&format!("{pad}Values rows={}\n", rows.len()));
+            PhysicalPlan::Values(batch) => {
+                out.push_str(&format!("{pad}Values rows={}\n", batch.len()));
             }
             PhysicalPlan::Filter { input, .. } => {
                 out.push_str(&format!("{pad}Filter\n"));
@@ -330,7 +326,7 @@ mod tests {
     use crate::expr::CmpOp;
     use crate::scan::ColumnPredicate;
     use dash_common::types::DataType;
-    use dash_common::{row, Field};
+    use dash_common::{row, Field, Row};
     use dash_storage::table::STRIDE;
 
     fn make_table() -> SharedTable {
@@ -498,14 +494,8 @@ mod tests {
     #[test]
     fn union_and_group_by_every_column() {
         let schema = Schema::new(vec![Field::new("x", DataType::Int64)]).unwrap();
-        let v1 = PhysicalPlan::Values {
-            schema: schema.clone(),
-            rows: vec![row![1i64], row![2i64]],
-        };
-        let v2 = PhysicalPlan::Values {
-            schema: schema.clone(),
-            rows: vec![row![2i64], row![3i64]],
-        };
+        let v1 = PhysicalPlan::Values(Batch::from_rows(schema.clone(), &[row![1i64], row![2i64]]).unwrap());
+        let v2 = PhysicalPlan::Values(Batch::from_rows(schema.clone(), &[row![2i64], row![3i64]]).unwrap());
         let union = PhysicalPlan::UnionAll {
             inputs: vec![v1, v2],
         };
@@ -533,7 +523,7 @@ mod tests {
         ])
         .unwrap();
         let plan = PhysicalPlan::ConnectBy {
-            input: Box::new(PhysicalPlan::Values { schema, rows }),
+            input: Box::new(PhysicalPlan::Values(Batch::from_rows(schema, &rows).unwrap())),
             start_with: Expr::Cmp(CmpOp::Eq, Box::new(Expr::col(1)), Box::new(Expr::lit(0i64))),
             parent: 0,
             child: 1,

@@ -833,7 +833,7 @@ mod tests {
         let txn = TxnId(1);
         // Pending insert in the open stride + pending delete in the sealed one.
         let pending_tsn = t
-            .append([(
+            .append_from_rows([(
                 row![
                     9_999i64,
                     Datum::Date(20_000),
@@ -929,7 +929,7 @@ mod tests {
             t.delete(Tsn(tsn as u64)).unwrap();
         }
         // One more sealed stride under the loaded encodings, deletes and all.
-        t.append((STRIDE * 3 + 40..STRIDE * 4 + 40).map(|i| (skewed_row(i), 0, TS_NEVER)))
+        t.append_from_rows((STRIDE * 3 + 40..STRIDE * 4 + 40).map(|i| (skewed_row(i), 0, TS_NEVER)))
             .unwrap();
         assert_eq!(t.sealed_strides(), 4);
         for col in [4, 5] {
@@ -952,7 +952,7 @@ mod tests {
         // stride, one insert into the open one, both at ts 5.
         let txn = TxnId(1);
         let inserted = t
-            .append([(row![77_777i64, 5i64, "region-1", 7.0f64, 7i64, "hot"], pending(txn), TS_NEVER)])
+            .append_from_rows([(row![77_777i64, 5i64, "region-1", 7.0f64, 7i64, "hot"], pending(txn), TS_NEVER)])
             .unwrap();
         t.mvcc_delete(Tsn(9), txn, 0).unwrap();
         t.commit_insert(inserted, 5).unwrap();

@@ -8,14 +8,14 @@
 //!   key (replicated tables go everywhere — the standard MPP treatment of
 //!   dimension tables, which keeps joins co-located);
 //! * splits every SELECT into a **shard statement** and a **final
-//!   statement**, scatters the first to all live shards in parallel, loads
-//!   what they return into a scratch table of its own engine, and runs
-//!   the second over it. An aggregating query's shards project the GROUP
-//!   BY keys and the partial aggregates (COUNT/SUM/MIN/MAX decompose, AVG
-//!   splits into SUM + COUNT); its final statement is the user's own with
-//!   FROM replaced by the gathered relation and each aggregate call by its
-//!   merge expression, so HAVING, DISTINCT, ORDER BY, LIMIT and OFFSET are
-//!   the engine's. The coordinator owns routing, retries, assignment
+//!   statement**, scatters the first to all live shards in parallel,
+//!   concatenates the batches they return and runs the second over them,
+//!   bound as the relation `GATHERED`. An aggregating query's shards
+//!   project the GROUP BY keys and the partial aggregates (COUNT/SUM/MIN/MAX
+//!   decompose, AVG splits into SUM + COUNT); its final statement is the
+//!   user's own with FROM replaced by the gathered relation and each
+//!   aggregate call by its merge expression, so HAVING, DISTINCT, ORDER BY,
+//!   LIMIT and OFFSET are the engine's. The coordinator owns routing, retries, assignment
 //!   epochs and the statement's deadline — and no operator.
 //!
 //! A statement has one clock and one pool. Its [`StatementContext`] is
@@ -36,7 +36,8 @@ use dash_common::ids::{NodeId, ShardId};
 use dash_common::txn::TS_NEVER;
 use dash_common::{DashError, Datum, Result, Row, Schema, StatementContext};
 use dash_core::monitor::Monitor;
-use dash_core::{Database, HardwareSpec, QueryResult};
+use dash_core::{Database, HardwareSpec};
+use dash_exec::batch::Batch;
 use dash_exec::agg::AggFunc;
 use dash_exec::pool;
 use dash_sql::ast::{AstExpr, BinOp, OrderItem, SelectItem, SelectStmt, Statement, TableRef};
@@ -116,7 +117,7 @@ fn is_transient(e: &DashError) -> bool {
 /// What one shard attempt (with its internal retry loop) produced.
 enum ShardOutcome {
     /// The shard statement's result, ready to gather.
-    Rows(QueryResult),
+    Rows(Batch),
     /// Deterministic failure — propagate to the caller unchanged.
     Fatal(DashError),
     /// Retries exhausted or the node crashed: the assigned node is dead,
@@ -238,6 +239,11 @@ impl Cluster {
         &self.faults
     }
 
+    /// The coordinator's own engine, where final statements run.
+    pub fn coordinator(&self) -> &Arc<Database> {
+        &self.coordinator
+    }
+
     /// The coordinator's monitoring store (statement + recovery counters).
     pub fn monitor(&self) -> &Monitor {
         self.coordinator.monitor()
@@ -330,7 +336,9 @@ impl Cluster {
     }
 
     /// Route rows to shards per the table's distribution and append each
-    /// shard's rows in one call.
+    /// shard's rows in one call. The rows are transposed into columns once;
+    /// each shard appends its selection of them (a replicated table's
+    /// shards, all of them).
     pub fn load_rows(&self, table: &str, rows: Vec<Row>) -> Result<u64> {
         let dist = self
             .distributions
@@ -339,42 +347,37 @@ impl Cluster {
             .cloned()
             .ok_or_else(|| DashError::not_found("table", table))?;
         let shards = self.fs.shards();
-        let n = rows.len() as u64;
-        match dist {
-            Distribution::Replicated => {
-                for shard in &shards {
-                    let fsd = self.fs.mount(*shard)?;
-                    let handle = fsd.db.catalog().table_handle(table)?;
-                    handle.table.write().append(rows.iter().map(|r| (r.clone(), 0, TS_NEVER)))?;
-                }
-            }
+        let first = shards.first().ok_or_else(|| {
+            DashError::internal("cluster filesystem holds no shards (constructor guarantees >= 1)")
+        })?;
+        let first = self.fs.mount(*first)?.db.catalog().table_handle(table)?.table;
+        let schema = first.read().schema().clone();
+        // Hash on the rendered key — stable across numeric kinds.
+        let home: Option<Vec<usize>> = match &dist {
+            Distribution::Replicated => None,
             Distribution::Hash(col) => {
-                // Hash on the rendered key — stable across numeric kinds.
-                let Some(&first_shard) = shards.first() else {
-                    return Err(DashError::internal(
-                        "cluster filesystem holds no shards (constructor guarantees >= 1)",
-                    ));
-                };
-                let first = self.fs.mount(first_shard)?;
-                let schema = first.db.catalog().table_handle(table)?.table.read().schema().clone();
-                let key_idx = schema.resolve(&col)?;
-                let mut per_shard: Vec<Vec<Row>> = vec![Vec::new(); shards.len()];
-                for r in rows {
-                    let key = r.get(key_idx).render();
-                    let h = hash_bytes(key.as_bytes()) as usize % shards.len();
-                    per_shard[h].push(r);
-                }
-                for (i, shard_rows) in per_shard.into_iter().enumerate() {
-                    if shard_rows.is_empty() {
-                        continue;
-                    }
-                    let fsd = self.fs.mount(shards[i])?;
-                    let handle = fsd.db.catalog().table_handle(table)?;
-                    handle.table.write().append(shard_rows.into_iter().map(|r| (r, 0, TS_NEVER)))?;
-                }
+                let key = schema.resolve(col)?;
+                let shard_of = |r: &Row| hash_bytes(r.get(key).render().as_bytes()) as usize % shards.len();
+                Some(rows.iter().map(shard_of).collect())
             }
+        };
+        let n = rows.len();
+        let columns = first.read().transpose(rows)?;
+        for (i, shard) in shards.iter().enumerate() {
+            let mine: Vec<usize> = (0..n).filter(|&r| home.as_ref().is_none_or(|h| h[r] == i)).collect();
+            if mine.is_empty() {
+                continue;
+            }
+            let part = columns.iter().map(|c| {
+                let mut part = c.slice(0..0);
+                part.append_selected(c, &mine);
+                part
+            });
+            let handle = self.fs.mount(*shard)?.db.catalog().table_handle(table)?;
+            let (ins, del) = (vec![0; mine.len()], vec![TS_NEVER; mine.len()]);
+            handle.table.write().append(part.collect(), &schema.types(), &ins, &del)?;
         }
-        Ok(n)
+        Ok(n as u64)
     }
 
     /// Run a statement on every shard (DDL, UPDATE, DELETE broadcast).
@@ -430,10 +433,10 @@ impl Cluster {
                 ))
             }
         };
-        self.distributed_select(&select, deadline)
+        Ok(self.distributed_select(&select, deadline)?.to_rows())
     }
 
-    fn distributed_select(&self, stmt: &SelectStmt, deadline: Option<Duration>) -> Result<Vec<Row>> {
+    fn distributed_select(&self, stmt: &SelectStmt, deadline: Option<Duration>) -> Result<Batch> {
         let (shard_stmt, final_stmt) = match analyze_aggregation(stmt)? {
             Some(pair) => pair,
             None => {
@@ -469,35 +472,26 @@ impl Cluster {
         self.run_final(results, &final_stmt, stmt_ctx)
     }
 
-    /// Load the shard results, in shard-id order, into the scratch table
-    /// of a coordinator session and run the final statement over it, on
-    /// the engine's one statement runner and under the scatter's context.
+    /// Concatenate the shard results, in shard-id order, and run the final
+    /// statement over them, bound as `GATHERED`, in a coordinator session:
+    /// on the engine's one statement runner and under the scatter's
+    /// context.
     fn run_final(
         &self,
-        results: Vec<QueryResult>,
+        results: Vec<Batch>,
         final_stmt: &SelectStmt,
         stmt_ctx: StatementContext,
-    ) -> Result<Vec<Row>> {
+    ) -> Result<Batch> {
         // A stall cut short by the token falls through: the final
         // statement's admission refuses it and its runner counts the kill.
         if let Some(FaultAction::Stall(d)) = self.faults.evaluate(GATHER_LOAD) {
             let _ = stmt_ctx.sleep_cancellable(d);
         }
-        let schema = match results.first() {
-            Some(first) => first.schema.clone(),
-            None => return Err(DashError::internal("scatter returned no shard result")),
-        };
-        let rows: Vec<Row> = results.into_iter().flat_map(|r| r.rows).collect();
+        let first = results.first().ok_or_else(|| DashError::internal("scatter returned no shard result"))?;
+        let gathered = Batch::concat_columnar(first.schema().clone(), results)?;
         let mut session = self.coordinator.connect();
         session.set_dialect(self.dialect);
-        let result = self
-            .coordinator
-            .catalog()
-            .create_table(GATHERED, schema, Some(session.id()))
-            .and_then(|table| table.write().load_rows(rows))
-            .and_then(|_| session.run_query(final_stmt, stmt_ctx));
-        session.close();
-        Ok(result?.rows)
+        Ok(session.run_batch(final_stmt, stmt_ctx, Some((GATHERED, gathered)))?.0)
     }
 
     // ---- resilient scatter-gather ---------------------------------------------
@@ -517,14 +511,14 @@ impl Cluster {
         &self,
         shard_stmt: &SelectStmt,
         stmt_ctx: &StatementContext,
-    ) -> Result<Vec<QueryResult>> {
+    ) -> Result<Vec<Batch>> {
         // The coordinator's resolved parallelism (`DASH_PARALLELISM`,
         // `Catalog::set_parallelism`), at most 8; 1 drives shards inline.
         let width = SchemaProvider::parallelism(self.coordinator.catalog().as_ref()).clamp(1, 8);
         let mut pinned = self.pin_assignment();
         let mut pin = EpochPin::new(self.monitor(), pinned.epoch);
         let mut pending: Vec<ShardId> = self.fs.shards();
-        let mut collected: BTreeMap<ShardId, QueryResult> = BTreeMap::new();
+        let mut collected: BTreeMap<ShardId, Batch> = BTreeMap::new();
         let mut round = 0usize;
         // Convergence accounting: the first round is free; every extra
         // round must be paid for by an observed node death or an epoch
@@ -728,11 +722,11 @@ impl Cluster {
         node: NodeId,
         epoch: u64,
         stmt_ctx: &StatementContext,
-    ) -> Result<QueryResult> {
+    ) -> Result<Batch> {
         let fsd = self.fs.mount_for_epoch(shard, node, epoch)?;
         let mut session = fsd.db.connect();
         session.set_dialect(self.dialect);
-        session.run_query(stmt, stmt_ctx.clone())
+        Ok(session.run_batch(stmt, stmt_ctx.clone(), None)?.0)
     }
 
     // ---- HA & elasticity -------------------------------------------------------
@@ -882,7 +876,7 @@ impl Cluster {
 
 // ---- shard statement / final statement ---------------------------------------
 
-/// The coordinator session's scratch table holding the gathered results.
+/// The relation the final statement reads the gathered shard results as.
 const GATHERED: &str = "GATHERED";
 
 fn gathered() -> TableRef {

@@ -20,10 +20,11 @@
 use crate::ast::*;
 use dash_common::dialect::Dialect;
 use dash_common::row::coerce_datum;
-use dash_common::{DashError, DataType, Datum, Field, Result, Row, Schema};
+use dash_common::{DashError, DataType, Datum, Field, Result, Schema};
 use dash_exec::agg::{AggExpr, AggFunc};
 use dash_exec::expr::{ArithOp, CmpOp, Expr};
 use dash_exec::batch::Batch;
+use dash_encoding::column::ColumnValues;
 use dash_exec::functions::{arith_type, same_repr, supertype, EvalContext, FunctionRegistry};
 use dash_exec::join::JoinType;
 use dash_exec::key::KeyMode;
@@ -33,6 +34,7 @@ use dash_exec::sort::SortKey;
 use dash_storage::bufferpool::BufferPool;
 use parking_lot::Mutex;
 use std::collections::HashMap;
+use std::rc::Rc;
 use std::sync::Arc;
 
 /// A resolved table: catalog id plus the shared storage handle.
@@ -93,7 +95,24 @@ pub fn plan_select(
     dialect: Dialect,
     ctx: &EvalContext,
 ) -> Result<PhysicalPlan> {
+    plan_select_over(stmt, None, provider, dialect, ctx)
+}
+
+/// Plan a SELECT in which `relation`, if given, binds its name to a batch
+/// the way a CTE binds its name to a query — how a distributed query's
+/// final statement reads what its shards returned.
+pub fn plan_select_over(
+    stmt: &SelectStmt,
+    relation: Option<(&str, Batch)>,
+    provider: &dyn SchemaProvider,
+    dialect: Dialect,
+    ctx: &EvalContext,
+) -> Result<PhysicalPlan> {
     let mut planner = Planner::new(provider, dialect, ctx);
+    if let Some((name, batch)) = relation {
+        let scope = Scope::from_schema(Some(name), batch.schema());
+        planner.ctes.insert(name.to_ascii_uppercase(), Rc::new((PhysicalPlan::Values(batch), scope)));
+    }
     let (plan, _) = planner.plan_query(stmt)?;
     Ok(pushdown(plan, provider))
 }
@@ -120,22 +139,15 @@ pub fn plan_values(
     let types: Vec<DataType> = (0..width)
         .map(|i| supertype(lowered.iter().filter_map(|r| constraint(&r[i].0, r[i].1))))
         .collect();
-    let one = Batch::from_rows(Schema::empty(), &[Row::new(vec![])])?;
-    let rows = lowered
-        .into_iter()
-        .map(|r| {
-            r.into_iter()
-                .zip(&types)
-                .map(|((e, dt), to)| cast(e, dt, *to).eval(&one, 0, ctx))
-                .collect::<Result<Vec<Datum>>>()
-                .map(Row::new)
-        })
-        .collect::<Result<Vec<Row>>>()?;
+    let one = Batch::unit();
+    let mut columns: Vec<ColumnValues> = types.iter().map(|&dt| ColumnValues::empty_for(dt)).collect();
+    for row in lowered {
+        for ((column, (e, dt)), &to) in columns.iter_mut().zip(row).zip(&types) {
+            column.push_datum(to, &cast(e, dt, to).eval(&one, 0, ctx)?)?;
+        }
+    }
     let fields = types.iter().enumerate().map(|(i, dt)| Field::new(format!("COL{}", i + 1), *dt));
-    Ok(PhysicalPlan::Values {
-        schema: Schema::new_unchecked(fields.collect()),
-        rows,
-    })
+    Ok(PhysicalPlan::Values(Batch::new(Schema::new_unchecked(fields.collect()), columns)?))
 }
 
 /// Lower a standalone expression (no table scope) — used by INSERT VALUES
@@ -151,20 +163,20 @@ pub fn lower_standalone_expr(
     Ok(e)
 }
 
-/// Lower an expression against a single table's schema (used by UPDATE /
-/// DELETE WHERE clauses in `dash-core`). Column ordinals reference the
-/// table schema directly.
+/// Lower an expression against a single table's schema, with the type it
+/// evaluates to (used by UPDATE assignments and UPDATE / DELETE WHERE
+/// clauses in `dash-core`). Column ordinals reference the table schema
+/// directly.
 pub fn lower_table_expr(
     ast: &AstExpr,
     schema: &Schema,
     provider: &dyn SchemaProvider,
     dialect: Dialect,
     ctx: &EvalContext,
-) -> Result<Expr> {
+) -> Result<(Expr, DataType)> {
     let mut planner = Planner::new(provider, dialect, ctx);
     let scope = Scope::from_schema(None, schema);
-    let (e, _) = planner.lower(ast, &scope)?;
-    Ok(e)
+    planner.lower(ast, &scope)
 }
 
 // ---- scopes -------------------------------------------------------------
@@ -242,8 +254,9 @@ struct Planner<'a> {
     dialect: Dialect,
     registry: &'static FunctionRegistry,
     ctx: &'a EvalContext,
-    /// CTEs visible in the current query (name → (plan, scope)).
-    ctes: HashMap<String, (PhysicalPlan, Scope)>,
+    /// CTEs visible in the current query (name → (plan, scope)), shared
+    /// so a nested block saves and restores them without copying plans.
+    ctes: HashMap<String, Rc<(PhysicalPlan, Scope)>>,
     depth: usize,
 }
 
@@ -287,7 +300,7 @@ impl<'a> Planner<'a> {
                     })
                     .collect(),
             };
-            self.ctes.insert(name.clone(), (plan, scope));
+            self.ctes.insert(name.clone(), Rc::new((plan, scope)));
         }
         let out = self.plan_block(stmt);
         self.ctes = saved_ctes;
@@ -696,13 +709,7 @@ impl<'a> Planner<'a> {
     fn plan_from(&mut self, stmt: &SelectStmt) -> Result<(PhysicalPlan, Scope)> {
         if stmt.from.is_empty() {
             // SELECT without FROM: one empty row.
-            return Ok((
-                PhysicalPlan::Values {
-                    schema: Schema::empty(),
-                    rows: vec![Row::new(vec![])],
-                },
-                Scope::default(),
-            ));
+            return Ok((PhysicalPlan::Values(Batch::unit()), Scope::default()));
         }
         // Column pruning needs the set of referenced names for this block.
         let referenced = collect_block_columns(stmt);
@@ -783,20 +790,16 @@ impl<'a> Planner<'a> {
         referenced: &Option<Vec<(Option<String>, String)>>,
     ) -> Result<(PhysicalPlan, Scope)> {
         match tr {
-            TableRef::Dual => Ok((
-                PhysicalPlan::Values {
-                    schema: Schema::new_unchecked(vec![Field::new("DUMMY", DataType::Utf8)]),
-                    rows: vec![Row::new(vec![Datum::str("X")])],
-                },
-                Scope::from_schema(Some("DUAL"), &Schema::new_unchecked(vec![Field::new(
-                    "DUMMY",
-                    DataType::Utf8,
-                )])),
-            )),
+            TableRef::Dual => {
+                let schema = Schema::new_unchecked(vec![Field::new("DUMMY", DataType::Utf8)]);
+                let scope = Scope::from_schema(Some("DUAL"), &schema);
+                let dummy = ColumnValues::Str(vec![Some("X".into())]);
+                Ok((PhysicalPlan::Values(Batch::new(schema, vec![dummy])?), scope))
+            }
             TableRef::Named { name, alias } => {
                 let qualifier = alias.clone().unwrap_or_else(|| name.clone());
                 // CTE?
-                if let Some((plan, scope)) = self.ctes.get(name) {
+                if let Some((plan, scope)) = self.ctes.get(name).map(|cte| &**cte) {
                     let scope = Scope {
                         cols: scope
                             .cols
@@ -1325,9 +1328,9 @@ impl<'a> Planner<'a> {
                 high,
                 negated,
             } => {
-                let (v, _) = self.lower(expr, scope)?;
-                let (lo, _) = self.lower(low, scope)?;
-                let (hi, _) = self.lower(high, scope)?;
+                let (v, vdt) = self.lower(expr, scope)?;
+                let lo = compared(self.lower(low, scope)?.0, vdt)?;
+                let hi = compared(self.lower(high, scope)?.0, vdt)?;
                 let range = Expr::And(vec![
                     Expr::Cmp(CmpOp::Ge, Box::new(v.clone()), Box::new(lo)),
                     Expr::Cmp(CmpOp::Le, Box::new(v), Box::new(hi)),
@@ -1344,16 +1347,16 @@ impl<'a> Planner<'a> {
                 list,
                 negated,
             } => {
-                let (v, _) = self.lower(expr, scope)?;
+                let (v, vdt) = self.lower(expr, scope)?;
                 let mut datums = Vec::with_capacity(list.len());
                 for item in list {
-                    match self.lower(item, scope)? {
-                        (Expr::Lit(d), _) => datums.push(d),
+                    match compared(self.lower(item, scope)?.0, vdt)? {
+                        Expr::Lit(d) => datums.push(d),
                         _ => {
                             // Non-literal IN items: expand to OR of equalities.
                             let mut ors = Vec::with_capacity(list.len());
                             for item in list {
-                                let (rhs, _) = self.lower(item, scope)?;
+                                let rhs = compared(self.lower(item, scope)?.0, vdt)?;
                                 ors.push(Expr::Cmp(
                                     CmpOp::Eq,
                                     Box::new(v.clone()),
@@ -1382,7 +1385,7 @@ impl<'a> Planner<'a> {
             } => {
                 let (v, _) = self.lower(expr, scope)?;
                 let rows = self.execute_subquery(subquery, 1)?;
-                let list: Vec<Datum> = rows.into_iter().map(|mut r| r.0.remove(0)).collect();
+                let list: Vec<Datum> = (0..rows.len()).map(|i| rows.value(i, 0)).collect();
                 Ok((
                     Expr::InList {
                         expr: Box::new(v),
@@ -1397,16 +1400,13 @@ impl<'a> Planner<'a> {
                 Ok((Expr::lit(rows.is_empty() == *negated), DataType::Bool))
             }
             AstExpr::ScalarSubquery(subquery) => {
-                let mut rows = self.execute_subquery(subquery, 1)?;
+                let rows = self.execute_subquery(subquery, 1)?;
                 if rows.len() > 1 {
                     return Err(DashError::exec(
                         "scalar subquery returned more than one row",
                     ));
                 }
-                let d = rows
-                    .pop()
-                    .map(|mut r| r.0.remove(0))
-                    .unwrap_or(Datum::Null);
+                let d = if rows.is_empty() { Datum::Null } else { rows.value(0, 0) };
                 let dt = d.data_type().unwrap_or(DataType::Utf8);
                 Ok((Expr::Lit(d), dt))
             }
@@ -1557,14 +1557,17 @@ impl<'a> Planner<'a> {
     ) -> Result<(Expr, DataType)> {
         let (l, ldt) = self.lower(left, scope)?;
         let (r, rdt) = self.lower(right, scope)?;
-        let cmp = |c: CmpOp, l: Expr, r: Expr| (Expr::Cmp(c, Box::new(l), Box::new(r)), DataType::Bool);
+        let cmp = |c: CmpOp, l: Expr, r: Expr| -> Result<(Expr, DataType)> {
+            let (l, r) = (compared(l, rdt)?, compared(r, ldt)?);
+            Ok((Expr::Cmp(c, Box::new(l), Box::new(r)), DataType::Bool))
+        };
         Ok(match op {
-            BinOp::Eq => cmp(CmpOp::Eq, l, r),
-            BinOp::Ne => cmp(CmpOp::Ne, l, r),
-            BinOp::Lt => cmp(CmpOp::Lt, l, r),
-            BinOp::Le => cmp(CmpOp::Le, l, r),
-            BinOp::Gt => cmp(CmpOp::Gt, l, r),
-            BinOp::Ge => cmp(CmpOp::Ge, l, r),
+            BinOp::Eq => cmp(CmpOp::Eq, l, r)?,
+            BinOp::Ne => cmp(CmpOp::Ne, l, r)?,
+            BinOp::Lt => cmp(CmpOp::Lt, l, r)?,
+            BinOp::Le => cmp(CmpOp::Le, l, r)?,
+            BinOp::Gt => cmp(CmpOp::Gt, l, r)?,
+            BinOp::Ge => cmp(CmpOp::Ge, l, r)?,
             BinOp::And => (Expr::And(vec![l, r]), DataType::Bool),
             BinOp::Or => (Expr::Or(vec![l, r]), DataType::Bool),
             BinOp::Concat => {
@@ -1587,9 +1590,9 @@ impl<'a> Planner<'a> {
         })
     }
 
-    /// Plan and run an uncorrelated subquery, returning up to... all rows
+    /// Plan and run an uncorrelated subquery, returning all its rows
     /// (`max_cols` validates the column count).
-    fn execute_subquery(&mut self, subquery: &SelectStmt, max_cols: usize) -> Result<Vec<Row>> {
+    fn execute_subquery(&mut self, subquery: &SelectStmt, max_cols: usize) -> Result<Batch> {
         let (plan, scope) = self.plan_query(subquery)?;
         if max_cols != usize::MAX && scope.cols.len() != max_cols {
             return Err(DashError::analysis(format!(
@@ -1599,7 +1602,7 @@ impl<'a> Planner<'a> {
         }
         let plan = pushdown(plan, self.provider);
         let (batch, _) = dash_exec::plan::execute(&plan, self.ctx)?;
-        Ok(batch.to_rows())
+        Ok(batch)
     }
 }
 
@@ -1617,6 +1620,19 @@ fn cast(e: Expr, from: DataType, to: DataType) -> Expr {
             Err(_) => Expr::Cast(Box::new(Expr::Lit(d)), to),
         },
         e => Expr::Cast(Box::new(e), to),
+    }
+}
+
+/// `e` as an operand compared with one of type `other`: a string literal
+/// compared with a DATE or TIMESTAMP is cast to that type here — as a
+/// pushed scan bound is — so every plan of the comparison compares the
+/// same values. A literal that does not parse is the cast's error.
+fn compared(e: Expr, other: DataType) -> Result<Expr> {
+    match e {
+        Expr::Lit(d @ Datum::Str(_)) if matches!(other, DataType::Date | DataType::Timestamp) => {
+            Ok(Expr::Lit(coerce_datum(d, other)?))
+        }
+        e => Ok(e),
     }
 }
 

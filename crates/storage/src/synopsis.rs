@@ -77,11 +77,6 @@ impl Synopsis {
         }
     }
 
-    /// Whether a stride of a column contains NULLs (drives `IS NULL` scans).
-    pub fn stride_has_nulls(&self, col: usize, stride: usize) -> bool {
-        self.columns[col].has_nulls[stride]
-    }
-
     /// Bitmap over strides that *may* contain a value of column `col`
     /// within `[lo, hi]` (orderable domain, either bound optional). Strides
     /// outside the range are pruned — the scan never reads their pages.

@@ -2,12 +2,13 @@
 //!
 //! A [`ColumnTable`] stores each column as a sequence of encoded blocks,
 //! one per *stride* of [`STRIDE`] tuples. Every write — LOAD, INSERT, CTAS,
-//! UPDATE, recovery — goes through [`ColumnTable::append`]: rows are coerced
-//! into typed columns, buffered in an open (uncompressed) stride, and each
-//! full stride is encoded and added to the synopsis. A column is analysed
-//! when its first stride seals, over everything buffered then, so a bulk
-//! append analyses its whole input (the LOAD path, which is how the paper's
-//! workloads arrive).
+//! UPDATE, recovery — goes through [`ColumnTable::append`]: typed columns
+//! are coerced to the table's, buffered in an open (uncompressed) stride,
+//! and each full stride is encoded and added to the synopsis. Rows enter
+//! only at the edge (`insert`, `load_rows`, `append_from_rows`), transposed
+//! once into columns. A column is analysed when its first stride seals,
+//! over everything buffered then, so a bulk append analyses its whole
+//! input (the LOAD path, which is how the paper's workloads arrive).
 //!
 //! Deletes mark a per-stride visibility bitmap; updates are delete+append —
 //! the standard column-store write model, and the reason the engine "always
@@ -17,7 +18,8 @@ use crate::stats::TableStats;
 use crate::synopsis::Synopsis;
 use dash_common::ids::Tsn;
 use dash_common::txn::{is_pending, pending, pending_owner, SnapshotView, TxnId, TS_NEVER};
-use dash_common::{DashError, Result, Row, Schema};
+use dash_common::row::{check_stored, coerce_datum};
+use dash_common::{DashError, DataType, Datum, Field, Result, Row, Schema};
 use dash_encoding::bitmap::Bitmap;
 use dash_encoding::column::{ColumnCompressor, ColumnEncoding, ColumnValues};
 use dash_encoding::dict::FreqDict;
@@ -168,64 +170,91 @@ impl ColumnTable {
         &self.compressor
     }
 
-    /// Append one row (validated + coerced against the schema),
-    /// non-transactionally: the row is immediately visible to every
-    /// snapshot (pre-history timestamp `0`).
+    /// Append one row (coerced to the schema), non-transactionally: the
+    /// row is immediately visible to every snapshot (pre-history
+    /// timestamp `0`).
     pub fn insert(&mut self, row: Row) -> Result<Tsn> {
-        self.append([(row, 0, TS_NEVER)])
+        self.append_from_rows([(row, 0, TS_NEVER)])
     }
 
-    /// The one append, used by every write: rows, each with its insert and
-    /// delete timestamp words, go to the end of the table in order. Every
-    /// row is coerced into typed columns before any position is assigned,
-    /// so a bad row leaves the table unchanged. A row is visible to
-    /// latest-committed scans (and counts as live) iff its insert word is
-    /// committed and its delete word is not. Returns the first row's TSN.
-    pub fn append(&mut self, rows: impl IntoIterator<Item = (Row, u64, u64)>) -> Result<Tsn> {
-        let first = self.total_rows() as usize;
-        if let Err(e) = self.buffer(rows) {
-            for values in &mut self.open {
-                values.truncate(self.open_rows);
-            }
-            self.insert_ts.truncate(first);
-            self.delete_ts.truncate(first);
-            return Err(e);
+    /// The one append, used by every write: typed `columns`, each holding
+    /// values of its entry in `types`, and one insert and one delete
+    /// timestamp word per row go to the end of the table in order. Every
+    /// column is coerced to the table's before the table is touched, so a
+    /// bad value leaves it unchanged. A row is visible to latest-committed
+    /// scans (and counts as live) iff its insert word is committed and its
+    /// delete word is not. Returns the first row's TSN.
+    pub fn append(&mut self, columns: Vec<ColumnValues>, types: &[DataType], ins: &[u64], del: &[u64]) -> Result<Tsn> {
+        let ncols = self.schema.len();
+        if columns.len() != ncols || types.len() != ncols || del.len() != ins.len() || columns.iter().any(|c| c.len() != ins.len()) {
+            return Err(DashError::internal(format!("append of unequal columns and words to {ncols} columns")));
         }
-        for pos in first..self.insert_ts.len() {
-            let visible = committed(self.insert_ts[pos]) && !committed(self.delete_ts[pos]);
+        let fields = self.schema.fields().iter().enumerate();
+        let columns = (columns.into_iter().zip(types).zip(fields))
+            .map(|((values, &from), (i, field))| coerce_column(values, from, field, i))
+            .collect::<Result<Vec<_>>>()?;
+        let first = Tsn(self.total_rows());
+        for (open, values) in self.open.iter_mut().zip(columns) {
+            open.extend_from(values);
+        }
+        self.insert_ts.extend_from_slice(ins);
+        self.delete_ts.extend_from_slice(del);
+        for (&i, &d) in ins.iter().zip(del) {
+            let visible = committed(i) && !committed(d);
             self.open_deleted.push(!visible);
             self.live_rows += visible as u64;
         }
         self.open_rows = self.open_deleted.len();
         self.seal()?;
-        Ok(Tsn(first as u64))
+        Ok(first)
     }
 
-    /// Bulk load: replaces prior contents with `rows` as pre-history, and
-    /// every column is analysed over the entire data set (the LOAD path),
-    /// even one too small to fill a stride. A bad row leaves the old
-    /// contents in place.
-    pub fn load_rows(&mut self, rows: Vec<Row>) -> Result<u64> {
-        let count = rows.len() as u64;
+    /// The row edge: `rows` cast value by value to the schema's types and
+    /// transposed into typed columns, ready for [`ColumnTable::append`].
+    pub fn transpose(&self, rows: impl IntoIterator<Item = Row>) -> Result<Vec<ColumnValues>> {
+        let types = self.schema.types();
+        let mut columns: Vec<ColumnValues> = types.iter().map(|&dt| ColumnValues::empty_for(dt)).collect();
+        for row in rows {
+            if row.len() != types.len() {
+                let msg = format!("row has {} values but table has {} columns", row.len(), types.len());
+                return Err(DashError::analysis(msg));
+            }
+            for ((values, &dt), v) in columns.iter_mut().zip(&types).zip(row.0) {
+                values.push_datum(dt, &coerce_datum(v, dt)?)?;
+            }
+        }
+        Ok(columns)
+    }
+
+    /// [`ColumnTable::append`] of rows, each with its insert and delete
+    /// words, through [`ColumnTable::transpose`].
+    pub fn append_from_rows(&mut self, rows: impl IntoIterator<Item = (Row, u64, u64)>) -> Result<Tsn> {
+        let (mut ins, mut del) = (Vec::new(), Vec::new());
+        let columns = self.transpose(rows.into_iter().map(|(row, i, d)| {
+            ins.push(i);
+            del.push(d);
+            row
+        }))?;
+        self.append(columns, &self.schema.types(), &ins, &del)
+    }
+
+    /// Bulk load: replaces prior contents with typed `columns` as
+    /// pre-history, and every column is analysed over the entire data set
+    /// (the LOAD path), even one too small to fill a stride. A bad value
+    /// leaves the old contents in place.
+    pub fn load(&mut self, columns: Vec<ColumnValues>, types: &[DataType]) -> Result<u64> {
+        let n = columns.first().map_or(0, ColumnValues::len);
         let mut loaded = ColumnTable::new(self.name.clone(), self.schema.clone());
-        loaded.append(rows.into_iter().map(|r| (r, 0, TS_NEVER)))?;
+        loaded.append(columns, types, &vec![0; n], &vec![TS_NEVER; n])?;
         loaded.analyse();
         *self = loaded;
-        Ok(count)
+        Ok(n as u64)
     }
 
-    /// Coerce `rows` onto the end of the open stride's columns, and their
-    /// words onto the word arrays, without assigning them positions.
-    fn buffer(&mut self, rows: impl IntoIterator<Item = (Row, u64, u64)>) -> Result<()> {
-        for (row, ins, del) in rows {
-            let row = row.coerce(&self.schema)?;
-            for (i, d) in row.values().iter().enumerate() {
-                self.open[i].push_datum(self.schema.field(i).data_type, d)?;
-            }
-            self.insert_ts.push(ins);
-            self.delete_ts.push(del);
-        }
-        Ok(())
+    /// [`ColumnTable::load`] of rows, through [`ColumnTable::transpose`].
+    pub fn load_rows(&mut self, rows: Vec<Row>) -> Result<u64> {
+        let columns = self.transpose(rows)?;
+        self.load(columns, &self.schema.types())
     }
 
     /// Give every column without an encoding one, analysed over everything
@@ -585,6 +614,32 @@ fn committed(word: u64) -> bool {
     word != TS_NEVER && !is_pending(word)
 }
 
+/// `values`, a column of type `from`, as a column for `field` (ordinal
+/// `ordinal`): moved when the types are equal, otherwise cast value by
+/// value by the engine's one cast rule, [`coerce_datum`]. Either way every
+/// value passes [`check_stored`] in row order, so the first bad value is
+/// the one reported, as a row at a time would.
+fn coerce_column(values: ColumnValues, from: DataType, field: &Field, ordinal: usize) -> Result<ColumnValues> {
+    let to = field.data_type;
+    if from != to {
+        let mut cast = ColumnValues::empty_for(to);
+        for i in 0..values.len() {
+            let d = coerce_datum(values.datum_at(from, i), to)?;
+            check_stored(&d, field, ordinal)?;
+            cast.push_datum(to, &d)?;
+        }
+        return Ok(cast);
+    }
+    let not_null = !field.nullable;
+    match &values {
+        ColumnValues::Int(v) => v.iter().try_for_each(|x| check_stored(&x.map_or(Datum::Null, Datum::Int), field, ordinal))?,
+        ColumnValues::Float(v) if not_null && v.contains(&None) => check_stored(&Datum::Null, field, ordinal)?,
+        ColumnValues::Str(v) if not_null && v.contains(&None) => check_stored(&Datum::Null, field, ordinal)?,
+        _ => {}
+    }
+    Ok(values)
+}
+
 /// Shared dictionary handle for a freshly analyzed encoding, if any.
 fn str_dict_of(enc: &ColumnEncoding) -> Option<Arc<FreqDict<Arc<str>>>> {
     match enc {
@@ -717,7 +772,7 @@ mod tests {
         let mut t = test_table();
         fill(&mut t, 5);
         let txn = TxnId(1);
-        let tsn = t.append([(row![100i64, "region-x", 1.0f64], pending(txn), TS_NEVER)]).unwrap();
+        let tsn = t.append_from_rows([(row![100i64, "region-x", 1.0f64], pending(txn), TS_NEVER)]).unwrap();
         // Pending: invisible to latest scans and to other snapshots, but
         // visible to the writing transaction.
         assert!(t.is_deleted(tsn));
@@ -733,7 +788,7 @@ mod tests {
         assert!(!t.row_visible(tsn, &SnapshotView::at(6)));
         // Abort path leaves a permanent placeholder.
         let tsn2 = t
-            .append([(row![101i64, "region-y", 2.0f64], pending(TxnId(2)), TS_NEVER)])
+            .append_from_rows([(row![101i64, "region-y", 2.0f64], pending(TxnId(2)), TS_NEVER)])
             .unwrap();
         t.abort_insert(tsn2).unwrap();
         assert!(t.is_deleted(tsn2));
@@ -768,7 +823,7 @@ mod tests {
     fn restore_and_replay_enforce_consistency() {
         let mut t = test_table();
         let first = t
-            .append([
+            .append_from_rows([
                 (row![1i64, "a", 1.0f64], 3, TS_NEVER),
                 (row![2i64, "b", 2.0f64], TS_NEVER, TS_NEVER),
             ])
@@ -794,7 +849,7 @@ mod tests {
             (row![1i64, "a", 1.0f64], 0, TS_NEVER),
             (row![Datum::Null, "b", 2.0f64], 0, TS_NEVER),
         ];
-        assert!(t.append(rows).is_err(), "NOT NULL id");
+        assert!(t.append_from_rows(rows).is_err(), "NOT NULL id");
         assert_eq!(t.total_rows(), before.total_rows());
         assert_eq!(t.live_rows(), before.live_rows());
         assert_eq!(t.open_values(0), before.open_values(0));
@@ -820,7 +875,7 @@ mod tests {
         let mut appended = test_table();
         fill(&mut appended, 7);
         let first = appended
-            .append(rows.into_iter().map(|r| (r, pending(TxnId(4)), TS_NEVER)))
+            .append_from_rows(rows.into_iter().map(|r| (r, pending(TxnId(4)), TS_NEVER)))
             .unwrap();
         assert_eq!(first, Tsn(7));
         assert_eq!(appended.sealed_strides(), 3);

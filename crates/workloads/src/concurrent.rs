@@ -108,11 +108,6 @@ impl MixOutcome {
         self.per_stream.iter().map(|s| s.commits).sum()
     }
 
-    /// Total 40001 conflicts across all streams.
-    pub fn total_conflicts(&self) -> u64 {
-        self.per_stream.iter().map(|s| s.conflicts).sum()
-    }
-
     /// The audit counter for one id, if present.
     pub fn audit_hits(&self, id: i64) -> Option<i64> {
         self.audit.iter().find(|(i, _)| *i == id).map(|(_, h)| *h)

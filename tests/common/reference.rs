@@ -25,7 +25,7 @@ pub fn eval(plan: &PhysicalPlan, ctx: &EvalContext) -> Batch {
     let eval_row = |e: &Expr, b: &Batch, i: usize| e.eval(b, i, ctx).unwrap();
     let rows: Vec<Row> = match plan {
         PhysicalPlan::ColumnScan { table, config } => scan(&table.read(), config, ctx),
-        PhysicalPlan::Values { rows, .. } => rows.clone(),
+        PhysicalPlan::Values(batch) => batch.to_rows(),
         PhysicalPlan::Filter { input, predicate } => {
             let b = eval(input, ctx);
             let keep = |i: &usize| predicate.eval_predicate(&b, *i, ctx).unwrap();

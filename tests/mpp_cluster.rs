@@ -2,12 +2,13 @@
 //! plus failover/elasticity under a running workload.
 
 use dashdb_local::common::dialect::Dialect;
-use dashdb_local::common::faults::{FaultAction, FaultPolicy, FaultRegistry, SHARD_EXEC};
+use dashdb_local::common::faults::{FaultAction, FaultPolicy, FaultRegistry, GATHER_LOAD, SHARD_EXEC};
 use dashdb_local::common::ids::NodeId;
 use dashdb_local::common::types::DataType;
 use dashdb_local::common::{row, Datum, Field, Row, Schema};
 use dashdb_local::core::{Database, HardwareSpec, Session};
 use dashdb_local::mpp::{Cluster, Distribution};
+use std::time::Duration;
 
 #[path = "common/gen.rs"]
 mod gen;
@@ -494,4 +495,37 @@ fn relative_cost_tracks_max_load() {
     assert_eq!(cluster.relative_query_cost(), 8.0);
     cluster.fail_node(NodeId(2)).unwrap();
     assert_eq!(cluster.relative_query_cost(), 12.0);
+}
+
+/// The coordinator reads the shards' batches as a bound relation, not as
+/// a table: after generated statements, a failover and a statement its
+/// deadline kills between gather and merge, its catalog holds no
+/// `GATHERED` table (and no temporary one of that name).
+#[test]
+fn no_scratch_table_appears_on_the_coordinator() {
+    let reg = FaultRegistry::with_seed(suite_seed());
+    let mut cluster = Cluster::with_faults(3, 2, HardwareSpec::laptop(), reg.clone()).unwrap();
+    cluster.set_dialect(Dialect::Netezza);
+    let mut g = Gen(suite_seed() ^ 0x6a7e);
+    cluster.create_table("g", gen_schema(), Distribution::Hash("id".into())).unwrap();
+    cluster.load_rows("g", gen_rows(&mut g, 600)).unwrap();
+    let gathered = |c: &Cluster| -> Vec<String> {
+        let names = c.coordinator().catalog().table_names();
+        names.into_iter().filter(|n| n.contains("GATHERED")).collect()
+    };
+    for _ in 0..20 {
+        let (sql, _) = gen_statement(&mut g, "g");
+        cluster.query(&sql).unwrap_or_else(|e| panic!("{sql}: {e}"));
+        assert_eq!(gathered(&cluster), Vec::<String>::new(), "{sql}");
+    }
+    cluster.fail_node(NodeId(1)).unwrap();
+    cluster.query("SELECT ks, COUNT(*) FROM g GROUP BY ks").unwrap();
+    reg.arm(GATHER_LOAD, FaultPolicy::Always, FaultAction::Stall(Duration::from_secs(30)));
+    let err = cluster
+        .query_with_deadline("SELECT id FROM g ORDER BY id LIMIT 3", Some(Duration::from_millis(100)))
+        .unwrap_err();
+    assert_eq!(err.class(), "57014", "{err}");
+    reg.disarm(GATHER_LOAD);
+    assert_eq!(gathered(&cluster), Vec::<String>::new());
+    assert_eq!(cluster.query("SELECT COUNT(*) FROM g").unwrap(), vec![row![600i64]]);
 }

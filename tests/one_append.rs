@@ -6,8 +6,9 @@
 //! cluster's broadcast refusing to add rows.
 
 use dashdb_local::common::types::DataType;
-use dashdb_local::common::{row, Field, Row, Schema};
+use dashdb_local::common::{row, Datum, Field, Row, Schema};
 use dashdb_local::core::{Database, HardwareSpec};
+use dashdb_local::encoding::column::ColumnValues;
 use dashdb_local::mpp::{Cluster, Distribution};
 use dashdb_local::storage::table::{ColumnTable, STRIDE};
 use std::path::PathBuf;
@@ -176,4 +177,159 @@ fn cluster_broadcast_refuses_to_add_rows() {
     assert_eq!(cluster.query("SELECT COUNT(*) FROM f").unwrap(), vec![row![10i64]]);
     assert_eq!(cluster.execute_all("DELETE FROM f WHERE id = 3").unwrap(), 1);
     assert_eq!(cluster.query("SELECT COUNT(*) FROM f").unwrap(), vec![row![9i64]]);
+}
+
+// ---- typed-column coercion against the row rule ------------------------------
+
+/// Every SQL type a coercion pair is drawn from, with the values a source
+/// column of it holds: boundaries, values a narrower or other type cannot
+/// hold, and a NULL.
+const SOURCES: [(&str, &[&str]); 12] = [
+    ("BOOLEAN", &["TRUE", "FALSE", "NULL"]),
+    ("SMALLINT", &["-32768", "32767", "NULL"]),
+    ("INTEGER", &["-7", "40000", "NULL"]),
+    ("BIGINT", &["5", "3000000000", "NULL"]),
+    ("REAL", &["1.5", "NULL"]),
+    ("DOUBLE", &["2.75", "-10000000000.5", "NULL"]),
+    ("DECIMAL(10,2)", &["1.25", "-3.55", "NULL"]),
+    ("DECIMAL(10,1)", &["7.5", "NULL"]),
+    ("DATE", &["'2017-04-20'", "NULL"]),
+    ("TIMESTAMP", &["'2017-04-20 10:11:12'", "NULL"]),
+    ("VARCHAR(20)", &["'12'", "NULL", "' 7'"]),
+    ("VARCHAR(20)", &["'2017-01-01'", "NULL", "'abc'"]),
+];
+
+/// The row rule the column coercion must agree with: each value through
+/// `Row::coerce` (cast, then `validate`) against a one-column schema of
+/// `to`, in order; the first failure's class, or the coerced values.
+fn by_rows(values: &[Row], to: DataType, nullable: bool) -> Result<Vec<Row>, &'static str> {
+    let schema = Schema::new(vec![Field { name: "V".into(), data_type: to, nullable }]).unwrap();
+    values.iter().map(|r| r.clone().coerce(&schema).map_err(|e| e.class())).collect()
+}
+
+/// What a table's failed statement must leave as it found it.
+fn state(db: &Arc<Database>, table: &str) -> (u64, Vec<ColumnValues>, Vec<u64>, Vec<u64>) {
+    let handle = db.catalog().table_handle(table).unwrap();
+    let t = handle.table.read();
+    let open = (0..t.schema().len()).map(|c| t.open_values(c).clone()).collect();
+    (t.total_rows(), open, t.insert_ts_words().to_vec(), t.delete_ts_words().to_vec())
+}
+
+/// Run `sql` against `table`: on success its `V` column (rows with
+/// `K >= 0`, in `K` order), on failure its class, checking the table is
+/// untouched.
+fn written(db: &Arc<Database>, table: &str, sql: &str) -> Result<Vec<Row>, &'static str> {
+    let before = state(db, table);
+    match db.connect().execute(sql) {
+        Ok(_) => Ok(read(db, &format!("SELECT v FROM {table} WHERE k >= 0 ORDER BY k"))),
+        Err(e) => {
+            assert_eq!(state(db, table), before, "{sql}: {e} changed the table");
+            Err(e.class())
+        }
+    }
+}
+
+/// CTAS, `INSERT … SELECT` and UPDATE hand the statement's typed columns
+/// to the table, which moves a column of its own type and casts any
+/// other value by value: for every pair of types the stored values (or
+/// the error class) are the row rule's, and a failing batch leaves the
+/// row count, the open stride and the words unchanged.
+#[test]
+fn typed_appends_coerce_as_rows_do() {
+    for (i, (from_sql, literals)) in SOURCES.iter().enumerate() {
+        let db = Database::untracked();
+        let mut s = db.connect();
+        s.execute(&format!("CREATE TABLE src (k INT, v {from_sql})")).unwrap();
+        let values: Vec<String> = literals.iter().enumerate().map(|(k, l)| format!("({k}, {l})")).collect();
+        s.execute(&format!("INSERT INTO src VALUES {}", values.join(", "))).unwrap();
+        let src = read(&db, "SELECT v FROM src ORDER BY k");
+        assert_eq!(src.len(), literals.len(), "{from_sql}");
+        // CTAS: the table takes the query's types, and each column moves.
+        s.execute("CREATE TABLE c AS SELECT k, v FROM src").unwrap();
+        assert_eq!(read(&db, "SELECT v FROM c ORDER BY k"), src, "CTAS of {from_sql}");
+        for (j, (to_sql, _)) in SOURCES.iter().enumerate() {
+            let to = DataType::from_sql_name(to_sql.split('(').next().unwrap(), &type_args(to_sql)).unwrap();
+            let pair = format!("{from_sql} -> {to_sql} (sources {i}, {j})");
+            for nullable in [true, false] {
+                let t = format!("t{j}_{}", nullable as u8);
+                let not_null = if nullable { "" } else { " NOT NULL" };
+                s.execute(&format!("CREATE TABLE {t} (k INT, v {to_sql}{not_null})")).unwrap();
+                if nullable {
+                    s.execute(&format!("INSERT INTO {t} VALUES (-1, NULL)")).unwrap();
+                }
+                let got = written(&db, &t, &format!("INSERT INTO {t} SELECT k, v FROM src"));
+                assert_eq!(got, by_rows(&src, to, nullable), "INSERT … SELECT {pair}, nullable {nullable}");
+            }
+            let u = format!("u{j}");
+            s.execute(&format!("CREATE TABLE {u} (k INT, s {from_sql}, v {to_sql})")).unwrap();
+            s.execute(&format!("INSERT INTO {u} (s, k) SELECT v, k FROM src")).unwrap();
+            let got = written(&db, &u, &format!("UPDATE {u} SET v = s"));
+            assert_eq!(got, by_rows(&src, to, true), "UPDATE {pair}");
+        }
+    }
+}
+
+/// `DECIMAL(10,2)` → `[10, 2]`; no parenthesis → no arguments.
+fn type_args(sql: &str) -> Vec<i64> {
+    sql.split_once('(')
+        .map(|(_, args)| args.trim_end_matches(')').split(',').map(|a| a.trim().parse().unwrap()).collect())
+        .unwrap_or_default()
+}
+
+/// An `INSERT … SELECT` whose column list is partial and out of table
+/// order places each column at its ordinal, casts it there, and leaves the
+/// omitted one NULL.
+#[test]
+fn insert_select_places_a_reordered_partial_column_list() {
+    let db = Database::untracked();
+    let mut s = db.connect();
+    s.execute("CREATE TABLE q (x INT, y BIGINT, z VARCHAR(12))").unwrap();
+    s.execute("INSERT INTO q VALUES (1, 10, '2017-03-04'), (2, 20, NULL)").unwrap();
+    s.execute("CREATE TABLE p (a SMALLINT, b VARCHAR(8), c DATE, d DOUBLE)").unwrap();
+    let n = s.execute("INSERT INTO p (d, a, c) SELECT x, y, z FROM q").unwrap().affected;
+    assert_eq!(n, 2);
+    let date = dashdb_local::common::date::parse_date("2017-03-04").unwrap();
+    assert_eq!(
+        read(&db, "SELECT a, b, c, d FROM p ORDER BY a"),
+        vec![
+            Row::new(vec![Datum::Int(10), Datum::Null, Datum::Date(date), Datum::Float(1.0)]),
+            Row::new(vec![Datum::Int(20), Datum::Null, Datum::Null, Datum::Float(2.0)]),
+        ]
+    );
+    let e = s.execute("INSERT INTO p (d, a) SELECT x, y, z FROM q").unwrap_err();
+    assert_eq!(e.class(), "42000", "{e}");
+}
+
+/// Inside one transaction, an UPDATE of a row that transaction already
+/// deleted changes nothing: no replacement is appended, and after COMMIT
+/// the row stays gone.
+#[test]
+fn update_of_a_row_deleted_earlier_in_the_transaction_appends_nothing() {
+    let db = Database::untracked();
+    let mut s = db.connect();
+    s.execute("CREATE TABLE t (k INT, v INT)").unwrap();
+    s.execute("INSERT INTO t VALUES (1, 10), (2, 20)").unwrap();
+    s.execute("BEGIN").unwrap();
+    assert_eq!(s.execute("DELETE FROM t WHERE k = 1").unwrap().affected, 1);
+    let before = state(&db, "t");
+    assert_eq!(s.execute("UPDATE t SET v = v + 1 WHERE k = 1").unwrap().affected, 0);
+    assert_eq!(state(&db, "t"), before, "the skipped row's replacement was appended");
+    assert_eq!(s.execute("UPDATE t SET v = v + 1").unwrap().affected, 1);
+    s.execute("COMMIT").unwrap();
+    assert_eq!(read(&db, "SELECT k, v FROM t ORDER BY k"), vec![row![2i64, 21i64]]);
+}
+
+/// A CTAS of a dictionary-coded string column stores the same values, in
+/// the same order, and codes them with a dictionary again.
+#[test]
+fn ctas_of_a_dictionary_string_column_equals_its_source() {
+    let db = Database::untracked();
+    let src = db.catalog().create_table("SRC", skewed_schema(), None).unwrap();
+    let rows: Vec<Row> = (0..STRIDE * 2 + 300).map(|i| row![i as i64, format!("c{}", i % 9)]).collect();
+    src.write().load_rows(rows).unwrap();
+    assert!(src.read().str_dict(1).is_some());
+    db.connect().execute("CREATE TABLE c AS SELECT k, v FROM src").unwrap();
+    let copy = db.catalog().table_handle("C").unwrap().table;
+    assert!(copy.read().str_dict(1).is_some(), "the copy is dictionary-coded");
+    assert_eq!(read(&db, "SELECT k, v FROM c ORDER BY k"), read(&db, "SELECT k, v FROM src ORDER BY k"));
 }

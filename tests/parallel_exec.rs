@@ -1494,7 +1494,7 @@ fn generated_aggregates_match_reference_at_every_width() {
     let mut sources: Vec<(String, PhysicalPlan, Vec<Row>)> = Vec::new();
     for (n, wide) in [(0, 0), (1, 0), (4095, 0), (4096, 6000), (4097, 0), (4097, 50_000)] {
         let rows: Vec<Row> = (0..n).map(|_| gen_row(&mut g, wide, false)).collect();
-        let values = PhysicalPlan::Values { schema: gen_schema(), rows: rows.clone() };
+        let values = PhysicalPlan::Values(Batch::from_rows(gen_schema(), &rows).unwrap());
         sources.push((format!("values {n} wide {wide}"), values, rows));
     }
     for wide in [0, 5000] {
@@ -1706,7 +1706,7 @@ fn generated_joins_match_reference_at_every_width() {
     let db = Database::untracked();
     let all = [JoinType::Inner, JoinType::Left, JoinType::Semi, JoinType::Anti];
 
-    let values = |rows: Vec<Row>| PhysicalPlan::Values { schema: join_schema(), rows };
+    let values = |rows: Vec<Row>| PhysicalPlan::Values(Batch::from_rows(join_schema(), &rows).unwrap());
     // A table of `loaded` bulk-loaded rows (its string key dictionary-coded)
     // and `inserted` more whose strings arrived after the dictionary.
     let table = |g: &mut Gen, name: &str, loaded: usize, inserted: usize, wide: usize| {

@@ -282,6 +282,52 @@ fn same_column_bounds_push_as_one_intersected_range() {
     }
 }
 
+/// A string literal compared with a DATE column is that date in every
+/// plan of the comparison: pushed to the scan as a bound, decoded first
+/// (`set_compressed_predicates(false)`) and under an expression
+/// (`day + 0`), in `<`, BETWEEN and IN, on sealed and open strides. A
+/// literal that is no date is the cast's error on every plan.
+#[test]
+fn date_compared_with_a_string_literal_is_that_date_in_every_plan() {
+    let product = Database::with_hardware(HardwareSpec::laptop());
+    let ablated = Database::with_hardware(HardwareSpec::laptop());
+    ablated.catalog().set_compressed_predicates(false);
+    // 2013-01-01 is day 15_706; `day` walks 20 days over and over.
+    let rows: Vec<Row> = (0..1024 + 300i64)
+        .map(|i| Row::new(vec![Datum::Int(i), Datum::Date(15_706 + (i % 20) as i32)]))
+        .collect();
+    let schema = Schema::new(vec![Field::new("id", DataType::Int64), Field::new("day", DataType::Date)]).unwrap();
+    for db in [&product, &ablated] {
+        let t = db.catalog().create_table("d", schema.clone(), None).unwrap();
+        t.write().load_rows(rows.clone()).unwrap();
+        assert_eq!((t.read().sealed_strides(), t.read().open_len()), (1, 300));
+    }
+    let count = |keep: &dyn Fn(i64) -> bool, ids: std::ops::Range<i64>| ids.filter(|i| keep(i % 20)).count() as i64;
+    let cases: [(&str, &dyn Fn(i64) -> bool); 3] = [
+        ("< '2013-01-09'", &|d| d < 8),
+        ("BETWEEN '2013-01-05' AND '2013-01-07'", &|d| (4..=6).contains(&d)),
+        ("IN ('2013-01-02', '2013-01-19')", &|d| d == 1 || d == 18),
+    ];
+    for (cond, keep) in cases {
+        for (stride, ids) in [("id < 1024", 0..1024), ("id >= 1024", 1024..1324)] {
+            let want = count(keep, ids);
+            for operand in ["day", "day + 0"] {
+                let sql = format!("SELECT COUNT(*) FROM d WHERE {stride} AND {operand} {cond}");
+                for db in [&product, &ablated] {
+                    let got = db.connect().query(&sql).unwrap();
+                    assert_eq!(got[0].get(0), &Datum::Int(want), "{sql}");
+                }
+            }
+        }
+    }
+    for db in [&product, &ablated] {
+        for operand in ["day", "day + 0"] {
+            let err = db.connect().query(&format!("SELECT id FROM d WHERE {operand} < 'not a date'")).unwrap_err();
+            assert_eq!(err.class(), "22000", "{operand}: {err}");
+        }
+    }
+}
+
 #[test]
 fn negative_literal_bounds_push_down() {
     let mut s = session();

@@ -399,7 +399,7 @@ proptest! {
         let (first, rest) = rows.split_at(loaded.len());
         let mut table = ColumnTable::new("F", schema());
         table.load_rows(first.iter().map(to_row).collect()).unwrap();
-        table.append(rest.iter().map(|fr| (to_row(fr), 0, TS_NEVER))).unwrap();
+        table.append_from_rows(rest.iter().map(|fr| (to_row(fr), 0, TS_NEVER))).unwrap();
 
         let sealed = table.sealed_strides();
         prop_assert!(sealed >= 2);

@@ -794,9 +794,10 @@ fn high_cardinality_group_by_over_budget_releases_all_leases() {
 /// statement dies inside the product, and both leave zero bytes charged.
 #[test]
 fn cross_join_refusal_and_cancel_release_all_leases() {
-    let side = || PhysicalPlan::Values {
-        schema: Schema::new(vec![Field::not_null("x", DataType::Int64)]).unwrap(),
-        rows: (0..300).map(|i| row![i as i64]).collect(),
+    let side = || {
+        let schema = Schema::new(vec![Field::not_null("x", DataType::Int64)]).unwrap();
+        let rows: Vec<Row> = (0..300).map(|i| row![i as i64]).collect();
+        PhysicalPlan::Values(Batch::from_rows(schema, &rows).unwrap())
     };
     let plan = PhysicalPlan::CrossJoin {
         left: Box::new(side()),
@@ -830,9 +831,10 @@ fn cross_join_refusal_and_cancel_release_all_leases() {
 /// back by the time the statement ends.
 #[test]
 fn breaker_intermediates_are_charged_to_the_budget() {
-    let values = || PhysicalPlan::Values {
-        schema: Schema::new(vec![Field::not_null("x", DataType::Int64)]).unwrap(),
-        rows: (0..10_000).map(|i| row![i as i64]).collect(),
+    let values = || {
+        let schema = Schema::new(vec![Field::not_null("x", DataType::Int64)]).unwrap();
+        let rows: Vec<Row> = (0..10_000).map(|i| row![i as i64]).collect();
+        PhysicalPlan::Values(Batch::from_rows(schema, &rows).unwrap())
     };
     let input_bytes = 10_000 * 9;
     let sort = |input| PhysicalPlan::Sort {
