@@ -89,8 +89,8 @@ pub struct AutoConfig {
     parallelism: usize,
 }
 
-/// The widest parallelism the engine runs: every pipeline drive spawns
-/// one OS thread per worker, and the paper's largest host has 72 cores.
+/// The widest parallelism the engine runs: the pool keeps width − 1
+/// helper threads, and the paper's largest host has 72 cores.
 /// Wider requests (`DASH_PARALLELISM`, [`Catalog::set_parallelism`](crate::catalog::Catalog::set_parallelism))
 /// are clamped here, where they enter.
 pub const MAX_PARALLELISM: usize = 1024;

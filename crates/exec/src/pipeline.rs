@@ -305,14 +305,26 @@ pub(crate) fn run(p: &Pipeline<'_>, ctx: &EvalContext, stats: &mut ExecStats) ->
     let (table, config) = match &p.source {
         Source::Scan { table, config } => (table, config),
         Source::Breaker(b) => {
-            let batch = run_breaker(b, ctx, stats)?;
             if p.stages.is_empty() && sink.is_none() {
-                return Ok(batch);
+                return run_breaker(b, ctx, stats);
             }
+            // The plan's own VALUES batch is read in place; any other
+            // breaker emits its output first.
+            let emitted;
+            let batch = match b {
+                Breaker::Values(batch) => {
+                    stats.pipeline_breakers += 1;
+                    *batch
+                }
+                _ => {
+                    emitted = run_breaker(b, ctx, stats)?;
+                    &emitted
+                }
+            };
             // The breaker's output stays charged while this pipeline reads it.
-            let _lease = charge(&batch, ctx, stats)?;
+            let _lease = charge(batch, ctx, stats)?;
             let ops = freeze(&p.stages, || batch.schema().clone(), ctx, stats)?;
-            return drive(&Feed::Batch(&batch), &ops, sink, p.parallelism, ctx, stats);
+            return drive(&Feed::Batch(batch), &ops, sink, p.parallelism, ctx, stats);
         }
     };
     // Build sides run before the scan takes its table lock: a build may
@@ -705,9 +717,10 @@ fn describe_into(p: &Pipeline<'_>, lines: &mut Vec<String>) -> usize {
 mod tests {
     use super::*;
     use crate::agg::AggFunc;
+    use crate::expr::CmpOp;
     use crate::key::KeyMode;
     use dash_common::types::DataType;
-    use dash_common::{row, Field, Row};
+    use dash_common::{row, Field, Row, StatementContext};
     use dash_storage::table::{ColumnTable, STRIDE};
     use parking_lot::RwLock;
     use std::sync::Arc;
@@ -781,6 +794,65 @@ mod tests {
         let widened = Schema::new_unchecked(vec![Field::new("c0", DataType::Float64)]);
         let ids = project(&[Expr::Cast(Box::new(Expr::col(0)), DataType::Float64)], &widened, 0..3).unwrap();
         assert_eq!(ids.to_rows(), vec![row![0.0f64], row![1.0f64], row![2.0f64]]);
+    }
+
+    /// A pipeline over the plan's own VALUES batch reads it in place: a
+    /// filter and an aggregate over `Values` give what they give over the
+    /// table the batch was scanned from, at every width, and the batch is
+    /// still charged to the statement while the pipeline reads it.
+    #[test]
+    fn values_fed_pipeline_matches_the_scanned_one() {
+        let t = table(
+            "T",
+            vec![
+                Field::not_null("id", DataType::Int64),
+                Field::new("k", DataType::Int64),
+                Field::new("x", DataType::Float64),
+            ],
+            (0..STRIDE as i64 * 3 + 17).map(|i| row![i, i % 13, i as f64 * 0.25]).collect(),
+        );
+        let ctx = EvalContext::default();
+        let config = ScanConfig::full(0, vec![0, 1, 2]);
+        let (batch, _) = crate::scan::scan(&t.read(), &config, &ctx).unwrap();
+        let aggregate = |input: PhysicalPlan, parallelism: usize| PhysicalPlan::HashAggregate {
+            input: Box::new(PhysicalPlan::Filter {
+                input: Box::new(input),
+                predicate: Expr::Cmp(CmpOp::Gt, Box::new(Expr::col(2)), Box::new(Expr::lit(100.0f64))),
+            }),
+            group: vec![1],
+            aggs: vec![
+                AggExpr { func: AggFunc::CountStar, args: vec![], distinct: false, arg_types: vec![] },
+                AggExpr { func: AggFunc::Sum, args: vec![0], distinct: false, arg_types: vec![DataType::Int64] },
+            ],
+            schema: Schema::new(vec![
+                Field::new("k", DataType::Int64),
+                Field::new("cnt", DataType::Int64),
+                Field::new("total", DataType::Int64),
+            ])
+            .unwrap(),
+            key_mode: KeyMode::Encoded,
+            parallelism,
+        };
+        let sorted = |b: Batch| {
+            let mut rows: Vec<String> = b.to_rows().iter().map(|r| format!("{r:?}")).collect();
+            rows.sort();
+            rows
+        };
+        for par in [1usize, 2, 4, 8] {
+            let scan = PhysicalPlan::ColumnScan { table: t.clone(), config: config.clone() };
+            let (scanned, _) = crate::plan::execute(&aggregate(scan, par), &ctx).unwrap();
+            let values = aggregate(PhysicalPlan::Values(batch.clone()), par);
+            let (valued, stats) = crate::plan::execute(&values, &ctx).unwrap();
+            assert_eq!(valued.len(), 13, "par={par}");
+            assert_eq!(sorted(valued), sorted(scanned), "par={par}");
+            assert_eq!(stats.pipeline_breakers, 2, "par={par}: the VALUES source and the aggregate");
+            let tight = EvalContext {
+                statement: StatementContext::with_budget(batch.approx_bytes() - 1),
+                ..EvalContext::default()
+            };
+            let err = crate::plan::execute(&values, &tight).unwrap_err();
+            assert_eq!(err.class(), "53200", "par={par}: {err}");
+        }
     }
 
     /// The memory claim as an absolute bound, for a collecting and an

@@ -4,13 +4,13 @@
 //!
 //! Operators describe their work as `n` independent **morsels** — a stride
 //! to evaluate, a stride of survivors to materialize, a hash partition to
-//! build and probe — and [`run_morsels`] fans them out over a scoped worker
-//! pool. Workers **claim** morsels one at a time from a shared atomic
-//! counter instead of receiving a contiguous pre-split chunk. That matters
-//! because synopsis skipping clusters the surviving strides: with a static
-//! split one worker can end up owning all the survivors while the rest idle
-//! on pruned ranges. Claiming keeps every worker busy until the pool of
-//! morsels is dry, whatever the skew.
+//! build and probe — and [`run_morsels`] fans them out over the calling
+//! thread and the pool's helpers. Workers **claim** morsels one at a time
+//! from a shared counter instead of receiving a contiguous pre-split
+//! chunk. That matters because synopsis skipping clusters the surviving
+//! strides: with a static split one worker can end up owning all the
+//! survivors while the rest idle on pruned ranges. Claiming keeps every
+//! worker busy until the pool of morsels is dry, whatever the skew.
 //!
 //! Determinism: results are returned **in morsel-index order**, regardless
 //! of which worker processed which morsel, so callers that merge results
@@ -24,6 +24,19 @@
 //! There is one driver, [`run_morsels_fold`]; [`run_morsels`] is the same
 //! drive with a window as wide as the run and a fold that collects.
 //!
+//! Helpers: one process-wide set of parked threads, started on demand. It
+//! grows to the widest drive it has been asked for — width − 1 helpers,
+//! since the calling thread is itself a worker — and never shrinks, so no
+//! drive pays a thread start once the set is that wide. A drive offers
+//! width − 1 tickets for its worker loop; a parked helper takes one, runs
+//! the loop until the run is dry, and parks again. Meanwhile the caller
+//! folds the next in-order result whenever it is ready and otherwise claims
+//! and runs a morsel. At the end it revokes the tickets nobody took and
+//! waits only for the helpers that took one. A nested drive (a cluster
+//! shard statement inside a `run_morsels` morsel) or one that finds every
+//! helper busy runs on whichever are free, down to the caller alone, so it
+//! never deadlocks.
+//!
 //! Cancellation: every claim first consults the statement's
 //! [`StatementContext`]. A flipped token aborts the run with
 //! [`DashError::Cancelled`] before any further morsel starts, so the
@@ -34,10 +47,9 @@
 //! keeps that at ≤ 1 per worker and tests assert it.
 
 use std::any::Any;
-use std::collections::BTreeMap;
+use std::collections::VecDeque;
 use std::panic::AssertUnwindSafe;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
 use dash_common::{DashError, Result, StatementContext};
@@ -49,11 +61,12 @@ pub struct MorselRun<T> {
     pub results: Vec<T>,
     /// How many morsels were dispatched (== `n` on success).
     pub morsels_dispatched: u64,
-    /// The fan-out width: how many workers the run spawned. `1` for a
-    /// serial (inline) run, `0` when there was no work at all. Spawn width
-    /// rather than claimed-at-least-one so the counter is deterministic —
-    /// on a loaded (or single-core) host one eager worker can drain every
-    /// morsel before its siblings are even scheduled.
+    /// The fan-out width: the caller plus the helper tickets the run
+    /// offered. `1` for a serial (inline) run, `0` when there was no work
+    /// at all. Offered width rather than claimed-at-least-one so the
+    /// counter is deterministic — on a loaded (or single-core) host one
+    /// eager worker can drain every morsel before its siblings are even
+    /// scheduled.
     pub workers_used: u64,
 }
 
@@ -79,7 +92,7 @@ fn run_caught<T>(morsel: impl FnOnce() -> Result<T>) -> Result<T> {
 }
 
 /// Run `n` morsels through `work`, fanning out over at most `parallelism`
-/// scoped workers with work-claiming, and return every result in
+/// workers with work-claiming, and return every result in
 /// morsel-index order: [`run_morsels_fold`] with a window as wide as the
 /// run and a fold that collects. `work` receives the morsel index and must
 /// be safe to call concurrently from multiple threads.
@@ -92,7 +105,7 @@ fn run_caught<T>(morsel: impl FnOnce() -> Result<T>) -> Result<T> {
 /// [`StatementContext::note_cancel_latency`].
 ///
 /// With `parallelism <= 1` (or a single morsel) everything runs inline on
-/// the calling thread — no threads are spawned, no behavior changes.
+/// the calling thread — no helper is involved, no behavior changes.
 pub fn run_morsels<T, F>(
     n: usize,
     parallelism: usize,
@@ -121,7 +134,7 @@ where
 pub struct FoldRun {
     /// How many morsels were dispatched (== `n` on success).
     pub morsels_dispatched: u64,
-    /// The fan-out width (spawn width, like [`MorselRun::workers_used`]).
+    /// The fan-out width (offered width, like [`MorselRun::workers_used`]).
     pub workers_used: u64,
     /// Peak number of morsels simultaneously claimed-but-unfolded,
     /// bounded by the inflight window.
@@ -131,12 +144,12 @@ pub struct FoldRun {
     pub peak_inflight_bytes: u64,
 }
 
-/// Lock the fold state. No caller code runs under this lock — `work`,
-/// `bytes_of` and `fold` all run outside it — so only a bug in the driver
-/// itself could poison it, and its plain counters stay meaningful: take it
-/// and let the run finish or abort as usual.
-fn lock<T>(state: &Mutex<T>) -> MutexGuard<'_, T> {
-    state.lock().unwrap_or_else(PoisonError::into_inner)
+/// Lock `m`. No caller code runs under a pool lock — `work`, `bytes_of` and
+/// `fold` all run outside it — so only a bug in the driver itself could
+/// poison one, and its plain counters stay meaningful: take it and let the
+/// run finish or abort as usual.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// One time slice of waiting on `signal`, poison-tolerant like [`lock`].
@@ -144,37 +157,344 @@ fn lock<T>(state: &Mutex<T>) -> MutexGuard<'_, T> {
 /// hangs the drive.
 fn wait<'a, T>(signal: &Condvar, guard: MutexGuard<'a, T>) -> MutexGuard<'a, T> {
     const WAIT_SLICE: Duration = Duration::from_millis(1);
-    signal.wait_timeout(guard, WAIT_SLICE).unwrap_or_else(PoisonError::into_inner).0
+    signal
+        .wait_timeout(guard, WAIT_SLICE)
+        .unwrap_or_else(PoisonError::into_inner)
+        .0
 }
 
-/// Reorder buffer shared between producing workers and the folding thread.
+/// One drive's offer to the helpers: its worker loop, which every helper
+/// that takes one of the drive's tickets runs once.
+struct Ticket {
+    /// The drive's worker loop, its borrow of the drive erased (see
+    /// [`run_morsels_fold`]).
+    work: &'static (dyn Fn() + Sync),
+    /// Helpers that took a ticket and have not left the loop yet.
+    running: Mutex<usize>,
+    finished: Condvar,
+    /// The thread that offered the ticket, so a test can ask what its own
+    /// drives left on offer.
+    #[cfg_attr(not(test), allow(dead_code))]
+    caller: std::thread::ThreadId,
+}
+
+/// The process-wide helper threads and the tickets on offer to them.
+struct Helpers {
+    queue: Mutex<Queue>,
+    /// Parked helpers wait here for a ticket.
+    offered: Condvar,
+}
+
+struct Queue {
+    /// Helper threads started so far: the widest drive's width − 1. The set
+    /// never shrinks.
+    started: usize,
+    /// Helpers parked on `offered`.
+    idle: usize,
+    /// Tickets on offer, oldest first.
+    tickets: VecDeque<Arc<Ticket>>,
+}
+
+static HELPERS: Helpers = Helpers {
+    queue: Mutex::new(Queue {
+        started: 0,
+        idle: 0,
+        tickets: VecDeque::new(),
+    }),
+    offered: Condvar::new(),
+};
+
+impl Helpers {
+    /// Put `count` tickets for `ticket`'s loop on offer, first starting
+    /// helpers until at least `count` exist.
+    fn offer(&'static self, ticket: &Arc<Ticket>, count: usize) {
+        let mut q = lock(&self.queue);
+        while q.started < count {
+            let started = std::thread::Builder::new()
+                .name(format!("dash-pool-{}", q.started))
+                .spawn(move || self.serve());
+            if started.is_err() {
+                // The caller and the helpers already running finish the
+                // drive without it.
+                break;
+            }
+            q.started += 1;
+        }
+        q.tickets.extend((0..count).map(|_| Arc::clone(ticket)));
+        let wake = q.idle.min(count);
+        drop(q);
+        for _ in 0..wake {
+            self.offered.notify_one();
+        }
+    }
+
+    /// Withdraw `ticket`'s unclaimed tickets, then wait for every helper
+    /// that took one to leave its loop.
+    fn revoke(&self, ticket: &Arc<Ticket>) {
+        lock(&self.queue)
+            .tickets
+            .retain(|t| !Arc::ptr_eq(t, ticket));
+        let mut running = lock(&ticket.running);
+        while *running > 0 {
+            running = wait(&ticket.finished, running);
+        }
+    }
+
+    /// A helper thread's life: take the oldest ticket and run its loop;
+    /// park while none is on offer.
+    fn serve(&self) {
+        loop {
+            let ticket = {
+                let mut q = lock(&self.queue);
+                loop {
+                    if let Some(t) = q.tickets.pop_front() {
+                        // Counted under the queue lock, so a revoke that no
+                        // longer finds the ticket queued finds it running.
+                        *lock(&t.running) += 1;
+                        break t;
+                    }
+                    q.idle += 1;
+                    q = self.offered.wait(q).unwrap_or_else(PoisonError::into_inner);
+                    q.idle -= 1;
+                }
+            };
+            // Morsel panics are caught inside the loop; anything else is a
+            // driver bug, which must neither kill the helper nor leave the
+            // drive's caller waiting for it.
+            let _ = std::panic::catch_unwind(AssertUnwindSafe(ticket.work));
+            let mut running = lock(&ticket.running);
+            *running -= 1;
+            if *running == 0 {
+                ticket.finished.notify_one();
+            }
+        }
+    }
+}
+
+/// A drive's tickets on offer. Dropping it — on return or while unwinding —
+/// revokes them and waits out the helpers that took one.
+struct Offer(Arc<Ticket>);
+
+impl Drop for Offer {
+    fn drop(&mut self) {
+        HELPERS.revoke(&self.0);
+    }
+}
+
+/// Reorder buffer and claim counters shared by a drive's participants.
 struct FoldState<T> {
-    /// Completed morsel results waiting for their in-order fold, keyed by
-    /// morsel index, with the caller's byte estimate.
-    ready: BTreeMap<usize, (T, u64)>,
+    /// Completed results awaiting their in-order fold, with the caller's
+    /// byte estimate. Morsel `i` waits in slot `i % slots.len()`: the
+    /// claimed-but-unfolded morsels span fewer indices than the window.
+    slots: Vec<Option<(T, u64)>>,
+    /// The next morsel to claim.
+    next: usize,
+    /// The next morsel to fold.
+    next_fold: usize,
     /// Morsels claimed but not yet folded (includes the one being folded).
     inflight: usize,
-    /// Byte estimates of everything in `ready` plus the result currently
-    /// being folded.
+    /// Byte estimates of every waiting result plus the one being folded.
     inflight_bytes: u64,
     peak_inflight: usize,
     peak_inflight_bytes: u64,
-    /// First error any participant hit; latched, aborts the run.
+    /// First error any participant hit.
     error: Option<DashError>,
+    /// Latched by the first error and at the end of the run: nobody claims.
+    stop: bool,
+    /// The caller is asleep on `avail`.
+    folder_waiting: bool,
+    /// Helpers asleep on `space`.
+    space_waiters: usize,
+}
+
+/// What a participant may do next.
+enum Claim {
+    /// Run this morsel: it holds a window slot.
+    Morsel(usize),
+    /// The window is full.
+    Full,
+    /// The run is dry, stopped or cancelled.
+    Done,
+}
+
+/// One parallel drive: what the calling thread and every helper holding a
+/// ticket share.
+struct Drive<'a, T, W, B> {
+    n: usize,
+    window: usize,
+    stmt: &'a StatementContext,
+    work: W,
+    bytes_of: B,
+    state: Mutex<FoldState<T>>,
+    /// Helpers wait here for a free window slot.
+    space: Condvar,
+    /// The caller waits here for the next in-order result.
+    avail: Condvar,
+}
+
+impl<T, W, B> Drive<'_, T, W, B>
+where
+    T: Send,
+    W: Fn(usize) -> Result<T> + Sync,
+    B: Fn(&T) -> u64 + Sync,
+{
+    /// Latch `e` and stop the run.
+    fn fail(&self, st: &mut FoldState<T>, e: DashError) {
+        st.error.get_or_insert(e);
+        st.stop = true;
+        if st.folder_waiting {
+            self.avail.notify_one();
+        }
+        if st.space_waiters > 0 {
+            self.space.notify_all();
+        }
+    }
+
+    /// Take a window slot and the next morsel index. The statement is
+    /// checked before every claim; a flipped token stops the run.
+    fn claim(&self, st: &mut FoldState<T>) -> Claim {
+        if st.stop {
+            return Claim::Done;
+        }
+        if self.stmt.is_cancelled() {
+            self.fail(st, DashError::Cancelled);
+            return Claim::Done;
+        }
+        if st.next >= self.n {
+            return Claim::Done;
+        }
+        if st.inflight >= self.window {
+            return Claim::Full;
+        }
+        let i = st.next;
+        st.next += 1;
+        st.inflight += 1;
+        st.peak_inflight = st.peak_inflight.max(st.inflight);
+        Claim::Morsel(i)
+    }
+
+    /// Run morsel `i` outside the lock, then file its result — waking the
+    /// caller only if it sleeps waiting for exactly this one — or latch its
+    /// error.
+    fn run(&self, i: usize, after_cancel: &mut u64) -> MutexGuard<'_, FoldState<T>> {
+        let outcome = run_caught(|| (self.work)(i).map(|v| ((self.bytes_of)(&v), v)));
+        let mut st = lock(&self.state);
+        match outcome {
+            Ok((b, v)) => {
+                if self.stmt.is_cancelled() {
+                    *after_cancel += 1;
+                }
+                st.inflight_bytes += b;
+                st.peak_inflight_bytes = st.peak_inflight_bytes.max(st.inflight_bytes);
+                let len = st.slots.len();
+                st.slots[i % len] = Some((v, b));
+                if st.folder_waiting && i == st.next_fold {
+                    self.avail.notify_one();
+                }
+            }
+            Err(e) => {
+                st.inflight -= 1;
+                self.fail(&mut st, e);
+            }
+        }
+        st
+    }
+
+    /// A helper's loop: claim and run morsels until the run is dry or
+    /// stopped, sleeping only while the window is full.
+    fn help(&self) {
+        let mut after_cancel = 0u64;
+        let mut st = lock(&self.state);
+        loop {
+            match self.claim(&mut st) {
+                Claim::Morsel(i) => {
+                    drop(st);
+                    st = self.run(i, &mut after_cancel);
+                }
+                Claim::Full => {
+                    st.space_waiters += 1;
+                    st = wait(&self.space, st);
+                    st.space_waiters -= 1;
+                }
+                Claim::Done => break,
+            }
+        }
+        drop(st);
+        self.stmt.note_cancel_latency(after_cancel);
+    }
+
+    /// The calling thread's loop: fold the next in-order result whenever it
+    /// is ready, otherwise claim and run a morsel while the window has
+    /// room, otherwise sleep until the result lands.
+    fn lead(&self, mut fold: impl FnMut(usize, T) -> Result<()>) -> Result<()> {
+        let mut after_cancel = 0u64;
+        let mut st = lock(&self.state);
+        let outcome = loop {
+            if let Some(e) = st.error.take() {
+                break Err(e);
+            }
+            let i = st.next_fold;
+            if i == self.n {
+                break Ok(());
+            }
+            let len = st.slots.len();
+            if let Some((v, b)) = st.slots[i % len].take() {
+                drop(st);
+                let folded = run_caught(|| fold(i, v));
+                st = lock(&self.state);
+                st.inflight -= 1;
+                st.inflight_bytes -= b;
+                st.next_fold += 1;
+                if st.space_waiters > 0 {
+                    self.space.notify_one();
+                }
+                if let Err(e) = folded {
+                    break Err(e);
+                }
+                continue;
+            }
+            match self.claim(&mut st) {
+                Claim::Morsel(m) => {
+                    drop(st);
+                    st = self.run(m, &mut after_cancel);
+                }
+                // The claim latched a cancel: take it at the top.
+                Claim::Done if st.stop => {}
+                Claim::Full | Claim::Done => {
+                    st.folder_waiting = true;
+                    st = wait(&self.avail, st);
+                    st.folder_waiting = false;
+                }
+            }
+        };
+        st.stop = true;
+        if st.space_waiters > 0 {
+            self.space.notify_all();
+        }
+        drop(st);
+        self.stmt.note_cancel_latency(after_cancel);
+        outcome
+    }
 }
 
 /// Run `n` morsels through `work` and feed every result to `fold` in
 /// **strict morsel-index order** — the pipelined cousin of [`run_morsels`].
 ///
 /// Where `run_morsels` materializes all `n` results before the caller sees
-/// any of them, this keeps at most `window` morsels in flight: workers
+/// any of them, this keeps at most `window` morsels in flight: participants
 /// claim the next morsel only when fewer than `window` results are
-/// claimed-but-unfolded, and the calling thread folds each result as soon
-/// as its predecessors are folded. `fold` runs on the calling thread only,
-/// so it may hold `&mut` state (aggregate accumulators, an output batch)
-/// without synchronization — and because it consumes results in index
-/// order, the folded outcome is byte-identical to a serial run no matter
-/// how the workers were scheduled.
+/// claimed-but-unfolded, and each result is folded as soon as its
+/// predecessors are. `fold` runs on the calling thread only, so it may hold
+/// `&mut` state (aggregate accumulators, an output batch) without
+/// synchronization — and because it consumes results in index order, the
+/// folded outcome is byte-identical to a serial run no matter how the
+/// morsels were scheduled.
+///
+/// The calling thread is one of the `parallelism` workers: it folds the
+/// next result whenever that result is ready and otherwise claims and runs
+/// a morsel itself. The other `parallelism − 1` are the pool's parked
+/// helpers, offered one ticket each; a nested drive, or one that finds the
+/// helpers busy, runs on whichever are free, down to the caller alone.
 ///
 /// `bytes_of` estimates a result's heap footprint; the run tracks the peak
 /// estimate held simultaneously (the O(morsels in flight) bound that
@@ -230,144 +550,48 @@ where
     }
 
     let window = window.max(1);
-    let next = AtomicUsize::new(0);
-    let abort = AtomicBool::new(false);
-    let state = Mutex::new(FoldState::<T> {
-        ready: BTreeMap::new(),
-        inflight: 0,
-        inflight_bytes: 0,
-        peak_inflight: 0,
-        peak_inflight_bytes: 0,
-        error: None,
-    });
-    // Workers wait on `space` for a free inflight slot; the folder waits on
-    // `avail` for the next in-order result.
-    let space = Condvar::new();
-    let avail = Condvar::new();
-
-    let fail = |st: &mut FoldState<T>, e: DashError| {
-        abort.store(true, Ordering::Relaxed);
-        st.error.get_or_insert(e);
+    let drive = Drive {
+        n,
+        window,
+        stmt,
+        work,
+        bytes_of,
+        state: Mutex::new(FoldState {
+            slots: (0..window.min(n)).map(|_| None).collect(),
+            next: 0,
+            next_fold: 0,
+            inflight: 0,
+            inflight_bytes: 0,
+            peak_inflight: 0,
+            peak_inflight_bytes: 0,
+            error: None,
+            stop: false,
+            folder_waiting: false,
+            space_waiters: 0,
+        }),
+        space: Condvar::new(),
+        avail: Condvar::new(),
     };
-
-    let fold_outcome: Result<()> = crossbeam::thread::scope(|s| {
-        for _ in 0..workers {
-            let (next, abort, state, space, avail) = (&next, &abort, &state, &space, &avail);
-            let (work, bytes_of, fail) = (&work, &bytes_of, &fail);
-            s.spawn(move |_| {
-                let mut after_cancel = 0u64;
-                loop {
-                    if abort.load(Ordering::Relaxed) {
-                        break;
-                    }
-                    if stmt.is_cancelled() {
-                        let mut st = lock(state);
-                        fail(&mut st, DashError::Cancelled);
-                        avail.notify_all();
-                        break;
-                    }
-                    // Acquire an inflight slot before claiming, so the
-                    // number of claimed-but-unfolded morsels never exceeds
-                    // the window.
-                    {
-                        let mut st = lock(state);
-                        while st.inflight >= window && !abort.load(Ordering::Relaxed) {
-                            st = wait(space, st);
-                        }
-                        if abort.load(Ordering::Relaxed) {
-                            break;
-                        }
-                        st.inflight += 1;
-                        st.peak_inflight = st.peak_inflight.max(st.inflight);
-                    }
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        let mut st = lock(state);
-                        st.inflight -= 1;
-                        space.notify_one();
-                        // Wake the folder: it may be waiting for a result
-                        // that will now never arrive past the end.
-                        avail.notify_all();
-                        break;
-                    }
-                    // Catch panics here (not at join) so the folder — which
-                    // is blocked waiting for morsel `i` — learns about the
-                    // failure instead of waiting out the run.
-                    let outcome = run_caught(|| work(i).map(|v| (bytes_of(&v), v)));
-                    let mut st = lock(state);
-                    match outcome {
-                        Ok((b, v)) => {
-                            if stmt.is_cancelled() {
-                                after_cancel += 1;
-                            }
-                            st.inflight_bytes += b;
-                            st.peak_inflight_bytes = st.peak_inflight_bytes.max(st.inflight_bytes);
-                            st.ready.insert(i, (v, b));
-                            avail.notify_all();
-                        }
-                        Err(e) => {
-                            st.inflight -= 1;
-                            fail(&mut st, e);
-                            space.notify_one();
-                            avail.notify_all();
-                            break;
-                        }
-                    }
-                }
-                stmt.note_cancel_latency(after_cancel);
-            });
-        }
-
-        // The calling thread is the folder: consume results in morsel-index
-        // order as they land, returning each one's slot to the workers.
-        let mut next_fold = 0usize;
-        while next_fold < n {
-            let entry = {
-                let mut st = lock(&state);
-                loop {
-                    if let Some(e) = st.error.take() {
-                        abort.store(true, Ordering::Relaxed);
-                        space.notify_all();
-                        return Err(e);
-                    }
-                    if let Some(entry) = st.ready.remove(&next_fold) {
-                        break entry;
-                    }
-                    if stmt.is_cancelled() {
-                        fail(&mut st, DashError::Cancelled);
-                        continue;
-                    }
-                    st = wait(&avail, st);
-                }
-            };
-            let (v, b) = entry;
-            let folded = fold(next_fold, v);
-            {
-                let mut st = lock(&state);
-                st.inflight -= 1;
-                st.inflight_bytes -= b;
-                space.notify_one();
-                if let Err(e) = folded {
-                    fail(&mut st, e.clone());
-                    return Err(e);
-                }
-            }
-            next_fold += 1;
-        }
-        Ok(())
-    })
-    .map_err(|p| {
-        DashError::internal(format!(
-            "pipeline scope panicked: {}",
-            panic_message(p.as_ref())
-        ))
-    })?;
-
-    fold_outcome?;
-    let st = state.into_inner().unwrap_or_else(PoisonError::into_inner);
-    if let Some(e) = st.error {
-        return Err(e);
-    }
+    let help = || drive.help();
+    let help: &(dyn Fn() + Sync) = &help;
+    // SAFETY: `help` borrows `drive`, which outlives `offer` (declared
+    // after it, so dropped first). Dropping `offer` — on return or while
+    // unwinding — withdraws every ticket no helper took, under the queue
+    // lock a helper takes a ticket under, and then waits until each helper
+    // that took one has left `help`. No helper can call `help` after that,
+    // so erasing the borrow never lets it outlive `drive`.
+    let help: &'static (dyn Fn() + Sync) = unsafe { std::mem::transmute(help) };
+    let offer = Offer(Arc::new(Ticket {
+        work: help,
+        running: Mutex::new(0),
+        finished: Condvar::new(),
+        caller: std::thread::current().id(),
+    }));
+    HELPERS.offer(&offer.0, workers - 1);
+    let outcome = drive.lead(&mut fold);
+    drop(offer);
+    outcome?;
+    let st = lock(&drive.state);
     Ok(FoldRun {
         morsels_dispatched: n as u64,
         workers_used: workers as u64,
@@ -395,9 +619,22 @@ pub fn row_morsels(n: usize, parallelism: usize, min_chunk: usize) -> Vec<(usize
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+
+    const WIDTHS: [usize; 4] = [1, 2, 4, 8];
 
     fn stmt() -> StatementContext {
         StatementContext::unbounded()
+    }
+
+    /// Tickets this thread's drives left on offer.
+    fn tickets_left() -> usize {
+        let me = std::thread::current().id();
+        lock(&HELPERS.queue)
+            .tickets
+            .iter()
+            .filter(|t| t.caller == me)
+            .count()
     }
 
     #[test]
@@ -563,7 +800,12 @@ mod tests {
 
     #[test]
     fn fold_window_bounds_inflight() {
-        for (par, window) in [(4usize, 1usize), (4, 2), (8, 3)] {
+        // The caller claims and runs morsels too: it counts against the
+        // window like any helper.
+        for (par, window) in WIDTHS
+            .into_iter()
+            .flat_map(|p| [(p, 1usize), (p, 2), (p, 3)])
+        {
             let run = run_morsels_fold(
                 200,
                 par,
@@ -649,7 +891,11 @@ mod tests {
             )
             .unwrap_err();
             assert!(err.to_string().contains("sink refused"), "{err}");
-            assert_eq!(folded.load(Ordering::Relaxed), 5, "in-order up to the error");
+            assert_eq!(
+                folded.load(Ordering::Relaxed),
+                5,
+                "in-order up to the error"
+            );
         }
     }
 
@@ -742,6 +988,114 @@ mod tests {
         assert_eq!(run.morsels_dispatched, 0);
         assert_eq!(run.workers_used, 0);
         assert_eq!(run.peak_inflight_morsels, 0);
+    }
+
+    #[test]
+    fn nested_drive_completes() {
+        // The cluster shape: every morsel of the outer drive is itself a
+        // drive, which runs on whatever helpers are free.
+        for par in WIDTHS {
+            let run = run_morsels(6, par, &stmt(), |o| {
+                let inner = run_morsels(40, par, &stmt(), |i| Ok(o * 1000 + i))?;
+                Ok(inner.results.iter().sum::<usize>())
+            })
+            .unwrap();
+            let expect: Vec<usize> = (0..6)
+                .map(|o| (0..40).map(|i| o * 1000 + i).sum())
+                .collect();
+            assert_eq!(run.results, expect, "par={par}");
+            assert_eq!(tickets_left(), 0);
+        }
+    }
+
+    #[test]
+    fn concurrent_drives_fold_their_own_results_in_order() {
+        for par in WIDTHS {
+            std::thread::scope(|s| {
+                for client in 0..4u64 {
+                    s.spawn(move || {
+                        for _ in 0..20 {
+                            let mut seen = Vec::new();
+                            run_morsels_fold(
+                                50,
+                                par,
+                                par * 2,
+                                &stmt(),
+                                |i| Ok(client * 1_000 + i as u64),
+                                |_| 8,
+                                |i, v| {
+                                    seen.push((i, v));
+                                    Ok(())
+                                },
+                            )
+                            .unwrap();
+                            let expect: Vec<(usize, u64)> =
+                                (0..50).map(|i| (i, client * 1_000 + i as u64)).collect();
+                            assert_eq!(seen, expect, "par={par} client={client}");
+                        }
+                        assert_eq!(tickets_left(), 0);
+                    });
+                }
+            });
+        }
+    }
+
+    #[test]
+    fn pool_is_reusable_after_a_failed_drive() {
+        let refuse = |i: usize| {
+            if i == 9 {
+                Err(DashError::exec("refused"))
+            } else {
+                Ok(i)
+            }
+        };
+        let panic = |i: usize| -> Result<usize> {
+            if i == 9 {
+                panic!("deliberate reuse panic");
+            }
+            Ok(i)
+        };
+        for par in WIDTHS {
+            let errored = run_morsels(64, par, &stmt(), refuse).unwrap_err();
+            assert!(errored.to_string().contains("refused"), "{errored}");
+            let panicked = run_morsels(64, par, &stmt(), panic).unwrap_err();
+            assert_eq!(panicked.class(), "XX000", "{panicked}");
+            let ctx = stmt();
+            let cancelled = run_morsels(64, par, &ctx, |i| {
+                if i == 9 {
+                    ctx.cancel();
+                }
+                Ok(i)
+            })
+            .unwrap_err();
+            assert_eq!(cancelled, DashError::Cancelled);
+            let sink = run_morsels_fold(
+                64,
+                par,
+                4,
+                &stmt(),
+                Ok,
+                |_| 0,
+                |i, _| {
+                    if i == 9 {
+                        Err(DashError::exec("fold refused"))
+                    } else {
+                        Ok(())
+                    }
+                },
+            )
+            .unwrap_err();
+            assert!(sink.to_string().contains("fold refused"), "{sink}");
+            assert_eq!(tickets_left(), 0, "par={par}: a failed drive left a ticket");
+
+            let run = run_morsels(64, par, &stmt(), |i| Ok(i * 3)).unwrap();
+            assert_eq!(
+                run.results,
+                (0..64).map(|i| i * 3).collect::<Vec<_>>(),
+                "par={par}"
+            );
+            assert_eq!(tickets_left(), 0);
+        }
     }
 
     proptest! {

@@ -529,3 +529,24 @@ fn no_scratch_table_appears_on_the_coordinator() {
     assert_eq!(gathered(&cluster), Vec::<String>::new());
     assert_eq!(cluster.query("SELECT COUNT(*) FROM g").unwrap(), vec![row![600i64]]);
 }
+
+/// The final statement reads the gathered batch in place: filtered and
+/// grouped aggregates over it agree with one node at every coordinator
+/// width, while each shard statement runs nested inside the scatter's
+/// own pool drive.
+#[test]
+fn filtered_aggregates_over_the_gathered_batch_match_single_node() {
+    for par in [1usize, 2, 4, 8] {
+        let mut pair = Pair::new(3, 2);
+        pair.cluster.coordinator().catalog().set_parallelism(par);
+        pair.single.database().catalog().set_parallelism(par);
+        pair.table("f", fact_schema(), fact_rows(20_000));
+        for sql in [
+            "SELECT grp, COUNT(*), SUM(v), MIN(id) FROM f WHERE v > 10.0 GROUP BY grp HAVING COUNT(*) > 100 ORDER BY grp",
+            "SELECT COUNT(*), MAX(id) FROM f WHERE grp <> 'g3' AND id % 7 = 1",
+            "SELECT grp, AVG(v) FROM f WHERE id < 15000 GROUP BY grp ORDER BY 2 DESC, grp",
+        ] {
+            pair.check(sql, true);
+        }
+    }
+}
