@@ -4,8 +4,8 @@
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use dash_encoding::baseline::RowCompressor;
-use dash_encoding::column::{ColumnCompressor, ColumnValues};
-use std::sync::Arc;
+use dash_encoding::column::{decode_target, ColumnCompressor, ColumnValues};
+use dash_encoding::strs::StrColumn;
 
 fn bench_encode_decode(c: &mut Criterion) {
     let n = 64 * 1024usize;
@@ -25,11 +25,9 @@ fn bench_encode_decode(c: &mut Criterion) {
         ),
         (
             "string(prefix+dict)",
-            ColumnValues::Str(
-                (0..n)
-                    .map(|i| Some(Arc::from(format!("region-{:02}", i % 40).as_str())))
-                    .collect(),
-            ),
+            ColumnValues::Str(StrColumn::from_values(
+                (0..n).map(|i| format!("region-{:02}", i % 40)).collect::<Vec<_>>().iter().map(|s| Some(s.as_str())),
+            )),
         ),
     ];
     let mut group = c.benchmark_group("codec");
@@ -45,9 +43,10 @@ fn bench_encode_decode(c: &mut Criterion) {
         });
         // The scan's late materialization: only the survivors' values.
         let survivors: Vec<usize> = (0..n).step_by(64).collect();
+        let target = decode_target(&enc);
         group.bench_function(format!("decode_1_in_64/{name}"), |b| {
             b.iter(|| {
-                let mut out = ColumnValues::empty_of(enc.kind());
+                let mut out = target.clone();
                 comp.decode(&enc, &block, &survivors, &mut out).expect("decode");
                 out
             })

@@ -18,8 +18,10 @@ use dash_common::fxhash::FxHashMap;
 use dash_common::types::DataType;
 use dash_common::{row, Datum, Field, Row, Schema, StatementContext};
 use dash_core::{Database, HardwareSpec};
+use dash_encoding::column::ColumnValues;
 use dash_encoding::dict::FreqDict;
 use dash_encoding::histogram::Histogram;
+use dash_encoding::strs::StrPool;
 use dash_exec::agg::{hash_aggregate, AggExpr, AggFunc};
 use dash_exec::functions::EvalContext;
 use dash_exec::join::{hash_join, JoinType};
@@ -52,13 +54,20 @@ struct Leg {
     identical: bool,
 }
 
-/// Build a `FreqDict` over string values and wrap it for batch metadata.
-fn dict_of<'a>(values: impl Iterator<Item = &'a str>) -> Arc<FreqDict<Arc<str>>> {
+/// `batch` with string column 0 as codes of the pool of a `FreqDict` over
+/// `values`.
+fn with_dict<'a>(batch: Batch, values: impl Iterator<Item = &'a str>) -> Batch {
     let mut hist: Histogram<Arc<str>> = Histogram::new();
     for v in values {
         hist.add(&Arc::from(v));
     }
-    Arc::new(FreqDict::build(&hist))
+    let pool = StrPool::for_dict(&FreqDict::build(&hist));
+    let schema = batch.schema().clone();
+    let mut columns = batch.into_columns();
+    if let ColumnValues::Str(labels) = &columns[0] {
+        columns[0] = ColumnValues::Str(labels.repool(pool.dict().clone()));
+    }
+    Batch::new(schema, columns).unwrap()
 }
 
 /// The fact side: a dictionary-keyed label, a small int group, an int
@@ -82,10 +91,9 @@ fn fact_batch(n: usize) -> Batch {
         let qty = (x % 1000) as i64;
         rows.push(row![label, grp, qty]);
     }
-    let mut batch = Batch::from_rows(schema, &rows).unwrap();
+    let batch = Batch::from_rows(schema, &rows).unwrap();
     let labels: Vec<String> = (0..DIM_ROWS).map(|k| format!("sku-{k:04}")).collect();
-    batch.set_str_dict(0, dict_of(labels.iter().map(|s| s.as_str())));
-    batch
+    with_dict(batch, labels.iter().map(|s| s.as_str()))
 }
 
 /// The dim side carries its OWN dictionary (different instance, different
@@ -100,12 +108,11 @@ fn dim_batch() -> Batch {
     let rows: Vec<Row> = (0..DIM_ROWS)
         .map(|k| row![format!("sku-{k:04}"), k as i64])
         .collect();
-    let mut batch = Batch::from_rows(schema, &rows).unwrap();
+    let batch = Batch::from_rows(schema, &rows).unwrap();
     // A dim-only histogram: uniform frequencies, so partition layout (and
-    // therefore the packed code words) differ from the fact dictionary.
+    // therefore the code words) differ from the fact dictionary.
     let labels: Vec<String> = (0..DIM_ROWS).map(|k| format!("sku-{k:04}")).collect();
-    batch.set_str_dict(0, dict_of(labels.iter().map(|s| s.as_str())));
-    batch
+    with_dict(batch, labels.iter().map(|s| s.as_str()))
 }
 
 /// Warm once, then report the median of three timed runs.

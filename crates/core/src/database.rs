@@ -16,6 +16,7 @@ use dash_common::txn::{is_pending, pending, pending_owner, SnapshotView, TxnId, 
 use dash_common::row::coerce_datum;
 use dash_common::{DashError, DataType, Datum, Field, Result, Row, Schema, StatementContext};
 use dash_encoding::column::ColumnValues;
+use dash_encoding::strs::StrColumn;
 use dash_exec::batch::Batch;
 use dash_exec::expr::{eval_columns, Column};
 use dash_exec::functions::EvalContext;
@@ -1290,7 +1291,7 @@ impl Session {
             other => format!("{} statement\n", kind_name(&other)),
         };
         let schema = Schema::new_unchecked(vec![Field::new("PLAN", DataType::Utf8)]);
-        let lines = ColumnValues::Str(text.lines().map(|l| Some(l.into())).collect());
+        let lines = ColumnValues::Str(StrColumn::from_values(text.lines().map(Some)));
         Ok(QueryResult::query(&Batch::new(schema, vec![lines])?, ExecStats::default()))
     }
 

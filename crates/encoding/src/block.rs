@@ -168,13 +168,14 @@ impl EncodedBlock {
     }
 
     /// Positional decode of a dictionary block: append one entry per
-    /// `positions` element (ascending, distinct) to `out` — `None` for a
+    /// `positions` element (ascending, distinct) to `out` — `null` for a
     /// NULL, `code(partition, code)` for a dictionary entry,
     /// `exception(i)` for the `i`-th value of the exception bank.
-    pub(crate) fn gather_dict<T>(
+    pub(crate) fn gather_dict<T: Clone>(
         &self,
         positions: &[usize],
-        out: &mut Vec<Option<T>>,
+        out: &mut Vec<T>,
+        null: T,
         code: impl Fn(u8, u64) -> T,
         exception: impl Fn(usize) -> T,
     ) -> Result<()> {
@@ -189,8 +190,8 @@ impl EncodedBlock {
         };
         let nulls = self.nulls.as_ref();
         match selectors {
-            Some(sel) => gather_tagged(sel, banks, nulls, positions, out, code, exception),
-            None => gather_codes(&banks[*single_part as usize], nulls, positions, out, |c| {
+            Some(sel) => gather_tagged(sel, banks, nulls, positions, out, null, code, exception),
+            None => gather_codes(&banks[*single_part as usize], nulls, positions, out, null, |c| {
                 code(*single_part, c)
             }),
         }
@@ -206,43 +207,37 @@ impl EncodedBlock {
 }
 
 /// Append `value(code)` for the codes of `codes` at `positions` (ascending,
-/// distinct), `None` where `nulls` marks the position.
+/// distinct), `null` where `nulls` marks the position.
 ///
 /// The one density branch of decode: when every position is wanted the
 /// codes are iterated word by word, otherwise each is fetched by index.
-pub(crate) fn gather_codes<T>(
+pub(crate) fn gather_codes<T: Clone>(
     codes: &BitPackedVec,
     nulls: Option<&Bitmap>,
     positions: &[usize],
-    out: &mut Vec<Option<T>>,
+    out: &mut Vec<T>,
+    null: T,
     value: impl Fn(u64) -> T,
 ) {
-    let is_null = |i: usize| nulls.is_some_and(|n| n.get(i));
+    let at = |i: usize, code: u64| if nulls.is_some_and(|n| n.get(i)) { null.clone() } else { value(code) };
     if positions.len() == codes.len() {
-        out.extend(
-            codes
-                .iter()
-                .enumerate()
-                .map(|(i, code)| (!is_null(i)).then(|| value(code))),
-        );
+        out.extend(codes.iter().enumerate().map(|(i, code)| at(i, code)));
     } else {
-        out.extend(
-            positions
-                .iter()
-                .map(|&i| (!is_null(i)).then(|| value(codes.get(i)))),
-        );
+        out.extend(positions.iter().map(|&i| at(i, codes.get(i))));
     }
 }
 
 /// [`gather_codes`] for a multi-partition dictionary block: one walk over
 /// the selector tags, counting each bank's arrivals, that fetches a code
 /// only at a wanted position and stops after the last one.
-fn gather_tagged<T>(
+#[allow(clippy::too_many_arguments)]
+fn gather_tagged<T: Clone>(
     selectors: &BitPackedVec,
     banks: &[BitPackedVec],
     nulls: Option<&Bitmap>,
     positions: &[usize],
-    out: &mut Vec<Option<T>>,
+    out: &mut Vec<T>,
+    null: T,
     code: impl Fn(u8, u64) -> T,
     exception: impl Fn(usize) -> T,
 ) {
@@ -261,11 +256,11 @@ fn gather_tagged<T>(
             continue;
         }
         out.push(if nulls.is_some_and(|n| n.get(i)) {
-            None
+            null.clone()
         } else if tag == exc_tag {
-            Some(exception(at))
+            exception(at)
         } else {
-            Some(code(tag as u8, banks[tag].get(at)))
+            code(tag as u8, banks[tag].get(at))
         });
         match wanted.next() {
             Some(next) => want = next,
@@ -344,15 +339,15 @@ mod tests {
     #[test]
     fn gather_dict_walks_banks_in_order() {
         let block = dict_block();
-        let code = |p: u8, c: u64| format!("p{p}c{c}");
-        let exc = |i: usize| format!("exc{i}");
+        let code = |p: u8, c: u64| Some(format!("p{p}c{c}"));
+        let exc = |i: usize| Some(format!("exc{i}"));
         let mut all = Vec::new();
-        block.gather_dict(&[0, 1, 2, 3, 4], &mut all, code, exc).unwrap();
+        block.gather_dict(&[0, 1, 2, 3, 4], &mut all, None, code, exc).unwrap();
         let want = [Some("p0c1"), Some("exc0"), Some("p1c0"), Some("p0c0"), None];
         assert_eq!(all, want.map(|v| v.map(String::from)));
         // A later position still counts the arrivals before it.
         let mut some = Vec::new();
-        block.gather_dict(&[3], &mut some, code, exc).unwrap();
+        block.gather_dict(&[3], &mut some, None, code, exc).unwrap();
         assert_eq!(some, vec![Some("p0c0".to_string())]);
     }
 

@@ -16,6 +16,7 @@ use crate::histogram::Histogram;
 use crate::minus::MinusBlock;
 use crate::order::{f64_to_ordered, i64_to_ordered, ordered_to_f64, ordered_to_i64};
 use crate::prefix::{global_prefix, str_prefix_ordered};
+use crate::strs::{StrColumn, StrPool, NULL_CODE};
 use dash_common::{DashError, DataType, Datum, Result};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
@@ -24,15 +25,16 @@ use std::sync::Arc;
 ///
 /// Integer-encodable types (ints, dates, timestamps, bools, decimals) all
 /// live in the `Int` variant; the enclosing schema's [`DataType`] recovers
-/// the logical type at the edges.
+/// the logical type at the edges. Strings stay codes into a shared pool
+/// ([`StrColumn`]) until an edge asks for a value.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ColumnValues {
     /// Integer-domain values.
     Int(Vec<Option<i64>>),
     /// Floating-point values.
     Float(Vec<Option<f64>>),
-    /// String values.
-    Str(Vec<Option<Arc<str>>>),
+    /// String values, as codes into a shared pool.
+    Str(StrColumn),
 }
 
 impl ColumnValues {
@@ -60,7 +62,7 @@ impl ColumnValues {
         match kind {
             ValueKind::Int => ColumnValues::Int(Vec::new()),
             ValueKind::Float => ColumnValues::Float(Vec::new()),
-            ValueKind::Str => ColumnValues::Str(Vec::new()),
+            ValueKind::Str => ColumnValues::Str(StrColumn::new()),
         }
     }
 
@@ -81,9 +83,7 @@ impl ColumnValues {
                 Some(x) => int_to_datum(dt, x),
             },
             ColumnValues::Float(v) => v[i].map_or(Datum::Null, Datum::Float),
-            ColumnValues::Str(v) => v[i]
-                .as_ref()
-                .map_or(Datum::Null, |s| Datum::Str(s.clone())),
+            ColumnValues::Str(v) => v.arc(i).map_or(Datum::Null, |s| Datum::Str(s.clone())),
         }
     }
 
@@ -101,9 +101,7 @@ impl ColumnValues {
             (ColumnValues::Float(dst), ColumnValues::Float(s)) => {
                 dst.extend(positions.iter().map(|&p| s[p]));
             }
-            (ColumnValues::Str(dst), ColumnValues::Str(s)) => {
-                dst.extend(positions.iter().map(|&p| s[p].clone()));
-            }
+            (ColumnValues::Str(dst), ColumnValues::Str(s)) => dst.append_selected(s, positions),
             _ => panic!("append_selected across column kinds (caller bug)"),
         }
     }
@@ -113,7 +111,7 @@ impl ColumnValues {
         match self {
             ColumnValues::Int(v) => ColumnValues::Int(v[rows].to_vec()),
             ColumnValues::Float(v) => ColumnValues::Float(v[rows].to_vec()),
-            ColumnValues::Str(v) => ColumnValues::Str(v[rows].to_vec()),
+            ColumnValues::Str(v) => ColumnValues::Str(v.slice(rows)),
         }
     }
 
@@ -131,7 +129,7 @@ impl ColumnValues {
         match (self, other) {
             (ColumnValues::Int(dst), ColumnValues::Int(s)) => merge(dst, s),
             (ColumnValues::Float(dst), ColumnValues::Float(s)) => merge(dst, s),
-            (ColumnValues::Str(dst), ColumnValues::Str(s)) => merge(dst, s),
+            (ColumnValues::Str(dst), ColumnValues::Str(s)) => dst.extend_from(s),
             _ => panic!("extend_from across column kinds (caller bug)"),
         }
     }
@@ -148,7 +146,7 @@ impl ColumnValues {
             }),
             ColumnValues::Str(v) => v.push(match d {
                 Datum::Null => None,
-                Datum::Str(s) => Some(s.clone()),
+                Datum::Str(s) => Some(s),
                 other => {
                     return Err(DashError::analysis(format!(
                         "expected string, got {other:?}"
@@ -344,8 +342,8 @@ impl ColumnCompressor {
                 self.analyze_ordered(ValueKind::Float, &ordered)
             }
             ColumnValues::Str(v) => {
-                let (hist, ids) = Histogram::with_ids(v.iter().map(|o| o.as_ref()));
-                let prefix = global_prefix(v.iter().flatten());
+                let (hist, ids) = Histogram::with_ids(v.arcs());
+                let prefix = global_prefix(v.arcs().flatten());
                 ColumnEncoding::StrDict {
                     prefix,
                     dict: FreqDict::build_strided(&hist, &ids, STRIDE),
@@ -408,15 +406,16 @@ impl ColumnCompressor {
                 dict_block(len, dict, &ordered, ExceptionBank::Int(Vec::new()))
             }
             (ColumnEncoding::StrDict { dict, .. }, ColumnValues::Str(v)) => {
-                str_dict_block(len, dict, &v[range.clone()])
+                str_dict_block(len, dict, &v.slice(range.clone()))
             }
             _ => panic!("encoding/value-kind mismatch (caller bug)"),
         }
     }
 
-    /// Decode a whole block back to typed values.
+    /// Decode a whole block back to typed values (a string block into a
+    /// pool of its own dictionary's, built here).
     pub fn decode_block(&self, enc: &ColumnEncoding, block: &EncodedBlock) -> Result<ColumnValues> {
-        let mut out = ColumnValues::empty_of(enc.kind());
+        let mut out = decode_target(enc);
         let all: Vec<usize> = (0..block.len).collect();
         self.decode(enc, block, &all, &mut out)?;
         Ok(out)
@@ -428,6 +427,11 @@ impl ColumnCompressor {
     /// multi-partition dictionary block also walks its selector tags up to
     /// the last position; passing every position decodes the block
     /// sequentially.
+    ///
+    /// A string block decodes to codes: a dictionary entry's flat code in
+    /// `out`'s pool, which must be over this encoding's dictionary (see
+    /// [`StrPool::for_dict`]), and the block's exceptions as local values
+    /// of that pool.
     pub fn decode(
         &self,
         enc: &ColumnEncoding,
@@ -457,12 +461,19 @@ impl ColumnCompressor {
                         exceptions: ExceptionBank::Str(exc),
                         ..
                     },
-                ) => block.gather_dict(
-                    positions,
-                    out,
-                    |p, c| dict.decode(p, c).clone(),
-                    |i| exc[i].clone(),
-                ),
+                ) if out.pool().dict().len() == dict.len() => {
+                    let (codes, pool) = out.parts_mut();
+                    let first_exc = if exc.is_empty() {
+                        0
+                    } else {
+                        let pool = Arc::make_mut(pool);
+                        let first = pool.len() as u32;
+                        exc.iter().for_each(|s| pool.push_local(s.clone()));
+                        first
+                    };
+                    let dict = pool.dict();
+                    block.gather_dict(positions, codes, NULL_CODE, |p, c| dict.flat(p, c), |i| first_exc + i as u32)
+                }
                 _ => Err(decode_mismatch(enc)),
             },
             _ => Err(decode_mismatch(enc)),
@@ -489,7 +500,7 @@ impl ColumnCompressor {
                     exceptions: ExceptionBank::Int(exc),
                     ..
                 },
-            ) => block.gather_dict(&all, &mut ordered, |p, c| *dict.decode(p, c), |i| exc[i])?,
+            ) => block.gather_dict(&all, &mut ordered, None, |p, c| Some(*dict.decode(p, c)), |i| Some(exc[i]))?,
             (
                 ColumnEncoding::StrDict { dict, .. },
                 BlockRepr::Dict {
@@ -499,8 +510,9 @@ impl ColumnCompressor {
             ) => block.gather_dict(
                 &all,
                 &mut ordered,
-                |p, c| str_prefix_ordered(dict.decode(p, c)),
-                |i| str_prefix_ordered(&exc[i]),
+                None,
+                |p, c| Some(str_prefix_ordered(dict.decode(p, c))),
+                |i| Some(str_prefix_ordered(&exc[i])),
             )?,
             _ => return Err(decode_mismatch(enc)),
         }
@@ -511,7 +523,7 @@ impl ColumnCompressor {
 
 /// Decode the numeric encodings: codes map to the orderable-u64 domain and
 /// `from_ordered` maps that back to the column's value type.
-fn decode_numeric<T>(
+fn decode_numeric<T: Copy>(
     enc: &ColumnEncoding,
     block: &EncodedBlock,
     positions: &[usize],
@@ -520,8 +532,8 @@ fn decode_numeric<T>(
 ) -> Result<()> {
     match (enc, &block.repr) {
         (ColumnEncoding::Minus { .. }, BlockRepr::Minus(m)) => {
-            gather_codes(&m.codes, block.nulls.as_ref(), positions, out, |c| {
-                from_ordered(m.base + c)
+            gather_codes(&m.codes, block.nulls.as_ref(), positions, out, None, |c| {
+                Some(from_ordered(m.base + c))
             });
             Ok(())
         }
@@ -534,10 +546,20 @@ fn decode_numeric<T>(
         ) => block.gather_dict(
             positions,
             out,
-            |p, c| from_ordered(*dict.decode(p, c)),
-            |i| from_ordered(exc[i]),
+            None,
+            |p, c| Some(from_ordered(*dict.decode(p, c))),
+            |i| Some(from_ordered(exc[i])),
         ),
         _ => Err(decode_mismatch(enc)),
+    }
+}
+
+/// An empty column `enc`'s blocks decode into: a string column's pool is
+/// built here over the encoding's dictionary (a table keeps one per column).
+pub fn decode_target(enc: &ColumnEncoding) -> ColumnValues {
+    match enc {
+        ColumnEncoding::StrDict { dict, .. } => ColumnValues::Str(StrColumn::with_pool(StrPool::for_dict(dict))),
+        _ => ColumnValues::empty_of(enc.kind()),
     }
 }
 
@@ -598,16 +620,12 @@ fn dict_block(
     finish_dict_block(len, dict.selector_width(), tags, banks, dict, exceptions, nulls_bitmap(ordered))
 }
 
-fn str_dict_block(
-    len: usize,
-    dict: &FreqDict<Arc<str>>,
-    values: &[Option<Arc<str>>],
-) -> EncodedBlock {
+fn str_dict_block(len: usize, dict: &FreqDict<Arc<str>>, values: &StrColumn) -> EncodedBlock {
     let nparts = dict.partition_count();
     let mut tags: Vec<u64> = Vec::with_capacity(len);
     let mut banks: Vec<Vec<u64>> = vec![Vec::new(); nparts];
     let mut exc: Vec<Arc<str>> = Vec::new();
-    for v in values {
+    for v in values.arcs() {
         match v {
             None => {
                 tags.push(0);
@@ -633,7 +651,7 @@ fn str_dict_block(
         banks,
         &widths,
         ExceptionBank::Str(exc),
-        nulls_bitmap(values),
+        values.has_null().then(|| Bitmap::from_bools(values.codes().iter().map(|&c| c == NULL_CODE))),
     )
 }
 
@@ -690,6 +708,11 @@ fn finish_dict_block_generic(
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    /// A string column of `values`.
+    fn strs(values: Vec<Option<Arc<str>>>) -> ColumnValues {
+        ColumnValues::Str(StrColumn::from_values(values.iter().map(|v| v.as_deref())))
+    }
 
     fn roundtrip(values: ColumnValues) {
         let comp = ColumnCompressor::new();
@@ -773,7 +796,7 @@ mod tests {
                 }
             })
             .collect();
-        roundtrip(ColumnValues::Str(v));
+        roundtrip(strs(v));
     }
 
     #[test]
@@ -794,15 +817,20 @@ mod tests {
         let analyzed: Vec<Option<Arc<str>>> =
             (0..50).map(|i| Some(Arc::from(format!("v{}", i % 3).as_str()))).collect();
         let comp = ColumnCompressor::new();
-        let enc = comp.analyze(&ColumnValues::Str(analyzed));
+        let enc = comp.analyze(&strs(analyzed));
         let newdata: Vec<Option<Arc<str>>> = vec![
             Some(Arc::from("v0")),
             Some(Arc::from("unseen-value")),
             None,
         ];
-        let block = comp.encode_block(&enc, &ColumnValues::Str(newdata.clone()), 0..3);
+        let block = comp.encode_block(&enc, &strs(newdata.clone()), 0..3);
         let decoded = comp.decode_block(&enc, &block).unwrap();
-        assert_eq!(decoded, ColumnValues::Str(newdata));
+        assert_eq!(decoded, strs(newdata));
+        // The dictionary value decodes to its flat code, the exception to a
+        // local value of the decoded column's pool.
+        let ColumnValues::Str(decoded) = decoded else { panic!("a string column") };
+        assert_eq!(decoded.pool().word(decoded.codes()[0]), 0);
+        assert_eq!(decoded.pool().word(decoded.codes()[1]), crate::strs::MISS_WORD);
     }
 
     #[test]
@@ -847,9 +875,7 @@ mod tests {
         let columns = [
             ColumnValues::Int((0..n).map(|_| Some((draw() % 1000) as i64 - 500)).collect()),
             ColumnValues::Float((0..n).map(|_| Some((draw() % 4000) as f64 * 0.25)).collect()),
-            ColumnValues::Str(
-                (0..n).map(|_| Some(Arc::from(format!("L{}", draw() % 23).as_str()))).collect(),
-            ),
+            strs((0..n).map(|_| Some(Arc::from(format!("L{}", draw() % 23).as_str()))).collect()),
         ];
         for (i, values) in columns.iter().enumerate() {
             let enc = ColumnCompressor::new().analyze(values);
@@ -974,7 +1000,7 @@ mod tests {
         let block = comp.encode_block(enc, values, 0..values.len());
         assert_eq!(&comp.decode_block(enc, &block).unwrap(), values, "whole block");
         let mut expect = ColumnValues::empty_of(enc.kind());
-        let mut got = ColumnValues::empty_of(enc.kind());
+        let mut got = decode_target(enc);
         expect.append_selected(values, positions);
         comp.decode(enc, &block, positions, &mut got).unwrap();
         assert_eq!(got, expect, "positions {positions:?}");
@@ -1057,7 +1083,7 @@ mod tests {
         let wrong_enc = ColumnEncoding::IntDict { kind: ValueKind::Int, dict };
         for err in [
             comp.decode(&wrong_enc, &block, &[0], &mut ColumnValues::Int(Vec::new())),
-            comp.decode(&minus, &block, &[0], &mut ColumnValues::Str(Vec::new())),
+            comp.decode(&minus, &block, &[0], &mut ColumnValues::Str(StrColumn::new())),
             comp.decode(&minus, &block, &[3], &mut ColumnValues::Int(Vec::new())),
         ] {
             assert_eq!(err.unwrap_err().class(), "XX000");
@@ -1119,7 +1145,7 @@ mod tests {
                 };
                 let values: Vec<Arc<str>> = ordered.into_iter().map(spell).collect();
                 let values = with_nulls(values, null_mode, &mut draw);
-                check_positional(&enc, &ColumnValues::Str(values), &positions);
+                check_positional(&enc, &strs(values), &positions);
             } else {
                 let enc = ColumnEncoding::IntDict { kind: ValueKind::Int, dict };
                 let values: Vec<i64> = ordered.into_iter().map(ordered_to_i64).collect();
@@ -1138,7 +1164,7 @@ mod tests {
             let arcs: Vec<Option<Arc<str>>> = v.into_iter()
                 .map(|o| o.map(|s| Arc::from(s.as_str())))
                 .collect();
-            roundtrip(ColumnValues::Str(arcs));
+            roundtrip(strs(arcs));
         }
 
         #[test]

@@ -208,34 +208,6 @@ impl<T: Eq + Hash + Clone + Ord> FreqDict<T> {
     }
 }
 
-/// Bits reserved for the in-partition code in a [`pack_code`] word; the
-/// partition selector occupies the byte above.
-pub const PACK_CODE_BITS: u32 = 56;
-
-/// Pack a [`DictCode`] into one fixed-width `u64` key word.
-///
-/// The partition selector, biased by one so packed words never collide
-/// with the join-local intern range (which has the top bit set), occupies
-/// the top byte; the in-partition code fills the low 56 bits. Packing is
-/// injective over a dictionary's codes, so two packed words from the same
-/// dictionary are equal exactly when they name the same entry — the
-/// property hash join and grouping rely on to compare keys without
-/// decoding.
-#[inline]
-pub fn pack_code((part, code): DictCode) -> u64 {
-    debug_assert!(code < 1 << PACK_CODE_BITS, "dictionary code overflows pack width");
-    ((part as u64 + 1) << PACK_CODE_BITS) | code
-}
-
-/// Unpack a word produced by [`pack_code`] back into its [`DictCode`].
-#[inline]
-pub fn unpack_code(word: u64) -> DictCode {
-    (
-        ((word >> PACK_CODE_BITS) - 1) as u8,
-        word & ((1 << PACK_CODE_BITS) - 1),
-    )
-}
-
 impl<T: Eq + Hash + Clone + Ord> FreqDict<T> {
     /// Compare two entries of *this* dictionary by value order. Within one
     /// partition codes are value-ordered and compare directly; across
@@ -551,18 +523,6 @@ mod tests {
     }
 
     #[test]
-    fn pack_unpack_roundtrip_and_disjoint_ranges() {
-        for part in 0..MAX_PARTITIONS as u8 {
-            for code in [0u64, 1, 255, (1 << PACK_CODE_BITS) - 1] {
-                let w = pack_code((part, code));
-                assert_eq!(unpack_code(w), (part, code));
-                assert_eq!(w >> 63, 0, "packed words leave the top bit clear");
-                assert_ne!(w, 0, "packed words are never zero");
-            }
-        }
-    }
-
-    #[test]
     fn compare_codes_matches_value_order() {
         let dict = FreqDict::build(&skewed_hist());
         let vals: Vec<u64> = vec![50, 100, 205, 1000, 1499];
@@ -592,8 +552,6 @@ mod tests {
                 let c2 = d2.translate_code(&d1, c1).expect("value present in both");
                 prop_assert_eq!(d2.decode(c2.0, c2.1), v);
                 prop_assert_eq!(d1.translate_code(&d2, c2), Some(c1));
-                // The packed forms stay within their own dictionary's domain.
-                prop_assert_eq!(unpack_code(pack_code(c2)), c2);
             }
         }
 

@@ -34,6 +34,7 @@ pub mod histogram;
 pub mod minus;
 pub mod order;
 pub mod prefix;
+pub mod strs;
 
 pub use bitmap::Bitmap;
 pub use bitpack::BitPackedVec;

@@ -10,15 +10,15 @@
 //! `MEDIAN`, `PERCENTILE_CONT`/`_DISC`, `VAR_POP`/`VAR_SAMP`,
 //! `STDDEV_POP`/`STDDEV_SAMP`, `COVAR_POP`/`COVAR_SAMP` plus the ANSI core.
 
-use crate::batch::{str_bytes, Batch};
+use crate::batch::Batch;
 use crate::functions::EvalContext;
-use crate::key::{self, GroupTable, KeyCol, KeyMode, KeyWord, StrDict, StrInterner, LOCAL_STR_BASE};
+use crate::key::{self, GroupTable, KeyCol, KeyMode, KeyWord, StrDomain, StrInterner, LOCAL_STR_BASE, STR_MISS};
 use crate::pipeline::{self, AggSink, Feed};
 use crate::stats::ExecStats;
 use dash_common::fxhash::FxHashSet;
 use dash_common::{DashError, DataType, Datum, Result, Schema};
 use dash_encoding::column::{value_kind, ColumnValues, ValueKind};
-use dash_encoding::dict::pack_code;
+use dash_encoding::strs::{StrColumn, NULL_CODE};
 use std::borrow::Cow;
 use std::ops::Range;
 use std::sync::Arc;
@@ -137,7 +137,10 @@ impl<'a> MorselCol<'a> {
         match &*self.values {
             ColumnValues::Int(v) => valid(&v[self.rows.clone()], &mut f),
             ColumnValues::Float(v) => valid(&v[self.rows.clone()], &mut f),
-            ColumnValues::Str(v) => valid(&v[self.rows.clone()], &mut f),
+            ColumnValues::Str(v) => {
+                let codes = &v.codes()[self.rows.clone()];
+                codes.iter().enumerate().filter(|(_, &c)| c != NULL_CODE).for_each(|(i, _)| f(i));
+            }
         }
     }
 
@@ -175,7 +178,8 @@ impl<'a> MorselCol<'a> {
     }
 }
 
-/// A `DISTINCT` aggregate's seen-set entry: the group and the value.
+/// A `DISTINCT` aggregate's seen-set entry: the group and the value — a
+/// string of its argument's dictionary by its word, any other by itself.
 #[derive(Debug, PartialEq, Eq, Hash)]
 enum SeenKey {
     Word(u32, u64),
@@ -199,8 +203,10 @@ enum StateCol {
     Moments { n: Vec<i64>, mean: Vec<f64>, m2: Vec<f64> },
     /// Co-moments for covariance.
     CoMoments { n: Vec<i64>, mx: Vec<f64>, my: Vec<f64>, cxy: Vec<f64> },
-    /// `inner` sees each group's distinct non-NULL values once.
-    Distinct { seen: FxHashSet<SeenKey>, inner: Box<StateCol> },
+    /// `inner` sees each group's distinct non-NULL values once. `domain`
+    /// is the dictionary string words in `seen` are codes of: a `DISTINCT`
+    /// aggregate runs as one partial over one batch, so one pool.
+    Distinct { seen: FxHashSet<SeenKey>, domain: Option<StrDomain>, inner: Box<StateCol> },
 }
 
 fn overflow() -> DashError {
@@ -236,10 +242,29 @@ fn keep_best(
             }
         }
     }
+    /// Strings compare as `&str` read from their pools; a replacement
+    /// copies the code, or interns the value when the pools differ.
+    fn fold_strs(best: &mut StrColumn, vals: &StrColumn, rows: Range<usize>, at: impl Fn(usize) -> usize, min: bool) {
+        let (codes, pool) = (&vals.codes()[rows.clone()], &**vals.pool());
+        for (i, &code) in codes.iter().enumerate() {
+            if code == NULL_CODE {
+                continue;
+            }
+            let slot = at(i);
+            let replace = match best.get(slot) {
+                None => true,
+                Some(c) if min => pool.value(code) < c,
+                Some(c) => pool.value(code) > c,
+            };
+            if replace {
+                best.set_code(slot, vals.pool(), code);
+            }
+        }
+    }
     match (best, vals) {
         (ColumnValues::Int(b), ColumnValues::Int(v)) => fold(b, &v[rows], at, min),
         (ColumnValues::Float(b), ColumnValues::Float(v)) => fold(b, &v[rows], at, min),
-        (ColumnValues::Str(b), ColumnValues::Str(v)) => fold(b, &v[rows], at, min),
+        (ColumnValues::Str(b), ColumnValues::Str(v)) => fold_strs(b, v, rows, at, min),
         _ => return Err(DashError::internal("MIN/MAX state does not match its argument column")),
     }
     Ok(())
@@ -288,6 +313,7 @@ impl StateCol {
         if agg.distinct {
             StateCol::Distinct {
                 seen: FxHashSet::default(),
+                domain: None,
                 inner: Box::new(base),
             }
         } else {
@@ -314,7 +340,7 @@ impl StateCol {
             StateCol::MinMax { best, .. } => match best {
                 ColumnValues::Int(v) => v.resize(groups, None),
                 ColumnValues::Float(v) => v.resize(groups, None),
-                ColumnValues::Str(v) => v.resize(groups, None),
+                ColumnValues::Str(v) => v.resize_null(groups),
             },
             StateCol::Values(v) => v.resize(groups, Vec::new()),
             StateCol::Moments { n, mean, m2 } => {
@@ -428,7 +454,7 @@ impl StateCol {
                     }
                 })?;
             }
-            StateCol::Distinct { seen, inner } => {
+            StateCol::Distinct { seen, domain, inner } => {
                 // Only single-argument distinct aggregates are supported;
                 // one without an argument sees nothing, as before.
                 let Some(a) = args.first() else { return Ok(()) };
@@ -450,9 +476,29 @@ impl StateCol {
                     ColumnValues::Float(v) => ColumnValues::Float(once(&v[r], |i, x| {
                         first(SeenKey::Word(gid(i) as u32, key::f64_key_word(*x)), 24)
                     })),
-                    ColumnValues::Str(v) => ColumnValues::Str(once(&v[r], |i, x| {
-                        first(SeenKey::Str(gid(i) as u32, x.clone()), 32 + x.len() as u64)
-                    })),
+                    ColumnValues::Str(v) => {
+                        let pool = v.pool();
+                        if !Arc::ptr_eq(domain.get_or_insert_with(|| pool.dict().clone()), pool.dict()) {
+                            return Err(DashError::internal("DISTINCT aggregate over two string dictionaries"));
+                        }
+                        let codes = v.codes()[r].iter().enumerate().map(|(i, &code)| {
+                            let g = gid(i) as u32;
+                            let new = code != NULL_CODE
+                                && match pool.word(code) {
+                                    STR_MISS => {
+                                        let s = pool.arc(code);
+                                        first(SeenKey::Str(g, s.clone()), 32 + s.len() as u64)
+                                    }
+                                    word => first(SeenKey::Word(g, word), 24),
+                                };
+                            if new {
+                                code
+                            } else {
+                                NULL_CODE
+                            }
+                        });
+                        ColumnValues::Str(StrColumn::from_parts(codes.collect(), pool.clone()))
+                    }
                 };
                 let once = MorselCol {
                     values: Cow::Owned(once),
@@ -666,12 +712,13 @@ pub(crate) fn supports_partial(aggs: &[AggExpr]) -> bool {
 /// column per aggregate. Produced on pool workers by [`aggregate_morsel`],
 /// merged in morsel-index order by [`AggAccumulator::merge`].
 pub(crate) struct AggPartial {
-    /// Key words per group; string words are codes of `dicts` or
-    /// morsel-local intern codes. Unused by a global aggregate.
+    /// Key words per group; string words are flat codes of the key
+    /// column's pool's dictionary or morsel-local intern codes. Unused by a
+    /// global aggregate.
     table: GroupTable,
-    /// Per key column, the dictionary its packed codes come from.
-    dicts: Vec<Option<StrDict>>,
-    /// Per key column, each group's value from the group's first row.
+    /// Per key column, each group's value from the group's first row; a
+    /// string column shares the input's pool, whose dictionary is the
+    /// domain of its words.
     keys: Vec<ColumnValues>,
     states: Vec<StateCol>,
     groups: usize,
@@ -696,12 +743,22 @@ impl AggPartial {
 const PASS_ROWS: usize = 4096;
 
 /// Append the values of `src` at `at` to the key column `dst`; returns the
-/// bytes they add.
+/// bytes they add. A string key is charged its value's bytes: the group
+/// keeps the value reachable, wherever its pool lives.
 fn append_keys(dst: &mut ColumnValues, src: &ColumnValues, at: &[usize]) -> u64 {
     dst.append_selected(src, at);
     match src {
-        ColumnValues::Str(v) => at.iter().map(|&i| str_bytes(v[i].as_deref())).sum(),
+        ColumnValues::Str(v) => at.iter().map(|&i| 16 + v.get(i).map_or(0, str::len) as u64).sum(),
         _ => 9 * at.len() as u64,
+    }
+}
+
+/// The domain a partial's or accumulator's string key column `key` words
+/// are in: its pool's dictionary.
+fn str_domain(key: &ColumnValues) -> Option<&StrDomain> {
+    match key {
+        ColumnValues::Str(v) => Some(v.pool().dict()),
+        _ => None,
     }
 }
 
@@ -721,15 +778,17 @@ pub(crate) fn aggregate_morsel(
     ctx: &EvalContext,
 ) -> Result<AggPartial> {
     let nk = sink.group.len();
-    let mut dicts = Vec::with_capacity(nk);
     let mut keys = Vec::with_capacity(nk);
     for (c, &col) in sink.group.iter().enumerate() {
-        dicts.push(input.str_dict(col).cloned());
-        keys.push(ColumnValues::empty_for(out_type(sink.schema, c)?));
+        // A key column starts out with its input's pool, so its words and
+        // its first-row values are codes of one pool.
+        keys.push(match input.try_column(col)? {
+            ColumnValues::Str(v) => ColumnValues::Str(StrColumn::with_pool(v.pool().clone())),
+            _ => ColumnValues::empty_for(out_type(sink.schema, c)?),
+        });
     }
     let mut part = AggPartial {
         table: GroupTable::new(nk),
-        dicts,
         keys,
         states: new_states(sink.aggs, nk, sink.schema)?,
         // A global aggregate is one group, present even for an empty morsel
@@ -774,8 +833,7 @@ impl AggPartial {
         if nk > 0 {
             let cols: Vec<MorselCol<'_>> =
                 sink.group.iter().map(|&col| MorselCol::borrowed(input, col, rows)).collect::<Result<_>>()?;
-            let mut views: Vec<KeyCol<'_>> =
-                cols.iter().zip(&self.dicts).map(|(c, d)| KeyCol::new(&c.values, d.clone())).collect();
+            let mut views: Vec<KeyCol<'_>> = cols.iter().map(|c| KeyCol::new(&c.values, None, rows.len())).collect();
             // Row (within the pass) each new group first appeared at.
             let mut first_rows: Vec<usize> = Vec::new();
             gids = Some(group_ids(&mut views, &cols, rows.len(), &mut self.table, interners, &mut first_rows));
@@ -859,31 +917,33 @@ fn group_ids(
 }
 
 /// Re-codes one string key column's words from a partial's domain — its
-/// dictionary's codes and its morsel-local intern codes — into the
-/// accumulator's.
+/// pool's dictionary codes and its morsel-local intern codes — into the
+/// accumulator's. Keyed on pool identity: a partial over the accumulator's
+/// dictionary keeps its dictionary words.
 struct StrRecode<'p> {
     col: usize,
-    /// The partial's packed codes are the accumulator's already.
-    same_dict: bool,
+    /// The partial's dictionary words are the accumulator's already.
+    same_domain: bool,
     /// Each group's string, from the partial's first-row key column.
-    strs: &'p [Option<Arc<str>>],
+    strs: &'p StrColumn,
     /// Accumulator word per morsel-local code, 0 = not yet translated (no
-    /// key word of a string is 0), so a string is hashed once per partial.
+    /// key word of a local string is 0), so a string is hashed once per
+    /// partial.
     local: Vec<u64>,
 }
 
 impl StrRecode<'_> {
-    fn recode(&mut self, key: &mut [u64], g: usize, dict: &Option<StrDict>, interner: &mut StrInterner) {
+    fn recode(&mut self, key: &mut [u64], g: usize, domain: &Option<StrDomain>, interner: &mut StrInterner) {
         let word = key[self.col];
         let is_local = word >= LOCAL_STR_BASE;
         // A NULL component's word is zeroed and stays so.
-        let Some(s) = &self.strs[g] else { return };
-        if !is_local && self.same_dict {
+        let Some(s) = self.strs.arc(g) else { return };
+        if !is_local && self.same_domain {
             return;
         }
-        let mut ours = || {
-            let code = dict.as_ref().and_then(|d| d.encode(s)).map(pack_code);
-            code.unwrap_or_else(|| interner.intern(s))
+        let mut ours = || match domain.as_ref().and_then(|d| d.code_of(s)) {
+            Some(code) => u64::from(code),
+            None => interner.intern(s),
         };
         key[self.col] = if is_local {
             let at = (word - LOCAL_STR_BASE) as usize;
@@ -906,9 +966,9 @@ impl StrRecode<'_> {
 /// on the folding thread, so it needs no synchronization.
 pub(crate) struct AggAccumulator {
     /// Key words per group, string words in this accumulator's domain:
-    /// codes of `dicts`, else codes of `interners`.
+    /// flat codes of `domains`, else codes of `interners`.
     table: GroupTable,
-    dicts: Vec<Option<StrDict>>,
+    domains: Vec<Option<StrDomain>>,
     interners: Vec<StrInterner>,
     keys: Vec<ColumnValues>,
     states: Vec<StateCol>,
@@ -924,7 +984,7 @@ impl AggAccumulator {
     pub(crate) fn new(nk: usize) -> AggAccumulator {
         AggAccumulator {
             table: GroupTable::new(nk),
-            dicts: vec![None; nk],
+            domains: vec![None; nk],
             interners: (0..nk).map(|_| StrInterner::default()).collect(),
             keys: Vec::new(),
             states: Vec::new(),
@@ -955,18 +1015,15 @@ impl AggAccumulator {
             self.keyed_rows += partial.rows;
             if prev == 0 {
                 // The first groups fix the string code domain.
-                self.dicts.clone_from(&partial.dicts);
+                self.domains = partial.keys.iter().map(|k| str_domain(k).cloned()).collect();
             }
             let mut recodes: Vec<StrRecode<'_>> = Vec::new();
             for (col, key) in partial.keys.iter().enumerate() {
                 if let ColumnValues::Str(strs) = key {
-                    let same_dict = match (&self.dicts[col], &partial.dicts[col]) {
-                        (Some(ours), Some(theirs)) => Arc::ptr_eq(ours, theirs),
-                        (_, theirs) => theirs.is_none(),
-                    };
+                    let same_domain = self.domains[col].as_ref().is_some_and(|d| Arc::ptr_eq(d, strs.pool().dict()));
                     recodes.push(StrRecode {
                         col,
-                        same_dict,
+                        same_domain,
                         strs,
                         local: Vec::new(),
                     });
@@ -979,7 +1036,7 @@ impl AggAccumulator {
                     Some(theirs) => {
                         key.copy_from_slice(theirs);
                         for r in &mut recodes {
-                            r.recode(&mut key, g, &self.dicts[r.col], &mut self.interners[r.col]);
+                            r.recode(&mut key, g, &self.domains[r.col], &mut self.interners[r.col]);
                         }
                         match key[..] {
                             [word] => self.table.group_of_word(word),
@@ -1547,6 +1604,7 @@ mod tests {
         // DISTINCT states refuse to merge: the pipeline feeds them one partial.
         let distinct = || StateCol::Distinct {
             seen: FxHashSet::default(),
+            domain: None,
             inner: Box::new(sum(0)),
         };
         assert!(matches!(distinct().merge(distinct(), &[0]).unwrap_err(), DashError::Internal(_)));

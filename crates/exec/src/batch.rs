@@ -2,33 +2,21 @@
 //!
 //! Operators exchange data as column-major batches; rows are materialized
 //! only at plan edges (results, inserts, shuffles). Batch sizes follow the
-//! stride length so a scan emits one batch per surviving stride.
-
-use std::sync::Arc;
+//! stride length so a scan emits one batch per surviving stride. A string
+//! column is codes into a pool it shares ([`dash_encoding::strs`]): moving
+//! one copies codes, and a value becomes an `Arc<str>` only at an edge.
 
 use dash_common::{DashError, DataType, Datum, Result, Row, Schema};
 use dash_encoding::column::ColumnValues;
-use dash_encoding::dict::FreqDict;
 
 /// A column-major batch of rows sharing one schema.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Batch {
     schema: Schema,
     columns: Vec<ColumnValues>,
+    /// Rows: every column's length, and the row count of a batch of no
+    /// columns.
     len: usize,
-    /// Per-column string dictionaries, when the column is backed by a
-    /// frequency-partitioned dictionary in storage. Empty means "none known".
-    /// Dictionaries are advisory metadata for the operate-on-compressed key
-    /// path; they never affect the values a batch holds.
-    dicts: Vec<Option<Arc<FreqDict<Arc<str>>>>>,
-}
-
-impl PartialEq for Batch {
-    fn eq(&self, other: &Self) -> bool {
-        // Dictionaries are advisory metadata, not data: two batches holding
-        // the same values are equal regardless of dictionary attachment.
-        self.schema == other.schema && self.columns == other.columns && self.len == other.len
-    }
 }
 
 impl Batch {
@@ -46,12 +34,13 @@ impl Batch {
         if columns.iter().any(|c| c.len() != len) {
             return Err(DashError::internal("batch columns have unequal lengths"));
         }
-        Ok(Batch {
-            schema,
-            columns,
-            len,
-            dicts: Vec::new(),
-        })
+        Ok(Batch { schema, columns, len })
+    }
+
+    /// `len` rows of no columns — what a scan that projects nothing emits,
+    /// and what `COUNT(*)` counts.
+    pub fn rows_only(len: usize) -> Batch {
+        Batch { len, ..Batch::empty(Schema::empty()) }
     }
 
     /// An empty batch with the given schema.
@@ -61,18 +50,13 @@ impl Batch {
             .iter()
             .map(|f| ColumnValues::empty_for(f.data_type))
             .collect();
-        Batch {
-            schema,
-            columns,
-            len: 0,
-            dicts: Vec::new(),
-        }
+        Batch { schema, columns, len: 0 }
     }
 
     /// One row of no columns: what a FROM-less SELECT reads, and the row
     /// a standalone expression is evaluated over.
     pub fn unit() -> Batch {
-        Batch { len: 1, ..Batch::empty(Schema::empty()) }
+        Batch::rows_only(1)
     }
 
     /// Build a batch from rows (validated against the schema).
@@ -151,7 +135,6 @@ impl Batch {
             schema: self.schema.clone(),
             columns,
             len: positions.len(),
-            dicts: self.dicts.clone(),
         }
     }
 
@@ -161,49 +144,23 @@ impl Batch {
             schema: self.schema.project(indices),
             columns: indices.iter().map(|&i| self.columns[i].clone()).collect(),
             len: self.len,
-            dicts: indices
-                .iter()
-                .map(|&i| self.dicts.get(i).cloned().flatten())
-                .collect(),
         }
-    }
-
-    /// Attach the storage dictionary backing string column `col`.
-    ///
-    /// The dictionary is advisory: key-path code in `join`/`agg` uses it to
-    /// hash packed dictionary codes instead of string bytes, and falls back
-    /// to raw values when it is absent.
-    pub fn set_str_dict(&mut self, col: usize, dict: Arc<FreqDict<Arc<str>>>) {
-        if self.dicts.len() < self.schema.len() {
-            self.dicts.resize(self.schema.len(), None);
-        }
-        self.dicts[col] = Some(dict);
-    }
-
-    /// The storage dictionary backing string column `col`, if known.
-    pub fn str_dict(&self, col: usize) -> Option<&Arc<FreqDict<Arc<str>>>> {
-        self.dicts.get(col).and_then(|d| d.as_ref())
     }
 
     /// This batch's columns followed by `column`, under `schema` (which
-    /// names the new column). Dictionaries stay attached.
+    /// names the new column).
     pub fn with_column(&self, schema: Schema, column: ColumnValues) -> Result<Batch> {
         let mut columns = self.columns.clone();
         columns.push(column);
-        let mut out = Batch::new(schema, columns)?;
-        out.dicts = self.dicts.clone();
-        Ok(out)
+        Batch::new(schema, columns)
     }
 
-    /// Concatenate batches of one schema column-at-a-time, preserving
-    /// dictionary metadata — UNION ALL and the pipeline sinks' stitch
-    /// step. A column keeps its dictionary when every non-empty input
-    /// agrees on it (pointer identity), so the operate-on-compressed key
-    /// path survives the seam.
+    /// Concatenate batches of one schema column-at-a-time — UNION ALL and
+    /// the pipeline sinks' stitch step. String columns of one pool (or of
+    /// one dictionary) copy their codes; any other is re-coded once per
+    /// distinct (pool, code).
     pub fn concat_columnar(schema: Schema, batches: Vec<Batch>) -> Result<Batch> {
         let ncols = schema.len();
-        let mut dicts: Vec<Option<Arc<FreqDict<Arc<str>>>>> = vec![None; ncols];
-        let mut dicts_seeded = false;
         let mut columns: Vec<ColumnValues> = schema
             .fields()
             .iter()
@@ -220,42 +177,12 @@ impl Batch {
             if b.is_empty() {
                 continue;
             }
-            // Dictionary vote: first non-empty batch seeds, later batches
-            // must match by pointer or the column's dictionary is dropped.
-            if !dicts_seeded {
-                for (c, slot) in dicts.iter_mut().enumerate() {
-                    *slot = b.str_dict(c).cloned();
-                }
-                dicts_seeded = true;
-            } else {
-                for (c, slot) in dicts.iter_mut().enumerate() {
-                    let same = match (slot.as_ref(), b.str_dict(c)) {
-                        (Some(a), Some(b)) => Arc::ptr_eq(a, b),
-                        (None, None) => true,
-                        _ => false,
-                    };
-                    if !same {
-                        *slot = None;
-                    }
-                }
-            }
             len += b.len;
             for (dst, src) in columns.iter_mut().zip(b.columns) {
                 dst.extend_from(src);
             }
         }
-        let mut out = Batch {
-            schema,
-            columns,
-            len,
-            dicts: Vec::new(),
-        };
-        for (c, dict) in dicts.into_iter().enumerate() {
-            if let Some(d) = dict {
-                out.set_str_dict(c, d);
-            }
-        }
-        Ok(out)
+        Ok(Batch { schema, columns, len })
     }
 
     /// Rough heap footprint of the batch, for inflight-memory accounting.
@@ -291,13 +218,10 @@ pub(crate) fn column_bytes(c: &ColumnValues) -> u64 {
     match c {
         ColumnValues::Int(v) => (v.len() * 9) as u64,
         ColumnValues::Float(v) => (v.len() * 9) as u64,
-        ColumnValues::Str(v) => v.iter().map(|s| str_bytes(s.as_deref())).sum(),
+        // A code per row, and the pool's local values (its dictionary is
+        // the table's).
+        ColumnValues::Str(v) => 4 * v.len() as u64 + v.pool().local_bytes(),
     }
-}
-
-/// Rough heap footprint of one string value.
-pub(crate) fn str_bytes(s: Option<&str>) -> u64 {
-    16 + s.map_or(0, |s| s.len()) as u64
 }
 
 fn take_column(c: &ColumnValues, positions: &[usize]) -> ColumnValues {
@@ -308,9 +232,7 @@ fn take_column(c: &ColumnValues, positions: &[usize]) -> ColumnValues {
         ColumnValues::Float(v) => {
             ColumnValues::Float(positions.iter().map(|&p| v[p]).collect())
         }
-        ColumnValues::Str(v) => {
-            ColumnValues::Str(positions.iter().map(|&p| v[p].clone()).collect())
-        }
+        ColumnValues::Str(v) => ColumnValues::Str(v.take(positions)),
     }
 }
 
@@ -319,6 +241,10 @@ mod tests {
     use super::*;
     use dash_common::types::DataType;
     use dash_common::{row, Field};
+    use dash_encoding::dict::FreqDict;
+    use dash_encoding::histogram::Histogram;
+    use dash_encoding::strs::{StrColumn, StrPool};
+    use std::sync::Arc;
 
     fn schema() -> Schema {
         Schema::new(vec![
@@ -360,7 +286,7 @@ mod tests {
     fn unequal_columns_rejected() {
         let cols = vec![
             ColumnValues::Int(vec![Some(1), Some(2)]),
-            ColumnValues::Str(vec![None]),
+            ColumnValues::Str(StrColumn::from_values([None])),
         ];
         assert!(Batch::new(schema(), cols).is_err());
     }
@@ -373,35 +299,49 @@ mod tests {
         assert_eq!(c.to_rows(), vec![row![1i64, "a"], row![2i64, "b"]]);
     }
 
+    /// `rows` as a batch whose string column is codes of `pool`.
+    fn pooled(rows: &[Row], pool: &Arc<StrPool>) -> Batch {
+        let b = Batch::from_rows(schema(), rows).unwrap();
+        let ColumnValues::Str(names) = b.column(1) else { panic!("a string column") };
+        let names = names.repool(pool.dict().clone());
+        Batch::new(schema(), vec![b.column(0).clone(), ColumnValues::Str(names)]).unwrap()
+    }
+
+    fn names_pool(b: &Batch) -> &Arc<StrPool> {
+        let ColumnValues::Str(names) = b.column(1) else { panic!("a string column") };
+        names.pool()
+    }
+
     #[test]
-    fn concat_columnar_matches_row_concat_and_keeps_dicts() {
+    fn concat_columnar_matches_row_concat_and_keeps_shared_pools() {
         let vals: Vec<Arc<str>> = vec![Arc::from("a"), Arc::from("b")];
-        let dict = Arc::new(FreqDict::build(
-            &dash_encoding::histogram::Histogram::from_values(vals.iter().map(Some)),
-        ));
-        let mut a = Batch::from_rows(schema(), &[row![1i64, "a"]]).unwrap();
-        a.set_str_dict(1, dict.clone());
-        let mut b = Batch::from_rows(schema(), &[row![2i64, "b"], row![3i64, Datum::Null]]).unwrap();
-        b.set_str_dict(1, dict.clone());
+        let dict = FreqDict::build(&Histogram::from_values(vals.iter().map(Some)));
+        let pool = StrPool::for_dict(&dict);
+        let a = pooled(&[row![1i64, "a"]], &pool);
+        let b = pooled(&[row![2i64, "b"], row![3i64, Datum::Null]], &pool);
         let rowwise = Batch::from_rows(schema(), &[a.to_rows(), b.to_rows()].concat()).unwrap();
         let colwise = Batch::concat_columnar(schema(), vec![a.clone(), b.clone()]).unwrap();
         assert_eq!(colwise.to_rows(), rowwise.to_rows());
-        assert!(
-            colwise
-                .str_dict(1)
-                .is_some_and(|d| Arc::ptr_eq(d, &dict)),
-            "agreeing dictionaries survive the seam"
-        );
-        // Disagreeing dictionaries are dropped, values unharmed.
-        let zvals: Vec<Arc<str>> = vec![Arc::from("z")];
-        let other = Arc::new(FreqDict::build(
-            &dash_encoding::histogram::Histogram::from_values(zvals.iter().map(Some)),
-        ));
-        let mut b2 = b.clone();
-        b2.set_str_dict(1, other);
-        let mixed = Batch::concat_columnar(schema(), vec![a, b2]).unwrap();
-        assert!(mixed.str_dict(1).is_none());
-        assert_eq!(mixed.to_rows(), rowwise.to_rows());
+        assert!(Arc::ptr_eq(names_pool(&colwise), names_pool(&a)), "one dictionary's codes survive the seam");
+        // Another dictionary's values re-code into this one's pool.
+        let other = StrPool::for_dict(&FreqDict::build(&Histogram::from_values([Arc::from("z")].iter().map(Some))));
+        let z = pooled(&[row![4i64, "z"], row![5i64, "b"]], &other);
+        let mixed = Batch::concat_columnar(schema(), vec![a.clone(), b, z]).unwrap();
+        assert!(names_pool(&mixed).same_domain(&pool));
+        let ColumnValues::Str(names) = mixed.column(1) else { panic!("a string column") };
+        assert_eq!(names.codes()[4], names.codes()[1], "`b` is the dictionary's code in both halves");
+        assert_eq!(names.get(3), Some("z"));
+        assert_eq!(mixed.to_rows()[..3], rowwise.to_rows()[..]);
+    }
+
+    #[test]
+    fn rows_only_batches_have_rows_and_no_columns() {
+        let b = Batch::rows_only(7);
+        assert_eq!((b.len(), b.schema().len()), (7, 0));
+        assert_eq!(b.take(&[0, 3]).len(), 2);
+        let c = Batch::concat_columnar(Schema::empty(), vec![b, Batch::rows_only(2)]).unwrap();
+        assert_eq!(c.len(), 9);
+        assert_eq!(c.to_rows(), vec![Row::new(vec![]); 9]);
     }
 
     #[test]

@@ -12,6 +12,7 @@ use crate::functions::{same_repr, EvalContext, ScalarFunction};
 use dash_common::row::{coerce_datum, float_to_int, out_of_range};
 use dash_common::{DashError, DataType, Datum, Field, Result, Schema};
 use dash_encoding::column::{int_to_datum, value_kind, ColumnValues, ValueKind};
+use dash_encoding::strs::{StrColumn, StrPool, NULL_CODE};
 use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::fmt;
@@ -417,8 +418,8 @@ pub enum Values<'a> {
     Int(Cow<'a, [Option<i64>]>),
     /// Doubles.
     Float(Cow<'a, [Option<f64>]>),
-    /// Strings.
-    Str(Cow<'a, [Option<Arc<str>>]>),
+    /// Strings: codes into a pool.
+    Str(Cow<'a, [u32]>, Arc<StrPool>),
 }
 
 /// What an expression evaluated to over a range of rows, column at a
@@ -453,9 +454,9 @@ impl<T: Copy> Arg<'_, T> {
     }
 }
 
-/// A string operand of a typed loop.
+/// A string operand of a typed loop: values read from the pool.
 enum Strs<'c> {
-    Col(&'c [Option<Arc<str>>]),
+    Col(&'c [u32], &'c StrPool),
     Const(&'c str),
 }
 
@@ -463,7 +464,10 @@ impl<'c> Strs<'c> {
     #[inline]
     fn at(&self, i: usize) -> Option<&'c str> {
         match self {
-            Strs::Col(v) => v[i].as_deref(),
+            Strs::Col(codes, pool) => match codes[i] {
+                NULL_CODE => None,
+                code => Some(pool.value(code)),
+            },
             Strs::Const(s) => Some(s),
         }
     }
@@ -494,7 +498,10 @@ impl<'a> Column<'a> {
         match self {
             Column::Typed(ty, Values::Int(v)) => v[i].map_or(Datum::Null, |x| int_to_datum(*ty, x)),
             Column::Typed(_, Values::Float(v)) => v[i].map_or(Datum::Null, Datum::Float),
-            Column::Typed(_, Values::Str(v)) => v[i].clone().map_or(Datum::Null, Datum::Str),
+            Column::Typed(_, Values::Str(codes, pool)) => match codes[i] {
+                NULL_CODE => Datum::Null,
+                code => Datum::Str(pool.arc(code).clone()),
+            },
             Column::Const(d) => d.clone(),
             Column::Datums(v) => v[i].clone(),
         }
@@ -504,7 +511,7 @@ impl<'a> Column<'a> {
         match self {
             Column::Typed(_, Values::Int(v)) => v[i].is_none(),
             Column::Typed(_, Values::Float(v)) => v[i].is_none(),
-            Column::Typed(_, Values::Str(v)) => v[i].is_none(),
+            Column::Typed(_, Values::Str(codes, _)) => codes[i] == NULL_CODE,
             Column::Const(d) => d.is_null(),
             Column::Datums(v) => v[i].is_null(),
         }
@@ -568,7 +575,7 @@ impl<'a> Column<'a> {
 
     fn strs(&self) -> Option<Strs<'_>> {
         match self {
-            Column::Typed(_, Values::Str(v)) => Some(Strs::Col(v)),
+            Column::Typed(_, Values::Str(codes, pool)) => Some(Strs::Col(codes, pool)),
             Column::Const(Datum::Str(s)) => Some(Strs::Const(s)),
             _ => None,
         }
@@ -591,7 +598,7 @@ impl<'a> Column<'a> {
             Column::Typed(ty, values) if same_repr(ty, dt) => match values {
                 Values::Int(v) => ColumnValues::Int(v.into_owned()),
                 Values::Float(v) => ColumnValues::Float(v.into_owned()),
-                Values::Str(v) => ColumnValues::Str(v.into_owned()),
+                Values::Str(codes, pool) => ColumnValues::Str(StrColumn::from_parts(codes.into_owned(), pool)),
             },
             Column::Const(d) => {
                 let mut one = ColumnValues::empty_for(dt);
@@ -599,7 +606,7 @@ impl<'a> Column<'a> {
                 match one {
                     ColumnValues::Int(v) => ColumnValues::Int(vec![v[0]; n]),
                     ColumnValues::Float(v) => ColumnValues::Float(vec![v[0]; n]),
-                    ColumnValues::Str(v) => ColumnValues::Str(vec![v[0].clone(); n]),
+                    ColumnValues::Str(v) => ColumnValues::Str(StrColumn::from_parts(vec![v.codes()[0]; n], v.pool().clone())),
                 }
             }
             col => {
@@ -711,16 +718,30 @@ fn merge<'a>(n: usize, mut pieces: Vec<(Vec<usize>, Column<'a>)>) -> Column<'a> 
                 floats(out)
             }
             ValueKind::Str => {
-                let mut out = vec![None; n];
+                // The first column piece lends its pool; the others' codes
+                // re-code into it.
+                let mut out = StrColumn::new();
+                if let Some(pool) = pieces.iter().find_map(|(_, c)| match c {
+                    Column::Typed(_, Values::Str(_, pool)) => Some(pool),
+                    _ => None,
+                }) {
+                    out = StrColumn::with_pool(pool.clone());
+                }
+                out.resize_null(n);
                 for (rows, c) in &pieces {
-                    for &i in rows {
-                        out[i] = match c.datum(i) {
-                            Datum::Str(s) => Some(s),
-                            _ => None,
-                        };
+                    match c {
+                        Column::Typed(_, Values::Str(codes, pool)) => {
+                            rows.iter().for_each(|&i| out.set_code(i, pool, codes[i]));
+                        }
+                        Column::Const(Datum::Str(s)) => {
+                            let code = out.intern(s);
+                            rows.iter().for_each(|&i| out.set(i, code));
+                        }
+                        _ => {}
                     }
                 }
-                Column::Typed(ty, Values::Str(Cow::Owned(out)))
+                let (codes, pool) = out.into_parts();
+                Column::Typed(ty, Values::Str(Cow::Owned(codes), pool))
             }
         })
     });
@@ -737,9 +758,10 @@ impl Expr {
     /// Evaluate at rows `rows` of `batch`, column at a time, at the rows of
     /// `sel` (positions in `0..rows.len()`, ascending) or, without one, at
     /// every row. Integer, double and same-scale decimal arithmetic,
-    /// comparison, AND/OR/NOT, IS NULL, numeric CAST, MOD and ABS run typed
-    /// loops with [`Expr::eval`]'s overflow, NULL and `sql_cmp` semantics;
-    /// any other node runs a per-row loop over its operands' columns.
+    /// comparison, AND/OR/NOT, IS NULL, numeric CAST, MOD, ABS and LIKE on
+    /// strings run typed loops with [`Expr::eval`]'s overflow, NULL and
+    /// `sql_cmp` semantics, strings read as `&str` from their pools; any
+    /// other node runs a per-row loop over its operands' columns.
     ///
     /// A child of AND, OR, CASE or the COALESCE family is evaluated only at
     /// the rows row-at-a-time evaluation reaches it at, so this fails only
@@ -767,7 +789,7 @@ impl Expr {
                     match batch.try_column(*i)? {
                         ColumnValues::Int(v) => Values::Int(Cow::Borrowed(&v[rows])),
                         ColumnValues::Float(v) => Values::Float(Cow::Borrowed(&v[rows])),
-                        ColumnValues::Str(v) => Values::Str(Cow::Borrowed(&v[rows])),
+                        ColumnValues::Str(v) => Values::Str(Cow::Borrowed(&v.codes()[rows]), v.pool().clone()),
                     },
                 ))
             }
@@ -867,7 +889,13 @@ impl Expr {
                 negated,
             } => {
                 let c = child(expr)?;
-                per_row(n, sel, |i| like(c.datum(i), pattern, *negated))
+                match c.strs() {
+                    // A string column matches its values read from the pool.
+                    Some(s) => Ok(bools(map_rows(n, sel, |i| {
+                        Ok(s.at(i).map(|s| (like_match(s, pattern) != *negated) as i64))
+                    })?)),
+                    None => per_row(n, sel, |i| like(c.datum(i), pattern, *negated)),
+                }
             }
             Expr::InList {
                 expr,
@@ -1137,23 +1165,14 @@ pub fn project(exprs: &[Expr], schema: &Schema, batch: &Batch, rows: Range<usize
             cols
         }
     };
-    let mut out = Batch::new(schema.clone(), cols)?;
-    for (c, (e, f)) in exprs.iter().zip(fields).enumerate() {
-        if let Expr::Col(i) = e {
-            match batch.str_dict(*i) {
-                Some(dict) if batch.schema().field(*i).data_type == f.data_type => out.set_str_dict(c, dict.clone()),
-                _ => {}
-            }
-        }
-    }
-    Ok(out)
+    Batch::new(schema.clone(), cols)
 }
 
 fn has_null(c: &ColumnValues) -> bool {
     match c {
         ColumnValues::Int(v) => v.iter().any(Option::is_none),
         ColumnValues::Float(v) => v.iter().any(Option::is_none),
-        ColumnValues::Str(v) => v.iter().any(Option::is_none),
+        ColumnValues::Str(v) => v.has_null(),
     }
 }
 

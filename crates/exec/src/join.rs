@@ -11,25 +11,26 @@
 //! through it one morsel at a time. NULL keys never match (SQL semantics).
 //!
 //! There is one key path: every key column reduces to a fixed-width `u64`
-//! word (ordered-int bits, canonical ordered-float bits, or packed
-//! dictionary codes; a pair of different domains is lifted into its common
-//! one — see [`crate::key`]), and partitioning, building and probing touch
-//! only those words. A partition is a [`GroupTable`] (key words → dense
-//! key id) plus each key's build rows in CSR form; the probe looks a key up
-//! without inserting and reads a slice. Strings outside the build side's
-//! dictionary resolve through a deterministic per-partition interner built
-//! from build-side rows.
+//! word (ordered-int bits, canonical ordered-float bits, or flat dictionary
+//! codes; a pair of different domains is lifted into its common one — see
+//! [`crate::key`]), and partitioning, building and probing touch only those
+//! words. A partition is a [`GroupTable`] (key words → dense key id) plus
+//! each key's build rows in CSR form; the probe looks a key up without
+//! inserting and reads a slice. Strings outside the build side's dictionary
+//! resolve through a deterministic per-partition interner built from
+//! build-side rows.
 //!
 //! The probe emits `(probe row, build row)` index pairs per morsel; payload
 //! columns materialize **late**, gathered column-at-a-time only for rows
-//! that survived the probe.
+//! that survived the probe — a string column as codes into its own pool.
 
 use crate::batch::Batch;
-use crate::key::{route_hash, GroupTable, KeyCol, KeyMode, StrDict, StrInterner, STR_MISS};
+use crate::key::{route_hash, GroupTable, KeyCol, KeyMode, StrDomain, StrInterner, STR_MISS};
 use crate::pool;
 use crate::stats::ExecStats;
 use dash_common::{BudgetLease, DashError, Result, Schema, StatementContext};
 use dash_encoding::column::ColumnValues;
+use dash_encoding::strs::{StrColumn, NULL_CODE};
 use std::borrow::Cow;
 use std::ops::Range;
 
@@ -162,7 +163,6 @@ fn partition_encoded<'a>(
     let run = pool::run_morsels(ranges.len(), parallelism, stmt, |mi| {
         let (lo, hi) = ranges[mi];
         let mut local: Vec<CodedPartition> = (0..parts).map(|_| (Vec::new(), Vec::new())).collect();
-        // A view memoises string words, so each morsel takes its own.
         let mut cols = key_cols();
         let mut words = vec![0u64; cols.len()];
         'row: for i in lo..hi {
@@ -258,27 +258,22 @@ impl Partition {
 /// Gather one output column from the surviving pairs: left columns index
 /// by probe row, right columns by build row with [`NO_MATCH`] → NULL.
 fn gather_column(src: &ColumnValues, pairs: &[(u32, u32)], right_side: bool) -> ColumnValues {
-    macro_rules! gather {
-        ($v:expr, $clone:expr) => {
-            pairs
-                .iter()
-                .map(|&(li, ri)| {
-                    let idx = if right_side { ri } else { li };
-                    if idx == NO_MATCH {
-                        None
-                    } else {
-                        $clone(&$v[idx as usize])
-                    }
-                })
-                .collect()
-        };
+    fn gather<T: Copy>(v: &[T], pairs: &[(u32, u32)], right_side: bool, null: T) -> Vec<T> {
+        pairs
+            .iter()
+            .map(|&(li, ri)| match if right_side { ri } else { li } {
+                NO_MATCH => null,
+                idx => v[idx as usize],
+            })
+            .collect()
     }
     match src {
-        ColumnValues::Int(v) => ColumnValues::Int(gather!(v, |x: &Option<i64>| *x)),
-        ColumnValues::Float(v) => ColumnValues::Float(gather!(v, |x: &Option<f64>| *x)),
-        ColumnValues::Str(v) => {
-            ColumnValues::Str(gather!(v, |x: &Option<std::sync::Arc<str>>| x.clone()))
-        }
+        ColumnValues::Int(v) => ColumnValues::Int(gather(v, pairs, right_side, None)),
+        ColumnValues::Float(v) => ColumnValues::Float(gather(v, pairs, right_side, None)),
+        ColumnValues::Str(v) => ColumnValues::Str(StrColumn::from_parts(
+            gather(v.codes(), pairs, right_side, NULL_CODE),
+            v.pool().clone(),
+        )),
     }
 }
 
@@ -295,6 +290,9 @@ fn materialize_pairs(
 ) -> Result<Batch> {
     let lw = left.schema().len();
     let ncols = out_schema.len();
+    if ncols == 0 {
+        return Ok(Batch::rows_only(pairs.len()));
+    }
     let run = pool::run_morsels(ncols, parallelism, stmt, |c| {
         Ok(if c < lw {
             gather_column(left.column(c), pairs, false)
@@ -303,20 +301,7 @@ fn materialize_pairs(
         })
     })?;
     stats.note_parallel_phase(run.morsels_dispatched, run.workers_used);
-    let mut batch = Batch::new(out_schema, run.results)?;
-    // Dictionaries survive the join: a downstream aggregate can still key
-    // on packed codes.
-    for c in 0..ncols {
-        let dict = if c < lw {
-            left.str_dict(c)
-        } else {
-            right.str_dict(c - lw)
-        };
-        if let Some(d) = dict {
-            batch.set_str_dict(c, d.clone());
-        }
-    }
-    Ok(batch)
+    Batch::new(out_schema, run.results)
 }
 
 /// Expose the partition fan-out chosen for a build side of `rows` rows
@@ -343,10 +328,10 @@ pub(crate) struct JoinBuild<'b> {
     out_schema: Schema,
     mask: u64,
     partitions: Vec<Partition>,
-    /// The fixed code domain per string key column — the build side's
-    /// dictionary, chosen once. Probe morsels re-encode by value against
-    /// it, so per-morsel dictionary votes can never flip the domain.
-    dicts: Vec<Option<StrDict>>,
+    /// The fixed code domain per string key column — the dictionary of
+    /// the build column's pool. A probe column over another dictionary
+    /// translates its codes into it, once per code.
+    domains: Vec<Option<StrDomain>>,
     /// Budget charged for the frozen tables and an owned build batch;
     /// released when the build drops at pipeline end.
     _lease: BudgetLease,
@@ -383,15 +368,21 @@ impl<'b> JoinBuild<'b> {
             // borrowed one is its caller's.
             charge(&mut lease, b.approx_bytes(), stats)?;
         }
-        // The build side owns the code domain: its dictionary (when
-        // present) becomes the domain every probe morsel encodes into.
-        let dicts: Vec<Option<StrDict>> = on.iter().map(|&(_, r)| build.str_dict(r).cloned()).collect();
+        // The build side owns the code domain: its pool's dictionary
+        // becomes the domain every probe morsel's words are in.
+        let domains: Vec<Option<StrDomain>> = on
+            .iter()
+            .map(|&(_, r)| match build.column(r) {
+                ColumnValues::Str(v) => Some(v.pool().dict().clone()),
+                _ => None,
+            })
+            .collect();
         let key_cols = || -> Vec<KeyCol<'_>> {
             on.iter()
-                .zip(&dicts)
+                .zip(&domains)
                 .map(|(&(l, r), d)| {
                     let (own, other) = (build.schema().field(r).data_type, probe_schema.field(l).data_type);
-                    KeyCol::for_pair(build.column(r), own, other, d.clone())
+                    KeyCol::for_pair(build.column(r), own, other, d.as_ref(), build.len())
                 })
                 .collect()
         };
@@ -415,7 +406,7 @@ impl<'b> JoinBuild<'b> {
             out_schema,
             mask,
             partitions,
-            dicts,
+            domains,
             _lease: lease,
         })
     }
@@ -465,16 +456,15 @@ impl<'b> JoinBuild<'b> {
         }
         stats.encoded_key_rows += rows.len() as u64;
         let mut cols = Vec::with_capacity(self.on.len());
-        for (&(l, r), dict) in self.on.iter().zip(&self.dicts) {
-            if let (Some(pd), Some(bd)) = (probe.str_dict(l), dict) {
-                if !std::sync::Arc::ptr_eq(pd, bd) {
-                    // The morsel carries its own dictionary; its keys
-                    // re-encode by value into the build-side domain.
-                    stats.keys_reencoded_rows += rows.len() as u64;
-                }
-            }
+        for (&(l, r), domain) in self.on.iter().zip(&self.domains) {
             let (own, other) = (probe.schema().field(l).data_type, self.build.schema().field(r).data_type);
-            cols.push(KeyCol::for_pair(probe.column(l), own, other, dict.clone()));
+            let col = KeyCol::for_pair(probe.column(l), own, other, domain.as_ref(), rows.len());
+            if col.is_translated() {
+                // The morsel's pool is over another dictionary; its codes
+                // translate into the build-side domain, once per code.
+                stats.keys_reencoded_rows += rows.len() as u64;
+            }
+            cols.push(col);
         }
         let mut words = vec![0u64; cols.len()];
         let mut pairs: Vec<(u32, u32)> = Vec::new();

@@ -11,14 +11,16 @@
 //! - Float keys become [`dash_encoding::order::f64_to_ordered`] words with
 //!   NaN canonicalized first, so key identity matches SQL equality
 //!   (`-0.0 = 0.0`, NaN groups with NaN).
-//! - String keys backed by a frequency-partitioned dictionary become packed
-//!   dictionary codes ([`dash_encoding::dict::pack_code`]); strings absent
-//!   from the chosen dictionary get the [`STR_MISS`] sentinel and are
-//!   interned per partition (see [`StrInterner`]).
+//! - A string key's word is its pool's word for its code
+//!   ([`StrPool::word`]): the flat code of a value of the pool's
+//!   dictionary, read from the code with no string touched. A value outside
+//!   the domain's dictionary gets the [`STR_MISS`] sentinel and is interned
+//!   per partition (see [`StrInterner`]).
 //!
 //! A join has one code domain per string key: the build side's dictionary.
-//! Probe morsels carrying a different dictionary re-encode by value into it
-//! (counted in `ExecStats::keys_reencoded_rows`) — the re-encode rule. A
+//! A probe column whose pool is over a different dictionary translates each
+//! distinct code into it once ([`Translate`]; its rows are counted in
+//! `ExecStats::keys_reencoded_rows`) — the re-encode rule. A
 //! join pair whose two columns occupy different domains is *lifted* into
 //! the pair's common one ([`KeyCol::for_pair`]): numerics compare as `f64`,
 //! `DATE` beside `TIMESTAMP` as microseconds, and a pair that is not
@@ -39,21 +41,21 @@ use dash_common::date::date_to_timestamp_micros;
 use dash_common::types::DataType;
 use dash_common::Schema;
 use dash_encoding::column::ColumnValues;
-use dash_encoding::dict::{pack_code, FreqDict};
+use dash_encoding::strs::{DictPool, StrPool, MISS_WORD, NULL_CODE};
 use dash_encoding::order::{f64_to_ordered, i64_to_ordered};
 
-/// Sentinel key word for a string value absent from the shared dictionary.
+/// Sentinel key word for a string value absent from the domain's dictionary.
 ///
-/// Packed dictionary codes always have their top bit clear, and local intern
-/// codes live in `[LOCAL_STR_BASE, u64::MAX)`, so the sentinel collides with
-/// neither. Rows carrying it are routed by hashing the raw string bytes and
-/// resolved through a per-partition [`StrInterner`].
-pub(crate) const STR_MISS: u64 = u64::MAX;
+/// Flat dictionary codes are below 2^32, and local intern codes live in
+/// `[LOCAL_STR_BASE, u64::MAX)`, so the sentinel collides with neither.
+/// Rows carrying it are routed by hashing the raw string bytes and resolved
+/// through a per-partition [`StrInterner`].
+pub(crate) const STR_MISS: u64 = MISS_WORD;
 
 /// Base for per-partition local string codes handed out by [`StrInterner`].
 ///
-/// Packed dictionary codes occupy at most `(MAX_PARTITIONS + 1) << 56`
-/// (< 2^59), so codes at or above `1 << 63` can never collide with them.
+/// Flat dictionary codes are below 2^32, so codes at or above `1 << 63` can
+/// never collide with them.
 pub(crate) const LOCAL_STR_BASE: u64 = 1 << 63;
 
 /// What `EXPLAIN` says about a join's or aggregate's keys (`keys=`).
@@ -127,25 +129,28 @@ impl KeyMode {
     }
 }
 
-/// A string key column's code domain.
-pub(crate) type StrDict = Arc<FreqDict<Arc<str>>>;
+/// A string key column's code domain: the dictionary whose flat codes its
+/// words are.
+pub(crate) type StrDomain = Arc<DictPool>;
 
 /// One key column viewed through the encoded path.
 ///
-/// Borrows the column storage; `dict` (strings only) is the code domain —
+/// Borrows the column storage. A string column's words are in a domain —
 /// for a join the build side's dictionary, which may differ from the
-/// dictionary the batch itself carries (the re-encode rule). A view lives
+/// dictionary of the column's own pool (the re-encode rule). A view lives
 /// for one morsel on one worker.
 pub(crate) enum KeyCol<'a> {
     /// Integer-family values: word = `i64_to_ordered(v)`.
     Int(&'a [Option<i64>]),
     /// Float values: word = `f64_to_ordered` of the canonicalized value.
     Float(&'a [Option<f64>]),
-    /// String values: word = packed dictionary code or [`STR_MISS`].
+    /// String codes: word = `pool.word(code)` when the pool is over the
+    /// domain's dictionary, else the code's value translated into it, once
+    /// per code; [`STR_MISS`] outside the dictionary.
     Str {
-        vals: &'a [Option<Arc<str>>],
-        dict: Option<StrDict>,
-        memo: PtrMemo,
+        codes: &'a [u32],
+        pool: &'a StrPool,
+        translate: Option<Translate<'a>>,
     },
     /// Integer-family values of a cross-domain join pair, lifted into the
     /// pair's common domain.
@@ -201,59 +206,62 @@ pub(crate) fn f64_key_word(v: f64) -> u64 {
     }
 }
 
-/// `Arc` pointer → key word cache for one [`KeyCol::Str`] view.
-///
-/// The decoder hands out the dictionary's own `Arc<str>`s, so a morsel
-/// repeats a few pointers thousands of times; a hit skips hashing the
-/// string's bytes in [`FreqDict::encode`]. The viewed column keeps every
-/// `Arc` alive, so one pointer is one string for the life of the view. A
-/// direct-mapped table: a pointer never seen (a row-at-a-time insert
-/// allocates one `Arc` per row) costs the `encode` it would have paid
-/// anyway, plus one compare and one store. Out-of-dictionary strings are
-/// such pointers, so the interner behind a miss has no memo.
-#[derive(Default)]
-pub(crate) struct PtrMemo(Vec<(usize, u64)>);
+/// The words of one pool's codes in another dictionary's domain, each code
+/// translated once: a direct-mapped memo on the code, with a slot for every
+/// code when the pool has no more codes than the view has rows.
+pub(crate) struct Translate<'a> {
+    into: &'a DictPool,
+    /// `(code, word)`; [`NULL_CODE`] marks a free slot.
+    memo: Vec<(u32, u64)>,
+}
 
-impl PtrMemo {
-    const SLOTS: usize = 1024;
+impl<'a> Translate<'a> {
+    fn new(into: &'a DictPool, pool: &StrPool, rows: usize) -> Translate<'a> {
+        let slots = rows.min(pool.len()).max(1).next_power_of_two();
+        Translate { into, memo: vec![(NULL_CODE, 0); slots] }
+    }
 
-    /// The word cached for `s`'s allocation, else `encode()`, cached.
+    /// The domain's word for `code` of `pool`.
     #[inline]
-    fn word(&mut self, s: &Arc<str>, encode: impl FnOnce() -> u64) -> u64 {
-        if self.0.is_empty() {
-            self.0 = vec![(0, 0); Self::SLOTS];
-        }
-        // An `Arc` is never null, so a zeroed slot matches no pointer.
-        let ptr = Arc::as_ptr(s) as *const u8 as usize;
-        let slot = &mut self.0[(ptr.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 40) & (Self::SLOTS - 1)];
-        if slot.0 != ptr {
-            *slot = (ptr, encode());
+    fn word(&mut self, pool: &StrPool, code: u32) -> u64 {
+        let mask = self.memo.len() - 1;
+        let slot = &mut self.memo[code as usize & mask];
+        if slot.0 != code {
+            let word = self.into.code_of(pool.value(code)).map_or(STR_MISS, u64::from);
+            *slot = (code, word);
         }
         slot.1
     }
 }
 
 #[inline]
-fn str_word(dict: &Option<StrDict>, memo: &mut PtrMemo, s: &Arc<str>) -> u64 {
-    match dict {
-        Some(d) => memo.word(s, || d.encode(s).map(pack_code).unwrap_or(STR_MISS)),
-        None => STR_MISS,
+fn str_word(pool: &StrPool, translate: &mut Option<Translate<'_>>, code: u32) -> u64 {
+    match translate {
+        None => pool.word(code),
+        Some(t) => t.word(pool, code),
     }
 }
 
 impl<'a> KeyCol<'a> {
-    /// A key column view over `values`, with `dict` as the string code
-    /// domain.
-    pub(crate) fn new(values: &'a ColumnValues, dict: Option<StrDict>) -> KeyCol<'a> {
+    /// A key column view over `values`, for `rows` of its rows. A string
+    /// column's words are in `domain` when given (translated per code when
+    /// its pool is over another dictionary), else in its pool's own.
+    pub(crate) fn new(values: &'a ColumnValues, domain: Option<&'a StrDomain>, rows: usize) -> KeyCol<'a> {
         match values {
             ColumnValues::Int(v) => KeyCol::Int(v),
             ColumnValues::Float(v) => KeyCol::Float(v),
-            ColumnValues::Str(v) => KeyCol::Str {
-                vals: v,
-                dict,
-                memo: PtrMemo::default(),
-            },
+            ColumnValues::Str(v) => {
+                let pool = &**v.pool();
+                let translate = domain.filter(|d| !Arc::ptr_eq(d, pool.dict())).map(|d| Translate::new(d, pool, rows));
+                KeyCol::Str { codes: v.codes(), pool, translate }
+            }
         }
+    }
+
+    /// Whether this string column's words are translated into a domain
+    /// other than its pool's dictionary.
+    pub(crate) fn is_translated(&self) -> bool {
+        matches!(self, KeyCol::Str { translate: Some(t), .. } if !t.into.is_empty())
     }
 
     /// One side of a join pair: `values` holds `own`-typed keys that meet
@@ -265,10 +273,11 @@ impl<'a> KeyCol<'a> {
         values: &'a ColumnValues,
         own: DataType,
         other: DataType,
-        dict: Option<StrDict>,
+        domain: Option<&'a StrDomain>,
+        rows: usize,
     ) -> KeyCol<'a> {
         if key_domain(own) == key_domain(other) {
-            return KeyCol::new(values, dict);
+            return KeyCol::new(values, domain, rows);
         }
         match (values, own) {
             _ if !own.comparable_with(other) => KeyCol::Never,
@@ -279,7 +288,7 @@ impl<'a> KeyCol<'a> {
             (ColumnValues::Int(v), _) if own.is_integer() => KeyCol::Lifted(v, Lift::Float(1.0)),
             // A float beside a numeric, a timestamp beside a date: already
             // in the common domain.
-            _ => KeyCol::new(values, dict),
+            _ => KeyCol::new(values, domain, rows),
         }
     }
 
@@ -289,7 +298,10 @@ impl<'a> KeyCol<'a> {
         match self {
             KeyCol::Int(v) => v[row].map(i64_to_ordered),
             KeyCol::Float(v) => v[row].map(f64_key_word),
-            KeyCol::Str { vals, dict, memo } => vals[row].as_ref().map(|s| str_word(dict, memo, s)),
+            KeyCol::Str { codes, pool, translate } => match codes[row] {
+                NULL_CODE => None,
+                code => Some(str_word(pool, translate, code)),
+            },
             KeyCol::Lifted(v, lift) => v[row].map(|x| lift.word(x)),
             KeyCol::Never => None,
         }
@@ -310,14 +322,15 @@ impl<'a> KeyCol<'a> {
                     f(i, x.map_or(KeyWord::Null, |x| KeyWord::Word(f64_key_word(x))));
                 }
             }
-            KeyCol::Str { vals, dict, memo } => {
-                for (i, x) in vals[rows].iter().enumerate() {
+            KeyCol::Str { codes, pool, translate } => {
+                let pool: &'a StrPool = pool;
+                for (i, &code) in codes[rows].iter().enumerate() {
                     f(
                         i,
-                        match x {
-                            None => KeyWord::Null,
-                            Some(s) => match str_word(dict, memo, s) {
-                                STR_MISS => KeyWord::Miss(s),
+                        match code {
+                            NULL_CODE => KeyWord::Null,
+                            code => match str_word(pool, translate, code) {
+                                STR_MISS => KeyWord::Miss(pool.arc(code)),
                                 word => KeyWord::Word(word),
                             },
                         },
@@ -346,7 +359,10 @@ impl<'a> KeyCol<'a> {
     #[inline]
     pub fn str_at(&self, row: usize) -> &Arc<str> {
         match self {
-            KeyCol::Str { vals, .. } => vals[row].as_ref().expect("str_at on NULL key"),
+            KeyCol::Str { codes, pool, .. } => {
+                debug_assert_ne!(codes[row], NULL_CODE, "str_at on NULL key");
+                pool.arc(codes[row])
+            }
             _ => unreachable!("str_at on non-string key column"),
         }
     }
@@ -605,7 +621,9 @@ mod tests {
     use super::*;
     use crate::batch::Batch;
     use dash_common::{row, Field};
+    use dash_encoding::dict::FreqDict;
     use dash_encoding::histogram::Histogram;
+    use dash_encoding::strs::StrColumn;
 
     fn batch(rows: &[dash_common::Row]) -> Batch {
         let schema = Schema::new(vec![
@@ -627,7 +645,7 @@ mod tests {
     #[test]
     fn int_words_preserve_equality() {
         let b = batch(&[row![1i64, 1.0f64, "a"], row![2i64, 1.0f64, "a"]]);
-        let mut col = KeyCol::new(b.column(0), None);
+        let mut col = KeyCol::new(b.column(0), None, b.len());
         assert_ne!(col.word(0), col.word(1));
         assert_eq!(col.word(0), Some(i64_to_ordered(1)));
     }
@@ -635,7 +653,7 @@ mod tests {
     #[test]
     fn str_without_dict_is_miss_and_interner_resolves() {
         let b = batch(&[row![1i64, 1.0f64, "a"], row![2i64, 1.0f64, "b"]]);
-        let mut col = KeyCol::new(b.column(2), None);
+        let mut col = KeyCol::new(b.column(2), None, b.len());
         assert_eq!(col.word(0), Some(STR_MISS));
         let mut it = StrInterner::default();
         let a = it.intern(col.str_at(0));
@@ -646,52 +664,68 @@ mod tests {
         assert_eq!(it.lookup(col.str_at(1)), Some(b2));
     }
 
-    /// The pointer memo never changes a word: shared `Arc`s, a fresh `Arc`
-    /// per row (the insert path), out-of-dictionary strings and more
-    /// distinct pointers than the memo has slots all read as `encode` does.
+    /// A string word is the pool's word for its code — the flat code of a
+    /// dictionary value, [`STR_MISS`] for a local one — and a pool over
+    /// another dictionary reads the domain's words, translated per code:
+    /// more distinct codes than the memo has slots, shared and local values
+    /// and NULLs all read as a lookup of the string does.
     #[test]
-    fn str_words_match_encode_through_the_pointer_memo() {
+    fn str_words_are_pool_words_or_translated_per_code() {
         let entries: Vec<Arc<str>> = (0..40).map(|i| Arc::from(format!("v{i}"))).collect();
-        let dict = Arc::new(FreqDict::build(&Histogram::from_values(entries.iter().map(Some))));
+        let dict = FreqDict::build(&Histogram::from_values(entries.iter().map(Some)));
+        let pool = StrPool::for_dict(&dict);
+        let mut column = StrColumn::with_pool(pool.clone());
         let mut vals: Vec<Option<Arc<str>>> = Vec::new();
-        for i in 0..3 * PtrMemo::SLOTS {
+        for i in 0..3000 {
             vals.push(match i % 4 {
-                0 => Some(entries[i % 40].clone()),
-                1 => Some(Arc::from(format!("v{}", i % 40))),
-                2 => Some(Arc::from(format!("absent{i}"))),
+                0 | 1 => Some(entries[i % 40].clone()),
+                2 => Some(Arc::from(format!("absent{}", i % 700))),
                 _ => None,
             });
+            column.push(vals[i].as_ref());
         }
-        let column = ColumnValues::Str(vals.clone());
-        let mut col = KeyCol::new(&column, Some(dict.clone()));
-        let expect = |v: &Option<Arc<str>>| {
-            v.as_ref().map(|s| dict.encode(s).map(pack_code).unwrap_or(STR_MISS))
+        let column = ColumnValues::Str(column);
+        let expect = |domain: &DictPool, v: &Option<Arc<str>>| {
+            v.as_ref().map(|s| domain.code_of(s).map_or(STR_MISS, u64::from))
         };
+        // The pool's own dictionary: words without a string touched.
+        let mut own = KeyCol::new(&column, Some(pool.dict()), vals.len());
+        assert!(!own.is_translated());
         for (row, v) in vals.iter().enumerate() {
-            assert_eq!(col.word(row), expect(v), "row {row}");
+            assert_eq!(own.word(row), expect(pool.dict(), v), "row {row}");
         }
-        let mut seen = 0;
-        col.for_each_word(5..vals.len(), |i, w| {
-            let word = match w {
-                KeyWord::Null => None,
-                KeyWord::Word(w) => Some(w),
-                KeyWord::Miss(s) => {
-                    assert_eq!(Some(s), vals[5 + i].as_ref());
-                    Some(STR_MISS)
-                }
-            };
-            assert_eq!(word, expect(&vals[5 + i]));
-            seen += 1;
-        });
-        assert_eq!(seen, vals.len() - 5);
+        // Another dictionary, sharing half the values: translated.
+        let half: Vec<Arc<str>> = entries.iter().step_by(2).cloned().chain([Arc::from("absent3")]).collect();
+        let other = StrPool::for_dict(&FreqDict::build(&Histogram::from_values(half.iter().map(Some))));
+        for rows in [vals.len(), 5] {
+            let mut col = KeyCol::new(&column, Some(other.dict()), rows);
+            assert!(col.is_translated());
+            for (row, v) in vals.iter().enumerate() {
+                assert_eq!(col.word(row), expect(other.dict(), v), "row {row} of a {rows}-row view");
+            }
+            let mut seen = 0;
+            col.for_each_word(5..vals.len(), |i, w| {
+                let word = match w {
+                    KeyWord::Null => None,
+                    KeyWord::Word(w) => Some(w),
+                    KeyWord::Miss(s) => {
+                        assert_eq!(Some(s), vals[5 + i].as_ref());
+                        Some(STR_MISS)
+                    }
+                };
+                assert_eq!(word, expect(other.dict(), &vals[5 + i]));
+                seen += 1;
+            });
+            assert_eq!(seen, vals.len() - 5);
+        }
     }
 
     #[test]
     fn route_hash_ignores_miss_sentinel_value() {
         let b1 = batch(&[row![1i64, 1.0f64, "zed"]]);
         let b2 = batch(&[row![9i64, 9.0f64, "zed"]]);
-        let mut c1 = [KeyCol::new(b1.column(2), None)];
-        let mut c2 = [KeyCol::new(b2.column(2), None)];
+        let mut c1 = [KeyCol::new(b1.column(2), None, 1)];
+        let mut c2 = [KeyCol::new(b2.column(2), None, 1)];
         let w1 = [c1[0].word(0).unwrap()];
         let w2 = [c2[0].word(0).unwrap()];
         assert_eq!(route_hash(&c1, &w1, 0), route_hash(&c2, &w2, 0));
@@ -755,7 +789,7 @@ mod tests {
     fn pairs_of_two_domains_lift_into_the_common_one() {
         let ints = ColumnValues::Int(vec![Some(2), Some(250), Some(i64::MAX), None]);
         let floats = ColumnValues::Float(vec![Some(2.0), Some(2.5), Some(-0.0), Some(f64::NAN)]);
-        let word = |values: &ColumnValues, own, other, row| KeyCol::for_pair(values, own, other, None).word(row);
+        let word = |values: &ColumnValues, own, other, row| KeyCol::for_pair(values, own, other, None, values.len()).word(row);
         let (int, float, date, ts) = (DataType::Int64, DataType::Float64, DataType::Date, DataType::Timestamp);
         let (dec2, dec4) = (DataType::Decimal(10, 2), DataType::Decimal(12, 4));
         // One domain: exact integer words, `i64::MAX` included.

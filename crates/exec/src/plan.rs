@@ -36,7 +36,9 @@ pub enum PhysicalPlan {
     },
     /// A batch built at plan time: the `VALUES` clause, `SELECT ... FROM
     /// DUAL`, a FROM-less SELECT's one empty row, or a bound relation.
-    Values(Batch),
+    /// Shared, so a plan that reads it (or a clone of one) copies a
+    /// pointer, not the batch.
+    Values(Arc<Batch>),
     /// Row filter by a boolean expression.
     Filter {
         /// Input plan.
@@ -136,6 +138,11 @@ pub enum PhysicalPlan {
 }
 
 impl PhysicalPlan {
+    /// A `Values` node over `batch`.
+    pub fn values(batch: Batch) -> PhysicalPlan {
+        PhysicalPlan::Values(Arc::new(batch))
+    }
+
     /// The output schema of this plan node.
     pub fn schema(&self) -> Schema {
         match self {
@@ -494,8 +501,8 @@ mod tests {
     #[test]
     fn union_and_group_by_every_column() {
         let schema = Schema::new(vec![Field::new("x", DataType::Int64)]).unwrap();
-        let v1 = PhysicalPlan::Values(Batch::from_rows(schema.clone(), &[row![1i64], row![2i64]]).unwrap());
-        let v2 = PhysicalPlan::Values(Batch::from_rows(schema.clone(), &[row![2i64], row![3i64]]).unwrap());
+        let v1 = PhysicalPlan::values(Batch::from_rows(schema.clone(), &[row![1i64], row![2i64]]).unwrap());
+        let v2 = PhysicalPlan::values(Batch::from_rows(schema.clone(), &[row![2i64], row![3i64]]).unwrap());
         let union = PhysicalPlan::UnionAll {
             inputs: vec![v1, v2],
         };
@@ -523,7 +530,7 @@ mod tests {
         ])
         .unwrap();
         let plan = PhysicalPlan::ConnectBy {
-            input: Box::new(PhysicalPlan::Values(Batch::from_rows(schema, &rows).unwrap())),
+            input: Box::new(PhysicalPlan::values(Batch::from_rows(schema, &rows).unwrap())),
             start_with: Expr::Cmp(CmpOp::Eq, Box::new(Expr::col(1)), Box::new(Expr::lit(0i64))),
             parent: 0,
             child: 1,

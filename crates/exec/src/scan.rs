@@ -287,7 +287,7 @@ fn tsn_column(base: usize, positions: &[usize]) -> ColumnValues {
 }
 
 /// Evaluate the open (unsealed) stride directly on values, appending
-/// survivors to `out_cols`.
+/// survivors to `out_cols`; returns how many survived.
 fn scan_open_stride(
     table: &ColumnTable,
     config: &ScanConfig,
@@ -295,11 +295,11 @@ fn scan_open_stride(
     shape: &ScanShape,
     out_cols: &mut [ColumnValues],
     stats: &mut ExecStats,
-) -> Result<()> {
+) -> Result<usize> {
     let schema = &shape.schema;
     let open_len = table.open_len();
     if open_len == 0 {
-        return Ok(());
+        return Ok(0);
     }
     stats.rows_scanned += open_len as u64;
     let open_deleted = table.open_deleted();
@@ -346,17 +346,7 @@ fn scan_open_stride(
             *tsn_col = tsn_column(open_base, &positions);
         }
     }
-    Ok(())
-}
-
-/// Attach storage dictionaries so downstream joins/aggregates can key on
-/// packed dictionary codes (operate on compressed) instead of strings.
-fn attach_dicts(table: &ColumnTable, config: &ScanConfig, batch: &mut Batch) {
-    for (oi, &col) in config.projection.iter().enumerate() {
-        if let Some(dict) = table.str_dict(col) {
-            batch.set_str_dict(oi, dict.clone());
-        }
-    }
+    Ok(positions.len())
 }
 
 /// Run a scan over a column table, returning the output batch and stats:
@@ -374,9 +364,11 @@ pub fn scan(table: &ColumnTable, config: &ScanConfig, ctx: &EvalContext) -> Resu
 /// A scan decomposed into independent per-stride morsels — the source end
 /// of a pipeline. Each morsel evaluates **and materializes** one candidate
 /// stride (predicates on compressed codes, late materialization of
-/// survivors, buffer-pool charging), returning a self-contained [`Batch`]
-/// with dictionary metadata attached, so a whole pipeline can run on the
-/// morsel's data while other strides are still being scanned.
+/// survivors, buffer-pool charging), returning a self-contained [`Batch`] —
+/// string columns as codes of the column's dictionary pool, shared by every
+/// morsel — so a whole pipeline can run on the morsel's data while other
+/// strides are still being scanned. A scan that projects no column (a
+/// `COUNT(*)`) decodes nothing and emits its survivor counts.
 pub struct ScanSource<'a> {
     table: &'a ColumnTable,
     config: &'a ScanConfig,
@@ -422,7 +414,7 @@ impl<'a> ScanSource<'a> {
             .iter()
             .map(|&dt| ColumnValues::empty_for(dt))
             .collect();
-        if let Some(&stride) = self.shape.candidate_list.get(mi) {
+        let rows = if let Some(&stride) = self.shape.candidate_list.get(mi) {
             let positions =
                 eval_stride(self.table, self.config, ctx, &self.shape, stride, &mut stats)?;
             if !positions.is_empty() {
@@ -436,16 +428,19 @@ impl<'a> ScanSource<'a> {
                     &mut stats,
                 )?;
             }
+            positions.len()
         } else if mi == self.shape.candidate_list.len() && self.table.open_len() > 0 {
-            scan_open_stride(self.table, self.config, ctx, &self.shape, &mut out_cols, &mut stats)?;
+            scan_open_stride(self.table, self.config, ctx, &self.shape, &mut out_cols, &mut stats)?
         } else {
             return Err(DashError::internal(format!(
                 "scan morsel {mi} out of range ({} morsels)",
                 self.morsel_count()
             )));
-        }
-        let mut batch = Batch::new(self.shape.out_schema.clone(), out_cols)?;
-        attach_dicts(self.table, self.config, &mut batch);
+        };
+        let batch = match out_cols.is_empty() {
+            true => Batch::rows_only(rows),
+            false => Batch::new(self.shape.out_schema.clone(), out_cols)?,
+        };
         Ok((batch, stats))
     }
 }
@@ -1187,10 +1182,12 @@ mod parallel_tests {
                     b
                 })
                 .collect();
-            let dict_attached = batches.iter().any(|b| b.str_dict(1).is_some());
+            let pool = t.str_pool(1).expect("a dictionary-coded column");
+            let shared = |b: &Batch| matches!(b.column(1), ColumnValues::Str(v) if Arc::ptr_eq(v.pool(), pool));
+            let dict_shared = batches.iter().any(|b| !b.is_empty() && shared(b));
             let sum = Batch::concat_columnar(src.out_schema().clone(), batches).unwrap();
             assert_eq!(sum.to_rows(), whole.to_rows(), "morsels reassemble the scan");
-            assert!(dict_attached, "per-morsel batches carry dictionaries");
+            assert!(dict_shared, "per-morsel batches share the dictionary's pool");
             assert_eq!(stats.strides_scanned, whole_stats.strides_scanned);
             assert_eq!(stats.rows_scanned, whole_stats.rows_scanned);
             assert_eq!(stats.strides_skipped, whole_stats.strides_skipped);

@@ -145,7 +145,7 @@ impl KeyWords<'_> {
         let w = match self.values {
             ColumnValues::Int(v) => i64_to_ordered(v[row]?),
             ColumnValues::Float(v) => f64_key_word(v[row]?),
-            ColumnValues::Str(v) => str_prefix_ordered(v[row].as_deref()?),
+            ColumnValues::Str(v) => str_prefix_ordered(v.get(row)?),
         };
         Some(if self.asc { w } else { !w })
     }
@@ -163,7 +163,7 @@ impl KeyWords<'_> {
         let o = self.rank(x.is_none()).cmp(&self.rank(y.is_none()));
         match self.values {
             ColumnValues::Str(v) if o == Ordering::Equal => {
-                let o = v[a].as_deref().cmp(&v[b].as_deref());
+                let o = v.get(a).cmp(&v.get(b));
                 if self.asc {
                     o
                 } else {
@@ -194,7 +194,7 @@ impl<'a> SortWords<'a> {
                 let ranked = match values {
                     ColumnValues::Int(v) => v.iter().any(Option::is_none),
                     ColumnValues::Float(v) => v.iter().any(Option::is_none),
-                    ColumnValues::Str(v) => v.iter().any(Option::is_none),
+                    ColumnValues::Str(v) => v.has_null(),
                 };
                 Ok(KeyWords { values, asc: k.asc, nulls_last: k.nulls_last, ranked })
             })

@@ -25,6 +25,7 @@ use dash_exec::agg::{AggExpr, AggFunc};
 use dash_exec::expr::{ArithOp, CmpOp, Expr};
 use dash_exec::batch::Batch;
 use dash_encoding::column::ColumnValues;
+use dash_encoding::strs::StrColumn;
 use dash_exec::functions::{arith_type, same_repr, supertype, EvalContext, FunctionRegistry};
 use dash_exec::join::JoinType;
 use dash_exec::key::KeyMode;
@@ -111,7 +112,7 @@ pub fn plan_select_over(
     let mut planner = Planner::new(provider, dialect, ctx);
     if let Some((name, batch)) = relation {
         let scope = Scope::from_schema(Some(name), batch.schema());
-        planner.ctes.insert(name.to_ascii_uppercase(), Rc::new((PhysicalPlan::Values(batch), scope)));
+        planner.ctes.insert(name.to_ascii_uppercase(), Rc::new((PhysicalPlan::values(batch), scope)));
     }
     let (plan, _) = planner.plan_query(stmt)?;
     Ok(pushdown(plan, provider))
@@ -147,7 +148,7 @@ pub fn plan_values(
         }
     }
     let fields = types.iter().enumerate().map(|(i, dt)| Field::new(format!("COL{}", i + 1), *dt));
-    Ok(PhysicalPlan::Values(Batch::new(Schema::new_unchecked(fields.collect()), columns)?))
+    Ok(PhysicalPlan::values(Batch::new(Schema::new_unchecked(fields.collect()), columns)?))
 }
 
 /// Lower a standalone expression (no table scope) — used by INSERT VALUES
@@ -709,7 +710,7 @@ impl<'a> Planner<'a> {
     fn plan_from(&mut self, stmt: &SelectStmt) -> Result<(PhysicalPlan, Scope)> {
         if stmt.from.is_empty() {
             // SELECT without FROM: one empty row.
-            return Ok((PhysicalPlan::Values(Batch::unit()), Scope::default()));
+            return Ok((PhysicalPlan::values(Batch::unit()), Scope::default()));
         }
         // Column pruning needs the set of referenced names for this block.
         let referenced = collect_block_columns(stmt);
@@ -793,8 +794,8 @@ impl<'a> Planner<'a> {
             TableRef::Dual => {
                 let schema = Schema::new_unchecked(vec![Field::new("DUMMY", DataType::Utf8)]);
                 let scope = Scope::from_schema(Some("DUAL"), &schema);
-                let dummy = ColumnValues::Str(vec![Some("X".into())]);
-                Ok((PhysicalPlan::Values(Batch::new(schema, vec![dummy])?), scope))
+                let dummy = ColumnValues::Str(StrColumn::from_values([Some("X")]));
+                Ok((PhysicalPlan::values(Batch::new(schema, vec![dummy])?), scope))
             }
             TableRef::Named { name, alias } => {
                 let qualifier = alias.clone().unwrap_or_else(|| name.clone());
@@ -857,13 +858,10 @@ impl<'a> Planner<'a> {
                                 }
                             }
                         }
+                        // Empty for e.g. COUNT(*): the scan decodes nothing
+                        // and emits its survivor counts.
                         keep.sort_unstable();
-                        if keep.is_empty() {
-                            // e.g. COUNT(*): still need one column to scan.
-                            vec![0]
-                        } else {
-                            keep
-                        }
+                        keep
                     }
                 };
                 let scan_schema = schema.project(&projection);

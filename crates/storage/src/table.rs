@@ -22,7 +22,7 @@ use dash_common::row::{check_stored, coerce_datum};
 use dash_common::{DashError, DataType, Datum, Field, Result, Row, Schema};
 use dash_encoding::bitmap::Bitmap;
 use dash_encoding::column::{ColumnCompressor, ColumnEncoding, ColumnValues};
-use dash_encoding::dict::FreqDict;
+use dash_encoding::strs::{StrColumn, StrPool};
 use dash_encoding::EncodedBlock;
 use std::sync::Arc;
 
@@ -33,11 +33,10 @@ pub use dash_encoding::column::STRIDE;
 struct ColumnState {
     encoding: Option<ColumnEncoding>,
     blocks: Vec<EncodedBlock>,
-    /// Shared handle on the string dictionary inside `encoding`, when the
-    /// column is dictionary-coded. Cached so scans can attach it to output
-    /// batches (the operate-on-compressed key path) without cloning the
-    /// dictionary per query.
-    str_dict: Option<Arc<FreqDict<Arc<str>>>>,
+    /// The pool of the string dictionary inside `encoding`, when the
+    /// column is dictionary-coded: built once with the encoding, shared by
+    /// every stride decoded and by the open stride's values.
+    str_pool: Option<Arc<StrPool>>,
 }
 
 /// A column-organized table.
@@ -82,7 +81,7 @@ impl ColumnTable {
                 ColumnState {
                     encoding: None,
                     blocks: Vec::new(),
-                    str_dict: None,
+                    str_pool: None,
                 };
                 ncols
             ],
@@ -133,11 +132,11 @@ impl ColumnTable {
         self.columns[col].encoding.as_ref()
     }
 
-    /// Shared handle on the frequency dictionary backing string column
-    /// `col`, if it is dictionary-coded. Joins and aggregates use this to
-    /// key on packed dictionary codes instead of string bytes.
-    pub fn str_dict(&self, col: usize) -> Option<&Arc<FreqDict<Arc<str>>>> {
-        self.columns[col].str_dict.as_ref()
+    /// The pool of the dictionary backing string column `col`, if it is
+    /// dictionary-coded: decoded strides are codes of it, so joins and
+    /// aggregates key on flat dictionary codes instead of string bytes.
+    pub fn str_pool(&self, col: usize) -> Option<&Arc<StrPool>> {
+        self.columns[col].str_pool.as_ref()
     }
 
     /// The encoded block of column `col` in sealed stride `stride`.
@@ -194,8 +193,15 @@ impl ColumnTable {
             .map(|((values, &from), (i, field))| coerce_column(values, from, field, i))
             .collect::<Result<Vec<_>>>()?;
         let first = Tsn(self.total_rows());
-        for (open, values) in self.open.iter_mut().zip(columns) {
-            open.extend_from(values);
+        for ((open, values), col) in self.open.iter_mut().zip(columns).zip(&self.columns) {
+            match (open, values, &col.str_pool) {
+                // The open values are codes of the column's dictionary pool
+                // (local values past it), so scans of them key on its codes.
+                (ColumnValues::Str(open), ColumnValues::Str(v), Some(pool)) if open.is_empty() && !v.pool().same_domain(pool) => {
+                    *open = v.repool(pool.dict().clone());
+                }
+                (open, values, _) => open.extend_from(values),
+            }
         }
         self.insert_ts.extend_from_slice(ins);
         self.delete_ts.extend_from_slice(del);
@@ -247,6 +253,14 @@ impl ColumnTable {
         let mut loaded = ColumnTable::new(self.name.clone(), self.schema.clone());
         loaded.append(columns, types, &vec![0; n], &vec![TS_NEVER; n])?;
         loaded.analyse();
+        // Rows short of a stride stay open, as codes of their new pools.
+        for (col, open) in loaded.columns.iter().zip(&mut loaded.open) {
+            if let (Some(pool), ColumnValues::Str(values)) = (&col.str_pool, open) {
+                if !values.pool().same_domain(pool) {
+                    *values = values.repool(pool.dict().clone());
+                }
+            }
+        }
         *self = loaded;
         Ok(n as u64)
     }
@@ -263,7 +277,7 @@ impl ColumnTable {
         for (col, values) in self.columns.iter_mut().zip(&self.open) {
             if col.encoding.is_none() {
                 let enc = self.compressor.analyze(values);
-                col.str_dict = str_dict_of(&enc);
+                col.str_pool = str_pool_of(&enc);
                 col.encoding = Some(enc);
             }
         }
@@ -297,7 +311,12 @@ impl ColumnTable {
                 );
                 col.blocks.push(block);
             }
-            self.open[i] = values.slice(sealed..self.open_rows);
+            self.open[i] = match (values, &col.str_pool) {
+                // The open values become codes of the column's dictionary
+                // pool, keeping only the local values they use.
+                (ColumnValues::Str(v), Some(pool)) => ColumnValues::Str(v.slice(sealed..self.open_rows).repool(pool.dict().clone())),
+                _ => values.slice(sealed..self.open_rows),
+            };
         }
         // Carry open-stride deletes into the sealed bitmaps.
         for flags in self.open_deleted[..sealed].chunks(STRIDE) {
@@ -552,8 +571,10 @@ impl ColumnTable {
 
     /// Decode one column of one sealed stride.
     pub fn decode_stride(&self, col: usize, stride: usize) -> Result<ColumnValues> {
-        let (enc, block) = self.encoded(col, stride)?;
-        self.compressor.decode_block(enc, block)
+        let mut out = ColumnValues::empty_for(self.schema.field(col).data_type);
+        let all: Vec<usize> = (0..self.block(col, stride).len).collect();
+        self.decode_at(col, stride, &all, &mut out)?;
+        Ok(out)
     }
 
     /// Decode column `col` of sealed stride `stride` at `positions`
@@ -567,6 +588,15 @@ impl ColumnTable {
         out: &mut ColumnValues,
     ) -> Result<()> {
         let (enc, block) = self.encoded(col, stride)?;
+        // A string column decodes into codes of the dictionary's pool.
+        if let (ColumnValues::Str(values), Some(pool)) = (&mut *out, &self.columns[col].str_pool) {
+            if !values.pool().same_domain(pool) {
+                if !values.is_empty() {
+                    return Err(DashError::internal("decode into a string column of another dictionary"));
+                }
+                *values = StrColumn::with_pool(pool.clone());
+            }
+        }
         self.compressor.decode(enc, block, positions, out)
     }
 
@@ -634,16 +664,16 @@ fn coerce_column(values: ColumnValues, from: DataType, field: &Field, ordinal: u
     match &values {
         ColumnValues::Int(v) => v.iter().try_for_each(|x| check_stored(&x.map_or(Datum::Null, Datum::Int), field, ordinal))?,
         ColumnValues::Float(v) if not_null && v.contains(&None) => check_stored(&Datum::Null, field, ordinal)?,
-        ColumnValues::Str(v) if not_null && v.contains(&None) => check_stored(&Datum::Null, field, ordinal)?,
+        ColumnValues::Str(v) if not_null && v.has_null() => check_stored(&Datum::Null, field, ordinal)?,
         _ => {}
     }
     Ok(values)
 }
 
-/// Shared dictionary handle for a freshly analyzed encoding, if any.
-fn str_dict_of(enc: &ColumnEncoding) -> Option<Arc<FreqDict<Arc<str>>>> {
+/// The string pool of a freshly analyzed encoding, if it has a dictionary.
+fn str_pool_of(enc: &ColumnEncoding) -> Option<Arc<StrPool>> {
     match enc {
-        ColumnEncoding::StrDict { dict, .. } => Some(Arc::new(dict.clone())),
+        ColumnEncoding::StrDict { dict, .. } => Some(StrPool::for_dict(dict)),
         _ => None,
     }
 }
@@ -894,7 +924,7 @@ mod tests {
         fill(&mut small, 10);
         assert!(small.encoding(1).is_none());
         small.load_rows((0..10).map(|i| row![i as i64, "r", 0.5f64]).collect()).unwrap();
-        assert!(small.str_dict(1).is_some());
+        assert!(small.str_pool(1).is_some());
     }
 
     #[test]

@@ -327,9 +327,9 @@ fn ctas_of_a_dictionary_string_column_equals_its_source() {
     let src = db.catalog().create_table("SRC", skewed_schema(), None).unwrap();
     let rows: Vec<Row> = (0..STRIDE * 2 + 300).map(|i| row![i as i64, format!("c{}", i % 9)]).collect();
     src.write().load_rows(rows).unwrap();
-    assert!(src.read().str_dict(1).is_some());
+    assert!(src.read().str_pool(1).is_some());
     db.connect().execute("CREATE TABLE c AS SELECT k, v FROM src").unwrap();
     let copy = db.catalog().table_handle("C").unwrap().table;
-    assert!(copy.read().str_dict(1).is_some(), "the copy is dictionary-coded");
+    assert!(copy.read().str_pool(1).is_some(), "the copy is dictionary-coded");
     assert_eq!(read(&db, "SELECT k, v FROM c ORDER BY k"), read(&db, "SELECT k, v FROM src ORDER BY k"));
 }

@@ -467,6 +467,42 @@ fn sql_results_identical_across_worker_counts_with_deletes() {
     }
 }
 
+/// `COUNT(*)` projects no column: the scan decodes nothing and emits its
+/// survivor counts. The count equals a count of a NOT NULL column — with
+/// deletes, an open stride, under a transaction's snapshot and across a
+/// cross join of two such scans — at every width.
+#[test]
+fn count_star_projects_no_column_and_counts_every_visible_row() {
+    let db = seeded_db(BIG);
+    let mut s = db.connect();
+    s.execute("INSERT INTO facts VALUES (1000000, 1, 2, 'L1'), (1000001, 2, 3, 'Lnew')").unwrap();
+    s.execute("DELETE FROM facts WHERE qty < 100").unwrap();
+    let explain = s.execute("EXPLAIN SELECT COUNT(*) FROM facts").unwrap();
+    let text: Vec<String> = explain.rows.iter().map(|r| r.get(0).render()).collect();
+    assert!(text.iter().any(|l| l.contains("ColumnScan") && l.contains("proj=[]")), "{text:?}");
+    let count = |s: &mut dashdb_local::core::Session, sql: &str| s.query(sql).unwrap()[0].get(0).as_int().unwrap();
+    let star = "SELECT COUNT(*) FROM facts";
+    let ids = "SELECT COUNT(id) FROM facts";
+    let before = count(&mut s, ids);
+    assert!(before > 0 && before < BIG as i64, "deletes and inserts both land: {before}");
+    let mut reader = db.connect();
+    reader.execute("BEGIN").unwrap();
+    s.execute("DELETE FROM facts WHERE grp = 3").unwrap();
+    s.execute("INSERT INTO facts VALUES (1000002, 4, 5, 'L2')").unwrap();
+    let after = count(&mut s, ids);
+    assert_ne!(after, before);
+    for par in [1usize, 4, 8] {
+        db.catalog().set_parallelism(par);
+        assert_eq!(count(&mut s, star), after, "width {par}");
+        assert_eq!(count(&mut reader, star), before, "the snapshot's count at width {par}");
+        assert_eq!(count(&mut reader, ids), before, "width {par}");
+        let dims = count(&mut s, "SELECT COUNT(g) FROM dims");
+        assert_eq!(count(&mut s, "SELECT COUNT(*) FROM facts, dims"), after * dims, "width {par}");
+    }
+    reader.execute("COMMIT").unwrap();
+    assert_eq!(count(&mut reader, star), after);
+}
+
 #[test]
 fn sql_string_join_reencodes_probe_rows_into_build_dictionary() {
     // Both join sides are dictionary-backed strings with distinct
@@ -735,8 +771,10 @@ fn reference_cmp(a: &Datum, b: &Datum, key: &SortKey) -> std::cmp::Ordering {
 /// rows (a `-0.0` and a `0.0`, two NaNs) comes first counts.
 #[test]
 fn word_sort_matches_a_reference_stable_sort() {
+    use dashdb_local::encoding::column::ColumnValues;
     use dashdb_local::encoding::dict::FreqDict;
     use dashdb_local::encoding::histogram::Histogram;
+    use dashdb_local::encoding::strs::StrPool;
     let mut g = Gen(suite_seed() ^ 0x776f_7264);
     let ints = [Datum::Null, Datum::Int(i64::MIN), Datum::Int(i64::MAX), Datum::Int(0), Datum::Int(-1), Datum::Int(7)];
     let floats = [f64::NAN, -f64::NAN, 0.0, -0.0, f64::INFINITY, f64::NEG_INFINITY, 1.5, -2.25, f64::MIN_POSITIVE]
@@ -760,9 +798,14 @@ fn word_sort_matches_a_reference_stable_sort() {
     let rows: Vec<Row> = (0..n)
         .map(|_| Row::new(vec![g.pick(&ints), g.pick(&floats), g.pick(&strs), g.pick(&strs)]))
         .collect();
-    let mut input = Batch::from_rows(schema, &rows).unwrap();
+    // Column `t` is codes of a dictionary's pool, `s` of a pool of its own.
+    let mut columns = Batch::from_rows(schema.clone(), &rows).unwrap().into_columns();
     let words: Vec<std::sync::Arc<str>> = strs.iter().filter_map(|d| d.as_str().map(Into::into)).collect();
-    input.set_str_dict(3, std::sync::Arc::new(FreqDict::build(&Histogram::from_values(words.iter().map(Some)))));
+    let pool = StrPool::for_dict(&FreqDict::build(&Histogram::from_values(words.iter().map(Some))));
+    if let ColumnValues::Str(t) = &columns[3] {
+        columns[3] = ColumnValues::Str(t.repool(pool.dict().clone()));
+    }
+    let input = Batch::new(schema, columns).unwrap();
     let topk_end = n / TOPK_FACTOR;
     let windows: [(Option<usize>, usize); 6] = [
         (None, 0),
@@ -1494,7 +1537,7 @@ fn generated_aggregates_match_reference_at_every_width() {
     let mut sources: Vec<(String, PhysicalPlan, Vec<Row>)> = Vec::new();
     for (n, wide) in [(0, 0), (1, 0), (4095, 0), (4096, 6000), (4097, 0), (4097, 50_000)] {
         let rows: Vec<Row> = (0..n).map(|_| gen_row(&mut g, wide, false)).collect();
-        let values = PhysicalPlan::Values(Batch::from_rows(gen_schema(), &rows).unwrap());
+        let values = PhysicalPlan::values(Batch::from_rows(gen_schema(), &rows).unwrap());
         sources.push((format!("values {n} wide {wide}"), values, rows));
     }
     for wide in [0, 5000] {
@@ -1507,7 +1550,7 @@ fn generated_aggregates_match_reference_at_every_width() {
             table.write().insert(r.clone()).unwrap();
             rows.push(r);
         }
-        assert!(table.read().str_dict(KS).is_some(), "the string key must be dictionary-coded");
+        assert!(table.read().str_pool(KS).is_some(), "the string key must be dictionary-coded");
         let scan = PhysicalPlan::ColumnScan { table, config: ScanConfig::full(0, (0..9).collect()) };
         sources.push((format!("three strides wide {wide}"), scan, rows));
     }
@@ -1706,7 +1749,7 @@ fn generated_joins_match_reference_at_every_width() {
     let db = Database::untracked();
     let all = [JoinType::Inner, JoinType::Left, JoinType::Semi, JoinType::Anti];
 
-    let values = |rows: Vec<Row>| PhysicalPlan::Values(Batch::from_rows(join_schema(), &rows).unwrap());
+    let values = |rows: Vec<Row>| PhysicalPlan::values(Batch::from_rows(join_schema(), &rows).unwrap());
     // A table of `loaded` bulk-loaded rows (its string key dictionary-coded)
     // and `inserted` more whose strings arrived after the dictionary.
     let table = |g: &mut Gen, name: &str, loaded: usize, inserted: usize, wide: usize| {
@@ -1715,7 +1758,7 @@ fn generated_joins_match_reference_at_every_width() {
         for _ in 0..inserted {
             t.write().insert(join_row(g, wide, true)).unwrap();
         }
-        assert!(t.read().str_dict(KS).is_some(), "{name}: the string key must be dictionary-coded");
+        assert!(t.read().str_pool(KS).is_some(), "{name}: the string key must be dictionary-coded");
         PhysicalPlan::ColumnScan { table: t, config: ScanConfig::full(0, (0..14).collect()) }
     };
     let small_probe = values((0..300).map(|_| join_row(&mut g, 0, false)).collect());

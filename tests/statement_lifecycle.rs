@@ -797,7 +797,7 @@ fn cross_join_refusal_and_cancel_release_all_leases() {
     let side = || {
         let schema = Schema::new(vec![Field::not_null("x", DataType::Int64)]).unwrap();
         let rows: Vec<Row> = (0..300).map(|i| row![i as i64]).collect();
-        PhysicalPlan::Values(Batch::from_rows(schema, &rows).unwrap())
+        PhysicalPlan::values(Batch::from_rows(schema, &rows).unwrap())
     };
     let plan = PhysicalPlan::CrossJoin {
         left: Box::new(side()),
@@ -831,10 +831,12 @@ fn cross_join_refusal_and_cancel_release_all_leases() {
 /// back by the time the statement ends.
 #[test]
 fn breaker_intermediates_are_charged_to_the_budget() {
+    // A string column rides along: its codes are charged too, never less
+    // than the integers' budget below.
     let values = || {
-        let schema = Schema::new(vec![Field::not_null("x", DataType::Int64)]).unwrap();
-        let rows: Vec<Row> = (0..10_000).map(|i| row![i as i64]).collect();
-        PhysicalPlan::Values(Batch::from_rows(schema, &rows).unwrap())
+        let schema = Schema::new(vec![Field::not_null("x", DataType::Int64), Field::new("s", DataType::Utf8)]).unwrap();
+        let rows: Vec<Row> = (0..10_000).map(|i| row![i as i64, format!("s{}", i % 50)]).collect();
+        PhysicalPlan::values(Batch::from_rows(schema, &rows).unwrap())
     };
     let input_bytes = 10_000 * 9;
     let sort = |input| PhysicalPlan::Sort {
@@ -848,7 +850,7 @@ fn breaker_intermediates_are_charged_to_the_budget() {
     // DISTINCT as the planner spells it: GROUP BY every column.
     let distinct = PhysicalPlan::HashAggregate {
         input: Box::new(values()),
-        group: vec![0],
+        group: vec![0, 1],
         aggs: Vec::new(),
         schema: values().schema(),
         key_mode: KeyMode::Encoded,
