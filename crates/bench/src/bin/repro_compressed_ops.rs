@@ -61,7 +61,7 @@ fn with_dict<'a>(batch: Batch, values: impl Iterator<Item = &'a str>) -> Batch {
     for v in values {
         hist.add(&Arc::from(v));
     }
-    let pool = StrPool::for_dict(&FreqDict::build(&hist));
+    let pool = StrPool::for_dict(Arc::new(FreqDict::build(&hist)));
     let schema = batch.schema().clone();
     let mut columns = batch.into_columns();
     if let ColumnValues::Str(labels) = &columns[0] {

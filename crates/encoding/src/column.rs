@@ -12,11 +12,10 @@ use crate::bitmap::Bitmap;
 use crate::bitpack::BitPackedVec;
 use crate::block::{gather_codes, BlockRepr, EncodedBlock, ExceptionBank};
 use crate::dict::FreqDict;
-use crate::histogram::Histogram;
+use crate::histogram::{Histogram, NULL_ID};
 use crate::minus::MinusBlock;
-use crate::order::{f64_to_ordered, i64_to_ordered, ordered_to_f64, ordered_to_i64};
-use crate::prefix::{global_prefix, str_prefix_ordered};
-use crate::strs::{StrColumn, StrPool, NULL_CODE};
+use crate::order::{f64_to_ordered, i64_to_ordered, ordered_to_f64, ordered_to_i64, str_prefix_ordered};
+use crate::strs::{SharedDict, StrColumn, StrPool, NULL_CODE};
 use dash_common::{DashError, DataType, Datum, Result};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
@@ -259,7 +258,7 @@ pub fn int_to_datum(dt: DataType, x: i64) -> Datum {
 
 /// The column-global encoding decision plus the metadata needed to encode,
 /// decode, and map predicates onto codes.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub enum ColumnEncoding {
     /// Per-block frame-of-reference coding in the orderable-u64 domain.
     Minus {
@@ -273,16 +272,11 @@ pub enum ColumnEncoding {
         /// The dictionary.
         dict: FreqDict<u64>,
     },
-    /// Frequency-partitioned dictionary over strings, with a column-global
-    /// shared prefix stripped before dictionary lookup.
+    /// Frequency-partitioned dictionary over strings, shared with the
+    /// pools of the column's decoded values.
     StrDict {
-        /// Longest prefix shared by every value at analyze time ("" if the
-        /// column gained values without it later; those become exceptions).
-        prefix: String,
-        /// Dictionary over the post-prefix suffixes... of full values.
-        /// (We keep full values in the dictionary for simplicity; the
-        /// prefix is exploited by the front-coded storage format.)
-        dict: FreqDict<Arc<str>>,
+        /// The dictionary.
+        dict: SharedDict,
     },
 }
 
@@ -299,8 +293,7 @@ impl ColumnEncoding {
     pub fn name(&self) -> &'static str {
         match self {
             ColumnEncoding::Minus { .. } => "minus",
-            ColumnEncoding::IntDict { .. } => "frequency-dict",
-            ColumnEncoding::StrDict { .. } => "prefix+frequency-dict",
+            ColumnEncoding::IntDict { .. } | ColumnEncoding::StrDict { .. } => "frequency-dict",
         }
     }
 }
@@ -328,8 +321,10 @@ impl ColumnCompressor {
     }
 
     /// Choose the column-global encoding from the values, which start a
-    /// stride and are stored in blocks of [`STRIDE`] rows from there on.
-    pub fn analyze(&self, values: &ColumnValues) -> ColumnEncoding {
+    /// stride and are stored in blocks of [`STRIDE`] rows from there on. A
+    /// string column's values become codes of its new dictionary's pool,
+    /// at no string hash beyond the histogram's.
+    pub fn analyze(&self, values: &mut ColumnValues) -> ColumnEncoding {
         match values {
             ColumnValues::Int(v) => {
                 let ordered: Vec<Option<u64>> =
@@ -343,11 +338,11 @@ impl ColumnCompressor {
             }
             ColumnValues::Str(v) => {
                 let (hist, ids) = Histogram::with_ids(v.arcs());
-                let prefix = global_prefix(v.arcs().flatten());
-                ColumnEncoding::StrDict {
-                    prefix,
-                    dict: FreqDict::build_strided(&hist, &ids, STRIDE),
-                }
+                let (dict, flat) = FreqDict::build_strided(&hist, &ids, STRIDE);
+                let dict = Arc::new(dict);
+                let codes = ids.iter().map(|&id| if id == NULL_ID { NULL_CODE } else { flat[id as usize] });
+                *v = StrColumn::from_parts(codes.collect(), StrPool::for_dict(dict.clone()));
+                ColumnEncoding::StrDict { dict }
             }
         }
     }
@@ -361,7 +356,7 @@ impl ColumnCompressor {
         {
             ColumnEncoding::IntDict {
                 kind,
-                dict: FreqDict::build_strided(&hist, &ids, STRIDE),
+                dict: FreqDict::build_strided(&hist, &ids, STRIDE).0,
             }
         } else {
             ColumnEncoding::Minus { kind }
@@ -392,21 +387,21 @@ impl ColumnCompressor {
                 minus_block(len, &ordered)
             }
             (ColumnEncoding::IntDict { dict, .. }, ColumnValues::Int(v)) => {
-                let ordered: Vec<Option<u64>> = v[range.clone()]
-                    .iter()
-                    .map(|o| o.map(i64_to_ordered))
-                    .collect();
-                dict_block(len, dict, &ordered, ExceptionBank::Int(Vec::new()))
+                int_dict_block(dict, v[range].iter().map(|o| o.map(i64_to_ordered)))
             }
             (ColumnEncoding::IntDict { dict, .. }, ColumnValues::Float(v)) => {
-                let ordered: Vec<Option<u64>> = v[range.clone()]
-                    .iter()
-                    .map(|o| o.map(f64_to_ordered))
-                    .collect();
-                dict_block(len, dict, &ordered, ExceptionBank::Int(Vec::new()))
+                int_dict_block(dict, v[range].iter().map(|o| o.map(f64_to_ordered)))
             }
-            (ColumnEncoding::StrDict { dict, .. }, ColumnValues::Str(v)) => {
-                str_dict_block(len, dict, &v.slice(range.clone()))
+            (ColumnEncoding::StrDict { dict }, ColumnValues::Str(v)) => {
+                // Codes of a pool over this dictionary are its flat codes or
+                // local ones; any other pool's are re-coded once per value.
+                let mut v = v.slice(range);
+                if !Arc::ptr_eq(v.pool().dict(), dict) {
+                    v = v.repool(dict.clone());
+                }
+                let pool = v.pool();
+                let local = v.codes().iter().filter(|&&c| c != NULL_CODE && c >= dict.len() as u32);
+                dict_block(dict, v.codes(), ExceptionBank::Str(local.map(|&c| pool.arc(c).clone()).collect()))
             }
             _ => panic!("encoding/value-kind mismatch (caller bug)"),
         }
@@ -429,8 +424,8 @@ impl ColumnCompressor {
     /// sequentially.
     ///
     /// A string block decodes to codes: a dictionary entry's flat code in
-    /// `out`'s pool, which must be over this encoding's dictionary (see
-    /// [`StrPool::for_dict`]), and the block's exceptions as local values
+    /// `out`'s pool, which must be over this encoding's very dictionary
+    /// (see [`decode_target`]), and the block's exceptions as local values
     /// of that pool.
     pub fn decode(
         &self,
@@ -456,12 +451,15 @@ impl ColumnCompressor {
             }
             (ValueKind::Str, ColumnValues::Str(out)) => match (enc, &block.repr) {
                 (
-                    ColumnEncoding::StrDict { dict, .. },
+                    ColumnEncoding::StrDict { dict },
                     BlockRepr::Dict {
                         exceptions: ExceptionBank::Str(exc),
                         ..
                     },
-                ) if out.pool().dict().len() == dict.len() => {
+                ) => {
+                    if !Arc::ptr_eq(out.pool().dict(), dict) {
+                        return Err(DashError::internal("decode of a string block into a pool over another dictionary"));
+                    }
                     let (codes, pool) = out.parts_mut();
                     let first_exc = if exc.is_empty() {
                         0
@@ -471,7 +469,6 @@ impl ColumnCompressor {
                         exc.iter().for_each(|s| pool.push_local(s.clone()));
                         first
                     };
-                    let dict = pool.dict();
                     block.gather_dict(positions, codes, NULL_CODE, |p, c| dict.flat(p, c), |i| first_exc + i as u32)
                 }
                 _ => Err(decode_mismatch(enc)),
@@ -554,11 +551,11 @@ fn decode_numeric<T: Copy>(
     }
 }
 
-/// An empty column `enc`'s blocks decode into: a string column's pool is
-/// built here over the encoding's dictionary (a table keeps one per column).
+/// An empty column `enc`'s blocks decode into: a string column's is a pool
+/// over the encoding's dictionary.
 pub fn decode_target(enc: &ColumnEncoding) -> ColumnValues {
     match enc {
-        ColumnEncoding::StrDict { dict, .. } => ColumnValues::Str(StrColumn::with_pool(StrPool::for_dict(dict))),
+        ColumnEncoding::StrDict { dict } => ColumnValues::Str(StrColumn::with_pool(StrPool::for_dict(dict.clone()))),
         _ => ColumnValues::empty_of(enc.kind()),
     }
 }
@@ -586,102 +583,42 @@ fn minus_block(len: usize, ordered: &[Option<u64>]) -> EncodedBlock {
     }
 }
 
-fn dict_block(
-    len: usize,
-    dict: &FreqDict<u64>,
-    ordered: &[Option<u64>],
-    mut exceptions: ExceptionBank,
-) -> EncodedBlock {
-    let nparts = dict.partition_count();
-    let mut tags: Vec<u64> = Vec::with_capacity(len);
-    let mut banks: Vec<Vec<u64>> = vec![Vec::new(); nparts];
-    for v in ordered {
-        match v {
-            None => {
-                // NULL: dummy entry in partition 0 keeps cursors aligned.
-                tags.push(0);
-                banks[0].push(0);
-            }
-            Some(v) => match dict.encode(v) {
-                Some((p, c)) => {
-                    tags.push(p as u64);
-                    banks[p as usize].push(c);
-                }
-                None => {
-                    tags.push(nparts as u64);
-                    match &mut exceptions {
-                        ExceptionBank::Int(e) => e.push(*v),
-                        ExceptionBank::Str(_) => unreachable!("int exception bank expected"),
-                    }
-                }
-            },
-        }
-    }
-    finish_dict_block(len, dict.selector_width(), tags, banks, dict, exceptions, nulls_bitmap(ordered))
-}
-
-fn str_dict_block(len: usize, dict: &FreqDict<Arc<str>>, values: &StrColumn) -> EncodedBlock {
-    let nparts = dict.partition_count();
-    let mut tags: Vec<u64> = Vec::with_capacity(len);
-    let mut banks: Vec<Vec<u64>> = vec![Vec::new(); nparts];
-    let mut exc: Vec<Arc<str>> = Vec::new();
-    for v in values.arcs() {
-        match v {
-            None => {
-                tags.push(0);
-                banks[0].push(0);
-            }
-            Some(s) => match dict.encode(s) {
-                Some((p, c)) => {
-                    tags.push(p as u64);
-                    banks[p as usize].push(c);
-                }
-                None => {
-                    tags.push(nparts as u64);
-                    exc.push(s.clone());
-                }
-            },
-        }
-    }
-    let widths: Vec<u8> = dict.partitions().iter().map(|p| p.width).collect();
-    finish_dict_block_generic(
-        len,
-        dict.selector_width(),
-        tags,
-        banks,
-        &widths,
-        ExceptionBank::Str(exc),
-        values.has_null().then(|| Bitmap::from_bools(values.codes().iter().map(|&c| c == NULL_CODE))),
-    )
-}
-
-fn finish_dict_block(
-    len: usize,
-    sel_width: u8,
-    tags: Vec<u64>,
-    banks: Vec<Vec<u64>>,
-    dict: &FreqDict<u64>,
-    exceptions: ExceptionBank,
-    nulls: Option<Bitmap>,
-) -> EncodedBlock {
-    let widths: Vec<u8> = dict.partitions().iter().map(|p| p.width).collect();
-    finish_dict_block_generic(len, sel_width, tags, banks, &widths, exceptions, nulls)
-}
-
-fn finish_dict_block_generic(
-    len: usize,
-    sel_width: u8,
-    tags: Vec<u64>,
-    banks: Vec<Vec<u64>>,
-    widths: &[u8],
-    exceptions: ExceptionBank,
-    nulls: Option<Bitmap>,
-) -> EncodedBlock {
-    let packed_banks: Vec<BitPackedVec> = banks
-        .iter()
-        .zip(widths)
-        .map(|(codes, &w)| BitPackedVec::from_codes(w, codes))
+/// The dictionary block of an integer-domain stride, each value looked up.
+fn int_dict_block(dict: &FreqDict<u64>, ordered: impl Iterator<Item = Option<u64>>) -> EncodedBlock {
+    let mut exceptions = Vec::new();
+    let codes: Vec<u32> = ordered
+        .map(|v| match v {
+            None => NULL_CODE,
+            Some(v) => dict.code_of(&v).unwrap_or_else(|| {
+                exceptions.push(v);
+                dict.len() as u32
+            }),
+        })
         .collect();
+    dict_block(dict, &codes, ExceptionBank::Int(exceptions))
+}
+
+/// The one dictionary block encoder. `codes` holds each row's flat code in
+/// `dict`, [`NULL_CODE`] for NULL, or a code past the dictionary for the
+/// next value of `exceptions`.
+fn dict_block<T: Eq + std::hash::Hash + Ord>(dict: &FreqDict<T>, codes: &[u32], exceptions: ExceptionBank) -> EncodedBlock {
+    let nparts = dict.partition_count();
+    let mut tags: Vec<u64> = Vec::with_capacity(codes.len());
+    let mut banks: Vec<Vec<u64>> = vec![Vec::new(); nparts];
+    for &flat in codes {
+        let (p, c) = match flat {
+            // NULL: dummy entry in partition 0 keeps cursors aligned.
+            NULL_CODE => (0, 0),
+            _ if (flat as usize) < dict.len() => dict.split(flat),
+            _ => {
+                tags.push(nparts as u64);
+                continue;
+            }
+        };
+        tags.push(p as u64);
+        banks[p as usize].push(c);
+    }
+    let banks = banks.iter().enumerate().map(|(p, codes)| BitPackedVec::from_codes(dict.width(p), codes)).collect();
     // Page-local optimization: elide the selector vector when every value
     // landed in a single partition and there are no exceptions.
     let first_tag = tags.first().copied();
@@ -690,15 +627,15 @@ fn finish_dict_block_generic(
     let (selectors, single_part) = if uniform {
         (None, first_tag.unwrap_or(0) as u8)
     } else {
-        (Some(BitPackedVec::from_codes(sel_width, &tags)), 0)
+        (Some(BitPackedVec::from_codes(dict.selector_width(), &tags)), 0)
     };
     EncodedBlock {
-        len,
-        nulls,
+        len: codes.len(),
+        nulls: codes.contains(&NULL_CODE).then(|| Bitmap::from_bools(codes.iter().map(|&c| c == NULL_CODE))),
         repr: BlockRepr::Dict {
             selectors,
             single_part,
-            banks: packed_banks,
+            banks,
             exceptions,
         },
     }
@@ -708,6 +645,7 @@ fn finish_dict_block_generic(
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use crate::dict::MAX_PARTITIONS;
 
     /// A string column of `values`.
     fn strs(values: Vec<Option<Arc<str>>>) -> ColumnValues {
@@ -716,7 +654,7 @@ mod tests {
 
     fn roundtrip(values: ColumnValues) {
         let comp = ColumnCompressor::new();
-        let enc = comp.analyze(&values);
+        let enc = comp.analyze(&mut values.clone());
         let n = values.len();
         let block = comp.encode_block(&enc, &values, 0..n);
         let decoded = comp.decode_block(&enc, &block).unwrap();
@@ -741,7 +679,7 @@ mod tests {
     fn high_cardinality_chooses_minus() {
         let v: Vec<Option<i64>> = (0..1000).map(|i| Some(i * 13 + 1_000_000)).collect();
         let comp = ColumnCompressor::new();
-        let enc = comp.analyze(&ColumnValues::Int(v.clone()));
+        let enc = comp.analyze(&mut ColumnValues::Int(v.clone()));
         assert_eq!(enc.name(), "minus");
         roundtrip(ColumnValues::Int(v));
     }
@@ -750,7 +688,7 @@ mod tests {
     fn low_cardinality_chooses_dict() {
         let v: Vec<Option<i64>> = (0..1000).map(|i| Some((i % 4) as i64)).collect();
         let comp = ColumnCompressor::new();
-        let enc = comp.analyze(&ColumnValues::Int(v.clone()));
+        let enc = comp.analyze(&mut ColumnValues::Int(v.clone()));
         assert_eq!(enc.name(), "frequency-dict");
         roundtrip(ColumnValues::Int(v));
     }
@@ -760,7 +698,7 @@ mod tests {
         let comp = ColumnCompressor::new();
         let name = |distinct: i64, len: i64| {
             let v: Vec<Option<i64>> = (0..len).map(|i| Some(i % distinct)).collect();
-            comp.analyze(&ColumnValues::Int(v)).name()
+            comp.analyze(&mut ColumnValues::Int(v)).name()
         };
         // Fewer distinct values than half the rows: a dictionary.
         assert_eq!(name(499, 1000), "frequency-dict");
@@ -804,7 +742,7 @@ mod tests {
         // Analyze on one set, encode a block containing unseen values.
         let analyzed: Vec<Option<i64>> = (0..100).map(|i| Some((i % 5) as i64)).collect();
         let comp = ColumnCompressor::new();
-        let enc = comp.analyze(&ColumnValues::Int(analyzed));
+        let enc = comp.analyze(&mut ColumnValues::Int(analyzed));
         let newdata: Vec<Option<i64>> =
             vec![Some(0), Some(999_999), Some(3), None, Some(-777)];
         let block = comp.encode_block(&enc, &ColumnValues::Int(newdata.clone()), 0..5);
@@ -817,7 +755,7 @@ mod tests {
         let analyzed: Vec<Option<Arc<str>>> =
             (0..50).map(|i| Some(Arc::from(format!("v{}", i % 3).as_str()))).collect();
         let comp = ColumnCompressor::new();
-        let enc = comp.analyze(&strs(analyzed));
+        let enc = comp.analyze(&mut strs(analyzed));
         let newdata: Vec<Option<Arc<str>>> = vec![
             Some(Arc::from("v0")),
             Some(Arc::from("unseen-value")),
@@ -838,7 +776,7 @@ mod tests {
         // All values hit the same (hot) partition -> no selector vector.
         let v: Vec<Option<i64>> = vec![Some(1); 256];
         let comp = ColumnCompressor::new();
-        let enc = comp.analyze(&ColumnValues::Int(v.clone()));
+        let enc = comp.analyze(&mut ColumnValues::Int(v.clone()));
         let block = comp.encode_block(&enc, &ColumnValues::Int(v), 0..256);
         match &block.repr {
             BlockRepr::Dict { selectors, .. } => assert!(selectors.is_none()),
@@ -872,12 +810,12 @@ mod tests {
         // quarter-step floats and 23 labels, values mixed in every stride.
         let n = 20 * STRIDE;
         let mut draw = draws(3);
-        let columns = [
+        let mut columns = [
             ColumnValues::Int((0..n).map(|_| Some((draw() % 1000) as i64 - 500)).collect()),
             ColumnValues::Float((0..n).map(|_| Some((draw() % 4000) as f64 * 0.25)).collect()),
             strs((0..n).map(|_| Some(Arc::from(format!("L{}", draw() % 23).as_str()))).collect()),
         ];
-        for (i, values) in columns.iter().enumerate() {
+        for (i, values) in columns.iter_mut().enumerate() {
             let enc = ColumnCompressor::new().analyze(values);
             assert_eq!(partition_count(&enc), 1, "column {i}");
             assert!(!sealed_blocks(&enc, values).iter().any(has_selectors));
@@ -893,7 +831,7 @@ mod tests {
         // and 343,392.
         let first_day = 15_706i64;
         let values = ColumnValues::Int((0..300_000).map(|i| Some(first_day + i / 200)).collect());
-        let enc = ColumnCompressor::new().analyze(&values);
+        let enc = ColumnCompressor::new().analyze(&mut values.clone());
         assert!(partition_count(&enc) > 1, "{}", enc.name());
         let blocks = sealed_blocks(&enc, &values);
         assert!(!blocks.iter().any(has_selectors));
@@ -905,7 +843,7 @@ mod tests {
     fn block_min_max_matches_values() {
         let v: Vec<Option<i64>> = vec![Some(-5), Some(100), None, Some(7)];
         let comp = ColumnCompressor::new();
-        let enc = comp.analyze(&ColumnValues::Int(v.clone()));
+        let enc = comp.analyze(&mut ColumnValues::Int(v.clone()));
         let block = comp.encode_block(&enc, &ColumnValues::Int(v), 0..4);
         let (lo, hi) = comp.block_min_max(&enc, &block).unwrap().unwrap();
         assert_eq!(ordered_to_i64(lo), -5);
@@ -921,7 +859,7 @@ mod tests {
             .collect();
         let comp = ColumnCompressor::new();
         let vals = ColumnValues::Int(v);
-        let enc = comp.analyze(&vals);
+        let enc = comp.analyze(&mut vals.clone());
         let block = comp.encode_block(&enc, &vals, 0..10_000);
         let raw = 10_000 * 8;
         let ratio = raw as f64 / block.size_bytes() as f64;
@@ -1030,7 +968,7 @@ mod tests {
         n: usize,
         draw: &mut impl FnMut() -> u64,
     ) -> Vec<u64> {
-        let part = &dict.partitions()[draw() as usize % dict.partition_count()].values;
+        let part = dict.partition(draw() as usize % dict.partition_count());
         (0..n)
             .map(|_| match shape {
                 0 => part[draw() as usize % part.len()],
@@ -1066,7 +1004,7 @@ mod tests {
         let values = ColumnValues::Float(v);
         let minus = ColumnEncoding::Minus { kind: ValueKind::Float };
         check_positional(&minus, &values, &[0, 11, 12, 299]);
-        let dict = ColumnCompressor::new().analyze(&ColumnValues::Float(
+        let dict = ColumnCompressor::new().analyze(&mut ColumnValues::Float(
             (0..300).map(|i| Some((i % 7) as f64)).collect(),
         ));
         assert_eq!(dict.name(), "frequency-dict");
@@ -1088,6 +1026,43 @@ mod tests {
         ] {
             assert_eq!(err.unwrap_err().class(), "XX000");
         }
+    }
+
+    /// A string dictionary over `training`.
+    fn str_dict<S: AsRef<str>>(training: &[S]) -> SharedDict {
+        let arcs: Vec<Arc<str>> = training.iter().map(|s| Arc::from(s.as_ref())).collect();
+        Arc::new(FreqDict::build(&Histogram::from_values(arcs.iter().map(Some))))
+    }
+
+    /// Values sharing their first 8 bytes, `""` first; the first `hot` of
+    /// them `heat` times as frequent as the rest.
+    fn prefixed_training(card: usize, hot: usize, heat: usize) -> Vec<String> {
+        let value = |i: usize| if i == 0 { String::new() } else { format!("shared-p{i:05}") };
+        (0..card).flat_map(|i| std::iter::repeat_n(value(i), if i < hot { heat } else { 1 })).collect()
+    }
+
+    #[test]
+    fn decode_refuses_a_pool_over_another_dictionary_of_the_same_length() {
+        let comp = ColumnCompressor::new();
+        let skewed = str_dict(&prefixed_training(128, 3, 500));
+        assert!(skewed.partition_count() > 1, "skew splits the dictionary");
+        let enc = ColumnEncoding::StrDict { dict: skewed.clone() };
+        let values = strs((0..128).map(|i| Some(skewed.value(127 - i).clone())).collect());
+        let block = comp.encode_block(&enc, &values, 0..128);
+        // Equal lengths: one with other values in one partition, and a copy
+        // of the encoding's own dictionary that is not it.
+        let uniform = str_dict(&(0..128).map(|i| format!("other-{i:03}")).collect::<Vec<_>>());
+        let copy = str_dict(&prefixed_training(128, 3, 500));
+        for other in [uniform, copy] {
+            assert_eq!(other.len(), skewed.len());
+            let mut out = ColumnValues::Str(StrColumn::with_pool(StrPool::for_dict(other)));
+            let err = comp.decode(&enc, &block, &[0, 1, 127], &mut out).unwrap_err();
+            assert_eq!(err.class(), "XX000");
+        }
+        let mut out = decode_target(&enc);
+        comp.decode(&enc, &block, &[0, 1, 127], &mut out).unwrap();
+        let want = [skewed.value(127), skewed.value(126), skewed.value(0)];
+        assert_eq!(out, strs(want.iter().map(|&s| Some(s.clone())).collect()));
     }
 
     proptest! {
@@ -1140,8 +1115,7 @@ mod tests {
                     .flat_map(|(i, &o)| std::iter::repeat_n(spell(o), if i < 3 { 500 } else { 1 }))
                     .collect();
                 let enc = ColumnEncoding::StrDict {
-                    prefix: String::new(),
-                    dict: FreqDict::build(&Histogram::from_values(training.iter().map(Some))),
+                    dict: Arc::new(FreqDict::build(&Histogram::from_values(training.iter().map(Some)))),
                 };
                 let values: Vec<Arc<str>> = ordered.into_iter().map(spell).collect();
                 let values = with_nulls(values, null_mode, &mut draw);
@@ -1160,6 +1134,48 @@ mod tests {
         }
 
         #[test]
+        fn prop_str_stride_encodes_alike_from_any_pool(
+            card in 0usize..4,
+            hot in 0usize..4,
+            null_mode in 0usize..2,
+            misses in any::<bool>(),
+            seed in any::<u64>(),
+        ) {
+            // Dictionaries of 1 to 4 partitions over values sharing 8-byte
+            // prefixes, `''` among them.
+            let training = prefixed_training([1usize, 2, 40, 300][card], hot, [1usize, 50, 500, 5000][hot]);
+            let dict = str_dict(&training);
+            prop_assert!((1..=MAX_PARTITIONS).contains(&dict.partition_count()));
+            let mut flat = 0;
+            for p in 0..dict.partition_count() {
+                for (code, v) in dict.partition(p).iter().enumerate() {
+                    prop_assert_eq!(dict.code_of(v), Some(flat));
+                    prop_assert_eq!(dict.flat(p as u8, code as u64), flat);
+                    prop_assert_eq!(dict.split(flat), (p as u8, code as u64));
+                    flat += 1;
+                }
+            }
+            prop_assert_eq!(flat as usize, dict.len());
+            let mut draw = draws(seed);
+            let values: Vec<Arc<str>> = (0..STRIDE)
+                .map(|_| match draw() % 8 {
+                    0 if misses => Arc::from(format!("shared-pX{}", draw() % 5).as_str()),
+                    _ => dict.value((draw() % dict.len() as u64) as u32).clone(),
+                })
+                .collect();
+            let values = with_nulls(values, null_mode, &mut draw);
+            let local = StrColumn::from_values(values.iter().map(|v| v.as_deref()));
+            let foreign = str_dict(&["shared-p00001", "zz", "", "shared-pX0"]);
+            let enc = ColumnEncoding::StrDict { dict: dict.clone() };
+            let comp = ColumnCompressor::new();
+            let own = comp.encode_block(&enc, &ColumnValues::Str(local.repool(dict.clone())), 0..STRIDE);
+            for input in [local.clone(), local.repool(foreign)] {
+                prop_assert_eq!(&comp.encode_block(&enc, &ColumnValues::Str(input), 0..STRIDE), &own);
+            }
+            prop_assert_eq!(comp.decode_block(&enc, &own).unwrap(), ColumnValues::Str(local));
+        }
+
+        #[test]
         fn prop_str_roundtrip(v in prop::collection::vec(prop::option::of("[a-c]{0,6}"), 1..200)) {
             let arcs: Vec<Option<Arc<str>>> = v.into_iter()
                 .map(|o| o.map(|s| Arc::from(s.as_str())))
@@ -1171,7 +1187,7 @@ mod tests {
         fn prop_min_max_sound(v in prop::collection::vec(prop::option::of(any::<i64>()), 1..200)) {
             let comp = ColumnCompressor::new();
             let vals = ColumnValues::Int(v.clone());
-            let enc = comp.analyze(&vals);
+            let enc = comp.analyze(&mut vals.clone());
             let n = vals.len();
             let block = comp.encode_block(&enc, &vals, 0..n);
             let mm = comp.block_min_max(&enc, &block).unwrap();

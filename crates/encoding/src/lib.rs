@@ -1,7 +1,7 @@
 //! Column codecs for dashdb-local-rs — the compression half of the BLU
 //! Acceleration reproduction (§II.B.1–2 of the paper).
 //!
-//! The paper describes four compression families, all of which live here:
+//! The paper describes four compression families; three live here:
 //!
 //! * **frequency encoding** — order-preserving dictionary codes whose width
 //!   depends on value frequency (frequent values get the shortest codes,
@@ -9,10 +9,12 @@
 //!   ([`dict`]);
 //! * **minus encoding** — frame-of-reference offsets for high-cardinality
 //!   numerics ([`minus`]);
-//! * **prefix compression** — shared-prefix elimination for the string
-//!   dictionary ([`prefix`]);
 //! * **bit-aligned packing** — many codes per 64-bit word, the substrate the
 //!   software-SIMD scan operates on ([`bitpack`]).
+//!
+//! The fourth, prefix compression of dictionary strings, is not performed:
+//! a string dictionary keeps its values whole, in one flat list that is
+//! also the code pool of the column's decoded values ([`strs`]).
 //!
 //! The codes are *order preserving* within each frequency partition, so the
 //! execution engine can evaluate `=`, `<`, `BETWEEN` etc. directly on
@@ -33,7 +35,6 @@ pub mod dict;
 pub mod histogram;
 pub mod minus;
 pub mod order;
-pub mod prefix;
 pub mod strs;
 
 pub use bitmap::Bitmap;

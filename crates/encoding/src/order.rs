@@ -5,7 +5,8 @@
 //! monotone bijection such that `a < b  ⇔  map(a) < map(b)`. All downstream
 //! machinery (minus encoding, frequency dictionaries, synopsis min/max,
 //! predicate range mapping) then works on plain u64s regardless of the
-//! source type.
+//! source type. A string maps through its first 8 bytes, a monotone but
+//! lossy mapping ([`str_prefix_ordered`]).
 
 /// Map an i64 onto an order-preserving u64 (flip the sign bit).
 #[inline]
@@ -47,6 +48,17 @@ pub fn ordered_to_f64(u: u64) -> f64 {
     }
 }
 
+/// Convert the first 8 bytes of a string to a big-endian u64 — an
+/// order-preserving (though lossy) mapping used by the synopsis to prune
+/// string predicates.
+pub fn str_prefix_ordered(s: &str) -> u64 {
+    let bytes = s.as_bytes();
+    let mut buf = [0u8; 8];
+    let n = bytes.len().min(8);
+    buf[..n].copy_from_slice(&bytes[..n]);
+    u64::from_be_bytes(buf)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -78,7 +90,26 @@ mod tests {
         assert_eq!(f64_to_ordered(-0.0), f64_to_ordered(0.0));
     }
 
+    #[test]
+    fn str_prefix_ordering() {
+        assert!(str_prefix_ordered("apple") < str_prefix_ordered("banana"));
+        assert!(str_prefix_ordered("a") < str_prefix_ordered("aa"));
+        assert_eq!(str_prefix_ordered(""), 0);
+        // Lossy beyond 8 bytes — equal prefixes map equal.
+        assert_eq!(
+            str_prefix_ordered("12345678abc"),
+            str_prefix_ordered("12345678xyz")
+        );
+    }
+
     proptest! {
+        #[test]
+        fn prop_str_prefix_monotone(a in "[a-z]{0,12}", b in "[a-z]{0,12}") {
+            if str_prefix_ordered(&a) < str_prefix_ordered(&b) {
+                prop_assert!(a < b);
+            }
+        }
+
         #[test]
         fn prop_i64_monotone(a in any::<i64>(), b in any::<i64>()) {
             prop_assert_eq!(a < b, i64_to_ordered(a) < i64_to_ordered(b));

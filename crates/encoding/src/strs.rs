@@ -1,10 +1,11 @@
 //! String columns as codes into a shared pool of values.
 //!
 //! A string column is a `u32` code per row ([`NULL_CODE`] for NULL) into a
-//! [`StrPool`] it shares by `Arc`. A pool is a [`DictPool`] — one string
-//! dictionary's values in flat order, built once when a column's encoding
-//! is fixed — followed by *local* values, none of which the dictionary
-//! holds: a stride's exceptions, open-stride values, computed strings.
+//! [`StrPool`] it shares by `Arc`. A pool is a column's string
+//! [`FreqDict`] — the very dictionary its encoding holds, whose flat codes
+//! number its values — followed by *local* values, none of which the
+//! dictionary holds: a stride's exceptions, open-stride values, computed
+//! strings.
 //!
 //! Code `c` below the dictionary's length names its flat entry, in every
 //! pool over that dictionary: that flat code is the value's key word, so
@@ -25,58 +26,13 @@ pub const NULL_CODE: u32 = u32::MAX;
 /// The key word of a value outside its pool's dictionary.
 pub const MISS_WORD: u64 = u64::MAX;
 
-/// One string dictionary's values in flat order — every partition's values
-/// after the previous partition's — and the flat code of each value.
-#[derive(Debug, Default)]
-pub struct DictPool {
-    values: Vec<Arc<str>>,
-    /// Flat code of each partition's first value.
-    base: Vec<u32>,
-    lookup: FxHashMap<Arc<str>, u32>,
-}
-
-impl DictPool {
-    /// The flat pool of `dict`.
-    pub fn new(dict: &FreqDict<Arc<str>>) -> DictPool {
-        let mut pool = DictPool::default();
-        for part in dict.partitions() {
-            pool.base.push(pool.values.len() as u32);
-            pool.values.extend(part.values.iter().cloned());
-        }
-        pool.lookup = pool.values.iter().enumerate().map(|(c, v)| (v.clone(), c as u32)).collect();
-        pool
-    }
-
-    /// Number of values.
-    pub fn len(&self) -> usize {
-        self.values.len()
-    }
-
-    /// True if the dictionary is empty.
-    pub fn is_empty(&self) -> bool {
-        self.values.is_empty()
-    }
-
-    /// The flat code of partition `part`'s code `code`.
-    #[inline]
-    pub fn flat(&self, part: u8, code: u64) -> u32 {
-        self.base[part as usize] + code as u32
-    }
-
-    /// The flat code of `s`, if the dictionary holds it.
-    #[inline]
-    pub fn code_of(&self, s: &str) -> Option<u32> {
-        if self.values.is_empty() {
-            return None;
-        }
-        self.lookup.get(s).copied()
-    }
-}
+/// A string column's dictionary, shared by its encoding and its pools.
+pub type SharedDict = Arc<FreqDict<Arc<str>>>;
 
 /// The values string codes index: a dictionary's, then local ones.
 #[derive(Debug, Clone)]
 pub struct StrPool {
-    dict: Arc<DictPool>,
+    dict: SharedDict,
     /// `dict.len()`, kept beside it for the hot code → value branch.
     dict_len: u32,
     /// Codes `dict_len..`: values the dictionary does not hold.
@@ -84,8 +40,8 @@ pub struct StrPool {
 }
 
 /// The dictionary of a pool that has none.
-fn no_dict() -> &'static Arc<DictPool> {
-    static NONE: OnceLock<Arc<DictPool>> = OnceLock::new();
+fn no_dict() -> &'static SharedDict {
+    static NONE: OnceLock<SharedDict> = OnceLock::new();
     NONE.get_or_init(Arc::default)
 }
 
@@ -97,18 +53,17 @@ impl Default for StrPool {
 
 impl StrPool {
     /// A pool holding `dict`'s values and nothing else yet.
-    pub fn of_dict(dict: Arc<DictPool>) -> StrPool {
+    pub fn of_dict(dict: SharedDict) -> StrPool {
         StrPool { dict_len: dict.len() as u32, dict, local: Vec::new() }
     }
 
-    /// The pool of dictionary `dict`, built once when a column's encoding is
-    /// fixed and shared by every morsel that decodes it.
-    pub fn for_dict(dict: &FreqDict<Arc<str>>) -> Arc<StrPool> {
-        Arc::new(StrPool::of_dict(Arc::new(DictPool::new(dict))))
+    /// [`StrPool::of_dict`], shared.
+    pub fn for_dict(dict: SharedDict) -> Arc<StrPool> {
+        Arc::new(StrPool::of_dict(dict))
     }
 
     /// The dictionary whose flat codes are this pool's key words.
-    pub fn dict(&self) -> &Arc<DictPool> {
+    pub fn dict(&self) -> &SharedDict {
         &self.dict
     }
 
@@ -138,7 +93,7 @@ impl StrPool {
     #[inline]
     pub fn arc(&self, code: u32) -> &Arc<str> {
         if code < self.dict_len {
-            &self.dict.values[code as usize]
+            self.dict.value(code)
         } else {
             &self.local[(code - self.dict_len) as usize]
         }
@@ -163,7 +118,7 @@ impl StrPool {
 
     /// The code of `s`: its dictionary code, else a new local one.
     pub fn intern(&mut self, s: &Arc<str>) -> u32 {
-        match self.dict.code_of(s) {
+        match self.dict.code_of(&**s) {
             Some(code) => code,
             None => {
                 self.local.push(s.clone());
@@ -176,7 +131,7 @@ impl StrPool {
 
     /// Add `s`, which the dictionary does not hold, as a local value.
     pub(crate) fn push_local(&mut self, s: Arc<str>) {
-        debug_assert!(self.dict.code_of(&s).is_none(), "a local value is outside the dictionary");
+        debug_assert!(self.dict.code_of(&*s).is_none(), "a local value is outside the dictionary");
         self.local.push(s);
     }
 
@@ -403,7 +358,7 @@ impl StrColumn {
 
     /// This column's values as codes of a fresh pool over `dict`, holding
     /// only the values the rows use.
-    pub fn repool(&self, dict: Arc<DictPool>) -> StrColumn {
+    pub fn repool(&self, dict: SharedDict) -> StrColumn {
         let mut out = StrColumn::with_pool(Arc::new(StrPool::of_dict(dict)));
         out.codes.reserve(self.len());
         let mut recode = Recode::new(&out.pool, &self.pool);
@@ -451,9 +406,9 @@ mod tests {
     use super::*;
     use crate::histogram::Histogram;
 
-    fn dict(values: &[&str]) -> Arc<DictPool> {
+    fn dict(values: &[&str]) -> SharedDict {
         let arcs: Vec<Arc<str>> = values.iter().map(|&s| Arc::from(s)).collect();
-        Arc::new(DictPool::new(&FreqDict::build(&Histogram::from_values(arcs.iter().map(Some)))))
+        Arc::new(FreqDict::build(&Histogram::from_values(arcs.iter().map(Some))))
     }
 
     fn column(pool: &Arc<StrPool>, values: &[Option<&str>]) -> StrColumn {

@@ -316,7 +316,7 @@ mod tests {
     fn concat_columnar_matches_row_concat_and_keeps_shared_pools() {
         let vals: Vec<Arc<str>> = vec![Arc::from("a"), Arc::from("b")];
         let dict = FreqDict::build(&Histogram::from_values(vals.iter().map(Some)));
-        let pool = StrPool::for_dict(&dict);
+        let pool = StrPool::for_dict(Arc::new(dict));
         let a = pooled(&[row![1i64, "a"]], &pool);
         let b = pooled(&[row![2i64, "b"], row![3i64, Datum::Null]], &pool);
         let rowwise = Batch::from_rows(schema(), &[a.to_rows(), b.to_rows()].concat()).unwrap();
@@ -324,7 +324,7 @@ mod tests {
         assert_eq!(colwise.to_rows(), rowwise.to_rows());
         assert!(Arc::ptr_eq(names_pool(&colwise), names_pool(&a)), "one dictionary's codes survive the seam");
         // Another dictionary's values re-code into this one's pool.
-        let other = StrPool::for_dict(&FreqDict::build(&Histogram::from_values([Arc::from("z")].iter().map(Some))));
+        let other = StrPool::for_dict(Arc::new(FreqDict::build(&Histogram::from_values([Arc::from("z")].iter().map(Some)))));
         let z = pooled(&[row![4i64, "z"], row![5i64, "b"]], &other);
         let mixed = Batch::concat_columnar(schema(), vec![a.clone(), b, z]).unwrap();
         assert!(names_pool(&mixed).same_domain(&pool));

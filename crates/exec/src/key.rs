@@ -41,7 +41,7 @@ use dash_common::date::date_to_timestamp_micros;
 use dash_common::types::DataType;
 use dash_common::Schema;
 use dash_encoding::column::ColumnValues;
-use dash_encoding::strs::{DictPool, StrPool, MISS_WORD, NULL_CODE};
+use dash_encoding::strs::{SharedDict, StrPool, MISS_WORD, NULL_CODE};
 use dash_encoding::order::{f64_to_ordered, i64_to_ordered};
 
 /// Sentinel key word for a string value absent from the domain's dictionary.
@@ -131,7 +131,7 @@ impl KeyMode {
 
 /// A string key column's code domain: the dictionary whose flat codes its
 /// words are.
-pub(crate) type StrDomain = Arc<DictPool>;
+pub(crate) type StrDomain = SharedDict;
 
 /// One key column viewed through the encoded path.
 ///
@@ -210,13 +210,13 @@ pub(crate) fn f64_key_word(v: f64) -> u64 {
 /// translated once: a direct-mapped memo on the code, with a slot for every
 /// code when the pool has no more codes than the view has rows.
 pub(crate) struct Translate<'a> {
-    into: &'a DictPool,
+    into: &'a StrDomain,
     /// `(code, word)`; [`NULL_CODE`] marks a free slot.
     memo: Vec<(u32, u64)>,
 }
 
 impl<'a> Translate<'a> {
-    fn new(into: &'a DictPool, pool: &StrPool, rows: usize) -> Translate<'a> {
+    fn new(into: &'a StrDomain, pool: &StrPool, rows: usize) -> Translate<'a> {
         let slots = rows.min(pool.len()).max(1).next_power_of_two();
         Translate { into, memo: vec![(NULL_CODE, 0); slots] }
     }
@@ -673,7 +673,7 @@ mod tests {
     fn str_words_are_pool_words_or_translated_per_code() {
         let entries: Vec<Arc<str>> = (0..40).map(|i| Arc::from(format!("v{i}"))).collect();
         let dict = FreqDict::build(&Histogram::from_values(entries.iter().map(Some)));
-        let pool = StrPool::for_dict(&dict);
+        let pool = StrPool::for_dict(Arc::new(dict));
         let mut column = StrColumn::with_pool(pool.clone());
         let mut vals: Vec<Option<Arc<str>>> = Vec::new();
         for i in 0..3000 {
@@ -685,7 +685,7 @@ mod tests {
             column.push(vals[i].as_ref());
         }
         let column = ColumnValues::Str(column);
-        let expect = |domain: &DictPool, v: &Option<Arc<str>>| {
+        let expect = |domain: &StrDomain, v: &Option<Arc<str>>| {
             v.as_ref().map(|s| domain.code_of(s).map_or(STR_MISS, u64::from))
         };
         // The pool's own dictionary: words without a string touched.
@@ -696,7 +696,7 @@ mod tests {
         }
         // Another dictionary, sharing half the values: translated.
         let half: Vec<Arc<str>> = entries.iter().step_by(2).cloned().chain([Arc::from("absent3")]).collect();
-        let other = StrPool::for_dict(&FreqDict::build(&Histogram::from_values(half.iter().map(Some))));
+        let other = StrPool::for_dict(Arc::new(FreqDict::build(&Histogram::from_values(half.iter().map(Some)))));
         for rows in [vals.len(), 5] {
             let mut col = KeyCol::new(&column, Some(other.dict()), rows);
             assert!(col.is_translated());

@@ -34,7 +34,7 @@ use crate::stats::ExecStats;
 use dash_common::{BudgetLease, Result, StatementContext};
 use dash_encoding::column::ColumnValues;
 use dash_encoding::order::i64_to_ordered;
-use dash_encoding::prefix::str_prefix_ordered;
+use dash_encoding::order::str_prefix_ordered;
 use std::cmp::Ordering;
 
 /// The largest parallel sort run, which the planner passes as

@@ -33,9 +33,9 @@ pub use dash_encoding::column::STRIDE;
 struct ColumnState {
     encoding: Option<ColumnEncoding>,
     blocks: Vec<EncodedBlock>,
-    /// The pool of the string dictionary inside `encoding`, when the
-    /// column is dictionary-coded: built once with the encoding, shared by
-    /// every stride decoded and by the open stride's values.
+    /// A pool over the string dictionary inside `encoding`, when the column
+    /// is dictionary-coded: shared by every stride decoded and by the open
+    /// stride's values.
     str_pool: Option<Arc<StrPool>>,
 }
 
@@ -252,15 +252,8 @@ impl ColumnTable {
         let n = columns.first().map_or(0, ColumnValues::len);
         let mut loaded = ColumnTable::new(self.name.clone(), self.schema.clone());
         loaded.append(columns, types, &vec![0; n], &vec![TS_NEVER; n])?;
-        loaded.analyse();
         // Rows short of a stride stay open, as codes of their new pools.
-        for (col, open) in loaded.columns.iter().zip(&mut loaded.open) {
-            if let (Some(pool), ColumnValues::Str(values)) = (&col.str_pool, open) {
-                if !values.pool().same_domain(pool) {
-                    *values = values.repool(pool.dict().clone());
-                }
-            }
-        }
+        loaded.analyse();
         *self = loaded;
         Ok(n as u64)
     }
@@ -272,13 +265,15 @@ impl ColumnTable {
     }
 
     /// Give every column without an encoding one, analysed over everything
-    /// buffered in the open stride.
+    /// buffered in the open stride. A string column's buffered values
+    /// become codes of its dictionary's pool, which the column keeps.
     fn analyse(&mut self) {
-        for (col, values) in self.columns.iter_mut().zip(&self.open) {
+        for (col, values) in self.columns.iter_mut().zip(&mut self.open) {
             if col.encoding.is_none() {
-                let enc = self.compressor.analyze(values);
-                col.str_pool = str_pool_of(&enc);
-                col.encoding = Some(enc);
+                col.encoding = Some(self.compressor.analyze(values));
+                if let ColumnValues::Str(v) = values {
+                    col.str_pool = Some(v.pool().clone());
+                }
             }
         }
     }
@@ -670,14 +665,6 @@ fn coerce_column(values: ColumnValues, from: DataType, field: &Field, ordinal: u
     Ok(values)
 }
 
-/// The string pool of a freshly analyzed encoding, if it has a dictionary.
-fn str_pool_of(enc: &ColumnEncoding) -> Option<Arc<StrPool>> {
-    match enc {
-        ColumnEncoding::StrDict { dict, .. } => Some(StrPool::for_dict(dict)),
-        _ => None,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -764,7 +751,7 @@ mod tests {
         assert_eq!(t.sealed_strides(), 2);
         assert_eq!(t.open_len(), 3000 - 2 * STRIDE);
         // Low-cardinality string column gets a dictionary.
-        assert_eq!(t.encoding(1).unwrap().name(), "prefix+frequency-dict");
+        assert_eq!(t.encoding(1).unwrap().name(), "frequency-dict");
         // Verify a row decodes correctly.
         let r = t.get_row(Tsn(2048)).unwrap();
         assert_eq!(r.get(0), &Datum::Int(2048));

@@ -2,7 +2,7 @@
 //!
 //! A from-scratch Rust reproduction of **"Making Big Data Simple with
 //! dashDB Local"** (Lightstone et al., ICDE 2017): a BLU-Acceleration-style
-//! columnar SQL engine with frequency/minus/prefix compression,
+//! columnar SQL engine with frequency/minus compression,
 //! operate-on-compressed software-SIMD scans, synopsis data skipping, a
 //! scan-aware probabilistic buffer pool, a polyglot SQL front-end (ANSI /
 //! Oracle / Netezza / PostgreSQL / DB2 dialects), hardware-adaptive

@@ -116,7 +116,7 @@ fn ctas_is_encoded_as_load_encodes() {
     db.connect().execute("CREATE TABLE c AS SELECT k, v FROM src").unwrap();
     let ctas = layout(&db.catalog().table_handle("C").unwrap().table.read());
     let loaded = loaded_layout(skewed_rows());
-    assert_eq!(loaded.0, vec!["minus", "prefix+frequency-dict"]);
+    assert_eq!(loaded.0, vec!["minus", "frequency-dict"]);
     assert_eq!(ctas, loaded);
     drop(db);
     let _ = std::fs::remove_dir_all(&dir);

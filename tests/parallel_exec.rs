@@ -801,7 +801,7 @@ fn word_sort_matches_a_reference_stable_sort() {
     // Column `t` is codes of a dictionary's pool, `s` of a pool of its own.
     let mut columns = Batch::from_rows(schema.clone(), &rows).unwrap().into_columns();
     let words: Vec<std::sync::Arc<str>> = strs.iter().filter_map(|d| d.as_str().map(Into::into)).collect();
-    let pool = StrPool::for_dict(&FreqDict::build(&Histogram::from_values(words.iter().map(Some))));
+    let pool = StrPool::for_dict(std::sync::Arc::new(FreqDict::build(&Histogram::from_values(words.iter().map(Some)))));
     if let ColumnValues::Str(t) = &columns[3] {
         columns[3] = ColumnValues::Str(t.repool(pool.dict().clone()));
     }
