@@ -426,6 +426,7 @@ impl ColumnCompressor {
     /// A string block decodes to codes: a dictionary entry's flat code in
     /// `out`'s pool, which must be over this encoding's very dictionary
     /// (see [`decode_target`]), and the block's exceptions as local values
+    /// of that pool, each value once
     /// of that pool.
     pub fn decode(
         &self,
@@ -460,16 +461,10 @@ impl ColumnCompressor {
                     if !Arc::ptr_eq(out.pool().dict(), dict) {
                         return Err(DashError::internal("decode of a string block into a pool over another dictionary"));
                     }
-                    let (codes, pool) = out.parts_mut();
-                    let first_exc = if exc.is_empty() {
-                        0
-                    } else {
-                        let pool = Arc::make_mut(pool);
-                        let first = pool.len() as u32;
-                        exc.iter().for_each(|s| pool.push_local(s.clone()));
-                        first
-                    };
-                    block.gather_dict(positions, codes, NULL_CODE, |p, c| dict.flat(p, c), |i| first_exc + i as u32)
+                    // An exception repeated in the stride, or already in the
+                    // pool, takes the code it has.
+                    let exc_codes: Vec<u32> = exc.iter().map(|s| out.intern(s)).collect();
+                    block.gather_dict(positions, out.codes_mut(), NULL_CODE, |p, c| dict.flat(p, c), |i| exc_codes[i])
                 }
                 _ => Err(decode_mismatch(enc)),
             },
@@ -767,8 +762,29 @@ mod tests {
         // The dictionary value decodes to its flat code, the exception to a
         // local value of the decoded column's pool.
         let ColumnValues::Str(decoded) = decoded else { panic!("a string column") };
-        assert_eq!(decoded.pool().word(decoded.codes()[0]), 0);
-        assert_eq!(decoded.pool().word(decoded.codes()[1]), crate::strs::MISS_WORD);
+        assert_eq!(decoded.codes()[0], 0);
+        assert!(decoded.codes()[1] as usize >= decoded.pool().dict().len());
+    }
+
+    /// A stride whose exceptions repeat a value decodes it to one code, and
+    /// decoding the stride again into the same column adds no value.
+    #[test]
+    fn repeated_exceptions_decode_to_one_code() {
+        let analyzed: Vec<Option<Arc<str>>> = (0..50).map(|i| Some(Arc::from(format!("v{}", i % 3).as_str()))).collect();
+        let comp = ColumnCompressor::new();
+        let enc = comp.analyze(&mut strs(analyzed));
+        let newdata: Vec<Option<Arc<str>>> =
+            [Some("new"), Some("v1"), None, Some("new"), Some("")].iter().map(|v| v.map(Arc::from)).collect();
+        let block = comp.encode_block(&enc, &strs(newdata.clone()), 0..5);
+        let mut out = decode_target(&enc);
+        let all: Vec<usize> = (0..5).collect();
+        comp.decode(&enc, &block, &all, &mut out).unwrap();
+        comp.decode(&enc, &block, &all, &mut out).unwrap();
+        let ColumnValues::Str(out) = out else { panic!("a string column") };
+        assert_eq!(out.iter().collect::<Vec<_>>(), [newdata.clone(), newdata].concat().iter().map(|v| v.as_deref()).collect::<Vec<_>>());
+        assert_eq!(out.codes()[0], out.codes()[3]);
+        assert_eq!(out.codes()[0], out.codes()[5]);
+        assert_eq!(out.pool().len(), 3 + 2, "the dictionary, then `new` and `''` once each");
     }
 
     #[test]

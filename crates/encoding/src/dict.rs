@@ -213,12 +213,6 @@ impl<T: Eq + Hash + Ord> FreqDict<T> {
         }
     }
 
-    /// Smallest and largest value across all partitions (for synopsis use).
-    pub fn min_max(&self) -> Option<(&T, &T)> {
-        let ends = (0..self.partition_count()).filter_map(|p| self.partition(p).first().zip(self.partition(p).last()));
-        ends.reduce(|(lo, hi), (first, last)| (lo.min(first), hi.max(last)))
-    }
-
     /// Width of the selector vector needed to tag a value's partition,
     /// reserving one extra tag for the block-level exception bank.
     pub fn selector_width(&self) -> u8 {
@@ -496,20 +490,11 @@ mod tests {
     }
 
     #[test]
-    fn min_max_spans_partitions() {
-        let dict = FreqDict::build(&skewed_hist());
-        let (min, max) = dict.min_max().unwrap();
-        assert_eq!(*min, 50);
-        assert_eq!(*max, 1499);
-    }
-
-    #[test]
     fn empty_histogram() {
         let h: Histogram<u64> = Histogram::new();
         let dict = FreqDict::build(&h);
         assert!(dict.is_empty());
         assert_eq!(encode(&dict, &1), None);
-        assert_eq!(dict.min_max(), None);
     }
 
     #[test]

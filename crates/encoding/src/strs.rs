@@ -7,29 +7,28 @@
 //! dictionary holds: a stride's exceptions, open-stride values, computed
 //! strings.
 //!
-//! Code `c` below the dictionary's length names its flat entry, in every
-//! pool over that dictionary: that flat code is the value's key word, so
-//! scans, joins and grouping on one dictionary's values compare and hash
-//! codes, never bytes. A local value's word is [`MISS_WORD`] and its
-//! callers fall back to the string. Moving a column copies codes; a column
-//! joining another of a different pool is re-coded once per distinct
-//! (pool, code), never per row by string hash. An `Arc<str>` is handed out
-//! only at the edges, where a [`dash_common::Datum`] is made.
+//! A pool holds each value at most once, so within one pool a code *is*
+//! the value's identity: joins and grouping key on codes, never bytes, and
+//! a pool costs one entry per distinct value whatever the rows. Code `c`
+//! below the dictionary's length names its flat entry in every pool over
+//! that dictionary. Moving a column copies codes; a column joining another
+//! of a different pool is re-coded once per distinct (pool, code), never
+//! per row by string hash. An `Arc<str>` is handed out only at the edges,
+//! where a [`dash_common::Datum`] is made.
 
 use crate::dict::FreqDict;
 use dash_common::fxhash::FxHashMap;
+use std::borrow::Cow;
 use std::sync::{Arc, OnceLock};
 
 /// The code a NULL holds.
 pub const NULL_CODE: u32 = u32::MAX;
 
-/// The key word of a value outside its pool's dictionary.
-pub const MISS_WORD: u64 = u64::MAX;
-
 /// A string column's dictionary, shared by its encoding and its pools.
 pub type SharedDict = Arc<FreqDict<Arc<str>>>;
 
-/// The values string codes index: a dictionary's, then local ones.
+/// The values string codes index: a dictionary's, then local ones, each
+/// value once.
 #[derive(Debug, Clone)]
 pub struct StrPool {
     dict: SharedDict,
@@ -37,6 +36,9 @@ pub struct StrPool {
     dict_len: u32,
     /// Codes `dict_len..`: values the dictionary does not hold.
     local: Vec<Arc<str>>,
+    /// The code of each local value past the first, which is kept out of
+    /// the map so a one-value pool (a single-row INSERT's) allocates none.
+    local_codes: FxHashMap<Arc<str>, u32>,
 }
 
 /// The dictionary of a pool that has none.
@@ -54,7 +56,7 @@ impl Default for StrPool {
 impl StrPool {
     /// A pool holding `dict`'s values and nothing else yet.
     pub fn of_dict(dict: SharedDict) -> StrPool {
-        StrPool { dict_len: dict.len() as u32, dict, local: Vec::new() }
+        StrPool { dict_len: dict.len() as u32, dict, local: Vec::new(), local_codes: FxHashMap::default() }
     }
 
     /// [`StrPool::of_dict`], shared.
@@ -62,7 +64,7 @@ impl StrPool {
         Arc::new(StrPool::of_dict(dict))
     }
 
-    /// The dictionary whose flat codes are this pool's key words.
+    /// The dictionary whose flat codes are this pool's first codes.
     pub fn dict(&self) -> &SharedDict {
         &self.dict
     }
@@ -105,39 +107,37 @@ impl StrPool {
         self.arc(code)
     }
 
-    /// The key word of `code` (not [`NULL_CODE`]): its flat dictionary code,
-    /// or [`MISS_WORD`] for a local value.
+    /// The code of `s`, if the pool holds it.
     #[inline]
-    pub fn word(&self, code: u32) -> u64 {
-        if code < self.dict_len {
-            code as u64
-        } else {
-            MISS_WORD
+    pub fn code_of(&self, s: &str) -> Option<u32> {
+        match (self.dict.code_of(s), self.local.first()) {
+            (None, Some(first)) if **first == *s => Some(self.dict_len),
+            (None, Some(_)) => self.local_codes.get(s).copied(),
+            (code, _) => code,
         }
     }
 
-    /// The code of `s`: its dictionary code, else a new local one.
+    /// The code of `s`: the one it has, else a new local one.
     pub fn intern(&mut self, s: &Arc<str>) -> u32 {
-        match self.dict.code_of(&**s) {
-            Some(code) => code,
-            None => {
-                self.local.push(s.clone());
-                let code = self.dict_len as usize + self.local.len() - 1;
-                debug_assert!(code < NULL_CODE as usize, "string pool overflows its codes");
-                code as u32
-            }
+        self.code_of(s).unwrap_or_else(|| self.add(s))
+    }
+
+    /// Add `s`, which the pool does not hold, as a local value.
+    fn add(&mut self, s: &Arc<str>) -> u32 {
+        debug_assert!(self.code_of(s).is_none(), "a pool holds a value once");
+        let code = self.len();
+        debug_assert!(code < NULL_CODE as usize, "string pool overflows its codes");
+        if self.has_local() {
+            self.local_codes.insert(s.clone(), code as u32);
         }
+        self.local.push(s.clone());
+        code as u32
     }
 
-    /// Add `s`, which the dictionary does not hold, as a local value.
-    pub(crate) fn push_local(&mut self, s: Arc<str>) {
-        debug_assert!(self.dict.code_of(&*s).is_none(), "a local value is outside the dictionary");
-        self.local.push(s);
-    }
-
-    /// Rough heap bytes of the local values.
+    /// Rough heap bytes of the local values and their lookup.
     pub fn local_bytes(&self) -> u64 {
-        self.local.iter().map(|s| 16 + s.len() as u64).sum()
+        let lookup = self.local_codes.capacity() * (std::mem::size_of::<(Arc<str>, u32)>() + 1);
+        self.local.iter().map(|s| 16 + s.len() as u64).sum::<u64>() + lookup as u64
     }
 }
 
@@ -221,9 +221,9 @@ impl StrColumn {
         &self.pool
     }
 
-    /// The codes and the pool, for a decoder appending codes.
-    pub(crate) fn parts_mut(&mut self) -> (&mut Vec<u32>, &mut Arc<StrPool>) {
-        (&mut self.codes, &mut self.pool)
+    /// The codes, for a decoder appending codes of this pool.
+    pub(crate) fn codes_mut(&mut self) -> &mut Vec<u32> {
+        &mut self.codes
     }
 
     /// Row `i`'s value, `None` for NULL.
@@ -259,10 +259,7 @@ impl StrColumn {
 
     /// Append a value.
     pub fn push(&mut self, v: Option<&Arc<str>>) {
-        let code = match v {
-            None => NULL_CODE,
-            Some(s) => Arc::make_mut(&mut self.pool).intern(s),
-        };
+        let code = v.map_or(NULL_CODE, |s| self.intern(s));
         self.codes.push(code);
     }
 
@@ -321,19 +318,31 @@ impl StrColumn {
     pub fn extend_from(&mut self, src: StrColumn) {
         if self.codes.is_empty() {
             *self = src;
-        } else if self.share(&src) {
-            self.codes.extend_from_slice(&src.codes);
         } else {
-            let mut recode = Recode::new(&self.pool, &src.pool);
-            let pool = Arc::make_mut(&mut self.pool);
-            self.codes.extend(src.codes.iter().map(|&c| recode.code(pool, &src.pool, c)));
+            let codes = self.codes_of(&src);
+            self.codes.extend_from_slice(&codes);
         }
     }
 
-    /// The code of `s` in this column's pool, added to it if need be; no
-    /// row is added.
+    /// The code of `s` in this column's pool, added to it if need be (a
+    /// shared pool is copied only then); no row is added.
     pub fn intern(&mut self, s: &Arc<str>) -> u32 {
-        Arc::make_mut(&mut self.pool).intern(s)
+        match self.pool.code_of(s) {
+            Some(code) => code,
+            None => Arc::make_mut(&mut self.pool).add(s),
+        }
+    }
+
+    /// `src`'s codes as codes of the same values in this column's pool,
+    /// the values it lacks added to it; no row is added. They are the codes
+    /// appending `src`'s rows would append.
+    pub fn codes_of<'s>(&mut self, src: &'s StrColumn) -> Cow<'s, [u32]> {
+        if self.share(src) {
+            return Cow::Borrowed(&src.codes);
+        }
+        let mut recode = Recode::new(&self.pool, &src.pool);
+        let pool = Arc::make_mut(&mut self.pool);
+        Cow::Owned(src.codes.iter().map(|&c| recode.code(pool, &src.pool, c)).collect())
     }
 
     /// Set row `i` to `code` of this column's pool.
@@ -348,7 +357,7 @@ impl StrColumn {
         let same = code == NULL_CODE
             || Arc::ptr_eq(&self.pool, pool)
             || (self.pool.same_domain(pool) && code < pool.dict_len);
-        self.codes[i] = if same { code } else { Arc::make_mut(&mut self.pool).intern(pool.arc(code)) };
+        self.codes[i] = if same { code } else { self.intern(pool.arc(code)) };
     }
 
     /// The codes and the pool, moved out.
@@ -405,6 +414,7 @@ impl Recode {
 mod tests {
     use super::*;
     use crate::histogram::Histogram;
+    use proptest::prelude::*;
 
     fn dict(values: &[&str]) -> SharedDict {
         let arcs: Vec<Arc<str>> = values.iter().map(|&s| Arc::from(s)).collect();
@@ -427,8 +437,8 @@ mod tests {
         assert_eq!(c.iter().collect::<Vec<_>>(), vec![Some("b"), None, Some("zz"), Some("b"), Some("")]);
         assert!(c.codes()[0] < 3 && c.codes()[0] == c.codes()[3]);
         assert_eq!(c.codes()[1], NULL_CODE);
-        assert_eq!(c.pool().word(c.codes()[0]), c.codes()[0] as u64);
-        assert_eq!(c.pool().word(c.codes()[2]), MISS_WORD);
+        assert_eq!(c.pool().code_of("b"), Some(c.codes()[0]));
+        assert!(c.codes()[2] >= 3 && c.codes()[4] >= 3, "values outside the dictionary are local");
         assert!(!Arc::ptr_eq(c.pool(), &pool), "a local value gets the column a pool of its own");
         assert!(c.pool().same_domain(&pool));
     }
@@ -449,7 +459,7 @@ mod tests {
         joined.append_selected(&other, &[1, 0, 0]);
         assert_eq!(joined.len(), 8);
         assert_eq!(&joined.iter().skip(5).collect::<Vec<_>>(), &[Some("x"), Some("y"), Some("y")]);
-        assert_eq!(joined.pool().len(), 2 + 3, "`y` is interned once, `x` once more");
+        assert_eq!(joined.pool().len(), 2 + 2, "`y` is interned once, `x` is there already");
         // A different dictionary: values re-code into this one's codes.
         let foreign = column(&Arc::new(StrPool::of_dict(dict(&["b", "q"]))), &[Some("b"), Some("q")]);
         let mut mixed = plain.clone();
@@ -468,5 +478,93 @@ mod tests {
         assert_eq!(tail.iter().collect::<Vec<_>>(), vec![None, Some("a")]);
         assert!(!tail.pool().has_local());
         assert!(Arc::ptr_eq(tail.pool().dict(), &d));
+    }
+
+    /// The values the property test draws from: `''`, shared 8-byte
+    /// prefixes, and values some dictionaries hold and some do not.
+    const VALUES: [&str; 8] = ["", "abcdefgh", "abcdefgh-1", "abcdefgh-2", "a", "b", "q", "zz"];
+
+    /// Each code of `pool` names a different value, and `code_of` finds it.
+    fn assert_each_value_once(pool: &StrPool) {
+        let mut seen = std::collections::HashSet::new();
+        for code in 0..pool.len() as u32 {
+            assert!(seen.insert(pool.value(code).to_string()), "{:?} has two codes", pool.value(code));
+            assert_eq!(pool.code_of(pool.value(code)), Some(code));
+        }
+    }
+
+    proptest! {
+        /// Any sequence of moves over columns of pools with and without a
+        /// dictionary leaves every pool holding each value once, and every
+        /// column reading back what was put in.
+        #[test]
+        fn prop_a_pool_holds_each_value_once(
+            ops in prop::collection::vec((0u8..7, 0usize..3, 0usize..3, 0usize..=VALUES.len(), any::<u16>()), 0..40),
+        ) {
+            let dicts = [no_dict().clone(), dict(&["a", "b", "abcdefgh"]), dict(&["b", "q", "", "abcdefgh-1"])];
+            let value = |v: usize| VALUES.get(v).map(|&s| Arc::<str>::from(s));
+            let mut cols: Vec<StrColumn> = dicts.iter().map(|d| StrColumn::with_pool(StrPool::for_dict(d.clone()))).collect();
+            let mut model: Vec<Vec<Option<Arc<str>>>> = vec![Vec::new(); 3];
+            for (op, a, b, v, pick) in ops {
+                let pick = pick as usize;
+                match op {
+                    0 => {
+                        cols[a].push(value(v).as_ref());
+                        model[a].push(value(v));
+                    }
+                    1 => {
+                        if let Some(s) = value(v) {
+                            let code = cols[a].intern(&s);
+                            prop_assert_eq!(cols[a].pool().value(code), &*s);
+                        }
+                    }
+                    2 => {
+                        let src = cols[b].clone();
+                        cols[a].extend_from(src);
+                        let src = model[b].clone();
+                        model[a].extend(src);
+                    }
+                    3 if !cols[b].is_empty() => {
+                        let at: Vec<usize> = (0..1 + pick % 5).map(|k| (pick + 7 * k) % cols[b].len()).collect();
+                        let src = cols[b].clone();
+                        cols[a].append_selected(&src, &at);
+                        let picked: Vec<_> = at.iter().map(|&i| model[b][i].clone()).collect();
+                        model[a].extend(picked);
+                    }
+                    4 if !cols[a].is_empty() && !cols[b].is_empty() => {
+                        let (i, j) = (pick % cols[a].len(), (pick / 3) % cols[b].len());
+                        let (pool, code) = (cols[b].pool().clone(), cols[b].codes()[j]);
+                        cols[a].set_code(i, &pool, code);
+                        model[a][i] = model[b][j].clone();
+                    }
+                    5 => cols[a] = cols[a].repool(dicts[b].clone()),
+                    6 => {
+                        let src = cols[b].clone();
+                        let codes = cols[a].codes_of(&src).into_owned();
+                        for (&code, want) in codes.iter().zip(&model[b]) {
+                            prop_assert_eq!(code == NULL_CODE, want.is_none());
+                            if let Some(want) = want {
+                                prop_assert_eq!(cols[a].pool().value(code), &**want);
+                            }
+                        }
+                    }
+                    _ => {}
+                }
+                for (c, m) in cols.iter().zip(&model) {
+                    assert_each_value_once(c.pool());
+                    prop_assert_eq!(c.iter().collect::<Vec<_>>(), m.iter().map(|v| v.as_deref()).collect::<Vec<_>>());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn from_values_pools_each_distinct_value_once() {
+        let values: Vec<String> = (0..3000).map(|i| format!("v{}", i % 23)).collect();
+        let c = StrColumn::from_values(values.iter().map(|s| Some(s.as_str())));
+        assert_eq!(c.pool().len(), 23);
+        let mut x = StrColumn::from_values([Some("x"), Some("y")]);
+        x.extend_from(StrColumn::from_values([Some("x"), Some("x")]));
+        assert_eq!(x.codes(), &[0, 1, 0, 0]);
     }
 }

@@ -12,13 +12,13 @@
 
 use crate::batch::Batch;
 use crate::functions::EvalContext;
-use crate::key::{self, GroupTable, KeyCol, KeyMode, KeyWord, StrDomain, StrInterner, LOCAL_STR_BASE, STR_MISS};
+use crate::key::{self, GroupTable, KeyCol, KeyMode};
 use crate::pipeline::{self, AggSink, Feed};
 use crate::stats::ExecStats;
 use dash_common::fxhash::FxHashSet;
 use dash_common::{DashError, DataType, Datum, Result, Schema};
 use dash_encoding::column::{value_kind, ColumnValues, ValueKind};
-use dash_encoding::strs::{StrColumn, NULL_CODE};
+use dash_encoding::strs::{StrColumn, StrPool, NULL_CODE};
 use std::borrow::Cow;
 use std::ops::Range;
 use std::sync::Arc;
@@ -178,14 +178,6 @@ impl<'a> MorselCol<'a> {
     }
 }
 
-/// A `DISTINCT` aggregate's seen-set entry: the group and the value — a
-/// string of its argument's dictionary by its word, any other by itself.
-#[derive(Debug, PartialEq, Eq, Hash)]
-enum SeenKey {
-    Word(u32, u64),
-    Str(u32, Arc<str>),
-}
-
 /// One aggregate's running state for every group of a partial or of the
 /// accumulator: a struct of arrays indexed by group id.
 #[derive(Debug)]
@@ -203,10 +195,10 @@ enum StateCol {
     Moments { n: Vec<i64>, mean: Vec<f64>, m2: Vec<f64> },
     /// Co-moments for covariance.
     CoMoments { n: Vec<i64>, mx: Vec<f64>, my: Vec<f64>, cxy: Vec<f64> },
-    /// `inner` sees each group's distinct non-NULL values once. `domain`
-    /// is the dictionary string words in `seen` are codes of: a `DISTINCT`
-    /// aggregate runs as one partial over one batch, so one pool.
-    Distinct { seen: FxHashSet<SeenKey>, domain: Option<StrDomain>, inner: Box<StateCol> },
+    /// `inner` sees each group's distinct non-NULL values once: `seen`
+    /// holds `(group, value word)`, a string's word its code in `pool` — a
+    /// `DISTINCT` aggregate runs as one partial over one batch, so one pool.
+    Distinct { seen: FxHashSet<(u32, u64)>, pool: Option<Arc<StrPool>>, inner: Box<StateCol> },
 }
 
 fn overflow() -> DashError {
@@ -313,7 +305,7 @@ impl StateCol {
         if agg.distinct {
             StateCol::Distinct {
                 seen: FxHashSet::default(),
-                domain: None,
+                pool: None,
                 inner: Box::new(base),
             }
         } else {
@@ -454,14 +446,14 @@ impl StateCol {
                     }
                 })?;
             }
-            StateCol::Distinct { seen, domain, inner } => {
+            StateCol::Distinct { seen, pool: seen_pool, inner } => {
                 // Only single-argument distinct aggregates are supported;
                 // one without an argument sees nothing, as before.
                 let Some(a) = args.first() else { return Ok(()) };
                 let r = a.rows.clone();
-                let mut first = |key: SeenKey, bytes: u64| {
-                    let new = seen.insert(key);
-                    *grown += if new { bytes } else { 0 };
+                let mut first = |g: usize, word: u64| {
+                    let new = seen.insert((g as u32, word));
+                    *grown += if new { 24 } else { 0 };
                     new
                 };
                 fn once<T: Clone>(v: &[Option<T>], mut first: impl FnMut(usize, &T) -> bool) -> Vec<Option<T>> {
@@ -470,28 +462,17 @@ impl StateCol {
                 // The argument again, with every repeat within its group
                 // turned to NULL: `inner` skips those like any NULL.
                 let once = match &*a.values {
-                    ColumnValues::Int(v) => {
-                        ColumnValues::Int(once(&v[r], |i, x| first(SeenKey::Word(gid(i) as u32, *x as u64), 24)))
+                    ColumnValues::Int(v) => ColumnValues::Int(once(&v[r], |i, x| first(gid(i), *x as u64))),
+                    ColumnValues::Float(v) => {
+                        ColumnValues::Float(once(&v[r], |i, x| first(gid(i), key::f64_key_word(*x))))
                     }
-                    ColumnValues::Float(v) => ColumnValues::Float(once(&v[r], |i, x| {
-                        first(SeenKey::Word(gid(i) as u32, key::f64_key_word(*x)), 24)
-                    })),
                     ColumnValues::Str(v) => {
                         let pool = v.pool();
-                        if !Arc::ptr_eq(domain.get_or_insert_with(|| pool.dict().clone()), pool.dict()) {
-                            return Err(DashError::internal("DISTINCT aggregate over two string dictionaries"));
+                        if !Arc::ptr_eq(seen_pool.get_or_insert_with(|| pool.clone()), pool) {
+                            return Err(DashError::internal("DISTINCT aggregate over two string pools"));
                         }
                         let codes = v.codes()[r].iter().enumerate().map(|(i, &code)| {
-                            let g = gid(i) as u32;
-                            let new = code != NULL_CODE
-                                && match pool.word(code) {
-                                    STR_MISS => {
-                                        let s = pool.arc(code);
-                                        first(SeenKey::Str(g, s.clone()), 32 + s.len() as u64)
-                                    }
-                                    word => first(SeenKey::Word(g, word), 24),
-                                };
-                            if new {
+                            if code != NULL_CODE && first(gid(i), u64::from(code)) {
                                 code
                             } else {
                                 NULL_CODE
@@ -712,13 +693,11 @@ pub(crate) fn supports_partial(aggs: &[AggExpr]) -> bool {
 /// column per aggregate. Produced on pool workers by [`aggregate_morsel`],
 /// merged in morsel-index order by [`AggAccumulator::merge`].
 pub(crate) struct AggPartial {
-    /// Key words per group; string words are flat codes of the key
-    /// column's pool's dictionary or morsel-local intern codes. Unused by a
-    /// global aggregate.
+    /// Key words per group; a string word is its code in the key column's
+    /// pool. Unused by a global aggregate.
     table: GroupTable,
     /// Per key column, each group's value from the group's first row; a
-    /// string column shares the input's pool, whose dictionary is the
-    /// domain of its words.
+    /// string column shares the input's pool, so its codes are the words.
     keys: Vec<ColumnValues>,
     states: Vec<StateCol>,
     groups: usize,
@@ -753,22 +732,12 @@ fn append_keys(dst: &mut ColumnValues, src: &ColumnValues, at: &[usize]) -> u64 
     }
 }
 
-/// The domain a partial's or accumulator's string key column `key` words
-/// are in: its pool's dictionary.
-fn str_domain(key: &ColumnValues) -> Option<&StrDomain> {
-    match key {
-        ColumnValues::Str(v) => Some(v.pool().dict()),
-        _ => None,
-    }
-}
-
 /// Aggregate one pipeline morsel — rows `rows` of `input` — into a
 /// mergeable partial, column at a time. First the group key columns become
-/// fixed-width key words — the operate-on-compressed path, with
-/// out-of-dictionary strings interned in row order — and the words a dense
-/// group id per row; a global aggregate skips that. Then each
-/// aggregate runs one typed loop over its argument column into its state
-/// column. Each group's key values are gathered from its first row, so
+/// fixed-width key words — the operate-on-compressed path; a string's word
+/// is its code — and the words a dense group id per row; a global
+/// aggregate skips that. Then each aggregate runs one typed loop over its
+/// argument column into its state column. Each group's key values are gathered from its first row, so
 /// merging partials in morsel order reproduces the serial scan's
 /// first-appearance group order.
 pub(crate) fn aggregate_morsel(
@@ -801,8 +770,6 @@ pub(crate) fn aggregate_morsel(
         state.resize(part.groups);
         part.bytes += state.slot_bytes() * part.groups as u64;
     }
-    // Out-of-dictionary strings intern per morsel, in row order.
-    let mut interners: Vec<StrInterner> = (0..nk).map(|_| StrInterner::default()).collect();
     let mut done = rows.start;
     loop {
         // Cancellation/deadline observed before every pass (and once for an
@@ -813,20 +780,14 @@ pub(crate) fn aggregate_morsel(
         if pass.is_empty() {
             return Ok(part);
         }
-        part.fold_rows(input, &pass, sink, &mut interners)?;
+        part.fold_rows(input, &pass, sink)?;
         done = pass.end;
     }
 }
 
 impl AggPartial {
     /// One pass of [`aggregate_morsel`]: fold rows `rows` of `input` in.
-    fn fold_rows(
-        &mut self,
-        input: &Batch,
-        rows: &Range<usize>,
-        sink: &AggSink<'_>,
-        interners: &mut [StrInterner],
-    ) -> Result<()> {
+    fn fold_rows(&mut self, input: &Batch, rows: &Range<usize>, sink: &AggSink<'_>) -> Result<()> {
         let nk = sink.group.len();
         let prev = self.groups;
         let mut gids: Option<Vec<u32>> = None;
@@ -836,7 +797,7 @@ impl AggPartial {
             let mut views: Vec<KeyCol<'_>> = cols.iter().map(|c| KeyCol::new(&c.values, None, rows.len())).collect();
             // Row (within the pass) each new group first appeared at.
             let mut first_rows: Vec<usize> = Vec::new();
-            gids = Some(group_ids(&mut views, &cols, rows.len(), &mut self.table, interners, &mut first_rows));
+            gids = Some(group_ids(&mut views, &cols, rows.len(), &mut self.table, &mut first_rows));
             self.groups += first_rows.len();
             for (key, col) in self.keys.iter_mut().zip(&cols) {
                 let at: Vec<usize> = first_rows.iter().map(|r| col.rows.start + r).collect();
@@ -873,7 +834,6 @@ fn group_ids(
     cols: &[MorselCol<'_>],
     n: usize,
     table: &mut GroupTable,
-    interners: &mut [StrInterner],
     first_rows: &mut Vec<usize>,
 ) -> Vec<u32> {
     let nk = views.len();
@@ -886,12 +846,10 @@ fn group_ids(
         gids.push(gid);
     };
     if let [view] = views {
-        let interner = &mut interners[0];
         view.for_each_word(cols[0].rows.clone(), |i, w| {
             let gid = match w {
-                KeyWord::Null => table.null_group(),
-                KeyWord::Word(w) => table.group_of_word(w),
-                KeyWord::Miss(s) => table.group_of_word(interner.intern(s)),
+                None => table.null_group(),
+                Some(w) => table.group_of_word(w),
             };
             note(i, gid);
         });
@@ -899,13 +857,11 @@ fn group_ids(
         let stride = table.stride();
         let mut words = vec![0u64; n * stride];
         for (c, (view, col)) in views.iter_mut().zip(cols).enumerate() {
-            let interner = &mut interners[c];
             view.for_each_word(col.rows.clone(), |i, w| {
                 let key = &mut words[i * stride..(i + 1) * stride];
                 match w {
-                    KeyWord::Null => key[nk + c / 64] |= 1 << (c % 64),
-                    KeyWord::Word(w) => key[c] = w,
-                    KeyWord::Miss(s) => key[c] = interner.intern(s),
+                    None => key[nk + c / 64] |= 1 << (c % 64),
+                    Some(w) => key[c] = w,
                 }
             });
         }
@@ -916,60 +872,15 @@ fn group_ids(
     gids
 }
 
-/// Re-codes one string key column's words from a partial's domain — its
-/// pool's dictionary codes and its morsel-local intern codes — into the
-/// accumulator's. Keyed on pool identity: a partial over the accumulator's
-/// dictionary keeps its dictionary words.
-struct StrRecode<'p> {
-    col: usize,
-    /// The partial's dictionary words are the accumulator's already.
-    same_domain: bool,
-    /// Each group's string, from the partial's first-row key column.
-    strs: &'p StrColumn,
-    /// Accumulator word per morsel-local code, 0 = not yet translated (no
-    /// key word of a local string is 0), so a string is hashed once per
-    /// partial.
-    local: Vec<u64>,
-}
-
-impl StrRecode<'_> {
-    fn recode(&mut self, key: &mut [u64], g: usize, domain: &Option<StrDomain>, interner: &mut StrInterner) {
-        let word = key[self.col];
-        let is_local = word >= LOCAL_STR_BASE;
-        // A NULL component's word is zeroed and stays so.
-        let Some(s) = self.strs.arc(g) else { return };
-        if !is_local && self.same_domain {
-            return;
-        }
-        let mut ours = || match domain.as_ref().and_then(|d| d.code_of(s)) {
-            Some(code) => u64::from(code),
-            None => interner.intern(s),
-        };
-        key[self.col] = if is_local {
-            let at = (word - LOCAL_STR_BASE) as usize;
-            if self.local.len() <= at {
-                self.local.resize(at + 1, 0);
-            }
-            if self.local[at] == 0 {
-                self.local[at] = ours();
-            }
-            self.local[at]
-        } else {
-            ours()
-        };
-    }
-}
-
 /// The aggregate pipeline breaker's fold side: merges per-morsel
 /// [`AggPartial`]s in morsel-index order, keeping groups in global
 /// first-appearance order, then finishes into the output batch. Runs only
 /// on the folding thread, so it needs no synchronization.
 pub(crate) struct AggAccumulator {
-    /// Key words per group, string words in this accumulator's domain:
-    /// flat codes of `domains`, else codes of `interners`.
+    /// Number of group keys.
+    nk: usize,
+    /// Key words per group; a string word is its code in `keys`' pool.
     table: GroupTable,
-    domains: Vec<Option<StrDomain>>,
-    interners: Vec<StrInterner>,
     keys: Vec<ColumnValues>,
     states: Vec<StateCol>,
     groups: usize,
@@ -983,9 +894,8 @@ impl AggAccumulator {
     /// An empty accumulator for `nk` group keys.
     pub(crate) fn new(nk: usize) -> AggAccumulator {
         AggAccumulator {
+            nk,
             table: GroupTable::new(nk),
-            domains: vec![None; nk],
-            interners: (0..nk).map(|_| StrInterner::default()).collect(),
             keys: Vec::new(),
             states: Vec::new(),
             groups: 0,
@@ -998,13 +908,12 @@ impl AggAccumulator {
     /// morsel-index order for deterministic group order. Groups are probed
     /// on their key words; state columns add element-wise.
     pub(crate) fn merge(&mut self, partial: AggPartial) -> Result<()> {
-        let nk = self.interners.len();
         let prev = self.groups;
         // `map[g]`: this accumulator's group for the partial's group `g`;
         // `fresh`: the partial's groups that are new here, in order.
         let mut map: Vec<u32> = Vec::new();
         let mut fresh: Vec<usize> = Vec::new();
-        if nk == 0 {
+        if self.nk == 0 {
             // One group, adopted with the first partial.
             self.groups = 1;
             if prev > 0 {
@@ -1013,20 +922,15 @@ impl AggAccumulator {
         } else {
             map.reserve(partial.groups);
             self.keyed_rows += partial.rows;
-            if prev == 0 {
-                // The first groups fix the string code domain.
-                self.domains = partial.keys.iter().map(|k| str_domain(k).cloned()).collect();
-            }
-            let mut recodes: Vec<StrRecode<'_>> = Vec::new();
-            for (col, key) in partial.keys.iter().enumerate() {
-                if let ColumnValues::Str(strs) = key {
-                    let same_domain = self.domains[col].as_ref().is_some_and(|d| Arc::ptr_eq(d, strs.pool().dict()));
-                    recodes.push(StrRecode {
-                        col,
-                        same_domain,
-                        strs,
-                        local: Vec::new(),
-                    });
+            // Each string key column whose group codes are not this
+            // accumulator's key column's codes already (the first partial's
+            // are), with theirs re-coded: what appending the groups gives.
+            let mut ours: Vec<(usize, Vec<u32>)> = Vec::new();
+            for (col, (dst, src)) in self.keys.iter_mut().zip(&partial.keys).enumerate() {
+                if let (ColumnValues::Str(dst), ColumnValues::Str(src)) = (dst, src) {
+                    if let Cow::Owned(codes) = dst.codes_of(src) {
+                        ours.push((col, codes));
+                    }
                 }
             }
             let mut key = vec![0u64; self.table.stride()];
@@ -1035,8 +939,11 @@ impl AggAccumulator {
                     None => self.table.null_group(),
                     Some(theirs) => {
                         key.copy_from_slice(theirs);
-                        for r in &mut recodes {
-                            r.recode(&mut key, g, &self.domains[r.col], &mut self.interners[r.col]);
+                        for (col, codes) in &ours {
+                            // A NULL component's word is zeroed and stays so.
+                            if codes[g] != NULL_CODE {
+                                key[*col] = u64::from(codes[g]);
+                            }
                         }
                         match key[..] {
                             [word] => self.table.group_of_word(word),
@@ -1077,7 +984,7 @@ impl AggAccumulator {
     /// aggregate builds `Datum`s. Key columns are of their output types
     /// already: each has its input column's.
     pub(crate) fn finish(self, aggs: &[AggExpr], out_schema: Schema) -> Result<Batch> {
-        let nk = self.interners.len();
+        let nk = self.nk;
         let (mut keys, mut states) = (self.keys, self.states);
         if self.groups == 0 {
             // No morsel held a row.
@@ -1518,6 +1425,63 @@ mod tests {
         }
     }
 
+    /// Partials over batches of different pools — none, a dictionary with
+    /// local values, another dictionary — merge by value: one group per
+    /// key, NULL components included, whatever codes each pool gave it.
+    #[test]
+    fn partials_of_different_pools_merge_by_value() {
+        use dash_encoding::dict::FreqDict;
+        use dash_encoding::histogram::Histogram;
+        let schema = Schema::new(vec![Field::new("region", DataType::Utf8), Field::new("n", DataType::Int64)]).unwrap();
+        let rows = |vals: &[(Option<&str>, Option<i64>)]| -> Vec<Row> {
+            vals.iter().map(|&(s, n)| Row::new(vec![s.map_or(Datum::Null, Datum::from), n.map_or(Datum::Null, Datum::Int)])).collect()
+        };
+        let over = |dict: &[&str], rows: &[Row]| -> Batch {
+            let b = Batch::from_rows(schema.clone(), rows).unwrap();
+            let arcs: Vec<Arc<str>> = dict.iter().map(|&s| Arc::from(s)).collect();
+            let dict = Arc::new(FreqDict::build(&Histogram::from_values(arcs.iter().map(Some))));
+            let mut columns = b.into_columns();
+            if let ColumnValues::Str(v) = &columns[0] {
+                columns[0] = ColumnValues::Str(v.repool(dict));
+            }
+            Batch::new(schema.clone(), columns).unwrap()
+        };
+        let parts = [
+            over(&[], &rows(&[(Some("east"), Some(1)), (None, Some(1)), (Some("west"), None), (Some("east"), Some(1))])),
+            over(&["west", "north"], &rows(&[(Some("east"), Some(1)), (Some("north"), Some(2)), (Some("west"), None), (None, Some(1))])),
+            over(&["north", "east"], &rows(&[(Some("south"), Some(3)), (Some("east"), Some(1)), (Some("north"), Some(2)), (None, None)])),
+            over(&[], &rows(&[(Some("south"), Some(3)), (Some("west"), None), (Some("x"), Some(9))])),
+        ];
+        let aggs = vec![AggExpr { func: AggFunc::CountStar, args: vec![], distinct: false, arg_types: vec![] }];
+        let out = Schema::new(vec![
+            Field::new("region", DataType::Utf8),
+            Field::new("n", DataType::Int64),
+            Field::new("c", DataType::Int64),
+        ])
+        .unwrap();
+        for group in [&[0][..], &[0, 1]] {
+            let keys = &out.fields()[..group.len()];
+            let schema = Schema::new(keys.iter().cloned().chain([out.fields()[2].clone()]).collect()).unwrap();
+            let sink = AggSink { group, aggs: &aggs, schema: &schema };
+            let mut acc = AggAccumulator::new(group.len());
+            for b in &parts {
+                acc.merge(aggregate_morsel(b, 0..b.len(), &sink, &ctx()).unwrap()).unwrap();
+            }
+            let merged = acc.finish(&aggs, schema.clone()).unwrap().to_rows();
+            let all: Vec<Row> = parts.iter().flat_map(Batch::to_rows).collect();
+            let mut expect: Vec<(Vec<Datum>, i64)> = Vec::new();
+            for r in &all {
+                let key: Vec<Datum> = group.iter().map(|&c| r.get(c).clone()).collect();
+                match expect.iter_mut().find(|(k, _)| *k == key) {
+                    Some((_, n)) => *n += 1,
+                    None => expect.push((key, 1)),
+                }
+            }
+            let expect: Vec<Row> = expect.into_iter().map(|(k, n)| Row::new([k, vec![Datum::Int(n)]].concat())).collect();
+            assert_eq!(merged, expect, "group by {group:?}");
+        }
+    }
+
     #[test]
     fn partial_merge_moments_match_welford() {
         // Chan's merge formulas must reproduce the serial Welford result.
@@ -1604,7 +1568,7 @@ mod tests {
         // DISTINCT states refuse to merge: the pipeline feeds them one partial.
         let distinct = || StateCol::Distinct {
             seen: FxHashSet::default(),
-            domain: None,
+            pool: None,
             inner: Box::new(sum(0)),
         };
         assert!(matches!(distinct().merge(distinct(), &[0]).unwrap_err(), DashError::Internal(_)));

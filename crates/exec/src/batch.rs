@@ -347,7 +347,8 @@ mod tests {
     #[test]
     fn approx_bytes_scales_with_rows() {
         let small = Batch::from_rows(schema(), &[row![1i64, "a"]]).unwrap();
-        let rows: Vec<Row> = (0..100).map(|i| row![i as i64, "x".repeat(50)]).collect();
+        // Distinct values: a pool holds a repeated one once.
+        let rows: Vec<Row> = (0..100).map(|i| row![i as i64, format!("{i:050}")]).collect();
         let big = Batch::from_rows(schema(), &rows).unwrap();
         assert!(big.approx_bytes() > small.approx_bytes() * 50);
     }

@@ -11,21 +11,21 @@
 //! through it one morsel at a time. NULL keys never match (SQL semantics).
 //!
 //! There is one key path: every key column reduces to a fixed-width `u64`
-//! word (ordered-int bits, canonical ordered-float bits, or flat dictionary
-//! codes; a pair of different domains is lifted into its common one — see
+//! word (ordered-int bits, canonical ordered-float bits, or string codes;
+//! a pair of different domains is lifted into its common one — see
 //! [`crate::key`]), and partitioning, building and probing touch only those
 //! words. A partition is a [`GroupTable`] (key words → dense key id) plus
 //! each key's build rows in CSR form; the probe looks a key up without
-//! inserting and reads a slice. Strings outside the build side's dictionary
-//! resolve through a deterministic per-partition interner built from
-//! build-side rows.
+//! inserting and reads a slice. A string key's words are codes of the build
+//! column's pool, which holds each value once; a probe string that pool
+//! lacks has no match and is emitted as a NULL key is.
 //!
 //! The probe emits `(probe row, build row)` index pairs per morsel; payload
 //! columns materialize **late**, gathered column-at-a-time only for rows
 //! that survived the probe — a string column as codes into its own pool.
 
 use crate::batch::Batch;
-use crate::key::{route_hash, GroupTable, KeyCol, KeyMode, StrDomain, StrInterner, STR_MISS};
+use crate::key::{route_hash, GroupTable, KeyCol, KeyMode};
 use crate::pool;
 use crate::stats::ExecStats;
 use dash_common::{BudgetLease, DashError, Result, Schema, StatementContext};
@@ -172,7 +172,7 @@ fn partition_encoded<'a>(
                     None => continue 'row,
                 }
             }
-            let p = (route_hash(&cols, &words, i) & mask) as usize;
+            let p = (route_hash(&words) & mask) as usize;
             local[p].0.push(i as u32);
             local[p].1.extend_from_slice(&words);
         }
@@ -195,26 +195,15 @@ struct Partition {
     /// Key `k`'s build rows, ascending, are `rows[offsets[k]..offsets[k + 1]]`.
     offsets: Vec<u32>,
     rows: Vec<u32>,
-    /// Per key column, the build side's out-of-dictionary strings (probe
-    /// strings only *look up*; a miss is provably unmatched).
-    interners: Vec<StrInterner>,
 }
 
 impl Partition {
-    /// Freeze one partition's `rows` (ascending) and their key `words`.
-    /// [`STR_MISS`] words resolve by interning the raw strings in build row
-    /// order, so the local code assignment is deterministic.
-    fn freeze(rows: Vec<u32>, mut words: Vec<u64>, cols: &[KeyCol<'_>]) -> Partition {
-        let nk = cols.len();
+    /// Freeze one partition's `rows` (ascending) and their `nk` key words
+    /// each.
+    fn freeze(rows: Vec<u32>, words: Vec<u64>, nk: usize) -> Partition {
         let mut table = GroupTable::without_nulls(nk);
-        let mut interners: Vec<StrInterner> = (0..nk).map(|_| StrInterner::default()).collect();
         let mut key_of_row = Vec::with_capacity(rows.len());
-        for (&r, key) in rows.iter().zip(words.chunks_exact_mut(nk)) {
-            for (c, w) in key.iter_mut().enumerate() {
-                if *w == STR_MISS && cols[c].is_str() {
-                    *w = interners[c].intern(cols[c].str_at(r as usize));
-                }
-            }
+        for key in words.chunks_exact(nk) {
             key_of_row.push(match key[..] {
                 [word] => table.group_of_word(word),
                 _ => table.group_of(key),
@@ -239,15 +228,12 @@ impl Partition {
             table,
             offsets,
             rows: by_key,
-            interners,
         }
     }
 
     /// Heap bytes the frozen partition holds.
     fn bytes(&self) -> u64 {
-        self.table.bytes()
-            + ((self.offsets.len() + self.rows.len()) * 4) as u64
-            + self.interners.iter().map(StrInterner::bytes).sum::<u64>()
+        self.table.bytes() + ((self.offsets.len() + self.rows.len()) * 4) as u64
     }
 }
 
@@ -328,10 +314,6 @@ pub(crate) struct JoinBuild<'b> {
     out_schema: Schema,
     mask: u64,
     partitions: Vec<Partition>,
-    /// The fixed code domain per string key column — the dictionary of
-    /// the build column's pool. A probe column over another dictionary
-    /// translates its codes into it, once per code.
-    domains: Vec<Option<StrDomain>>,
     /// Budget charged for the frozen tables and an owned build batch;
     /// released when the build drops at pipeline end.
     _lease: BudgetLease,
@@ -368,21 +350,14 @@ impl<'b> JoinBuild<'b> {
             // borrowed one is its caller's.
             charge(&mut lease, b.approx_bytes(), stats)?;
         }
-        // The build side owns the code domain: its pool's dictionary
-        // becomes the domain every probe morsel's words are in.
-        let domains: Vec<Option<StrDomain>> = on
-            .iter()
-            .map(|&(_, r)| match build.column(r) {
-                ColumnValues::Str(v) => Some(v.pool().dict().clone()),
-                _ => None,
-            })
-            .collect();
+        // The build side owns the code domain: a string key's words are
+        // its build column's codes, which every probe morsel's are
+        // translated into.
         let key_cols = || -> Vec<KeyCol<'_>> {
             on.iter()
-                .zip(&domains)
-                .map(|(&(l, r), d)| {
+                .map(|&(l, r)| {
                     let (own, other) = (build.schema().field(r).data_type, probe_schema.field(l).data_type);
-                    KeyCol::for_pair(build.column(r), own, other, d.as_ref(), build.len())
+                    KeyCol::for_pair(build.column(r), own, other, None, build.len())
                 })
                 .collect()
         };
@@ -392,10 +367,8 @@ impl<'b> JoinBuild<'b> {
         let mut scratch = BudgetLease::new(stmt);
         let scratch_bytes = coded.iter().map(|(rows, words)| (rows.len() * 4 + words.len() * 8) as u64).sum();
         charge(&mut scratch, scratch_bytes, stats)?;
-        let partitions: Vec<Partition> = {
-            let cols = key_cols();
-            coded.into_iter().map(|(rows, words)| Partition::freeze(rows, words, &cols)).collect()
-        };
+        let partitions: Vec<Partition> =
+            coded.into_iter().map(|(rows, words)| Partition::freeze(rows, words, on.len())).collect();
         charge(&mut lease, partitions.iter().map(Partition::bytes).sum(), stats)?;
         stats.encoded_key_rows += build.len() as u64;
         stats.rows_partitioned += partitions.iter().map(|p| p.rows.len() as u64).sum::<u64>();
@@ -406,7 +379,6 @@ impl<'b> JoinBuild<'b> {
             out_schema,
             mask,
             partitions,
-            domains,
             _lease: lease,
         })
     }
@@ -456,12 +428,17 @@ impl<'b> JoinBuild<'b> {
         }
         stats.encoded_key_rows += rows.len() as u64;
         let mut cols = Vec::with_capacity(self.on.len());
-        for (&(l, r), domain) in self.on.iter().zip(&self.domains) {
+        for &(l, r) in &self.on {
             let (own, other) = (probe.schema().field(l).data_type, self.build.schema().field(r).data_type);
-            let col = KeyCol::for_pair(probe.column(l), own, other, domain.as_ref(), rows.len());
-            if col.is_translated() {
+            // A string key's domain is the build column's pool.
+            let domain = match self.build.column(r) {
+                ColumnValues::Str(v) => Some(&**v.pool()),
+                _ => None,
+            };
+            let col = KeyCol::for_pair(probe.column(l), own, other, domain, rows.len());
+            if col.crosses_dictionaries() {
                 // The morsel's pool is over another dictionary; its codes
-                // translate into the build-side domain, once per code.
+                // translate into the build column's pool, once per code.
                 stats.keys_reencoded_rows += rows.len() as u64;
             }
             cols.push(col);
@@ -478,21 +455,8 @@ impl<'b> JoinBuild<'b> {
                     }
                 }
             }
-            let part = &self.partitions[(route_hash(&cols, &words, li) & self.mask) as usize];
-            let mut resolved = true;
-            for (c, w) in words.iter_mut().enumerate() {
-                if *w == STR_MISS && cols[c].is_str() {
-                    match part.interners[c].lookup(cols[c].str_at(li)) {
-                        Some(code) => *w = code,
-                        None => {
-                            resolved = false;
-                            break;
-                        }
-                    }
-                }
-            }
+            let part = &self.partitions[(route_hash(&words) & self.mask) as usize];
             let key = match words[..] {
-                _ if !resolved => None,
                 [word] => part.table.find_word(word),
                 _ => part.table.find(&words),
             };
@@ -809,15 +773,26 @@ mod tests {
         assert_eq!(out.len(), 2, "-0.0 matches +0.0; NaN matches NaN");
     }
 
+    /// String keys of pools without a dictionary: the build side keys on
+    /// its codes, the probe side's translate into its pool, and a probe
+    /// value that pool lacks is unmatched under every join type.
     #[test]
-    fn str_keys_without_dictionary_use_interner() {
-        let out = join_checked(
-            &customers().project(&[1, 0]),
-            &customers(),
-            &[(0, 1)],
-            JoinType::Inner,
-        );
+    fn str_keys_without_dictionary_join_on_codes() {
+        let out = join_checked(&customers().project(&[1, 0]), &customers(), &[(0, 1)], JoinType::Inner);
         assert_eq!(out.len(), 3);
+        let schema = Schema::new(vec![Field::new("name", DataType::Utf8)]).unwrap();
+        let probe = Batch::from_rows(
+            schema,
+            &[row!["bob"], row!["dave"], row![Datum::Null], row!["alice"], row!["dave"], row![""]],
+        )
+        .unwrap();
+        for (jt, rows) in [(JoinType::Inner, 2), (JoinType::Left, 6), (JoinType::Semi, 2), (JoinType::Anti, 4)] {
+            assert_eq!(join_checked(&probe, &customers(), &[(0, 1)], jt).len(), rows, "{jt:?}");
+            for split in [1, 4] {
+                let piped = probe_in_morsels(&probe, &customers(), &[(0, 1)], jt, split);
+                assert_eq!(piped.to_rows(), nested_loop(&probe, &customers(), &[(0, 1)], jt), "{jt:?}/split={split}");
+            }
+        }
     }
 
     /// Probe `l` against a frozen build of `r` in `split`-row morsels and

@@ -11,20 +11,19 @@
 //! - Float keys become [`dash_encoding::order::f64_to_ordered`] words with
 //!   NaN canonicalized first, so key identity matches SQL equality
 //!   (`-0.0 = 0.0`, NaN groups with NaN).
-//! - A string key's word is its pool's word for its code
-//!   ([`StrPool::word`]): the flat code of a value of the pool's
-//!   dictionary, read from the code with no string touched. A value outside
-//!   the domain's dictionary gets the [`STR_MISS`] sentinel and is interned
-//!   per partition (see [`StrInterner`]).
+//! - A string key's word is its code in a pool the keyed operator owns: a
+//!   pool holds each value once, so the code is the value's identity. An
+//!   aggregate keys on its morsel column's own codes.
 //!
-//! A join has one code domain per string key: the build side's dictionary.
-//! A probe column whose pool is over a different dictionary translates each
-//! distinct code into it once ([`Translate`]; its rows are counted in
-//! `ExecStats::keys_reencoded_rows`) — the re-encode rule. A
-//! join pair whose two columns occupy different domains is *lifted* into
-//! the pair's common one ([`KeyCol::for_pair`]): numerics compare as `f64`,
-//! `DATE` beside `TIMESTAMP` as microseconds, and a pair that is not
-//! comparable never matches — so every pair of every join yields words.
+//! A join has one code domain per string key: the build column's pool. A
+//! probe column of another pool translates each distinct code into it once
+//! ([`Translate`]), and a value the build pool lacks reads as unmatched —
+//! the re-encode rule; probe rows whose pool is over another dictionary are
+//! counted in `ExecStats::keys_reencoded_rows`. A join pair whose two
+//! columns occupy different domains is *lifted* into the pair's common one
+//! ([`KeyCol::for_pair`]): numerics compare as `f64`, `DATE` beside
+//! `TIMESTAMP` as microseconds, and a pair that is not comparable never
+//! matches — so every pair of every join yields words.
 //!
 //! [`GroupTable`] is the one word-keyed table: a join's build partitions,
 //! the per-morsel grouping pass and the accumulator's merge all probe one.
@@ -34,29 +33,14 @@
 
 use std::hash::{Hash, Hasher};
 use std::ops::Range;
-use std::sync::Arc;
 
-use dash_common::fxhash::{FxHashMap, FxHasher};
 use dash_common::date::date_to_timestamp_micros;
+use dash_common::fxhash::FxHasher;
 use dash_common::types::DataType;
 use dash_common::Schema;
 use dash_encoding::column::ColumnValues;
-use dash_encoding::strs::{SharedDict, StrPool, MISS_WORD, NULL_CODE};
 use dash_encoding::order::{f64_to_ordered, i64_to_ordered};
-
-/// Sentinel key word for a string value absent from the domain's dictionary.
-///
-/// Flat dictionary codes are below 2^32, and local intern codes live in
-/// `[LOCAL_STR_BASE, u64::MAX)`, so the sentinel collides with neither.
-/// Rows carrying it are routed by hashing the raw string bytes and resolved
-/// through a per-partition [`StrInterner`].
-pub(crate) const STR_MISS: u64 = MISS_WORD;
-
-/// Base for per-partition local string codes handed out by [`StrInterner`].
-///
-/// Flat dictionary codes are below 2^32, so codes at or above `1 << 63` can
-/// never collide with them.
-pub(crate) const LOCAL_STR_BASE: u64 = 1 << 63;
+use dash_encoding::strs::{StrPool, NULL_CODE};
 
 /// What `EXPLAIN` says about a join's or aggregate's keys (`keys=`).
 ///
@@ -129,29 +113,20 @@ impl KeyMode {
     }
 }
 
-/// A string key column's code domain: the dictionary whose flat codes its
-/// words are.
-pub(crate) type StrDomain = SharedDict;
-
 /// One key column viewed through the encoded path.
 ///
-/// Borrows the column storage. A string column's words are in a domain —
-/// for a join the build side's dictionary, which may differ from the
-/// dictionary of the column's own pool (the re-encode rule). A view lives
-/// for one morsel on one worker.
+/// Borrows the column storage. A string column's words are codes of a
+/// pool — for a join the build column's, which the probe column's codes
+/// may have to be translated into (the re-encode rule). A view lives for
+/// one morsel on one worker.
 pub(crate) enum KeyCol<'a> {
     /// Integer-family values: word = `i64_to_ordered(v)`.
     Int(&'a [Option<i64>]),
     /// Float values: word = `f64_to_ordered` of the canonicalized value.
     Float(&'a [Option<f64>]),
-    /// String codes: word = `pool.word(code)` when the pool is over the
-    /// domain's dictionary, else the code's value translated into it, once
-    /// per code; [`STR_MISS`] outside the dictionary.
-    Str {
-        codes: &'a [u32],
-        pool: &'a StrPool,
-        translate: Option<Translate<'a>>,
-    },
+    /// String codes: word = the code, or its value's code in the domain's
+    /// pool, once per code; a value the domain lacks reads as NULL.
+    Str { codes: &'a [u32], translate: Option<Translate<'a>> },
     /// Integer-family values of a cross-domain join pair, lifted into the
     /// pair's common domain.
     Lifted(&'a [Option<i64>], Lift),
@@ -181,17 +156,6 @@ impl Lift {
     }
 }
 
-/// One row's key in one [`KeyCol`], as [`KeyCol::for_each_word`] hands it
-/// out: the sentinel check is already made, against the column's kind.
-pub(crate) enum KeyWord<'a> {
-    /// SQL NULL.
-    Null,
-    /// The key word.
-    Word(u64),
-    /// A string absent from the dictionary: the caller interns it.
-    Miss(&'a Arc<str>),
-}
-
 /// Canonical `u64` key word for a float key.
 ///
 /// All NaN payloads fold onto one word and `-0.0` folds onto `+0.0`
@@ -206,62 +170,63 @@ pub(crate) fn f64_key_word(v: f64) -> u64 {
     }
 }
 
-/// The words of one pool's codes in another dictionary's domain, each code
-/// translated once: a direct-mapped memo on the code, with a slot for every
-/// code when the pool has no more codes than the view has rows.
+/// The codes of one pool's values in another pool, each code translated
+/// once: a direct-mapped memo on the code, with a slot for every code when
+/// the pool has no more codes than the view has rows. A dictionary code
+/// of a pool over the other's dictionary is its own translation.
 pub(crate) struct Translate<'a> {
-    into: &'a StrDomain,
-    /// `(code, word)`; [`NULL_CODE`] marks a free slot.
-    memo: Vec<(u32, u64)>,
+    from: &'a StrPool,
+    into: &'a StrPool,
+    /// Codes below this are the same values in both pools.
+    shared: u32,
+    /// `(code, code in into)`; [`NULL_CODE`] marks a free slot, or a value
+    /// `into` lacks.
+    memo: Vec<(u32, u32)>,
 }
 
 impl<'a> Translate<'a> {
-    fn new(into: &'a StrDomain, pool: &StrPool, rows: usize) -> Translate<'a> {
-        let slots = rows.min(pool.len()).max(1).next_power_of_two();
-        Translate { into, memo: vec![(NULL_CODE, 0); slots] }
+    fn new(from: &'a StrPool, into: &'a StrPool, rows: usize) -> Translate<'a> {
+        let shared = if from.same_domain(into) { into.dict().len() as u32 } else { 0 };
+        let slots = rows.min(from.len()).max(1).next_power_of_two();
+        Translate { from, into, shared, memo: vec![(NULL_CODE, NULL_CODE); slots] }
     }
 
-    /// The domain's word for `code` of `pool`.
+    /// The code in `into` of `code`'s value, `None` when it has none.
     #[inline]
-    fn word(&mut self, pool: &StrPool, code: u32) -> u64 {
+    fn code(&mut self, code: u32) -> Option<u32> {
+        if code < self.shared {
+            return Some(code);
+        }
         let mask = self.memo.len() - 1;
         let slot = &mut self.memo[code as usize & mask];
         if slot.0 != code {
-            let word = self.into.code_of(pool.value(code)).map_or(STR_MISS, u64::from);
-            *slot = (code, word);
+            *slot = (code, self.into.code_of(self.from.value(code)).unwrap_or(NULL_CODE));
         }
-        slot.1
-    }
-}
-
-#[inline]
-fn str_word(pool: &StrPool, translate: &mut Option<Translate<'_>>, code: u32) -> u64 {
-    match translate {
-        None => pool.word(code),
-        Some(t) => t.word(pool, code),
+        (slot.1 != NULL_CODE).then_some(slot.1)
     }
 }
 
 impl<'a> KeyCol<'a> {
     /// A key column view over `values`, for `rows` of its rows. A string
-    /// column's words are in `domain` when given (translated per code when
-    /// its pool is over another dictionary), else in its pool's own.
-    pub(crate) fn new(values: &'a ColumnValues, domain: Option<&'a StrDomain>, rows: usize) -> KeyCol<'a> {
+    /// column's words are codes of `domain` when given (translated per code
+    /// unless its own codes are that pool's), else of its own pool.
+    pub(crate) fn new(values: &'a ColumnValues, domain: Option<&'a StrPool>, rows: usize) -> KeyCol<'a> {
         match values {
             ColumnValues::Int(v) => KeyCol::Int(v),
             ColumnValues::Float(v) => KeyCol::Float(v),
             ColumnValues::Str(v) => {
                 let pool = &**v.pool();
-                let translate = domain.filter(|d| !Arc::ptr_eq(d, pool.dict())).map(|d| Translate::new(d, pool, rows));
-                KeyCol::Str { codes: v.codes(), pool, translate }
+                let own = |d: &StrPool| std::ptr::eq(d, pool) || (d.same_domain(pool) && !pool.has_local());
+                let translate = domain.filter(|d| !own(d)).map(|d| Translate::new(pool, d, rows));
+                KeyCol::Str { codes: v.codes(), translate }
             }
         }
     }
 
-    /// Whether this string column's words are translated into a domain
-    /// other than its pool's dictionary.
-    pub(crate) fn is_translated(&self) -> bool {
-        matches!(self, KeyCol::Str { translate: Some(t), .. } if !t.into.is_empty())
+    /// Whether this string column's words are translated from a pool over
+    /// another dictionary than its domain's.
+    pub(crate) fn crosses_dictionaries(&self) -> bool {
+        matches!(self, KeyCol::Str { translate: Some(t), .. } if !t.from.same_domain(t.into) && !t.into.dict().is_empty())
     }
 
     /// One side of a join pair: `values` holds `own`-typed keys that meet
@@ -273,7 +238,7 @@ impl<'a> KeyCol<'a> {
         values: &'a ColumnValues,
         own: DataType,
         other: DataType,
-        domain: Option<&'a StrDomain>,
+        domain: Option<&'a StrPool>,
         rows: usize,
     ) -> KeyCol<'a> {
         if key_domain(own) == key_domain(other) {
@@ -292,134 +257,51 @@ impl<'a> KeyCol<'a> {
         }
     }
 
-    /// The key word for `row`, or `None` when the value is NULL.
+    /// The key word for `row`, or `None` when the value is NULL (or, once
+    /// translated, absent from the domain).
     #[inline]
     pub fn word(&mut self, row: usize) -> Option<u64> {
         match self {
             KeyCol::Int(v) => v[row].map(i64_to_ordered),
             KeyCol::Float(v) => v[row].map(f64_key_word),
-            KeyCol::Str { codes, pool, translate } => match codes[row] {
-                NULL_CODE => None,
-                code => Some(str_word(pool, translate, code)),
-            },
+            KeyCol::Str { codes, translate } => str_word(translate, codes[row]),
             KeyCol::Lifted(v, lift) => v[row].map(|x| lift.word(x)),
             KeyCol::Never => None,
         }
     }
 
-    /// The key of each of `rows` in order, as `f(index within rows, key)` —
-    /// one typed loop per column, the kind matched once.
+    /// The key of each of `rows` in order, as `f(index within rows, word)`
+    /// with `None` where [`KeyCol::word`] has it — one typed loop per
+    /// column, the kind matched once.
     #[inline]
-    pub fn for_each_word(&mut self, rows: Range<usize>, mut f: impl FnMut(usize, KeyWord<'a>)) {
+    pub fn for_each_word(&mut self, rows: Range<usize>, mut f: impl FnMut(usize, Option<u64>)) {
         match self {
-            KeyCol::Int(v) => {
-                for (i, x) in v[rows].iter().enumerate() {
-                    f(i, x.map_or(KeyWord::Null, |x| KeyWord::Word(i64_to_ordered(x))));
-                }
+            KeyCol::Int(v) => v[rows].iter().enumerate().for_each(|(i, x)| f(i, x.map(i64_to_ordered))),
+            KeyCol::Float(v) => v[rows].iter().enumerate().for_each(|(i, x)| f(i, x.map(f64_key_word))),
+            KeyCol::Str { codes, translate } => {
+                codes[rows].iter().enumerate().for_each(|(i, &code)| f(i, str_word(translate, code)))
             }
-            KeyCol::Float(v) => {
-                for (i, x) in v[rows].iter().enumerate() {
-                    f(i, x.map_or(KeyWord::Null, |x| KeyWord::Word(f64_key_word(x))));
-                }
-            }
-            KeyCol::Str { codes, pool, translate } => {
-                let pool: &'a StrPool = pool;
-                for (i, &code) in codes[rows].iter().enumerate() {
-                    f(
-                        i,
-                        match code {
-                            NULL_CODE => KeyWord::Null,
-                            code => match str_word(pool, translate, code) {
-                                STR_MISS => KeyWord::Miss(pool.arc(code)),
-                                word => KeyWord::Word(word),
-                            },
-                        },
-                    );
-                }
-            }
-            KeyCol::Lifted(v, lift) => {
-                for (i, x) in v[rows].iter().enumerate() {
-                    f(i, x.map_or(KeyWord::Null, |x| KeyWord::Word(lift.word(x))));
-                }
-            }
-            KeyCol::Never => (0..rows.len()).for_each(|i| f(i, KeyWord::Null)),
+            KeyCol::Lifted(v, lift) => v[rows].iter().enumerate().for_each(|(i, x)| f(i, x.map(|x| lift.word(x)))),
+            KeyCol::Never => (0..rows.len()).for_each(|i| f(i, None)),
         }
     }
+}
 
-    /// Whether this key column is a string column — the only kind whose
-    /// words can carry the [`STR_MISS`] sentinel. Int keys legitimately
-    /// produce the word `u64::MAX` (`i64::MAX` ordered), so every sentinel
-    /// check must be gated on the column kind, not the word alone.
-    #[inline]
-    pub fn is_str(&self) -> bool {
-        matches!(self, KeyCol::Str { .. })
-    }
-
-    /// The raw string at `row`; only valid for `Str` columns on non-NULL rows.
-    #[inline]
-    pub fn str_at(&self, row: usize) -> &Arc<str> {
-        match self {
-            KeyCol::Str { codes, pool, .. } => {
-                debug_assert_ne!(codes[row], NULL_CODE, "str_at on NULL key");
-                pool.arc(codes[row])
-            }
-            _ => unreachable!("str_at on non-string key column"),
-        }
+#[inline]
+fn str_word(translate: &mut Option<Translate<'_>>, code: u32) -> Option<u64> {
+    match (code, translate) {
+        (NULL_CODE, _) => None,
+        (code, None) => Some(u64::from(code)),
+        (code, Some(t)) => t.code(code).map(u64::from),
     }
 }
 
 /// Deterministic partition-routing hash over one row's key words.
-///
-/// [`STR_MISS`] words hash the raw string bytes instead of the sentinel so
-/// equal out-of-dictionary strings still land in the same partition
-/// regardless of which side (or worker) sees them.
 #[inline]
-pub(crate) fn route_hash(cols: &[KeyCol<'_>], words: &[u64], row: usize) -> u64 {
+pub(crate) fn route_hash(words: &[u64]) -> u64 {
     let mut h = FxHasher::default();
-    for (c, &w) in cols.iter().zip(words) {
-        if w == STR_MISS && c.is_str() {
-            c.str_at(row).as_bytes().hash(&mut h);
-        } else {
-            w.hash(&mut h);
-        }
-    }
+    words.iter().for_each(|w| w.hash(&mut h));
     h.finish()
-}
-
-/// Per-partition interner resolving [`STR_MISS`] words to local codes.
-///
-/// Built from **build-side rows in row order only**, so the code assignment
-/// is deterministic and independent of thread timing. A probe-side string
-/// missing from the interner provably has no build match (it is neither in
-/// the shared dictionary nor among the build side's out-of-dictionary
-/// strings).
-#[derive(Default)]
-pub(crate) struct StrInterner {
-    map: FxHashMap<Arc<str>, u64>,
-}
-
-impl StrInterner {
-    /// Code for `s`, allocating the next local code on first sight.
-    #[inline]
-    pub fn intern(&mut self, s: &Arc<str>) -> u64 {
-        if let Some(&code) = self.map.get(s.as_ref() as &str) {
-            return code;
-        }
-        let code = LOCAL_STR_BASE + self.map.len() as u64;
-        self.map.insert(s.clone(), code);
-        code
-    }
-
-    /// Code for `s` if it was interned; `None` means provably unmatched.
-    #[inline]
-    pub fn lookup(&self, s: &Arc<str>) -> Option<u64> {
-        self.map.get(s.as_ref() as &str).copied()
-    }
-
-    /// Heap bytes held by the map (the strings are the batch's own).
-    pub fn bytes(&self) -> u64 {
-        (self.map.capacity() * (std::mem::size_of::<(Arc<str>, u64)>() + 1)) as u64
-    }
 }
 
 /// A word-keyed group table: every distinct key gets a dense group id in
@@ -624,6 +506,7 @@ mod tests {
     use dash_encoding::dict::FreqDict;
     use dash_encoding::histogram::Histogram;
     use dash_encoding::strs::StrColumn;
+    use std::sync::Arc;
 
     fn batch(rows: &[dash_common::Row]) -> Batch {
         let schema = Schema::new(vec![
@@ -651,30 +534,24 @@ mod tests {
     }
 
     #[test]
-    fn str_without_dict_is_miss_and_interner_resolves() {
-        let b = batch(&[row![1i64, 1.0f64, "a"], row![2i64, 1.0f64, "b"]]);
+    fn str_words_are_codes_of_the_column_pool() {
+        let b = batch(&[row![1i64, 1.0f64, "a"], row![2i64, 1.0f64, "b"], row![3i64, 1.0f64, "a"]]);
         let mut col = KeyCol::new(b.column(2), None, b.len());
-        assert_eq!(col.word(0), Some(STR_MISS));
-        let mut it = StrInterner::default();
-        let a = it.intern(col.str_at(0));
-        let b2 = it.intern(col.str_at(1));
-        assert_ne!(a, b2);
-        assert!(a >= LOCAL_STR_BASE && b2 >= LOCAL_STR_BASE);
-        assert_eq!(it.intern(col.str_at(0)), a);
-        assert_eq!(it.lookup(col.str_at(1)), Some(b2));
+        assert_eq!([col.word(0), col.word(1), col.word(2)], [Some(0), Some(1), Some(0)]);
+        let mut words = Vec::new();
+        col.for_each_word(1..3, |i, w| words.push((i, w)));
+        assert_eq!(words, [(0, Some(1)), (1, Some(0))]);
     }
 
-    /// A string word is the pool's word for its code — the flat code of a
-    /// dictionary value, [`STR_MISS`] for a local one — and a pool over
-    /// another dictionary reads the domain's words, translated per code:
-    /// more distinct codes than the memo has slots, shared and local values
-    /// and NULLs all read as a lookup of the string does.
+    /// A string word is its code, in the column's own pool or translated
+    /// once per code into a domain pool: more distinct codes than the memo
+    /// has slots, dictionary and local values, values the domain lacks and
+    /// NULLs all read as a lookup of the string in the domain does.
     #[test]
     fn str_words_are_pool_words_or_translated_per_code() {
         let entries: Vec<Arc<str>> = (0..40).map(|i| Arc::from(format!("v{i}"))).collect();
-        let dict = FreqDict::build(&Histogram::from_values(entries.iter().map(Some)));
-        let pool = StrPool::for_dict(Arc::new(dict));
-        let mut column = StrColumn::with_pool(pool.clone());
+        let dict = Arc::new(FreqDict::build(&Histogram::from_values(entries.iter().map(Some))));
+        let mut column = StrColumn::with_pool(StrPool::for_dict(dict.clone()));
         let mut vals: Vec<Option<Arc<str>>> = Vec::new();
         for i in 0..3000 {
             vals.push(match i % 4 {
@@ -685,50 +562,50 @@ mod tests {
             column.push(vals[i].as_ref());
         }
         let column = ColumnValues::Str(column);
-        let expect = |domain: &StrDomain, v: &Option<Arc<str>>| {
-            v.as_ref().map(|s| domain.code_of(s).map_or(STR_MISS, u64::from))
-        };
-        // The pool's own dictionary: words without a string touched.
-        let mut own = KeyCol::new(&column, Some(pool.dict()), vals.len());
-        assert!(!own.is_translated());
+        let ColumnValues::Str(own) = &column else { unreachable!() };
+        let expect = |domain: &StrPool, v: &Option<Arc<str>>| v.as_ref().and_then(|s| domain.code_of(s)).map(u64::from);
+        // The column's own pool: its codes, no string touched.
+        let mut col = KeyCol::new(&column, Some(own.pool()), vals.len());
+        assert!(!col.crosses_dictionaries());
         for (row, v) in vals.iter().enumerate() {
-            assert_eq!(own.word(row), expect(pool.dict(), v), "row {row}");
+            assert_eq!(col.word(row), expect(own.pool(), v), "row {row}");
         }
-        // Another dictionary, sharing half the values: translated.
+        // Another dictionary, sharing half the values and one local one;
+        // and the column's dictionary with other local values.
         let half: Vec<Arc<str>> = entries.iter().step_by(2).cloned().chain([Arc::from("absent3")]).collect();
         let other = StrPool::for_dict(Arc::new(FreqDict::build(&Histogram::from_values(half.iter().map(Some)))));
-        for rows in [vals.len(), 5] {
-            let mut col = KeyCol::new(&column, Some(other.dict()), rows);
-            assert!(col.is_translated());
-            for (row, v) in vals.iter().enumerate() {
-                assert_eq!(col.word(row), expect(other.dict(), v), "row {row} of a {rows}-row view");
+        let mut same_dict = StrColumn::with_pool(StrPool::for_dict(dict));
+        for s in ["absent9", "elsewhere", "v3"] {
+            same_dict.intern(&Arc::from(s));
+        }
+        for (domain, crosses) in [(&other, true), (same_dict.pool(), false)] {
+            for rows in [vals.len(), 5] {
+                let mut col = KeyCol::new(&column, Some(domain), rows);
+                assert_eq!(col.crosses_dictionaries(), crosses);
+                for (row, v) in vals.iter().enumerate() {
+                    assert_eq!(col.word(row), expect(domain, v), "row {row} of a {rows}-row view");
+                }
+                let mut seen = 0;
+                col.for_each_word(5..vals.len(), |i, w| {
+                    assert_eq!(w, expect(domain, &vals[5 + i]));
+                    seen += 1;
+                });
+                assert_eq!(seen, vals.len() - 5);
             }
-            let mut seen = 0;
-            col.for_each_word(5..vals.len(), |i, w| {
-                let word = match w {
-                    KeyWord::Null => None,
-                    KeyWord::Word(w) => Some(w),
-                    KeyWord::Miss(s) => {
-                        assert_eq!(Some(s), vals[5 + i].as_ref());
-                        Some(STR_MISS)
-                    }
-                };
-                assert_eq!(word, expect(other.dict(), &vals[5 + i]));
-                seen += 1;
-            });
-            assert_eq!(seen, vals.len() - 5);
         }
     }
 
+    /// Equal strings of two pools route alike once the probe side's codes
+    /// are translated into the build side's pool.
     #[test]
-    fn route_hash_ignores_miss_sentinel_value() {
-        let b1 = batch(&[row![1i64, 1.0f64, "zed"]]);
+    fn translated_words_route_with_the_domain_words() {
+        let b1 = batch(&[row![1i64, 1.0f64, "yod"], row![1i64, 1.0f64, "zed"]]);
         let b2 = batch(&[row![9i64, 9.0f64, "zed"]]);
-        let mut c1 = [KeyCol::new(b1.column(2), None, 1)];
-        let mut c2 = [KeyCol::new(b2.column(2), None, 1)];
-        let w1 = [c1[0].word(0).unwrap()];
-        let w2 = [c2[0].word(0).unwrap()];
-        assert_eq!(route_hash(&c1, &w1, 0), route_hash(&c2, &w2, 0));
+        let ColumnValues::Str(build) = b1.column(2) else { unreachable!() };
+        let w1 = [KeyCol::new(b1.column(2), None, 2).word(1).unwrap()];
+        let w2 = [KeyCol::new(b2.column(2), Some(build.pool()), 1).word(0).unwrap()];
+        assert_eq!(w1, w2);
+        assert_eq!(route_hash(&w1), route_hash(&w2));
     }
 
     #[test]

@@ -134,7 +134,7 @@ impl ColumnTable {
 
     /// The pool of the dictionary backing string column `col`, if it is
     /// dictionary-coded: decoded strides are codes of it, so joins and
-    /// aggregates key on flat dictionary codes instead of string bytes.
+    /// aggregates key on codes instead of string bytes.
     pub fn str_pool(&self, col: usize) -> Option<&Arc<StrPool>> {
         self.columns[col].str_pool.as_ref()
     }

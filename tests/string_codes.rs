@@ -390,3 +390,100 @@ fn string_intermediates_are_charged_to_the_budget() {
         assert!(!s.execute(sql).unwrap().rows.is_empty(), "{sql}");
     }
 }
+
+/// Grouping, `COUNT(DISTINCT)`, `SELECT DISTINCT`, `UNION` and joins keyed
+/// on computed strings — `UPPER`, `||` and a `CASE` of constants, whose
+/// values live only in a computed column's pool — against the reference
+/// at every width.
+#[test]
+fn computed_string_keys_match_the_reference_at_every_width() {
+    let mut g = Gen(suite_seed() ^ 0x636f_6d70);
+    let (db, _) = star(&mut g);
+    let band = "CASE WHEN qty < 0 THEN 'neg' WHEN qty < 20 THEN 'low' ELSE 'high' END";
+    let ordered = [
+        "SELECT UPPER(s1), COUNT(*), SUM(qty) FROM fact GROUP BY UPPER(s1) ORDER BY 1".to_string(),
+        "SELECT s2 || 'x', UPPER(s1), COUNT(*) FROM fact GROUP BY s2 || 'x', UPPER(s1) ORDER BY 1, 2".to_string(),
+        format!("SELECT {band} AS b, COUNT(*), COUNT(DISTINCT UPPER(s1)), COUNT(DISTINCT s2 || 'x') FROM fact GROUP BY {band} ORDER BY b"),
+        format!("SELECT {band} AS b, UPPER(s2) AS u, MIN(s1), COUNT(*) FROM fact GROUP BY {band}, UPPER(s2) ORDER BY b, u"),
+        "SELECT a.k, COUNT(*), SUM(b.g) FROM (SELECT UPPER(s1) AS k FROM fact) a \
+         JOIN (SELECT UPPER(lab) AS k, g FROM dim) b ON a.k = b.k GROUP BY a.k ORDER BY a.k"
+            .to_string(),
+    ];
+    for sql in &ordered {
+        check_sql(&db, sql, true);
+    }
+    let unordered = [
+        "SELECT DISTINCT UPPER(s1) FROM fact".to_string(),
+        format!("SELECT DISTINCT s1 || 'x', {band} FROM fact"),
+        "SELECT UPPER(s1) FROM fact WHERE id < 2000 UNION SELECT UPPER(lab) FROM dim UNION SELECT lab || 'x' FROM big"
+            .to_string(),
+        "SELECT a.id, a.k, b.g FROM (SELECT id, s1 || 'x' AS k FROM fact WHERE id < 1500) a \
+         LEFT JOIN (SELECT lab || 'x' AS k, g FROM dim) b ON a.k = b.k"
+            .to_string(),
+    ];
+    for sql in &unordered {
+        check_sql(&db, sql, false);
+    }
+}
+
+/// The plan of `sql`, planned at width `par`.
+fn planned(db: &Arc<Database>, sql: &str, par: usize) -> PhysicalPlan {
+    let Statement::Select(select) = parse_statement(sql, Dialect::Ansi).unwrap() else {
+        panic!("not a SELECT: {sql}");
+    };
+    db.catalog().set_parallelism(par);
+    plan_select(&select, db.catalog().as_ref(), Dialect::Ansi, &EvalContext::default()).unwrap()
+}
+
+/// Inner, Left, Semi and Anti joins of two derived tables on computed
+/// string keys, with probe values the build side lacks (`L16`–`L22` and
+/// the appended values), against the reference at every width.
+#[test]
+fn joins_on_computed_string_keys_match_the_reference_at_every_width() {
+    let mut g = Gen(suite_seed() ^ 0x6a6f_696e);
+    let (db, _) = star(&mut g);
+    let ctx = EvalContext::default();
+    let sides = [
+        ("SELECT id, UPPER(s1) AS k FROM fact WHERE id < 3000", "SELECT UPPER(lab) AS k, g FROM dim"),
+        ("SELECT id, s1 || 'x' AS k FROM fact", "SELECT lab || 'x' AS k, name FROM big"),
+        (
+            "SELECT id, CASE WHEN qty < 0 THEN 'L1' WHEN qty < 20 THEN 'Z1' ELSE 'none' END AS k FROM fact",
+            "SELECT lab AS k, g FROM dim",
+        ),
+    ];
+    for (probe, build) in sides {
+        for join_type in [JoinType::Inner, JoinType::Left, JoinType::Semi, JoinType::Anti] {
+            let plan = |par: usize| PhysicalPlan::HashJoin {
+                left: Box::new(planned(&db, probe, par)),
+                right: Box::new(planned(&db, build, par)),
+                on: vec![(1, 0)],
+                join_type,
+                key_mode: KeyMode::Encoded,
+                parallelism: par,
+            };
+            let expected = sorted(reference::eval(&plan(1), &ctx).to_rows());
+            assert!(!expected.is_empty(), "{join_type:?} of {probe}: vacuous");
+            let mut first = None;
+            for par in WIDTHS {
+                let rows = execute(&plan(par), &ctx).unwrap().0.to_rows();
+                assert_eq!(sorted(rows.clone()), expected, "{join_type:?} of {probe} at width {par}");
+                assert_eq!(&rows, first.get_or_insert(rows.clone()), "{join_type:?} of {probe}: width {par}");
+            }
+        }
+    }
+}
+
+/// A computed string column's pool holds each of its values once, however
+/// many rows repeat them.
+#[test]
+fn a_computed_string_column_pools_each_value_once() {
+    let mut g = Gen(suite_seed() ^ 0x706f_6f6c);
+    let (db, _) = star(&mut g);
+    for par in WIDTHS {
+        let (out, _) = execute(&planned(&db, "SELECT UPPER(s1) FROM fact", par), &EvalContext::default()).unwrap();
+        let ColumnValues::Str(v) = out.column(0) else { panic!("a string column") };
+        let distinct: std::collections::BTreeSet<_> = v.iter().flatten().collect();
+        assert!(out.len() > 10 * distinct.len(), "width {par}: repeated values");
+        assert!(v.pool().len() <= distinct.len(), "width {par}: {} codes for {} values", v.pool().len(), distinct.len());
+    }
+}
