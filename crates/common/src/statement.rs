@@ -307,6 +307,11 @@ impl BudgetLease {
     pub fn held(&self) -> u64 {
         self.held
     }
+
+    /// Return every byte the lease holds now; the lease stays, empty.
+    pub fn release(&mut self) {
+        self.ctx.release(std::mem::take(&mut self.held));
+    }
 }
 
 impl Drop for BudgetLease {

@@ -310,6 +310,35 @@ const MAX_DICT_CARDINALITY: usize = 1 << 16;
 /// distinct value on average (cardinality < len * ratio) to be chosen.
 const DICT_CARDINALITY_RATIO: f64 = 0.5;
 
+/// A string column's histogram and each row's distinct-value id, as
+/// [`Histogram::with_ids`] gives them. A pool holds each value once, so a
+/// code is its value's identity: one dense pass maps each code to a
+/// first-sight id, and only a value's first sight touches the value.
+fn code_histogram(v: &StrColumn) -> (Histogram<Arc<str>>, Vec<u32>) {
+    let pool = v.pool();
+    let mut id_of = vec![NULL_ID; pool.len()];
+    let mut seen: Vec<(Arc<str>, u64)> = Vec::new();
+    let mut nulls = 0;
+    let ids = v
+        .codes()
+        .iter()
+        .map(|&code| {
+            if code == NULL_CODE {
+                nulls += 1;
+                return NULL_ID;
+            }
+            let id = &mut id_of[code as usize];
+            if *id == NULL_ID {
+                *id = seen.len() as u32;
+                seen.push((pool.arc(code).clone(), 0));
+            }
+            seen[*id as usize].1 += 1;
+            *id
+        })
+        .collect();
+    (Histogram::from_counts(seen, nulls), ids)
+}
+
 /// Analyzes columns and encodes/decodes blocks.
 #[derive(Debug, Clone, Default)]
 pub struct ColumnCompressor;
@@ -323,7 +352,7 @@ impl ColumnCompressor {
     /// Choose the column-global encoding from the values, which start a
     /// stride and are stored in blocks of [`STRIDE`] rows from there on. A
     /// string column's values become codes of its new dictionary's pool,
-    /// at no string hash beyond the histogram's.
+    /// hashing each distinct value once, not each row.
     pub fn analyze(&self, values: &mut ColumnValues) -> ColumnEncoding {
         match values {
             ColumnValues::Int(v) => {
@@ -337,7 +366,7 @@ impl ColumnCompressor {
                 self.analyze_ordered(ValueKind::Float, &ordered)
             }
             ColumnValues::Str(v) => {
-                let (hist, ids) = Histogram::with_ids(v.arcs());
+                let (hist, ids) = code_histogram(v);
                 let (dict, flat) = FreqDict::build_strided(&hist, &ids, STRIDE);
                 let dict = Arc::new(dict);
                 let codes = ids.iter().map(|&id| if id == NULL_ID { NULL_CODE } else { flat[id as usize] });
@@ -730,6 +759,29 @@ mod tests {
             })
             .collect();
         roundtrip(strs(v));
+    }
+
+    /// Counting codes gives the histogram and ids hashing every row gives,
+    /// for a pool without a dictionary, one over another column's
+    /// dictionary with local values, and a pool holding values no row uses.
+    #[test]
+    fn code_histogram_matches_hashing_every_row() {
+        let vals: Vec<Option<&str>> = (0..3000)
+            .map(|i| match i % 11 {
+                0 => None,
+                k => Some(["a", "bb", "c", "dd", "e", "ff", "g", "hh", "i", "jj"][(k * k + i / 97) % 10]),
+            })
+            .collect();
+        let plain = StrColumn::from_values(vals.iter().copied());
+        let other: Vec<Arc<str>> = ["zz", "c", "a", "unused"].iter().map(|&s| Arc::from(s)).collect();
+        let dict = Arc::new(FreqDict::build(&Histogram::from_values(other.iter().map(Some))));
+        for col in [plain.clone(), plain.repool(dict.clone()), plain.slice(100..2000)] {
+            let (hist, ids) = code_histogram(&col);
+            let (want, want_ids) = Histogram::with_ids(col.arcs());
+            assert_eq!(ids, want_ids);
+            assert_eq!(hist.ranked(), want.ranked());
+            assert_eq!((hist.total(), hist.nulls()), (want.total(), want.nulls()));
+        }
     }
 
     #[test]

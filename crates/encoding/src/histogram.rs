@@ -65,6 +65,15 @@ impl<T: Eq + Hash + Clone + Ord> Histogram<T> {
         (h, ids)
     }
 
+    /// [`Histogram::with_ids`]'s histogram for values already told apart:
+    /// `values[id]` occurred `count` times, ids in first-sight order, and
+    /// `nulls` rows were NULL.
+    pub fn from_counts(values: Vec<(T, u64)>, nulls: u64) -> Histogram<T> {
+        let total = values.iter().map(|&(_, c)| c).sum();
+        let counts = values.into_iter().enumerate().map(|(id, (v, c))| (v, (id as u32, c))).collect();
+        Histogram { counts, total, nulls }
+    }
+
     /// Record one occurrence of `value` and return its distinct-value id.
     /// The value is cloned only the first time it is seen.
     pub fn add(&mut self, value: &T) -> u32 {

@@ -180,7 +180,7 @@ impl<'a> MorselCol<'a> {
 
 /// One aggregate's running state for every group of a partial or of the
 /// accumulator: a struct of arrays indexed by group id.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 enum StateCol {
     Count(Vec<i64>),
     /// Integer sums and scaled-decimal sums, overflow-checked.
@@ -501,7 +501,8 @@ impl StateCol {
     /// per-partial seen-sets overlap); the pipeline feeds them one partial
     /// spanning the whole input, so reaching one here is an internal error,
     /// not a user error. Returns the bytes grown beyond the fixed slots.
-    fn merge(&mut self, src: StateCol, map: &[u32]) -> Result<u64> {
+    /// `src` is only read: the accumulator allocates what it grows by.
+    fn merge(&mut self, src: &StateCol, map: &[u32]) -> Result<u64> {
         let at = |g: usize| map[g] as usize;
         let mut grown = 0u64;
         match (self, src) {
@@ -527,12 +528,12 @@ impl StateCol {
                 }
             }
             (StateCol::MinMax { best, min, .. }, StateCol::MinMax { best: other, .. }) => {
-                keep_best(best, &other, 0..other.len(), at, *min)?;
+                keep_best(best, other, 0..other.len(), at, *min)?;
             }
             (StateCol::Values(d), StateCol::Values(s)) => {
-                for (g, vals) in s.into_iter().enumerate() {
+                for (g, vals) in s.iter().enumerate() {
                     grown += 8 * vals.len() as u64;
-                    d[at(g)].extend(vals);
+                    d[at(g)].extend_from_slice(vals);
                 }
             }
             (
@@ -592,6 +593,19 @@ impl StateCol {
             }
         }
         Ok(grown)
+    }
+
+    /// A copy for the accumulator to merge into. A `DISTINCT` state's
+    /// seen-set stays behind: no partial merges into that state.
+    fn copy(&self) -> StateCol {
+        match self {
+            StateCol::Distinct { pool, inner, .. } => StateCol::Distinct {
+                seen: FxHashSet::default(),
+                pool: pool.clone(),
+                inner: Box::new(inner.copy()),
+            },
+            s => s.clone(),
+        }
     }
 
     /// Every group's result, in group order.
@@ -875,7 +889,9 @@ fn group_ids(
 /// The aggregate pipeline breaker's fold side: merges per-morsel
 /// [`AggPartial`]s in morsel-index order, keeping groups in global
 /// first-appearance order, then finishes into the output batch. Runs only
-/// on the folding thread, so it needs no synchronization.
+/// on the folding thread, so it needs no synchronization. It only reads a
+/// partial: every block it holds it allocated itself, and the partial goes
+/// back to the thread that built it to be freed.
 pub(crate) struct AggAccumulator {
     /// Number of group keys.
     nk: usize,
@@ -907,7 +923,7 @@ impl AggAccumulator {
     /// Fold one morsel's partial into the global state. Must be called in
     /// morsel-index order for deterministic group order. Groups are probed
     /// on their key words; state columns add element-wise.
-    pub(crate) fn merge(&mut self, partial: AggPartial) -> Result<()> {
+    pub(crate) fn merge(&mut self, partial: &AggPartial) -> Result<()> {
         let prev = self.groups;
         // `map[g]`: this accumulator's group for the partial's group `g`;
         // `fresh`: the partial's groups that are new here, in order.
@@ -959,15 +975,17 @@ impl AggAccumulator {
             self.groups = prev + fresh.len();
         }
         if prev == 0 {
-            // Every group of the partial is new, in order: its columns are
-            // this accumulator's.
-            (self.keys, self.states, self.bytes) = (partial.keys, partial.states, partial.bytes);
+            // Every group of the partial is new, in order: a copy of its
+            // columns is this accumulator's.
+            self.keys = partial.keys.clone();
+            self.states = partial.states.iter().map(StateCol::copy).collect();
+            self.bytes = partial.bytes;
             return Ok(());
         }
         for (dst, src) in self.keys.iter_mut().zip(&partial.keys) {
             self.bytes += append_keys(dst, src, &fresh);
         }
-        for (dst, src) in self.states.iter_mut().zip(partial.states) {
+        for (dst, src) in self.states.iter_mut().zip(&partial.states) {
             dst.resize(self.groups);
             self.bytes += dst.slot_bytes() * fresh.len() as u64 + dst.merge(src, &map)?;
         }
@@ -1380,7 +1398,7 @@ mod tests {
         while start < input.len() || (!any && input.is_empty()) {
             let end = (start + split).min(input.len());
             let partial = aggregate_morsel(input, start..end, &sink, &ctx());
-            acc.merge(partial.unwrap()).unwrap();
+            acc.merge(&partial.unwrap()).unwrap();
             start = end;
             any = true;
         }
@@ -1465,7 +1483,7 @@ mod tests {
             let sink = AggSink { group, aggs: &aggs, schema: &schema };
             let mut acc = AggAccumulator::new(group.len());
             for b in &parts {
-                acc.merge(aggregate_morsel(b, 0..b.len(), &sink, &ctx()).unwrap()).unwrap();
+                acc.merge(&aggregate_morsel(b, 0..b.len(), &sink, &ctx()).unwrap()).unwrap();
             }
             let merged = acc.finish(&aggs, schema.clone()).unwrap().to_rows();
             let all: Vec<Row> = parts.iter().flat_map(Batch::to_rows).collect();
@@ -1556,7 +1574,7 @@ mod tests {
             sum: vec![x],
             seen: vec![true],
         };
-        let err = sum(i64::MAX).merge(sum(1), &[0]).unwrap_err();
+        let err = sum(i64::MAX).merge(&sum(1), &[0]).unwrap_err();
         assert_eq!(err.class(), "22000");
         // Within a morsel too.
         let schema = Schema::new(vec![Field::new("x", DataType::Int64)]).unwrap();
@@ -1571,7 +1589,71 @@ mod tests {
             pool: None,
             inner: Box::new(sum(0)),
         };
-        assert!(matches!(distinct().merge(distinct(), &[0]).unwrap_err(), DashError::Internal(_)));
+        assert!(matches!(distinct().merge(&distinct(), &[0]).unwrap_err(), DashError::Internal(_)));
+    }
+
+    /// The accumulator merges a partial by reference and leaves it as it
+    /// was: the partial goes back to the thread that built it.
+    #[test]
+    fn merging_leaves_the_partial_unchanged() {
+        let input = sales();
+        let aggs = vec![
+            agg1(AggFunc::Sum, 1, DataType::Int64),
+            agg1(AggFunc::Max, 0, DataType::Utf8),
+            agg1(AggFunc::Avg, 2, DataType::Float64),
+            agg1(AggFunc::Median, 2, DataType::Float64),
+            agg1(AggFunc::VarSamp, 2, DataType::Float64),
+        ];
+        for group in [&[][..], &[0]] {
+            let schema = out_schema(group.len(), aggs.len());
+            let sink = AggSink { group, aggs: &aggs, schema: &schema };
+            let mut acc = AggAccumulator::new(group.len());
+            for rows in [0..2, 2..3, 3..5] {
+                let partial = aggregate_morsel(&input, rows, &sink, &ctx()).unwrap();
+                let before = format!("{:?} {:?} {}", partial.keys, partial.states, partial.groups);
+                acc.merge(&partial).unwrap();
+                let after = format!("{:?} {:?} {}", partial.keys, partial.states, partial.groups);
+                assert_eq!(before, after, "group by {group:?}");
+            }
+        }
+    }
+
+    /// SUM and AVG over doubles that do not add exactly are byte-identical
+    /// at every width: partials merge one at a time, in morsel order.
+    #[test]
+    fn float_sums_are_byte_identical_across_widths() {
+        let schema = Schema::new(vec![Field::new("g", DataType::Int64), Field::new("x", DataType::Float64)]).unwrap();
+        let rows: Vec<Row> = (0..13_000i64).map(|k| row![k % 7, 0.1 * k as f64]).collect();
+        let input = Batch::from_rows(schema, &rows).unwrap();
+        let aggs = vec![agg1(AggFunc::Sum, 1, DataType::Float64), agg1(AggFunc::Avg, 1, DataType::Float64)];
+        let bits = |b: &Batch| -> Vec<Vec<u64>> {
+            b.to_rows()
+                .iter()
+                .map(|r| {
+                    (0..r.len())
+                        .map(|c| match r.get(c) {
+                            Datum::Float(f) => f.to_bits(),
+                            Datum::Int(i) => *i as u64,
+                            d => panic!("unexpected {d:?}"),
+                        })
+                        .collect()
+                })
+                .collect()
+        };
+        for group in [&[][..], &[0]] {
+            let mut fields: Vec<Field> = group.iter().map(|_| Field::new("g", DataType::Int64)).collect();
+            fields.extend([Field::new("s", DataType::Float64), Field::new("a", DataType::Float64)]);
+            let schema = Schema::new(fields).unwrap();
+            let at = |par: usize| {
+                let mut stats = ExecStats::default();
+                let out = hash_aggregate(&input, group, &aggs, schema.clone(), &ctx(), KeyMode::Encoded, par, &mut stats);
+                bits(&out.unwrap())
+            };
+            let serial = at(1);
+            for par in [2, 4, 8] {
+                assert_eq!(at(par), serial, "group by {group:?}, width {par}");
+            }
+        }
     }
 
     #[test]

@@ -610,7 +610,7 @@ pub(crate) fn drive(
         &ctx.statement,
         work,
         bytes_of,
-        |_mi, item: MorselItem| {
+        |_mi, mut item: MorselItem| {
             fold_stats += item.stats;
             match item.payload {
                 Payload::Batch(b) => {
@@ -618,16 +618,19 @@ pub(crate) fn drive(
                     // Collected output is still resident: its lease lives
                     // until the concat at pipeline end.
                     leases.push(item.lease);
+                    Ok(None)
                 }
                 // The partial merges into the accumulator and its lease
-                // releases as the item drops here.
-                Payload::Partial(p) => {
+                // releases here; the partial goes back to the thread that
+                // built it, which frees it.
+                Payload::Partial(ref p) => {
                     acc.merge(p)?;
                     fold_stats.peak_inflight_bytes =
                         fold_stats.peak_inflight_bytes.max(acc.approx_bytes());
+                    item.lease.release();
+                    Ok(Some(item))
                 }
             }
-            Ok(())
         },
     )?;
     *stats += fold_stats;

@@ -24,6 +24,20 @@
 //! There is one driver, [`run_morsels_fold`]; [`run_morsels`] is the same
 //! drive with a window as wide as the run and a fold that collects.
 //!
+//! Results go home: the fold may hand a result back instead of keeping it
+//! (an aggregate partial, once merged), and the thread that built it drops
+//! it. glibc caches a freed block on the freeing thread, and growing a
+//! block reallocates it in the arena it came from, so every block freed
+//! off its thread seeds lock traffic on the other thread's arena; a fold
+//! that freed every helper's partial made a cheap aggregate slower at
+//! width 2 than at width 1. Every result is tagged with its producer; a
+//! helper takes what was handed back to it under the lock it already takes
+//! to file a result or claim a morsel, and drops it outside. Once the fold
+//! has handed a result back, a helper stays in a dry run until its results
+//! are folded, so the caller drops a helper's result only when the run
+//! stopped early or the helper left before the first hand-back — at most
+//! `window` per drive.
+//!
 //! Helpers: one process-wide set of parked threads, started on demand. It
 //! grows to the widest drive it has been asked for — width − 1 helpers,
 //! since the calling thread is itself a worker — and never shrinks, so no
@@ -94,8 +108,9 @@ fn run_caught<T>(morsel: impl FnOnce() -> Result<T>) -> Result<T> {
 /// Run `n` morsels through `work`, fanning out over at most `parallelism`
 /// workers with work-claiming, and return every result in
 /// morsel-index order: [`run_morsels_fold`] with a window as wide as the
-/// run and a fold that collects. `work` receives the morsel index and must
-/// be safe to call concurrently from multiple threads.
+/// run and a fold that collects, so it hands nothing back. `work` receives
+/// the morsel index and must be safe to call concurrently from multiple
+/// threads.
 ///
 /// `stmt` is checked **before every claim** (serial and parallel): a
 /// flipped token aborts the run with [`DashError::Cancelled`] without
@@ -119,7 +134,7 @@ where
     let mut results = Vec::with_capacity(n);
     let collect = |_, v| {
         results.push(v);
-        Ok(())
+        Ok(None)
     };
     let run = run_morsels_fold(n, parallelism, n, stmt, work, |_| 0, collect)?;
     Ok(MorselRun {
@@ -127,6 +142,26 @@ where
         morsels_dispatched: run.morsels_dispatched,
         workers_used: run.workers_used,
     })
+}
+
+/// What a [`run_morsels_fold`] fold returns for the result it was given:
+/// `None` (or `()`) when it kept or consumed the result, `Some` to hand the
+/// result back, so the thread that built it drops it.
+pub trait HandBack<T> {
+    /// The result handed back, if any.
+    fn handed_back(self) -> Option<T>;
+}
+
+impl<T> HandBack<T> for Option<T> {
+    fn handed_back(self) -> Option<T> {
+        self
+    }
+}
+
+impl<T> HandBack<T> for () {
+    fn handed_back(self) -> Option<T> {
+        None
+    }
 }
 
 /// The outcome of one [`run_morsels_fold`] pipeline drive.
@@ -281,19 +316,52 @@ impl Drop for Offer {
     }
 }
 
+/// The producer tag of a result the calling thread built; helpers are
+/// numbered from 1 in the order they join the drive.
+const CALLER: usize = 0;
+
+/// A completed result awaiting its in-order fold.
+struct Filed<T> {
+    value: T,
+    /// The caller's byte estimate.
+    bytes: u64,
+    /// Who built it: [`CALLER`] or a helper's number.
+    producer: usize,
+}
+
+/// A helper's side of a drive.
+struct Home<T> {
+    /// Results the fold handed back for this helper to drop, with their
+    /// byte estimates.
+    returned: Vec<(T, u64)>,
+    /// Results it filed that are not folded yet.
+    unfolded: usize,
+    /// Asleep on `space`.
+    asleep: bool,
+    /// Left its loop: the caller drops what the fold hands back for it.
+    left: bool,
+}
+
 /// Reorder buffer and claim counters shared by a drive's participants.
 struct FoldState<T> {
-    /// Completed results awaiting their in-order fold, with the caller's
-    /// byte estimate. Morsel `i` waits in slot `i % slots.len()`: the
-    /// claimed-but-unfolded morsels span fewer indices than the window.
-    slots: Vec<Option<(T, u64)>>,
+    /// Results awaiting their in-order fold. Morsel `i` waits in slot
+    /// `i % slots.len()`: the claimed-but-unfolded morsels span fewer
+    /// indices than the window.
+    slots: Vec<Option<Filed<T>>>,
+    /// Helper `h` is `homes[h - 1]`.
+    homes: Vec<Home<T>>,
+    /// The fold has handed a result back: a helper then waits for its
+    /// results to be folded before it leaves a dry run. A fold that keeps
+    /// everything never makes it wait.
+    handing_back: bool,
     /// The next morsel to claim.
     next: usize,
     /// The next morsel to fold.
     next_fold: usize,
-    /// Morsels claimed but not yet folded (includes the one being folded).
+    /// Morsels claimed whose result is not dropped yet: running, waiting
+    /// for the fold, being folded, or handed back to a helper.
     inflight: usize,
-    /// Byte estimates of every waiting result plus the one being folded.
+    /// Byte estimates of every filed result not dropped yet.
     inflight_bytes: u64,
     peak_inflight: usize,
     peak_inflight_bytes: u64,
@@ -350,6 +418,25 @@ where
         }
     }
 
+    /// Free `k` window slots whose results, `bytes` in all, were dropped.
+    fn release(&self, st: &mut FoldState<T>, k: usize, bytes: u64) {
+        if k == 0 {
+            return;
+        }
+        st.inflight -= k;
+        st.inflight_bytes -= bytes;
+        if st.space_waiters > 0 {
+            if k == 1 {
+                self.space.notify_one();
+            } else {
+                self.space.notify_all();
+            }
+        }
+        if st.folder_waiting {
+            self.avail.notify_one();
+        }
+    }
+
     /// Take a window slot and the next morsel index. The statement is
     /// checked before every claim; a flipped token stops the run.
     fn claim(&self, st: &mut FoldState<T>) -> Claim {
@@ -373,21 +460,24 @@ where
         Claim::Morsel(i)
     }
 
-    /// Run morsel `i` outside the lock, then file its result — waking the
-    /// caller only if it sleeps waiting for exactly this one — or latch its
-    /// error.
-    fn run(&self, i: usize, after_cancel: &mut u64) -> MutexGuard<'_, FoldState<T>> {
+    /// Run morsel `i` outside the lock, then file its result under
+    /// `producer` — waking the caller only if it sleeps waiting for exactly
+    /// this one — or latch its error.
+    fn run(&self, i: usize, producer: usize, after_cancel: &mut u64) -> MutexGuard<'_, FoldState<T>> {
         let outcome = run_caught(|| (self.work)(i).map(|v| ((self.bytes_of)(&v), v)));
         let mut st = lock(&self.state);
         match outcome {
-            Ok((b, v)) => {
+            Ok((bytes, value)) => {
                 if self.stmt.is_cancelled() {
                     *after_cancel += 1;
                 }
-                st.inflight_bytes += b;
+                st.inflight_bytes += bytes;
                 st.peak_inflight_bytes = st.peak_inflight_bytes.max(st.inflight_bytes);
                 let len = st.slots.len();
-                st.slots[i % len] = Some((v, b));
+                st.slots[i % len] = Some(Filed { value, bytes, producer });
+                if producer != CALLER {
+                    st.homes[producer - 1].unfolded += 1;
+                }
                 if st.folder_waiting && i == st.next_fold {
                     self.avail.notify_one();
                 }
@@ -401,32 +491,76 @@ where
     }
 
     /// A helper's loop: claim and run morsels until the run is dry or
-    /// stopped, sleeping only while the window is full.
+    /// stopped, sleeping only while the window is full or, once the run is
+    /// dry, until its results are folded. Each time it holds the lock it
+    /// takes the results handed back to it, and it drops them outside the
+    /// lock before it runs or sleeps; their window slots free the next time
+    /// it holds the lock.
     fn help(&self) {
         let mut after_cancel = 0u64;
+        // Two lists that trade places at each take, both allocated here and
+        // sized for every result this helper can have in flight: the
+        // caller's pushes never grow one, and neither is freed elsewhere.
+        let cap = self.window.min(self.n);
+        let mut returned = Vec::with_capacity(cap);
         let mut st = lock(&self.state);
+        st.homes.push(Home {
+            returned: Vec::with_capacity(cap),
+            unfolded: 0,
+            asleep: false,
+            left: false,
+        });
+        let me = st.homes.len();
+        // Results dropped since the lock was last held: count and bytes.
+        let mut dropped = (0, 0);
         loop {
-            match self.claim(&mut st) {
+            self.release(&mut st, dropped.0, dropped.1);
+            std::mem::swap(&mut returned, &mut st.homes[me - 1].returned);
+            dropped = (returned.len(), returned.iter().map(|&(_, b)| b).sum());
+            let claim = match self.claim(&mut st) {
+                // A dry run may still owe this helper its unfolded
+                // results: it waits for them rather than leave them to
+                // the caller.
+                Claim::Done if !st.stop && st.handing_back && st.homes[me - 1].unfolded > 0 => Claim::Full,
+                claim => claim,
+            };
+            match claim {
                 Claim::Morsel(i) => {
                     drop(st);
-                    st = self.run(i, &mut after_cancel);
+                    returned.clear();
+                    st = self.run(i, me, &mut after_cancel);
+                }
+                Claim::Full if dropped.0 > 0 => {
+                    drop(st);
+                    returned.clear();
+                    st = lock(&self.state);
                 }
                 Claim::Full => {
                     st.space_waiters += 1;
+                    st.homes[me - 1].asleep = true;
                     st = wait(&self.space, st);
+                    st.homes[me - 1].asleep = false;
                     st.space_waiters -= 1;
                 }
-                Claim::Done => break,
+                Claim::Done => {
+                    let home = &mut st.homes[me - 1];
+                    home.left = true;
+                    let spare = std::mem::take(&mut home.returned);
+                    drop(st);
+                    drop((returned, spare));
+                    break;
+                }
             }
         }
-        drop(st);
         self.stmt.note_cancel_latency(after_cancel);
     }
 
     /// The calling thread's loop: fold the next in-order result whenever it
     /// is ready, otherwise claim and run a morsel while the window has
-    /// room, otherwise sleep until the result lands.
-    fn lead(&self, mut fold: impl FnMut(usize, T) -> Result<()>) -> Result<()> {
+    /// room, otherwise sleep until the result lands. A result the fold
+    /// hands back keeps its window slot until it is dropped: here if the
+    /// caller built it or its producer has left, else by its producer.
+    fn lead<R: HandBack<T>>(&self, mut fold: impl FnMut(usize, T) -> Result<R>) -> Result<()> {
         let mut after_cancel = 0u64;
         let mut st = lock(&self.state);
         let outcome = loop {
@@ -438,25 +572,46 @@ where
                 break Ok(());
             }
             let len = st.slots.len();
-            if let Some((v, b)) = st.slots[i % len].take() {
+            if let Some(Filed { value, bytes, producer }) = st.slots[i % len].take() {
                 drop(st);
-                let folded = run_caught(|| fold(i, v));
-                st = lock(&self.state);
-                st.inflight -= 1;
-                st.inflight_bytes -= b;
-                st.next_fold += 1;
-                if st.space_waiters > 0 {
-                    self.space.notify_one();
+                let mut back = run_caught(|| fold(i, value).map(HandBack::handed_back));
+                let handed_own = producer == CALLER && matches!(back, Ok(Some(_)));
+                if producer == CALLER {
+                    // The caller's own result drops right after its fold.
+                    back = back.map(|_| None);
                 }
-                if let Err(e) = folded {
-                    break Err(e);
+                st = lock(&self.state);
+                st.next_fold += 1;
+                let back = match back {
+                    Ok(back) => back,
+                    Err(e) => break Err(e),
+                };
+                st.handing_back |= back.is_some() || handed_own;
+                if producer == CALLER {
+                    self.release(&mut st, 1, bytes);
+                    continue;
+                }
+                let home = &mut st.homes[producer - 1];
+                home.unfolded -= 1;
+                if home.asleep {
+                    self.space.notify_all();
+                }
+                match back {
+                    Some(v) if !home.left => home.returned.push((v, bytes)),
+                    None => self.release(&mut st, 1, bytes),
+                    Some(late) => {
+                        drop(st);
+                        drop(late);
+                        st = lock(&self.state);
+                        self.release(&mut st, 1, bytes);
+                    }
                 }
                 continue;
             }
             match self.claim(&mut st) {
                 Claim::Morsel(m) => {
                     drop(st);
-                    st = self.run(m, &mut after_cancel);
+                    st = self.run(m, CALLER, &mut after_cancel);
                 }
                 // The claim latched a cancel: take it at the top.
                 Claim::Done if st.stop => {}
@@ -490,6 +645,18 @@ where
 /// folded outcome is byte-identical to a serial run no matter how the
 /// morsels were scheduled.
 ///
+/// `fold` returns what it does with the result ([`HandBack`]): `None` or
+/// `()` when it kept it, `Some` to hand it back. A handed-back result is
+/// dropped on the thread that built it: a helper drops its own outside the
+/// lock the next time it files a result or claims a morsel, and the caller
+/// drops its own right after the fold. Once the fold has handed a result
+/// back, a helper leaves a dry run only when its results are folded, so a
+/// result is dropped off its producer, by the caller, only when the run
+/// stopped early (an error, a cancel) or its producer left before the
+/// first hand-back — at most `window` per drive. A fold that keeps every
+/// result never holds a helper back. A result holds its window slot until it is dropped,
+/// so the window and the in-flight peaks count live results.
+///
 /// The calling thread is one of the `parallelism` workers: it folds the
 /// next result whenever that result is ready and otherwise claims and runs
 /// a morsel itself. The other `parallelism − 1` are the pool's parked
@@ -506,7 +673,7 @@ where
 /// `parallelism <= 1` the whole drive runs inline on the calling thread —
 /// work then fold, morsel by morsel — which is exactly the serial
 /// fallback's memory behavior (one morsel in flight).
-pub fn run_morsels_fold<T, W, B, F>(
+pub fn run_morsels_fold<T, W, B, F, R>(
     n: usize,
     parallelism: usize,
     window: usize,
@@ -519,7 +686,8 @@ where
     T: Send,
     W: Fn(usize) -> Result<T> + Sync,
     B: Fn(&T) -> u64 + Sync,
-    F: FnMut(usize, T) -> Result<()>,
+    F: FnMut(usize, T) -> Result<R>,
+    R: HandBack<T>,
 {
     let workers = parallelism.max(1).min(n);
     if workers <= 1 {
@@ -558,6 +726,8 @@ where
         bytes_of,
         state: Mutex::new(FoldState {
             slots: (0..window.min(n)).map(|_| None).collect(),
+            homes: Vec::with_capacity(workers - 1),
+            handing_back: false,
             next: 0,
             next_fold: 0,
             inflight: 0,
@@ -1098,7 +1268,145 @@ mod tests {
         }
     }
 
+    /// Drops of the results a fold handed back, counted by a drive's
+    /// [`Traced`] results.
+    #[derive(Default)]
+    struct Drops {
+        /// Handed-back results dropped.
+        back: AtomicUsize,
+        /// Those dropped off the thread that built them.
+        away: AtomicUsize,
+    }
+
+    /// A result that records the thread that built it and counts its drops
+    /// once the fold has handed it back.
+    struct Traced<'a> {
+        built: std::thread::ThreadId,
+        handed_back: bool,
+        drops: &'a Drops,
+    }
+
+    impl<'a> Traced<'a> {
+        fn new(drops: &'a Drops) -> Traced<'a> {
+            Traced { built: std::thread::current().id(), handed_back: false, drops }
+        }
+    }
+
+    impl Drop for Traced<'_> {
+        fn drop(&mut self) {
+            if self.handed_back {
+                self.drops.back.fetch_add(1, Ordering::Relaxed);
+                if std::thread::current().id() != self.built {
+                    self.drops.away.fetch_add(1, Ordering::Relaxed);
+                }
+            }
+        }
+    }
+
+    /// How a [`home_drive`] ends.
+    #[derive(Debug, Clone, Copy)]
+    enum Ending {
+        Success,
+        WorkError,
+        FoldError,
+        Cancel,
+        Panic,
+    }
+
+    /// One drive whose fold hands back every result, ending as `ending`
+    /// says at morsel `at`. Checks that every handed-back result was
+    /// dropped exactly once by the time the drive returns, all but at most
+    /// `window` of them on the thread that built them.
+    fn home_drive(n: usize, par: usize, window: usize, ending: Ending, at: usize) {
+        let drops = Drops::default();
+        let ctx = stmt();
+        let handed_back = AtomicUsize::new(0);
+        let outcome = run_morsels_fold(
+            n,
+            par,
+            window,
+            &ctx,
+            |i| {
+                if i == at {
+                    match ending {
+                        Ending::WorkError => return Err(DashError::exec("refused")),
+                        Ending::Cancel => ctx.cancel(),
+                        Ending::Panic => panic!("deliberate hand-back panic"),
+                        Ending::Success | Ending::FoldError => {}
+                    }
+                }
+                Ok(Traced::new(&drops))
+            },
+            |_| 8,
+            |i, mut v| {
+                if i == at && matches!(ending, Ending::FoldError) {
+                    return Err(DashError::exec("fold refused"));
+                }
+                v.handed_back = true;
+                handed_back.fetch_add(1, Ordering::Relaxed);
+                Ok(Some(v))
+            },
+        );
+        let failed = !matches!(ending, Ending::Success) && at < n;
+        assert_eq!(outcome.is_err(), failed, "{ending:?} at {at} of {n}, par={par} window={window}");
+        let back = handed_back.load(Ordering::Relaxed);
+        if !failed {
+            assert_eq!(back, n);
+        }
+        assert_eq!(drops.back.load(Ordering::Relaxed), back, "each handed-back result drops once");
+        let away = drops.away.load(Ordering::Relaxed);
+        assert!(away <= window, "{ending:?}, par={par} window={window}: {away} dropped off their producer");
+    }
+
+    #[test]
+    fn handed_back_results_drop_at_home() {
+        for par in WIDTHS {
+            for ending in [Ending::Success, Ending::WorkError, Ending::FoldError, Ending::Cancel, Ending::Panic] {
+                home_drive(200, par, par * 4, ending, 150);
+                home_drive(200, par, 2, ending, 3);
+            }
+        }
+    }
+
+    #[test]
+    fn nested_and_concurrent_drives_drop_results_at_home() {
+        for par in WIDTHS {
+            run_morsels(6, par, &stmt(), |o| {
+                home_drive(60, par, par * 2, Ending::Success, 0);
+                home_drive(60, par, 3, Ending::FoldError, o * 7);
+                Ok(())
+            })
+            .unwrap();
+            std::thread::scope(|s| {
+                for client in 0..4usize {
+                    s.spawn(move || {
+                        for round in 0..10 {
+                            home_drive(50, par, par * 4, Ending::Success, 0);
+                            home_drive(50, par, par * 4, Ending::Cancel, (client + round) % 50);
+                        }
+                    });
+                }
+            });
+            assert_eq!(tickets_left(), 0);
+        }
+    }
+
     proptest! {
+        /// Every result a fold hands back drops exactly once, on the thread
+        /// that built it save at most `window` per drive, however the drive
+        /// ends.
+        #[test]
+        fn prop_handed_back_results_drop_at_home(
+            n in 0usize..150,
+            w in 0usize..WIDTHS.len(),
+            window in 1usize..12,
+            ending in 0usize..5,
+            at in 0usize..160,
+        ) {
+            let ending = [Ending::Success, Ending::WorkError, Ending::FoldError, Ending::Cancel, Ending::Panic][ending];
+            home_drive(n, WIDTHS[w], window, ending, at);
+        }
+
         /// Scheduling order must never leak into results: any (n, workers)
         /// combination yields exactly the serial mapping, in order.
         #[test]
