@@ -1,5 +1,4 @@
-//! Sorting, LIMIT/OFFSET, and top-k — morselized on the shared worker
-//! pool.
+//! Sorting and LIMIT/OFFSET — morselized on the shared worker pool.
 //!
 //! Every key is a column of the input: the planner appends a computed
 //! ORDER BY key as a hidden column beneath the sort. Each row's keys are
@@ -9,15 +8,15 @@
 //! that compares words. `sort_batch` runs two parallel phases on
 //! `pool::run_morsels`, each byte-identical to one serial stable sort:
 //!
-//! 1. **Run generation** — each morsel sorts one run of `(words, row)`
-//!    entries with `sort_unstable`. The row index makes the order total,
-//!    so equal keys keep input order: the result equals a stable sort.
-//! 2. **Merge / Top-K** — a loser-tree k-way merge of the runs' entries
-//!    emits only the first `LIMIT+OFFSET` positions (truncation happens
-//!    before any column is materialized), checking the cancellation token
-//!    as it goes. When `LIMIT+OFFSET` is small relative to the input
-//!    (`end * TOPK_FACTOR <= rows`), bounded per-morsel heaps of entries
-//!    replace the full sort entirely.
+//! 1. **Run generation** — each morsel keeps one run's best `LIMIT+OFFSET`
+//!    entries of `(words, row)` in a buffer of at most twice that many,
+//!    cutting it back behind a running bound whenever it fills, and sorts
+//!    them with `sort_unstable`. The row index makes the order total, so
+//!    equal keys keep input order: the result equals a stable sort's. With
+//!    no LIMIT the bound never forms and each run is sorted whole.
+//! 2. **Merge** — a loser-tree k-way merge of the runs' entries emits only
+//!    the first `LIMIT+OFFSET` positions (truncation happens before any
+//!    column is materialized), checking the cancellation token as it goes.
 //!
 //! A string key's word is its 8-byte prefix: rows whose words tie up to
 //! and including it are ordered by a tail comparison of the full strings
@@ -44,14 +43,8 @@ use std::cmp::Ordering;
 /// input is cut into one run per worker instead (see [`run_size`]).
 pub const DEFAULT_SORT_RUN_ROWS: usize = 64 * 1024;
 
-/// Top-K fast-path threshold: the bounded-heap path is taken when
-/// `LIMIT+OFFSET` rows are at most `1/TOPK_FACTOR` of the input, i.e. when
-/// keeping per-morsel heaps of `LIMIT+OFFSET` entries is clearly cheaper
-/// than sorting everything.
-pub const TOPK_FACTOR: usize = 8;
-
 /// Merged rows between cancellation checks inside the k-way merge, and
-/// the smallest Top-K and gather morsel.
+/// the smallest run and gather morsel.
 const CHECK_ROWS: usize = 4096;
 
 /// Row count under which a gather is done serially; below this the
@@ -97,8 +90,7 @@ pub struct SortOptions {
     pub limit: Option<usize>,
     /// OFFSET row count.
     pub offset: usize,
-    /// Worker-pool width for run generation, Top-K, and output
-    /// materialization.
+    /// Worker-pool width for run generation and output materialization.
     pub parallelism: usize,
     /// The largest generated run; the run size itself is derived from
     /// the input (see [`run_size`]).
@@ -359,102 +351,48 @@ fn merge_runs<T: Copy>(
 }
 
 // ---------------------------------------------------------------------------
-// Top-K
+// Run generation
 // ---------------------------------------------------------------------------
 
-/// Bounded worst-at-root heap of sort entries: keeps the `cap` best rows
-/// seen, evicting the worst kept row when a better one arrives.
-struct BoundedHeap<T> {
-    cap: usize,
-    items: Vec<T>,
-}
-
-impl<T: Copy> BoundedHeap<T> {
-    fn new(cap: usize) -> BoundedHeap<T> {
-        BoundedHeap {
-            cap,
-            items: Vec::with_capacity(cap),
-        }
-    }
-
-    /// `total` orders rows best-first; the heap keeps its *worst* kept row
-    /// at the root so one comparison rejects most of the stream.
-    fn offer(&mut self, row: T, total: &impl Fn(&T, &T) -> Ordering) {
-        if self.cap == 0 {
-            return;
-        }
-        if self.items.len() < self.cap {
-            self.items.push(row);
-            // Sift up.
-            let mut i = self.items.len() - 1;
-            while i > 0 {
-                let parent = (i - 1) / 2;
-                if total(&self.items[i], &self.items[parent]) == Ordering::Greater {
-                    self.items.swap(i, parent);
-                    i = parent;
-                } else {
-                    break;
-                }
-            }
-            return;
-        }
-        if total(&row, &self.items[0]) != Ordering::Less {
-            return;
-        }
-        self.items[0] = row;
-        // Sift down.
-        let mut i = 0;
-        loop {
-            let (l, r) = (2 * i + 1, 2 * i + 2);
-            let mut worst = i;
-            if l < self.items.len() && total(&self.items[l], &self.items[worst]) == Ordering::Greater
-            {
-                worst = l;
-            }
-            if r < self.items.len() && total(&self.items[r], &self.items[worst]) == Ordering::Greater
-            {
-                worst = r;
-            }
-            if worst == i {
-                break;
-            }
-            self.items.swap(i, worst);
-            i = worst;
-        }
-    }
-}
-
-/// Top-K path: each morsel keeps a bounded heap of its `k` best entries
-/// under the total order (key words, row); the union of the per-morsel
-/// heaps contains every global top-k row, so one small final sort of
-/// ≤ `morsels · k` candidates yields exactly the stable sort's prefix.
-fn top_k<const I: usize>(
-    n: usize,
-    k: usize,
+/// One run's best `end` entries of `rows`, sorted. The run's buffer holds
+/// at most `2·end` entries: when it fills, the best `end` move to the front
+/// and the entry after them becomes the run's **bound**, which every kept
+/// entry sorts before. A later entry that does not sort before the bound
+/// already has `end` kept entries ahead of it, so it is skipped with one
+/// comparison. When `end` covers the run, nothing is skipped and this is
+/// the run's full sort.
+fn bounded_run<const I: usize>(
+    rows: std::ops::Range<usize>,
+    end: usize,
     words: &SortWords<'_>,
-    parallelism: usize,
-    ctx: &EvalContext,
-    stats: &mut ExecStats,
-) -> Result<Vec<usize>> {
-    let ranges = pool::row_morsels(n, parallelism, CHECK_ROWS);
+) -> Vec<Entry<I>> {
     let total = |a: &Entry<I>, b: &Entry<I>| words.cmp(a, b);
-    let run = pool::run_morsels(ranges.len(), parallelism, &ctx.statement, |mi| {
-        let (lo, hi) = ranges[mi];
-        let mut heap = BoundedHeap::new(k);
-        for row in lo..hi {
-            heap.offer(words.entry::<I>(row), &total);
+    let cap = rows.len().min(end.saturating_mul(2));
+    let mut run: Vec<Entry<I>> = Vec::with_capacity(cap);
+    let mut bound: Option<Entry<I>> = None;
+    for row in rows {
+        let e = words.entry::<I>(row);
+        if bound.is_some_and(|b| total(&e, &b).is_ge()) {
+            continue;
         }
-        Ok(heap.items)
-    })?;
-    stats.note_parallel_phase(run.morsels_dispatched, run.workers_used);
-    let mut candidates: Vec<Entry<I>> = run.results.into_iter().flatten().collect();
-    candidates.sort_unstable_by(total);
-    candidates.truncate(k);
-    Ok(candidates.into_iter().map(|e| e.1).collect())
+        run.push(e);
+        if run.len() == cap && cap > end {
+            run.select_nth_unstable_by(end, total);
+            bound = Some(run[end]);
+            run.truncate(end);
+        }
+    }
+    if run.len() > end {
+        run.select_nth_unstable_by(end, total);
+        run.truncate(end);
+    }
+    run.sort_unstable_by(total);
+    run
 }
 
-/// Full path: sort runs of entries, then merge their first `end`.
-fn full_sort<const I: usize>(
+/// Cut the input into runs of `run_rows`, keep each run's best `end`
+/// entries, then merge their first `end`.
+fn sorted_positions<const I: usize>(
     n: usize,
     end: usize,
     run_rows: usize,
@@ -464,18 +402,14 @@ fn full_sort<const I: usize>(
     stats: &mut ExecStats,
 ) -> Result<Vec<usize>> {
     let n_runs = n.div_ceil(run_rows);
-    let total = |a: &Entry<I>, b: &Entry<I>| words.cmp(a, b);
     let run = pool::run_morsels(n_runs, parallelism, &ctx.statement, |r| {
         let lo = r * run_rows;
-        let hi = (lo + run_rows).min(n);
-        let mut run: Vec<Entry<I>> = (lo..hi).map(|row| words.entry::<I>(row)).collect();
-        run.sort_unstable_by(total);
-        Ok(run)
+        Ok(bounded_run::<I>(lo..(lo + run_rows).min(n), end, words))
     })?;
     stats.note_parallel_phase(run.morsels_dispatched, run.workers_used);
     stats.sort_runs_generated += run.results.len() as u64;
     stats.merge_fanin = stats.merge_fanin.max(run.results.len() as u64);
-    let merged = merge_runs(&run.results, end, &ctx.statement, total)?;
+    let merged = merge_runs(&run.results, end, &ctx.statement, |a, b| words.cmp(a, b))?;
     Ok(merged.into_iter().map(|e| e.1).collect())
 }
 
@@ -572,29 +506,17 @@ pub fn sort_batch(
     let mut lease = BudgetLease::new(&ctx.statement);
     let words = SortWords::new(input, keys)?;
     let entry = (words.inline as u64 + 1) * 8;
-    let topk = opts.limit.is_some() && end.saturating_mul(TOPK_FACTOR) <= n;
-    let held = if topk {
-        // Candidate sets are bounded at morsels · end entries.
-        pool::row_morsels(n, parallelism, CHECK_ROWS).len() as u64 * end as u64 * entry
-    } else {
-        // The runs, the merged prefix and its positions.
-        (n + end) as u64 * entry + end as u64 * 8
-    };
+    // The runs' buffers (at most `2·end` entries a run, and never more
+    // than the input's), the merged prefix and its positions.
+    let runs = n.div_ceil(run_rows) as u64;
+    let buffered = (n as u64).min(runs.saturating_mul(2 * end as u64));
+    let held = (buffered + end as u64) * entry + end as u64 * 8;
     lease.charge(held).inspect_err(|_| stats.budget_rejections += 1)?;
-    macro_rules! sorted {
-        ($i:literal) => {
-            if topk {
-                top_k::<$i>(n, end, &words, parallelism, ctx, stats)
-            } else {
-                full_sort::<$i>(n, end, run_rows, &words, parallelism, ctx, stats)
-            }
-        };
-    }
     let positions = match words.inline {
-        1 => sorted!(1),
-        2 => sorted!(2),
-        3 => sorted!(3),
-        _ => sorted!(4),
+        1 => sorted_positions::<1>(n, end, run_rows, &words, parallelism, ctx, stats),
+        2 => sorted_positions::<2>(n, end, run_rows, &words, parallelism, ctx, stats),
+        3 => sorted_positions::<3>(n, end, run_rows, &words, parallelism, ctx, stats),
+        _ => sorted_positions::<4>(n, end, run_rows, &words, parallelism, ctx, stats),
     }?;
     take_rows(input, &positions[start..], parallelism, ctx, stats)
 }
@@ -737,6 +659,31 @@ mod tests {
         assert_eq!(runs(40_000, 4, DEFAULT_SORT_RUN_ROWS), 4);
         assert_eq!(runs(6_000, 4, DEFAULT_SORT_RUN_ROWS), 2, "runs hold CHECK_ROWS at least");
         assert_eq!(runs(500, 2, 1), 500, "a cap of 1 still sorts one row per run");
+    }
+
+    /// Each run keeps its best `end` entries behind a running bound.
+    /// Ascending input skips every row after the first cut, descending
+    /// input refills the buffer at every `end` rows, and all-equal keys
+    /// tie on the row index; every FETCH FIRST window is the full sort's
+    /// prefix, from the same runs and merge.
+    #[test]
+    fn bounded_runs_match_the_full_sort_prefix() {
+        let n = 10_000i64;
+        let schema = Schema::new(vec![Field::new("x", DataType::Int64), Field::new("id", DataType::Int64)]).unwrap();
+        for key in [|i: i64| i, |i: i64| -i, |_: i64| 7] {
+            let rows: Vec<_> = (0..n).map(|i| row![key(i), i]).collect();
+            let input = Batch::from_rows(schema.clone(), &rows).unwrap();
+            let full = sorted(&input, &[SortKey::asc(0)], &opts(None, 0)).to_rows();
+            for par in [1, 2, 4, 8] {
+                for end in [1, 7, 999, 1000, 1001, 2001, 9_999, 10_000] {
+                    let o = SortOptions { limit: Some(end), offset: 0, parallelism: par, run_rows: 1000 };
+                    let mut stats = ExecStats::default();
+                    let out = sort_batch(&input, &[SortKey::asc(0)], &o, &ctx(), &mut stats).unwrap();
+                    assert_eq!(out.to_rows(), full[..end], "width {par} end {end}");
+                    assert_eq!((stats.sort_runs_generated, stats.merge_fanin), (10, 10));
+                }
+            }
+        }
     }
 
     #[test]

@@ -38,8 +38,8 @@ pub struct ExecStats {
     pub cancel_latency_max_morsels: u64,
     /// Memory-budget reservations the statement was refused.
     pub budget_rejections: u64,
-    /// Sorted runs produced by parallel run generation. Zero when a sort
-    /// takes the Top-K fast path (or no sort ran at all).
+    /// Sorted runs produced by parallel run generation, with or without
+    /// a LIMIT. Zero when no sort ran.
     pub sort_runs_generated: u64,
     /// Widest k-way merge fan-in any sort in the query performed.
     pub merge_fanin: u64,

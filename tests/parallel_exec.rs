@@ -608,7 +608,7 @@ fn sql_operators_report_parallel_workers() {
 // ---------------------------------------------------------------------------
 
 use dashdb_local::exec::sort::{
-    merge_sorted_runs, sort_batch, SortKey, SortOptions, DEFAULT_SORT_RUN_ROWS, TOPK_FACTOR,
+    merge_sorted_runs, sort_batch, SortKey, SortOptions, DEFAULT_SORT_RUN_ROWS,
 };
 
 /// Run rows small enough that BIG rows split into many runs — the merge
@@ -673,7 +673,8 @@ fn sort_limit_offset_boundaries_match_serial() {
     let input = fact_batch(BIG);
     let keys = [SortKey::asc(2), SortKey::desc(0)];
     // Boundaries on run edges (SMALL_RUN ± 1), past-the-end offsets,
-    // LIMIT 0, and a window straddling the last run.
+    // LIMIT 0, a window straddling the last run, and FETCH FIRST k from
+    // one row to the whole input.
     let windows: &[(Option<usize>, usize)] = &[
         (None, 0),
         (None, SMALL_RUN),
@@ -683,6 +684,13 @@ fn sort_limit_offset_boundaries_match_serial() {
         (Some(100), BIG - 50),
         (Some(100), BIG + 50),
         (Some(BIG * 2), 0),
+        (Some(1), 0),
+        (Some(SMALL_RUN - 1), 0),
+        (Some(SMALL_RUN + 1), 0),
+        (Some(BIG / 8 - 1), 0),
+        (Some(BIG / 8 + 1), 0),
+        (Some(BIG - 1), 0),
+        (Some(BIG), 0),
     ];
     for &(limit, offset) in windows {
         let (serial, _) = sort_with(&input, &keys, &serial_opts(limit, offset));
@@ -704,12 +712,12 @@ fn sort_limit_offset_boundaries_match_serial() {
 }
 
 #[test]
-fn top_k_path_matches_full_sort() {
+fn fetch_first_matches_full_sort() {
     let input = fact_batch(BIG);
     let keys = [SortKey::desc(2), SortKey::asc(0)];
-    // end * TOPK_FACTOR <= n → the bounded-heap path; the full-sort run
-    // counter is the discriminator proving which path ran.
-    let k = BIG / TOPK_FACTOR - 10;
+    // Small windows, where each run keeps a few rows behind its bound:
+    // every run is still cut and merged.
+    let k = BIG / 8 - 10;
     for (limit, offset) in [(Some(40), 0), (Some(25), 13), (Some(k - 20), 20)] {
         let (serial, _) = sort_with(&input, &keys, &serial_opts(limit, offset));
         for par in PARALLELISMS {
@@ -725,11 +733,13 @@ fn top_k_path_matches_full_sort() {
                 serial.to_rows(),
                 "limit {limit:?} offset {offset} parallelism {par}"
             );
+            let runs = BIG.div_ceil(SMALL_RUN) as u64;
             assert_eq!(
-                stats.sort_runs_generated, 0,
-                "Top-K must not generate runs (limit {limit:?})"
+                (stats.sort_runs_generated, stats.merge_fanin),
+                (runs, runs),
+                "limit {limit:?}"
             );
-            assert!(stats.morsels_dispatched > 1, "Top-K still fans out");
+            assert!(stats.morsels_dispatched > 1, "FETCH FIRST still fans out");
         }
     }
 }
@@ -766,8 +776,8 @@ fn reference_cmp(a: &Datum, b: &Datum, key: &SortKey) -> std::cmp::Ordering {
 /// both signs, signed zeros, infinities, `i64::MIN/MAX`, the empty string
 /// and strings that tie on their 8-byte prefix, in a dictionary-backed and
 /// a plain string column; 1–4 keys in every direction and NULL placement;
-/// the full path and the Top-K path at widths 1, 4 and 8, with LIMIT/OFFSET
-/// windows across run edges. Rows compare by `Debug`, so which of two tied
+/// at widths 1, 4 and 8, with LIMIT/OFFSET windows across run edges and
+/// FETCH FIRST k from one row to the whole input. Rows compare by `Debug`, so which of two tied
 /// rows (a `-0.0` and a `0.0`, two NaNs) comes first counts.
 #[test]
 fn word_sort_matches_a_reference_stable_sort() {
@@ -806,14 +816,20 @@ fn word_sort_matches_a_reference_stable_sort() {
         columns[3] = ColumnValues::Str(t.repool(pool.dict().clone()));
     }
     let input = Batch::new(schema, columns).unwrap();
-    let topk_end = n / TOPK_FACTOR;
-    let windows: [(Option<usize>, usize); 6] = [
+    let windows: [(Option<usize>, usize); 13] = [
         (None, 0),
         (Some(SMALL_RUN + 7), SMALL_RUN - 3),
         (Some(100), n - 50),
         (Some(40), 0),
-        (Some(topk_end - 30), 30),
+        (Some(n / 8 - 30), 30),
         (Some(25), SMALL_RUN - 10),
+        (Some(1), 0),
+        (Some(SMALL_RUN - 1), 0),
+        (Some(SMALL_RUN + 1), 0),
+        (Some(n / 8 - 1), 0),
+        (Some(n / 8 + 1), 0),
+        (Some(n - 1), 0),
+        (Some(n), 0),
     ];
     for _ in 0..24 {
         let keys: Vec<SortKey> = (0..1 + g.below(4))
@@ -834,8 +850,8 @@ fn word_sort_matches_a_reference_stable_sort() {
                 let (out, stats) = sort_with(&input, &keys, &o);
                 let got: Vec<String> = out.to_rows().iter().map(|r| format!("{r:?}")).collect();
                 assert_eq!(got, want, "keys {keys:?} limit {limit:?} offset {offset} width {par}");
-                let topk = limit.is_some() && end * TOPK_FACTOR <= n;
-                assert_eq!(stats.sort_runs_generated == 0, topk, "keys {keys:?} limit {limit:?} offset {offset}");
+                let runs = n.div_ceil(SMALL_RUN) as u64;
+                assert_eq!((stats.sort_runs_generated, stats.merge_fanin), (runs, runs), "keys {keys:?} limit {limit:?} offset {offset}");
             }
         }
     }
@@ -843,21 +859,25 @@ fn word_sort_matches_a_reference_stable_sort() {
 
 #[test]
 fn all_equal_keys_preserve_input_order_across_runs() {
-    // Every key ties: the output must be the input, at any run size and
-    // worker count — the strictest stability test there is.
+    // Every key ties: the output must be the input, or its first k rows
+    // under FETCH FIRST k, at any run size and worker count — the
+    // strictest stability test there is.
     let schema = out_schema(&[("k", DataType::Int64), ("id", DataType::Int64)]);
     let rows: Vec<Row> = (0..10_000).map(|i| row![7i64, i as i64]).collect();
     let input = Batch::from_rows(schema, &rows).unwrap();
     for par in PARALLELISMS {
         for run_rows in [1, 37, 1000, 4096] {
-            let o = SortOptions {
-                limit: None,
-                offset: 0,
-                parallelism: par,
-                run_rows,
-            };
-            let (out, _) = sort_with(&input, &[SortKey::asc(0)], &o);
-            assert_eq!(out.to_rows(), rows, "par {par} run_rows {run_rows}");
+            for limit in [None, Some(1), Some(36), Some(38), Some(1001), Some(9_999)] {
+                let o = SortOptions {
+                    limit,
+                    offset: 0,
+                    parallelism: par,
+                    run_rows,
+                };
+                let (out, _) = sort_with(&input, &[SortKey::asc(0)], &o);
+                let want = &rows[..limit.unwrap_or(rows.len())];
+                assert_eq!(out.to_rows(), want, "par {par} run_rows {run_rows} limit {limit:?}");
+            }
         }
     }
 }
@@ -886,7 +906,7 @@ fn sql_order_by_identical_across_worker_counts() {
 
     // Fan-out is visible in the statement stats: the full sort reports
     // its runs and merge width — one run per worker, derived from the
-    // input with nothing set — and the LIMIT 20 query takes Top-K.
+    // input with nothing set — and the LIMIT 20 query cuts the same runs.
     db.catalog().set_parallelism(4);
     let full = s
         .execute("SELECT label, qty FROM facts ORDER BY label DESC")
@@ -898,10 +918,11 @@ fn sql_order_by_identical_across_worker_counts() {
     );
     assert_eq!(full.stats.merge_fanin, full.stats.sort_runs_generated);
     assert!(full.stats.parallel_workers_used > 1);
-    let topk = s
+    let top = s
         .execute("SELECT id, qty FROM facts ORDER BY qty DESC, id LIMIT 20")
         .unwrap();
-    assert_eq!(topk.stats.sort_runs_generated, 0, "{:?}", topk.stats);
+    let runs = BIG.div_ceil(BIG.div_ceil(4)) as u64; // one run per worker
+    assert_eq!((top.stats.sort_runs_generated, top.stats.merge_fanin), (runs, runs), "{:?}", top.stats);
 }
 
 /// A NaN used to compare Equal to every number, which is no order at all:

@@ -425,6 +425,42 @@ fn sort_over_budget_is_refused_and_releases_its_runs() {
     assert!(stats.budget_rejections >= 1, "{stats:?}");
 }
 
+/// A sort charges its runs' buffers, the merged prefix and its positions
+/// before it builds them: `(min(n, runs × 2·end) + end) × entry + end × 8`
+/// bytes, with a 16-byte entry for one NULL-free integer key. A full sort
+/// buffers every row; FETCH FIRST 10 buffers at most 20 entries a run.
+/// Each succeeds at exactly its charge and is refused one byte under it,
+/// leaving nothing charged.
+#[test]
+fn sort_charges_its_bounded_runs_exactly() {
+    let input = Batch::from_rows(sales_schema(), &sales_rows(4_000)).unwrap();
+    let full = (4_000 + 4_000) * 16 + 4_000 * 8;
+    let fetch_first = (4 * 2 * 10 + 10) * 16 + 10 * 8;
+    for (limit, charge) in [(None, full), (Some(10), fetch_first)] {
+        // 4 runs of 1 000 rows at width 4.
+        let opts = SortOptions { limit, offset: 0, parallelism: 4, run_rows: 1_000 };
+        for budget in [charge, charge - 1] {
+            let stmt = StatementContext::with_budget(budget);
+            let ctx = EvalContext::with_statement(stmt.clone());
+            let mut stats = ExecStats::default();
+            let out = sort_batch(&input, &[SortKey::asc(0)], &opts, &ctx, &mut stats);
+            match out {
+                Ok(out) => {
+                    assert_eq!(budget, charge, "limit {limit:?}: one byte under the charge must refuse");
+                    assert_eq!(out.len(), limit.unwrap_or(4_000));
+                    assert_eq!(stats.sort_runs_generated, 4);
+                }
+                Err(err) => {
+                    assert_eq!(budget, charge - 1, "limit {limit:?}: refused at its own charge: {err}");
+                    assert!(matches!(err, DashError::ResourceExhausted(_)), "{err:?}");
+                    assert_eq!(stats.budget_rejections, 1);
+                }
+            }
+            assert_eq!(stmt.budget_used(), 0, "limit {limit:?} budget {budget}");
+        }
+    }
+}
+
 fn sales_schema() -> Schema {
     Schema::new(vec![
         Field::not_null("id", DataType::Int64),
